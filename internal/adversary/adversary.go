@@ -2,7 +2,7 @@
 // suite as core.Behavior values: spam amplifiers, profile poisoners, and
 // sybil flash-crowds combining both. Each behavior plugs into the sim
 // engine, the live runtime and the baseline peers through the same seam
-// (core.Node.SetBehavior and its baseline equivalents), so an attack
+// (core.Substrate.SetBehavior, which every peer type embeds), so an attack
 // scenario runs unmodified against every protocol under comparison.
 //
 // A single behavior instance may be shared by a whole attacker cohort (the

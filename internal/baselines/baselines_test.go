@@ -13,15 +13,10 @@ import (
 	"whatsup/internal/sim"
 )
 
-// The gossip and CF peers must satisfy the engine contract, including the
-// lifecycle hooks so scheduled crashes wipe their views like WhatsUp's.
+// The gossip and CF peers must satisfy the engine contract.
 var (
-	_ sim.Peer    = (*Gossip)(nil)
-	_ sim.Peer    = (*CF)(nil)
-	_ sim.Crasher = (*Gossip)(nil)
-	_ sim.Crasher = (*CF)(nil)
-	_ sim.Leaver  = (*Gossip)(nil)
-	_ sim.Leaver  = (*CF)(nil)
+	_ sim.Peer = (*Gossip)(nil)
+	_ sim.Peer = (*CF)(nil)
 )
 
 func likeEven() core.Opinions {
@@ -164,7 +159,7 @@ func TestBaselineCrashWipesViews(t *testing.T) {
 			e.Bootstrap()
 			e.Step()
 			e.Step()
-			p := e.Peer(0)
+			p := e.Peer(0).Overlay()
 			if p.RPS().View().Len() == 0 {
 				t.Fatal("pre-crash RPS view empty; nothing to exercise")
 			}

@@ -3,12 +3,10 @@ package baselines
 import (
 	"math/rand"
 
-	"whatsup/internal/cluster"
 	"whatsup/internal/core"
 	"whatsup/internal/news"
 	"whatsup/internal/overlay"
 	"whatsup/internal/profile"
-	"whatsup/internal/rps"
 )
 
 // CF is a decentralized collaborative-filtering peer based on the
@@ -21,15 +19,9 @@ import (
 // With metric profile.WUP it is the paper's CF-WUP; with profile.Cosine it
 // is CF-Cos.
 type CF struct {
-	id       news.NodeID
-	k        int
-	user     *profile.Profile
-	rps      *rps.Protocol
-	knn      *cluster.Protocol
+	core.Substrate
 	opinions core.Opinions
 	seen     map[news.ID]struct{}
-	window   int64
-	behavior core.Behavior // adversarial seam; nil = honest
 }
 
 // NewCF builds a decentralized CF peer keeping the k most similar
@@ -44,52 +36,12 @@ func NewCF(id news.NodeID, k, rpsViewSize int, window int64, metric profile.Metr
 	if metric == nil {
 		metric = profile.WUP{}
 	}
+	cfg := core.Config{RPSViewSize: rpsViewSize, WUPViewSize: k, Metric: metric, ProfileWindow: window}
 	return &CF{
-		id:       id,
-		k:        k,
-		user:     profile.New(),
-		rps:      rps.New(id, "", rpsViewSize, rng),
-		knn:      cluster.New(id, "", k, metric, rng),
-		opinions: opinions,
-		seen:     make(map[news.ID]struct{}),
-		window:   window,
+		Substrate: core.NewSubstrate(id, "", cfg, rng),
+		opinions:  opinions,
+		seen:      make(map[news.ID]struct{}),
 	}
-}
-
-// SetBehavior attaches (or, with nil, detaches) an adversarial behavior, so
-// attack scenarios run against the same baseline peers as against WhatsUp.
-func (c *CF) SetBehavior(b core.Behavior) { c.behavior = b }
-
-// AdvertisedProfile implements sim.ProfileAdvertiser: the profile gossiped
-// in this peer's overlay descriptors (poisoned when a behavior says so).
-func (c *CF) AdvertisedProfile(now int64) *profile.Profile {
-	if c.behavior != nil {
-		return c.behavior.AdvertisedProfile(c.user, now)
-	}
-	return c.user
-}
-
-// ID implements sim.Peer.
-func (c *CF) ID() news.NodeID { return c.id }
-
-// RPS implements sim.Peer.
-func (c *CF) RPS() *rps.Protocol { return c.rps }
-
-// WUP implements sim.Peer: the kNN view is maintained by the standard
-// clustering protocol, so the engine gossips it like WhatsUp's.
-func (c *CF) WUP() *cluster.Protocol { return c.knn }
-
-// UserProfile implements sim.Peer.
-func (c *CF) UserProfile() *profile.Profile { return c.user }
-
-// BeginCycle implements sim.Peer: CF profiles use the same sliding window.
-func (c *CF) BeginCycle(now int64) {
-	c.user.PurgeOlderThan(now - c.window)
-}
-
-// InjectRPSCandidates implements sim.Peer.
-func (c *CF) InjectRPSCandidates() {
-	c.knn.MergeFrom(c.rps.View(), c.user)
 }
 
 // Publish implements sim.Peer: the source likes its item and forwards it to
@@ -99,49 +51,34 @@ func (c *CF) Publish(item news.Item, now int64) []core.Send {
 		return nil
 	}
 	c.seen[item.ID] = struct{}{}
-	c.user.Set(item.ID, item.Created, 1)
+	c.UserProfile().Set(item.ID, item.Created, 1)
 	return c.spread(item, 1)
 }
 
 // Receive implements sim.Peer: forward to the k closest neighbours when
 // liked, drop silently when disliked.
 func (c *CF) Receive(msg core.ItemMessage, now int64) (core.Delivery, []core.Send) {
-	d := core.Delivery{Node: c.id, Item: msg.Item.ID, Hops: msg.Hops}
+	d := core.Delivery{Node: c.ID(), Item: msg.Item.ID, Hops: msg.Hops}
 	if _, dup := c.seen[msg.Item.ID]; dup {
 		d.Duplicate = true
 		return d, nil
 	}
 	c.seen[msg.Item.ID] = struct{}{}
-	liked := c.opinions.Likes(c.id, msg.Item.ID)
-	if c.behavior != nil {
-		liked = c.behavior.React(msg.Item, liked)
+	liked := c.opinions.Likes(c.ID(), msg.Item.ID)
+	if b := c.Behavior(); b != nil {
+		liked = b.React(msg.Item, liked)
 	}
 	d.Liked = liked
 	if !liked {
-		c.user.Set(msg.Item.ID, msg.Item.Created, 0)
+		c.UserProfile().Set(msg.Item.ID, msg.Item.Created, 0)
 		return d, nil // no dislike mechanism in plain CF
 	}
-	c.user.Set(msg.Item.ID, msg.Item.Created, 1)
+	c.UserProfile().Set(msg.Item.ID, msg.Item.Created, 1)
 	return d, c.spread(msg.Item, msg.Hops+1)
 }
 
-// Crash implements sim.Crasher: both overlay layers — the RPS sample and
-// the kNN neighbourhood — are volatile and wiped by an abrupt failure, like
-// core.Node.Crash; the profile survives as durable local state. Without
-// this hook a scheduled crash left the pre-crash neighbourhood intact. The
-// engine re-seeds both layers from an online sample on rejoin.
-func (c *CF) Crash() {
-	c.rps.Crash()
-	c.knn.Crash()
-}
-
-// Leave implements sim.Leaver: graceful departures drop the view state too.
-func (c *CF) Leave() {
-	c.Crash()
-}
-
 func (c *CF) spread(item news.Item, hops int) []core.Send {
-	view := c.knn.View()
+	view := c.WUP().View()
 	if view.Len() == 0 {
 		return nil
 	}

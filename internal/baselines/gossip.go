@@ -5,35 +5,31 @@
 // publish/subscribe system (C-Pub/Sub), and the centralized variant of
 // WhatsUp with global knowledge (C-WhatsUp).
 //
-// Gossip and CF are sim.Peer implementations driven by the same engine as
-// WhatsUp; cascading, C-Pub/Sub and C-WhatsUp are centralized computations
+// Gossip and CF embed the same core.Substrate as WhatsUp — the paper defines
+// CF as running "the same" two-layer substrate with a different forwarding
+// rule — and add only Publish, Receive and that rule, so the same engine
+// drives them; cascading, C-Pub/Sub and C-WhatsUp are centralized computations
 // that feed the same metrics collector.
 package baselines
 
 import (
 	"math/rand"
 
-	"whatsup/internal/cluster"
 	"whatsup/internal/core"
 	"whatsup/internal/news"
-	"whatsup/internal/profile"
-	"whatsup/internal/rps"
 )
 
 // Gossip is a standard homogeneous SIR gossip peer (Table III, row
 // "Gossip"): on first receipt of an item it forwards it to Fanout random
-// members of its RPS view, regardless of the user's opinion. It maintains no
-// clustering layer and no item profiles. Opinions are still recorded so
-// precision can be measured.
+// members of its RPS view, regardless of the user's opinion. Its substrate
+// has no clustering layer and no profile window, and it keeps no item
+// profiles. Opinions are still recorded so precision can be measured.
 type Gossip struct {
-	id       news.NodeID
+	core.Substrate
 	fanout   int
-	user     *profile.Profile
-	rps      *rps.Protocol
 	opinions core.Opinions
 	rng      *rand.Rand
 	seen     map[news.ID]struct{}
-	behavior core.Behavior // adversarial seam; nil = honest
 }
 
 // NewGossip builds a homogeneous gossip peer with the given fanout and RPS
@@ -43,47 +39,13 @@ func NewGossip(id news.NodeID, fanout, rpsViewSize int, opinions core.Opinions, 
 		rpsViewSize = core.DefaultRPSViewSize
 	}
 	return &Gossip{
-		id:       id,
-		fanout:   fanout,
-		user:     profile.New(),
-		rps:      rps.New(id, "", rpsViewSize, rng),
-		opinions: opinions,
-		rng:      rng,
-		seen:     make(map[news.ID]struct{}),
+		Substrate: core.NewSubstrate(id, "", core.Config{RPSViewSize: rpsViewSize}, rng),
+		fanout:    fanout,
+		opinions:  opinions,
+		rng:       rng,
+		seen:      make(map[news.ID]struct{}),
 	}
 }
-
-// SetBehavior attaches (or, with nil, detaches) an adversarial behavior, so
-// attack scenarios run against the same baseline peers as against WhatsUp.
-func (g *Gossip) SetBehavior(b core.Behavior) { g.behavior = b }
-
-// AdvertisedProfile implements sim.ProfileAdvertiser: the profile gossiped
-// in this peer's overlay descriptors (poisoned when a behavior says so).
-func (g *Gossip) AdvertisedProfile(now int64) *profile.Profile {
-	if g.behavior != nil {
-		return g.behavior.AdvertisedProfile(g.user, now)
-	}
-	return g.user
-}
-
-// ID implements sim.Peer.
-func (g *Gossip) ID() news.NodeID { return g.id }
-
-// RPS implements sim.Peer.
-func (g *Gossip) RPS() *rps.Protocol { return g.rps }
-
-// WUP implements sim.Peer; homogeneous gossip has no clustering layer.
-func (g *Gossip) WUP() *cluster.Protocol { return nil }
-
-// UserProfile implements sim.Peer.
-func (g *Gossip) UserProfile() *profile.Profile { return g.user }
-
-// BeginCycle implements sim.Peer; plain gossip keeps no windowed state.
-func (g *Gossip) BeginCycle(int64) {}
-
-// InjectRPSCandidates implements sim.Peer; there is no clustering layer to
-// feed.
-func (g *Gossip) InjectRPSCandidates() {}
 
 // Publish implements sim.Peer: infect-and-forward like any other receipt.
 func (g *Gossip) Publish(item news.Item, now int64) []core.Send {
@@ -91,49 +53,34 @@ func (g *Gossip) Publish(item news.Item, now int64) []core.Send {
 		return nil
 	}
 	g.seen[item.ID] = struct{}{}
-	g.user.Set(item.ID, item.Created, 1)
+	g.UserProfile().Set(item.ID, item.Created, 1)
 	return g.spread(item, 1)
 }
 
 // Receive implements sim.Peer: SIR with homogeneous fanout and uniform
 // random targets; the user's opinion influences nothing but the records.
 func (g *Gossip) Receive(msg core.ItemMessage, now int64) (core.Delivery, []core.Send) {
-	d := core.Delivery{Node: g.id, Item: msg.Item.ID, Hops: msg.Hops}
+	d := core.Delivery{Node: g.ID(), Item: msg.Item.ID, Hops: msg.Hops}
 	if _, dup := g.seen[msg.Item.ID]; dup {
 		d.Duplicate = true
 		return d, nil
 	}
 	g.seen[msg.Item.ID] = struct{}{}
-	liked := g.opinions.Likes(g.id, msg.Item.ID)
-	if g.behavior != nil {
-		liked = g.behavior.React(msg.Item, liked)
+	liked := g.opinions.Likes(g.ID(), msg.Item.ID)
+	if b := g.Behavior(); b != nil {
+		liked = b.React(msg.Item, liked)
 	}
 	d.Liked = liked
 	score := 0.0
 	if liked {
 		score = 1
 	}
-	g.user.Set(msg.Item.ID, msg.Item.Created, score)
+	g.UserProfile().Set(msg.Item.ID, msg.Item.Created, score)
 	return d, g.spread(msg.Item, msg.Hops+1)
 }
 
-// Crash implements sim.Crasher: an abrupt failure wipes the volatile view
-// state, exactly like core.Node.Crash. Without this hook a scheduled crash
-// would flip the member's state but leave its pre-crash view intact, making
-// churn comparisons against WhatsUp apples-to-oranges. The engine re-seeds
-// the view from an online sample on rejoin.
-func (g *Gossip) Crash() {
-	g.rps.Crash()
-}
-
-// Leave implements sim.Leaver: a graceful departure drops the view like a
-// crash (the state is volatile either way; departure is final).
-func (g *Gossip) Leave() {
-	g.Crash()
-}
-
 func (g *Gossip) spread(item news.Item, hops int) []core.Send {
-	targets := g.rps.View().RandomSample(g.rng, g.fanout)
+	targets := g.RPS().View().RandomSample(g.rng, g.fanout)
 	if len(targets) == 0 {
 		return nil
 	}

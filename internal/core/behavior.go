@@ -31,22 +31,3 @@ type Behavior interface {
 	// unchanged.
 	OutgoingItem(msg ItemMessage) ItemMessage
 }
-
-// SetBehavior attaches (or, with nil, detaches) the node's behavior. Call
-// before the node starts participating; engines never synchronize this.
-func (n *Node) SetBehavior(b Behavior) { n.behavior = b }
-
-// Behavior returns the attached behavior (nil for an honest node).
-func (n *Node) Behavior() Behavior { return n.behavior }
-
-// AdvertisedProfile returns the profile this node advertises in gossip
-// descriptors: the user profile for honest nodes, the behavior's fabrication
-// otherwise. Engines build every outgoing descriptor from this instead of
-// UserProfile, which is what makes profile poisoning possible without
-// forking them.
-func (n *Node) AdvertisedProfile(now int64) *profile.Profile {
-	if n.behavior != nil {
-		return n.behavior.AdvertisedProfile(n.user, now)
-	}
-	return n.user
-}

@@ -1,11 +1,21 @@
-// Package core implements the WhatsUp node: the integration of the WUP
-// implicit social network (paper Section II) with the BEEP biased epidemic
-// dissemination protocol (Section III). This is the paper's primary
-// contribution.
+// Package core implements the paper's primary contribution in two pieces.
 //
-// A Node is engine-agnostic: message handlers receive a message and return
-// the sends it triggers. The deterministic simulator (internal/sim) and the
-// concurrent live runtimes (internal/live) both drive the same Node code.
+// Substrate is the WUP implicit social network of Section II as one type: a
+// user profile, the RPS layer, an optional clustering layer, the departure
+// graveyard and every overlay rule that is not dissemination policy — cycle
+// maintenance, the advertised profile, seed/crash/leave/rejoin, departure
+// notices, and the make-push / accept-push / accept-reply legs of the RPS,
+// WUP and refill exchanges. Each rule exists once, here.
+//
+// A peer type is a Substrate plus a forwarding policy: Node embeds it and
+// adds BEEP, the biased epidemic dissemination protocol of Section III
+// (Publish, Receive, forward) and the Section II-D cold start;
+// internal/baselines embeds the same substrate under other forwarding rules.
+//
+// Both are runtime-agnostic: a leg takes a message and returns what to send.
+// The deterministic simulator (internal/sim) and the concurrent live
+// runtimes (internal/live) drive the same legs and own only scheduling,
+// loss, accounting and transport.
 package core
 
 import "whatsup/internal/profile"

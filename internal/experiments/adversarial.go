@@ -248,10 +248,11 @@ func runAdversarialPoint(cfg AdversarialConfig, alg Algorithm, attacked bool) ad
 	// Poisoning drift: how much of the honest WUP neighbourhood the cohort
 	// captured (plain gossip has no clustering layer — always 0).
 	for _, p := range e.Peers() {
-		if attackers[p.ID()] || p.WUP() == nil {
+		o := p.Overlay()
+		if attackers[o.ID()] || !o.Has(core.WUPLayer) {
 			continue
 		}
-		p.WUP().View().ForEach(func(d overlay.Descriptor) {
+		o.WUP().View().ForEach(func(d overlay.Descriptor) {
 			if attackers[d.Node] {
 				pt.adv.AttackerSlots++
 			} else {

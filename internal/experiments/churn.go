@@ -350,11 +350,10 @@ func ghostFraction(e *sim.Engine) float64 {
 		}
 	}
 	for _, p := range e.OnlinePeers() {
-		if p.RPS() != nil {
-			p.RPS().View().ForEach(func(d overlay.Descriptor) { count(d.Node) })
-		}
-		if p.WUP() != nil {
-			p.WUP().View().ForEach(func(d overlay.Descriptor) { count(d.Node) })
+		o := p.Overlay()
+		o.RPS().View().ForEach(func(d overlay.Descriptor) { count(d.Node) })
+		if o.Has(core.WUPLayer) {
+			o.WUP().View().ForEach(func(d overlay.Descriptor) { count(d.Node) })
 		}
 	}
 	if total == 0 {
@@ -381,15 +380,14 @@ func churnSample(e *sim.Engine, now int64) metrics.ChurnSample {
 	}
 	col := e.Collector()
 	for _, p := range e.OnlinePeers() {
-		s.OnlineByCohort[col.CohortOf(p.ID())]++
-		if rps := p.RPS(); rps != nil {
-			v := rps.View()
-			rpsLen += v.Len()
-			rpsCap += v.Capacity()
-			v.ForEach(count)
-		}
-		if wup := p.WUP(); wup != nil {
-			v := wup.View()
+		o := p.Overlay()
+		s.OnlineByCohort[col.CohortOf(o.ID())]++
+		v := o.RPS().View()
+		rpsLen += v.Len()
+		rpsCap += v.Capacity()
+		v.ForEach(count)
+		if o.Has(core.WUPLayer) {
+			v := o.WUP().View()
 			wupLen += v.Len()
 			wupCap += v.Capacity()
 			v.ForEach(count)

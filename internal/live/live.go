@@ -13,6 +13,16 @@
 // concurrency, reordering and loss. Results are therefore not
 // bit-deterministic — exactly like the testbeds they stand in for.
 //
+// The protocol itself is not this package's: a node's tick and every inbound
+// gossip envelope are calls into the legs of core.Substrate, the same code
+// the simulator drives (TestLegConformanceSimLive holds the two runtimes to
+// identical views and traffic on a scripted exchange). The runtime owns
+// goroutines, envelopes, the codec, transports and membership control. It
+// differs from the simulator in scheduling only: both pushes of a cycle
+// leave at the tick, and messages arrive between ticks from peers whose
+// clocks may lag, which is why the substrate's accept legs re-apply the
+// descriptor-TTL horizon against the receiver's clock.
+//
 // Membership is dynamic: Config.Churn accepts the same declarative
 // sim.ChurnSchedule the simulator runs, and a controller goroutine applies
 // its events at cycle-tick boundaries. Joins spawn a fresh node goroutine
@@ -425,11 +435,7 @@ func NewRunner(cfg Config, ds *dataset.Dataset, net Network) *Runner {
 			if news.NodeID(j) == ln.node.ID() {
 				continue
 			}
-			descs = append(descs, overlay.Descriptor{
-				Node:    news.NodeID(j),
-				Stamp:   0,
-				Profile: initial[j].node.AdvertisedProfile(0).Clone(),
-			})
+			descs = append(descs, initial[j].node.Descriptor(0))
 			if len(descs) == cfg.BootstrapDegree {
 				break
 			}
@@ -710,7 +716,7 @@ func (ln *liveNode) snapshot() (ctlSnapshot, bool) {
 	ok := ln.exec(func(ln *liveNode, cycle int64) {
 		n := ln.node
 		snap = ctlSnapshot{
-			desc: overlay.Descriptor{Node: n.ID(), Stamp: cycle, Profile: n.AdvertisedProfile(cycle).Clone()},
+			desc: n.Descriptor(cycle),
 			rps:  n.RPS().View().Entries(),
 			wup:  n.WUP().View().Entries(),
 		}
@@ -833,25 +839,17 @@ func (r *Runner) stop(id news.NodeID, graceful bool, now int64) {
 	r.net.Disconnect(id, graceful)
 }
 
-// sendDepartureNotices emits the leaver's departure frame to every distinct
-// online neighbour in its RPS and WUP views — its final courtesy messages,
-// sent before Leave wipes the views.
+// sendDepartureNotices emits the leaver's departure frame to every online
+// farewell recipient — its final courtesy messages, sent before Leave wipes
+// the views.
 func (r *Runner) sendDepartureNotices(ln *liveNode, now int64) {
 	id := ln.node.ID()
 	tombs := []overlay.Tombstone{{Node: id, Stamp: now}}
-	seen := map[news.NodeID]struct{}{}
-	notify := func(d overlay.Descriptor) {
-		if _, dup := seen[d.Node]; dup {
-			return
+	for _, to := range ln.node.FarewellRecipients() {
+		if r.states[to] == sim.Online {
+			r.send(envelope{Kind: wireDeparture, From: id, To: to, Tombs: tombs})
 		}
-		seen[d.Node] = struct{}{}
-		if r.states[d.Node] != sim.Online {
-			return
-		}
-		r.send(envelope{Kind: wireDeparture, From: id, To: d.Node, Tombs: tombs})
 	}
-	ln.node.RPS().View().ForEach(notify)
-	ln.node.WUP().View().ForEach(notify)
 }
 
 // rejoin brings a crashed node back: a fresh transport endpoint, views
@@ -954,24 +952,24 @@ func (ln *liveNode) loop() {
 	}
 }
 
-// onCycle runs the periodic protocol actions: window purge, adaptive view
-// refill, RPS and WUP exchange initiation, and this node's scheduled
-// publications.
+// gossipKinds maps a substrate layer to its request and reply wire kinds.
+var gossipKinds = [...]struct{ request, reply wireKind }{
+	core.RPSLayer: {wireRPSRequest, wireRPSReply},
+	core.WUPLayer: {wireWUPRequest, wireWUPReply},
+}
+
+// onCycle runs the periodic protocol actions: cycle maintenance, adaptive
+// view refill, RPS and WUP exchange initiation, and this node's scheduled
+// publications. Every rule is core.Substrate's; the runtime only turns the
+// legs into envelopes. Both pushes leave at the tick, so — unlike the
+// simulator, whose WUP round starts after the RPS round has completed — the
+// WUP push is built before this cycle's RPS reply is in.
 func (ln *liveNode) onCycle(cycle int64) {
 	n := ln.node
 	n.BeginCycle(cycle)
-	ln.maybeRefill(cycle)
-
-	tombs := n.AppendTombstones(nil)
-	if target, ok := n.RPS().SelectPeer(); ok {
-		push := n.RPS().MakePush(n.RPS().Descriptor(cycle, n.AdvertisedProfile(cycle)))
-		ln.runner.send(envelope{Kind: wireRPSRequest, From: n.ID(), To: target.Node, Descs: push, Tombs: tombs})
-	}
-	n.InjectRPSCandidates()
-	if target, ok := n.WUP().SelectPeer(); ok {
-		push := n.WUP().MakePush(n.WUP().Descriptor(cycle, n.AdvertisedProfile(cycle)))
-		ln.runner.send(envelope{Kind: wireWUPRequest, From: n.ID(), To: target.Node, Descs: push, Tombs: tombs})
-	}
+	ln.refill(cycle)
+	ln.initiate(core.RPSLayer, cycle)
+	ln.initiate(core.WUPLayer, cycle)
 
 	for ln.pubIdx < len(ln.pubs) && ln.pubs[ln.pubIdx].Cycle <= cycle {
 		it := ln.pubs[ln.pubIdx]
@@ -982,99 +980,59 @@ func (ln *liveNode) onCycle(cycle int64) {
 	}
 }
 
-// maybeRefill implements the adaptive view refill (Config.RefillWatermark):
-// when churn eviction has left either view under the watermark, the node
-// pulls an anti-entropy descriptor sample from the freshest surviving
-// neighbour it still knows — the peer most likely to be alive.
-func (ln *liveNode) maybeRefill(cycle int64) {
-	wm := ln.runner.cfg.RefillWatermark
-	if wm <= 0 {
-		return
-	}
+// refill sends the anti-entropy pull when Config.RefillWatermark says one is
+// due.
+func (ln *liveNode) refill(cycle int64) {
 	n := ln.node
-	rpsView, wupView := n.RPS().View(), n.WUP().View()
-	rpsLow := float64(rpsView.Len()) < wm*float64(rpsView.Capacity())
-	wupLow := float64(wupView.Len()) < wm*float64(wupView.Capacity())
-	if !rpsLow && !wupLow {
-		return
-	}
-	var best overlay.Descriptor
-	found := false
-	scan := func(d overlay.Descriptor) {
-		if !found || d.Fresher(best) {
-			best, found = d, true
+	if wm := ln.runner.cfg.RefillWatermark; wm > 0 {
+		if target, ok := n.RefillTarget(wm); ok {
+			req := []overlay.Descriptor{n.Descriptor(cycle)}
+			ln.runner.send(envelope{Kind: wireRefillRequest, From: n.ID(), To: target, Descs: req})
 		}
 	}
-	rpsView.ForEach(scan)
-	wupView.ForEach(scan)
-	if !found {
-		return // fully isolated; nothing to pull from
-	}
-	req := []overlay.Descriptor{n.RPS().Descriptor(cycle, n.AdvertisedProfile(cycle))}
-	ln.runner.send(envelope{Kind: wireRefillRequest, From: n.ID(), To: best.Node, Descs: req, Tombs: n.AppendTombstones(nil)})
 }
 
-// absorbTombs applies piggybacked departure notices before the descriptors
-// they arrived with are merged, so a tombstoned peer's stale descriptors in
-// the same envelope cannot re-enter the views.
-func (ln *liveNode) absorbTombs(tombs []overlay.Tombstone, cycle int64) {
-	for _, t := range tombs {
-		ln.node.NoteDeparture(t, cycle)
+// initiate opens this cycle's exchange on one gossip layer.
+func (ln *liveNode) initiate(layer core.Layer, cycle int64) {
+	n := ln.node
+	if layer == core.WUPLayer {
+		n.InjectRPSCandidates()
+	}
+	if target, push, tombs, ok := n.MakePush(layer, cycle); ok {
+		ln.runner.send(envelope{Kind: gossipKinds[layer].request, From: n.ID(), To: target, Descs: push, Tombs: tombs})
 	}
 }
 
-// evictStale re-applies the descriptor-TTL horizon after a gossip merge.
-// Unlike the simulator's barrier-aligned cycles, a live node absorbs pushes
-// and replies between its ticks, so one tick-starved peer gossiping a view
-// it has not purged yet would re-seed descriptors of departed members into
-// views that had already healed; evicting at ingestion keeps a healed view
-// healed.
-func (ln *liveNode) evictStale(cycle int64) {
-	ttl := ln.node.Config().DescriptorTTL
-	if ttl <= 0 {
-		return
-	}
-	ln.node.RPS().EvictOlderThan(cycle - ttl)
-	ln.node.WUP().EvictOlderThan(cycle - ttl)
+// answer runs the responder leg of a gossip exchange and sends the reply.
+func (ln *liveNode) answer(layer core.Layer, env envelope, cycle int64) {
+	reply, tombs := ln.node.AcceptPush(layer, env.Descs, env.Tombs, cycle)
+	ln.runner.send(envelope{Kind: gossipKinds[layer].reply, From: ln.node.ID(), To: env.From, Descs: reply, Tombs: tombs})
 }
 
-// onMessage dispatches one inbound envelope. Piggybacked departure notices
-// are absorbed first, so the descriptor merge that follows cannot re-insert
-// a tombstoned peer; replies carry this node's own active tombstones back.
+// onMessage dispatches one inbound envelope to the substrate leg it carries.
+// cycle is the node's own clock: the accept legs re-apply the DescriptorTTL
+// horizon against it, because unlike the simulator's barrier-aligned peers a
+// live sender may be a tick behind.
 func (ln *liveNode) onMessage(env envelope, cycle int64) {
 	n := ln.node
-	if len(env.Tombs) > 0 {
-		ln.absorbTombs(env.Tombs, cycle)
-	}
 	switch env.Kind {
 	case wireRPSRequest:
-		reply := n.RPS().AcceptPush(env.Descs, n.RPS().Descriptor(cycle, n.AdvertisedProfile(cycle)))
-		ln.evictStale(cycle)
-		ln.runner.send(envelope{Kind: wireRPSReply, From: n.ID(), To: env.From, Descs: reply, Tombs: n.AppendTombstones(nil)})
-	case wireRPSReply:
-		n.RPS().AcceptReply(env.Descs)
-		ln.evictStale(cycle)
+		ln.answer(core.RPSLayer, env, cycle)
 	case wireWUPRequest:
-		// The wire descriptor carries the advertised profile; similarity
-		// ranking keeps the real one (private state, not a wire payload).
-		reply := n.WUP().AcceptPush(env.Descs, n.WUP().Descriptor(cycle, n.AdvertisedProfile(cycle)), n.UserProfile())
-		ln.evictStale(cycle)
-		ln.runner.send(envelope{Kind: wireWUPReply, From: n.ID(), To: env.From, Descs: reply, Tombs: n.AppendTombstones(nil)})
+		ln.answer(core.WUPLayer, env, cycle)
+	case wireRPSReply:
+		n.AcceptReply(core.RPSLayer, env.Descs, env.Tombs, cycle)
 	case wireWUPReply:
-		n.WUP().AcceptReply(env.Descs, n.UserProfile())
-		ln.evictStale(cycle)
+		n.AcceptReply(core.WUPLayer, env.Descs, env.Tombs, cycle)
 	case wireDeparture:
-		// The notices rode in env.Tombs and were absorbed above.
+		for _, t := range env.Tombs {
+			n.NoteDeparture(t, cycle)
+		}
 	case wireRefillRequest:
-		// Anti-entropy pull: answer with an RPS-style exchange (own fresh
-		// descriptor plus half the view), merging the puller's descriptor.
-		reply := n.RPS().AcceptPush(env.Descs, n.RPS().Descriptor(cycle, n.AdvertisedProfile(cycle)))
-		ln.evictStale(cycle)
-		ln.runner.send(envelope{Kind: wireRefillReply, From: n.ID(), To: env.From, Descs: reply, Tombs: n.AppendTombstones(nil)})
+		reply := n.AcceptRefill(env.Descs, cycle)
+		ln.runner.send(envelope{Kind: wireRefillReply, From: n.ID(), To: env.From, Descs: reply})
 	case wireRefillReply:
-		n.RPS().AcceptReply(env.Descs)
-		n.WUP().Merge(env.Descs, n.UserProfile())
-		ln.evictStale(cycle)
+		n.AcceptRefillReply(env.Descs, ln.runner.cfg.RefillWatermark, cycle)
 	case wireItem:
 		// Snapshot the item profile before Receive folds this user's own
 		// profile into it, so the feed scores the item as it arrived

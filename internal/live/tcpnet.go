@@ -33,6 +33,7 @@ type TCPNet struct {
 	listeners  map[news.NodeID]net.Listener
 	conns      map[string]*outConn
 	inbound    map[news.NodeID]map[net.Conn]struct{} // accepted conns per node, for teardown
+	lingering  map[net.Listener]string               // listeners of graceful leavers still owed a backlog conn, by its remote addr
 	queueCap   int
 	slowCap    int
 	slowEvery  int // every n-th registered node is overloaded (0 = none)
@@ -117,6 +118,7 @@ func NewTCPNet(cfg TCPNetConfig) *TCPNet {
 		listeners:  make(map[news.NodeID]net.Listener),
 		conns:      make(map[string]*outConn),
 		inbound:    make(map[news.NodeID]map[net.Conn]struct{}),
+		lingering:  make(map[net.Listener]string),
 		queueCap:   cfg.QueueCap,
 		slowCap:    cfg.SlowQueueCap,
 		slowEvery:  cfg.SlowEvery,
@@ -186,14 +188,26 @@ func (t *TCPNet) Register(id news.NodeID) <-chan envelope {
 		for {
 			conn, err := ln.Accept()
 			if err != nil {
-				return // listener closed
+				// Listener closed — or a lingering one's deadline passed.
+				t.mu.Lock()
+				delete(t.lingering, ln)
+				t.mu.Unlock()
+				ln.Close()
+				return
 			}
 			t.mu.Lock()
-			if t.closed || t.listeners[id] != ln {
+			// A gracefully closing registration keeps accepting until the one
+			// connection its sender is draining has left the backlog.
+			awaited := t.lingering[ln] == conn.RemoteAddr().String()
+			if !awaited && (t.closed || t.listeners[id] != ln) {
 				// Torn down between Accept and registration.
 				t.mu.Unlock()
 				conn.Close()
 				continue
+			}
+			if awaited {
+				delete(t.lingering, ln)
+				ln.Close()
 			}
 			inConns[conn] = struct{}{}
 			t.wg.Add(1)
@@ -233,7 +247,10 @@ func (t *TCPNet) Register(id news.NodeID) <-chan envelope {
 // its connections immediately — in-flight frames drop as congestion, and the
 // per-destination writer goroutine exits instead of blocking on a dead peer.
 // A graceful leave flushes pending batches before closing, and leaves the
-// node's reader pumps to exit with the flushing connection. Either way the
+// node's reader pumps to exit with the flushing connection; when that
+// connection is still in the listener's accept backlog (the sender dialed it
+// a moment ago) the listener stays open until the accept loop has taken it,
+// so the drain lands in a socket somebody reads. Either way the
 // id vanishes from the address table, so later sends drop without blocking,
 // and the node's inbox channel is left open (never again written) for the
 // departed node's goroutine to abandon.
@@ -259,6 +276,9 @@ func (t *TCPNet) Disconnect(id news.NodeID, graceful bool) {
 	conns := make([]net.Conn, 0, len(inConns))
 	for c := range inConns {
 		conns = append(conns, c)
+	}
+	if graceful && t.linger(ln, sc, inConns) {
+		ln = nil // the accept loop closes it once the drained connection is in
 	}
 	t.mu.Unlock()
 
@@ -289,6 +309,29 @@ func (t *TCPNet) Disconnect(id news.NodeID, graceful bool) {
 			c.Close()
 		}
 	}
+}
+
+// linger keeps the listener of a gracefully closing registration open when
+// the connection its sender is about to drain has not been accepted yet: the
+// sender dialed it a moment ago and it still sits in the accept backlog, where
+// closing the listener would reset it and the drain would land in a socket
+// nobody reads. The accept loop closes the listener as soon as that
+// connection is in; the deadline bounds the wait like drain's write deadline
+// does, so a connection that never shows cannot hang a teardown. Reports
+// whether the listener was left open. Caller holds t.mu.
+func (t *TCPNet) linger(ln net.Listener, sc *outConn, inConns map[net.Conn]struct{}) bool {
+	if ln == nil || sc == nil {
+		return false
+	}
+	draining := sc.c.LocalAddr().String()
+	for c := range inConns {
+		if c.RemoteAddr().String() == draining {
+			return false // already accepted: its reader pump sees the drain
+		}
+	}
+	t.lingering[ln] = draining
+	ln.(*net.TCPListener).SetDeadline(time.Now().Add(time.Second))
+	return true
 }
 
 // Send implements Network: append the encoded frame to the destination's
@@ -520,6 +563,11 @@ func (t *TCPNet) Close() {
 	listeners := t.listeners
 	conns := t.conns
 	boxes := t.boxes
+	for id, ln := range listeners {
+		if t.linger(ln, conns[t.addrs[id]], t.inbound[id]) {
+			delete(listeners, id)
+		}
+	}
 	t.listeners = map[news.NodeID]net.Listener{}
 	t.conns = map[string]*outConn{}
 	t.boxes = map[news.NodeID]chan envelope{}

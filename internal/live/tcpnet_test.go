@@ -263,3 +263,19 @@ func BenchmarkTCPThroughput(b *testing.B) {
 		})
 	}
 }
+
+// TestTCPNetDisconnectGracefulImmediately is the regression for the 0/30
+// loss: a graceful Disconnect issued right after the first Send — while the
+// freshly dialed connection may still sit in the listener's accept backlog —
+// must still deliver the drained frame. No sleeps: the test waits on the
+// delivery itself.
+func TestTCPNetDisconnectGracefulImmediately(t *testing.T) {
+	tn := NewTCPNet(TCPNetConfig{SlowEvery: 0})
+	defer tn.Close()
+	box := tn.Register(1)
+	tn.Send(testItemEnvelope(0, 1))
+	tn.Disconnect(1, true)
+	if got := pollDrain(box, 1, 5*time.Second); got != 1 {
+		t.Fatal("graceful disconnect right after the first send lost the frame")
+	}
+}

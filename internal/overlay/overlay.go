@@ -290,12 +290,14 @@ func (v *View) Remove(id news.NodeID) {
 // randomness, so it is safe inside the engine's per-peer phases.
 func (v *View) EvictOlderThan(minStamp int64) int {
 	kept := v.entries[:0]
-	for _, d := range v.entries {
+	for i, d := range v.entries {
 		if d.Stamp < minStamp {
 			delete(v.index, d.Node)
 			continue
 		}
-		v.index[d.Node] = len(kept)
+		if len(kept) != i { // nothing shifts until the first eviction
+			v.index[d.Node] = len(kept)
+		}
 		kept = append(kept, d)
 	}
 	evicted := len(v.entries) - len(kept)

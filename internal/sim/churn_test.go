@@ -152,10 +152,10 @@ func TestViewsSelfHealAfterDepartures(t *testing.T) {
 					ghosts++
 				}
 			}
-			for _, d := range p.RPS().View().Entries() {
+			for _, d := range p.Overlay().RPS().View().Entries() {
 				count(d.Node)
 			}
-			for _, d := range p.WUP().View().Entries() {
+			for _, d := range p.Overlay().WUP().View().Entries() {
 				count(d.Node)
 			}
 		}
@@ -266,7 +266,7 @@ func TestPeersReturnsACopy(t *testing.T) {
 	if e.Peer(0) == nil || e.Peers()[0] == nil {
 		t.Fatal("mutating the returned slice corrupted the engine")
 	}
-	if e.Peers()[1].ID() != 1 {
+	if e.Peers()[1].Overlay().ID() != 1 {
 		t.Fatal("engine slice aliased by caller mutation")
 	}
 }

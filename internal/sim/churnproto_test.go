@@ -33,7 +33,7 @@ func protoWorld(n, cycles int, schedule ChurnSchedule, cfg core.Config, simCfg f
 func holders(e *Engine, id news.NodeID) int {
 	n := 0
 	for _, p := range e.OnlinePeers() {
-		if p.RPS().View().Contains(id) || p.WUP().View().Contains(id) {
+		if p.Overlay().RPS().View().Contains(id) || p.Overlay().WUP().View().Contains(id) {
 			n++
 		}
 	}
@@ -89,7 +89,7 @@ func TestRefillRecoversDrainedViews(t *testing.T) {
 	minFill := func(e *Engine) float64 {
 		min := 1.0
 		for _, p := range e.OnlinePeers() {
-			v := p.RPS().View()
+			v := p.Overlay().RPS().View()
 			if f := float64(v.Len()) / float64(v.Capacity()); f < min {
 				min = f
 			}

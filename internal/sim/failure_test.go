@@ -40,7 +40,7 @@ func TestCrashRecovery(t *testing.T) {
 	// with the surviving half.
 	empty := 0
 	for _, p := range e.Peers() {
-		if p.RPS().View().Len() == 0 {
+		if p.Overlay().RPS().View().Len() == 0 {
 			empty++
 		}
 	}

@@ -115,8 +115,8 @@ func TestPartitionHealsViewsReconverge(t *testing.T) {
 	crossEdges := func(e *Engine) int {
 		cross := 0
 		for _, p := range e.Peers() {
-			for _, d := range p.RPS().View().Entries() {
-				if group(p.ID()) != group(d.Node) {
+			for _, d := range p.Overlay().RPS().View().Entries() {
+				if group(p.Overlay().ID()) != group(d.Node) {
 					cross++
 				}
 			}

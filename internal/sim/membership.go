@@ -13,7 +13,9 @@
 // the engine applies them serially at the start of the cycle, before any
 // peer acts. Event application consumes randomness only from the engine
 // stream of the affected peer (bootstrap sampling for joins and rejoins), so
-// schedules compose with the determinism contract.
+// schedules compose with the determinism contract. What an event does to a
+// peer's overlay state is core.Substrate's rule, the same for every peer
+// type.
 package sim
 
 import (
@@ -228,40 +230,12 @@ func ChurnTrace(cfg ChurnTraceConfig) ChurnSchedule {
 	return s
 }
 
-// Crasher is implemented by peers whose volatile state can be wiped on a
-// crash (core.Node and any baseline holding views). The engine calls it when
-// applying ChurnCrash.
-type Crasher interface {
-	Crash()
-}
-
-// Leaver is implemented by peers that want a hook on graceful departure.
-type Leaver interface {
-	Leave()
-}
-
-// Rejoiner is implemented by peers that handle their own resume-from-crash:
-// the engine hands them a bootstrap sample of online descriptors. Peers
-// without it are re-seeded through their RPS/WUP layers directly.
-type Rejoiner interface {
-	Rejoin(bootstrap []overlay.Descriptor, now int64)
-}
-
-// ColdStarter is implemented by peers that support the paper's joining
-// procedure (Section II-D): inheriting the views of a live contact. The
-// engine uses it for scheduled joins; peers without it are seeded with a
-// random online descriptor sample instead.
+// ColdStarter is the one optional peer interface: peers that support the
+// paper's joining procedure (Section II-D), inheriting the views of a live
+// contact. The engine uses it for scheduled joins; peers without it are
+// seeded with a random online descriptor sample instead. Every other
+// lifecycle rule (crash, leave, rejoin, departure notices) is core.Substrate's
+// and therefore common to all peers.
 type ColdStarter interface {
 	ColdStart(inheritedRPS, inheritedWUP []overlay.Descriptor, now int64)
-}
-
-// DepartureNoticer is implemented by peers that take part in the departure
-// notice protocol (Config.DepartureNotices): they accept tombstones of
-// gracefully departed peers — evicting those peers from their views and
-// filtering their stale descriptors out of merges for one horizon — and
-// expose their active tombstones for piggybacking on outgoing gossip.
-// core.Node implements it; baselines without it simply never see notices.
-type DepartureNoticer interface {
-	NoteDeparture(t overlay.Tombstone, now int64)
-	AppendTombstones(dst []overlay.Tombstone) []overlay.Tombstone
 }

@@ -5,6 +5,13 @@
 // are disseminated to quiescence. A configurable loss model drops BEEP and
 // gossip messages (Table VI).
 //
+// The engine is a runtime for core.Substrate: every overlay rule — the
+// exchange legs, refill, departure notices, crash, leave, rejoin — is a call
+// into the substrate a Peer embeds, shared verbatim with internal/live. What
+// the engine owns is what only a simulator has: the phase order and its
+// barriers, loss and link draws, wire-byte accounting, and the worker and
+// shard partitioning below.
+//
 // The engine is parallel *and* strictly deterministic: peer state lives in
 // shard-owned struct-of-arrays slabs (Config.Shards), per-cycle phases run
 // on each shard's own worker slice (Config.Workers), and yet a given seed
@@ -53,29 +60,27 @@ import (
 	"slices"
 	"sync"
 
-	"whatsup/internal/cluster"
 	"whatsup/internal/core"
 	"whatsup/internal/faultnet"
 	"whatsup/internal/graph"
 	"whatsup/internal/metrics"
 	"whatsup/internal/news"
 	"whatsup/internal/overlay"
-	"whatsup/internal/profile"
-	"whatsup/internal/rps"
 	"whatsup/internal/wire"
 )
 
-// Peer is the engine-facing contract of a protocol node. core.Node satisfies
-// it; baselines provide their own implementations. A peer without an RPS or
-// clustering layer returns nil from the corresponding accessor and the
-// engine skips that gossip phase for it. Peer methods are only ever invoked
-// for one peer from one goroutine at a time; they may freely read immutable
-// shared data (descriptors, profiles snapshots, the opinion trace).
+// Peer is the engine-facing contract of a protocol node: the shared gossip
+// substrate plus the four calls that are a peer type's own. Everything the
+// engine does to a peer's overlay state — gossip legs, refill, departure
+// notices, crash, leave, rejoin — it does through Overlay, so every peer type
+// follows the same rules by construction; BeginCycle, InjectRPSCandidates,
+// Publish and Receive go through the interface so a wrapper embedding a peer
+// can observe or alter them. core.Node and the baselines satisfy it by
+// embedding core.Substrate. Peer methods are only ever invoked for one peer
+// from one goroutine at a time; they may freely read immutable shared data
+// (descriptors, profiles snapshots, the opinion trace).
 type Peer interface {
-	ID() news.NodeID
-	RPS() *rps.Protocol
-	WUP() *cluster.Protocol
-	UserProfile() *profile.Profile
+	Overlay() *core.Substrate
 	BeginCycle(now int64)
 	InjectRPSCandidates()
 	Publish(item news.Item, now int64) []core.Send
@@ -375,12 +380,12 @@ func (e *Engine) streamOf(id news.NodeID) *rand.Rand {
 // sharding and per-peer RNG streams are unaffected by how much churn
 // preceded the current cycle.
 func (e *Engine) addPeer(p Peer) {
-	g := e.count
-	e.idx[p.ID()] = g
+	g, id := e.count, p.Overlay().ID()
+	e.idx[id] = g
 	sl := &e.slabs[e.shardOf(g)]
 	sl.peers = append(sl.peers, p)
 	sl.states = append(sl.states, Online)
-	sl.streams = append(sl.streams, rand.New(rand.NewSource(streamSeed(e.cfg.Seed, p.ID()))))
+	sl.streams = append(sl.streams, rand.New(rand.NewSource(streamSeed(e.cfg.Seed, id))))
 	e.count++
 	e.online++
 }
@@ -390,7 +395,7 @@ func (e *Engine) addPeer(p Peer) {
 // scheduled through Config.Churn are bootstrapped by the engine instead.
 // Registering an id that already exists is a no-op.
 func (e *Engine) AddPeer(p Peer) {
-	if _, exists := e.idx[p.ID()]; exists {
+	if _, exists := e.idx[p.Overlay().ID()]; exists {
 		return
 	}
 	e.addPeer(p)
@@ -475,72 +480,43 @@ func (e *Engine) Leave(id news.NodeID) bool {
 	}
 	wasOnline := e.stateAt(g) == Online
 	e.setState(g, Departed)
-	p := e.peerAt(g)
+	leaver := e.peerAt(g).Overlay()
 	if e.cfg.DepartureNotices && wasOnline {
-		e.sendDepartureNotices(p)
+		e.sendDepartureNotices(leaver)
 	}
-	if l, isLeaver := p.(Leaver); isLeaver {
-		l.Leave()
-	}
+	leaver.Leave()
 	return true
 }
 
 // sendDepartureNotices delivers the leaver's departure tombstone to its view
 // neighbours — the final courtesy message of a graceful leave, sent while the
-// leaver's views still exist. It runs inside the serial churn phase:
-// recipients are the leaver's RPS then WUP entries in insertion order
-// (deduplicated), and the per-recipient loss draws consume only the leaver's
-// engine stream, so the operation is deterministic for any worker count.
-func (e *Engine) sendDepartureNotices(p Peer) {
-	t := overlay.Tombstone{Node: p.ID(), Stamp: e.now}
-	var recipients []news.NodeID
-	seen := map[news.NodeID]struct{}{}
-	collect := func(v *overlay.View) {
-		if v == nil {
-			return
-		}
-		v.ForEach(func(d overlay.Descriptor) {
-			if _, dup := seen[d.Node]; dup {
-				return
-			}
-			seen[d.Node] = struct{}{}
-			recipients = append(recipients, d.Node)
-		})
-	}
-	if p.RPS() != nil {
-		collect(p.RPS().View())
-	}
-	if p.WUP() != nil {
-		collect(p.WUP().View())
-	}
-	for _, id := range recipients {
+// leaver's views still exist. It runs inside the serial churn phase, and the
+// per-recipient loss draws consume only the leaver's engine stream, so the
+// operation is deterministic for any worker count.
+func (e *Engine) sendDepartureNotices(leaver *core.Substrate) {
+	t := overlay.Tombstone{Node: leaver.ID(), Stamp: e.now}
+	for _, id := range leaver.FarewellRecipients() {
 		nb := e.onlinePeer(id)
 		if nb == nil {
 			continue
 		}
-		dn, isNoticer := nb.(DepartureNoticer)
-		if !isNoticer {
-			continue
-		}
 		e.col.RecordMessage(metrics.MsgDeparture, t.WireSize())
-		if e.lost(p.ID()) || e.linkDropped(p.ID(), id, e.now, metrics.MsgDeparture, 0) {
+		if e.lost(leaver.ID()) || e.linkDropped(leaver.ID(), id, e.now, metrics.MsgDeparture, 0) {
 			continue
 		}
-		dn.NoteDeparture(t, e.now)
+		nb.Overlay().NoteDeparture(t, e.now)
 	}
 }
 
 // Crash abruptly takes an online member offline, wiping its volatile state
-// (views) when the peer supports it. Reports whether the member was online.
+// (views). Reports whether the member was online.
 func (e *Engine) Crash(id news.NodeID) bool {
 	g, ok := e.idx[id]
 	if !ok || e.stateAt(g) != Online {
 		return false
 	}
 	e.setState(g, Offline)
-	if c, isCrasher := e.peerAt(g).(Crasher); isCrasher {
-		c.Crash()
-	}
+	e.peerAt(g).Overlay().Crash()
 	return true
 }
 
@@ -554,11 +530,7 @@ func (e *Engine) Rejoin(id news.NodeID) bool {
 		return false
 	}
 	e.setState(g, Online)
-	p := e.peerAt(g)
-	if c, isCrasher := p.(Crasher); isCrasher {
-		c.Crash() // ensure stale views are gone even if the crash hook was absent
-	}
-	e.seedFromOnline(p, e.now)
+	e.peerAt(g).Overlay().Rejoin(e.onlineSample(id, e.streamAt(g), e.now), e.now)
 	return true
 }
 
@@ -567,18 +539,20 @@ func (e *Engine) Rejoin(id news.NodeID) bool {
 // paper's Section II-D procedure; others get a random descriptor sample).
 // Reports whether the id was new.
 func (e *Engine) Join(p Peer) bool {
-	if _, exists := e.idx[p.ID()]; exists {
+	id := p.Overlay().ID()
+	if _, exists := e.idx[id]; exists {
 		return false
 	}
 	e.addPeer(p)
-	stream := e.streamOf(p.ID())
+	stream := e.streamOf(id)
 	if cs, isCold := p.(ColdStarter); isCold {
-		if host := e.randomOnlineHost(p.ID(), stream); host != nil && host.RPS() != nil && host.WUP() != nil {
-			cs.ColdStart(host.RPS().View().Entries(), host.WUP().View().Entries(), e.now)
+		if host := e.randomOnlineHost(id, stream); host != nil && host.Overlay().Has(core.WUPLayer) {
+			h := host.Overlay()
+			cs.ColdStart(h.RPS().View().Entries(), h.WUP().View().Entries(), e.now)
 			return true
 		}
 	}
-	e.seedFromOnline(p, e.now)
+	p.Overlay().SeedViews(e.onlineSample(id, stream, e.now))
 	return true
 }
 
@@ -596,7 +570,7 @@ func (e *Engine) randomOnlineHost(self news.NodeID, stream *rand.Rand) Peer {
 			if e.stateAt(g) != Online {
 				continue
 			}
-			if p := e.peerAt(g); p.ID() != self {
+			if p := e.peerAt(g); p.Overlay().ID() != self {
 				return p
 			}
 		}
@@ -604,7 +578,7 @@ func (e *Engine) randomOnlineHost(self news.NodeID, stream *rand.Rand) Peer {
 	}
 	candidates := 0
 	for g := 0; g < e.count; g++ {
-		if e.stateAt(g) == Online && e.peerAt(g).ID() != self {
+		if e.stateAt(g) == Online && e.peerAt(g).Overlay().ID() != self {
 			candidates++
 		}
 	}
@@ -613,7 +587,7 @@ func (e *Engine) randomOnlineHost(self news.NodeID, stream *rand.Rand) Peer {
 	}
 	pick := stream.Intn(candidates)
 	for g := 0; g < e.count; g++ {
-		if e.stateAt(g) == Online && e.peerAt(g).ID() != self {
+		if e.stateAt(g) == Online && e.peerAt(g).Overlay().ID() != self {
 			if pick == 0 {
 				return e.peerAt(g)
 			}
@@ -623,24 +597,26 @@ func (e *Engine) randomOnlineHost(self news.NodeID, stream *rand.Rand) Peer {
 	return nil
 }
 
-// appendOnlineSample appends up to k fresh descriptors of online members
-// other than self, sampled from the given stream. Below the large-scale
-// threshold it reproduces the historical rand.Perm draw sequence exactly;
-// above it, it rejection-samples O(k) slots (a per-peer Perm over a
-// million-member table would be quadratic in time and allocation across a
-// bootstrap). Both paths consume only the given stream.
-func (e *Engine) appendOnlineSample(descs []overlay.Descriptor, self news.NodeID, stream *rand.Rand, now int64, k int) []overlay.Descriptor {
-	n := e.count
+// onlineSample returns up to BootstrapDegree fresh descriptors of online
+// members other than self — the seed of a bootstrapping, joining or rejoining
+// peer's views — sampled from the given stream (the only randomness the
+// operation consumes). Below the large-scale threshold it reproduces the
+// historical rand.Perm draw sequence exactly; above it, it rejection-samples
+// O(k) slots (a per-peer Perm over a million-member table would be quadratic
+// in time and allocation across a bootstrap).
+func (e *Engine) onlineSample(self news.NodeID, stream *rand.Rand, now int64) []overlay.Descriptor {
+	n, k := e.count, e.cfg.BootstrapDegree
+	descs := make([]overlay.Descriptor, 0, k)
 	if n < largeScaleMembers {
 		for _, g := range stream.Perm(n) {
 			if e.stateAt(g) != Online {
 				continue
 			}
-			p := e.peerAt(g)
-			if p.ID() == self {
+			s := e.peerAt(g).Overlay()
+			if s.ID() == self {
 				continue
 			}
-			descs = append(descs, descriptorOf(p, now))
+			descs = append(descs, s.Descriptor(now))
 			if len(descs) == k {
 				break
 			}
@@ -653,32 +629,14 @@ func (e *Engine) appendOnlineSample(descs []overlay.Descriptor, self news.NodeID
 		if e.stateAt(g) != Online {
 			continue
 		}
-		p := e.peerAt(g)
-		if p.ID() == self || slices.Contains(picked, g) {
+		s := e.peerAt(g).Overlay()
+		if s.ID() == self || slices.Contains(picked, g) {
 			continue
 		}
 		picked = append(picked, g)
-		descs = append(descs, descriptorOf(p, now))
+		descs = append(descs, s.Descriptor(now))
 	}
 	return descs
-}
-
-// seedFromOnline seeds a joining or rejoining peer's views with up to
-// BootstrapDegree fresh descriptors of online members, sampled from the
-// peer's own engine stream (the only randomness the operation consumes).
-func (e *Engine) seedFromOnline(p Peer, now int64) {
-	descs := make([]overlay.Descriptor, 0, e.cfg.BootstrapDegree)
-	descs = e.appendOnlineSample(descs, p.ID(), e.streamOf(p.ID()), now, e.cfg.BootstrapDegree)
-	if r, isRejoiner := p.(Rejoiner); isRejoiner {
-		r.Rejoin(descs, now)
-		return
-	}
-	if p.RPS() != nil {
-		p.RPS().Seed(descs)
-	}
-	if p.WUP() != nil {
-		p.WUP().Seed(descs, p.UserProfile())
-	}
 }
 
 // applyChurn applies the scheduled membership events of one cycle, serially
@@ -695,7 +653,7 @@ func (e *Engine) applyChurn(now int64) {
 			if _, exists := e.idx[ev.Node]; exists {
 				continue
 			}
-			if p := e.cfg.NewPeer(ev.Node); p != nil && p.ID() == ev.Node {
+			if p := e.cfg.NewPeer(ev.Node); p != nil && p.Overlay().ID() == ev.Node {
 				e.Join(p)
 			}
 		case ChurnLeave:
@@ -858,13 +816,6 @@ func (e *Engine) mergeCols() {
 	}
 }
 
-// descriptorOf builds a fresh descriptor for a peer at the given time. The
-// profile is the peer's advertised one, so a poisoning behavior reaches
-// bootstrap and refill descriptors too.
-func descriptorOf(p Peer, now int64) overlay.Descriptor {
-	return overlay.Descriptor{Node: p.ID(), Stamp: now, Profile: gossipProfile(p, now).Clone()}
-}
-
 // Bootstrap seeds every online peer's views with BootstrapDegree random
 // descriptors of other online peers, forming the initial random graph. Each
 // peer samples its neighbours from its own engine stream, so the graph is
@@ -877,15 +828,8 @@ func (e *Engine) Bootstrap() {
 		if e.stateAt(g) != Online {
 			return
 		}
-		p := e.peerAt(g)
-		descs := make([]overlay.Descriptor, 0, e.cfg.BootstrapDegree)
-		descs = e.appendOnlineSample(descs, p.ID(), e.streamAt(g), 0, e.cfg.BootstrapDegree)
-		if p.RPS() != nil {
-			p.RPS().Seed(descs)
-		}
-		if p.WUP() != nil {
-			p.WUP().Seed(descs, p.UserProfile())
-		}
+		s := e.peerAt(g).Overlay()
+		s.SeedViews(e.onlineSample(s.ID(), e.streamAt(g), 0))
 	})
 }
 
@@ -905,22 +849,6 @@ func (e *Engine) linkDropped(from, to news.NodeID, now int64, kind metrics.Messa
 		return false
 	}
 	return e.cfg.Links.Drop(e.cfg.Seed, from, to, now, uint64(kind)+1, extra)
-}
-
-// ProfileAdvertiser is the adversarial profile seam: a peer implementing it
-// substitutes the profile carried by its outgoing gossip descriptors.
-// core.Node routes this through its Behavior (honest nodes return the user
-// profile itself); peers without the interface always gossip honestly.
-type ProfileAdvertiser interface {
-	AdvertisedProfile(now int64) *profile.Profile
-}
-
-// gossipProfile returns the profile a peer advertises in descriptors.
-func gossipProfile(p Peer, now int64) *profile.Profile {
-	if a, ok := p.(ProfileAdvertiser); ok {
-		return a.AdvertisedProfile(now)
-	}
-	return p.UserProfile()
 }
 
 // lost draws one loss decision from the given peer's engine stream. Every
@@ -964,8 +892,8 @@ func (e *Engine) Step() {
 	if e.cfg.RefillWatermark > 0 {
 		e.refillViews(now)
 	}
-	e.gossipRPS(now)
-	e.gossipWUP(now)
+	e.gossipRound(now, core.RPSLayer, metrics.MsgRPSRequest, metrics.MsgRPSReply)
+	e.gossipRound(now, core.WUPLayer, metrics.MsgWUPRequest, metrics.MsgWUPReply)
 
 	for _, pub := range e.pubs[now] {
 		src := e.onlinePeer(pub.Source)
@@ -1007,49 +935,26 @@ func (e *Engine) refillViews(now int64) {
 		if e.stateAt(g) != Online {
 			continue
 		}
-		p := e.peerAt(g)
-		if p.RPS() == nil || p.WUP() == nil {
+		s := e.peerAt(g).Overlay()
+		target, ok := s.RefillTarget(wm)
+		if !ok {
 			continue
 		}
-		rpsView, wupView := p.RPS().View(), p.WUP().View()
-		rpsLow := float64(rpsView.Len()) < wm*float64(rpsView.Capacity())
-		wupLow := float64(wupView.Len()) < wm*float64(wupView.Capacity())
-		if !rpsLow && !wupLow {
-			continue
-		}
-		// Pull from the freshest surviving neighbour across both views: the
-		// most recently stamped descriptor is the one most likely to belong
-		// to a node that is still alive.
-		var best overlay.Descriptor
-		found := false
-		scan := func(d overlay.Descriptor) {
-			if !found || d.Fresher(best) {
-				best, found = d, true
-			}
-		}
-		rpsView.ForEach(scan)
-		wupView.ForEach(scan)
-		if !found {
-			continue // fully isolated; nothing to pull from
-		}
-		target := e.onlinePeer(best.Node)
-		if target == nil || target.RPS() == nil {
+		responder := e.onlinePeer(target)
+		if responder == nil {
 			continue // the freshest neighbour is itself gone; TTL will flush it
 		}
-		req := descriptorOf(p, now)
-		e.col.RecordMessage(metrics.MsgRefillRequest, req.WireSize())
-		if e.lost(p.ID()) || e.linkDropped(p.ID(), best.Node, now, metrics.MsgRefillRequest, 0) {
+		req := []overlay.Descriptor{s.Descriptor(now)}
+		e.col.RecordMessage(metrics.MsgRefillRequest, descriptorsWireSize(req))
+		if e.lost(s.ID()) || e.linkDropped(s.ID(), target, now, metrics.MsgRefillRequest, 0) {
 			continue
 		}
-		reply := target.RPS().AcceptPush([]overlay.Descriptor{req}, descriptorOf(target, now))
+		reply := responder.Overlay().AcceptRefill(req, now)
 		e.col.RecordMessage(metrics.MsgRefillReply, descriptorsWireSize(reply))
-		if e.lost(p.ID()) || e.linkDropped(best.Node, p.ID(), now, metrics.MsgRefillReply, 0) {
+		if e.lost(s.ID()) || e.linkDropped(target, s.ID(), now, metrics.MsgRefillReply, 0) {
 			continue
 		}
-		p.RPS().AcceptReply(reply)
-		if wupLow {
-			p.WUP().Merge(reply, p.UserProfile())
-		}
+		s.AcceptRefillReply(reply, wm, now)
 	}
 }
 
@@ -1060,9 +965,9 @@ type exchange struct {
 	target news.NodeID
 	push   []overlay.Descriptor
 	reply  []overlay.Descriptor // nil if lost or undeliverable
-	// Departure tombstones piggybacked on the two legs (Config.
-	// DepartureNotices; nil when the feature is off or the graveyards are
-	// empty, in which case they add nothing to the wire accounting).
+	// Departure tombstones piggybacked on the two legs (nil while the
+	// graveyards are empty, in which case they add nothing to the wire
+	// accounting).
 	pushTombs  []overlay.Tombstone
 	replyTombs []overlay.Tombstone
 }
@@ -1087,7 +992,7 @@ type exchange struct {
 // unknown/offline responders, responders without the layer) are skipped.
 // For the reply leg (reply=true) the direction reverses and every non-nil
 // reply crosses back to its initiator.
-func (e *Engine) encodeCrossShard(exs []exchange, reply bool, has func(Peer) bool) {
+func (e *Engine) encodeCrossShard(exs []exchange, reply bool, layer core.Layer) {
 	S := e.nshards
 	for i := range e.xbufs {
 		e.xbufs[i] = e.xbufs[i][:0]
@@ -1119,7 +1024,7 @@ func (e *Engine) encodeCrossShard(exs []exchange, reply bool, has func(Peer) boo
 			continue
 		}
 		if !reply {
-			if r := e.onlinePeer(ex.target); r == nil || !has(r) {
+			if r := e.onlinePeer(ex.target); r == nil || !r.Overlay().Has(layer) {
 				continue // bucketing would drop it; don't ship dead traffic
 			}
 		}
@@ -1203,8 +1108,8 @@ func (e *Engine) decodeCrossShard(exs []exchange, reply bool) {
 // wire codec. At Shards=1 it is never called: every exchange stays an
 // in-memory pointer hand-off, structurally identical to the pre-shard
 // engine.
-func (e *Engine) routeCrossShard(exs []exchange, reply bool, has func(Peer) bool) {
-	e.encodeCrossShard(exs, reply, has)
+func (e *Engine) routeCrossShard(exs []exchange, reply bool, layer core.Layer) {
+	e.encodeCrossShard(exs, reply, layer)
 	e.decodeCrossShard(exs, reply)
 }
 
@@ -1214,7 +1119,7 @@ func (e *Engine) routeCrossShard(exs []exchange, reply bool, has func(Peer) bool
 // dropped here, exactly as a lost or undeliverable datagram would be. The
 // bucket storage (order, index map, per-bucket lists) is engine scratch
 // reused across rounds.
-func (e *Engine) bucketByResponder(exs []exchange, hasLayer func(Peer) bool) []news.NodeID {
+func (e *Engine) bucketByResponder(exs []exchange, layer core.Layer) []news.NodeID {
 	e.order = e.order[:0]
 	clear(e.bucketIdx)
 	for i := range exs {
@@ -1223,7 +1128,7 @@ func (e *Engine) bucketByResponder(exs []exchange, hasLayer func(Peer) bool) []n
 			continue
 		}
 		r := e.onlinePeer(ex.target)
-		if r == nil || !hasLayer(r) {
+		if r == nil || !r.Overlay().Has(layer) {
 			continue
 		}
 		bi, seen := e.bucketIdx[ex.target]
@@ -1243,12 +1148,14 @@ func (e *Engine) bucketByResponder(exs []exchange, hasLayer func(Peer) bool) []n
 
 // gossipRound drives one push-pull round for a gossip layer in three
 // deterministic phases: all initiators compute their pushes from the
-// pre-round state in parallel (makePush touches only the initiator's own
-// state), responders absorb their incoming pushes grouped per responder in
-// initiator order (absorbPush touches only the responder), and initiators
-// absorb the replies in parallel (absorbReply touches only the initiator).
-// Both gossip layers share this skeleton so the determinism-critical
-// ordering — including the loss-draw points — lives in exactly one place.
+// pre-round state in parallel (MakePush touches only the initiator's own
+// state; the WUP round first injects the RPS candidates, as each peer only
+// touches its own two views there), responders absorb their incoming pushes
+// grouped per responder in initiator order (AcceptPush touches only the
+// responder), and initiators absorb the replies in parallel (AcceptReply
+// touches only the initiator). The legs themselves are core.Substrate's; the
+// determinism-critical ordering — including the loss-draw points — lives
+// here, once for both layers.
 //
 // With Shards > 1 a routing step runs between the phases: exchange legs
 // whose initiator and responder live in different shards are encoded into
@@ -1258,18 +1165,11 @@ func (e *Engine) bucketByResponder(exs []exchange, hasLayer func(Peer) bool) []n
 // the original descriptors before routing and is therefore bit-identical
 // across shard counts.
 //
-// With Config.DepartureNotices, both legs piggyback the sender's active
-// departure tombstones: the receiver absorbs them *before* merging the
-// descriptors (so a reply is sampled from the post-eviction view and a push
-// cannot re-insert a tombstoned descriptor it carries), which is how a
-// departure notice floods one neighbourhood horizon beyond the leaver's
-// direct neighbours.
-func (e *Engine) gossipRound(now int64, reqKind, repKind metrics.MessageKind,
-	has func(Peer) bool,
-	makePush func(p Peer) (target news.NodeID, push []overlay.Descriptor, ok bool),
-	absorbPush func(responder Peer, push []overlay.Descriptor) (reply []overlay.Descriptor),
-	absorbReply func(initiator Peer, reply []overlay.Descriptor),
-) {
+// Both legs piggyback the sender's active departure tombstones (there are
+// none unless Config.DepartureNotices lets leavers announce themselves),
+// which is how a departure notice floods one neighbourhood horizon beyond
+// the leaver's direct neighbours.
+func (e *Engine) gossipRound(now int64, layer core.Layer, reqKind, repKind metrics.MessageKind) {
 	n := e.count
 	if cap(e.exs) < n {
 		e.exs = make([]exchange, n)
@@ -1281,47 +1181,37 @@ func (e *Engine) gossipRound(now int64, reqKind, repKind metrics.MessageKind,
 			return
 		}
 		p := e.peerAt(g)
-		if !has(p) {
+		s := p.Overlay()
+		if !s.Has(layer) {
 			return
 		}
-		target, push, ok := makePush(p)
+		if layer == core.WUPLayer {
+			p.InjectRPSCandidates()
+		}
+		target, push, tombs, ok := s.MakePush(layer, now)
 		if !ok {
 			return
 		}
-		ex := exchange{ok: true, target: target, push: push}
-		if e.cfg.DepartureNotices {
-			if dn, noticer := p.(DepartureNoticer); noticer {
-				ex.pushTombs = dn.AppendTombstones(nil)
-			}
+		e.cols[w].RecordMessage(reqKind, descriptorsWireSize(push)+overlay.TombstonesWireSize(tombs))
+		exs[g] = exchange{
+			ok: true, target: target, push: push, pushTombs: tombs,
+			lost: e.lost(s.ID()) || e.linkDropped(s.ID(), target, now, reqKind, 0),
 		}
-		e.cols[w].RecordMessage(reqKind, descriptorsWireSize(push)+overlay.TombstonesWireSize(ex.pushTombs))
-		ex.lost = e.lost(p.ID()) || e.linkDropped(p.ID(), target, now, reqKind, 0)
-		exs[g] = ex
 	})
 
 	if e.nshards > 1 {
-		e.routeCrossShard(exs, false, has)
+		e.routeCrossShard(exs, false, layer)
 	}
 
-	order := e.bucketByResponder(exs, has)
+	order := e.bucketByResponder(exs, layer)
 	respShard := func(bi int) int { return e.shardOf(e.idx[order[bi]]) }
 	e.forEachSharded(len(order), respShard, func(w, bi int) {
 		respID := order[bi]
-		responder := e.onlinePeer(respID)
-		noticer, isNoticer := responder.(DepartureNoticer)
+		responder := e.onlinePeer(respID).Overlay()
 		for _, i := range e.bucketLists[bi] {
-			if isNoticer {
-				for _, t := range exs[i].pushTombs {
-					noticer.NoteDeparture(t, now)
-				}
-			}
-			reply := absorbPush(responder, exs[i].push)
-			var replyTombs []overlay.Tombstone
-			if e.cfg.DepartureNotices && isNoticer {
-				replyTombs = noticer.AppendTombstones(nil)
-			}
+			reply, replyTombs := responder.AcceptPush(layer, exs[i].push, exs[i].pushTombs, now)
 			e.cols[w].RecordMessage(repKind, descriptorsWireSize(reply)+overlay.TombstonesWireSize(replyTombs))
-			if !e.lost(respID) && !e.linkDropped(respID, e.peerAt(i).ID(), now, repKind, 0) {
+			if !e.lost(respID) && !e.linkDropped(respID, e.peerAt(i).Overlay().ID(), now, repKind, 0) {
 				exs[i].reply = reply
 				exs[i].replyTombs = replyTombs
 			}
@@ -1329,67 +1219,14 @@ func (e *Engine) gossipRound(now int64, reqKind, repKind metrics.MessageKind,
 	})
 
 	if e.nshards > 1 {
-		e.routeCrossShard(exs, true, has)
+		e.routeCrossShard(exs, true, layer)
 	}
 
 	e.forEachMember(func(_, g int) {
-		if exs[g].reply == nil {
-			return
+		if exs[g].reply != nil {
+			e.peerAt(g).Overlay().AcceptReply(layer, exs[g].reply, exs[g].replyTombs, now)
 		}
-		p := e.peerAt(g)
-		if dn, noticer := p.(DepartureNoticer); noticer {
-			for _, t := range exs[g].replyTombs {
-				dn.NoteDeparture(t, now)
-			}
-		}
-		absorbReply(p, exs[g].reply)
 	})
-}
-
-// gossipRPS runs one RPS round.
-func (e *Engine) gossipRPS(now int64) {
-	e.gossipRound(now, metrics.MsgRPSRequest, metrics.MsgRPSReply,
-		func(p Peer) bool { return p.RPS() != nil },
-		func(p Peer) (news.NodeID, []overlay.Descriptor, bool) {
-			proto := p.RPS()
-			target, ok := proto.SelectPeer()
-			if !ok {
-				return 0, nil, false
-			}
-			return target.Node, proto.MakePush(proto.Descriptor(now, gossipProfile(p, now))), true
-		},
-		func(r Peer, push []overlay.Descriptor) []overlay.Descriptor {
-			proto := r.RPS()
-			return proto.AcceptPush(push, proto.Descriptor(now, gossipProfile(r, now)))
-		},
-		func(p Peer, reply []overlay.Descriptor) { p.RPS().AcceptReply(reply) },
-	)
-}
-
-// gossipWUP runs one clustering round. RPS candidates are injected in the
-// compute phase, before peer selection, as each peer only touches its own
-// two views there.
-func (e *Engine) gossipWUP(now int64) {
-	e.gossipRound(now, metrics.MsgWUPRequest, metrics.MsgWUPReply,
-		func(p Peer) bool { return p.WUP() != nil },
-		func(p Peer) (news.NodeID, []overlay.Descriptor, bool) {
-			proto := p.WUP()
-			p.InjectRPSCandidates()
-			target, ok := proto.SelectPeer()
-			if !ok {
-				return 0, nil, false
-			}
-			return target.Node, proto.MakePush(proto.Descriptor(now, gossipProfile(p, now))), true
-		},
-		func(r Peer, push []overlay.Descriptor) []overlay.Descriptor {
-			proto := r.WUP()
-			// The pushed-back descriptor carries the advertised profile; the
-			// similarity ranking of the merge still uses the real one (it is
-			// the responder's private state, not wire payload).
-			return proto.AcceptPush(push, proto.Descriptor(now, gossipProfile(r, now)), r.UserProfile())
-		},
-		func(p Peer, reply []overlay.Descriptor) { p.WUP().AcceptReply(reply, p.UserProfile()) },
-	)
 }
 
 // enqueue adds sends from one peer to the current BEEP hop.
@@ -1543,12 +1380,12 @@ func (e *Engine) WUPGraph() *graph.Directed {
 		if e.stateAt(gi) != Online {
 			continue
 		}
-		p := e.peerAt(gi)
-		if p.WUP() == nil {
+		s := e.peerAt(gi).Overlay()
+		if !s.Has(core.WUPLayer) {
 			continue
 		}
-		id := int(p.ID())
-		p.WUP().View().ForEach(func(d overlay.Descriptor) {
+		id := int(s.ID())
+		s.WUP().View().ForEach(func(d overlay.Descriptor) {
 			g.AddEdge(id, int(d.Node))
 		})
 	}

@@ -107,10 +107,10 @@ func TestBootstrapSeedsViews(t *testing.T) {
 	e := New(Config{Seed: 4, Cycles: 10, BootstrapDegree: 3}, peers, col)
 	e.Bootstrap()
 	for _, p := range peers {
-		if p.RPS().View().Len() != 3 {
-			t.Fatalf("RPS view len=%d want 3", p.RPS().View().Len())
+		if p.Overlay().RPS().View().Len() != 3 {
+			t.Fatalf("RPS view len=%d want 3", p.Overlay().RPS().View().Len())
 		}
-		if p.WUP().View().Len() == 0 {
+		if p.Overlay().WUP().View().Len() == 0 {
 			t.Fatal("WUP view must be seeded")
 		}
 	}
