@@ -8,6 +8,7 @@ package whatsup_test
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"whatsup/internal/core"
@@ -86,9 +87,14 @@ func BenchmarkEngineScaling(b *testing.B) {
 // (BENCH_hotpath.json, regenerated by `whatsup-bench -run hotpath`) is
 // scaled down here so the CI bench smoke stays fast; allocs/op is identical
 // at any population, and the benchdiff CI gate pins it against the
-// committed bench_baseline.txt.
+// committed bench_baseline.txt. The engine pool is stated rather than left to
+// EngineOptions' zero value (serial): the baseline was recorded on a
+// GOMAXPROCS-sized pool.
 func BenchmarkHotPath(b *testing.B) {
-	cfg := experiments.HotPathConfig{CyclePeers: 1000, CycleItems: 4}
+	cfg := experiments.HotPathConfig{
+		EngineOptions: experiments.EngineOptions{Workers: runtime.GOMAXPROCS(0)},
+		CyclePeers:    1000, CycleItems: 4,
+	}
 	for _, nb := range experiments.HotPathBenchmarks(cfg) {
 		b.Run(nb.Name, nb.Bench)
 	}

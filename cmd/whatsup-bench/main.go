@@ -40,7 +40,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed          = fs.Int64("seed", 1, "experiment seed")
 		workers       = fs.Int("workers", 0, "parallel sweep points (0 = NumCPU)")
 		engineWorkers = fs.Int("engine-workers", 0, "per-simulation engine worker pool (0 = serial; sweep points already run in parallel)")
-		engineShards  = fs.Int("shards", 0, "engine membership slabs with codec-routed inter-shard gossip for the 'hotpath', 'churn' and 'adversarial' scenarios (0 = scenario default); results are identical for any value")
+		engineShards  = fs.Int("shards", 0, "engine membership slabs with codec-routed inter-shard gossip (0 = single slab; the 'hotpath' sharded scenarios default to 4); results are identical for any value")
 		flashPeers    = fs.Int("flash-crowd-peers", 0, "enable the 'hotpath' large-scale flash-crowd scenario at this total population (e.g. 1000000; needs ~10 GB RAM per 1M peers, so it is off by default)")
 		cpuProfile    = fs.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 		memProfile    = fs.String("memprofile", "", "write an allocation profile to this file at exit")
@@ -105,7 +105,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	o := experiments.Options{Seed: *seed, Scale: *scale, Workers: *workers, EngineWorkers: *engineWorkers}
+	engine := experiments.EngineOptions{Workers: *engineWorkers, Shards: *engineShards}
+	o := experiments.Options{Seed: *seed, Scale: *scale, Workers: *workers, EngineOptions: engine}
 	selected := map[string]bool{}
 	for _, name := range strings.Split(*runList, ",") {
 		selected[strings.TrimSpace(name)] = true
@@ -179,9 +180,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var hotpathErr error
 	runHotpath := func() fmt.Stringer {
 		r := experiments.HotPath(experiments.HotPathConfig{
+			EngineOptions:   engine,
 			CyclePeers:      *cyclePeers,
-			EngineWorkers:   *engineWorkers,
-			EngineShards:    *engineShards,
 			FlashCrowdPeers: *flashPeers,
 		})
 		r.Label = *benchLabel
@@ -206,9 +206,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 					DepartureNotices: *churnDepart,
 					RefillWatermark:  *churnRefill,
 				},
+				EngineOptions: engine,
 				Peers:         *cyclePeers,
-				EngineWorkers: *engineWorkers,
-				EngineShards:  *engineShards,
 			})
 			r.Label = *benchLabel
 			if err := appendTrajectoryEntry(*churnOut, "whatsup-bench/churn/v1", r); err != nil {
@@ -232,8 +231,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				SpamFraction:  *advSpam,
 				Poison:        *advPoison,
 				PartitionK:    *advPartitionK,
-				EngineWorkers: *engineWorkers,
-				EngineShards:  *engineShards,
+				EngineOptions: engine,
 			})
 			r.Label = *benchLabel
 			if err := appendTrajectoryEntry(*advOut, "whatsup-bench/adversarial/v1", r); err != nil {

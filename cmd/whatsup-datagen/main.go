@@ -90,7 +90,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	ds := experiments.DatasetByName(*dsName, experiments.Options{Seed: *seed, Scale: *scale}.WithDefaults())
+	ds, err := experiments.DatasetByName(*dsName, experiments.Options{Seed: *seed, Scale: *scale}.WithDefaults())
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
 	w := stdout
 	if *out != "-" {
 		f, err := os.Create(*out)

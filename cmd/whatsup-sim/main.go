@@ -107,6 +107,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
+	o := experiments.Options{Seed: *seed, Scale: *scale}.WithDefaults()
+	ds, err := experiments.DatasetByName(*dsName, o)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
+	engine := experiments.EngineOptions{Workers: engineWorkers, Shards: *shards}
+
 	if *churnRate > 0 || *flashCrowd > 0 {
 		// The churn scenario is WhatsUp-only: lifecycle cold starts need the
 		// full node (Section II-D); baselines keep the static path.
@@ -114,7 +122,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "-churn/-flash-crowd support only -alg whatsup (got %q)\n", *alg)
 			return 2
 		}
-		r := experiments.ChurnRun(experiments.Options{Seed: *seed, Scale: *scale}, experiments.ChurnConfig{
+		r := experiments.ChurnRun(o, experiments.ChurnConfig{
 			ChurnOptions: experiments.ChurnOptions{
 				ChurnRate:        *churnRate,
 				FlashCrowd:       *flashCrowd,
@@ -122,22 +130,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 				DepartureNotices: *churnDepart,
 				RefillWatermark:  *churnRefill,
 			},
-			Dataset: *dsName,
-			Fanout:  *fanout,
-			TTL:     *ttl,
-			Loss:    *loss,
-			Workers: engineWorkers,
-			Shards:  *shards,
+			EngineOptions: engine,
+			Dataset:       ds,
+			Fanout:        *fanout,
+			TTL:           *ttl,
+			Loss:          *loss,
 		})
 		fmt.Fprintln(stdout, r)
 		return 0
 	}
 
-	o := experiments.Options{Seed: *seed, Scale: *scale}.WithDefaults()
-	ds := experiments.DatasetByName(*dsName, o)
 	out := experiments.Run(experiments.RunConfig{
 		Dataset: ds, Alg: a, Fanout: *fanout, Seed: *seed, Loss: *loss, TTL: *ttl,
-		Workers: engineWorkers, Shards: *shards,
+		EngineOptions: engine,
 	})
 	col := out.Col
 	g := out.Engine.WUPGraph()

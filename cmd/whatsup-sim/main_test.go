@@ -32,6 +32,21 @@ func TestRunRejectsUnknownAlgorithm(t *testing.T) {
 	}
 }
 
+func TestRunRejectsUnknownDataset(t *testing.T) {
+	for _, args := range [][]string{
+		{"-dataset", "bogus"},
+		{"-dataset", "bogus", "-churn", "0.2"},
+	} {
+		var out, errOut strings.Builder
+		if code := run(args, &out, &errOut); code != 2 {
+			t.Fatalf("%v: exit=%d want 2", args, code)
+		}
+		if !strings.Contains(errOut.String(), `unknown dataset "bogus"`) {
+			t.Fatalf("%v: stderr=%q", args, errOut.String())
+		}
+	}
+}
+
 func TestRunRejectsBadFlags(t *testing.T) {
 	var out, errOut strings.Builder
 	if code := run([]string{"-no-such-flag"}, &out, &errOut); code != 2 {

@@ -5,6 +5,7 @@ import (
 	"whatsup/internal/dataset"
 	"whatsup/internal/metrics"
 	"whatsup/internal/news"
+	"whatsup/internal/sim"
 )
 
 // RunCascade evaluates explicit social cascading (Section IV-B, Table V):
@@ -15,7 +16,7 @@ import (
 //
 // The dataset must carry a social graph (the Digg workload).
 func RunCascade(ds *dataset.Dataset, col *metrics.Collector) {
-	registerWorkload(ds, col)
+	sim.DatasetWorld(ds).Register(col)
 	for i := range ds.Items {
 		it := ds.Items[i]
 		src := it.News.Source
@@ -57,21 +58,5 @@ func RunCascade(ds *dataset.Dataset, col *metrics.Collector) {
 				forwardFrom(w.node, w.hops)
 			}
 		}
-	}
-}
-
-// registerWorkload registers every item's audience size and every node's
-// interest count with the collector. Warm-up items are excluded from the
-// quality metrics exactly as in the gossip runs, keeping comparisons fair.
-func registerWorkload(ds *dataset.Dataset, col *metrics.Collector) {
-	for i := range ds.Items {
-		if ds.IsWarmup(i) {
-			col.RegisterWarmupItem(ds.Items[i].News.ID, ds.Items[i].Interested)
-		} else {
-			col.RegisterItem(ds.Items[i].News.ID, ds.Items[i].Interested)
-		}
-	}
-	for u := 0; u < ds.Users; u++ {
-		col.RegisterNode(news.NodeID(u), ds.UserInterestCount(news.NodeID(u)))
 	}
 }

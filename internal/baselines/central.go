@@ -8,6 +8,7 @@ import (
 	"whatsup/internal/metrics"
 	"whatsup/internal/news"
 	"whatsup/internal/profile"
+	"whatsup/internal/sim"
 )
 
 // CentralConfig parameterizes C-WhatsUp, the centralized variant of WhatsUp
@@ -52,7 +53,7 @@ func (c CentralConfig) withDefaults() CentralConfig {
 // achieve with partial, gossip-propagated knowledge (Figure 9).
 func RunCentral(ds *dataset.Dataset, cfg CentralConfig, col *metrics.Collector) {
 	cfg = cfg.withDefaults()
-	registerWorkload(ds, col)
+	sim.DatasetWorld(ds).Register(col)
 
 	users := ds.Users
 	profiles := make([]*profile.Profile, users)

@@ -5,6 +5,7 @@ import (
 	"whatsup/internal/dataset"
 	"whatsup/internal/metrics"
 	"whatsup/internal/news"
+	"whatsup/internal/sim"
 )
 
 // RunPubSub evaluates C-Pub/Sub, the ideal centralized topic-based
@@ -15,7 +16,7 @@ import (
 // subscribers. Recall is 1 by construction; precision is limited by topic
 // granularity; the message count is minimal (one tree edge per subscriber).
 func RunPubSub(ds *dataset.Dataset, col *metrics.Collector) {
-	registerWorkload(ds, col)
+	sim.DatasetWorld(ds).Register(col)
 	// Precompute subscriber sets per topic.
 	subscribers := make(map[int][]news.NodeID, ds.Topics)
 	for t := 0; t < ds.Topics; t++ {

@@ -36,13 +36,13 @@ func (r AblationResult) String() string {
 // (Section IV-D).
 func AblationWUPViewSize(o Options) AblationResult {
 	o = o.WithDefaults()
-	ds := datasetByName("survey", o)
+	ds := must(DatasetByName("survey", o))
 	factors := []int{1, 2, 3}
 	jobs := make([]func() AblationPoint, len(factors))
 	for i, factor := range factors {
 		factor := factor
 		jobs[i] = func() AblationPoint {
-			out := Run(RunConfig{Dataset: ds, Alg: WhatsUp, Fanout: 10, Seed: o.Seed, WUPViewFactor: factor, Workers: o.EngineWorkers})
+			out := Run(RunConfig{Dataset: ds, Alg: WhatsUp, Fanout: 10, Seed: o.Seed, WUPViewFactor: factor, EngineOptions: o.EngineOptions})
 			return AblationPoint{
 				Label:     fmt.Sprintf("WUPvs=%d·fLIKE", factor),
 				Precision: out.Col.Precision(),
@@ -59,7 +59,7 @@ func AblationWUPViewSize(o Options) AblationResult {
 // the run, validating the 1/5-to-2/5 sweet spot of Section IV-D.
 func AblationProfileWindow(o Options) AblationResult {
 	o = o.WithDefaults()
-	ds := datasetByName("survey", o)
+	ds := must(DatasetByName("survey", o))
 	windows := []int64{
 		int64(ds.Cycles / 10),
 		int64(ds.Cycles / 5),
@@ -70,7 +70,7 @@ func AblationProfileWindow(o Options) AblationResult {
 	for i, w := range windows {
 		w := w
 		jobs[i] = func() AblationPoint {
-			out := Run(RunConfig{Dataset: ds, Alg: WhatsUp, Fanout: 10, Seed: o.Seed, Window: w, Workers: o.EngineWorkers})
+			out := Run(RunConfig{Dataset: ds, Alg: WhatsUp, Fanout: 10, Seed: o.Seed, Window: w, EngineOptions: o.EngineOptions})
 			return AblationPoint{
 				Label:     fmt.Sprintf("window=%dcyc", w),
 				Precision: out.Col.Precision(),
@@ -87,13 +87,13 @@ func AblationProfileWindow(o Options) AblationResult {
 // behaviour between 20 and 40 (Section IV-D).
 func AblationRPSViewSize(o Options) AblationResult {
 	o = o.WithDefaults()
-	ds := datasetByName("survey", o)
+	ds := must(DatasetByName("survey", o))
 	sizes := []int{10, 20, 30, 40, 60}
 	jobs := make([]func() AblationPoint, len(sizes))
 	for i, s := range sizes {
 		s := s
 		jobs[i] = func() AblationPoint {
-			out := Run(RunConfig{Dataset: ds, Alg: WhatsUp, Fanout: 10, Seed: o.Seed, RPSViewSize: s, Workers: o.EngineWorkers})
+			out := Run(RunConfig{Dataset: ds, Alg: WhatsUp, Fanout: 10, Seed: o.Seed, RPSViewSize: s, EngineOptions: o.EngineOptions})
 			return AblationPoint{
 				Label:     fmt.Sprintf("RPSvs=%d", s),
 				Precision: out.Col.Precision(),

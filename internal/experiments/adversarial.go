@@ -34,6 +34,7 @@ const adversarialSpamBase news.ID = 1 << 20
 
 // AdversarialConfig sizes the adversarial bench world.
 type AdversarialConfig struct {
+	EngineOptions
 	// Peers is the population, attackers included (default 600).
 	Peers int
 	// Cycles is the run length (default 40).
@@ -54,12 +55,6 @@ type AdversarialConfig struct {
 	PartitionK     int
 	PartitionStart int64
 	PartitionHeal  int64
-	// EngineWorkers is the per-engine worker pool (0 = serial). Results are
-	// bit-identical for any value.
-	EngineWorkers int
-	// EngineShards is the engine slab count (0 = single slab). Results are
-	// bit-identical for any value.
-	EngineShards int
 }
 
 func (c AdversarialConfig) withDefaults() AdversarialConfig {
@@ -125,7 +120,6 @@ func honestMicroF1(col *metrics.Collector) float64 {
 // seeds and cohort membership are identical across cells, so the clean and
 // attacked runs of each protocol differ only by the attack itself.
 func runAdversarialPoint(cfg AdversarialConfig, alg Algorithm, attacked bool) adversarialPoint {
-	const itemsPerCycle = 6
 	ids := make([]news.NodeID, cfg.Peers)
 	for i := range ids {
 		ids[i] = news.NodeID(i)
@@ -134,11 +128,15 @@ func runAdversarialPoint(cfg AdversarialConfig, alg Algorithm, attacked bool) ad
 	attackerIDs := ids[:len(attackers)]
 	honestIDs := ids[len(attackers):]
 
-	opinions := core.OpinionFunc(func(node news.NodeID, item news.ID) bool {
-		if item >= adversarialSpamBase {
-			return false // ground truth: spam interests nobody
-		}
-		return int(node)%4 == int(item)%4
+	// The honest workload: 4 interest communities, honest sources only, and
+	// a ground truth in which spam interests nobody.
+	w := sim.Communities(cfg.Peers, 4, 6, cfg.Cycles, "ham")
+	for i := range w.Items {
+		w.Items[i].Item.Source = honestIDs[int(w.Items[i].Item.ID)%len(honestIDs)]
+	}
+	community := w.Opinions
+	w.Opinions = core.OpinionFunc(func(node news.NodeID, item news.ID) bool {
+		return item < adversarialSpamBase && community.Likes(node, item)
 	})
 
 	// One shared behavior instance for the whole cohort (the sybil pattern);
@@ -147,11 +145,9 @@ func runAdversarialPoint(cfg AdversarialConfig, alg Algorithm, attacked bool) ad
 	if attacked {
 		spammer := adversary.Spammer{Cohort: attackers}
 		if cfg.Poison {
-			claim := make([]news.ID, 0, cfg.Cycles*itemsPerCycle)
-			for c := 1; c <= cfg.Cycles; c++ {
-				for k := 0; k < itemsPerCycle; k++ {
-					claim = append(claim, news.ID(c*itemsPerCycle+k))
-				}
+			claim := make([]news.ID, len(w.Items)) // every honest item
+			for i := range w.Items {
+				claim[i] = w.Items[i].Item.ID
 			}
 			hostile = &adversary.Sybil{Spammer: spammer, Poison: adversary.Poisoner{ClaimLiked: claim}}
 		} else {
@@ -160,36 +156,20 @@ func runAdversarialPoint(cfg AdversarialConfig, alg Algorithm, attacked bool) ad
 	}
 
 	nodeCfg := core.Config{FLike: 6, RPSViewSize: 20}
-	peers := make([]sim.Peer, cfg.Peers)
-	for i := range peers {
-		id := ids[i]
-		rng := nodeRNG(1, i)
+	w.NewPeer = func(id news.NodeID) sim.Peer {
+		rng := nodeRNG(1, int(id))
+		var p sim.Peer
 		if alg == PlainGossip {
-			g := baselines.NewGossip(id, 6, 20, opinions, rng)
-			if hostile != nil && attackers[id] {
-				g.SetBehavior(hostile)
-			}
-			peers[i] = g
+			p = baselines.NewGossip(id, 6, 20, w.Opinions, rng)
 		} else {
-			n := core.NewNode(id, "", nodeCfg, opinions, rng)
-			if hostile != nil && attackers[id] {
-				n.SetBehavior(hostile)
-			}
-			peers[i] = n
+			p = core.NewNode(id, "", nodeCfg, w.Opinions, rng)
 		}
+		if hostile != nil && attackers[id] {
+			p.Overlay().SetBehavior(hostile)
+		}
+		return p
 	}
 
-	col := metrics.NewCollector()
-	pubs := make([]sim.Publication, 0, cfg.Cycles*(itemsPerCycle+cfg.SpamPerCycle))
-	for c := 1; c <= cfg.Cycles; c++ {
-		for k := 0; k < itemsPerCycle; k++ {
-			src := honestIDs[(c*itemsPerCycle+k)%len(honestIDs)]
-			it := news.New(fmt.Sprintf("ham-%d-%d", c, k), "d", "l", int64(c), src)
-			it.ID = news.ID(c*itemsPerCycle + k)
-			pubs = append(pubs, sim.Publication{Cycle: int64(c), Source: src, Item: it})
-			col.RegisterItem(it.ID, cfg.Peers/4)
-		}
-	}
 	spamCount := 0
 	if attacked {
 		for c := 1; c <= cfg.Cycles; c++ {
@@ -197,15 +177,34 @@ func runAdversarialPoint(cfg AdversarialConfig, alg Algorithm, attacked bool) ad
 				src := attackerIDs[(c*cfg.SpamPerCycle+k)%len(attackerIDs)]
 				it := news.New(fmt.Sprintf("spam-%d-%d", c, k), "d", "l", int64(c), src)
 				it.ID = adversarialSpamBase + news.ID(spamCount)
-				pubs = append(pubs, sim.Publication{Cycle: int64(c), Source: src, Item: it})
-				col.RegisterItem(it.ID, 0)
+				w.Items = append(w.Items, sim.WorldItem{Cycle: int64(c), Item: it})
 				spamCount++
 			}
 		}
 	}
-	for _, id := range ids {
-		col.RegisterNode(id, cfg.Cycles*itemsPerCycle/4)
+
+	var links *faultnet.Policy
+	if attacked && cfg.PartitionK >= 2 {
+		links = faultnet.KWayPartition(ids, cfg.PartitionK, cfg.PartitionStart, cfg.PartitionHeal)
 	}
+
+	pt := adversarialPoint{spam: spamCount, honest: len(honestIDs)}
+	e, col := w.NewEngine(cfg.engine(sim.Config{
+		Seed: 1, Cycles: cfg.Cycles, BootstrapDegree: 5, Links: links,
+		OnDelivery: func(d core.Delivery, now int64) {
+			if attackers[d.Node] {
+				return
+			}
+			if d.Item >= adversarialSpamBase {
+				pt.adv.SpamToHonest++
+			} else {
+				pt.adv.HamToHonest++
+			}
+		},
+		OnCycleEnd: func(e *sim.Engine, _ int64) {
+			pt.timeline = append(pt.timeline, e.Health())
+		},
+	}))
 	// Cohort labels are identical in both cells so the per-cohort summaries
 	// stay comparable: attacker beats victim beats the churn labels.
 	for _, id := range attackerIDs {
@@ -219,30 +218,6 @@ func runAdversarialPoint(cfg AdversarialConfig, alg Algorithm, attacked bool) ad
 		}
 	}
 
-	var links *faultnet.Policy
-	if attacked && cfg.PartitionK >= 2 {
-		links = faultnet.KWayPartition(ids, cfg.PartitionK, cfg.PartitionStart, cfg.PartitionHeal)
-	}
-
-	pt := adversarialPoint{spam: spamCount, honest: len(honestIDs)}
-	e := sim.New(sim.Config{
-		Seed: 1, Cycles: cfg.Cycles, Workers: cfg.EngineWorkers, Shards: cfg.EngineShards,
-		BootstrapDegree: 5, Publications: pubs, Links: links,
-		OnDelivery: func(d core.Delivery, now int64) {
-			if attackers[d.Node] {
-				return
-			}
-			if d.Item >= adversarialSpamBase {
-				pt.adv.SpamToHonest++
-			} else {
-				pt.adv.HamToHonest++
-			}
-		},
-		OnCycleEnd: func(e *sim.Engine, now int64) {
-			pt.timeline = append(pt.timeline, churnSample(e, now))
-		},
-	}, peers, col)
-	e.Bootstrap()
 	e.Run()
 
 	// Poisoning drift: how much of the honest WUP neighbourhood the cohort

@@ -28,14 +28,11 @@ import (
 // Peers/20 instead of none.
 type ChurnBenchConfig struct {
 	ChurnOptions
+	EngineOptions
 	// Peers is the base population (default 5000).
 	Peers int
 	// Cycles is the measured run length (default 45).
 	Cycles int
-	// EngineWorkers is the engine pool (0 = serial).
-	EngineWorkers int
-	// EngineShards is the engine slab count (0 = single slab).
-	EngineShards int
 }
 
 func (c ChurnBenchConfig) withDefaults() ChurnBenchConfig {
@@ -54,18 +51,14 @@ func (c ChurnBenchConfig) withDefaults() ChurnBenchConfig {
 
 // churnBenchWorld builds the bench world: peers in 4 interest communities,
 // a steady publication schedule, a churn trace across the middle of the run
-// and a flash crowd a third in. Returns the engine and the schedule it was
-// built with.
-func churnBenchWorld(cfg ChurnBenchConfig) (*sim.Engine, sim.ChurnSchedule, *metrics.Collector, *[]metrics.ChurnSample) {
-	const itemsPerCycle = 6
-	opinions := core.OpinionFunc(func(node news.NodeID, item news.ID) bool {
-		return int(node)%4 == int(item)%4
-	})
+// and a flash crowd a third in. Returns the engine, the schedule it was
+// built with and the per-cycle fleet-health timeline it records.
+func churnBenchWorld(cfg ChurnBenchConfig) (*sim.Engine, sim.ChurnSchedule, *[]metrics.ChurnSample) {
 	ttl, downtime := cfg.DescriptorTTL, cfg.Downtime
+	w := sim.Communities(cfg.Peers, 4, 6, cfg.Cycles, "churn")
 	nodeCfg := core.Config{FLike: 6, RPSViewSize: 20, DescriptorTTL: ttl}
-	peers := make([]sim.Peer, cfg.Peers)
-	for i := 0; i < cfg.Peers; i++ {
-		peers[i] = core.NewNode(news.NodeID(i), "", nodeCfg, opinions, nodeRNG(1, i))
+	w.NewPeer = func(id news.NodeID) sim.Peer {
+		return core.NewNode(id, "", nodeCfg, w.Opinions, nodeRNG(1, int(id)))
 	}
 
 	// The churn window closes one eviction horizon plus one downtime before
@@ -78,7 +71,7 @@ func churnBenchWorld(cfg ChurnBenchConfig) (*sim.Engine, sim.ChurnSchedule, *met
 		churnTo = churnFrom + 1
 	}
 	perCycle := cfg.ChurnRate / float64(churnTo-churnFrom)
-	schedule := sim.ChurnTrace(sim.ChurnTraceConfig{
+	w.Churn = sim.ChurnTrace(sim.ChurnTraceConfig{
 		Seed:      99,
 		Nodes:     cfg.Peers,
 		From:      churnFrom,
@@ -87,54 +80,18 @@ func churnBenchWorld(cfg ChurnBenchConfig) (*sim.Engine, sim.ChurnSchedule, *met
 		LeaveRate: perCycle / 2,
 		Downtime:  downtime,
 	})
-	schedule.Merge(sim.FlashCrowd(int64(cfg.Cycles/3), news.NodeID(cfg.Peers), cfg.FlashCrowd, cfg.FlashCrowd/5+1))
-
-	col := metrics.NewCollector()
-	pubs := make([]sim.Publication, 0, cfg.Cycles*itemsPerCycle)
-	for c := 1; c <= cfg.Cycles; c++ {
-		for k := 0; k < itemsPerCycle; k++ {
-			src := news.NodeID((c*itemsPerCycle + k) % cfg.Peers)
-			it := news.New(fmt.Sprintf("churn-%d-%d", c, k), "d", "l", int64(c), src)
-			it.ID = news.ID(c*itemsPerCycle + k)
-			pubs = append(pubs, sim.Publication{Cycle: int64(c), Source: src, Item: it})
-			col.RegisterItem(it.ID, (cfg.Peers+cfg.FlashCrowd)/4)
-		}
-	}
-	interests := cfg.Cycles * itemsPerCycle / 4
-	for i := 0; i < cfg.Peers+cfg.FlashCrowd; i++ {
-		col.RegisterNode(news.NodeID(i), interests)
-	}
-	// Join-time-aware recall denominators for the flash crowd: a joiner can
-	// only receive items published from its arrival cycle on, so its fair F1
-	// counts those (CohortSummary.EligibleF1).
-	for id, joined := range joinCyclesOf(schedule) {
-		eligible := 0
-		for i := range pubs {
-			if pubs[i].Cycle >= joined && opinions.Likes(id, pubs[i].Item.ID) {
-				eligible++
-			}
-		}
-		col.SetEligibleInterested(id, eligible)
-	}
-	for id, c := range CohortsFromSchedule(schedule) {
-		col.SetCohort(id, c)
-	}
+	w.Churn.Merge(sim.FlashCrowd(int64(cfg.Cycles/3), news.NodeID(cfg.Peers), cfg.FlashCrowd, cfg.FlashCrowd/5+1))
 
 	timeline := &[]metrics.ChurnSample{}
-	e := sim.New(sim.Config{
-		Seed: 1, Cycles: cfg.Cycles, Workers: cfg.EngineWorkers, Shards: cfg.EngineShards,
-		BootstrapDegree: 5, Publications: pubs, Churn: schedule,
+	e, _ := w.NewEngine(cfg.engine(sim.Config{
+		Seed: 1, Cycles: cfg.Cycles, BootstrapDegree: 5,
 		DepartureNotices: cfg.DepartureNotices,
 		RefillWatermark:  cfg.RefillWatermark,
-		NewPeer: func(id news.NodeID) sim.Peer {
-			return core.NewNode(id, "", nodeCfg, opinions, nodeRNG(1, int(id)))
+		OnCycleEnd: func(e *sim.Engine, _ int64) {
+			*timeline = append(*timeline, e.Health())
 		},
-		OnCycleEnd: func(e *sim.Engine, now int64) {
-			*timeline = append(*timeline, metrics.ChurnSample{Cycle: now, GhostFraction: ghostFraction(e)})
-		},
-	}, peers, col)
-	e.Bootstrap()
-	return e, schedule, col, timeline
+	}))
+	return e, w.Churn, timeline
 }
 
 // ChurnBenchResult is one BENCH_churn.json trajectory entry.
@@ -174,10 +131,11 @@ type ChurnBenchResult struct {
 // ChurnBench runs the churn scenario once and returns the trajectory entry.
 func ChurnBench(cfg ChurnBenchConfig) ChurnBenchResult {
 	cfg = cfg.withDefaults()
-	e, schedule, col, timeline := churnBenchWorld(cfg)
+	e, schedule, timeline := churnBenchWorld(cfg)
 	start := time.Now()
 	e.Run()
 	wall := time.Since(start)
+	col := e.Collector()
 
 	last, healedAt, timeToHealed := healingFrom(schedule, *timeline)
 	return ChurnBenchResult{
@@ -198,7 +156,7 @@ func ChurnBench(cfg ChurnBenchConfig) ChurnBenchResult {
 		JoinerF1:         col.CohortSummary(metrics.CohortJoiner).F1(),
 		JoinerEligibleF1: col.CohortSummary(metrics.CohortJoiner).EligibleF1(),
 		RejoinerF1:       col.CohortSummary(metrics.CohortRejoiner).F1(),
-		GhostEndFrac:     ghostFraction(e),
+		GhostEndFrac:     e.Health().GhostFraction,
 		LastDeparture:    last,
 		HealedAt:         healedAt,
 		TimeToHealed:     timeToHealed,

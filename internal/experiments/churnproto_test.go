@@ -110,7 +110,7 @@ func TestChurnRunTimelineAndHealing(t *testing.T) {
 	r := ChurnRun(tiny(), ChurnConfig{
 		ChurnOptions: ChurnOptions{ChurnRate: 0.2, FlashCrowd: 6,
 			DepartureNotices: true, RefillWatermark: 0.5},
-		Dataset: "survey", Workers: 2,
+		EngineOptions: EngineOptions{Workers: 2},
 	})
 	if len(r.Timeline) != r.Cycles {
 		t.Fatalf("timeline has %d samples, want one per cycle (%d)", len(r.Timeline), r.Cycles)
@@ -150,7 +150,7 @@ func TestChurnBenchRecordsProtocolColumns(t *testing.T) {
 	r := ChurnBench(ChurnBenchConfig{
 		ChurnOptions: ChurnOptions{ChurnRate: 0.2, FlashCrowd: 12,
 			DepartureNotices: true, RefillWatermark: 0.5},
-		Peers: 150, Cycles: 30, EngineWorkers: 2,
+		Peers: 150, Cycles: 30, EngineOptions: EngineOptions{Workers: 2},
 	})
 	if !r.DepartureNotices || r.RefillWatermark != 0.5 {
 		t.Fatalf("protocol knobs not echoed into the entry: %+v", r)

@@ -6,8 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"whatsup/internal/metrics"
-	"whatsup/internal/news"
 	"whatsup/internal/sim"
 )
 
@@ -415,7 +413,7 @@ func TestAblations(t *testing.T) {
 
 func TestRunDeterministicAcrossCalls(t *testing.T) {
 	o := tiny()
-	ds := datasetByName("survey", o)
+	ds := must(DatasetByName("survey", o))
 	a := Run(RunConfig{Dataset: ds, Alg: WhatsUp, Fanout: 6, Seed: 5})
 	b := Run(RunConfig{Dataset: ds, Alg: WhatsUp, Fanout: 6, Seed: 5})
 	if a.Col.F1() != b.Col.F1() || a.Col.TotalMessages() != b.Col.TotalMessages() {
@@ -426,7 +424,6 @@ func TestRunDeterministicAcrossCalls(t *testing.T) {
 func TestChurnRunCohortsAndHealing(t *testing.T) {
 	r := ChurnRun(tiny(), ChurnConfig{
 		ChurnOptions: ChurnOptions{FlashCrowd: 10, ChurnRate: 0.25},
-		Dataset:      "survey",
 		Fanout:       6,
 	})
 	if r.Events == 0 {
@@ -467,7 +464,7 @@ func TestChurnRunDeterministicAcrossEngineWorkers(t *testing.T) {
 	run := func(workers int) ChurnResult {
 		return ChurnRun(tiny(), ChurnConfig{
 			ChurnOptions: ChurnOptions{FlashCrowd: 8, ChurnRate: 0.2},
-			Dataset:      "survey", Fanout: 6, Workers: workers,
+			Fanout:       6, EngineOptions: EngineOptions{Workers: workers},
 		})
 	}
 	a, b := run(1), run(4)
@@ -482,32 +479,29 @@ func TestChurnRunDeterministicAcrossEngineWorkers(t *testing.T) {
 	}
 }
 
-func TestCohortsFromSchedule(t *testing.T) {
-	var s sim.ChurnSchedule
-	s.Add(5, sim.ChurnJoin, 100)
-	s.Add(6, sim.ChurnCrash, 1)
-	s.Add(9, sim.ChurnRejoin, 1)
-	s.Add(7, sim.ChurnCrash, 2) // never rejoins
-	s.Add(8, sim.ChurnLeave, 3)
-	s.Add(10, sim.ChurnJoin, 101)
-	s.Add(12, sim.ChurnCrash, 101) // joiner that crashes and stays down
-	// Out of slice order on purpose: the rejoin (cycle 20) is listed before
-	// the crash (cycle 15); the cohort scan must order by cycle like the
-	// engine does and label node 6 a rejoiner, not departed.
-	s.Add(20, sim.ChurnRejoin, 6)
-	s.Add(15, sim.ChurnCrash, 6)
-	cohorts := CohortsFromSchedule(s)
-	for id, want := range map[int]metrics.Cohort{
-		100: metrics.CohortJoiner,
-		1:   metrics.CohortRejoiner,
-		2:   metrics.CohortDeparted,
-		3:   metrics.CohortDeparted,
-		101: metrics.CohortDeparted,
-		6:   metrics.CohortRejoiner,
-		4:   metrics.CohortStable,
+// TestEngineOptionsZeroValue pins the one rule every driver config shares:
+// an unset engine pool is serial — not sim.Config's own zero, which means
+// GOMAXPROCS — and the shard count passes through untouched.
+func TestEngineOptionsZeroValue(t *testing.T) {
+	for _, tc := range []struct {
+		in                  EngineOptions
+		wantWorkers, shards int
+	}{
+		{EngineOptions{}, 1, 0},
+		{EngineOptions{Workers: -3}, 1, 0},
+		{EngineOptions{Workers: 1, Shards: 1}, 1, 1},
+		{EngineOptions{Workers: 6, Shards: 4}, 6, 4},
 	} {
-		if got := cohorts[news.NodeID(id)]; got != want {
-			t.Fatalf("node %d: cohort %v, want %v", id, got, want)
+		cfg := tc.in.engine(sim.Config{Seed: 7, Workers: 99, Shards: 99})
+		if cfg.Workers != tc.wantWorkers || cfg.Shards != tc.shards || cfg.Seed != 7 {
+			t.Errorf("%+v resolved to workers=%d shards=%d seed=%d", tc.in, cfg.Workers, cfg.Shards, cfg.Seed)
 		}
+	}
+	// Every driver config resolves through the same method.
+	if got := (ChurnBenchConfig{}).engine(sim.Config{}).Workers; got != 1 {
+		t.Errorf("ChurnBenchConfig zero value runs %d workers, want 1", got)
+	}
+	if got := (HotPathConfig{}).withDefaults().engine(sim.Config{}); got.Workers != 1 || got.Shards != 4 {
+		t.Errorf("HotPathConfig zero value resolves to %+v, want serial on its 4 sharded-scenario slabs", got)
 	}
 }

@@ -22,15 +22,15 @@ type Fig10Result struct {
 // Fig10 runs the popularity analysis (fLIKE = 10, k = 19 as in Table III).
 func Fig10(o Options) Fig10Result {
 	o = o.WithDefaults()
-	ds := datasetByName("survey", o)
+	ds := must(DatasetByName("survey", o))
 	const buckets = 10
 
 	outs := parallel(o.Workers, []func() Outcome{
 		func() Outcome {
-			return Run(RunConfig{Dataset: ds, Alg: WhatsUp, Fanout: 10, Seed: o.Seed, Workers: o.EngineWorkers})
+			return Run(RunConfig{Dataset: ds, Alg: WhatsUp, Fanout: 10, Seed: o.Seed, EngineOptions: o.EngineOptions})
 		},
 		func() Outcome {
-			return Run(RunConfig{Dataset: ds, Alg: CFWup, Fanout: 19, Seed: o.Seed, Workers: o.EngineWorkers})
+			return Run(RunConfig{Dataset: ds, Alg: CFWup, Fanout: 19, Seed: o.Seed, EngineOptions: o.EngineOptions})
 		},
 	})
 	return Fig10Result{

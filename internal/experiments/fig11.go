@@ -25,10 +25,10 @@ type Fig11Result struct {
 // Fig11 runs the sociability analysis (fLIKE = 10, k = 15 neighbours).
 func Fig11(o Options) Fig11Result {
 	o = o.WithDefaults()
-	ds := datasetByName("survey", o)
+	ds := must(DatasetByName("survey", o))
 	const buckets = 10
 
-	out := Run(RunConfig{Dataset: ds, Alg: WhatsUp, Fanout: 10, Seed: o.Seed, Workers: o.EngineWorkers})
+	out := Run(RunConfig{Dataset: ds, Alg: WhatsUp, Fanout: 10, Seed: o.Seed, EngineOptions: o.EngineOptions})
 	soc := metrics.Sociability(ds.FullProfiles(), profile.WUP{}, 15)
 	socMap := make(map[news.NodeID]float64, len(soc))
 	xs := make([]float64, 0, len(soc))

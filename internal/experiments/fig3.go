@@ -48,7 +48,7 @@ var Fig3Algorithms = []Algorithm{CFWup, CFCos, WhatsUp, WhatsUpCos}
 // "survey").
 func Fig3(datasetName string, o Options) Fig3Result {
 	o = o.WithDefaults()
-	ds := datasetByName(datasetName, o)
+	ds := must(DatasetByName(datasetName, o))
 	fanouts := fig3Fanouts(datasetName)
 
 	type cell struct {
@@ -60,7 +60,7 @@ func Fig3(datasetName string, o Options) Fig3Result {
 		for _, f := range fanouts {
 			alg, f := alg, f
 			jobs = append(jobs, func() cell {
-				out := Run(RunConfig{Dataset: ds, Alg: alg, Fanout: f, Seed: o.Seed, Workers: o.EngineWorkers})
+				out := Run(RunConfig{Dataset: ds, Alg: alg, Fanout: f, Seed: o.Seed, EngineOptions: o.EngineOptions})
 				col := out.Col
 				return cell{alg, Fig3Point{
 					Fanout:           f,

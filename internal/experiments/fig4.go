@@ -41,7 +41,7 @@ var Fig4Fanouts = []int{2, 3, 4, 6, 8, 10, 12}
 // Fig4 runs the connectivity sweep on the survey dataset.
 func Fig4(o Options) Fig4Result {
 	o = o.WithDefaults()
-	ds := datasetByName("survey", o)
+	ds := must(DatasetByName("survey", o))
 
 	type cell struct {
 		alg Algorithm
@@ -52,7 +52,7 @@ func Fig4(o Options) Fig4Result {
 		for _, f := range Fig4Fanouts {
 			alg, f := alg, f
 			jobs = append(jobs, func() cell {
-				out := Run(RunConfig{Dataset: ds, Alg: alg, Fanout: f, Seed: o.Seed, Workers: o.EngineWorkers})
+				out := Run(RunConfig{Dataset: ds, Alg: alg, Fanout: f, Seed: o.Seed, EngineOptions: o.EngineOptions})
 				g := out.Engine.WUPGraph()
 				return cell{alg, Fig4Point{
 					Fanout:                f,

@@ -28,7 +28,7 @@ var Fig5TTLs = []int{0, 1, 2, 4, 6, 8}
 // Fig5 runs the TTL sweep.
 func Fig5(o Options) Fig5Result {
 	o = o.WithDefaults()
-	ds := datasetByName("survey", o)
+	ds := must(DatasetByName("survey", o))
 	const fanout = 10
 
 	jobs := make([]func() Fig5Point, 0, len(Fig5TTLs))
@@ -39,7 +39,7 @@ func Fig5(o Options) Fig5Result {
 			if cfgTTL == 0 {
 				cfgTTL = -1 // explicit zero (RunConfig convention)
 			}
-			out := Run(RunConfig{Dataset: ds, Alg: WhatsUp, Fanout: fanout, Seed: o.Seed, TTL: cfgTTL, Workers: o.EngineWorkers})
+			out := Run(RunConfig{Dataset: ds, Alg: WhatsUp, Fanout: fanout, Seed: o.Seed, TTL: cfgTTL, EngineOptions: o.EngineOptions})
 			return Fig5Point{
 				TTL:       ttl,
 				Precision: out.Col.Precision(),

@@ -27,9 +27,9 @@ type Fig6Result struct {
 // Fig6 runs the hop-distance analysis.
 func Fig6(o Options) Fig6Result {
 	o = o.WithDefaults()
-	ds := datasetByName("survey", o)
+	ds := must(DatasetByName("survey", o))
 	const fanout = 5
-	out := Run(RunConfig{Dataset: ds, Alg: WhatsUp, Fanout: fanout, Seed: o.Seed, Workers: o.EngineWorkers})
+	out := Run(RunConfig{Dataset: ds, Alg: WhatsUp, Fanout: fanout, Seed: o.Seed, EngineOptions: o.EngineOptions})
 	col := out.Col
 
 	items := len(ds.Items)

@@ -6,7 +6,6 @@ import (
 
 	"whatsup/internal/core"
 	"whatsup/internal/dataset"
-	"whatsup/internal/metrics"
 	"whatsup/internal/news"
 	"whatsup/internal/profile"
 	"whatsup/internal/sim"
@@ -165,24 +164,21 @@ func fig7Trial(o Options, cfg Fig7Config, metric profile.Metric, seed int64) Fig
 		Metric:        metric,
 		ProfileWindow: cfg.Window,
 	}
-	peers := make([]sim.Peer, ds.Users)
-	nodes := make([]*core.Node, ds.Users)
-	for i := 0; i < ds.Users; i++ {
-		n := core.NewNode(news.NodeID(i), "", nodeCfg, op, nodeRNG(seed, i))
-		nodes[i] = n
-		peers[i] = n
+	w := sim.DatasetWorld(ds)
+	w.NewPeer = func(id news.NodeID) sim.Peer {
+		return core.NewNode(id, "", nodeCfg, op, nodeRNG(seed, int(id)))
 	}
 
 	// Trial-specific role assignment.
 	roleRNG := nodeRNG(seed, 1<<20)
-	ref := nodes[roleRNG.Intn(ds.Users)]
-	changing := nodes[roleRNG.Intn(ds.Users)]
-	for changing == ref {
-		changing = nodes[roleRNG.Intn(ds.Users)]
+	refID := news.NodeID(roleRNG.Intn(ds.Users))
+	changingID := news.NodeID(roleRNG.Intn(ds.Users))
+	for changingID == refID {
+		changingID = news.NodeID(roleRNG.Intn(ds.Users))
 	}
 	swapWith := news.NodeID(roleRNG.Intn(ds.Users))
 	joinID := news.NodeID(ds.Users)
-	op.remap[joinID] = ref.ID() // the joiner shares the reference's interests
+	op.remap[joinID] = refID // the joiner shares the reference's interests
 
 	nCycles := cfg.TotalCycles
 	tr := Fig7Curve{Metric: metric.Name()}
@@ -190,28 +186,21 @@ func fig7Trial(o Options, cfg Fig7Config, metric profile.Metric, seed int64) Fig
 		*field = make([]float64, nCycles)
 	}
 
-	var joiner *core.Node
-	col := metrics.NewCollector()
-	register(ds, col)
-	engineWorkers := o.EngineWorkers
-	if engineWorkers <= 0 {
-		engineWorkers = 1 // trials run on the sweep pool; keep each engine serial
-	}
-	e := sim.New(sim.Config{
-		Seed:         seed,
-		Cycles:       nCycles,
-		Workers:      engineWorkers,
-		Publications: publications(ds),
+	var ref, changing, joiner *core.Node
+	// Trials run on the sweep pool; each engine stays serial unless asked.
+	e, _ := w.NewEngine(o.engine(sim.Config{
+		Seed:   seed,
+		Cycles: nCycles,
 		OnDelivery: func(d core.Delivery, now int64) {
 			if !d.Liked || now < 1 || now > int64(nCycles) {
 				return
 			}
 			switch d.Node {
-			case ref.ID():
+			case refID:
 				tr.RefLiked[now-1]++
 			case joinID:
 				tr.JoinLiked[now-1]++
-			case changing.ID():
+			case changingID:
 				tr.ChangeLiked[now-1]++
 			}
 		},
@@ -223,16 +212,16 @@ func fig7Trial(o Options, cfg Fig7Config, metric profile.Metric, seed int64) Fig
 				tr.JoinSim[i] = joiner.WUP().AverageSimilarity(joiner.UserProfile())
 			}
 		},
-	}, peers, col)
-	e.Bootstrap()
+	}))
+	ref, changing = e.Peer(refID).(*core.Node), e.Peer(changingID).(*core.Node)
 
 	for c := 0; c < nCycles; c++ {
 		if int64(c) == cfg.EventCycle {
 			// Interest change: the changing node swaps identities with a
 			// random node (Section V-C).
-			op.remap[changing.ID()], op.remap[swapWith] = op.remap[swapWith], op.remap[changing.ID()]
+			op.remap[changingID], op.remap[swapWith] = op.remap[swapWith], op.remap[changingID]
 			// Join: cold start from a random host's views.
-			host := nodes[roleRNG.Intn(ds.Users)]
+			host := e.Peer(news.NodeID(roleRNG.Intn(ds.Users))).Overlay()
 			joiner = core.NewNode(joinID, "", nodeCfg, op, nodeRNG(seed, 1<<21))
 			joiner.ColdStart(host.RPS().View().Entries(), host.WUP().View().Entries(), e.Now())
 			e.AddPeer(joiner)

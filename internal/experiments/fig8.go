@@ -81,7 +81,7 @@ func Fig8(o Options, cfg Fig8Config) Fig8Result {
 		jobs[i] = func() Fig8Point {
 			pt := Fig8Point{Fanout: f}
 
-			out := Run(RunConfig{Dataset: ds, Alg: WhatsUp, Fanout: f, Seed: o.Seed, Cycles: cfg.Cycles, Workers: o.EngineWorkers})
+			out := Run(RunConfig{Dataset: ds, Alg: WhatsUp, Fanout: f, Seed: o.Seed, Cycles: cfg.Cycles, EngineOptions: o.EngineOptions})
 			pt.Simulation = out.Col.F1()
 			const cycleSeconds = 30 // deployment gossip period (Section V-D)
 			beep := out.Col.Bytes(metrics.MsgBeep)

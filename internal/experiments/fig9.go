@@ -37,7 +37,7 @@ var Fig9Fanouts = []int{2, 4, 6, 8, 10, 12, 14}
 // Fig9 runs the centralized-vs-decentralized comparison.
 func Fig9(o Options) Fig9Result {
 	o = o.WithDefaults()
-	ds := datasetByName("survey", o)
+	ds := must(DatasetByName("survey", o))
 
 	type cell struct {
 		name string
@@ -54,7 +54,7 @@ func Fig9(o Options) Fig9Result {
 		for _, alg := range []Algorithm{WhatsUp, WhatsUpCos} {
 			alg := alg
 			jobs = append(jobs, func() cell {
-				out := Run(RunConfig{Dataset: ds, Alg: alg, Fanout: f, Seed: o.Seed, Workers: o.EngineWorkers})
+				out := Run(RunConfig{Dataset: ds, Alg: alg, Fanout: f, Seed: o.Seed, EngineOptions: o.EngineOptions})
 				return cell{string(alg), Fig9Point{f, out.Col.Precision(), out.Col.Recall(), out.Col.F1()}}
 			})
 		}

@@ -9,7 +9,6 @@ import (
 
 	"whatsup/internal/core"
 	"whatsup/internal/faultnet"
-	"whatsup/internal/metrics"
 	"whatsup/internal/news"
 	"whatsup/internal/overlay"
 	"whatsup/internal/profile"
@@ -27,19 +26,17 @@ import (
 
 // HotPathConfig sizes the scenarios.
 type HotPathConfig struct {
+	// EngineOptions size the engine of the full-cycle scenarios. Shards is
+	// the slab count of the sharded-cycle and flash-crowd scenarios only
+	// (0 = 4): the plain cycle scenarios always run single-slab, so the
+	// recorded trajectory keeps comparing like with like.
+	EngineOptions
 	// CyclePeers is the population of the full-cycle scenario (default 5000).
 	CyclePeers int
 	// CycleItems is how many items are published per cycle in the full-cycle
 	// scenario (default 6; cycles beyond the pre-generated schedule of 2000
 	// gossip without BEEP traffic).
 	CycleItems int
-	// EngineWorkers is the engine pool for the full-cycle scenario
-	// (0 = serial, matching the per-point default of the experiment sweeps).
-	EngineWorkers int
-	// EngineShards is the slab count the sharded-cycle scenarios run with
-	// (0 = 4). The plain cycle scenarios always run single-slab, so the
-	// recorded trajectory keeps comparing like with like.
-	EngineShards int
 	// FlashCrowdPeers, when > 0, enables the large-scale flash-crowd
 	// scenario at that total population (the ROADMAP's north star runs it at
 	// 1_000_000). Off by default: the world needs ~10 GB of RAM per 1M peers
@@ -54,8 +51,8 @@ func (c HotPathConfig) withDefaults() HotPathConfig {
 	if c.CycleItems <= 0 {
 		c.CycleItems = 6
 	}
-	if c.EngineShards <= 0 {
-		c.EngineShards = 4
+	if c.Shards <= 0 {
+		c.Shards = 4
 	}
 	return c
 }
@@ -123,26 +120,19 @@ func hotPathView() (v *overlay.View, descs []overlay.Descriptor, self *profile.P
 	return v, descs, self
 }
 
-// hotPathWorld builds the full-cycle scenario world. When churn is true it
-// adds a sustained crash-and-rejoin trace (≈1% of the population crashing
-// per cycle, back after 5) with descriptor-TTL eviction active, so the
-// measured steady-state cycle exercises the whole membership path: event
-// application, view wipes, bootstrap-from-online-sample and per-cycle
-// eviction scans.
-func hotPathWorld(cfg HotPathConfig, churn bool, links *faultnet.Policy) *sim.Engine {
-	return hotPathWorldSharded(cfg, churn, links, 0)
-}
-
-func hotPathWorldSharded(cfg HotPathConfig, churn bool, links *faultnet.Policy, shards int) *sim.Engine {
+// hotPathWorld builds the full-cycle scenario world on the given slab count.
+// When churn is true it adds a sustained crash-and-rejoin trace (≈1% of the
+// population crashing per cycle, back after 5) with descriptor-TTL eviction
+// active, so the measured steady-state cycle exercises the whole membership
+// path: event application, view wipes, bootstrap-from-online-sample and
+// per-cycle eviction scans.
+func hotPathWorld(cfg HotPathConfig, churn bool, links *faultnet.Policy, shards int) *sim.Engine {
 	const scheduledCycles = 2000
-	opinions := core.OpinionFunc(func(node news.NodeID, item news.ID) bool {
-		return int(node)%4 == int(item)%4
-	})
+	w := sim.Communities(cfg.CyclePeers, 4, cfg.CycleItems, scheduledCycles, "hp")
 	nodeCfg := core.Config{FLike: 6, RPSViewSize: 20}.ForPopulation(cfg.CyclePeers)
-	var schedule sim.ChurnSchedule
 	if churn {
 		nodeCfg.DescriptorTTL = 15
-		schedule = sim.ChurnTrace(sim.ChurnTraceConfig{
+		w.Churn = sim.ChurnTrace(sim.ChurnTraceConfig{
 			Seed:      7,
 			Nodes:     cfg.CyclePeers,
 			From:      1,
@@ -151,31 +141,11 @@ func hotPathWorldSharded(cfg HotPathConfig, churn bool, links *faultnet.Policy, 
 			Downtime:  5,
 		})
 	}
-	peers := make([]sim.Peer, cfg.CyclePeers)
-	for i := 0; i < cfg.CyclePeers; i++ {
-		peers[i] = core.NewNode(news.NodeID(i), "", nodeCfg, opinions,
-			rand.New(rand.NewSource(1000+int64(i))))
+	w.NewPeer = func(id news.NodeID) sim.Peer {
+		return core.NewNode(id, "", nodeCfg, w.Opinions, rand.New(rand.NewSource(1000+int64(id))))
 	}
-	col := metrics.NewCollector()
-	pubs := make([]sim.Publication, 0, scheduledCycles*cfg.CycleItems)
-	for c := 1; c <= scheduledCycles; c++ {
-		for k := 0; k < cfg.CycleItems; k++ {
-			src := news.NodeID((c*cfg.CycleItems + k) % cfg.CyclePeers)
-			it := news.New(fmt.Sprintf("hp-%d-%d", c, k), "d", "l", int64(c), src)
-			it.ID = news.ID(c*cfg.CycleItems + k)
-			pubs = append(pubs, sim.Publication{Cycle: int64(c), Source: src, Item: it})
-			col.RegisterItem(it.ID, cfg.CyclePeers/4)
-		}
-	}
-	for i := 0; i < cfg.CyclePeers; i++ {
-		col.RegisterNode(news.NodeID(i), scheduledCycles*cfg.CycleItems/4)
-	}
-	e := sim.New(sim.Config{
-		Seed: 1, Cycles: scheduledCycles, Workers: cfg.EngineWorkers, Shards: shards,
-		BootstrapDegree: 5, Publications: pubs, Churn: schedule,
-		Links: links,
-	}, peers, col)
-	e.Bootstrap()
+	cfg.Shards = shards
+	e, _ := w.NewEngine(cfg.engine(sim.Config{Seed: 1, Cycles: scheduledCycles, BootstrapDegree: 5, Links: links}))
 	return e
 }
 
@@ -189,44 +159,16 @@ func hotPathWorldSharded(cfg HotPathConfig, churn bool, links *faultnet.Policy, 
 // than an unbounded BEEP flood.
 func hotPathFlashWorld(cfg HotPathConfig) *sim.Engine {
 	const scheduledCycles = 64
-	const cycleItems = 2
 	total := cfg.FlashCrowdPeers
 	joiners := total / 16
 	base := total - joiners
-	opinions := core.OpinionFunc(func(node news.NodeID, item news.ID) bool {
-		return int(node)%4 == int(item)%4
-	})
+	w := sim.Communities(base, 4, 2, scheduledCycles, "fc")
+	w.Churn = sim.FlashCrowd(2, news.NodeID(base), joiners, joiners/4)
 	nodeCfg := core.Config{FLike: 6, RPSViewSize: 20, DescriptorTTL: 15}.ForPopulation(total)
-	schedule := sim.FlashCrowd(2, news.NodeID(base), joiners, joiners/4)
-	newPeer := func(id news.NodeID) sim.Peer {
-		return core.NewNode(id, "", nodeCfg, opinions,
-			rand.New(rand.NewSource(1000+int64(id))))
+	w.NewPeer = func(id news.NodeID) sim.Peer {
+		return core.NewNode(id, "", nodeCfg, w.Opinions, rand.New(rand.NewSource(1000+int64(id))))
 	}
-	peers := make([]sim.Peer, base)
-	for i := 0; i < base; i++ {
-		peers[i] = newPeer(news.NodeID(i))
-	}
-	col := metrics.NewCollector()
-	pubs := make([]sim.Publication, 0, scheduledCycles*cycleItems)
-	for c := 1; c <= scheduledCycles; c++ {
-		for k := 0; k < cycleItems; k++ {
-			src := news.NodeID((c*cycleItems + k) % base)
-			it := news.New(fmt.Sprintf("fc-%d-%d", c, k), "d", "l", int64(c), src)
-			it.ID = news.ID(c*cycleItems + k)
-			pubs = append(pubs, sim.Publication{Cycle: int64(c), Source: src, Item: it})
-			col.RegisterItem(it.ID, total/4)
-		}
-	}
-	for i := 0; i < total; i++ {
-		col.RegisterNode(news.NodeID(i), scheduledCycles*cycleItems/4)
-	}
-	e := sim.New(sim.Config{
-		Seed: 1, Cycles: scheduledCycles,
-		Workers: cfg.EngineWorkers, Shards: cfg.EngineShards,
-		BootstrapDegree: 5, Publications: pubs, Churn: schedule,
-		NewPeer: newPeer,
-	}, peers, col)
-	e.Bootstrap()
+	e, _ := w.NewEngine(cfg.engine(sim.Config{Seed: 1, Cycles: scheduledCycles, BootstrapDegree: 5}))
 	return e
 }
 
@@ -304,7 +246,7 @@ func HotPathBenchmarks(cfg HotPathConfig) []NamedBench {
 		}},
 		{Name: fmt.Sprintf("cycle-%dpeers", cfg.CyclePeers), Bench: func(b *testing.B) {
 			if engine == nil {
-				engine = hotPathWorld(cfg, false, nil)
+				engine = hotPathWorld(cfg, false, nil, 0)
 				engine.Step() // warm caches and scratch before measuring
 				b.ResetTimer()
 			}
@@ -315,7 +257,7 @@ func HotPathBenchmarks(cfg HotPathConfig) []NamedBench {
 		}},
 		{Name: fmt.Sprintf("churn-cycle-%dpeers", cfg.CyclePeers), Bench: func(b *testing.B) {
 			if churnEngine == nil {
-				churnEngine = hotPathWorld(cfg, true, nil)
+				churnEngine = hotPathWorld(cfg, true, nil, 0)
 				churnEngine.Step()
 				b.ResetTimer()
 			}
@@ -326,7 +268,7 @@ func HotPathBenchmarks(cfg HotPathConfig) []NamedBench {
 		}},
 		{Name: "faultnet-cycle", Bench: func(b *testing.B) {
 			if faultEngine == nil {
-				faultEngine = hotPathWorld(cfg, false, hotPathLinks(cfg))
+				faultEngine = hotPathWorld(cfg, false, hotPathLinks(cfg), 0)
 				faultEngine.Step()
 				b.ResetTimer()
 			}
@@ -337,7 +279,7 @@ func HotPathBenchmarks(cfg HotPathConfig) []NamedBench {
 		}},
 		{Name: fmt.Sprintf("sharded-cycle-%dpeers", cfg.CyclePeers), Bench: func(b *testing.B) {
 			if shardEngine == nil {
-				shardEngine = hotPathWorldSharded(cfg, false, nil, cfg.EngineShards)
+				shardEngine = hotPathWorld(cfg, false, nil, cfg.Shards)
 				shardEngine.Step()
 				b.ResetTimer()
 			}
@@ -348,7 +290,7 @@ func HotPathBenchmarks(cfg HotPathConfig) []NamedBench {
 		}},
 		{Name: fmt.Sprintf("sharded-churn-cycle-%dpeers", cfg.CyclePeers), Bench: func(b *testing.B) {
 			if shardChurnEngine == nil {
-				shardChurnEngine = hotPathWorldSharded(cfg, true, nil, cfg.EngineShards)
+				shardChurnEngine = hotPathWorld(cfg, true, nil, cfg.Shards)
 				shardChurnEngine.Step()
 				b.ResetTimer()
 			}
@@ -408,7 +350,7 @@ func HotPath(cfg HotPathConfig) HotPathResult {
 		GoVersion:       runtime.Version(),
 		MaxProcs:        runtime.GOMAXPROCS(0),
 		CyclePeers:      cfg.CyclePeers,
-		EngineShards:    cfg.EngineShards,
+		EngineShards:    cfg.Shards,
 		FlashCrowdPeers: cfg.FlashCrowdPeers,
 	}
 	for _, nb := range HotPathBenchmarks(cfg) {

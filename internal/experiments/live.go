@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
 	"strings"
 	"time"
@@ -192,56 +191,20 @@ func LiveRun(o Options, cfg LiveRunConfig) (LiveRunResult, error) {
 	liveCfg := live.Config{
 		Seed: o.Seed, Cycles: cfg.Cycles, CycleLength: cfg.CycleLength, NodeConfig: nodeCfg,
 	}
-	var schedule sim.ChurnSchedule
-	op := churnOpinions{base: ds.Opinions(), n: ds.Users}
 	if cfg.churned() {
 		// Churn needs self-healing views: thread the eviction horizon into
-		// every node's config, and the schedule + joiner factory into the
-		// runtime's membership controller.
+		// every node's config, and the schedule into the runtime's
+		// membership controller, which also registers the joiners' recall
+		// denominators and the churn cohorts (sim.World.Register).
 		liveCfg.NodeConfig.DescriptorTTL = cfg.DescriptorTTL
 		liveCfg.DepartureNotices = cfg.DepartureNotices
 		liveCfg.RefillWatermark = cfg.RefillWatermark
 		liveCfg.Timeline = true
-		schedule = liveChurnSchedule(o, cfg, ds.Users)
-		liveCfg.Churn = schedule
-		liveCfg.NewNode = func(id news.NodeID, rng *rand.Rand) *core.Node {
-			return core.NewNode(id, "", liveCfg.NodeConfig, op, rng)
-		}
+		liveCfg.Churn = liveChurnSchedule(o, cfg, ds.Users)
 	}
 
 	r := live.NewRunner(liveCfg, ds, network)
 	col := r.Collector()
-	// Register the flash-crowd joiners: mapped interests, join-time-aware
-	// recall denominators, and churn cohort labels — the same bookkeeping
-	// ChurnRun performs for the simulator.
-	joinCycles := joinCyclesOf(schedule)
-	if len(joinCycles) > 0 {
-		// Each item's interested-denominator grows by the joiners that like
-		// it, so item recall stays <= 1 with the crowd counted in. Safe to
-		// re-register here: the fleet has not started, nothing was delivered.
-		for i := range ds.Items {
-			it := ds.Items[i]
-			interested := it.Interested
-			for id := range joinCycles {
-				if op.Likes(id, it.News.ID) {
-					interested++
-				}
-			}
-			if ds.IsWarmup(i) {
-				col.RegisterWarmupItem(it.News.ID, interested)
-			} else {
-				col.RegisterItem(it.News.ID, interested)
-			}
-		}
-	}
-	for id, joined := range joinCycles {
-		col.RegisterNode(id, ds.UserInterestCount(mapJoiner(id, ds.Users)))
-		col.SetEligibleInterested(id, eligibleInterests(ds, op, id, joined))
-	}
-	for id, c := range CohortsFromSchedule(schedule) {
-		col.SetCohort(id, c)
-	}
-
 	r.Run()
 	const cycleSeconds = 30 // deployment gossip period (Section V-D)
 	res := LiveRunResult{
@@ -259,7 +222,7 @@ func LiveRun(o Options, cfg LiveRunConfig) (LiveRunResult, error) {
 	}
 	if cfg.churned() {
 		res.Joiners = cfg.FlashCrowd
-		res.Events = len(schedule.Events)
+		res.Events = len(liveCfg.Churn.Events)
 		res.FinalOnline = r.OnlineCount()
 		res.Stable = col.CohortSummary(metrics.CohortStable)
 		res.Joiner = col.CohortSummary(metrics.CohortJoiner)
@@ -267,7 +230,7 @@ func LiveRun(o Options, cfg LiveRunConfig) (LiveRunResult, error) {
 		res.Departed = col.CohortSummary(metrics.CohortDeparted)
 		res.GhostEndFraction = r.GhostFraction()
 		res.Timeline = r.Timeline()
-		res.LastDeparture, res.HealedAt, res.TimeToHealed = healingFrom(schedule, res.Timeline)
+		res.LastDeparture, res.HealedAt, res.TimeToHealed = healingFrom(liveCfg.Churn, res.Timeline)
 	}
 	return res, nil
 }

@@ -1,6 +1,27 @@
 package experiments
 
-import "whatsup/internal/core"
+import (
+	"whatsup/internal/core"
+	"whatsup/internal/sim"
+)
+
+// EngineOptions size the simulation engine behind a driver. Every driver
+// config embeds it, so the two knobs are declared, documented and resolved
+// exactly once. Results are bit-identical for any value of either.
+type EngineOptions struct {
+	// Workers is the engine worker pool (sim.Config.Workers). 0 runs the
+	// engine serially: sweep drivers already run one point per core, and a
+	// benchmark entry should not silently depend on the host's core count.
+	Workers int
+	// Shards is the engine slab count (sim.Config.Shards, 0 = single slab).
+	Shards int
+}
+
+// engine writes the options into an engine config, resolving the zero value.
+func (o EngineOptions) engine(cfg sim.Config) sim.Config {
+	cfg.Workers, cfg.Shards = max(o.Workers, 1), o.Shards
+	return cfg
+}
 
 // ChurnOptions are the churn-protocol knobs shared by every driver that
 // exercises the lifecycle-aware membership layer — the sim churn scenario

@@ -40,13 +40,11 @@ type Options struct {
 	Seed int64
 	// Scale shrinks the datasets (1.0 = paper scale, Table I).
 	Scale float64
-	// Workers bounds the sweep-point pool (default: NumCPU).
+	// Workers bounds the sweep-point pool (default: NumCPU). It shadows the
+	// embedded engine pool, which is EngineOptions.Workers.
 	Workers int
-	// EngineWorkers is the per-simulation engine worker pool
-	// (sim.Config.Workers), forwarded to every sweep point. 0 keeps each
-	// engine serial: the sweep pool already saturates the cores, and results
-	// are bit-identical either way. Set it when running few, large points.
-	EngineWorkers int
+	// EngineOptions are forwarded to the engine of every sweep point.
+	EngineOptions
 }
 
 // WithDefaults fills unset options.
@@ -81,13 +79,7 @@ type RunConfig struct {
 	RPSViewSize int
 	// Cycles overrides the run length (0 = dataset default).
 	Cycles int
-	// Workers is the engine worker pool for this point (sim.Config.Workers).
-	// 0 runs the engine serially — sweep points usually run many at a time,
-	// so parallelism lives at the sweep level unless asked for explicitly.
-	Workers int
-	// Shards is the engine slab count (sim.Config.Shards, 0 = single slab).
-	// Results are bit-identical for any value.
-	Shards int
+	EngineOptions
 	// OnCycleEnd/OnDelivery are forwarded to the engine.
 	OnCycleEnd func(e *sim.Engine, now int64)
 	OnDelivery func(d core.Delivery, now int64)
@@ -105,100 +97,63 @@ func nodeRNG(seed int64, node int) *rand.Rand {
 	return rand.New(rand.NewSource(seed*1_000_003 + int64(node)))
 }
 
-// buildPeers constructs the peer population for an algorithm.
-func buildPeers(rc RunConfig) []sim.Peer {
-	ds := rc.Dataset
-	op := ds.Opinions()
-	peers := make([]sim.Peer, ds.Users)
+// peerFactory returns the constructor of one algorithm's peers.
+func peerFactory(rc RunConfig, op core.Opinions) func(id news.NodeID) sim.Peer {
 	window := rc.Window
 	if window == 0 {
 		window = core.DefaultProfileWindow
 	}
 	rpsVS := rc.RPSViewSize
-	for i := 0; i < ds.Users; i++ {
-		id := news.NodeID(i)
-		rng := nodeRNG(rc.Seed, i)
-		switch rc.Alg {
-		case PlainGossip:
-			peers[i] = baselines.NewGossip(id, rc.Fanout, rpsVS, op, rng)
-		case CFWup:
-			peers[i] = baselines.NewCF(id, rc.Fanout, rpsVS, window, profile.WUP{}, op, rng)
-		case CFCos:
-			peers[i] = baselines.NewCF(id, rc.Fanout, rpsVS, window, profile.Cosine{}, op, rng)
-		case WhatsUpCos, WhatsUp:
-			metric := profile.Metric(profile.WUP{})
-			if rc.Alg == WhatsUpCos {
-				metric = profile.Cosine{}
-			}
-			cfg := core.Config{
-				FLike:         rc.Fanout,
-				Metric:        metric,
-				DislikeTTL:    rc.TTL,
-				ProfileWindow: window,
-				RPSViewSize:   rpsVS,
-			}
-			if rc.WUPViewFactor > 0 {
-				cfg.WUPViewSize = rc.WUPViewFactor * rc.Fanout
-			}
-			peers[i] = core.NewNode(id, "", cfg, op, rng)
-		default:
-			panic(fmt.Sprintf("experiments: unknown algorithm %q", rc.Alg))
+	switch rc.Alg {
+	case PlainGossip:
+		return func(id news.NodeID) sim.Peer {
+			return baselines.NewGossip(id, rc.Fanout, rpsVS, op, nodeRNG(rc.Seed, int(id)))
 		}
-	}
-	return peers
-}
-
-// publications converts the dataset schedule into engine publications.
-func publications(ds *dataset.Dataset) []sim.Publication {
-	pubs := make([]sim.Publication, 0, len(ds.Items))
-	for i := range ds.Items {
-		it := ds.Items[i]
-		pubs = append(pubs, sim.Publication{Cycle: it.Cycle, Source: it.News.Source, Item: it.News})
-	}
-	return pubs
-}
-
-// register declares the workload with a collector. Items published during
-// the initial transient are registered as warm-up: disseminated but not
-// measured.
-func register(ds *dataset.Dataset, col *metrics.Collector) {
-	for i := range ds.Items {
-		if ds.IsWarmup(i) {
-			col.RegisterWarmupItem(ds.Items[i].News.ID, ds.Items[i].Interested)
-		} else {
-			col.RegisterItem(ds.Items[i].News.ID, ds.Items[i].Interested)
+	case CFWup, CFCos:
+		metric := profile.Metric(profile.WUP{})
+		if rc.Alg == CFCos {
+			metric = profile.Cosine{}
 		}
-	}
-	for u := 0; u < ds.Users; u++ {
-		col.RegisterNode(news.NodeID(u), ds.UserInterestCount(news.NodeID(u)))
+		return func(id news.NodeID) sim.Peer {
+			return baselines.NewCF(id, rc.Fanout, rpsVS, window, metric, op, nodeRNG(rc.Seed, int(id)))
+		}
+	case WhatsUpCos, WhatsUp:
+		cfg := core.Config{
+			FLike:         rc.Fanout,
+			Metric:        profile.WUP{},
+			DislikeTTL:    rc.TTL,
+			ProfileWindow: window,
+			RPSViewSize:   rpsVS,
+		}
+		if rc.Alg == WhatsUpCos {
+			cfg.Metric = profile.Cosine{}
+		}
+		if rc.WUPViewFactor > 0 {
+			cfg.WUPViewSize = rc.WUPViewFactor * rc.Fanout
+		}
+		return func(id news.NodeID) sim.Peer {
+			return core.NewNode(id, "", cfg, op, nodeRNG(rc.Seed, int(id)))
+		}
+	default:
+		panic(fmt.Sprintf("experiments: unknown algorithm %q", rc.Alg))
 	}
 }
 
 // Run executes one simulation point.
 func Run(rc RunConfig) Outcome {
-	ds := rc.Dataset
 	cycles := rc.Cycles
 	if cycles == 0 {
-		cycles = ds.Cycles
+		cycles = rc.Dataset.Cycles
 	}
-	workers := rc.Workers
-	if workers <= 0 {
-		workers = 1
-	}
-	peers := buildPeers(rc)
-	col := metrics.NewCollector()
-	register(ds, col)
-	e := sim.New(sim.Config{
-		Seed:         rc.Seed,
-		Cycles:       cycles,
-		LossRate:     rc.Loss,
-		Workers:      workers,
-		Shards:       rc.Shards,
-		Publications: publications(ds),
-		OnCycleEnd:   rc.OnCycleEnd,
-		OnDelivery:   rc.OnDelivery,
-	}, peers, col)
-	e.Bootstrap()
+	w := sim.DatasetWorld(rc.Dataset)
+	w.NewPeer = peerFactory(rc, w.Opinions)
+	e, col := w.NewEngine(rc.engine(sim.Config{
+		Seed:       rc.Seed,
+		Cycles:     cycles,
+		LossRate:   rc.Loss,
+		OnCycleEnd: rc.OnCycleEnd,
+		OnDelivery: rc.OnDelivery,
+	}))
 	e.Run()
 	return Outcome{Col: col, Engine: e, Cycles: cycles}
 }
@@ -227,20 +182,24 @@ func parallel[T any](workers int, jobs []func() T) []T {
 
 // DatasetByName builds one of the three workloads ("synthetic", "digg",
 // "survey") at the given options.
-func DatasetByName(name string, o Options) *dataset.Dataset {
-	return datasetByName(name, o)
-}
-
-// datasetByName builds one of the three workloads at the given options.
-func datasetByName(name string, o Options) *dataset.Dataset {
+func DatasetByName(name string, o Options) (*dataset.Dataset, error) {
 	switch name {
 	case "synthetic":
-		return dataset.Synthetic(dataset.SyntheticConfig{Seed: o.Seed, Scale: o.Scale})
+		return dataset.Synthetic(dataset.SyntheticConfig{Seed: o.Seed, Scale: o.Scale}), nil
 	case "digg":
-		return dataset.Digg(dataset.DiggConfig{Seed: o.Seed, Scale: o.Scale})
+		return dataset.Digg(dataset.DiggConfig{Seed: o.Seed, Scale: o.Scale}), nil
 	case "survey":
-		return dataset.Survey(dataset.SurveyConfig{Seed: o.Seed, Scale: o.Scale})
+		return dataset.Survey(dataset.SurveyConfig{Seed: o.Seed, Scale: o.Scale}), nil
 	default:
-		panic(fmt.Sprintf("experiments: unknown dataset %q", name))
+		return nil, fmt.Errorf("unknown dataset %q (want synthetic, digg or survey)", name)
 	}
+}
+
+// must unwraps a result whose error only a bug in the caller can produce,
+// such as DatasetByName on a constant name.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

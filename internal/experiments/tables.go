@@ -22,7 +22,7 @@ func Table1(o Options) Table1Result {
 	o = o.WithDefaults()
 	var r Table1Result
 	for _, name := range []string{"synthetic", "digg", "survey"} {
-		ds := datasetByName(name, o)
+		ds := must(DatasetByName(name, o))
 		r.Rows = append(r.Rows, struct {
 			Name  string
 			Users int
@@ -64,7 +64,7 @@ type Table3Result struct {
 // Table3 runs the five best configurations of the paper.
 func Table3(o Options) Table3Result {
 	o = o.WithDefaults()
-	ds := datasetByName("survey", o)
+	ds := must(DatasetByName("survey", o))
 
 	type spec struct {
 		alg    Algorithm
@@ -82,7 +82,7 @@ func Table3(o Options) Table3Result {
 	for i, sp := range specs {
 		sp := sp
 		jobs[i] = func() Table3Row {
-			out := Run(RunConfig{Dataset: ds, Alg: sp.alg, Fanout: sp.fanout, Seed: o.Seed, Workers: o.EngineWorkers})
+			out := Run(RunConfig{Dataset: ds, Alg: sp.alg, Fanout: sp.fanout, Seed: o.Seed, EngineOptions: o.EngineOptions})
 			col := out.Col
 			return Table3Row{
 				Algorithm:   string(sp.alg),
@@ -131,8 +131,8 @@ type Table4Result struct {
 // Table4 runs WhatsUp at fLIKE=10 and extracts the dislike histogram.
 func Table4(o Options) Table4Result {
 	o = o.WithDefaults()
-	ds := datasetByName("survey", o)
-	out := Run(RunConfig{Dataset: ds, Alg: WhatsUp, Fanout: 10, Seed: o.Seed, Workers: o.EngineWorkers})
+	ds := must(DatasetByName("survey", o))
+	out := Run(RunConfig{Dataset: ds, Alg: WhatsUp, Fanout: 10, Seed: o.Seed, EngineOptions: o.EngineOptions})
 	return Table4Result{
 		Dataset:   "survey",
 		Fanout:    10,
@@ -187,8 +187,8 @@ type Table5Result struct {
 // Table5 runs the four cells of Table V.
 func Table5(o Options) Table5Result {
 	o = o.WithDefaults()
-	digg := datasetByName("digg", o)
-	survey := datasetByName("survey", o)
+	digg := must(DatasetByName("digg", o))
+	survey := must(DatasetByName("survey", o))
 
 	jobs := []func() Table5Row{
 		func() Table5Row {
@@ -197,7 +197,7 @@ func Table5(o Options) Table5Result {
 			return Table5Row{"digg", "Cascade", col.Precision(), col.Recall(), col.F1(), col.TotalMessages()}
 		},
 		func() Table5Row {
-			out := Run(RunConfig{Dataset: digg, Alg: WhatsUp, Fanout: 10, Seed: o.Seed, Workers: o.EngineWorkers})
+			out := Run(RunConfig{Dataset: digg, Alg: WhatsUp, Fanout: 10, Seed: o.Seed, EngineOptions: o.EngineOptions})
 			return Table5Row{"digg", "WhatsUp", out.Col.Precision(), out.Col.Recall(), out.Col.F1(), out.Col.TotalMessages()}
 		},
 		func() Table5Row {
@@ -206,7 +206,7 @@ func Table5(o Options) Table5Result {
 			return Table5Row{"survey", "C-Pub/Sub", col.Precision(), col.Recall(), col.F1(), col.TotalMessages()}
 		},
 		func() Table5Row {
-			out := Run(RunConfig{Dataset: survey, Alg: WhatsUp, Fanout: 10, Seed: o.Seed, Workers: o.EngineWorkers})
+			out := Run(RunConfig{Dataset: survey, Alg: WhatsUp, Fanout: 10, Seed: o.Seed, EngineOptions: o.EngineOptions})
 			return Table5Row{"survey", "WhatsUp", out.Col.Precision(), out.Col.Recall(), out.Col.F1(), out.Col.TotalMessages()}
 		},
 	}
@@ -262,13 +262,13 @@ var (
 // as in the ModelNet experiment of Section V-E.
 func Table6(o Options) Table6Result {
 	o = o.WithDefaults()
-	ds := datasetByName("survey", o)
+	ds := must(DatasetByName("survey", o))
 	var jobs []func() Table6Cell
 	for _, loss := range Table6LossRates {
 		for _, f := range Table6Fanouts {
 			loss, f := loss, f
 			jobs = append(jobs, func() Table6Cell {
-				out := Run(RunConfig{Dataset: ds, Alg: WhatsUp, Fanout: f, Seed: o.Seed, Loss: loss, Workers: o.EngineWorkers})
+				out := Run(RunConfig{Dataset: ds, Alg: WhatsUp, Fanout: f, Seed: o.Seed, Loss: loss, EngineOptions: o.EngineOptions})
 				return Table6Cell{
 					LossRate:  loss,
 					Fanout:    f,

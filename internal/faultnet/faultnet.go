@@ -188,25 +188,6 @@ func (p *Policy) ActivePartitions(cycle int64) int {
 	return n
 }
 
-// LastHeal returns the latest scheduled heal cycle across all partitions
-// (0 when there are none); -1 when some partition never heals.
-func (p *Policy) LastHeal() int64 {
-	if p == nil {
-		return 0
-	}
-	var last int64
-	for i := range p.partitions {
-		pt := &p.partitions[i]
-		if pt.Heal <= pt.Start {
-			return -1
-		}
-		if pt.Heal > last {
-			last = pt.Heal
-		}
-	}
-	return last
-}
-
 // mix is the splitmix64 finalizer, the same mixer the sim engine uses to
 // derive per-peer streams, so link draws are decorrelated from peer streams.
 func mix(z uint64) uint64 {
@@ -263,29 +244,6 @@ func Stragglers(ids []news.NodeID, frac float64, seed int64, slow Rule) *Policy 
 	p.SetRule(ClassStraggler, ClassDefault, slow)
 	p.SetRule(ClassDefault, ClassStraggler, slow)
 	p.SetRule(ClassStraggler, ClassStraggler, slow)
-	return p
-}
-
-// WANLAN builds the WAN-vs-LAN mix: ids are spread round-robin over the
-// given number of regions (classes 0..regions-1); links inside a region use
-// lan, links between regions use wan.
-func WANLAN(ids []news.NodeID, regions int, lan, wan Rule) *Policy {
-	if regions < 1 {
-		regions = 1
-	}
-	p := New()
-	for i, id := range ids {
-		p.AssignClass(id, i%regions)
-	}
-	for a := 0; a < regions; a++ {
-		for b := 0; b < regions; b++ {
-			if a == b {
-				p.SetRule(a, b, lan)
-			} else {
-				p.SetRule(a, b, wan)
-			}
-		}
-	}
 	return p
 }
 

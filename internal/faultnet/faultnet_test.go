@@ -54,9 +54,6 @@ func TestPartitionWindowAndHeal(t *testing.T) {
 	if got := p.ActivePartitions(10); got != 0 {
 		t.Fatalf("ActivePartitions(10) = %d, want 0", got)
 	}
-	if got := p.LastHeal(); got != 10 {
-		t.Fatalf("LastHeal = %d, want 10", got)
-	}
 }
 
 func TestDrawDeterministicAndUniform(t *testing.T) {
@@ -106,20 +103,6 @@ func TestStragglersCohortStable(t *testing.T) {
 	}
 	if n < 20 || n > 90 {
 		t.Fatalf("straggler cohort size %d wildly off 25%% of 200", n)
-	}
-}
-
-func TestWANLANRegions(t *testing.T) {
-	ids := []news.NodeID{0, 1, 2, 3, 4, 5}
-	lan := Rule{Base: time.Millisecond}
-	wan := Rule{Base: 80 * time.Millisecond, Loss: 0.05}
-	p := WANLAN(ids, 3, lan, wan)
-	// 0 and 3 share region 0; 0 and 1 do not.
-	if got := p.Link(0, 3, 0).Rule; got != lan {
-		t.Fatalf("intra-region rule = %+v, want lan", got)
-	}
-	if got := p.Link(0, 1, 0).Rule; got != wan {
-		t.Fatalf("cross-region rule = %+v, want wan", got)
 	}
 }
 

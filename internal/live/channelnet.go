@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"whatsup/internal/faultnet"
 	"whatsup/internal/news"
 )
 
@@ -15,70 +14,32 @@ import (
 // Section V-E experiment.
 //
 // Conditions are either uniform (the loss/latency pair of NewChannelNet) or
-// per-link: SetPolicy overlays a faultnet.Policy whose rules and scheduled
-// partitions are evaluated per directed link, with loss and jitter drawn
-// from deterministic per-link RNG streams keyed off the engine seed
-// (faultnet.LinkSeed), so two runs over the same seed see the same per-link
-// streams regardless of fleet size.
+// per-link: SetPolicy overlays a faultnet.Policy evaluated per directed link
+// (see linkFaults), keyed off the same seed.
 //
 // Every delivered envelope round-trips through the shared binary codec
 // (codec.go): the receiver observes exactly what the encoded bytes carry —
 // fresh profile copies, recomputed item ids, no ground-truth leakage — so
 // the emulation exercises the same serialization path and costs as TCPNet.
 type ChannelNet struct {
-	mu      sync.Mutex
-	boxes   map[news.NodeID]chan envelope
-	rng     *rand.Rand
-	seed    int64
-	loss    float64
-	latency time.Duration
-	policy  *faultnet.Policy
-	clock   func() int64 // fleet cycle, for partition schedules
-	links   map[uint64]*rand.Rand
-	closed  bool
-	wg      sync.WaitGroup
+	linkFaults // SetPolicy, and the lock guarding everything below
+	boxes      map[news.NodeID]chan envelope
+	rng        *rand.Rand
+	loss       float64
+	latency    time.Duration
+	closed     bool
+	wg         sync.WaitGroup
 }
 
 // NewChannelNet builds a lossy in-memory network with uniform conditions.
 func NewChannelNet(seed int64, loss float64, latency time.Duration) *ChannelNet {
 	return &ChannelNet{
-		boxes:   make(map[news.NodeID]chan envelope),
-		rng:     rand.New(rand.NewSource(seed)),
-		seed:    seed,
-		loss:    loss,
-		latency: latency,
+		linkFaults: linkFaults{seed: seed},
+		boxes:      make(map[news.NodeID]chan envelope),
+		rng:        rand.New(rand.NewSource(seed)),
+		loss:       loss,
+		latency:    latency,
 	}
-}
-
-// SetPolicy overlays per-link network conditions: rules and partitions are
-// evaluated per directed link on every send, on top of the uniform
-// loss/latency the net was built with. clock supplies the fleet cycle for
-// partition schedules (wire it to Runner.Cycle; nil pins the clock at 0, so
-// a partition starting at cycle 0 with no heal is permanent). Call before
-// the first Send; the policy must not be mutated afterwards.
-func (c *ChannelNet) SetPolicy(p *faultnet.Policy, clock func() int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.policy = p
-	c.clock = clock
-	c.links = make(map[uint64]*rand.Rand)
-}
-
-// linkKey packs a directed link into a map key.
-func linkKey(from, to news.NodeID) uint64 {
-	return uint64(uint32(from))<<32 | uint64(uint32(to))
-}
-
-// linkRNG returns the per-link RNG stream, creating it on first use. Caller
-// holds c.mu.
-func (c *ChannelNet) linkRNG(from, to news.NodeID) *rand.Rand {
-	k := linkKey(from, to)
-	r := c.links[k]
-	if r == nil {
-		r = rand.New(rand.NewSource(faultnet.LinkSeed(c.seed, from, to)))
-		c.links[k] = r
-	}
-	return r
 }
 
 // Register implements Network. Re-registering a disconnected id opens a
@@ -114,24 +75,9 @@ func (c *ChannelNet) Send(env envelope) {
 	drop := c.loss > 0 && c.rng.Float64() < c.loss
 	latency := c.latency
 	if c.policy != nil {
-		var cycle int64
-		if c.clock != nil {
-			cycle = c.clock()
-		}
-		ls := c.policy.Link(env.From, env.To, cycle)
-		if ls.Cut {
-			drop = true
-		} else if ls.Loss > 0 || ls.Jitter > 0 {
-			lr := c.linkRNG(env.From, env.To)
-			if ls.Loss > 0 && lr.Float64() < ls.Loss {
-				drop = true
-			}
-			if !drop {
-				latency += ls.Delay(len(env.frame), lr.Float64())
-			}
-		} else if !drop {
-			latency += ls.Delay(len(env.frame), 0)
-		}
+		cut, delay := c.decide(env.From, env.To, len(env.frame))
+		drop = drop || cut
+		latency += delay
 	}
 	box := c.boxes[env.To]
 	delayed := box != nil && !drop && latency > 0

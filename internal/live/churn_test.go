@@ -1,7 +1,6 @@
 package live
 
 import (
-	"math/rand"
 	"runtime"
 	"testing"
 	"time"
@@ -58,9 +57,6 @@ func TestLiveChurnChannelNet(t *testing.T) {
 		schedule.Add(7, sim.ChurnJoin, news.NodeID(ds.Users+j))
 	}
 
-	op := core.OpinionFunc(func(node news.NodeID, item news.ID) bool {
-		return ds.Likes(news.NodeID(int(node)%ds.Users), item)
-	})
 	nodeCfg := core.Config{FLike: 4, RPSViewSize: 10, ProfileWindow: 40, DescriptorTTL: ttl}
 	r := NewRunner(Config{
 		Seed:        1,
@@ -68,9 +64,6 @@ func TestLiveChurnChannelNet(t *testing.T) {
 		CycleLength: 5 * time.Millisecond,
 		NodeConfig:  nodeCfg,
 		Churn:       schedule,
-		NewNode: func(id news.NodeID, rng *rand.Rand) *core.Node {
-			return core.NewNode(id, "", nodeCfg, op, rng)
-		},
 	}, ds, NewChannelNet(7, 0, 0))
 	r.Run()
 
@@ -123,9 +116,6 @@ func TestLiveChurnTCPNet(t *testing.T) {
 	schedule.Add(6, sim.ChurnLeave, 2)
 	schedule.Add(7, sim.ChurnJoin, news.NodeID(ds.Users))
 
-	op := core.OpinionFunc(func(node news.NodeID, item news.ID) bool {
-		return ds.Likes(news.NodeID(int(node)%ds.Users), item)
-	})
 	nodeCfg := core.Config{FLike: 4, RPSViewSize: 10, ProfileWindow: 40, DescriptorTTL: 8}
 	r := NewRunner(Config{
 		Seed:        2,
@@ -133,9 +123,6 @@ func TestLiveChurnTCPNet(t *testing.T) {
 		CycleLength: 8 * time.Millisecond,
 		NodeConfig:  nodeCfg,
 		Churn:       schedule,
-		NewNode: func(id news.NodeID, rng *rand.Rand) *core.Node {
-			return core.NewNode(id, "", nodeCfg, op, rng)
-		},
 	}, ds, NewTCPNet(TCPNetConfig{SlowEvery: 0}))
 	r.Run()
 

@@ -1,7 +1,6 @@
 package live
 
 import (
-	"math/rand"
 	"runtime"
 	"testing"
 	"time"
@@ -18,18 +17,12 @@ import (
 func churnProtoRunner(seed int64, cycles int, nodeCfg core.Config, cfg func(*Config),
 	schedule sim.ChurnSchedule, network Network) *Runner {
 	ds := tinySurvey(seed)
-	op := core.OpinionFunc(func(node news.NodeID, item news.ID) bool {
-		return ds.Likes(news.NodeID(int(node)%ds.Users), item)
-	})
 	c := Config{
 		Seed:        seed,
 		Cycles:      cycles,
 		CycleLength: 5 * time.Millisecond,
 		NodeConfig:  nodeCfg,
 		Churn:       schedule,
-		NewNode: func(id news.NodeID, rng *rand.Rand) *core.Node {
-			return core.NewNode(id, "", nodeCfg, op, rng)
-		},
 	}
 	if cfg != nil {
 		cfg(&c)

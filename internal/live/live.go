@@ -159,13 +159,10 @@ type Config struct {
 	// Churn is the declarative membership schedule (shared with the
 	// simulator): the events of cycle c are applied by the controller at the
 	// c-th cycle tick, before the fleet's node tickers fire again. An empty
-	// schedule reproduces the historical fixed-fleet behaviour.
+	// schedule reproduces the historical fixed-fleet behaviour. Joiners are
+	// built like the base fleet and take the interests the workload gives
+	// them (sim.DatasetWorld: those of base user id mod Users).
 	Churn sim.ChurnSchedule
-	// NewNode builds the node for a scheduled join. When nil, joins use a
-	// default factory over the run's dataset opinions (ids beyond the
-	// dataset population then like nothing; experiment drivers supply a
-	// factory with mapped opinions instead).
-	NewNode func(id news.NodeID, rng *rand.Rand) *core.Node
 	// DepartureNotices enables the churn protocol's graceful-departure path:
 	// a node stopped by a ChurnLeave sends departure frames to its view
 	// neighbours before its transport flushes, and every node piggybacks its
@@ -226,7 +223,7 @@ func (c Config) withDefaults() Config {
 // node's own message handling.
 type Runner struct {
 	cfg   Config
-	ds    *dataset.Dataset
+	base  core.Opinions // the fleet's like/dislike ground truth, under per-node feedback
 	net   Network
 	col   *metrics.Collector
 	colMu sync.Mutex
@@ -268,10 +265,8 @@ type liveNode struct {
 	ctl    chan ctlRequest
 	runner *Runner
 	rng    *rand.Rand
-	// ops is the node's opinion layer when the runner built the node itself:
-	// the base trace plus this user's feedback overrides. Nil for nodes built
-	// by a Config.NewNode factory (their opinions are opaque to the runner, so
-	// Runner.Feedback can only update their profile).
+	// ops is the node's opinion layer: the base trace plus this user's
+	// feedback overrides.
 	ops *nodeOpinions
 	// feed is the ring of the node's most recent BEEP deliveries
 	// (Config.FeedCapacity), owned by the node goroutine like the rest of the
@@ -301,9 +296,9 @@ type ctlRequest struct {
 // ctlSnapshot is a node state snapshot: a fresh descriptor of itself plus
 // copies of both views (descriptors are immutable, profiles copy-on-write).
 type ctlSnapshot struct {
-	desc overlay.Descriptor
-	rps  []overlay.Descriptor
-	wup  []overlay.Descriptor
+	desc           overlay.Descriptor
+	rps, wup       []overlay.Descriptor
+	rpsCap, wupCap int
 }
 
 // nodeOpinions layers a user's live feedback (Runner.Feedback) on top of a
@@ -321,9 +316,6 @@ func (o *nodeOpinions) Likes(node news.NodeID, item news.ID) bool {
 		if liked, ok := o.over[item]; ok {
 			return liked
 		}
-	}
-	if o.base == nil {
-		return false
 	}
 	return o.base.Likes(node, item)
 }
@@ -369,12 +361,30 @@ func nodeRNG(seed int64, id news.NodeID) *rand.Rand {
 	return rand.New(rand.NewSource(seed*999983 + int64(id)))
 }
 
+// newNode builds one fleet node — base population and scheduled joiners
+// alike — with a fresh transport endpoint, its clock starting at startCycle.
+func (r *Runner) newNode(id news.NodeID, startCycle int64) *liveNode {
+	rng := nodeRNG(r.cfg.Seed, id)
+	ops := &nodeOpinions{self: id, base: r.base, over: make(map[news.ID]bool)}
+	return &liveNode{
+		node:       core.NewNode(id, "", r.cfg.NodeConfig, ops, rng),
+		inbox:      r.net.Register(id),
+		quit:       make(chan struct{}),
+		done:       make(chan struct{}),
+		ctl:        make(chan ctlRequest),
+		runner:     r,
+		rng:        rng,
+		ops:        ops,
+		startCycle: startCycle,
+	}
+}
+
 // NewRunner builds a live fleet over the given network.
 func NewRunner(cfg Config, ds *dataset.Dataset, net Network) *Runner {
 	cfg = cfg.withDefaults()
 	r := &Runner{
 		cfg:     cfg,
-		ds:      ds,
+		base:    cfg.Opinions,
 		net:     net,
 		col:     metrics.NewCollector(),
 		fleet:   make(map[news.NodeID]*liveNode, ds.Users),
@@ -385,37 +395,21 @@ func NewRunner(cfg Config, ds *dataset.Dataset, net Network) *Runner {
 	for _, ev := range cfg.Churn.Events {
 		r.churn[ev.Cycle] = append(r.churn[ev.Cycle], ev)
 	}
-	for i := range ds.Items {
-		if ds.IsWarmup(i) {
-			r.col.RegisterWarmupItem(ds.Items[i].News.ID, ds.Items[i].Interested)
-		} else {
-			r.col.RegisterItem(ds.Items[i].News.ID, ds.Items[i].Interested)
-		}
-	}
-	base := cfg.Opinions
-	if base == nil {
-		base = ds.Opinions()
+	// The workload is declared to the collector exactly as the simulator
+	// declares it: items, base nodes, scheduled joiners and cohorts.
+	w := sim.DatasetWorld(ds)
+	w.Churn = cfg.Churn
+	w.Register(r.col)
+	if r.base == nil {
+		r.base = w.Opinions
 	}
 	initial := make([]*liveNode, 0, ds.Users)
 	for u := 0; u < ds.Users; u++ {
-		id := news.NodeID(u)
-		r.col.RegisterNode(id, ds.UserInterestCount(id))
-		rng := nodeRNG(cfg.Seed, id)
-		ops := &nodeOpinions{self: id, base: base, over: make(map[news.ID]bool)}
-		ln := &liveNode{
-			node:   core.NewNode(id, "", cfg.NodeConfig, ops, rng),
-			inbox:  net.Register(id),
-			quit:   make(chan struct{}),
-			done:   make(chan struct{}),
-			ctl:    make(chan ctlRequest),
-			runner: r,
-			rng:    rng,
-			ops:    ops,
-		}
+		ln := r.newNode(news.NodeID(u), 0)
 		initial = append(initial, ln)
-		r.fleet[id] = ln
-		r.order = append(r.order, id)
-		r.states[id] = sim.Online
+		r.fleet[ln.node.ID()] = ln
+		r.order = append(r.order, ln.node.ID())
+		r.states[ln.node.ID()] = sim.Online
 	}
 	// Assign publications to their source nodes, in cycle order.
 	for i := range ds.Items {
@@ -494,18 +488,14 @@ func (r *Runner) Node(id news.NodeID) *core.Node {
 	return nil
 }
 
-// viewSample is one online node's view snapshot.
-type viewSample struct {
-	id       news.NodeID
-	rps, wup []overlay.Descriptor
-}
-
-// onlineViews snapshots both views of every online member. While the fleet
-// is running each snapshot is pulled through the node's own control channel
-// (so it is consistent with the node's message handling); after Run returns
-// the views are read directly under the membership lock. A node stopped
-// mid-collection is skipped.
-func (r *Runner) onlineViews() []viewSample {
+// health takes one fleet-health sample (see metrics.FleetHealth, which the
+// simulator feeds too) stamped with the given cycle. Safe to call at any
+// time: while the fleet is running each node's views are pulled through its
+// own control channel, so they are consistent with its message handling —
+// never while holding the collector lock, which a node may be blocked on —
+// and after Run returns they are read directly under the membership lock. A
+// node stopped mid-collection is skipped.
+func (r *Runner) health(now int64) metrics.ChurnSample {
 	r.mu.RLock()
 	running := r.running
 	lns := make([]*liveNode, 0, len(r.order))
@@ -515,51 +505,47 @@ func (r *Runner) onlineViews() []viewSample {
 		}
 	}
 	r.mu.RUnlock()
-	out := make([]viewSample, 0, len(lns))
+	snaps := make([]ctlSnapshot, 0, len(lns))
+	ids := make([]news.NodeID, 0, len(lns))
 	for _, ln := range lns {
+		var snap ctlSnapshot
 		if running {
-			if snap, ok := ln.snapshot(); ok {
-				out = append(out, viewSample{id: ln.node.ID(), rps: snap.rps, wup: snap.wup})
+			var ok bool
+			if snap, ok = ln.snapshot(); !ok {
+				continue
 			}
-			continue
+		} else {
+			r.mu.RLock()
+			snap = ln.views()
+			r.mu.RUnlock()
 		}
-		r.mu.RLock()
-		out = append(out, viewSample{
-			id:  ln.node.ID(),
-			rps: ln.node.RPS().View().Entries(),
-			wup: ln.node.WUP().View().Entries(),
-		})
-		r.mu.RUnlock()
+		snaps = append(snaps, snap)
+		ids = append(ids, ln.node.ID())
 	}
-	return out
+
+	r.mu.RLock()
+	h := metrics.NewFleetHealth(now, len(r.fleet), func(id news.NodeID) bool { return r.states[id] == sim.Online })
+	for _, snap := range snaps {
+		h.AddView(core.RPSLayer, snap.rpsCap, snap.rps)
+		h.AddView(core.WUPLayer, snap.wupCap, snap.wup)
+	}
+	r.mu.RUnlock()
+	r.colMu.Lock()
+	for _, id := range ids {
+		h.AddNode(r.col.CohortOf(id))
+	}
+	r.colMu.Unlock()
+	s := h.Sample()
+	if r.cfg.Links != nil {
+		s.PartitionsActive = r.cfg.Links.ActivePartitions(now)
+	}
+	return s
 }
 
 // GhostFraction measures the self-healing state of the overlay: the fraction
 // of descriptors across online nodes' RPS and WUP views that point at a
-// member that is not online. Safe to call at any time; while the fleet is
-// running the views are snapshotted through each node's control channel.
-func (r *Runner) GhostFraction() float64 {
-	views := r.onlineViews()
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	total, ghosts := 0, 0
-	count := func(descs []overlay.Descriptor) {
-		for _, d := range descs {
-			total++
-			if st, ok := r.states[d.Node]; !ok || st != sim.Online {
-				ghosts++
-			}
-		}
-	}
-	for _, v := range views {
-		count(v.rps)
-		count(v.wup)
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(ghosts) / float64(total)
-}
+// member that is not online.
+func (r *Runner) GhostFraction() float64 { return r.health(r.Cycle()).GhostFraction }
 
 // start launches a node goroutine.
 func (r *Runner) start(ln *liveNode) {
@@ -600,7 +586,10 @@ loop:
 		r.cycle.Store(c)
 		r.applyChurn(c)
 		if r.cfg.Timeline {
-			r.sampleTimeline(c)
+			s := r.health(c)
+			r.mu.Lock()
+			r.timeline = append(r.timeline, s)
+			r.mu.Unlock()
 		}
 	}
 	for _, id := range r.order {
@@ -649,50 +638,6 @@ func (r *Runner) Timeline() []metrics.ChurnSample {
 	return r.timeline
 }
 
-// sampleTimeline records one fleet health sample: view snapshots are pulled
-// through each online node's control channel first (never while holding the
-// collector lock — a node may be blocked on that very lock, and its goroutine
-// must stay free to answer), then cohort labels are read under one lock.
-func (r *Runner) sampleTimeline(now int64) {
-	nodeCfg := r.cfg.NodeConfig.WithDefaults()
-	views := r.onlineViews()
-	s := metrics.ChurnSample{Cycle: now, Members: len(r.fleet), Online: len(views)}
-	if r.cfg.Links != nil {
-		s.PartitionsActive = r.cfg.Links.ActivePartitions(now)
-	}
-	total, ghosts := 0, 0
-	count := func(descs []overlay.Descriptor) {
-		for _, d := range descs {
-			total++
-			if st, ok := r.states[d.Node]; !ok || st != sim.Online {
-				ghosts++
-			}
-		}
-	}
-	var rpsFill, wupFill float64
-	for _, v := range views {
-		rpsFill += float64(len(v.rps)) / float64(nodeCfg.RPSViewSize)
-		wupFill += float64(len(v.wup)) / float64(nodeCfg.WUPViewSize)
-		count(v.rps)
-		count(v.wup)
-	}
-	if len(views) > 0 {
-		s.RPSFill = rpsFill / float64(len(views))
-		s.WUPFill = wupFill / float64(len(views))
-	}
-	if total > 0 {
-		s.GhostFraction = float64(ghosts) / float64(total)
-	}
-	r.colMu.Lock()
-	for _, v := range views {
-		s.OnlineByCohort[r.col.CohortOf(v.id)]++
-	}
-	r.colMu.Unlock()
-	r.mu.Lock()
-	r.timeline = append(r.timeline, s)
-	r.mu.Unlock()
-}
-
 // exec runs fn on the node's goroutine through the control channel,
 // serialized with the node's protocol handling, and blocks until fn has run.
 // It returns false without running fn when the node goroutine has exited (a
@@ -709,17 +654,20 @@ func (ln *liveNode) exec(fn func(ln *liveNode, cycle int64)) bool {
 	}
 }
 
+// views copies both views of the node with their capacities. The caller owns
+// the node: its goroutine, or the controller once that has exited.
+func (ln *liveNode) views() ctlSnapshot {
+	rps, wup := ln.node.RPS().View(), ln.node.WUP().View()
+	return ctlSnapshot{rps: rps.Entries(), wup: wup.Entries(), rpsCap: rps.Capacity(), wupCap: wup.Capacity()}
+}
+
 // snapshot asks a running node goroutine for a state snapshot. ok is false
 // when the goroutine exited before answering.
 func (ln *liveNode) snapshot() (ctlSnapshot, bool) {
 	var snap ctlSnapshot
 	ok := ln.exec(func(ln *liveNode, cycle int64) {
-		n := ln.node
-		snap = ctlSnapshot{
-			desc: n.Descriptor(cycle),
-			rps:  n.RPS().View().Entries(),
-			wup:  n.WUP().View().Entries(),
-		}
+		snap = ln.views()
+		snap.desc = ln.node.Descriptor(cycle)
 	})
 	return snap, ok
 }
@@ -768,36 +716,10 @@ func (r *Runner) join(id news.NodeID, now int64) {
 	if _, exists := r.fleet[id]; exists {
 		return
 	}
-	rng := nodeRNG(r.cfg.Seed, id)
-	var node *core.Node
-	var ops *nodeOpinions
-	if r.cfg.NewNode != nil {
-		node = r.cfg.NewNode(id, rng)
-	} else {
-		base := r.cfg.Opinions
-		if base == nil {
-			base = r.ds.Opinions()
-		}
-		ops = &nodeOpinions{self: id, base: base, over: make(map[news.ID]bool)}
-		node = core.NewNode(id, "", r.cfg.NodeConfig, ops, rng)
-	}
-	if node == nil || node.ID() != id {
-		return
-	}
-	ln := &liveNode{
-		node:       node,
-		inbox:      r.net.Register(id),
-		quit:       make(chan struct{}),
-		done:       make(chan struct{}),
-		ctl:        make(chan ctlRequest),
-		runner:     r,
-		rng:        rng,
-		ops:        ops,
-		startCycle: now,
-	}
+	ln := r.newNode(id, now)
 	if host := r.randomOnline(id); host != nil {
 		if snap, ok := host.snapshot(); ok {
-			node.ColdStart(snap.rps, snap.wup, now)
+			ln.node.ColdStart(snap.rps, snap.wup, now)
 		}
 	}
 	r.mu.Lock()

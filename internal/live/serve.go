@@ -231,7 +231,7 @@ func (ln *liveNode) feedEntries() []FeedEntry {
 // Feedback records the user's like (liked=true) or dislike of an item on
 // the node: the user profile entry is set to 1 or 0 at the node's current
 // cycle — re-rating an already-delivered item exactly as the prototype's
-// interface did — and, for runner-built nodes, the opinion override makes
+// interface did — and the opinion override makes
 // any future first delivery of the item agree with the expressed opinion.
 // Works in every lifecycle state; an offline node's feedback lands in its
 // retained profile, surviving into a rejoin.
@@ -242,9 +242,7 @@ func (r *Runner) Feedback(id news.NodeID, item news.ID, liked bool) error {
 			score = 1
 		}
 		ln.node.UserProfile().Set(item, cycle, score)
-		if ln.ops != nil {
-			ln.ops.over[item] = liked
-		}
+		ln.ops.over[item] = liked
 	})
 }
 

@@ -2,12 +2,10 @@ package live
 
 import (
 	"bufio"
-	"math/rand"
 	"net"
 	"sync"
 	"time"
 
-	"whatsup/internal/faultnet"
 	"whatsup/internal/news"
 )
 
@@ -27,7 +25,7 @@ import (
 // load) leave in a single framed Write. Encode and batch buffers are
 // recycled through a sync.Pool.
 type TCPNet struct {
-	mu         sync.Mutex
+	linkFaults // SetPolicy, and the lock guarding everything below
 	addrs      map[news.NodeID]string
 	boxes      map[news.NodeID]chan envelope
 	listeners  map[news.NodeID]net.Listener
@@ -40,10 +38,6 @@ type TCPNet struct {
 	batch      time.Duration
 	maxPending int
 	registered int
-	seed       int64
-	policy     *faultnet.Policy
-	clock      func() int64 // fleet cycle, for partition schedules
-	links      map[uint64]*rand.Rand
 	closed     bool
 	wg         sync.WaitGroup
 }
@@ -113,6 +107,7 @@ func NewTCPNet(cfg TCPNetConfig) *TCPNet {
 		cfg.MaxPendingBytes = 1 << 20
 	}
 	return &TCPNet{
+		linkFaults: linkFaults{seed: cfg.Seed},
 		addrs:      make(map[news.NodeID]string),
 		boxes:      make(map[news.NodeID]chan envelope),
 		listeners:  make(map[news.NodeID]net.Listener),
@@ -124,36 +119,7 @@ func NewTCPNet(cfg TCPNetConfig) *TCPNet {
 		slowEvery:  cfg.SlowEvery,
 		batch:      cfg.BatchWindow,
 		maxPending: cfg.MaxPendingBytes,
-		seed:       cfg.Seed,
 	}
-}
-
-// SetPolicy overlays per-link network conditions on the real-socket
-// transport: cuts and losses drop at the sender boundary, base latency,
-// jitter and bandwidth-cap serialization delay are injected as a wall-clock
-// sleep before the frame joins the destination's write batch. clock supplies
-// the fleet cycle for partition schedules (wire it to Runner.Cycle; it runs
-// under the net's lock, so it must not call back into the net — an atomic
-// load is fine). Call before the first Send; the policy must not be mutated
-// afterwards.
-func (t *TCPNet) SetPolicy(p *faultnet.Policy, clock func() int64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.policy = p
-	t.clock = clock
-	t.links = make(map[uint64]*rand.Rand)
-}
-
-// linkRNG returns the per-link RNG stream, creating it on first use. Caller
-// holds t.mu.
-func (t *TCPNet) linkRNG(from, to news.NodeID) *rand.Rand {
-	k := linkKey(from, to)
-	r := t.links[k]
-	if r == nil {
-		r = rand.New(rand.NewSource(faultnet.LinkSeed(t.seed, from, to)))
-		t.links[k] = r
-	}
-	return r
 }
 
 // Register implements Network: open a loopback listener for the node and
@@ -349,24 +315,10 @@ func (t *TCPNet) Send(env envelope) {
 	}
 	var delay time.Duration
 	if t.policy != nil {
-		var cycle int64
-		if t.clock != nil {
-			cycle = t.clock()
-		}
-		ls := t.policy.Link(env.From, env.To, cycle)
-		if ls.Cut {
+		var drop bool
+		if drop, delay = t.decide(env.From, env.To, len(env.frame)); drop {
 			t.mu.Unlock()
 			return
-		}
-		if ls.Loss > 0 || ls.Jitter > 0 {
-			lr := t.linkRNG(env.From, env.To)
-			if ls.Loss > 0 && lr.Float64() < ls.Loss {
-				t.mu.Unlock()
-				return
-			}
-			delay = ls.Delay(len(env.frame), lr.Float64())
-		} else {
-			delay = ls.Delay(len(env.frame), 0)
 		}
 	}
 	addr, ok := t.addrs[env.To]

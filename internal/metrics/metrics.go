@@ -10,6 +10,7 @@ import (
 
 	"whatsup/internal/core"
 	"whatsup/internal/news"
+	"whatsup/internal/overlay"
 )
 
 // MessageKind classifies protocol traffic for the system metrics.
@@ -425,6 +426,59 @@ type ChurnSample struct {
 	PartitionsActive int
 }
 
+// FleetHealth accumulates one ChurnSample from the views of the online fleet.
+// It is the single definition of ghost fraction, view fill and the per-cohort
+// online split: the simulator feeds it engine state at the end of a cycle,
+// the live runner feeds it control-channel snapshots, and both read the same
+// numbers out. Fill is total occupancy over total capacity, against each
+// view's actual capacity.
+type FleetHealth struct {
+	sample        ChurnSample
+	online        func(news.NodeID) bool
+	refs, ghosts  int
+	length, space [2]int // indexed by core.Layer
+}
+
+// NewFleetHealth starts a sample for the given cycle over a membership of
+// members slots; online reports whether a referenced node is currently up.
+func NewFleetHealth(cycle int64, members int, online func(news.NodeID) bool) *FleetHealth {
+	return &FleetHealth{sample: ChurnSample{Cycle: cycle, Members: members}, online: online}
+}
+
+// AddNode counts one online member of the given cohort.
+func (h *FleetHealth) AddNode(c Cohort) {
+	h.sample.Online++
+	h.sample.OnlineByCohort[c]++
+}
+
+// AddView folds one view of an online member: its occupancy against its
+// capacity, and every entry that references a node no longer online.
+func (h *FleetHealth) AddView(layer core.Layer, capacity int, entries []overlay.Descriptor) {
+	h.length[layer] += len(entries)
+	h.space[layer] += capacity
+	h.refs += len(entries)
+	for i := range entries {
+		if !h.online(entries[i].Node) {
+			h.ghosts++
+		}
+	}
+}
+
+// Sample returns the accumulated sample.
+func (h *FleetHealth) Sample() ChurnSample {
+	s := h.sample
+	if h.refs > 0 {
+		s.GhostFraction = float64(h.ghosts) / float64(h.refs)
+	}
+	if h.space[core.RPSLayer] > 0 {
+		s.RPSFill = float64(h.length[core.RPSLayer]) / float64(h.space[core.RPSLayer])
+	}
+	if h.space[core.WUPLayer] > 0 {
+		s.WUPFill = float64(h.length[core.WUPLayer]) / float64(h.space[core.WUPLayer])
+	}
+	return s
+}
+
 // sortedItems returns item ids in ascending order so floating-point
 // aggregation is deterministic across runs (map iteration order is not).
 func (c *Collector) sortedItems() []news.ID {
@@ -491,9 +545,6 @@ func F1Of(p, r float64) float64 {
 	}
 	return 2 * p * r / (p + r)
 }
-
-// ItemCount returns the number of registered or observed items.
-func (c *Collector) ItemCount() int { return len(c.items) }
 
 // Item returns the statistics of one item (nil if unknown).
 func (c *Collector) Item(id news.ID) *ItemStats { return c.items[id] }

@@ -6,6 +6,7 @@ import (
 
 	"whatsup/internal/core"
 	"whatsup/internal/news"
+	"whatsup/internal/overlay"
 	"whatsup/internal/profile"
 )
 
@@ -363,5 +364,37 @@ func TestEligibleRecall(t *testing.T) {
 	pre.RegisterNode(5, 10)
 	if ns := pre.Node(5); ns.Interested != 10 || ns.EligibleInterested != 3 {
 		t.Fatalf("RegisterNode wiped the eligible override: %+v", ns)
+	}
+}
+
+func TestFleetHealth(t *testing.T) {
+	online := map[news.NodeID]bool{1: true, 2: true}
+	h := NewFleetHealth(7, 5, func(id news.NodeID) bool { return online[id] })
+	view := func(ids ...news.NodeID) []overlay.Descriptor {
+		out := make([]overlay.Descriptor, len(ids))
+		for i, id := range ids {
+			out[i].Node = id
+		}
+		return out
+	}
+	h.AddNode(CohortStable)
+	h.AddView(core.RPSLayer, 4, view(2, 3)) // 3 is a ghost
+	h.AddView(core.WUPLayer, 2, view(2))
+	h.AddNode(CohortJoiner)
+	h.AddView(core.RPSLayer, 2, view(1, 9)) // 9 was never a member
+	s := h.Sample()
+	if s.Cycle != 7 || s.Members != 5 || s.Online != 2 {
+		t.Fatalf("sample header %+v", s)
+	}
+	if s.OnlineByCohort[CohortStable] != 1 || s.OnlineByCohort[CohortJoiner] != 1 {
+		t.Fatalf("cohort split %v", s.OnlineByCohort)
+	}
+	// Fill is total occupancy over total capacity, per layer: a node without
+	// a WUP view contributes to neither side of that layer's ratio.
+	if s.GhostFraction != 2.0/5 || s.RPSFill != 4.0/6 || s.WUPFill != 1.0/2 {
+		t.Fatalf("ghost=%v rps=%v wup=%v", s.GhostFraction, s.RPSFill, s.WUPFill)
+	}
+	if empty := NewFleetHealth(1, 0, nil).Sample(); empty.GhostFraction != 0 || empty.RPSFill != 0 {
+		t.Fatalf("empty fleet sample %+v", empty)
 	}
 }

@@ -153,15 +153,6 @@ func NewView(capacity int) *View {
 // Capacity returns the view bound.
 func (v *View) Capacity() int { return v.capacity }
 
-// SetCapacity rebounds the view; it does not evict existing entries (the
-// next trim will).
-func (v *View) SetCapacity(c int) {
-	if c < 1 {
-		c = 1
-	}
-	v.capacity = c
-}
-
 // Len reports the number of entries currently held.
 func (v *View) Len() int { return len(v.entries) }
 
@@ -235,13 +226,6 @@ func (v *View) InsertAll(batch []Descriptor, exclude news.NodeID) {
 	}
 }
 
-// InsertAllFrom merges every entry of src, skipping the excluded node. It is
-// InsertAll without the caller having to copy src's entries first (the
-// per-cycle RPS→WUP candidate injection).
-func (v *View) InsertAllFrom(src *View, exclude news.NodeID) {
-	v.InsertAll(src.entries, exclude)
-}
-
 // InsertAllLive merges a batch like InsertAll but additionally filters out
 // descriptors of gracefully departed nodes recorded in the graveyard, so a
 // tombstoned peer's stale descriptors in flight cannot re-enter the view.
@@ -259,8 +243,8 @@ func (v *View) InsertAllLive(batch []Descriptor, exclude news.NodeID, g *Graveya
 	}
 }
 
-// InsertAllFromLive is InsertAllLive over src's entries without copying them
-// first, mirroring InsertAllFrom.
+// InsertAllFromLive is InsertAllLive over src's entries without the caller
+// having to copy them first (the per-cycle RPS→WUP candidate injection).
 func (v *View) InsertAllFromLive(src *View, exclude news.NodeID, g *Graveyard) {
 	v.InsertAllLive(src.entries, exclude, g)
 }

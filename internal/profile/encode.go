@@ -14,8 +14,8 @@ import (
 // the entries in sorted id order, each a {id, stamp, score} triplet — so
 // both are canonical: Equal profiles encode to identical bytes.
 //
-// The *fixed* layout (MarshalBinary, used by the dataset dumper and the gob
-// bridge) is uint32 count + count × {uint64 id, int64 stamp, float64 score},
+// The *fixed* layout (MarshalBinary, the encoding.BinaryMarshaler form any
+// standard-library encoder falls back to) is uint32 count + count × {uint64 id, int64 stamp, float64 score},
 // all big-endian.
 //
 // The *packed* layout (AppendWire, used by the live transports) keeps the

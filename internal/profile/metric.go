@@ -105,14 +105,6 @@ func (Cosine) Similarity(n, c *Profile) float64 {
 	return s
 }
 
-// ByName returns the metric with the given Name, defaulting to WUP.
-func ByName(name string) Metric {
-	if name == "cosine" {
-		return Cosine{}
-	}
-	return WUP{}
-}
-
 var (
 	_ Metric = WUP{}
 	_ Metric = Cosine{}

@@ -155,18 +155,6 @@ func TestWUPWithItemProfileScores(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	if ByName("cosine").Name() != "cosine" {
-		t.Fatal("ByName(cosine)")
-	}
-	if ByName("wup").Name() != "wup" {
-		t.Fatal("ByName(wup)")
-	}
-	if ByName("unknown").Name() != "wup" {
-		t.Fatal("ByName must default to wup")
-	}
-}
-
 func BenchmarkWUPSimilarity(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	a := randomProfile(rng, 200, 1000)

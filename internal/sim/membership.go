@@ -19,6 +19,7 @@
 package sim
 
 import (
+	"cmp"
 	"math/rand"
 	"slices"
 
@@ -123,17 +124,13 @@ func (s *ChurnSchedule) Add(cycle int64, kind ChurnEventKind, node news.NodeID) 
 // relative order within a cycle follows the concatenation order).
 func (s *ChurnSchedule) Merge(other ChurnSchedule) *ChurnSchedule {
 	s.Events = append(s.Events, other.Events...)
-	slices.SortStableFunc(s.Events, func(a, b ChurnEvent) int {
-		switch {
-		case a.Cycle < b.Cycle:
-			return -1
-		case a.Cycle > b.Cycle:
-			return 1
-		default:
-			return 0
-		}
-	})
+	sortByCycle(s.Events)
 	return s
+}
+
+// sortByCycle orders events by cycle, keeping the slice order within one.
+func sortByCycle(events []ChurnEvent) {
+	slices.SortStableFunc(events, func(a, b ChurnEvent) int { return cmp.Compare(a.Cycle, b.Cycle) })
 }
 
 // FlashCrowd generates the flash-crowd arrival scenario: joiners new peers

@@ -833,9 +833,32 @@ func (e *Engine) Bootstrap() {
 	})
 }
 
-// Links returns the per-link fault policy the engine was configured with
-// (nil when none), for timeline samplers that report partition schedules.
-func (e *Engine) Links() *faultnet.Policy { return e.cfg.Links }
+// Health takes one fleet-health sample of the current engine state — online
+// population by cohort, ghost fraction and view fill over the online fleet,
+// partitions holding — through the accumulator the live runner also feeds.
+// Drivers call it from OnCycleEnd to build per-cycle timelines.
+func (e *Engine) Health() metrics.ChurnSample {
+	h := metrics.NewFleetHealth(e.now, e.count, func(id news.NodeID) bool { return e.onlinePeer(id) != nil })
+	var buf []overlay.Descriptor
+	for g := 0; g < e.count; g++ {
+		if e.stateAt(g) != Online {
+			continue
+		}
+		o := e.peerAt(g).Overlay()
+		h.AddNode(e.col.CohortOf(o.ID()))
+		buf = o.RPS().View().AppendEntries(buf[:0])
+		h.AddView(core.RPSLayer, o.RPS().View().Capacity(), buf)
+		if o.Has(core.WUPLayer) {
+			buf = o.WUP().View().AppendEntries(buf[:0])
+			h.AddView(core.WUPLayer, o.WUP().View().Capacity(), buf)
+		}
+	}
+	s := h.Sample()
+	if e.cfg.Links != nil {
+		s.PartitionsActive = e.cfg.Links.ActivePartitions(e.now)
+	}
+	return s
+}
 
 // linkDropped reports whether the per-link fault policy (Config.Links)
 // drops a message on the directed link this cycle: partition cuts always

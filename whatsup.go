@@ -143,8 +143,9 @@ type SimulationConfig struct {
 	// Churn schedules membership events; an empty schedule keeps the
 	// population static (and results bit-identical with earlier releases).
 	// Scheduled joiners are built as WhatsUp nodes with the workload's
-	// opinions (ids past the workload population reuse id mod Users) and
-	// cold-start from a live host (Section II-D). Set Node.DescriptorTTL so
+	// opinions (ids past the workload population reuse id mod Users), count
+	// into the recall denominators, and cold-start from a live host
+	// (Section II-D). Set Node.DescriptorTTL so
 	// the surviving views evict departed peers' descriptors.
 	Churn ChurnSchedule
 	// DepartureNotices enables the churn protocol's graceful-departure
@@ -173,27 +174,13 @@ func NewSimulation(ds *Dataset, cfg SimulationConfig) *Simulation {
 	// At very large populations, bound the scale-sensitive protocol knobs
 	// (no-op at paper scale; see core.Config.ForPopulation).
 	cfg.Node = cfg.Node.ForPopulation(ds.Users)
-	op := ds.Opinions()
-	peers := make([]sim.Peer, ds.Users)
-	for i := 0; i < ds.Users; i++ {
-		peers[i] = core.NewNode(news.NodeID(i), "", cfg.Node, op,
-			rand.New(rand.NewSource(cfg.Seed*1_000_003+int64(i))))
+	w := sim.DatasetWorld(ds)
+	w.Churn = cfg.Churn
+	w.NewPeer = func(id news.NodeID) sim.Peer {
+		return core.NewNode(id, "", cfg.Node, w.Opinions,
+			rand.New(rand.NewSource(cfg.Seed*1_000_003+int64(id))))
 	}
-	col := metrics.NewCollector()
-	pubs := make([]sim.Publication, 0, len(ds.Items))
-	for i := range ds.Items {
-		it := ds.Items[i]
-		if ds.IsWarmup(i) {
-			col.RegisterWarmupItem(it.News.ID, it.Interested)
-		} else {
-			col.RegisterItem(it.News.ID, it.Interested)
-		}
-		pubs = append(pubs, sim.Publication{Cycle: it.Cycle, Source: it.News.Source, Item: it.News})
-	}
-	for u := 0; u < ds.Users; u++ {
-		col.RegisterNode(news.NodeID(u), ds.UserInterestCount(news.NodeID(u)))
-	}
-	engine := sim.New(sim.Config{
+	engine, col := w.NewEngine(sim.Config{
 		Seed:             cfg.Seed,
 		Cycles:           cycles,
 		LossRate:         cfg.LossRate,
@@ -201,22 +188,8 @@ func NewSimulation(ds *Dataset, cfg SimulationConfig) *Simulation {
 		Shards:           cfg.Shards,
 		DepartureNotices: cfg.DepartureNotices,
 		RefillWatermark:  cfg.RefillWatermark,
-		Publications:     pubs,
-		Churn:            cfg.Churn,
-		NewPeer: func(id news.NodeID) sim.Peer {
-			opID := id
-			if int(opID) >= ds.Users {
-				opID = news.NodeID(int(opID) % ds.Users)
-			}
-			joinOp := core.OpinionFunc(func(_ news.NodeID, item news.ID) bool {
-				return op.Likes(opID, item)
-			})
-			return core.NewNode(id, "", cfg.Node, joinOp,
-				rand.New(rand.NewSource(cfg.Seed*1_000_003+int64(id))))
-		},
-		OnDelivery: cfg.OnDelivery,
-	}, peers, col)
-	engine.Bootstrap()
+		OnDelivery:       cfg.OnDelivery,
+	})
 	return &Simulation{engine: engine, col: col, ds: ds}
 }
 
@@ -351,9 +324,10 @@ type LiveConfig struct {
 	// fresh node goroutines that cold-start from a live host, crashes tear
 	// the node's transport endpoints down abruptly, graceful leaves flush
 	// pending batches first, and rejoins re-register and re-seed views from
-	// an online sample. Joining ids beyond the dataset population like
-	// nothing under the dataset's opinions; set Node.DescriptorTTL so the
-	// surviving views evict departed members' descriptors.
+	// an online sample. Joining ids beyond the dataset population take the
+	// interests of base user id mod Users, as in SimulationConfig; set
+	// Node.DescriptorTTL so the surviving views evict departed members'
+	// descriptors.
 	Churn ChurnSchedule
 	// DepartureNotices and RefillWatermark enable the churn protocol's
 	// departure notices and anti-entropy view refill for the live fleet,

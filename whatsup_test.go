@@ -1,8 +1,15 @@
 package whatsup
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
+
+	"whatsup/internal/metrics"
+	"whatsup/internal/sim"
 )
 
 func TestSimulationEndToEnd(t *testing.T) {
@@ -151,5 +158,67 @@ func TestSimulationChurnSchedule(t *testing.T) {
 	}
 	if s.Results().F1 <= 0 {
 		t.Fatal("churning run produced no quality signal")
+	}
+}
+
+// simulationDigest hashes what a façade simulation's draws leave behind:
+// precision, per-kind traffic, every node's delivery counters and final
+// lifecycle state. With recall set it adds the figures that read the
+// registered recall denominators too.
+func simulationDigest(s *Simulation, recall bool) string {
+	var b strings.Builder
+	c := s.Metrics()
+	fmt.Fprintf(&b, "P=%v\n", c.Precision())
+	if recall {
+		fmt.Fprintf(&b, "%+v\n", s.Results())
+	}
+	for k := metrics.MsgBeep; k <= metrics.MsgRefillReply; k++ {
+		fmt.Fprintf(&b, "%v:%d/%d\n", k, c.Messages(k), c.Bytes(k))
+	}
+	for _, id := range c.NodeIDs() {
+		ns := c.Node(id)
+		st, _ := s.MemberState(id)
+		fmt.Fprintf(&b, "node%d:%d,%d,%d,%v\n", id, ns.Received, ns.ReceivedLiked, ns.DislikeDeliveries, st)
+		if recall {
+			fmt.Fprintf(&b, "  %d,%d\n", ns.Interested, ns.EligibleInterested)
+		}
+	}
+	h := sha256.Sum256([]byte(b.String()))
+	return hex.EncodeToString(h[:])
+}
+
+// TestDriverOutputsPinned is the façade case of the driver pins
+// (internal/experiments has the rest): NewSimulation under a ChurnSchedule,
+// hashed at e876bb7 when it still assembled its own world, unchanged now that
+// it goes through sim.World. The trace case has no joiners and pins every
+// figure. The crowd case pins the draws only: the old façade never registered
+// scheduled joiners with the collector, so their liked deliveries counted
+// into item recall while they were missing from its denominator;
+// World.Register counts them, which moves recall and nothing else.
+func TestDriverOutputsPinned(t *testing.T) {
+	ds := SurveyDataset(3, 0.1)
+	trace := sim.ChurnTrace(sim.ChurnTraceConfig{
+		Seed: 3, Nodes: ds.Users, From: 5, To: int64(ds.Cycles) - 8,
+		CrashRate: 0.02, LeaveRate: 0.005, Downtime: 4,
+	})
+	crowd := FlashCrowd(6, NodeID(ds.Users), 7, 3)
+	crowd.Merge(trace)
+	for _, tc := range []struct {
+		name   string
+		churn  ChurnSchedule
+		recall bool
+		want   string
+	}{
+		{"trace", trace, true, "365b7bea85571c1eb3974d91634a13857d7e9b35426fb63254a4ec89b5022734"},
+		{"crowd", crowd, false, "ebb7eaf24a51074b9fd3a01dbd08709a64bced5bb95c31a02e9d15c73721d1b9"},
+	} {
+		s := NewSimulation(ds, SimulationConfig{
+			Node: Config{FLike: 5, DescriptorTTL: 10}, Seed: 4, LossRate: 0.03,
+			Churn: tc.churn, DepartureNotices: true, RefillWatermark: 0.5,
+		})
+		s.Run()
+		if got := simulationDigest(s, tc.recall); got != tc.want {
+			t.Errorf("%s hash %s, want %s", tc.name, got, tc.want)
+		}
 	}
 }
