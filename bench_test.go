@@ -2,18 +2,17 @@
 // (Section V) at a reduced scale, one bench per exhibit. Each bench reports
 // the exhibit's headline numbers as custom metrics, so `go test -bench=.`
 // doubles as a smoke reproduction; cmd/whatsup-bench runs the same drivers
-// at larger scales with full output.
+// at larger scales with full output. The allocation-gated hot-path family is
+// BenchmarkHotPath in internal/experiments.
 package whatsup_test
 
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"whatsup/internal/core"
 	"whatsup/internal/experiments"
-	"whatsup/internal/metrics"
 	"whatsup/internal/news"
 	"whatsup/internal/sim"
 )
@@ -23,80 +22,30 @@ func benchOptions() experiments.Options {
 	return experiments.Options{Seed: 1, Scale: 0.1, Workers: 2}
 }
 
-// scalingWorld builds a 2-community world of n peers for the engine-scaling
-// benchmark: even nodes like even items, odd nodes like odd items.
-func scalingWorld(n, items, cycles int, seed int64) ([]sim.Peer, []sim.Publication, *metrics.Collector) {
-	opinions := core.OpinionFunc(func(node news.NodeID, item news.ID) bool {
-		return int(node)%2 == int(item)%2
-	})
-	cfg := core.Config{FLike: 6, RPSViewSize: 12, ProfileWindow: int64(cycles)}
-	peers := make([]sim.Peer, n)
-	for i := 0; i < n; i++ {
-		peers[i] = core.NewNode(news.NodeID(i), "", cfg, opinions,
-			rand.New(rand.NewSource(seed+int64(i))))
-	}
-	col := metrics.NewCollector()
-	pubs := make([]sim.Publication, 0, items)
-	for k := 0; k < items; k++ {
-		source := news.NodeID((2*k + k%2) % n)
-		if int(source)%2 != k%2 {
-			source = news.NodeID((int(source) + 1) % n)
-		}
-		it := news.New(fmt.Sprintf("item-%d", k), "d", "l", int64(1+k*cycles/items), source)
-		it.ID = news.ID(k)
-		pubs = append(pubs, sim.Publication{Cycle: int64(1 + k*cycles/items), Source: source, Item: it})
-		col.RegisterItem(it.ID, n/2)
-	}
-	for i := 0; i < n; i++ {
-		col.RegisterNode(news.NodeID(i), items/2)
-	}
-	return peers, pubs, col
-}
-
 // BenchmarkEngineScaling measures the parallel engine itself: one fixed
-// 1 000-peer run at 1, 2, 4 and 8 workers. Results are bit-identical across
-// the sub-benchmarks (the engine's determinism contract); only wall-clock
-// changes. Speedup requires GOMAXPROCS > 1 — on a single-core host all
-// worker counts degenerate to serial execution.
+// 1 000-peer, 2-community run at 1, 2, 4 and 8 workers. Results are
+// bit-identical across the sub-benchmarks (the engine's determinism
+// contract); only wall-clock changes. Speedup requires GOMAXPROCS > 1 — on a
+// single-core host all worker counts degenerate to serial execution.
 func BenchmarkEngineScaling(b *testing.B) {
-	const peersN, items, cycles = 1000, 60, 10
+	const peers, itemsPerCycle, cycles = 1000, 6, 10
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			var f1 float64
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				peers, pubs, col := scalingWorld(peersN, items, cycles, 1)
-				e := sim.New(sim.Config{
-					Seed: 1, Cycles: cycles, LossRate: 0.05, Workers: workers,
-					Publications: pubs,
-				}, peers, col)
+				w := sim.Communities(peers, 2, itemsPerCycle, cycles, "item")
+				nodeCfg := core.Config{FLike: 6, RPSViewSize: 12, ProfileWindow: cycles}
+				w.NewPeer = func(id news.NodeID) sim.Peer {
+					return core.NewNode(id, "", nodeCfg, w.Opinions, rand.New(rand.NewSource(1+int64(id))))
+				}
+				e, col := w.NewEngine(sim.Config{Seed: 1, Cycles: cycles, LossRate: 0.05, Workers: workers})
 				b.StartTimer()
-				e.Bootstrap()
 				e.Run()
 				f1 = col.F1()
 			}
 			b.ReportMetric(f1, "F1")
 		})
-	}
-}
-
-// BenchmarkHotPath measures the per-event costs of the gossip hot path: the
-// single-pass item-profile merge, copy-on-write clone+diverge, similarity
-// scoring with a cold and a warm cache, the full BEEP receive-liked path and
-// one complete gossip cycle. The 5k-peer cycle of the committed trajectory
-// (BENCH_hotpath.json, regenerated by `whatsup-bench -run hotpath`) is
-// scaled down here so the CI bench smoke stays fast; allocs/op is identical
-// at any population, and the benchdiff CI gate pins it against the
-// committed bench_baseline.txt. The engine pool is stated rather than left to
-// EngineOptions' zero value (serial): the baseline was recorded on a
-// GOMAXPROCS-sized pool.
-func BenchmarkHotPath(b *testing.B) {
-	cfg := experiments.HotPathConfig{
-		EngineOptions: experiments.EngineOptions{Workers: runtime.GOMAXPROCS(0)},
-		CyclePeers:    1000, CycleItems: 4,
-	}
-	for _, nb := range experiments.HotPathBenchmarks(cfg) {
-		b.Run(nb.Name, nb.Bench)
 	}
 }
 

@@ -1,7 +1,11 @@
 // Command whatsup-bench regenerates the tables and figures of the paper's
 // evaluation section. Each experiment prints rows mirroring the paper's; use
 // -run to select experiments and -scale to trade fidelity for speed
-// (1.0 = the workload sizes of Table I).
+// (1.0 = the workload sizes of Table I). Two further scenarios, churn and
+// adversarial, run only when named: the membership subsystem at scale and
+// the WhatsUp-vs-gossip resilience comparison. Every figure it prints is
+// deterministic for a given seed; the only timing is each experiment's
+// wall-clock footer. Performance is measured elsewhere (README, "Measuring").
 //
 // Usage:
 //
@@ -11,7 +15,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -35,13 +38,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("whatsup-bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		runList       = fs.String("run", "all", "comma-separated experiments: table1,table2,table3,table4,table5,table6,fig3,fig4,fig5,fig6,fig7,fig8,fig9,fig10,fig11,ablations,live or 'all'; plus hotpath, churn and adversarial (machine benchmarks + BENCH trajectories, never part of 'all')")
+		runList       = fs.String("run", "all", "comma-separated experiments: table1,table2,table3,table4,table5,table6,fig3,fig4,fig5,fig6,fig7,fig8,fig9,fig10,fig11,ablations,live or 'all'; plus churn and adversarial (synthetic 4-community worlds, not paper exhibits: never part of 'all')")
 		scale         = fs.Float64("scale", 0.5, "dataset scale (1.0 = paper sizes)")
 		seed          = fs.Int64("seed", 1, "experiment seed")
 		workers       = fs.Int("workers", 0, "parallel sweep points (0 = NumCPU)")
 		engineWorkers = fs.Int("engine-workers", 0, "per-simulation engine worker pool (0 = serial; sweep points already run in parallel)")
-		engineShards  = fs.Int("shards", 0, "engine membership slabs with codec-routed inter-shard gossip (0 = single slab; the 'hotpath' sharded scenarios default to 4); results are identical for any value")
-		flashPeers    = fs.Int("flash-crowd-peers", 0, "enable the 'hotpath' large-scale flash-crowd scenario at this total population (e.g. 1000000; needs ~10 GB RAM per 1M peers, so it is off by default)")
+		engineShards  = fs.Int("shards", 0, "engine membership slabs with codec-routed inter-shard gossip (0 = single slab); results are identical for any value")
 		cpuProfile    = fs.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 		memProfile    = fs.String("memprofile", "", "write an allocation profile to this file at exit")
 		skipLive      = fs.Bool("skip-live", false, "skip the live (ModelNet/PlanetLab) runs in fig8 and the 'live' scenario")
@@ -49,14 +51,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		batchWindow   = fs.Duration("batch-window", 0, "TCP write-coalescing window for the 'live' scenario (0 = opportunistic batching)")
 		liveChurn     = fs.Float64("live-churn", 0, "population fraction hit by churn in the 'live' scenario (crash+rejoin and graceful leaves; 0 = static fleet)")
 		liveFlash     = fs.Int("live-flash-crowd", 0, "flash-crowd joiners arriving a third into the 'live' scenario")
-		benchOut      = fs.String("bench-out", "BENCH_hotpath.json", "trajectory file the 'hotpath' scenario appends its measurements to")
-		benchLabel    = fs.String("bench-label", "", "optional label recorded with the 'hotpath' and 'churn' trajectory entries")
-		cyclePeers    = fs.Int("cycle-peers", 5000, "population of the 'hotpath' full-cycle and 'churn' scenarios")
-		churnOut      = fs.String("churn-out", "BENCH_churn.json", "trajectory file the 'churn' scenario appends its measurements to")
+		cyclePeers    = fs.Int("cycle-peers", 5000, "population of the 'churn' scenario")
 		churnRate     = fs.Float64("churn-rate", 0.20, "population fraction churning in the 'churn' scenario")
 		churnDepart   = fs.Bool("churn-departures", true, "enable graceful-departure notices in the 'churn' and 'live' scenarios")
 		churnRefill   = fs.Float64("churn-refill", 0.5, "anti-entropy view-refill watermark for the 'churn' and 'live' scenarios (0 = off)")
-		advOut        = fs.String("adversarial-out", "BENCH_adversarial.json", "trajectory file the 'adversarial' scenario appends its measurements to")
 		advPeers      = fs.Int("adversarial-peers", 600, "population of the 'adversarial' scenario")
 		advCycles     = fs.Int("adversarial-cycles", 40, "cycles of the 'adversarial' scenario")
 		advSpam       = fs.Float64("adversarial-spam", 0.10, "population fraction acting as spam publishers in the 'adversarial' scenario")
@@ -174,30 +172,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		b.WriteString(experiments.AblationRPSViewSize(o).String())
 		return stringer(b.String())
 	})
-	// The hotpath scenario runs only when explicitly selected: it is a
-	// machine microbenchmark with a file side effect (the trajectory), not
-	// one of the paper's exhibits that 'all' reproduces.
-	var hotpathErr error
-	runHotpath := func() fmt.Stringer {
-		r := experiments.HotPath(experiments.HotPathConfig{
-			EngineOptions:   engine,
-			CyclePeers:      *cyclePeers,
-			FlashCrowdPeers: *flashPeers,
-		})
-		r.Label = *benchLabel
-		if err := appendTrajectoryEntry(*benchOut, "whatsup-bench/hotpath/v1", r); err != nil {
-			hotpathErr = err
-			return stringer(r.String() + "\n  [trajectory write failed: " + err.Error() + "]")
-		}
-		return stringer(r.String() + "\n  [appended to " + *benchOut + "]")
-	}
-	if selected["hotpath"] {
-		runExp("hotpath", runHotpath)
-	}
-	// The churn scenario likewise runs only when explicitly selected: a 5k-peer
-	// dynamic-membership run (flash crowd + crash/rejoin/leave trace with view
-	// eviction) measured end to end and appended to its own trajectory.
-	var churnErr error
+	// The churn and adversarial scenarios run only when explicitly selected:
+	// they are synthetic worlds, not exhibits of the paper that 'all'
+	// reproduces. Churn is a 5k-peer dynamic-membership run (flash crowd +
+	// crash/rejoin/leave trace with view eviction); adversarial is the
+	// four-cell WhatsUp-vs-Gossip resilience comparison (clean and attacked
+	// runs of each) under a hostile cohort and an optional mid-run partition.
 	if selected["churn"] {
 		runExp("churn", func() fmt.Stringer {
 			r := experiments.ChurnBench(experiments.ChurnBenchConfig{
@@ -209,23 +189,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 				EngineOptions: engine,
 				Peers:         *cyclePeers,
 			})
-			r.Label = *benchLabel
-			if err := appendTrajectoryEntry(*churnOut, "whatsup-bench/churn/v1", r); err != nil {
-				churnErr = err
-				return stringer(r.String() + "\n  [trajectory write failed: " + err.Error() + "]")
-			}
-			return stringer(r.String() + "\n  [appended to " + *churnOut + "]")
+			return stringer(fmt.Sprintf("churn %.0f%% departure-notices=%v refill-watermark=%.2f\n%s",
+				*churnRate*100, *churnDepart, *churnRefill, r))
 		})
 	}
-
-	// The adversarial scenario runs only when explicitly selected: the
-	// four-cell WhatsUp-vs-Gossip resilience comparison (clean and attacked
-	// runs of each) under a hostile cohort and an optional mid-run partition,
-	// appended to its own trajectory.
-	var adversarialErr error
 	if selected["adversarial"] {
 		runExp("adversarial", func() fmt.Stringer {
-			r := experiments.AdversarialRun(experiments.AdversarialConfig{
+			return experiments.AdversarialRun(experiments.AdversarialConfig{
 				Peers:         *advPeers,
 				Cycles:        *advCycles,
 				SpamFraction:  *advSpam,
@@ -233,12 +203,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 				PartitionK:    *advPartitionK,
 				EngineOptions: engine,
 			})
-			r.Label = *benchLabel
-			if err := appendTrajectoryEntry(*advOut, "whatsup-bench/adversarial/v1", r); err != nil {
-				adversarialErr = err
-				return stringer(r.String() + "\n  [trajectory write failed: " + err.Error() + "]")
-			}
-			return stringer(r.String() + "\n  [appended to " + *advOut + "]")
 		})
 	}
 
@@ -250,48 +214,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "live scenario failed: %v\n", liveErr)
 		return 2
 	}
-	if hotpathErr != nil {
-		fmt.Fprintf(stderr, "hotpath scenario failed: %v\n", hotpathErr)
-		return 2
-	}
-	if churnErr != nil {
-		fmt.Fprintf(stderr, "churn scenario failed: %v\n", churnErr)
-		return 2
-	}
-	if adversarialErr != nil {
-		fmt.Fprintf(stderr, "adversarial scenario failed: %v\n", adversarialErr)
-		return 2
-	}
 	return 0
-}
-
-// appendTrajectoryEntry adds one run to a BENCH trajectory file (one entry
-// per recorded run, oldest first, so successive PRs grow a comparable perf
-// history), creating the file if needed and preserving previously recorded
-// entries. The hotpath and churn trajectories share this layout and differ
-// only in schema string and entry type.
-func appendTrajectoryEntry[T any](path, schema string, r T) error {
-	var t struct {
-		Schema string `json:"schema"`
-		Runs   []T    `json:"runs"`
-	}
-	t.Schema = schema
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &t); err != nil {
-			return fmt.Errorf("existing trajectory %s is corrupt: %w", path, err)
-		}
-		if t.Schema != schema {
-			return fmt.Errorf("trajectory %s has schema %q, want %q — refusing to mix histories", path, t.Schema, schema)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	t.Runs = append(t.Runs, r)
-	data, err := json.MarshalIndent(t, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 type stringer string

@@ -1,9 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -83,139 +81,50 @@ func TestRunRejectsUnknownTransport(t *testing.T) {
 	}
 }
 
-func TestRunHotpathEmitsTrajectory(t *testing.T) {
-	if testing.Short() {
-		t.Skip("hotpath microbenchmarks in -short mode")
+// TestRunRejectsUnknownExperiment includes "hotpath": the hot-path
+// microbenchmarks are `go test -bench BenchmarkHotPath ./internal/experiments/`
+// only, and the CLI no longer knows the name.
+func TestRunRejectsUnknownExperiment(t *testing.T) {
+	for _, name := range []string{"nope", "hotpath"} {
+		var out, errOut strings.Builder
+		if code := run([]string{"-run", name}, &out, &errOut); code != 2 {
+			t.Fatalf("-run %s: exit=%d want 2", name, code)
+		}
+		if !strings.Contains(errOut.String(), "no experiment matched") {
+			t.Fatalf("-run %s: stderr=%q", name, errOut.String())
+		}
 	}
-	out := filepath.Join(t.TempDir(), "BENCH_hotpath.json")
-	var stdout, stderr strings.Builder
-	code := run([]string{"-run", "hotpath", "-cycle-peers", "60",
-		"-bench-out", out, "-bench-label", "test"}, &stdout, &stderr)
-	if code != 0 {
-		t.Fatalf("exit=%d stderr=%q", code, stderr.String())
-	}
-	if !strings.Contains(stdout.String(), "Hot-path microbenchmarks") {
-		t.Fatalf("expected scenario table:\n%s", stdout.String())
-	}
-	data, err := os.ReadFile(out)
+}
+
+// TestRunChurnPrintsCohortTable drives the churn scenario through the CLI:
+// the report is ChurnRun's cohort table, the bench world heals by its last
+// cycle, and the run leaves no file behind.
+func TestRunChurnPrintsCohortTable(t *testing.T) {
+	wd, err := os.Getwd()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var traj struct {
-		Schema string `json:"schema"`
-		Runs   []struct {
-			Label     string `json:"label"`
-			Scenarios []struct {
-				Name        string  `json:"name"`
-				NsPerOp     float64 `json:"ns_per_op"`
-				AllocsPerOp int64   `json:"allocs_per_op"`
-			} `json:"scenarios"`
-		} `json:"runs"`
+	if err := os.Chdir(t.TempDir()); err != nil {
+		t.Fatal(err)
 	}
-	if err := json.Unmarshal(data, &traj); err != nil {
-		t.Fatalf("trajectory is not valid JSON: %v", err)
-	}
-	if traj.Schema != "whatsup-bench/hotpath/v1" || len(traj.Runs) != 1 {
-		t.Fatalf("unexpected trajectory shape: %+v", traj)
-	}
-	run0 := traj.Runs[0]
-	if run0.Label != "test" || len(run0.Scenarios) < 5 {
-		t.Fatalf("trajectory entry incomplete: %+v", run0)
-	}
-	for _, s := range run0.Scenarios {
-		if s.NsPerOp <= 0 {
-			t.Fatalf("scenario %s has no timing", s.Name)
-		}
-	}
-	// A second run must append, not overwrite.
-	if code := run([]string{"-run", "hotpath", "-cycle-peers", "60", "-bench-out", out},
-		&stdout, &stderr); code != 0 {
-		t.Fatalf("second run exit=%d stderr=%q", code, stderr.String())
-	}
-	data, _ = os.ReadFile(out)
-	if err := json.Unmarshal(data, &traj); err != nil || len(traj.Runs) != 2 {
-		t.Fatalf("trajectory must append runs: err=%v runs=%d", err, len(traj.Runs))
-	}
-}
-
-func TestRunRejectsUnknownExperiment(t *testing.T) {
-	var out, errOut strings.Builder
-	if code := run([]string{"-run", "nope"}, &out, &errOut); code != 2 {
-		t.Fatalf("exit=%d want 2", code)
-	}
-	if !strings.Contains(errOut.String(), "no experiment matched") {
-		t.Fatalf("stderr=%q", errOut.String())
-	}
-}
-
-func TestRunChurnEmitsTrajectory(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "BENCH_churn.json")
+	t.Cleanup(func() { _ = os.Chdir(wd) }) // best effort: the temp dir is removed either way
 	var stdout, stderr strings.Builder
-	code := run([]string{"-run", "churn", "-cycle-peers", "200",
-		"-churn-out", out, "-bench-label", "test"}, &stdout, &stderr)
+	code := run([]string{"-run", "churn", "-cycle-peers", "200"}, &stdout, &stderr)
 	if code != 0 {
 		t.Fatalf("exit=%d stderr=%q", code, stderr.String())
 	}
-	for _, want := range []string{"Churn bench", "churn (", "ghost-fraction(end)"} {
+	for _, want := range []string{
+		"churn 20% departure-notices=true refill-watermark=0.50",
+		"Churn scenario (communities, 200 base users +10 flash-crowd joiners, 45 cycles",
+		"cohort     nodes  precision  recall  recall*  f1     f1*    deliveries/node",
+		"  stable ", "  joiner ", "  rejoiner ",
+		"ghost-fraction(end)=0.0000",
+	} {
 		if !strings.Contains(stdout.String(), want) {
 			t.Fatalf("expected %q in output:\n%s", want, stdout.String())
 		}
 	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var traj struct {
-		Schema string `json:"schema"`
-		Runs   []struct {
-			Label        string  `json:"label"`
-			Peers        int     `json:"peers"`
-			Events       int     `json:"events"`
-			WallMs       float64 `json:"wall_ms"`
-			GhostEndFrac float64 `json:"ghost_end_fraction"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal(data, &traj); err != nil {
-		t.Fatalf("trajectory is not valid JSON: %v", err)
-	}
-	if traj.Schema != "whatsup-bench/churn/v1" || len(traj.Runs) != 1 {
-		t.Fatalf("unexpected trajectory shape: %+v", traj)
-	}
-	r0 := traj.Runs[0]
-	if r0.Label != "test" || r0.Peers != 200 || r0.Events == 0 || r0.WallMs <= 0 {
-		t.Fatalf("trajectory entry incomplete: %+v", r0)
-	}
-	if r0.GhostEndFrac != 0 {
-		t.Fatalf("views must heal by the end of the bench run, ghost fraction %v", r0.GhostEndFrac)
-	}
-	// A second run must append, not overwrite.
-	if code := run([]string{"-run", "churn", "-cycle-peers", "200", "-churn-out", out},
-		&stdout, &stderr); code != 0 {
-		t.Fatalf("second run exit=%d stderr=%q", code, stderr.String())
-	}
-	data, _ = os.ReadFile(out)
-	if err := json.Unmarshal(data, &traj); err != nil || len(traj.Runs) != 2 {
-		t.Fatalf("trajectory must append runs: err=%v runs=%d", err, len(traj.Runs))
-	}
-}
-
-func TestTrajectorySchemaMismatchRefused(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "BENCH_hotpath.json")
-	if err := os.WriteFile(out, []byte(`{"schema":"whatsup-bench/hotpath/v1","runs":[]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var stdout, stderr strings.Builder
-	// Pointing the churn scenario at the hotpath trajectory must fail
-	// instead of silently rewriting the recorded history.
-	if code := run([]string{"-run", "churn", "-cycle-peers", "120", "-churn-out", out},
-		&stdout, &stderr); code != 2 {
-		t.Fatalf("exit=%d want 2 (stderr=%q)", code, stderr.String())
-	}
-	if !strings.Contains(stdout.String()+stderr.String(), "refusing to mix histories") {
-		t.Fatalf("expected schema refusal, stderr=%q", stderr.String())
-	}
-	data, _ := os.ReadFile(out)
-	if !strings.Contains(string(data), `"runs": []`) && !strings.Contains(string(data), `"runs":[]`) {
-		t.Fatalf("existing trajectory must be left untouched, got: %s", data)
+	if left, err := os.ReadDir("."); err != nil || len(left) != 0 {
+		t.Fatalf("the churn scenario must write no file, found %v (err=%v)", left, err)
 	}
 }

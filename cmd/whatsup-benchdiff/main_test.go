@@ -7,12 +7,14 @@ import (
 	"testing"
 )
 
-const oldBench = `goos: linux
-BenchmarkHotPath/merge-1         	  500000	      1200 ns/op	    1800 B/op	       1 allocs/op
-BenchmarkHotPath/receive-liked-1 	  100000	      2300 ns/op	    3400 B/op	       9 allocs/op
-BenchmarkOther/x-1               	  100000	       100 ns/op	       0 B/op	       0 allocs/op
-PASS
-`
+const (
+	mergeLine   = "BenchmarkHotPath/merge-1             	  500000	      1200 ns/op	    1800 B/op	       1 allocs/op"
+	cachedLine  = "BenchmarkHotPath/similarity-cached-1 	  500000	      2341 ns/op	       0 B/op	       0 allocs/op"
+	receiveLine = "BenchmarkHotPath/receive-liked-1     	  100000	      2300 ns/op	    3400 B/op	       9 allocs/op"
+	otherLine   = "BenchmarkOther/x-1                   	  100000	       100 ns/op	       0 B/op	       0 allocs/op"
+
+	oldBench = "goos: linux\n" + mergeLine + "\n" + cachedLine + "\n" + receiveLine + "\n" + otherLine + "\nPASS\n"
+)
 
 func write(t *testing.T, dir, name, content string) string {
 	t.Helper()
@@ -23,118 +25,65 @@ func write(t *testing.T, dir, name, content string) string {
 	return path
 }
 
-func TestBenchdiffPassesWithinThreshold(t *testing.T) {
-	dir := t.TempDir()
-	newBench := strings.ReplaceAll(oldBench, "2300 ns/op", "2400 ns/op") // +4%
-	oldP := write(t, dir, "old.txt", oldBench)
-	newP := write(t, dir, "new.txt", newBench)
-	var out, errOut strings.Builder
-	if code := run([]string{"-old", oldP, "-new", newP}, &out, &errOut); code != 0 {
-		t.Fatalf("exit=%d stderr=%q stdout=%q", code, errOut.String(), out.String())
+// TestBenchdiffGate runs the comparison on a candidate derived from the
+// baseline by one edit.
+func TestBenchdiffGate(t *testing.T) {
+	swap := func(old, new string) func(string) string {
+		return func(s string) string {
+			if !strings.Contains(s, old) {
+				t.Fatalf("fixture has no %q", old)
+			}
+			return strings.Replace(s, old, new, 1)
+		}
 	}
-	if !strings.Contains(out.String(), "ok: 2 benchmarks") {
-		t.Fatalf("expected 2 compared benchmarks (filter must exclude BenchmarkOther):\n%s", out.String())
+	cases := []struct {
+		name     string
+		edit     func(string) string
+		wantCode int
+		wantOut  string // substring of stdout+stderr
+	}{
+		{"identical", func(s string) string { return s }, 0, "ok: 3 benchmarks"}, // -filter excludes BenchmarkOther
+		{"ns within noise", swap("2300 ns/op", "2400 ns/op"), 0, "ok: 3 benchmarks"},
+		{"ns/op +40% is printed, never gated", swap("2300 ns/op", "3220 ns/op"), 0, "(+40.0%)"},
+		{"other host's GOMAXPROCS suffix", func(s string) string { return strings.ReplaceAll(s, "-1 ", "-8 ") }, 0, "ok: 3 benchmarks"},
+		{"allocs within threshold", swap("9 allocs/op", "9.5 allocs/op"), 0, "ok: 3 benchmarks"},
+		{"allocs/op regression", swap("9 allocs/op", "20 allocs/op"), 1, "regression"},
+		{"zero-allocation baseline gains one alloc", swap("0 B/op	       0 allocs/op", "0 B/op	       1 allocs/op"), 1, "regression"},
+		{"zero-byte baseline gains bytes", swap("0 B/op	       0 allocs/op", "16 B/op	       0 allocs/op"), 1, "regression"},
+		{"B/op +11%", swap("3400 B/op", "3774 B/op"), 1, "regression"},
+		{"B/op +9%", swap("3400 B/op", "3706 B/op"), 0, "ok: 3 benchmarks"},
+		{"scenario dropped", swap(receiveLine+"\n", ""), 1, "! BenchmarkHotPath/receive-liked"},
+		{"scenario renamed", swap("HotPath/receive-liked", "HotPath/receive-renamed"), 1, "in only one of baseline and candidate"},
+		{"unbaselined scenario added", swap("PASS", strings.Replace(mergeLine, "merge", "extra", 1)+"\nPASS"), 1, "+ BenchmarkHotPath/extra"},
 	}
-}
-
-func TestBenchdiffFailsOnAllocRegression(t *testing.T) {
-	dir := t.TempDir()
-	newBench := strings.ReplaceAll(oldBench, "9 allocs/op", "20 allocs/op")
-	oldP := write(t, dir, "old.txt", oldBench)
-	newP := write(t, dir, "new.txt", newBench)
-	var out, errOut strings.Builder
-	if code := run([]string{"-old", oldP, "-new", newP}, &out, &errOut); code != 1 {
-		t.Fatalf("alloc regression must fail: exit=%d\n%s", code, out.String())
-	}
-	if !strings.Contains(errOut.String(), "regression") {
-		t.Fatalf("stderr=%q", errOut.String())
-	}
-}
-
-func TestBenchdiffNsComparisonCanBeDisabled(t *testing.T) {
-	dir := t.TempDir()
-	newBench := strings.ReplaceAll(oldBench, "2300 ns/op", "9900 ns/op") // 4.3×
-	oldP := write(t, dir, "old.txt", oldBench)
-	newP := write(t, dir, "new.txt", newBench)
-	var out, errOut strings.Builder
-	if code := run([]string{"-old", oldP, "-new", newP, "-ns-threshold", "-1"}, &out, &errOut); code != 0 {
-		t.Fatalf("disabled ns comparison must pass: exit=%d stderr=%q", code, errOut.String())
-	}
-	var out2, errOut2 strings.Builder
-	if code := run([]string{"-old", oldP, "-new", newP}, &out2, &errOut2); code != 1 {
-		t.Fatal("enabled ns comparison must fail on a 4× slowdown")
-	}
-}
-
-func TestBenchdiffStripsProcSuffix(t *testing.T) {
-	dir := t.TempDir()
-	newBench := strings.ReplaceAll(oldBench, "-1 ", "-8 ") // other host core count
-	oldP := write(t, dir, "old.txt", oldBench)
-	newP := write(t, dir, "new.txt", newBench)
-	var out, errOut strings.Builder
-	if code := run([]string{"-old", oldP, "-new", newP}, &out, &errOut); code != 0 {
-		t.Fatalf("GOMAXPROCS suffix must not break matching: exit=%d stderr=%q", code, errOut.String())
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			oldP := write(t, dir, "old.txt", oldBench)
+			newP := write(t, dir, "new.txt", tc.edit(oldBench))
+			var out, errOut strings.Builder
+			code := run([]string{"-old", oldP, "-new", newP}, &out, &errOut)
+			if code != tc.wantCode {
+				t.Fatalf("exit=%d want %d\nstdout:\n%sstderr:\n%s", code, tc.wantCode, out.String(), errOut.String())
+			}
+			if !strings.Contains(out.String()+errOut.String(), tc.wantOut) {
+				t.Fatalf("expected %q in output\nstdout:\n%sstderr:\n%s", tc.wantOut, out.String(), errOut.String())
+			}
+		})
 	}
 }
 
-func TestBenchdiffRejectsMissingInputs(t *testing.T) {
-	var out, errOut strings.Builder
-	if code := run([]string{}, &out, &errOut); code != 2 {
-		t.Fatalf("missing inputs must exit 2, got %d", code)
-	}
-}
-
-func TestBenchdiffReportsOneSidedScenarios(t *testing.T) {
-	// The candidate drops receive-liked and adds a sharded scenario: both
-	// one-sided sets must be printed instead of silently intersected away.
-	dir := t.TempDir()
-	newBench := strings.ReplaceAll(oldBench,
-		"BenchmarkHotPath/receive-liked-1 	  100000	      2300 ns/op	    3400 B/op	       9 allocs/op",
-		"BenchmarkHotPath/sharded-cycle-1 	  100000	      2300 ns/op	    3400 B/op	       9 allocs/op")
-	oldP := write(t, dir, "old.txt", oldBench)
-	newP := write(t, dir, "new.txt", newBench)
-	var out, errOut strings.Builder
-	if code := run([]string{"-old", oldP, "-new", newP}, &out, &errOut); code != 0 {
-		t.Fatalf("one-sided scenarios alone must not fail without -require-superset: exit=%d stderr=%q", code, errOut.String())
-	}
-	if !strings.Contains(out.String(), "+ BenchmarkHotPath/sharded-cycle") ||
-		!strings.Contains(out.String(), "new scenario") {
-		t.Fatalf("candidate-only scenario not reported:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "! BenchmarkHotPath/receive-liked") ||
-		!strings.Contains(out.String(), "missing from candidate") {
-		t.Fatalf("baseline-only scenario not reported:\n%s", out.String())
-	}
-}
-
-func TestBenchdiffRequireSupersetFailsOnDroppedScenario(t *testing.T) {
-	dir := t.TempDir()
-	newBench := strings.ReplaceAll(oldBench,
-		"BenchmarkHotPath/receive-liked", "BenchmarkHotPath/receive-renamed")
-	oldP := write(t, dir, "old.txt", oldBench)
-	newP := write(t, dir, "new.txt", newBench)
-	var out, errOut strings.Builder
-	if code := run([]string{"-old", oldP, "-new", newP, "-require-superset"}, &out, &errOut); code != 1 {
-		t.Fatalf("dropped baseline scenario must fail under -require-superset: exit=%d\n%s", code, out.String())
-	}
-	if !strings.Contains(errOut.String(), "missing from candidate") {
-		t.Fatalf("stderr=%q", errOut.String())
-	}
-	// The same pair passes when the superset requirement is off.
-	var out2, errOut2 strings.Builder
-	if code := run([]string{"-old", oldP, "-new", newP}, &out2, &errOut2); code != 0 {
-		t.Fatalf("without -require-superset the run must pass: exit=%d stderr=%q", code, errOut2.String())
-	}
-}
-
-func TestBenchdiffRequireSupersetPassesOnSuperset(t *testing.T) {
-	dir := t.TempDir()
-	newBench := strings.Replace(oldBench, "PASS",
-		"BenchmarkHotPath/extra-1 	  100000	      10 ns/op	       0 B/op	       0 allocs/op\nPASS", 1)
-	oldP := write(t, dir, "old.txt", oldBench)
-	newP := write(t, dir, "new.txt", newBench)
-	var out, errOut strings.Builder
-	if code := run([]string{"-old", oldP, "-new", newP, "-require-superset"}, &out, &errOut); code != 0 {
-		t.Fatalf("a strict superset must pass: exit=%d stderr=%q stdout=%s", code, errOut.String(), out.String())
+func TestBenchdiffRejectsBadInvocation(t *testing.T) {
+	p := write(t, t.TempDir(), "bench.txt", oldBench)
+	for _, args := range [][]string{
+		{},
+		{"-old", p},
+		{"-old", p, "-new", p, "-allocs-threshold", "-1"},
+		{"-old", p, "-new", p, "-filter", "^BenchmarkNothing/"},
+	} {
+		var out, errOut strings.Builder
+		if code := run(args, &out, &errOut); code != 2 {
+			t.Fatalf("%v must exit 2, got %d (stderr=%q)", args, code, errOut.String())
+		}
 	}
 }

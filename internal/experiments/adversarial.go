@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
-	"time"
 
 	"whatsup/internal/adversary"
 	"whatsup/internal/baselines"
@@ -24,8 +22,9 @@ import (
 // each protocol suffers under the identical attack: BEEP's opinion-driven
 // forwarding quarantines spam to single-copy dislike routing, while plain
 // gossip re-amplifies every item at full fanout, so its feeds flood.
-// `whatsup-bench -run adversarial` appends the measurement to the
-// BENCH_adversarial.json trajectory.
+// `whatsup-bench -run adversarial` prints the comparison; every figure in it
+// is deterministic, and TestAdversarialHeadlinePinned holds the default
+// configuration's headline numbers.
 
 // adversarialSpamBase is the item-id floor for spam publications, keeping
 // them disjoint from the honest schedule: ids at or above it interest
@@ -246,89 +245,73 @@ func runAdversarialPoint(cfg AdversarialConfig, alg Algorithm, attacked bool) ad
 // different baselines and an absolute delta would flatter whichever starts
 // lower.
 type AdversarialSideResult struct {
-	Protocol   string  `json:"protocol"`
-	CleanF1    float64 `json:"clean_f1"`
-	AttackedF1 float64 `json:"attacked_f1"`
-	// DeltaF1 is the drop: clean minus attacked honest-feed F1.
-	DeltaF1 float64 `json:"delta_f1"`
+	Protocol   string
+	CleanF1    float64
+	AttackedF1 float64
 	// Damage is the fraction of the clean F1 the attack destroyed.
-	Damage float64 `json:"damage"`
-	// MacroCleanF1/MacroAttackedF1 are the per-item macro population F1
-	// (the repo's standard Collector.F1), recorded for reference.
-	MacroCleanF1    float64 `json:"macro_clean_f1"`
-	MacroAttackedF1 float64 `json:"macro_attacked_f1"`
+	Damage float64
 	// SpamPrecision is the legitimate fraction of items delivered to honest
 	// nodes under attack (1 = spam fully contained).
-	SpamPrecision float64 `json:"spam_precision"`
+	SpamPrecision float64
 	// SpamReach is the mean fraction of the honest population each spam
 	// item reached.
-	SpamReach float64 `json:"spam_reach"`
+	SpamReach float64
 	// PoisoningDrift is the attacker share of honest WUP view slots at the
 	// end of the attacked run (0 for protocols without a clustering layer).
-	PoisoningDrift float64 `json:"poisoning_drift"`
+	PoisoningDrift float64
 	// VictimF1 is the attacked-run F1 of the honest nodes cut off by the
 	// partition (0 when no partition is configured).
-	VictimF1 float64 `json:"victim_f1,omitempty"`
+	VictimF1 float64
 }
 
-// AdversarialResult is one BENCH_adversarial.json trajectory entry.
+// AdversarialResult is the four-cell comparison.
 type AdversarialResult struct {
-	Label     string `json:"label,omitempty"`
-	GoVersion string `json:"go"`
-	MaxProcs  int    `json:"maxprocs"`
+	Peers          int
+	Cycles         int
+	Attackers      int
+	SpamFraction   float64
+	SpamPerCycle   int
+	Poison         bool
+	PartitionK     int
+	PartitionStart int64
+	PartitionHeal  int64
 
-	Peers          int     `json:"peers"`
-	Cycles         int     `json:"cycles"`
-	Attackers      int     `json:"attackers"`
-	SpamFraction   float64 `json:"spam_fraction"`
-	SpamPerCycle   int     `json:"spam_per_cycle"`
-	Poison         bool    `json:"poison"`
-	PartitionK     int     `json:"partition_k,omitempty"`
-	PartitionStart int64   `json:"partition_start,omitempty"`
-	PartitionHeal  int64   `json:"partition_heal,omitempty"`
-	WallMs         float64 `json:"wall_ms"`
-
-	WUP    AdversarialSideResult `json:"wup"`
-	Gossip AdversarialSideResult `json:"gossip"`
+	WUP    AdversarialSideResult
+	Gossip AdversarialSideResult
 	// ResilienceGap is Gossip's normalized damage minus WhatsUp's: positive
 	// means WhatsUp weathered the identical attack better.
-	ResilienceGap float64 `json:"resilience_gap"`
+	ResilienceGap float64
 
 	// Partition-heal evidence from WhatsUp's attacked timeline: how many
 	// cycles links were severed, the WUP view fill floor while cut, and the
 	// fill at the end of the run (recovered ≈ pre-partition levels).
-	PartitionCycles     int     `json:"partition_cycles,omitempty"`
-	WUPFillPartitionMin float64 `json:"wup_fill_partition_min,omitempty"`
-	WUPFillEnd          float64 `json:"wup_fill_end,omitempty"`
+	PartitionCycles     int
+	WUPFillPartitionMin float64
+	WUPFillEnd          float64
 }
 
 // AdversarialRun executes the four cells (WhatsUp/Gossip × clean/attacked)
-// and folds them into one trajectory entry.
+// and folds them into one comparison.
 func AdversarialRun(cfg AdversarialConfig) AdversarialResult {
 	cfg = cfg.withDefaults()
-	start := time.Now()
 	cells := parallel(4, []func() adversarialPoint{
 		func() adversarialPoint { return runAdversarialPoint(cfg, WhatsUp, false) },
 		func() adversarialPoint { return runAdversarialPoint(cfg, WhatsUp, true) },
 		func() adversarialPoint { return runAdversarialPoint(cfg, PlainGossip, false) },
 		func() adversarialPoint { return runAdversarialPoint(cfg, PlainGossip, true) },
 	})
-	wall := time.Since(start)
 	wupClean, wupAtk, gosClean, gosAtk := cells[0], cells[1], cells[2], cells[3]
 
 	side := func(proto string, clean, atk adversarialPoint) AdversarialSideResult {
 		s := AdversarialSideResult{
-			Protocol:        proto,
-			CleanF1:         clean.honestF1,
-			AttackedF1:      atk.honestF1,
-			MacroCleanF1:    clean.col.F1(),
-			MacroAttackedF1: atk.col.F1(),
-			SpamPrecision:   atk.adv.SpamPrecision(),
-			PoisoningDrift:  atk.adv.PoisoningDrift(),
+			Protocol:       proto,
+			CleanF1:        clean.honestF1,
+			AttackedF1:     atk.honestF1,
+			SpamPrecision:  atk.adv.SpamPrecision(),
+			PoisoningDrift: atk.adv.PoisoningDrift(),
 		}
-		s.DeltaF1 = s.CleanF1 - s.AttackedF1
 		if s.CleanF1 > 0 {
-			s.Damage = s.DeltaF1 / s.CleanF1
+			s.Damage = (s.CleanF1 - s.AttackedF1) / s.CleanF1
 		}
 		if atk.spam > 0 && atk.honest > 0 {
 			s.SpamReach = float64(atk.adv.SpamToHonest) / float64(atk.spam*atk.honest)
@@ -340,8 +323,6 @@ func AdversarialRun(cfg AdversarialConfig) AdversarialResult {
 	}
 
 	r := AdversarialResult{
-		GoVersion:      runtime.Version(),
-		MaxProcs:       runtime.GOMAXPROCS(0),
 		Peers:          cfg.Peers,
 		Cycles:         cfg.Cycles,
 		Attackers:      int(cfg.SpamFraction * float64(cfg.Peers)),
@@ -351,7 +332,6 @@ func AdversarialRun(cfg AdversarialConfig) AdversarialResult {
 		PartitionK:     cfg.PartitionK,
 		PartitionStart: cfg.PartitionStart,
 		PartitionHeal:  cfg.PartitionHeal,
-		WallMs:         float64(wall.Nanoseconds()) / 1e6,
 		WUP:            side("whatsup", wupClean, wupAtk),
 		Gossip:         side("gossip", gosClean, gosAtk),
 	}
@@ -370,15 +350,15 @@ func AdversarialRun(cfg AdversarialConfig) AdversarialResult {
 	return r
 }
 
-// String renders the trajectory entry.
+// String renders the comparison.
 func (r AdversarialResult) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Adversarial bench (%s, GOMAXPROCS=%d): %d peers, %d attackers (%.0f%%), %d spam/cycle, poison=%v",
-		r.GoVersion, r.MaxProcs, r.Peers, r.Attackers, r.SpamFraction*100, r.SpamPerCycle, r.Poison)
+	fmt.Fprintf(&b, "Adversarial bench: %d peers, %d cycles, %d attackers (%.0f%%), %d spam/cycle, poison=%v",
+		r.Peers, r.Cycles, r.Attackers, r.SpamFraction*100, r.SpamPerCycle, r.Poison)
 	if r.PartitionK >= 2 {
 		fmt.Fprintf(&b, ", %d-way partition cycles %d-%d", r.PartitionK, r.PartitionStart, r.PartitionHeal)
 	}
-	fmt.Fprintf(&b, "  [wall %.0f ms]\n", r.WallMs)
+	b.WriteString("\n")
 	row := func(s AdversarialSideResult) {
 		fmt.Fprintf(&b, "  %-8s feed-F1 %.3f -> %.3f (damage %.1f%%)  spam-precision %.3f  spam-reach %.3f  drift %.3f",
 			s.Protocol, s.CleanF1, s.AttackedF1, s.Damage*100, s.SpamPrecision, s.SpamReach, s.PoisoningDrift)

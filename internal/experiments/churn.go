@@ -53,9 +53,10 @@ func (c ChurnConfig) withDefaults() ChurnConfig {
 	return c
 }
 
-// ChurnResult summarizes a churn run.
+// ChurnResult summarizes a churn run of either world recipe: ChurnRun's
+// dataset trace or ChurnBench's synthetic communities.
 type ChurnResult struct {
-	Dataset     string
+	Dataset     string // the trace's name, or "communities"
 	BaseUsers   int
 	Joiners     int
 	Cycles      int
@@ -125,25 +126,34 @@ func ChurnRun(o Options, cfg ChurnConfig) ChurnResult {
 		return core.NewNode(id, "", nodeCfg, w.Opinions, nodeRNG(o.Seed, int(id)))
 	}
 
+	return runChurn(ds.Name, w, cfg.ChurnOptions, cfg.engine(sim.Config{
+		Seed:     o.Seed,
+		Cycles:   cycles,
+		LossRate: cfg.Loss,
+	}))
+}
+
+// runChurn is the tail every churn driver shares once its world recipe has
+// set the schedule and the peer factory: assemble the engine with a
+// per-cycle fleet-health timeline, run it, and summarize healing and
+// per-cohort quality. cfg carries the recipe's seed, run length, loss and
+// engine sizing; the churn-protocol switches come from opts.
+func runChurn(name string, w *sim.World, opts ChurnOptions, cfg sim.Config) ChurnResult {
 	res := ChurnResult{
-		Dataset:   ds.Name,
-		BaseUsers: ds.Users,
-		Joiners:   cfg.FlashCrowd,
-		Cycles:    cycles,
+		Dataset:   name,
+		BaseUsers: w.Peers,
+		Joiners:   opts.FlashCrowd,
+		Cycles:    cfg.Cycles,
 		Events:    len(w.Churn.Events),
 	}
-	e, col := w.NewEngine(cfg.engine(sim.Config{
-		Seed:             o.Seed,
-		Cycles:           cycles,
-		LossRate:         cfg.Loss,
-		DepartureNotices: cfg.DepartureNotices,
-		RefillWatermark:  cfg.RefillWatermark,
-		OnCycleEnd: func(e *sim.Engine, _ int64) {
-			s := e.Health()
-			res.GhostFraction = append(res.GhostFraction, s.GhostFraction)
-			res.Timeline = append(res.Timeline, s)
-		},
-	}))
+	cfg.DepartureNotices = opts.DepartureNotices
+	cfg.RefillWatermark = opts.RefillWatermark
+	cfg.OnCycleEnd = func(e *sim.Engine, _ int64) {
+		s := e.Health()
+		res.GhostFraction = append(res.GhostFraction, s.GhostFraction)
+		res.Timeline = append(res.Timeline, s)
+	}
+	e, col := w.NewEngine(cfg)
 	e.Run()
 
 	res.FinalOnline = e.OnlineCount()

@@ -142,22 +142,23 @@ func TestChurnRunTimelineAndHealing(t *testing.T) {
 	}
 }
 
-// TestChurnBenchRecordsProtocolColumns runs a miniature churn bench and pins
-// the new trajectory columns: the protocol knobs are echoed, the joiner
-// eligible-F1 is populated alongside the whole-trace figure, and the healing
-// summary is internally consistent.
-func TestChurnBenchRecordsProtocolColumns(t *testing.T) {
+// TestChurnBenchHealsAndSplitsJoiners runs a miniature churn bench: the
+// joiner eligible-F1 is populated alongside the whole-trace figure, the
+// healing summary is internally consistent, and the bench world — whose
+// churn window closes one eviction horizon plus one downtime before the end
+// — is ghost-free at the last cycle.
+func TestChurnBenchHealsAndSplitsJoiners(t *testing.T) {
 	r := ChurnBench(ChurnBenchConfig{
 		ChurnOptions: ChurnOptions{ChurnRate: 0.2, FlashCrowd: 12,
 			DepartureNotices: true, RefillWatermark: 0.5},
 		Peers: 150, Cycles: 30, EngineOptions: EngineOptions{Workers: 2},
 	})
-	if !r.DepartureNotices || r.RefillWatermark != 0.5 {
-		t.Fatalf("protocol knobs not echoed into the entry: %+v", r)
+	if r.BaseUsers != 150 || r.Joiners != 12 || r.Joiner.Nodes != 12 {
+		t.Fatalf("world sizes not reported: %d base, %d joiners, %d in the joiner cohort", r.BaseUsers, r.Joiners, r.Joiner.Nodes)
 	}
-	if r.JoinerF1 > 0 && r.JoinerEligibleF1 < r.JoinerF1 {
+	if r.Joiner.F1() > 0 && r.Joiner.EligibleF1() < r.Joiner.F1() {
 		t.Fatalf("eligible F1 %v below whole-trace F1 %v: the join-time denominator can only shrink",
-			r.JoinerEligibleF1, r.JoinerF1)
+			r.Joiner.EligibleF1(), r.Joiner.F1())
 	}
 	if r.LastDeparture < 0 {
 		t.Fatal("a churned bench must record a last departure")
@@ -166,7 +167,7 @@ func TestChurnBenchRecordsProtocolColumns(t *testing.T) {
 		t.Fatalf("TimeToHealed=%d inconsistent with HealedAt=%d LastDeparture=%d",
 			r.TimeToHealed, r.HealedAt, r.LastDeparture)
 	}
-	if r.GhostEndFrac != 0 {
-		t.Fatalf("bench world must self-heal by the end, ghost fraction %v", r.GhostEndFrac)
+	if end := r.GhostFraction[len(r.GhostFraction)-1]; end != 0 {
+		t.Fatalf("bench world must self-heal by the end, ghost fraction %v", end)
 	}
 }

@@ -501,7 +501,4 @@ func TestEngineOptionsZeroValue(t *testing.T) {
 	if got := (ChurnBenchConfig{}).engine(sim.Config{}).Workers; got != 1 {
 		t.Errorf("ChurnBenchConfig zero value runs %d workers, want 1", got)
 	}
-	if got := (HotPathConfig{}).withDefaults().engine(sim.Config{}); got.Workers != 1 || got.Shards != 4 {
-		t.Errorf("HotPathConfig zero value resolves to %+v, want serial on its 4 sharded-scenario slabs", got)
-	}
 }

@@ -58,22 +58,25 @@ func TestDriverOutputsPinned(t *testing.T) {
 			})
 			return fmt.Sprintf("%+v", r)
 		}},
-		{"churn-bench", "02522ce8e135adc3e2b6cece894be4227003ef2a6a3175654eab33009766e985", func() string {
+		{"churn-bench", "613c3d6b1d5256c2e1e736f0438726dd2bf6bb45cdb87f7c9e9a3b007c6d82e5", func() string {
+			// Named fields, captured at 341e85a from the bench's own result
+			// struct before ChurnBench was folded into ChurnResult.
 			r := ChurnBench(ChurnBenchConfig{
 				ChurnOptions: ChurnOptions{ChurnRate: 0.2, DepartureNotices: true, RefillWatermark: 0.5},
 				Peers:        300,
 			})
-			r.GoVersion, r.MaxProcs, r.WallMs, r.NsPerCycle = "", 0, 0, 0
-			return fmt.Sprintf("%+v", r)
+			return fmt.Sprintf("events=%d online=%d f1=%v stable=%v joiner=%v eligible=%v rejoiner=%v ghost-end=%v last-departure=%d healed-at=%d time-to-healed=%d",
+				r.Events, r.FinalOnline, r.F1, r.Stable.F1(), r.Joiner.F1(), r.Joiner.EligibleF1(), r.Rejoiner.F1(),
+				r.GhostFraction[len(r.GhostFraction)-1], r.LastDeparture, r.HealedAt, r.TimeToHealed)
 		}},
 		{"hotpath/cycle", "5f8f176aad8a51eba6982c08c152e0772c2c4e0fdda1324f0cfd3720b83b389c", func() string {
-			return pinnedSteps(hotPathWorld(pinnedHotPath, false, nil, 0))
+			return pinnedSteps(hotPathWorld(300, EngineOptions{}, false, nil))
 		}},
 		{"hotpath/churn-cycle", "21a4540b5c8382d8da627f58330a551dd040c0afc8af719b1d1c7b501b34da0d", func() string {
-			return pinnedSteps(hotPathWorld(pinnedHotPath, true, nil, 0))
+			return pinnedSteps(hotPathWorld(300, EngineOptions{}, true, nil))
 		}},
 		{"hotpath/sharded-cycle", "cec1735d8763c4cc9d9a58690686bdd43996710950995f0aca13c025fe726cad", func() string {
-			e := hotPathWorld(pinnedHotPath, false, nil, pinnedHotPath.Shards)
+			e := hotPathWorld(300, EngineOptions{Shards: hotPathShards}, false, nil)
 			return pinnedSteps(e) + fmt.Sprintf("%+v", e.ShardStats())
 		}},
 		{"adversarial/attacked", "89c181743b5def13bedffe6a0ce34e1b8fad838da255e0e973b8244ca3ea0a86", func() string {
@@ -94,8 +97,6 @@ func TestDriverOutputsPinned(t *testing.T) {
 		})
 	}
 }
-
-var pinnedHotPath = HotPathConfig{CyclePeers: 300, CycleItems: 4}.withDefaults()
 
 func pinnedRun(alg Algorithm) string {
 	o := Options{Seed: 3, Scale: 0.1}.WithDefaults()
