@@ -14,7 +14,8 @@ import (
 //	varint  created stamp, source node (zigzag)
 //	varint  dislike counter d_I, hop count (zigzag)
 //	uint    via-dislike flag (0/1)
-//	uint    profile presence (0 = nil, 1 = packed item profile P_I follows)
+//	uint    profile presence (0 = none: decoded as an empty profile,
+//	        1 = packed item profile P_I follows)
 //
 // The item identifier is NOT transmitted: receivers recompute the 8-byte
 // content hash locally (paper II-A), which keeps the frame one hash shorter
@@ -45,69 +46,126 @@ func (m ItemMessage) AppendWire(buf []byte) []byte {
 }
 
 // DecodeItemMessage decodes one message from the front of data, recomputing
-// the item identifier from the received content.
+// the item identifier from the received content. The decoded message aliases
+// nothing in data (strings are copied, profile entries are fresh), and its
+// Profile is never nil: a message sent without one arrives with an empty
+// profile, which is what Node.Receive merges into and purges.
 func DecodeItemMessage(data []byte) (ItemMessage, []byte, error) {
 	var m ItemMessage
-	var err error
-	rest := data
-	if m.Item.Title, rest, err = wire.String(rest); err != nil {
-		return m, data, fmt.Errorf("item title: %w", err)
+	rest, err := decodeItemMessage(&m, data)
+	if err != nil {
+		return ItemMessage{}, data, err
 	}
-	if m.Item.Description, rest, err = wire.String(rest); err != nil {
-		return m, data, fmt.Errorf("item description: %w", err)
+	return m, rest, nil
+}
+
+// CheckItemMessage validates one message at the front of data — it accepts
+// exactly what DecodeItemMessage accepts — and builds nothing.
+func CheckItemMessage(data []byte) ([]byte, error) { return decodeItemMessage(nil, data) }
+
+// PeekItemID recomputes the identifier of the item at the front of data from
+// its content fields, hashed where they lie: no string is built and the rest
+// of the message is not looked at. It is the receiver's cheap "have I seen
+// this?" probe; like DecodeItemMessage it trusts nothing the sender claims.
+func PeekItemID(data []byte) (news.ID, error) {
+	title, description, link, _, err := itemContent(data)
+	if err != nil {
+		return 0, err
 	}
-	if m.Item.Link, rest, err = wire.String(rest); err != nil {
-		return m, data, fmt.Errorf("item link: %w", err)
+	return news.HashBytes(title, description, link), nil
+}
+
+// itemContent slices the three length-prefixed content fields off the front
+// of data, in place.
+func itemContent(data []byte) (title, description, link, rest []byte, err error) {
+	if title, rest, err = wire.Bytes(data); err != nil {
+		return nil, nil, nil, data, fmt.Errorf("item title: %w", err)
 	}
-	if m.Item.Created, rest, err = wire.Int(rest); err != nil {
-		return m, data, fmt.Errorf("item created: %w", err)
+	if description, rest, err = wire.Bytes(rest); err != nil {
+		return nil, nil, nil, data, fmt.Errorf("item description: %w", err)
+	}
+	if link, rest, err = wire.Bytes(rest); err != nil {
+		return nil, nil, nil, data, fmt.Errorf("item link: %w", err)
+	}
+	return title, description, link, rest, nil
+}
+
+// decodeItemMessage is the one walk over the message layout: it fills m, or
+// only validates when m is nil.
+func decodeItemMessage(m *ItemMessage, data []byte) ([]byte, error) {
+	title, description, link, rest, err := itemContent(data)
+	if err != nil {
+		return data, err
+	}
+	created, rest, err := wire.Int(rest)
+	if err != nil {
+		return data, fmt.Errorf("item created: %w", err)
 	}
 	source, rest, err := wire.Int(rest)
 	if err != nil {
-		return m, data, fmt.Errorf("item source: %w", err)
+		return data, fmt.Errorf("item source: %w", err)
 	}
 	if !news.ValidNodeID(source) {
-		return m, data, fmt.Errorf("%w: source node %d out of range", wire.ErrMalformed, source)
+		return data, fmt.Errorf("%w: source node %d out of range", wire.ErrMalformed, source)
 	}
-	m.Item.Source = news.NodeID(source)
 	dislikes, rest, err := wire.Int(rest)
 	if err != nil {
-		return m, data, fmt.Errorf("item dislikes: %w", err)
+		return data, fmt.Errorf("item dislikes: %w", err)
 	}
 	hops, rest, err := wire.Int(rest)
 	if err != nil {
-		return m, data, fmt.Errorf("item hops: %w", err)
+		return data, fmt.Errorf("item hops: %w", err)
 	}
 	// The encoder can never produce negative counters; accepting them would
 	// corrupt the hop/dislike histograms downstream.
 	if dislikes < 0 || hops < 0 || dislikes > int64(maxIntValue) || hops > int64(maxIntValue) {
-		return m, data, fmt.Errorf("%w: item counters (d_I=%d, hops=%d) out of range", wire.ErrMalformed, dislikes, hops)
+		return data, fmt.Errorf("%w: item counters (d_I=%d, hops=%d) out of range", wire.ErrMalformed, dislikes, hops)
 	}
-	m.Dislikes = int(dislikes)
-	m.Hops = int(hops)
 	via, rest, err := wire.Uint(rest)
 	if err != nil || via > 1 {
 		if err == nil {
 			err = fmt.Errorf("%w: via-dislike flag %d", wire.ErrMalformed, via)
 		}
-		return m, data, fmt.Errorf("item via-dislike: %w", err)
+		return data, fmt.Errorf("item via-dislike: %w", err)
 	}
-	m.ViaDislike = via == 1
 	present, rest, err := wire.Uint(rest)
 	if err != nil {
-		return m, data, fmt.Errorf("item profile flag: %w", err)
+		return data, fmt.Errorf("item profile flag: %w", err)
 	}
-	switch present {
-	case 0:
-	case 1:
-		if m.Profile, rest, err = profile.DecodeWire(rest); err != nil {
-			return m, data, err
+	if present > 1 {
+		return data, fmt.Errorf("%w: profile presence flag %d", wire.ErrMalformed, present)
+	}
+	var p *profile.Profile
+	if present == 1 {
+		if m == nil {
+			rest, err = profile.CheckWire(rest)
+		} else {
+			p, rest, err = profile.DecodeWire(rest)
 		}
-	default:
-		return m, data, fmt.Errorf("%w: profile presence flag %d", wire.ErrMalformed, present)
+		if err != nil {
+			return data, err
+		}
 	}
-	m.Item.ID = news.Hash(m.Item.Title, m.Item.Description, m.Item.Link)
-	return m, rest, nil
+	if m != nil {
+		if p == nil {
+			p = profile.New() // sent without a profile: empty, never nil
+		}
+		*m = ItemMessage{
+			Item: news.Item{
+				ID:          news.HashBytes(title, description, link),
+				Title:       string(title),
+				Description: string(description),
+				Link:        string(link),
+				Created:     created,
+				Source:      news.NodeID(source),
+			},
+			Profile:    p,
+			Dislikes:   int(dislikes),
+			Hops:       int(hops),
+			ViaDislike: via == 1,
+		}
+	}
+	return rest, nil
 }
 
 const maxIntValue = int(^uint(0) >> 1)

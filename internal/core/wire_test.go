@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
 	"whatsup/internal/news"
@@ -38,14 +39,60 @@ func TestItemMessageWireRoundTrip(t *testing.T) {
 		if got.Dislikes != m.Dislikes || got.Hops != m.Hops || got.ViaDislike != m.ViaDislike {
 			t.Fatalf("%s: counter mismatch: %+v != %+v", name, got, m)
 		}
-		switch {
-		case m.Profile == nil:
-			if got.Profile != nil {
-				t.Fatalf("%s: nil profile must stay nil", name)
-			}
-		case !got.Profile.Equal(m.Profile):
-			t.Fatalf("%s: profile mismatch", name)
+		want := m.Profile
+		if want == nil {
+			want = profile.New() // an absent item profile arrives empty, never nil
 		}
+		if got.Profile == nil || !got.Profile.Equal(want) {
+			t.Fatalf("%s: profile mismatch: got %v want %v", name, got.Profile, want)
+		}
+	}
+}
+
+// TestProfilelessItemFrameDoesNotCrashReceive is the regression for the
+// 12-byte crash frame: a message encoded without an item profile decodes
+// cleanly, and Node.Receive — which merges into and purges msg.Profile —
+// must survive it, on the like and the dislike branch alike.
+func TestProfilelessItemFrameDoesNotCrashReceive(t *testing.T) {
+	it := news.New("t", "d", "l", 1, 0)
+	enc := ItemMessage{Item: it}.AppendWire(nil)
+	if len(enc) != 12 {
+		t.Fatalf("profile-less frame is %d bytes, the reproduction was 12", len(enc))
+	}
+	for _, likes := range []bool{true, false} {
+		msg, rest, err := DecodeItemMessage(enc)
+		if err != nil || len(rest) != 0 {
+			t.Fatalf("decode err=%v rest=%d", err, len(rest))
+		}
+		n := NewNode(1, "", Config{FLike: 2, RPSViewSize: 4, ProfileWindow: 10},
+			OpinionFunc(func(news.NodeID, news.ID) bool { return likes }), rand.New(rand.NewSource(1)))
+		if d, _ := n.Receive(msg, 1); d.Duplicate || d.Liked != likes {
+			t.Fatalf("likes=%v: delivery %+v", likes, d)
+		}
+	}
+}
+
+// TestCheckAndPeekAgreeWithDecode pins the check-only walk and the in-place
+// id to the decoder they share a loop with: every prefix of a valid message
+// is accepted by both or by neither, and the peeked id is the decoded one.
+func TestCheckAndPeekAgreeWithDecode(t *testing.T) {
+	enc := wireItemMsg().AppendWire(nil)
+	for i := 0; i <= len(enc); i++ {
+		m, drest, derr := DecodeItemMessage(enc[:i])
+		crest, cerr := CheckItemMessage(enc[:i])
+		if (derr == nil) != (cerr == nil) || len(drest) != len(crest) {
+			t.Fatalf("prefix %d: decode err=%v rest=%d, check err=%v rest=%d", i, derr, len(drest), cerr, len(crest))
+		}
+		if derr == nil {
+			if id, err := PeekItemID(enc[:i]); err != nil || id != m.Item.ID {
+				t.Fatalf("prefix %d: peeked id %v err=%v, decoded %v", i, id, err, m.Item.ID)
+			}
+		}
+	}
+	bad := append([]byte(nil), enc...)
+	bad[len(bad)-1] = 0xFF // the last score becomes a truncated varint
+	if _, err := CheckItemMessage(bad); err == nil {
+		t.Fatal("check-only mode accepted a malformed item profile")
 	}
 }
 

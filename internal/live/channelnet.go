@@ -17,13 +17,15 @@ import (
 // per-link: SetPolicy overlays a faultnet.Policy evaluated per directed link
 // (see linkFaults), keyed off the same seed.
 //
-// Every delivered envelope round-trips through the shared binary codec
-// (codec.go): the receiver observes exactly what the encoded bytes carry —
-// fresh profile copies, recomputed item ids, no ground-truth leakage — so
-// the emulation exercises the same serialization path and costs as TCPNet.
+// What crosses the network is the encoded frame, never the sender's structs:
+// Send copies the frame's payload into a pooled buffer and the receiving node
+// decodes it on its own goroutine (codec.go), so the receiver observes
+// exactly what the bytes carry — fresh profile copies, recomputed item ids,
+// no ground-truth leakage — and the emulation exercises the same
+// serialization path and costs as TCPNet.
 type ChannelNet struct {
 	linkFaults // SetPolicy, and the lock guarding everything below
-	boxes      map[news.NodeID]chan envelope
+	boxes      map[news.NodeID]chan *[]byte
 	rng        *rand.Rand
 	loss       float64
 	latency    time.Duration
@@ -35,7 +37,7 @@ type ChannelNet struct {
 func NewChannelNet(seed int64, loss float64, latency time.Duration) *ChannelNet {
 	return &ChannelNet{
 		linkFaults: linkFaults{seed: seed},
-		boxes:      make(map[news.NodeID]chan envelope),
+		boxes:      make(map[news.NodeID]chan *[]byte),
 		rng:        rand.New(rand.NewSource(seed)),
 		loss:       loss,
 		latency:    latency,
@@ -44,10 +46,12 @@ func NewChannelNet(seed int64, loss float64, latency time.Duration) *ChannelNet 
 
 // Register implements Network. Re-registering a disconnected id opens a
 // fresh inbox (a rejoining node).
-func (c *ChannelNet) Register(id news.NodeID) <-chan envelope {
+func (c *ChannelNet) Register(id news.NodeID) <-chan *[]byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	box := make(chan envelope, 4096)
+	// 4096 frames: deep enough that a fleet-wide tick burst never overflows
+	// a healthy node, at 8 bytes a slot.
+	box := make(chan *[]byte, 4096)
 	c.boxes[id] = box
 	return box
 }
@@ -67,6 +71,15 @@ func (c *ChannelNet) Disconnect(id news.NodeID, graceful bool) {
 // plus the link rule's base, jitter and serialization delay). Full inboxes
 // drop (backpressure as loss, like a saturated emulated link).
 func (c *ChannelNet) Send(env envelope) {
+	// The frame handed down by Runner.send is what crosses; envelopes
+	// injected directly (tests) are encoded below.
+	var payload []byte
+	if env.frame != nil {
+		var err error
+		if payload, err = framePayload(env.frame); err != nil {
+			return // a frame whose length prefix lies is a loss
+		}
+	}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -90,42 +103,39 @@ func (c *ChannelNet) Send(env envelope) {
 	if drop || box == nil {
 		return
 	}
-	// Serialize through the wire codec so the receiver gets what the bytes
-	// say, not what the sender's structs held. The frame handed down by
-	// Runner.send is reused; envelopes injected directly (tests) encode here.
-	var decoded envelope
-	var err error
+	// The caller reuses its frame buffer once Send returns, so the payload is
+	// copied into a buffer the receiver will own.
+	buf := getBuf()
 	if env.frame != nil {
-		decoded, err = decodeFrame(env.frame)
+		*buf = append(*buf, payload...)
 	} else {
-		buf := getBuf()
-		*buf = appendFrame(*buf, env)
-		decoded, err = decodeFrame(*buf)
-		putBuf(buf)
-	}
-	if err != nil {
-		if delayed {
-			c.wg.Done()
-		}
-		return // unencodable envelope cannot exist; treat as loss
-	}
-	env = decoded
-	deliver := func() {
-		defer func() { recover() }() // lost race with Close: treat as loss
-		select {
-		case box <- env:
-		default: // inbox overflow: dropped
-		}
+		*buf = appendEnvelope(*buf, env)
 	}
 	if !delayed {
-		deliver()
+		deliver(box, buf)
 		return
 	}
 	go func() {
 		defer c.wg.Done()
 		time.Sleep(latency)
-		deliver()
+		deliver(box, buf)
 	}()
+}
+
+// deliver enqueues a payload buffer on an inbox, handing it back to the pool
+// when the inbox is full (overflow is loss) or already closed (a lost race
+// with Close: loss too).
+func deliver(box chan<- *[]byte, buf *[]byte) {
+	defer func() {
+		if recover() != nil {
+			putBuf(buf)
+		}
+	}()
+	select {
+	case box <- buf:
+	default:
+		putBuf(buf)
+	}
 }
 
 // Close implements Network.
@@ -133,7 +143,7 @@ func (c *ChannelNet) Close() {
 	c.mu.Lock()
 	c.closed = true
 	boxes := c.boxes
-	c.boxes = map[news.NodeID]chan envelope{}
+	c.boxes = map[news.NodeID]chan *[]byte{}
 	c.mu.Unlock()
 	c.wg.Wait()
 	for _, box := range boxes {

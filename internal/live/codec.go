@@ -26,18 +26,38 @@ import (
 // payload length followed by the payload. Frames are self-delimiting, so a
 // batched write — several frames coalesced into one Write call — needs no
 // extra structure on the read side.
+//
+// The payload stays bytes until the receiving node needs it: transports
+// hand a node its inbox as pooled payload buffers, and the node decodes on
+// its own goroutine (liveNode.onFrame) — after it has asked the cheapest
+// question first, "have I seen this item?", which needs only the envelope
+// header and a hash of the item content where it lies in the buffer.
 
 // maxFramePayload bounds a declared frame length. The largest legitimate
 // envelope is a gossip push of tens of descriptors, far below this; anything
 // bigger means a corrupt or hostile stream and poisons the connection.
 const maxFramePayload = 1 << 22 // 4 MiB
 
-// bufPool recycles codec scratch buffers across sends, receives and size
-// accounting. Buffers are kept pointer-wrapped so Put does not allocate.
+// maxPooledBuf is the largest buffer putBuf keeps. Pooled buffers sit in
+// node inboxes for as long as their frame is queued, so one that grew for a
+// rare large frame (or a TCP batch) must not come back to carry, and pin its
+// capacity behind, a few hundred bytes.
+const maxPooledBuf = 64 << 10
+
+// bufPool recycles codec scratch buffers and inbox payload buffers across
+// sends and receives. Buffers are kept pointer-wrapped so Put does not
+// allocate.
 var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 
-func getBuf() *[]byte  { return bufPool.Get().(*[]byte) }
-func putBuf(b *[]byte) { *b = (*b)[:0]; bufPool.Put(b) }
+func getBuf() *[]byte { return bufPool.Get().(*[]byte) }
+
+func putBuf(b *[]byte) {
+	if cap(*b) > maxPooledBuf {
+		return // left to the garbage collector
+	}
+	*b = (*b)[:0]
+	bufPool.Put(b)
+}
 
 // appendEnvelope appends the wire encoding of e to buf.
 func appendEnvelope(buf []byte, e envelope) []byte {
@@ -51,40 +71,74 @@ func appendEnvelope(buf []byte, e envelope) []byte {
 	return overlay.AppendTombstones(buf, e.Tombs)
 }
 
-// decodeEnvelope decodes one envelope from the front of data.
-func decodeEnvelope(data []byte) (envelope, []byte, error) {
-	var e envelope
+// envelopeHeader decodes the kind and the two node ids every envelope starts
+// with, returning the kind-specific body.
+func envelopeHeader(data []byte) (kind wireKind, from, to news.NodeID, body []byte, err error) {
 	if len(data) == 0 {
-		return e, data, fmt.Errorf("envelope kind: %w", wire.ErrTruncated)
+		return 0, 0, 0, data, fmt.Errorf("envelope kind: %w", wire.ErrTruncated)
 	}
 	if data[0] > byte(wireRefillReply) {
-		return e, data, fmt.Errorf("%w: unknown envelope kind %d", wire.ErrMalformed, data[0])
+		return 0, 0, 0, data, fmt.Errorf("%w: unknown envelope kind %d", wire.ErrMalformed, data[0])
 	}
-	e.Kind = wireKind(data[0])
-	rest := data[1:]
-	from, rest, err := wire.Int(rest)
+	f, rest, err := wire.Int(data[1:])
 	if err != nil {
-		return e, data, fmt.Errorf("envelope from: %w", err)
+		return 0, 0, 0, data, fmt.Errorf("envelope from: %w", err)
 	}
-	to, rest, err := wire.Int(rest)
+	t, rest, err := wire.Int(rest)
 	if err != nil {
-		return e, data, fmt.Errorf("envelope to: %w", err)
+		return 0, 0, 0, data, fmt.Errorf("envelope to: %w", err)
 	}
-	if !news.ValidNodeID(from) || !news.ValidNodeID(to) {
-		return e, data, fmt.Errorf("%w: envelope node ids (%d→%d) out of range", wire.ErrMalformed, from, to)
+	if !news.ValidNodeID(f) || !news.ValidNodeID(t) {
+		return 0, 0, 0, data, fmt.Errorf("%w: envelope node ids (%d→%d) out of range", wire.ErrMalformed, f, t)
 	}
-	e.From, e.To = news.NodeID(from), news.NodeID(to)
-	if e.Kind == wireItem {
+	return wireKind(data[0]), news.NodeID(f), news.NodeID(t), rest, nil
+}
+
+// decodeEnvelope is the one walk over the envelope layout. It decodes one
+// envelope from the front of data into e — nothing in the result aliases
+// data, so the buffer can go back to the pool — or, with e nil, only
+// validates and builds nothing. The check-only mode is what lets the TCP
+// reader pump keep rejecting a malformed stream at the socket although
+// decoding proper happens on the receiving node.
+func decodeEnvelope(e *envelope, data []byte) ([]byte, error) {
+	kind, from, to, rest, err := envelopeHeader(data)
+	if err != nil {
+		return data, err
+	}
+	switch {
+	case e == nil && kind == wireItem:
+		rest, err = core.CheckItemMessage(rest)
+	case e == nil:
+		if rest, err = overlay.CheckDescriptors(rest); err == nil {
+			rest, err = overlay.CheckTombstones(rest)
+		}
+	case kind == wireItem:
 		e.Item, rest, err = core.DecodeItemMessage(rest)
-	} else {
+	default:
 		if e.Descs, rest, err = overlay.DecodeDescriptors(rest); err == nil {
 			e.Tombs, rest, err = overlay.DecodeTombstones(rest)
 		}
 	}
 	if err != nil {
-		return e, data, err
+		return data, err
 	}
-	return e, rest, nil
+	if e != nil {
+		e.Kind, e.From, e.To = kind, from, to
+	}
+	return rest, nil
+}
+
+// decodePayload decodes (or, e nil, validates) a frame payload: exactly one
+// envelope, no trailing bytes.
+func decodePayload(e *envelope, payload []byte) error {
+	rest, err := decodeEnvelope(e, payload)
+	if err != nil {
+		return err
+	}
+	if len(rest) != 0 {
+		return fmt.Errorf("%w: %d trailing bytes in frame", wire.ErrMalformed, len(rest))
+	}
+	return nil
 }
 
 // appendFrame appends the framed encoding of e — uvarint payload length then
@@ -100,55 +154,45 @@ func appendFrame(buf []byte, e envelope) []byte {
 	return buf
 }
 
-// decodeFrame decodes one complete framed envelope from a byte slice,
-// rejecting length mismatches and trailing bytes.
-func decodeFrame(frame []byte) (envelope, error) {
+// framePayload returns the payload of one complete frame held in a byte
+// slice, rejecting a length prefix that disagrees with the bytes present.
+func framePayload(frame []byte) ([]byte, error) {
 	n, payload, err := wire.Uint(frame)
 	if err != nil {
-		return envelope{}, fmt.Errorf("frame length: %w", err)
+		return nil, fmt.Errorf("frame length: %w", err)
 	}
 	if n != uint64(len(payload)) {
-		return envelope{}, fmt.Errorf("%w: frame declares %d bytes, holds %d", wire.ErrMalformed, n, len(payload))
+		return nil, fmt.Errorf("%w: frame declares %d bytes, holds %d", wire.ErrMalformed, n, len(payload))
 	}
-	env, rest, err := decodeEnvelope(payload)
-	if err != nil {
-		return envelope{}, err
-	}
-	if len(rest) != 0 {
-		return envelope{}, fmt.Errorf("%w: %d trailing bytes in frame", wire.ErrMalformed, len(rest))
-	}
-	return env, nil
+	return payload, nil
 }
 
-// readFrame reads one framed envelope from a buffered stream. io.EOF is
-// returned verbatim on a clean boundary so pumps can distinguish an orderly
-// close from a mid-frame cut.
-func readFrame(br *bufio.Reader) (envelope, error) {
+// readFrame reads one frame from a buffered stream into a pooled buffer and
+// validates its payload without decoding it; the caller owns the buffer.
+// io.EOF is returned verbatim on a clean boundary so pumps can distinguish
+// an orderly close from a mid-frame cut.
+func readFrame(br *bufio.Reader) (*[]byte, error) {
 	n, err := binary.ReadUvarint(br)
 	if err != nil {
-		return envelope{}, err
+		return nil, err
 	}
 	if n > maxFramePayload {
-		return envelope{}, fmt.Errorf("%w: frame of %d bytes exceeds limit", wire.ErrMalformed, n)
+		return nil, fmt.Errorf("%w: frame of %d bytes exceeds limit", wire.ErrMalformed, n)
 	}
-	scratch := getBuf()
-	defer putBuf(scratch)
-	if cap(*scratch) < int(n) {
-		*scratch = make([]byte, n)
+	buf := getBuf()
+	if cap(*buf) < int(n) {
+		*buf = make([]byte, n)
 	}
-	payload := (*scratch)[:n]
-	if _, err := io.ReadFull(br, payload); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return envelope{}, err
+	*buf = (*buf)[:n]
+	if _, err = io.ReadFull(br, *buf); err == io.EOF {
+		err = io.ErrUnexpectedEOF
 	}
-	env, rest, err := decodeEnvelope(payload)
+	if err == nil {
+		err = decodePayload(nil, *buf)
+	}
 	if err != nil {
-		return envelope{}, err
+		putBuf(buf)
+		return nil, err
 	}
-	if len(rest) != 0 {
-		return envelope{}, fmt.Errorf("%w: %d trailing bytes in frame", wire.ErrMalformed, len(rest))
-	}
-	return env, nil
+	return buf, nil
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -13,6 +14,7 @@ import (
 	"whatsup/internal/news"
 	"whatsup/internal/overlay"
 	"whatsup/internal/profile"
+	"whatsup/internal/wire"
 )
 
 // repProfile builds a profile with n entries whose ids are realistic 8-byte
@@ -53,6 +55,13 @@ func repItem() envelope {
 	}}
 }
 
+// decodeEnv decodes one envelope from the front of data, by value.
+func decodeEnv(data []byte) (envelope, []byte, error) {
+	var e envelope
+	rest, err := decodeEnvelope(&e, data)
+	return e, rest, err
+}
+
 func envelopesEqual(a, b envelope) bool {
 	if a.Kind != b.Kind || a.From != b.From || a.To != b.To {
 		return false
@@ -84,13 +93,15 @@ func envelopesEqual(a, b envelope) bool {
 		a.Item.Hops != b.Item.Hops || a.Item.ViaDislike != b.Item.ViaDislike {
 		return false
 	}
-	if (a.Item.Profile == nil) != (b.Item.Profile == nil) {
-		return false
+	// An item message sent without a profile arrives with an empty one.
+	pa, pb := a.Item.Profile, b.Item.Profile
+	if pa == nil {
+		pa = profile.New()
 	}
-	if a.Item.Profile != nil && !a.Item.Profile.Equal(b.Item.Profile) {
-		return false
+	if pb == nil {
+		pb = profile.New()
 	}
-	return true
+	return pa.Equal(pb)
 }
 
 func roundTripCases() map[string]envelope {
@@ -118,7 +129,7 @@ func roundTripCases() map[string]envelope {
 func TestEnvelopeRoundTrip(t *testing.T) {
 	for name, env := range roundTripCases() {
 		enc := appendEnvelope(nil, env)
-		got, rest, err := decodeEnvelope(enc)
+		got, rest, err := decodeEnv(enc)
 		if err != nil || len(rest) != 0 {
 			t.Fatalf("%s: decode err=%v rest=%d", name, err, len(rest))
 		}
@@ -132,7 +143,7 @@ func TestEnvelopeTruncatedPrefixes(t *testing.T) {
 	for name, env := range map[string]envelope{"gossip": repGossip(), "item": repItem()} {
 		enc := appendEnvelope(nil, env)
 		for i := 0; i < len(enc); i++ {
-			if _, _, err := decodeEnvelope(enc[:i]); err == nil {
+			if _, _, err := decodeEnv(enc[:i]); err == nil {
 				t.Fatalf("%s: prefix %d/%d must not decode", name, i, len(enc))
 			}
 		}
@@ -140,17 +151,22 @@ func TestEnvelopeTruncatedPrefixes(t *testing.T) {
 }
 
 func TestDecodeEnvelopeRejectsUnknownKind(t *testing.T) {
-	if _, _, err := decodeEnvelope([]byte{99, 0, 0, 0}); err == nil {
+	if _, _, err := decodeEnv([]byte{99, 0, 0, 0}); err == nil {
 		t.Fatal("unknown kind must be rejected")
 	}
 }
 
-// TestEnvelopeSizeIsEncodedLength pins the accounting contract: size() is
-// the exact framed byte count, not an estimate.
+// TestEnvelopeSizeIsEncodedLength pins the accounting contract: the frame
+// Runner.send measures is the uvarint payload length plus the payload, byte
+// for byte what a stream transport writes — not an estimate.
 func TestEnvelopeSizeIsEncodedLength(t *testing.T) {
 	for name, env := range roundTripCases() {
-		if got, want := env.size(), len(appendFrame(nil, env)); got != want {
-			t.Fatalf("%s: size()=%d, frame=%dB", name, got, want)
+		frame, payload := appendFrame(nil, env), appendEnvelope(nil, env)
+		if got, want := len(frame), wire.UintLen(uint64(len(payload)))+len(payload); got != want {
+			t.Fatalf("%s: frame=%dB, length prefix + payload=%dB", name, got, want)
+		}
+		if got, err := framePayload(frame); err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("%s: framePayload err=%v, payload differs=%v", name, err, !bytes.Equal(got, payload))
 		}
 	}
 }
@@ -189,13 +205,15 @@ func TestReadFrameStream(t *testing.T) {
 	stream.Write(batch)
 	br := bufio.NewReader(&stream)
 	for i, want := range envs {
-		got, err := readFrame(br)
+		buf, err := readFrame(br)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if !envelopesEqual(got, want) {
-			t.Fatalf("frame %d mismatch", i)
+		var got envelope
+		if err := decodePayload(&got, *buf); err != nil || !envelopesEqual(got, want) {
+			t.Fatalf("frame %d mismatch (decode err=%v)", i, err)
 		}
+		putBuf(buf)
 	}
 	if _, err := readFrame(br); err != io.EOF {
 		t.Fatalf("clean end must be io.EOF, got %v", err)
@@ -226,19 +244,28 @@ func TestReadFrameErrors(t *testing.T) {
 
 // FuzzEnvelopeRoundTrip feeds arbitrary bytes to the decoder (it must never
 // panic) and checks that whatever decodes re-encodes to the same envelope —
-// the codec is stable even for non-canonical varint inputs.
+// the codec is stable even for non-canonical varint inputs — and that the
+// two cheaper looks at the same bytes agree with it: the check-only walk the
+// TCP pump runs accepts exactly what the decoder accepts, and the id hashed
+// in place for the duplicate drop is the decoded item's id. Every decodable
+// item message is then handed to Node.Receive on a throwaway node, which
+// must survive whatever the decoder let through.
 func FuzzEnvelopeRoundTrip(f *testing.F) {
 	for _, env := range roundTripCases() {
 		f.Add(appendEnvelope(nil, env))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		env, rest, err := decodeEnvelope(data)
+		env, rest, err := decodeEnv(data)
+		checkRest, checkErr := decodeEnvelope(nil, data)
+		if (err == nil) != (checkErr == nil) || len(rest) != len(checkRest) {
+			t.Fatalf("check-only mode disagrees with the decoder: decode err=%v rest=%d, check err=%v rest=%d",
+				err, len(rest), checkErr, len(checkRest))
+		}
 		if err != nil {
 			return
 		}
-		_ = rest
 		enc := appendEnvelope(nil, env)
-		again, rest2, err := decodeEnvelope(enc)
+		again, rest2, err := decodeEnv(enc)
 		if err != nil {
 			t.Fatalf("re-decode of re-encoded envelope failed: %v", err)
 		}
@@ -247,6 +274,20 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 		}
 		if !envelopesEqual(env, again) {
 			t.Fatalf("unstable round trip:\n first %+v\nsecond %+v", env, again)
+		}
+		if env.Kind != wireItem {
+			return
+		}
+		_, _, _, body, _ := envelopeHeader(data)
+		if id, err := core.PeekItemID(body); err != nil || id != env.Item.Item.ID {
+			t.Fatalf("in-place id %v (err=%v), decoded id %v", id, err, env.Item.Item.ID)
+		}
+		for _, likes := range []bool{true, false} {
+			n := core.NewNode(1, "", core.Config{FLike: 2, RPSViewSize: 4, ProfileWindow: 10},
+				core.OpinionFunc(func(news.NodeID, news.ID) bool { return likes }), rand.New(rand.NewSource(1)))
+			msg := env.Item
+			msg.Profile = msg.Profile.Clone()
+			n.Receive(msg, 1)
 		}
 	})
 }
@@ -314,7 +355,7 @@ func BenchmarkWireCodec(b *testing.B) {
 		enc := appendEnvelope(nil, env)
 		b.SetBytes(int64(len(enc)))
 		for i := 0; i < b.N; i++ {
-			if _, _, err := decodeEnvelope(enc); err != nil {
+			if _, _, err := decodeEnv(enc); err != nil {
 				b.Fatal(err)
 			}
 		}

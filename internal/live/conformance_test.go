@@ -16,10 +16,17 @@ import (
 
 // tapNet is a lossless ChannelNet that also tallies, per message kind, what
 // the simulator's collector tallies: messages and descriptor+tombstone
-// payload bytes (the live collector counts framed bytes instead).
+// payload bytes (the live collector counts framed bytes instead), and keeps
+// a copy of every outgoing frame in send order.
 type tapNet struct {
 	*ChannelNet
 	msgs, bytes map[metrics.MessageKind]int64
+	frames      [][]byte
+}
+
+func newTapNet(seed int64) *tapNet {
+	return &tapNet{ChannelNet: NewChannelNet(seed, 0, 0),
+		msgs: map[metrics.MessageKind]int64{}, bytes: map[metrics.MessageKind]int64{}}
 }
 
 func (t *tapNet) Send(env envelope) {
@@ -29,6 +36,7 @@ func (t *tapNet) Send(env envelope) {
 		t.bytes[k] += int64(d.WireSize())
 	}
 	t.bytes[k] += int64(overlay.TombstonesWireSize(env.Tombs))
+	t.frames = append(t.frames, append([]byte(nil), env.frame...))
 	t.ChannelNet.Send(env)
 }
 
@@ -112,8 +120,7 @@ func TestLegConformanceSimLive(t *testing.T) {
 
 			// Live: the same nodes (same config, same RNG streams) behind the
 			// runner's plumbing, never started — the test is the scheduler.
-			tap := &tapNet{ChannelNet: NewChannelNet(seed, 0, 0),
-				msgs: map[metrics.MessageKind]int64{}, bytes: map[metrics.MessageKind]int64{}}
+			tap := newTapNet(seed)
 			r := NewRunner(Config{Seed: seed, NodeConfig: nodeCfg, DepartureNotices: true, RefillWatermark: sc.watermark},
 				dataset.Blank(2, cycle), tap)
 			defer tap.Close()
@@ -128,7 +135,7 @@ func TestLegConformanceSimLive(t *testing.T) {
 					moved = false
 					for _, ln := range lns {
 						for len(ln.inbox) > 0 {
-							ln.onMessage(<-ln.inbox, cycle)
+							ln.onFrame(<-ln.inbox, cycle)
 							moved = true
 						}
 					}

@@ -17,7 +17,12 @@
 // gossip envelope are calls into the legs of core.Substrate, the same code
 // the simulator drives (TestLegConformanceSimLive holds the two runtimes to
 // identical views and traffic on a scripted exchange). The runtime owns
-// goroutines, envelopes, the codec, transports and membership control. It
+// goroutines, envelopes, the codec, transports and membership control. The
+// unit that crosses a transport is the encoded frame: a node's inbox holds
+// pooled byte buffers, the node decodes each on its own goroutine, and a
+// repeat receipt of an item it has seen — most item frames, under BEEP's
+// redundancy — is dropped after a hash of the content bytes and one map
+// probe, before anything is decoded (liveNode.onFrame). The runtime
 // differs from the simulator in scheduling only: both pushes of a cycle
 // leave at the tick, and messages arrive between ticks from peers whose
 // clocks may lag, which is why the substrate's accept legs re-apply the
@@ -79,24 +84,14 @@ type envelope struct {
 	Tombs []overlay.Tombstone  // piggybacked departure notices (non-item kinds)
 	Item  core.ItemMessage     // BEEP payload
 
-	// frame, when non-nil, is the encoded frame of this envelope, set by
-	// Runner.send so transports reuse the bytes already produced for
-	// bandwidth accounting instead of re-encoding. It is only valid for the
-	// duration of the Send call (the backing buffer is pooled) and is never
-	// itself part of the wire format.
+	// frame, when non-nil, is the encoded frame of this envelope (uvarint
+	// payload length, then payload), set by Runner.send. It is what the
+	// transports carry — ChannelNet copies its payload into the receiver's
+	// inbox, TCPNet appends it to the connection's batch — and its length is
+	// what bandwidth accounting reports. It is only valid for the duration
+	// of the Send call (the backing buffer is pooled) and is never itself
+	// part of the wire format.
 	frame []byte
-}
-
-// size is the exact framed wire size of the envelope: the number of bytes a
-// stream transport writes for it, and therefore what bandwidth metrics
-// report. Unlike the simulator's fixed-width WireSize estimates, this is
-// measured on the actual encoding.
-func (e envelope) size() int {
-	buf := getBuf()
-	*buf = appendFrame(*buf, e)
-	n := len(*buf)
-	putBuf(buf)
-	return n
 }
 
 func (e envelope) kind() metrics.MessageKind {
@@ -120,12 +115,17 @@ func (e envelope) kind() metrics.MessageKind {
 	}
 }
 
-// Network is a transport for live runs.
+// Network is a transport for live runs. What it moves is frames as bytes;
+// it never hands a node a decoded envelope.
 type Network interface {
-	// Register allocates the inbound queue of a node and returns it.
+	// Register allocates the inbound queue of a node and returns it. Each
+	// element is one frame's payload in a pooled buffer that the receiver
+	// owns: it decodes what it needs (decoded values never alias the buffer)
+	// and returns the buffer with putBuf. The queue's capacity counts
+	// frames; a frame arriving at a full queue is lost.
 	// Registering an id again after Disconnect opens a fresh endpoint (a
 	// rejoining node gets a new inbox and, on TCP, a new listener address).
-	Register(id news.NodeID) <-chan envelope
+	Register(id news.NodeID) <-chan *[]byte
 	// Send delivers (or drops) an envelope asynchronously.
 	Send(env envelope)
 	// Disconnect tears down one node's endpoints. With graceful=false
@@ -259,7 +259,7 @@ type Runner struct {
 // The collector is shared and locked.
 type liveNode struct {
 	node   *core.Node
-	inbox  <-chan envelope
+	inbox  <-chan *[]byte
 	quit   chan struct{}
 	done   chan struct{}
 	ctl    chan ctlRequest
@@ -862,11 +862,11 @@ func (ln *liveNode) loop() {
 			}
 			cycle = g
 			ln.onCycle(cycle)
-		case env, ok := <-ln.inbox:
+		case buf, ok := <-ln.inbox:
 			if !ok {
 				return
 			}
-			ln.onMessage(env, cycle)
+			ln.onFrame(buf, cycle)
 		case req := <-ln.ctl:
 			req.fn(ln, cycle)
 			close(req.done)
@@ -929,6 +929,27 @@ func (ln *liveNode) initiate(layer core.Layer, cycle int64) {
 func (ln *liveNode) answer(layer core.Layer, env envelope, cycle int64) {
 	reply, tombs := ln.node.AcceptPush(layer, env.Descs, env.Tombs, cycle)
 	ln.runner.send(envelope{Kind: gossipKinds[layer].reply, From: ln.node.ID(), To: env.From, Descs: reply, Tombs: tombs})
+}
+
+// onFrame handles one inbound frame payload and returns its buffer to the
+// pool. It asks the cheapest rejecting question first: an item frame's id is
+// recomputed from the content bytes where they lie (never taken from the
+// sender), and when this node — the sole owner of its seen set — has already
+// received that item, the frame is dropped without decoding anything: no
+// strings, no profile, no allocation. Every other frame is decoded once,
+// here, and dispatched; one that does not decode is a loss.
+func (ln *liveNode) onFrame(buf *[]byte, cycle int64) {
+	defer putBuf(buf)
+	if kind, _, _, body, err := envelopeHeader(*buf); err == nil && kind == wireItem {
+		if id, err := core.PeekItemID(body); err == nil && ln.node.Seen(id) {
+			return
+		}
+	}
+	var env envelope
+	if decodePayload(&env, *buf) != nil {
+		return
+	}
+	ln.onMessage(env, cycle)
 }
 
 // onMessage dispatches one inbound envelope to the substrate leg it carries.

@@ -127,12 +127,12 @@ func TestEnvelopeSizeAndKinds(t *testing.T) {
 	p.Set(1, 1, 1)
 	descs := []overlay.Descriptor{{Node: 1, Stamp: 1, Profile: p}}
 	gossip := envelope{Kind: wireWUPRequest, Descs: descs}
-	if gossip.size() == 0 {
+	if len(appendFrame(nil, gossip)) <= len(appendFrame(nil, envelope{Kind: wireWUPRequest})) {
 		t.Fatal("gossip envelope size must count descriptors")
 	}
 	it := news.New("t", "d", "l", 1, 0)
 	item := envelope{Kind: wireItem, Item: core.ItemMessage{Item: it, Profile: p}}
-	if item.size() <= 0 {
+	if len(appendFrame(nil, item)) == 0 {
 		t.Fatal("item envelope size must be positive")
 	}
 	kinds := map[wireKind]string{

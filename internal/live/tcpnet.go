@@ -15,7 +15,10 @@ import (
 // messages are dropped — the congestion behaviour of overloaded PlanetLab
 // nodes, which the paper measured as up to 30% inbound loss at small fanouts
 // (Section V-D). A configurable fraction of nodes is "overloaded" with much
-// smaller queues.
+// smaller queues. The queue holds frames as bytes: a connection's reader
+// pump reads each payload into a pooled buffer, validates it without
+// decoding (a malformed payload poisons the stream and costs the sender its
+// connection) and enqueues the buffer; the node decodes on its own goroutine.
 //
 // Connections are persistent and multiplexed: the first send to a
 // destination dials it, and every later envelope for that destination is
@@ -27,7 +30,7 @@ import (
 type TCPNet struct {
 	linkFaults // SetPolicy, and the lock guarding everything below
 	addrs      map[news.NodeID]string
-	boxes      map[news.NodeID]chan envelope
+	boxes      map[news.NodeID]chan *[]byte
 	listeners  map[news.NodeID]net.Listener
 	conns      map[string]*outConn
 	inbound    map[news.NodeID]map[net.Conn]struct{} // accepted conns per node, for teardown
@@ -109,7 +112,7 @@ func NewTCPNet(cfg TCPNetConfig) *TCPNet {
 	return &TCPNet{
 		linkFaults: linkFaults{seed: cfg.Seed},
 		addrs:      make(map[news.NodeID]string),
-		boxes:      make(map[news.NodeID]chan envelope),
+		boxes:      make(map[news.NodeID]chan *[]byte),
 		listeners:  make(map[news.NodeID]net.Listener),
 		conns:      make(map[string]*outConn),
 		inbound:    make(map[news.NodeID]map[net.Conn]struct{}),
@@ -123,9 +126,9 @@ func NewTCPNet(cfg TCPNetConfig) *TCPNet {
 }
 
 // Register implements Network: open a loopback listener for the node and
-// start its accept/decode pump. Re-registering an id that was disconnected
+// start its accept/validate pump. Re-registering an id that was disconnected
 // opens a fresh listener on a new address (a rejoining node).
-func (t *TCPNet) Register(id news.NodeID) <-chan envelope {
+func (t *TCPNet) Register(id news.NodeID) <-chan *[]byte {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		panic("live: cannot listen on loopback: " + err.Error())
@@ -141,7 +144,7 @@ func (t *TCPNet) Register(id news.NodeID) <-chan envelope {
 	if t.slowEvery > 0 && t.registered%t.slowEvery == 0 {
 		capacity = t.slowCap // an overloaded PlanetLab node
 	}
-	box := make(chan envelope, capacity)
+	box := make(chan *[]byte, capacity)
 	t.addrs[id] = ln.Addr().String()
 	t.boxes[id] = box
 	t.listeners[id] = ln
@@ -188,7 +191,7 @@ func (t *TCPNet) Register(id news.NodeID) <-chan envelope {
 				}()
 				br := bufio.NewReaderSize(conn, 32<<10)
 				for {
-					env, err := readFrame(br)
+					buf, err := readFrame(br)
 					if err != nil {
 						// Clean close, peer teardown, or a poisoned
 						// stream (malformed frame): drop the connection;
@@ -196,10 +199,11 @@ func (t *TCPNet) Register(id news.NodeID) <-chan envelope {
 						return
 					}
 					select {
-					case box <- env:
+					case box <- buf:
 					default:
 						// Inbound queue full: the node is congested and the
 						// message is lost, as on an overloaded testbed node.
+						putBuf(buf)
 					}
 				}
 			}(conn)
@@ -522,7 +526,7 @@ func (t *TCPNet) Close() {
 	}
 	t.listeners = map[news.NodeID]net.Listener{}
 	t.conns = map[string]*outConn{}
-	t.boxes = map[news.NodeID]chan envelope{}
+	t.boxes = map[news.NodeID]chan *[]byte{}
 	t.mu.Unlock()
 	for _, sc := range conns {
 		close(sc.quit) // writer drains pending, then closes the socket

@@ -1,14 +1,17 @@
 package live
 
 import (
+	"errors"
 	"net"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"whatsup/internal/core"
 	"whatsup/internal/news"
 	"whatsup/internal/profile"
+	"whatsup/internal/wire"
 )
 
 func testItemEnvelope(i int, to news.NodeID) envelope {
@@ -18,8 +21,8 @@ func testItemEnvelope(i int, to news.NodeID) envelope {
 	return envelope{Kind: wireItem, From: 0, To: to, Item: core.ItemMessage{Item: it, Profile: p}}
 }
 
-// drainBox empties a (possibly closed) inbox and counts the envelopes.
-func drainBox(box <-chan envelope) int {
+// drainBox empties a (possibly closed) inbox and counts the frames.
+func drainBox(box <-chan *[]byte) int {
 	got := 0
 	for {
 		select {
@@ -93,7 +96,7 @@ func TestTCPNetPendingCapDropsOverflow(t *testing.T) {
 
 // pollDrain drains the box until it has seen want envelopes or the deadline
 // passes, returning the count.
-func pollDrain(box <-chan envelope, want int, deadline time.Duration) int {
+func pollDrain(box <-chan *[]byte, want int, deadline time.Duration) int {
 	got := 0
 	timeout := time.After(deadline)
 	for got < want {
@@ -201,30 +204,51 @@ func TestTCPNetSendAfterCloseIsDropped(t *testing.T) {
 }
 
 // TestTCPNetPoisonedStreamDropsConnection checks that a malformed frame
-// kills the inbound connection instead of panicking the pump.
+// kills the inbound connection instead of panicking the pump — both a length
+// prefix beyond the limit and a correctly framed payload that does not
+// decode. The pump validates without decoding, so the second case is what
+// keeps an untrusted peer's garbage from ever reaching a node's inbox.
 func TestTCPNetPoisonedStreamDropsConnection(t *testing.T) {
-	tn := NewTCPNet(TCPNetConfig{})
-	defer tn.Close()
-	box := tn.Register(1)
-	tn.mu.Lock()
-	addr := tn.addrs[1]
-	tn.mu.Unlock()
-	c, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
+	// A well-formed item message whose profile lists the same id twice.
+	unsorted := appendEnvelope(nil, envelope{Kind: wireItem, From: 0, To: 1, Item: core.ItemMessage{Item: news.New("t", "d", "l", 1, 0)}})
+	unsorted[len(unsorted)-1] = 1                    // profile present …
+	unsorted = append(unsorted, 2, 5, 0, 1, 0, 0, 1) // … two entries: id 5, then delta 0
+	if err := decodePayload(nil, unsorted); !errors.Is(err, wire.ErrMalformed) || !strings.Contains(err.Error(), "unsorted") {
+		t.Fatalf("the crafted payload must fail on its profile order, got %v", err)
 	}
-	// A frame declaring a payload far beyond the limit.
-	if _, err := c.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x7F}); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 1)
-	c.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, err := c.Read(buf); err == nil {
-		t.Fatal("poisoned connection must be closed by the receiver")
-	}
-	c.Close()
-	if got := drainBox(box); got != 0 {
-		t.Fatalf("poisoned stream delivered %d envelopes", got)
+	good := appendFrame(nil, testItemEnvelope(1, 1))
+	for name, tc := range map[string]struct {
+		stream    []byte
+		delivered int
+	}{
+		"oversized-length-prefix":   {[]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x7F}, 0},
+		"framed-malformed-payload":  {append(wire.AppendUint(nil, uint64(len(unsorted))), unsorted...), 0},
+		"good-frame-then-malformed": {append(append(good, byte(len(unsorted))), unsorted...), 1},
+	} {
+		t.Run(name, func(t *testing.T) {
+			tn := NewTCPNet(TCPNetConfig{})
+			defer tn.Close()
+			box := tn.Register(1)
+			tn.mu.Lock()
+			addr := tn.addrs[1]
+			tn.mu.Unlock()
+			c, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if _, err := c.Write(tc.stream); err != nil {
+				t.Fatal(err)
+			}
+			buf := make([]byte, 1)
+			c.SetReadDeadline(time.Now().Add(2 * time.Second))
+			if _, err := c.Read(buf); err == nil {
+				t.Fatal("poisoned connection must be closed by the receiver")
+			}
+			if got := drainBox(box); got != tc.delivered {
+				t.Fatalf("poisoned stream delivered %d frames, want %d", got, tc.delivered)
+			}
+		})
 	}
 }
 

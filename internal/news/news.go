@@ -11,7 +11,6 @@ package news
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 
 	"whatsup/internal/wire"
 )
@@ -61,16 +60,32 @@ type Item struct {
 // Hash computes the 8-byte identifier of an item from its content. Receivers
 // call this instead of trusting a transmitted identifier, which keeps the
 // wire format one hash shorter and prevents identifier spoofing.
-func Hash(title, description, link string) ID {
-	h := fnv.New64a()
-	// Length-prefix each field so ("ab","c") and ("a","bc") differ.
-	var lenBuf [4]byte
-	for _, s := range []string{title, description, link} {
-		binary.BigEndian.PutUint32(lenBuf[:], uint32(len(s)))
-		h.Write(lenBuf[:])
-		h.Write([]byte(s))
+func Hash(title, description, link string) ID { return hash(title, description, link) }
+
+// HashBytes is Hash over content fields still sitting in a received buffer:
+// the same identifier, with no string built.
+func HashBytes(title, description, link []byte) ID { return hash(title, description, link) }
+
+// FNV-1a, 64 bit (hash/fnv's parameters, inlined so hashing allocates
+// nothing and runs over strings and byte slices alike).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+func hash[T string | []byte](title, description, link T) ID {
+	h := uint64(fnvOffset64)
+	for _, s := range [...]T{title, description, link} {
+		// Length-prefix each field (big-endian uint32) so ("ab","c") and
+		// ("a","bc") differ.
+		for shift := 24; shift >= 0; shift -= 8 {
+			h = (h ^ uint64(byte(len(s)>>shift))) * fnvPrime64
+		}
+		for i := 0; i < len(s); i++ {
+			h = (h ^ uint64(s[i])) * fnvPrime64
+		}
 	}
-	return ID(h.Sum64())
+	return ID(h)
 }
 
 // New constructs an item, computing its identifier from the content.

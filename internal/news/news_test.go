@@ -1,6 +1,8 @@
 package news
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"testing"
 	"testing/quick"
 
@@ -12,6 +14,30 @@ func TestHashDeterministic(t *testing.T) {
 	b := Hash("title", "desc", "http://example.org")
 	if a != b {
 		t.Fatalf("same content hashed to %v and %v", a, b)
+	}
+}
+
+// TestHashMatchesFNVAndBytes pins the one hashing loop from both sides: it
+// is FNV-1a over the length-prefixed fields exactly as hash/fnv computes it
+// (item ids are in every golden), and the in-place byte-slice form used on
+// received frames yields the same id as the string form.
+func TestHashMatchesFNVAndBytes(t *testing.T) {
+	prop := func(title, desc, link string) bool {
+		ref := fnv.New64a()
+		for _, s := range []string{title, desc, link} {
+			var n [4]byte
+			binary.BigEndian.PutUint32(n[:], uint32(len(s)))
+			ref.Write(n[:])
+			ref.Write([]byte(s))
+		}
+		id := Hash(title, desc, link)
+		return id == ID(ref.Sum64()) && id == HashBytes([]byte(title), []byte(desc), []byte(link))
+	}
+	if err := quick.Check(prop, nil); err != nil {
+		t.Fatal(err)
+	}
+	if !prop("", "", "") || !prop("ab", "c", "") {
+		t.Fatal("fixed cases")
 	}
 }
 

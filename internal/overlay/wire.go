@@ -33,34 +33,52 @@ func AppendDescriptor(buf []byte, d Descriptor) []byte {
 // DecodeDescriptor decodes one descriptor from the front of data.
 func DecodeDescriptor(data []byte) (Descriptor, []byte, error) {
 	var d Descriptor
+	rest, err := decodeDescriptor(&d, data)
+	if err != nil {
+		return Descriptor{}, data, err
+	}
+	return d, rest, nil
+}
+
+// decodeDescriptor is the one walk over the descriptor layout: it fills d, or
+// only validates when d is nil.
+func decodeDescriptor(d *Descriptor, data []byte) ([]byte, error) {
 	node, rest, err := wire.Int(data)
 	if err != nil {
-		return d, data, fmt.Errorf("descriptor node: %w", err)
+		return data, fmt.Errorf("descriptor node: %w", err)
 	}
 	if !news.ValidNodeID(node) {
-		return d, data, fmt.Errorf("%w: node id %d out of range", wire.ErrMalformed, node)
+		return data, fmt.Errorf("%w: node id %d out of range", wire.ErrMalformed, node)
 	}
-	d.Node = news.NodeID(node)
-	if d.Addr, rest, err = wire.String(rest); err != nil {
-		return d, data, fmt.Errorf("descriptor addr: %w", err)
+	addr, rest, err := wire.Bytes(rest)
+	if err != nil {
+		return data, fmt.Errorf("descriptor addr: %w", err)
 	}
-	if d.Stamp, rest, err = wire.Int(rest); err != nil {
-		return d, data, fmt.Errorf("descriptor stamp: %w", err)
+	stamp, rest, err := wire.Int(rest)
+	if err != nil {
+		return data, fmt.Errorf("descriptor stamp: %w", err)
 	}
 	present, rest, err := wire.Uint(rest)
 	if err != nil {
-		return d, data, fmt.Errorf("descriptor profile flag: %w", err)
+		return data, fmt.Errorf("descriptor profile flag: %w", err)
 	}
-	switch present {
-	case 0:
-	case 1:
-		if d.Profile, rest, err = profile.DecodeWire(rest); err != nil {
-			return d, data, err
+	if present > 1 {
+		return data, fmt.Errorf("%w: profile presence flag %d", wire.ErrMalformed, present)
+	}
+	if present == 1 {
+		if d == nil {
+			rest, err = profile.CheckWire(rest)
+		} else {
+			d.Profile, rest, err = profile.DecodeWire(rest)
 		}
-	default:
-		return d, data, fmt.Errorf("%w: profile presence flag %d", wire.ErrMalformed, present)
+		if err != nil {
+			return data, err
+		}
 	}
-	return d, rest, nil
+	if d != nil {
+		d.Node, d.Addr, d.Stamp = news.NodeID(node), string(addr), stamp
+	}
+	return rest, nil
 }
 
 // AppendDescriptors appends a uvarint-counted descriptor list.
@@ -92,33 +110,10 @@ func AppendTombstones(buf []byte, tombs []Tombstone) []byte {
 // DecodeTombstones decodes a uvarint-counted tombstone list. A nil slice is
 // returned for an empty list, matching what gossip senders produce.
 func DecodeTombstones(data []byte) ([]Tombstone, []byte, error) {
-	n, rest, err := wire.Uint(data)
-	if err != nil {
-		return nil, data, fmt.Errorf("tombstone count: %w", err)
-	}
-	// A tombstone is at least 2 bytes (node, stamp): bound the count by the
-	// bytes on hand before allocating.
-	if n > uint64(len(rest))/2 {
-		return nil, data, fmt.Errorf("%w: %d tombstones declared, %d bytes remain", wire.ErrTruncated, n, len(rest))
-	}
 	var tombs []Tombstone
-	if n > 0 {
-		tombs = make([]Tombstone, 0, n)
-	}
-	for i := uint64(0); i < n; i++ {
-		node, r, err := wire.Int(rest)
-		if err != nil {
-			return nil, data, fmt.Errorf("tombstone %d node: %w", i, err)
-		}
-		if !news.ValidNodeID(node) {
-			return nil, data, fmt.Errorf("%w: tombstone node id %d out of range", wire.ErrMalformed, node)
-		}
-		stamp, r, err := wire.Int(r)
-		if err != nil {
-			return nil, data, fmt.Errorf("tombstone %d stamp: %w", i, err)
-		}
-		tombs = append(tombs, Tombstone{Node: news.NodeID(node), Stamp: stamp})
-		rest = r
+	rest, err := decodeTombstones(&tombs, data)
+	if err != nil {
+		return nil, data, err
 	}
 	return tombs, rest, nil
 }
@@ -127,29 +122,48 @@ func DecodeTombstones(data []byte) ([]Tombstone, []byte, error) {
 // appending onto dst — the arena-pooling counterpart of DecodeTombstones,
 // with the same relocation caveat as AppendDecodeDescriptors.
 func AppendDecodeTombstones(dst []Tombstone, data []byte) ([]Tombstone, []byte, error) {
+	rest, err := decodeTombstones(&dst, data)
+	return dst, rest, err
+}
+
+// CheckTombstones validates a uvarint-counted tombstone list — it accepts
+// exactly what DecodeTombstones accepts — and builds nothing.
+func CheckTombstones(data []byte) ([]byte, error) { return decodeTombstones(nil, data) }
+
+// decodeTombstones is the one walk over a tombstone list: it appends onto
+// *dst (a nil *dst is sized once from the declared count), or only validates
+// when dst is nil.
+func decodeTombstones(dst *[]Tombstone, data []byte) ([]byte, error) {
 	n, rest, err := wire.Uint(data)
 	if err != nil {
-		return dst, data, fmt.Errorf("tombstone count: %w", err)
+		return data, fmt.Errorf("tombstone count: %w", err)
 	}
+	// A tombstone is at least 2 bytes (node, stamp): bound the count by the
+	// bytes on hand before allocating.
 	if n > uint64(len(rest))/2 {
-		return dst, data, fmt.Errorf("%w: %d tombstones declared, %d bytes remain", wire.ErrTruncated, n, len(rest))
+		return data, fmt.Errorf("%w: %d tombstones declared, %d bytes remain", wire.ErrTruncated, n, len(rest))
+	}
+	if dst != nil && *dst == nil && n > 0 {
+		*dst = make([]Tombstone, 0, n)
 	}
 	for i := uint64(0); i < n; i++ {
 		node, r, err := wire.Int(rest)
 		if err != nil {
-			return dst, data, fmt.Errorf("tombstone %d node: %w", i, err)
+			return data, fmt.Errorf("tombstone %d node: %w", i, err)
 		}
 		if !news.ValidNodeID(node) {
-			return dst, data, fmt.Errorf("%w: tombstone node id %d out of range", wire.ErrMalformed, node)
+			return data, fmt.Errorf("%w: tombstone node id %d out of range", wire.ErrMalformed, node)
 		}
 		stamp, r, err := wire.Int(r)
 		if err != nil {
-			return dst, data, fmt.Errorf("tombstone %d stamp: %w", i, err)
+			return data, fmt.Errorf("tombstone %d stamp: %w", i, err)
 		}
-		dst = append(dst, Tombstone{Node: news.NodeID(node), Stamp: stamp})
+		if dst != nil {
+			*dst = append(*dst, Tombstone{Node: news.NodeID(node), Stamp: stamp})
+		}
 		rest = r
 	}
-	return dst, rest, nil
+	return rest, nil
 }
 
 // TombstonesWireSize sums the wire sizes of a tombstone list, excluding the
@@ -166,25 +180,10 @@ func TombstonesWireSize(tombs []Tombstone) int {
 // DecodeDescriptors decodes a uvarint-counted descriptor list. A nil slice
 // is returned for an empty list, matching what gossip handlers produce.
 func DecodeDescriptors(data []byte) ([]Descriptor, []byte, error) {
-	n, rest, err := wire.Uint(data)
-	if err != nil {
-		return nil, data, fmt.Errorf("descriptor count: %w", err)
-	}
-	// A descriptor is at least 4 bytes (node, empty addr, stamp, flag):
-	// bound the count by the bytes on hand before allocating.
-	if n > uint64(len(rest))/4 {
-		return nil, data, fmt.Errorf("%w: %d descriptors declared, %d bytes remain", wire.ErrTruncated, n, len(rest))
-	}
 	var descs []Descriptor
-	if n > 0 {
-		descs = make([]Descriptor, 0, n)
-	}
-	for i := uint64(0); i < n; i++ {
-		var d Descriptor
-		if d, rest, err = DecodeDescriptor(rest); err != nil {
-			return nil, data, fmt.Errorf("descriptor %d: %w", i, err)
-		}
-		descs = append(descs, d)
+	rest, err := decodeDescriptors(&descs, data)
+	if err != nil {
+		return nil, data, err
 	}
 	return descs, rest, nil
 }
@@ -196,21 +195,45 @@ func DecodeDescriptors(data []byte) ([]Descriptor, []byte, error) {
 // before and after the call (the append may relocate the backing array, so
 // subslices must be taken only once all appends into the arena are done).
 func AppendDecodeDescriptors(dst []Descriptor, data []byte) ([]Descriptor, []byte, error) {
+	rest, err := decodeDescriptors(&dst, data)
+	return dst, rest, err
+}
+
+// CheckDescriptors validates a uvarint-counted descriptor list — it accepts
+// exactly what DecodeDescriptors accepts — and builds nothing: no slice, no
+// address string, no profile.
+func CheckDescriptors(data []byte) ([]byte, error) { return decodeDescriptors(nil, data) }
+
+// decodeDescriptors is the one walk over a descriptor list: it appends onto
+// *dst (a nil *dst is sized once from the declared count), or only validates
+// when dst is nil.
+func decodeDescriptors(dst *[]Descriptor, data []byte) ([]byte, error) {
 	n, rest, err := wire.Uint(data)
 	if err != nil {
-		return dst, data, fmt.Errorf("descriptor count: %w", err)
+		return data, fmt.Errorf("descriptor count: %w", err)
 	}
+	// A descriptor is at least 4 bytes (node, empty addr, stamp, flag):
+	// bound the count by the bytes on hand before allocating.
 	if n > uint64(len(rest))/4 {
-		return dst, data, fmt.Errorf("%w: %d descriptors declared, %d bytes remain", wire.ErrTruncated, n, len(rest))
+		return data, fmt.Errorf("%w: %d descriptors declared, %d bytes remain", wire.ErrTruncated, n, len(rest))
+	}
+	if dst != nil && *dst == nil && n > 0 {
+		*dst = make([]Descriptor, 0, n)
 	}
 	for i := uint64(0); i < n; i++ {
 		var d Descriptor
-		if d, rest, err = DecodeDescriptor(rest); err != nil {
-			return dst, data, fmt.Errorf("descriptor %d: %w", i, err)
+		into := &d
+		if dst == nil {
+			into = nil
 		}
-		dst = append(dst, d)
+		if rest, err = decodeDescriptor(into, rest); err != nil {
+			return data, fmt.Errorf("descriptor %d: %w", i, err)
+		}
+		if dst != nil {
+			*dst = append(*dst, d)
+		}
 	}
-	return dst, rest, nil
+	return rest, nil
 }
 
 // Norm-accumulator sidecar: the packed profile codec recomputes Σ score²

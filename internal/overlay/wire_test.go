@@ -68,6 +68,26 @@ func TestDescriptorsWireTruncatedPrefixes(t *testing.T) {
 		if _, _, err := DecodeDescriptors(enc[:i]); err == nil {
 			t.Fatalf("prefix %d/%d must not decode", i, len(enc))
 		}
+		if _, err := CheckDescriptors(enc[:i]); err == nil {
+			t.Fatalf("prefix %d/%d must not pass the check-only walk", i, len(enc))
+		}
+	}
+	// The check-only walk consumes exactly what the decoder consumes, for
+	// descriptor and tombstone lists alike, and builds nothing.
+	enc = AppendTombstones(enc, []Tombstone{{Node: 3, Stamp: 9}})
+	_, afterDescs, err := DecodeDescriptors(enc)
+	rest, cerr := CheckDescriptors(enc)
+	if err != nil || cerr != nil || len(rest) != len(afterDescs) {
+		t.Fatalf("descriptors: decode err=%v rest=%d, check err=%v rest=%d", err, len(afterDescs), cerr, len(rest))
+	}
+	if rest, err = CheckTombstones(rest); err != nil || len(rest) != 0 {
+		t.Fatalf("tombstones: check err=%v rest=%d", err, len(rest))
+	}
+	if _, err = CheckTombstones([]byte{1, 3, 0}); !errors.Is(err, wire.ErrMalformed) { // one tombstone, node zigzag(3) = -2
+		t.Fatalf("check-only walk of a tombstone below NoNode: err=%v, want ErrMalformed", err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { CheckDescriptors(enc) }); allocs != 0 {
+		t.Fatalf("check-only walk allocates %.0f/op", allocs)
 	}
 }
 

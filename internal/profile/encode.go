@@ -126,48 +126,69 @@ func (p *Profile) WireSize() int {
 // the profile and the remaining bytes. The input is untrusted network data:
 // non-monotonic ids, non-finite scores and truncation all produce errors,
 // never panics, and the declared entry count is checked against the bytes
-// actually available before any allocation.
+// actually available before any allocation. The profile's entries are fresh:
+// nothing aliases data.
 func DecodeWire(data []byte) (*Profile, []byte, error) {
+	p := new(Profile)
+	rest, err := decodeWire(p, data)
+	if err != nil {
+		return nil, data, err
+	}
+	return p, rest, nil
+}
+
+// CheckWire validates one packed profile at the front of data — it accepts
+// exactly what DecodeWire accepts — and returns the remaining bytes without
+// building the profile.
+func CheckWire(data []byte) ([]byte, error) { return decodeWire(nil, data) }
+
+// decodeWire is the one walk over the packed layout: it fills p, or only
+// validates when p is nil.
+func decodeWire(p *Profile, data []byte) ([]byte, error) {
 	n, rest, err := wire.Uint(data)
 	if err != nil {
-		return nil, data, fmt.Errorf("profile: entry count: %w", err)
+		return data, fmt.Errorf("profile: entry count: %w", err)
 	}
 	// Each entry is at least 3 bytes (id delta, stamp, score — one byte
 	// each), which bounds n before the allocation below.
 	if n > uint64(len(rest))/3 {
-		return nil, data, fmt.Errorf("%w: %d entries declared, %d bytes remain", wire.ErrTruncated, n, len(rest))
+		return data, fmt.Errorf("%w: %d entries declared, %d bytes remain", wire.ErrTruncated, n, len(rest))
 	}
-	p := &Profile{entries: make([]Entry, 0, n)}
+	if p != nil {
+		p.entries = make([]Entry, 0, n)
+	}
 	prev := uint64(0)
 	for i := uint64(0); i < n; i++ {
 		var delta uint64
 		delta, rest, err = wire.Uint(rest)
 		if err != nil {
-			return nil, data, fmt.Errorf("profile: entry %d id: %w", i, err)
+			return data, fmt.Errorf("profile: entry %d id: %w", i, err)
 		}
 		id := delta
 		if i > 0 {
 			if delta == 0 {
-				return nil, data, fmt.Errorf("%w: duplicate or unsorted profile entry", wire.ErrMalformed)
+				return data, fmt.Errorf("%w: duplicate or unsorted profile entry", wire.ErrMalformed)
 			}
 			id = prev + delta
 			if id < prev {
-				return nil, data, fmt.Errorf("%w: profile id overflow", wire.ErrMalformed)
+				return data, fmt.Errorf("%w: profile id overflow", wire.ErrMalformed)
 			}
 		}
 		prev = id
 		var stamp int64
 		stamp, rest, err = wire.Int(rest)
 		if err != nil {
-			return nil, data, fmt.Errorf("profile: entry %d stamp: %w", i, err)
+			return data, fmt.Errorf("profile: entry %d stamp: %w", i, err)
 		}
 		var score float64
 		score, rest, err = wire.Score(rest)
 		if err != nil {
-			return nil, data, fmt.Errorf("profile: entry %d score: %w", i, err)
+			return data, fmt.Errorf("profile: entry %d score: %w", i, err)
 		}
-		p.entries = append(p.entries, Entry{Item: news.ID(id), Stamp: stamp, Score: score})
-		p.sumSq += score * score
+		if p != nil {
+			p.entries = append(p.entries, Entry{Item: news.ID(id), Stamp: stamp, Score: score})
+			p.sumSq += score * score
+		}
 	}
-	return p, rest, nil
+	return rest, nil
 }

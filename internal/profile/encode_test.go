@@ -66,6 +66,12 @@ func TestDecodeWireTruncatedPrefixes(t *testing.T) {
 		if _, _, err := DecodeWire(enc[:i]); err == nil {
 			t.Fatalf("prefix of %d/%d bytes must not decode", i, len(enc))
 		}
+		if _, err := CheckWire(enc[:i]); err == nil {
+			t.Fatalf("prefix of %d/%d bytes must not pass the check-only walk", i, len(enc))
+		}
+	}
+	if rest, err := CheckWire(append(enc, 0xAB)); err != nil || len(rest) != 1 {
+		t.Fatalf("check-only walk of a whole profile: err=%v rest=%d, want the 1 trailing byte", err, len(rest))
 	}
 }
 
@@ -88,5 +94,8 @@ func TestDecodeWireRejectsUnsortedDuplicate(t *testing.T) {
 	enc = wire.AppendScore(enc, 1)
 	if _, _, err := DecodeWire(enc); !errors.Is(err, wire.ErrMalformed) {
 		t.Fatalf("err=%v, want ErrMalformed", err)
+	}
+	if _, err := CheckWire(enc); !errors.Is(err, wire.ErrMalformed) {
+		t.Fatalf("check-only err=%v, want ErrMalformed", err)
 	}
 }

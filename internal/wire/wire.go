@@ -144,15 +144,17 @@ func Score(data []byte) (float64, []byte, error) {
 	return f, rest, nil
 }
 
-// String decodes a length-prefixed string. The bytes are copied, so the
-// result does not alias (possibly pooled) input buffers.
-func String(data []byte) (string, []byte, error) {
+// Bytes decodes a length-prefixed field (what AppendString writes) in place:
+// the result aliases data, so a caller that keeps it beyond the life of the
+// (possibly pooled) input buffer converts it to a string or otherwise copies
+// it.
+func Bytes(data []byte) ([]byte, []byte, error) {
 	n, rest, err := Uint(data)
 	if err != nil {
-		return "", data, err
+		return nil, data, err
 	}
 	if n > uint64(len(rest)) {
-		return "", data, fmt.Errorf("%w: string of %d bytes, %d remain", ErrTruncated, n, len(rest))
+		return nil, data, fmt.Errorf("%w: string of %d bytes, %d remain", ErrTruncated, n, len(rest))
 	}
-	return string(rest[:n]), rest[n:], nil
+	return rest[:n], rest[n:], nil
 }

@@ -72,9 +72,9 @@ func TestScoreRejectsNonFinite(t *testing.T) {
 func TestStringRoundTrip(t *testing.T) {
 	for _, s := range []string{"", "a", "127.0.0.1:65535", string(make([]byte, 300))} {
 		b := AppendString(nil, s)
-		got, rest, err := String(b)
-		if err != nil || got != s || len(rest) != 0 {
-			t.Fatalf("String(%q): got=%q rest=%d err=%v", s, got, len(rest), err)
+		got, rest, err := Bytes(b)
+		if err != nil || string(got) != s || len(rest) != 0 {
+			t.Fatalf("Bytes(%q): got=%q rest=%d err=%v", s, got, len(rest), err)
 		}
 	}
 }
@@ -88,7 +88,7 @@ func TestTruncationErrors(t *testing.T) {
 	}
 	// Length prefix pointing past the end of the buffer.
 	b := AppendUint(nil, 100)
-	if _, _, err := String(append(b, 'x')); !errors.Is(err, ErrTruncated) {
+	if _, _, err := Bytes(append(b, 'x')); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("short string err not truncated")
 	}
 	// Overlong varint (11 continuation bytes).
