@@ -263,6 +263,34 @@ func (s *Substrate) respond(l Layer, push []overlay.Descriptor, now int64) (repl
 	return reply
 }
 
+// Held answers a decoder (overlay.Holder) from the node's own state, for an
+// incoming descriptor (node, stamp) bound for a merge into the RPS view, the
+// clustering view, or both (a refill reply). discard is true when every merge
+// the descriptor is bound for would drop it — it describes this node, a
+// tombstoned node, or a node the view holds at the same or a fresher stamp,
+// exactly the descriptors InsertAllLive ignores — so that it need not be
+// built at all. Otherwise snap is a descriptor either view holds for the
+// node, preferring one with the same stamp: such a snapshot, gossiped to this
+// node on the other layer, is shared rather than decoded again.
+func (s *Substrate) Held(node news.NodeID, stamp int64, intoRPS, intoWUP bool) (snap overlay.Descriptor, discard bool) {
+	if node == s.id || s.grave.Contains(node) {
+		return overlay.Descriptor{}, true
+	}
+	r, inRPS := s.rps.View().Get(node)
+	var w overlay.Descriptor
+	inWUP := false
+	if s.wup != nil {
+		w, inWUP = s.wup.View().Get(node)
+	}
+	if (!intoRPS || inRPS && r.Stamp >= stamp) && (!intoWUP || s.wup == nil || inWUP && w.Stamp >= stamp) {
+		return overlay.Descriptor{}, true
+	}
+	if inWUP && (!inRPS || w.Stamp == stamp) {
+		return w, false
+	}
+	return r, false // the zero Descriptor when neither view holds the node
+}
+
 // low reports whether a view's occupancy is under the refill watermark.
 func low(v *overlay.View, watermark float64) bool {
 	return float64(v.Len()) < watermark*float64(v.Capacity())

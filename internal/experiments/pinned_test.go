@@ -77,7 +77,11 @@ func TestDriverOutputsPinned(t *testing.T) {
 		}},
 		{"hotpath/sharded-cycle", "cec1735d8763c4cc9d9a58690686bdd43996710950995f0aca13c025fe726cad", func() string {
 			e := hotPathWorld(300, EngineOptions{Shards: hotPathShards}, false, nil)
-			return pinnedSteps(e) + fmt.Sprintf("%+v", e.ShardStats())
+			digest := pinnedSteps(e)
+			// The hash was captured when these three routing counters were
+			// all of ShardStats: they are rendered as %+v rendered it then.
+			st := e.ShardStats()
+			return digest + fmt.Sprintf("{Crossings:%d Batches:%d BatchBytes:%d}", st.Crossings, st.Batches, st.BatchBytes)
 		}},
 		{"adversarial/attacked", "89c181743b5def13bedffe6a0ce34e1b8fad838da255e0e973b8244ca3ea0a86", func() string {
 			cfg := AdversarialConfig{Peers: 200, Cycles: 20, Poison: true, PartitionK: 2}.withDefaults()

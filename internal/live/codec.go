@@ -99,8 +99,10 @@ func envelopeHeader(data []byte) (kind wireKind, from, to news.NodeID, body []by
 // data, so the buffer can go back to the pool — or, with e nil, only
 // validates and builds nothing. The check-only mode is what lets the TCP
 // reader pump keep rejecting a malformed stream at the socket although
-// decoding proper happens on the receiving node.
-func decodeEnvelope(e *envelope, data []byte) ([]byte, error) {
+// decoding proper happens on the receiving node. That node decodes against
+// what it holds (h, see overlay.Holder): the descriptors it would discard
+// are validated like the rest and left out of e.Descs.
+func decodeEnvelope(e *envelope, data []byte, h overlay.Holder) ([]byte, error) {
 	kind, from, to, rest, err := envelopeHeader(data)
 	if err != nil {
 		return data, err
@@ -115,7 +117,7 @@ func decodeEnvelope(e *envelope, data []byte) ([]byte, error) {
 	case kind == wireItem:
 		e.Item, rest, err = core.DecodeItemMessage(rest)
 	default:
-		if e.Descs, rest, err = overlay.DecodeDescriptors(rest); err == nil {
+		if e.Descs, rest, err = overlay.DecodeDescriptorsHeld(rest, h); err == nil {
 			e.Tombs, rest, err = overlay.DecodeTombstones(rest)
 		}
 	}
@@ -130,8 +132,8 @@ func decodeEnvelope(e *envelope, data []byte) ([]byte, error) {
 
 // decodePayload decodes (or, e nil, validates) a frame payload: exactly one
 // envelope, no trailing bytes.
-func decodePayload(e *envelope, payload []byte) error {
-	rest, err := decodeEnvelope(e, payload)
+func decodePayload(e *envelope, payload []byte, h overlay.Holder) error {
+	rest, err := decodeEnvelope(e, payload, h)
 	if err != nil {
 		return err
 	}
@@ -188,7 +190,7 @@ func readFrame(br *bufio.Reader) (*[]byte, error) {
 		err = io.ErrUnexpectedEOF
 	}
 	if err == nil {
-		err = decodePayload(nil, *buf)
+		err = decodePayload(nil, *buf, nil)
 	}
 	if err != nil {
 		putBuf(buf)

@@ -58,7 +58,7 @@ func repItem() envelope {
 // decodeEnv decodes one envelope from the front of data, by value.
 func decodeEnv(data []byte) (envelope, []byte, error) {
 	var e envelope
-	rest, err := decodeEnvelope(&e, data)
+	rest, err := decodeEnvelope(&e, data, nil)
 	return e, rest, err
 }
 
@@ -210,7 +210,7 @@ func TestReadFrameStream(t *testing.T) {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 		var got envelope
-		if err := decodePayload(&got, *buf); err != nil || !envelopesEqual(got, want) {
+		if err := decodePayload(&got, *buf, nil); err != nil || !envelopesEqual(got, want) {
 			t.Fatalf("frame %d mismatch (decode err=%v)", i, err)
 		}
 		putBuf(buf)
@@ -256,7 +256,7 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		env, rest, err := decodeEnv(data)
-		checkRest, checkErr := decodeEnvelope(nil, data)
+		checkRest, checkErr := decodeEnvelope(nil, data, nil)
 		if (err == nil) != (checkErr == nil) || len(rest) != len(checkRest) {
 			t.Fatalf("check-only mode disagrees with the decoder: decode err=%v rest=%d, check err=%v rest=%d",
 				err, len(rest), checkErr, len(checkRest))

@@ -15,14 +15,20 @@ import (
 )
 
 // frameFleet builds a never-started three-node fleet on a tapNet whose node
-// 0 likes the items whose id is even; the test is the scheduler.
+// 0 likes the items whose id is even; the test is the scheduler. The views
+// are small (RPS 6, WUP 4), so a script's merges go through the random trims.
 func frameFleet(t *testing.T) (*liveNode, *tapNet) {
+	return frameFleetSized(t, 6, 0)
+}
+
+func frameFleetSized(t *testing.T, rpsViewSize, wupViewSize int) (*liveNode, *tapNet) {
 	t.Helper()
 	tap := newTapNet(5)
 	t.Cleanup(tap.Close)
 	r := NewRunner(Config{
-		Seed:             5,
-		NodeConfig:       core.Config{FLike: 2, RPSViewSize: 6, ProfileWindow: 20, DescriptorTTL: 10},
+		Seed: 5,
+		NodeConfig: core.Config{FLike: 2, RPSViewSize: rpsViewSize, WUPViewSize: wupViewSize,
+			ProfileWindow: 20, DescriptorTTL: 10},
 		DepartureNotices: true,
 		RefillWatermark:  0.5,
 		FeedCapacity:     2, // smaller than the script's deliveries: the ring wraps
@@ -97,40 +103,132 @@ func nodeState(ln *liveNode, script [][]byte) string {
 	return b.String()
 }
 
-// TestOnFrameMatchesDecodeThenDispatch is the differential for the move of
-// decoding onto the node: the scripted sequence driven through onFrame —
-// duplicates dropped before decode — leaves a node with the same views,
-// profile, seen set, feed ring and outgoing frames as decoding every frame
-// and handing it to onMessage, which is what the transports used to do.
+// heldScript is a receive sequence for node 0 of a fleet whose views are
+// roomy enough (RPS 12, WUP 16) that nothing is trimmed and the clustering
+// view stays under the refill watermark: every step's outcome is decided by
+// the merge rule alone. It carries, on each layer, descriptors of the node
+// itself, of a tombstoned node, and of nodes held at a fresher, the same and
+// a staler stamp; the same (node, stamp) under two contents; and a refill
+// reply whose descriptors only one of the two views holds. kept[i] is what
+// step i's frame must decode to — exactly the descriptors a merge takes.
+func heldScript() (script [][]byte, kept []string) {
+	steps := []struct {
+		env  envelope
+		kept string
+	}{
+		{envelope{Kind: wireWUPRequest, From: 2, Tombs: []overlay.Tombstone{{Node: 9, Stamp: 1}}}, ""},
+		{envelope{Kind: wireRPSRequest, From: 1, Descs: []overlay.Descriptor{
+			phantom(20, 5, 300), phantom(21, 5, 301), phantom(25, 5, 305), phantom(26, 5, 306)}},
+			"20@5 21@5 25@5 26@5"},
+		// 21@5 is the snapshot the RPS view holds; 25@5 is not, whatever its key says.
+		{envelope{Kind: wireWUPRequest, From: 1, Descs: []overlay.Descriptor{
+			phantom(20, 3, 300), phantom(22, 5, 302), phantom(21, 5, 301), phantom(25, 5, 999), phantom(27, 5, 307)}},
+			"20@3 22@5 21@5 25@5 27@5"},
+		// RPS holds 20@5 and no 22; the clustering view's 20@3 and 22@5 must not be asked.
+		{envelope{Kind: wireRPSReply, From: 1, Descs: []overlay.Descriptor{
+			phantom(0, 9, 1), phantom(9, 9, 2), phantom(20, 4, 300), phantom(20, 5, 300), phantom(20, 6, 300), phantom(22, 5, 302)}},
+			"20@6 22@5"},
+		// The clustering view holds 20@3; the RPS view's 20@6 must not be asked.
+		{envelope{Kind: wireWUPReply, From: 1, Descs: []overlay.Descriptor{
+			phantom(0, 9, 1), phantom(9, 9, 2), phantom(20, 2, 300), phantom(20, 3, 300), phantom(20, 4, 300), phantom(21, 5, 301)}},
+			"20@4"},
+		// A refill reply is merged into both views: 20@5 is stale for one and
+		// fresh for the other, 26 is held by the RPS view only, 27 by the
+		// clustering view only; 21, 22 and 25 both hold.
+		{envelope{Kind: wireRefillReply, From: 1, Descs: []overlay.Descriptor{
+			phantom(23, 5, 303), phantom(20, 5, 300), phantom(21, 5, 301), phantom(22, 4, 302),
+			phantom(25, 5, 305), phantom(26, 5, 306), phantom(27, 5, 307), phantom(0, 9, 1)}},
+			"23@5 20@5 26@5 27@5"},
+		{envelope{Kind: wireRefillRequest, From: 1, Descs: []overlay.Descriptor{phantom(1, 7, 100), phantom(20, 6, 300)}}, "1@7"},
+		{envelope{Kind: wireDeparture, From: 2, Descs: []overlay.Descriptor{phantom(30, 5, 310)}, Tombs: []overlay.Tombstone{{Node: 2, Stamp: 1}}}, ""},
+	}
+	for _, st := range steps {
+		script = append(script, appendEnvelope(nil, st.env))
+		kept = append(kept, st.kept)
+	}
+	return script, kept
+}
+
+// TestOnFrameMatchesDecodeThenDispatch is the differential for decoding on
+// the node: a scripted sequence driven through onFrame — duplicates dropped
+// before decode, descriptors the merge would discard never built, snapshots
+// the other view holds shared — leaves a node with the same views, profile,
+// seen set, feed ring and outgoing frames as decoding every frame in full and
+// handing it to onMessage, which is what the transports used to do. Where the
+// script says so, a frame must also decode to exactly the descriptors the
+// merge takes: a rule that skips less is invisible in the node's state.
 func TestOnFrameMatchesDecodeThenDispatch(t *testing.T) {
 	const cycle = 2
-	script := frameScript()
+	held, heldKept := heldScript()
+	for _, tc := range []struct {
+		name     string
+		script   [][]byte
+		kept     []string
+		rps, wup int
+		frames   int // replies the script must provoke, lest it be vacuous
+	}{
+		{"small-views", frameScript(), nil, 6, 0, 8},
+		{"held-descriptors", held, heldKept, 12, 16, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ref, refTap := frameFleetSized(t, tc.rps, tc.wup)
+			for _, payload := range tc.script {
+				var env envelope
+				if decodePayload(&env, payload, nil) == nil {
+					ref.onMessage(env, cycle)
+				}
+			}
+			got, gotTap := frameFleetSized(t, tc.rps, tc.wup)
+			for i, payload := range tc.script {
+				if tc.kept != nil {
+					env, _ := got.decodeFrame(payload)
+					var kept []string
+					for _, d := range env.Descs {
+						kept = append(kept, fmt.Sprintf("%d@%d", d.Node, d.Stamp))
+					}
+					if k := strings.Join(kept, " "); k != tc.kept[i] {
+						t.Errorf("frame %d decoded to descriptors [%s], the merge takes [%s]", i, k, tc.kept[i])
+					}
+				}
+				got.onFrame(pooled(payload), cycle)
+			}
 
-	ref, refTap := frameFleet(t)
-	for _, payload := range script {
-		var env envelope
-		if decodePayload(&env, payload) == nil {
-			ref.onMessage(env, cycle)
-		}
-	}
-	got, gotTap := frameFleet(t)
-	for _, payload := range script {
-		got.onFrame(pooled(payload), cycle)
-	}
-
-	if g, w := nodeState(got, script), nodeState(ref, script); g != w {
-		t.Errorf("node state diverged:\n--- decode+onMessage\n%s\n--- onFrame\n%s", w, g)
-	}
-	if len(gotTap.frames) != len(refTap.frames) {
-		t.Fatalf("onFrame sent %d frames, decode+onMessage %d", len(gotTap.frames), len(refTap.frames))
-	}
-	for i := range refTap.frames {
-		if !bytes.Equal(gotTap.frames[i], refTap.frames[i]) {
-			t.Errorf("outgoing frame %d differs", i)
-		}
-	}
-	if len(refTap.frames) < 8 || len(ref.feed) != 2 || ref.feedNext == 0 {
-		t.Fatalf("vacuous script: %d frames out, feed %d/%d", len(refTap.frames), len(ref.feed), ref.feedNext)
+			if g, w := nodeState(got, tc.script), nodeState(ref, tc.script); g != w {
+				t.Errorf("node state diverged:\n--- decode+onMessage\n%s\n--- onFrame\n%s", w, g)
+			}
+			if len(gotTap.frames) != len(refTap.frames) {
+				t.Fatalf("onFrame sent %d frames, decode+onMessage %d", len(gotTap.frames), len(refTap.frames))
+			}
+			for i := range refTap.frames {
+				if !bytes.Equal(gotTap.frames[i], refTap.frames[i]) {
+					t.Errorf("outgoing frame %d differs", i)
+				}
+			}
+			if len(refTap.frames) < tc.frames {
+				t.Fatalf("vacuous script: %d frames out", len(refTap.frames))
+			}
+			if tc.kept == nil {
+				if len(ref.feed) != 2 || ref.feedNext == 0 {
+					t.Fatalf("vacuous script: feed %d/%d", len(ref.feed), ref.feedNext)
+				}
+				return
+			}
+			// Equal snapshots are one pointer across the two views; equal
+			// keys alone are not.
+			rps, wup := got.node.RPS().View(), got.node.WUP().View()
+			for _, id := range []news.NodeID{21, 26, 27} {
+				r, _ := rps.Get(id)
+				w, _ := wup.Get(id)
+				if r.Profile == nil || r.Profile != w.Profile {
+					t.Errorf("node %d: the views hold equal snapshots %p and %p, want one", id, r.Profile, w.Profile)
+				}
+			}
+			r, _ := rps.Get(25)
+			w, _ := wup.Get(25)
+			if r.Profile == w.Profile || r.Profile.Equal(w.Profile) {
+				t.Errorf("node 25: two contents under one (node, stamp) collapsed into %v", r.Profile)
+			}
+		})
 	}
 }
 
@@ -158,6 +256,38 @@ func TestDuplicateFrameAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestHeldDescriptorFrameAllocatesNothingForProfiles: a gossip frame costs a
+// profile (two allocations) only for a snapshot the node holds in neither
+// view. Descriptors the merge would discard cost nothing at all, and one the
+// other view holds costs its slot in the decoded list.
+func TestHeldDescriptorFrameAllocatesNothingForProfiles(t *testing.T) {
+	ln, _ := frameFleetSized(t, 12, 16)
+	seed := func(kind wireKind, descs ...overlay.Descriptor) {
+		ln.onFrame(pooled(appendEnvelope(nil, envelope{Kind: kind, From: 1, Descs: descs})), 2)
+	}
+	seed(wireRPSReply, repDescriptor(20), repDescriptor(21))
+	seed(wireWUPReply, repDescriptor(22))
+
+	allocs := func(kind wireKind, descs ...overlay.Descriptor) float64 {
+		payload := appendEnvelope(nil, envelope{Kind: kind, From: 1, Descs: descs})
+		return testing.AllocsPerRun(100, func() { ln.decodeFrame(payload) })
+	}
+	if n := allocs(wireRPSReply, repDescriptor(20), repDescriptor(21), repDescriptor(0)); n != 0 {
+		t.Errorf("a frame of descriptors the merge discards allocates %.1f/op, want 0", n)
+	}
+	if n := allocs(wireWUPReply, repDescriptor(20), repDescriptor(21), repDescriptor(22)); n != 1 {
+		t.Errorf("a frame of snapshots the other view holds allocates %.1f/op, want 1 (the list)", n)
+	}
+	if n := allocs(wireWUPReply, repDescriptor(20), repDescriptor(23)); n != 4 {
+		t.Errorf("a frame with one first sighting allocates %.1f/op, want 4 (the list, the address, a profile and its entries)", n)
+	}
+}
+
+// repDescriptor is a descriptor with an address and a window-sized profile.
+func repDescriptor(id news.NodeID) overlay.Descriptor {
+	return overlay.Descriptor{Node: id, Addr: "127.0.0.1:40000", Stamp: 5, Profile: repProfile(25, int(id))}
+}
+
 // TestDecodedEnvelopeDoesNotAliasBuffer: inbox buffers go back to the pool
 // the moment a frame is handled, so nothing decoded from one may point into
 // it — scribbling over the buffer must not change the envelope.
@@ -166,13 +296,13 @@ func TestDecodedEnvelopeDoesNotAliasBuffer(t *testing.T) {
 		payload := appendEnvelope(nil, env)
 		var first, second envelope
 		scratch := append([]byte(nil), payload...)
-		if err := decodePayload(&first, scratch); err != nil {
+		if err := decodePayload(&first, scratch, nil); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		for i := range scratch {
 			scratch[i] = 0xFF
 		}
-		if err := decodePayload(&second, payload); err != nil {
+		if err := decodePayload(&second, payload, nil); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if !envelopesEqual(first, second) {

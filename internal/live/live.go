@@ -283,6 +283,9 @@ type liveNode struct {
 	// local cycle counter starts here instead of 0, so its descriptor stamps
 	// are not instantly older than every DescriptorTTL horizon.
 	startCycle int64
+	// held is what onFrame decodes the current gossip frame against. It lives
+	// here so that handing it to the decoder as an interface allocates nothing.
+	held heldViews
 }
 
 // ctlRequest asks a node goroutine to run fn inline, serialized with the
@@ -931,25 +934,69 @@ func (ln *liveNode) answer(layer core.Layer, env envelope, cycle int64) {
 	ln.runner.send(envelope{Kind: gossipKinds[layer].reply, From: ln.node.ID(), To: env.From, Descs: reply, Tombs: tombs})
 }
 
+// mergeTargets names the views a gossip frame's descriptors are merged into.
+type mergeTargets struct{ rps, wup bool }
+
+// mergesInto is what onMessage does with each kind's descriptors: the
+// exchange's own layer, the RPS view for a refill request (it is answered
+// like an RPS push), both for a refill reply. An item frame carries no
+// descriptors and nothing reads a departure notice's.
+var mergesInto = [...]mergeTargets{
+	wireRPSRequest:    {rps: true},
+	wireRPSReply:      {rps: true},
+	wireWUPRequest:    {wup: true},
+	wireWUPReply:      {wup: true},
+	wireRefillRequest: {rps: true},
+	wireRefillReply:   {rps: true, wup: true},
+}
+
+// heldViews is the overlay.Holder a node decodes a gossip frame against: its
+// own views and graveyard, asked about the merges this frame is bound for.
+type heldViews struct {
+	node *core.Node
+	into mergeTargets
+}
+
+func (h *heldViews) Held(node news.NodeID, stamp int64) (overlay.Descriptor, bool) {
+	return h.node.Held(node, stamp, h.into.rps, h.into.wup)
+}
+
 // onFrame handles one inbound frame payload and returns its buffer to the
-// pool. It asks the cheapest rejecting question first: an item frame's id is
-// recomputed from the content bytes where they lie (never taken from the
-// sender), and when this node — the sole owner of its seen set — has already
-// received that item, the frame is dropped without decoding anything: no
-// strings, no profile, no allocation. Every other frame is decoded once,
-// here, and dispatched; one that does not decode is a loss.
+// pool: what decodeFrame makes of it is dispatched; a frame that does not
+// decode is a loss.
 func (ln *liveNode) onFrame(buf *[]byte, cycle int64) {
 	defer putBuf(buf)
-	if kind, _, _, body, err := envelopeHeader(*buf); err == nil && kind == wireItem {
+	if env, ok := ln.decodeFrame(*buf); ok {
+		ln.onMessage(env, cycle)
+	}
+}
+
+// decodeFrame decodes a frame payload as far as this node needs it, asking
+// the cheapest rejecting questions first. An item frame's id is recomputed
+// from the content bytes where they lie (never taken from the sender), and
+// when this node — the sole owner of its seen set — has already received that
+// item, the frame is dropped without decoding anything: no strings, no
+// profile, no allocation. A gossip frame is decoded against the node's own
+// views: a descriptor the merge it is bound for would discard (of this node,
+// of a tombstoned node, of a node already held at the same or a fresher
+// stamp) is validated and never built, and a snapshot the other view holds
+// is shared. ok is false for a duplicate and for a frame that does not
+// decode. Nothing in env aliases payload.
+func (ln *liveNode) decodeFrame(payload []byte) (env envelope, ok bool) {
+	kind, _, _, body, err := envelopeHeader(payload)
+	if err != nil {
+		return envelope{}, false
+	}
+	if kind == wireItem {
 		if id, err := core.PeekItemID(body); err == nil && ln.node.Seen(id) {
-			return
+			return envelope{}, false
 		}
 	}
-	var env envelope
-	if decodePayload(&env, *buf) != nil {
-		return
+	ln.held = heldViews{node: ln.node, into: mergesInto[kind]}
+	if decodePayload(&env, payload, &ln.held) != nil {
+		return envelope{}, false
 	}
-	ln.onMessage(env, cycle)
+	return env, true
 }
 
 // onMessage dispatches one inbound envelope to the substrate leg it carries.

@@ -1,0 +1,217 @@
+package overlay
+
+import (
+	"bytes"
+	"math"
+	"testing"
+
+	"whatsup/internal/news"
+	"whatsup/internal/profile"
+)
+
+// routed encodes a descriptor list as the inter-shard batches carry it: the
+// list, then its norm-accumulator sidecar.
+func routed(descs ...Descriptor) []byte {
+	return AppendNormAccumulators(AppendDescriptors(nil, descs), descs)
+}
+
+func sameAccumulator(a, b *profile.Profile) bool {
+	as, ad := a.NormAccumulator()
+	bs, bd := b.NormAccumulator()
+	return math.Float64bits(as) == math.Float64bits(bs) && ad == bd
+}
+
+// TestSnapshotTableTwoContentsUnderOneKey is the trap a (node, stamp) lookup
+// alone would fall into: the sharded engine stamps descriptors of one node
+// with one cycle from two states of its profile (see README, "Sharded
+// engine"), so a held snapshot is shared only after its entries compared
+// equal, and its accumulator pair only after that compared equal too.
+func TestSnapshotTableTwoContentsUnderOneKey(t *testing.T) {
+	mk := func(ids ...news.ID) Descriptor {
+		p := profile.New()
+		for _, id := range ids {
+			p.Set(id, 3, 1)
+		}
+		return Descriptor{Node: 4, Stamp: 7, Profile: p}
+	}
+	first := mk(10, 11, 12)
+	other := mk(10, 11) // the same profile after a purge
+	// Equal entries reached through a removal: a different accumulator pair.
+	history := mk(10, 11, 12, 13)
+	history.Profile.Remove(13)
+	if !history.Profile.Equal(first.Profile) || sameAccumulator(history.Profile, first.Profile) {
+		t.Fatal("fixture: want equal entries under different accumulator pairs")
+	}
+
+	var table SnapshotTable
+	decode := func(d Descriptor) *profile.Profile {
+		t.Helper()
+		got, rest, err := table.AppendDecode(nil, routed(d))
+		if err != nil || len(rest) != 0 || len(got) != 1 {
+			t.Fatalf("decode: %v, %d bytes left, %d descriptors", err, len(rest), len(got))
+		}
+		if !got[0].Profile.Equal(d.Profile) || !sameAccumulator(got[0].Profile, d.Profile) {
+			t.Fatalf("decoded %v, want %v with its accumulator pair", got[0].Profile, d.Profile)
+		}
+		return got[0].Profile
+	}
+	original := decode(first)
+	if p := decode(other); p == original {
+		t.Error("a different content under the held key came back as the held snapshot")
+	}
+	if p := decode(history); p == original {
+		t.Error("a different accumulator pair under equal entries came back as the held snapshot")
+	}
+	if !original.Equal(first.Profile) || !sameAccumulator(original, first.Profile) {
+		t.Errorf("the held snapshot was written: now %v", original)
+	}
+	if p := decode(first); p != original {
+		t.Error("an equal snapshot was decoded again instead of shared")
+	}
+	if table.Shared != 1 || table.Decoded != 3 {
+		t.Errorf("shared %d decoded %d, want 1 and 3", table.Shared, table.Decoded)
+	}
+
+	// Two generations: a lookup keeps a snapshot, two rotations without one
+	// forget it.
+	table.Rotate()
+	if p := decode(first); p != original {
+		t.Error("forgotten after one rotation")
+	}
+	table.Rotate()
+	if p := decode(first); p != original {
+		t.Error("a snapshot looked up in the previous generation was not promoted")
+	}
+	table.Rotate()
+	table.Rotate()
+	if p := decode(first); p == original {
+		t.Error("still held after two rotations without a lookup")
+	}
+}
+
+// holding is a Holder over a fixed set of descriptors, one per node.
+type holding map[news.NodeID]Descriptor
+
+func (h holding) Held(node news.NodeID, _ int64) (Descriptor, bool) { return h[node], false }
+
+// TestHeldDescriptorSharesAddressAndProfile: against a held descriptor of the
+// same node, the address string is the held one whenever the bytes agree, and
+// the profile whenever stamp and entries agree.
+func TestHeldDescriptorSharesAddressAndProfile(t *testing.T) {
+	held := wireDesc(3, 10)
+	moved := held
+	moved.Addr = "127.0.0.1:9001"
+	newer := held
+	newer.Stamp++
+	for _, tc := range []struct {
+		name    string
+		in      Descriptor
+		profile bool // shared with held
+		allocs  float64
+	}{
+		{"same", held, true, 1},          // the list
+		{"moved", moved, true, 2},        // + the address
+		{"newer-stamp", newer, false, 3}, // the held address, + a profile and its entries
+		{"unheld-node", wireDesc(5, 2), false, 4},
+	} {
+		enc := AppendDescriptors(nil, []Descriptor{tc.in})
+		h := holding{held.Node: held}
+		got, rest, err := DecodeDescriptorsHeld(enc, h)
+		if err != nil || len(rest) != 0 || len(got) != 1 {
+			t.Fatalf("%s: decode: %v, %d bytes left, %d descriptors", tc.name, err, len(rest), len(got))
+		}
+		d := got[0]
+		if d.Node != tc.in.Node || d.Addr != tc.in.Addr || d.Stamp != tc.in.Stamp || !d.Profile.Equal(tc.in.Profile) {
+			t.Errorf("%s: decoded %+v, want %+v", tc.name, d, tc.in)
+		}
+		if (d.Profile == held.Profile) != tc.profile {
+			t.Errorf("%s: profile shared = %v, want %v", tc.name, d.Profile == held.Profile, tc.profile)
+		}
+		if n := testing.AllocsPerRun(100, func() { DecodeDescriptorsHeld(enc, h) }); n != tc.allocs {
+			t.Errorf("%s: %.0f allocations, want %.0f", tc.name, n, tc.allocs)
+		}
+	}
+}
+
+// FuzzDescriptorsDecodeModes holds the modes of the one descriptor walk to
+// one another on arbitrary bytes read as a routed list (descriptors, then the
+// norm-accumulator sidecar): the check-only walk accepts and consumes what
+// the decoder does, and a decode against held snapshots — a SnapshotTable
+// pre-loaded from a second arbitrary list, and a Holder offering that list's
+// descriptors whatever their stamp — yields the descriptors the plain decode
+// yields, profile for profile in entries and accumulator pair.
+func FuzzDescriptorsDecodeModes(f *testing.F) {
+	a, b := wireDesc(1, 4), wireDesc(2, 1)
+	b2 := b
+	b2.Profile = b.Profile.Clone()
+	b2.Profile.Set(9, 9, 0.25)
+	b2.Profile.Remove(9)
+	f.Add(routed(a, b, Descriptor{Node: 7, Stamp: 1}), routed(a, b))
+	f.Add(routed(a, b2), routed(wireDesc(1, 3), b))
+	f.Add(routed(), routed(a))
+	f.Add(routed(a, a)[:20], []byte{0xFF})
+	f.Fuzz(func(t *testing.T, data, preload []byte) {
+		want, afterList, err := DecodeDescriptors(data)
+		checkRest, checkErr := CheckDescriptors(data)
+		if (err == nil) != (checkErr == nil) || len(afterList) != len(checkRest) {
+			t.Fatalf("check-only mode disagrees with the decoder: decode err=%v rest=%d, check err=%v rest=%d",
+				err, len(afterList), checkErr, len(checkRest))
+		}
+		var rest []byte
+		if err == nil {
+			rest, err = DecodeNormAccumulators(afterList, want)
+		}
+
+		var table SnapshotTable
+		table.AppendDecode(nil, preload)
+		got, tableRest, tableErr := table.AppendDecode(nil, data)
+		if (err == nil) != (tableErr == nil) {
+			t.Fatalf("decode err=%v, against a table err=%v", err, tableErr)
+		}
+		if err != nil {
+			return
+		}
+		same := func(mode string, got []Descriptor, accumulators bool) {
+			if len(got) != len(want) {
+				t.Fatalf("%s: %d descriptors, decode %d", mode, len(got), len(want))
+			}
+			for i, w := range want {
+				g := got[i]
+				if g.Node != w.Node || g.Addr != w.Addr || g.Stamp != w.Stamp || (g.Profile == nil) != (w.Profile == nil) {
+					t.Fatalf("%s: descriptor %d is %+v, decode %+v", mode, i, g, w)
+				}
+				if w.Profile == nil {
+					continue
+				}
+				if !g.Profile.Equal(w.Profile) || accumulators && !sameAccumulator(g.Profile, w.Profile) {
+					t.Fatalf("%s: descriptor %d carries %v, decode %v", mode, i, g.Profile, w.Profile)
+				}
+			}
+		}
+		if len(tableRest) != len(rest) {
+			t.Fatalf("against a table %d bytes left, decode %d", len(tableRest), len(rest))
+		}
+		same("table", got, true)
+
+		held := holding{}
+		if descs, _, err := DecodeDescriptors(preload); err == nil {
+			for _, d := range descs {
+				held[d.Node] = d
+			}
+		}
+		got, heldRest, err := DecodeDescriptorsHeld(data, held)
+		if err != nil || len(heldRest) != len(afterList) {
+			t.Fatalf("against a holder err=%v, %d bytes left, decode %d", err, len(heldRest), len(afterList))
+		}
+		same("holder", got, false)
+
+		for _, d := range want {
+			if enc := AppendDescriptor(nil, d); len(enc) != d.WireSize() {
+				t.Fatalf("WireSize %d, encoding %d bytes", d.WireSize(), len(enc))
+			}
+		}
+		if enc := AppendDescriptors(nil, want); !bytes.Equal(enc, AppendDescriptors(nil, got)) {
+			t.Fatal("a list decoded against a holder re-encodes differently")
+		}
+	})
+}

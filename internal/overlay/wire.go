@@ -2,6 +2,7 @@ package overlay
 
 import (
 	"fmt"
+	"math"
 
 	"whatsup/internal/news"
 	"whatsup/internal/profile"
@@ -33,52 +34,84 @@ func AppendDescriptor(buf []byte, d Descriptor) []byte {
 // DecodeDescriptor decodes one descriptor from the front of data.
 func DecodeDescriptor(data []byte) (Descriptor, []byte, error) {
 	var d Descriptor
-	rest, err := decodeDescriptor(&d, data)
+	rest, _, err := decodeDescriptor(&d, data, nil)
 	if err != nil {
 		return Descriptor{}, data, err
 	}
 	return d, rest, nil
 }
 
-// decodeDescriptor is the one walk over the descriptor layout: it fills d, or
-// only validates when d is nil.
-func decodeDescriptor(d *Descriptor, data []byte) ([]byte, error) {
+// Holder is the receiving end of a descriptor decode: what the receiver
+// already holds, asked once per descriptor after its header and before its
+// profile, so that a snapshot the receiver has is not built a second time.
+// Descriptors are immutable snapshots that circulate for many cycles; most
+// of what gossip carries, the receiver has seen.
+type Holder interface {
+	// Held reports, for the incoming descriptor (node, stamp), whether the
+	// receiver would discard it whatever it carries — it is then validated
+	// and left out of the decoded list — and otherwise a descriptor the
+	// receiver holds for node, the zero Descriptor if none, preferring one
+	// stamped stamp. The decoder reuses snap.Addr when it equals the
+	// address on the wire, and snap.Profile when snap.Stamp == stamp and
+	// the packed entries equal its own (profile.DecodeWireHeld). The
+	// comparison is not optional: (node, stamp) does not name one content.
+	Held(node news.NodeID, stamp int64) (snap Descriptor, discard bool)
+}
+
+// decodeDescriptor is the one walk over the descriptor layout: it fills d —
+// against what h holds, when there is an h — or only validates when d is nil
+// or h discards the descriptor. kept reports whether d was filled.
+func decodeDescriptor(d *Descriptor, data []byte, h Holder) (rest []byte, kept bool, err error) {
 	node, rest, err := wire.Int(data)
 	if err != nil {
-		return data, fmt.Errorf("descriptor node: %w", err)
+		return data, false, fmt.Errorf("descriptor node: %w", err)
 	}
 	if !news.ValidNodeID(node) {
-		return data, fmt.Errorf("%w: node id %d out of range", wire.ErrMalformed, node)
+		return data, false, fmt.Errorf("%w: node id %d out of range", wire.ErrMalformed, node)
 	}
 	addr, rest, err := wire.Bytes(rest)
 	if err != nil {
-		return data, fmt.Errorf("descriptor addr: %w", err)
+		return data, false, fmt.Errorf("descriptor addr: %w", err)
 	}
 	stamp, rest, err := wire.Int(rest)
 	if err != nil {
-		return data, fmt.Errorf("descriptor stamp: %w", err)
+		return data, false, fmt.Errorf("descriptor stamp: %w", err)
 	}
 	present, rest, err := wire.Uint(rest)
 	if err != nil {
-		return data, fmt.Errorf("descriptor profile flag: %w", err)
+		return data, false, fmt.Errorf("descriptor profile flag: %w", err)
 	}
 	if present > 1 {
-		return data, fmt.Errorf("%w: profile presence flag %d", wire.ErrMalformed, present)
+		return data, false, fmt.Errorf("%w: profile presence flag %d", wire.ErrMalformed, present)
+	}
+	var snap Descriptor
+	if d != nil && h != nil {
+		var discard bool
+		if snap, discard = h.Held(news.NodeID(node), stamp); discard {
+			d = nil
+		}
 	}
 	if present == 1 {
 		if d == nil {
 			rest, err = profile.CheckWire(rest)
 		} else {
-			d.Profile, rest, err = profile.DecodeWire(rest)
+			var held *profile.Profile
+			if snap.Stamp == stamp {
+				held = snap.Profile
+			}
+			d.Profile, rest, err = profile.DecodeWireHeld(rest, held)
 		}
 		if err != nil {
-			return data, err
+			return data, false, err
 		}
 	}
 	if d != nil {
-		d.Node, d.Addr, d.Stamp = news.NodeID(node), string(addr), stamp
+		d.Node, d.Addr, d.Stamp = news.NodeID(node), snap.Addr, stamp
+		if string(addr) != snap.Addr { // the comparison does not allocate
+			d.Addr = string(addr)
+		}
 	}
-	return rest, nil
+	return rest, d != nil, nil
 }
 
 // AppendDescriptors appends a uvarint-counted descriptor list.
@@ -180,8 +213,15 @@ func TombstonesWireSize(tombs []Tombstone) int {
 // DecodeDescriptors decodes a uvarint-counted descriptor list. A nil slice
 // is returned for an empty list, matching what gossip handlers produce.
 func DecodeDescriptors(data []byte) ([]Descriptor, []byte, error) {
+	return DecodeDescriptorsHeld(data, nil)
+}
+
+// DecodeDescriptorsHeld is DecodeDescriptors against what the receiver holds
+// (nil h: nothing): descriptors h discards are validated and left out — a
+// list of nothing else comes back nil — and snapshots h holds are shared.
+func DecodeDescriptorsHeld(data []byte, h Holder) ([]Descriptor, []byte, error) {
 	var descs []Descriptor
-	rest, err := decodeDescriptors(&descs, data)
+	rest, err := decodeDescriptors(&descs, data, h)
 	if err != nil {
 		return nil, data, err
 	}
@@ -195,19 +235,20 @@ func DecodeDescriptors(data []byte) ([]Descriptor, []byte, error) {
 // before and after the call (the append may relocate the backing array, so
 // subslices must be taken only once all appends into the arena are done).
 func AppendDecodeDescriptors(dst []Descriptor, data []byte) ([]Descriptor, []byte, error) {
-	rest, err := decodeDescriptors(&dst, data)
+	rest, err := decodeDescriptors(&dst, data, nil)
 	return dst, rest, err
 }
 
 // CheckDescriptors validates a uvarint-counted descriptor list — it accepts
 // exactly what DecodeDescriptors accepts — and builds nothing: no slice, no
 // address string, no profile.
-func CheckDescriptors(data []byte) ([]byte, error) { return decodeDescriptors(nil, data) }
+func CheckDescriptors(data []byte) ([]byte, error) { return decodeDescriptors(nil, data, nil) }
 
 // decodeDescriptors is the one walk over a descriptor list: it appends onto
-// *dst (a nil *dst is sized once from the declared count), or only validates
+// *dst what h (nil: nothing) does not discard — a nil *dst is sized on the
+// first descriptor kept, from the count still to come — or only validates
 // when dst is nil.
-func decodeDescriptors(dst *[]Descriptor, data []byte) ([]byte, error) {
+func decodeDescriptors(dst *[]Descriptor, data []byte, h Holder) ([]byte, error) {
 	n, rest, err := wire.Uint(data)
 	if err != nil {
 		return data, fmt.Errorf("descriptor count: %w", err)
@@ -217,19 +258,20 @@ func decodeDescriptors(dst *[]Descriptor, data []byte) ([]byte, error) {
 	if n > uint64(len(rest))/4 {
 		return data, fmt.Errorf("%w: %d descriptors declared, %d bytes remain", wire.ErrTruncated, n, len(rest))
 	}
-	if dst != nil && *dst == nil && n > 0 {
-		*dst = make([]Descriptor, 0, n)
-	}
 	for i := uint64(0); i < n; i++ {
 		var d Descriptor
 		into := &d
 		if dst == nil {
 			into = nil
 		}
-		if rest, err = decodeDescriptor(into, rest); err != nil {
+		var kept bool
+		if rest, kept, err = decodeDescriptor(into, rest, h); err != nil {
 			return data, fmt.Errorf("descriptor %d: %w", i, err)
 		}
-		if dst != nil {
+		if kept {
+			if *dst == nil {
+				*dst = make([]Descriptor, 0, n-i)
+			}
 			*dst = append(*dst, d)
 		}
 	}
@@ -262,10 +304,25 @@ func AppendNormAccumulators(buf []byte, descs []Descriptor) []byte {
 
 // DecodeNormAccumulators decodes the sidecar written by
 // AppendNormAccumulators and restores each pair onto the corresponding
-// decoded descriptor's profile, returning the remaining bytes.
+// decoded descriptor's profile, returning the remaining bytes. The profiles
+// must be the decoder's own: a list decoded against held snapshots goes
+// through SnapshotTable.AppendDecode, which never writes a shared one.
 func DecodeNormAccumulators(data []byte, descs []Descriptor) ([]byte, error) {
+	return decodeNormAccumulators(data, descs, nil)
+}
+
+// decodeNormAccumulators is the one walk over the sidecar. Without a table
+// every pair is written onto its profile. With one, descs is the list the
+// table's walk just decoded and t.offered the snapshot it held for each: a
+// profile that is the offered pointer is shared and is never written — its
+// held pair is compared with the sidecar's, and on a mismatch the descriptor
+// gets a private Clone carrying the sidecar's pair (equal entries do not
+// imply an equal mutation history) — and a first sighting is kept for later
+// lists to share.
+func decodeNormAccumulators(data []byte, descs []Descriptor, t *SnapshotTable) ([]byte, error) {
 	rest := data
-	for _, d := range descs {
+	for i := range descs {
+		d := &descs[i]
 		if d.Profile == nil {
 			continue
 		}
@@ -277,8 +334,21 @@ func DecodeNormAccumulators(data []byte, descs []Descriptor) ([]byte, error) {
 		if err != nil {
 			return data, fmt.Errorf("norm accumulator dirty: %w", err)
 		}
-		d.Profile.SetNormAccumulator(sumSq, int(dirty))
 		rest = r
+		if t != nil {
+			switch held := t.offered[i]; held {
+			case d.Profile:
+				if hs, hd := held.NormAccumulator(); math.Float64bits(hs) == math.Float64bits(sumSq) && hd == int(dirty) {
+					t.Shared++
+					continue
+				}
+				d.Profile = held.Clone()
+			case nil:
+				t.keep(snapshotKey{d.Node, d.Stamp}, d.Profile)
+			}
+			t.Decoded++
+		}
+		d.Profile.SetNormAccumulator(sumSq, int(dirty))
 	}
 	return rest, nil
 }

@@ -128,9 +128,27 @@ func (p *Profile) WireSize() int {
 // never panics, and the declared entry count is checked against the bytes
 // actually available before any allocation. The profile's entries are fresh:
 // nothing aliases data.
-func DecodeWire(data []byte) (*Profile, []byte, error) {
+func DecodeWire(data []byte) (*Profile, []byte, error) { return DecodeWireHeld(data, nil) }
+
+// DecodeWireHeld is DecodeWire for a receiver that may already hold the
+// snapshot on the wire: the packed entries are compared with held's where
+// they lie, every byte walked and validated as a decode would, and when they
+// are exactly equal — ids, stamps and score bits — held itself is returned
+// and nothing is allocated. Any difference, or a nil held, decodes afresh.
+// Equal entries do not imply an equal NormAccumulator: that pair is not on
+// this wire, and a caller to whom it matters compares it separately.
+func DecodeWireHeld(data []byte, held *Profile) (*Profile, []byte, error) {
+	if held != nil {
+		rest, same, err := decodeWire(nil, held, data)
+		if err != nil {
+			return nil, data, err
+		}
+		if same {
+			return held, rest, nil
+		}
+	}
 	p := new(Profile)
-	rest, err := decodeWire(p, data)
+	rest, _, err := decodeWire(p, nil, data)
 	if err != nil {
 		return nil, data, err
 	}
@@ -140,19 +158,28 @@ func DecodeWire(data []byte) (*Profile, []byte, error) {
 // CheckWire validates one packed profile at the front of data — it accepts
 // exactly what DecodeWire accepts — and returns the remaining bytes without
 // building the profile.
-func CheckWire(data []byte) ([]byte, error) { return decodeWire(nil, data) }
+func CheckWire(data []byte) ([]byte, error) {
+	rest, _, err := decodeWire(nil, nil, data)
+	return rest, err
+}
 
-// decodeWire is the one walk over the packed layout: it fills p, or only
-// validates when p is nil.
-func decodeWire(p *Profile, data []byte) ([]byte, error) {
+// decodeWire is the one walk over the packed layout, in one of three modes:
+// it fills p; or, p nil, compares the entries with held's and reports whether
+// all of them are equal, stopping without an error at the first that is not
+// (the caller then decodes from the start, which validates the remainder);
+// or, both nil, only validates.
+func decodeWire(p, held *Profile, data []byte) (rest []byte, same bool, err error) {
 	n, rest, err := wire.Uint(data)
 	if err != nil {
-		return data, fmt.Errorf("profile: entry count: %w", err)
+		return data, false, fmt.Errorf("profile: entry count: %w", err)
 	}
 	// Each entry is at least 3 bytes (id delta, stamp, score — one byte
 	// each), which bounds n before the allocation below.
 	if n > uint64(len(rest))/3 {
-		return data, fmt.Errorf("%w: %d entries declared, %d bytes remain", wire.ErrTruncated, n, len(rest))
+		return data, false, fmt.Errorf("%w: %d entries declared, %d bytes remain", wire.ErrTruncated, n, len(rest))
+	}
+	if held != nil && n != uint64(len(held.entries)) {
+		return data, false, nil
 	}
 	if p != nil {
 		p.entries = make([]Entry, 0, n)
@@ -162,33 +189,39 @@ func decodeWire(p *Profile, data []byte) ([]byte, error) {
 		var delta uint64
 		delta, rest, err = wire.Uint(rest)
 		if err != nil {
-			return data, fmt.Errorf("profile: entry %d id: %w", i, err)
+			return data, false, fmt.Errorf("profile: entry %d id: %w", i, err)
 		}
 		id := delta
 		if i > 0 {
 			if delta == 0 {
-				return data, fmt.Errorf("%w: duplicate or unsorted profile entry", wire.ErrMalformed)
+				return data, false, fmt.Errorf("%w: duplicate or unsorted profile entry", wire.ErrMalformed)
 			}
 			id = prev + delta
 			if id < prev {
-				return data, fmt.Errorf("%w: profile id overflow", wire.ErrMalformed)
+				return data, false, fmt.Errorf("%w: profile id overflow", wire.ErrMalformed)
 			}
 		}
 		prev = id
 		var stamp int64
 		stamp, rest, err = wire.Int(rest)
 		if err != nil {
-			return data, fmt.Errorf("profile: entry %d stamp: %w", i, err)
+			return data, false, fmt.Errorf("profile: entry %d stamp: %w", i, err)
 		}
 		var score float64
 		score, rest, err = wire.Score(rest)
 		if err != nil {
-			return data, fmt.Errorf("profile: entry %d score: %w", i, err)
+			return data, false, fmt.Errorf("profile: entry %d score: %w", i, err)
 		}
-		if p != nil {
+		switch {
+		case p != nil:
 			p.entries = append(p.entries, Entry{Item: news.ID(id), Stamp: stamp, Score: score})
 			p.sumSq += score * score
+		case held != nil:
+			// Score bits, not ==: a held -0 is not the wire's +0.
+			if e := held.entries[i]; e.Item != news.ID(id) || e.Stamp != stamp || math.Float64bits(e.Score) != math.Float64bits(score) {
+				return data, false, nil
+			}
 		}
 	}
-	return rest, nil
+	return rest, held != nil, nil
 }

@@ -4,13 +4,17 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"whatsup/internal/core"
 	"whatsup/internal/faultnet"
 	"whatsup/internal/metrics"
 	"whatsup/internal/news"
+	"whatsup/internal/overlay"
 )
 
 // Golden collector fingerprints of the pre-shard engine (captured at commit
@@ -121,6 +125,90 @@ func TestShardMatrixDeterminism(t *testing.T) {
 	}
 }
 
+// twoContentsWorld runs a world in which one (node, stamp) names two profile
+// contents, every cycle: a profile window short enough that BeginCycle purges
+// an entry a cycle (scheduled joiners and rejoiners are seeded, before the
+// purge, with descriptors stamped like the post-purge pushes of the same
+// cycle), and joins and rejoins made between Steps (seeded, after the BEEP
+// drain, with descriptors stamped like that cycle's pre-drain pushes). It
+// returns the collector fingerprint and every member's views, entry by entry
+// with the profile's content and accumulator pair.
+func twoContentsWorld(workers, shards int) string {
+	const n, items, cycles, seed = 120, 60, 30, 7
+	cfg := core.Config{FLike: 4, RPSViewSize: 8, ProfileWindow: 4, DescriptorTTL: 10}
+	peers, pubs, col := communityWorld(n, items, cycles, cfg, seed)
+	opinions := core.OpinionFunc(func(node news.NodeID, item news.ID) bool {
+		return int(node)%2 == int(item)%2
+	})
+	newPeer := func(id news.NodeID) Peer {
+		return core.NewNode(id, "", cfg, opinions, rand.New(rand.NewSource(seed+int64(id))))
+	}
+	schedule := ChurnTrace(ChurnTraceConfig{
+		Seed: 11, Nodes: n, From: 2, To: cycles - 2, CrashRate: 0.08, Downtime: 2,
+	})
+	schedule.Merge(FlashCrowd(6, news.NodeID(n), 12, 2))
+	e := New(Config{
+		Seed: seed, Cycles: cycles, LossRate: 0.1, Publications: pubs,
+		BootstrapDegree: 4, Workers: workers, Shards: shards, Churn: schedule,
+		RefillWatermark: 0.5, NewPeer: newPeer,
+	}, peers, col)
+	e.Bootstrap()
+	for c := 1; c <= cycles; c++ {
+		e.Step()
+		if c%3 == 0 {
+			e.Join(newPeer(news.NodeID(1000 + c)))
+		}
+		// Node c is taken down between Steps and brought back two cycles on.
+		e.Crash(news.NodeID(c))
+		e.Rejoin(news.NodeID(c - 2))
+	}
+	var b strings.Builder
+	b.WriteString(fingerprint(col))
+	for _, p := range e.Peers() {
+		o := p.Overlay()
+		fmt.Fprintf(&b, "%d:", o.ID())
+		for _, v := range []*overlay.View{o.RPS().View(), o.WUP().View()} {
+			v.ForEach(func(d overlay.Descriptor) {
+				sumSq, dirty := d.Profile.NormAccumulator()
+				fmt.Fprintf(&b, " %d@%d%v/%x/%d", d.Node, d.Stamp, d.Profile.Entries(), math.Float64bits(sumSq), dirty)
+			})
+			b.WriteString(" |")
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// TestShardMatrixDeterminismTwoContents is TestShardMatrixDeterminism on the
+// world where a destination shard's snapshot table is offered, under a key it
+// holds, a content it does not: sharing a held snapshot on (node, stamp)
+// alone — without comparing entries and accumulator pair — fails it.
+func TestShardMatrixDeterminismTwoContents(t *testing.T) {
+	want := twoContentsWorld(1, 1)
+	for _, shards := range []int{1, 2, 8} {
+		for _, workers := range []int{1, 4} {
+			shards, workers := shards, workers
+			t.Run(fmt.Sprintf("shards=%d/workers=%d", shards, workers), func(t *testing.T) {
+				t.Parallel()
+				if got := twoContentsWorld(workers, shards); got != want {
+					t.Errorf("diverged from the serial engine:\n%s", firstDifference(got, want))
+				}
+			})
+		}
+	}
+}
+
+// firstDifference renders the first line two multi-line strings differ at.
+func firstDifference(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < len(g) && i < len(w); i++ {
+		if g[i] != w[i] {
+			return fmt.Sprintf("line %d\n got %s\nwant %s", i, g[i], w[i])
+		}
+	}
+	return fmt.Sprintf("%d lines, want %d", len(g), len(w))
+}
+
 // TestShardedDeliveryOrder asserts OnDelivery observes the same delivery
 // sequence for any shard count: the per-segment delivery spans must replay
 // in global receiver order no matter which shard's worker buffered them.
@@ -179,7 +267,70 @@ func TestShardStats(t *testing.T) {
 	if st.Crossings == 0 || st.Batches == 0 || st.BatchBytes == 0 {
 		t.Errorf("Shards=4 routed no traffic: %+v", st)
 	}
+	// Descriptors circulate for many cycles: a destination shard must find
+	// most of what it is sent already decoded, and share it.
+	if st.SnapshotsDecoded == 0 || st.SnapshotsShared <= st.SnapshotsDecoded {
+		t.Errorf("Shards=4 shared %d routed snapshots and decoded %d, want mostly shared", st.SnapshotsShared, st.SnapshotsDecoded)
+	}
 	if e := build(4); e.Shards() != 4 {
 		t.Errorf("Shards() = %d, want 4", e.Shards())
+	}
+}
+
+// TestCrossShardDecodeAllocs pins what one routeCrossShard costs on a warmed
+// 1000-peer Shards=4 world: a routed snapshot the destination shard holds is
+// shared for nothing, one it sees for the first time costs its profile and
+// its entries, and nothing else on the route allocates per descriptor.
+func TestCrossShardDecodeAllocs(t *testing.T) {
+	const n, items, cycles, seed, warm = 1000, 80, 40, 7, 8
+	cfg := core.Config{FLike: 4, RPSViewSize: 8, ProfileWindow: cycles}
+	peers, pubs, col := communityWorld(n, items, cycles, cfg, seed)
+	for i, p := range peers {
+		// No profile is empty (an empty one has no entries to allocate).
+		p.Overlay().UserProfile().Set(news.ID(1_000_000+i), 1, 1)
+	}
+	e := New(Config{Seed: seed, Cycles: cycles, Publications: pubs, BootstrapDegree: 4, Workers: 1, Shards: 4}, peers, col)
+	e.Bootstrap()
+	for i := 0; i < warm; i++ {
+		e.Step()
+	}
+	// One round's WUP pushes (self-descriptor plus the whole view each),
+	// routed again and again: route replaces the crossing legs with decoded
+	// copies, so the table is restored before every run.
+	pushes := slices.Clone(e.computePushes(warm+1, core.WUPLayer, metrics.MsgWUPRequest))
+	route := func(forget bool) (allocs float64, st ShardStats) {
+		allocs = testing.AllocsPerRun(1, func() {
+			if forget {
+				for d := range e.xdec {
+					e.xdec[d].snaps.Rotate()
+					e.xdec[d].snaps.Rotate()
+				}
+			}
+			copy(e.exs, pushes)
+			before := e.ShardStats()
+			e.routeCrossShard(e.exs[:n], false, core.WUPLayer)
+			st = e.ShardStats()
+			st.SnapshotsShared -= before.SnapshotsShared
+			st.SnapshotsDecoded -= before.SnapshotsDecoded
+		})
+		return allocs, st
+	}
+	route(false) // every snapshot of the round is now held
+	held, st := route(false)
+	if st.SnapshotsDecoded != 0 || st.SnapshotsShared < n {
+		t.Fatalf("a repeated round shared %d snapshots and decoded %d, want all shared", st.SnapshotsShared, st.SnapshotsDecoded)
+	}
+	// What is left is the route's own: a goroutine and its closure per
+	// destination shard, whatever they decode.
+	if held > float64(3*e.nshards) {
+		t.Errorf("routing %d held snapshots allocates %.0f, want none per snapshot", st.SnapshotsShared, held)
+	}
+	fresh, st := route(true)
+	if st.SnapshotsDecoded < n/2 || st.SnapshotsShared == 0 {
+		t.Fatalf("a forgotten round shared %d snapshots and decoded %d, want both", st.SnapshotsShared, st.SnapshotsDecoded)
+	}
+	if want := held + 2*float64(st.SnapshotsDecoded); fresh != want {
+		t.Errorf("routing %d first sightings and %d held snapshots allocates %.0f, want %.0f (two a first sighting)",
+			st.SnapshotsDecoded, st.SnapshotsShared, fresh, want)
 	}
 }

@@ -213,14 +213,36 @@ type pendingLeg struct {
 }
 
 // shardDecode is one destination shard's pooled decode state for inter-shard
-// batches: descriptor and tombstone arenas plus the pending fix-up list, all
-// reused across rounds so steady-state routing allocates only the decoded
-// profiles themselves (which outlive the round inside receiver views).
+// batches: descriptor and tombstone arenas, the pending fix-up list and the
+// table of profile snapshots the shard has already decoded, all reused across
+// rounds. Steady-state routing allocates only the profiles of snapshots the
+// shard sees for the first time (two allocations each, and they outlive the
+// round inside receiver views); one it holds is shared, as the serial engine
+// shares every snapshot by passing descriptors around in memory.
 type shardDecode struct {
 	descs   []overlay.Descriptor
 	tombs   []overlay.Tombstone
 	pending []pendingLeg
+	snaps   overlay.SnapshotTable
 }
+
+// snapshotGenerationCycles is how many cycles one generation of a shard's
+// snapshot table spans; a snapshot the shard decodes in no batch for two
+// generations is forgotten. It trades allocations against pinned heap.
+// Measured on the benchmark's sim-sharded world (2000 peers, Shards 4, seed
+// 1, heap read after cycle 30; the parent without a table: 50.24 allocs/op,
+// 57.06 KB/peer):
+//
+//	1 cycle   25.17 allocs/op  51.71 KB/peer
+//	2 cycles  21.74            52.11 (53.10 read a cycle after a rotation
+//	                                  instead of just after one)
+//	3 cycles  20.69            52.59
+//	4 cycles  20.33            55.01
+//	never     20.05            77
+//
+// Two cycles is where the curve flattens: it is the last step that buys more
+// than an allocation per peer-cycle, for 0.4 KB.
+const snapshotGenerationCycles = 2
 
 // ShardStats counts the gossip traffic routed between shards through the
 // wire codec. It is engine-side observability, deliberately separate from
@@ -236,6 +258,12 @@ type ShardStats struct {
 	// BatchBytes is the total encoded size of those batches — the
 	// inter-shard ABI traffic a multi-process split would put on a pipe.
 	BatchBytes int64
+	// SnapshotsShared is the number of routed descriptors whose profile the
+	// destination shard already held and shared instead of decoding it
+	// again; SnapshotsDecoded the number it built a profile for. Their sum
+	// is the profile-carrying descriptors routed.
+	SnapshotsShared  int64
+	SnapshotsDecoded int64
 }
 
 // emptyDescriptors preserves non-nil-but-empty reply semantics across the
@@ -246,11 +274,11 @@ var emptyDescriptors = make([]overlay.Descriptor, 0)
 // Engine drives a set of peers through gossip cycles.
 //
 // The scratch fields at the bottom are reused across hops and cycles so the
-// steady-state per-cycle loop performs no engine-side allocation beyond
-// decoded cross-shard profiles: the BEEP hop batches, the per-receiver
-// segments, the per-worker send/delivery buffers, the gossip exchange table
-// and the inter-shard batch buffers and decode arenas all keep their
-// capacity between cycles.
+// steady-state per-cycle loop performs no engine-side allocation beyond the
+// cross-shard profile snapshots a shard decodes for the first time: the BEEP
+// hop batches, the per-receiver segments, the per-worker send/delivery
+// buffers, the gossip exchange table and the inter-shard batch buffers and
+// decode arenas all keep their capacity between cycles.
 type Engine struct {
 	cfg     Config
 	workers int // total worker budget
@@ -680,7 +708,14 @@ func (e *Engine) Shards() int { return e.nshards }
 
 // ShardStats returns the cumulative cross-shard routing counters. All zeros
 // at Shards=1, where no exchange ever crosses a boundary.
-func (e *Engine) ShardStats() ShardStats { return e.stats }
+func (e *Engine) ShardStats() ShardStats {
+	st := e.stats
+	for d := range e.xdec {
+		st.SnapshotsShared += e.xdec[d].snaps.Shared
+		st.SnapshotsDecoded += e.xdec[d].snaps.Decoded
+	}
+	return st
+}
 
 // parallelSpans is the single-shard work partitioner: fn(worker, i) for
 // every i in [0, n), one contiguous span per worker. With a single worker
@@ -931,6 +966,11 @@ func (e *Engine) Step() {
 	}
 	e.drain(now)
 	e.mergeCols()
+	if now%snapshotGenerationCycles == 0 {
+		for d := range e.xdec {
+			e.xdec[d].snaps.Rotate()
+		}
+	}
 
 	if e.cfg.OnCycleEnd != nil {
 		e.cfg.OnCycleEnd(e, now)
@@ -1091,15 +1131,11 @@ func (e *Engine) decodeCrossShard(exs []exchange, reply bool) {
 					panic(fmt.Sprintf("sim: inter-shard batch corrupt (initiator index): %v", err))
 				}
 				pl := pendingLeg{g: int(g64), dlo: len(sc.descs), tlo: len(sc.tombs)}
-				sc.descs, rest, err = overlay.AppendDecodeDescriptors(sc.descs, rest)
+				sc.descs, rest, err = sc.snaps.AppendDecode(sc.descs, rest)
 				if err != nil {
-					panic(fmt.Sprintf("sim: inter-shard batch corrupt (descriptors): %v", err))
+					panic(fmt.Sprintf("sim: inter-shard batch corrupt (descriptors and norm sidecar): %v", err))
 				}
 				pl.dhi = len(sc.descs)
-				rest, err = overlay.DecodeNormAccumulators(rest, sc.descs[pl.dlo:pl.dhi])
-				if err != nil {
-					panic(fmt.Sprintf("sim: inter-shard batch corrupt (norm sidecar): %v", err))
-				}
 				sc.tombs, rest, err = overlay.AppendDecodeTombstones(sc.tombs, rest)
 				if err != nil {
 					panic(fmt.Sprintf("sim: inter-shard batch corrupt (tombstones): %v", err))
@@ -1169,30 +1205,11 @@ func (e *Engine) bucketByResponder(exs []exchange, layer core.Layer) []news.Node
 	return e.order
 }
 
-// gossipRound drives one push-pull round for a gossip layer in three
-// deterministic phases: all initiators compute their pushes from the
-// pre-round state in parallel (MakePush touches only the initiator's own
-// state; the WUP round first injects the RPS candidates, as each peer only
-// touches its own two views there), responders absorb their incoming pushes
-// grouped per responder in initiator order (AcceptPush touches only the
-// responder), and initiators absorb the replies in parallel (AcceptReply
-// touches only the initiator). The legs themselves are core.Substrate's; the
-// determinism-critical ordering — including the loss-draw points — lives
-// here, once for both layers.
-//
-// With Shards > 1 a routing step runs between the phases: exchange legs
-// whose initiator and responder live in different shards are encoded into
-// per-shard-pair batches through the wire codec and decoded on the owning
-// shard (routeCrossShard), so the absorbing side only ever reads state its
-// own shard produced or decoded. The wire-byte accounting is recorded from
-// the original descriptors before routing and is therefore bit-identical
-// across shard counts.
-//
-// Both legs piggyback the sender's active departure tombstones (there are
-// none unless Config.DepartureNotices lets leavers announce themselves),
-// which is how a departure notice floods one neighbourhood horizon beyond
-// the leaver's direct neighbours.
-func (e *Engine) gossipRound(now int64, layer core.Layer, reqKind, repKind metrics.MessageKind) {
+// computePushes is the first phase of a gossip round: every online initiator
+// with the layer builds its push from the pre-round state, records it and
+// draws its loss, in the engine's exchange table (one slot per member,
+// reused across rounds).
+func (e *Engine) computePushes(now int64, layer core.Layer, reqKind metrics.MessageKind) []exchange {
 	n := e.count
 	if cap(e.exs) < n {
 		e.exs = make([]exchange, n)
@@ -1221,6 +1238,34 @@ func (e *Engine) gossipRound(now int64, layer core.Layer, reqKind, repKind metri
 			lost: e.lost(s.ID()) || e.linkDropped(s.ID(), target, now, reqKind, 0),
 		}
 	})
+	return exs
+}
+
+// gossipRound drives one push-pull round for a gossip layer in three
+// deterministic phases: all initiators compute their pushes from the
+// pre-round state in parallel (MakePush touches only the initiator's own
+// state; the WUP round first injects the RPS candidates, as each peer only
+// touches its own two views there), responders absorb their incoming pushes
+// grouped per responder in initiator order (AcceptPush touches only the
+// responder), and initiators absorb the replies in parallel (AcceptReply
+// touches only the initiator). The legs themselves are core.Substrate's; the
+// determinism-critical ordering — including the loss-draw points — lives
+// here, once for both layers.
+//
+// With Shards > 1 a routing step runs between the phases: exchange legs
+// whose initiator and responder live in different shards are encoded into
+// per-shard-pair batches through the wire codec and decoded on the owning
+// shard (routeCrossShard), so the absorbing side only ever reads state its
+// own shard produced or decoded. The wire-byte accounting is recorded from
+// the original descriptors before routing and is therefore bit-identical
+// across shard counts.
+//
+// Both legs piggyback the sender's active departure tombstones (there are
+// none unless Config.DepartureNotices lets leavers announce themselves),
+// which is how a departure notice floods one neighbourhood horizon beyond
+// the leaver's direct neighbours.
+func (e *Engine) gossipRound(now int64, layer core.Layer, reqKind, repKind metrics.MessageKind) {
+	exs := e.computePushes(now, layer, reqKind)
 
 	if e.nshards > 1 {
 		e.routeCrossShard(exs, false, layer)
