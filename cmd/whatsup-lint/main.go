@@ -6,9 +6,9 @@
 //   - Standalone: `whatsup-lint ./...` re-executes itself under
 //     `go vet -vettool=<self>`, so the go command handles package loading,
 //     export data and caching. This is how CI and developers invoke it.
-//   - Vet tool: when the go command invokes it with a unitchecker config
-//     (`whatsup-lint -V=full`, `whatsup-lint <file>.cfg`), it runs the
-//     analyzer suite over the one package described by the config.
+//   - Vet tool: when the go command invokes it (`whatsup-lint -V=full`,
+//     `whatsup-lint -flags`, `whatsup-lint <pkg>.cfg`), analysis.VetMain
+//     answers, running the analyzers over the one package the config names.
 //
 // Exit status follows go vet: nonzero when any analyzer reports a finding.
 package main
@@ -19,17 +19,14 @@ import (
 	"os/exec"
 	"strings"
 
-	"golang.org/x/tools/go/analysis/unitchecker"
-
 	"whatsup/internal/analysis"
 )
 
 func main() {
 	args := os.Args[1:]
 	if len(args) > 0 && (strings.HasPrefix(args[0], "-") || strings.HasSuffix(args[0], ".cfg")) {
-		// Invoked by `go vet -vettool` (or with unitchecker flags like
-		// -flags / -V=full): hand over to the unitchecker protocol.
-		unitchecker.Main(analysis.Analyzers()...) // does not return
+		// Invoked by `go vet -vettool`.
+		os.Exit(analysis.VetMain(args))
 	}
 	os.Exit(run(args))
 }

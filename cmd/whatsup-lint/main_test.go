@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -19,11 +18,10 @@ func TestUsageListsAnalyzers(t *testing.T) {
 	}
 }
 
-// TestEndToEnd builds the real binary and lints two throwaway modules: one
-// seeding a nondeterm violation in a package named sim (nonzero exit, the
-// finding on stderr) and one clean (exit 0). This covers the standalone
-// re-exec face (`whatsup-lint ./...`) and the unitchecker face `go vet`
-// drives underneath it.
+// TestEndToEnd builds the real binary and lints throwaway modules through
+// the standalone face (`whatsup-lint ./...`) and the vet-tool face `go vet`
+// drives underneath it, then asks the binary the two protocol questions the
+// go command asks before it hands over any package.
 func TestEndToEnd(t *testing.T) {
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("go command not available")
@@ -39,39 +37,99 @@ func TestEndToEnd(t *testing.T) {
 		t.Fatalf("building whatsup-lint: %v\n%s", err, out)
 	}
 
-	lint := func(t *testing.T, src string) (int, string) {
+	// run executes the binary in dir and returns its exit code and combined
+	// output.
+	run := func(t *testing.T, dir string, args ...string) (int, string) {
 		t.Helper()
-		mod := t.TempDir()
-		writeFile(t, filepath.Join(mod, "go.mod"), "module viol\n\ngo 1.22\n")
-		writeFile(t, filepath.Join(mod, "sim", "sim.go"), src)
-		cmd := exec.Command(bin, "./...")
-		cmd.Dir = mod
-		var buf bytes.Buffer
-		cmd.Stdout = &buf
-		cmd.Stderr = &buf
-		err := cmd.Run()
-		code := 0
+		cmd := exec.Command(bin, args...)
+		cmd.Dir = dir
+		out, err := cmd.CombinedOutput()
 		if ee, ok := err.(*exec.ExitError); ok {
-			code = ee.ExitCode()
+			return ee.ExitCode(), string(out)
 		} else if err != nil {
-			t.Fatalf("running whatsup-lint: %v\n%s", err, buf.String())
+			t.Fatalf("running whatsup-lint: %v\n%s", err, out)
 		}
-		return code, buf.String()
+		return 0, string(out)
 	}
 
-	t.Run("violation", func(t *testing.T) {
-		code, out := lint(t, "package sim\n\nimport \"time\"\n\nfunc Now() int64 { return time.Now().UnixNano() }\n")
-		if code == 0 {
-			t.Fatalf("expected nonzero exit on a nondeterm violation\noutput:\n%s", out)
-		}
-		if !strings.Contains(out, "nondeterm") || !strings.Contains(out, "time.Now") {
-			t.Fatalf("missing nondeterm finding in output:\n%s", out)
+	const pure = "package sim\n\nfunc Pure(a, b int) int { return a + b }\n"
+	for _, tc := range []struct {
+		name  string
+		files map[string]string // path in module "viol" -> source
+		fails bool
+		want  []string // substrings of the output
+	}{
+		{
+			name:  "violation",
+			files: map[string]string{"sim/sim.go": "package sim\n\nimport \"time\"\n\nfunc Now() int64 { return time.Now().UnixNano() }\n"},
+			fails: true,
+			want:  []string{"sim.go:5:27: nondeterm", "time.Now"},
+		},
+		{
+			name:  "clean",
+			files: map[string]string{"sim/sim.go": pure},
+		},
+		{
+			// The go command hands over the _test variant of a package too.
+			name: "violation in a test file only",
+			files: map[string]string{
+				"sim/sim.go":      pure,
+				"sim/sim_test.go": "package sim\n\nimport \"time\"\n\nvar start = time.Now()\n",
+			},
+			fails: true,
+			want:  []string{"sim_test.go:5:13: nondeterm"},
+		},
+		{
+			// Imports resolve through the config's ImportMap and PackageFile:
+			// a sibling package and two stdlib ones.
+			name: "imports",
+			files: map[string]string{
+				"util/util.go": "package util\n\nimport \"sync\"\n\nvar Mu sync.Mutex\n\nconst N = 6\n",
+				"sim/sim.go":   "package sim\n\nimport (\n\t\"math/rand\"\n\n\t\"viol/util\"\n)\n\nfunc Roll() int {\n\tutil.Mu.Lock()\n\tdefer util.Mu.Unlock()\n\treturn rand.Intn(util.N)\n}\n",
+			},
+			fails: true,
+			want:  []string{"sim.go:12:9: nondeterm: global rand.Intn"},
+		},
+		{
+			name:  "type error",
+			files: map[string]string{"sim/sim.go": "package sim\n\nfunc Broken() int { return missing }\n"},
+			fails: true,
+			want:  []string{"sim.go:3:28: undefined: missing"},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mod := t.TempDir()
+			writeFile(t, filepath.Join(mod, "go.mod"), "module viol\n\ngo 1.22\n")
+			for path, src := range tc.files {
+				writeFile(t, filepath.Join(mod, path), src)
+			}
+			code, out := run(t, mod, "./...")
+			if (code != 0) != tc.fails {
+				t.Errorf("exit %d, want failure=%v\noutput:\n%s", code, tc.fails, out)
+			}
+			for _, w := range tc.want {
+				if !strings.Contains(out, w) {
+					t.Errorf("output lacks %q:\n%s", w, out)
+				}
+			}
+			if strings.Contains(out, "panic") || strings.Contains(out, "goroutine ") {
+				t.Errorf("the linter crashed:\n%s", out)
+			}
+		})
+	}
+
+	t.Run("-V=full", func(t *testing.T) {
+		// The line is the go command's cache key for vet results: it must
+		// identify the binary and not change between two runs of it.
+		code, first := run(t, ".", "-V=full")
+		_, second := run(t, ".", "-V=full")
+		if code != 0 || first != second || !strings.Contains(first, " version devel buildID=") {
+			t.Errorf("exit %d, two runs printed\n%s%s", code, first, second)
 		}
 	})
-	t.Run("clean", func(t *testing.T) {
-		code, out := lint(t, "package sim\n\nfunc Pure(a, b int) int { return a + b }\n")
-		if code != 0 {
-			t.Fatalf("expected exit 0 on a clean module, got %d\noutput:\n%s", code, out)
+	t.Run("-flags", func(t *testing.T) {
+		if code, out := run(t, ".", "-flags"); code != 0 || strings.TrimSpace(out) != "[]" {
+			t.Errorf("exit %d, printed %q, want []", code, out)
 		}
 	})
 }

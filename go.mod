@@ -1,5 +1,3 @@
 module whatsup
 
 go 1.22.0
-
-require golang.org/x/tools v0.28.1-0.20250131145412-98746475647e

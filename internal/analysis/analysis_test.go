@@ -3,8 +3,6 @@ package analysis
 import (
 	"strings"
 	"testing"
-
-	"golang.org/x/tools/go/analysis"
 )
 
 // Each fixture seeds real violations (matched by want comments), the
@@ -14,28 +12,21 @@ import (
 func TestNonDetermFixture(t *testing.T) { runFixture(t, NonDeterm, "sim") }
 func TestMapOrderFixture(t *testing.T)  { runFixture(t, MapOrder, "core") }
 func TestHotAllocFixture(t *testing.T)  { runFixture(t, HotAlloc, "hotalloc") }
-func TestLeakyGoFixture(t *testing.T)   { runFixture(t, LeakyGo, "live") }
 func TestWireSizeFixture(t *testing.T)  { runFixture(t, WireSize, "wiresize") }
-func TestNilnessFixture(t *testing.T)   { runFixture(t, Nilness, "nilness") }
 
 // TestScopedAnalyzersSilentElsewhere runs the package-scoped analyzers over
 // a package outside their scope: zero diagnostics expected (the fixture has
 // no want comments, so any diagnostic fails the harness).
 func TestScopedAnalyzersSilentElsewhere(t *testing.T) {
-	for _, a := range []*analysis.Analyzer{NonDeterm, MapOrder, LeakyGo} {
+	for _, a := range []*Analyzer{NonDeterm, MapOrder} {
 		t.Run(a.Name, func(t *testing.T) { runFixture(t, a, "gateway") })
 	}
 }
 
-// TestRegistry pins the whatsup-lint registry: every contract analyzer plus
-// the vet passes the suite piggybacks (atomic, copylocks) and the nilness
-// stand-in. A missing name means cmd/whatsup-lint silently stopped
-// enforcing part of the contract.
+// TestRegistry pins the whatsup-lint registry. A missing name means
+// cmd/whatsup-lint silently stopped enforcing part of the contract.
 func TestRegistry(t *testing.T) {
-	want := []string{
-		"nondeterm", "maporder", "hotalloc", "leakygo", "wiresize",
-		"nilness", "atomic", "copylocks",
-	}
+	want := []string{"nondeterm", "maporder", "hotalloc", "wiresize"}
 	got := make(map[string]bool)
 	for _, a := range Analyzers() {
 		if got[a.Name] {

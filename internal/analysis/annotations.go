@@ -5,8 +5,6 @@ import (
 	"go/token"
 	"regexp"
 	"strings"
-
-	"golang.org/x/tools/go/analysis"
 )
 
 // deterministicPkgRE matches the import paths of the packages covered by the
@@ -16,12 +14,9 @@ var deterministicPkgRE = regexp.MustCompile(`(^|/)(sim|core|overlay|profile|rps|
 
 // deterministicPackage reports whether the package under analysis is bound
 // by the determinism contract.
-func deterministicPackage(pass *analysis.Pass) bool {
+func deterministicPackage(pass *Pass) bool {
 	return deterministicPkgRE.MatchString(pass.Pkg.Path())
 }
-
-// livePkgRE matches the live-runtime package, where leakygo applies.
-var livePkgRE = regexp.MustCompile(`(^|/)live$`)
 
 // annotations indexes every `//whatsup:...` directive comment in a package
 // by file and line, so analyzers can answer "is this finding suppressed?"
@@ -37,7 +32,7 @@ type annotations struct {
 var directiveRE = regexp.MustCompile(`whatsup:[a-z:]+`)
 
 // collectAnnotations scans all comments of the pass's files.
-func collectAnnotations(pass *analysis.Pass) *annotations {
+func collectAnnotations(pass *Pass) *annotations {
 	a := &annotations{fset: pass.Fset, byPos: make(map[string]map[int][]string)}
 	for _, f := range pass.Files {
 		for _, cg := range f.Comments {

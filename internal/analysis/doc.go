@@ -1,7 +1,8 @@
-// Package analysis is whatsup-lint: a suite of golang.org/x/tools/go/analysis
-// analyzers that statically enforce the engine's determinism contract and
-// hot-path allocation budgets, so contract violations are caught at lint time
-// instead of hours later by the runtime golden tests.
+// Package analysis is whatsup-lint: four analyzers that statically enforce
+// the engine's determinism contract and hot-path allocation budgets, so
+// contract violations are caught at lint time instead of hours later by the
+// runtime golden tests, and the standard-library driver that runs them under
+// `go vet -vettool`.
 //
 // Analyzers:
 //
@@ -19,20 +20,9 @@
 //     literals, closures, []byte/string conversions) must carry an explicit
 //     `//whatsup:alloc` acknowledgement; unmarked sites are flagged. This is
 //     the static guard in front of the runtime 8-allocs/op receive-liked pin.
-//   - leakygo: in internal/live, `go` statements must be visibly tracked by a
-//     WaitGroup (Add before / deferred Done inside) or a done-channel close;
-//     untracked launches are the class of bug the goroutine-leak pins keep
-//     catching at runtime.
 //   - wiresize: every exported AppendWire method must have a sibling WireSize
 //     method on the same receiver type, preserving the exact wire-byte
 //     accounting invariant behind the Fig-8b bandwidth figures.
-//   - nilness: a deliberately small, AST-based reimplementation of the
-//     x/tools nilness check (the SSA-based original is not vendored in
-//     GOROOT, and this module builds offline): flags field accesses, derefs,
-//     calls and slice indexing on a variable inside the `x == nil` branch
-//     that guards it.
-//
-// Plus the vendored vet passes atomic and copylocks.
 //
 // Suppression: a finding from analyzer NAME is suppressed by a
 // `//whatsup:allow:NAME` comment on the flagged line or the line above
@@ -40,7 +30,11 @@
 // `//whatsup:alloc`). Annotations are directive-style comments (no space
 // after `//`) so gofmt leaves them alone.
 //
-// The suite is driven by cmd/whatsup-lint, which runs standalone
-// (`whatsup-lint ./...` re-execs itself under `go vet -vettool`) or as a
-// unitchecker under an external `go vet -vettool=` invocation.
+// An analyzer is an Analyzer value whose Run reads one Pass (a parsed,
+// type-checked package) and reports through Pass.Reportf. VetMain is the
+// driver: the go command loads, caches and enumerates packages (test
+// variants included) and hands each one to the tool as a JSON config naming
+// its files and its imports' export data; VetMain type-checks it with
+// go/types and runs the registry over it. cmd/whatsup-lint wraps that:
+// `whatsup-lint ./...` re-execs itself under `go vet -vettool`.
 package analysis

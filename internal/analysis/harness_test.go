@@ -1,30 +1,22 @@
 package analysis
 
-// A minimal analysistest work-alike. The real
-// golang.org/x/tools/go/analysis/analysistest is not part of the toolchain's
-// vendored vet suite, and this module builds fully offline, so the fixture
-// protocol is reimplemented here: every file under testdata/src/<pkg>/ is
-// parsed and type-checked (stdlib imports resolved from source via GOROOT),
-// the analyzer under test runs over the package, and its diagnostics are
-// matched — by file, line and message regexp — against `// want "rx"`
-// comments. Unmatched expectations and unexpected diagnostics both fail.
+// The fixture protocol of analysistest, on the standard library: every file
+// under testdata/src/<pkg>/ is parsed and type-checked (stdlib imports
+// resolved from source via GOROOT), the analyzer under test runs over the
+// package, and its diagnostics are matched — by file, line and message
+// regexp — against `// want "rx"` comments. Unmatched expectations and
+// unexpected diagnostics both fail.
 
 import (
-	"fmt"
 	"go/ast"
 	"go/importer"
-	"go/parser"
 	"go/token"
 	"go/types"
-	"os"
 	"path/filepath"
 	"regexp"
-	"runtime"
 	"sort"
 	"strconv"
 	"testing"
-
-	"golang.org/x/tools/go/analysis"
 )
 
 // wantRE extracts the expectation regexps from a want comment; patterns may
@@ -42,16 +34,15 @@ type expectation struct {
 
 // runFixture type-checks testdata/src/<dir> and runs the analyzer over it,
 // comparing diagnostics against the fixture's want comments.
-func runFixture(t *testing.T, a *analysis.Analyzer, dir string) {
+func runFixture(t *testing.T, a *Analyzer, dir string) {
 	t.Helper()
-	pass, files := loadFixture(t, dir)
+	pass := loadFixture(t, dir)
+	if _, err := a.Run(pass); err != nil {
+		t.Fatalf("%s: %v", a.Name, err)
+	}
 
-	var diags []analysis.Diagnostic
-	pass.Report = func(d analysis.Diagnostic) { diags = append(diags, d) }
-	runWithRequires(t, a, pass, map[*analysis.Analyzer]interface{}{})
-
-	expects := collectWants(t, pass.Fset, files)
-	for _, d := range diags {
+	expects := collectWants(t, pass.Fset, pass.Files)
+	for _, d := range pass.Diagnostics {
 		p := pass.Fset.Position(d.Pos)
 		found := false
 		for _, e := range expects {
@@ -73,88 +64,21 @@ func runFixture(t *testing.T, a *analysis.Analyzer, dir string) {
 }
 
 // loadFixture parses and type-checks the fixture package in
-// testdata/src/<dir>, returning a ready-to-run Pass (with Report unset).
-func loadFixture(t *testing.T, dir string) (*analysis.Pass, []*ast.File) {
+// testdata/src/<dir>.
+func loadFixture(t *testing.T, dir string) *Pass {
 	t.Helper()
-	root := filepath.Join("testdata", "src", dir)
-	entries, err := os.ReadDir(root)
-	if err != nil {
-		t.Fatalf("reading fixture dir: %v", err)
+	names, err := filepath.Glob(filepath.Join("testdata", "src", dir, "*.go"))
+	if err != nil || len(names) == 0 {
+		t.Fatalf("no fixture files in testdata/src/%s (%v)", dir, err)
 	}
 	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, e := range entries {
-		if e.IsDir() || filepath.Ext(e.Name()) != ".go" {
-			continue
-		}
-		f, err := parser.ParseFile(fset, filepath.Join(root, e.Name()), nil, parser.ParseComments)
-		if err != nil {
-			t.Fatalf("parsing fixture: %v", err)
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		t.Fatalf("no fixture files in %s", root)
-	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Instances:  make(map[*ast.Ident]types.Instance),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Implicits:  make(map[ast.Node]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Scopes:     make(map[ast.Node]*types.Scope),
-	}
-	conf := types.Config{
-		// Source importer: resolves stdlib imports from GOROOT source, so
-		// fixtures can use time, sync and math/rand without export data.
-		Importer: importer.ForCompiler(fset, "source", nil),
-	}
-	pkg, err := conf.Check(dir, fset, files, info)
+	// Source importer: resolves stdlib imports from GOROOT source, so
+	// fixtures can use time, sync and math/rand without export data.
+	pass, err := load(fset, dir, names, types.Config{Importer: importer.ForCompiler(fset, "source", nil)})
 	if err != nil {
-		t.Fatalf("type-checking fixture: %v", err)
+		t.Fatalf("loading fixture: %v", err)
 	}
-	pass := &analysis.Pass{
-		Fset:       fset,
-		Files:      files,
-		Pkg:        pkg,
-		TypesInfo:  info,
-		TypesSizes: types.SizesFor("gc", runtime.GOARCH),
-		ResultOf:   map[*analysis.Analyzer]interface{}{},
-		ReadFile:   os.ReadFile,
-		// Fact stubs: none of the analyzers under test use facts, but the
-		// fields must not be nil if one is ever added.
-		ImportObjectFact:  func(types.Object, analysis.Fact) bool { return false },
-		ImportPackageFact: func(*types.Package, analysis.Fact) bool { return false },
-		ExportObjectFact:  func(types.Object, analysis.Fact) {},
-		ExportPackageFact: func(analysis.Fact) {},
-		AllObjectFacts:    func() []analysis.ObjectFact { return nil },
-		AllPackageFacts:   func() []analysis.PackageFact { return nil },
-	}
-	return pass, files
-}
-
-// runWithRequires runs a's prerequisite analyzers (memoized in results),
-// then a itself, against pass.
-func runWithRequires(t *testing.T, a *analysis.Analyzer, pass *analysis.Pass, results map[*analysis.Analyzer]interface{}) {
-	t.Helper()
-	for _, req := range a.Requires {
-		if _, done := results[req]; done {
-			continue
-		}
-		sub := *pass
-		sub.Analyzer = req
-		sub.Report = func(analysis.Diagnostic) {} // prerequisites run silenced
-		sub.ResultOf = results
-		runWithRequires(t, req, &sub, results)
-	}
-	pass.Analyzer = a
-	pass.ResultOf = results
-	res, err := a.Run(pass)
-	if err != nil {
-		t.Fatalf("%s: %v", a.Name, err)
-	}
-	results[a] = res
+	return pass
 }
 
 // collectWants parses the `// want "rx"` expectations out of the fixtures.
@@ -190,10 +114,4 @@ func collectWants(t *testing.T, fset *token.FileSet, files []*ast.File) []*expec
 		return out[i].line < out[j].line
 	})
 	return out
-}
-
-// diagString is a debugging helper kept for fixture authoring.
-func diagString(fset *token.FileSet, d analysis.Diagnostic) string {
-	p := fset.Position(d.Pos)
-	return fmt.Sprintf("%s:%d: %s", filepath.Base(p.Filename), p.Line, d.Message)
 }

@@ -4,8 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-
-	"golang.org/x/tools/go/analysis"
 )
 
 // HotAlloc statically guards the hot-path allocation budget (the runtime pin
@@ -19,14 +17,14 @@ import (
 // Flagged site kinds: make, new, growth-capable append, composite literals
 // (including &T{...}), closures (func literals capture their environment on
 // the heap), and []byte<->string conversions.
-var HotAlloc = &analysis.Analyzer{
+var HotAlloc = &Analyzer{
 	Name: "hotalloc",
 	Doc: "in //whatsup:hotpath functions, flag allocation sites (make/new/append/" +
 		"composite literal/closure/[]byte-string conversion) not acknowledged with //whatsup:alloc",
 	Run: runHotAlloc,
 }
 
-func runHotAlloc(pass *analysis.Pass) (interface{}, error) {
+func runHotAlloc(pass *Pass) (interface{}, error) {
 	ann := collectAnnotations(pass)
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
@@ -40,7 +38,7 @@ func runHotAlloc(pass *analysis.Pass) (interface{}, error) {
 	return nil, nil
 }
 
-func checkHotFunc(pass *analysis.Pass, ann *annotations, fd *ast.FuncDecl) {
+func checkHotFunc(pass *Pass, ann *annotations, fd *ast.FuncDecl) {
 	acked := ackedBuffers(pass, ann, fd)
 	report := func(n ast.Node, what string) {
 		if ann.has(n.Pos(), "whatsup:alloc") || ann.allowed(n.Pos(), "hotalloc") {
@@ -118,7 +116,7 @@ func checkHotFunc(pass *analysis.Pass, ann *annotations, fd *ast.FuncDecl) {
 // explicitly acknowledged: a `x = make(...)` or `x := make(...)` assignment
 // carrying //whatsup:alloc. Appends into such buffers are pre-approved — the
 // marked make is where the growth budget was decided.
-func ackedBuffers(pass *analysis.Pass, ann *annotations, fd *ast.FuncDecl) map[types.Object]bool {
+func ackedBuffers(pass *Pass, ann *annotations, fd *ast.FuncDecl) map[types.Object]bool {
 	acked := make(map[types.Object]bool)
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)

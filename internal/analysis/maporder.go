@@ -4,8 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-
-	"golang.org/x/tools/go/analysis"
 )
 
 // MapOrder flags `for range` over maps whose body lets Go's randomized
@@ -15,7 +13,7 @@ import (
 // prevent), or sending on a channel. A loop whose body is genuinely
 // order-insensitive is annotated `//whatsup:commutative` on the range
 // statement.
-var MapOrder = &analysis.Analyzer{
+var MapOrder = &Analyzer{
 	Name: "maporder",
 	Doc: "forbid map-iteration order leaking into results in deterministic packages " +
 		"(append to outer slice, float accumulation, channel send inside `for range m`); " +
@@ -23,7 +21,7 @@ var MapOrder = &analysis.Analyzer{
 	Run: runMapOrder,
 }
 
-func runMapOrder(pass *analysis.Pass) (interface{}, error) {
+func runMapOrder(pass *Pass) (interface{}, error) {
 	if !deterministicPackage(pass) {
 		return nil, nil
 	}
@@ -53,7 +51,7 @@ func runMapOrder(pass *analysis.Pass) (interface{}, error) {
 
 // checkMapRangeBody reports order-leaking operations in the body of a map
 // range statement.
-func checkMapRangeBody(pass *analysis.Pass, ann *annotations, rng *ast.RangeStmt) {
+func checkMapRangeBody(pass *Pass, ann *annotations, rng *ast.RangeStmt) {
 	ast.Inspect(rng.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.SendStmt:
@@ -98,7 +96,7 @@ func checkMapRangeBody(pass *analysis.Pass, ann *annotations, rng *ast.RangeStmt
 
 // rootObject resolves the variable at the base of an lvalue-ish expression:
 // x, x.f, x[i], *x all root at x.
-func rootObject(pass *analysis.Pass, e ast.Expr) types.Object {
+func rootObject(pass *Pass, e ast.Expr) types.Object {
 	for {
 		switch v := ast.Unparen(e).(type) {
 		case *ast.Ident:

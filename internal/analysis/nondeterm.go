@@ -3,8 +3,6 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-
-	"golang.org/x/tools/go/analysis"
 )
 
 // NonDeterm flags wall-clock reads and globally-seeded randomness inside the
@@ -12,7 +10,7 @@ import (
 // collector fingerprints for any Workers×Shards combination — only holds if
 // every draw comes from a per-peer or per-link seeded *rand.Rand stream and
 // every timestamp from the simulated clock.
-var NonDeterm = &analysis.Analyzer{
+var NonDeterm = &Analyzer{
 	Name: "nondeterm",
 	Doc: "forbid time.Now and global math/rand in deterministic packages " +
 		"(sim, core, overlay, profile, rps, cluster, metrics, faultnet); " +
@@ -28,7 +26,7 @@ var wallClockFuncs = map[string]bool{
 	"NewTicker": true, "NewTimer": true, "Sleep": true,
 }
 
-func runNonDeterm(pass *analysis.Pass) (interface{}, error) {
+func runNonDeterm(pass *Pass) (interface{}, error) {
 	if !deterministicPackage(pass) {
 		return nil, nil
 	}
@@ -74,7 +72,7 @@ func runNonDeterm(pass *analysis.Pass) (interface{}, error) {
 }
 
 // calleeFunc resolves the called function object, if statically known.
-func calleeFunc(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
+func calleeFunc(pass *Pass, call *ast.CallExpr) *types.Func {
 	var id *ast.Ident
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:

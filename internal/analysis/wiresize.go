@@ -1,23 +1,19 @@
 package analysis
 
-import (
-	"go/ast"
-
-	"golang.org/x/tools/go/analysis"
-)
+import "go/ast"
 
 // WireSize enforces the exact-byte-accounting invariant from the binary wire
 // protocol work: every exported AppendWire method must have a sibling
 // WireSize method on the same receiver type, so callers can pre-size buffers
 // and the bandwidth figures (Fig 8b) can account for every byte without
 // encoding twice.
-var WireSize = &analysis.Analyzer{
+var WireSize = &Analyzer{
 	Name: "wiresize",
 	Doc:  "every exported AppendWire method must have a sibling WireSize method on the same receiver type",
 	Run:  runWireSize,
 }
 
-func runWireSize(pass *analysis.Pass) (interface{}, error) {
+func runWireSize(pass *Pass) (interface{}, error) {
 	ann := collectAnnotations(pass)
 	appendDecls := make(map[string]*ast.FuncDecl) // receiver type name -> AppendWire decl
 	hasWireSize := make(map[string]bool)

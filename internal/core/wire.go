@@ -67,6 +67,8 @@ func CheckItemMessage(data []byte) ([]byte, error) { return decodeItemMessage(ni
 // its content fields, hashed where they lie: no string is built and the rest
 // of the message is not looked at. It is the receiver's cheap "have I seen
 // this?" probe; like DecodeItemMessage it trusts nothing the sender claims.
+//
+//whatsup:hotpath
 func PeekItemID(data []byte) (news.ID, error) {
 	title, description, link, _, err := itemContent(data)
 	if err != nil {

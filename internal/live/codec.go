@@ -73,6 +73,8 @@ func appendEnvelope(buf []byte, e envelope) []byte {
 
 // envelopeHeader decodes the kind and the two node ids every envelope starts
 // with, returning the kind-specific body.
+//
+//whatsup:hotpath
 func envelopeHeader(data []byte) (kind wireKind, from, to news.NodeID, body []byte, err error) {
 	if len(data) == 0 {
 		return 0, 0, 0, data, fmt.Errorf("envelope kind: %w", wire.ErrTruncated)

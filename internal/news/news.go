@@ -73,6 +73,7 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
+//whatsup:hotpath
 func hash[T string | []byte](title, description, link T) ID {
 	h := uint64(fnvOffset64)
 	for _, s := range [...]T{title, description, link} {
