@@ -102,8 +102,8 @@ func BenchmarkFig3F1VsFanout(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := experiments.Fig3("survey", benchOptions())
 		for _, s := range r.Series {
-			if s.Alg == experiments.WhatsUp {
-				_, best = s.BestF1()
+			if s.Name == string(experiments.WhatsUp) {
+				best = experiments.Best(s.Points).F1
 			}
 		}
 	}
@@ -115,8 +115,8 @@ func BenchmarkFig3Synthetic(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := experiments.Fig3("synthetic", benchOptions())
 		for _, s := range r.Series {
-			if s.Alg == experiments.WhatsUp {
-				_, best = s.BestF1()
+			if s.Name == string(experiments.WhatsUp) {
+				best = experiments.Best(s.Points).F1
 			}
 		}
 	}
@@ -128,8 +128,8 @@ func BenchmarkFig3Digg(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := experiments.Fig3("digg", benchOptions())
 		for _, s := range r.Series {
-			if s.Alg == experiments.WhatsUp {
-				_, best = s.BestF1()
+			if s.Name == string(experiments.WhatsUp) {
+				best = experiments.Best(s.Points).F1
 			}
 		}
 	}
@@ -191,8 +191,8 @@ func BenchmarkFig9Centralized(b *testing.B) {
 	var central, decentral float64
 	for i := 0; i < b.N; i++ {
 		r := experiments.Fig9(benchOptions())
-		central = r.Series[0].Best().F1
-		decentral = r.Series[2].Best().F1
+		central = experiments.Best(r.Series[0].Points).F1
+		decentral = experiments.Best(r.Series[2].Points).F1
 	}
 	b.ReportMetric(central, "central-F1")
 	b.ReportMetric(decentral, "whatsup-F1")
@@ -214,26 +214,13 @@ func BenchmarkFig11Sociability(b *testing.B) {
 	b.ReportMetric(corr, "sociability-F1-correlation")
 }
 
-func BenchmarkAblationWUPViewSize(b *testing.B) {
+func BenchmarkAblations(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if pts := experiments.AblationWUPViewSize(benchOptions()).Points; len(pts) != 3 {
-			b.Fatal("ablation incomplete")
-		}
-	}
-}
-
-func BenchmarkAblationProfileWindow(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if pts := experiments.AblationProfileWindow(benchOptions()).Points; len(pts) != 4 {
-			b.Fatal("ablation incomplete")
-		}
-	}
-}
-
-func BenchmarkAblationRPSViewSize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if pts := experiments.AblationRPSViewSize(benchOptions()).Points; len(pts) != 5 {
-			b.Fatal("ablation incomplete")
+		rs := experiments.Ablations(benchOptions())
+		for j, want := range []int{3, 4, 5} { // WUP view size, profile window, RPS view size
+			if len(rs[j].Points) != want {
+				b.Fatal("ablation incomplete")
+			}
 		}
 	}
 }

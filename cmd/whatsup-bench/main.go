@@ -109,6 +109,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for _, name := range strings.Split(*runList, ",") {
 		selected[strings.TrimSpace(name)] = true
 	}
+	adversarial := experiments.AdversarialConfig{
+		Peers:         *advPeers,
+		Cycles:        *advCycles,
+		SpamFraction:  *advSpam,
+		Poison:        *advPoison,
+		PartitionK:    *advPartitionK,
+		EngineOptions: engine,
+	}
+	if selected["adversarial"] {
+		if err := adversarial.Validate(); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 2
+		}
+	}
 	all := selected["all"]
 	want := func(name string) bool { return all || selected[name] }
 
@@ -167,9 +181,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	})
 	runExp("ablations", func() fmt.Stringer {
 		var b strings.Builder
-		b.WriteString(experiments.AblationWUPViewSize(o).String())
-		b.WriteString(experiments.AblationProfileWindow(o).String())
-		b.WriteString(experiments.AblationRPSViewSize(o).String())
+		for _, r := range experiments.Ablations(o) {
+			b.WriteString(r.String())
+		}
 		return stringer(b.String())
 	})
 	// The churn and adversarial scenarios run only when explicitly selected:
@@ -194,16 +208,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		})
 	}
 	if selected["adversarial"] {
-		runExp("adversarial", func() fmt.Stringer {
-			return experiments.AdversarialRun(experiments.AdversarialConfig{
-				Peers:         *advPeers,
-				Cycles:        *advCycles,
-				SpamFraction:  *advSpam,
-				Poison:        *advPoison,
-				PartitionK:    *advPartitionK,
-				EngineOptions: engine,
-			})
-		})
+		runExp("adversarial", func() fmt.Stringer { return experiments.AdversarialRun(adversarial) })
 	}
 
 	if ran == 0 {

@@ -128,3 +128,28 @@ func TestRunChurnPrintsCohortTable(t *testing.T) {
 		t.Fatalf("the churn scenario must write no file, found %v (err=%v)", left, err)
 	}
 }
+
+// TestRunRejectsEmptyAdversarialCohort is the regression for the integer
+// divide by zero in runAdversarialPoint: a cohort that rounds to nobody
+// (-adversarial-spam 0.001 of 600, or 10% of 5 peers) or to everybody
+// (-adversarial-spam 1) used to panic mid-run; it is refused where the
+// flags arrive, before any experiment starts.
+func TestRunRejectsEmptyAdversarialCohort(t *testing.T) {
+	for _, args := range [][]string{
+		{"-adversarial-spam", "0.001"},
+		{"-adversarial-spam", "1"},
+		{"-adversarial-peers", "5"},
+	} {
+		var out, errOut strings.Builder
+		code := run(append([]string{"-run", "table1,adversarial", "-adversarial-cycles", "5"}, args...), &out, &errOut)
+		if code != 2 {
+			t.Fatalf("%v: exit=%d want 2", args, code)
+		}
+		if msg := errOut.String(); !strings.Contains(msg, "at least one attacker and one honest node") || strings.Count(msg, "\n") != 1 {
+			t.Fatalf("%v: want a one-line refusal on stderr, got %q", args, msg)
+		}
+		if out.Len() != 0 {
+			t.Fatalf("%v: refused before anything runs, yet stdout has %q", args, out.String())
+		}
+	}
+}

@@ -63,10 +63,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	runner.Run()
 
 	col := runner.Collector()
+	q := col.Quality()
 	fmt.Fprintf(stdout, "finished in %v\n", time.Since(start).Round(time.Millisecond))
-	fmt.Fprintf(stdout, "  precision %.3f  recall %.3f  f1 %.3f\n", col.Precision(), col.Recall(), col.F1())
+	fmt.Fprintf(stdout, "  precision %.3f  recall %.3f  f1 %.3f\n", q.Precision, q.Recall, q.F1)
 	fmt.Fprintf(stdout, "  messages: beep=%d gossip=%d total=%d\n",
-		col.Messages(metrics.MsgBeep), col.GossipMessages(), col.TotalMessages())
+		col.Messages(metrics.MsgBeep), col.GossipMessages(), q.Messages)
 	fmt.Fprintf(stdout, "  bytes: beep=%d gossip=%d\n", col.Bytes(metrics.MsgBeep), col.GossipBytes())
 	return 0
 }

@@ -144,15 +144,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Dataset: ds, Alg: a, Fanout: *fanout, Seed: *seed, Loss: *loss, TTL: *ttl,
 		EngineOptions: engine,
 	})
-	col := out.Col
+	col, q := out.Col, out.Col.Quality()
 	g := out.Engine.WUPGraph()
 
 	fmt.Fprintf(stdout, "%s on %s (users=%d items=%d cycles=%d fanout=%d loss=%.0f%% workers=%d shards=%d)\n",
 		a, ds.Name, ds.Users, len(ds.Items), out.Cycles, *fanout, *loss*100, out.Engine.Workers(), out.Engine.Shards())
-	fmt.Fprintf(stdout, "  precision %.3f  recall %.3f  f1 %.3f\n", col.Precision(), col.Recall(), col.F1())
+	fmt.Fprintf(stdout, "  precision %.3f  recall %.3f  f1 %.3f\n", q.Precision, q.Recall, q.F1)
 	fmt.Fprintf(stdout, "  messages: beep=%d gossip=%d total=%d (%.1f/user)\n",
-		col.Messages(metrics.MsgBeep), col.GossipMessages(), col.TotalMessages(),
-		float64(col.TotalMessages())/float64(ds.Users))
+		col.Messages(metrics.MsgBeep), col.GossipMessages(), q.Messages, float64(q.Messages)/float64(ds.Users))
 	fmt.Fprintf(stdout, "  overlay: lscc=%.2f clustering-coefficient=%.2f weak-components=%d\n",
 		g.LargestSCCFraction(), g.ClusteringCoefficient(), g.WeakComponents())
 	return 0

@@ -86,14 +86,17 @@ func (s *Sybil) AdvertisedProfile(user *profile.Profile, now int64) *profile.Pro
 	return s.Poison.AdvertisedProfile(user, now)
 }
 
-// Cohort returns the first floor(frac*len(ids)) node ids as the attacker
-// cohort set — the deterministic cohort picker the experiments and tests
-// share. ids is not mutated.
+// CohortSize is how many of a population of peers Cohort picks:
+// floor(frac*peers), at most everybody.
+func CohortSize(peers int, frac float64) int {
+	return min(int(frac*float64(peers)), peers)
+}
+
+// Cohort returns the first CohortSize node ids as the attacker cohort set —
+// the deterministic cohort picker the experiments and tests share. ids is
+// not mutated.
 func Cohort(ids []news.NodeID, frac float64) map[news.NodeID]bool {
-	n := int(frac * float64(len(ids)))
-	if n > len(ids) {
-		n = len(ids)
-	}
+	n := CohortSize(len(ids), frac)
 	cohort := make(map[news.NodeID]bool, n)
 	for _, id := range ids[:n] {
 		cohort[id] = true

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"whatsup/internal/adversary"
-	"whatsup/internal/baselines"
 	"whatsup/internal/core"
 	"whatsup/internal/faultnet"
 	"whatsup/internal/metrics"
@@ -31,6 +30,10 @@ import (
 // nobody per the ground truth.
 const adversarialSpamBase news.ID = 1 << 20
 
+// adversarialSpamPerCycle is the spam publication rate: a flood matching
+// the 6 honest items per cycle.
+const adversarialSpamPerCycle = 6
+
 // AdversarialConfig sizes the adversarial bench world.
 type AdversarialConfig struct {
 	EngineOptions
@@ -40,20 +43,14 @@ type AdversarialConfig struct {
 	Cycles int
 	// SpamFraction is the attacker share of the population (default 0.10).
 	SpamFraction float64
-	// SpamPerCycle is the spam publication rate, on top of the 6 honest
-	// items per cycle (default 6: a flood matching the honest rate).
-	SpamPerCycle int
 	// Poison makes the cohort sybils: besides amplifying spam they advertise
 	// fabricated profiles claiming every honest item, pulling honest WUP
 	// views towards the cohort (measured as PoisoningDrift).
 	Poison bool
 	// PartitionK, when ≥ 2, splits the fleet into k groups with all
-	// cross-group links cut from PartitionStart until PartitionHeal
-	// (defaults: cycles/4 and cycles/2), exercising partition-and-heal
-	// under attack.
-	PartitionK     int
-	PartitionStart int64
-	PartitionHeal  int64
+	// cross-group links cut over the second quarter of the run, exercising
+	// partition-and-heal under attack.
+	PartitionK int
 }
 
 func (c AdversarialConfig) withDefaults() AdversarialConfig {
@@ -66,18 +63,26 @@ func (c AdversarialConfig) withDefaults() AdversarialConfig {
 	if c.SpamFraction <= 0 {
 		c.SpamFraction = 0.10
 	}
-	if c.SpamPerCycle <= 0 {
-		c.SpamPerCycle = 6
-	}
-	if c.PartitionK >= 2 {
-		if c.PartitionStart <= 0 {
-			c.PartitionStart = int64(c.Cycles / 4)
-		}
-		if c.PartitionHeal <= c.PartitionStart {
-			c.PartitionHeal = int64(c.Cycles / 2)
-		}
-	}
 	return c
+}
+
+// attackers is the size of the cohort adversary.Cohort picks.
+func (c AdversarialConfig) attackers() int { return adversary.CohortSize(c.Peers, c.SpamFraction) }
+
+// Validate rejects a world whose attacker cohort rounds to nobody or to
+// everybody: the comparison needs at least one attacker and one honest node.
+func (c AdversarialConfig) Validate() error {
+	c = c.withDefaults()
+	if n := c.attackers(); n < 1 || n >= c.Peers {
+		return fmt.Errorf("adversarial: a spam fraction of %g makes %d of %d peers attackers; need at least one attacker and one honest node",
+			c.SpamFraction, n, c.Peers)
+	}
+	return nil
+}
+
+// partition is the window over which the k-way partition cuts the fleet.
+func (c AdversarialConfig) partition() (start, heal int64) {
+	return int64(c.Cycles / 4), int64(c.Cycles / 2)
 }
 
 // adversarialPoint is one protocol×scenario cell of the comparison.
@@ -154,15 +159,9 @@ func runAdversarialPoint(cfg AdversarialConfig, alg Algorithm, attacked bool) ad
 		}
 	}
 
-	nodeCfg := core.Config{FLike: 6, RPSViewSize: 20}
+	newPeer := peerFactory(RunConfig{Alg: alg, Fanout: 6, RPSViewSize: 20, Seed: 1}, w.Opinions)
 	w.NewPeer = func(id news.NodeID) sim.Peer {
-		rng := nodeRNG(1, int(id))
-		var p sim.Peer
-		if alg == PlainGossip {
-			p = baselines.NewGossip(id, 6, 20, w.Opinions, rng)
-		} else {
-			p = core.NewNode(id, "", nodeCfg, w.Opinions, rng)
-		}
+		p := newPeer(id)
 		if hostile != nil && attackers[id] {
 			p.Overlay().SetBehavior(hostile)
 		}
@@ -172,8 +171,8 @@ func runAdversarialPoint(cfg AdversarialConfig, alg Algorithm, attacked bool) ad
 	spamCount := 0
 	if attacked {
 		for c := 1; c <= cfg.Cycles; c++ {
-			for k := 0; k < cfg.SpamPerCycle; k++ {
-				src := attackerIDs[(c*cfg.SpamPerCycle+k)%len(attackerIDs)]
+			for k := 0; k < adversarialSpamPerCycle; k++ {
+				src := attackerIDs[(c*adversarialSpamPerCycle+k)%len(attackerIDs)]
 				it := news.New(fmt.Sprintf("spam-%d-%d", c, k), "d", "l", int64(c), src)
 				it.ID = adversarialSpamBase + news.ID(spamCount)
 				w.Items = append(w.Items, sim.WorldItem{Cycle: int64(c), Item: it})
@@ -184,7 +183,8 @@ func runAdversarialPoint(cfg AdversarialConfig, alg Algorithm, attacked bool) ad
 
 	var links *faultnet.Policy
 	if attacked && cfg.PartitionK >= 2 {
-		links = faultnet.KWayPartition(ids, cfg.PartitionK, cfg.PartitionStart, cfg.PartitionHeal)
+		start, heal := cfg.partition()
+		links = faultnet.KWayPartition(ids, cfg.PartitionK, start, heal)
 	}
 
 	pt := adversarialPoint{spam: spamCount, honest: len(honestIDs)}
@@ -264,17 +264,10 @@ type AdversarialSideResult struct {
 	VictimF1 float64
 }
 
-// AdversarialResult is the four-cell comparison.
+// AdversarialResult is the four-cell comparison of the (resolved)
+// configuration it embeds.
 type AdversarialResult struct {
-	Peers          int
-	Cycles         int
-	Attackers      int
-	SpamFraction   float64
-	SpamPerCycle   int
-	Poison         bool
-	PartitionK     int
-	PartitionStart int64
-	PartitionHeal  int64
+	AdversarialConfig
 
 	WUP    AdversarialSideResult
 	Gossip AdversarialSideResult
@@ -291,7 +284,8 @@ type AdversarialResult struct {
 }
 
 // AdversarialRun executes the four cells (WhatsUp/Gossip × clean/attacked)
-// and folds them into one comparison.
+// and folds them into one comparison. The configuration must pass Validate
+// (the CLI checks it where the flags arrive).
 func AdversarialRun(cfg AdversarialConfig) AdversarialResult {
 	cfg = cfg.withDefaults()
 	cells := parallel(4, []func() adversarialPoint{
@@ -323,17 +317,9 @@ func AdversarialRun(cfg AdversarialConfig) AdversarialResult {
 	}
 
 	r := AdversarialResult{
-		Peers:          cfg.Peers,
-		Cycles:         cfg.Cycles,
-		Attackers:      int(cfg.SpamFraction * float64(cfg.Peers)),
-		SpamFraction:   cfg.SpamFraction,
-		SpamPerCycle:   cfg.SpamPerCycle,
-		Poison:         cfg.Poison,
-		PartitionK:     cfg.PartitionK,
-		PartitionStart: cfg.PartitionStart,
-		PartitionHeal:  cfg.PartitionHeal,
-		WUP:            side("whatsup", wupClean, wupAtk),
-		Gossip:         side("gossip", gosClean, gosAtk),
+		AdversarialConfig: cfg,
+		WUP:               side("whatsup", wupClean, wupAtk),
+		Gossip:            side("gossip", gosClean, gosAtk),
 	}
 	r.ResilienceGap = r.Gossip.Damage - r.WUP.Damage
 	for _, s := range wupAtk.timeline {
@@ -354,9 +340,10 @@ func AdversarialRun(cfg AdversarialConfig) AdversarialResult {
 func (r AdversarialResult) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Adversarial bench: %d peers, %d cycles, %d attackers (%.0f%%), %d spam/cycle, poison=%v",
-		r.Peers, r.Cycles, r.Attackers, r.SpamFraction*100, r.SpamPerCycle, r.Poison)
+		r.Peers, r.Cycles, r.attackers(), r.SpamFraction*100, adversarialSpamPerCycle, r.Poison)
 	if r.PartitionK >= 2 {
-		fmt.Fprintf(&b, ", %d-way partition cycles %d-%d", r.PartitionK, r.PartitionStart, r.PartitionHeal)
+		start, heal := r.partition()
+		fmt.Fprintf(&b, ", %d-way partition cycles %d-%d", r.PartitionK, start, heal)
 	}
 	b.WriteString("\n")
 	row := func(s AdversarialSideResult) {

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"whatsup/internal/core"
+	"whatsup/internal/metrics"
+	"whatsup/internal/sim"
 )
 
 // TestDescriptorTTLDefaultUnified is the regression for the TTL-skew bugfix:
@@ -91,10 +93,6 @@ func TestLiveChurnWindowClosure(t *testing.T) {
 		t.Fatalf("slack must grow with run length: %d cycles -> %d, %d cycles -> %d",
 			short.Cycles, short.schedulerSlack(), long.Cycles, long.schedulerSlack())
 	}
-	// An explicit override wins over the derived value.
-	if got := (LiveRunConfig{Cycles: 40, SchedulerSlack: 9}).withDefaults().schedulerSlack(); got != 9 {
-		t.Fatalf("explicit SchedulerSlack overridden to %d", got)
-	}
 	// A run too short for any window clamps to one cycle rather than
 	// producing an inverted range.
 	tiny := LiveRunConfig{Cycles: 12}.withDefaults()
@@ -169,5 +167,41 @@ func TestChurnBenchHealsAndSplitsJoiners(t *testing.T) {
 	}
 	if end := r.GhostFraction[len(r.GhostFraction)-1]; end != 0 {
 		t.Fatalf("bench world must self-heal by the end, ghost fraction %v", end)
+	}
+}
+
+// TestHealingFrom holds the healing summary to its definition: the last
+// leave or crash, the first ghost-free sample at or after it that no later
+// ghosts invalidate, and the gap between the two.
+func TestHealingFrom(t *testing.T) {
+	departures := sim.ChurnSchedule{}
+	departures.Add(2, sim.ChurnJoin, 9).Add(3, sim.ChurnCrash, 1).Add(5, sim.ChurnLeave, 2).Add(8, sim.ChurnRejoin, 1)
+	joinsOnly := sim.ChurnSchedule{}
+	joinsOnly.Add(4, sim.ChurnJoin, 9)
+	timeline := func(ghosts ...float64) []metrics.ChurnSample {
+		out := make([]metrics.ChurnSample, len(ghosts))
+		for i, g := range ghosts {
+			out[i] = metrics.ChurnSample{Cycle: int64(i + 1), GhostFraction: g}
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name                   string
+		schedule               sim.ChurnSchedule
+		ghosts                 []float64 // sample i is the end of cycle i+1
+		last, healedAt, timeTo int64
+	}{
+		{"no departures", joinsOnly, []float64{0, 0, 0}, -1, -1, -1},
+		{"never healed", departures, []float64{0, 0, .1, .1, .2, .2, .1, .1}, 5, -1, -1},
+		{"healed at the last departure", departures, []float64{0, 0, .1, .1, 0, 0, 0}, 5, 5, 0},
+		{"re-ghosted then healed", departures, []float64{0, 0, .1, .1, .1, 0, .1, 0, 0}, 5, 8, 3},
+		{"ghost-free before the last departure does not count", departures, []float64{0, 0, 0, 0, .1, .1, 0}, 5, 7, 2},
+		{"no samples", departures, nil, 5, -1, -1},
+	} {
+		last, healedAt, timeTo := healingFrom(tc.schedule, timeline(tc.ghosts...))
+		if last != tc.last || healedAt != tc.healedAt || timeTo != tc.timeTo {
+			t.Errorf("%s: last=%d healed-at=%d time-to=%d, want %d %d %d",
+				tc.name, last, healedAt, timeTo, tc.last, tc.healedAt, tc.timeTo)
+		}
 	}
 }

@@ -50,9 +50,9 @@ func TestTable3ShapeHolds(t *testing.T) {
 	// tiny test scales; at paper scale it costs ~2× WhatsUp).
 	for _, name := range []string{"CF-Cos", "CF-Wup", "WhatsUp-Cos"} {
 		row := r.Row(name)
-		if whatsup.MsgsPerUser > row.MsgsPerUser {
+		if whatsup.MsgsPerUser() > row.MsgsPerUser() {
 			t.Fatalf("WhatsUp (%0.f msgs/user) must be cheapest, %s costs %0.f",
-				whatsup.MsgsPerUser, name, row.MsgsPerUser)
+				whatsup.MsgsPerUser(), name, row.MsgsPerUser())
 		}
 	}
 }
@@ -117,10 +117,10 @@ func TestFig3SeriesComplete(t *testing.T) {
 	}
 	for _, s := range r.Series {
 		if len(s.Points) != len(fig3Fanouts("survey")) {
-			t.Fatalf("%s has %d points", s.Alg, len(s.Points))
+			t.Fatalf("%s has %d points", s.Name, len(s.Points))
 		}
-		if _, best := s.BestF1(); best == 0 {
-			t.Fatalf("%s never scores", s.Alg)
+		if Best(s.Points).F1 == 0 {
+			t.Fatalf("%s never scores", s.Name)
 		}
 	}
 }
@@ -130,7 +130,7 @@ func TestFig4LSCCGrowsWithFanout(t *testing.T) {
 	for _, s := range r.Series {
 		first, last := s.Points[0], s.Points[len(s.Points)-1]
 		if last.LSCC < first.LSCC-0.1 {
-			t.Fatalf("%s connectivity should not shrink with fanout: %v -> %v", s.Alg, first.LSCC, last.LSCC)
+			t.Fatalf("%s connectivity should not shrink with fanout: %v -> %v", s.Name, first.LSCC, last.LSCC)
 		}
 	}
 }
@@ -365,7 +365,7 @@ func TestFig9CentralizedUpperBound(t *testing.T) {
 	if central.Name != "Centralized" {
 		t.Fatal("first series must be the centralized variant")
 	}
-	if central.Best().F1 == 0 {
+	if Best(central.Points).F1 == 0 {
 		t.Fatal("centralized must score")
 	}
 }
@@ -394,12 +394,11 @@ func TestFig11SociabilityTrend(t *testing.T) {
 }
 
 func TestAblations(t *testing.T) {
-	o := tiny()
-	for _, r := range []AblationResult{
-		AblationWUPViewSize(o),
-		AblationProfileWindow(o),
-		AblationRPSViewSize(o),
-	} {
+	rs := Ablations(tiny())
+	if len(rs) != 3 {
+		t.Fatalf("%d ablations, want 3", len(rs))
+	}
+	for _, r := range rs {
 		if len(r.Points) < 3 {
 			t.Fatalf("%s: too few points", r.Name)
 		}

@@ -12,34 +12,19 @@ import (
 // survey items. WhatsUp's gain should concentrate on unpopular items
 // (popularity 0 to 0.5), courtesy of the dislike path.
 type Fig10Result struct {
-	Dataset  string
-	Buckets  int
-	WhatsUp  []metrics.Bucket
-	CFWup    []metrics.Bucket
-	Populace int
+	WhatsUp []metrics.Bucket
+	CFWup   []metrics.Bucket
 }
 
 // Fig10 runs the popularity analysis (fLIKE = 10, k = 19 as in Table III).
 func Fig10(o Options) Fig10Result {
-	o = o.WithDefaults()
-	ds := must(DatasetByName("survey", o))
+	o, ds := o.workload("survey")
 	const buckets = 10
 
-	outs := parallel(o.Workers, []func() Outcome{
-		func() Outcome {
-			return Run(RunConfig{Dataset: ds, Alg: WhatsUp, Fanout: 10, Seed: o.Seed, EngineOptions: o.EngineOptions})
-		},
-		func() Outcome {
-			return Run(RunConfig{Dataset: ds, Alg: CFWup, Fanout: 19, Seed: o.Seed, EngineOptions: o.EngineOptions})
-		},
+	recall := sweep(o, []cell{at(ds, WhatsUp, 10), at(ds, CFWup, 19)}, func(_ cell, out Outcome) []metrics.Bucket {
+		return out.Col.RecallByPopularity(ds.Users, buckets)
 	})
-	return Fig10Result{
-		Dataset:  "survey",
-		Buckets:  buckets,
-		WhatsUp:  outs[0].Col.RecallByPopularity(ds.Users, buckets),
-		CFWup:    outs[1].Col.RecallByPopularity(ds.Users, buckets),
-		Populace: ds.Users,
-	}
+	return Fig10Result{WhatsUp: recall[0], CFWup: recall[1]}
 }
 
 // UnpopularAdvantage returns WhatsUp's average recall advantage over CF-WUP
@@ -63,8 +48,7 @@ func (r Fig10Result) UnpopularAdvantage() float64 {
 // String renders recall per popularity bucket plus the distribution.
 func (r Fig10Result) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 10 (%s): recall vs popularity (advantage on unpopular items: %+.3f)\n",
-		r.Dataset, r.UnpopularAdvantage())
+	fmt.Fprintf(&b, "Figure 10 (survey): recall vs popularity (advantage on unpopular items: %+.3f)\n", r.UnpopularAdvantage())
 	b.WriteString("  popularity  recall(WhatsUp)  recall(CF-Wup)  fraction-of-news\n")
 	for i := range r.WhatsUp {
 		w, c := r.WhatsUp[i], r.CFWup[i]

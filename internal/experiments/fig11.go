@@ -15,7 +15,6 @@ import (
 // full trace) plus the sociability distribution. The more sociable a node,
 // the better the system serves it — the incentive property of Section V-H.
 type Fig11Result struct {
-	Dataset string
 	Buckets []metrics.Bucket
 	// Correlation is the Pearson correlation between sociability and F1
 	// across nodes, summarizing the positive trend.
@@ -24,11 +23,10 @@ type Fig11Result struct {
 
 // Fig11 runs the sociability analysis (fLIKE = 10, k = 15 neighbours).
 func Fig11(o Options) Fig11Result {
-	o = o.WithDefaults()
-	ds := must(DatasetByName("survey", o))
+	o, ds := o.workload("survey")
 	const buckets = 10
 
-	out := Run(RunConfig{Dataset: ds, Alg: WhatsUp, Fanout: 10, Seed: o.Seed, EngineOptions: o.EngineOptions})
+	out := o.run(at(ds, WhatsUp, 10))
 	soc := metrics.Sociability(ds.FullProfiles(), profile.WUP{}, 15)
 	socMap := make(map[news.NodeID]float64, len(soc))
 	xs := make([]float64, 0, len(soc))
@@ -42,7 +40,6 @@ func Fig11(o Options) Fig11Result {
 		}
 	}
 	return Fig11Result{
-		Dataset:     "survey",
 		Buckets:     out.Col.F1BySociability(socMap, buckets),
 		Correlation: pearson(xs, ys),
 	}
@@ -77,7 +74,7 @@ func pearson(xs, ys []float64) float64 {
 // String renders the bucketed curve and distribution.
 func (r Fig11Result) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 11 (%s): F1 vs sociability (correlation %.2f)\n", r.Dataset, r.Correlation)
+	fmt.Fprintf(&b, "Figure 11 (survey): F1 vs sociability (correlation %.2f)\n", r.Correlation)
 	b.WriteString("  sociability  F1  fraction-of-nodes\n")
 	for _, bk := range r.Buckets {
 		if bk.Count == 0 {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -11,8 +10,6 @@ import (
 // dataset, fLIKE = 5). The curve should be bell-shaped with most of the
 // dissemination work within a few hops of the source.
 type Fig6Result struct {
-	Dataset string
-	Fanout  int
 	// Histograms indexed by hop distance, normalised per item (averages).
 	ForwardByLike      map[int]float64
 	ForwardByDislike   map[int]float64
@@ -26,10 +23,8 @@ type Fig6Result struct {
 
 // Fig6 runs the hop-distance analysis.
 func Fig6(o Options) Fig6Result {
-	o = o.WithDefaults()
-	ds := must(DatasetByName("survey", o))
-	const fanout = 5
-	out := Run(RunConfig{Dataset: ds, Alg: WhatsUp, Fanout: fanout, Seed: o.Seed, EngineOptions: o.EngineOptions})
+	o, ds := o.workload("survey")
+	out := o.run(at(ds, WhatsUp, 5))
 	col := out.Col
 
 	items := len(ds.Items)
@@ -41,21 +36,17 @@ func Fig6(o Options) Fig6Result {
 		return m
 	}
 	var hopSum, hopN float64
-	for h, n := range col.InfectionByLike {
-		hopSum += float64(h * n)
-		hopN += float64(n)
-	}
-	for h, n := range col.InfectionByDislike {
-		hopSum += float64(h * n)
-		hopN += float64(n)
+	for _, hist := range []map[int]int{col.InfectionByLike, col.InfectionByDislike} {
+		for h, n := range hist {
+			hopSum += float64(h * n)
+			hopN += float64(n)
+		}
 	}
 	mean := 0.0
 	if hopN > 0 {
 		mean = hopSum / hopN
 	}
 	return Fig6Result{
-		Dataset:            "survey",
-		Fanout:             fanout,
 		ForwardByLike:      norm(col.ForwardByLike),
 		ForwardByDislike:   norm(col.ForwardByDislike),
 		InfectionByLike:    norm(col.InfectionByLike),
@@ -81,15 +72,9 @@ func (r Fig6Result) MaxHop() int {
 // String renders the four curves, one row per hop.
 func (r Fig6Result) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 6 (%s, fLIKE=%d): per-item nodes vs hops (mean infection hop %.1f)\n",
-		r.Dataset, r.Fanout, r.MeanInfectionHops)
+	fmt.Fprintf(&b, "Figure 6 (survey, fLIKE=5): per-item nodes vs hops (mean infection hop %.1f)\n", r.MeanInfectionHops)
 	b.WriteString("  hop  fwd-like  infect-like  fwd-dislike  infect-dislike\n")
-	hops := make([]int, 0, r.MaxHop()+1)
-	for h := 0; h <= r.MaxHop(); h++ {
-		hops = append(hops, h)
-	}
-	sort.Ints(hops)
-	for _, h := range hops {
+	for h, last := 0, r.MaxHop(); h <= last; h++ {
 		fmt.Fprintf(&b, "  %-4d %-9.2f %-12.2f %-12.2f %-14.2f\n",
 			h, r.ForwardByLike[h], r.InfectionByLike[h], r.ForwardByDislike[h], r.InfectionByDislike[h])
 	}

@@ -30,6 +30,20 @@ type Fig7Curve struct {
 	ChangeConvergence int
 }
 
+// samples lists the six per-cycle curves.
+func (c *Fig7Curve) samples() []*[]float64 {
+	return []*[]float64{&c.RefSim, &c.JoinSim, &c.ChangeSim, &c.RefLiked, &c.JoinLiked, &c.ChangeLiked}
+}
+
+// newFig7Curve allocates the six curves of one metric at the run length.
+func newFig7Curve(metric profile.Metric, cycles int) Fig7Curve {
+	c := Fig7Curve{Metric: metric.Name()}
+	for _, s := range c.samples() {
+		*s = make([]float64, cycles)
+	}
+	return c
+}
+
 // Fig7Result reproduces Figure 7: cold start and interest dynamics, for the
 // WUP metric and for cosine. The WUP metric should converge several times
 // faster (paper: ~20 vs >100 cycles for joining, ~40 vs >100 for changing).
@@ -51,8 +65,6 @@ type Fig7Config struct {
 	TotalCycles int
 	// Window is the profile window (default 40 cycles, Section V-C).
 	Window int64
-	// Fanout is fLIKE (default 10).
-	Fanout int
 }
 
 func (c Fig7Config) withDefaults() Fig7Config {
@@ -68,67 +80,44 @@ func (c Fig7Config) withDefaults() Fig7Config {
 	if c.Window <= 0 {
 		c.Window = 40
 	}
-	if c.Fanout <= 0 {
-		c.Fanout = 10
-	}
 	return c
-}
-
-// remapOpinions routes each node's opinions through a mutable identity
-// table, enabling the joining node (same interests as the reference) and
-// the interest swap of the changing-node experiment.
-type remapOpinions struct {
-	ds    *dataset.Dataset
-	remap []news.NodeID
-}
-
-func (r *remapOpinions) Likes(n news.NodeID, item news.ID) bool {
-	return r.ds.Likes(r.remap[n], item)
 }
 
 // Fig7 runs the dynamics experiment with the given options and config.
 func Fig7(o Options, cfg Fig7Config) Fig7Result {
 	o = o.WithDefaults()
 	cfg = cfg.withDefaults()
-	res := Fig7Result{
+	// Both metrics' trials share one pool, one metric's after the other's.
+	ms := []profile.Metric{profile.WUP{}, profile.Cosine{}}
+	trials := make([]func() Fig7Curve, 0, len(ms)*cfg.Trials)
+	for _, metric := range ms {
+		for t := 0; t < cfg.Trials; t++ {
+			seed := o.Seed + int64(t)*7919
+			trials = append(trials, func() Fig7Curve { return fig7Trial(o, cfg, metric, seed) })
+		}
+	}
+	runs := parallel(o.Workers, trials)
+	return Fig7Result{
 		EventCycle: cfg.EventCycle,
 		TotalCycle: int64(cfg.TotalCycles),
 		Trials:     cfg.Trials,
+		WhatsUp:    fig7Mean(cfg, ms[0], runs[:cfg.Trials]),
+		Cosine:     fig7Mean(cfg, ms[1], runs[cfg.Trials:]),
 	}
-	curves := parallel(o.Workers, []func() Fig7Curve{
-		func() Fig7Curve { return fig7Metric(o, cfg, profile.WUP{}) },
-		func() Fig7Curve { return fig7Metric(o, cfg, profile.Cosine{}) },
-	})
-	res.WhatsUp, res.Cosine = curves[0], curves[1]
-	return res
 }
 
-// fig7Metric averages Trials runs for one metric.
-func fig7Metric(o Options, cfg Fig7Config, metric profile.Metric) Fig7Curve {
-	nCycles := cfg.TotalCycles
-	acc := Fig7Curve{Metric: metric.Name()}
-	acc.Cycles = make([]int64, nCycles)
+// fig7Mean averages one metric's trials.
+func fig7Mean(cfg Fig7Config, metric profile.Metric, trials []Fig7Curve) Fig7Curve {
+	acc := newFig7Curve(metric, cfg.TotalCycles)
+	acc.Cycles = make([]int64, cfg.TotalCycles)
 	for i := range acc.Cycles {
 		acc.Cycles[i] = int64(i + 1)
 	}
-	for _, field := range []*[]float64{&acc.RefSim, &acc.JoinSim, &acc.ChangeSim, &acc.RefLiked, &acc.JoinLiked, &acc.ChangeLiked} {
-		*field = make([]float64, nCycles)
-	}
-
-	trials := make([]func() Fig7Curve, cfg.Trials)
-	for t := 0; t < cfg.Trials; t++ {
-		seed := o.Seed + int64(t)*7919
-		trials[t] = func() Fig7Curve { return fig7Trial(o, cfg, metric, seed) }
-	}
-	results := parallel(o.Workers, trials)
-	for _, tr := range results {
-		for i := 0; i < nCycles; i++ {
-			acc.RefSim[i] += tr.RefSim[i] / float64(cfg.Trials)
-			acc.JoinSim[i] += tr.JoinSim[i] / float64(cfg.Trials)
-			acc.ChangeSim[i] += tr.ChangeSim[i] / float64(cfg.Trials)
-			acc.RefLiked[i] += tr.RefLiked[i] / float64(cfg.Trials)
-			acc.JoinLiked[i] += tr.JoinLiked[i] / float64(cfg.Trials)
-			acc.ChangeLiked[i] += tr.ChangeLiked[i] / float64(cfg.Trials)
+	for _, tr := range trials {
+		for k, mean := range acc.samples() {
+			for i, v := range *tr.samples()[k] {
+				(*mean)[i] += v / float64(cfg.Trials)
+			}
 		}
 	}
 	acc.JoinConvergence = convergenceCycles(acc.JoinSim, acc.RefSim, int(cfg.EventCycle), 0.9)
@@ -154,13 +143,16 @@ func convergenceCycles(candidate, reference []float64, event int, threshold floa
 // fig7Trial runs one seeded trial and returns its per-cycle samples.
 func fig7Trial(o Options, cfg Fig7Config, metric profile.Metric, seed int64) Fig7Curve {
 	ds := dataset.Survey(dataset.SurveyConfig{Seed: o.Seed, Scale: o.Scale, Cycles: cfg.TotalCycles})
-	op := &remapOpinions{ds: ds, remap: make([]news.NodeID, ds.Users+1)}
-	for i := range op.remap {
-		op.remap[i] = news.NodeID(i) // identity; entry ds.Users is the joiner
+	// Opinions go through a mutable identity table: the joiner (entry
+	// ds.Users) takes the reference's interests, the changing node swaps.
+	remap := make([]news.NodeID, ds.Users+1)
+	for i := range remap {
+		remap[i] = news.NodeID(i)
 	}
+	op := core.OpinionFunc(func(n news.NodeID, item news.ID) bool { return ds.Likes(remap[n], item) })
 
 	nodeCfg := core.Config{
-		FLike:         cfg.Fanout,
+		FLike:         10,
 		Metric:        metric,
 		ProfileWindow: cfg.Window,
 	}
@@ -178,13 +170,10 @@ func fig7Trial(o Options, cfg Fig7Config, metric profile.Metric, seed int64) Fig
 	}
 	swapWith := news.NodeID(roleRNG.Intn(ds.Users))
 	joinID := news.NodeID(ds.Users)
-	op.remap[joinID] = refID // the joiner shares the reference's interests
+	remap[joinID] = refID // the joiner shares the reference's interests
 
 	nCycles := cfg.TotalCycles
-	tr := Fig7Curve{Metric: metric.Name()}
-	for _, field := range []*[]float64{&tr.RefSim, &tr.JoinSim, &tr.ChangeSim, &tr.RefLiked, &tr.JoinLiked, &tr.ChangeLiked} {
-		*field = make([]float64, nCycles)
-	}
+	tr := newFig7Curve(metric, nCycles)
 
 	var ref, changing, joiner *core.Node
 	// Trials run on the sweep pool; each engine stays serial unless asked.
@@ -219,7 +208,7 @@ func fig7Trial(o Options, cfg Fig7Config, metric profile.Metric, seed int64) Fig
 		if int64(c) == cfg.EventCycle {
 			// Interest change: the changing node swaps identities with a
 			// random node (Section V-C).
-			op.remap[changingID], op.remap[swapWith] = op.remap[swapWith], op.remap[changingID]
+			remap[changingID], remap[swapWith] = remap[swapWith], remap[changingID]
 			// Join: cold start from a random host's views.
 			host := e.Peer(news.NodeID(roleRNG.Intn(ds.Users))).Overlay()
 			joiner = core.NewNode(joinID, "", nodeCfg, op, nodeRNG(seed, 1<<21))
@@ -237,7 +226,7 @@ func (r Fig7Result) String() string {
 	fmt.Fprintf(&b, "Figure 7 (survey, event at cycle %d of %d, %d trials)\n", r.EventCycle, r.TotalCycle, r.Trials)
 	for _, c := range []Fig7Curve{r.WhatsUp, r.Cosine} {
 		fmt.Fprintf(&b, "  metric=%-7s join-convergence=%s change-convergence=%s\n",
-			c.Metric, cyclesOrNever(c.JoinConvergence), cyclesOrNever(c.ChangeConvergence))
+			c.Metric, orNone("%d cycles", int64(c.JoinConvergence), "never"), orNone("%d cycles", int64(c.ChangeConvergence), "never"))
 		last := len(c.Cycles) - 1
 		mid := int(r.EventCycle) + 5
 		if mid > last {
@@ -247,11 +236,4 @@ func (r Fig7Result) String() string {
 			c.RefSim[last], c.JoinSim[mid], c.JoinSim[last], c.ChangeSim[last], c.JoinLiked[mid])
 	}
 	return b.String()
-}
-
-func cyclesOrNever(c int) string {
-	if c < 0 {
-		return "never"
-	}
-	return fmt.Sprintf("%d cycles", c)
 }

@@ -5,9 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"whatsup/internal/core"
-	"whatsup/internal/dataset"
-	"whatsup/internal/live"
 	"whatsup/internal/metrics"
 )
 
@@ -40,11 +37,9 @@ type Fig8Config struct {
 	Fanouts []int
 	// Cycles per run (default 40, a shorter trace as in Section V-D).
 	Cycles int
-	// CycleLength for the live runs (default 10 ms; the deployed prototype
+	// CycleLength for the live runs (default 15 ms; the deployed prototype
 	// used 30 s — only the ratio to delivery latency matters).
 	CycleLength time.Duration
-	// EmulationLoss is the channel-network loss rate (default 2%).
-	EmulationLoss float64
 	// SkipLive replaces the live measurements with zeros (used by quick
 	// benches that only need the simulation series).
 	SkipLive bool
@@ -60,65 +55,42 @@ func (c Fig8Config) withDefaults() Fig8Config {
 	if c.CycleLength <= 0 {
 		c.CycleLength = 15 * time.Millisecond
 	}
-	if c.EmulationLoss <= 0 {
-		c.EmulationLoss = 0.02
-	}
 	return c
 }
 
-// Fig8 runs the deployment comparison on a 245-user survey subset (the
-// paper deployed 245 users on 170 PlanetLab machines and a 25-node ModelNet
-// cluster).
+// Fig8 runs the deployment comparison.
 func Fig8(o Options, cfg Fig8Config) Fig8Result {
 	o = o.WithDefaults()
 	cfg = cfg.withDefaults()
-	// Half-scale survey ≈ 240 users at Scale 1, matching the deployment.
-	ds := dataset.Survey(dataset.SurveyConfig{Seed: o.Seed, Scale: o.Scale * 0.5, Cycles: cfg.Cycles})
+	ds := deploymentSurvey(o, cfg.Cycles)
 
-	jobs := make([]func() Fig8Point, len(cfg.Fanouts))
+	grid := make([]cell, len(cfg.Fanouts))
 	for i, f := range cfg.Fanouts {
-		f := f
-		jobs[i] = func() Fig8Point {
-			pt := Fig8Point{Fanout: f}
-
-			out := Run(RunConfig{Dataset: ds, Alg: WhatsUp, Fanout: f, Seed: o.Seed, Cycles: cfg.Cycles, EngineOptions: o.EngineOptions})
-			pt.Simulation = out.Col.F1()
-			const cycleSeconds = 30 // deployment gossip period (Section V-D)
-			beep := out.Col.Bytes(metrics.MsgBeep)
-			gossip := out.Col.GossipBytes()
-			pt.BEEPKbps = metrics.KbpsPerNode(beep, cfg.Cycles, cycleSeconds, ds.Users)
-			pt.WUPKbps = metrics.KbpsPerNode(gossip, cfg.Cycles, cycleSeconds, ds.Users)
-			pt.TotalKbps = pt.BEEPKbps + pt.WUPKbps
-
-			if cfg.SkipLive {
-				return pt
-			}
-			nodeCfg := core.Config{FLike: f, ProfileWindow: core.DefaultProfileWindow}
-			emu := live.NewRunner(live.Config{
-				Seed: o.Seed, Cycles: cfg.Cycles, CycleLength: cfg.CycleLength, NodeConfig: nodeCfg,
-			}, ds, live.NewChannelNet(o.Seed, cfg.EmulationLoss, cfg.CycleLength/10))
-			emu.Run()
-			pt.ModelNet = emu.Collector().F1()
-
-			// The TCP fleet shares one machine, so give it a slower clock
-			// than the in-memory emulation; congestion then comes from the
-			// bounded queues of the overloaded quarter of the fleet rather
-			// than from the test host's own CPU.
-			plab := live.NewRunner(live.Config{
-				Seed: o.Seed, Cycles: cfg.Cycles, CycleLength: 2 * cfg.CycleLength, NodeConfig: nodeCfg,
-			}, ds, live.NewTCPNet(live.TCPNetConfig{SlowEvery: 4, SlowQueueCap: 96, QueueCap: 8192}))
-			plab.Run()
-			pt.PlanetLab = plab.Collector().F1()
-			return pt
-		}
+		grid[i] = at(ds, WhatsUp, f)
+		grid[i].Cycles = cfg.Cycles
 	}
-	// Live runs are wall-clock bound; run sweep points sequentially to keep
-	// the goroutine fleets from distorting each other's timing.
-	workers := 1
+	pts := sweep(o, grid, func(c cell, out Outcome) Fig8Point {
+		pt := Fig8Point{Fanout: c.Fanout, Simulation: out.Col.F1()}
+		pt.BEEPKbps = metrics.KbpsPerNode(out.Col.Bytes(metrics.MsgBeep), cfg.Cycles, deploymentCycleSeconds, ds.Users)
+		pt.WUPKbps = metrics.KbpsPerNode(out.Col.GossipBytes(), cfg.Cycles, deploymentCycleSeconds, ds.Users)
+		pt.TotalKbps = pt.BEEPKbps + pt.WUPKbps
+		return pt
+	})
 	if cfg.SkipLive {
-		workers = o.Workers
+		return Fig8Result{Users: ds.Users, Points: pts}
 	}
-	return Fig8Result{Users: ds.Users, Points: parallel(workers, jobs)}
+	// Live runs are wall-clock bound: one fleet at a time, so the goroutine
+	// fleets do not distort each other's timing. The TCP fleet shares one
+	// machine, so it gets a slower clock than the in-memory emulation;
+	// congestion then comes from the bounded queues of the overloaded
+	// quarter of the fleet rather than from the test host's own CPU.
+	for i := range pts {
+		live := LiveRunConfig{Transport: "channel", Cycles: cfg.Cycles, CycleLength: cfg.CycleLength, Fanout: pts[i].Fanout}
+		pts[i].ModelNet = must(LiveRun(o, live)).F1
+		live.Transport, live.CycleLength = "tcp", 2*cfg.CycleLength
+		pts[i].PlanetLab = must(LiveRun(o, live)).F1
+	}
+	return Fig8Result{Users: ds.Users, Points: pts}
 }
 
 // String renders both panels of Figure 8.

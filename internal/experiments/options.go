@@ -27,8 +27,7 @@ func (o EngineOptions) engine(cfg sim.Config) sim.Config {
 // exercises the lifecycle-aware membership layer — the sim churn scenario
 // (ChurnConfig), the live-transport scenario (LiveRunConfig) and the churn
 // bench (ChurnBenchConfig) embed it, so each knob is declared, documented
-// and defaulted exactly once. Only Downtime keeps a per-driver default
-// (the drivers' historical values differ), threaded through withDefaults.
+// and defaulted exactly once. Only Downtime keeps a per-driver default.
 type ChurnOptions struct {
 	// ChurnRate is the expected fraction of the base population hit by a
 	// churn event over the run (half crashes-with-rejoin, half graceful
@@ -41,8 +40,8 @@ type ChurnOptions struct {
 	// (Section II-D).
 	FlashCrowd int
 	// Downtime is how many cycles a crashed node stays offline before its
-	// rejoin. Zero takes the driver's historical default: 8 for the sim
-	// scenario, 5 for the live scenario, 6 for the bench.
+	// rejoin. Zero takes the driver's default: 8 for the sim scenario, 5
+	// for the live scenario, 6 for the bench.
 	Downtime int64
 	// DescriptorTTL is the view eviction horizon in cycles (default
 	// core.DefaultDescriptorTTL, shared by all drivers so quality numbers
@@ -56,9 +55,8 @@ type ChurnOptions struct {
 	RefillWatermark float64
 }
 
-// withDefaults fills the shared churn defaults. defaultDowntime is the
-// embedding driver's historical downtime, preserved so extracting the shared
-// struct changed no CLI behavior.
+// withDefaults fills the shared churn defaults; defaultDowntime is the
+// embedding driver's.
 func (c ChurnOptions) withDefaults(defaultDowntime int64) ChurnOptions {
 	if c.ChurnRate < 0 {
 		c.ChurnRate = 0

@@ -61,6 +61,12 @@ func (o Options) WithDefaults() Options {
 	return o
 }
 
+// workload resolves the options and builds one of the three workloads under them.
+func (o Options) workload(name string) (Options, *dataset.Dataset) {
+	o = o.WithDefaults()
+	return o, must(DatasetByName(name, o))
+}
+
 // RunConfig describes one simulation point.
 type RunConfig struct {
 	Dataset *dataset.Dataset
@@ -80,9 +86,6 @@ type RunConfig struct {
 	// Cycles overrides the run length (0 = dataset default).
 	Cycles int
 	EngineOptions
-	// OnCycleEnd/OnDelivery are forwarded to the engine.
-	OnCycleEnd func(e *sim.Engine, now int64)
-	OnDelivery func(d core.Delivery, now int64)
 }
 
 // Outcome bundles a finished run.
@@ -148,11 +151,9 @@ func Run(rc RunConfig) Outcome {
 	w := sim.DatasetWorld(rc.Dataset)
 	w.NewPeer = peerFactory(rc, w.Opinions)
 	e, col := w.NewEngine(rc.engine(sim.Config{
-		Seed:       rc.Seed,
-		Cycles:     cycles,
-		LossRate:   rc.Loss,
-		OnCycleEnd: rc.OnCycleEnd,
-		OnDelivery: rc.OnDelivery,
+		Seed:     rc.Seed,
+		Cycles:   cycles,
+		LossRate: rc.Loss,
 	}))
 	e.Run()
 	return Outcome{Col: col, Engine: e, Cycles: cycles}

@@ -106,7 +106,10 @@ func (g *Undirected) Communities() [][]int {
 					continue
 				}
 				dq := 2 * (eij - a[i]*a[j])
-				if dq > bestDQ {
+				// Equal gains are common (every edge of a regular graph
+				// ties); the lowest pair wins, whatever order the map
+				// yields its keys in.
+				if dq > bestDQ || (dq == bestDQ && i == bestI && j < bestJ) {
 					bestI, bestJ, bestDQ = i, j, dq
 				}
 			}

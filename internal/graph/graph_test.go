@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -245,5 +246,24 @@ func TestModularityPerfectSplitBeatsMerged(t *testing.T) {
 	merged := []int{0, 0, 0, 0, 0, 0}
 	if g.Modularity(split) <= g.Modularity(merged) {
 		t.Fatalf("split=%v merged=%v", g.Modularity(split), g.Modularity(merged))
+	}
+}
+
+// TestCommunitiesDeterministicUnderTies is the regression for a merge order
+// that followed map iteration: on a ring every edge offers the same
+// modularity gain, so which neighbour a community absorbed first — and with
+// it the final partition — changed from call to call. The synthetic
+// workload inherited it (27 or 36 items at seed 3, scale 0.08).
+func TestCommunitiesDeterministicUnderTies(t *testing.T) {
+	const n = 12
+	g := NewUndirected(n)
+	for u := 0; u < n; u++ {
+		g.AddEdge(u, (u+1)%n)
+	}
+	want := fmt.Sprint(g.Communities())
+	for i := 0; i < 50; i++ {
+		if got := fmt.Sprint(g.Communities()); got != want {
+			t.Fatalf("call %d found %s, the first call %s", i, got, want)
+		}
 	}
 }

@@ -530,12 +530,22 @@ func (c *Collector) Recall() float64 {
 }
 
 // F1 is the harmonic mean of Precision and Recall (van Rijsbergen).
-func (c *Collector) F1() float64 {
+func (c *Collector) F1() float64 { return F1Of(c.Precision(), c.Recall()) }
+
+// Quality is the headline of a run: the macro item metrics of the paper's
+// tables and the message total they cost.
+type Quality struct {
+	Precision float64
+	Recall    float64
+	F1        float64
+	Messages  int64
+}
+
+// Quality reads the headline off the collector. Every exhibit row, run
+// summary and the façade's Results go through it.
+func (c *Collector) Quality() Quality {
 	p, r := c.Precision(), c.Recall()
-	if p+r == 0 {
-		return 0
-	}
-	return 2 * p * r / (p + r)
+	return Quality{Precision: p, Recall: r, F1: F1Of(p, r), Messages: c.TotalMessages()}
 }
 
 // F1Of combines an externally obtained precision/recall pair.

@@ -33,6 +33,11 @@ func TestPrecisionRecallF1(t *testing.T) {
 	if f := c.F1(); math.Abs(f-want) > 1e-12 {
 		t.Fatalf("f1=%v want %v", f, want)
 	}
+	c.RecordMessage(MsgBeep, 10)
+	c.RecordMessage(MsgRPSRequest, 20)
+	if q := c.Quality(); q != (Quality{c.Precision(), c.Recall(), c.F1(), 2}) {
+		t.Fatalf("Quality()=%+v must be the four accessor reads", q)
+	}
 }
 
 func TestMacroAveragingAcrossItems(t *testing.T) {

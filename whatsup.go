@@ -222,23 +222,11 @@ func (s *Simulation) Node(id NodeID) *Node {
 // Metrics returns the collector with precision/recall/F1 and traffic.
 func (s *Simulation) Metrics() *Collector { return s.col }
 
-// Results summarizes a run.
-type Results struct {
-	Precision float64
-	Recall    float64
-	F1        float64
-	Messages  int64
-}
+// Results summarizes a run: precision, recall, F1 and the message total.
+type Results = metrics.Quality
 
 // Results returns the headline numbers of the run.
-func (s *Simulation) Results() Results {
-	return Results{
-		Precision: s.col.Precision(),
-		Recall:    s.col.Recall(),
-		F1:        s.col.F1(),
-		Messages:  s.col.TotalMessages(),
-	}
-}
+func (s *Simulation) Results() Results { return s.col.Quality() }
 
 // ── Churn schedules ─────────────────────────────────────────────────────
 //
