@@ -48,68 +48,69 @@ func (d Descriptor) WireSize() int {
 	return size
 }
 
-// scoreKey identifies one (candidate descriptor) score in the cache. The
-// profile pointer is part of the key: descriptors are immutable snapshots,
-// so a pointer identifies fixed content, and because the map holds the
-// pointer the snapshot cannot be garbage-collected and its address cannot be
-// reused while the score is cached. Node and stamp are included so the cache
-// can be reasoned about in protocol terms (one score per candidate
-// generation) and cost nothing.
-type scoreKey struct {
-	node  news.NodeID
-	stamp int64
+// scoreSlots is the size of a view's similarity cache, set to the candidates
+// one merge scores: a clustering view at capacity plus the largest batch merged
+// into it (the RPS view injected each cycle, or a neighbour's whole view and
+// its descriptor) is 50 at the paper's view sizes (WUP 20, RPS 30) and 32 at
+// the benchmark worlds' (12, 20), where the three merges of a cycle together
+// score under 60 distinct snapshots.
+const scoreSlots = 64
+
+// scoreSlot is one cached (candidate snapshot, score) pair.
+type scoreSlot struct {
 	prof  *profile.Profile
+	score float64
 }
 
-// maxCachedScores bounds the per-view cache between invalidations; views
-// hold tens of entries, so this is reached only by long stretches without a
-// self-profile change under heavy descriptor churn.
-const maxCachedScores = 1024
-
 // scoreCache memoizes metric scores of candidate descriptors against one
-// target profile. Soundness: descriptor profiles are immutable snapshots and
-// the target is identified by (pointer, version) — Profile.Version() bumps
-// on every content mutation — so a hit can only return the exact float the
-// metric would recompute. Similarity values are therefore bit-identical with
-// the cache on or off, and simulation results do not depend on hit patterns.
-// The metric is not part of the key: a view is owned by one protocol
-// instance and scored with a single fixed metric for its whole lifetime.
+// target profile in a fixed ring of scoreSlots slots, the oldest overwritten
+// first. Soundness: descriptor profiles are immutable snapshots, so a pointer
+// identifies fixed content, and because the slot holds the pointer the
+// snapshot cannot be garbage-collected and its address cannot be reused while
+// the score is cached; the target is identified by (pointer, version) —
+// Profile.Version() bumps on every content mutation — so a hit can only
+// return the exact float the metric would recompute. Similarity values are
+// therefore bit-identical with the cache on or off, and simulation results do
+// not depend on hit patterns or on the slot count. The metric is not part of
+// the key: a view is owned by one protocol instance and scored with a single
+// fixed metric for its whole lifetime.
 type scoreCache struct {
 	self    *profile.Profile // target the cached scores are valid against
 	version uint64           // self's version when the cache was (re)keyed
-	scores  map[scoreKey]float64
+	slots   []scoreSlot      // nil until first keyed (RPS views never are)
+	next    int              // slot the next miss overwrites once the ring is full
 }
 
 // lookup returns the cached score for d against (self, version), computing
 // and storing it on a miss. The caller guarantees the cache is keyed to
 // (self, version).
 func (c *scoreCache) lookup(metric profile.Metric, self *profile.Profile, d Descriptor) float64 {
-	k := scoreKey{node: d.Node, stamp: d.Stamp, prof: d.Profile}
-	if s, ok := c.scores[k]; ok {
-		return s
+	for i := range c.slots {
+		if c.slots[i].prof == d.Profile {
+			return c.slots[i].score
+		}
 	}
-	s := metric.Similarity(self, d.Profile)
-	if len(c.scores) >= maxCachedScores {
-		clear(c.scores)
+	s := scoreSlot{d.Profile, metric.Similarity(self, d.Profile)}
+	if len(c.slots) < scoreSlots {
+		c.slots = append(c.slots, s) // within the capacity rekey reserved
+	} else {
+		c.slots[c.next] = s
+		c.next = (c.next + 1) % scoreSlots
 	}
-	c.scores[k] = s
-	return s
+	return s.score
 }
 
 // rekey points the cache at a (possibly new) target profile version,
-// dropping stale scores. Reports whether the cache is usable.
+// dropping stale scores and the snapshots they pinned.
 func (c *scoreCache) rekey(self *profile.Profile) {
-	if self == nil {
+	if self == nil || c.keyedTo(self) {
 		return
 	}
-	if c.self == self && c.version == self.Version() && c.scores != nil {
-		return
+	if c.slots == nil {
+		c.slots = make([]scoreSlot, 0, scoreSlots)
 	}
-	if c.scores == nil {
-		c.scores = make(map[scoreKey]float64, 64)
-	} else {
-		clear(c.scores)
-	}
+	clear(c.slots)
+	c.slots, c.next = c.slots[:0], 0
 	c.self = self
 	c.version = self.Version()
 }
@@ -117,7 +118,7 @@ func (c *scoreCache) rekey(self *profile.Profile) {
 // keyedTo reports whether the cache currently holds scores against exactly
 // this target profile content.
 func (c *scoreCache) keyedTo(self *profile.Profile) bool {
-	return self != nil && c.self == self && c.version == self.Version() && c.scores != nil
+	return self != nil && c.self == self && c.version == self.Version() && c.slots != nil
 }
 
 // scored pairs a descriptor with its similarity for the trim sort.
@@ -129,10 +130,12 @@ type scored struct {
 // View is a bounded set of descriptors with at most one entry per node. A
 // view belongs to one node and is not goroutine-safe; its scratch buffers
 // and similarity cache are reused across calls by that single owner.
+// Views hold tens of entries, so membership is a scan of entries, not an index
+// beside them. Every mutator leaves entries[len:cap] zeroed: a descriptor that
+// left the view must not pin its profile snapshot through the backing array.
 type View struct {
 	capacity int
 	entries  []Descriptor
-	index    map[news.NodeID]int // node -> position in entries
 	cache    scoreCache
 	perm     []int    // scratch for AppendRandomSample (Fisher–Yates)
 	ranked   []scored // scratch for TrimBySimilarity
@@ -146,7 +149,6 @@ func NewView(capacity int) *View {
 	return &View{
 		capacity: capacity,
 		entries:  make([]Descriptor, 0, capacity),
-		index:    make(map[news.NodeID]int, capacity),
 	}
 }
 
@@ -156,15 +158,22 @@ func (v *View) Capacity() int { return v.capacity }
 // Len reports the number of entries currently held.
 func (v *View) Len() int { return len(v.entries) }
 
-// Contains reports whether the view holds a descriptor for the node.
-func (v *View) Contains(id news.NodeID) bool {
-	_, ok := v.index[id]
-	return ok
+// find returns the position of the node's descriptor in entries, or -1.
+func (v *View) find(id news.NodeID) int {
+	for i := range v.entries {
+		if v.entries[i].Node == id {
+			return i
+		}
+	}
+	return -1
 }
+
+// Contains reports whether the view holds a descriptor for the node.
+func (v *View) Contains(id news.NodeID) bool { return v.find(id) >= 0 }
 
 // Get returns the descriptor for a node, if present.
 func (v *View) Get(id news.NodeID) (Descriptor, bool) {
-	if i, ok := v.index[id]; ok {
+	if i := v.find(id); i >= 0 {
 		return v.entries[i], true
 	}
 	return Descriptor{}, false
@@ -205,13 +214,12 @@ func (v *View) Nodes() []news.NodeID {
 // copy. Insert does not enforce capacity; call one of the Trim methods after
 // a merge.
 func (v *View) Insert(d Descriptor) {
-	if i, ok := v.index[d.Node]; ok {
+	if i := v.find(d.Node); i >= 0 {
 		if d.Fresher(v.entries[i]) {
 			v.entries[i] = d
 		}
 		return
 	}
-	v.index[d.Node] = len(v.entries)
 	v.entries = append(v.entries, d)
 }
 
@@ -251,17 +259,17 @@ func (v *View) InsertAllFromLive(src *View, exclude news.NodeID, g *Graveyard) {
 
 // Remove deletes the descriptor for a node, if present.
 func (v *View) Remove(id news.NodeID) {
-	i, ok := v.index[id]
-	if !ok {
-		return
+	if i := v.find(id); i >= 0 {
+		v.removeAt(i)
 	}
+}
+
+// removeAt deletes the entry at position i, moving the last one into its place.
+func (v *View) removeAt(i int) {
 	last := len(v.entries) - 1
-	if i != last {
-		v.entries[i] = v.entries[last]
-		v.index[v.entries[i].Node] = i
-	}
+	v.entries[i] = v.entries[last]
+	v.entries[last] = Descriptor{}
 	v.entries = v.entries[:last]
-	delete(v.index, id)
 }
 
 // EvictOlderThan removes every descriptor whose generation stamp is strictly
@@ -274,23 +282,13 @@ func (v *View) Remove(id news.NodeID) {
 // randomness, so it is safe inside the engine's per-peer phases.
 func (v *View) EvictOlderThan(minStamp int64) int {
 	kept := v.entries[:0]
-	for i, d := range v.entries {
-		if d.Stamp < minStamp {
-			delete(v.index, d.Node)
-			continue
+	for _, d := range v.entries {
+		if d.Stamp >= minStamp {
+			kept = append(kept, d)
 		}
-		if len(kept) != i { // nothing shifts until the first eviction
-			v.index[d.Node] = len(kept)
-		}
-		kept = append(kept, d)
 	}
 	evicted := len(v.entries) - len(kept)
-	// Zero the tail so evicted descriptor profiles are not pinned by the
-	// backing array.
-	tail := v.entries[len(kept):]
-	for i := range tail {
-		tail[i] = Descriptor{}
-	}
+	clear(v.entries[len(kept):])
 	v.entries = kept
 	return evicted
 }
@@ -351,8 +349,7 @@ func (v *View) RandomSample(rng *rand.Rand, n int) []Descriptor {
 // Section II).
 func (v *View) TrimRandom(rng *rand.Rand) {
 	for len(v.entries) > v.capacity {
-		i := rng.Intn(len(v.entries))
-		v.Remove(v.entries[i].Node)
+		v.removeAt(rng.Intn(len(v.entries)))
 	}
 }
 
@@ -375,7 +372,7 @@ func (v *View) TrimBySimilarity(rng *rand.Rand, metric profile.Metric, self *pro
 	}
 	v.cache.rekey(self)
 	if cap(v.ranked) < len(v.entries) {
-		v.ranked = make([]scored, 0, len(v.entries)*2) //whatsup:alloc scratch doubles then is reused across cycles
+		v.ranked = make([]scored, 0, len(v.entries)) //whatsup:alloc scratch sized to the largest merge so far, then reused across cycles
 	}
 	ranked := v.ranked[:0]
 	for _, d := range v.entries {
@@ -394,12 +391,11 @@ func (v *View) TrimBySimilarity(rng *rand.Rand, metric profile.Metric, self *pro
 			return 0
 		}
 	})
-	v.entries = v.entries[:0]
-	clear(v.index)
-	for _, r := range ranked[:v.capacity] {
-		v.index[r.d.Node] = len(v.entries)
-		v.entries = append(v.entries, r.d) //whatsup:allow:hotalloc shrinking below prior length, never grows
+	for i, r := range ranked[:v.capacity] {
+		v.entries[i] = r.d
 	}
+	clear(v.entries[v.capacity:])
+	v.entries = v.entries[:v.capacity]
 	clear(ranked) // drop descriptor refs held by the scratch backing array
 	v.ranked = ranked[:0]
 }
@@ -450,9 +446,7 @@ func (v *View) Profiles() []*profile.Profile {
 // not carried over.
 func (v *View) Clone() *View {
 	c := NewView(v.capacity)
-	for _, d := range v.entries {
-		c.Insert(d)
-	}
+	c.entries = append(c.entries, v.entries...)
 	return c
 }
 

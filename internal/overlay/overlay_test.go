@@ -290,34 +290,50 @@ func TestSimilarityCacheTransientTargetsBypass(t *testing.T) {
 func TestSimilarityCacheBitIdenticalScores(t *testing.T) {
 	// Every cached score must be the exact float a direct metric evaluation
 	// produces — the invariant that makes the cache invisible to simulation
-	// results. Exercised white-box over random views and targets.
+	// results. Exercised white-box over random views and targets, through
+	// more candidates than the cache has slots (so the ring wraps and
+	// overwrites its oldest scores) and across self-version bumps.
+	randomProfile := func(rng *rand.Rand, n int) *profile.Profile {
+		p := profile.New()
+		for i := 0; i < n; i++ {
+			p.Set(news.ID(rng.Int63n(30)), 0, float64(rng.Intn(2)))
+		}
+		return p
+	}
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		self := profile.New()
-		for i := 0; i < 8; i++ {
-			self.Set(news.ID(rng.Int63n(30)), 0, float64(rng.Intn(2)))
-		}
+		self := randomProfile(rng, 8)
 		v := NewView(4)
-		for i := 0; i < 12; i++ {
-			p := profile.New()
-			for j := 0; j < 6; j++ {
-				p.Set(news.ID(rng.Int63n(30)), 0, float64(rng.Intn(2)))
+		wrapped := false
+		for round, node := 0, news.NodeID(0); round < 30; round++ {
+			if round%7 == 6 {
+				self.Set(news.ID(rng.Int63n(30)), int64(round), float64(rng.Intn(2))) // version bump: every score is stale
 			}
-			v.Insert(Descriptor{Node: news.NodeID(i), Stamp: int64(i % 3), Profile: p})
-		}
-		v.TrimBySimilarity(rng, profile.WUP{}, self) // keys and fills the cache
-		for _, d := range v.entries {
-			cached := v.cache.lookup(profile.WUP{}, self, d)
-			direct := profile.WUP{}.Similarity(self, d.Profile)
-			if cached != direct {
-				t.Fatalf("seed %d node %d: cached %v != direct %v", seed, d.Node, cached, direct)
+			for i := 0; i < 12; i++ { // fresh snapshots each round: 12 more slots used
+				v.Insert(Descriptor{Node: node, Stamp: int64(i % 3), Profile: randomProfile(rng, 6)})
+				node++
+			}
+			v.TrimBySimilarity(rng, profile.WUP{}, self) // (re)keys and fills the cache
+			if !v.cache.keyedTo(self) || len(v.cache.slots) > scoreSlots {
+				t.Fatalf("seed %d round %d: cache not keyed to self, or %d slots", seed, round, len(v.cache.slots))
+			}
+			wrapped = wrapped || v.cache.next > 0
+			for _, d := range v.entries {
+				cached := v.cache.lookup(profile.WUP{}, self, d)
+				direct := profile.WUP{}.Similarity(self, d.Profile)
+				if cached != direct {
+					t.Fatalf("seed %d round %d node %d: cached %v != direct %v", seed, round, d.Node, cached, direct)
+				}
+			}
+			// The cached MostSimilar must agree with a cache-free clone.
+			a, okA := v.MostSimilar(profile.WUP{}, self)
+			b, okB := v.Clone().MostSimilar(profile.WUP{}, self)
+			if okA != okB || a.Node != b.Node {
+				t.Fatalf("seed %d round %d: cached MostSimilar %v, direct %v", seed, round, a.Node, b.Node)
 			}
 		}
-		// The cached MostSimilar must agree with a cache-free clone.
-		a, okA := v.MostSimilar(profile.WUP{}, self)
-		b, okB := v.Clone().MostSimilar(profile.WUP{}, self)
-		if okA != okB || a.Node != b.Node {
-			t.Fatalf("seed %d: cached MostSimilar %v, direct %v", seed, a.Node, b.Node)
+		if !wrapped {
+			t.Fatalf("seed %d: the cache never wrapped; the test no longer reaches eviction", seed)
 		}
 	}
 }

@@ -1,0 +1,89 @@
+package sim
+
+import (
+	"math/rand"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"whatsup/internal/core"
+	"whatsup/internal/news"
+)
+
+// churnCycleWorld builds the world BenchmarkHotPath/churn-cycle-1000peers
+// steps (internal/experiments, hotPathWorld with churn): peers in 4 interest
+// communities, 4 items a cycle, about 1 % of the population crashing per
+// cycle and back after 5, descriptor-TTL eviction on.
+func churnCycleWorld(peers, cycles, workers, shards int) *Engine {
+	w := Communities(peers, 4, 4, cycles, "hp")
+	nodeCfg := core.Config{FLike: 6, RPSViewSize: 20, DescriptorTTL: 15}.ForPopulation(peers)
+	w.Churn = ChurnTrace(ChurnTraceConfig{Seed: 7, Nodes: peers, From: 1, To: int64(cycles), CrashRate: 0.01, Downtime: 5})
+	w.NewPeer = func(id news.NodeID) Peer {
+		return core.NewNode(id, "", nodeCfg, w.Opinions, rand.New(rand.NewSource(1000+int64(id))))
+	}
+	e, _ := w.NewEngine(Config{Seed: 1, Cycles: cycles, BootstrapDegree: 5, Workers: workers, Shards: shards})
+	return e
+}
+
+// TestStepReleasesScratch is the engine half of "nothing pinned past its
+// use": the BEEP hop buffers and the gossip exchange table keep their
+// capacity between cycles but not their contents, so a finished cycle holds
+// no item profile, push, reply or tombstone slice alive.
+func TestStepReleasesScratch(t *testing.T) {
+	const cycles = 12
+	for _, c := range []struct{ workers, shards int }{{1, 1}, {2, 4}} {
+		e := churnCycleWorld(200, cycles, c.workers, c.shards)
+		for e.Now() < cycles {
+			e.Step()
+			allZero := func(name string, buf any) {
+				v := reflect.ValueOf(buf)
+				for i := 0; i < v.Len(); i++ {
+					if !v.Index(i).IsZero() {
+						t.Fatalf("workers %d shards %d cycle %d: %s[%d] of %d still set after Step: %+v",
+							c.workers, c.shards, e.Now(), name, i, v.Len(), v.Index(i))
+					}
+				}
+			}
+			allZero("batch", e.batch[:cap(e.batch)])
+			allZero("exs", e.exs[:cap(e.exs)])
+			sent := 0
+			for _, buf := range e.sendBufs {
+				allZero("sendBufs", buf[:cap(buf)])
+				sent += cap(buf)
+			}
+			if cap(e.batch) == 0 || cap(e.exs) == 0 || sent == 0 {
+				t.Fatalf("workers %d shards %d cycle %d: a scratch buffer was never used; the test checks nothing", c.workers, c.shards, e.Now())
+			}
+		}
+	}
+}
+
+// collectedHeap forces a collection and returns the bytes that survive it.
+func collectedHeap() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// TestSimHeapPerPeerBudget makes a retention regression fail tier-1, not only
+// the benchmark's heap_kb_per_peer: the live heap a 1000-peer churn-cycle
+// world adds, read the way the benchmark reads it (after a forced collection,
+// the engine still reachable), must stay within 1.25 × the recorded figure.
+//
+// Recorded: 22.55 KB/peer (go1.24, linux/amd64).
+func TestSimHeapPerPeerBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime inflates the heap")
+	}
+	const peers, cycles, recordedKB = 1000, 30, 22.55
+	before := collectedHeap()
+	e := churnCycleWorld(peers, cycles, 1, 1)
+	e.Run()
+	perPeerKB := float64(collectedHeap()-before) / 1024 / peers
+	runtime.KeepAlive(e)
+	t.Logf("%.2f KB/peer after %d cycles (recorded %.2f)", perPeerKB, cycles, recordedKB)
+	if perPeerKB > 1.25*recordedKB {
+		t.Fatalf("sim heap %.2f KB/peer exceeds 1.25 × the recorded %.2f", perPeerKB, recordedKB)
+	}
+}

@@ -276,9 +276,10 @@ var emptyDescriptors = make([]overlay.Descriptor, 0)
 // The scratch fields at the bottom are reused across hops and cycles so the
 // steady-state per-cycle loop performs no engine-side allocation beyond the
 // cross-shard profile snapshots a shard decodes for the first time: the BEEP
-// hop batches, the per-receiver segments, the per-worker send/delivery
+// hop batch, the per-receiver segments, the per-worker send/delivery
 // buffers, the gossip exchange table and the inter-shard batch buffers and
-// decode arenas all keep their capacity between cycles.
+// decode arenas all keep their capacity between cycles — and only that: drain
+// and gossipRound zero what could pin a profile or a descriptor slice.
 type Engine struct {
 	cfg     Config
 	workers int // total worker budget
@@ -296,7 +297,6 @@ type Engine struct {
 	stats   ShardStats
 
 	batch       []envelope // sends of the current BEEP hop
-	next        []envelope // assembly buffer for the following hop
 	segs        []segment  // per-receiver spans of the sorted hop
 	exs         []exchange // gossip exchange table, one slot per peer
 	order       []news.NodeID
@@ -1214,8 +1214,7 @@ func (e *Engine) computePushes(now int64, layer core.Layer, reqKind metrics.Mess
 	if cap(e.exs) < n {
 		e.exs = make([]exchange, n)
 	}
-	exs := e.exs[:n]
-	clear(exs) // also drops the previous round's push/reply refs
+	exs := e.exs[:n] // all zero: gossipRound clears the table when the round ends
 	e.forEachMember(func(w, g int) {
 		if e.stateAt(g) != Online {
 			return
@@ -1295,6 +1294,7 @@ func (e *Engine) gossipRound(now int64, layer core.Layer, reqKind, repKind metri
 			e.peerAt(g).Overlay().AcceptReply(layer, exs[g].reply, exs[g].replyTombs, now)
 		}
 	})
+	clear(exs) // the round is over: its pushes, replies and tombstone slices are garbage
 }
 
 // enqueue adds sends from one peer to the current BEEP hop.
@@ -1319,6 +1319,12 @@ func (e *Engine) enqueue(from news.NodeID, sends []core.Send) {
 func (e *Engine) drain(now int64) {
 	for len(e.batch) > 0 {
 		e.deliverRound(now)
+	}
+	// Hops truncate the scratch without zeroing it: release the envelopes left
+	// beyond len, each pinning an item profile, and keep only the capacity.
+	clear(e.batch[:cap(e.batch)])
+	for _, buf := range e.sendBufs {
+		clear(buf[:cap(buf)])
 	}
 }
 
@@ -1420,8 +1426,8 @@ func (e *Engine) deliverRound(now int64) {
 	})
 	// Fire callbacks in segment (receiver) order via the per-segment spans —
 	// the user-visible delivery sequence is identical for any worker or
-	// shard partition — then assemble the next hop (whose order the sort
-	// above normalizes).
+	// shard partition — then assemble the next hop over the one just consumed
+	// (the sort above normalizes its order).
 	if observe {
 		for _, span := range e.delivSegs {
 			for _, d := range e.delivBufs[span.w][span.lo:span.hi] {
@@ -1429,11 +1435,10 @@ func (e *Engine) deliverRound(now int64) {
 			}
 		}
 	}
-	e.next = e.next[:0]
+	e.batch = batch[:0]
 	for w := range e.sendBufs {
-		e.next = append(e.next, e.sendBufs[w]...) //whatsup:alloc amortized growth of the next-hop batch
+		e.batch = append(e.batch, e.sendBufs[w]...) //whatsup:alloc amortized growth of the hop batch
 	}
-	e.batch, e.next = e.next, e.batch
 }
 
 // WUPGraph snapshots the directed graph formed by the online peers' WUP
