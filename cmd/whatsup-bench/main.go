@@ -48,18 +48,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		memProfile    = fs.String("memprofile", "", "write an allocation profile to this file at exit")
 		skipLive      = fs.Bool("skip-live", false, "skip the live (ModelNet/PlanetLab) runs in fig8 and the 'live' scenario")
 		transport     = fs.String("transport", "channel", "network for the 'live' scenario: channel (in-memory emulation) or tcp (loopback sockets)")
-		batchWindow   = fs.Duration("batch-window", 0, "TCP write-coalescing window for the 'live' scenario (0 = opportunistic batching)")
 		liveChurn     = fs.Float64("live-churn", 0, "population fraction hit by churn in the 'live' scenario (crash+rejoin and graceful leaves; 0 = static fleet)")
 		liveFlash     = fs.Int("live-flash-crowd", 0, "flash-crowd joiners arriving a third into the 'live' scenario")
 		cyclePeers    = fs.Int("cycle-peers", 5000, "population of the 'churn' scenario")
-		churnRate     = fs.Float64("churn-rate", 0.20, "population fraction churning in the 'churn' scenario")
 		churnDepart   = fs.Bool("churn-departures", true, "enable graceful-departure notices in the 'churn' and 'live' scenarios")
 		churnRefill   = fs.Float64("churn-refill", 0.5, "anti-entropy view-refill watermark for the 'churn' and 'live' scenarios (0 = off)")
 		advPeers      = fs.Int("adversarial-peers", 600, "population of the 'adversarial' scenario")
 		advCycles     = fs.Int("adversarial-cycles", 40, "cycles of the 'adversarial' scenario")
 		advSpam       = fs.Float64("adversarial-spam", 0.10, "population fraction acting as spam publishers in the 'adversarial' scenario")
-		advPoison     = fs.Bool("adversarial-poison", true, "attackers also advertise poisoned profiles (sybil mode) in the 'adversarial' scenario")
-		advPartitionK = fs.Int("adversarial-partition-k", 2, "k-way network partition opening mid-run in the 'adversarial' scenario (0 = none)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
@@ -113,8 +109,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Peers:         *advPeers,
 		Cycles:        *advCycles,
 		SpamFraction:  *advSpam,
-		Poison:        *advPoison,
-		PartitionK:    *advPartitionK,
+		Poison:        true, // sybil mode: attackers also advertise poisoned profiles
+		PartitionK:    2,    // a two-way partition opens mid-run and heals
 		EngineOptions: engine,
 	}
 	if selected["adversarial"] {
@@ -171,7 +167,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				ChurnRate: *liveChurn, FlashCrowd: *liveFlash,
 				DepartureNotices: *churnDepart, RefillWatermark: *churnRefill,
 			},
-			Transport: *transport, BatchWindow: *batchWindow,
+			Transport: *transport,
 		})
 		if err != nil {
 			liveErr = err
@@ -193,10 +189,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// four-cell WhatsUp-vs-Gossip resilience comparison (clean and attacked
 	// runs of each) under a hostile cohort and an optional mid-run partition.
 	if selected["churn"] {
+		const churnRate = 0.20 // population fraction the trace hits
 		runExp("churn", func() fmt.Stringer {
 			r := experiments.ChurnBench(experiments.ChurnBenchConfig{
 				ChurnOptions: experiments.ChurnOptions{
-					ChurnRate:        *churnRate,
+					ChurnRate:        churnRate,
 					DepartureNotices: *churnDepart,
 					RefillWatermark:  *churnRefill,
 				},
@@ -204,7 +201,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				Peers:         *cyclePeers,
 			})
 			return stringer(fmt.Sprintf("churn %.0f%% departure-notices=%v refill-watermark=%.2f\n%s",
-				*churnRate*100, *churnDepart, *churnRefill, r))
+				churnRate*100, *churnDepart, *churnRefill, r))
 		})
 	}
 	if selected["adversarial"] {

@@ -36,7 +36,6 @@ import (
 	"whatsup/internal/dataset"
 	"whatsup/internal/live"
 	"whatsup/internal/news"
-	"whatsup/internal/sim"
 	"whatsup/internal/source"
 )
 
@@ -72,14 +71,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		nodes       = fs.Int("nodes", 20, "fleet size")
 		cycles      = fs.Int("cycles", -1, "gossip cycles to run; negative = serve until interrupted")
 		cycleLength = fs.Duration("cycle-length", time.Second, "gossip period (the prototype used 30s)")
-		fanout      = fs.Int("fanout", 0, "fLIKE (0 = paper default)")
 		seed        = fs.Int64("seed", 1, "seed")
 		poll        = fs.Duration("poll", 30*time.Second, "source poll interval")
 		gatewayNode = fs.Int("gateway-node", 0, "fleet node the gateway publishes through")
 		feedCap     = fs.Int("feed-capacity", 64, "per-node feed retention (deliveries)")
-		likePct     = fs.Int("like-percent", 60, "per-node probability (0-100) of liking an ingested item")
-		churnRate   = fs.Float64("churn-rate", 0, "per-node per-cycle crash probability (0 = stable fleet)")
-		churnWindow = fs.Int64("churn-window", 200, "cycles over which the churn trace is drawn")
 	)
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
@@ -104,41 +99,23 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 	// The fleet has no trace workload — its items arrive from the sources.
 	// Interests over those unknown-in-advance items come from a deterministic
-	// hash: each (node, item) pair likes with probability -like-percent,
+	// hash: each (node, item) pair likes with probability likePercent,
 	// giving BEEP's amplification a population of interested nodes while
 	// still exercising the dislike path. Live feedback overrides this
 	// per user, per item.
-	pct := uint64(*likePct)
+	const likePercent = 60
 	opinions := core.OpinionFunc(func(n news.NodeID, id news.ID) bool {
 		h := uint64(id)*0x9E3779B97F4A7C15 ^ uint64(uint32(n))*0xBF58476D1CE4E5B9
 		h ^= h >> 33
-		return h%100 < pct
+		return h%100 < likePercent
 	})
 
-	var churn sim.ChurnSchedule
-	if *churnRate > 0 {
-		churn = sim.ChurnTrace(sim.ChurnTraceConfig{
-			Seed:      *seed + 1,
-			Nodes:     *nodes,
-			From:      5,
-			To:        5 + *churnWindow,
-			CrashRate: *churnRate,
-			Downtime:  10,
-		})
-	}
-
-	nodeCfg := core.Config{FLike: *fanout}
-	if !churn.Empty() {
-		nodeCfg.DescriptorTTL = core.DefaultDescriptorTTL
-	}
 	runner := live.NewRunner(live.Config{
 		Seed:         *seed,
 		Cycles:       *cycles,
 		CycleLength:  *cycleLength,
-		NodeConfig:   nodeCfg,
 		Opinions:     opinions,
 		FeedCapacity: *feedCap,
-		Churn:        churn,
 	}, dataset.Blank(*nodes, 0), live.NewChannelNet(*seed, 0, 0))
 
 	gw := source.NewGateway(source.GatewayConfig{

@@ -13,6 +13,7 @@
 //	whatsup-sim -dataset synthetic -workers 8 -scale 1
 //	whatsup-sim -dataset survey -churn 0.2 -flash-crowd 50 -descriptor-ttl 15
 //	whatsup-sim -live -live-transport channel -churn 0.2 -flash-crowd 20
+//	whatsup-sim -live -live-transport tcp -scale 0.25 -fanout 8
 package main
 
 import (
@@ -42,7 +43,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		scale   = fs.Float64("scale", 0.5, "dataset scale (1.0 = paper sizes)")
 		seed    = fs.Int64("seed", 1, "seed")
 		loss    = fs.Float64("loss", 0, "uniform message-loss rate")
-		ttl     = fs.Int("ttl", 0, "dislike TTL (0 = default 4, negative = 0)")
 		workers = fs.Int("workers", 0, "engine worker pool (0 = GOMAXPROCS); results are identical for any value")
 		shards  = fs.Int("shards", 0, "engine membership slabs with codec-routed inter-shard gossip (0 = single slab); results are identical for any value")
 
@@ -78,6 +78,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if engineWorkers <= 0 {
 		engineWorkers = runtime.GOMAXPROCS(0) // a single point gets the machine
 	}
+	churn := experiments.ChurnOptions{
+		ChurnRate:        *churnRate,
+		FlashCrowd:       *flashCrowd,
+		DescriptorTTL:    *descTTL,
+		DepartureNotices: *churnDepart,
+		RefillWatermark:  *churnRefill,
+	}
 
 	if *liveRun {
 		// The live runtime is WhatsUp-only, like the paper's deployments, and
@@ -88,16 +95,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		r, err := experiments.LiveRun(experiments.Options{Seed: *seed, Scale: *scale}, experiments.LiveRunConfig{
-			ChurnOptions: experiments.ChurnOptions{
-				ChurnRate:        *churnRate,
-				FlashCrowd:       *flashCrowd,
-				DescriptorTTL:    *descTTL,
-				DepartureNotices: *churnDepart,
-				RefillWatermark:  *churnRefill,
-			},
-			Transport: *liveTransport,
-			Fanout:    *fanout,
-			LossRate:  *loss,
+			ChurnOptions: churn,
+			Transport:    *liveTransport,
+			Fanout:       *fanout,
+			LossRate:     *loss,
 		})
 		if err != nil {
 			fmt.Fprintln(stderr, err)
@@ -123,17 +124,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		r := experiments.ChurnRun(o, experiments.ChurnConfig{
-			ChurnOptions: experiments.ChurnOptions{
-				ChurnRate:        *churnRate,
-				FlashCrowd:       *flashCrowd,
-				DescriptorTTL:    *descTTL,
-				DepartureNotices: *churnDepart,
-				RefillWatermark:  *churnRefill,
-			},
+			ChurnOptions:  churn,
 			EngineOptions: engine,
 			Dataset:       ds,
 			Fanout:        *fanout,
-			TTL:           *ttl,
 			Loss:          *loss,
 		})
 		fmt.Fprintln(stdout, r)
@@ -141,7 +135,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	out := experiments.Run(experiments.RunConfig{
-		Dataset: ds, Alg: a, Fanout: *fanout, Seed: *seed, Loss: *loss, TTL: *ttl,
+		Dataset: ds, Alg: a, Fanout: *fanout, Seed: *seed, Loss: *loss,
 		EngineOptions: engine,
 	})
 	col, q := out.Col, out.Col.Quality()

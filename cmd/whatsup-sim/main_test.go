@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -81,6 +82,31 @@ func TestRunLiveChurnScenario(t *testing.T) {
 		if !strings.Contains(got, want) {
 			t.Fatalf("output missing %q:\n%s", want, got)
 		}
+	}
+}
+
+// TestRunLiveTCPFleet is the shell entry point of the one TCP-fleet recipe:
+// loopback sockets end to end, reporting non-zero quality and a non-zero
+// gossip/BEEP byte split.
+func TestRunLiveTCPFleet(t *testing.T) {
+	if testing.Short() {
+		t.Skip("TCP fleet in -short mode")
+	}
+	var out, errOut strings.Builder
+	code := run([]string{"-live", "-live-transport", "tcp", "-scale", "0.12"}, &out, &errOut)
+	if code != 0 {
+		t.Fatalf("exit=%d stderr=%q", code, errOut.String())
+	}
+	var users, cycles int
+	var p, r, f1 float64
+	var messages, total, gossip, beep int64
+	if _, err := fmt.Sscanf(out.String(),
+		"Live transport run: tcp (%d users, %d cycles)\n  precision %f  recall %f  F1 %f\n  messages %d  wire bytes %d (gossip %d, beep %d)",
+		&users, &cycles, &p, &r, &f1, &messages, &total, &gossip, &beep); err != nil {
+		t.Fatalf("unexpected report (%v):\n%s", err, out.String())
+	}
+	if r <= 0 || messages == 0 || gossip == 0 || beep == 0 || !strings.Contains(out.String(), "kbps per node") {
+		t.Fatalf("TCP fleet reported no quality or traffic:\n%s", out.String())
 	}
 }
 

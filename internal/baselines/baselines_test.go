@@ -255,7 +255,7 @@ func TestCascadeRequiresLikeToForward(t *testing.T) {
 func TestCentralBeatsNothingButBehaves(t *testing.T) {
 	ds := tinyDataset(t)
 	col := metrics.NewCollector()
-	RunCentral(ds, CentralConfig{FLike: 5}, col)
+	RunCentral(ds, 5, col)
 	p, r := col.Precision(), col.Recall()
 	if p <= 0 || r <= 0 {
 		t.Fatalf("central must deliver: P=%v R=%v", p, r)
@@ -266,9 +266,8 @@ func TestCentralBeatsNothingButBehaves(t *testing.T) {
 }
 
 func TestCentralConfigDefaults(t *testing.T) {
-	c := CentralConfig{}.withDefaults()
-	if c.FLike != core.DefaultFLike || c.FDislike != 1 || c.TTL != 4 || c.Window != 13 {
-		t.Fatalf("central defaults wrong: %+v", c)
+	if centralFDislike != 1 || centralTTL != 4 || centralWindow != 13 {
+		t.Fatalf("central constants wrong: fDislike=%d ttl=%d window=%d", centralFDislike, centralTTL, centralWindow)
 	}
 }
 
@@ -276,7 +275,7 @@ func TestCentralOutperformsCascadeOnQuality(t *testing.T) {
 	// Global knowledge should dominate interest-agnostic cascading on F1.
 	ds := dataset.Digg(dataset.DiggConfig{Seed: 11, Scale: 0.05})
 	colCentral, colCascade := metrics.NewCollector(), metrics.NewCollector()
-	RunCentral(ds, CentralConfig{FLike: 5}, colCentral)
+	RunCentral(ds, 5, colCentral)
 	RunCascade(ds, colCascade)
 	if colCentral.F1() <= colCascade.F1() {
 		t.Fatalf("central F1=%v must beat cascade F1=%v", colCentral.F1(), colCascade.F1())

@@ -11,37 +11,15 @@ import (
 	"whatsup/internal/sim"
 )
 
-// CentralConfig parameterizes C-WhatsUp, the centralized variant of WhatsUp
-// with global knowledge (Section IV-B, Figure 9).
-type CentralConfig struct {
-	// FLike: on a like, the server delivers the item to the FLike users
-	// closest to the liker (cosine over user profiles) and to the FLike
-	// users whose profiles correlate best with the item profile.
-	FLike int
-	// FDislike: on a dislike, the server presents the item to the FDislike
-	// users most similar to the item profile (default 1).
-	FDislike int
-	// TTL bounds dislike propagation as in BEEP (default 4).
-	TTL int
-	// Window is the profile window in cycles (default 13).
-	Window int64
-}
-
-func (c CentralConfig) withDefaults() CentralConfig {
-	if c.FLike <= 0 {
-		c.FLike = core.DefaultFLike
-	}
-	if c.FDislike <= 0 {
-		c.FDislike = 1
-	}
-	if c.TTL <= 0 {
-		c.TTL = core.DefaultDislikeTTL
-	}
-	if c.Window <= 0 {
-		c.Window = core.DefaultProfileWindow
-	}
-	return c
-}
+// C-WhatsUp's fixed parameters: everything but the like fanout follows
+// WhatsUp's Table II, so Figure 9 varies the one knob the paper varies.
+const (
+	// centralFDislike is how many users the server presents a disliked item
+	// to: those most similar to the item profile.
+	centralFDislike = 1
+	centralTTL      = core.DefaultDislikeTTL    // bounds dislike propagation, as in BEEP
+	centralWindow   = core.DefaultProfileWindow // profile window in cycles
+)
 
 // RunCentral evaluates C-WhatsUp: a single server "gathering the global
 // knowledge of all the profiles of its users and news items" (Section IV-B).
@@ -51,8 +29,11 @@ func (c CentralConfig) withDefaults() CentralConfig {
 // item profiles instantly along the dissemination. Complete search over the
 // population selects delivery targets. This upper-bounds what WhatsUp can
 // achieve with partial, gossip-propagated knowledge (Figure 9).
-func RunCentral(ds *dataset.Dataset, cfg CentralConfig, col *metrics.Collector) {
-	cfg = cfg.withDefaults()
+//
+// fLike is the one parameter: on a like, the server delivers the item to the
+// fLike users closest to the liker (cosine over user profiles) and to the
+// fLike users whose profiles correlate best with the item profile.
+func RunCentral(ds *dataset.Dataset, fLike int, col *metrics.Collector) {
 	sim.DatasetWorld(ds).Register(col)
 
 	users := ds.Users
@@ -88,10 +69,10 @@ func RunCentral(ds *dataset.Dataset, cfg CentralConfig, col *metrics.Collector) 
 				}
 			}
 			for _, p := range profiles {
-				p.PurgeOlderThan(clock - cfg.Window)
+				p.PurgeOlderThan(clock - centralWindow)
 			}
 		}
-		disseminate(ds, cfg, col, profiles, cosine, it)
+		disseminate(ds, fLike, col, profiles, cosine, it)
 	}
 }
 
@@ -102,7 +83,7 @@ type centralTask struct {
 	viaDislike bool
 }
 
-func disseminate(ds *dataset.Dataset, cfg CentralConfig, col *metrics.Collector,
+func disseminate(ds *dataset.Dataset, fLike int, col *metrics.Collector,
 	profiles []*profile.Profile, cosine profile.Cosine, it dataset.Item) {
 
 	itemProfile := profile.New()
@@ -168,8 +149,8 @@ func disseminate(ds *dataset.Dataset, cfg CentralConfig, col *metrics.Collector,
 				itemProfile.AverageIn(e.Item, e.Stamp, e.Score)
 			})
 			up.Set(it.News.ID, it.Cycle, 1)
-			targets := closest(up, cfg.FLike)
-			targets = append(targets, closest(itemProfile, cfg.FLike)...)
+			targets := closest(up, fLike)
+			targets = append(targets, closest(itemProfile, fLike)...)
 			if len(targets) > 0 {
 				col.RecordForward(true, task.hops)
 			}
@@ -178,8 +159,8 @@ func disseminate(ds *dataset.Dataset, cfg CentralConfig, col *metrics.Collector,
 			}
 		} else {
 			up.Set(it.News.ID, it.Cycle, 0)
-			if task.dislikes < cfg.TTL {
-				targets := closest(itemProfile, cfg.FDislike)
+			if task.dislikes < centralTTL {
+				targets := closest(itemProfile, centralFDislike)
 				if len(targets) > 0 {
 					col.RecordForward(false, task.hops)
 				}

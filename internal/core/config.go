@@ -27,6 +27,12 @@ const (
 	DefaultDislikeTTL    = 4  // BEEP TTL: dissemination TTL for disliked items
 	DefaultProfileWindow = 13 // profile window in gossip cycles (1/5 of the experiment)
 
+	// DefaultBootstrapDegree is the number of random contacts whose
+	// descriptors seed each node's views before the first cycle (and a
+	// joiner's or rejoiner's views later), in the simulator and the live
+	// runtime alike.
+	DefaultBootstrapDegree = 5
+
 	// DefaultDescriptorTTL is the view eviction horizon the churn scenarios
 	// use when none is configured. It is the single shared default for the
 	// simulator and the live runtime — the two previously defaulted to 15 and
@@ -38,8 +44,8 @@ const (
 	DefaultDescriptorTTL = 15
 
 	// LargeScalePopulation is the population at which ForPopulation starts
-	// bounding scale-sensitive knobs. It matches the simulator's large-scale
-	// threshold: everything the paper validated runs far below it.
+	// bounding scale-sensitive knobs, and at which the simulator switches to
+	// O(k) sampling: everything the paper validated runs far below it.
 	LargeScalePopulation = 100_000
 
 	// LargeScaleNoticeCap is the NoticePiggybackCap ForPopulation applies
@@ -71,9 +77,6 @@ type Config struct {
 	// Nil means the WUP metric; the WhatsUp-Cos variant of the evaluation
 	// sets profile.Cosine.
 	Metric profile.Metric
-	// ColdStartRatings is the number of popular items a joining node rates
-	// to build its initial profile (3 in Section II-D).
-	ColdStartRatings int
 	// DescriptorTTL is the view eviction horizon, in the same unit as
 	// ProfileWindow (cycles under simulation, milliseconds live): at the
 	// start of each cycle the node drops every RPS and WUP view entry whose
@@ -116,9 +119,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.Metric == nil {
 		c.Metric = profile.WUP{}
-	}
-	if c.ColdStartRatings <= 0 {
-		c.ColdStartRatings = 3
 	}
 	return c
 }

@@ -35,12 +35,16 @@ func (n *Node) Seen(id news.ID) bool {
 	return ok
 }
 
+// coldStartRatings is the number of popular items a joining node rates to
+// build its initial profile (Section II-D fixes it at 3).
+const coldStartRatings = 3
+
 // ColdStart implements the joining procedure of Section II-D: the node
 // inherits the RPS and WUP views of a random contact and builds a fresh
 // profile by liking the most popular items found in the inherited RPS view.
 func (n *Node) ColdStart(inheritedRPS, inheritedWUP []overlay.Descriptor, now int64) {
 	n.rps.Seed(inheritedRPS)
-	popular := profile.MostPopular(n.rps.View().Profiles(), n.cfg.ColdStartRatings)
+	popular := profile.MostPopular(n.rps.View().Profiles(), coldStartRatings)
 	for _, id := range popular {
 		n.user.Set(id, now, 1)
 	}

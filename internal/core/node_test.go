@@ -43,7 +43,7 @@ func item(id int, created int64) news.Item {
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.WithDefaults()
 	if c.RPSViewSize != 30 || c.FLike != 10 || c.WUPViewSize != 20 ||
-		c.DislikeTTL != 4 || c.ProfileWindow != 13 || c.ColdStartRatings != 3 {
+		c.DislikeTTL != 4 || c.ProfileWindow != 13 {
 		t.Fatalf("defaults wrong: %+v", c)
 	}
 	if c.Metric == nil || c.Metric.Name() != "wup" {

@@ -47,6 +47,10 @@ type Dataset struct {
 	topicOf  []int // item index -> topic (parallel to Items; -1 when topicless)
 }
 
+// defaultCycles is the experiment length of the paper's three traces: five
+// profile windows of core.DefaultProfileWindow cycles.
+const defaultCycles = 65
+
 // newDataset allocates the bit matrix and index for users × items.
 func newDataset(name string, users, items, cycles, topics int) *Dataset {
 	width := (items + 63) / 64

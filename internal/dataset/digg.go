@@ -12,31 +12,15 @@ import (
 // explicit directed follower graph for the cascading baseline.
 type DiggConfig struct {
 	Seed  int64
-	Scale float64
-	// Categories overrides the number of categories (default 40).
-	Categories int
-	// Cycles overrides the experiment length (default 65).
-	Cycles int
-	// FollowDegree is the average out-degree of the follower graph
-	// (default 10).
-	FollowDegree int
+	Scale float64 // 1.0 = paper scale (also the zero value's meaning)
 }
 
-func (c DiggConfig) withDefaults() DiggConfig {
-	if c.Scale <= 0 {
-		c.Scale = 1
-	}
-	if c.Categories <= 0 {
-		c.Categories = 40
-	}
-	if c.Cycles <= 0 {
-		c.Cycles = 65
-	}
-	if c.FollowDegree <= 0 {
-		c.FollowDegree = 5
-	}
-	return c
-}
+const (
+	diggCategories = 40 // Table I
+	// diggFollowDegree sets the follower graph's out-degrees: uniform on
+	// 1..2·diggFollowDegree, so 5.5 on average.
+	diggFollowDegree = 5
+)
 
 // Digg generates the Digg-like workload. Interests follow the paper's
 // de-biasing procedure: each user is characterized by the categories of the
@@ -46,13 +30,15 @@ func (c DiggConfig) withDefaults() DiggConfig {
 // attachment and is deliberately uncorrelated with categories, which is the
 // property behind cascading's low recall (Table V).
 func Digg(cfg DiggConfig) *Dataset {
-	cfg = cfg.withDefaults()
+	if cfg.Scale <= 0 {
+		cfg.Scale = 1
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	users := max(10, int(750*cfg.Scale))
 	items := max(20, int(2500*cfg.Scale))
 
 	// Zipf over categories: s=1.2 gives a popular head and a long tail.
-	zipf := rand.NewZipf(rng, 1.2, 1, uint64(cfg.Categories-1))
+	zipf := rand.NewZipf(rng, 1.2, 1, diggCategories-1)
 
 	// Each user "generates" items in 1..3 categories; those define her
 	// interests. Keeping interest sets narrow relative to the 40 categories
@@ -68,13 +54,13 @@ func Digg(cfg DiggConfig) *Dataset {
 		}
 	}
 
-	d := newDataset("digg", users, items, cfg.Cycles, cfg.Categories)
+	d := newDataset("digg", users, items, defaultCycles, diggCategories)
 	for k := 0; k < items; k++ {
 		cat := int(zipf.Uint64())
 		title := fmt.Sprintf("digg-%d", k)
 		it := news.New(title, fmt.Sprintf("category %d", cat), "digg://"+title, 0, 0)
 		it.Community = cat
-		cycle := spreadCycle(k, items, cfg.Cycles)
+		cycle := spreadCycle(k, items, defaultCycles)
 		it.Created = cycle
 		idx := d.addItem(it, cycle, cat)
 		var interested []int
@@ -108,7 +94,7 @@ func Digg(cfg DiggConfig) *Dataset {
 		return rng.Intn(users)
 	}
 	for u := 0; u < users; u++ {
-		want := 1 + rng.Intn(2*cfg.FollowDegree)
+		want := 1 + rng.Intn(2*diggFollowDegree)
 		seen := map[int]bool{u: true}
 		for len(d.Social[u]) < want && len(seen) < users {
 			v := pickTarget(u)

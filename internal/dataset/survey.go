@@ -14,31 +14,16 @@ import (
 // same news list.
 type SurveyConfig struct {
 	Seed  int64
-	Scale float64
-	// Topics overrides the number of RSS topics (default 8: culture,
-	// politics, people, sports, ...).
-	Topics int
-	// Replicas overrides the ×4 instance replication (default 4).
-	Replicas int
-	// Cycles overrides the experiment length (default 65).
+	Scale float64 // 1.0 = paper scale (also the zero value's meaning)
+	// Cycles overrides the experiment length (default 65): the live
+	// deployments run the survey over their own cycle count.
 	Cycles int
 }
 
-func (c SurveyConfig) withDefaults() SurveyConfig {
-	if c.Scale <= 0 {
-		c.Scale = 1
-	}
-	if c.Topics <= 0 {
-		c.Topics = 8
-	}
-	if c.Replicas <= 0 {
-		c.Replicas = 4
-	}
-	if c.Cycles <= 0 {
-		c.Cycles = 65
-	}
-	return c
-}
+const (
+	surveyTopics   = 8 // RSS topics: culture, politics, people, sports, ...
+	surveyReplicas = 4 // the paper's ×4 instance replication
+)
 
 // Survey generates the survey-like workload: items carry one of a few
 // topics; each base user has a per-topic affinity (a mixture of a couple of
@@ -47,12 +32,17 @@ func (c SurveyConfig) withDefaults() SurveyConfig {
 // reproducing the paper's ×4 scaling including its acknowledged bias (the
 // replicas rate identically).
 func Survey(cfg SurveyConfig) *Dataset {
-	cfg = cfg.withDefaults()
+	if cfg.Scale <= 0 {
+		cfg.Scale = 1
+	}
+	if cfg.Cycles <= 0 {
+		cfg.Cycles = defaultCycles
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	baseUsers := max(5, int(120*cfg.Scale))
 	baseItems := max(10, int(250*cfg.Scale))
-	users := baseUsers * cfg.Replicas
-	items := baseItems * cfg.Replicas
+	users := baseUsers * surveyReplicas
+	items := baseItems * surveyReplicas
 
 	// Per-user topic affinities: 2-3 favourite topics liked with high
 	// probability, the rest with low background curiosity. The bimodal
@@ -61,13 +51,13 @@ func Survey(cfg SurveyConfig) *Dataset {
 	// with well-defined audiences).
 	affinity := make([][]float64, baseUsers)
 	for u := range affinity {
-		affinity[u] = make([]float64, cfg.Topics)
+		affinity[u] = make([]float64, surveyTopics)
 		for t := range affinity[u] {
 			affinity[u][t] = 0.02 + 0.05*rng.Float64() // background curiosity
 		}
 		favs := 2 + rng.Intn(2)
 		for f := 0; f < favs; f++ {
-			affinity[u][rng.Intn(cfg.Topics)] = 0.75 + 0.2*rng.Float64()
+			affinity[u][rng.Intn(surveyTopics)] = 0.75 + 0.2*rng.Float64()
 		}
 	}
 
@@ -78,15 +68,15 @@ func Survey(cfg SurveyConfig) *Dataset {
 		baseLikes[u] = make([]bool, baseItems)
 	}
 	for i := range itemTopic {
-		itemTopic[i] = rng.Intn(cfg.Topics)
+		itemTopic[i] = rng.Intn(surveyTopics)
 		for u := 0; u < baseUsers; u++ {
 			baseLikes[u][i] = rng.Float64() < affinity[u][itemTopic[i]]
 		}
 	}
 
-	d := newDataset("survey", users, items, cfg.Cycles, cfg.Topics)
+	d := newDataset("survey", users, items, cfg.Cycles, surveyTopics)
 	k := 0
-	for rep := 0; rep < cfg.Replicas; rep++ {
+	for rep := 0; rep < surveyReplicas; rep++ {
 		for i := 0; i < baseItems; i++ {
 			title := fmt.Sprintf("survey-%d-%d", rep, i)
 			it := news.New(title, fmt.Sprintf("topic %d", itemTopic[i]), "rss://"+title, 0, 0)
@@ -95,7 +85,7 @@ func Survey(cfg SurveyConfig) *Dataset {
 			it.Created = cycle
 			idx := d.addItem(it, cycle, itemTopic[i])
 			var interested []int
-			for ur := 0; ur < cfg.Replicas; ur++ {
+			for ur := 0; ur < surveyReplicas; ur++ {
 				for u := 0; u < baseUsers; u++ {
 					if baseLikes[u][i] {
 						user := ur*baseUsers + u

@@ -17,11 +17,6 @@ type SyntheticConfig struct {
 	Scale float64 // 1.0 = paper scale; smaller values shrink users and items
 	// Communities overrides the number of planted communities (default 21).
 	Communities int
-	// ItemsPerCommunity overrides the per-community item count (default 120,
-	// scaled).
-	ItemsPerCommunity int
-	// Cycles overrides the experiment length (default 65 = 5 profile windows).
-	Cycles int
 	// SkipDetection wires communities directly from the planted partition
 	// instead of running CNM community detection on the collaboration graph.
 	// Detection is the faithful path; tests use SkipDetection for speed.
@@ -37,12 +32,6 @@ func (c SyntheticConfig) withDefaults() SyntheticConfig {
 		// community keeps enough items per profile window for the
 		// similarity signal to exist.
 		c.Communities = max(3, int(21*c.Scale+0.5))
-	}
-	if c.ItemsPerCommunity <= 0 {
-		c.ItemsPerCommunity = max(2, int(120*c.Scale))
-	}
-	if c.Cycles <= 0 {
-		c.Cycles = 65
 	}
 	return c
 }
@@ -120,15 +109,16 @@ func Synthetic(cfg SyntheticConfig) *Dataset {
 		kept[i%len(kept)] = append(kept[i%len(kept)], u)
 	}
 
-	totalItems := cfg.ItemsPerCommunity * len(kept)
-	d := newDataset("synthetic", n, totalItems, cfg.Cycles, len(kept))
+	itemsPerCommunity := max(2, int(120*cfg.Scale)) // Table I: 120 per community
+	totalItems := itemsPerCommunity * len(kept)
+	d := newDataset("synthetic", n, totalItems, defaultCycles, len(kept))
 	k := 0
 	for ci, members := range kept {
-		for j := 0; j < cfg.ItemsPerCommunity; j++ {
+		for j := 0; j < itemsPerCommunity; j++ {
 			title := fmt.Sprintf("synthetic-%d-%d", ci, j)
 			it := news.New(title, "community item", "arxiv://"+title, 0, 0)
 			it.Community = ci
-			cycle := spreadCycle(k, totalItems, cfg.Cycles)
+			cycle := spreadCycle(k, totalItems, defaultCycles)
 			it.Created = cycle
 			idx := d.addItem(it, cycle, ci)
 			for _, u := range members {

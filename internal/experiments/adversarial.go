@@ -189,7 +189,7 @@ func runAdversarialPoint(cfg AdversarialConfig, alg Algorithm, attacked bool) ad
 
 	pt := adversarialPoint{spam: spamCount, honest: len(honestIDs)}
 	e, col := w.NewEngine(cfg.engine(sim.Config{
-		Seed: 1, Cycles: cfg.Cycles, BootstrapDegree: 5, Links: links,
+		Seed: 1, Cycles: cfg.Cycles, Links: links,
 		OnDelivery: func(d core.Delivery, now int64) {
 			if attackers[d.Node] {
 				return

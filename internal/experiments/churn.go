@@ -27,9 +27,6 @@ type ChurnConfig struct {
 	Dataset *dataset.Dataset
 	// Fanout is fLIKE (default 10).
 	Fanout int
-	// TTL is the dislike TTL, with the RunConfig convention: 0 = paper
-	// default (4), negative = explicit 0.
-	TTL int
 	// Loss is the uniform message-loss rate (Table VI), on top of churn.
 	Loss float64
 }
@@ -191,7 +188,7 @@ func ChurnRun(o Options, cfg ChurnConfig) ChurnResult {
 	w := sim.DatasetWorld(ds)
 	from, to := churnWindow(cycles, 4, int64(cycles/4))
 	w.Churn = cfg.schedule(o.Seed+7717, ds.Users, cycles, from, to, (cfg.FlashCrowd+4)/5)
-	nodeCfg := core.Config{FLike: cfg.Fanout, DislikeTTL: cfg.TTL, ProfileWindow: core.DefaultProfileWindow}
+	nodeCfg := core.Config{FLike: cfg.Fanout, ProfileWindow: core.DefaultProfileWindow}
 	return runChurn(ds.Name, w, cfg.ChurnOptions, nodeCfg, cfg.engine(sim.Config{
 		Seed: o.Seed, Cycles: cycles, LossRate: cfg.Loss,
 	}))
@@ -270,7 +267,7 @@ func ChurnBench(cfg ChurnBenchConfig) ChurnResult {
 
 	nodeCfg := core.Config{FLike: 6, RPSViewSize: 20}
 	return runChurn("communities", w, cfg.ChurnOptions, nodeCfg, cfg.engine(sim.Config{
-		Seed: 1, Cycles: cfg.Cycles, BootstrapDegree: 5,
+		Seed: 1, Cycles: cfg.Cycles,
 	}))
 }
 

@@ -27,7 +27,7 @@ func Fig9(o Options) Fig9Result {
 	for i, f := range Fig9Fanouts {
 		grid[i] = cell{RunConfig: RunConfig{Dataset: ds, Fanout: f}, Label: "Centralized",
 			Baseline: func(ds *dataset.Dataset, col *metrics.Collector) {
-				baselines.RunCentral(ds, baselines.CentralConfig{FLike: f}, col)
+				baselines.RunCentral(ds, f, col)
 			}}
 	}
 	grid = append(grid, fanoutGrid(ds, []Algorithm{WhatsUpCos, WhatsUp}, Fig9Fanouts)...)

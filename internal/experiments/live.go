@@ -45,8 +45,6 @@ type LiveRunConfig struct {
 	// LossRate is the channel transport's uniform loss (default 2%;
 	// negative runs lossless).
 	LossRate float64
-	// BatchWindow is the TCP transport's write-coalescing window.
-	BatchWindow time.Duration
 }
 
 func (c LiveRunConfig) withDefaults() LiveRunConfig {
@@ -127,9 +125,7 @@ func LiveRun(o Options, cfg LiveRunConfig) (LiveRunResult, error) {
 	case "channel":
 		network = live.NewChannelNet(o.Seed, cfg.LossRate, cfg.CycleLength/10)
 	case "tcp":
-		network = live.NewTCPNet(live.TCPNetConfig{
-			SlowEvery: 4, SlowQueueCap: 96, QueueCap: 8192, BatchWindow: cfg.BatchWindow,
-		})
+		network = live.NewTCPNet(live.TCPNetConfig{SlowEvery: 4, SlowQueueCap: 96, QueueCap: 8192})
 	default:
 		return LiveRunResult{}, fmt.Errorf("live: unknown transport %q (want channel or tcp)", cfg.Transport)
 	}

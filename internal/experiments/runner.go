@@ -40,8 +40,9 @@ type Options struct {
 	Seed int64
 	// Scale shrinks the datasets (1.0 = paper scale, Table I).
 	Scale float64
-	// Workers bounds the sweep-point pool (default: NumCPU). It shadows the
-	// embedded engine pool, which is EngineOptions.Workers.
+	// Workers is the sweep pool: how many points of a sweep run at once
+	// (default NumCPU). The pool inside each point's engine is the embedded
+	// field, written o.EngineOptions.Workers.
 	Workers int
 	// EngineOptions are forwarded to the engine of every sweep point.
 	EngineOptions

@@ -151,8 +151,6 @@ type Config struct {
 	CycleLength time.Duration
 	// NodeConfig is the WhatsUp parameter set for every node.
 	NodeConfig core.Config
-	// Bootstrap degree for the initial random views.
-	BootstrapDegree int
 	// OnDelivery, if set, observes every non-duplicate delivery. It is
 	// invoked from node goroutines under the collector lock; keep it short.
 	OnDelivery func(d core.Delivery)
@@ -204,9 +202,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CycleLength <= 0 {
 		c.CycleLength = 10 * time.Millisecond
-	}
-	if c.BootstrapDegree <= 0 {
-		c.BootstrapDegree = 5
 	}
 	return c
 }
@@ -433,7 +428,7 @@ func NewRunner(cfg Config, ds *dataset.Dataset, net Network) *Runner {
 				continue
 			}
 			descs = append(descs, initial[j].node.Descriptor(0))
-			if len(descs) == cfg.BootstrapDegree {
+			if len(descs) == core.DefaultBootstrapDegree {
 				break
 			}
 		}
@@ -690,12 +685,12 @@ func (r *Runner) randomOnline(self news.NodeID) *liveNode {
 	return r.fleet[candidates[r.ctrlRNG.Intn(len(candidates))]]
 }
 
-// onlineDescriptors samples up to BootstrapDegree fresh descriptors of
-// online members (excluding self), each obtained from the member's own
-// goroutine so profiles are consistent snapshots stamped with the host's
-// current cycle.
+// onlineDescriptors samples up to core.DefaultBootstrapDegree fresh
+// descriptors of online members (excluding self), each obtained from the
+// member's own goroutine so profiles are consistent snapshots stamped with
+// the host's current cycle.
 func (r *Runner) onlineDescriptors(self news.NodeID) []overlay.Descriptor {
-	descs := make([]overlay.Descriptor, 0, r.cfg.BootstrapDegree)
+	descs := make([]overlay.Descriptor, 0, core.DefaultBootstrapDegree)
 	for _, j := range r.ctrlRNG.Perm(len(r.order)) {
 		id := r.order[j]
 		if id == self || r.states[id] != sim.Online {
@@ -706,7 +701,7 @@ func (r *Runner) onlineDescriptors(self news.NodeID) []overlay.Descriptor {
 			continue
 		}
 		descs = append(descs, snap.desc)
-		if len(descs) == r.cfg.BootstrapDegree {
+		if len(descs) == core.DefaultBootstrapDegree {
 			break
 		}
 	}

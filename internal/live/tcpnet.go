@@ -73,8 +73,9 @@ type TCPNetConfig struct {
 	QueueCap int
 	// SlowQueueCap is the overloaded node capacity (default 8).
 	SlowQueueCap int
-	// SlowEvery marks every n-th node as overloaded (default 4, ≈25% of the
-	// fleet, reproducing the loss level the paper observed; 0 disables).
+	// SlowEvery marks every n-th node as overloaded; 0, the default, marks
+	// none. The one TCP-fleet recipe (experiments.LiveRun) passes 4: ≈25% of
+	// the fleet, reproducing the loss level the paper observed.
 	SlowEvery int
 	// BatchWindow is how long a connection's writer lingers after the first
 	// queued envelope before flushing, so that all sends of one cycle tick

@@ -114,7 +114,7 @@ type Config struct {
 	// determinism contract. The policy must not be mutated during the run.
 	Links *faultnet.Policy
 	// BootstrapDegree is the number of random descriptors each peer's views
-	// are seeded with before the run (defaults to 5).
+	// are seeded with before the run (default core.DefaultBootstrapDegree).
 	BootstrapDegree int
 	// Workers is the total worker budget the per-cycle phases are sharded
 	// across (0 = GOMAXPROCS). Each shard runs max(1, Workers/Shards)
@@ -164,14 +164,14 @@ type Config struct {
 	OnDelivery func(d core.Delivery, now int64)
 }
 
-// largeScaleMembers is the population above which the engine switches its
+// largeScaleMembers is the population from which the engine switches its
 // bootstrap and join sampling from O(n) permutation draws to O(k) rejection
 // sampling: at million-peer scale a per-peer rand.Perm over the membership
 // table is quadratic in both time and allocation. Below the threshold the
 // historical draw sequence is reproduced exactly (the determinism pins all
 // run far below it); above it the rejection draws still consume only the
 // sampled peer's own stream, so the Workers×Shards contract is unaffected.
-const largeScaleMembers = 100_000
+const largeScaleMembers = core.LargeScalePopulation
 
 // envelope is one in-flight BEEP message.
 type envelope struct {
@@ -313,7 +313,7 @@ type Engine struct {
 // New builds an engine over the given peers, recording into col.
 func New(cfg Config, peers []Peer, col *metrics.Collector) *Engine {
 	if cfg.BootstrapDegree <= 0 {
-		cfg.BootstrapDegree = 5
+		cfg.BootstrapDegree = core.DefaultBootstrapDegree
 	}
 	workers := cfg.Workers
 	if workers <= 0 {

@@ -26,9 +26,6 @@ type GatewayConfig struct {
 	Sources []Source
 	// Interval is the poll period (default 30 s, the paper's gossip period).
 	Interval time.Duration
-	// Catalog is the ingestion ledger to dedupe against and record into.
-	// Nil means a fresh private one.
-	Catalog *Catalog
 	// OnError, if set, observes per-source fetch errors and per-item publish
 	// errors as the poll loop encounters them (Run keeps going either way).
 	OnError func(err error)
@@ -90,9 +87,6 @@ func NewGateway(cfg GatewayConfig, pub Publisher) *Gateway {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 30 * time.Second
 	}
-	if cfg.Catalog == nil {
-		cfg.Catalog = NewCatalog()
-	}
 	if cfg.RetryBase <= 0 {
 		cfg.RetryBase = cfg.Interval
 	}
@@ -106,7 +100,7 @@ func NewGateway(cfg GatewayConfig, pub Publisher) *Gateway {
 		cfg.BreakerCooldown = 4 * cfg.RetryMax
 	}
 	return &Gateway{
-		cfg: cfg, pub: pub, catalog: cfg.Catalog,
+		cfg: cfg, pub: pub, catalog: NewCatalog(),
 		states: make([]sourceState, len(cfg.Sources)),
 		rng:    rand.New(rand.NewSource(time.Now().UnixNano())),
 		now:    time.Now,

@@ -130,16 +130,6 @@ type SimulationConfig struct {
 	Seed int64
 	// LossRate uniformly drops messages (0 = reliable).
 	LossRate float64
-	// Cycles overrides the workload's experiment length.
-	Cycles int
-	// Workers is the engine worker pool (0 = GOMAXPROCS). Results are
-	// bit-identical for any value; see internal/sim for the determinism
-	// contract.
-	Workers int
-	// Shards splits the engine's membership table into that many
-	// struct-of-arrays slabs with codec-routed inter-shard gossip
-	// (0 or 1 = single slab). Results are bit-identical for any value.
-	Shards int
 	// Churn schedules membership events; an empty schedule keeps the
 	// population static (and results bit-identical with earlier releases).
 	// Scheduled joiners are built as WhatsUp nodes with the workload's
@@ -167,10 +157,6 @@ func NewSimulation(ds *Dataset, cfg SimulationConfig) *Simulation {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	cycles := cfg.Cycles
-	if cycles == 0 {
-		cycles = ds.Cycles
-	}
 	// At very large populations, bound the scale-sensitive protocol knobs
 	// (no-op at paper scale; see core.Config.ForPopulation).
 	cfg.Node = cfg.Node.ForPopulation(ds.Users)
@@ -182,10 +168,8 @@ func NewSimulation(ds *Dataset, cfg SimulationConfig) *Simulation {
 	}
 	engine, col := w.NewEngine(sim.Config{
 		Seed:             cfg.Seed,
-		Cycles:           cycles,
+		Cycles:           ds.Cycles,
 		LossRate:         cfg.LossRate,
-		Workers:          cfg.Workers,
-		Shards:           cfg.Shards,
 		DepartureNotices: cfg.DepartureNotices,
 		RefillWatermark:  cfg.RefillWatermark,
 		OnDelivery:       cfg.OnDelivery,
@@ -263,10 +247,9 @@ func FlashCrowd(start int64, firstID NodeID, joiners, perCycle int) ChurnSchedul
 
 // ── Live runtime ────────────────────────────────────────────────────────
 //
-// Concurrent goroutine-per-node fleets over real transports. RunLive is the
-// one-shot batch entry point; NewLiveRunner exposes the runner itself, whose
-// mid-run surface (Feed, Feedback, Publish, Snapshot, Stats) backs the
-// serving stack below.
+// Concurrent goroutine-per-node fleets over real transports. NewLiveRunner
+// builds the runner: Run executes the workload, and the mid-run surface
+// (Feed, Feedback, Publish, Snapshot, Stats) backs the serving stack below.
 
 type (
 	// LiveRunner drives a concurrent fleet of WhatsUp nodes over a
@@ -277,8 +260,9 @@ type (
 	// LiveRunnerConfig parameterizes NewLiveRunner (cycles, transports,
 	// churn, runtime opinions, per-node feed retention).
 	LiveRunnerConfig = live.Config
-	// Network is a live transport (NewChannelNet for in-memory emulation,
-	// live.NewTCPNet for loopback sockets).
+	// Network is a live transport; NewChannelNet builds the in-memory
+	// emulation. (TCP loopback fleets are run by `whatsup-sim -live
+	// -live-transport tcp`, not by the façade.)
 	Network = live.Network
 )
 
@@ -290,60 +274,6 @@ func NewLiveRunner(cfg LiveRunnerConfig, ds *Dataset, network Network) *LiveRunn
 // NewChannelNet builds the in-memory lossy transport (ModelNet-style).
 func NewChannelNet(seed int64, lossRate float64, latency time.Duration) Network {
 	return live.NewChannelNet(seed, lossRate, latency)
-}
-
-// LiveConfig parameterizes a concurrent goroutine-per-node run.
-type LiveConfig struct {
-	// Node holds the per-node protocol parameters.
-	Node Config
-	// Seed drives workload scheduling and per-node randomness.
-	Seed int64
-	// Cycles and CycleLength define the run duration in real time.
-	Cycles      int
-	CycleLength time.Duration
-	// LossRate and Latency configure the in-memory lossy network.
-	LossRate float64
-	Latency  time.Duration
-	// UseTCP runs over real TCP loopback sockets with the congestion model
-	// instead of in-memory channels.
-	UseTCP bool
-	// Churn schedules membership events for the live fleet, applied by the
-	// runtime's membership controller at cycle-tick boundaries: joins spawn
-	// fresh node goroutines that cold-start from a live host, crashes tear
-	// the node's transport endpoints down abruptly, graceful leaves flush
-	// pending batches first, and rejoins re-register and re-seed views from
-	// an online sample. Joining ids beyond the dataset population take the
-	// interests of base user id mod Users, as in SimulationConfig; set
-	// Node.DescriptorTTL so the surviving views evict departed members'
-	// descriptors.
-	Churn ChurnSchedule
-	// DepartureNotices and RefillWatermark enable the churn protocol's
-	// departure notices and anti-entropy view refill for the live fleet,
-	// with the same semantics as SimulationConfig.
-	DepartureNotices bool
-	RefillWatermark  float64
-}
-
-// RunLive executes a live (concurrent, wall-clock) run of the workload and
-// returns its metrics. Unlike Simulation, live runs are not deterministic.
-func RunLive(ds *Dataset, cfg LiveConfig) *Collector {
-	var network live.Network
-	if cfg.UseTCP {
-		network = live.NewTCPNet(live.TCPNetConfig{SlowEvery: 4})
-	} else {
-		network = live.NewChannelNet(cfg.Seed, cfg.LossRate, cfg.Latency)
-	}
-	r := live.NewRunner(live.Config{
-		Seed:             cfg.Seed,
-		Cycles:           cfg.Cycles,
-		CycleLength:      cfg.CycleLength,
-		NodeConfig:       cfg.Node,
-		Churn:            cfg.Churn,
-		DepartureNotices: cfg.DepartureNotices,
-		RefillWatermark:  cfg.RefillWatermark,
-	}, ds, network)
-	r.Run()
-	return r.Collector()
 }
 
 // ── Serving: ingestion sources and the HTTP API ─────────────────────────

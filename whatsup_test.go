@@ -89,13 +89,14 @@ func TestRunLiveChannels(t *testing.T) {
 	// couple of attempts on loaded machines, like TestTCPNetDelivers.
 	for attempt := 0; attempt < 3; attempt++ {
 		ds := SurveyDataset(4+int64(attempt), 0.05)
-		col := RunLive(ds, LiveConfig{
-			Node:        Config{FLike: 4, ProfileWindow: 25},
+		r := NewLiveRunner(LiveRunnerConfig{
+			NodeConfig:  Config{FLike: 4, ProfileWindow: 25},
 			Seed:        1,
 			Cycles:      25,
 			CycleLength: 4 * time.Millisecond,
-		})
-		if col.Recall() > 0 {
+		}, ds, NewChannelNet(1, 0, 0))
+		r.Run()
+		if r.Collector().Recall() > 0 {
 			return
 		}
 	}
@@ -111,14 +112,15 @@ func TestRunLiveChurnSchedule(t *testing.T) {
 	schedule.Add(4, ChurnCrash, 0)
 	schedule.Add(10, ChurnRejoin, 0)
 	schedule.Add(7, ChurnLeave, 1)
-	col := RunLive(ds, LiveConfig{
-		Node:        Config{FLike: 4, ProfileWindow: 25, DescriptorTTL: 8},
+	r := NewLiveRunner(LiveRunnerConfig{
+		NodeConfig:  Config{FLike: 4, ProfileWindow: 25, DescriptorTTL: 8},
 		Seed:        1,
 		Cycles:      25,
 		CycleLength: 4 * time.Millisecond,
 		Churn:       schedule,
-	})
-	if col.TotalMessages() == 0 {
+	}, ds, NewChannelNet(1, 0, 0))
+	r.Run()
+	if r.Collector().TotalMessages() == 0 {
 		t.Fatal("churning live run produced no traffic")
 	}
 }
