@@ -10,7 +10,7 @@ import (
 // deterministicPkgRE matches the import paths of the packages covered by the
 // determinism contract: every byte of their output must be a pure function
 // of the seed and the config, for any Workers×Shards combination.
-var deterministicPkgRE = regexp.MustCompile(`(^|/)(sim|core|overlay|profile|rps|cluster|metrics|faultnet)$`)
+var deterministicPkgRE = regexp.MustCompile(`(^|/)(sim|core|overlay|profile|rps|cluster|metrics|faultnet|prng)$`)
 
 // deterministicPackage reports whether the package under analysis is bound
 // by the determinism contract.

@@ -8,7 +8,7 @@
 //
 //   - nondeterm: no wall-clock (time.Now/Since/...) or globally-seeded
 //     randomness (top-level math/rand funcs) in the deterministic packages
-//     (sim, core, overlay, profile, rps, cluster, metrics, faultnet). Only
+//     (sim, core, overlay, profile, rps, cluster, metrics, faultnet, prng). Only
 //     per-peer / per-link seeded *rand.Rand streams are allowed there.
 //   - maporder: no map-iteration order leaking into results — flags
 //     `for range m` over a map whose body appends to an outer slice,

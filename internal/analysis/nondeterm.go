@@ -13,7 +13,7 @@ import (
 var NonDeterm = &Analyzer{
 	Name: "nondeterm",
 	Doc: "forbid time.Now and global math/rand in deterministic packages " +
-		"(sim, core, overlay, profile, rps, cluster, metrics, faultnet); " +
+		"(sim, core, overlay, profile, rps, cluster, metrics, faultnet, prng); " +
 		"only seeded per-peer streams are allowed there",
 	Run: runNonDeterm,
 }

@@ -54,12 +54,12 @@ func TestBaselineFingerprintsPinned(t *testing.T) {
 		CrashRate: 0.02, LeaveRate: 0.005, Downtime: 4, DowntimeJitter: 3,
 	})
 	want := map[string]string{
-		"Gossip/static": "89f9a71331d8a511284655819832b2e33ecf79e535ed13fa018b8f4891b6aeef",
-		"Gossip/churn":  "21f53e8abe4dd53071ca502d09116e58db987f83d0f915ab54bae4a39c9630c4",
-		"CF-Wup/static": "1fe446fd16ce8577317fb0dfe3a9af3e5f0218dc6c4f9a4b26cfebb027705a26",
-		"CF-Wup/churn":  "5ddf497cf9ef6d957f8553fe2f17cc2d18ef06188d54b131717367bfa602546b",
-		"CF-Cos/static": "0098afefa8e670fd47a776cd6bbbfc61a3aad3569bbe756061d2a11838a9690b",
-		"CF-Cos/churn":  "d8b91f82bd017dcac404cd75f3c778fa13cf13d56024bc487783b054a150dc90",
+		"Gossip/static": "9e8426457e85dffaaf244821d8cd7bab9b657925760603b41cbcc21fb01f4e8c",
+		"Gossip/churn":  "402c9fbc015f7bf11a5cd8068ab801f611d839307d88c12fbd04dfa660ed5712",
+		"CF-Wup/static": "c88e9553f0f35bdb8d6b273d83096701fcb5ba960070c7110466e51370b53ed3",
+		"CF-Wup/churn":  "778c54b3092663f85f66b0757e44b53d90800f6a5a59975a43863345f08b191c",
+		"CF-Cos/static": "e02fe69d9816913acb8f9b936564eaf7a765037a4051dce6a6aed07dab336e04",
+		"CF-Cos/churn":  "43867729350250542ee4c3b24229e65bb5a08656ecdc329d541de85505665d0f",
 	}
 	for _, alg := range []string{"Gossip", "CF-Wup", "CF-Cos"} {
 		for _, world := range []string{"static", "churn"} {

@@ -28,7 +28,6 @@ type Gossip struct {
 	core.Substrate
 	fanout   int
 	opinions core.Opinions
-	rng      *rand.Rand
 	seen     map[news.ID]struct{}
 }
 
@@ -42,7 +41,6 @@ func NewGossip(id news.NodeID, fanout, rpsViewSize int, opinions core.Opinions, 
 		Substrate: core.NewSubstrate(id, "", core.Config{RPSViewSize: rpsViewSize}, rng),
 		fanout:    fanout,
 		opinions:  opinions,
-		rng:       rng,
 		seen:      make(map[news.ID]struct{}),
 	}
 }
@@ -80,7 +78,7 @@ func (g *Gossip) Receive(msg core.ItemMessage, now int64) (core.Delivery, []core
 }
 
 func (g *Gossip) spread(item news.Item, hops int) []core.Send {
-	targets := g.RPS().View().RandomSample(g.rng, g.fanout)
+	targets := g.RPS().View().RandomSample(g.Rand(), g.fanout)
 	if len(targets) == 0 {
 		return nil
 	}

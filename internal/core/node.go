@@ -20,7 +20,8 @@ type Node struct {
 
 // NewNode builds a WhatsUp node. addr is the transport address used by live
 // runtimes (empty under simulation). opinions supplies the user's
-// like/dislike reactions; rng drives all of the node's randomness.
+// like/dislike reactions; rng seeds the node's own generator and is not
+// retained (see NewSubstrate).
 func NewNode(id news.NodeID, addr string, cfg Config, opinions Opinions, rng *rand.Rand) *Node {
 	return &Node{
 		Substrate: NewSubstrate(id, addr, cfg.WithDefaults(), rng),

@@ -6,6 +6,7 @@ import (
 	"whatsup/internal/cluster"
 	"whatsup/internal/news"
 	"whatsup/internal/overlay"
+	"whatsup/internal/prng"
 	"whatsup/internal/profile"
 	"whatsup/internal/rps"
 )
@@ -39,6 +40,7 @@ type Substrate struct {
 	rps      *rps.Protocol
 	wup      *cluster.Protocol  // nil: no clustering layer
 	grave    *overlay.Graveyard // departure tombstones shared by both layers
+	rng      *rand.Rand         // the peer's one generator, 8 bytes of state
 	behavior Behavior           // adversarial seam; nil = honest
 }
 
@@ -46,19 +48,26 @@ type Substrate struct {
 // RPSViewSize sizes the random sample, a zero WUPViewSize means no clustering
 // layer at all (homogeneous gossip), a zero ProfileWindow means the profile
 // is never purged, and DescriptorTTL and NoticePiggybackCap keep their Config
-// meaning. addr is the transport address live runtimes gossip; rng drives
-// both layers. The returned value is meant to be embedded, once.
+// meaning. addr is the transport address live runtimes gossip. The returned
+// value is meant to be embedded, once.
+//
+// rng is read once and not retained: one Uint64 from it seeds the substrate's
+// own splitmix64 stream (Rand), which drives both layers and whatever the
+// embedder draws. The generator is a property of the peer, so a caller's
+// 4.9 KB math/rand.NewSource state is garbage as soon as the peer exists.
 func NewSubstrate(id news.NodeID, addr string, cfg Config, rng *rand.Rand) Substrate {
+	own := prng.New(rng.Uint64())
 	s := Substrate{
 		id:    id,
 		cfg:   cfg,
 		user:  profile.New(),
-		rps:   rps.New(id, addr, cfg.RPSViewSize, rng),
+		rps:   rps.New(id, addr, cfg.RPSViewSize, own),
 		grave: new(overlay.Graveyard),
+		rng:   own,
 	}
 	s.rps.SetGraveyard(s.grave)
 	if cfg.WUPViewSize > 0 {
-		s.wup = cluster.New(id, addr, cfg.WUPViewSize, cfg.Metric, rng)
+		s.wup = cluster.New(id, addr, cfg.WUPViewSize, cfg.Metric, own)
 		s.wup.SetGraveyard(s.grave)
 	}
 	return s
@@ -67,6 +76,10 @@ func NewSubstrate(id news.NodeID, addr string, cfg Config, rng *rand.Rand) Subst
 // Overlay returns the substrate itself. Promoted through embedding, it is how
 // a runtime reaches the shared rules of any peer type behind an interface.
 func (s *Substrate) Overlay() *Substrate { return s }
+
+// Rand returns the peer's generator: the only one a peer type embedding the
+// substrate needs, and the only one it should keep.
+func (s *Substrate) Rand() *rand.Rand { return s.rng }
 
 // ID returns the node identifier.
 func (s *Substrate) ID() news.NodeID { return s.id }

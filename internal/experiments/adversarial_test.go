@@ -53,11 +53,11 @@ func TestAdversarialHeadlinePinned(t *testing.T) {
 	for _, f := range []struct {
 		name, got, want string
 	}{
-		{"whatsup damage %", fmt.Sprintf("%.1f", r.WUP.Damage*100), "35.4"},
-		{"gossip damage %", fmt.Sprintf("%.1f", r.Gossip.Damage*100), "38.2"},
-		{"whatsup spam reach", fmt.Sprintf("%.3f", r.WUP.SpamReach), "0.221"},
-		{"gossip spam reach", fmt.Sprintf("%.3f", r.Gossip.SpamReach), "0.823"},
-		{"resilience gap", fmt.Sprintf("%+.3f", r.ResilienceGap), "+0.028"},
+		{"whatsup damage %", fmt.Sprintf("%.1f", r.WUP.Damage*100), "32.1"},
+		{"gossip damage %", fmt.Sprintf("%.1f", r.Gossip.Damage*100), "38.4"},
+		{"whatsup spam reach", fmt.Sprintf("%.3f", r.WUP.SpamReach), "0.220"},
+		{"gossip spam reach", fmt.Sprintf("%.3f", r.Gossip.SpamReach), "0.828"},
+		{"resilience gap", fmt.Sprintf("%+.3f", r.ResilienceGap), "+0.063"},
 	} {
 		if f.got != f.want {
 			t.Errorf("%s = %s, want %s", f.name, f.got, f.want)

@@ -13,8 +13,11 @@ import (
 
 // flashCrowdPeers is the total population of BenchmarkFlashCrowd: the
 // million-peer deployment of the sharded engine's design target. The world
-// needs ~30 GB of RAM and a cycle takes minutes on one core, far beyond CI
-// budgets, so the benchmark is behind the scale build tag (CI only vets it).
+// needed ~30 GB of RAM while every peer carried two math/rand.NewSource
+// states and about 14 GB since (extrapolated from a 100 000-peer run, README
+// "Eight bytes of randomness per peer"), and a cycle takes minutes on one
+// core, far beyond CI budgets, so the benchmark is behind the scale build tag
+// (CI only vets it).
 const flashCrowdPeers = 1_000_000
 
 // BenchmarkFlashCrowd measures one cycle of a flash crowd hitting that

@@ -48,17 +48,17 @@ func TestDriverOutputsPinned(t *testing.T) {
 		want string
 		run  func() string
 	}{
-		{"run/WhatsUp", "6cbf41577d85a079c3598eec522ba3fcdb315e051cebc4384a413cf09b6b9368", func() string { return pinnedRun(WhatsUp) }},
-		{"run/CF-Wup", "7e0ad9fa268ac2615c81350288192f6a358c56d51763df7722663ec0e5d4fd2d", func() string { return pinnedRun(CFWup) }},
-		{"run/Gossip", "ad9bfcf44380aef10c8dcb526c2474db2fd8eec11a1ff077e058f71126a800e1", func() string { return pinnedRun(PlainGossip) }},
-		{"churn-run", "50a65026cde3405e9cf899a8fc2605dc6b0ff9fa514132b829a3d75bdfc986b2", func() string {
+		{"run/WhatsUp", "c77059276f116d38248bda841a0060bc10da0f896cfec912249f893a697e378a", func() string { return pinnedRun(WhatsUp) }},
+		{"run/CF-Wup", "c91ebed2862f3bb00734a38086bcd9b217d35a7cd88fbb84fcd81f371a9d9806", func() string { return pinnedRun(CFWup) }},
+		{"run/Gossip", "b84b14b2742b8ab7400c93a60812a69689321d2a486383a1dedbc3b3109dc1dd", func() string { return pinnedRun(PlainGossip) }},
+		{"churn-run", "1a542d78e393c290451d5e2c30c39b09acab8dabd02000c3898e79a2545e83af", func() string {
 			r := ChurnRun(Options{Seed: 3, Scale: 0.1}, ChurnConfig{
 				ChurnOptions: ChurnOptions{ChurnRate: 0.25, FlashCrowd: 9, DepartureNotices: true, RefillWatermark: 0.5},
 				Fanout:       6, Loss: 0.02,
 			})
 			return fmt.Sprintf("%+v", r)
 		}},
-		{"churn-bench", "613c3d6b1d5256c2e1e736f0438726dd2bf6bb45cdb87f7c9e9a3b007c6d82e5", func() string {
+		{"churn-bench", "781cce29b900ad6bf3824e2df3377df5124a0a8d9415f0ed03b379a82e394a8b", func() string {
 			// Named fields, captured at 341e85a from the bench's own result
 			// struct before ChurnBench was folded into ChurnResult.
 			r := ChurnBench(ChurnBenchConfig{
@@ -69,13 +69,13 @@ func TestDriverOutputsPinned(t *testing.T) {
 				r.Events, r.FinalOnline, r.F1, r.Stable.F1(), r.Joiner.F1(), r.Joiner.EligibleF1(), r.Rejoiner.F1(),
 				r.GhostFraction[len(r.GhostFraction)-1], r.LastDeparture, r.HealedAt, r.TimeToHealed)
 		}},
-		{"hotpath/cycle", "5f8f176aad8a51eba6982c08c152e0772c2c4e0fdda1324f0cfd3720b83b389c", func() string {
+		{"hotpath/cycle", "8fbb930c99c8015159cb3d22f382705831f577b94d48dbf72c7a96bcad227d9f", func() string {
 			return pinnedSteps(hotPathWorld(300, EngineOptions{}, false, nil))
 		}},
-		{"hotpath/churn-cycle", "21a4540b5c8382d8da627f58330a551dd040c0afc8af719b1d1c7b501b34da0d", func() string {
+		{"hotpath/churn-cycle", "5f90a800e6043046d0ae7ca5f21c1feae75bcc5ca9d4a3e7717d464d24627f2a", func() string {
 			return pinnedSteps(hotPathWorld(300, EngineOptions{}, true, nil))
 		}},
-		{"hotpath/sharded-cycle", "cec1735d8763c4cc9d9a58690686bdd43996710950995f0aca13c025fe726cad", func() string {
+		{"hotpath/sharded-cycle", "883803fd9a1d5c1c09d99c860828b510df4ab7b3eb87f98fc422e7be670fc17b", func() string {
 			e := hotPathWorld(300, EngineOptions{Shards: hotPathShards}, false, nil)
 			digest := pinnedSteps(e)
 			// The hash was captured when these three routing counters were
@@ -83,12 +83,12 @@ func TestDriverOutputsPinned(t *testing.T) {
 			st := e.ShardStats()
 			return digest + fmt.Sprintf("{Crossings:%d Batches:%d BatchBytes:%d}", st.Crossings, st.Batches, st.BatchBytes)
 		}},
-		{"adversarial/attacked", "89c181743b5def13bedffe6a0ce34e1b8fad838da255e0e973b8244ca3ea0a86", func() string {
+		{"adversarial/attacked", "598b62dcc08e90006cabfd5580c9d92ddc3f45ce710e045eeb110701650e907a", func() string {
 			cfg := AdversarialConfig{Peers: 200, Cycles: 20, Poison: true, PartitionK: 2}.withDefaults()
 			pt := runAdversarialPoint(cfg, WhatsUp, true)
 			return collectorDigest(pt.col) + fmt.Sprintf("%+v %+v %d %d %v", pt.adv, pt.timeline, pt.spam, pt.honest, pt.honestF1)
 		}},
-		{"fig7-trial", "607c9df87a1817d8c82402c9e1f4d1f27683251c99c3088d58c0c58152f2b24a", func() string {
+		{"fig7-trial", "b55a561155ead45419a91b2d6a52f9fbec89b258f4589e68c079e39a107ae6d7", func() string {
 			cfg := Fig7Config{Trials: 1, EventCycle: 12, TotalCycles: 30}.withDefaults()
 			return fmt.Sprintf("%+v", fig7Trial(Options{Seed: 3, Scale: 0.1}.WithDefaults(), cfg, profile.WUP{}, 3))
 		}},
@@ -147,49 +147,49 @@ func TestExhibitsPinned(t *testing.T) {
 		run     func(o Options) string
 	}{
 		{"table1", "d329501f3abb2820493bcd4b37705f0402c7373b7b3adc36a26fcc2356165e77", false, func(o Options) string { return Table1(o).String() }},
-		{"table3", "15b40ab0445a74711434bf512ac78d4e6b7d99cbc6cacaed2f653bdceff8f4d8", true, func(o Options) string { return Table3(o).String() }},
-		{"table4", "0980da9652a967871386e81ebd6dd6020f0d3878e2a283c9355ead8db39e3e17", false, func(o Options) string { return Table4(o).String() }},
-		{"table5", "1ab0e009b990650b458e88108317bc242f5e5eaf733d99c2919d4ddecac39ac6", false, func(o Options) string { return Table5(o).String() }},
-		{"table6", "d83d46d301943232312113a25b89b67c1d0514a0f15467cbe479b1e278fd80ad", false, func(o Options) string { return Table6(o).String() }},
+		{"table3", "8cdec98caeee99665da9269e80cd1fee46f7aca989bcd5d9cc4e9f4be7607e2c", true, func(o Options) string { return Table3(o).String() }},
+		{"table4", "608c2a5c1ec7cddcc8cb2fa3340266b6c1c60acb90bd307fb7f29a3e8b39e933", false, func(o Options) string { return Table4(o).String() }},
+		{"table5", "690012d6931dcea78ab121af6549dfb652c7a9c4df2a41972543d095352b1191", false, func(o Options) string { return Table5(o).String() }},
+		{"table6", "b74ed1d7727a215da0c0cfb63da3eb06a16d9fa2852027fb50808ada82b3ee65", false, func(o Options) string { return Table6(o).String() }},
 		// Figure 3's two large workloads run at populations of 31 and 30
 		// users: at 0.08 they cost more than every other pin together.
-		{"fig3/synthetic", "2684d40606bee450d6f445d97aa3e116b41c12408e732610927f26760c793a02", false, func(o Options) string {
+		{"fig3/synthetic", "a39628f55f4d0428cfeeabfd5b598e6def1310ad7fbe3da5058890ed3608a8ff", false, func(o Options) string {
 			o.Scale = 0.01
 			return Fig3("synthetic", o).String()
 		}},
-		{"fig3/digg", "f071a3ad209649d541037f5b00146a807c4982bb3b0b4ccd817a00f838fa7df7", false, func(o Options) string {
+		{"fig3/digg", "1607e444c31120a4b504a45b1887ad5708d9a86c228d0d5fd7c515f32859e04b", false, func(o Options) string {
 			o.Scale = 0.04
 			return Fig3("digg", o).String()
 		}},
-		{"fig3/survey", "fdcabb5481bf372c39115c763b2b9328336427c21d169cf7a878e05ae7e41a6e", false, func(o Options) string { return Fig3("survey", o).String() }},
-		{"fig4", "0f752d19b30ee1b4ca770f7cdbe0221a7ea9db3a77db0187afc6606871cf9525", false, func(o Options) string { return Fig4(o).String() }},
-		{"fig5", "7aa8e7a667d72432808059db2c0fc9aa58e93be6826372e254107fa2e224b056", false, func(o Options) string { return Fig5(o).String() }},
-		{"fig6", "5f2cb26540906466ca22e15c2652530d03a80b9eedf788a1da1181c831a0b67b", true, func(o Options) string { return Fig6(o).String() }},
-		{"fig7", "1a06581f6cd02481f90912e9209c44a3caee44e4d129ea6823a9883038d4ae44", true, func(o Options) string {
+		{"fig3/survey", "25a1b7d4dc24c24a576f4fcb893e6dc595afea2168a44c1a8e423d3533aa5197", false, func(o Options) string { return Fig3("survey", o).String() }},
+		{"fig4", "c37bfb15f5feeefe48f70cf33c683baed64427c252c4c38b5fe36eb3532a9125", false, func(o Options) string { return Fig4(o).String() }},
+		{"fig5", "a40f8368f8698f56e3d7605ecffa638d635f062cda256c7ad7ee646c4f46d26c", false, func(o Options) string { return Fig5(o).String() }},
+		{"fig6", "460fdf1d3b7a4e768a11120e3eebb1b49a308027d0ee912dea8cfa04b0b0405c", true, func(o Options) string { return Fig6(o).String() }},
+		{"fig7", "73752a590b862daa3ab25ce3f1ad97f0454369355bb47291a89ed789d4d810d9", true, func(o Options) string {
 			return Fig7(o, Fig7Config{Trials: 2, EventCycle: 15, TotalCycles: 40, Window: 10}).String()
 		}},
-		{"fig8", "3a0b96a88a543346cd528ce06378a03d391a7f661ee844f531cb40bd8b4352a0", true, func(o Options) string {
+		{"fig8", "ee734e9cbebaf8530c29a5ec2e6a1cdd577a6a29b6305f85484bdf1c370bd943", true, func(o Options) string {
 			return Fig8(o, Fig8Config{Fanouts: []int{3, 6, 10}, Cycles: 20, SkipLive: true}).String()
 		}},
-		{"fig9", "4463ce610d5a2a27b1f292fd2ac1ebd1309babc6b46cc6062fe3f5595c4aa23c", false, func(o Options) string { return Fig9(o).String() }},
-		{"fig10", "f92bb8f540c81a5394fdab52230ccc233571cb2f2386a867cf0cc4ab6a64602d", true, func(o Options) string { return Fig10(o).String() }},
-		{"fig11", "c47792e45a8b063aa2a44747f3240fbee7989303dec30f43937eede611492af6", true, func(o Options) string { return Fig11(o).String() }},
-		{"ablations", "76805cffa48ebc75a14182bdfcbb9481716c201122dcc97f4c03a31bd7d9550f", false, func(o Options) string {
+		{"fig9", "a2587ee5a49f6d876ecc7148bf93e3a523fe08d122c00828f2d76761f8506bf6", false, func(o Options) string { return Fig9(o).String() }},
+		{"fig10", "a5660606907cdd274a37f790736532add26aeb74942f9fedf7499cc9e222e7d1", true, func(o Options) string { return Fig10(o).String() }},
+		{"fig11", "eb791518fce19d5927955a59313563aaae679accad69751bf17ee2ec88ae2a55", true, func(o Options) string { return Fig11(o).String() }},
+		{"ablations", "15c601d69095f65093a2076db06aaa19c55302e9a664853392591e75f7c8e40a", false, func(o Options) string {
 			var b strings.Builder
 			for _, r := range Ablations(o) {
 				b.WriteString(r.String())
 			}
 			return b.String()
 		}},
-		{"churn-run", "8c68ecb6005243b36c27557557f345452973fac7141eec1656c97732b8f91159", true, func(o Options) string {
+		{"churn-run", "53961c87408dab1441f326f2a2a8c8e019fc01e61713c5aa1241c28f02feecf1", true, func(o Options) string {
 			c := churn
 			c.FlashCrowd = 7
 			return ChurnRun(o, ChurnConfig{ChurnOptions: c, EngineOptions: o.EngineOptions, Fanout: 6, Loss: 0.02}).String()
 		}},
-		{"churn-bench", "9588a63fcad72ada7154b77c0ae36db636d2ddd55e21fbedb46fb1f975c20959", true, func(o Options) string {
+		{"churn-bench", "45189941437c9664e61bf50bc2156b65a37b47f10481bcbcff8fbfa62c96ca70", true, func(o Options) string {
 			return ChurnBench(ChurnBenchConfig{ChurnOptions: churn, EngineOptions: o.EngineOptions, Peers: 200, Cycles: 36}).String()
 		}},
-		{"adversarial", "f4f69fd56d10774680c3a11e0ed921543e68a8d0b8f39496c5c99e0610a6173c", true, func(o Options) string {
+		{"adversarial", "c60ba74bdf006267a1a26d927fbdc5160535e0cc0b43e62c322e164da4410046", true, func(o Options) string {
 			return AdversarialRun(AdversarialConfig{EngineOptions: o.EngineOptions, Peers: 200, Cycles: 20, Poison: true, PartitionK: 2}).String()
 		}},
 	}

@@ -16,6 +16,7 @@ import (
 	"whatsup/internal/dataset"
 	"whatsup/internal/metrics"
 	"whatsup/internal/news"
+	"whatsup/internal/prng"
 	"whatsup/internal/profile"
 	"whatsup/internal/sim"
 
@@ -96,9 +97,10 @@ type Outcome struct {
 	Cycles int
 }
 
-// nodeRNG derives a per-node random source from the run seed.
+// nodeRNG derives the seed generator of one node's own stream (see
+// core.NewSubstrate) from the run seed.
 func nodeRNG(seed int64, node int) *rand.Rand {
-	return rand.New(rand.NewSource(seed*1_000_003 + int64(node)))
+	return prng.New(uint64(seed*1_000_003 + int64(node)))
 }
 
 // peerFactory returns the constructor of one algorithm's peers.

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"whatsup/internal/news"
+	"whatsup/internal/prng"
 )
 
 // Rule is the fault profile of a class of links: a latency distribution
@@ -188,17 +189,6 @@ func (p *Policy) ActivePartitions(cycle int64) int {
 	return n
 }
 
-// mix is the splitmix64 finalizer, the same mixer the sim engine uses to
-// derive per-peer streams, so link draws are decorrelated from peer streams.
-func mix(z uint64) uint64 {
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	z ^= z >> 31
-	return z
-}
-
 // Draw returns a deterministic uniform [0, 1) draw for one link event,
 // hashing the run seed, the directed link, the cycle and the event identity
 // (salt distinguishes the protocol leg, extra the message — e.g. the item
@@ -207,18 +197,18 @@ func mix(z uint64) uint64 {
 // fault injection keep the worker-count determinism contract.
 func Draw(seed int64, from, to news.NodeID, cycle int64, salt, extra uint64) float64 {
 	z := uint64(seed) * 0x9E3779B97F4A7C15
-	z = mix(z + (uint64(from)+1)*0xBF58476D1CE4E5B9)
-	z = mix(z + (uint64(to)+1)*0x94D049BB133111EB)
-	z = mix(z + uint64(cycle)*0x9E3779B97F4A7C15)
-	z = mix(z + salt*0xD6E8FEB86659FD93 + extra)
+	z = prng.Mix(z + (uint64(from)+1)*0xBF58476D1CE4E5B9)
+	z = prng.Mix(z + (uint64(to)+1)*0x94D049BB133111EB)
+	z = prng.Mix(z + uint64(cycle)*0x9E3779B97F4A7C15)
+	z = prng.Mix(z + salt*0xD6E8FEB86659FD93 + extra)
 	return float64(z>>11) / (1 << 53)
 }
 
 // LinkSeed derives a stable RNG-stream seed for one directed link from the
 // run seed, for transports that keep per-link RNG streams (ChannelNet).
 func LinkSeed(seed int64, from, to news.NodeID) int64 {
-	z := mix(uint64(seed)*0x9E3779B97F4A7C15 + (uint64(from)+1)*0xBF58476D1CE4E5B9)
-	z = mix(z + (uint64(to)+1)*0x94D049BB133111EB)
+	z := prng.Mix(uint64(seed)*0x9E3779B97F4A7C15 + (uint64(from)+1)*0xBF58476D1CE4E5B9)
+	z = prng.Mix(z + (uint64(to)+1)*0x94D049BB133111EB)
 	return int64(z)
 }
 

@@ -8,6 +8,7 @@ import (
 	"whatsup/internal/core"
 	"whatsup/internal/faultnet"
 	"whatsup/internal/news"
+	"whatsup/internal/prng"
 )
 
 // halvesPartition cuts the fleet into two halves for the [start, heal)
@@ -161,4 +162,53 @@ func TestTCPNetPolicyLossDrops(t *testing.T) {
 	}
 	tn.Close()
 	waitGoroutinesBelow(t, base+2)
+}
+
+// TestLinkFaultsBytesPerLink bounds what a directed link costs for the rest
+// of a fleet's life once a lossy or jittery policy has drawn on it: the map
+// is never evicted and n nodes can touch n·(n−1) links, so a link holds its
+// stream by value (8 bytes plus its map slot), not a 4.9 KB math/rand state.
+// The draws themselves stay per link and in order: loss, then jitter.
+func TestLinkFaultsBytesPerLink(t *testing.T) {
+	const nodes, maxBytesPerLink = 100, 64
+	rule := faultnet.Rule{Loss: 0.25, Jitter: time.Millisecond}
+	heap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	f := &linkFaults{seed: 9}
+	f.SetPolicy(faultnet.New().SetDefault(rule), nil)
+	before := heap()
+	for from := news.NodeID(0); from < nodes; from++ {
+		for to := news.NodeID(0); to < nodes; to++ {
+			f.decide(from, to, 100)
+		}
+	}
+	perLink := float64(heap()-before) / float64(len(f.links))
+	if len(f.links) != nodes*nodes {
+		t.Fatalf("%d link streams, want %d", len(f.links), nodes*nodes)
+	}
+	t.Logf("%.1f bytes retained per link over %d links", perLink, len(f.links))
+	if perLink > maxBytesPerLink {
+		t.Fatalf("%.1f bytes retained per link, want <= %d", perLink, maxBytesPerLink)
+	}
+
+	// Link 3→4 again, against its stream replayed by hand.
+	twin := prng.Source(faultnet.LinkSeed(9, 3, 4))
+	for i := 0; i < 50; i++ {
+		wantDrop := twin.Float64() < rule.Loss
+		var wantDelay time.Duration
+		if !wantDrop {
+			wantDelay = rule.Delay(100, twin.Float64())
+		}
+		if i == 0 {
+			continue // drawn in the sweep above
+		}
+		if drop, delay := f.decide(3, 4, 100); drop != wantDrop || delay != wantDelay {
+			t.Fatalf("draw %d on link 3→4: drop %v delay %v, want %v %v", i, drop, delay, wantDrop, wantDelay)
+		}
+	}
+	runtime.KeepAlive(f)
 }

@@ -1,27 +1,29 @@
 package live
 
 import (
-	"math/rand"
 	"sync"
 	"time"
 
 	"whatsup/internal/faultnet"
 	"whatsup/internal/news"
+	"whatsup/internal/prng"
 )
 
 // linkFaults is the per-link fault evaluator both live transports embed: the
 // installed faultnet.Policy, the fleet clock its partition schedules run on,
 // and one deterministic RNG stream per directed link for loss and jitter
 // draws (faultnet.LinkSeed), so two runs over the same seed see the same
-// per-link streams regardless of fleet size. It owns the embedding
-// transport's lock: policy state is read on every Send, under the same hold
-// as the transport's delivery tables.
+// per-link streams regardless of fleet size. A stream is held by value,
+// eight bytes a link: the map is never evicted and a fleet of n nodes can
+// touch n·(n−1) links. It owns the embedding transport's lock: policy state
+// is read on every Send, under the same hold as the transport's delivery
+// tables.
 type linkFaults struct {
 	mu     sync.Mutex
 	seed   int64
 	policy *faultnet.Policy
 	clock  func() int64 // fleet cycle, for partition schedules
-	links  map[uint64]*rand.Rand
+	links  map[uint64]prng.Source
 }
 
 // SetPolicy overlays per-link network conditions on top of whatever uniform
@@ -37,7 +39,7 @@ func (f *linkFaults) SetPolicy(p *faultnet.Policy, clock func() int64) {
 	defer f.mu.Unlock()
 	f.policy = p
 	f.clock = clock
-	f.links = make(map[uint64]*rand.Rand)
+	f.links = make(map[uint64]prng.Source)
 }
 
 // decide evaluates the installed policy for one frame on the directed link:
@@ -58,13 +60,15 @@ func (f *linkFaults) decide(from, to news.NodeID, frameLen int) (drop bool, dela
 		return false, ls.Delay(frameLen, 0)
 	}
 	k := uint64(uint32(from))<<32 | uint64(uint32(to))
-	lr := f.links[k]
-	if lr == nil {
-		lr = rand.New(rand.NewSource(faultnet.LinkSeed(f.seed, from, to)))
-		f.links[k] = lr
+	lr, ok := f.links[k]
+	if !ok {
+		lr = prng.Source(faultnet.LinkSeed(f.seed, from, to))
 	}
-	if ls.Loss > 0 && lr.Float64() < ls.Loss {
-		return true, 0
+	// Draw order per link: loss, then jitter.
+	drop = ls.Loss > 0 && lr.Float64() < ls.Loss
+	if !drop {
+		delay = ls.Delay(frameLen, lr.Float64())
 	}
-	return false, ls.Delay(frameLen, lr.Float64())
+	f.links[k] = lr
+	return drop, delay
 }

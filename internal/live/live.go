@@ -55,6 +55,7 @@ import (
 	"whatsup/internal/metrics"
 	"whatsup/internal/news"
 	"whatsup/internal/overlay"
+	"whatsup/internal/prng"
 	"whatsup/internal/profile"
 	"whatsup/internal/sim"
 )
@@ -259,7 +260,6 @@ type liveNode struct {
 	done   chan struct{}
 	ctl    chan ctlRequest
 	runner *Runner
-	rng    *rand.Rand
 	// ops is the node's opinion layer: the base trace plus this user's
 	// feedback overrides.
 	ops *nodeOpinions
@@ -353,25 +353,23 @@ func (ln *liveNode) feedInOrder() []feedRecord {
 	return out
 }
 
-// nodeRNG derives the per-node randomness stream, shared by the initial
-// fleet and scheduled joiners.
+// nodeRNG derives the seed generator of one node's own stream (see
+// core.NewSubstrate), shared by the initial fleet and scheduled joiners.
 func nodeRNG(seed int64, id news.NodeID) *rand.Rand {
-	return rand.New(rand.NewSource(seed*999983 + int64(id)))
+	return prng.New(uint64(seed*999983 + int64(id)))
 }
 
 // newNode builds one fleet node — base population and scheduled joiners
 // alike — with a fresh transport endpoint, its clock starting at startCycle.
 func (r *Runner) newNode(id news.NodeID, startCycle int64) *liveNode {
-	rng := nodeRNG(r.cfg.Seed, id)
 	ops := &nodeOpinions{self: id, base: r.base, over: make(map[news.ID]bool)}
 	return &liveNode{
-		node:       core.NewNode(id, "", r.cfg.NodeConfig, ops, rng),
+		node:       core.NewNode(id, "", r.cfg.NodeConfig, ops, nodeRNG(r.cfg.Seed, id)),
 		inbox:      r.net.Register(id),
 		quit:       make(chan struct{}),
 		done:       make(chan struct{}),
 		ctl:        make(chan ctlRequest),
 		runner:     r,
-		rng:        rng,
 		ops:        ops,
 		startCycle: startCycle,
 	}
@@ -787,7 +785,6 @@ func (r *Runner) rejoin(id news.NodeID, now int64) {
 		done:       make(chan struct{}),
 		ctl:        make(chan ctlRequest),
 		runner:     r,
-		rng:        old.rng,
 		ops:        old.ops,
 		feed:       old.feed, // the feed is durable client state, like the profile
 		feedNext:   old.feedNext,

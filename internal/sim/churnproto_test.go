@@ -7,20 +7,26 @@ import (
 	"whatsup/internal/core"
 	"whatsup/internal/metrics"
 	"whatsup/internal/news"
+	"whatsup/internal/overlay"
 )
 
 // protoWorld builds a small community world with the churn protocol knobs
 // set, returning the engine ready to step manually.
 func protoWorld(n, cycles int, schedule ChurnSchedule, cfg core.Config, simCfg func(*Config)) (*Engine, *metrics.Collector) {
+	return protoWorldSeed(6, n, cycles, schedule, cfg, simCfg)
+}
+
+// protoWorldSeed is protoWorld at a given run seed.
+func protoWorldSeed(seed int64, n, cycles int, schedule ChurnSchedule, cfg core.Config, simCfg func(*Config)) (*Engine, *metrics.Collector) {
 	opinions := core.OpinionFunc(func(node news.NodeID, item news.ID) bool {
 		return int(node)%2 == int(item)%2
 	})
 	peers := make([]Peer, n)
 	for i := 0; i < n; i++ {
-		peers[i] = core.NewNode(news.NodeID(i), "", cfg, opinions, rand.New(rand.NewSource(60+int64(i))))
+		peers[i] = core.NewNode(news.NodeID(i), "", cfg, opinions, rand.New(rand.NewSource(seed*10+int64(i))))
 	}
 	col := metrics.NewCollector()
-	c := Config{Seed: 6, Cycles: cycles, BootstrapDegree: 5, Churn: schedule}
+	c := Config{Seed: seed, Cycles: cycles, BootstrapDegree: 5, Churn: schedule}
 	if simCfg != nil {
 		simCfg(&c)
 	}
@@ -75,49 +81,85 @@ func TestDepartureNoticesEvictLeaverFast(t *testing.T) {
 	}
 }
 
+// liveReach counts the online peers a peer can reach by following view
+// entries (either layer) from peer to peer: the set a refill can ever draw
+// from, since a pull returns the target's descriptor and half its view.
+func liveReach(online map[news.NodeID]Peer, from Peer) int {
+	seen := map[news.NodeID]bool{from.Overlay().ID(): true}
+	queue := []Peer{from}
+	for len(queue) > 0 {
+		s := queue[0].Overlay()
+		queue = queue[1:]
+		visit := func(d overlay.Descriptor) {
+			if p := online[d.Node]; p != nil && !seen[d.Node] {
+				seen[d.Node] = true
+				queue = append(queue, p)
+			}
+		}
+		s.RPS().View().ForEach(visit)
+		s.WUP().View().ForEach(visit)
+	}
+	return len(seen) - 1
+}
+
 // TestRefillRecoversDrainedViews: after a mass crash drains the survivors'
 // views via TTL eviction, the anti-entropy refill pulls them back above the
 // watermark, and its request/reply traffic is visible in the collector.
+//
+// What refill promises is stated per peer and held over 50 seeds, not one:
+// every survivor that can still reach enough live peers to fill its view to
+// the watermark ends at or above it. A survivor whose every neighbour crashed
+// (or that is left in a clique smaller than the watermark) is stranded, which
+// RefillTarget documents as out of scope; those are counted and bounded.
+// Seeds 1-50 strand 27 of 1 500 survivors (all 27 fully isolated) under the
+// splitmix64 streams, 13 (9 isolated, two cliques of two) under math/rand's
+// ALFG at the parent commit; seeds 1-1 800 strand 0.43 and 0.39 a run.
 func TestRefillRecoversDrainedViews(t *testing.T) {
-	const n, cycles, crashCycle = 60, 30, 8
+	const n, cycles, crashCycle, seeds = 60, 30, 8, 50
 	cfg := core.Config{FLike: 4, RPSViewSize: 8, ProfileWindow: cycles, DescriptorTTL: 4}
 	var schedule ChurnSchedule
 	for i := 0; i < n/2; i++ { // crash half the world, never to return
 		schedule.Add(crashCycle, ChurnCrash, news.NodeID(i*2))
 	}
 
-	minFill := func(e *Engine) float64 {
-		min := 1.0
+	const wm = 0.5
+	refill := func(c *Config) { c.RefillWatermark = wm }
+	survivors, stranded := 0, 0
+	for seed := int64(1); seed <= seeds; seed++ {
+		e, col := protoWorldSeed(seed, n, cycles, schedule, cfg, refill)
+		e.Run()
+		online := make(map[news.NodeID]Peer)
 		for _, p := range e.OnlinePeers() {
+			online[p.Overlay().ID()] = p
+		}
+		for _, p := range online {
 			v := p.Overlay().RPS().View()
-			if f := float64(v.Len()) / float64(v.Capacity()); f < min {
-				min = f
+			reach := liveReach(online, p)
+			survivors++
+			if float64(reach) < wm*float64(v.Capacity()) {
+				stranded++
+			} else if fill := float64(v.Len()) / float64(v.Capacity()); fill < wm {
+				t.Errorf("seed %d: peer %d reaches %d live peers but its RPS fill is %.2f, want >= watermark %.1f",
+					seed, p.Overlay().ID(), reach, fill, wm)
 			}
 		}
-		return min
+		if col.Messages(metrics.MsgRefillRequest) == 0 || col.Messages(metrics.MsgRefillReply) == 0 {
+			t.Fatalf("seed %d: refill traffic not recorded: %d requests, %d replies",
+				seed, col.Messages(metrics.MsgRefillRequest), col.Messages(metrics.MsgRefillReply))
+		}
+		if col.Bytes(metrics.MsgRefillRequest) == 0 {
+			t.Fatalf("seed %d: refill requests must account their wire bytes", seed)
+		}
 	}
-
-	const wm = 0.5
-	e, col := protoWorld(n, cycles, schedule, cfg, func(c *Config) { c.RefillWatermark = wm })
-	e.Run()
-	if got := minFill(e); got < wm {
-		t.Fatalf("with refill the worst online RPS fill is %.2f, want >= watermark %.1f", got, wm)
-	}
-	if col.Messages(metrics.MsgRefillRequest) == 0 || col.Messages(metrics.MsgRefillReply) == 0 {
-		t.Fatalf("refill traffic not recorded: %d requests, %d replies",
-			col.Messages(metrics.MsgRefillRequest), col.Messages(metrics.MsgRefillReply))
-	}
-	if col.Bytes(metrics.MsgRefillRequest) == 0 {
-		t.Fatal("refill requests must account their wire bytes")
+	t.Logf("%d of %d survivors stranded over %d seeds", stranded, survivors, seeds)
+	if stranded*20 > survivors {
+		t.Fatalf("%d of %d survivors stranded, want <= 5 %%", stranded, survivors)
 	}
 
 	plain, plainCol := protoWorld(n, cycles, schedule, cfg, nil)
 	plain.Run()
 	if plainCol.Messages(metrics.MsgRefillRequest) != 0 {
 		t.Fatal("refill disabled by default must send no refill traffic")
-	}
-	if minFill(plain) >= minFill(e) && col.Messages(metrics.MsgRefillRequest) > 0 {
-		t.Logf("note: TTL alone already restored fill (%.2f vs %.2f)", minFill(plain), minFill(e))
 	}
 }
 

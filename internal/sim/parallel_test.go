@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sort"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"whatsup/internal/core"
 	"whatsup/internal/metrics"
 	"whatsup/internal/news"
+	"whatsup/internal/prng"
 )
 
 // runWorldWorkers is runWorld with an explicit engine worker-pool size and an
@@ -203,5 +205,31 @@ func TestWorkersDefaultAndOverride(t *testing.T) {
 	peers2, _, col2 := communityWorld(10, 0, 10, cfg, 4)
 	if e := New(Config{Seed: 4, Cycles: 10, Workers: 3}, peers2, col2); e.Workers() != 3 {
 		t.Fatalf("workers=%d, want 3", e.Workers())
+	}
+}
+
+// TestStreamSeedsDecorrelated: a peer's engine stream starts unrelated to its
+// neighbour's (id+1) and to the peer's own substrate stream, which
+// core.NewSubstrate seeds with one draw from the caller's affine node seed
+// (seed·1 000 003 + id). Unrelated means the first draws differ in about half
+// their 64 bits.
+func TestStreamSeedsDecorrelated(t *testing.T) {
+	const peers = 4096
+	for seed := int64(1); seed <= 3; seed++ {
+		var nextID, node int
+		for id := news.NodeID(0); id < peers; id++ {
+			engine := prng.New(streamSeed(seed, id)).Uint64()
+			substrate := prng.New(prng.New(uint64(seed*1_000_003 + int64(id))).Uint64()).Uint64()
+			nextID += bits.OnesCount64(engine ^ prng.New(streamSeed(seed, id+1)).Uint64())
+			node += bits.OnesCount64(engine ^ substrate)
+		}
+		for _, c := range []struct {
+			name    string
+			flipped int
+		}{{"id+1's engine", nextID}, {"own substrate", node}} {
+			if mean := float64(c.flipped) / peers; mean < 31 || mean > 33 {
+				t.Errorf("seed %d: engine stream vs %s stream differ in %.2f bits on average, want 32 ± 1", seed, c.name, mean)
+			}
+		}
 	}
 }

@@ -22,9 +22,9 @@ import (
 // bit-identical with that engine forever: these hashes pin it.
 const (
 	// sha256 of fingerprint(runShardedWorld(workers, 1)) for any workers.
-	goldenStaticWorld = "dc49020cf55a4c943f90273eaa71e6ab9886f75a8badede0a8737b5c7f7825a1"
+	goldenStaticWorld = "805421bead99aa25cf6b1c7a20716774e88228567ab6d1460f7616c003d00676"
 	// sha256 of fingerprint(heavyChurnWorld(workers, 1)) for any workers.
-	goldenHeavyWorld = "77aefb125d7b3c84ee349af3b1af096bf1ccb2d45e2013c2b8468729607dae92"
+	goldenHeavyWorld = "1b0c5d7ca9b309ee275b742e5d6091a6aecb14ce99d620116643119ea7f66ffc"
 )
 
 func fingerprintHash(c *metrics.Collector) string {

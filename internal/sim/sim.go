@@ -66,6 +66,7 @@ import (
 	"whatsup/internal/metrics"
 	"whatsup/internal/news"
 	"whatsup/internal/overlay"
+	"whatsup/internal/prng"
 	"whatsup/internal/wire"
 )
 
@@ -368,14 +369,10 @@ func New(cfg Config, peers []Peer, col *metrics.Collector) *Engine {
 }
 
 // streamSeed derives the engine-side randomness seed of one peer from the
-// run seed with a splitmix64 finalizer, decorrelating the per-peer streams
+// run seed with the splitmix64 finalizer, decorrelating the per-peer streams
 // from each other and from the affine node-level seeds used by callers.
-func streamSeed(seed int64, id news.NodeID) int64 {
-	z := uint64(seed)*0x9E3779B97F4A7C15 + (uint64(id)+1)*0xBF58476D1CE4E5B9
-	z ^= z >> 30
-	z *= 0x94D049BB133111EB
-	z ^= z >> 27
-	return int64(z)
+func streamSeed(seed int64, id news.NodeID) uint64 {
+	return prng.Mix(uint64(seed)*0x9E3779B97F4A7C15 + (uint64(id)+1)*0xBF58476D1CE4E5B9)
 }
 
 // shardOf returns the owner shard of a global dense index.
@@ -413,7 +410,7 @@ func (e *Engine) addPeer(p Peer) {
 	sl := &e.slabs[e.shardOf(g)]
 	sl.peers = append(sl.peers, p)
 	sl.states = append(sl.states, Online)
-	sl.streams = append(sl.streams, rand.New(rand.NewSource(streamSeed(e.cfg.Seed, id))))
+	sl.streams = append(sl.streams, prng.New(streamSeed(e.cfg.Seed, id)))
 	e.count++
 	e.online++
 }

@@ -25,7 +25,6 @@
 package whatsup
 
 import (
-	"math/rand"
 	"time"
 
 	"whatsup/internal/api"
@@ -34,6 +33,7 @@ import (
 	"whatsup/internal/live"
 	"whatsup/internal/metrics"
 	"whatsup/internal/news"
+	"whatsup/internal/prng"
 	"whatsup/internal/profile"
 	"whatsup/internal/sim"
 	"whatsup/internal/source"
@@ -73,7 +73,7 @@ func NewItem(title, description, link string, created int64, source NodeID) Item
 // NewNode constructs a WhatsUp node with the given configuration; zero
 // fields take the paper's defaults.
 func NewNode(id NodeID, cfg Config, opinions Opinions, seed int64) *Node {
-	return core.NewNode(id, "", cfg, opinions, rand.New(rand.NewSource(seed)))
+	return core.NewNode(id, "", cfg, opinions, prng.New(uint64(seed)))
 }
 
 // ── Workloads ───────────────────────────────────────────────────────────
@@ -164,7 +164,7 @@ func NewSimulation(ds *Dataset, cfg SimulationConfig) *Simulation {
 	w.Churn = cfg.Churn
 	w.NewPeer = func(id news.NodeID) sim.Peer {
 		return core.NewNode(id, "", cfg.Node, w.Opinions,
-			rand.New(rand.NewSource(cfg.Seed*1_000_003+int64(id))))
+			prng.New(uint64(cfg.Seed*1_000_003+int64(id))))
 	}
 	engine, col := w.NewEngine(sim.Config{
 		Seed:             cfg.Seed,

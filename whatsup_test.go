@@ -211,8 +211,8 @@ func TestDriverOutputsPinned(t *testing.T) {
 		recall bool
 		want   string
 	}{
-		{"trace", trace, true, "365b7bea85571c1eb3974d91634a13857d7e9b35426fb63254a4ec89b5022734"},
-		{"crowd", crowd, false, "ebb7eaf24a51074b9fd3a01dbd08709a64bced5bb95c31a02e9d15c73721d1b9"},
+		{"trace", trace, true, "24bb4d7f3e817937525105c7cab297422458bd223a3bfd7230363b635cbc72b5"},
+		{"crowd", crowd, false, "cccb4e2d02df6eb815d1bd5aadb8a5f06a67074642b8be6bf71cf42b44616a7b"},
 	} {
 		s := NewSimulation(ds, SimulationConfig{
 			Node: Config{FLike: 5, DescriptorTTL: 10}, Seed: 4, LossRate: 0.03,
