@@ -42,16 +42,28 @@ func (t *tapNet) Send(env envelope) {
 
 // overlayState renders everything a gossip cycle can change on a node: both
 // views in view order (node, stamp, profile content) and the graveyard.
+// Profiles render canonically (wireHex), every entry with its stamp and
+// score bits.
 func overlayState(n *core.Node) string {
 	var b strings.Builder
 	for _, v := range []*overlay.View{n.RPS().View(), n.WUP().View()} {
 		for _, d := range v.Entries() {
-			fmt.Fprintf(&b, " %d@%d%v", d.Node, d.Stamp, d.Profile)
+			fmt.Fprintf(&b, " %d@%d:%s", d.Node, d.Stamp, wireHex(d.Profile))
 		}
 		b.WriteByte('\n')
 	}
 	fmt.Fprintf(&b, "tombs: %v\n", n.AppendTombstones(nil))
 	return b.String()
+}
+
+// wireHex renders a profile as the hex of its packed encoding, which is
+// canonical and lossless: every entry's id, stamp and score bits (a nil
+// profile renders as "nil").
+func wireHex(p *profile.Profile) string {
+	if p == nil {
+		return "nil"
+	}
+	return fmt.Sprintf("%x", p.AppendWire(nil))
 }
 
 func phantom(id news.NodeID, stamp int64, liked ...news.ID) overlay.Descriptor {

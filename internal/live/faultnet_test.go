@@ -172,21 +172,15 @@ func TestTCPNetPolicyLossDrops(t *testing.T) {
 func TestLinkFaultsBytesPerLink(t *testing.T) {
 	const nodes, maxBytesPerLink = 100, 64
 	rule := faultnet.Rule{Loss: 0.25, Jitter: time.Millisecond}
-	heap := func() int64 {
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return int64(ms.HeapAlloc)
-	}
 	f := &linkFaults{seed: 9}
 	f.SetPolicy(faultnet.New().SetDefault(rule), nil)
-	before := heap()
+	before := collectedHeap()
 	for from := news.NodeID(0); from < nodes; from++ {
 		for to := news.NodeID(0); to < nodes; to++ {
 			f.decide(from, to, 100)
 		}
 	}
-	perLink := float64(heap()-before) / float64(len(f.links))
+	perLink := float64(collectedHeap()-before) / float64(len(f.links))
 	if len(f.links) != nodes*nodes {
 		t.Fatalf("%d link streams, want %d", len(f.links), nodes*nodes)
 	}

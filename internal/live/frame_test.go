@@ -89,7 +89,7 @@ func frameScript() [][]byte {
 func nodeState(ln *liveNode, script [][]byte) string {
 	var b strings.Builder
 	b.WriteString(overlayState(ln.node))
-	fmt.Fprintf(&b, "user: %v\nseen:", ln.node.UserProfile())
+	fmt.Fprintf(&b, "user: %s\nseen:", wireHex(ln.node.UserProfile()))
 	for _, payload := range script {
 		if kind, _, _, body, err := envelopeHeader(payload); err == nil && kind == wireItem {
 			id, _ := core.PeekItemID(body)
@@ -97,8 +97,9 @@ func nodeState(ln *liveNode, script [][]byte) string {
 		}
 	}
 	b.WriteString("\nfeed:")
-	for _, rec := range ln.feedInOrder() {
-		fmt.Fprintf(&b, " {%+v %v c%d h%d %v}", rec.item, rec.profile, rec.cycle, rec.hops, rec.viaDislike)
+	for i := range ln.feed {
+		rec := ln.feedAt(i)
+		fmt.Fprintf(&b, " {%+v %x n%d c%d h%d %v}", rec.item, rec.profile, rec.entries, rec.cycle, rec.hops, rec.viaDislike)
 	}
 	return b.String()
 }

@@ -56,7 +56,6 @@ import (
 	"whatsup/internal/news"
 	"whatsup/internal/overlay"
 	"whatsup/internal/prng"
-	"whatsup/internal/profile"
 	"whatsup/internal/sim"
 )
 
@@ -185,10 +184,13 @@ type Config struct {
 	// feedback overrides (Runner.Feedback) on top.
 	Opinions core.Opinions
 	// FeedCapacity bounds the per-node feed: how many of the most recent
-	// BEEP deliveries each node retains (item plus the item-profile snapshot
-	// it arrived with) for Runner.Feed / Runner.Snapshot to serve. Zero
-	// disables retention — the historical behaviour, and the right setting
-	// for measurement runs that never read feeds.
+	// BEEP deliveries each node retains (item plus the item profile it
+	// arrived with, packed) for Runner.Feed / Runner.Snapshot to serve. A
+	// record costs a 136-byte ring slot, the item's strings and its packed
+	// profile — 11–13 bytes an entry for content-hash ids, where a decoded
+	// entry is 24 — and each Feed call decodes the records into one scratch
+	// profile. Zero disables retention — the historical behaviour, and the
+	// right setting for measurement runs that never read feeds.
 	FeedCapacity int
 	// Links is the per-link fault policy installed on the transport (via its
 	// SetPolicy, keyed to Runner.Cycle). The runner itself only reads it to
@@ -318,14 +320,19 @@ func (o *nodeOpinions) Likes(node news.NodeID, item news.ID) bool {
 	return o.base.Likes(node, item)
 }
 
-// feedRecord is one retained BEEP delivery: the item, the item-profile
-// snapshot it arrived with, and its receipt coordinates.
+// feedRecord is one retained BEEP delivery: the item, the item profile it
+// arrived with, and its receipt coordinates. The profile is kept in its
+// packed wire form (profile.AppendWire, exact size), about half the bytes of
+// the decoded entries, and a feed read decodes it into a scratch profile
+// (feedEntries); entries is its entry count, which sizes that scratch and
+// fills what would otherwise be the struct's padding.
 type feedRecord struct {
 	item       news.Item
-	profile    *profile.Profile
+	profile    []byte
 	cycle      int64
 	hops       int
 	viaDislike bool
+	entries    int32
 }
 
 // feedPush appends a delivery to the node's feed ring, evicting the oldest
@@ -340,17 +347,10 @@ func (ln *liveNode) feedPush(rec feedRecord) {
 	ln.feedNext = (ln.feedNext + 1) % capacity
 }
 
-// feedInOrder returns the ring's records oldest-first. The returned slice
-// aliases ring records (not the ring's backing array order) and must be
-// consumed before the node processes further deliveries.
-func (ln *liveNode) feedInOrder() []feedRecord {
-	if len(ln.feed) < ln.runner.cfg.FeedCapacity {
-		return ln.feed
-	}
-	out := make([]feedRecord, 0, len(ln.feed))
-	out = append(out, ln.feed[ln.feedNext:]...)
-	out = append(out, ln.feed[:ln.feedNext]...)
-	return out
+// feedAt returns the i-th record of the ring oldest-first, 0 ≤ i < len(feed).
+// Until the ring is full feedNext is 0 and the order is the slice's own.
+func (ln *liveNode) feedAt(i int) *feedRecord {
+	return &ln.feed[(ln.feedNext+i)%len(ln.feed)]
 }
 
 // nodeRNG derives the seed generator of one node's own stream (see
@@ -1017,11 +1017,13 @@ func (ln *liveNode) onMessage(env envelope, cycle int64) {
 		n.AcceptRefillReply(env.Descs, ln.runner.cfg.RefillWatermark, cycle)
 	case wireItem:
 		// Snapshot the item profile before Receive folds this user's own
-		// profile into it, so the feed scores the item as it arrived
-		// (copy-on-write: the clone is a header, not an entry copy).
-		var arrived *profile.Profile
+		// profile into it, so the feed scores the item as it arrived. The
+		// snapshot is the packed encoding, one exact-size allocation.
+		var arrived []byte
+		var entries int
 		if ln.runner.cfg.FeedCapacity > 0 && !n.Seen(env.Item.Item.ID) {
-			arrived = env.Item.Profile.Clone()
+			p := env.Item.Profile
+			arrived, entries = p.AppendWire(make([]byte, 0, p.WireSize())), p.Len()
 		}
 		d, sends := n.Receive(env.Item, cycle)
 		if d.Duplicate {
@@ -1034,6 +1036,7 @@ func (ln *liveNode) onMessage(env envelope, cycle int64) {
 				cycle:      cycle,
 				hops:       d.Hops,
 				viaDislike: d.ViaDislike,
+				entries:    int32(entries),
 			})
 		}
 		ln.runner.record(func(col *metrics.Collector) {

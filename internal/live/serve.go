@@ -1,12 +1,14 @@
 package live
 
 import (
+	"cmp"
 	"errors"
 	"runtime"
-	"sort"
+	"slices"
 
 	"whatsup/internal/news"
 	"whatsup/internal/overlay"
+	"whatsup/internal/profile"
 	"whatsup/internal/sim"
 )
 
@@ -189,18 +191,33 @@ func (r *Runner) Degraded() bool {
 	return members > 0 && online*2 < members
 }
 
-// feedEntries builds the ranked feed from the node's ring. Runs serialized
-// with the node's protocol handling (via withNode).
+// feedEntries builds the ranked feed from the node's ring, walked in place
+// oldest record first. Runs serialized with the node's protocol handling
+// (via withNode) — on the offline path several calls may run at once under
+// the runner's read lock, so the scratch profile is the call's own. Each
+// record's packed profile is decoded into that one scratch, sized up front
+// to the largest record so no record regrows it. The decode rebuilds the
+// entries and the ascending-order norm accumulator exactly as the arrival
+// decode built them, so each score has the bits it would have against the
+// profile the item arrived with.
 func (ln *liveNode) feedEntries() []FeedEntry {
 	n := ln.node
 	metric := n.Config().Metric
 	user := n.UserProfile()
-	recs := ln.feedInOrder()
-	out := make([]FeedEntry, 0, len(recs))
-	for _, rec := range recs {
+	largest := int32(0)
+	for i := range ln.feed {
+		largest = max(largest, ln.feed[i].entries)
+	}
+	scratch := profile.WithCapacity(int(largest))
+	out := make([]FeedEntry, 0, len(ln.feed))
+	for i := range ln.feed {
+		rec := ln.feedAt(i)
+		if _, err := scratch.UnmarshalWire(rec.profile); err != nil {
+			panic("live: feed record holds an undecodable profile: " + err.Error()) // written by AppendWire
+		}
 		e := FeedEntry{
 			Item:       rec.item,
-			Score:      metric.Similarity(user, rec.profile),
+			Score:      metric.Similarity(user, scratch),
 			Cycle:      rec.cycle,
 			Hops:       rec.hops,
 			ViaDislike: rec.viaDislike,
@@ -216,14 +233,8 @@ func (ln *liveNode) feedEntries() []FeedEntry {
 		}
 		out = append(out, e)
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		if out[i].Cycle != out[j].Cycle {
-			return out[i].Cycle > out[j].Cycle
-		}
-		return out[i].Item.ID < out[j].Item.ID
+	slices.SortStableFunc(out, func(a, b FeedEntry) int {
+		return cmp.Or(cmp.Compare(b.Score, a.Score), cmp.Compare(b.Cycle, a.Cycle), cmp.Compare(a.Item.ID, b.Item.ID))
 	})
 	return out
 }

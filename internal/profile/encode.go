@@ -55,14 +55,7 @@ func (p *Profile) UnmarshalBinary(data []byte) error {
 	if len(data) < 4+n*wireEntrySize {
 		return fmt.Errorf("%w: want %d entries, have %d bytes", ErrTruncated, n, len(data)-4)
 	}
-	p.version++ // content replaced even when n == 0
-	if p.shared.Load() {
-		p.entries = nil // abandon the COW-shared array instead of copying it
-		p.shared.Store(false)
-	}
-	p.entries = p.entries[:0]
-	p.sumSq = 0
-	p.dirty = 0
+	p.reset()
 	off := 4
 	for i := 0; i < n; i++ {
 		id := news.ID(binary.BigEndian.Uint64(data[off:]))
@@ -163,11 +156,44 @@ func CheckWire(data []byte) ([]byte, error) {
 	return rest, err
 }
 
+// UnmarshalWire decodes one packed profile from the front of data into the
+// receiver, replacing its contents the way UnmarshalBinary does, and returns
+// the remaining bytes. It accepts exactly what DecodeWire accepts and leaves
+// the same entries and the same NormAccumulator pair; the difference is the
+// memory: the receiver's entry array is reused when it is large enough and
+// not shared with a copy-on-write clone (a shared one is abandoned to the
+// clone, never written). On an error the receiver is left empty. Callers that
+// decode many profiles one after another through one scratch profile pay for
+// one entry array instead of one per profile.
+func (p *Profile) UnmarshalWire(data []byte) ([]byte, error) {
+	p.reset()
+	rest, _, err := decodeWire(p, nil, data)
+	if err != nil {
+		p.reset()
+		return data, err
+	}
+	return rest, nil
+}
+
+// reset empties the profile ahead of a decode that replaces its contents,
+// keeping its entry array unless copy-on-write clones share it.
+func (p *Profile) reset() {
+	p.version++ // content replaced even when nothing is decoded
+	if p.shared.Load() {
+		p.entries = nil // abandon the COW-shared array instead of copying it
+		p.shared.Store(false)
+	}
+	p.entries = p.entries[:0]
+	p.sumSq = 0
+	p.dirty = 0
+}
+
 // decodeWire is the one walk over the packed layout, in one of three modes:
-// it fills p; or, p nil, compares the entries with held's and reports whether
-// all of them are equal, stopping without an error at the first that is not
-// (the caller then decodes from the start, which validates the remainder);
-// or, both nil, only validates.
+// it fills p, whose entries must be empty and whose sumSq zero (the entry
+// array is replaced only when its capacity is short); or, p nil, compares the
+// entries with held's and reports whether all of them are equal, stopping
+// without an error at the first that is not (the caller then decodes from the
+// start, which validates the remainder); or, both nil, only validates.
 func decodeWire(p, held *Profile, data []byte) (rest []byte, same bool, err error) {
 	n, rest, err := wire.Uint(data)
 	if err != nil {
@@ -181,7 +207,7 @@ func decodeWire(p, held *Profile, data []byte) (rest []byte, same bool, err erro
 	if held != nil && n != uint64(len(held.entries)) {
 		return data, false, nil
 	}
-	if p != nil {
+	if p != nil && uint64(cap(p.entries)) < n {
 		p.entries = make([]Entry, 0, n)
 	}
 	prev := uint64(0)
