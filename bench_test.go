@@ -2,8 +2,9 @@
 // (Section V) at a reduced scale, one bench per exhibit. Each bench reports
 // the exhibit's headline numbers as custom metrics, so `go test -bench=.`
 // doubles as a smoke reproduction; cmd/whatsup-bench runs the same drivers
-// at larger scales with full output. The allocation-gated hot-path family is
-// BenchmarkHotPath in internal/experiments.
+// at larger scales with full output. Figures 7 and 8 run reduced shapes that
+// only the experiments package can pass, so their benches live there, as
+// does the allocation-gated hot-path family BenchmarkHotPath.
 package whatsup_test
 
 import (
@@ -163,28 +164,6 @@ func BenchmarkFig6Hops(b *testing.B) {
 		mean = experiments.Fig6(benchOptions()).MeanInfectionHops
 	}
 	b.ReportMetric(mean, "mean-infection-hops")
-}
-
-func BenchmarkFig7Dynamics(b *testing.B) {
-	var wupConv float64
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig7(benchOptions(), experiments.Fig7Config{
-			Trials: 1, EventCycle: 15, TotalCycles: 40, Window: 10,
-		})
-		wupConv = float64(r.WhatsUp.JoinConvergence)
-	}
-	b.ReportMetric(wupConv, "join-convergence-cycles")
-}
-
-func BenchmarkFig8Deployment(b *testing.B) {
-	var f1 float64
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig8(benchOptions(), experiments.Fig8Config{
-			Fanouts: []int{3, 6}, Cycles: 20, SkipLive: true,
-		})
-		f1 = r.Points[1].Simulation
-	}
-	b.ReportMetric(f1, "F1-sim-f6")
 }
 
 func BenchmarkFig9Centralized(b *testing.B) {

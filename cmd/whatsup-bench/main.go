@@ -150,10 +150,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	runExp("fig4", func() fmt.Stringer { return experiments.Fig4(o) })
 	runExp("fig5", func() fmt.Stringer { return experiments.Fig5(o) })
 	runExp("fig6", func() fmt.Stringer { return experiments.Fig6(o) })
-	runExp("fig7", func() fmt.Stringer { return experiments.Fig7(o, experiments.Fig7Config{}) })
-	runExp("fig8", func() fmt.Stringer {
-		return experiments.Fig8(o, experiments.Fig8Config{SkipLive: *skipLive})
-	})
+	runExp("fig7", func() fmt.Stringer { return experiments.Fig7(o) })
+	runExp("fig8", func() fmt.Stringer { return experiments.Fig8(o, *skipLive) })
 	runExp("fig9", func() fmt.Stringer { return experiments.Fig9(o) })
 	runExp("fig10", func() fmt.Stringer { return experiments.Fig10(o) })
 	runExp("fig11", func() fmt.Stringer { return experiments.Fig11(o) })

@@ -7,11 +7,9 @@
 // of percent between runs on shared hardware. The baseline and the candidate
 // must hold the same scenarios: one missing from either side fails the run.
 //
-// Usage (the cycle scenarios run a fixed 45 cycles, as in the baseline,
-// because their allocs/op depends on how many cycles are measured):
+// Usage:
 //
-//	go test -run '^$' -bench BenchmarkHotPath -skip BenchmarkHotPath/cycle -benchmem ./internal/experiments/ > bench_hotpath.txt
-//	go test -run '^$' -bench BenchmarkHotPath/cycle -benchtime 45x -benchmem ./internal/experiments/ >> bench_hotpath.txt
+//	go test -run '^$' -bench BenchmarkHotPath -benchmem ./internal/experiments/ > bench_hotpath.txt
 //	whatsup-benchdiff -old bench_baseline.txt -new bench_hotpath.txt
 package main
 

@@ -48,7 +48,7 @@ const (
 	// O(k) sampling: everything the paper validated runs far below it.
 	LargeScalePopulation = 100_000
 
-	// LargeScaleNoticeCap is the NoticePiggybackCap ForPopulation applies
+	// LargeScaleNoticeCap is the notice piggyback cap ForPopulation applies
 	// above LargeScalePopulation: 64 tombstones comfortably cover one
 	// eviction horizon of departures in any neighbourhood while keeping the
 	// piggyback O(1) per message instead of O(departures).
@@ -87,14 +87,15 @@ type Config struct {
 	// negative disables eviction (the static-population default, which keeps
 	// churn-free runs bit-identical with historical results).
 	DescriptorTTL int64
-	// NoticePiggybackCap bounds how many departure tombstones one outgoing
+
+	// noticePiggybackCap bounds how many departure tombstones one outgoing
 	// gossip message carries (freshest first). Zero or negative means all
 	// active tombstones — the graveyard is already bounded by the departure
 	// rate over one eviction horizon, and full flooding is what scrubs
-	// ghosts fastest. Set a cap at very large scale, where horizon × rate
-	// makes the piggyback the dominant message cost; anything the cap drops
-	// still ages out through DescriptorTTL eviction.
-	NoticePiggybackCap int
+	// ghosts fastest. ForPopulation sets it at very large scale, where
+	// horizon × rate makes the piggyback the dominant message cost; anything
+	// the cap drops still ages out through DescriptorTTL eviction.
+	noticePiggybackCap int
 }
 
 // WithDefaults returns a copy of c with unset fields replaced by the
@@ -125,15 +126,15 @@ func (c Config) WithDefaults() Config {
 
 // ForPopulation returns a copy of c with scale-sensitive knobs bounded for a
 // deployment of n peers. Today that is one knob: above LargeScalePopulation
-// an unset NoticePiggybackCap defaults to LargeScaleNoticeCap, because
-// uncapped tombstone piggyback grows with the departure volume of the whole
-// horizon — negligible at the paper's 5k scale, the dominant gossip cost in
-// a million-peer flash crowd. At or below the threshold (or with the cap
+// the notice piggyback is capped at LargeScaleNoticeCap, because uncapped
+// tombstone piggyback grows with the departure volume of the whole horizon —
+// negligible at the paper's 5k scale, the dominant gossip cost in a
+// million-peer flash crowd. At or below the threshold (or with the cap
 // already set) the config is returned unchanged, byte-identical, so every
 // validated small-scale result is unaffected.
 func (c Config) ForPopulation(n int) Config {
-	if n >= LargeScalePopulation && c.NoticePiggybackCap == 0 {
-		c.NoticePiggybackCap = LargeScaleNoticeCap
+	if n >= LargeScalePopulation && c.noticePiggybackCap == 0 {
+		c.noticePiggybackCap = LargeScaleNoticeCap
 	}
 	return c
 }

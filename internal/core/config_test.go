@@ -11,7 +11,7 @@ func TestForPopulationSmallScaleIdentity(t *testing.T) {
 		{},
 		Config{}.WithDefaults(),
 		{FLike: 4, RPSViewSize: 8, ProfileWindow: 25, DescriptorTTL: 10},
-		{NoticePiggybackCap: 7},
+		{noticePiggybackCap: 7},
 	}
 	for _, n := range []int{0, 1, 5000, LargeScalePopulation - 1} {
 		for i, cfg := range cfgs {
@@ -27,18 +27,18 @@ func TestForPopulationSmallScaleIdentity(t *testing.T) {
 // in above the threshold — and only for an unset cap.
 func TestForPopulationLargeScaleCap(t *testing.T) {
 	got := Config{}.ForPopulation(LargeScalePopulation)
-	if got.NoticePiggybackCap != LargeScaleNoticeCap {
-		t.Errorf("unset cap at threshold: got %d, want %d", got.NoticePiggybackCap, LargeScaleNoticeCap)
+	if got.noticePiggybackCap != LargeScaleNoticeCap {
+		t.Errorf("unset cap at threshold: got %d, want %d", got.noticePiggybackCap, LargeScaleNoticeCap)
 	}
-	if rest := (Config{NoticePiggybackCap: LargeScaleNoticeCap}); got != rest {
+	if rest := (Config{noticePiggybackCap: LargeScaleNoticeCap}); got != rest {
 		t.Errorf("ForPopulation changed more than the cap: %+v", got)
 	}
-	explicit := Config{NoticePiggybackCap: 7}.ForPopulation(2 * LargeScalePopulation)
-	if explicit.NoticePiggybackCap != 7 {
-		t.Errorf("explicit cap overridden: got %d, want 7", explicit.NoticePiggybackCap)
+	explicit := Config{noticePiggybackCap: 7}.ForPopulation(2 * LargeScalePopulation)
+	if explicit.noticePiggybackCap != 7 {
+		t.Errorf("explicit cap overridden: got %d, want 7", explicit.noticePiggybackCap)
 	}
-	uncapped := Config{NoticePiggybackCap: -1}.ForPopulation(2 * LargeScalePopulation)
-	if uncapped.NoticePiggybackCap != -1 {
-		t.Errorf("explicit uncapped (-1) overridden: got %d", uncapped.NoticePiggybackCap)
+	uncapped := Config{noticePiggybackCap: -1}.ForPopulation(2 * LargeScalePopulation)
+	if uncapped.noticePiggybackCap != -1 {
+		t.Errorf("explicit uncapped (-1) overridden: got %d", uncapped.noticePiggybackCap)
 	}
 }

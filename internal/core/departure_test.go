@@ -121,8 +121,8 @@ func TestEvictionBoundaryAcrossLayers(t *testing.T) {
 	}
 }
 
-// TestNoticePiggybackCap: by default every active tombstone rides outgoing
-// gossip freshest-first; with NoticePiggybackCap only that many of the
+// TestnoticePiggybackCap: by default every active tombstone rides outgoing
+// gossip freshest-first; with a piggyback cap only that many of the
 // freshest do.
 func TestNoticePiggybackCap(t *testing.T) {
 	notes := []overlay.Tombstone{
@@ -146,7 +146,7 @@ func TestNoticePiggybackCap(t *testing.T) {
 		}
 	}
 
-	capped := testNode(1, likeAll(), Config{FLike: 3, DescriptorTTL: 20, NoticePiggybackCap: 2})
+	capped := testNode(1, likeAll(), Config{FLike: 3, DescriptorTTL: 20, noticePiggybackCap: 2})
 	for _, tb := range notes {
 		capped.NoteDeparture(tb, 10)
 	}

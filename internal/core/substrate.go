@@ -47,9 +47,9 @@ type Substrate struct {
 // NewSubstrate builds a substrate from cfg taken literally (no defaults):
 // RPSViewSize sizes the random sample, a zero WUPViewSize means no clustering
 // layer at all (homogeneous gossip), a zero ProfileWindow means the profile
-// is never purged, and DescriptorTTL and NoticePiggybackCap keep their Config
-// meaning. addr is the transport address live runtimes gossip. The returned
-// value is meant to be embedded, once.
+// is never purged, and DescriptorTTL and the notice piggyback cap keep their
+// Config meaning. addr is the transport address live runtimes gossip. The
+// returned value is meant to be embedded, once.
 //
 // rng is read once and not retained: one Uint64 from it seeds the substrate's
 // own splitmix64 stream (Rand), which drives both layers and whatever the
@@ -196,10 +196,10 @@ func (s *Substrate) NoteDeparture(t overlay.Tombstone, now int64) {
 // AppendTombstones appends the node's active departure tombstones to dst in
 // deterministic (node id) order — the piggyback payload its outgoing gossip
 // carries so departure notices flood one neighbourhood horizon. When
-// Config.NoticePiggybackCap is set and the set is larger, only that many of
+// the config's piggyback cap is set and the set is larger, only that many of
 // the freshest ride along (TTL eviction backstops the rest).
 func (s *Substrate) AppendTombstones(dst []overlay.Tombstone) []overlay.Tombstone {
-	return s.grave.AppendFreshest(dst, s.cfg.NoticePiggybackCap)
+	return s.grave.AppendFreshest(dst, s.cfg.noticePiggybackCap)
 }
 
 // InjectRPSCandidates feeds the current RPS view into the clustering layer,

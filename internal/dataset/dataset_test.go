@@ -45,9 +45,9 @@ func TestSyntheticStructure(t *testing.T) {
 }
 
 func TestSyntheticWithDetection(t *testing.T) {
-	// The faithful path: planted graph → CNM → communities. Small scale so
-	// the O(n·m) detection stays fast in tests.
-	d := Synthetic(SyntheticConfig{Seed: 2, Scale: 0.03, Communities: 4})
+	// Planted graph → CNM → communities at the smallest planted count (3).
+	// Small scale so the O(n·m) detection stays fast in tests.
+	d := Synthetic(SyntheticConfig{Seed: 2, Scale: 0.03})
 	if d.Topics < 2 {
 		t.Fatalf("detection found too few communities: %d", d.Topics)
 	}
@@ -61,8 +61,8 @@ func TestSyntheticWithDetection(t *testing.T) {
 }
 
 func TestSyntheticDeterminism(t *testing.T) {
-	a := Synthetic(SyntheticConfig{Seed: 3, Scale: 0.05, SkipDetection: true})
-	b := Synthetic(SyntheticConfig{Seed: 3, Scale: 0.05, SkipDetection: true})
+	a := Synthetic(SyntheticConfig{Seed: 3, Scale: 0.05})
+	b := Synthetic(SyntheticConfig{Seed: 3, Scale: 0.05})
 	if a.Users != b.Users || len(a.Items) != len(b.Items) {
 		t.Fatal("same seed must give identical datasets")
 	}
@@ -222,7 +222,7 @@ func TestItemByIDAndSummary(t *testing.T) {
 
 func TestPublicationCyclesWithinRange(t *testing.T) {
 	for _, d := range []*Dataset{
-		Synthetic(SyntheticConfig{Seed: 11, Scale: 0.05, SkipDetection: true}),
+		Synthetic(SyntheticConfig{Seed: 11, Scale: 0.05}),
 		Digg(DiggConfig{Seed: 11, Scale: 0.05}),
 		Survey(SurveyConfig{Seed: 11, Scale: 0.05}),
 	} {

@@ -15,42 +15,26 @@ import (
 type SyntheticConfig struct {
 	Seed  int64
 	Scale float64 // 1.0 = paper scale; smaller values shrink users and items
-	// Communities overrides the number of planted communities (default 21).
-	Communities int
-	// SkipDetection wires communities directly from the planted partition
-	// instead of running CNM community detection on the collaboration graph.
-	// Detection is the faithful path; tests use SkipDetection for speed.
-	SkipDetection bool
 }
 
-func (c SyntheticConfig) withDefaults() SyntheticConfig {
-	if c.Scale <= 0 {
-		c.Scale = 1
-	}
-	if c.Communities <= 0 {
-		// 21 communities at paper scale; fewer when shrunk, so each
-		// community keeps enough items per profile window for the
-		// similarity signal to exist.
-		c.Communities = max(3, int(21*c.Scale+0.5))
-	}
-	return c
-}
-
-// communitySizes draws c.Communities sizes with the paper's skew (min ~31,
-// max ~1036 at scale 1) summing to roughly 3180·scale users.
-func communitySizes(cfg SyntheticConfig, rng *rand.Rand) []int {
-	minSize := max(2, int(31*cfg.Scale))
-	sizes := make([]int, cfg.Communities)
+// communitySizes draws the planted community sizes with the paper's skew
+// (min ~31, max ~1036 at scale 1) summing to roughly 3180·scale users: 21
+// communities at paper scale, fewer when shrunk, so each community keeps
+// enough items per profile window for the similarity signal to exist.
+func communitySizes(scale float64, rng *rand.Rand) []int {
+	communities := max(3, int(21*scale+0.5))
+	minSize := max(2, int(31*scale))
+	sizes := make([]int, communities)
 	// Geometric progression of weights gives a few large and many small
 	// communities, mimicking detected collaboration communities.
-	weights := make([]float64, cfg.Communities)
+	weights := make([]float64, communities)
 	var wsum float64
 	for i := range weights {
 		weights[i] = 1 / float64(i+1) // Zipf-ish
 		wsum += weights[i]
 	}
-	totalUsers := int(3180 * cfg.Scale)
-	remaining := totalUsers - minSize*cfg.Communities
+	totalUsers := int(3180 * scale)
+	remaining := totalUsers - minSize*communities
 	if remaining < 0 {
 		remaining = 0
 	}
@@ -68,10 +52,12 @@ func communitySizes(cfg SyntheticConfig, rng *rand.Rand) []int {
 // (Newman 2004) as the paper did on the Arxiv graph, and derives strictly
 // disjoint interests: a user likes exactly the items of her community.
 func Synthetic(cfg SyntheticConfig) *Dataset {
-	cfg = cfg.withDefaults()
+	if cfg.Scale <= 0 {
+		cfg.Scale = 1
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
-	sizes := communitySizes(cfg, rng)
+	sizes := communitySizes(cfg.Scale, rng)
 	var planted [][]int // community -> member users
 	n := 0
 	for _, s := range sizes {
@@ -83,10 +69,7 @@ func Synthetic(cfg SyntheticConfig) *Dataset {
 		n += s
 	}
 
-	communities := planted
-	if !cfg.SkipDetection {
-		communities = detectCommunities(planted, n, rng)
-	}
+	communities := detectCommunities(planted, n, rng)
 
 	// Keep communities of at least the planted minimum size; smaller
 	// fragments (detection noise) are merged into the nearest community by

@@ -52,9 +52,9 @@ func churnWindow(cycles, open int, margin int64) (from, to int64) {
 
 // schedule builds the one scenario every churn driver runs: over the window
 // [from, to) a trace hits ChurnRate of the base population (half crashes
-// that rejoin after Downtime, half graceful leaves), and a flash crowd of
-// brand-new ids past the base population arrives a third into the run,
-// flashPerCycle joiners a cycle.
+// that rejoin after the driver's downtime, half graceful leaves), and a
+// flash crowd of brand-new ids past the base population arrives a third into
+// the run, flashPerCycle joiners a cycle.
 func (c ChurnOptions) schedule(seed int64, peers, cycles int, from, to int64, flashPerCycle int) sim.ChurnSchedule {
 	var s sim.ChurnSchedule
 	if c.ChurnRate > 0 {
@@ -66,7 +66,7 @@ func (c ChurnOptions) schedule(seed int64, peers, cycles int, from, to int64, fl
 			To:        to,
 			CrashRate: perCycle / 2,
 			LeaveRate: perCycle / 2,
-			Downtime:  c.Downtime,
+			Downtime:  c.downtime,
 		})
 	}
 	if c.FlashCrowd > 0 {
@@ -223,8 +223,8 @@ func runChurn(name string, w *sim.World, opts ChurnOptions, nodeCfg core.Config,
 
 // ChurnBenchConfig sizes the churn bench, the churn scenario's second world
 // recipe (`whatsup-bench -run churn`): instead of a paper trace, a synthetic
-// 5k-peer 4-community world — the membership subsystem at scale, and the
-// community shape behind the `churn-cycle-*` scenario of BenchmarkHotPath.
+// 5k-peer 4-community world — the membership subsystem at scale, in the
+// community shape of hotPathWorld's churned cycle.
 // ChurnRate zero means no trace churn (the flash crowd still arrives), so a
 // churn-free control can be run, and FlashCrowd defaults to Peers/20 instead
 // of none.
@@ -233,8 +233,9 @@ type ChurnBenchConfig struct {
 	EngineOptions
 	// Peers is the base population (default 5000).
 	Peers int
-	// Cycles is the run length (default 45).
-	Cycles int
+
+	// cycles is the run length (default 45); the tests run shorter ones.
+	cycles int
 }
 
 func (c ChurnBenchConfig) withDefaults() ChurnBenchConfig {
@@ -242,8 +243,8 @@ func (c ChurnBenchConfig) withDefaults() ChurnBenchConfig {
 	if c.Peers <= 0 {
 		c.Peers = 5000
 	}
-	if c.Cycles <= 0 {
-		c.Cycles = 45
+	if c.cycles <= 0 {
+		c.cycles = 45
 	}
 	if c.FlashCrowd <= 0 {
 		c.FlashCrowd = c.Peers / 20
@@ -256,18 +257,18 @@ func (c ChurnBenchConfig) withDefaults() ChurnBenchConfig {
 // flash crowd a third in.
 func ChurnBench(cfg ChurnBenchConfig) ChurnResult {
 	cfg = cfg.withDefaults()
-	w := sim.Communities(cfg.Peers, 4, 6, cfg.Cycles, "churn")
+	w := sim.Communities(cfg.Peers, 4, 6, cfg.cycles, "churn")
 
 	// The churn window closes one eviction horizon plus one downtime before
 	// the end, so the run itself proves self-healing: every crasher has
 	// rejoined and every departed descriptor has aged out by the last cycle
 	// (the end-state ghost fraction must come back 0).
-	from, to := churnWindow(cfg.Cycles, 5, cfg.DescriptorTTL+cfg.Downtime)
-	w.Churn = cfg.schedule(99, cfg.Peers, cfg.Cycles, from, to, cfg.FlashCrowd/5+1)
+	from, to := churnWindow(cfg.cycles, 5, cfg.DescriptorTTL+cfg.downtime)
+	w.Churn = cfg.schedule(99, cfg.Peers, cfg.cycles, from, to, cfg.FlashCrowd/5+1)
 
 	nodeCfg := core.Config{FLike: 6, RPSViewSize: 20}
 	return runChurn("communities", w, cfg.ChurnOptions, nodeCfg, cfg.engine(sim.Config{
-		Seed: 1, Cycles: cfg.Cycles,
+		Seed: 1, Cycles: cfg.cycles,
 	}))
 }
 

@@ -32,31 +32,37 @@ func TestDescriptorTTLDefaultUnified(t *testing.T) {
 
 // TestChurnOptionsDriverDefaults pins the behavior each CLI relied on before
 // the churn knobs were extracted into the shared ChurnOptions: the per-driver
-// downtime defaults (sim 8, live 5, bench 6 — the bench's was a constant
-// before), the bench's population-derived flash crowd, and negative churn
-// rates clamping to a static fleet. Explicit values always win.
+// downtimes (sim 8, live 5, bench 6 — the bench's was a constant before and
+// all three are again), the bench's population-derived flash crowd, and
+// negative churn rates clamping to a static fleet. Explicit values of the
+// settable knobs always win; the downtime is always the driver's.
 func TestChurnOptionsDriverDefaults(t *testing.T) {
-	if got := (ChurnConfig{}).withDefaults().Downtime; got != 8 {
-		t.Fatalf("ChurnRun downtime default changed: %d, want 8", got)
+	if got := (ChurnConfig{}).withDefaults().downtime; got != 8 {
+		t.Fatalf("ChurnRun downtime changed: %d, want 8", got)
 	}
-	if got := (LiveRunConfig{}).withDefaults().Downtime; got != 5 {
-		t.Fatalf("LiveRun downtime default changed: %d, want 5", got)
+	if got := (LiveRunConfig{}).withDefaults().downtime; got != 5 {
+		t.Fatalf("LiveRun downtime changed: %d, want 5", got)
 	}
 	bench := ChurnBenchConfig{}.withDefaults()
-	if bench.Downtime != 6 {
-		t.Fatalf("ChurnBench downtime default changed: %d, want 6", bench.Downtime)
+	if bench.downtime != 6 {
+		t.Fatalf("ChurnBench downtime changed: %d, want 6", bench.downtime)
 	}
 	if bench.FlashCrowd != bench.Peers/20 {
 		t.Fatalf("ChurnBench flash crowd default changed: %d, want Peers/20=%d",
 			bench.FlashCrowd, bench.Peers/20)
 	}
+	if bench.cycles != 45 {
+		t.Fatalf("ChurnBench run length changed: %d, want 45", bench.cycles)
+	}
 	if got := (ChurnOptions{ChurnRate: -1}).withDefaults(8).ChurnRate; got != 0 {
 		t.Fatalf("negative churn rate must clamp to 0, got %v", got)
 	}
-	explicit := ChurnOptions{ChurnRate: 0.4, FlashCrowd: 3, Downtime: 2, DescriptorTTL: 9,
+	explicit := ChurnOptions{ChurnRate: 0.4, FlashCrowd: 3, DescriptorTTL: 9,
 		DepartureNotices: true, RefillWatermark: 0.5}
-	if got := explicit.withDefaults(8); got != explicit {
-		t.Fatalf("explicit options rewritten by defaults: %+v -> %+v", explicit, got)
+	want := explicit
+	want.downtime = 2
+	if got := explicit.withDefaults(2); got != want {
+		t.Fatalf("explicit options rewritten by defaults: %+v -> %+v, want %+v", explicit, got, want)
 	}
 }
 
@@ -73,7 +79,7 @@ func TestLiveChurnWindowClosure(t *testing.T) {
 		if from != int64(cycles/4) {
 			t.Fatalf("cycles=%d: window opens at %d, want %d", cycles, from, cycles/4)
 		}
-		latest := int64(cfg.Cycles) - cfg.DescriptorTTL - cfg.Downtime - cfg.schedulerSlack()
+		latest := int64(cfg.Cycles) - cfg.DescriptorTTL - cfg.downtime - cfg.schedulerSlack()
 		if to > latest {
 			t.Fatalf("cycles=%d: window closes at %d, later than TTL+downtime+slack bound %d",
 				cycles, to, latest)
@@ -149,7 +155,7 @@ func TestChurnBenchHealsAndSplitsJoiners(t *testing.T) {
 	r := ChurnBench(ChurnBenchConfig{
 		ChurnOptions: ChurnOptions{ChurnRate: 0.2, FlashCrowd: 12,
 			DepartureNotices: true, RefillWatermark: 0.5},
-		Peers: 150, Cycles: 30, EngineOptions: EngineOptions{Workers: 2},
+		Peers: 150, cycles: 30, EngineOptions: EngineOptions{Workers: 2},
 	})
 	if r.BaseUsers != 150 || r.Joiners != 12 || r.Joiner.Nodes != 12 {
 		t.Fatalf("world sizes not reported: %d base, %d joiners, %d in the joiner cohort", r.BaseUsers, r.Joiners, r.Joiner.Nodes)

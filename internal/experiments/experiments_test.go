@@ -161,7 +161,7 @@ func TestFig6BellShape(t *testing.T) {
 
 func TestFig7JoinerConverges(t *testing.T) {
 	o := tiny()
-	r := Fig7(o, Fig7Config{Trials: 1, EventCycle: 15, TotalCycles: 40, Window: 10})
+	r := fig7(o, fig7Shape{trials: 1, eventCycle: 15, totalCycles: 40, window: 10})
 	if r.WhatsUp.JoinConvergence < 0 {
 		t.Fatal("joiner must converge under the WUP metric in the test horizon")
 	}
@@ -175,7 +175,7 @@ func TestFig7JoinerConverges(t *testing.T) {
 
 func TestFig8SimulationOnly(t *testing.T) {
 	o := tiny()
-	r := Fig8(o, Fig8Config{Fanouts: []int{3, 6}, Cycles: 20, SkipLive: true})
+	r := fig8(o, fig8Shape{fanouts: []int{3, 6}, cycles: 20}, true)
 	if len(r.Points) != 2 {
 		t.Fatalf("points=%d", len(r.Points))
 	}
@@ -197,12 +197,36 @@ func TestFig8WithLiveRuns(t *testing.T) {
 		t.Skip("live runs in -short mode")
 	}
 	o := tiny()
-	r := Fig8(o, Fig8Config{Fanouts: []int{4}, Cycles: 15, CycleLength: 3 * time.Millisecond})
+	r := fig8(o, fig8Shape{fanouts: []int{4}, cycles: 15, cycleLength: 3 * time.Millisecond}, false)
 	p := r.Points[0]
 	if p.ModelNet == 0 && p.PlanetLab == 0 {
 		t.Fatal("live runs must deliver something")
 	}
 }
+
+// BenchmarkFig7Dynamics is Figure 7's smoke bench at a reduced shape; the
+// other exhibits' benches are in the root package's bench_test.go.
+func BenchmarkFig7Dynamics(b *testing.B) {
+	var wupConv float64
+	for i := 0; i < b.N; i++ {
+		r := fig7(benchOptions, fig7Shape{trials: 1, eventCycle: 15, totalCycles: 40, window: 10})
+		wupConv = float64(r.WhatsUp.JoinConvergence)
+	}
+	b.ReportMetric(wupConv, "join-convergence-cycles")
+}
+
+// BenchmarkFig8Deployment is Figure 8's simulation series at a reduced shape.
+func BenchmarkFig8Deployment(b *testing.B) {
+	var f1 float64
+	for i := 0; i < b.N; i++ {
+		r := fig8(benchOptions, fig8Shape{fanouts: []int{3, 6}, cycles: 20}, true)
+		f1 = r.Points[1].Simulation
+	}
+	b.ReportMetric(f1, "F1-sim-f6")
+}
+
+// benchOptions are the exhibit benches' options, as in bench_test.go.
+var benchOptions = Options{Seed: 1, Scale: 0.1, Workers: 2}
 
 func TestLiveRunChannelTransport(t *testing.T) {
 	if testing.Short() {

@@ -55,73 +55,59 @@ type Fig7Result struct {
 	Cosine     Fig7Curve
 }
 
-// Fig7Config tunes the dynamics experiment.
-type Fig7Config struct {
-	// Trials to average over (the paper used 100; default 5).
-	Trials int
-	// EventCycle is when the join and the interest swap happen (default 100).
-	EventCycle int64
-	// TotalCycles is the run length (default 200).
-	TotalCycles int
-	// Window is the profile window (default 40 cycles, Section V-C).
-	Window int64
+// fig7Shape sizes the dynamics experiment; the tests run smaller shapes
+// than Fig7's.
+type fig7Shape struct {
+	trials      int   // trials to average over
+	eventCycle  int64 // when the join and the interest swap happen
+	totalCycles int   // the run length
+	window      int64 // the profile window
 }
 
-func (c Fig7Config) withDefaults() Fig7Config {
-	if c.Trials <= 0 {
-		c.Trials = 5
-	}
-	if c.EventCycle <= 0 {
-		c.EventCycle = 100
-	}
-	if c.TotalCycles <= 0 {
-		c.TotalCycles = 200
-	}
-	if c.Window <= 0 {
-		c.Window = 40
-	}
-	return c
+// Fig7 runs the dynamics experiment at the exhibit's shape: 5 trials (the
+// paper used 100), the event at cycle 100 of 200, and the 40-cycle profile
+// window of Section V-C.
+func Fig7(o Options) Fig7Result {
+	return fig7(o, fig7Shape{trials: 5, eventCycle: 100, totalCycles: 200, window: 40})
 }
 
-// Fig7 runs the dynamics experiment with the given options and config.
-func Fig7(o Options, cfg Fig7Config) Fig7Result {
+func fig7(o Options, shape fig7Shape) Fig7Result {
 	o = o.WithDefaults()
-	cfg = cfg.withDefaults()
 	// Both metrics' trials share one pool, one metric's after the other's.
 	ms := []profile.Metric{profile.WUP{}, profile.Cosine{}}
-	trials := make([]func() Fig7Curve, 0, len(ms)*cfg.Trials)
+	trials := make([]func() Fig7Curve, 0, len(ms)*shape.trials)
 	for _, metric := range ms {
-		for t := 0; t < cfg.Trials; t++ {
+		for t := 0; t < shape.trials; t++ {
 			seed := o.Seed + int64(t)*7919
-			trials = append(trials, func() Fig7Curve { return fig7Trial(o, cfg, metric, seed) })
+			trials = append(trials, func() Fig7Curve { return fig7Trial(o, shape, metric, seed) })
 		}
 	}
 	runs := parallel(o.Workers, trials)
 	return Fig7Result{
-		EventCycle: cfg.EventCycle,
-		TotalCycle: int64(cfg.TotalCycles),
-		Trials:     cfg.Trials,
-		WhatsUp:    fig7Mean(cfg, ms[0], runs[:cfg.Trials]),
-		Cosine:     fig7Mean(cfg, ms[1], runs[cfg.Trials:]),
+		EventCycle: shape.eventCycle,
+		TotalCycle: int64(shape.totalCycles),
+		Trials:     shape.trials,
+		WhatsUp:    fig7Mean(shape, ms[0], runs[:shape.trials]),
+		Cosine:     fig7Mean(shape, ms[1], runs[shape.trials:]),
 	}
 }
 
 // fig7Mean averages one metric's trials.
-func fig7Mean(cfg Fig7Config, metric profile.Metric, trials []Fig7Curve) Fig7Curve {
-	acc := newFig7Curve(metric, cfg.TotalCycles)
-	acc.Cycles = make([]int64, cfg.TotalCycles)
+func fig7Mean(shape fig7Shape, metric profile.Metric, trials []Fig7Curve) Fig7Curve {
+	acc := newFig7Curve(metric, shape.totalCycles)
+	acc.Cycles = make([]int64, shape.totalCycles)
 	for i := range acc.Cycles {
 		acc.Cycles[i] = int64(i + 1)
 	}
 	for _, tr := range trials {
 		for k, mean := range acc.samples() {
 			for i, v := range *tr.samples()[k] {
-				(*mean)[i] += v / float64(cfg.Trials)
+				(*mean)[i] += v / float64(shape.trials)
 			}
 		}
 	}
-	acc.JoinConvergence = convergenceCycles(acc.JoinSim, acc.RefSim, int(cfg.EventCycle), 0.9)
-	acc.ChangeConvergence = convergenceCycles(acc.ChangeSim, acc.RefSim, int(cfg.EventCycle), 0.9)
+	acc.JoinConvergence = convergenceCycles(acc.JoinSim, acc.RefSim, int(shape.eventCycle), 0.9)
+	acc.ChangeConvergence = convergenceCycles(acc.ChangeSim, acc.RefSim, int(shape.eventCycle), 0.9)
 	return acc
 }
 
@@ -141,8 +127,8 @@ func convergenceCycles(candidate, reference []float64, event int, threshold floa
 }
 
 // fig7Trial runs one seeded trial and returns its per-cycle samples.
-func fig7Trial(o Options, cfg Fig7Config, metric profile.Metric, seed int64) Fig7Curve {
-	ds := dataset.Survey(dataset.SurveyConfig{Seed: o.Seed, Scale: o.Scale, Cycles: cfg.TotalCycles})
+func fig7Trial(o Options, shape fig7Shape, metric profile.Metric, seed int64) Fig7Curve {
+	ds := dataset.Survey(dataset.SurveyConfig{Seed: o.Seed, Scale: o.Scale, Cycles: shape.totalCycles})
 	// Opinions go through a mutable identity table: the joiner (entry
 	// ds.Users) takes the reference's interests, the changing node swaps.
 	remap := make([]news.NodeID, ds.Users+1)
@@ -154,7 +140,7 @@ func fig7Trial(o Options, cfg Fig7Config, metric profile.Metric, seed int64) Fig
 	nodeCfg := core.Config{
 		FLike:         10,
 		Metric:        metric,
-		ProfileWindow: cfg.Window,
+		ProfileWindow: shape.window,
 	}
 	w := sim.DatasetWorld(ds)
 	w.NewPeer = func(id news.NodeID) sim.Peer {
@@ -172,7 +158,7 @@ func fig7Trial(o Options, cfg Fig7Config, metric profile.Metric, seed int64) Fig
 	joinID := news.NodeID(ds.Users)
 	remap[joinID] = refID // the joiner shares the reference's interests
 
-	nCycles := cfg.TotalCycles
+	nCycles := shape.totalCycles
 	tr := newFig7Curve(metric, nCycles)
 
 	var ref, changing, joiner *core.Node
@@ -205,7 +191,7 @@ func fig7Trial(o Options, cfg Fig7Config, metric profile.Metric, seed int64) Fig
 	ref, changing = e.Peer(refID).(*core.Node), e.Peer(changingID).(*core.Node)
 
 	for c := 0; c < nCycles; c++ {
-		if int64(c) == cfg.EventCycle {
+		if int64(c) == shape.eventCycle {
 			// Interest change: the changing node swaps identities with a
 			// random node (Section V-C).
 			remap[changingID], remap[swapWith] = remap[swapWith], remap[changingID]

@@ -31,52 +31,40 @@ type Fig8Result struct {
 	Points []Fig8Point
 }
 
-// Fig8Config tunes the deployment experiment.
-type Fig8Config struct {
-	// Fanouts to sweep (default {2,3,4,6,8,10,12} as in the paper).
-	Fanouts []int
-	// Cycles per run (default 40, a shorter trace as in Section V-D).
-	Cycles int
-	// CycleLength for the live runs (default 15 ms; the deployed prototype
-	// used 30 s — only the ratio to delivery latency matters).
-	CycleLength time.Duration
-	// SkipLive replaces the live measurements with zeros (used by quick
-	// benches that only need the simulation series).
-	SkipLive bool
+// fig8Shape sizes the deployment experiment; the tests run smaller shapes
+// than Fig8's.
+type fig8Shape struct {
+	fanouts     []int
+	cycles      int           // per run
+	cycleLength time.Duration // of the live runs
 }
 
-func (c Fig8Config) withDefaults() Fig8Config {
-	if len(c.Fanouts) == 0 {
-		c.Fanouts = []int{2, 3, 4, 6, 8, 10, 12}
-	}
-	if c.Cycles <= 0 {
-		c.Cycles = 40
-	}
-	if c.CycleLength <= 0 {
-		c.CycleLength = 15 * time.Millisecond
-	}
-	return c
+// Fig8 runs the deployment comparison at the exhibit's shape: the paper's
+// fanouts {2,3,4,6,8,10,12}, a 40-cycle trace (shorter, as in Section V-D)
+// and 15 ms live cycles (the deployed prototype used 30 s; only the ratio to
+// delivery latency matters). skipLive zeroes the live measurements and runs
+// only the simulation series.
+func Fig8(o Options, skipLive bool) Fig8Result {
+	return fig8(o, fig8Shape{fanouts: []int{2, 3, 4, 6, 8, 10, 12}, cycles: 40, cycleLength: 15 * time.Millisecond}, skipLive)
 }
 
-// Fig8 runs the deployment comparison.
-func Fig8(o Options, cfg Fig8Config) Fig8Result {
+func fig8(o Options, shape fig8Shape, skipLive bool) Fig8Result {
 	o = o.WithDefaults()
-	cfg = cfg.withDefaults()
-	ds := deploymentSurvey(o, cfg.Cycles)
+	ds := deploymentSurvey(o, shape.cycles)
 
-	grid := make([]cell, len(cfg.Fanouts))
-	for i, f := range cfg.Fanouts {
+	grid := make([]cell, len(shape.fanouts))
+	for i, f := range shape.fanouts {
 		grid[i] = at(ds, WhatsUp, f)
-		grid[i].Cycles = cfg.Cycles
+		grid[i].Cycles = shape.cycles
 	}
 	pts := sweep(o, grid, func(c cell, out Outcome) Fig8Point {
 		pt := Fig8Point{Fanout: c.Fanout, Simulation: out.Col.F1()}
-		pt.BEEPKbps = metrics.KbpsPerNode(out.Col.Bytes(metrics.MsgBeep), cfg.Cycles, deploymentCycleSeconds, ds.Users)
-		pt.WUPKbps = metrics.KbpsPerNode(out.Col.GossipBytes(), cfg.Cycles, deploymentCycleSeconds, ds.Users)
+		pt.BEEPKbps = metrics.KbpsPerNode(out.Col.Bytes(metrics.MsgBeep), shape.cycles, deploymentCycleSeconds, ds.Users)
+		pt.WUPKbps = metrics.KbpsPerNode(out.Col.GossipBytes(), shape.cycles, deploymentCycleSeconds, ds.Users)
 		pt.TotalKbps = pt.BEEPKbps + pt.WUPKbps
 		return pt
 	})
-	if cfg.SkipLive {
+	if skipLive {
 		return Fig8Result{Users: ds.Users, Points: pts}
 	}
 	// Live runs are wall-clock bound: one fleet at a time, so the goroutine
@@ -85,9 +73,9 @@ func Fig8(o Options, cfg Fig8Config) Fig8Result {
 	// congestion then comes from the bounded queues of the overloaded
 	// quarter of the fleet rather than from the test host's own CPU.
 	for i := range pts {
-		live := LiveRunConfig{Transport: "channel", Cycles: cfg.Cycles, CycleLength: cfg.CycleLength, Fanout: pts[i].Fanout}
+		live := LiveRunConfig{Transport: "channel", Cycles: shape.cycles, CycleLength: shape.cycleLength, Fanout: pts[i].Fanout}
 		pts[i].ModelNet = must(LiveRun(o, live)).F1
-		live.Transport, live.CycleLength = "tcp", 2*cfg.CycleLength
+		live.Transport, live.CycleLength = "tcp", 2*shape.cycleLength
 		pts[i].PlanetLab = must(LiveRun(o, live)).F1
 	}
 	return Fig8Result{Users: ds.Users, Points: pts}

@@ -1,12 +1,10 @@
 package experiments
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
 	"whatsup/internal/core"
-	"whatsup/internal/faultnet"
 	"whatsup/internal/news"
 	"whatsup/internal/overlay"
 	"whatsup/internal/profile"
@@ -14,26 +12,23 @@ import (
 )
 
 // The hot-path benchmark family measures the per-event costs the rest of
-// the system is built on (PR 3's zero-allocation work): the single-pass
-// profile merge, copy-on-write clone+diverge, the versioned similarity
-// cache, the full BEEP receive-liked path, and one complete gossip cycle —
-// plain, under churn, under a fault policy and on the sharded engine. It is
-// fixture code, not product, so it lives in this test file beside its only
-// callers: BenchmarkHotPath, whose allocs/op and B/op the CI benchdiff gate
-// compares against the committed bench_baseline.txt (ns/op is printed, never
-// gated), the receive-liked allocation pin below, and the hotpath cases of
-// TestDriverOutputsPinned.
+// the system is built on (the zero-allocation work): the single-pass profile
+// merge, copy-on-write clone+diverge, the versioned similarity cache and the
+// full BEEP receive-liked path. It is fixture code, not product, so it lives
+// in this test file beside its only callers: BenchmarkHotPath, whose
+// allocs/op and B/op the CI benchdiff gate compares against the committed
+// bench_baseline.txt (ns/op is printed, never gated), the receive-liked
+// allocation pin below, and — through hotPathWorld, one gossip cycle of a
+// community world, plain, under churn and sharded — the hotpath cases of
+// TestDriverOutputsPinned and BenchmarkFlashCrowd's engine sizing. What a
+// whole cycle costs is benchmark/'s to measure, end to end.
 const (
-	// hotPathPeers and hotPathItems (published per cycle) size the
-	// full-cycle scenarios. Allocations per cycle scale with the population;
-	// the 5k-peer and 1M-peer figures are in the README's measuring table.
-	hotPathPeers = 1000
+	// hotPathItems is the number of items hotPathWorld publishes per cycle.
 	hotPathItems = 4
-	// hotPathWorkers is the engine pool of the full-cycle scenarios, stated
-	// rather than taken from GOMAXPROCS so bench_baseline.txt means the same
-	// thing on every host.
+	// hotPathWorkers is BenchmarkFlashCrowd's engine pool, stated rather
+	// than taken from GOMAXPROCS so the figure means the same on every host.
 	hotPathWorkers = 2
-	// hotPathShards is the slab count of the sharded scenarios.
+	// hotPathShards is the slab count of the sharded worlds.
 	hotPathShards = 4
 )
 
@@ -94,14 +89,14 @@ func hotPathView() (v *overlay.View, descs []overlay.Descriptor, self *profile.P
 	return v, descs, self
 }
 
-// hotPathWorld builds the full-cycle scenario world: peers in 4 interest
+// hotPathWorld builds the full-cycle world: peers in 4 interest
 // communities publishing hotPathItems per cycle (cycles beyond the pre-generated
 // schedule of 2000 gossip without BEEP traffic). When churn is true it adds
 // a sustained crash-and-rejoin trace (≈1% of the population crashing per
-// cycle, back after 5) with descriptor-TTL eviction active, so the measured
-// steady-state cycle exercises the whole membership path: event application,
-// view wipes, bootstrap-from-online-sample and per-cycle eviction scans.
-func hotPathWorld(peers int, eng EngineOptions, churn bool, links *faultnet.Policy) *sim.Engine {
+// cycle, back after 5) with descriptor-TTL eviction active, so the pinned
+// cycles exercise the whole membership path: event application, view wipes,
+// bootstrap-from-online-sample and per-cycle eviction scans.
+func hotPathWorld(peers int, eng EngineOptions, churn bool) *sim.Engine {
 	const scheduledCycles = 2000
 	w := sim.Communities(peers, 4, hotPathItems, scheduledCycles, "hp")
 	nodeCfg := core.Config{FLike: 6, RPSViewSize: 20}.ForPopulation(peers)
@@ -119,64 +114,17 @@ func hotPathWorld(peers int, eng EngineOptions, churn bool, links *faultnet.Poli
 	w.NewPeer = func(id news.NodeID) sim.Peer {
 		return core.NewNode(id, "", nodeCfg, w.Opinions, rand.New(rand.NewSource(1000+int64(id))))
 	}
-	e, _ := w.NewEngine(eng.engine(sim.Config{Seed: 1, Cycles: scheduledCycles, BootstrapDegree: 5, Links: links}))
+	e, _ := w.NewEngine(eng.engine(sim.Config{Seed: 1, Cycles: scheduledCycles, BootstrapDegree: 5}))
 	return e
 }
 
-// hotPathLinks builds the faultnet-cycle policy: a straggler cohort with
-// lossy slow links plus a long-lived 2-way partition, so the measured cycle
-// pays the policy lookup and the stateless drop draw on every message leg.
-func hotPathLinks(peers int) *faultnet.Policy {
-	ids := make([]news.NodeID, peers)
-	for i := range ids {
-		ids[i] = news.NodeID(i)
-	}
-	p := faultnet.Stragglers(ids, 0.2, 7, faultnet.Rule{Loss: 0.05})
-	groups := make(map[news.NodeID]int, len(ids))
-	for i, id := range ids {
-		groups[id] = i % 2
-	}
-	// The window heals early: steady-state cycles still pay the schedule
-	// check on every link, which is the cost being measured.
-	return p.AddPartition(faultnet.Partition{Groups: groups, Start: 100, Heal: 110})
-}
-
-// benchSteps measures successive cycles of one engine: the world is built on
-// first use, stepped once to warm caches and scratch, and then keeps stepping
-// across the harness's timer runs. Allocations per cycle fall as the world
-// warms up, so allocs/op is a function of how many cycles were measured:
-// the baseline fixes that with -benchtime 45x (cycles 3–47), which makes
-// the figure repeat to ±2 allocations on any host; under the default
-// time-based benchtime a slower host measures fewer, costlier cycles.
-func benchSteps(build func() *sim.Engine) func(b *testing.B) {
-	var e *sim.Engine
-	return func(b *testing.B) {
-		if e == nil {
-			e = build()
-			e.Step()
-			b.ResetTimer()
-		}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			e.Step()
-		}
-	}
-}
-
-// BenchmarkHotPath runs the family. The ten scenario names are the keys of
+// BenchmarkHotPath runs the family. The five scenario names are the keys of
 // bench_baseline.txt, which is the output of
 //
-//	go test -run '^$' -bench BenchmarkHotPath -skip BenchmarkHotPath/cycle -benchmem ./internal/experiments/
-//	go test -run '^$' -bench BenchmarkHotPath/cycle -benchtime 45x -benchmem ./internal/experiments/
+//	go test -run '^$' -bench BenchmarkHotPath -benchmem ./internal/experiments/
 //
 // and whatsup-benchdiff fails when a candidate's scenario set differs from it.
 func BenchmarkHotPath(b *testing.B) {
-	pool := EngineOptions{Workers: hotPathWorkers}
-	sharded := EngineOptions{Workers: hotPathWorkers, Shards: hotPathShards}
-	world := func(eng EngineOptions, churn bool) func(b *testing.B) {
-		return benchSteps(func() *sim.Engine { return hotPathWorld(hotPathPeers, eng, churn, nil) })
-	}
-
 	b.Run("merge", func(b *testing.B) {
 		item, user := hotPathProfiles()
 		b.ReportAllocs()
@@ -223,13 +171,6 @@ func BenchmarkHotPath(b *testing.B) {
 			n.Receive(core.ItemMessage{Item: it, Profile: tmpl.Clone(), Hops: 1}, now)
 		}
 	})
-	b.Run(fmt.Sprintf("cycle-%dpeers", hotPathPeers), world(pool, false))
-	b.Run(fmt.Sprintf("churn-cycle-%dpeers", hotPathPeers), world(pool, true))
-	b.Run("faultnet-cycle", benchSteps(func() *sim.Engine {
-		return hotPathWorld(hotPathPeers, pool, false, hotPathLinks(hotPathPeers))
-	}))
-	b.Run(fmt.Sprintf("sharded-cycle-%dpeers", hotPathPeers), world(sharded, false))
-	b.Run(fmt.Sprintf("sharded-churn-cycle-%dpeers", hotPathPeers), world(sharded, true))
 }
 
 // maxReceiveLikedAllocs pins the per-receive allocation budget of the liked

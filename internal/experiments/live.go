@@ -80,12 +80,12 @@ func (c LiveRunConfig) schedulerSlack() int64 {
 }
 
 // churnWindow bounds the trace-churn cycles [from, to): opening a quarter
-// into the run and closing at least DescriptorTTL + Downtime +
+// into the run and closing at least DescriptorTTL + downtime +
 // schedulerSlack cycles before the end, so every departure has a full
 // eviction horizon (plus rejoin downtime and tick jitter) to heal before
 // GhostEndFraction is measured.
 func (c LiveRunConfig) churnWindow() (from, to int64) {
-	return churnWindow(c.Cycles, 4, c.DescriptorTTL+c.Downtime+c.schedulerSlack())
+	return churnWindow(c.Cycles, 4, c.DescriptorTTL+c.downtime+c.schedulerSlack())
 }
 
 // churned reports whether the config enables the churn scenario.

@@ -27,7 +27,7 @@ func (o EngineOptions) engine(cfg sim.Config) sim.Config {
 // exercises the lifecycle-aware membership layer — the sim churn scenario
 // (ChurnConfig), the live-transport scenario (LiveRunConfig) and the churn
 // bench (ChurnBenchConfig) embed it, so each knob is declared, documented
-// and defaulted exactly once. Only Downtime keeps a per-driver default.
+// and defaulted exactly once. Only the rejoin downtime is per driver.
 type ChurnOptions struct {
 	// ChurnRate is the expected fraction of the base population hit by a
 	// churn event over the run (half crashes-with-rejoin, half graceful
@@ -39,10 +39,6 @@ type ChurnOptions struct {
 	// from its population). Joiners cold-start from a live host's views
 	// (Section II-D).
 	FlashCrowd int
-	// Downtime is how many cycles a crashed node stays offline before its
-	// rejoin. Zero takes the driver's default: 8 for the sim scenario, 5
-	// for the live scenario, 6 for the bench.
-	Downtime int64
 	// DescriptorTTL is the view eviction horizon in cycles (default
 	// core.DefaultDescriptorTTL, shared by all drivers so quality numbers
 	// from the different runtimes stay comparable).
@@ -53,17 +49,20 @@ type ChurnOptions struct {
 	// RefillWatermark enables adaptive view refill below this occupancy
 	// fraction (0 = off).
 	RefillWatermark float64
+
+	// downtime is how many cycles a crashed node stays offline before its
+	// rejoin, fixed by the embedding driver: 8 for the sim scenario, 5 for
+	// the live scenario, 6 for the bench.
+	downtime int64
 }
 
-// withDefaults fills the shared churn defaults; defaultDowntime is the
-// embedding driver's.
-func (c ChurnOptions) withDefaults(defaultDowntime int64) ChurnOptions {
+// withDefaults fills the shared churn defaults and the embedding driver's
+// downtime.
+func (c ChurnOptions) withDefaults(downtime int64) ChurnOptions {
 	if c.ChurnRate < 0 {
 		c.ChurnRate = 0
 	}
-	if c.Downtime <= 0 {
-		c.Downtime = defaultDowntime
-	}
+	c.downtime = downtime
 	if c.DescriptorTTL <= 0 {
 		c.DescriptorTTL = core.DefaultDescriptorTTL
 	}

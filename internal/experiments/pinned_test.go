@@ -70,13 +70,13 @@ func TestDriverOutputsPinned(t *testing.T) {
 				r.GhostFraction[len(r.GhostFraction)-1], r.LastDeparture, r.HealedAt, r.TimeToHealed)
 		}},
 		{"hotpath/cycle", "8fbb930c99c8015159cb3d22f382705831f577b94d48dbf72c7a96bcad227d9f", func() string {
-			return pinnedSteps(hotPathWorld(300, EngineOptions{}, false, nil))
+			return pinnedSteps(hotPathWorld(300, EngineOptions{}, false))
 		}},
 		{"hotpath/churn-cycle", "5f90a800e6043046d0ae7ca5f21c1feae75bcc5ca9d4a3e7717d464d24627f2a", func() string {
-			return pinnedSteps(hotPathWorld(300, EngineOptions{}, true, nil))
+			return pinnedSteps(hotPathWorld(300, EngineOptions{}, true))
 		}},
 		{"hotpath/sharded-cycle", "883803fd9a1d5c1c09d99c860828b510df4ab7b3eb87f98fc422e7be670fc17b", func() string {
-			e := hotPathWorld(300, EngineOptions{Shards: hotPathShards}, false, nil)
+			e := hotPathWorld(300, EngineOptions{Shards: hotPathShards}, false)
 			digest := pinnedSteps(e)
 			// The hash was captured when these three routing counters were
 			// all of ShardStats: they are rendered as %+v rendered it then.
@@ -89,8 +89,8 @@ func TestDriverOutputsPinned(t *testing.T) {
 			return collectorDigest(pt.col) + fmt.Sprintf("%+v %+v %d %d %v", pt.adv, pt.timeline, pt.spam, pt.honest, pt.honestF1)
 		}},
 		{"fig7-trial", "b55a561155ead45419a91b2d6a52f9fbec89b258f4589e68c079e39a107ae6d7", func() string {
-			cfg := Fig7Config{Trials: 1, EventCycle: 12, TotalCycles: 30}.withDefaults()
-			return fmt.Sprintf("%+v", fig7Trial(Options{Seed: 3, Scale: 0.1}.WithDefaults(), cfg, profile.WUP{}, 3))
+			shape := fig7Shape{trials: 1, eventCycle: 12, totalCycles: 30, window: 40}
+			return fmt.Sprintf("%+v", fig7Trial(Options{Seed: 3, Scale: 0.1}.WithDefaults(), shape, profile.WUP{}, 3))
 		}},
 	}
 	for _, tc := range cases {
@@ -166,10 +166,10 @@ func TestExhibitsPinned(t *testing.T) {
 		{"fig5", "a40f8368f8698f56e3d7605ecffa638d635f062cda256c7ad7ee646c4f46d26c", false, func(o Options) string { return Fig5(o).String() }},
 		{"fig6", "460fdf1d3b7a4e768a11120e3eebb1b49a308027d0ee912dea8cfa04b0b0405c", true, func(o Options) string { return Fig6(o).String() }},
 		{"fig7", "73752a590b862daa3ab25ce3f1ad97f0454369355bb47291a89ed789d4d810d9", true, func(o Options) string {
-			return Fig7(o, Fig7Config{Trials: 2, EventCycle: 15, TotalCycles: 40, Window: 10}).String()
+			return fig7(o, fig7Shape{trials: 2, eventCycle: 15, totalCycles: 40, window: 10}).String()
 		}},
 		{"fig8", "ee734e9cbebaf8530c29a5ec2e6a1cdd577a6a29b6305f85484bdf1c370bd943", true, func(o Options) string {
-			return Fig8(o, Fig8Config{Fanouts: []int{3, 6, 10}, Cycles: 20, SkipLive: true}).String()
+			return fig8(o, fig8Shape{fanouts: []int{3, 6, 10}, cycles: 20}, true).String()
 		}},
 		{"fig9", "a2587ee5a49f6d876ecc7148bf93e3a523fe08d122c00828f2d76761f8506bf6", false, func(o Options) string { return Fig9(o).String() }},
 		{"fig10", "a5660606907cdd274a37f790736532add26aeb74942f9fedf7499cc9e222e7d1", true, func(o Options) string { return Fig10(o).String() }},
@@ -187,7 +187,7 @@ func TestExhibitsPinned(t *testing.T) {
 			return ChurnRun(o, ChurnConfig{ChurnOptions: c, EngineOptions: o.EngineOptions, Fanout: 6, Loss: 0.02}).String()
 		}},
 		{"churn-bench", "45189941437c9664e61bf50bc2156b65a37b47f10481bcbcff8fbfa62c96ca70", true, func(o Options) string {
-			return ChurnBench(ChurnBenchConfig{ChurnOptions: churn, EngineOptions: o.EngineOptions, Peers: 200, Cycles: 36}).String()
+			return ChurnBench(ChurnBenchConfig{ChurnOptions: churn, EngineOptions: o.EngineOptions, Peers: 200, cycles: 36}).String()
 		}},
 		{"adversarial", "c60ba74bdf006267a1a26d927fbdc5160535e0cc0b43e62c322e164da4410046", true, func(o Options) string {
 			return AdversarialRun(AdversarialConfig{EngineOptions: o.EngineOptions, Peers: 200, Cycles: 20, Poison: true, PartitionK: 2}).String()

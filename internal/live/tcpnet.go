@@ -38,8 +38,11 @@ type TCPNet struct {
 	queueCap   int
 	slowCap    int
 	slowEvery  int // every n-th registered node is overloaded (0 = none)
-	batch      time.Duration
 	maxPending int
+	// batch makes each writer linger this long after a kick before it
+	// flushes. Only tests set it, before the first Send, to hold frames in a
+	// pending batch; fleets flush opportunistically (0).
+	batch      time.Duration
 	registered int
 	closed     bool
 	wg         sync.WaitGroup
@@ -77,12 +80,6 @@ type TCPNetConfig struct {
 	// none. The one TCP-fleet recipe (experiments.LiveRun) passes 4: ≈25% of
 	// the fleet, reproducing the loss level the paper observed.
 	SlowEvery int
-	// BatchWindow is how long a connection's writer lingers after the first
-	// queued envelope before flushing, so that all sends of one cycle tick
-	// coalesce into a single framed write. 0 (the default) flushes
-	// opportunistically: no added latency, while everything queued during an
-	// in-flight write still departs as one batch.
-	BatchWindow time.Duration
 	// MaxPendingBytes bounds each connection's pending batch (default
 	// 1 MiB). When a destination drains slower than senders enqueue, frames
 	// beyond the bound are dropped — outbound congestion becomes loss, like
@@ -121,7 +118,6 @@ func NewTCPNet(cfg TCPNetConfig) *TCPNet {
 		queueCap:   cfg.QueueCap,
 		slowCap:    cfg.SlowQueueCap,
 		slowEvery:  cfg.SlowEvery,
-		batch:      cfg.BatchWindow,
 		maxPending: cfg.MaxPendingBytes,
 	}
 }
@@ -436,14 +432,6 @@ func (t *TCPNet) writeLoop(addr string, sc *outConn) {
 	defer t.wg.Done()
 	spare := getBuf()
 	defer putBuf(spare)
-	var timer *time.Timer
-	if t.batch > 0 {
-		timer = time.NewTimer(t.batch)
-		if !timer.Stop() {
-			<-timer.C
-		}
-		defer timer.Stop()
-	}
 	for {
 		select {
 		case <-sc.quit:
@@ -451,16 +439,13 @@ func (t *TCPNet) writeLoop(addr string, sc *outConn) {
 			return
 		case <-sc.kick:
 		}
-		if timer != nil {
-			// Linger for the batch window so the rest of the tick's sends
-			// join this flush.
-			timer.Reset(t.batch)
+		if t.batch > 0 {
+			// Linger so later sends join this flush (a test hook; see batch).
 			select {
 			case <-sc.quit:
-				timer.Stop()
 				t.drain(sc)
 				return
-			case <-timer.C:
+			case <-time.After(t.batch):
 			}
 		}
 		batch := sc.take(*spare)

@@ -53,12 +53,20 @@ func TestTCPNetCloseDrainsPending(t *testing.T) {
 	}
 }
 
-// TestTCPNetBatchWindowDelivers exercises the explicit batching mode: with a
-// lingering batch window, a burst still arrives completely (in coalesced
+// lingeringTCPNet builds a TCPNet whose writers linger for window after each
+// kick, so frames sent within it wait in the connection's pending batch.
+func lingeringTCPNet(cfg TCPNetConfig, window time.Duration) *TCPNet {
+	tn := NewTCPNet(cfg)
+	tn.batch = window
+	return tn
+}
+
+// TestTCPNetBatchWindowDelivers exercises the lingering writer the tests
+// below hold frames with: a burst still arrives completely (in coalesced
 // writes) once the window elapses.
 func TestTCPNetBatchWindowDelivers(t *testing.T) {
 	const n = 20
-	tn := NewTCPNet(TCPNetConfig{SlowEvery: 0, BatchWindow: 5 * time.Millisecond})
+	tn := lingeringTCPNet(TCPNetConfig{SlowEvery: 0}, 5*time.Millisecond)
 	box := tn.Register(1)
 	for i := 0; i < n; i++ {
 		tn.Send(testItemEnvelope(i, 1))
@@ -75,11 +83,8 @@ func TestTCPNetBatchWindowDelivers(t *testing.T) {
 func TestTCPNetPendingCapDropsOverflow(t *testing.T) {
 	const n = 50
 	frameLen := len(appendFrame(nil, testItemEnvelope(0, 1)))
-	tn := NewTCPNet(TCPNetConfig{
-		SlowEvery:       0,
-		BatchWindow:     200 * time.Millisecond, // hold the writer so pending accumulates
-		MaxPendingBytes: 3 * frameLen,
-	})
+	// Hold the writer so pending accumulates.
+	tn := lingeringTCPNet(TCPNetConfig{SlowEvery: 0, MaxPendingBytes: 3 * frameLen}, 200*time.Millisecond)
 	box := tn.Register(1)
 	for i := 0; i < n; i++ {
 		tn.Send(testItemEnvelope(0, 1)) // identical envelopes: equal frame sizes
@@ -119,7 +124,7 @@ func pollDrain(box <-chan *[]byte, want int, deadline time.Duration) int {
 // pending batch instead of discarding it.
 func TestTCPNetDisconnectGracefulFlushesPending(t *testing.T) {
 	const n = 30
-	tn := NewTCPNet(TCPNetConfig{SlowEvery: 0, BatchWindow: 30 * time.Second})
+	tn := lingeringTCPNet(TCPNetConfig{SlowEvery: 0}, 30*time.Second)
 	defer tn.Close()
 	box := tn.Register(1)
 	for i := 0; i < n; i++ {
@@ -139,7 +144,7 @@ func TestTCPNetDisconnectGracefulFlushesPending(t *testing.T) {
 func TestTCPNetDisconnectCrashDropsPendingWithoutLeaks(t *testing.T) {
 	base := runtime.NumGoroutine()
 	const n = 40
-	tn := NewTCPNet(TCPNetConfig{SlowEvery: 0, BatchWindow: 30 * time.Second})
+	tn := lingeringTCPNet(TCPNetConfig{SlowEvery: 0}, 30*time.Second)
 	box := tn.Register(1)
 	tn.Register(2)
 	for i := 0; i < n; i++ {
@@ -256,36 +261,28 @@ func TestTCPNetPoisonedStreamDropsConnection(t *testing.T) {
 // batched writes through real loopback sockets into the receiver's queue,
 // reported as msgs/sec alongside ns/op.
 func BenchmarkTCPThroughput(b *testing.B) {
-	for _, bw := range []time.Duration{0, time.Millisecond} {
-		name := "opportunistic"
-		if bw > 0 {
-			name = "window=1ms"
+	tn := NewTCPNet(TCPNetConfig{QueueCap: 1 << 17, SlowEvery: 0})
+	box := tn.Register(1)
+	received := make(chan int, 1)
+	go func() {
+		got := 0
+		for range box {
+			got++
 		}
-		b.Run(name, func(b *testing.B) {
-			tn := NewTCPNet(TCPNetConfig{QueueCap: 1 << 17, SlowEvery: 0, BatchWindow: bw})
-			box := tn.Register(1)
-			received := make(chan int, 1)
-			go func() {
-				got := 0
-				for range box {
-					got++
-				}
-				received <- got
-			}()
-			env := testItemEnvelope(1, 1)
-			start := time.Now()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tn.Send(env)
-			}
-			tn.Close() // drains pending batches and closes the box
-			b.StopTimer()
-			elapsed := time.Since(start)
-			got := <-received
-			b.ReportMetric(float64(got)/elapsed.Seconds(), "msgs/s")
-			b.ReportMetric(float64(got)/float64(b.N)*100, "delivered%")
-		})
+		received <- got
+	}()
+	env := testItemEnvelope(1, 1)
+	start := time.Now()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tn.Send(env)
 	}
+	tn.Close() // drains pending batches and closes the box
+	b.StopTimer()
+	elapsed := time.Since(start)
+	got := <-received
+	b.ReportMetric(float64(got)/elapsed.Seconds(), "msgs/s")
+	b.ReportMetric(float64(got)/float64(b.N)*100, "delivered%")
 }
 
 // TestTCPNetDisconnectGracefulImmediately is the regression for the 0/30

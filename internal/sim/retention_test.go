@@ -10,8 +10,8 @@ import (
 	"whatsup/internal/news"
 )
 
-// churnCycleWorld builds the world BenchmarkHotPath/churn-cycle-1000peers
-// steps (internal/experiments, hotPathWorld with churn): peers in 4 interest
+// churnCycleWorld builds the churned world of internal/experiments'
+// hotPathWorld (the hotpath/churn-cycle pin steps it): peers in 4 interest
 // communities, 4 items a cycle, about 1 % of the population crashing per
 // cycle and back after 5, descriptor-TTL eviction on.
 func churnCycleWorld(peers, cycles, workers, shards int) *Engine {

@@ -20,8 +20,8 @@
 //
 // The root package is a thin façade over the internal packages for
 // programmatic use, organized in sections: news items and nodes, workloads,
-// the deterministic simulation, churn schedules, the live runtime, and
-// serving. See examples/ for runnable entry points.
+// the deterministic simulation, the live runtime, and serving. See examples/
+// for runnable entry points.
 package whatsup
 
 import (
@@ -59,8 +59,6 @@ type (
 	Opinions = core.Opinions
 	// OpinionFunc adapts a function to Opinions.
 	OpinionFunc = core.OpinionFunc
-	// Delivery reports one item reception.
-	Delivery = core.Delivery
 	// Profile is an interest profile.
 	Profile = profile.Profile
 )
@@ -119,7 +117,6 @@ type Collector = metrics.Collector
 type Simulation struct {
 	engine *sim.Engine
 	col    *metrics.Collector
-	ds     *Dataset
 }
 
 // SimulationConfig parameterizes NewSimulation.
@@ -128,32 +125,19 @@ type SimulationConfig struct {
 	Node Config
 	// Seed drives all randomness (default 1).
 	Seed int64
-	// LossRate uniformly drops messages (0 = reliable).
-	LossRate float64
-	// Churn schedules membership events; an empty schedule keeps the
-	// population static (and results bit-identical with earlier releases).
-	// Scheduled joiners are built as WhatsUp nodes with the workload's
-	// opinions (ids past the workload population reuse id mod Users), count
-	// into the recall denominators, and cold-start from a live host
-	// (Section II-D). Set Node.DescriptorTTL so
-	// the surviving views evict departed peers' descriptors.
-	Churn ChurnSchedule
-	// DepartureNotices enables the churn protocol's graceful-departure
-	// notices: a leaver hands tombstones to its neighbours, which evict it
-	// immediately and forward the notice on their own gossip for one
-	// eviction horizon instead of waiting out Node.DescriptorTTL.
-	DepartureNotices bool
-	// RefillWatermark triggers an anti-entropy view refill when churn
-	// drains an RPS or WUP view below this occupancy fraction (0 = off;
-	// 0.5 is a reasonable setting).
-	RefillWatermark float64
-	// OnDelivery observes every first-time delivery.
-	OnDelivery func(d Delivery, cycle int64)
 }
 
 // NewSimulation builds a simulation of one WhatsUp node per workload user,
-// with the workload's publication schedule.
+// with the workload's publication schedule, for the workload's length.
 func NewSimulation(ds *Dataset, cfg SimulationConfig) *Simulation {
+	w, engineCfg := cfg.world(ds)
+	engine, col := w.NewEngine(engineCfg)
+	return &Simulation{engine: engine, col: col}
+}
+
+// world assembles what NewSimulation runs: the workload's world with one
+// WhatsUp node per user, and the engine config of a reliable run.
+func (cfg SimulationConfig) world(ds *Dataset) (*sim.World, sim.Config) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
@@ -161,26 +145,11 @@ func NewSimulation(ds *Dataset, cfg SimulationConfig) *Simulation {
 	// (no-op at paper scale; see core.Config.ForPopulation).
 	cfg.Node = cfg.Node.ForPopulation(ds.Users)
 	w := sim.DatasetWorld(ds)
-	w.Churn = cfg.Churn
 	w.NewPeer = func(id news.NodeID) sim.Peer {
 		return core.NewNode(id, "", cfg.Node, w.Opinions,
 			prng.New(uint64(cfg.Seed*1_000_003+int64(id))))
 	}
-	engine, col := w.NewEngine(sim.Config{
-		Seed:             cfg.Seed,
-		Cycles:           ds.Cycles,
-		LossRate:         cfg.LossRate,
-		DepartureNotices: cfg.DepartureNotices,
-		RefillWatermark:  cfg.RefillWatermark,
-		OnDelivery:       cfg.OnDelivery,
-	})
-	return &Simulation{engine: engine, col: col, ds: ds}
-}
-
-// MemberState returns a node's lifecycle state (ok is false for unknown
-// ids); Online/Leave-style transitions are driven by SimulationConfig.Churn.
-func (s *Simulation) MemberState(id NodeID) (MemberState, bool) {
-	return s.engine.State(id)
+	return w, sim.Config{Seed: cfg.Seed, Cycles: ds.Cycles}
 }
 
 // Step advances one gossip cycle.
@@ -212,39 +181,6 @@ type Results = metrics.Quality
 // Results returns the headline numbers of the run.
 func (s *Simulation) Results() Results { return s.col.Quality() }
 
-// ── Churn schedules ─────────────────────────────────────────────────────
-//
-// Membership dynamics shared by the simulation and the live runtime: typed
-// schedules of joins, leaves, crashes and rejoins, applied at cycle
-// boundaries.
-
-type (
-	// ChurnSchedule declares membership events (joins, leaves, crashes,
-	// rejoins) by cycle; see NewSimulation and sim.ChurnSchedule.
-	ChurnSchedule = sim.ChurnSchedule
-	// ChurnEvent is one scheduled membership transition.
-	ChurnEvent = sim.ChurnEvent
-	// MemberState is a peer's lifecycle state (Online, Offline, Departed).
-	MemberState = sim.MemberState
-)
-
-// Churn event kinds and lifecycle states, re-exported for schedule building.
-const (
-	ChurnJoin   = sim.ChurnJoin
-	ChurnLeave  = sim.ChurnLeave
-	ChurnCrash  = sim.ChurnCrash
-	ChurnRejoin = sim.ChurnRejoin
-
-	Online   = sim.Online
-	Offline  = sim.Offline
-	Departed = sim.Departed
-)
-
-// FlashCrowd builds a flash-crowd join schedule (see sim.FlashCrowd).
-func FlashCrowd(start int64, firstID NodeID, joiners, perCycle int) ChurnSchedule {
-	return sim.FlashCrowd(start, firstID, joiners, perCycle)
-}
-
 // ── Live runtime ────────────────────────────────────────────────────────
 //
 // Concurrent goroutine-per-node fleets over real transports. NewLiveRunner
@@ -257,8 +193,8 @@ type (
 	// Stats methods are safe to call from any goroutine: requests are
 	// serialized onto each node's control channel between gossip steps.
 	LiveRunner = live.Runner
-	// LiveRunnerConfig parameterizes NewLiveRunner (cycles, transports,
-	// churn, runtime opinions, per-node feed retention).
+	// LiveRunnerConfig parameterizes NewLiveRunner (cycles, per-node
+	// parameters, runtime opinions, per-node feed retention).
 	LiveRunnerConfig = live.Config
 	// Network is a live transport; NewChannelNet builds the in-memory
 	// emulation. (TCP loopback fleets are run by `whatsup-sim -live
