@@ -96,6 +96,26 @@ func TestRunRejectsUnknownExperiment(t *testing.T) {
 	}
 }
 
+// TestRunRejectsSeedForSeedOneScenarios pins the refusal of a -seed the
+// churn and adversarial scenarios would ignore: they build their worlds from
+// seed 1, so any other seed printed byte-identical reports under its name.
+// A seed for the other experiments still runs them.
+func TestRunRejectsSeedForSeedOneScenarios(t *testing.T) {
+	for _, name := range []string{"churn", "adversarial", "table1,churn"} {
+		var out, errOut strings.Builder
+		if code := run([]string{"-run", name, "-seed", "2"}, &out, &errOut); code != 2 {
+			t.Fatalf("-run %s -seed 2: exit=%d want 2", name, code)
+		}
+		if msg := errOut.String(); !strings.Contains(msg, "only run seed 1") || out.Len() != 0 {
+			t.Fatalf("-run %s -seed 2: want a refusal before anything runs, got stderr %q stdout %q", name, msg, out.String())
+		}
+	}
+	var out, errOut strings.Builder
+	if code := run([]string{"-run", "table2", "-seed", "2"}, &out, &errOut); code != 0 {
+		t.Fatalf("-run table2 -seed 2: exit=%d, stderr %q", code, errOut.String())
+	}
+}
+
 // TestRunChurnPrintsCohortTable drives the churn scenario through the CLI:
 // the report is ChurnRun's cohort table, the bench world heals by its last
 // cycle, and the run leaves no file behind.

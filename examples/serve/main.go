@@ -86,8 +86,8 @@ func main() {
 	fmt.Printf("\nnode %d's feed (%d entries):\n", reader, len(feed.Entries))
 	printFeed(feed)
 
-	// Dislike the top item over the API; feedback applies synchronously on
-	// the node's goroutine, so the next read shows the rerank.
+	// Dislike the top item over the API; feedback applies synchronously
+	// under the node's lock, so the next read shows the rerank.
 	top := feed.Entries[0]
 	body := fmt.Sprintf(`{"item":%q,"liked":false}`, top.Item.ID)
 	resp, err := http.Post(fmt.Sprintf("%s/v1/nodes/%d/feedback", srv.URL, reader),

@@ -2,7 +2,7 @@
 // "client interface" of the paper's prototype, where real users read their
 // feed and rated what they read. It is a thin translation layer: every
 // request maps onto the live runtime's serving surface (which serializes
-// node access through control channels) or the ingestion catalog, so the
+// node access under each node's lock) or the ingestion catalog, so the
 // package holds no state and no locks of its own.
 //
 // Routes (all JSON):

@@ -106,8 +106,8 @@ type LiveRunResult struct {
 	TotalKbps   float64
 
 	// ChurnOutcome mirrors ChurnRun (zero when the fleet was static); its
-	// timeline is published by the runtime's control channel while the run
-	// is live.
+	// timeline is sampled from views copied under each node's lock while the
+	// run is live.
 	ChurnOutcome
 	// GhostEndFraction is the fraction of descriptors in online views that
 	// point at a non-online member when the run ends; the schedule leaves at

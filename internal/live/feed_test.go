@@ -1,11 +1,13 @@
 package live
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
 	"sort"
 	"testing"
+	"time"
 
 	"whatsup/internal/core"
 	"whatsup/internal/dataset"
@@ -13,15 +15,18 @@ import (
 	"whatsup/internal/profile"
 )
 
-// feedFleet builds a never-started one-node fleet whose node keeps a feed of
-// the given capacity and likes the items whose id is not a multiple of 3;
-// the test is the scheduler. With no neighbours the node forwards nothing.
+// feedFleet builds a one-node fleet whose node keeps a feed of the given
+// capacity and likes the items whose id is not a multiple of 3; the test is
+// the scheduler. With no neighbours the node forwards nothing, and started,
+// the fleet runs until cancelled with a clock that never ticks during a test.
 func feedFleet(t *testing.T, capacity int, metric profile.Metric) (*Runner, *liveNode) {
 	t.Helper()
 	net := NewChannelNet(1, 0, 0)
 	t.Cleanup(net.Close)
 	r := NewRunner(Config{
 		Seed:         1,
+		Cycles:       -1,
+		CycleLength:  time.Hour,
 		NodeConfig:   core.Config{FLike: 2, RPSViewSize: 6, ProfileWindow: 100, Metric: metric},
 		FeedCapacity: capacity,
 		Opinions:     core.OpinionFunc(func(_ news.NodeID, id news.ID) bool { return id%3 != 0 }),
@@ -189,30 +194,55 @@ func fillFeed(ln *liveNode, count, entries int) {
 
 // TestFeedAllocsPerCall pins what one Runner.Feed costs in allocations on a
 // full ring: the same constant whatever the ring's capacity and its
-// profiles' sizes — one scratch profile sized to the largest record, the
-// result slice, and the serving call's own closure — never one per record.
-// A decode into a fresh profile per record, or a scratch regrown as records
-// get larger, shows here as a count that grows with the ring.
+// profiles' sizes — one scratch profile (its header and its entries) sized
+// to the largest record, and the result slice — never one per record, and
+// the same whether the fleet is stopped or running. A decode into a fresh
+// profile per record, or a scratch regrown as records get larger, shows here
+// as a count that grows with the ring.
 func TestFeedAllocsPerCall(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime allocates on its own account")
 	}
-	const want = 5
+	const want = 3
 	for _, tc := range []struct{ capacity, entries int }{{64, 120}, {64, 10}, {16, 120}} {
 		r, ln := feedFleet(t, tc.capacity, nil)
 		fillFeed(ln, tc.capacity+tc.capacity/2, tc.entries)
 		if len(ln.feed) != tc.capacity || ln.feedNext == 0 {
 			t.Fatalf("capacity %d: the ring holds %d records, next slot %d; want it full and wrapped", tc.capacity, len(ln.feed), ln.feedNext)
 		}
-		got := testing.AllocsPerRun(50, func() {
-			if entries, err := r.Feed(0); err != nil || len(entries) != tc.capacity {
-				t.Fatalf("feed: %d entries, err %v", len(entries), err)
+		perFeed := func(fleet string) {
+			got := testing.AllocsPerRun(50, func() {
+				if entries, err := r.Feed(0); err != nil || len(entries) != tc.capacity {
+					t.Fatalf("%s fleet: feed: %d entries, err %v", fleet, len(entries), err)
+				}
+			})
+			if got != want {
+				t.Errorf("%s fleet, capacity %d, up to %d entries a profile: %.1f allocations per Feed, want %d",
+					fleet, tc.capacity, tc.entries, got, want)
 			}
-		})
-		if got != want {
-			t.Errorf("capacity %d, up to %d entries a profile: %.1f allocations per Feed, want %d", tc.capacity, tc.entries, got, want)
 		}
+		perFeed("stopped")
+
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			r.RunContext(ctx)
+		}()
+		for !running(r) {
+			runtime.Gosched()
+		}
+		perFeed("running")
+		cancel()
+		<-done
 	}
+}
+
+// running reports whether the runner's fleet reads as running.
+func running(r *Runner) bool {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.running
 }
 
 // collectedHeap returns the heap that survives collection. It collects

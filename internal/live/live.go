@@ -28,6 +28,14 @@
 // clocks may lag, which is why the substrate's accept legs re-apply the
 // descriptor-TTL horizon against the receiver's clock.
 //
+// A node's protocol state has one guard in every lifecycle state, its lock
+// (liveNode.mu): the node goroutine holds it around each tick and each
+// frame, the serving calls (serve.go) around each read or feedback, and the
+// controller around each lifecycle change and each read of the node's views.
+// Runner.mu guards only the membership bookkeeping. The lock order is node
+// lock, then Runner.mu, then the collector lock; no path holds two node
+// locks, and no node goroutine takes Runner.mu.
+//
 // Membership is dynamic: Config.Churn accepts the same declarative
 // sim.ChurnSchedule the simulator runs, and a controller goroutine applies
 // its events at cycle-tick boundaries. Joins spawn a fresh node goroutine
@@ -152,7 +160,8 @@ type Config struct {
 	// NodeConfig is the WhatsUp parameter set for every node.
 	NodeConfig core.Config
 	// OnDelivery, if set, observes every non-duplicate delivery. It is
-	// invoked from node goroutines under the collector lock; keep it short.
+	// invoked from node goroutines under the delivering node's lock and the
+	// collector lock; keep it short.
 	OnDelivery func(d core.Delivery)
 	// Churn is the declarative membership schedule (shared with the
 	// simulator): the events of cycle c are applied by the controller at the
@@ -172,10 +181,10 @@ type Config struct {
 	// neighbour. Zero disables refill.
 	RefillWatermark float64
 	// Timeline makes the controller sample a per-cycle metrics.ChurnSample
-	// of the fleet (ghost fraction, view fill, online population by cohort)
-	// through the nodes' control channels; read it with Runner.Timeline
-	// after the run. Off by default — sampling costs one snapshot round-trip
-	// per online node per cycle.
+	// of the fleet (ghost fraction, view fill, online population by cohort),
+	// copying each online node's views under its lock; read it with
+	// Runner.Timeline after the run. Off by default — sampling costs one view
+	// copy per online node per cycle.
 	Timeline bool
 	// Opinions overrides the dataset's like/dislike trace for the whole
 	// fleet (nil keeps the dataset's). Serving fleets use this to supply an
@@ -211,14 +220,11 @@ func (c Config) withDefaults() Config {
 
 // Runner owns a fleet of live nodes over a Network. The fleet is dynamic:
 // Run doubles as the membership controller, applying Config.Churn events at
-// cycle-tick boundaries. The controller goroutine is the sole writer of the
-// membership bookkeeping (fleet, order, states) and of the protocol state of
-// stopped nodes; it publishes those writes under mu, so the read accessors
-// (State, Members, OnlineCount, Timeline, Stats) and the serving surface
-// (Snapshot, Feed, Feedback, Publish — see serve.go) are safe from any
-// goroutine while the fleet is running. Running nodes are only ever touched
-// through their control channel, which serializes every request with the
-// node's own message handling.
+// cycle-tick boundaries. Each node's protocol state is guarded by the node's
+// own lock (liveNode.mu) and the membership bookkeeping by mu, so the read
+// accessors (State, Members, OnlineCount, Timeline, Stats) and the serving
+// surface (Snapshot, Feed, Feedback, Publish — see serve.go) are safe from
+// any goroutine at any time, before, during and after Run.
 type Runner struct {
 	cfg   Config
 	base  core.Opinions // the fleet's like/dislike ground truth, under per-node feedback
@@ -226,10 +232,10 @@ type Runner struct {
 	col   *metrics.Collector
 	colMu sync.Mutex
 
-	// mu guards the membership bookkeeping below (and the protocol state of
-	// nodes whose goroutine is not running). Writers: the controller only.
-	// Readers: the concurrent accessors of serve.go. Node goroutines never
-	// take it, so the gossip hot path is lock-free apart from the collector.
+	// mu guards the membership bookkeeping below: running, fleet, order,
+	// states and timeline. Writers: the controller only. It may be taken
+	// while holding a node lock, never the other way round, and no node
+	// goroutine takes it.
 	mu      sync.RWMutex
 	running bool
 	fleet   map[news.NodeID]*liveNode
@@ -251,24 +257,36 @@ type Runner struct {
 	timeline []metrics.ChurnSample
 }
 
-// liveNode wraps a core.Node with its goroutine state. The node's protocol
-// state is only touched by its own goroutine — except between a lifecycle
-// stop and restart, when the controller owns it (the goroutine has exited).
-// The collector is shared and locked.
+// liveNode wraps a core.Node with its goroutine state. One lock, mu, guards
+// the node's protocol state in every lifecycle state: the node goroutine
+// holds it around each tick and each frame, the serving calls around each
+// read or feedback, the controller around each lifecycle change and each
+// read of the node's views. The collector is shared and has its own lock.
 type liveNode struct {
-	node   *core.Node
-	inbox  <-chan *[]byte
-	quit   chan struct{}
-	done   chan struct{}
-	ctl    chan ctlRequest
 	runner *Runner
+	// inbox, quit and done belong to the node's current goroutine: the
+	// controller makes them before it spawns one (newNode, rejoin) and closes
+	// quit to stop it; done closes once it has exited.
+	inbox <-chan *[]byte
+	quit  chan struct{}
+	done  chan struct{}
+
+	mu sync.Mutex
+	// online is set while the node's goroutine runs: serving calls then take
+	// the node's own clock, otherwise the fleet's, and Publish refuses an
+	// offline node.
+	online bool
+	// cycle is the node's local clock. A joiner or rejoiner starts at the
+	// fleet's cycle instead of 0, so its descriptor stamps are not instantly
+	// older than every DescriptorTTL horizon; each tick resyncs it.
+	cycle int64
+	node  *core.Node
 	// ops is the node's opinion layer: the base trace plus this user's
 	// feedback overrides.
 	ops *nodeOpinions
 	// feed is the ring of the node's most recent BEEP deliveries
-	// (Config.FeedCapacity), owned by the node goroutine like the rest of the
-	// protocol state and read through the control channel. Once full,
-	// feedNext is the ring slot of the oldest record (the next overwritten).
+	// (Config.FeedCapacity). Once full, feedNext is the ring slot of the
+	// oldest record (the next overwritten).
 	feed     []feedRecord
 	feedNext int
 	pubs     []dataset.Item // items this node publishes, sorted by cycle
@@ -276,35 +294,36 @@ type liveNode struct {
 	// to the node's clock instead of requiring an exact tick match, so a
 	// dropped ticker tick delays a publication rather than losing it.
 	pubIdx int
-	// startCycle aligns a joiner or rejoiner with the fleet's clock: its
-	// local cycle counter starts here instead of 0, so its descriptor stamps
-	// are not instantly older than every DescriptorTTL horizon.
-	startCycle int64
 	// held is what onFrame decodes the current gossip frame against. It lives
 	// here so that handing it to the decoder as an interface allocates nothing.
 	held heldViews
 }
 
-// ctlRequest asks a node goroutine to run fn inline, serialized with the
-// node's protocol handling so callers never race its state. cycle is the
-// node's current local cycle. done is closed once fn has run.
-type ctlRequest struct {
-	fn   func(ln *liveNode, cycle int64)
-	done chan struct{}
+// clock is the cycle the node's state is read and stamped at: its own while
+// its goroutine runs, the fleet clock otherwise. The caller holds mu.
+func (ln *liveNode) clock() int64 {
+	if ln.online {
+		return ln.cycle
+	}
+	return ln.runner.cycle.Load()
 }
 
-// ctlSnapshot is a node state snapshot: a fresh descriptor of itself plus
-// copies of both views (descriptors are immutable, profiles copy-on-write).
-type ctlSnapshot struct {
-	desc           overlay.Descriptor
+// nodeViews is a copy of both views of a node with their capacities
+// (descriptors are immutable, profiles copy-on-write).
+type nodeViews struct {
 	rps, wup       []overlay.Descriptor
 	rpsCap, wupCap int
 }
 
+// views copies both views of the node. The caller holds mu.
+func (ln *liveNode) views() nodeViews {
+	rps, wup := ln.node.RPS().View(), ln.node.WUP().View()
+	return nodeViews{rps: rps.Entries(), wup: wup.Entries(), rpsCap: rps.Capacity(), wupCap: wup.Capacity()}
+}
+
 // nodeOpinions layers a user's live feedback (Runner.Feedback) on top of a
-// base like/dislike trace. It is part of its node's protocol state: Likes is
-// only called by core.Node.Receive on the node goroutine, and overrides are
-// written through the control channel.
+// base like/dislike trace. It is part of its node's protocol state, under
+// the node's lock: core.Node.Receive reads it, Feedback writes overrides.
 type nodeOpinions struct {
 	self news.NodeID
 	base core.Opinions
@@ -336,7 +355,7 @@ type feedRecord struct {
 }
 
 // feedPush appends a delivery to the node's feed ring, evicting the oldest
-// record once Config.FeedCapacity is reached. Node goroutine only.
+// record once Config.FeedCapacity is reached. The caller holds mu.
 func (ln *liveNode) feedPush(rec feedRecord) {
 	capacity := ln.runner.cfg.FeedCapacity
 	if len(ln.feed) < capacity {
@@ -360,18 +379,17 @@ func nodeRNG(seed int64, id news.NodeID) *rand.Rand {
 }
 
 // newNode builds one fleet node — base population and scheduled joiners
-// alike — with a fresh transport endpoint, its clock starting at startCycle.
-func (r *Runner) newNode(id news.NodeID, startCycle int64) *liveNode {
+// alike — with a fresh transport endpoint, its clock starting at cycle.
+func (r *Runner) newNode(id news.NodeID, cycle int64) *liveNode {
 	ops := &nodeOpinions{self: id, base: r.base, over: make(map[news.ID]bool)}
 	return &liveNode{
-		node:       core.NewNode(id, "", r.cfg.NodeConfig, ops, nodeRNG(r.cfg.Seed, id)),
-		inbox:      r.net.Register(id),
-		quit:       make(chan struct{}),
-		done:       make(chan struct{}),
-		ctl:        make(chan ctlRequest),
-		runner:     r,
-		ops:        ops,
-		startCycle: startCycle,
+		runner: r,
+		inbox:  r.net.Register(id),
+		quit:   make(chan struct{}),
+		done:   make(chan struct{}),
+		cycle:  cycle,
+		node:   core.NewNode(id, "", r.cfg.NodeConfig, ops, nodeRNG(r.cfg.Seed, id)),
+		ops:    ops,
 	}
 }
 
@@ -473,10 +491,9 @@ func (r *Runner) MemberCount() int {
 
 // Node returns the node with the given id in any lifecycle state, or nil.
 //
-// Deprecated: Node hands out unsynchronized protocol state and is only safe
-// once Run has returned (node goroutines own their state while running).
-// Use Snapshot, Feed, Feedback and Publish, which are serialized with the
-// node's own message handling and safe mid-run.
+// Deprecated: Node hands out protocol state without the node's lock and is
+// only safe once Run has returned. Use Snapshot, Feed, Feedback and Publish,
+// which take the node's lock and are safe at any time.
 func (r *Runner) Node(id news.NodeID) *core.Node {
 	if ln := r.fleet[id]; ln != nil {
 		return ln.node
@@ -486,14 +503,11 @@ func (r *Runner) Node(id news.NodeID) *core.Node {
 
 // health takes one fleet-health sample (see metrics.FleetHealth, which the
 // simulator feeds too) stamped with the given cycle. Safe to call at any
-// time: while the fleet is running each node's views are pulled through its
-// own control channel, so they are consistent with its message handling —
-// never while holding the collector lock, which a node may be blocked on —
-// and after Run returns they are read directly under the membership lock. A
-// node stopped mid-collection is skipped.
+// time: each online node's views are copied under its lock — never while
+// holding the collector lock, which a node may be waiting on — and a node a
+// concurrent lifecycle stop took offline since the listing is skipped.
 func (r *Runner) health(now int64) metrics.ChurnSample {
 	r.mu.RLock()
-	running := r.running
 	lns := make([]*liveNode, 0, len(r.order))
 	for _, id := range r.order {
 		if r.states[id] == sim.Online {
@@ -501,29 +515,23 @@ func (r *Runner) health(now int64) metrics.ChurnSample {
 		}
 	}
 	r.mu.RUnlock()
-	snaps := make([]ctlSnapshot, 0, len(lns))
+	views := make([]nodeViews, 0, len(lns))
 	ids := make([]news.NodeID, 0, len(lns))
 	for _, ln := range lns {
-		var snap ctlSnapshot
-		if running {
-			var ok bool
-			if snap, ok = ln.snapshot(); !ok {
-				continue
-			}
-		} else {
-			r.mu.RLock()
-			snap = ln.views()
-			r.mu.RUnlock()
+		id := ln.node.ID()
+		ln.mu.Lock()
+		if st, _ := r.State(id); st == sim.Online {
+			views = append(views, ln.views())
+			ids = append(ids, id)
 		}
-		snaps = append(snaps, snap)
-		ids = append(ids, ln.node.ID())
+		ln.mu.Unlock()
 	}
 
 	r.mu.RLock()
 	h := metrics.NewFleetHealth(now, len(r.fleet), func(id news.NodeID) bool { return r.states[id] == sim.Online })
-	for _, snap := range snaps {
-		h.AddView(core.RPSLayer, snap.rpsCap, snap.rps)
-		h.AddView(core.WUPLayer, snap.wupCap, snap.wup)
+	for _, v := range views {
+		h.AddView(core.RPSLayer, v.rpsCap, v.rps)
+		h.AddView(core.WUPLayer, v.wupCap, v.wup)
 	}
 	r.mu.RUnlock()
 	r.colMu.Lock()
@@ -543,8 +551,11 @@ func (r *Runner) health(now int64) metrics.ChurnSample {
 // member that is not online.
 func (r *Runner) GhostFraction() float64 { return r.health(r.Cycle()).GhostFraction }
 
-// start launches a node goroutine.
+// start marks a node online and launches its goroutine.
 func (r *Runner) start(ln *liveNode) {
+	ln.mu.Lock()
+	ln.online = true
+	ln.mu.Unlock()
 	r.wg.Add(1)
 	go func() {
 		defer r.wg.Done()
@@ -564,12 +575,14 @@ func (r *Runner) Run() { r.RunContext(context.Background()) }
 // accessors (State, Members, Stats, GhostFraction) and the serving surface
 // (Snapshot, Feed, Feedback, Publish) are safe from any goroutine.
 func (r *Runner) RunContext(ctx context.Context) {
-	r.mu.Lock()
-	r.running = true
-	r.mu.Unlock()
+	// Every node is online before the fleet reads as running, so a Publish
+	// that finds the fleet running never finds a node yet to start.
 	for _, id := range r.order {
 		r.start(r.fleet[id])
 	}
+	r.mu.Lock()
+	r.running = true
+	r.mu.Unlock()
 	ticker := time.NewTicker(r.cfg.CycleLength)
 	defer ticker.Stop()
 loop:
@@ -594,10 +607,13 @@ loop:
 		}
 	}
 	r.wg.Wait()
+	for _, id := range r.order {
+		ln := r.fleet[id]
+		ln.mu.Lock()
+		ln.online = false
+		ln.mu.Unlock()
+	}
 	r.net.Close()
-	// Publish the node goroutines' final state to post-Run readers: their
-	// writes happened-before wg.Wait returned, and the lock hand-off makes
-	// them visible to any accessor that acquires mu afterwards.
 	r.mu.Lock()
 	r.running = false
 	r.mu.Unlock()
@@ -634,40 +650,6 @@ func (r *Runner) Timeline() []metrics.ChurnSample {
 	return r.timeline
 }
 
-// exec runs fn on the node's goroutine through the control channel,
-// serialized with the node's protocol handling, and blocks until fn has run.
-// It returns false without running fn when the node goroutine has exited (a
-// concurrent lifecycle stop); the caller then falls back to the
-// controller-owned path or reports the node offline.
-func (ln *liveNode) exec(fn func(ln *liveNode, cycle int64)) bool {
-	req := ctlRequest{fn: fn, done: make(chan struct{})}
-	select {
-	case ln.ctl <- req:
-		<-req.done
-		return true
-	case <-ln.done:
-		return false
-	}
-}
-
-// views copies both views of the node with their capacities. The caller owns
-// the node: its goroutine, or the controller once that has exited.
-func (ln *liveNode) views() ctlSnapshot {
-	rps, wup := ln.node.RPS().View(), ln.node.WUP().View()
-	return ctlSnapshot{rps: rps.Entries(), wup: wup.Entries(), rpsCap: rps.Capacity(), wupCap: wup.Capacity()}
-}
-
-// snapshot asks a running node goroutine for a state snapshot. ok is false
-// when the goroutine exited before answering.
-func (ln *liveNode) snapshot() (ctlSnapshot, bool) {
-	var snap ctlSnapshot
-	ok := ln.exec(func(ln *liveNode, cycle int64) {
-		snap = ln.views()
-		snap.desc = ln.node.Descriptor(cycle)
-	})
-	return snap, ok
-}
-
 // randomOnline picks a uniformly random online member other than self, nil
 // when none exists.
 func (r *Runner) randomOnline(self news.NodeID) *liveNode {
@@ -684,9 +666,8 @@ func (r *Runner) randomOnline(self news.NodeID) *liveNode {
 }
 
 // onlineDescriptors samples up to core.DefaultBootstrapDegree fresh
-// descriptors of online members (excluding self), each obtained from the
-// member's own goroutine so profiles are consistent snapshots stamped with
-// the host's current cycle.
+// descriptors of online members (excluding self), each taken under the
+// member's lock and stamped with its clock.
 func (r *Runner) onlineDescriptors(self news.NodeID) []overlay.Descriptor {
 	descs := make([]overlay.Descriptor, 0, core.DefaultBootstrapDegree)
 	for _, j := range r.ctrlRNG.Perm(len(r.order)) {
@@ -694,11 +675,10 @@ func (r *Runner) onlineDescriptors(self news.NodeID) []overlay.Descriptor {
 		if id == self || r.states[id] != sim.Online {
 			continue
 		}
-		snap, ok := r.fleet[id].snapshot()
-		if !ok {
-			continue
-		}
-		descs = append(descs, snap.desc)
+		host := r.fleet[id]
+		host.mu.Lock()
+		descs = append(descs, host.node.Descriptor(host.clock()))
+		host.mu.Unlock()
 		if len(descs) == core.DefaultBootstrapDegree {
 			break
 		}
@@ -714,9 +694,10 @@ func (r *Runner) join(id news.NodeID, now int64) {
 	}
 	ln := r.newNode(id, now)
 	if host := r.randomOnline(id); host != nil {
-		if snap, ok := host.snapshot(); ok {
-			ln.node.ColdStart(snap.rps, snap.wup, now)
-		}
+		host.mu.Lock()
+		v := host.views()
+		host.mu.Unlock()
+		ln.node.ColdStart(v.rps, v.wup, now)
 	}
 	r.mu.Lock()
 	r.fleet[id] = ln
@@ -730,30 +711,33 @@ func (r *Runner) join(id news.NodeID, now int64) {
 // and its transport endpoints are torn down — abruptly on a crash (pending
 // frames drop), flushing pending batches first on a graceful leave. With
 // Config.DepartureNotices a graceful leaver first sends departure frames to
-// its view neighbours (while the controller owns the node and before the
-// graceful disconnect, so the transport flushes them).
+// its view neighbours (before the wipe, and before the graceful disconnect
+// so the transport flushes them). The wipe and the lifecycle transition
+// happen under the node's lock, so a serving call sees the node before the
+// stop or after it, never half-wiped.
 func (r *Runner) stop(id news.NodeID, graceful bool, now int64) {
 	ln := r.fleet[id]
 	if ln == nil || r.states[id] != sim.Online {
 		return
 	}
 	close(ln.quit)
-	<-ln.done // the goroutine has exited; the controller owns the node now
+	<-ln.done
+	ln.mu.Lock()
+	ln.online = false
 	if graceful && r.cfg.DepartureNotices {
 		r.sendDepartureNotices(ln, now)
 	}
-	// The state wipe and the lifecycle transition publish under mu, so a
-	// concurrent serving read sees either the pre-stop or the post-stop
-	// node, never a half-wiped one.
-	r.mu.Lock()
+	state := sim.Offline
 	if graceful {
 		ln.node.Leave()
-		r.states[id] = sim.Departed
+		state = sim.Departed
 	} else {
 		ln.node.Crash()
-		r.states[id] = sim.Offline
 	}
+	r.mu.Lock()
+	r.states[id] = state
 	r.mu.Unlock()
+	ln.mu.Unlock()
 	r.net.Disconnect(id, graceful)
 }
 
@@ -770,39 +754,28 @@ func (r *Runner) sendDepartureNotices(ln *liveNode, now int64) {
 	}
 }
 
-// rejoin brings a crashed node back: a fresh transport endpoint, views
-// re-seeded from an online sample (profile retained across the downtime),
-// and a new goroutine continuing at the fleet's current cycle.
+// rejoin brings a crashed node back in place: a fresh transport endpoint,
+// views re-seeded from an online sample, and a new goroutine continuing at
+// the fleet's current cycle. The profile, opinions and feed are durable
+// client state and carry over the downtime.
 func (r *Runner) rejoin(id news.NodeID, now int64) {
-	old := r.fleet[id]
-	if old == nil || r.states[id] != sim.Offline {
+	ln := r.fleet[id]
+	if ln == nil || r.states[id] != sim.Offline {
 		return
 	}
-	ln := &liveNode{
-		node:       old.node,
-		inbox:      r.net.Register(id),
-		quit:       make(chan struct{}),
-		done:       make(chan struct{}),
-		ctl:        make(chan ctlRequest),
-		runner:     r,
-		ops:        old.ops,
-		feed:       old.feed, // the feed is durable client state, like the profile
-		feedNext:   old.feedNext,
-		pubs:       old.pubs,
-		startCycle: now,
-	}
+	boot := r.onlineDescriptors(id)
+	inbox := r.net.Register(id)
+	ln.mu.Lock()
+	ln.inbox, ln.quit, ln.done = inbox, make(chan struct{}), make(chan struct{})
+	ln.cycle = now
 	// Publications scheduled during the downtime never fire, like a post
 	// from a crashed client (the simulator drops offline publications too).
 	ln.pubIdx = sort.Search(len(ln.pubs), func(i int) bool { return ln.pubs[i].Cycle >= now })
-	boot := r.onlineDescriptors(id)
-	// Rejoin mutates the offline node's retained state (profile purge, view
-	// re-seed), which concurrent serving reads may be inspecting: publish
-	// both the mutation and the membership swap under mu.
-	r.mu.Lock()
 	ln.node.Rejoin(boot, now)
-	r.fleet[id] = ln
+	r.mu.Lock()
 	r.states[id] = sim.Online
 	r.mu.Unlock()
+	ln.mu.Unlock()
 	r.start(ln)
 }
 
@@ -825,7 +798,7 @@ func (r *Runner) send(env envelope) {
 }
 
 // loop is the node goroutine: a fleet-clock poll interleaved with inbound
-// message processing and controller snapshot requests.
+// frame processing, each step under the node's lock.
 //
 // Nodes do not count their own ticks. The controller's fleet clock is the
 // only cycle authority: the node polls it at twice the cycle rate and runs
@@ -839,32 +812,31 @@ func (r *Runner) send(env envelope) {
 // instead of lagging (publications catch up through pubIdx).
 func (ln *liveNode) loop() {
 	defer close(ln.done)
+	quit, inbox := ln.quit, ln.inbox
 	poll := ln.runner.cfg.CycleLength / 2
 	if poll <= 0 {
 		poll = ln.runner.cfg.CycleLength
 	}
 	ticker := time.NewTicker(poll)
 	defer ticker.Stop()
-	cycle := ln.startCycle
 	for {
 		select {
-		case <-ln.quit:
+		case <-quit:
 			return
 		case <-ticker.C:
-			g := ln.runner.cycle.Load()
-			if g <= cycle {
-				continue // the fleet clock has not advanced yet
+			ln.mu.Lock()
+			if g := ln.runner.cycle.Load(); g > ln.cycle {
+				ln.cycle = g
+				ln.onCycle(g)
 			}
-			cycle = g
-			ln.onCycle(cycle)
-		case buf, ok := <-ln.inbox:
+			ln.mu.Unlock()
+		case buf, ok := <-inbox:
 			if !ok {
 				return
 			}
-			ln.onFrame(buf, cycle)
-		case req := <-ln.ctl:
-			req.fn(ln, cycle)
-			close(req.done)
+			ln.mu.Lock()
+			ln.onFrame(buf, ln.cycle)
+			ln.mu.Unlock()
 		}
 	}
 }
@@ -966,9 +938,8 @@ func (ln *liveNode) onFrame(buf *[]byte, cycle int64) {
 // decodeFrame decodes a frame payload as far as this node needs it, asking
 // the cheapest rejecting questions first. An item frame's id is recomputed
 // from the content bytes where they lie (never taken from the sender), and
-// when this node — the sole owner of its seen set — has already received that
-// item, the frame is dropped without decoding anything: no strings, no
-// profile, no allocation. A gossip frame is decoded against the node's own
+// when this node has already received that item, the frame is dropped
+// without decoding anything: no strings, no profile, no allocation. A gossip frame is decoded against the node's own
 // views: a descriptor the merge it is bound for would discard (of this node,
 // of a tombstoned node, of a node already held at the same or a fresher
 // stamp) is validated and never built, and a snapshot the other view holds

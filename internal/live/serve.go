@@ -3,7 +3,6 @@ package live
 import (
 	"cmp"
 	"errors"
-	"runtime"
 	"slices"
 
 	"whatsup/internal/news"
@@ -14,19 +13,16 @@ import (
 
 // This file is the runner's serving surface: the concurrent read/feedback
 // API that internal/api exposes over HTTP. Every method is safe from any
-// goroutine at any time. While a node is online its state is reached through
-// the control channel — the request runs on the node's own goroutine,
-// serialized with its protocol handling, so no locks touch the gossip hot
-// path. Offline (and post-Run) nodes are owned by the controller, which
-// publishes every mutation under the membership lock; serving reads then go
-// direct under its read side, and serving mutations (Feedback) under its
-// write side.
+// goroutine at any time. A call on a node holds the node's lock, the one
+// guard of its protocol state in every lifecycle state, so it runs between
+// the node goroutine's ticks and frames while the node is online and between
+// the controller's lifecycle changes while it is not.
 
 var (
 	// ErrUnknownNode reports an id the runner has never registered.
 	ErrUnknownNode = errors.New("live: unknown node")
 	// ErrNodeOffline reports an operation that needs the node's goroutine
-	// (publishing) while the node is crashed or departed.
+	// running (publishing) while the node is crashed or departed.
 	ErrNodeOffline = errors.New("live: node offline")
 	// ErrNotRunning reports an operation that needs the fleet's controller
 	// (publishing) outside a Run.
@@ -92,66 +88,20 @@ type FleetStats struct {
 	Bytes     int64
 }
 
-// withNode runs fn against the node's protocol state with the appropriate
-// serialization: on the node's own goroutine through the control channel
-// while it is live, directly under the membership lock once the controller
-// owns the node (offline, departed, or after Run) — the read side for pure
-// reads, the write side when mutate is set, so two direct mutations (two
-// Feedback calls on an offline node, say) serialize against each other as
-// well as against the controller. fn must not call back into the runner's
-// locked accessors.
-func (r *Runner) withNode(id news.NodeID, mutate bool, fn func(ln *liveNode, cycle int64)) error {
-	for {
-		r.mu.RLock()
-		ln := r.fleet[id]
-		st := r.states[id]
-		running := r.running
-		r.mu.RUnlock()
-		if ln == nil {
-			return ErrUnknownNode
-		}
-		if running && st == sim.Online {
-			if ln.exec(fn) {
-				return nil
-			}
-			// The goroutine exited between the state read and the send: the
-			// controller is mid-teardown and still owns the node lock-free
-			// (departure notices run before the state wipe publishes under
-			// mu), so touching the node now would race it. Yield until the
-			// lifecycle transition lands — the state stops reading Online —
-			// or a rejoin revives the goroutine and exec succeeds.
-			runtime.Gosched()
-			continue
-		}
-		// Controller-owned path: the node's goroutine is not running, and the
-		// membership lock serializes fn against the controller's lifecycle
-		// writes (Leave/Crash wipe, Rejoin re-seed) and, on the write side,
-		// against other direct mutations.
-		if mutate {
-			r.mu.Lock()
-		} else {
-			r.mu.RLock()
-		}
-		// Re-check under the lock: a rejoin may have brought the node online
-		// between the two acquisitions, in which case its goroutine owns the
-		// protocol state again and fn must go through the control channel.
-		if r.running && r.states[id] == sim.Online {
-			if mutate {
-				r.mu.Unlock()
-			} else {
-				r.mu.RUnlock()
-			}
-			continue
-		}
-		// Re-fetch: a past rejoin may have swapped the liveNode.
-		fn(r.fleet[id], r.cycle.Load())
-		if mutate {
-			r.mu.Unlock()
-		} else {
-			r.mu.RUnlock()
-		}
-		return nil
+// withNode runs fn under the node's lock, with the node's clock (its own
+// cycle while its goroutine runs, the fleet clock otherwise), and returns
+// what fn returns. fn may take Runner.mu, which comes after a node lock in
+// the lock order, but no other node's lock.
+func (r *Runner) withNode(id news.NodeID, fn func(ln *liveNode, cycle int64) error) error {
+	r.mu.RLock()
+	ln := r.fleet[id]
+	r.mu.RUnlock()
+	if ln == nil {
+		return ErrUnknownNode
 	}
+	ln.mu.Lock()
+	defer ln.mu.Unlock()
+	return fn(ln, ln.clock())
 }
 
 // Feed returns the node's current feed, ranked best-first: descending
@@ -166,8 +116,9 @@ func (r *Runner) Feed(id news.NodeID) ([]FeedEntry, error) {
 		return nil, ErrDegraded
 	}
 	var out []FeedEntry
-	err := r.withNode(id, false, func(ln *liveNode, cycle int64) {
+	err := r.withNode(id, func(ln *liveNode, cycle int64) error {
 		out = ln.feedEntries()
+		return nil
 	})
 	return out, err
 }
@@ -192,9 +143,8 @@ func (r *Runner) Degraded() bool {
 }
 
 // feedEntries builds the ranked feed from the node's ring, walked in place
-// oldest record first. Runs serialized with the node's protocol handling
-// (via withNode) — on the offline path several calls may run at once under
-// the runner's read lock, so the scratch profile is the call's own. Each
+// oldest record first, under the node's lock (via withNode). The scratch
+// profile is the call's own, so the node retains nothing between reads. Each
 // record's packed profile is decoded into that one scratch, sized up front
 // to the largest record so no record regrows it. The decode rebuilds the
 // entries and the ascending-order norm accumulator exactly as the arrival
@@ -247,13 +197,14 @@ func (ln *liveNode) feedEntries() []FeedEntry {
 // Works in every lifecycle state; an offline node's feedback lands in its
 // retained profile, surviving into a rejoin.
 func (r *Runner) Feedback(id news.NodeID, item news.ID, liked bool) error {
-	return r.withNode(id, true, func(ln *liveNode, cycle int64) {
+	return r.withNode(id, func(ln *liveNode, cycle int64) error {
 		score := 0.0
 		if liked {
 			score = 1
 		}
 		ln.node.UserProfile().Set(item, cycle, score)
 		ln.ops.over[item] = liked
+		return nil
 	})
 }
 
@@ -262,43 +213,32 @@ func (r *Runner) Feedback(id news.NodeID, item news.ID, liked bool) error {
 // seeds the item profile from its user profile and hands the copies to
 // BEEP. Created is restamped to the node's current cycle — gossip time is
 // cycle time; the item's identity (content hash) is unaffected. The node
-// must be online and the fleet running.
+// must be online (ErrNodeOffline) and the fleet running (ErrNotRunning).
 func (r *Runner) Publish(id news.NodeID, item news.Item) error {
-	r.mu.RLock()
-	ln := r.fleet[id]
-	st := r.states[id]
-	running := r.running
-	r.mu.RUnlock()
-	if ln == nil {
-		return ErrUnknownNode
-	}
-	if !running {
-		return ErrNotRunning
-	}
-	if st != sim.Online {
-		return ErrNodeOffline
-	}
-	ok := ln.exec(func(ln *liveNode, cycle int64) {
+	return r.withNode(id, func(ln *liveNode, cycle int64) error {
+		if !ln.online {
+			r.mu.RLock()
+			defer r.mu.RUnlock()
+			if r.running {
+				return ErrNodeOffline
+			}
+			return ErrNotRunning
+		}
 		item.Created = cycle
 		n := ln.node
 		for _, s := range n.Publish(item, cycle) {
-			ln.runner.send(envelope{Kind: wireItem, From: n.ID(), To: s.To, Item: s.Msg})
+			r.send(envelope{Kind: wireItem, From: n.ID(), To: s.To, Item: s.Msg})
 		}
+		return nil
 	})
-	if !ok {
-		return ErrNodeOffline
-	}
-	return nil
 }
 
-// Snapshot returns a consistent snapshot of the node's protocol state. This
-// is the one synchronized state accessor: while the node is online the
-// snapshot is taken on its own goroutine between message handlers (the
-// churn-timeline path of Config.Timeline uses the same mechanism), and for
-// controller-owned nodes it is read under the membership lock.
+// Snapshot returns a consistent snapshot of the node's protocol state, its
+// lifecycle state included, taken under the node's lock — the lock the
+// churn timeline (Config.Timeline) copies views under too.
 func (r *Runner) Snapshot(id news.NodeID) (NodeSnapshot, error) {
 	var snap NodeSnapshot
-	err := r.withNode(id, false, func(ln *liveNode, cycle int64) {
+	err := r.withNode(id, func(ln *liveNode, cycle int64) error {
 		n := ln.node
 		snap = NodeSnapshot{
 			ID:          n.ID(),
@@ -308,12 +248,10 @@ func (r *Runner) Snapshot(id news.NodeID) (NodeSnapshot, error) {
 			WUPView:     n.WUP().View().Entries(),
 			FeedSize:    len(ln.feed),
 		}
+		snap.State, _ = r.State(id)
+		return nil
 	})
-	if err != nil {
-		return NodeSnapshot{}, err
-	}
-	snap.State, _ = r.State(id)
-	return snap, nil
+	return snap, err
 }
 
 // Members lists every registered member with its lifecycle state, in

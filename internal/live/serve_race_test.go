@@ -1,6 +1,8 @@
 package live
 
 import (
+	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -14,12 +16,14 @@ import (
 
 // TestServeOfflineConcurrency hammers the serving surface of a node that
 // flaps between online and offline while the fleet runs: concurrent
-// goroutines post feedback and read the feed and snapshot throughout every
-// lifecycle transition, then again after Run returns. Under -race this pins
-// withNode's controller-owned path — direct mutations must hold the write
-// lock (two concurrent Feedbacks on an offline node share its opinion map
-// and profile), and the rejoin TOCTOU re-check must route fn back through
-// the control channel once the node's goroutine owns the state again.
+// goroutines post feedback, publish, read the feed, the snapshot and the
+// fleet's ghost fraction throughout every lifecycle transition, then again
+// after Run returns. Under -race this pins the node lock as the one guard of
+// the node's state: two Feedbacks on an offline node share its opinion map
+// and profile, and every call must serialize with the node goroutine's ticks
+// and frames and with the controller's crash wipe and rejoin re-seed. Publish
+// may refuse only as an offline node (ErrNodeOffline) or a stopped fleet
+// (ErrNotRunning).
 func TestServeOfflineConcurrency(t *testing.T) {
 	const target = news.NodeID(2)
 	var schedule sim.ChurnSchedule
@@ -56,6 +60,11 @@ func TestServeOfflineConcurrency(t *testing.T) {
 					t.Errorf("feedback: %v", err)
 					return
 				}
+				it := news.New(fmt.Sprintf("item %d of hammer %d", i, g), "", "", 0, target)
+				if err := r.Publish(target, it); err != nil && !errors.Is(err, ErrNodeOffline) && !errors.Is(err, ErrNotRunning) {
+					t.Errorf("publish: %v", err)
+					return
+				}
 				if _, err := r.Feed(target); err != nil {
 					t.Errorf("feed: %v", err)
 					return
@@ -64,16 +73,23 @@ func TestServeOfflineConcurrency(t *testing.T) {
 					t.Errorf("snapshot: %v", err)
 					return
 				}
+				if f := r.GhostFraction(); f < 0 || f > 1 {
+					t.Errorf("ghost fraction %v outside [0, 1]", f)
+					return
+				}
 				runtime.Gosched()
 			}
 		}(g)
 	}
 	wg.Wait()
-	// Post-Run the controller owns every node; the direct path still serves.
+	// Post-Run the fleet is stopped; reads and feedback still serve.
 	if err := r.Feedback(target, news.ID(1), true); err != nil {
 		t.Fatalf("post-run feedback: %v", err)
 	}
 	if _, err := r.Feed(target); err != nil {
 		t.Fatalf("post-run feed: %v", err)
+	}
+	if err := r.Publish(target, news.New("after the run", "", "", 0, target)); !errors.Is(err, ErrNotRunning) {
+		t.Fatalf("post-run publish: %v, want ErrNotRunning", err)
 	}
 }

@@ -429,9 +429,9 @@ type ChurnSample struct {
 // FleetHealth accumulates one ChurnSample from the views of the online fleet.
 // It is the single definition of ghost fraction, view fill and the per-cohort
 // online split: the simulator feeds it engine state at the end of a cycle,
-// the live runner feeds it control-channel snapshots, and both read the same
-// numbers out. Fill is total occupancy over total capacity, against each
-// view's actual capacity.
+// the live runner feeds it views copied under each node's lock, and both
+// read the same numbers out. Fill is total occupancy over total capacity,
+// against each view's actual capacity.
 type FleetHealth struct {
 	sample        ChurnSample
 	online        func(news.NodeID) bool

@@ -1,8 +1,10 @@
 package overlay
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -96,6 +98,66 @@ func TestDecodeDescriptorsRejectsHugeCount(t *testing.T) {
 	if _, _, err := DecodeDescriptors(enc); !errors.Is(err, wire.ErrTruncated) {
 		t.Fatalf("err=%v want ErrTruncated", err)
 	}
+}
+
+// FuzzTombstones holds the three readers of a tombstone list — the piggyback
+// every non-item live frame carries — to one another on arbitrary bytes:
+// DecodeTombstones, the check-only CheckTombstones and AppendDecodeTombstones
+// onto a list that already holds tombstones agree on accepting and on the
+// bytes left, and the appending reader keeps what it was handed and appends
+// what the decoder returns. An accepted list re-encodes to the bytes it was
+// read from — shorter only where a varint came in more bytes than it needs,
+// and then to a form that re-encodes to itself — in the count prefix plus
+// TombstonesWireSize bytes.
+func FuzzTombstones(f *testing.F) {
+	f.Add(AppendTombstones(nil, []Tombstone{{Node: 3, Stamp: 9}, {Node: news.NoNode, Stamp: -4}}))
+	f.Add(AppendTombstones(nil, nil))
+	f.Add([]byte{1, 3, 0}) // one tombstone, node zigzag(3) = -2: below NoNode
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want, rest, err := DecodeTombstones(data)
+		checkRest, checkErr := CheckTombstones(data)
+		if (err == nil) != (checkErr == nil) || len(rest) != len(checkRest) {
+			t.Fatalf("check-only walk disagrees with the decoder: decode err=%v rest=%d, check err=%v rest=%d",
+				err, len(rest), checkErr, len(checkRest))
+		}
+		held := []Tombstone{{Node: 1, Stamp: 2}, {Node: 7, Stamp: -1}}
+		got, appendRest, appendErr := AppendDecodeTombstones(slices.Clone(held), data)
+		if (err == nil) != (appendErr == nil) || len(rest) != len(appendRest) {
+			t.Fatalf("appending decode disagrees with the decoder: decode err=%v rest=%d, append err=%v rest=%d",
+				err, len(rest), appendErr, len(appendRest))
+		}
+		if !slices.Equal(got[:len(held)], held) {
+			t.Fatalf("appending decode changed the list it was handed: %v, was %v", got[:len(held)], held)
+		}
+		if err != nil {
+			return
+		}
+		if !slices.Equal(got[len(held):], want) {
+			t.Fatalf("appending decode appended %v, decode %v", got[len(held):], want)
+		}
+		if len(want) == 0 && want != nil {
+			t.Fatal("an empty list decodes to a non-nil slice")
+		}
+
+		enc := AppendTombstones(nil, want)
+		if size := wire.UintLen(uint64(len(want))) + TombstonesWireSize(want); len(enc) != size {
+			t.Fatalf("count prefix + TombstonesWireSize = %d, encoding %d bytes", size, len(enc))
+		}
+		read := data[:len(data)-len(rest)]
+		if declared, _, _ := wire.Uint(read); declared != uint64(len(want)) {
+			t.Fatalf("%d tombstones declared, decode returned %d", declared, len(want))
+		}
+		if len(enc) > len(read) || len(enc) == len(read) && !bytes.Equal(enc, read) {
+			t.Fatalf("re-encoding %x of the %d bytes read %x", enc, len(read), read)
+		}
+		again, againRest, err := DecodeTombstones(enc)
+		if err != nil || len(againRest) != 0 || !slices.Equal(again, want) {
+			t.Fatalf("re-encoding decodes to %v (err=%v, %d bytes left), want %v", again, err, len(againRest), want)
+		}
+		if !bytes.Equal(AppendTombstones(nil, again), enc) {
+			t.Fatal("the re-encoding re-encodes differently")
+		}
+	})
 }
 
 func TestDecodeDescriptorRejectsBadNode(t *testing.T) {

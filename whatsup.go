@@ -190,8 +190,8 @@ func (s *Simulation) Results() Results { return s.col.Quality() }
 type (
 	// LiveRunner drives a concurrent fleet of WhatsUp nodes over a
 	// transport. While the fleet runs, its Feed/Feedback/Publish/Snapshot/
-	// Stats methods are safe to call from any goroutine: requests are
-	// serialized onto each node's control channel between gossip steps.
+	// Stats methods are safe to call from any goroutine: requests take each
+	// node's lock, between its gossip steps.
 	LiveRunner = live.Runner
 	// LiveRunnerConfig parameterizes NewLiveRunner (cycles, per-node
 	// parameters, runtime opinions, per-node feed retention).
