@@ -14,10 +14,10 @@ import (
 // flashCrowdPeers is the total population of BenchmarkFlashCrowd: the
 // million-peer deployment of the sharded engine's design target. The world
 // needed ~30 GB of RAM while every peer carried two math/rand.NewSource
-// states and about 14 GB since (extrapolated from a 100 000-peer run, README
-// "Eight bytes of randomness per peer"), and a cycle takes minutes on one
-// core, far beyond CI budgets, so the benchmark is behind the scale build tag
-// (CI only vets it).
+// states, and about 9.7 GB since views hold only what they keep (extrapolated
+// from a 100 000-peer run that peaked at 968 MB, README "Where a sim peer's
+// heap goes"), and a cycle takes minutes on one core, far beyond CI budgets,
+// so the benchmark is behind the scale build tag (CI only vets it).
 const flashCrowdPeers = 1_000_000
 
 // BenchmarkFlashCrowd measures one cycle of a flash crowd hitting that

@@ -35,6 +35,13 @@ func churnProtoRunner(seed int64, cycles int, nodeCfg core.Config, cfg func(*Con
 // anything — a graceful leaver's departure frames must scrub it from every
 // online view, while the same world without notices keeps ghost descriptors
 // to the end of the run.
+//
+// The cycle is 20 ms, not the harness's 5 ms. Under the race detector on two
+// Ps (2-vCPU box), a 5 ms fleet sends frames faster than some node goroutines
+// read them: 9 of 200 runs left a ghost, and each time its holder still had
+// its departure frame, or the gossip frame piggybacking the tombstone, among
+// 21–121 unread inbox frames when the fleet stopped. At 20 ms every notice was
+// read in the cycle it was sent and 0 of 200 runs left a ghost.
 func TestLiveDepartureNoticesChannelNet(t *testing.T) {
 	base := runtime.NumGoroutine()
 	const cycles, leaveAt = 22, 10
@@ -45,6 +52,7 @@ func TestLiveDepartureNoticesChannelNet(t *testing.T) {
 	run := func(notices bool, seed int64) *Runner {
 		r := churnProtoRunner(seed, cycles, nodeCfg, func(c *Config) {
 			c.DepartureNotices = notices
+			c.CycleLength = 20 * time.Millisecond
 		}, schedule, NewChannelNet(seed, 0, 0))
 		r.Run()
 		return r
@@ -73,7 +81,9 @@ func TestLiveDepartureNoticesChannelNet(t *testing.T) {
 
 // TestLiveDepartureNoticesTCPNet repeats the graceful-leave scrub over real
 // loopback sockets: the final flush must deliver the departure frames sent
-// just before the leaver's endpoints close.
+// just before the leaver's endpoints close. Its cycle is 20 ms for the
+// reason TestLiveDepartureNoticesChannelNet's is: at 8 ms it failed 29 of 60
+// runs under -race beside another package's race tests, at 20 ms 0 of 30.
 func TestLiveDepartureNoticesTCPNet(t *testing.T) {
 	base := runtime.NumGoroutine()
 	nodeCfg := core.Config{FLike: 4, RPSViewSize: 10, ProfileWindow: 60}
@@ -82,7 +92,7 @@ func TestLiveDepartureNoticesTCPNet(t *testing.T) {
 
 	r := churnProtoRunner(22, 20, nodeCfg, func(c *Config) {
 		c.DepartureNotices = true
-		c.CycleLength = 8 * time.Millisecond
+		c.CycleLength = 20 * time.Millisecond
 	}, schedule, NewTCPNet(TCPNetConfig{SlowEvery: 0}))
 	r.Run()
 

@@ -11,6 +11,7 @@
 package overlay
 
 import (
+	"cmp"
 	"slices"
 
 	"whatsup/internal/news"
@@ -30,31 +31,41 @@ func (t Tombstone) WireSize() int {
 }
 
 // Graveyard is a bounded-lifetime set of departure tombstones owned by one
-// node. It is not goroutine-safe. The zero value is ready to use; the map is
-// allocated lazily on the first Note so churn-free nodes never pay for it.
+// node. It is not goroutine-safe. The active set is one slice sorted by node
+// id, which is also the order every gossip message piggybacks it in, so
+// lookups are a binary search and the full-set piggyback is a plain append.
+// The zero value is ready to use and holds no array until the first Note.
 type Graveyard struct {
-	stamps map[news.NodeID]int64
-	// Cached orderings of the active set, rebuilt lazily after a change:
-	// every outgoing gossip message piggybacks the graveyard, so a gossip
-	// round over an unchanged graveyard must pay one sort, not one per
-	// message.
-	byNode  []Tombstone // sorted by node id (the full-set piggyback order)
-	byFresh []Tombstone // freshest stamp first (the capped-selection order)
-	nodeOK  bool
+	active []Tombstone // one per node, sorted by node id
+	// The freshest-first order, built only when a cap truncates the
+	// piggyback and then cached until the set changes: a gossip round over
+	// an unchanged graveyard pays one sort, not one per message.
+	byFresh []Tombstone
 	freshOK bool
 }
 
 // Len reports the number of active tombstones.
-func (g *Graveyard) Len() int { return len(g.stamps) }
+func (g *Graveyard) Len() int { return len(g.active) }
 
-// Contains reports whether the node has an active tombstone. It is nil-map
-// safe and O(1), so merge paths can call it per descriptor without cost when
-// no departures are in flight.
-func (g *Graveyard) Contains(id news.NodeID) bool {
-	if len(g.stamps) == 0 {
-		return false
+// find returns the position of the node's tombstone in active, or the
+// position it would be inserted at, and whether it is present.
+func (g *Graveyard) find(id news.NodeID) (int, bool) {
+	lo, hi := 0, len(g.active)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); g.active[m].Node < id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
 	}
-	_, ok := g.stamps[id]
+	return lo, lo < len(g.active) && g.active[lo].Node == id
+}
+
+// Contains reports whether the node has an active tombstone. It costs one
+// length check when no departures are in flight, so merge paths can call it
+// per descriptor.
+func (g *Graveyard) Contains(id news.NodeID) bool {
+	_, ok := g.find(id)
 	return ok
 }
 
@@ -62,14 +73,16 @@ func (g *Graveyard) Contains(id news.NodeID) bool {
 // whether the tombstone was new information (new node or fresher stamp) —
 // the signal to keep forwarding it.
 func (g *Graveyard) Note(t Tombstone) bool {
-	if old, ok := g.stamps[t.Node]; ok && old >= t.Stamp {
+	i, ok := g.find(t.Node)
+	switch {
+	case !ok:
+		g.active = slices.Insert(g.active, i, t)
+	case g.active[i].Stamp >= t.Stamp:
 		return false
+	default:
+		g.active[i].Stamp = t.Stamp
 	}
-	if g.stamps == nil {
-		g.stamps = make(map[news.NodeID]int64, 4)
-	}
-	g.stamps[t.Node] = t.Stamp
-	g.nodeOK, g.freshOK = false, false
+	g.freshOK = false
 	return true
 }
 
@@ -77,41 +90,19 @@ func (g *Graveyard) Note(t Tombstone) bool {
 // minStamp — the same strictly-older-than boundary View.EvictOlderThan uses —
 // and reports how many were dropped.
 func (g *Graveyard) ExpireOlderThan(minStamp int64) int {
-	dropped := 0
-	for id, stamp := range g.stamps {
-		if stamp < minStamp {
-			delete(g.stamps, id)
-			dropped++
-		}
-	}
+	before := len(g.active)
+	g.active = slices.DeleteFunc(g.active, func(t Tombstone) bool { return t.Stamp < minStamp })
+	dropped := before - len(g.active)
 	if dropped > 0 {
-		g.nodeOK, g.freshOK = false, false
+		g.freshOK = false
 	}
 	return dropped
 }
 
 // AppendActive appends the active tombstones to dst sorted by node id, so
-// callers forwarding them on gossip emit a deterministic order regardless of
-// map iteration.
+// callers forwarding them on gossip emit a deterministic order.
 func (g *Graveyard) AppendActive(dst []Tombstone) []Tombstone {
-	if len(g.stamps) == 0 {
-		return dst
-	}
-	if !g.nodeOK {
-		g.byNode = g.rebuild(g.byNode)
-		slices.SortFunc(g.byNode, func(a, b Tombstone) int {
-			switch {
-			case a.Node < b.Node:
-				return -1
-			case a.Node > b.Node:
-				return 1
-			default:
-				return 0
-			}
-		})
-		g.nodeOK = true
-	}
-	return append(dst, g.byNode...)
+	return append(dst, g.active...)
 }
 
 // AppendFreshest appends at most max active tombstones to dst. While the
@@ -122,49 +113,25 @@ func (g *Graveyard) AppendActive(dst []Tombstone) []Tombstone {
 // descriptors are the ones most likely still circulating, while the oldest
 // are close to TTL-flushed anyway.
 func (g *Graveyard) AppendFreshest(dst []Tombstone, max int) []Tombstone {
-	if len(g.stamps) == 0 {
-		return dst
-	}
-	if max <= 0 || max >= len(g.stamps) {
+	if max <= 0 || max >= len(g.active) {
 		return g.AppendActive(dst)
 	}
 	if !g.freshOK {
-		g.byFresh = g.rebuild(g.byFresh)
+		g.byFresh = append(g.byFresh[:0], g.active...)
 		slices.SortFunc(g.byFresh, func(a, b Tombstone) int {
-			switch {
-			case a.Stamp > b.Stamp:
-				return -1
-			case a.Stamp < b.Stamp:
-				return 1
-			case a.Node < b.Node:
-				return -1
-			case a.Node > b.Node:
-				return 1
-			default:
-				return 0
+			if c := cmp.Compare(b.Stamp, a.Stamp); c != 0 {
+				return c
 			}
+			return cmp.Compare(a.Node, b.Node)
 		})
 		g.freshOK = true
 	}
 	return append(dst, g.byFresh[:max]...)
 }
 
-// rebuild refills buf with the active set, unsorted. Both callers
-// immediately sort with a total order (node id is unique), so the map
-// iteration order cannot leak.
-func (g *Graveyard) rebuild(buf []Tombstone) []Tombstone {
-	buf = buf[:0]
-	//whatsup:commutative both callers sort with a total order
-	for id, stamp := range g.stamps {
-		buf = append(buf, Tombstone{Node: id, Stamp: stamp})
-	}
-	return buf
-}
-
 // Clear drops every tombstone (crash semantics: tombstones are volatile
 // state).
 func (g *Graveyard) Clear() {
-	clear(g.stamps)
-	g.byNode, g.byFresh = g.byNode[:0], g.byFresh[:0]
-	g.nodeOK, g.freshOK = false, false
+	g.active, g.byFresh = g.active[:0], g.byFresh[:0]
+	g.freshOK = false
 }

@@ -14,6 +14,7 @@ package overlay
 import (
 	"math/rand"
 	"slices"
+	"sync"
 
 	"whatsup/internal/news"
 	"whatsup/internal/profile"
@@ -127,18 +128,38 @@ type scored struct {
 	s float64
 }
 
+// mergeScratch is the space a merge needs beyond a view's resident array:
+// the union of the view and the batch merged into it, TrimBySimilarity's
+// ranked copy of that union and AppendRandomSample's permutation. No view
+// keeps it between merges; it is borrowed from scratchPool for one merge,
+// so the process holds about one per P rather than one per view.
+type mergeScratch struct {
+	home   []Descriptor // the borrowing view's resident array, emptied, while the union lives here
+	union  []Descriptor
+	ranked []scored
+	perm   []int
+}
+
+// scratchPool lends merge scratch to every view in the process. A returned
+// scratch holds no descriptor: union and ranked are cleared and home is nil.
+var scratchPool = sync.Pool{New: func() any { return new(mergeScratch) }}
+
 // View is a bounded set of descriptors with at most one entry per node. A
-// view belongs to one node and is not goroutine-safe; its scratch buffers
-// and similarity cache are reused across calls by that single owner.
-// Views hold tens of entries, so membership is a scan of entries, not an index
-// beside them. Every mutator leaves entries[len:cap] zeroed: a descriptor that
-// left the view must not pin its profile snapshot through the backing array.
+// view belongs to one node and is not goroutine-safe; its similarity cache is
+// reused across calls by that single owner. Views hold tens of entries, so
+// membership is a scan of entries, not an index beside them.
+//
+// At rest the entries live in one resident array of exactly capacity. The
+// first Insert past capacity moves them into a mergeScratch borrowed from
+// scratchPool, where the union grows; the next trim copies the survivors back
+// into the resident array and returns the scratch. Every mutator leaves
+// entries[len:cap] zeroed: a descriptor that left the view must not pin its
+// profile snapshot through a backing array.
 type View struct {
 	capacity int
-	entries  []Descriptor
+	entries  []Descriptor  // the resident array, or merge.union while merging
+	merge    *mergeScratch // borrowed from an Insert past capacity to the next trim
 	cache    scoreCache
-	perm     []int    // scratch for AppendRandomSample (Fisher–Yates)
-	ranked   []scored // scratch for TrimBySimilarity
 }
 
 // NewView returns an empty view bounded to the given capacity.
@@ -150,6 +171,37 @@ func NewView(capacity int) *View {
 		capacity: capacity,
 		entries:  make([]Descriptor, 0, capacity),
 	}
+}
+
+// push appends d to the entries, first moving a full resident array into a
+// borrowed mergeScratch so the resident array never grows.
+func (v *View) push(d Descriptor) {
+	if v.merge == nil && len(v.entries) == v.capacity {
+		s := scratchPool.Get().(*mergeScratch)
+		s.home = v.entries[:0]
+		s.union = append(s.union, v.entries...)
+		clear(v.entries)
+		v.entries, v.merge = s.union, s
+	}
+	v.entries = append(v.entries, d)
+}
+
+// settle ends a merge once the entries fit the capacity again: it copies them
+// back into the resident array and returns the scratch.
+func (v *View) settle() {
+	if v.merge != nil {
+		v.release(append(v.merge.home, v.entries...))
+	}
+}
+
+// release makes home, the resident array refilled with the survivors, the
+// view's entries again, clears the union and returns the scratch.
+func (v *View) release(home []Descriptor) {
+	s := v.merge
+	clear(v.entries)
+	s.union, s.home = v.entries[:0], nil
+	scratchPool.Put(s)
+	v.entries, v.merge = home, nil
 }
 
 // Capacity returns the view bound.
@@ -212,7 +264,7 @@ func (v *View) Nodes() []news.NodeID {
 
 // Insert adds a descriptor, deduplicating by node and keeping the freshest
 // copy. Insert does not enforce capacity; call one of the Trim methods after
-// a merge.
+// a merge, which also returns the scratch an Insert past capacity borrowed.
 func (v *View) Insert(d Descriptor) {
 	if i := v.find(d.Node); i >= 0 {
 		if d.Fresher(v.entries[i]) {
@@ -220,7 +272,7 @@ func (v *View) Insert(d Descriptor) {
 		}
 		return
 	}
-	v.entries = append(v.entries, d)
+	v.push(d)
 }
 
 // InsertAll merges a batch of descriptors, skipping any for the excluded
@@ -313,17 +365,19 @@ func (v *View) Oldest() (Descriptor, bool) {
 // AppendRandomSample appends up to n distinct entries chosen uniformly at
 // random to dst and returns the extended slice. It reproduces rng.Perm's
 // draw sequence exactly (so results are bit-identical to the historical
-// Perm-based sampling) into a reusable scratch permutation, making the
-// steady-state sample allocation-free apart from dst itself.
+// Perm-based sampling) into a permutation borrowed from scratchPool, making
+// the steady-state sample allocation-free apart from dst itself.
 func (v *View) AppendRandomSample(dst []Descriptor, rng *rand.Rand, n int) []Descriptor {
 	if n >= len(v.entries) {
 		return append(dst, v.entries...)
 	}
 	total := len(v.entries)
-	if cap(v.perm) < total {
-		v.perm = make([]int, total)
+	s := scratchPool.Get().(*mergeScratch)
+	defer scratchPool.Put(s)
+	if cap(s.perm) < total {
+		s.perm = make([]int, total)
 	}
-	perm := v.perm[:total]
+	perm := s.perm[:total]
 	// Fisher–Yates with rand.Perm's exact consumption: one Intn(i+1) per i.
 	for i := 0; i < total; i++ {
 		j := rng.Intn(i + 1)
@@ -351,6 +405,7 @@ func (v *View) TrimRandom(rng *rand.Rand) {
 	for len(v.entries) > v.capacity {
 		v.removeAt(rng.Intn(len(v.entries)))
 	}
+	v.settle()
 }
 
 // TrimBySimilarity keeps the capacity entries whose profiles are most
@@ -368,13 +423,15 @@ func (v *View) TrimRandom(rng *rand.Rand) {
 //whatsup:hotpath
 func (v *View) TrimBySimilarity(rng *rand.Rand, metric profile.Metric, self *profile.Profile) {
 	if len(v.entries) <= v.capacity {
+		v.settle()
 		return
 	}
 	v.cache.rekey(self)
-	if cap(v.ranked) < len(v.entries) {
-		v.ranked = make([]scored, 0, len(v.entries)) //whatsup:alloc scratch sized to the largest merge so far, then reused across cycles
+	s := v.merge // entries past capacity always live in borrowed scratch
+	if cap(s.ranked) < len(v.entries) {
+		s.ranked = make([]scored, 0, len(v.entries)) //whatsup:alloc pooled scratch sized to the largest merge so far
 	}
-	ranked := v.ranked[:0]
+	ranked := s.ranked[:0]
 	for _, d := range v.entries {
 		ranked = append(ranked, scored{d, v.cache.lookup(metric, self, d)}) //whatsup:allow:hotalloc capacity reserved above
 	}
@@ -391,13 +448,13 @@ func (v *View) TrimBySimilarity(rng *rand.Rand, metric profile.Metric, self *pro
 			return 0
 		}
 	})
-	for i, r := range ranked[:v.capacity] {
-		v.entries[i] = r.d
+	home := s.home
+	for _, r := range ranked[:v.capacity] {
+		home = append(home, r.d) //whatsup:allow:hotalloc the resident array holds exactly capacity
 	}
-	clear(v.entries[v.capacity:])
-	v.entries = v.entries[:v.capacity]
 	clear(ranked) // drop descriptor refs held by the scratch backing array
-	v.ranked = ranked[:0]
+	s.ranked = ranked[:0]
+	v.release(home)
 }
 
 // MostSimilar returns the entry whose profile is most similar to the target
@@ -442,11 +499,13 @@ func (v *View) Profiles() []*profile.Profile {
 }
 
 // Clone returns a deep copy of the view structure (descriptors themselves
-// are immutable and shared). Scratch buffers and the similarity cache are
-// not carried over.
+// are immutable and shared). The similarity cache is not carried over; a
+// clone of a view mid-merge borrows its own scratch.
 func (v *View) Clone() *View {
 	c := NewView(v.capacity)
-	c.entries = append(c.entries, v.entries...)
+	for _, d := range v.entries {
+		c.push(d)
+	}
 	return c
 }
 

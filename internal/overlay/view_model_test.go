@@ -1,8 +1,11 @@
 package overlay
 
 import (
+	"bytes"
 	"math/rand"
 	"slices"
+	"strings"
+	"sync"
 	"testing"
 
 	"whatsup/internal/news"
@@ -94,16 +97,37 @@ func (m *modelView) trimBySimilarity(rng *rand.Rand, metric profile.Metric, self
 }
 
 // pinnedPastUse counts the profile snapshots still reachable from the parts
-// of a view's backing arrays that hold no entry: entries[len:cap] and the
-// whole trim scratch.
+// of a view's backing arrays that hold no entry: entries[len:cap] and, while
+// a merge has scratch borrowed, the emptied resident array and the whole trim
+// scratch.
 func pinnedPastUse(v *View) int {
+	n := profilesIn(v.entries[len(v.entries):cap(v.entries)])
+	if s := v.merge; s != nil {
+		n += profilesIn(s.home[:cap(s.home)]) + rankedIn(s.ranked[:cap(s.ranked)])
+	}
+	return n
+}
+
+// pinnedByReturned counts the profile snapshots a scratch returned to the
+// pool still reaches: its union and ranked backing arrays must be cleared and
+// it must no longer point at the view's resident array.
+func pinnedByReturned(s *mergeScratch) int {
+	return profilesIn(s.union[:cap(s.union)]) + profilesIn(s.home[:cap(s.home)]) + rankedIn(s.ranked[:cap(s.ranked)])
+}
+
+func profilesIn(ds []Descriptor) int {
 	n := 0
-	for _, d := range v.entries[len(v.entries):cap(v.entries)] {
+	for _, d := range ds {
 		if d.Profile != nil {
 			n++
 		}
 	}
-	for _, r := range v.ranked[:cap(v.ranked)] {
+	return n
+}
+
+func rankedIn(rs []scored) int {
+	n := 0
+	for _, r := range rs {
 		if r.d.Profile != nil {
 			n++
 		}
@@ -114,7 +138,9 @@ func pinnedPastUse(v *View) int {
 // TestViewMatchesMapBackedModel drives the View and the map-backed model
 // through the same random mutator sequences on identically seeded rngs: after
 // every operation both hold the same descriptors in the same order, both
-// consumed the same draws, and the View pins nothing past its use.
+// consumed the same draws, and the View pins nothing past its use: after a
+// trim it holds no borrowed scratch, its resident array is exactly capacity,
+// and the scratch it returned reaches no descriptor.
 func TestViewMatchesMapBackedModel(t *testing.T) {
 	const capacity, nodes = 8, 40
 	for seed := int64(0); seed < 40; seed++ {
@@ -131,6 +157,7 @@ func TestViewMatchesMapBackedModel(t *testing.T) {
 		}
 		for step := 0; step < 400; step++ {
 			var op string
+			borrowed := v.merge
 			switch k := ops.Intn(10); {
 			case k < 2:
 				op = "Insert"
@@ -178,6 +205,17 @@ func TestViewMatchesMapBackedModel(t *testing.T) {
 			if n := pinnedPastUse(v); n != 0 {
 				t.Fatalf("seed %d step %d (%s): %d profile snapshots pinned past their use", seed, step, op, n)
 			}
+			if strings.HasPrefix(op, "Trim") {
+				if v.merge != nil || cap(v.entries) != capacity {
+					t.Fatalf("seed %d step %d (%s): after a trim the view holds scratch %v and an array of cap %d, want none and %d",
+						seed, step, op, v.merge != nil, cap(v.entries), capacity)
+				}
+				if borrowed != nil {
+					if n := pinnedByReturned(borrowed); n != 0 {
+						t.Fatalf("seed %d step %d (%s): returned scratch still reaches %d profile snapshots", seed, step, op, n)
+					}
+				}
+			}
 			for _, d := range m.entries {
 				if got, ok := v.Get(d.Node); !ok || got != d || !v.Contains(d.Node) {
 					t.Fatalf("seed %d step %d (%s): Get(%d) = %v, %v", seed, step, op, d.Node, got, ok)
@@ -215,9 +253,67 @@ func TestViewPinsNoProfilePastItsUse(t *testing.T) {
 		for i := news.NodeID(0); i < 30; i++ {
 			v.Insert(desc(i, int64(i), news.ID(i%4)))
 		}
+		borrowed := v.merge
 		mu.run(v)
 		if n := pinnedPastUse(v); n != 0 {
 			t.Errorf("%s: %d profile snapshots pinned past their use", mu.name, n)
+		}
+		if v.merge == nil {
+			if n := pinnedByReturned(borrowed); n != 0 {
+				t.Errorf("%s: returned scratch still reaches %d profile snapshots", mu.name, n)
+			}
+		}
+	}
+}
+
+// TestConcurrentMergesMatchSerial merges distinct views on two goroutines at
+// once, as a Workers 2 sim round and a live fleet's node goroutines do, all
+// borrowing from the one scratch pool: every view must end with exactly the
+// entries, in the same order, that the same merges give run one at a time.
+func TestConcurrentMergesMatchSerial(t *testing.T) {
+	const views, rounds, capacity, nodes = 2, 300, 8, 60
+	run := func(concurrent bool) [views][]byte {
+		var out [views][]byte
+		var wg sync.WaitGroup
+		for g := 0; g < views; g++ {
+			merge := func() {
+				ops := rand.New(rand.NewSource(int64(g)))
+				rng := rand.New(rand.NewSource(int64(100 + g)))
+				v, r := NewView(capacity), NewView(capacity+4)
+				self := profile.New()
+				for round := int64(0); round < rounds; round++ {
+					batch := make([]Descriptor, 1+ops.Intn(3*capacity))
+					for i := range batch {
+						batch[i] = desc(news.NodeID(ops.Intn(nodes)), round-int64(ops.Intn(3)), news.ID(ops.Intn(16)), news.ID(ops.Intn(16)))
+					}
+					self.Set(news.ID(ops.Intn(16)), round, float64(ops.Intn(2)))
+					v.InsertAll(batch, news.NodeID(g))
+					v.TrimBySimilarity(rng, profile.WUP{}, self)
+					r.InsertAll(batch, news.NodeID(g))
+					r.TrimRandom(rng)
+					v.InsertAll(v.AppendRandomSample(nil, rng, capacity/2), news.NoNode)
+					v.InsertAll(r.AppendRandomSample(nil, rng, capacity/2), news.NoNode)
+					v.TrimBySimilarity(rng, profile.WUP{}, self)
+				}
+				out[g] = AppendDescriptors(AppendDescriptors(nil, v.Entries()), r.Entries())
+			}
+			if !concurrent {
+				merge()
+				continue
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				merge()
+			}()
+		}
+		wg.Wait()
+		return out
+	}
+	serial, concurrent := run(false), run(true)
+	for g := range serial {
+		if !bytes.Equal(serial[g], concurrent[g]) {
+			t.Fatalf("view %d: concurrent merges kept %x, serial %x", g, concurrent[g], serial[g])
 		}
 	}
 }
