@@ -28,7 +28,7 @@ func descLiking(node news.NodeID, liked ...news.ID) overlay.Descriptor {
 	for _, id := range liked {
 		p.Set(id, 0, 1)
 	}
-	return overlay.Descriptor{Node: node, Stamp: 0, Profile: p}
+	return overlay.Descriptor{Node: node, Stamp: 0, Profile: snapshotOf(p)}
 }
 
 func fixedItem(id int) news.Item {
@@ -280,4 +280,10 @@ func TestCentralOutperformsCascadeOnQuality(t *testing.T) {
 	if colCentral.F1() <= colCascade.F1() {
 		t.Fatalf("central F1=%v must beat cascade F1=%v", colCentral.F1(), colCascade.F1())
 	}
+}
+
+// snapshotOf is p packed, by address, as a descriptor holds it.
+func snapshotOf(p *profile.Profile) *profile.Packed {
+	pk := p.Pack()
+	return &pk
 }

@@ -66,9 +66,13 @@ func (p *Protocol) Seed(descs []overlay.Descriptor, own *profile.Profile) {
 	p.view.TrimBySimilarity(p.rng, p.metric, own)
 }
 
-// Descriptor builds the node's own fresh descriptor with a profile snapshot.
+// Descriptor builds the node's own fresh descriptor with the profile packed
+// into a snapshot. It packs on every call: a node's descriptors come from
+// its RPS layer (core.Substrate.Descriptor), which packs once per profile
+// version.
 func (p *Protocol) Descriptor(now int64, prof *profile.Profile) overlay.Descriptor {
-	return overlay.Descriptor{Node: p.self, Addr: p.addr, Stamp: now, Profile: prof.Clone()}
+	packed := prof.Pack()
+	return overlay.Descriptor{Node: p.self, Addr: p.addr, Stamp: now, Profile: &packed}
 }
 
 // SelectPeer returns the view entry with the oldest timestamp.
@@ -134,7 +138,7 @@ func (p *Protocol) AverageSimilarity(own *profile.Profile) float64 {
 	}
 	var sum float64
 	p.view.ForEach(func(d overlay.Descriptor) {
-		sum += p.metric.Similarity(own, d.Profile)
+		sum += p.metric.SimilarityPacked(own, d.Profile)
 	})
 	return sum / float64(p.view.Len())
 }

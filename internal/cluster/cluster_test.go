@@ -14,7 +14,7 @@ func descWithLikes(node news.NodeID, stamp int64, liked ...news.ID) overlay.Desc
 	for _, id := range liked {
 		p.Set(id, stamp, 1)
 	}
-	return overlay.Descriptor{Node: node, Stamp: stamp, Profile: p}
+	return overlay.Descriptor{Node: node, Stamp: stamp, Profile: snapshotOf(p)}
 }
 
 func ownProfile(liked ...news.ID) *profile.Profile {
@@ -189,4 +189,10 @@ func TestAcceptReplySignature(t *testing.T) {
 	if !p.View().Contains(1) {
 		t.Fatal("AcceptReply must merge candidates")
 	}
+}
+
+// snapshotOf is p packed, by address, as a descriptor holds it.
+func snapshotOf(p *profile.Profile) *profile.Packed {
+	pk := p.Pack()
+	return &pk
 }

@@ -31,7 +31,7 @@ func descFor(node news.NodeID, stamp int64, liked ...news.ID) overlay.Descriptor
 	for _, id := range liked {
 		p.Set(id, stamp, 1)
 	}
-	return overlay.Descriptor{Node: node, Stamp: stamp, Profile: p}
+	return overlay.Descriptor{Node: node, Stamp: stamp, Profile: snapshotOf(p)}
 }
 
 func item(id int, created int64) news.Item {
@@ -318,8 +318,8 @@ func TestCrashClearsViewsKeepsProfile(t *testing.T) {
 func TestLeaveAndRejoinLifecycle(t *testing.T) {
 	n := NewNode(1, "", Config{FLike: 3}, likeAll(), rand.New(rand.NewSource(1)))
 	seed := []overlay.Descriptor{
-		{Node: 2, Stamp: 1, Profile: profile.New()},
-		{Node: 3, Stamp: 1, Profile: profile.New()},
+		{Node: 2, Stamp: 1, Profile: snapshotOf(profile.New())},
+		{Node: 3, Stamp: 1, Profile: snapshotOf(profile.New())},
 	}
 	n.SeedViews(seed)
 	n.UserProfile().Set(10, 5, 1)
@@ -333,7 +333,7 @@ func TestLeaveAndRejoinLifecycle(t *testing.T) {
 	}
 
 	n.SeedViews(seed)
-	fresh := []overlay.Descriptor{{Node: 4, Stamp: 9, Profile: profile.New()}}
+	fresh := []overlay.Descriptor{{Node: 4, Stamp: 9, Profile: snapshotOf(profile.New())}}
 	n.Rejoin(fresh, 9)
 	if n.RPS().View().Contains(2) || n.RPS().View().Contains(3) {
 		t.Fatal("Rejoin must wipe the pre-crash views")
@@ -353,8 +353,8 @@ func TestBeginCycleEvictsStaleDescriptors(t *testing.T) {
 	mk := func(ttl int64) *Node {
 		n := NewNode(1, "", Config{FLike: 3, DescriptorTTL: ttl}, likeAll(), rand.New(rand.NewSource(2)))
 		n.SeedViews([]overlay.Descriptor{
-			{Node: 2, Stamp: 5, Profile: profile.New()},  // stale at now=30, ttl=20
-			{Node: 3, Stamp: 25, Profile: profile.New()}, // fresh
+			{Node: 2, Stamp: 5, Profile: snapshotOf(profile.New())},  // stale at now=30, ttl=20
+			{Node: 3, Stamp: 25, Profile: snapshotOf(profile.New())}, // fresh
 		})
 		return n
 	}
@@ -371,4 +371,10 @@ func TestBeginCycleEvictsStaleDescriptors(t *testing.T) {
 	if !off.RPS().View().Contains(2) || !off.WUP().View().Contains(2) {
 		t.Fatal("with DescriptorTTL disabled BeginCycle must not evict")
 	}
+}
+
+// snapshotOf is p packed, by address, as a descriptor holds it.
+func snapshotOf(p *profile.Profile) *profile.Packed {
+	pk := p.Pack()
+	return &pk
 }

@@ -29,7 +29,7 @@ func TestBEEPSendBounds(t *testing.T) {
 		for i := news.NodeID(1); i <= 25; i++ {
 			p := profile.New()
 			p.Set(news.ID(rng.Intn(10)), 0, 1)
-			descs = append(descs, overlay.Descriptor{Node: i, Stamp: int64(i), Profile: p})
+			descs = append(descs, overlay.Descriptor{Node: i, Stamp: int64(i), Profile: snapshotOf(p)})
 		}
 		n.SeedViews(descs)
 		msg := ItemMessage{

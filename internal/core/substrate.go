@@ -119,7 +119,10 @@ func (s *Substrate) AdvertisedProfile(now int64) *profile.Profile {
 }
 
 // Descriptor builds the node's fresh self-descriptor: a snapshot of the
-// advertised profile stamped now.
+// advertised profile stamped now. The RPS layer packs the snapshot once per
+// (profile, Version()) (rps.Protocol.Descriptor), so a node's descriptors of
+// one profile version are one snapshot wherever they travel, and a behavior
+// that fabricates a new profile per call gets a new snapshot per call.
 func (s *Substrate) Descriptor(now int64) overlay.Descriptor {
 	return s.rps.Descriptor(now, s.AdvertisedProfile(now))
 }

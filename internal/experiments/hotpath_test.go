@@ -43,7 +43,7 @@ func hotPathReceiver(fLike int) (*core.Node, *profile.Profile) {
 		p := profile.New()
 		p.Set(news.ID(i), 0, 1)
 		p.Set(news.ID(i+1), 0, 1)
-		descs = append(descs, overlay.Descriptor{Node: i, Stamp: 0, Profile: p})
+		descs = append(descs, overlay.Descriptor{Node: i, Stamp: 0, Profile: snapshotOf(p)})
 	}
 	n.SeedViews(descs)
 	for i := 0; i < 40; i++ {
@@ -84,7 +84,7 @@ func hotPathView() (v *overlay.View, descs []overlay.Descriptor, self *profile.P
 		for j := 0; j < 20; j++ {
 			p.Set(news.ID(rng.Int63n(200)), 0, float64(rng.Intn(2)))
 		}
-		descs = append(descs, overlay.Descriptor{Node: i, Stamp: int64(i % 4), Profile: p})
+		descs = append(descs, overlay.Descriptor{Node: i, Stamp: int64(i % 4), Profile: snapshotOf(p)})
 	}
 	return v, descs, self
 }
@@ -205,4 +205,10 @@ func TestReceiveLikedAllocsPinned(t *testing.T) {
 	if avg > maxReceiveLikedAllocs {
 		t.Fatalf("receive-liked path allocates %.1f/op, budget %d", avg, maxReceiveLikedAllocs)
 	}
+}
+
+// snapshotOf is p packed, by address, as a descriptor holds it.
+func snapshotOf(p *profile.Profile) *profile.Packed {
+	pk := p.Pack()
+	return &pk
 }

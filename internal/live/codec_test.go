@@ -38,7 +38,7 @@ func repGossip() envelope {
 			Node:    news.NodeID(i + 1),
 			Addr:    "127.0.0.1:40000",
 			Stamp:   int64(20 + i),
-			Profile: repProfile(25, i),
+			Profile: snapshotOf(repProfile(25, i)),
 		})
 	}
 	return envelope{Kind: wireWUPRequest, From: 42, To: 7, Descs: descs}
@@ -108,20 +108,20 @@ func roundTripCases() map[string]envelope {
 	longAddr := strings.Repeat("node.example.planetlab.org:", 9) + "65535"
 	maxDescs := make([]overlay.Descriptor, 64)
 	for i := range maxDescs {
-		maxDescs[i] = overlay.Descriptor{Node: news.NodeID(i), Addr: longAddr, Stamp: int64(i), Profile: repProfile(100, i)}
+		maxDescs[i] = overlay.Descriptor{Node: news.NodeID(i), Addr: longAddr, Stamp: int64(i), Profile: snapshotOf(repProfile(100, i))}
 	}
 	return map[string]envelope{
 		"gossip":               repGossip(),
 		"item":                 repItem(),
-		"rps-request":          {Kind: wireRPSRequest, From: 1, To: 2, Descs: []overlay.Descriptor{{Node: 3, Stamp: 4, Profile: profile.New()}}},
+		"rps-request":          {Kind: wireRPSRequest, From: 1, To: 2, Descs: []overlay.Descriptor{{Node: 3, Stamp: 4, Profile: snapshotOf(profile.New())}}},
 		"rps-reply-empty":      {Kind: wireRPSReply, From: 2, To: 1},
 		"wup-reply-nil-prof":   {Kind: wireWUPReply, From: 5, To: 6, Descs: []overlay.Descriptor{{Node: 9, Stamp: -1}}},
-		"empty-profiles":       {Kind: wireWUPRequest, From: 0, To: 1, Descs: []overlay.Descriptor{{Node: 2, Profile: profile.New()}, {Node: 3, Profile: profile.New()}}},
+		"empty-profiles":       {Kind: wireWUPRequest, From: 0, To: 1, Descs: []overlay.Descriptor{{Node: 2, Profile: snapshotOf(profile.New())}, {Node: 3, Profile: snapshotOf(profile.New())}}},
 		"max-length-descs":     {Kind: wireWUPRequest, From: 1, To: 2, Descs: maxDescs},
 		"item-without-profile": {Kind: wireItem, From: news.NoNode, To: 0, Item: core.ItemMessage{Item: news.New("t", "", "", 0, news.NoNode)}},
 		"departure":            {Kind: wireDeparture, From: 4, To: 5, Tombs: []overlay.Tombstone{{Node: 4, Stamp: 17}}},
 		"gossip-with-tombs":    {Kind: wireRPSRequest, From: 1, To: 2, Descs: []overlay.Descriptor{{Node: 3, Stamp: 4}}, Tombs: []overlay.Tombstone{{Node: 6, Stamp: 15}, {Node: 7, Stamp: 16}}},
-		"refill-request":       {Kind: wireRefillRequest, From: 8, To: 9, Descs: []overlay.Descriptor{{Node: 8, Stamp: 21, Profile: repProfile(5, 3)}}},
+		"refill-request":       {Kind: wireRefillRequest, From: 8, To: 9, Descs: []overlay.Descriptor{{Node: 8, Stamp: 21, Profile: snapshotOf(repProfile(5, 3))}}},
 		"refill-reply":         {Kind: wireRefillReply, From: 9, To: 8, Descs: []overlay.Descriptor{{Node: 9, Stamp: 21}, {Node: 11, Stamp: 19}}},
 	}
 }
@@ -248,8 +248,9 @@ func TestReadFrameErrors(t *testing.T) {
 // two cheaper looks at the same bytes agree with it: the check-only walk the
 // TCP pump runs accepts exactly what the decoder accepts, and the id hashed
 // in place for the duplicate drop is the decoded item's id. Every decodable
-// item message is then handed to Node.Receive on a throwaway node, which
-// must survive whatever the decoder let through.
+// item message's WireSize is the length of its encoding, and it is then
+// handed to Node.Receive on a throwaway node, which must survive whatever the
+// decoder let through.
 func FuzzEnvelopeRoundTrip(f *testing.F) {
 	for _, env := range roundTripCases() {
 		f.Add(appendEnvelope(nil, env))
@@ -282,6 +283,9 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 		if id, err := core.PeekItemID(body); err != nil || id != env.Item.Item.ID {
 			t.Fatalf("in-place id %v (err=%v), decoded id %v", id, err, env.Item.Item.ID)
 		}
+		if size, n := env.Item.WireSize(), len(env.Item.AppendWire(nil)); size != n {
+			t.Fatalf("item message WireSize %d, encoding %d bytes", size, n)
+		}
 		for _, likes := range []bool{true, false} {
 			n := core.NewNode(1, "", core.Config{FLike: 2, RPSViewSize: 4, ProfileWindow: 10},
 				core.OpinionFunc(func(news.NodeID, news.ID) bool { return likes }), rand.New(rand.NewSource(1)))
@@ -297,18 +301,44 @@ type countingWriter struct{ n int64 }
 
 func (w *countingWriter) Write(p []byte) (int, error) { w.n += int64(len(p)); return len(p), nil }
 
+// gobDescriptor is a descriptor as the gob transport carried it: the
+// profile in its fixed binary layout (Profile.MarshalBinary).
+type gobDescriptor struct {
+	Node    news.NodeID
+	Addr    string
+	Stamp   int64
+	Profile *profile.Profile
+}
+
+// gobEnvelope is an envelope as the gob transport carried it.
+type gobEnvelope struct {
+	Kind     wireKind
+	From, To news.NodeID
+	Descs    []gobDescriptor
+	Tombs    []overlay.Tombstone
+	Item     core.ItemMessage
+}
+
 // gobBytesSteadyState reports the average per-envelope gob size on a
 // long-lived stream (type descriptors amortized), which is exactly what the
 // previous gob transport put on the wire per message.
 func gobBytesSteadyState(env envelope, n int) float64 {
+	g := gobEnvelope{Kind: env.Kind, From: env.From, To: env.To, Tombs: env.Tombs, Item: env.Item}
+	for _, d := range env.Descs {
+		p, _, err := profile.DecodeWire(d.Profile.AppendWire(nil))
+		if err != nil {
+			panic(err)
+		}
+		g.Descs = append(g.Descs, gobDescriptor{d.Node, d.Addr, d.Stamp, p})
+	}
 	var w countingWriter
 	enc := gob.NewEncoder(&w)
-	if err := enc.Encode(env); err != nil { // first message carries type info
+	if err := enc.Encode(g); err != nil { // first message carries type info
 		panic(err)
 	}
 	base := w.n
 	for i := 0; i < n; i++ {
-		if err := enc.Encode(env); err != nil {
+		if err := enc.Encode(g); err != nil {
 			panic(err)
 		}
 	}
@@ -375,4 +405,10 @@ func BenchmarkWireCodec(b *testing.B) {
 		}
 		b.ReportMetric(float64(w.n-base)/float64(b.N), "wire-B")
 	})
+}
+
+// snapshotOf is p packed, by address, as a descriptor holds it.
+func snapshotOf(p *profile.Profile) *profile.Packed {
+	pk := p.Pack()
+	return &pk
 }

@@ -59,7 +59,7 @@ func overlayState(n *core.Node) string {
 // wireHex renders a profile as the hex of its packed encoding, which is
 // canonical and lossless: every entry's id, stamp and score bits (a nil
 // profile renders as "nil").
-func wireHex(p *profile.Profile) string {
+func wireHex(p *profile.Packed) string {
 	if p == nil {
 		return "nil"
 	}
@@ -71,7 +71,7 @@ func phantom(id news.NodeID, stamp int64, liked ...news.ID) overlay.Descriptor {
 	for _, it := range liked {
 		p.Set(it, stamp, 1)
 	}
-	return overlay.Descriptor{Node: id, Stamp: stamp, Profile: p}
+	return overlay.Descriptor{Node: id, Stamp: stamp, Profile: snapshotOf(p)}
 }
 
 // TestLegConformanceSimLive drives the same scripted two-peer exchange

@@ -194,16 +194,15 @@ func fillFeed(ln *liveNode, count, entries int) {
 
 // TestFeedAllocsPerCall pins what one Runner.Feed costs in allocations on a
 // full ring: the same constant whatever the ring's capacity and its
-// profiles' sizes — one scratch profile (its header and its entries) sized
-// to the largest record, and the result slice — never one per record, and
-// the same whether the fleet is stopped or running. A decode into a fresh
-// profile per record, or a scratch regrown as records get larger, shows here
-// as a count that grows with the ring.
+// profiles' sizes — the result slice, the records being scored where they
+// lie — never one per record, and the same whether the fleet is stopped or
+// running. A decode into a fresh profile per record shows here as a count
+// that grows with the ring.
 func TestFeedAllocsPerCall(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime allocates on its own account")
 	}
-	const want = 3
+	const want = 1
 	for _, tc := range []struct{ capacity, entries int }{{64, 120}, {64, 10}, {16, 120}} {
 		r, ln := feedFleet(t, tc.capacity, nil)
 		fillFeed(ln, tc.capacity+tc.capacity/2, tc.entries)
@@ -282,5 +281,64 @@ func TestFeedRingBytesPerRecord(t *testing.T) {
 	t.Logf("%.1f bytes retained per record of %d entries (bound %d)", perRecord, entries, maxBytesPerRecord)
 	if perRecord > maxBytesPerRecord {
 		t.Fatalf("%.1f bytes retained per record, want <= %d", perRecord, maxBytesPerRecord)
+	}
+}
+
+// TestFeedScoresInPlaceMatchDecode: on a full ring of records with averaged
+// item-profile scores, scored against a user profile whose accumulator went
+// through removals, every feed score has the bits the decode path gives —
+// the record's bytes decoded into a Profile and scored by Similarity.
+func TestFeedScoresInPlaceMatchDecode(t *testing.T) {
+	for _, metric := range []profile.Metric{profile.WUP{}, profile.Cosine{}} {
+		t.Run(metric.Name(), func(t *testing.T) {
+			r, ln := feedFleet(t, 32, metric)
+			fillFeed(ln, 48, 40)
+			user := ln.node.UserProfile()
+			for i := 0; i < 48; i++ {
+				for k := 0; k < 40; k += 3 {
+					id := news.Hash(fmt.Sprintf("story-%d-%d", i, k), "d", "l")
+					user.Set(id, 1, float64((i+k)%2))
+					if k%7 == 0 {
+						user.Remove(id)
+					}
+				}
+			}
+			user.Set(1, 1, 1)
+			user.Remove(1)
+			if _, dirty := user.NormAccumulator(); dirty == 0 {
+				t.Fatal("vacuous: the user profile's accumulator saw no subtraction")
+			}
+			want := make(map[news.ID]float64)
+			nonzero := 0
+			for i := range ln.feed {
+				rec := ln.feedAt(i)
+				p, _, err := profile.DecodeWire(rec.profile.AppendWire(nil))
+				if err != nil {
+					t.Fatal(err)
+				}
+				s := metric.Similarity(user, p)
+				if ent, ok := user.Get(rec.item.ID); ok && ent.Score >= 0.5 {
+					s++
+				} else if ok {
+					s--
+				}
+				if s != 0 {
+					nonzero++
+				}
+				want[rec.item.ID] = s
+			}
+			if nonzero < len(ln.feed)/2 {
+				t.Fatalf("vacuous: %d of %d scores are nonzero", nonzero, len(ln.feed))
+			}
+			got, err := r.Feed(0)
+			if err != nil || len(got) != len(want) {
+				t.Fatalf("feed: %d entries, err %v; want %d", len(got), err, len(want))
+			}
+			for _, e := range got {
+				if w := want[e.Item.ID]; math.Float64bits(e.Score) != math.Float64bits(w) {
+					t.Errorf("%s: feed score %v (%#x), decode %v (%#x)", e.Item.ID, e.Score, math.Float64bits(e.Score), w, math.Float64bits(w))
+				}
+			}
+		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -89,7 +90,7 @@ func frameScript() [][]byte {
 func nodeState(ln *liveNode, script [][]byte) string {
 	var b strings.Builder
 	b.WriteString(overlayState(ln.node))
-	fmt.Fprintf(&b, "user: %s\nseen:", wireHex(ln.node.UserProfile()))
+	fmt.Fprintf(&b, "user: %s\nseen:", wireHex(snapshotOf(ln.node.UserProfile())))
 	for _, payload := range script {
 		if kind, _, _, body, err := envelopeHeader(payload); err == nil && kind == wireItem {
 			id, _ := core.PeekItemID(body)
@@ -99,7 +100,8 @@ func nodeState(ln *liveNode, script [][]byte) string {
 	b.WriteString("\nfeed:")
 	for i := range ln.feed {
 		rec := ln.feedAt(i)
-		fmt.Fprintf(&b, " {%+v %x n%d c%d h%d %v}", rec.item, rec.profile, rec.entries, rec.cycle, rec.hops, rec.viaDislike)
+		sum, dirty := rec.profile.NormAccumulator()
+		fmt.Fprintf(&b, " {%+v %x %x/%d c%d h%d %v}", rec.item, rec.profile.AppendWire(nil), math.Float64bits(sum), dirty, rec.cycle, rec.hops, rec.viaDislike)
 	}
 	return b.String()
 }
@@ -286,7 +288,7 @@ func TestHeldDescriptorFrameAllocatesNothingForProfiles(t *testing.T) {
 
 // repDescriptor is a descriptor with an address and a window-sized profile.
 func repDescriptor(id news.NodeID) overlay.Descriptor {
-	return overlay.Descriptor{Node: id, Addr: "127.0.0.1:40000", Stamp: 5, Profile: repProfile(25, int(id))}
+	return overlay.Descriptor{Node: id, Addr: "127.0.0.1:40000", Stamp: 5, Profile: snapshotOf(repProfile(25, int(id)))}
 }
 
 // TestDecodedEnvelopeDoesNotAliasBuffer: inbox buffers go back to the pool
@@ -318,7 +320,7 @@ func TestDecodedEnvelopeDoesNotAliasBuffer(t *testing.T) {
 func TestOversizedBuffersAreNotPooled(t *testing.T) {
 	big := envelope{Kind: wireRPSRequest, From: 1, To: 2}
 	for i := 0; len(appendEnvelope(nil, big)) <= maxPooledBuf; i++ {
-		big.Descs = append(big.Descs, overlay.Descriptor{Node: news.NodeID(i), Profile: repProfile(100, i)})
+		big.Descs = append(big.Descs, overlay.Descriptor{Node: news.NodeID(i), Profile: snapshotOf(repProfile(100, i))})
 	}
 	buf, err := readFrame(bufio.NewReader(bytes.NewReader(appendFrame(nil, big))))
 	if err != nil {

@@ -64,6 +64,7 @@ import (
 	"whatsup/internal/news"
 	"whatsup/internal/overlay"
 	"whatsup/internal/prng"
+	"whatsup/internal/profile"
 	"whatsup/internal/sim"
 )
 
@@ -340,18 +341,16 @@ func (o *nodeOpinions) Likes(node news.NodeID, item news.ID) bool {
 }
 
 // feedRecord is one retained BEEP delivery: the item, the item profile it
-// arrived with, and its receipt coordinates. The profile is kept in its
-// packed wire form (profile.AppendWire, exact size), about half the bytes of
-// the decoded entries, and a feed read decodes it into a scratch profile
-// (feedEntries); entries is its entry count, which sizes that scratch and
-// fills what would otherwise be the struct's padding.
+// arrived with, and its receipt coordinates. The profile is kept packed
+// (profile.Pack: exact-size bytes, about half the decoded entries, and the
+// accumulator pair the arrival decode built), and a feed read scores it in
+// place (feedEntries).
 type feedRecord struct {
 	item       news.Item
-	profile    []byte
+	profile    profile.Packed
 	cycle      int64
 	hops       int
 	viaDislike bool
-	entries    int32
 }
 
 // feedPush appends a delivery to the node's feed ring, evicting the oldest
@@ -989,25 +988,23 @@ func (ln *liveNode) onMessage(env envelope, cycle int64) {
 	case wireItem:
 		// Snapshot the item profile before Receive folds this user's own
 		// profile into it, so the feed scores the item as it arrived. The
-		// snapshot is the packed encoding, one exact-size allocation.
-		var arrived []byte
-		var entries int
-		if ln.runner.cfg.FeedCapacity > 0 && !n.Seen(env.Item.Item.ID) {
-			p := env.Item.Profile
-			arrived, entries = p.AppendWire(make([]byte, 0, p.WireSize())), p.Len()
+		// snapshot is packed: one exact-size allocation.
+		var arrived profile.Packed
+		keep := ln.runner.cfg.FeedCapacity > 0 && !n.Seen(env.Item.Item.ID)
+		if keep {
+			arrived = env.Item.Profile.Pack()
 		}
 		d, sends := n.Receive(env.Item, cycle)
 		if d.Duplicate {
 			return
 		}
-		if arrived != nil {
+		if keep {
 			ln.feedPush(feedRecord{
 				item:       env.Item.Item,
 				profile:    arrived,
 				cycle:      cycle,
 				hops:       d.Hops,
 				viaDislike: d.ViaDislike,
-				entries:    int32(entries),
 			})
 		}
 		ln.runner.record(func(col *metrics.Collector) {

@@ -125,7 +125,7 @@ func TestTCPNetUnknownDestinationIgnored(t *testing.T) {
 func TestEnvelopeSizeAndKinds(t *testing.T) {
 	p := profile.New()
 	p.Set(1, 1, 1)
-	descs := []overlay.Descriptor{{Node: 1, Stamp: 1, Profile: p}}
+	descs := []overlay.Descriptor{{Node: 1, Stamp: 1, Profile: snapshotOf(p)}}
 	gossip := envelope{Kind: wireWUPRequest, Descs: descs}
 	if len(appendFrame(nil, gossip)) <= len(appendFrame(nil, envelope{Kind: wireWUPRequest})) {
 		t.Fatal("gossip envelope size must count descriptors")

@@ -7,7 +7,6 @@ import (
 
 	"whatsup/internal/news"
 	"whatsup/internal/overlay"
-	"whatsup/internal/profile"
 	"whatsup/internal/sim"
 )
 
@@ -143,31 +142,20 @@ func (r *Runner) Degraded() bool {
 }
 
 // feedEntries builds the ranked feed from the node's ring, walked in place
-// oldest record first, under the node's lock (via withNode). The scratch
-// profile is the call's own, so the node retains nothing between reads. Each
-// record's packed profile is decoded into that one scratch, sized up front
-// to the largest record so no record regrows it. The decode rebuilds the
-// entries and the ascending-order norm accumulator exactly as the arrival
-// decode built them, so each score has the bits it would have against the
-// profile the item arrived with.
+// oldest record first, under the node's lock (via withNode). Each record's
+// packed profile is scored where it lies, and it carries the accumulator
+// pair of the profile the item arrived with, so each score has the bits it
+// would have against that profile.
 func (ln *liveNode) feedEntries() []FeedEntry {
 	n := ln.node
 	metric := n.Config().Metric
 	user := n.UserProfile()
-	largest := int32(0)
-	for i := range ln.feed {
-		largest = max(largest, ln.feed[i].entries)
-	}
-	scratch := profile.WithCapacity(int(largest))
 	out := make([]FeedEntry, 0, len(ln.feed))
 	for i := range ln.feed {
 		rec := ln.feedAt(i)
-		if _, err := scratch.UnmarshalWire(rec.profile); err != nil {
-			panic("live: feed record holds an undecodable profile: " + err.Error()) // written by AppendWire
-		}
 		e := FeedEntry{
 			Item:       rec.item,
-			Score:      metric.Similarity(user, scratch),
+			Score:      metric.SimilarityPacked(user, &rec.profile),
 			Cycle:      rec.cycle,
 			Hops:       rec.hops,
 			ViaDislike: rec.viaDislike,

@@ -5,9 +5,11 @@
 // Each view entry is a Descriptor associating a node with (i) its transport
 // address, (ii) its node ID, (iii) a snapshot of its profile and (iv) the
 // timestamp at which the descriptor was generated by that node (paper
-// Section II). Descriptor profiles are immutable snapshots: they are shared
-// freely between views and must never be mutated after creation. That
-// immutability is what makes the view's similarity cache sound — see
+// Section II). The snapshot is a profile.Packed: the profile's packed wire
+// bytes and norm accumulator pair, immutable, made once per profile version
+// by its node and shared by every view that holds a descriptor of that
+// version. Views score it in place, and encode it by copying its bytes.
+// Immutability is what makes the view's similarity cache sound — see
 // scoreCache.
 package overlay
 
@@ -23,10 +25,10 @@ import (
 
 // Descriptor is one view entry.
 type Descriptor struct {
-	Node    news.NodeID      // node identifier
-	Addr    string           // transport address (live runtimes; empty in simulation)
-	Stamp   int64            // generation time at the descriptor's node
-	Profile *profile.Profile // immutable profile snapshot
+	Node    news.NodeID     // node identifier
+	Addr    string          // transport address (live runtimes; empty in simulation)
+	Stamp   int64           // generation time at the descriptor's node
+	Profile *profile.Packed // immutable profile snapshot
 }
 
 // Fresher reports whether d is strictly fresher than other, with node id as
@@ -59,13 +61,13 @@ const scoreSlots = 64
 
 // scoreSlot is one cached (candidate snapshot, score) pair.
 type scoreSlot struct {
-	prof  *profile.Profile
+	prof  *profile.Packed
 	score float64
 }
 
 // scoreCache memoizes metric scores of candidate descriptors against one
 // target profile in a fixed ring of scoreSlots slots, the oldest overwritten
-// first. Soundness: descriptor profiles are immutable snapshots, so a pointer
+// first. Soundness: a descriptor's profile.Packed is immutable, so a pointer
 // identifies fixed content, and because the slot holds the pointer the
 // snapshot cannot be garbage-collected and its address cannot be reused while
 // the score is cached; the target is identified by (pointer, version) —
@@ -91,7 +93,7 @@ func (c *scoreCache) lookup(metric profile.Metric, self *profile.Profile, d Desc
 			return c.slots[i].score
 		}
 	}
-	s := scoreSlot{d.Profile, metric.Similarity(self, d.Profile)}
+	s := scoreSlot{d.Profile, metric.SimilarityPacked(self, d.Profile)}
 	if len(c.slots) < scoreSlots {
 		c.slots = append(c.slots, s) // within the capacity rekey reserved
 	} else {
@@ -479,7 +481,7 @@ func (v *View) MostSimilar(metric profile.Metric, target *profile.Profile) (Desc
 		if cached {
 			s = v.cache.lookup(metric, target, d)
 		} else {
-			s = metric.Similarity(target, d.Profile)
+			s = metric.SimilarityPacked(target, d.Profile)
 		}
 		if s > bestScore || (s == bestScore && (best < 0 || d.Node < v.entries[best].Node)) {
 			best, bestScore = i, s
@@ -490,8 +492,8 @@ func (v *View) MostSimilar(metric profile.Metric, target *profile.Profile) (Desc
 
 // Profiles returns the profile snapshots currently held, used by the
 // cold-start procedure to find the most popular items in an inherited view.
-func (v *View) Profiles() []*profile.Profile {
-	out := make([]*profile.Profile, 0, len(v.entries))
+func (v *View) Profiles() []*profile.Packed {
+	out := make([]*profile.Packed, 0, len(v.entries))
 	for _, d := range v.entries {
 		out = append(out, d.Profile)
 	}

@@ -14,7 +14,7 @@ func desc(node news.NodeID, stamp int64, likedItems ...news.ID) Descriptor {
 	for _, id := range likedItems {
 		p.Set(id, stamp, 1)
 	}
-	return Descriptor{Node: node, Stamp: stamp, Profile: p}
+	return Descriptor{Node: node, Stamp: stamp, Profile: snapshotOf(p)}
 }
 
 func TestInsertDeduplicatesKeepingFreshest(t *testing.T) {
@@ -119,9 +119,10 @@ func TestMostSimilar(t *testing.T) {
 	target.Set(2, 0, 1)
 	v.Insert(desc(10, 0, 3)) // disjoint
 	v.Insert(desc(11, 0, 1, 2))
-	d12 := desc(12, 0, 1)
-	d12.Profile.Set(2, 0, 0) // likes 1 but dislikes 2: penalized by ‖sub‖
-	v.Insert(d12)
+	d12 := profile.New()
+	d12.Set(1, 0, 1)
+	d12.Set(2, 0, 0) // likes 1 but dislikes 2: penalized by ‖sub‖
+	v.Insert(Descriptor{Node: 12, Profile: snapshotOf(d12)})
 	d, ok := v.MostSimilar(profile.WUP{}, target)
 	if !ok || d.Node != 11 {
 		t.Fatalf("most similar = %v, want 11", d.Node)
@@ -207,8 +208,8 @@ func TestViewPropertyInvariant(t *testing.T) {
 	}
 }
 
-// countingMetric wraps a metric and counts Similarity evaluations, to make
-// cache hits and invalidations observable.
+// countingMetric wraps a metric and counts its evaluations, to make cache
+// hits and invalidations observable.
 type countingMetric struct {
 	inner profile.Metric
 	calls int
@@ -218,6 +219,10 @@ func (c *countingMetric) Name() string { return c.inner.Name() }
 func (c *countingMetric) Similarity(n, p *profile.Profile) float64 {
 	c.calls++
 	return c.inner.Similarity(n, p)
+}
+func (c *countingMetric) SimilarityPacked(n *profile.Profile, p *profile.Packed) float64 {
+	c.calls++
+	return c.inner.SimilarityPacked(n, p)
 }
 
 func TestSimilarityCacheSkipsRescoring(t *testing.T) {
@@ -310,7 +315,7 @@ func TestSimilarityCacheBitIdenticalScores(t *testing.T) {
 				self.Set(news.ID(rng.Int63n(30)), int64(round), float64(rng.Intn(2))) // version bump: every score is stale
 			}
 			for i := 0; i < 12; i++ { // fresh snapshots each round: 12 more slots used
-				v.Insert(Descriptor{Node: node, Stamp: int64(i % 3), Profile: randomProfile(rng, 6)})
+				v.Insert(Descriptor{Node: node, Stamp: int64(i % 3), Profile: snapshotOf(randomProfile(rng, 6))})
 				node++
 			}
 			v.TrimBySimilarity(rng, profile.WUP{}, self) // (re)keys and fills the cache
@@ -320,7 +325,7 @@ func TestSimilarityCacheBitIdenticalScores(t *testing.T) {
 			wrapped = wrapped || v.cache.next > 0
 			for _, d := range v.entries {
 				cached := v.cache.lookup(profile.WUP{}, self, d)
-				direct := profile.WUP{}.Similarity(self, d.Profile)
+				direct := profile.WUP{}.SimilarityPacked(self, d.Profile)
 				if cached != direct {
 					t.Fatalf("seed %d round %d node %d: cached %v != direct %v", seed, round, d.Node, cached, direct)
 				}
@@ -466,4 +471,10 @@ func TestEvictOlderThanBoundary(t *testing.T) {
 	if empty.EvictOlderThan(100) != 0 {
 		t.Fatal("evicting an empty view must be a no-op")
 	}
+}
+
+// snapshotOf is p packed, by address, as a descriptor holds it.
+func snapshotOf(p *profile.Profile) *profile.Packed {
+	pk := p.Pack()
+	return &pk
 }

@@ -26,35 +26,33 @@ type snapshotKey struct {
 // at most that much beyond what the views themselves hold. The zero value is
 // ready to use; a table is not goroutine-safe.
 type SnapshotTable struct {
-	cur, prev map[snapshotKey]*profile.Profile
-	// offered is what Held answered for each descriptor of the list being
-	// decoded, in list order: how the sidecar pass tells a shared profile,
-	// which it must not write, from a fresh one.
-	offered []*profile.Profile
+	cur, prev map[snapshotKey]*profile.Packed
+	// pending is the packed profile of each descriptor of the list being
+	// decoded, as read and aliasing the input, until its sidecar pair is
+	// known.
+	pending []profile.Packed
 
 	// Shared counts descriptors whose profile was a held snapshot's pointer,
-	// Decoded those that got a profile built (a first sighting, a different
-	// content under a held key, or a clone for a different accumulator).
+	// Decoded those that got a snapshot built (a first sighting, or a
+	// different content or accumulator pair under a held key).
 	Shared, Decoded int64
 }
 
-// Held implements Holder: the snapshot held for exactly (node, stamp), never
-// a discard.
-func (t *SnapshotTable) Held(node news.NodeID, stamp int64) (Descriptor, bool) {
-	k := snapshotKey{node, stamp}
+// held returns the snapshot held for exactly (node, stamp), promoting one
+// found in the previous generation.
+func (t *SnapshotTable) held(k snapshotKey) *profile.Packed {
 	p, ok := t.cur[k]
 	if !ok {
 		if p, ok = t.prev[k]; ok {
 			t.keep(k, p)
 		}
 	}
-	t.offered = append(t.offered, p)
-	return Descriptor{Node: node, Stamp: stamp, Profile: p}, false
+	return p
 }
 
-func (t *SnapshotTable) keep(k snapshotKey, p *profile.Profile) {
+func (t *SnapshotTable) keep(k snapshotKey, p *profile.Packed) {
 	if t.cur == nil {
-		t.cur = make(map[snapshotKey]*profile.Profile)
+		t.cur = make(map[snapshotKey]*profile.Packed)
 	}
 	t.cur[k] = p
 }
@@ -62,21 +60,56 @@ func (t *SnapshotTable) keep(k snapshotKey, p *profile.Profile) {
 // AppendDecode decodes a descriptor list followed by its norm-accumulator
 // sidecar (AppendDescriptors then AppendNormAccumulators) by appending onto
 // dst, with AppendDecodeDescriptors' arena contract. Every byte is walked and
-// validated as a plain decode would; the result differs from one only in
-// which equal profiles are the same pointer. A shared profile is never
-// written: see decodeNormAccumulators.
+// validated as a plain decode would, and each profile gets the sidecar's
+// pair, as with DecodeNormAccumulators; the result differs only in which
+// equal snapshots are the same pointer. A held snapshot is shared when it is
+// Equal to the one decoded — bytes and pair — and a first sighting under its
+// (node, stamp) is kept for later lists to share.
 func (t *SnapshotTable) AppendDecode(dst []Descriptor, data []byte) ([]Descriptor, []byte, error) {
-	t.offered = t.offered[:0]
 	from := len(dst)
-	rest, err := decodeDescriptors(&dst, data, t)
-	if err != nil {
-		return dst, data, err
+	t.pending = t.pending[:0]
+	rest, err := decodeDescriptors(&dst, data, nil, &t.pending)
+	if err == nil {
+		rest, err = t.resolve(rest, dst[from:])
 	}
-	rest, err = decodeNormAccumulators(rest, dst[from:], t)
+	clear(t.pending) // drop the aliases of data
 	if err != nil {
 		return dst, data, err
 	}
 	return dst, rest, nil
+}
+
+// resolve reads the sidecar of a list whose packed profiles are pending and
+// gives each descriptor its snapshot: the held one when Equal, a fresh copy
+// otherwise.
+func (t *SnapshotTable) resolve(data []byte, descs []Descriptor) ([]byte, error) {
+	rest := data
+	for i := range descs {
+		read := &t.pending[i]
+		if read.WireSize() == 0 {
+			continue // no profile on the wire
+		}
+		sumSq, dirty, r, err := decodeNormAccumulator(rest)
+		if err != nil {
+			return data, err
+		}
+		rest = r
+		pk := read.WithAccumulator(sumSq, dirty)
+		d := &descs[i]
+		k := snapshotKey{d.Node, d.Stamp}
+		held := t.held(k)
+		if held != nil && held.Equal(&pk) {
+			d.Profile = held
+			t.Shared++
+			continue
+		}
+		d.Profile = pk.Clone()
+		if held == nil {
+			t.keep(k, d.Profile)
+		}
+		t.Decoded++
+	}
+	return rest, nil
 }
 
 // Rotate starts a new generation: the current one becomes the previous, and

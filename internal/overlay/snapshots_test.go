@@ -2,11 +2,12 @@ package overlay
 
 import (
 	"bytes"
-	"math"
+	"slices"
 	"testing"
 
 	"whatsup/internal/news"
 	"whatsup/internal/profile"
+	"whatsup/internal/wire"
 )
 
 // routed encodes a descriptor list as the inter-shard batches carry it: the
@@ -15,42 +16,38 @@ func routed(descs ...Descriptor) []byte {
 	return AppendNormAccumulators(AppendDescriptors(nil, descs), descs)
 }
 
-func sameAccumulator(a, b *profile.Profile) bool {
-	as, ad := a.NormAccumulator()
-	bs, bd := b.NormAccumulator()
-	return math.Float64bits(as) == math.Float64bits(bs) && ad == bd
-}
-
 // TestSnapshotTableTwoContentsUnderOneKey is the trap a (node, stamp) lookup
 // alone would fall into: the sharded engine stamps descriptors of one node
 // with one cycle from two states of its profile (see README, "Sharded
-// engine"), so a held snapshot is shared only after its entries compared
-// equal, and its accumulator pair only after that compared equal too.
+// engine"), so a held snapshot is shared only when it is Equal to the one
+// decoded: the same bytes, and the same accumulator pair.
 func TestSnapshotTableTwoContentsUnderOneKey(t *testing.T) {
-	mk := func(ids ...news.ID) Descriptor {
+	build := func(ids ...news.ID) *profile.Profile {
 		p := profile.New()
 		for _, id := range ids {
 			p.Set(id, 3, 1)
 		}
-		return Descriptor{Node: 4, Stamp: 7, Profile: p}
+		return p
 	}
-	first := mk(10, 11, 12)
-	other := mk(10, 11) // the same profile after a purge
+	mk := func(p *profile.Profile) Descriptor { return Descriptor{Node: 4, Stamp: 7, Profile: snapshotOf(p)} }
+	first := mk(build(10, 11, 12))
+	other := mk(build(10, 11)) // the same profile after a purge
 	// Equal entries reached through a removal: a different accumulator pair.
-	history := mk(10, 11, 12, 13)
-	history.Profile.Remove(13)
-	if !history.Profile.Equal(first.Profile) || sameAccumulator(history.Profile, first.Profile) {
-		t.Fatal("fixture: want equal entries under different accumulator pairs")
+	edited := build(10, 11, 12, 13)
+	edited.Remove(13)
+	history := mk(edited)
+	if !bytes.Equal(history.Profile.AppendWire(nil), first.Profile.AppendWire(nil)) || history.Profile.Equal(first.Profile) {
+		t.Fatal("fixture: want equal bytes under different accumulator pairs")
 	}
 
 	var table SnapshotTable
-	decode := func(d Descriptor) *profile.Profile {
+	decode := func(d Descriptor) *profile.Packed {
 		t.Helper()
 		got, rest, err := table.AppendDecode(nil, routed(d))
 		if err != nil || len(rest) != 0 || len(got) != 1 {
 			t.Fatalf("decode: %v, %d bytes left, %d descriptors", err, len(rest), len(got))
 		}
-		if !got[0].Profile.Equal(d.Profile) || !sameAccumulator(got[0].Profile, d.Profile) {
+		if !got[0].Profile.Equal(d.Profile) {
 			t.Fatalf("decoded %v, want %v with its accumulator pair", got[0].Profile, d.Profile)
 		}
 		return got[0].Profile
@@ -60,10 +57,10 @@ func TestSnapshotTableTwoContentsUnderOneKey(t *testing.T) {
 		t.Error("a different content under the held key came back as the held snapshot")
 	}
 	if p := decode(history); p == original {
-		t.Error("a different accumulator pair under equal entries came back as the held snapshot")
+		t.Error("a different accumulator pair under equal bytes came back as the held snapshot")
 	}
-	if !original.Equal(first.Profile) || !sameAccumulator(original, first.Profile) {
-		t.Errorf("the held snapshot was written: now %v", original)
+	if !original.Equal(first.Profile) {
+		t.Errorf("the held snapshot changed: now %v", original)
 	}
 	if p := decode(first); p != original {
 		t.Error("an equal snapshot was decoded again instead of shared")
@@ -96,7 +93,7 @@ func (h holding) Held(node news.NodeID, _ int64) (Descriptor, bool) { return h[n
 
 // TestHeldDescriptorSharesAddressAndProfile: against a held descriptor of the
 // same node, the address string is the held one whenever the bytes agree, and
-// the profile whenever stamp and entries agree.
+// the snapshot whenever the stamp agrees and the snapshot is Equal.
 func TestHeldDescriptorSharesAddressAndProfile(t *testing.T) {
 	held := wireDesc(3, 10)
 	moved := held
@@ -111,7 +108,7 @@ func TestHeldDescriptorSharesAddressAndProfile(t *testing.T) {
 	}{
 		{"same", held, true, 1},          // the list
 		{"moved", moved, true, 2},        // + the address
-		{"newer-stamp", newer, false, 3}, // the held address, + a profile and its entries
+		{"newer-stamp", newer, false, 3}, // the held address, + a snapshot and its bytes
 		{"unheld-node", wireDesc(5, 2), false, 4},
 	} {
 		enc := AppendDescriptors(nil, []Descriptor{tc.in})
@@ -139,13 +136,16 @@ func TestHeldDescriptorSharesAddressAndProfile(t *testing.T) {
 // the decoder does, and a decode against held snapshots — a SnapshotTable
 // pre-loaded from a second arbitrary list, and a Holder offering that list's
 // descriptors whatever their stamp — yields the descriptors the plain decode
-// yields, profile for profile in entries and accumulator pair.
+// yields, snapshot for snapshot Equal (bytes and accumulator pair). The
+// WireSize of a decoded list sums to its encoding less the count prefix.
 func FuzzDescriptorsDecodeModes(f *testing.F) {
 	a, b := wireDesc(1, 4), wireDesc(2, 1)
 	b2 := b
-	b2.Profile = b.Profile.Clone()
-	b2.Profile.Set(9, 9, 0.25)
-	b2.Profile.Remove(9)
+	edited := profile.New()
+	edited.Set(2000, 0, 0)
+	edited.Set(9, 9, 0.25)
+	edited.Remove(9)
+	b2.Profile = snapshotOf(edited)
 	f.Add(routed(a, b, Descriptor{Node: 7, Stamp: 1}), routed(a, b))
 	f.Add(routed(a, b2), routed(wireDesc(1, 3), b))
 	f.Add(routed(), routed(a))
@@ -158,6 +158,7 @@ func FuzzDescriptorsDecodeModes(f *testing.F) {
 				err, len(afterList), checkErr, len(checkRest))
 		}
 		var rest []byte
+		plain := slices.Clone(want) // the list before the sidecar: what a holder decodes
 		if err == nil {
 			rest, err = DecodeNormAccumulators(afterList, want)
 		}
@@ -171,7 +172,7 @@ func FuzzDescriptorsDecodeModes(f *testing.F) {
 		if err != nil {
 			return
 		}
-		same := func(mode string, got []Descriptor, accumulators bool) {
+		same := func(mode string, got, want []Descriptor) {
 			if len(got) != len(want) {
 				t.Fatalf("%s: %d descriptors, decode %d", mode, len(got), len(want))
 			}
@@ -183,7 +184,7 @@ func FuzzDescriptorsDecodeModes(f *testing.F) {
 				if w.Profile == nil {
 					continue
 				}
-				if !g.Profile.Equal(w.Profile) || accumulators && !sameAccumulator(g.Profile, w.Profile) {
+				if !g.Profile.Equal(w.Profile) {
 					t.Fatalf("%s: descriptor %d carries %v, decode %v", mode, i, g.Profile, w.Profile)
 				}
 			}
@@ -191,7 +192,7 @@ func FuzzDescriptorsDecodeModes(f *testing.F) {
 		if len(tableRest) != len(rest) {
 			t.Fatalf("against a table %d bytes left, decode %d", len(tableRest), len(rest))
 		}
-		same("table", got, true)
+		same("table", got, want)
 
 		held := holding{}
 		if descs, _, err := DecodeDescriptors(preload); err == nil {
@@ -203,12 +204,17 @@ func FuzzDescriptorsDecodeModes(f *testing.F) {
 		if err != nil || len(heldRest) != len(afterList) {
 			t.Fatalf("against a holder err=%v, %d bytes left, decode %d", err, len(heldRest), len(afterList))
 		}
-		same("holder", got, false)
+		same("holder", got, plain)
 
+		size := 0
 		for _, d := range want {
 			if enc := AppendDescriptor(nil, d); len(enc) != d.WireSize() {
 				t.Fatalf("WireSize %d, encoding %d bytes", d.WireSize(), len(enc))
 			}
+			size += d.WireSize()
+		}
+		if enc := AppendDescriptors(nil, want); size != len(enc)-wire.UintLen(uint64(len(want))) {
+			t.Fatalf("WireSize sums to %d over a list encoded in %d bytes", size, len(enc))
 		}
 		if enc := AppendDescriptors(nil, want); !bytes.Equal(enc, AppendDescriptors(nil, got)) {
 			t.Fatal("a list decoded against a holder re-encodes differently")

@@ -77,7 +77,7 @@ func (m *modelView) trimBySimilarity(rng *rand.Rand, metric profile.Metric, self
 	}
 	ranked := make([]scored, len(m.entries))
 	for i, d := range m.entries {
-		ranked[i] = scored{d, metric.Similarity(self, d.Profile)}
+		ranked[i] = scored{d, metric.SimilarityPacked(self, d.Profile)}
 	}
 	rng.Shuffle(len(ranked), func(i, j int) { ranked[i], ranked[j] = ranked[j], ranked[i] })
 	slices.SortStableFunc(ranked, func(a, b scored) int {

@@ -2,7 +2,6 @@ package overlay
 
 import (
 	"fmt"
-	"math"
 
 	"whatsup/internal/news"
 	"whatsup/internal/profile"
@@ -28,13 +27,13 @@ func AppendDescriptor(buf []byte, d Descriptor) []byte {
 		return wire.AppendUint(buf, 0)
 	}
 	buf = wire.AppendUint(buf, 1)
-	return d.Profile.AppendWire(buf)
+	return d.Profile.AppendWire(buf) // the snapshot's bytes, copied
 }
 
 // DecodeDescriptor decodes one descriptor from the front of data.
 func DecodeDescriptor(data []byte) (Descriptor, []byte, error) {
 	var d Descriptor
-	rest, _, err := decodeDescriptor(&d, data, nil)
+	rest, _, err := decodeDescriptor(&d, data, nil, nil)
 	if err != nil {
 		return Descriptor{}, data, err
 	}
@@ -52,16 +51,20 @@ type Holder interface {
 	// and left out of the decoded list — and otherwise a descriptor the
 	// receiver holds for node, the zero Descriptor if none, preferring one
 	// stamped stamp. The decoder reuses snap.Addr when it equals the
-	// address on the wire, and snap.Profile when snap.Stamp == stamp and
-	// the packed entries equal its own (profile.DecodeWireHeld). The
-	// comparison is not optional: (node, stamp) does not name one content.
+	// address on the wire, and snap.Profile when snap.Stamp == stamp and it
+	// is Equal to the snapshot decoded: the same packed bytes and the
+	// accumulator pair a decode builds. The comparison is not optional:
+	// (node, stamp) does not name one content.
 	Held(node news.NodeID, stamp int64) (snap Descriptor, discard bool)
 }
 
 // decodeDescriptor is the one walk over the descriptor layout: it fills d —
 // against what h holds, when there is an h — or only validates when d is nil
-// or h discards the descriptor. kept reports whether d was filled.
-func decodeDescriptor(d *Descriptor, data []byte, h Holder) (rest []byte, kept bool, err error) {
+// or h discards the descriptor. kept reports whether d was filled. With
+// pending set, d's profile is left nil and the packed profile as read (the
+// zero Packed when absent), aliasing data, is appended to *pending for the
+// caller to resolve.
+func decodeDescriptor(d *Descriptor, data []byte, h Holder, pending *[]profile.Packed) (rest []byte, kept bool, err error) {
 	node, rest, err := wire.Int(data)
 	if err != nil {
 		return data, false, fmt.Errorf("descriptor node: %w", err)
@@ -91,27 +94,29 @@ func decodeDescriptor(d *Descriptor, data []byte, h Holder) (rest []byte, kept b
 			d = nil
 		}
 	}
+	var pk profile.Packed
 	if present == 1 {
-		if d == nil {
-			rest, err = profile.CheckWire(rest)
-		} else {
-			var held *profile.Profile
-			if snap.Stamp == stamp {
-				held = snap.Profile
-			}
-			d.Profile, rest, err = profile.DecodeWireHeld(rest, held)
-		}
-		if err != nil {
+		if pk, rest, err = profile.DecodePacked(rest); err != nil {
 			return data, false, err
 		}
 	}
-	if d != nil {
-		d.Node, d.Addr, d.Stamp = news.NodeID(node), snap.Addr, stamp
-		if string(addr) != snap.Addr { // the comparison does not allocate
-			d.Addr = string(addr)
-		}
+	if d == nil {
+		return rest, false, nil
 	}
-	return rest, d != nil, nil
+	switch {
+	case pending != nil:
+		*pending = append(*pending, pk)
+	case present == 0:
+	case snap.Stamp == stamp && snap.Profile != nil && snap.Profile.Equal(&pk):
+		d.Profile = snap.Profile
+	default:
+		d.Profile = pk.Clone()
+	}
+	d.Node, d.Addr, d.Stamp = news.NodeID(node), snap.Addr, stamp
+	if string(addr) != snap.Addr { // the comparison does not allocate
+		d.Addr = string(addr)
+	}
+	return rest, true, nil
 }
 
 // AppendDescriptors appends a uvarint-counted descriptor list.
@@ -221,7 +226,7 @@ func DecodeDescriptors(data []byte) ([]Descriptor, []byte, error) {
 // list of nothing else comes back nil — and snapshots h holds are shared.
 func DecodeDescriptorsHeld(data []byte, h Holder) ([]Descriptor, []byte, error) {
 	var descs []Descriptor
-	rest, err := decodeDescriptors(&descs, data, h)
+	rest, err := decodeDescriptors(&descs, data, h, nil)
 	if err != nil {
 		return nil, data, err
 	}
@@ -235,20 +240,20 @@ func DecodeDescriptorsHeld(data []byte, h Holder) ([]Descriptor, []byte, error) 
 // before and after the call (the append may relocate the backing array, so
 // subslices must be taken only once all appends into the arena are done).
 func AppendDecodeDescriptors(dst []Descriptor, data []byte) ([]Descriptor, []byte, error) {
-	rest, err := decodeDescriptors(&dst, data, nil)
+	rest, err := decodeDescriptors(&dst, data, nil, nil)
 	return dst, rest, err
 }
 
 // CheckDescriptors validates a uvarint-counted descriptor list — it accepts
 // exactly what DecodeDescriptors accepts — and builds nothing: no slice, no
 // address string, no profile.
-func CheckDescriptors(data []byte) ([]byte, error) { return decodeDescriptors(nil, data, nil) }
+func CheckDescriptors(data []byte) ([]byte, error) { return decodeDescriptors(nil, data, nil, nil) }
 
 // decodeDescriptors is the one walk over a descriptor list: it appends onto
 // *dst what h (nil: nothing) does not discard — a nil *dst is sized on the
 // first descriptor kept, from the count still to come — or only validates
-// when dst is nil.
-func decodeDescriptors(dst *[]Descriptor, data []byte, h Holder) ([]byte, error) {
+// when dst is nil. pending is decodeDescriptor's.
+func decodeDescriptors(dst *[]Descriptor, data []byte, h Holder, pending *[]profile.Packed) ([]byte, error) {
 	n, rest, err := wire.Uint(data)
 	if err != nil {
 		return data, fmt.Errorf("descriptor count: %w", err)
@@ -265,7 +270,7 @@ func decodeDescriptors(dst *[]Descriptor, data []byte, h Holder) ([]byte, error)
 			into = nil
 		}
 		var kept bool
-		if rest, kept, err = decodeDescriptor(into, rest, h); err != nil {
+		if rest, kept, err = decodeDescriptor(into, rest, h, pending); err != nil {
 			return data, fmt.Errorf("descriptor %d: %w", i, err)
 		}
 		if kept {
@@ -278,14 +283,14 @@ func decodeDescriptors(dst *[]Descriptor, data []byte, h Holder) ([]byte, error)
 	return rest, nil
 }
 
-// Norm-accumulator sidecar: the packed profile codec recomputes Σ score²
-// from the decoded entries, which is exact in value but not bit-identical to
-// the sender's incrementally maintained accumulator (float addition is not
-// associative). Engines that require decoded descriptors to score
-// bit-identically to the originals (the sharded simulator's inter-shard
-// batches) append this sidecar after a descriptor list: per profile-carrying
-// descriptor, the score-packed Σ score² followed by the uvarint
-// subtractive-edit counter.
+// Norm-accumulator sidecar: a decoded snapshot carries the Σ score² a
+// decode accumulates in ascending id order, which is exact in value but not
+// bit-identical to the sender's incrementally maintained accumulator (float
+// addition is not associative). Engines that require decoded descriptors to
+// score bit-identically to the originals (the sharded simulator's
+// inter-shard batches) append this sidecar after a descriptor list: per
+// profile-carrying descriptor, the score-packed Σ score² followed by the
+// uvarint subtractive-edit counter.
 
 // AppendNormAccumulators appends the norm-accumulator sidecar for a
 // descriptor list: one (sumSq, dirty) pair per descriptor with a profile,
@@ -303,52 +308,37 @@ func AppendNormAccumulators(buf []byte, descs []Descriptor) []byte {
 }
 
 // DecodeNormAccumulators decodes the sidecar written by
-// AppendNormAccumulators and restores each pair onto the corresponding
-// decoded descriptor's profile, returning the remaining bytes. The profiles
-// must be the decoder's own: a list decoded against held snapshots goes
-// through SnapshotTable.AppendDecode, which never writes a shared one.
+// AppendNormAccumulators onto a list just decoded from the bytes before it:
+// each profile-carrying descriptor gets a snapshot of its bytes with the
+// sidecar's pair. It returns the remaining bytes. SnapshotTable.AppendDecode
+// is the same decode for a receiver that shares what it already holds.
 func DecodeNormAccumulators(data []byte, descs []Descriptor) ([]byte, error) {
-	return decodeNormAccumulators(data, descs, nil)
-}
-
-// decodeNormAccumulators is the one walk over the sidecar. Without a table
-// every pair is written onto its profile. With one, descs is the list the
-// table's walk just decoded and t.offered the snapshot it held for each: a
-// profile that is the offered pointer is shared and is never written — its
-// held pair is compared with the sidecar's, and on a mismatch the descriptor
-// gets a private Clone carrying the sidecar's pair (equal entries do not
-// imply an equal mutation history) — and a first sighting is kept for later
-// lists to share.
-func decodeNormAccumulators(data []byte, descs []Descriptor, t *SnapshotTable) ([]byte, error) {
 	rest := data
 	for i := range descs {
 		d := &descs[i]
 		if d.Profile == nil {
 			continue
 		}
-		sumSq, r, err := wire.Score(rest)
+		sumSq, dirty, r, err := decodeNormAccumulator(rest)
 		if err != nil {
-			return data, fmt.Errorf("norm accumulator sumSq: %w", err)
-		}
-		dirty, r, err := wire.Uint(r)
-		if err != nil {
-			return data, fmt.Errorf("norm accumulator dirty: %w", err)
+			return data, err
 		}
 		rest = r
-		if t != nil {
-			switch held := t.offered[i]; held {
-			case d.Profile:
-				if hs, hd := held.NormAccumulator(); math.Float64bits(hs) == math.Float64bits(sumSq) && hd == int(dirty) {
-					t.Shared++
-					continue
-				}
-				d.Profile = held.Clone()
-			case nil:
-				t.keep(snapshotKey{d.Node, d.Stamp}, d.Profile)
-			}
-			t.Decoded++
-		}
-		d.Profile.SetNormAccumulator(sumSq, int(dirty))
+		pk := d.Profile.WithAccumulator(sumSq, dirty)
+		d.Profile = &pk
 	}
 	return rest, nil
+}
+
+// decodeNormAccumulator decodes one sidecar pair.
+func decodeNormAccumulator(data []byte) (sumSq float64, dirty int, rest []byte, err error) {
+	sumSq, rest, err = wire.Score(data)
+	if err != nil {
+		return 0, 0, data, fmt.Errorf("norm accumulator sumSq: %w", err)
+	}
+	d, rest, err := wire.Uint(rest)
+	if err != nil {
+		return 0, 0, data, fmt.Errorf("norm accumulator dirty: %w", err)
+	}
+	return sumSq, int(d), rest, nil
 }

@@ -18,15 +18,15 @@ func wireDesc(node int, entries int) Descriptor {
 	for i := 0; i < entries; i++ {
 		p.Set(news.ID(1000*node+i), int64(i), float64(i%2))
 	}
-	return Descriptor{Node: news.NodeID(node), Addr: "127.0.0.1:9000", Stamp: int64(node * 7), Profile: p}
+	return Descriptor{Node: news.NodeID(node), Addr: "127.0.0.1:9000", Stamp: int64(node * 7), Profile: snapshotOf(p)}
 }
 
 func TestDescriptorWireRoundTrip(t *testing.T) {
 	cases := map[string]Descriptor{
 		"full":          wireDesc(3, 10),
-		"empty-profile": {Node: 1, Addr: "", Stamp: 5, Profile: profile.New()},
+		"empty-profile": {Node: 1, Addr: "", Stamp: 5, Profile: snapshotOf(profile.New())},
 		"nil-profile":   {Node: news.NoNode, Addr: "x", Stamp: -9},
-		"long-addr":     {Node: 2, Addr: strings.Repeat("a", 300), Stamp: 0, Profile: profile.New()},
+		"long-addr":     {Node: 2, Addr: strings.Repeat("a", 300), Stamp: 0, Profile: snapshotOf(profile.New())},
 	}
 	for name, d := range cases {
 		enc := AppendDescriptor(nil, d)

@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -121,27 +122,9 @@ func (p *Profile) WireSize() int {
 // never panics, and the declared entry count is checked against the bytes
 // actually available before any allocation. The profile's entries are fresh:
 // nothing aliases data.
-func DecodeWire(data []byte) (*Profile, []byte, error) { return DecodeWireHeld(data, nil) }
-
-// DecodeWireHeld is DecodeWire for a receiver that may already hold the
-// snapshot on the wire: the packed entries are compared with held's where
-// they lie, every byte walked and validated as a decode would, and when they
-// are exactly equal — ids, stamps and score bits — held itself is returned
-// and nothing is allocated. Any difference, or a nil held, decodes afresh.
-// Equal entries do not imply an equal NormAccumulator: that pair is not on
-// this wire, and a caller to whom it matters compares it separately.
-func DecodeWireHeld(data []byte, held *Profile) (*Profile, []byte, error) {
-	if held != nil {
-		rest, same, err := decodeWire(nil, held, data)
-		if err != nil {
-			return nil, data, err
-		}
-		if same {
-			return held, rest, nil
-		}
-	}
+func DecodeWire(data []byte) (*Profile, []byte, error) {
 	p := new(Profile)
-	rest, _, err := decodeWire(p, nil, data)
+	rest, _, err := decodeWire(p, data, false)
 	if err != nil {
 		return nil, data, err
 	}
@@ -152,7 +135,7 @@ func DecodeWireHeld(data []byte, held *Profile) (*Profile, []byte, error) {
 // exactly what DecodeWire accepts — and returns the remaining bytes without
 // building the profile.
 func CheckWire(data []byte) ([]byte, error) {
-	rest, _, err := decodeWire(nil, nil, data)
+	rest, _, err := decodeWire(nil, data, false)
 	return rest, err
 }
 
@@ -167,7 +150,7 @@ func CheckWire(data []byte) ([]byte, error) {
 // one entry array instead of one per profile.
 func (p *Profile) UnmarshalWire(data []byte) ([]byte, error) {
 	p.reset()
-	rest, _, err := decodeWire(p, nil, data)
+	rest, _, err := decodeWire(p, data, false)
 	if err != nil {
 		p.reset()
 		return data, err
@@ -188,66 +171,83 @@ func (p *Profile) reset() {
 	p.dirty = 0
 }
 
-// decodeWire is the one walk over the packed layout, in one of three modes:
-// it fills p, whose entries must be empty and whose sumSq zero (the entry
-// array is replaced only when its capacity is short); or, p nil, compares the
-// entries with held's and reports whether all of them are equal, stopping
-// without an error at the first that is not (the caller then decodes from the
-// start, which validates the remainder); or, both nil, only validates.
-func decodeWire(p, held *Profile, data []byte) (rest []byte, same bool, err error) {
+// decodeWire is the one walk over the packed layout: it validates, returns
+// Σ score² accumulated in ascending id order, and fills p when p is not nil
+// (its entries must be empty and its sumSq zero; the entry array is replaced
+// only when its capacity is short). With canonical set it also rejects any
+// field not in the form AppendWire writes — a non-minimal varint, or a
+// score AppendScore would encode otherwise — so the bytes it accepts are
+// exactly the encoding of the entries they decode to.
+func decodeWire(p *Profile, data []byte, canonical bool) (rest []byte, sumSq float64, err error) {
 	n, rest, err := wire.Uint(data)
 	if err != nil {
-		return data, false, fmt.Errorf("profile: entry count: %w", err)
+		return data, 0, fmt.Errorf("profile: entry count: %w", err)
+	}
+	if canonical && len(data)-len(rest) != wire.UintLen(n) {
+		return data, 0, errNonCanonical("entry count")
 	}
 	// Each entry is at least 3 bytes (id delta, stamp, score — one byte
 	// each), which bounds n before the allocation below.
 	if n > uint64(len(rest))/3 {
-		return data, false, fmt.Errorf("%w: %d entries declared, %d bytes remain", wire.ErrTruncated, n, len(rest))
-	}
-	if held != nil && n != uint64(len(held.entries)) {
-		return data, false, nil
+		return data, 0, fmt.Errorf("%w: %d entries declared, %d bytes remain", wire.ErrTruncated, n, len(rest))
 	}
 	if p != nil && uint64(cap(p.entries)) < n {
 		p.entries = make([]Entry, 0, n)
 	}
 	prev := uint64(0)
 	for i := uint64(0); i < n; i++ {
+		at := rest
 		var delta uint64
 		delta, rest, err = wire.Uint(rest)
 		if err != nil {
-			return data, false, fmt.Errorf("profile: entry %d id: %w", i, err)
+			return data, 0, fmt.Errorf("profile: entry %d id: %w", i, err)
+		}
+		if canonical && len(at)-len(rest) != wire.UintLen(delta) {
+			return data, 0, errNonCanonical("id")
 		}
 		id := delta
 		if i > 0 {
 			if delta == 0 {
-				return data, false, fmt.Errorf("%w: duplicate or unsorted profile entry", wire.ErrMalformed)
+				return data, 0, fmt.Errorf("%w: duplicate or unsorted profile entry", wire.ErrMalformed)
 			}
 			id = prev + delta
 			if id < prev {
-				return data, false, fmt.Errorf("%w: profile id overflow", wire.ErrMalformed)
+				return data, 0, fmt.Errorf("%w: profile id overflow", wire.ErrMalformed)
 			}
 		}
 		prev = id
+		at = rest
 		var stamp int64
 		stamp, rest, err = wire.Int(rest)
 		if err != nil {
-			return data, false, fmt.Errorf("profile: entry %d stamp: %w", i, err)
+			return data, 0, fmt.Errorf("profile: entry %d stamp: %w", i, err)
 		}
+		if canonical && len(at)-len(rest) != wire.IntLen(stamp) {
+			return data, 0, errNonCanonical("stamp")
+		}
+		at = rest
 		var score float64
 		score, rest, err = wire.Score(rest)
 		if err != nil {
-			return data, false, fmt.Errorf("profile: entry %d score: %w", i, err)
+			return data, 0, fmt.Errorf("profile: entry %d score: %w", i, err)
 		}
-		switch {
-		case p != nil:
-			p.entries = append(p.entries, Entry{Item: news.ID(id), Stamp: stamp, Score: score})
-			p.sumSq += score * score
-		case held != nil:
-			// Score bits, not ==: a held -0 is not the wire's +0.
-			if e := held.entries[i]; e.Item != news.ID(id) || e.Stamp != stamp || math.Float64bits(e.Score) != math.Float64bits(score) {
-				return data, false, nil
+		if canonical {
+			var buf [10]byte
+			if !bytes.Equal(wire.AppendScore(buf[:0], score), at[:len(at)-len(rest)]) {
+				return data, 0, errNonCanonical("score")
 			}
 		}
+		if p != nil {
+			p.entries = append(p.entries, Entry{Item: news.ID(id), Stamp: stamp, Score: score})
+		}
+		sumSq += score * score
 	}
-	return rest, held != nil, nil
+	if p != nil {
+		p.sumSq = sumSq
+	}
+	return rest, sumSq, nil
+}
+
+func errNonCanonical(field string) error {
+	return fmt.Errorf("%w: non-canonical profile %s", wire.ErrMalformed, field)
 }

@@ -149,13 +149,13 @@ func TestUnmarshalWireReusesEntries(t *testing.T) {
 
 // FuzzProfileWire holds every way of reading a packed profile to one
 // another on arbitrary bytes: DecodeWire, the check-only CheckWire,
-// DecodeWireHeld against an equal held copy and against one that differs,
-// and UnmarshalWire into a dirty receiver — pre-filled, COW-shared with a
-// clone that must not change, and again once its array is its own. They
-// agree on accepting, on the bytes left, and on entries and NormAccumulator
-// bits. An accepted profile re-encodes to a canonical form: WireSize is its
-// length, it decodes to equal entries (a non-canonical -0 score comes back
-// +0) and re-encodes to itself.
+// DecodePacked, and UnmarshalWire into a dirty receiver — pre-filled,
+// COW-shared with a clone that must not change, and again once its array is
+// its own. They agree on accepting, on the bytes left, and on entries and
+// NormAccumulator bits, except that DecodePacked accepts the canonical
+// encodings only. An accepted profile re-encodes to a canonical form:
+// WireSize is its length, it decodes to equal entries (a non-canonical -0
+// score comes back +0), re-encodes to itself and packs to those bytes.
 func FuzzProfileWire(f *testing.F) {
 	sample := wireSample().AppendWire(nil)
 	f.Add(sample, New().AppendWire(nil))
@@ -208,37 +208,6 @@ func FuzzProfileWire(f *testing.F) {
 		recv.UnmarshalWire(other) // stale entries the next decode must overwrite
 		unmarshal("reusing the receiver's own array")
 
-		// Held copies: other's profile (equal or not), and when data decodes,
-		// an equal copy and one a stamp away from it.
-		helds := []*Profile{dirtied(decodeOther())}
-		var equal, differs *Profile
-		if err == nil {
-			equal, _, _ = DecodeWire(data)
-			differs, _, _ = DecodeWire(data)
-			if e := differs.entries; len(e) > 0 {
-				differs.Set(e[0].Item, e[0].Stamp^1, e[0].Score)
-			} else {
-				differs = wireSample()
-			}
-			helds = append(helds, equal, differs)
-		}
-		for _, held := range helds {
-			got, hrest, herr := DecodeWireHeld(data, held)
-			if (herr == nil) != (err == nil) || len(hrest) != len(rest) {
-				t.Fatalf("against a held copy err=%v rest=%d, decode err=%v rest=%d", herr, len(hrest), err, len(rest))
-			}
-			switch {
-			case err != nil:
-			case got == held && !sameEntries(held, want):
-				t.Fatalf("a held copy %v that differs from the decode %v was returned as itself", held, want)
-			case got != held && !sameDecode(got, want):
-				t.Fatalf("against a held copy %v, decode %v", got, want)
-			case held == equal && got != held:
-				t.Fatal("an equal held copy was not returned as itself")
-			case held == differs && got == held:
-				t.Fatal("a held copy that differs was returned as itself")
-			}
-		}
 		if err != nil {
 			return
 		}
@@ -246,6 +215,21 @@ func FuzzProfileWire(f *testing.F) {
 		enc := want.AppendWire(nil)
 		if len(enc) != want.WireSize() {
 			t.Fatalf("WireSize %d, encoding %d bytes", want.WireSize(), len(enc))
+		}
+		consumed := data[:len(data)-len(rest)]
+		pk, prest, perr := DecodePacked(data)
+		if canonical := bytes.Equal(consumed, enc); (perr == nil) != canonical {
+			t.Fatalf("DecodePacked err=%v on a canonical=%v encoding", perr, canonical)
+		}
+		if perr == nil {
+			sum, dirty := want.NormAccumulator()
+			if len(prest) != len(rest) || !bytes.Equal(pk.AppendWire(nil), enc) || pk.Len() != want.Len() ||
+				!pk.Equal(&Packed{wire: enc, sumSq: sum, dirty: dirty}) {
+				t.Fatalf("DecodePacked gave %v with %d bytes left, decode %v with %d", &pk, len(prest), want, len(rest))
+			}
+		}
+		if packed := want.Pack(); !bytes.Equal(packed.AppendWire(nil), enc) || packed.WireSize() != len(enc) {
+			t.Fatal("Pack does not hold the canonical encoding")
 		}
 		again, arest, aerr := DecodeWire(enc)
 		if aerr != nil || len(arest) != 0 || !again.Equal(want) {

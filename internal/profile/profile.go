@@ -6,19 +6,25 @@
 // item profiles hold real scores obtained by averaging the user profiles of
 // the nodes that liked the item along its dissemination path.
 //
-// Profiles are stored as slices sorted by item id and are copy-on-write:
-// Clone shares the immutable entry slice and the first mutation of either
-// side materializes a private copy. This makes the two hot operations of the
-// system nearly free: cloning an item profile on every BEEP forward is a
-// pointer-sized struct allocation, and folding a user profile into an item
-// profile is a single-pass two-pointer merge (MergeAverage). Every mutation
-// bumps a monotonic version counter, which the overlay layer uses to key its
-// similarity cache.
+// A profile comes in two forms. Profile is the working form: entries in a
+// slice sorted by item id, mutated in place, with a version counter bumped on
+// every mutation. Packed is the form at rest: the immutable snapshot a gossip
+// descriptor carries, made of the canonical packed wire bytes and the
+// profile's norm accumulator pair. A node packs its advertised profile once
+// per version, every view that holds the descriptor shares that snapshot, and
+// the metrics score a Packed in place with a merge-join over its varint
+// deltas — the same float operations in the same order as against the
+// Profile it was packed from, so the same bits.
+//
+// Profile entries are copy-on-write: Clone shares the immutable entry slice
+// and the first mutation of either side materializes a private copy, which
+// keeps BEEP's clone of the item profile on every forward a pointer-sized
+// struct allocation. Folding a user profile into an item profile is a
+// single-pass two-pointer merge (MergeAverage).
 package profile
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -37,10 +43,10 @@ type Entry struct {
 // kept sorted by item id. The zero value is not ready to use; call New.
 //
 // Profiles are not goroutine-safe for mutation; engines serialize access per
-// owner. Clone, however, may be called concurrently with other Clones and
-// reads of the same profile (the shared flag is the only state it touches,
-// atomically), which is what lets the parallel simulator snapshot profiles
-// of idle peers during bootstrap.
+// owner. Pack only reads, and Clone touches nothing but the shared flag,
+// atomically, so both may be called concurrently with each other and with
+// reads of the same profile, which is what lets the parallel simulator
+// snapshot profiles of idle peers during bootstrap.
 type Profile struct {
 	entries []Entry // sorted by Item
 	sumSq   float64 // cached Σ score², so Norm is O(1)
@@ -260,6 +266,12 @@ func (p *Profile) PurgeOlderThan(minStamp int64) int {
 		}
 		kept = append(kept, e)
 	}
+	if cap(kept) > 2*len(kept) {
+		// Nothing else holds a user profile's array any more (snapshots are
+		// packed copies), so right-size it here: windowed profiles shrink,
+		// and append's doubling would otherwise keep their peak forever.
+		kept = append(make([]Entry, 0, len(kept)), kept...)
+	}
 	p.entries = kept
 	p.noteSubtraction(dropped)
 	return dropped
@@ -297,31 +309,16 @@ func (p *Profile) noteSubtraction(n int) {
 // counter behind Norm. The pair is the profile's float-accumulator state:
 // two profiles with equal entries can carry different sumSq bits depending
 // on the mutation history that produced them, and similarity metrics read
-// the cached value, not a recomputation. Serialization boundaries that must
-// preserve bit-identical similarity scores (the sharded engine's inter-shard
-// batches) carry this pair alongside the entries and restore it with
-// SetNormAccumulator.
+// the cached value, not a recomputation. Pack carries the pair into the
+// snapshot, and serialization boundaries that must preserve bit-identical
+// similarity scores (the sharded engine's inter-shard batches) carry it
+// alongside the packed entries.
 func (p *Profile) NormAccumulator() (sumSq float64, dirty int) {
 	return p.sumSq, p.dirty
 }
 
-// SetNormAccumulator overwrites the cached Σ score² and subtractive-edit
-// counter, replacing the recomputed-from-entries values a decode produces
-// with the sender's exact accumulator bits. Content is unchanged, so the
-// version counter is not bumped. The caller owns the invariant that the pair
-// actually belongs to the current entries.
-func (p *Profile) SetNormAccumulator(sumSq float64, dirty int) {
-	p.sumSq = sumSq
-	p.dirty = dirty
-}
-
 // Norm returns the Euclidean norm of the score vector, ‖P‖.
-func (p *Profile) Norm() float64 {
-	if p.sumSq <= 0 {
-		return 0
-	}
-	return math.Sqrt(p.sumSq)
-}
+func (p *Profile) Norm() float64 { return norm(p.sumSq) }
 
 // Likes returns the number of entries with a strictly positive score.
 func (p *Profile) Likes() int {
@@ -390,18 +387,16 @@ func (p *Profile) String() string {
 }
 
 // MostPopular returns the n item ids that occur most frequently across the
-// given profiles (ties broken by id for determinism). The cold-start
+// given snapshots (ties broken by id for determinism). The cold-start
 // procedure rates the 3 most popular items found in an inherited RPS view
 // (II-D).
-func MostPopular(profiles []*Profile, n int) []news.ID {
+func MostPopular(profiles []*Packed, n int) []news.ID {
 	counts := make(map[news.ID]int)
 	for _, p := range profiles {
 		if p == nil {
 			continue
 		}
-		for _, e := range p.entries {
-			counts[e.Item]++
-		}
+		forEachItem(p.wire, func(id news.ID) { counts[id]++ })
 	}
 	ids := make([]news.ID, 0, len(counts))
 	//whatsup:commutative keys collected then sorted below with a total order

@@ -158,7 +158,8 @@ func TestMostPopular(t *testing.T) {
 		}
 		return p
 	}
-	profiles := []*Profile{mk(1, 2, 3), mk(2, 3), mk(3), nil, mk(4)}
+	a, b, c, d := mk(1, 2, 3).Pack(), mk(2, 3).Pack(), mk(3).Pack(), mk(4).Pack()
+	profiles := []*Packed{&a, &b, &c, nil, &d}
 	top := MostPopular(profiles, 3)
 	want := []news.ID{3, 2, 1}
 	if len(top) != 3 || top[0] != want[0] || top[1] != want[1] || top[2] != want[2] {

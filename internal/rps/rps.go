@@ -18,6 +18,7 @@ package rps
 
 import (
 	"math/rand"
+	"sync"
 
 	"whatsup/internal/news"
 	"whatsup/internal/overlay"
@@ -31,6 +32,15 @@ type Protocol struct {
 	view  *overlay.View
 	rng   *rand.Rand
 	grave *overlay.Graveyard // optional departure-notice filter (may be nil)
+
+	// Descriptor's snapshot: packed is prof packed at version. Holding prof
+	// keeps its address from being reused while it is the key. mu guards the
+	// three: the parallel bootstrap asks idle peers for descriptors from
+	// several workers at once.
+	mu      sync.Mutex
+	prof    *profile.Profile
+	version uint64
+	packed  *profile.Packed
 }
 
 // SetGraveyard attaches the node's departure-tombstone set: merges then skip
@@ -57,11 +67,20 @@ func (p *Protocol) Seed(descs []overlay.Descriptor) {
 	p.view.TrimRandom(p.rng)
 }
 
-// Descriptor builds this node's own fresh descriptor: current profile
-// snapshot stamped now. The snapshot is cloned so later profile mutations do
-// not alter descriptors already gossiped away.
+// Descriptor builds this node's own fresh descriptor: the profile packed
+// into an immutable snapshot, stamped now, so later profile mutations do not
+// alter descriptors already gossiped away. The snapshot is packed once per
+// (profile, Version()) and shared by every descriptor built until either
+// changes. Unlike the rest of the protocol, Descriptor may be called from
+// several goroutines at once, as long as nothing mutates prof meanwhile.
 func (p *Protocol) Descriptor(now int64, prof *profile.Profile) overlay.Descriptor {
-	return overlay.Descriptor{Node: p.self, Addr: p.addr, Stamp: now, Profile: prof.Clone()}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if prof != p.prof || prof.Version() != p.version || p.packed == nil {
+		packed := prof.Pack()
+		p.prof, p.version, p.packed = prof, prof.Version(), &packed
+	}
+	return overlay.Descriptor{Node: p.self, Addr: p.addr, Stamp: now, Profile: p.packed}
 }
 
 // SelectPeer returns the view entry with the oldest timestamp, the exchange

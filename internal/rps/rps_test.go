@@ -10,7 +10,7 @@ import (
 )
 
 func mkDesc(node news.NodeID, stamp int64) overlay.Descriptor {
-	return overlay.Descriptor{Node: node, Stamp: stamp, Profile: profile.New()}
+	return overlay.Descriptor{Node: node, Stamp: stamp, Profile: snapshotOf(profile.New())}
 }
 
 func TestSeedExcludesSelfAndBounds(t *testing.T) {
@@ -157,4 +157,10 @@ func TestCrashClearsState(t *testing.T) {
 	if _, ok := p.SelectPeer(); ok {
 		t.Fatal("crashed node must have no peer to select")
 	}
+}
+
+// snapshotOf is p packed, by address, as a descriptor holds it.
+func snapshotOf(p *profile.Profile) *profile.Packed {
+	pk := p.Pack()
+	return &pk
 }

@@ -73,11 +73,13 @@ func collectedHeap() int64 {
 // The Workers 2 × Shards 4 case runs the merges on two worker goroutines that
 // borrow from the one merge-scratch pool.
 //
-// Recorded (go1.24, linux/amd64): 7.95 KB/peer serial and 14.94 KB/peer at
-// Workers 2 × Shards 4. Views keeping merge scratch and a doubled entry array
-// between merges, with map-backed graveyards, measured 12.17 and 19.16; one
-// math/rand.NewSource state coming back per peer is +4.9 KB. The 1.25 ×
-// margin covers neither.
+// Recorded (go1.24, linux/amd64): 6.16 KB/peer serial and 10.36 KB/peer at
+// Workers 2 × Shards 4, with descriptor snapshots held as profile.Packed
+// bytes packed once per profile version. Snapshots as decoded *Profile
+// clones sharing their profile's entry array measured 7.95 and 14.94; views
+// keeping merge scratch and a doubled entry array between merges, with
+// map-backed graveyards, 12.17 and 19.16; one math/rand.NewSource state
+// coming back per peer is +4.9 KB. The 1.25 × margin covers none of them.
 func TestSimHeapPerPeerBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime inflates the heap")
@@ -86,7 +88,7 @@ func TestSimHeapPerPeerBudget(t *testing.T) {
 	for _, c := range []struct {
 		workers, shards int
 		recordedKB      float64
-	}{{1, 1, 7.95}, {2, 4, 14.94}} {
+	}{{1, 1, 6.16}, {2, 4, 10.36}} {
 		before := collectedHeap()
 		e := churnCycleWorld(peers, cycles, c.workers, c.shards)
 		e.Run()

@@ -170,7 +170,7 @@ func twoContentsWorld(workers, shards int) string {
 		for _, v := range []*overlay.View{o.RPS().View(), o.WUP().View()} {
 			v.ForEach(func(d overlay.Descriptor) {
 				sumSq, dirty := d.Profile.NormAccumulator()
-				fmt.Fprintf(&b, " %d@%d%v/%x/%d", d.Node, d.Stamp, d.Profile.Entries(), math.Float64bits(sumSq), dirty)
+				fmt.Fprintf(&b, " %d@%d%x/%x/%d", d.Node, d.Stamp, d.Profile.AppendWire(nil), math.Float64bits(sumSq), dirty)
 			})
 			b.WriteString(" |")
 		}
