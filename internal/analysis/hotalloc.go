@@ -7,7 +7,7 @@ import (
 )
 
 // HotAlloc statically guards the hot-path allocation budget (the runtime pin
-// is 8 allocs/op on the receive-liked path). Functions opted in with a
+// is TestReceiveLikedAllocsPinned, on the receive-liked path). Functions opted in with a
 // `//whatsup:hotpath` doc directive must acknowledge every
 // statically-visible allocation site with an inline `//whatsup:alloc`
 // comment; an unmarked site is a diagnostic. The acknowledged sites form an

@@ -28,6 +28,7 @@ type Behavior interface {
 	React(item news.Item, honest bool) bool
 	// OutgoingItem rewrites an item message the moment before BEEP forwards
 	// it — the item-profile-poisoning hook. Honest implementations return msg
-	// unchanged.
+	// unchanged. msg.Profile may be shared with other paths and must not be
+	// written: a poisoned profile is a new one.
 	OutgoingItem(msg ItemMessage) ItemMessage
 }

@@ -20,15 +20,6 @@ func TestDescriptorSnapshotNeverStale(t *testing.T) {
 	other := profile.New()
 	other.Set(2, 9, 1)
 	other.Set(50, 9, 0.5)
-	replacement := profile.New()
-	replacement.Set(70, 11, 1)
-	replacement.Set(71, 12, 0)
-	packedWire := replacement.AppendWire(nil)
-	replacement.Set(72, 13, 0.25)
-	fixed, err := replacement.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
 	mutators := []struct {
 		name   string
 		mutate func(p *profile.Profile)
@@ -38,8 +29,6 @@ func TestDescriptorSnapshotNeverStale(t *testing.T) {
 		{"MergeAverage", func(p *profile.Profile) { p.MergeAverage(other) }},
 		{"Remove", func(p *profile.Profile) { p.Remove(1) }},
 		{"PurgeOlderThan", func(p *profile.Profile) { p.PurgeOlderThan(9) }},
-		{"UnmarshalWire", func(p *profile.Profile) { p.UnmarshalWire(packedWire) }},
-		{"UnmarshalBinary", func(p *profile.Profile) { p.UnmarshalBinary(fixed) }},
 	}
 	user := s.UserProfile()
 	prev := s.Descriptor(0).Profile

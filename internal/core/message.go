@@ -7,12 +7,12 @@ import (
 )
 
 // ItemMessage is one BEEP dissemination message: the item, the item profile
-// copy carried along this path, and the dislike counter d_I. Hops and
+// carried along this path, and the dislike counter d_I. Hops and
 // ViaDislike are measurement fields used by the evaluation (Figure 6,
 // Table IV); the protocols never read them.
 type ItemMessage struct {
 	Item     news.Item
-	Profile  *profile.Profile // item profile P_I; owned by the receiver
+	Profile  *profile.Profile // item profile P_I; never written once sent (a forward's paths share it)
 	Dislikes int              // dislike counter d_I
 	Hops     int              // hop distance from the source (instrumentation)
 	// ViaDislike records whether the *sender* forwarded this copy because it

@@ -62,7 +62,7 @@ func (n *Node) Publish(item news.Item, now int64) []Send {
 	n.seen[item.ID] = struct{}{}
 	n.user.Set(item.ID, item.Created, 1) // line 14: add <idI, tI, 1> to P̃
 	// Lines 15-16: the fresh item profile is the user profile folded into an
-	// empty one — a copy-on-write share, no per-entry work.
+	// empty one, a copy with an entry array of its own.
 	itemProfile := profile.New()
 	itemProfile.MergeAverage(n.user)
 	msg := ItemMessage{Item: item, Profile: itemProfile, Dislikes: 0, Hops: 0}
@@ -72,6 +72,11 @@ func (n *Node) Publish(item news.Item, now int64) []Send {
 // Receive processes an incoming item (Algorithm 1 lines 1-11 followed by
 // Algorithm 2). It returns the delivery record and the sends BEEP produces.
 // Duplicate receipts are dropped per the SIR model (Section III).
+//
+// Receive never writes msg.Profile, which the sender handed to every path
+// (each path's copy of II-B is made by a receiver that changes it): a liker
+// folds into a new profile, a disliker purges a copy only if an entry is
+// stale.
 //
 //whatsup:hotpath
 func (n *Node) Receive(msg ItemMessage, now int64) (Delivery, []Send) {
@@ -93,19 +98,19 @@ func (n *Node) Receive(msg ItemMessage, now int64) (Delivery, []Send) {
 		liked = n.behavior.React(msg.Item, liked)
 	}
 	d.Liked = liked
+	minStamp := now - n.cfg.ProfileWindow // lines 8-10: the item profile's window
 	if liked {
 		// Lines 3-4: aggregate the user profile as it was *before* rating
-		// this item into the item profile (one sorted merge), then line 5:
-		// record the like.
-		msg.Profile.MergeAverage(n.user)
+		// this item into the item profile (one sorted merge), purge it, then
+		// line 5: record the like.
+		msg.Profile = msg.Profile.Merged(n.user)
+		msg.Profile.PurgeOlderThan(minStamp)
 		n.user.Set(msg.Item.ID, msg.Item.Created, 1)
 	} else {
-		// Line 7: record the dislike; the item profile is left untouched.
+		// Line 7: record the dislike; the item profile is only purged.
 		n.user.Set(msg.Item.ID, msg.Item.Created, 0)
+		msg.Profile = msg.Profile.Windowed(minStamp)
 	}
-	// Lines 8-10: purge non-recent entries from the item profile before
-	// handing it to BEEP.
-	msg.Profile.PurgeOlderThan(now - n.cfg.ProfileWindow)
 
 	return d, n.forward(msg, liked, now)
 }
@@ -138,16 +143,12 @@ func (n *Node) forward(msg ItemMessage, liked bool, now int64) []Send {
 		return nil
 	}
 	sends := make([]Send, 0, len(targets)) //whatsup:alloc one sends slice per forward, exact capacity
-	for i, t := range targets {
-		p := msg.Profile
-		if i < len(targets)-1 {
-			p = msg.Profile.Clone() // each path carries its own copy (II-B)
-		}
+	for _, t := range targets {
 		sends = append(sends, Send{
 			To: t.Node,
 			Msg: ItemMessage{
 				Item:       msg.Item,
-				Profile:    p,
+				Profile:    msg.Profile,
 				Dislikes:   msg.Dislikes,
 				Hops:       msg.Hops + 1,
 				ViaDislike: !liked,

@@ -94,34 +94,50 @@ func TestPublishUpdatesProfileAndAmplifies(t *testing.T) {
 func TestReceiveLikedAggregatesBeforeRating(t *testing.T) {
 	// Algorithm 1 order: the receiver's profile is folded into the item
 	// profile *before* the new item is added to the user profile, so the
-	// item profile must NOT contain the item itself from this receiver.
+	// item profile the receiver sends must NOT contain the item itself from
+	// this receiver. The profile it was handed is left as it arrived.
 	n := testNode(1, likeAll(), Config{FLike: 1})
+	n.SeedViews([]overlay.Descriptor{descFor(2, 0, 1)})
 	n.UserProfile().Set(7, 1, 1)
 	msg := ItemMessage{Item: item(200, 2), Profile: profile.New(), Hops: 1}
-	d, _ := n.Receive(msg, 2)
+	d, sends := n.Receive(msg, 2)
 	if !d.Liked || d.Duplicate {
 		t.Fatalf("delivery wrong: %+v", d)
+	}
+	if len(sends) != 1 {
+		t.Fatalf("want 1 send, got %d", len(sends))
 	}
 	if e, ok := n.UserProfile().Get(200); !ok || e.Score != 1 {
 		t.Fatal("liked item must enter the user profile with score 1")
 	}
-	if !msg.Profile.Has(7) {
+	out := sends[0].Msg.Profile
+	if !out.Has(7) {
 		t.Fatal("item profile must aggregate the receiver's prior interests")
 	}
-	if msg.Profile.Has(200) {
+	if out.Has(200) {
 		t.Fatal("receiver must not add the item itself to the item profile (line order)")
+	}
+	if msg.Profile.Len() != 0 {
+		t.Fatalf("the receiver wrote the profile it was handed: %v", msg.Profile)
 	}
 }
 
 func TestReceiveLikedAveragesScores(t *testing.T) {
 	n := testNode(1, likeAll(), Config{FLike: 1})
+	n.SeedViews([]overlay.Descriptor{descFor(2, 0, 1)})
 	n.UserProfile().Set(7, 1, 1)
 	ip := profile.New()
 	ip.Set(7, 1, 0) // a previous liker disliked item 7
 	msg := ItemMessage{Item: item(300, 2), Profile: ip, Hops: 1}
-	n.Receive(msg, 2)
-	if e, _ := ip.Get(7); e.Score != 0.5 {
+	_, sends := n.Receive(msg, 2)
+	if len(sends) != 1 {
+		t.Fatalf("want 1 send, got %d", len(sends))
+	}
+	if e, _ := sends[0].Msg.Profile.Get(7); e.Score != 0.5 {
 		t.Fatalf("item profile score must average: got %v want 0.5", e.Score)
+	}
+	if e, _ := ip.Get(7); e.Score != 0 || ip.Len() != 1 {
+		t.Fatalf("the receiver wrote the profile it was handed: %v", ip)
 	}
 }
 
@@ -195,6 +211,9 @@ func TestDuplicateDropped(t *testing.T) {
 }
 
 func TestForwardClonesProfilesPerPath(t *testing.T) {
+	// Every path of a forward is handed the one item profile; the copies
+	// diverge (II-B) where the receivers fold their own profiles in, each
+	// into a profile of its own.
 	n := testNode(1, likeAll(), Config{FLike: 3})
 	n.SeedViews([]overlay.Descriptor{
 		descFor(2, 0, 1), descFor(3, 0, 1), descFor(4, 0, 1),
@@ -204,10 +223,36 @@ func TestForwardClonesProfilesPerPath(t *testing.T) {
 	if len(sends) != 3 {
 		t.Fatalf("want 3 sends, got %d", len(sends))
 	}
-	// Mutating one copy must not affect the others.
-	sends[0].Msg.Profile.Set(999, 1, 1)
-	if sends[1].Msg.Profile.Has(999) || sends[2].Msg.Profile.Has(999) {
-		t.Fatal("item profile copies must be independent per path")
+	shared := sends[0].Msg.Profile
+	for _, s := range sends[1:] {
+		if s.Msg.Profile != shared {
+			t.Fatal("every path of a forward must be handed the same item profile")
+		}
+	}
+	arrived := shared.AppendWire(nil)
+	var forwarded []*profile.Profile
+	for i, s := range sends {
+		r := testNode(s.To, likeAll(), Config{FLike: 1})
+		r.SeedViews([]overlay.Descriptor{descFor(9, 0, 1)})
+		r.UserProfile().Set(news.ID(900+i), 1, 1)
+		_, out := r.Receive(s.Msg, 1)
+		if len(out) != 1 {
+			t.Fatalf("receiver %d: want 1 send, got %d", s.To, len(out))
+		}
+		forwarded = append(forwarded, out[0].Msg.Profile)
+	}
+	for i, p := range forwarded {
+		for j, q := range forwarded[:i] {
+			if p == q || p.Equal(q) {
+				t.Fatalf("receivers %d and %d forward the same item profile %v", j, i, p)
+			}
+		}
+		if !p.Has(news.ID(900 + i)) {
+			t.Fatalf("receiver %d forwards %v, without its own interest", i, p)
+		}
+	}
+	if string(shared.AppendWire(nil)) != string(arrived) {
+		t.Fatalf("a receiver wrote the shared item profile: %v", shared)
 	}
 }
 

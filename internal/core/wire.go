@@ -49,7 +49,7 @@ func (m ItemMessage) AppendWire(buf []byte) []byte {
 // the item identifier from the received content. The decoded message aliases
 // nothing in data (strings are copied, profile entries are fresh), and its
 // Profile is never nil: a message sent without one arrives with an empty
-// profile, which is what Node.Receive merges into and purges.
+// profile, which Node.Receive reads and never writes.
 func DecodeItemMessage(data []byte) (ItemMessage, []byte, error) {
 	var m ItemMessage
 	rest, err := decodeItemMessage(&m, data)

@@ -249,8 +249,8 @@ func TestReadFrameErrors(t *testing.T) {
 // TCP pump runs accepts exactly what the decoder accepts, and the id hashed
 // in place for the duplicate drop is the decoded item's id. Every decodable
 // item message's WireSize is the length of its encoding, and it is then
-// handed to Node.Receive on a throwaway node, which must survive whatever the
-// decoder let through.
+// handed to Node.Receive on a throwaway liker and disliker, which must
+// survive whatever the decoder let through and leave the profile unwritten.
 func FuzzEnvelopeRoundTrip(f *testing.F) {
 	for _, env := range roundTripCases() {
 		f.Add(appendEnvelope(nil, env))
@@ -286,12 +286,14 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 		if size, n := env.Item.WireSize(), len(env.Item.AppendWire(nil)); size != n {
 			t.Fatalf("item message WireSize %d, encoding %d bytes", size, n)
 		}
+		arrived := env.Item.Profile.Pack()
 		for _, likes := range []bool{true, false} {
 			n := core.NewNode(1, "", core.Config{FLike: 2, RPSViewSize: 4, ProfileWindow: 10},
 				core.OpinionFunc(func(news.NodeID, news.ID) bool { return likes }), rand.New(rand.NewSource(1)))
-			msg := env.Item
-			msg.Profile = msg.Profile.Clone()
-			n.Receive(msg, 1)
+			n.Receive(env.Item, 1)
+			if after := env.Item.Profile.Pack(); !after.Equal(&arrived) {
+				t.Fatalf("Receive (likes=%v) wrote the item profile it was handed", likes)
+			}
 		}
 	})
 }

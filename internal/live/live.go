@@ -310,7 +310,7 @@ func (ln *liveNode) clock() int64 {
 }
 
 // nodeViews is a copy of both views of a node with their capacities
-// (descriptors are immutable, profiles copy-on-write).
+// (descriptors are immutable).
 type nodeViews struct {
 	rps, wup       []overlay.Descriptor
 	rpsCap, wupCap int
@@ -986,22 +986,17 @@ func (ln *liveNode) onMessage(env envelope, cycle int64) {
 	case wireRefillReply:
 		n.AcceptRefillReply(env.Descs, ln.runner.cfg.RefillWatermark, cycle)
 	case wireItem:
-		// Snapshot the item profile before Receive folds this user's own
-		// profile into it, so the feed scores the item as it arrived. The
-		// snapshot is packed: one exact-size allocation.
-		var arrived profile.Packed
-		keep := ln.runner.cfg.FeedCapacity > 0 && !n.Seen(env.Item.Item.ID)
-		if keep {
-			arrived = env.Item.Profile.Pack()
-		}
 		d, sends := n.Receive(env.Item, cycle)
 		if d.Duplicate {
 			return
 		}
-		if keep {
+		if ln.runner.cfg.FeedCapacity > 0 {
+			// Receive never writes the profile it was handed, so the feed
+			// scores the item as it arrived. The snapshot is packed: one
+			// exact-size allocation.
 			ln.feedPush(feedRecord{
 				item:       env.Item.Item,
-				profile:    arrived,
+				profile:    env.Item.Profile.Pack(),
 				cycle:      cycle,
 				hops:       d.Hops,
 				viaDislike: d.ViaDislike,

@@ -3,7 +3,6 @@ package profile
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 
@@ -17,7 +16,7 @@ import (
 //
 // The *fixed* layout (MarshalBinary, the encoding.BinaryMarshaler form any
 // standard-library encoder falls back to) is uint32 count + count × {uint64 id, int64 stamp, float64 score},
-// all big-endian.
+// all big-endian. It is written only: nothing in the system reads it back.
 //
 // The *packed* layout (AppendWire, used by the live transports) keeps the
 // same field order but varint-packs everything: item ids are delta-encoded
@@ -27,9 +26,6 @@ import (
 // averages a few, instead of 8).
 
 const wireEntrySize = 8 + 8 + 8
-
-// ErrTruncated reports a profile payload shorter than its declared length.
-var ErrTruncated = errors.New("profile: truncated encoding")
 
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (p *Profile) MarshalBinary() ([]byte, error) {
@@ -44,33 +40,6 @@ func (p *Profile) MarshalBinary() ([]byte, error) {
 		off += wireEntrySize
 	}
 	return buf, nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler, replacing the
-// receiver's contents.
-func (p *Profile) UnmarshalBinary(data []byte) error {
-	if len(data) < 4 {
-		return ErrTruncated
-	}
-	n := int(binary.BigEndian.Uint32(data[0:4]))
-	if len(data) < 4+n*wireEntrySize {
-		return fmt.Errorf("%w: want %d entries, have %d bytes", ErrTruncated, n, len(data)-4)
-	}
-	p.reset()
-	off := 4
-	for i := 0; i < n; i++ {
-		id := news.ID(binary.BigEndian.Uint64(data[off:]))
-		stamp := int64(binary.BigEndian.Uint64(data[off+8:]))
-		score := math.Float64frombits(binary.BigEndian.Uint64(data[off+16:]))
-		if math.IsNaN(score) || math.IsInf(score, 0) {
-			return fmt.Errorf("profile: invalid score for item %s", id)
-		}
-		// Set keeps the slice sorted and deduplicated even if the sender
-		// violated the canonical ordering.
-		p.Set(id, stamp, score)
-		off += wireEntrySize
-	}
-	return nil
 }
 
 // AppendWire appends the packed wire encoding of the profile to buf and
@@ -139,45 +108,12 @@ func CheckWire(data []byte) ([]byte, error) {
 	return rest, err
 }
 
-// UnmarshalWire decodes one packed profile from the front of data into the
-// receiver, replacing its contents the way UnmarshalBinary does, and returns
-// the remaining bytes. It accepts exactly what DecodeWire accepts and leaves
-// the same entries and the same NormAccumulator pair; the difference is the
-// memory: the receiver's entry array is reused when it is large enough and
-// not shared with a copy-on-write clone (a shared one is abandoned to the
-// clone, never written). On an error the receiver is left empty. Callers that
-// decode many profiles one after another through one scratch profile pay for
-// one entry array instead of one per profile.
-func (p *Profile) UnmarshalWire(data []byte) ([]byte, error) {
-	p.reset()
-	rest, _, err := decodeWire(p, data, false)
-	if err != nil {
-		p.reset()
-		return data, err
-	}
-	return rest, nil
-}
-
-// reset empties the profile ahead of a decode that replaces its contents,
-// keeping its entry array unless copy-on-write clones share it.
-func (p *Profile) reset() {
-	p.version++ // content replaced even when nothing is decoded
-	if p.shared.Load() {
-		p.entries = nil // abandon the COW-shared array instead of copying it
-		p.shared.Store(false)
-	}
-	p.entries = p.entries[:0]
-	p.sumSq = 0
-	p.dirty = 0
-}
-
 // decodeWire is the one walk over the packed layout: it validates, returns
 // Σ score² accumulated in ascending id order, and fills p when p is not nil
-// (its entries must be empty and its sumSq zero; the entry array is replaced
-// only when its capacity is short). With canonical set it also rejects any
-// field not in the form AppendWire writes — a non-minimal varint, or a
-// score AppendScore would encode otherwise — so the bytes it accepts are
-// exactly the encoding of the entries they decode to.
+// (p must be empty). With canonical set it also rejects any field not in the
+// form AppendWire writes — a non-minimal varint, or a score AppendScore
+// would encode otherwise — so the bytes it accepts are exactly the encoding
+// of the entries they decode to.
 func decodeWire(p *Profile, data []byte, canonical bool) (rest []byte, sumSq float64, err error) {
 	n, rest, err := wire.Uint(data)
 	if err != nil {
@@ -191,7 +127,7 @@ func decodeWire(p *Profile, data []byte, canonical bool) (rest []byte, sumSq flo
 	if n > uint64(len(rest))/3 {
 		return data, 0, fmt.Errorf("%w: %d entries declared, %d bytes remain", wire.ErrTruncated, n, len(rest))
 	}
-	if p != nil && uint64(cap(p.entries)) < n {
+	if p != nil {
 		p.entries = make([]Entry, 0, n)
 	}
 	prev := uint64(0)

@@ -16,10 +16,10 @@
 // deltas — the same float operations in the same order as against the
 // Profile it was packed from, so the same bits.
 //
-// Profile entries are copy-on-write: Clone shares the immutable entry slice
-// and the first mutation of either side materializes a private copy, which
-// keeps BEEP's clone of the item profile on every forward a pointer-sized
-// struct allocation. Folding a user profile into an item profile is a
+// An item profile in flight is never written: BEEP hands one profile to every
+// path, and a receiver that changes it builds its own (Merged for a liker's
+// fold, Windowed for a purge that finds a stale entry), leaving the one it
+// was handed as it arrived. Folding a user profile into an item profile is a
 // single-pass two-pointer merge (MergeAverage).
 package profile
 
@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"whatsup/internal/news"
 )
@@ -43,16 +42,16 @@ type Entry struct {
 // kept sorted by item id. The zero value is not ready to use; call New.
 //
 // Profiles are not goroutine-safe for mutation; engines serialize access per
-// owner. Pack only reads, and Clone touches nothing but the shared flag,
-// atomically, so both may be called concurrently with each other and with
-// reads of the same profile, which is what lets the parallel simulator
-// snapshot profiles of idle peers during bootstrap.
+// owner. Pack, Clone, Merged and Windowed only read the receiver, so they
+// may be called concurrently with each other and with other reads of the
+// same profile: the parallel simulator snapshots profiles of idle peers
+// during bootstrap, and receivers on different workers read the one item
+// profile a forward handed them all.
 type Profile struct {
 	entries []Entry // sorted by Item
 	sumSq   float64 // cached Σ score², so Norm is O(1)
 	version uint64  // bumped on every content mutation (similarity-cache key)
 	dirty   int     // subtractive float ops since the last exact sumSq recompute
-	shared  atomic.Bool
 }
 
 // New returns an empty profile.
@@ -72,18 +71,6 @@ func (p *Profile) Len() int { return len(p.entries) }
 // returning the same value bracket a span with identical content, which is
 // what makes (profile pointer, version) a sound similarity-cache key.
 func (p *Profile) Version() uint64 { return p.version }
-
-// materialize gives the profile a private copy of its entries if the backing
-// array is shared with copy-on-write clones. extra reserves room for inserts.
-func (p *Profile) materialize(extra int) {
-	if !p.shared.Load() {
-		return
-	}
-	es := make([]Entry, len(p.entries), len(p.entries)+extra)
-	copy(es, p.entries)
-	p.entries = es
-	p.shared.Store(false)
-}
 
 // search returns the position of id in the sorted entries and whether it is
 // present.
@@ -114,14 +101,12 @@ func (p *Profile) Set(id news.ID, stamp int64, score float64) {
 	p.version++
 	i, ok := p.search(id)
 	if ok {
-		p.materialize(0)
 		old := p.entries[i].Score
 		p.sumSq += score*score - old*old
 		p.entries[i] = Entry{Item: id, Stamp: stamp, Score: score}
 		return
 	}
-	p.materialize(1)
-	p.entries = append(p.entries, Entry{}) //whatsup:alloc amortized growth; materialize(1) reserves on COW copies
+	p.entries = append(p.entries, Entry{}) //whatsup:alloc amortized growth
 	copy(p.entries[i+1:], p.entries[i:])
 	p.entries[i] = Entry{Item: id, Stamp: stamp, Score: score}
 	p.sumSq += score * score
@@ -140,7 +125,6 @@ func (p *Profile) AverageIn(id news.ID, stamp int64, score float64) {
 	p.version++
 	i, ok := p.search(id)
 	if ok {
-		p.materialize(0)
 		old := p.entries[i].Score
 		avg := (old + score) / 2
 		p.sumSq += avg*avg - old*old
@@ -150,8 +134,7 @@ func (p *Profile) AverageIn(id news.ID, stamp int64, score float64) {
 		}
 		return
 	}
-	p.materialize(1)
-	p.entries = append(p.entries, Entry{}) //whatsup:alloc amortized growth; materialize(1) reserves on COW copies
+	p.entries = append(p.entries, Entry{}) //whatsup:alloc amortized growth
 	copy(p.entries[i+1:], p.entries[i:])
 	p.entries[i] = Entry{Item: id, Stamp: stamp, Score: score}
 	p.sumSq += score * score
@@ -172,22 +155,28 @@ func (p *Profile) MergeAverage(other *Profile) {
 	if other == nil || len(other.entries) == 0 {
 		return
 	}
+	p.fold(other)
+}
+
+// Merged returns p with other folded in as MergeAverage folds it, in a new
+// profile with an entry array of its own, even when other is empty; p is
+// only read, and other must not be nil. It is a liker's fold into the item
+// profile it was handed (Algorithm 1 lines 3-4), which the other paths of
+// the same forward hold too.
+//
+//whatsup:hotpath
+func (p *Profile) Merged(other *Profile) *Profile {
+	q := *p
+	q.fold(other)
+	return &q
+}
+
+// fold is MergeAverage without its shortcut for an empty other: the result
+// always gets an entry array of its own, and p's is only read.
+//
+//whatsup:hotpath
+func (p *Profile) fold(other *Profile) {
 	p.version++
-	if len(p.entries) == 0 {
-		// Merging into an empty profile copies other verbatim: share its
-		// entries copy-on-write and rebuild sumSq in ascending order (the
-		// canonical insert sequence), touching no heap.
-		other.shared.Store(true)
-		p.shared.Store(true)
-		p.entries = other.entries
-		var sumSq float64
-		for _, e := range other.entries {
-			sumSq += e.Score * e.Score
-		}
-		p.sumSq = sumSq
-		p.dirty = 0
-		return
-	}
 	//whatsup:alloc the merge's single allocation; exact capacity, appends below never grow
 	merged := make([]Entry, 0, len(p.entries)+len(other.entries))
 	i, j := 0, 0
@@ -220,7 +209,6 @@ func (p *Profile) MergeAverage(other *Profile) {
 		merged = append(merged, b)
 	}
 	p.entries = merged
-	p.shared.Store(false)
 }
 
 // Remove deletes the entry for an item, if present.
@@ -230,7 +218,6 @@ func (p *Profile) Remove(id news.ID) {
 		return
 	}
 	p.version++
-	p.materialize(0)
 	old := p.entries[i].Score
 	p.sumSq -= old * old
 	p.entries = append(p.entries[:i], p.entries[i+1:]...)
@@ -241,8 +228,7 @@ func (p *Profile) Remove(id news.ID) {
 // minStamp and reports how many were dropped. This implements the profile
 // window (II-E): the system only considers current interests, and inactive
 // users decay back to empty profiles. When nothing is stale the profile is
-// left untouched without copying, so windowed-but-stable profiles stay
-// shared across copy-on-write clones.
+// left untouched.
 func (p *Profile) PurgeOlderThan(minStamp int64) int {
 	first := -1
 	for i, e := range p.entries {
@@ -255,7 +241,6 @@ func (p *Profile) PurgeOlderThan(minStamp int64) int {
 		return 0
 	}
 	p.version++
-	p.materialize(0)
 	kept := p.entries[:first]
 	dropped := 0
 	for _, e := range p.entries[first:] {
@@ -275,6 +260,21 @@ func (p *Profile) PurgeOlderThan(minStamp int64) int {
 	p.entries = kept
 	p.noteSubtraction(dropped)
 	return dropped
+}
+
+// Windowed returns p with the entries older than minStamp purged as
+// PurgeOlderThan purges them: p itself when nothing is stale, a purged copy
+// otherwise, so p is only read. It is a disliker's window purge of the item
+// profile it was handed (Algorithm 1 lines 8-10).
+func (p *Profile) Windowed(minStamp int64) *Profile {
+	for _, e := range p.entries {
+		if e.Stamp < minStamp {
+			q := p.Clone()
+			q.PurgeOlderThan(minStamp)
+			return q
+		}
+	}
+	return p
 }
 
 // normRecomputeEvery bounds how much float error the cached sumSq can
@@ -345,17 +345,10 @@ func (p *Profile) Entries() []Entry {
 	return out
 }
 
-// Clone returns a copy-on-write copy: the entry slice is shared until either
-// side mutates, at which point the mutating side materializes a private
-// copy. BEEP clones the item profile on every forward so that copies of the
-// same item along different paths diverge (II-B); with copy-on-write the
-// forward itself costs one struct allocation and the copy is deferred to the
-// first receiver that actually diverges the profile.
+// Clone returns a deep copy: the same entries in an array of its own, and
+// the same norm accumulator pair and version.
 func (p *Profile) Clone() *Profile {
-	p.shared.Store(true)
-	c := &Profile{entries: p.entries, sumSq: p.sumSq, version: p.version, dirty: p.dirty}
-	c.shared.Store(true)
-	return c
+	return &Profile{entries: append([]Entry(nil), p.entries...), sumSq: p.sumSq, version: p.version, dirty: p.dirty}
 }
 
 // Equal reports whether two profiles contain exactly the same entries.

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"whatsup/internal/news"
 )
@@ -215,12 +214,12 @@ func TestNormPropertyMatchesRecomputation(t *testing.T) {
 	}
 }
 
-// legacyClone is the pre-COW deep copy, kept as the reference semantics for
-// the observational-equivalence property test.
+// legacyClone is an entry-by-entry deep copy, the reference semantics for
+// the observational-equivalence property tests.
 func legacyClone(p *Profile) *Profile {
 	c := WithCapacity(p.Len())
 	p.ForEach(func(e Entry) { c.entries = append(c.entries, e) })
-	c.sumSq = p.sumSq
+	c.sumSq, c.dirty = p.sumSq, p.dirty
 	return c
 }
 
@@ -242,10 +241,9 @@ func mutate(p *Profile, rng *rand.Rand) {
 }
 
 func TestCloneCOWObservationallyEqualsDeepCopy(t *testing.T) {
-	// BEEP divergence (paper II-B): a cloned item profile and its original
-	// must evolve exactly as independent deep copies would, whatever
-	// interleaving of mutations hits either side — including clones of
-	// clones, the shape BEEP's multi-hop forwards produce.
+	// A clone and its original must evolve exactly as independent deep
+	// copies would, whatever interleaving of mutations hits either side —
+	// including clones of clones.
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 300; trial++ {
 		base := randomProfile(rng, rng.Intn(40), 60)
@@ -265,7 +263,7 @@ func TestCloneCOWObservationallyEqualsDeepCopy(t *testing.T) {
 			}
 		}
 		if !cow.Equal(deep) {
-			t.Fatalf("trial %d: COW clone diverged from deep copy:\n%v\n%v", trial, cow, deep)
+			t.Fatalf("trial %d: clone diverged from deep copy:\n%v\n%v", trial, cow, deep)
 		}
 		if !base.Equal(refBase) {
 			t.Fatalf("trial %d: original corrupted by clone mutations:\n%v\n%v", trial, base, refBase)
@@ -313,16 +311,63 @@ func TestMergeAverageIntoEmptySharesCOW(t *testing.T) {
 	if !ip.Equal(user) {
 		t.Fatal("merge into empty must copy the source verbatim")
 	}
+	var sumSq float64 // the canonical insert sequence: ascending ids from 0
+	user.ForEach(func(e Entry) { sumSq += e.Score * e.Score })
+	if got, dirty := ip.NormAccumulator(); math.Float64bits(got) != math.Float64bits(sumSq) || dirty != 0 {
+		t.Fatalf("merge into empty: accumulator (%v, %d), want (%v, 0)", got, dirty, sumSq)
+	}
 	// Mutating either side afterwards must not leak into the other.
 	before := legacyClone(user)
 	ip.Set(999, 1, 1)
 	ip.Remove(user.Entries()[0].Item)
 	if !user.Equal(before) {
-		t.Fatal("item-profile mutations leaked into the shared user profile")
+		t.Fatal("item-profile mutations leaked into the user profile")
 	}
 	user.Set(998, 1, 1)
 	if ip.Has(998) {
 		t.Fatal("user-profile mutations leaked into the item profile")
+	}
+}
+
+// TestMergedAndWindowedOnlyRead: Merged and Windowed give what a deep copy
+// followed by MergeAverage or PurgeOlderThan gives, entries and accumulator
+// bits, and leave the receiver's entries and accumulator as they were.
+// Merged's result never shares the receiver's array, even with nothing to
+// fold in; Windowed returns the receiver itself when nothing is stale.
+func TestMergedAndWindowedOnlyRead(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	same := func(a, b *Profile) bool {
+		as, ad := a.NormAccumulator()
+		bs, bd := b.NormAccumulator()
+		return a.Equal(b) && math.Float64bits(as) == math.Float64bits(bs) && ad == bd
+	}
+	for trial := 0; trial < 300; trial++ {
+		p := randomProfile(rng, rng.Intn(30), 60)
+		mutate(p, rng) // a history, so the accumulator is not a fresh sum
+		before := legacyClone(p)
+		other := randomProfile(rng, rng.Intn(3)*rng.Intn(20), 60)
+		minStamp := rng.Int63n(1000)
+
+		want := legacyClone(before)
+		want.MergeAverage(other)
+		got := p.Merged(other)
+		if !same(got, want) {
+			t.Fatalf("trial %d: Merged gave %v, want %v", trial, got, want)
+		}
+		if got.Len() > 0 && p.Len() > 0 && &got.entries[0] == &p.entries[0] {
+			t.Fatalf("trial %d: Merged shares the receiver's array", trial)
+		}
+		got.PurgeOlderThan(minStamp)
+
+		want = legacyClone(before)
+		dropped := want.PurgeOlderThan(minStamp)
+		got = p.Windowed(minStamp)
+		if !same(got, want) || (got == p) != (dropped == 0) {
+			t.Fatalf("trial %d: Windowed gave %v (the receiver: %v), want %v", trial, got, got == p, want)
+		}
+		if !same(p, before) {
+			t.Fatalf("trial %d: the receiver changed to %v, was %v", trial, p, before)
+		}
 	}
 }
 
@@ -390,24 +435,6 @@ func TestWireSizeMatchesEncodedLength(t *testing.T) {
 	}
 }
 
-func TestMarshalRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 50; trial++ {
-		p := randomProfile(rng, rng.Intn(30), 1<<40)
-		data, err := p.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		q := New()
-		if err := q.UnmarshalBinary(data); err != nil {
-			t.Fatal(err)
-		}
-		if !p.Equal(q) {
-			t.Fatalf("round trip mismatch:\n%v\n%v", p, q)
-		}
-	}
-}
-
 func TestMarshalCanonical(t *testing.T) {
 	a, b := New(), New()
 	ids := []news.ID{5, 1, 9, 2}
@@ -421,46 +448,5 @@ func TestMarshalCanonical(t *testing.T) {
 	bb, _ := b.MarshalBinary()
 	if string(ba) != string(bb) {
 		t.Fatal("encoding must be canonical regardless of insertion order")
-	}
-}
-
-func TestUnmarshalTruncated(t *testing.T) {
-	p := New()
-	p.Set(1, 1, 1)
-	data, _ := p.MarshalBinary()
-	q := New()
-	if err := q.UnmarshalBinary(data[:len(data)-3]); err == nil {
-		t.Fatal("truncated payload must fail")
-	}
-	if err := q.UnmarshalBinary(nil); err == nil {
-		t.Fatal("empty payload must fail")
-	}
-}
-
-func TestMarshalPropertyQuick(t *testing.T) {
-	f := func(ids []uint64, scores []float64) bool {
-		p := New()
-		for i, id := range ids {
-			s := 0.0
-			if i < len(scores) {
-				s = math.Abs(math.Mod(scores[i], 1))
-				if math.IsNaN(s) || math.IsInf(s, 0) {
-					s = 0
-				}
-			}
-			p.Set(news.ID(id), int64(i), s)
-		}
-		data, err := p.MarshalBinary()
-		if err != nil {
-			return false
-		}
-		q := New()
-		if err := q.UnmarshalBinary(data); err != nil {
-			return false
-		}
-		return p.Equal(q)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }

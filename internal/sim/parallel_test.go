@@ -143,7 +143,7 @@ func TestParallelDrainNoDuplicateDeliveries(t *testing.T) {
 }
 
 // TestSimilarityCacheDeterministicAcrossWorkers pins that the versioned
-// similarity cache (and the copy-on-write profile plumbing beneath it) is
+// similarity cache (and the item profiles a forward's paths share) is
 // invisible to simulation results: a workload heavy in dislike routing —
 // the path that scores transient item profiles against RPS views — yields
 // bit-identical precision/recall/F1 and full collector fingerprints at any
