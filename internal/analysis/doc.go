@@ -12,9 +12,9 @@
 //     per-peer / per-link seeded *rand.Rand streams are allowed there.
 //   - maporder: no map-iteration order leaking into results — flags
 //     `for range m` over a map whose body appends to an outer slice,
-//     accumulates floating point into an outer variable (the float-op-order
-//     low-bit divergence the PR 9 norm sidecar exists to prevent), or sends
-//     on a channel. Escape hatch: `//whatsup:commutative` on the range.
+//     accumulates floating point into an outer variable (float addition
+//     does not commute in the low bits, which is why a profile sums its
+//     Σ score² in ascending id order), or sends on a channel. Escape hatch: `//whatsup:commutative` on the range.
 //   - hotalloc: in functions annotated `//whatsup:hotpath`, every
 //     statically-visible allocation site (make, new, append growth, composite
 //     literals, closures, []byte/string conversions) must carry an explicit

@@ -9,8 +9,8 @@ import (
 // MapOrder flags `for range` over maps whose body lets Go's randomized
 // iteration order leak into results: appending to a slice that outlives the
 // loop, accumulating floating point (float addition does not commute in the
-// low bits — the divergence class PR 9's norm-accumulator sidecar exists to
-// prevent), or sending on a channel. A loop whose body is genuinely
+// low bits, which is why a profile sums its Σ score² in ascending id order),
+// or sending on a channel. A loop whose body is genuinely
 // order-insensitive is annotated `//whatsup:commutative` on the range
 // statement.
 var MapOrder = &Analyzer{

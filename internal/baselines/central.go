@@ -145,9 +145,7 @@ func disseminate(ds *dataset.Dataset, fLike int, col *metrics.Collector,
 		if liked {
 			// Instant global update: aggregate the liker's prior profile
 			// into the item profile, then record the like.
-			up.ForEach(func(e profile.Entry) {
-				itemProfile.AverageIn(e.Item, e.Stamp, e.Score)
-			})
+			itemProfile.MergeAverage(up)
 			up.Set(it.News.ID, it.Cycle, 1)
 			targets := closest(up, fLike)
 			targets = append(targets, closest(itemProfile, fLike)...)

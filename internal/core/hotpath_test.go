@@ -105,9 +105,9 @@ func TestForwardCOWCopiesDivergeLikeDeepCopies(t *testing.T) {
 // sees any write to the profile they share: a liker with interests of its
 // own, a liker with none whose window finds a stale entry, a disliker whose
 // window finds one, a disliker whose window does not, and a receiver that
-// has already seen the item. None may change the shared profile's bytes or
-// accumulator bits, and each must forward what a deep copy of it, mutated
-// in place by the same fold and purge, gives.
+// has already seen the item. None may change the shared profile's entries,
+// and each must forward what a deep copy of it, mutated in place by the same
+// fold and purge, gives.
 func TestConcurrentReceiversLeaveSharedProfile(t *testing.T) {
 	const now = 100
 	sender := testNode(1, likeAll(), Config{FLike: 5, ProfileWindow: 100})

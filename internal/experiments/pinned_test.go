@@ -46,19 +46,19 @@ func TestDriverOutputsPinned(t *testing.T) {
 	cases := []struct {
 		name string
 		want string
-		run  func() string
+		run  func(t *testing.T) string
 	}{
-		{"run/WhatsUp", "c77059276f116d38248bda841a0060bc10da0f896cfec912249f893a697e378a", func() string { return pinnedRun(WhatsUp) }},
-		{"run/CF-Wup", "c91ebed2862f3bb00734a38086bcd9b217d35a7cd88fbb84fcd81f371a9d9806", func() string { return pinnedRun(CFWup) }},
-		{"run/Gossip", "b84b14b2742b8ab7400c93a60812a69689321d2a486383a1dedbc3b3109dc1dd", func() string { return pinnedRun(PlainGossip) }},
-		{"churn-run", "1a542d78e393c290451d5e2c30c39b09acab8dabd02000c3898e79a2545e83af", func() string {
+		{"run/WhatsUp", "c77059276f116d38248bda841a0060bc10da0f896cfec912249f893a697e378a", func(*testing.T) string { return pinnedRun(WhatsUp) }},
+		{"run/CF-Wup", "c91ebed2862f3bb00734a38086bcd9b217d35a7cd88fbb84fcd81f371a9d9806", func(*testing.T) string { return pinnedRun(CFWup) }},
+		{"run/Gossip", "b84b14b2742b8ab7400c93a60812a69689321d2a486383a1dedbc3b3109dc1dd", func(*testing.T) string { return pinnedRun(PlainGossip) }},
+		{"churn-run", "1a542d78e393c290451d5e2c30c39b09acab8dabd02000c3898e79a2545e83af", func(*testing.T) string {
 			r := ChurnRun(Options{Seed: 3, Scale: 0.1}, ChurnConfig{
 				ChurnOptions: ChurnOptions{ChurnRate: 0.25, FlashCrowd: 9, DepartureNotices: true, RefillWatermark: 0.5},
 				Fanout:       6, Loss: 0.02,
 			})
 			return fmt.Sprintf("%+v", r)
 		}},
-		{"churn-bench", "781cce29b900ad6bf3824e2df3377df5124a0a8d9415f0ed03b379a82e394a8b", func() string {
+		{"churn-bench", "781cce29b900ad6bf3824e2df3377df5124a0a8d9415f0ed03b379a82e394a8b", func(*testing.T) string {
 			// Named fields, captured at 341e85a from the bench's own result
 			// struct before ChurnBench was folded into ChurnResult.
 			r := ChurnBench(ChurnBenchConfig{
@@ -69,33 +69,38 @@ func TestDriverOutputsPinned(t *testing.T) {
 				r.Events, r.FinalOnline, r.F1, r.Stable.F1(), r.Joiner.F1(), r.Joiner.EligibleF1(), r.Rejoiner.F1(),
 				r.GhostFraction[len(r.GhostFraction)-1], r.LastDeparture, r.HealedAt, r.TimeToHealed)
 		}},
-		{"hotpath/cycle", "8fbb930c99c8015159cb3d22f382705831f577b94d48dbf72c7a96bcad227d9f", func() string {
+		{"hotpath/cycle", "8fbb930c99c8015159cb3d22f382705831f577b94d48dbf72c7a96bcad227d9f", func(*testing.T) string {
 			return pinnedSteps(hotPathWorld(300, EngineOptions{}, false))
 		}},
-		{"hotpath/churn-cycle", "5f90a800e6043046d0ae7ca5f21c1feae75bcc5ca9d4a3e7717d464d24627f2a", func() string {
+		{"hotpath/churn-cycle", "5f90a800e6043046d0ae7ca5f21c1feae75bcc5ca9d4a3e7717d464d24627f2a", func(*testing.T) string {
 			return pinnedSteps(hotPathWorld(300, EngineOptions{}, true))
 		}},
-		{"hotpath/sharded-cycle", "883803fd9a1d5c1c09d99c860828b510df4ab7b3eb87f98fc422e7be670fc17b", func() string {
+		{"hotpath/sharded-cycle", "8fbb930c99c8015159cb3d22f382705831f577b94d48dbf72c7a96bcad227d9f", func(t *testing.T) string {
+			// The serial hotpath/cycle's hash: sharding changes no draw.
 			e := hotPathWorld(300, EngineOptions{Shards: hotPathShards}, false)
 			digest := pinnedSteps(e)
-			// The hash was captured when these three routing counters were
-			// all of ShardStats: they are rendered as %+v rendered it then.
-			st := e.ShardStats()
-			return digest + fmt.Sprintf("{Crossings:%d Batches:%d BatchBytes:%d}", st.Crossings, st.Batches, st.BatchBytes)
+			// BatchBytes was 283 091 while every routed profile carried a
+			// 2-byte norm-accumulator trailer: 54 434 bytes over the 27 217
+			// profile-carrying descriptors routed (SnapshotsShared 23 276 +
+			// SnapshotsDecoded 3 941).
+			if st := e.ShardStats(); st.Crossings != 2712 || st.Batches != 144 || st.BatchBytes != 228657 {
+				t.Errorf("routing counters %+v, want Crossings 2712, Batches 144, BatchBytes 228657", st)
+			}
+			return digest
 		}},
-		{"adversarial/attacked", "598b62dcc08e90006cabfd5580c9d92ddc3f45ce710e045eeb110701650e907a", func() string {
+		{"adversarial/attacked", "598b62dcc08e90006cabfd5580c9d92ddc3f45ce710e045eeb110701650e907a", func(*testing.T) string {
 			cfg := AdversarialConfig{Peers: 200, Cycles: 20, Poison: true, PartitionK: 2}.withDefaults()
 			pt := runAdversarialPoint(cfg, WhatsUp, true)
 			return collectorDigest(pt.col) + fmt.Sprintf("%+v %+v %d %d %v", pt.adv, pt.timeline, pt.spam, pt.honest, pt.honestF1)
 		}},
-		{"fig7-trial", "b55a561155ead45419a91b2d6a52f9fbec89b258f4589e68c079e39a107ae6d7", func() string {
+		{"fig7-trial", "b55a561155ead45419a91b2d6a52f9fbec89b258f4589e68c079e39a107ae6d7", func(*testing.T) string {
 			shape := fig7Shape{trials: 1, eventCycle: 12, totalCycles: 30, window: 40}
 			return fmt.Sprintf("%+v", fig7Trial(Options{Seed: 3, Scale: 0.1}.WithDefaults(), shape, profile.WUP{}, 3))
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := sha(tc.run()); got != tc.want {
+			if got := sha(tc.run(t)); got != tc.want {
 				t.Errorf("%s hash %s, want %s", tc.name, got, tc.want)
 			}
 		})

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -33,6 +34,14 @@ func waitGoroutinesBelow(t *testing.T, limit int) {
 // joiner receives is post-join by construction — it did not exist before),
 // that departed descriptors have left every online view within one
 // DescriptorTTL horizon of the last departure, and that no goroutines leak.
+//
+// The fleet cycle is 20 ms. At 5 ms the TTL horizon was 30 ms, and under the
+// race detector on a loaded machine a node goroutine can go unscheduled for
+// longer than that: the rejoined node then woke to a fleet clock past the
+// stamps of every descriptor it held, evicted them all in BeginCycle before
+// it had pushed once, and stayed isolated, since nobody else held its
+// descriptor. Its clock and RPS view size are sampled every fleet cycle and
+// printed if its view ends empty.
 func TestLiveChurnChannelNet(t *testing.T) {
 	base := runtime.NumGoroutine()
 	ds := tinySurvey(11) // 24 users, items spread over 25 cycles
@@ -48,6 +57,7 @@ func TestLiveChurnChannelNet(t *testing.T) {
 		// slack (a starved goroutine may skip ticks under -race on 1 CPU)
 		// before the run ends.
 		leaveAt = 12
+		cycle   = 20 * time.Millisecond
 	)
 	var schedule sim.ChurnSchedule
 	schedule.Add(4, sim.ChurnCrash, crashNode)
@@ -61,11 +71,33 @@ func TestLiveChurnChannelNet(t *testing.T) {
 	r := NewRunner(Config{
 		Seed:        1,
 		Cycles:      cycles,
-		CycleLength: 5 * time.Millisecond,
+		CycleLength: cycle,
 		NodeConfig:  nodeCfg,
 		Churn:       schedule,
 	}, ds, NewChannelNet(7, 0, 0))
+	var rejoined []string // per fleet cycle: the rejoined node's state, clock and RPS view size
+	stop, sampled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(sampled)
+		tick := time.NewTicker(cycle / 2)
+		defer tick.Stop()
+		for last := int64(-1); ; {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+			}
+			if c := r.Cycle(); c != last {
+				if s, err := r.Snapshot(crashNode); err == nil {
+					last = c
+					rejoined = append(rejoined, fmt.Sprintf("%d:%v/%d/%d", c, s.State, s.Cycle, len(s.RPSView)))
+				}
+			}
+		}
+	}()
 	r.Run()
+	close(stop)
+	<-sampled
 
 	if got := r.MemberCount(); got != ds.Users+joiners {
 		t.Fatalf("member count %d, want %d", got, ds.Users+joiners)
@@ -77,7 +109,7 @@ func TestLiveChurnChannelNet(t *testing.T) {
 		t.Fatalf("crash+rejoin node state %v, want online", st)
 	}
 	if r.Node(crashNode).RPS().View().Len() == 0 {
-		t.Fatal("rejoined node must have re-seeded views")
+		t.Fatalf("rejoined node must have re-seeded views (fleet cycle:state/clock/RPS size %v)", rejoined)
 	}
 	if got, want := r.OnlineCount(), ds.Users+joiners-1; got != want {
 		t.Fatalf("online count %d, want %d", got, want)

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
-	"math"
 	"strings"
 	"testing"
 
@@ -100,8 +99,7 @@ func nodeState(ln *liveNode, script [][]byte) string {
 	b.WriteString("\nfeed:")
 	for i := range ln.feed {
 		rec := ln.feedAt(i)
-		sum, dirty := rec.profile.NormAccumulator()
-		fmt.Fprintf(&b, " {%+v %x %x/%d c%d h%d %v}", rec.item, rec.profile.AppendWire(nil), math.Float64bits(sum), dirty, rec.cycle, rec.hops, rec.viaDislike)
+		fmt.Fprintf(&b, " {%+v %x c%d h%d %v}", rec.item, rec.profile.AppendWire(nil), rec.cycle, rec.hops, rec.viaDislike)
 	}
 	return b.String()
 }

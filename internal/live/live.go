@@ -342,9 +342,8 @@ func (o *nodeOpinions) Likes(node news.NodeID, item news.ID) bool {
 
 // feedRecord is one retained BEEP delivery: the item, the item profile it
 // arrived with, and its receipt coordinates. The profile is kept packed
-// (profile.Pack: exact-size bytes, about half the decoded entries, and the
-// accumulator pair the arrival decode built), and a feed read scores it in
-// place (feedEntries).
+// (profile.Pack: exact-size bytes, about half the decoded entries), and a
+// feed read scores it in place (feedEntries).
 type feedRecord struct {
 	item       news.Item
 	profile    profile.Packed

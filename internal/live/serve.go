@@ -143,9 +143,8 @@ func (r *Runner) Degraded() bool {
 
 // feedEntries builds the ranked feed from the node's ring, walked in place
 // oldest record first, under the node's lock (via withNode). Each record's
-// packed profile is scored where it lies, and it carries the accumulator
-// pair of the profile the item arrived with, so each score has the bits it
-// would have against that profile.
+// packed profile is scored where it lies, with the bits the profile the item
+// arrived with would give.
 func (ln *liveNode) feedEntries() []FeedEntry {
 	n := ln.node
 	metric := n.Config().Metric

@@ -6,7 +6,7 @@
 // address, (ii) its node ID, (iii) a snapshot of its profile and (iv) the
 // timestamp at which the descriptor was generated by that node (paper
 // Section II). The snapshot is a profile.Packed: the profile's packed wire
-// bytes and norm accumulator pair, immutable, made once per profile version
+// bytes and their Σ score², immutable, made once per profile version
 // by its node and shared by every view that holds a descriptor of that
 // version. Views score it in place, and encode it by copying its bytes.
 // Immutability is what makes the view's similarity cache sound — see

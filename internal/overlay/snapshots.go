@@ -27,27 +27,25 @@ type snapshotKey struct {
 // ready to use; a table is not goroutine-safe.
 type SnapshotTable struct {
 	cur, prev map[snapshotKey]*profile.Packed
-	// pending is the packed profile of each descriptor of the list being
-	// decoded, as read and aliasing the input, until its sidecar pair is
-	// known.
-	pending []profile.Packed
 
 	// Shared counts descriptors whose profile was a held snapshot's pointer,
 	// Decoded those that got a snapshot built (a first sighting, or a
-	// different content or accumulator pair under a held key).
+	// different content under a held key).
 	Shared, Decoded int64
 }
 
-// held returns the snapshot held for exactly (node, stamp), promoting one
-// found in the previous generation.
-func (t *SnapshotTable) held(k snapshotKey) *profile.Packed {
+// Held offers the decoder the snapshot held for exactly (node, stamp),
+// promoting one found in the previous generation; it never discards. The
+// table is the Holder of its own decodes.
+func (t *SnapshotTable) Held(node news.NodeID, stamp int64) (Descriptor, bool) {
+	k := snapshotKey{node, stamp}
 	p, ok := t.cur[k]
 	if !ok {
 		if p, ok = t.prev[k]; ok {
 			t.keep(k, p)
 		}
 	}
-	return p
+	return Descriptor{Stamp: stamp, Profile: p}, false
 }
 
 func (t *SnapshotTable) keep(k snapshotKey, p *profile.Packed) {
@@ -57,59 +55,33 @@ func (t *SnapshotTable) keep(k snapshotKey, p *profile.Packed) {
 	t.cur[k] = p
 }
 
-// AppendDecode decodes a descriptor list followed by its norm-accumulator
-// sidecar (AppendDescriptors then AppendNormAccumulators) by appending onto
-// dst, with AppendDecodeDescriptors' arena contract. Every byte is walked and
-// validated as a plain decode would, and each profile gets the sidecar's
-// pair, as with DecodeNormAccumulators; the result differs only in which
-// equal snapshots are the same pointer. A held snapshot is shared when it is
-// Equal to the one decoded — bytes and pair — and a first sighting under its
-// (node, stamp) is kept for later lists to share.
+// AppendDecode decodes a descriptor list by appending onto dst, with
+// AppendDecodeDescriptors' arena contract, against the snapshots the table
+// holds: every byte is walked and validated as a plain decode would, and
+// the result differs only in which equal snapshots are the same pointer. A
+// held snapshot is shared when its bytes are Equal to the ones decoded, and
+// a first sighting under its (node, stamp) is kept for later lists to share.
 func (t *SnapshotTable) AppendDecode(dst []Descriptor, data []byte) ([]Descriptor, []byte, error) {
 	from := len(dst)
-	t.pending = t.pending[:0]
-	rest, err := decodeDescriptors(&dst, data, nil, &t.pending)
-	if err == nil {
-		rest, err = t.resolve(rest, dst[from:])
-	}
-	clear(t.pending) // drop the aliases of data
+	rest, err := decodeDescriptors(&dst, data, t)
 	if err != nil {
 		return dst, data, err
 	}
-	return dst, rest, nil
-}
-
-// resolve reads the sidecar of a list whose packed profiles are pending and
-// gives each descriptor its snapshot: the held one when Equal, a fresh copy
-// otherwise.
-func (t *SnapshotTable) resolve(data []byte, descs []Descriptor) ([]byte, error) {
-	rest := data
-	for i := range descs {
-		read := &t.pending[i]
-		if read.WireSize() == 0 {
-			continue // no profile on the wire
-		}
-		sumSq, dirty, r, err := decodeNormAccumulator(rest)
-		if err != nil {
-			return data, err
-		}
-		rest = r
-		pk := read.WithAccumulator(sumSq, dirty)
-		d := &descs[i]
-		k := snapshotKey{d.Node, d.Stamp}
-		held := t.held(k)
-		if held != nil && held.Equal(&pk) {
-			d.Profile = held
-			t.Shared++
+	for _, d := range dst[from:] {
+		if d.Profile == nil {
 			continue
 		}
-		d.Profile = pk.Clone()
-		if held == nil {
+		k := snapshotKey{d.Node, d.Stamp}
+		switch held := t.cur[k]; held { // Held promoted every hit into cur
+		case d.Profile:
+			t.Shared++
+			continue
+		case nil:
 			t.keep(k, d.Profile)
 		}
 		t.Decoded++
 	}
-	return rest, nil
+	return dst, rest, nil
 }
 
 // Rotate starts a new generation: the current one becomes the previous, and

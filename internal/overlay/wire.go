@@ -30,16 +30,6 @@ func AppendDescriptor(buf []byte, d Descriptor) []byte {
 	return d.Profile.AppendWire(buf) // the snapshot's bytes, copied
 }
 
-// DecodeDescriptor decodes one descriptor from the front of data.
-func DecodeDescriptor(data []byte) (Descriptor, []byte, error) {
-	var d Descriptor
-	rest, _, err := decodeDescriptor(&d, data, nil, nil)
-	if err != nil {
-		return Descriptor{}, data, err
-	}
-	return d, rest, nil
-}
-
 // Holder is the receiving end of a descriptor decode: what the receiver
 // already holds, asked once per descriptor after its header and before its
 // profile, so that a snapshot the receiver has is not built a second time.
@@ -52,19 +42,15 @@ type Holder interface {
 	// receiver holds for node, the zero Descriptor if none, preferring one
 	// stamped stamp. The decoder reuses snap.Addr when it equals the
 	// address on the wire, and snap.Profile when snap.Stamp == stamp and it
-	// is Equal to the snapshot decoded: the same packed bytes and the
-	// accumulator pair a decode builds. The comparison is not optional:
-	// (node, stamp) does not name one content.
+	// is Equal to the snapshot decoded: the same packed bytes. The
+	// comparison is not optional: (node, stamp) does not name one content.
 	Held(node news.NodeID, stamp int64) (snap Descriptor, discard bool)
 }
 
 // decodeDescriptor is the one walk over the descriptor layout: it fills d —
 // against what h holds, when there is an h — or only validates when d is nil
-// or h discards the descriptor. kept reports whether d was filled. With
-// pending set, d's profile is left nil and the packed profile as read (the
-// zero Packed when absent), aliasing data, is appended to *pending for the
-// caller to resolve.
-func decodeDescriptor(d *Descriptor, data []byte, h Holder, pending *[]profile.Packed) (rest []byte, kept bool, err error) {
+// or h discards the descriptor. kept reports whether d was filled.
+func decodeDescriptor(d *Descriptor, data []byte, h Holder) (rest []byte, kept bool, err error) {
 	node, rest, err := wire.Int(data)
 	if err != nil {
 		return data, false, fmt.Errorf("descriptor node: %w", err)
@@ -104,8 +90,6 @@ func decodeDescriptor(d *Descriptor, data []byte, h Holder, pending *[]profile.P
 		return rest, false, nil
 	}
 	switch {
-	case pending != nil:
-		*pending = append(*pending, pk)
 	case present == 0:
 	case snap.Stamp == stamp && snap.Profile != nil && snap.Profile.Equal(&pk):
 		d.Profile = snap.Profile
@@ -215,18 +199,14 @@ func TombstonesWireSize(tombs []Tombstone) int {
 	return total
 }
 
-// DecodeDescriptors decodes a uvarint-counted descriptor list. A nil slice
-// is returned for an empty list, matching what gossip handlers produce.
-func DecodeDescriptors(data []byte) ([]Descriptor, []byte, error) {
-	return DecodeDescriptorsHeld(data, nil)
-}
-
-// DecodeDescriptorsHeld is DecodeDescriptors against what the receiver holds
-// (nil h: nothing): descriptors h discards are validated and left out — a
-// list of nothing else comes back nil — and snapshots h holds are shared.
+// DecodeDescriptorsHeld decodes a uvarint-counted descriptor list against
+// what the receiver holds (nil h: nothing): descriptors h discards are
+// validated and left out, and snapshots h holds are shared. A list that
+// keeps nothing, the empty one included, comes back nil, matching what
+// gossip handlers produce.
 func DecodeDescriptorsHeld(data []byte, h Holder) ([]Descriptor, []byte, error) {
 	var descs []Descriptor
-	rest, err := decodeDescriptors(&descs, data, h, nil)
+	rest, err := decodeDescriptors(&descs, data, h)
 	if err != nil {
 		return nil, data, err
 	}
@@ -240,20 +220,20 @@ func DecodeDescriptorsHeld(data []byte, h Holder) ([]Descriptor, []byte, error) 
 // before and after the call (the append may relocate the backing array, so
 // subslices must be taken only once all appends into the arena are done).
 func AppendDecodeDescriptors(dst []Descriptor, data []byte) ([]Descriptor, []byte, error) {
-	rest, err := decodeDescriptors(&dst, data, nil, nil)
+	rest, err := decodeDescriptors(&dst, data, nil)
 	return dst, rest, err
 }
 
 // CheckDescriptors validates a uvarint-counted descriptor list — it accepts
-// exactly what DecodeDescriptors accepts — and builds nothing: no slice, no
-// address string, no profile.
-func CheckDescriptors(data []byte) ([]byte, error) { return decodeDescriptors(nil, data, nil, nil) }
+// exactly what DecodeDescriptorsHeld accepts — and builds nothing: no slice,
+// no address string, no profile.
+func CheckDescriptors(data []byte) ([]byte, error) { return decodeDescriptors(nil, data, nil) }
 
 // decodeDescriptors is the one walk over a descriptor list: it appends onto
 // *dst what h (nil: nothing) does not discard — a nil *dst is sized on the
 // first descriptor kept, from the count still to come — or only validates
-// when dst is nil. pending is decodeDescriptor's.
-func decodeDescriptors(dst *[]Descriptor, data []byte, h Holder, pending *[]profile.Packed) ([]byte, error) {
+// when dst is nil.
+func decodeDescriptors(dst *[]Descriptor, data []byte, h Holder) ([]byte, error) {
 	n, rest, err := wire.Uint(data)
 	if err != nil {
 		return data, fmt.Errorf("descriptor count: %w", err)
@@ -270,7 +250,7 @@ func decodeDescriptors(dst *[]Descriptor, data []byte, h Holder, pending *[]prof
 			into = nil
 		}
 		var kept bool
-		if rest, kept, err = decodeDescriptor(into, rest, h, pending); err != nil {
+		if rest, kept, err = decodeDescriptor(into, rest, h); err != nil {
 			return data, fmt.Errorf("descriptor %d: %w", i, err)
 		}
 		if kept {
@@ -281,64 +261,4 @@ func decodeDescriptors(dst *[]Descriptor, data []byte, h Holder, pending *[]prof
 		}
 	}
 	return rest, nil
-}
-
-// Norm-accumulator sidecar: a decoded snapshot carries the Σ score² a
-// decode accumulates in ascending id order, which is exact in value but not
-// bit-identical to the sender's incrementally maintained accumulator (float
-// addition is not associative). Engines that require decoded descriptors to
-// score bit-identically to the originals (the sharded simulator's
-// inter-shard batches) append this sidecar after a descriptor list: per
-// profile-carrying descriptor, the score-packed Σ score² followed by the
-// uvarint subtractive-edit counter.
-
-// AppendNormAccumulators appends the norm-accumulator sidecar for a
-// descriptor list: one (sumSq, dirty) pair per descriptor with a profile,
-// in list order. Descriptors without a profile contribute nothing.
-func AppendNormAccumulators(buf []byte, descs []Descriptor) []byte {
-	for _, d := range descs {
-		if d.Profile == nil {
-			continue
-		}
-		sumSq, dirty := d.Profile.NormAccumulator()
-		buf = wire.AppendScore(buf, sumSq)
-		buf = wire.AppendUint(buf, uint64(dirty))
-	}
-	return buf
-}
-
-// DecodeNormAccumulators decodes the sidecar written by
-// AppendNormAccumulators onto a list just decoded from the bytes before it:
-// each profile-carrying descriptor gets a snapshot of its bytes with the
-// sidecar's pair. It returns the remaining bytes. SnapshotTable.AppendDecode
-// is the same decode for a receiver that shares what it already holds.
-func DecodeNormAccumulators(data []byte, descs []Descriptor) ([]byte, error) {
-	rest := data
-	for i := range descs {
-		d := &descs[i]
-		if d.Profile == nil {
-			continue
-		}
-		sumSq, dirty, r, err := decodeNormAccumulator(rest)
-		if err != nil {
-			return data, err
-		}
-		rest = r
-		pk := d.Profile.WithAccumulator(sumSq, dirty)
-		d.Profile = &pk
-	}
-	return rest, nil
-}
-
-// decodeNormAccumulator decodes one sidecar pair.
-func decodeNormAccumulator(data []byte) (sumSq float64, dirty int, rest []byte, err error) {
-	sumSq, rest, err = wire.Score(data)
-	if err != nil {
-		return 0, 0, data, fmt.Errorf("norm accumulator sumSq: %w", err)
-	}
-	d, rest, err := wire.Uint(rest)
-	if err != nil {
-		return 0, 0, data, fmt.Errorf("norm accumulator dirty: %w", err)
-	}
-	return sumSq, int(d), rest, nil
 }

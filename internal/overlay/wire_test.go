@@ -29,11 +29,11 @@ func TestDescriptorWireRoundTrip(t *testing.T) {
 		"long-addr":     {Node: 2, Addr: strings.Repeat("a", 300), Stamp: 0, Profile: snapshotOf(profile.New())},
 	}
 	for name, d := range cases {
-		enc := AppendDescriptor(nil, d)
-		got, rest, err := DecodeDescriptor(enc)
-		if err != nil || len(rest) != 0 {
-			t.Fatalf("%s: decode err=%v rest=%d", name, err, len(rest))
+		list, rest, err := DecodeDescriptorsHeld(AppendDescriptors(nil, []Descriptor{d}), nil)
+		if err != nil || len(rest) != 0 || len(list) != 1 {
+			t.Fatalf("%s: decode err=%v rest=%d len=%d", name, err, len(rest), len(list))
 		}
+		got := list[0]
 		if got.Node != d.Node || got.Addr != d.Addr || got.Stamp != d.Stamp {
 			t.Fatalf("%s: scalar mismatch: %+v != %+v", name, got, d)
 		}
@@ -51,7 +51,7 @@ func TestDescriptorWireRoundTrip(t *testing.T) {
 func TestDescriptorsWireRoundTrip(t *testing.T) {
 	descs := []Descriptor{wireDesc(1, 3), wireDesc(2, 0), {Node: 7, Stamp: 1}}
 	enc := AppendDescriptors(nil, descs)
-	got, rest, err := DecodeDescriptors(enc)
+	got, rest, err := DecodeDescriptorsHeld(enc, nil)
 	if err != nil || len(rest) != 0 {
 		t.Fatalf("decode err=%v rest=%d", err, len(rest))
 	}
@@ -59,7 +59,7 @@ func TestDescriptorsWireRoundTrip(t *testing.T) {
 		t.Fatalf("len=%d want %d", len(got), len(descs))
 	}
 	// Empty list must decode to nil, as handlers produce.
-	if got, _, err := DecodeDescriptors(AppendDescriptors(nil, nil)); err != nil || got != nil {
+	if got, _, err := DecodeDescriptorsHeld(AppendDescriptors(nil, nil), nil); err != nil || got != nil {
 		t.Fatalf("empty list: got=%v err=%v", got, err)
 	}
 }
@@ -67,7 +67,7 @@ func TestDescriptorsWireRoundTrip(t *testing.T) {
 func TestDescriptorsWireTruncatedPrefixes(t *testing.T) {
 	enc := AppendDescriptors(nil, []Descriptor{wireDesc(1, 4), wireDesc(2, 1)})
 	for i := 0; i < len(enc); i++ {
-		if _, _, err := DecodeDescriptors(enc[:i]); err == nil {
+		if _, _, err := DecodeDescriptorsHeld(enc[:i], nil); err == nil {
 			t.Fatalf("prefix %d/%d must not decode", i, len(enc))
 		}
 		if _, err := CheckDescriptors(enc[:i]); err == nil {
@@ -77,7 +77,7 @@ func TestDescriptorsWireTruncatedPrefixes(t *testing.T) {
 	// The check-only walk consumes exactly what the decoder consumes, for
 	// descriptor and tombstone lists alike, and builds nothing.
 	enc = AppendTombstones(enc, []Tombstone{{Node: 3, Stamp: 9}})
-	_, afterDescs, err := DecodeDescriptors(enc)
+	_, afterDescs, err := DecodeDescriptorsHeld(enc, nil)
 	rest, cerr := CheckDescriptors(enc)
 	if err != nil || cerr != nil || len(rest) != len(afterDescs) {
 		t.Fatalf("descriptors: decode err=%v rest=%d, check err=%v rest=%d", err, len(afterDescs), cerr, len(rest))
@@ -95,7 +95,7 @@ func TestDescriptorsWireTruncatedPrefixes(t *testing.T) {
 
 func TestDecodeDescriptorsRejectsHugeCount(t *testing.T) {
 	enc := wire.AppendUint(nil, 1<<50)
-	if _, _, err := DecodeDescriptors(enc); !errors.Is(err, wire.ErrTruncated) {
+	if _, _, err := DecodeDescriptorsHeld(enc, nil); !errors.Is(err, wire.ErrTruncated) {
 		t.Fatalf("err=%v want ErrTruncated", err)
 	}
 }
@@ -161,11 +161,12 @@ func FuzzTombstones(f *testing.F) {
 }
 
 func TestDecodeDescriptorRejectsBadNode(t *testing.T) {
-	enc := wire.AppendInt(nil, -2) // below NoNode
+	enc := wire.AppendUint(nil, 1)
+	enc = wire.AppendInt(enc, -2) // below NoNode
 	enc = wire.AppendString(enc, "")
 	enc = wire.AppendInt(enc, 0)
 	enc = wire.AppendUint(enc, 0)
-	if _, _, err := DecodeDescriptor(enc); !errors.Is(err, wire.ErrMalformed) {
+	if _, _, err := DecodeDescriptorsHeld(enc, nil); !errors.Is(err, wire.ErrMalformed) {
 		t.Fatalf("err=%v want ErrMalformed", err)
 	}
 }

@@ -10,38 +10,36 @@ import (
 )
 
 // Packed is a profile snapshot at rest: the canonical AppendWire bytes of
-// the entries, plus the norm accumulator pair (Σ score², subtractive-edit
-// counter) of the profile they came from. It is what an overlay descriptor
+// the entries, plus their Σ score². It is what an overlay descriptor
 // carries, so a snapshot costs its packed bytes — a binary opinion is about
 // three — instead of a 24-byte entry each.
 //
-// A Packed is immutable: nothing writes its bytes or its pair once it
-// exists, so snapshots are shared freely between views, and a pointer
-// identifies fixed content. Its bytes are canonical (every varint minimal,
-// every score in wire.AppendScore's form), so two Packed hold equal entries
-// exactly when their bytes are equal; scores read the pair, not a
-// recomputation, so they are bit-identical to the unpacked profile's.
+// A Packed is immutable: nothing writes it once it exists, so snapshots are
+// shared freely between views, and a pointer identifies fixed content. Its
+// bytes are canonical (every varint minimal, every score in
+// wire.AppendScore's form), so two Packed hold equal entries exactly when
+// their bytes are equal, and then they carry the same Σ score² bits too (a
+// Profile keeps it summed in ascending id order, as a decode sums it), so
+// they score identically against every profile, and as the unpacked profile
+// does.
 type Packed struct {
 	wire  []byte  // canonical AppendWire encoding
-	sumSq float64 // the packed profile's cached Σ score², its bits as they were
-	dirty int     // the packed profile's subtractive-edit counter
+	sumSq float64 // Σ score² in ascending id order
 }
 
-// Pack returns a snapshot of the profile's current content and accumulator
-// pair; its bytes are the one allocation. Callers that gossip one profile
-// many times pack it once per Version and share the address of the one
-// snapshot.
+// Pack returns a snapshot of the profile's current content; its bytes are
+// the one allocation. Callers that gossip one profile many times pack it
+// once per Version and share the address of the one snapshot.
 func (p *Profile) Pack() Packed {
-	return Packed{wire: p.AppendWire(make([]byte, 0, p.WireSize())), sumSq: p.sumSq, dirty: p.dirty}
+	return Packed{wire: p.AppendWire(make([]byte, 0, p.WireSize())), sumSq: p.sumSq}
 }
 
 // DecodePacked validates one packed profile at the front of data and returns
-// it as a Packed aliasing data, with the pair a decode builds (Σ score²
-// accumulated in ascending id order, no subtractive edits), and the
-// remaining bytes. It accepts what DecodeWire accepts, in canonical form
-// only: a non-minimal varint or a score AppendScore would not write is
-// malformed, which is what makes equal bytes mean equal entries. The result
-// is valid while data is; Clone gives a copy that aliases nothing.
+// it as a Packed aliasing data, and the remaining bytes. It accepts what
+// DecodeWire accepts, in canonical form only: a non-minimal varint or a
+// score AppendScore would not write is malformed, which is what makes equal
+// bytes mean equal entries. The result is valid while data is; Clone gives
+// a copy that aliases nothing.
 func DecodePacked(data []byte) (Packed, []byte, error) {
 	rest, sumSq, err := decodeWire(nil, data, true)
 	if err != nil {
@@ -52,28 +50,12 @@ func DecodePacked(data []byte) (Packed, []byte, error) {
 
 // Clone returns a copy of the snapshot whose bytes alias nothing.
 func (p *Packed) Clone() *Packed {
-	return &Packed{wire: bytes.Clone(p.wire), sumSq: p.sumSq, dirty: p.dirty}
+	return &Packed{wire: bytes.Clone(p.wire), sumSq: p.sumSq}
 }
 
-// WithAccumulator returns the snapshot carrying the pair (sumSq, dirty) in
-// place of its own, sharing its bytes: how a decoder restores the sender's
-// pair from a sidecar. The caller owns the invariant that the pair belongs
-// to these entries.
-func (p *Packed) WithAccumulator(sumSq float64, dirty int) Packed {
-	q := *p
-	q.sumSq, q.dirty = sumSq, dirty
-	return q
-}
-
-// NormAccumulator returns the accumulator pair the snapshot carries (see
-// Profile.NormAccumulator).
-func (p *Packed) NormAccumulator() (sumSq float64, dirty int) { return p.sumSq, p.dirty }
-
-// Equal reports whether two snapshots score identically against every
-// profile: equal bytes and the same accumulator bits.
-func (p *Packed) Equal(q *Packed) bool {
-	return bytes.Equal(p.wire, q.wire) && math.Float64bits(p.sumSq) == math.Float64bits(q.sumSq) && p.dirty == q.dirty
-}
+// Equal reports whether two snapshots hold the same entries, and so score
+// identically against every profile: whether their bytes are equal.
+func (p *Packed) Equal(q *Packed) bool { return bytes.Equal(p.wire, q.wire) }
 
 // Len reports the number of entries.
 func (p *Packed) Len() int {

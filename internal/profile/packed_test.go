@@ -21,8 +21,7 @@ func scoreOf(b byte) float64 {
 
 // edited builds a profile from an edit history read out of script, three
 // bytes an edit: Set, Remove, PurgeOlderThan and MergeAverage, over ids
-// drawn from pool and a few of its own. Subtractions leave its sumSq bits
-// other than a recompute's.
+// drawn from pool and a few of its own.
 func edited(script []byte, pool []news.ID) *Profile {
 	p := New()
 	id := func(b byte) news.ID {
@@ -54,11 +53,10 @@ func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bit
 
 // FuzzPackedSimilarity is the differential test of the packed kernel: for a
 // candidate read from data (or, when data does not decode, one edited from
-// it) and a target edited from other, WUP and Cosine give the same bits
-// against the candidate's Profile and against its Packed forms — Pack, which
-// carries the edited accumulator pair, and DecodePacked of canonical bytes,
-// which carries a decode's. Both directions are scored, so the edited pair of
-// either side is read.
+// it) and a target edited from other, both of which hold the canonical
+// Σ score² (checkCanonicalNorm), WUP and Cosine give the same bits against
+// the candidate's Profile and against its Packed forms — Pack, and
+// DecodePacked of canonical bytes. Both directions are scored.
 func FuzzPackedSimilarity(f *testing.F) {
 	sample := wireSample()
 	f.Add(sample.AppendWire(nil), []byte{0, 0, 0x10, 1, 1, 0, 2, 2, 0x40})
@@ -78,6 +76,8 @@ func FuzzPackedSimilarity(f *testing.F) {
 		var pool []news.ID
 		cand.ForEach(func(e Entry) { pool = append(pool, e.Item) })
 		self := edited(other, pool)
+		checkCanonicalNorm(t, cand)
+		checkCanonicalNorm(t, self)
 		candPacked, selfPacked := cand.Pack(), self.Pack()
 		candPk, selfPk := &candPacked, &selfPacked
 		var decoded *Packed
@@ -97,31 +97,26 @@ func FuzzPackedSimilarity(f *testing.F) {
 				}
 			}
 			if got, want := m.SimilarityPacked(cand, selfPk), m.Similarity(cand, self); !sameBits(got, want) {
-				t.Fatalf("%s: edited target packed scores %v, decoded %v", m.Name(), got, want)
+				t.Fatalf("%s: edited target packed scores %v, unpacked %v", m.Name(), got, want)
 			}
 		}
 	})
 }
 
-// TestPackedIsASnapshot: a Packed keeps the content and accumulator pair of
-// the moment it was packed, whatever the profile does afterwards.
+// TestPackedIsASnapshot: a Packed keeps the content and Σ score² of the
+// moment it was packed, whatever the profile does afterwards.
 func TestPackedIsASnapshot(t *testing.T) {
-	p := dirtied(wireSample())
-	enc := p.AppendWire(nil)
-	sum, dirty := p.NormAccumulator()
+	p := wireSample()
+	enc, sum := p.AppendWire(nil), p.sumSq
 	pk := new(Packed)
 	*pk = p.Pack()
 	p.Set(1, 1, 1)
 	p.PurgeOlderThan(11)
-	gs, gd := pk.NormAccumulator()
-	if !bytes.Equal(pk.AppendWire(nil), enc) || !sameBits(gs, sum) || gd != dirty || pk.Len() != 3 {
-		t.Fatalf("the snapshot changed with its profile: %v, pair (%v, %d)", pk, gs, gd)
+	if !bytes.Equal(pk.AppendWire(nil), enc) || !sameBits(pk.sumSq, sum) || pk.Len() != 3 {
+		t.Fatalf("the snapshot changed with its profile: %v, Σ score² %v", pk, pk.sumSq)
 	}
-	if c := pk.Clone(); c == pk || !c.Equal(pk) {
-		t.Fatal("Clone is not an equal copy")
-	}
-	if q := pk.WithAccumulator(sum+1, dirty); q.Equal(pk) || !bytes.Equal(q.AppendWire(nil), enc) {
-		t.Fatal("WithAccumulator did not change only the pair")
+	if c := pk.Clone(); c == pk || !c.Equal(pk) || !sameBits(c.sumSq, sum) || &c.wire[0] == &pk.wire[0] {
+		t.Fatal("Clone is not an equal copy of its own")
 	}
 }
 

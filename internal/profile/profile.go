@@ -9,12 +9,16 @@
 // A profile comes in two forms. Profile is the working form: entries in a
 // slice sorted by item id, mutated in place, with a version counter bumped on
 // every mutation. Packed is the form at rest: the immutable snapshot a gossip
-// descriptor carries, made of the canonical packed wire bytes and the
-// profile's norm accumulator pair. A node packs its advertised profile once
-// per version, every view that holds the descriptor shares that snapshot, and
-// the metrics score a Packed in place with a merge-join over its varint
-// deltas — the same float operations in the same order as against the
-// Profile it was packed from, so the same bits.
+// descriptor carries, made of the canonical packed wire bytes and Σ score².
+// A node packs its advertised profile once per version, every view that
+// holds the descriptor shares that snapshot, and the metrics score a Packed
+// in place with a merge-join over its varint deltas — the same float
+// operations in the same order as against the Profile it was packed from,
+// so the same bits.
+//
+// Σ score² is a function of the entries: every mutator leaves it summed in
+// ascending id order, the sum a decode computes, so equal entries carry
+// equal bits whatever edits or serialisations produced them.
 //
 // An item profile in flight is never written: BEEP hands one profile to every
 // path, and a receiver that changes it builds its own (Merged for a liker's
@@ -49,9 +53,8 @@ type Entry struct {
 // profile a forward handed them all.
 type Profile struct {
 	entries []Entry // sorted by Item
-	sumSq   float64 // cached Σ score², so Norm is O(1)
+	sumSq   float64 // Σ score² in ascending id order, so Norm is O(1)
 	version uint64  // bumped on every content mutation (similarity-cache key)
-	dirty   int     // subtractive float ops since the last exact sumSq recompute
 }
 
 // New returns an empty profile.
@@ -100,55 +103,22 @@ func (p *Profile) Has(id news.ID) bool {
 func (p *Profile) Set(id news.ID, stamp int64, score float64) {
 	p.version++
 	i, ok := p.search(id)
-	if ok {
-		old := p.entries[i].Score
-		p.sumSq += score*score - old*old
-		p.entries[i] = Entry{Item: id, Stamp: stamp, Score: score}
-		return
+	if !ok {
+		p.entries = append(p.entries, Entry{}) //whatsup:alloc amortized growth
+		copy(p.entries[i+1:], p.entries[i:])
 	}
-	p.entries = append(p.entries, Entry{}) //whatsup:alloc amortized growth
-	copy(p.entries[i+1:], p.entries[i:])
 	p.entries[i] = Entry{Item: id, Stamp: stamp, Score: score}
-	p.sumSq += score * score
+	p.resum()
 }
 
-// AverageIn merges one tuple of a liker's user profile into an item profile:
-// if the item profile already has a score s for the id, s becomes the average
-// (s+score)/2, giving equal weight to both and personalising the item profile
-// to the most recent liker; otherwise the tuple is inserted as is
-// (addToNewsProfile, Algorithm 1 lines 18-22). The entry keeps the freshest
-// of the two timestamps, so reinforcing an item never makes it look older to
-// the profile window (II-E).
-//
-//whatsup:hotpath
-func (p *Profile) AverageIn(id news.ID, stamp int64, score float64) {
-	p.version++
-	i, ok := p.search(id)
-	if ok {
-		old := p.entries[i].Score
-		avg := (old + score) / 2
-		p.sumSq += avg*avg - old*old
-		p.entries[i].Score = avg
-		if stamp > p.entries[i].Stamp {
-			p.entries[i].Stamp = stamp
-		}
-		return
-	}
-	p.entries = append(p.entries, Entry{}) //whatsup:alloc amortized growth
-	copy(p.entries[i+1:], p.entries[i:])
-	p.entries[i] = Entry{Item: id, Stamp: stamp, Score: score}
-	p.sumSq += score * score
-}
-
-// MergeAverage folds every entry of other into p with AverageIn semantics —
-// matching ids average their scores and keep the freshest stamp, missing ids
-// are inserted verbatim — as a single O(|p|+|other|) sorted merge with at
-// most one allocation. It replaces the entry-at-a-time loops on BEEP's
-// publish and receive paths (Algorithm 1 lines 3-4 and 15-16).
-//
-// The incremental sumSq updates are applied in ascending id order of other's
-// entries, the exact float-op sequence of the AverageIn loop it replaces, so
-// the cached norm is bit-identical to the legacy path.
+// MergeAverage folds a liker's user profile into an item profile
+// (addToNewsProfile, Algorithm 1 lines 18-22): where p already has a score s
+// for an id of other, s becomes the average (s+score)/2, giving equal weight
+// to both and personalising the item profile to the most recent liker, and
+// the entry keeps the fresher of the two stamps, so reinforcing an item never
+// makes it look older to the profile window (II-E); other's remaining
+// entries are inserted as they are. It is one O(|p|+|other|) sorted merge
+// with at most one allocation.
 //
 //whatsup:hotpath
 func (p *Profile) MergeAverage(other *Profile) {
@@ -179,36 +149,35 @@ func (p *Profile) fold(other *Profile) {
 	p.version++
 	//whatsup:alloc the merge's single allocation; exact capacity, appends below never grow
 	merged := make([]Entry, 0, len(p.entries)+len(other.entries))
+	var sumSq float64
 	i, j := 0, 0
 	for i < len(p.entries) && j < len(other.entries) {
 		a, b := p.entries[i], other.entries[j]
 		switch {
 		case a.Item < b.Item:
-			merged = append(merged, a)
 			i++
 		case a.Item > b.Item:
-			p.sumSq += b.Score * b.Score
-			merged = append(merged, b)
+			a = b
 			j++
 		default:
-			avg := (a.Score + b.Score) / 2
-			p.sumSq += avg*avg - a.Score*a.Score
+			a.Score = (a.Score + b.Score) / 2
 			if b.Stamp > a.Stamp {
 				a.Stamp = b.Stamp
 			}
-			a.Score = avg
-			merged = append(merged, a)
 			i++
 			j++
 		}
+		sumSq += a.Score * a.Score
+		merged = append(merged, a)
 	}
-	merged = append(merged, p.entries[i:]...)
-	for ; j < len(other.entries); j++ {
-		b := other.entries[j]
-		p.sumSq += b.Score * b.Score
-		merged = append(merged, b)
+	tail := p.entries[i:] // at most one of the two tails is left
+	if j < len(other.entries) {
+		tail = other.entries[j:]
 	}
-	p.entries = merged
+	for _, e := range tail {
+		sumSq += e.Score * e.Score
+	}
+	p.entries, p.sumSq = append(merged, tail...), sumSq
 }
 
 // Remove deletes the entry for an item, if present.
@@ -218,10 +187,8 @@ func (p *Profile) Remove(id news.ID) {
 		return
 	}
 	p.version++
-	old := p.entries[i].Score
-	p.sumSq -= old * old
 	p.entries = append(p.entries[:i], p.entries[i+1:]...)
-	p.noteSubtraction(1)
+	p.resum()
 }
 
 // PurgeOlderThan removes all entries whose timestamp is strictly older than
@@ -230,35 +197,27 @@ func (p *Profile) Remove(id news.ID) {
 // users decay back to empty profiles. When nothing is stale the profile is
 // left untouched.
 func (p *Profile) PurgeOlderThan(minStamp int64) int {
-	first := -1
-	for i, e := range p.entries {
-		if e.Stamp < minStamp {
-			first = i
-			break
-		}
-	}
-	if first < 0 {
+	if !p.holdsOlder(minStamp) {
 		return 0
 	}
 	p.version++
-	kept := p.entries[:first]
-	dropped := 0
-	for _, e := range p.entries[first:] {
+	kept := p.entries[:0]
+	var sumSq float64
+	for _, e := range p.entries {
 		if e.Stamp < minStamp {
-			p.sumSq -= e.Score * e.Score
-			dropped++
 			continue
 		}
+		sumSq += e.Score * e.Score
 		kept = append(kept, e)
 	}
+	dropped := len(p.entries) - len(kept)
 	if cap(kept) > 2*len(kept) {
 		// Nothing else holds a user profile's array any more (snapshots are
 		// packed copies), so right-size it here: windowed profiles shrink,
 		// and append's doubling would otherwise keep their peak forever.
 		kept = append(make([]Entry, 0, len(kept)), kept...)
 	}
-	p.entries = kept
-	p.noteSubtraction(dropped)
+	p.entries, p.sumSq = kept, sumSq
 	return dropped
 }
 
@@ -267,54 +226,32 @@ func (p *Profile) PurgeOlderThan(minStamp int64) int {
 // otherwise, so p is only read. It is a disliker's window purge of the item
 // profile it was handed (Algorithm 1 lines 8-10).
 func (p *Profile) Windowed(minStamp int64) *Profile {
-	for _, e := range p.entries {
-		if e.Stamp < minStamp {
-			q := p.Clone()
-			q.PurgeOlderThan(minStamp)
-			return q
-		}
+	if !p.holdsOlder(minStamp) {
+		return p
 	}
-	return p
+	q := p.Clone()
+	q.PurgeOlderThan(minStamp)
+	return q
 }
 
-// normRecomputeEvery bounds how much float error the cached sumSq can
-// accumulate: after this many subtractive edits the norm is recomputed
-// exactly from the entries. Additions only lose precision proportional to
-// the running sum; subtractions can cancel catastrophically, so only they
-// are counted.
-const normRecomputeEvery = 32
+// holdsOlder reports whether an entry is stamped strictly before minStamp.
+func (p *Profile) holdsOlder(minStamp int64) bool {
+	for _, e := range p.entries {
+		if e.Stamp < minStamp {
+			return true
+		}
+	}
+	return false
+}
 
-// noteSubtraction records subtractive float edits against the cached sumSq
-// and periodically recomputes it exactly (in ascending id order, the
-// canonical sequence) so long-lived profiles cannot drift.
-func (p *Profile) noteSubtraction(n int) {
-	p.dirty += n
-	if len(p.entries) == 0 {
-		p.sumSq = 0
-		p.dirty = 0
-		return
-	}
-	if p.dirty < normRecomputeEvery {
-		return
-	}
+// resum sets sumSq to Σ score² over the entries in ascending id order, the
+// sum decodeWire computes, for the mutators whose edit does not walk them.
+func (p *Profile) resum() {
 	var sumSq float64
 	for _, e := range p.entries {
 		sumSq += e.Score * e.Score
 	}
 	p.sumSq = sumSq
-	p.dirty = 0
-}
-
-// NormAccumulator exposes the cached Σ score² and the subtractive-edit
-// counter behind Norm. The pair is the profile's float-accumulator state:
-// two profiles with equal entries can carry different sumSq bits depending
-// on the mutation history that produced them, and similarity metrics read
-// the cached value, not a recomputation. Pack carries the pair into the
-// snapshot, and serialization boundaries that must preserve bit-identical
-// similarity scores (the sharded engine's inter-shard batches) carry it
-// alongside the packed entries.
-func (p *Profile) NormAccumulator() (sumSq float64, dirty int) {
-	return p.sumSq, p.dirty
 }
 
 // Norm returns the Euclidean norm of the score vector, ‖P‖.
@@ -346,9 +283,9 @@ func (p *Profile) Entries() []Entry {
 }
 
 // Clone returns a deep copy: the same entries in an array of its own, and
-// the same norm accumulator pair and version.
+// the same version.
 func (p *Profile) Clone() *Profile {
-	return &Profile{entries: append([]Entry(nil), p.entries...), sumSq: p.sumSq, version: p.version, dirty: p.dirty}
+	return &Profile{entries: append([]Entry(nil), p.entries...), sumSq: p.sumSq, version: p.version}
 }
 
 // Equal reports whether two profiles contain exactly the same entries.

@@ -39,15 +39,34 @@ func TestNormTracksMutations(t *testing.T) {
 	}
 }
 
+// averageIn merges one tuple of a liker's user profile into an item profile,
+// one entry at a time, as Algorithm 1 lines 18-22 (addToNewsProfile) read:
+// an existing score s becomes (s+score)/2 and the entry keeps the fresher
+// stamp, a missing id is inserted as is. It is the reference MergeAverage
+// is held to.
+func averageIn(p *Profile, id news.ID, stamp int64, score float64) {
+	p.version++
+	i, ok := p.search(id)
+	if !ok {
+		p.entries = append(p.entries, Entry{})
+		copy(p.entries[i+1:], p.entries[i:])
+		p.entries[i] = Entry{Item: id, Stamp: stamp, Score: score}
+	} else {
+		p.entries[i].Score = (p.entries[i].Score + score) / 2
+		p.entries[i].Stamp = max(p.entries[i].Stamp, stamp)
+	}
+	p.resum()
+}
+
 func TestAverageInMatchesAlgorithm1(t *testing.T) {
 	// addToNewsProfile: existing score is replaced by the average of old and
 	// new; missing ids are inserted verbatim.
 	ip := New()
-	ip.AverageIn(7, 3, 1)
+	averageIn(ip, 7, 3, 1)
 	if e, _ := ip.Get(7); e.Score != 1 || e.Stamp != 3 {
 		t.Fatalf("insert path wrong: %+v", e)
 	}
-	ip.AverageIn(7, 9, 0)
+	averageIn(ip, 7, 9, 0)
 	e, _ := ip.Get(7)
 	if e.Score != 0.5 {
 		t.Fatalf("average path wrong: score=%v want 0.5", e.Score)
@@ -55,7 +74,7 @@ func TestAverageInMatchesAlgorithm1(t *testing.T) {
 	if e.Stamp != 9 {
 		t.Fatalf("average path must keep the freshest stamp, got %d", e.Stamp)
 	}
-	ip.AverageIn(7, 9, 1)
+	averageIn(ip, 7, 9, 1)
 	if e, _ := ip.Get(7); e.Score != 0.75 {
 		t.Fatalf("second average wrong: %v want 0.75", e.Score)
 	}
@@ -67,8 +86,8 @@ func TestAverageInStalenessRegression(t *testing.T) {
 	// PurgeOlderThan could drop an item-profile entry that had just been
 	// re-expressed. The freshest stamp must win, in both merge directions.
 	ip := New()
-	ip.AverageIn(7, 3, 1) // first opinion at cycle 3
-	ip.AverageIn(7, 9, 1) // reinforced at cycle 9
+	averageIn(ip, 7, 3, 1) // first opinion at cycle 3
+	averageIn(ip, 7, 9, 1) // reinforced at cycle 9
 	if dropped := ip.PurgeOlderThan(5); dropped != 0 {
 		t.Fatalf("reinforced entry purged: dropped=%d", dropped)
 	}
@@ -76,7 +95,7 @@ func TestAverageInStalenessRegression(t *testing.T) {
 		t.Fatal("reinforced entry must survive a purge past its original stamp")
 	}
 	// An older opinion must never rejuvenate a fresher entry.
-	ip.AverageIn(7, 1, 1)
+	averageIn(ip, 7, 1, 1)
 	if e, _ := ip.Get(7); e.Stamp != 9 {
 		t.Fatalf("older merge must not regress the stamp: got %d want 9", e.Stamp)
 	}
@@ -203,7 +222,7 @@ func TestNormPropertyMatchesRecomputation(t *testing.T) {
 			case 1:
 				p.Remove(news.ID(rng.Int63n(40)))
 			case 2:
-				p.AverageIn(news.ID(rng.Int63n(40)), rng.Int63n(1000), rng.Float64())
+				averageIn(p, news.ID(rng.Int63n(40)), rng.Int63n(1000), rng.Float64())
 			}
 		}
 		var sumSq float64
@@ -219,24 +238,29 @@ func TestNormPropertyMatchesRecomputation(t *testing.T) {
 func legacyClone(p *Profile) *Profile {
 	c := WithCapacity(p.Len())
 	p.ForEach(func(e Entry) { c.entries = append(c.entries, e) })
-	c.sumSq, c.dirty = p.sumSq, p.dirty
+	c.sumSq = p.sumSq
 	return c
 }
 
-// mutate applies one random mutation to a profile, driven by op.
+// mutate applies one random mutation to a profile: Set (a binary or a real
+// score), Remove, PurgeOlderThan, MergeAverage, or p replaced by its own
+// Merged or Windowed result.
 func mutate(p *Profile, rng *rand.Rand) {
-	switch rng.Intn(5) {
+	switch rng.Intn(7) {
 	case 0:
 		p.Set(news.ID(rng.Int63n(60)), rng.Int63n(1000), float64(rng.Intn(2)))
 	case 1:
-		p.AverageIn(news.ID(rng.Int63n(60)), rng.Int63n(1000), rng.Float64())
+		p.Set(news.ID(rng.Int63n(60)), rng.Int63n(1000), rng.Float64())
 	case 2:
 		p.Remove(news.ID(rng.Int63n(60)))
 	case 3:
 		p.PurgeOlderThan(rng.Int63n(1000))
 	case 4:
-		other := randomProfile(rng, rng.Intn(20), 60)
-		p.MergeAverage(other)
+		p.MergeAverage(randomProfile(rng, rng.Intn(20), 60))
+	case 5:
+		*p = *p.Merged(randomProfile(rng, rng.Intn(20), 60))
+	case 6:
+		*p = *p.Windowed(rng.Int63n(1000))
 	}
 }
 
@@ -285,12 +309,12 @@ func TestMergeAverageMatchesAverageInLoop(t *testing.T) {
 		p := randomProfile(rng, rng.Intn(40), 50)
 		other := randomProfile(rng, rng.Intn(40), 50)
 		ref := legacyClone(p)
-		other.ForEach(func(e Entry) { ref.AverageIn(e.Item, e.Stamp, e.Score) })
+		other.ForEach(func(e Entry) { averageIn(ref, e.Item, e.Stamp, e.Score) })
 		p.MergeAverage(other)
 		if !p.Equal(ref) {
 			t.Fatalf("trial %d: merge mismatch:\n%v\n%v", trial, p, ref)
 		}
-		if p.Norm() != ref.Norm() {
+		if !sameBits(p.Norm(), ref.Norm()) {
 			t.Fatalf("trial %d: norm not bit-identical: %v vs %v", trial, p.Norm(), ref.Norm())
 		}
 	}
@@ -311,10 +335,8 @@ func TestMergeAverageIntoEmptySharesCOW(t *testing.T) {
 	if !ip.Equal(user) {
 		t.Fatal("merge into empty must copy the source verbatim")
 	}
-	var sumSq float64 // the canonical insert sequence: ascending ids from 0
-	user.ForEach(func(e Entry) { sumSq += e.Score * e.Score })
-	if got, dirty := ip.NormAccumulator(); math.Float64bits(got) != math.Float64bits(sumSq) || dirty != 0 {
-		t.Fatalf("merge into empty: accumulator (%v, %d), want (%v, 0)", got, dirty, sumSq)
+	if !sameBits(ip.sumSq, user.sumSq) {
+		t.Fatalf("merge into empty: Σ score² %v, want the source's %v", ip.sumSq, user.sumSq)
 	}
 	// Mutating either side afterwards must not leak into the other.
 	before := legacyClone(user)
@@ -330,20 +352,16 @@ func TestMergeAverageIntoEmptySharesCOW(t *testing.T) {
 }
 
 // TestMergedAndWindowedOnlyRead: Merged and Windowed give what a deep copy
-// followed by MergeAverage or PurgeOlderThan gives, entries and accumulator
-// bits, and leave the receiver's entries and accumulator as they were.
+// followed by MergeAverage or PurgeOlderThan gives, entries and Σ score²
+// bits, and leave the receiver's entries and Σ score² as they were.
 // Merged's result never shares the receiver's array, even with nothing to
 // fold in; Windowed returns the receiver itself when nothing is stale.
 func TestMergedAndWindowedOnlyRead(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
-	same := func(a, b *Profile) bool {
-		as, ad := a.NormAccumulator()
-		bs, bd := b.NormAccumulator()
-		return a.Equal(b) && math.Float64bits(as) == math.Float64bits(bs) && ad == bd
-	}
+	same := func(a, b *Profile) bool { return a.Equal(b) && sameBits(a.sumSq, b.sumSq) }
 	for trial := 0; trial < 300; trial++ {
 		p := randomProfile(rng, rng.Intn(30), 60)
-		mutate(p, rng) // a history, so the accumulator is not a fresh sum
+		mutate(p, rng)
 		before := legacyClone(p)
 		other := randomProfile(rng, rng.Intn(3)*rng.Intn(20), 60)
 		minStamp := rng.Int63n(1000)
@@ -382,7 +400,6 @@ func TestVersionBumpsOnEveryMutation(t *testing.T) {
 		v = p.Version()
 	}
 	step("Set", func() { p.Set(1, 1, 1) })
-	step("AverageIn", func() { p.AverageIn(1, 2, 0) })
 	step("MergeAverage", func() { q := New(); q.Set(2, 1, 1); p.MergeAverage(q) })
 	step("Remove", func() { p.Remove(2) })
 	step("PurgeOlderThan", func() { p.Set(3, 0, 1); v = p.Version(); p.PurgeOlderThan(1) })
@@ -398,23 +415,33 @@ func TestVersionBumpsOnEveryMutation(t *testing.T) {
 	}
 }
 
+// checkCanonicalNorm fails t unless p's Σ score² has the bits of the sum in
+// ascending id order, and unless Pack and a decode of the wire bytes agree
+// with p and each other on bytes and on those bits: the contract that lets a
+// snapshot cross any serialisation and score the same.
+func checkCanonicalNorm(t *testing.T, p *Profile) {
+	t.Helper()
+	var sumSq float64
+	p.ForEach(func(e Entry) { sumSq += e.Score * e.Score })
+	if !sameBits(p.sumSq, sumSq) {
+		t.Fatalf("%v: Σ score² %v, the ascending sum is %v", p, p.sumSq, sumSq)
+	}
+	packed := p.Pack()
+	decoded, rest, err := DecodePacked(p.AppendWire(nil))
+	if err != nil || len(rest) != 0 || !packed.Equal(&decoded) || !sameBits(packed.sumSq, decoded.sumSq) ||
+		!sameBits(packed.sumSq, sumSq) {
+		t.Fatalf("%v: Pack (Σ %v) and the decoded wire bytes (Σ %v, err %v) disagree", p, packed.sumSq, decoded.sumSq, err)
+	}
+}
+
+// TestNormExactAfterLongEditSequences: however long the edit history, Σ score²
+// is the ascending-order sum of the entries there are, bit for bit.
 func TestNormExactAfterLongEditSequences(t *testing.T) {
-	// The drift guard: after arbitrarily long random edit sequences the
-	// cached norm must track a from-scratch recomputation to fine precision
-	// (subtractive edits trigger periodic exact recomputes).
 	rng := rand.New(rand.NewSource(14))
 	p := New()
 	for i := 0; i < 20000; i++ {
 		mutate(p, rng)
-		if i%500 != 0 {
-			continue
-		}
-		var sumSq float64
-		p.ForEach(func(e Entry) { sumSq += e.Score * e.Score })
-		want := math.Sqrt(sumSq)
-		if diff := math.Abs(p.Norm() - want); diff > 1e-9*(1+want) {
-			t.Fatalf("step %d: cached norm drifted: %v vs %v", i, p.Norm(), want)
-		}
+		checkCanonicalNorm(t, p)
 	}
 }
 
@@ -424,7 +451,7 @@ func TestWireSizeMatchesEncodedLength(t *testing.T) {
 		p := randomProfile(rng, rng.Intn(40), 1<<40)
 		// Mix in non-binary scores (dyadic item-profile averages).
 		for i := 0; i < 5; i++ {
-			p.AverageIn(news.ID(rng.Int63n(1<<40)), rng.Int63n(1000), rng.Float64())
+			averageIn(p, news.ID(rng.Int63n(1<<40)), rng.Int63n(1000), rng.Float64())
 		}
 		if got, want := p.WireSize(), len(p.AppendWire(nil)); got != want {
 			t.Fatalf("WireSize=%d but encoded length=%d for %v", got, want, p)

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -132,7 +131,7 @@ func TestShardMatrixDeterminism(t *testing.T) {
 // cycle), and joins and rejoins made between Steps (seeded, after the BEEP
 // drain, with descriptors stamped like that cycle's pre-drain pushes). It
 // returns the collector fingerprint and every member's views, entry by entry
-// with the profile's content and accumulator pair.
+// with the profile's content.
 func twoContentsWorld(workers, shards int) string {
 	const n, items, cycles, seed = 120, 60, 30, 7
 	cfg := core.Config{FLike: 4, RPSViewSize: 8, ProfileWindow: 4, DescriptorTTL: 10}
@@ -169,8 +168,7 @@ func twoContentsWorld(workers, shards int) string {
 		fmt.Fprintf(&b, "%d:", o.ID())
 		for _, v := range []*overlay.View{o.RPS().View(), o.WUP().View()} {
 			v.ForEach(func(d overlay.Descriptor) {
-				sumSq, dirty := d.Profile.NormAccumulator()
-				fmt.Fprintf(&b, " %d@%d%x/%x/%d", d.Node, d.Stamp, d.Profile.AppendWire(nil), math.Float64bits(sumSq), dirty)
+				fmt.Fprintf(&b, " %d@%d%x", d.Node, d.Stamp, d.Profile.AppendWire(nil))
 			})
 			b.WriteString(" |")
 		}
@@ -182,7 +180,7 @@ func twoContentsWorld(workers, shards int) string {
 // TestShardMatrixDeterminismTwoContents is TestShardMatrixDeterminism on the
 // world where a destination shard's snapshot table is offered, under a key it
 // holds, a content it does not: sharing a held snapshot on (node, stamp)
-// alone — without comparing entries and accumulator pair — fails it.
+// alone — without comparing its bytes — fails it.
 func TestShardMatrixDeterminismTwoContents(t *testing.T) {
 	want := twoContentsWorld(1, 1)
 	for _, shards := range []int{1, 2, 8} {

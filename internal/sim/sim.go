@@ -31,10 +31,10 @@
 //     are ordered by (to, from, item) and then delivered grouped per
 //     receiver, with receiver-order delivery callbacks.
 //   - Gossip exchanges that cross a shard boundary are routed as batches
-//     encoded through the binary wire codec (see routeCrossShard): the
-//     decoded descriptors carry the sender's exact profile norm-accumulator
-//     bits, so a responder in another shard scores them bit-identically to
-//     the in-memory originals. Shards=1 skips the codec entirely and is
+//     encoded through the binary wire codec (see routeCrossShard): a
+//     profile's Σ score² is a function of its entries, so a responder in
+//     another shard scores the decoded descriptors bit-identically to the
+//     in-memory originals. Shards=1 skips the codec entirely and is
 //     structurally the pre-shard engine.
 //   - Metrics are recorded into per-worker metrics.Collector scratch and
 //     merged into the main collector at the end of every cycle; all merged
@@ -1037,15 +1037,13 @@ type exchange struct {
 // (source, destination) batch buffer. One batch entry is
 //
 //	uvarint  initiator global dense index
-//	descriptor list          (overlay.AppendDescriptors)
-//	norm-accumulator sidecar (overlay.AppendNormAccumulators)
-//	tombstone list           (overlay.AppendTombstones)
+//	descriptor list (overlay.AppendDescriptors)
+//	tombstone list  (overlay.AppendTombstones)
 //
 // — the inter-shard ABI: a multi-process engine would write exactly these
-// bytes to a pipe. The sidecar is what keeps the contract bit-exact: the
-// packed profile codec recomputes Σ score² from entries, which differs in
-// float bits from the sender's incrementally maintained accumulator, and
-// similarity metrics read the cached value.
+// bytes to a pipe. The bytes are the whole of a descriptor: a profile's
+// Σ score² is a function of its entries, so a decoded snapshot scores
+// bit-identically to the one sent.
 //
 // For the push leg (reply=false) src is the initiator's shard and dst the
 // responder's, and legs the absorb phase would never read (lost pushes,
@@ -1091,7 +1089,6 @@ func (e *Engine) encodeCrossShard(exs []exchange, reply bool, layer core.Layer) 
 		buf := e.xbufs[src*S+dst]
 		buf = wire.AppendUint(buf, uint64(g))
 		buf = overlay.AppendDescriptors(buf, descs)
-		buf = overlay.AppendNormAccumulators(buf, descs)
 		buf = overlay.AppendTombstones(buf, tombs)
 		e.xbufs[src*S+dst] = buf
 		e.stats.Crossings++
@@ -1130,7 +1127,7 @@ func (e *Engine) decodeCrossShard(exs []exchange, reply bool) {
 				pl := pendingLeg{g: int(g64), dlo: len(sc.descs), tlo: len(sc.tombs)}
 				sc.descs, rest, err = sc.snaps.AppendDecode(sc.descs, rest)
 				if err != nil {
-					panic(fmt.Sprintf("sim: inter-shard batch corrupt (descriptors and norm sidecar): %v", err))
+					panic(fmt.Sprintf("sim: inter-shard batch corrupt (descriptors): %v", err))
 				}
 				pl.dhi = len(sc.descs)
 				sc.tombs, rest, err = overlay.AppendDecodeTombstones(sc.tombs, rest)
