@@ -21,7 +21,6 @@ import (
 type CF struct {
 	core.Substrate
 	opinions core.Opinions
-	seen     map[news.ID]struct{}
 }
 
 // NewCF builds a decentralized CF peer keeping the k most similar
@@ -40,17 +39,15 @@ func NewCF(id news.NodeID, k, rpsViewSize int, window int64, metric profile.Metr
 	return &CF{
 		Substrate: core.NewSubstrate(id, "", cfg, rng),
 		opinions:  opinions,
-		seen:      make(map[news.ID]struct{}),
 	}
 }
 
 // Publish implements sim.Peer: the source likes its item and forwards it to
 // all k neighbours.
 func (c *CF) Publish(item news.Item, now int64) []core.Send {
-	if _, dup := c.seen[item.ID]; dup {
+	if !c.Infect(item, now) {
 		return nil
 	}
-	c.seen[item.ID] = struct{}{}
 	c.UserProfile().Set(item.ID, item.Created, 1)
 	return c.spread(item, 1)
 }
@@ -59,11 +56,10 @@ func (c *CF) Publish(item news.Item, now int64) []core.Send {
 // liked, drop silently when disliked.
 func (c *CF) Receive(msg core.ItemMessage, now int64) (core.Delivery, []core.Send) {
 	d := core.Delivery{Node: c.ID(), Item: msg.Item.ID, Hops: msg.Hops}
-	if _, dup := c.seen[msg.Item.ID]; dup {
+	if !c.Infect(msg.Item, now) {
 		d.Duplicate = true
 		return d, nil
 	}
-	c.seen[msg.Item.ID] = struct{}{}
 	liked := c.opinions.Likes(c.ID(), msg.Item.ID)
 	if b := c.Behavior(); b != nil {
 		liked = b.React(msg.Item, liked)

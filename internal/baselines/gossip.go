@@ -8,8 +8,11 @@
 // Gossip and CF embed the same core.Substrate as WhatsUp — the paper defines
 // CF as running "the same" two-layer substrate with a different forwarding
 // rule — and add only Publish, Receive and that rule, so the same engine
-// drives them; cascading, C-Pub/Sub and C-WhatsUp are centralized computations
-// that feed the same metrics collector.
+// drives them. Both take the substrate's SIR rule too (core.Substrate.Infect):
+// CF's set is bounded by its profile window like WhatsUp's, while Gossip,
+// whose substrate has no window, never forgets an item. Cascading, C-Pub/Sub
+// and C-WhatsUp are centralized computations that feed the same metrics
+// collector.
 package baselines
 
 import (
@@ -28,7 +31,6 @@ type Gossip struct {
 	core.Substrate
 	fanout   int
 	opinions core.Opinions
-	seen     map[news.ID]struct{}
 }
 
 // NewGossip builds a homogeneous gossip peer with the given fanout and RPS
@@ -41,16 +43,14 @@ func NewGossip(id news.NodeID, fanout, rpsViewSize int, opinions core.Opinions, 
 		Substrate: core.NewSubstrate(id, "", core.Config{RPSViewSize: rpsViewSize}, rng),
 		fanout:    fanout,
 		opinions:  opinions,
-		seen:      make(map[news.ID]struct{}),
 	}
 }
 
 // Publish implements sim.Peer: infect-and-forward like any other receipt.
 func (g *Gossip) Publish(item news.Item, now int64) []core.Send {
-	if _, dup := g.seen[item.ID]; dup {
+	if !g.Infect(item, now) {
 		return nil
 	}
-	g.seen[item.ID] = struct{}{}
 	g.UserProfile().Set(item.ID, item.Created, 1)
 	return g.spread(item, 1)
 }
@@ -59,11 +59,10 @@ func (g *Gossip) Publish(item news.Item, now int64) []core.Send {
 // random targets; the user's opinion influences nothing but the records.
 func (g *Gossip) Receive(msg core.ItemMessage, now int64) (core.Delivery, []core.Send) {
 	d := core.Delivery{Node: g.ID(), Item: msg.Item.ID, Hops: msg.Hops}
-	if _, dup := g.seen[msg.Item.ID]; dup {
+	if !g.Infect(msg.Item, now) {
 		d.Duplicate = true
 		return d, nil
 	}
-	g.seen[msg.Item.ID] = struct{}{}
 	liked := g.opinions.Likes(g.ID(), msg.Item.ID)
 	if b := g.Behavior(); b != nil {
 		liked = b.React(msg.Item, liked)

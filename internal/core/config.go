@@ -70,15 +70,17 @@ type Config struct {
 	// value for an explicit TTL of zero (no dislike forwarding at all), as
 	// in the Figure 5 sweep.
 	DislikeTTL int
-	// ProfileWindow is the sliding window, in cycles (simulation) or
-	// milliseconds (live), beyond which profile entries are purged.
+	// ProfileWindow is the sliding window, in gossip cycles, beyond which
+	// profile entries are purged. It also bounds the SIR set: a node forgets
+	// the items created before the window and drops any such item it
+	// receives as a duplicate.
 	ProfileWindow int64
 	// Metric ranks clustering candidates and orients disliked items.
 	// Nil means the WUP metric; the WhatsUp-Cos variant of the evaluation
 	// sets profile.Cosine.
 	Metric profile.Metric
-	// DescriptorTTL is the view eviction horizon, in the same unit as
-	// ProfileWindow (cycles under simulation, milliseconds live): at the
+	// DescriptorTTL is the view eviction horizon, in gossip cycles like
+	// ProfileWindow (the live runtime's clock counts cycles too): at the
 	// start of each cycle the node drops every RPS and WUP view entry whose
 	// descriptor stamp is older than now-DescriptorTTL. Live nodes refresh
 	// their descriptors every exchange, so only descriptors of departed (or

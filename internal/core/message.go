@@ -50,7 +50,7 @@ type Delivery struct {
 	Node       news.NodeID
 	Item       news.ID
 	Liked      bool // the receiving user's opinion
-	Duplicate  bool // item already seen: dropped, nothing else recorded
+	Duplicate  bool // item already seen, or older than the profile window: dropped, nothing else recorded
 	Hops       int  // hop distance from source at delivery
 	Dislikes   int  // d_I when the item arrived (Table IV)
 	ViaDislike bool // the copy was forwarded by a disliker (Figure 6)

@@ -10,12 +10,13 @@ import (
 
 // Node is a WhatsUp peer: the gossip Substrate plus the BEEP dissemination
 // policy (Publish, Receive and the forwarding rule) and the Section II-D
-// cold start. Node methods are not goroutine-safe; engines serialize access
-// per node.
+// cold start. Its SIR set is the substrate's (Infect, Seen): it holds the
+// items of the last profile window, so a node's memory is bounded by the
+// window, not its uptime. Node methods are not goroutine-safe; engines
+// serialize access per node.
 type Node struct {
 	Substrate
 	opinions Opinions
-	seen     map[news.ID]struct{} // SIR "infected or removed" set
 }
 
 // NewNode builds a WhatsUp node. addr is the transport address used by live
@@ -26,14 +27,7 @@ func NewNode(id news.NodeID, addr string, cfg Config, opinions Opinions, rng *ra
 	return &Node{
 		Substrate: NewSubstrate(id, addr, cfg.WithDefaults(), rng),
 		opinions:  opinions,
-		seen:      make(map[news.ID]struct{}),
 	}
-}
-
-// Seen reports whether the node has already received the item.
-func (n *Node) Seen(id news.ID) bool {
-	_, ok := n.seen[id]
-	return ok
 }
 
 // coldStartRatings is the number of popular items a joining node rates to
@@ -56,10 +50,9 @@ func (n *Node) ColdStart(inheritedRPS, inheritedWUP []overlay.Descriptor, now in
 // lines 12-17): the source likes its own item, initializes the item profile
 // from its user profile, and hands the item to BEEP as a liked item.
 func (n *Node) Publish(item news.Item, now int64) []Send {
-	if _, dup := n.seen[item.ID]; dup {
+	if !n.Infect(item, now) {
 		return nil
 	}
-	n.seen[item.ID] = struct{}{}
 	n.user.Set(item.ID, item.Created, 1) // line 14: add <idI, tI, 1> to P̃
 	// Lines 15-16: the fresh item profile is the user profile folded into an
 	// empty one, a copy with an entry array of its own.
@@ -71,7 +64,10 @@ func (n *Node) Publish(item news.Item, now int64) []Send {
 
 // Receive processes an incoming item (Algorithm 1 lines 1-11 followed by
 // Algorithm 2). It returns the delivery record and the sends BEEP produces.
-// Duplicate receipts are dropped per the SIR model (Section III).
+// Duplicate receipts are dropped per the SIR model (Section III), and so is
+// an item older than the profile window: the node may have forgotten it, and
+// lines 8-10 would purge it from every profile. A dropped item is delivered,
+// recorded and forwarded nowhere.
 //
 // Receive never writes msg.Profile, which the sender handed to every path
 // (each path's copy of II-B is made by a receiver that changes it): a liker
@@ -87,11 +83,10 @@ func (n *Node) Receive(msg ItemMessage, now int64) (Delivery, []Send) {
 		Dislikes:   msg.Dislikes,
 		ViaDislike: msg.ViaDislike,
 	}
-	if _, dup := n.seen[msg.Item.ID]; dup {
+	if !n.Infect(msg.Item, now) {
 		d.Duplicate = true
 		return d, nil
 	}
-	n.seen[msg.Item.ID] = struct{}{}
 
 	liked := n.opinions.Likes(n.id, msg.Item.ID)
 	if n.behavior != nil {

@@ -26,10 +26,11 @@ const (
 // Substrate is the WUP gossip substrate of paper Section II, and every rule
 // of it that is not dissemination policy: a node identity and user profile,
 // the RPS layer, an optional clustering layer, the departure graveyard both
-// layers filter through, the adversarial behaviour seam, and the legs of the
-// RPS, WUP and refill exchanges. A peer type embeds it and adds only Publish,
-// Receive and its forwarding rule; a runtime drives the legs and keeps only
-// what is its own (phase order, loss, wire accounting, goroutines).
+// layers filter through, the SIR set of the items the node has seen, the
+// adversarial behaviour seam, and the legs of the RPS, WUP and refill
+// exchanges. A peer type embeds it and adds only Publish, Receive and its
+// forwarding rule; a runtime drives the legs and keeps only what is its own
+// (phase order, loss, wire accounting, goroutines).
 //
 // Substrate methods are not goroutine-safe; runtimes serialize access per
 // node.
@@ -40,16 +41,17 @@ type Substrate struct {
 	rps      *rps.Protocol
 	wup      *cluster.Protocol  // nil: no clustering layer
 	grave    *overlay.Graveyard // departure tombstones shared by both layers
+	seen     seenSet            // SIR "infected or removed" set, bounded by the profile window
 	rng      *rand.Rand         // the peer's one generator, 8 bytes of state
 	behavior Behavior           // adversarial seam; nil = honest
 }
 
 // NewSubstrate builds a substrate from cfg taken literally (no defaults):
 // RPSViewSize sizes the random sample, a zero WUPViewSize means no clustering
-// layer at all (homogeneous gossip), a zero ProfileWindow means the profile
-// is never purged, and DescriptorTTL and the notice piggyback cap keep their
-// Config meaning. addr is the transport address live runtimes gossip. The
-// returned value is meant to be embedded, once.
+// layer at all (homogeneous gossip), a zero ProfileWindow means neither the
+// profile nor the SIR set is ever purged, and DescriptorTTL and the notice
+// piggyback cap keep their Config meaning. addr is the transport address live
+// runtimes gossip. The returned value is meant to be embedded, once.
 //
 // rng is read once and not retained: one Uint64 from it seeds the substrate's
 // own splitmix64 stream (Rand), which drives both layers and whatever the
@@ -136,9 +138,10 @@ func (s *Substrate) SeedViews(descs []overlay.Descriptor) {
 }
 
 // BeginCycle runs the periodic maintenance that precedes gossiping: purging
-// the user profile of entries older than the profile window (Section II-E),
-// evicting view descriptors older than the DescriptorTTL horizon so departed
-// nodes age out of both overlays, and expiring departure tombstones.
+// the user profile and the SIR set of entries older than the profile window
+// (Section II-E), evicting view descriptors older than the DescriptorTTL
+// horizon so departed nodes age out of both overlays, and expiring departure
+// tombstones.
 func (s *Substrate) BeginCycle(now int64) {
 	s.purgeProfile(now)
 	s.evictStale(now)
@@ -147,10 +150,35 @@ func (s *Substrate) BeginCycle(now int64) {
 	}
 }
 
+// purgeProfile applies the profile window at now to both things it bounds:
+// the user profile, and the SIR set, whose expired items Infect refuses as
+// stale from then on.
 func (s *Substrate) purgeProfile(now int64) {
 	if s.cfg.ProfileWindow > 0 {
 		s.user.PurgeOlderThan(now - s.cfg.ProfileWindow)
+		s.seen.expireOlderThan(now - s.cfg.ProfileWindow)
 	}
+}
+
+// Infect is the SIR rule every peer type's Publish and Receive apply first:
+// it records the item as seen and reports whether the node should act on it.
+// It returns false, recording nothing, for an item the node has already seen
+// or one older than the profile window at now, whose entry Algorithm 1 lines
+// 8-10 would purge from any profile anyway. Refusing the stale ones is what
+// lets the window expire the set: an item the node has forgotten can never
+// infect it again.
+func (s *Substrate) Infect(item news.Item, now int64) bool {
+	if w := s.cfg.ProfileWindow; w > 0 && item.Created < now-w {
+		return false
+	}
+	return s.seen.insert(item.ID, item.Created)
+}
+
+// Seen reports whether the node holds the item in its SIR set: it has
+// received or published it, and the profile window has not expired it.
+func (s *Substrate) Seen(id news.ID) bool {
+	_, ok := s.seen.find(id)
+	return ok
 }
 
 // evictStale applies the DescriptorTTL horizon to both views as of the
@@ -374,8 +402,9 @@ func (s *Substrate) FarewellRecipients() []news.NodeID {
 }
 
 // Crash wipes the node's volatile overlay state (views and tombstones),
-// modelling an abrupt failure; the user profile survives as it is local
-// durable state in the prototype. A crashed node may later Rejoin.
+// modelling an abrupt failure; the user profile and the SIR set survive as
+// they are local durable state in the prototype. A crashed node may later
+// Rejoin.
 func (s *Substrate) Crash() {
 	s.rps.Crash()
 	if s.wup != nil {
@@ -392,10 +421,10 @@ func (s *Substrate) Leave() { s.Crash() }
 
 // Rejoin resumes a crashed node: its views were wiped with the crash, so it
 // re-seeds them from the supplied bootstrap descriptors (a sample of the
-// currently online population). The user profile was retained across the
-// downtime but is purged to the window at the resume time, so a node that
-// stayed down longer than a profile window resumes with an empty profile
-// exactly like the inactive-node scenario of Section II-E.
+// currently online population). The user profile and the SIR set were
+// retained across the downtime but are purged to the window at the resume
+// time, so a node that stayed down longer than a profile window resumes with
+// an empty profile exactly like the inactive-node scenario of Section II-E.
 func (s *Substrate) Rejoin(bootstrap []overlay.Descriptor, now int64) {
 	s.Crash()
 	s.purgeProfile(now)

@@ -235,7 +235,8 @@ func TestOnFrameMatchesDecodeThenDispatch(t *testing.T) {
 
 // TestDuplicateFrameAllocatesNothing pins the point of deciding before
 // decoding: a frame whose item the node has seen costs a hash of its content
-// bytes and a map probe — no string, no profile, no envelope.
+// bytes and a binary search of its SIR set — no string, no profile, no
+// envelope.
 func TestDuplicateFrameAllocatesNothing(t *testing.T) {
 	ln, _ := frameFleet(t)
 	payload := appendEnvelope(nil, repItem())

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -144,5 +145,53 @@ func TestEnvelopeSizeAndKinds(t *testing.T) {
 		if env.kind().String() != want {
 			t.Fatalf("kind mapping wrong for %d", k)
 		}
+	}
+}
+
+// TestLiveSoakForgetsExpiredItems runs a fleet at a short profile window for
+// many windows and checks, once it has stopped, that every node remembers an
+// item it was delivered exactly while the item is inside the window at the
+// node's last cycle: Seen is false for every delivery created more than one
+// window before it and true for every other.
+func TestLiveSoakForgetsExpiredItems(t *testing.T) {
+	const window, cycles = 3, 60
+	ds := dataset.Survey(dataset.SurveyConfig{Seed: 4, Scale: 0.05, Cycles: cycles})
+	created := make(map[news.ID]int64, len(ds.Items))
+	for _, it := range ds.Items {
+		created[it.News.ID] = it.News.Created
+	}
+	type receipt struct {
+		node news.NodeID
+		item news.ID
+	}
+	var mu sync.Mutex
+	var delivered []receipt
+	cfg := liveConfig(cycles)
+	cfg.NodeConfig.ProfileWindow = window
+	cfg.OnDelivery = func(d core.Delivery) {
+		mu.Lock()
+		delivered = append(delivered, receipt{d.Node, d.Item})
+		mu.Unlock()
+	}
+	r := NewRunner(cfg, ds, NewChannelNet(7, 0, 0))
+	r.Run()
+	forgotten, kept := 0, 0
+	for _, d := range delivered {
+		ln := r.fleet[d.node]
+		horizon := ln.cycle - window
+		switch seen := ln.node.Seen(d.item); {
+		case created[d.item] < horizon && seen:
+			t.Errorf("node %d (last cycle %d) still holds item %d created at %d", d.node, ln.cycle, d.item, created[d.item])
+		case created[d.item] >= horizon && !seen:
+			t.Errorf("node %d (last cycle %d) forgot item %d created at %d, inside its window", d.node, ln.cycle, d.item, created[d.item])
+		case seen:
+			kept++
+		default:
+			forgotten++
+		}
+	}
+	t.Logf("%d deliveries forgotten, %d kept", forgotten, kept)
+	if forgotten == 0 || kept == 0 {
+		t.Fatalf("%d deliveries forgotten, %d kept: the run did not span the window", forgotten, kept)
 	}
 }

@@ -73,13 +73,16 @@ func collectedHeap() int64 {
 // The Workers 2 × Shards 4 case runs the merges on two worker goroutines that
 // borrow from the one merge-scratch pool.
 //
-// Recorded (go1.24, linux/amd64): 6.16 KB/peer serial and 10.36 KB/peer at
-// Workers 2 × Shards 4, with descriptor snapshots held as profile.Packed
-// bytes packed once per profile version. Snapshots as decoded *Profile
-// clones sharing their profile's entry array measured 7.95 and 14.94; views
-// keeping merge scratch and a doubled entry array between merges, with
-// map-backed graveyards, 12.17 and 19.16; one math/rand.NewSource state
-// coming back per peer is +4.9 KB. The 1.25 × margin covers none of them.
+// Recorded (go1.24, linux/amd64): 5.27 KB/peer serial and 9.12 KB/peer at
+// Workers 2 × Shards 4, with each node's SIR set one sorted slice expired
+// with the profile window. A seen map that never forgets measured 6.03 and
+// 9.87; descriptor snapshots as decoded *Profile clones sharing their
+// profile's entry array, 7.95 and 14.94; views keeping merge scratch and a
+// doubled entry array between merges, with map-backed graveyards, 12.17 and
+// 19.16; one math/rand.NewSource state coming back per peer is +4.9 KB. The
+// 1.25 × margin covers none of them but the first, which
+// TestSimSoakHeapFlat catches instead: a set that never forgets grows every
+// window.
 func TestSimHeapPerPeerBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime inflates the heap")
@@ -88,7 +91,7 @@ func TestSimHeapPerPeerBudget(t *testing.T) {
 	for _, c := range []struct {
 		workers, shards int
 		recordedKB      float64
-	}{{1, 1, 6.16}, {2, 4, 10.36}} {
+	}{{1, 1, 5.27}, {2, 4, 9.12}} {
 		before := collectedHeap()
 		e := churnCycleWorld(peers, cycles, c.workers, c.shards)
 		e.Run()
@@ -98,5 +101,54 @@ func TestSimHeapPerPeerBudget(t *testing.T) {
 		if perPeerKB > 1.25*c.recordedKB {
 			t.Errorf("workers %d shards %d: sim heap %.2f KB/peer exceeds 1.25 × the recorded %.2f", c.workers, c.shards, perPeerKB, c.recordedKB)
 		}
+	}
+}
+
+// TestSimSoakHeapFlat is the long-horizon check on a node's memory: a
+// churned world run for 50 profile windows under steady publishing keeps
+// every online peer's SIR set inside the window at every cycle, and its
+// collected heap flat, the last window's within 1.1 × the third's. An owner
+// that grows with run length instead of the window fails it: with the seen
+// set's expiry removed, the heap reads 4.3 KB/peer at the third window and
+// 6.6 at the last.
+func TestSimSoakHeapFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime inflates the heap")
+	}
+	const peers, window, windows = 200, 4, 50
+	const cycles = window * windows
+	w := Communities(peers, 4, 2, cycles, "soak")
+	nodeCfg := core.Config{FLike: 4, RPSViewSize: 10, ProfileWindow: window, DescriptorTTL: 2 * window}
+	w.Churn = ChurnTrace(ChurnTraceConfig{Seed: 3, Nodes: peers, From: 1, To: cycles, CrashRate: 0.01, Downtime: 3})
+	w.NewPeer = func(id news.NodeID) Peer {
+		return core.NewNode(id, "", nodeCfg, w.Opinions, rand.New(rand.NewSource(int64(id)+1)))
+	}
+	before := collectedHeap()
+	e, _ := w.NewEngine(Config{Seed: 1, Cycles: cycles, BootstrapDegree: 5, Workers: 1})
+	var heap []int64 // collected heap at the end of each window
+	for e.Now() < cycles {
+		e.Step()
+		now := e.Now()
+		for _, p := range e.OnlinePeers() {
+			s := p.Overlay()
+			for i := range w.Items {
+				it := w.Items[i].Item
+				if it.Created >= now-window {
+					break
+				}
+				if s.Seen(it.ID) {
+					t.Fatalf("cycle %d: online peer %d still holds item %d created at %d, before its window", now, s.ID(), it.ID, it.Created)
+				}
+			}
+		}
+		if now%window == 0 {
+			heap = append(heap, collectedHeap()-before)
+		}
+	}
+	runtime.KeepAlive(e)
+	third, last := heap[2], heap[len(heap)-1]
+	t.Logf("collected heap: third window %.1f KB/peer, last (window %d) %.1f KB/peer", float64(third)/1024/peers, len(heap), float64(last)/1024/peers)
+	if float64(last) > 1.1*float64(third) {
+		t.Errorf("heap grew with run length: last window %d B, third %d B (> 1.1 ×)", last, third)
 	}
 }
