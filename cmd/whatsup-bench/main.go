@@ -43,7 +43,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed          = fs.Int64("seed", 1, "experiment seed")
 		workers       = fs.Int("workers", 0, "parallel sweep points (0 = NumCPU)")
 		engineWorkers = fs.Int("engine-workers", 0, "per-simulation engine worker pool (0 = serial; sweep points already run in parallel)")
-		engineShards  = fs.Int("shards", 0, "engine membership slabs with codec-routed inter-shard gossip (0 = single slab); results are identical for any value")
+		engineShards  = fs.Int("shards", 0, "engine routing partitions: gossip crossing one goes through the wire codec (0 = none); results are identical for any value")
 		cpuProfile    = fs.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 		memProfile    = fs.String("memprofile", "", "write an allocation profile to this file at exit")
 		skipLive      = fs.Bool("skip-live", false, "skip the live (ModelNet/PlanetLab) runs in fig8 and the 'live' scenario")

@@ -44,7 +44,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed    = fs.Int64("seed", 1, "seed")
 		loss    = fs.Float64("loss", 0, "uniform message-loss rate")
 		workers = fs.Int("workers", 0, "engine worker pool (0 = GOMAXPROCS); results are identical for any value")
-		shards  = fs.Int("shards", 0, "engine membership slabs with codec-routed inter-shard gossip (0 = single slab); results are identical for any value")
+		shards  = fs.Int("shards", 0, "engine routing partitions: gossip crossing one goes through the wire codec (0 = none); results are identical for any value")
 
 		churnRate   = fs.Float64("churn", 0, "expected fraction of the population hit by a churn event over the run (enables the churn scenario)")
 		flashCrowd  = fs.Int("flash-crowd", 0, "extra nodes joining as a flash crowd a third into the run (enables the churn scenario)")

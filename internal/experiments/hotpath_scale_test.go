@@ -23,11 +23,11 @@ const flashCrowdPeers = 1_000_000
 // BenchmarkFlashCrowd measures one cycle of a flash crowd hitting that
 // deployment: a base population of 15/16 of flashCrowdPeers with the
 // remaining sixteenth joining in a burst spread over four cycles from cycle
-// 2 — breaking news. The world runs on the sharded engine (slab membership,
-// pooled cross-shard batches) with the large-scale config bounds applied
-// (core.Config.ForPopulation), and publishes only two items per cycle so the
-// measured cost is membership and gossip at scale rather than an unbounded
-// BEEP flood. Run it with
+// 2 — breaking news. The world runs on the sharded engine (gossip crossing
+// the routing partitions in pooled codec batches) with the large-scale
+// config bounds applied (core.Config.ForPopulation), and publishes only two
+// items per cycle so the measured cost is membership and gossip at scale
+// rather than an unbounded BEEP flood. Run it with
 //
 //	go test -tags scale -run '^$' -bench BenchmarkFlashCrowd -benchtime 1x -benchmem -timeout 0 ./internal/experiments/
 func BenchmarkFlashCrowd(b *testing.B) {

@@ -29,7 +29,7 @@ const (
 	// hotPathWorkers is BenchmarkFlashCrowd's engine pool, stated rather
 	// than taken from GOMAXPROCS so the figure means the same on every host.
 	hotPathWorkers = 2
-	// hotPathShards is the slab count of the sharded worlds.
+	// hotPathShards is the routing partition count of the sharded worlds.
 	hotPathShards = 4
 )
 

@@ -13,7 +13,8 @@ type EngineOptions struct {
 	// engine serially: sweep drivers already run one point per core, and a
 	// benchmark entry should not silently depend on the host's core count.
 	Workers int
-	// Shards is the engine slab count (sim.Config.Shards, 0 = single slab).
+	// Shards is the engine's routing partition count (sim.Config.Shards,
+	// 0 = none): gossip crossing a partition goes through the wire codec.
 	Shards int
 }
 

@@ -4,10 +4,10 @@
 // The engine no longer assumes a frozen population. Every peer is a member
 // with a lifecycle state (Online, Offline, Departed) and a stable dense
 // index assigned at registration. Indices are never reused or compacted —
-// a departed member keeps its slot — so the worker sharding of the phase
-// loop and the per-peer RNG streams are independent of how much churn a run
-// has seen, which is what keeps results bit-identical for any worker count
-// even under heavy join/leave/crash schedules.
+// a departed member keeps its slot — so the worker spans of the phase loop,
+// the routing shards and the per-peer RNG streams are independent of how
+// much churn a run has seen, which is what keeps results bit-identical for
+// any worker count even under heavy join/leave/crash schedules.
 //
 // Churn is declarative: a ChurnSchedule lists membership events by cycle and
 // the engine applies them serially at the start of the cycle, before any
@@ -41,7 +41,7 @@ const (
 	// but do not participate; messages addressed to them are dropped.
 	Offline
 	// Departed members left for good; their slot (and dense index) remains
-	// so sharding and RNG streams stay stable.
+	// so routing and RNG streams stay stable.
 	Departed
 )
 

@@ -5,8 +5,10 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"whatsup/internal/core"
@@ -17,7 +19,7 @@ import (
 )
 
 // Golden collector fingerprints of the pre-shard engine (captured at commit
-// 1a0bbbe, before the slab refactor landed). The Shards=1 path must stay
+// 1a0bbbe, before shard routing landed). The Shards=1 path must stay
 // bit-identical with that engine forever: these hashes pin it.
 const (
 	// sha256 of fingerprint(runShardedWorld(workers, 1)) for any workers.
@@ -208,8 +210,9 @@ func firstDifference(got, want string) string {
 }
 
 // TestShardedDeliveryOrder asserts OnDelivery observes the same delivery
-// sequence for any shard count: the per-segment delivery spans must replay
-// in global receiver order no matter which shard's worker buffered them.
+// sequence for any shard count: the per-worker delivery buffers must replay
+// in global receiver order whatever the routing did to the gossip that
+// shaped the views.
 func TestShardedDeliveryOrder(t *testing.T) {
 	trace := func(shards int) []core.Delivery {
 		const n, items, cycles, loss, seed = 80, 24, 15, 0.1, 3
@@ -238,6 +241,66 @@ func TestShardedDeliveryOrder(t *testing.T) {
 			if got[i] != want[i] {
 				t.Fatalf("shards=%d: delivery %d = %+v, want %+v", shards, i, got[i], want[i])
 			}
+		}
+	}
+}
+
+// inflightPeer wraps a peer and counts, across every peer sharing the
+// counter, the BeginCycle, InjectRPSCandidates and Receive calls in progress,
+// keeping the high-water mark. Each call yields the processor before it runs,
+// so calls that may overlap do, even on one CPU.
+type inflightPeer struct {
+	Peer
+	cur, high *atomic.Int64
+}
+
+func (p inflightPeer) enter() {
+	n := p.cur.Add(1)
+	for h := p.high.Load(); n > h && !p.high.CompareAndSwap(h, n); h = p.high.Load() {
+	}
+	runtime.Gosched()
+}
+
+func (p inflightPeer) exit() { p.cur.Add(-1) }
+
+func (p inflightPeer) BeginCycle(now int64) {
+	p.enter()
+	defer p.exit()
+	p.Peer.BeginCycle(now)
+}
+
+func (p inflightPeer) InjectRPSCandidates() {
+	p.enter()
+	defer p.exit()
+	p.Peer.InjectRPSCandidates()
+}
+
+func (p inflightPeer) Receive(msg core.ItemMessage, now int64) (core.Delivery, []core.Send) {
+	p.enter()
+	defer p.exit()
+	return p.Peer.Receive(msg, now)
+}
+
+// TestWorkersBoundPeerCalls asserts Config.Workers is the whole pool: no
+// more peer calls run at once than there are workers, whatever the shard
+// count, and Workers 1 runs the engine serially.
+func TestWorkersBoundPeerCalls(t *testing.T) {
+	for _, c := range []struct{ workers, shards, most int64 }{{1, 4, 1}, {2, 4, 2}, {2, 1, 2}} {
+		const n, items, cycles, loss, seed = 80, 24, 8, 0.1, 3
+		cfg := core.Config{FLike: 4, RPSViewSize: 8, ProfileWindow: cycles}
+		peers, pubs, col := communityWorld(n, items, cycles, cfg, seed)
+		var cur, high atomic.Int64
+		for i, p := range peers {
+			peers[i] = inflightPeer{Peer: p, cur: &cur, high: &high}
+		}
+		e := New(Config{
+			Seed: seed, Cycles: cycles, LossRate: loss, Publications: pubs,
+			BootstrapDegree: 4, Workers: int(c.workers), Shards: int(c.shards),
+		}, peers, col)
+		e.Bootstrap()
+		e.Run()
+		if got := high.Load(); got < 1 || got > c.most {
+			t.Errorf("workers %d shards %d: up to %d peer calls at once, want 1 to %d", c.workers, c.shards, got, c.most)
 		}
 	}
 }

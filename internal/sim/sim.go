@@ -9,21 +9,21 @@
 // exchange legs, refill, departure notices, crash, leave, rejoin — is a call
 // into the substrate a Peer embeds, shared verbatim with internal/live. What
 // the engine owns is what only a simulator has: the phase order and its
-// barriers, loss and link draws, wire-byte accounting, and the worker and
-// shard partitioning below.
+// barriers, loss and link draws, wire-byte accounting, the worker pool and
+// the shard routing below.
 //
 // The engine is parallel *and* strictly deterministic: peer state lives in
-// shard-owned struct-of-arrays slabs (Config.Shards), per-cycle phases run
-// on each shard's own worker slice (Config.Workers), and yet a given seed
-// produces bit-identical results for any Workers×Shards combination. Four
-// mechanisms guarantee this:
+// one member table indexed by global dense index, every per-cycle phase is
+// split across one pool of Config.Workers workers, gossip legs between
+// routing partitions (Config.Shards) cross through the wire codec, and yet a
+// given seed produces bit-identical results for any Workers×Shards
+// combination. Four mechanisms guarantee this:
 //
 //   - Randomness is never drawn from a shared source. The engine derives one
 //     RNG stream per peer from Config.Seed and the peer ID; loss decisions
 //     and bootstrap sampling consume only the stream of the peer they
 //     concern, in a per-peer order that is fixed by the phase structure.
-//   - Every phase partitions state mutation by owner, and owners never
-//     migrate between shards. Gossip rounds split into a parallel "compute
+//   - Every phase partitions state mutation by owner. Gossip rounds split into a parallel "compute
 //     pushes" phase (each initiator touches only its own state), an "absorb
 //     pushes" phase grouped per responder (each responder applies its
 //     incoming pushes in initiator order), and a parallel "absorb replies"
@@ -43,9 +43,9 @@
 // Membership is dynamic (see membership.go): peers are members with
 // lifecycle states (Online, Offline, Departed) held at stable dense global
 // indices, and a declarative ChurnSchedule drives joins, graceful leaves,
-// crashes and rejoins. A member's global index g fixes its shard (g mod
-// Shards) and its slot in that shard's slab (g div Shards) for the lifetime
-// of the engine, so sharding never shifts under churn. The determinism
+// crashes and rejoins. A member's global index g fixes its routing shard
+// (g mod Shards) for the lifetime of the engine, so routing never shifts
+// under churn. The determinism
 // contract extends to churn: a given seed and schedule produce bit-identical
 // results for any worker and shard count, because events are applied
 // serially at the cycle boundary and consume randomness only from the
@@ -117,16 +117,16 @@ type Config struct {
 	// BootstrapDegree is the number of random descriptors each peer's views
 	// are seeded with before the run (default core.DefaultBootstrapDegree).
 	BootstrapDegree int
-	// Workers is the total worker budget the per-cycle phases are sharded
-	// across (0 = GOMAXPROCS). Each shard runs max(1, Workers/Shards)
-	// workers over its own slab. Results are bit-identical for any value;
-	// see the package documentation for the determinism contract.
+	// Workers is the worker pool every per-cycle phase is split across
+	// (0 = GOMAXPROCS); no more than Workers peer calls ever run at once.
+	// Results are bit-identical for any value; see the package documentation
+	// for the determinism contract.
 	Workers int
-	// Shards is the number of peer-state slabs the membership table is
-	// split into (0 or 1 = a single slab, the pre-shard engine). A member
-	// at global dense index g is owned by shard g mod Shards. Gossip
-	// exchanges crossing a shard boundary are routed as wire-codec batches
-	// (the inter-shard ABI); results are bit-identical for any shard count.
+	// Shards is the number of routing partitions (0 or 1 = none, the
+	// pre-shard engine). A member at global dense index g belongs to shard
+	// g mod Shards, and a gossip exchange crossing a shard boundary is
+	// routed as a wire-codec batch (the inter-shard ABI). It decides routing
+	// only, not execution; results are bit-identical for any shard count.
 	Shards int
 	// Publications is the item schedule; entries outside [1, Cycles] never
 	// fire under Run (Step honours whatever cycle it reaches).
@@ -186,24 +186,6 @@ type segment struct {
 	lo, hi int
 }
 
-// slab is the struct-of-arrays peer state owned by one shard: parallel
-// arrays indexed by slot (global dense index div Shards). Dense storage
-// keeps a shard's lifecycle scans cache-friendly at million-peer scale and
-// gives each shard a self-contained state block — the unit a future
-// multi-process engine would pin to one process.
-type slab struct {
-	peers   []Peer
-	states  []MemberState
-	streams []*rand.Rand // engine-side per-peer randomness
-}
-
-// delivSpan locates one BEEP segment's deliveries inside a worker's buffer,
-// so OnDelivery callbacks can replay them in global receiver order no matter
-// which shard's worker produced them.
-type delivSpan struct {
-	w, lo, hi int
-}
-
 // pendingLeg is one decoded cross-shard exchange leg awaiting fix-up: arena
 // offsets are recorded during decode and resolved to subslices only after
 // the arena stops growing (appends may relocate the backing array).
@@ -230,19 +212,19 @@ type shardDecode struct {
 // snapshotGenerationCycles is how many cycles one generation of a shard's
 // snapshot table spans; a snapshot the shard decodes in no batch for two
 // generations is forgotten. It trades allocations against pinned heap.
-// Measured on the benchmark's sim-sharded world (2000 peers, Shards 4, seed
-// 1, heap read after cycle 30; the parent without a table: 50.24 allocs/op,
-// 57.06 KB/peer):
+// Measured at commit 5e17f47 on the benchmark's sim-sharded world (2000
+// peers, Workers 2, Shards 4, seed 1, heap read after cycle 30: just after
+// a rotation, except at 4 cycles, where it is two cycles after one):
 //
-//	1 cycle   25.17 allocs/op  51.71 KB/peer
-//	2 cycles  21.74            52.11 (53.10 read a cycle after a rotation
-//	                                  instead of just after one)
-//	3 cycles  20.69            52.59
-//	4 cycles  20.33            55.01
-//	never     20.05            77
+//	1 cycle   19.45 allocs/op   9.46 KB/peer
+//	2 cycles  15.89            10.39
+//	3 cycles  14.81            10.56
+//	4 cycles  14.43            11.18
+//	never     14.14            17.07
 //
-// Two cycles is where the curve flattens: it is the last step that buys more
-// than an allocation per peer-cycle, for 0.4 KB.
+// Two cycles was chosen where the curve flattened on the pre-packed engine.
+// On this curve the step to three cycles still buys an allocation per
+// peer-cycle (1.08) for 0.18 KB, so the choice is open to re-tuning.
 const snapshotGenerationCycles = 2
 
 // ShardStats counts the gossip traffic routed between shards through the
@@ -274,24 +256,26 @@ var emptyDescriptors = make([]overlay.Descriptor, 0)
 
 // Engine drives a set of peers through gossip cycles.
 //
-// The scratch fields at the bottom are reused across hops and cycles so the
-// steady-state per-cycle loop performs no engine-side allocation beyond the
-// cross-shard profile snapshots a shard decodes for the first time: the BEEP
-// hop batch, the per-receiver segments, the per-worker send/delivery
-// buffers, the gossip exchange table and the inter-shard batch buffers and
-// decode arenas all keep their capacity between cycles — and only that: drain
-// and gossipRound zero what could pin a profile or a descriptor slice.
+// The member table (peers, states, streams) is indexed by global dense
+// index. The scratch fields at the bottom are reused across hops and cycles
+// so the steady-state per-cycle loop performs no engine-side allocation
+// beyond the cross-shard profile snapshots a shard decodes for the first
+// time: the BEEP hop batch, the per-receiver segments, the per-worker
+// send/delivery buffers, the gossip exchange table and the inter-shard batch
+// buffers and decode arenas all keep their capacity between cycles — and
+// only that: drain and gossipRound zero what could pin a profile or a
+// descriptor slice.
 type Engine struct {
 	cfg     Config
-	workers int // total worker budget
-	nshards int // shard count (>= 1)
-	wper    int // workers per shard = max(1, workers/nshards)
-	slabs   []slab
-	count   int                 // total registered members across all slabs
+	workers int // worker pool size (>= 1)
+	nshards int // routing partition count (>= 1)
+	peers   []Peer
+	states  []MemberState
+	streams []*rand.Rand        // engine-side per-peer randomness
 	idx     map[news.NodeID]int // node id -> global dense index
 	online  int                 // count of members in state Online
 	col     *metrics.Collector
-	cols    []*metrics.Collector // per-worker scratch collectors, nshards*wper
+	cols    []*metrics.Collector // per-worker scratch collectors
 	now     int64
 	pubs    map[int64][]Publication
 	churn   map[int64][]ChurnEvent
@@ -305,8 +289,6 @@ type Engine struct {
 	bucketLists [][]int
 	sendBufs    [][]envelope      // per-worker BEEP sends
 	delivBufs   [][]core.Delivery // per-worker deliveries for OnDelivery
-	delivSegs   []delivSpan       // per-segment delivery spans, receiver order
-	shardItems  [][]int           // per-shard item bins for irregular phases
 	xbufs       [][]byte          // pooled (src*S+dst) inter-shard batch buffers
 	xdec        []shardDecode     // per destination shard decode arenas
 }
@@ -320,41 +302,27 @@ func New(cfg Config, peers []Peer, col *metrics.Collector) *Engine {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	nshards := cfg.Shards
-	if nshards <= 0 {
-		nshards = 1
-	}
-	wper := workers / nshards
-	if wper < 1 {
-		wper = 1
-	}
-	pool := nshards * wper
+	nshards := max(cfg.Shards, 1)
 	e := &Engine{
-		cfg:        cfg,
-		workers:    workers,
-		nshards:    nshards,
-		wper:       wper,
-		slabs:      make([]slab, nshards),
-		idx:        make(map[news.NodeID]int, len(peers)),
-		col:        col,
-		cols:       make([]*metrics.Collector, pool),
-		pubs:       make(map[int64][]Publication),
-		churn:      make(map[int64][]ChurnEvent),
-		bucketIdx:  make(map[news.NodeID]int, len(peers)),
-		sendBufs:   make([][]envelope, pool),
-		delivBufs:  make([][]core.Delivery, pool),
-		shardItems: make([][]int, nshards),
-		xbufs:      make([][]byte, nshards*nshards),
-		xdec:       make([]shardDecode, nshards),
+		cfg:       cfg,
+		workers:   workers,
+		nshards:   nshards,
+		peers:     make([]Peer, 0, len(peers)),
+		states:    make([]MemberState, 0, len(peers)),
+		streams:   make([]*rand.Rand, 0, len(peers)),
+		idx:       make(map[news.NodeID]int, len(peers)),
+		col:       col,
+		cols:      make([]*metrics.Collector, workers),
+		pubs:      make(map[int64][]Publication),
+		churn:     make(map[int64][]ChurnEvent),
+		bucketIdx: make(map[news.NodeID]int, len(peers)),
+		sendBufs:  make([][]envelope, workers),
+		delivBufs: make([][]core.Delivery, workers),
+		xbufs:     make([][]byte, nshards*nshards),
+		xdec:      make([]shardDecode, nshards),
 	}
 	for w := range e.cols {
 		e.cols[w] = metrics.NewCollector()
-	}
-	for s := range e.slabs {
-		n := len(peers) / nshards
-		e.slabs[s].peers = make([]Peer, 0, n)
-		e.slabs[s].states = make([]MemberState, 0, n)
-		e.slabs[s].streams = make([]*rand.Rand, 0, n)
 	}
 	for _, p := range peers {
 		e.addPeer(p)
@@ -375,43 +343,28 @@ func streamSeed(seed int64, id news.NodeID) uint64 {
 	return prng.Mix(uint64(seed)*0x9E3779B97F4A7C15 + (uint64(id)+1)*0xBF58476D1CE4E5B9)
 }
 
-// shardOf returns the owner shard of a global dense index.
+// shardOf returns the routing shard of a global dense index.
 func (e *Engine) shardOf(g int) int { return g % e.nshards }
-
-// slotOf returns the slab slot of a global dense index.
-func (e *Engine) slotOf(g int) int { return g / e.nshards }
-
-// peerAt returns the peer at a global dense index.
-func (e *Engine) peerAt(g int) Peer { return e.slabs[g%e.nshards].peers[g/e.nshards] }
-
-// stateAt returns the lifecycle state at a global dense index.
-func (e *Engine) stateAt(g int) MemberState { return e.slabs[g%e.nshards].states[g/e.nshards] }
-
-// streamAt returns the engine RNG stream at a global dense index.
-func (e *Engine) streamAt(g int) *rand.Rand { return e.slabs[g%e.nshards].streams[g/e.nshards] }
 
 // streamOf returns a member's engine stream by node id, nil for unknown ids.
 func (e *Engine) streamOf(id news.NodeID) *rand.Rand {
 	if g, ok := e.idx[id]; ok {
-		return e.streamAt(g)
+		return e.streams[g]
 	}
 	return nil
 }
 
-// addPeer appends a member in state Online at the next global dense index;
-// the index fixes the owner shard (g mod Shards) and slab slot (g div
-// Shards) forever. Indices are stable for the lifetime of the engine:
-// departures never compact the slabs, so shard ownership, worker-span
-// sharding and per-peer RNG streams are unaffected by how much churn
-// preceded the current cycle.
+// addPeer appends a member in state Online at the next global dense index,
+// which fixes its routing shard (g mod Shards) forever. Indices are stable
+// for the lifetime of the engine: departures never compact the table, so
+// routing, worker spans and per-peer RNG streams are unaffected by how much
+// churn preceded the current cycle.
 func (e *Engine) addPeer(p Peer) {
-	g, id := e.count, p.Overlay().ID()
-	e.idx[id] = g
-	sl := &e.slabs[e.shardOf(g)]
-	sl.peers = append(sl.peers, p)
-	sl.states = append(sl.states, Online)
-	sl.streams = append(sl.streams, prng.New(streamSeed(e.cfg.Seed, id)))
-	e.count++
+	id := p.Overlay().ID()
+	e.idx[id] = len(e.peers)
+	e.peers = append(e.peers, p)
+	e.states = append(e.states, Online)
+	e.streams = append(e.streams, prng.New(streamSeed(e.cfg.Seed, id)))
 	e.online++
 }
 
@@ -428,23 +381,16 @@ func (e *Engine) AddPeer(p Peer) {
 
 // Peers returns a copy of the engine's peers in registration order,
 // regardless of lifecycle state. The returned slice is the caller's to keep:
-// mutating it cannot corrupt the engine's slabs or their sharding
-// invariants.
-func (e *Engine) Peers() []Peer {
-	out := make([]Peer, e.count)
-	for g := 0; g < e.count; g++ {
-		out[g] = e.peerAt(g)
-	}
-	return out
-}
+// mutating it cannot corrupt the engine's member table.
+func (e *Engine) Peers() []Peer { return slices.Clone(e.peers) }
 
 // OnlinePeers returns a copy of the currently online peers in registration
 // order.
 func (e *Engine) OnlinePeers() []Peer {
 	out := make([]Peer, 0, e.online)
-	for g := 0; g < e.count; g++ {
-		if e.stateAt(g) == Online {
-			out = append(out, e.peerAt(g))
+	for g, p := range e.peers {
+		if e.states[g] == Online {
+			out = append(out, p)
 		}
 	}
 	return out
@@ -453,7 +399,7 @@ func (e *Engine) OnlinePeers() []Peer {
 // Peer returns the peer with the given id in any lifecycle state, or nil.
 func (e *Engine) Peer(id news.NodeID) Peer {
 	if g, ok := e.idx[id]; ok {
-		return e.peerAt(g)
+		return e.peers[g]
 	}
 	return nil
 }
@@ -462,7 +408,7 @@ func (e *Engine) Peer(id news.NodeID) Peer {
 // engine has never seen.
 func (e *Engine) State(id news.NodeID) (MemberState, bool) {
 	if g, ok := e.idx[id]; ok {
-		return e.stateAt(g), true
+		return e.states[g], true
 	}
 	return Departed, false
 }
@@ -472,24 +418,22 @@ func (e *Engine) OnlineCount() int { return e.online }
 
 // MemberCount returns the total number of members ever registered,
 // including offline and departed ones.
-func (e *Engine) MemberCount() int { return e.count }
+func (e *Engine) MemberCount() int { return len(e.peers) }
 
 // onlinePeer returns the peer for an id only when it is online.
 func (e *Engine) onlinePeer(id news.NodeID) Peer {
-	if g, ok := e.idx[id]; ok && e.stateAt(g) == Online {
-		return e.peerAt(g)
+	if g, ok := e.idx[id]; ok && e.states[g] == Online {
+		return e.peers[g]
 	}
 	return nil
 }
 
 // setState transitions one member, maintaining the online count.
 func (e *Engine) setState(g int, s MemberState) {
-	sl := &e.slabs[e.shardOf(g)]
-	slot := e.slotOf(g)
-	if sl.states[slot] == Online {
+	if e.states[g] == Online {
 		e.online--
 	}
-	sl.states[slot] = s
+	e.states[g] = s
 	if s == Online {
 		e.online++
 	}
@@ -500,12 +444,12 @@ func (e *Engine) setState(g int, s MemberState) {
 // leaver notifies its view neighbours before its state is wiped.
 func (e *Engine) Leave(id news.NodeID) bool {
 	g, ok := e.idx[id]
-	if !ok || e.stateAt(g) == Departed {
+	if !ok || e.states[g] == Departed {
 		return false
 	}
-	wasOnline := e.stateAt(g) == Online
+	wasOnline := e.states[g] == Online
 	e.setState(g, Departed)
-	leaver := e.peerAt(g).Overlay()
+	leaver := e.peers[g].Overlay()
 	if e.cfg.DepartureNotices && wasOnline {
 		e.sendDepartureNotices(leaver)
 	}
@@ -537,11 +481,11 @@ func (e *Engine) sendDepartureNotices(leaver *core.Substrate) {
 // (views). Reports whether the member was online.
 func (e *Engine) Crash(id news.NodeID) bool {
 	g, ok := e.idx[id]
-	if !ok || e.stateAt(g) != Online {
+	if !ok || e.states[g] != Online {
 		return false
 	}
 	e.setState(g, Offline)
-	e.peerAt(g).Overlay().Crash()
+	e.peers[g].Overlay().Crash()
 	return true
 }
 
@@ -551,11 +495,11 @@ func (e *Engine) Crash(id news.NodeID) bool {
 // Reports whether the member was offline.
 func (e *Engine) Rejoin(id news.NodeID) bool {
 	g, ok := e.idx[id]
-	if !ok || e.stateAt(g) != Offline {
+	if !ok || e.states[g] != Offline {
 		return false
 	}
 	e.setState(g, Online)
-	e.peerAt(g).Overlay().Rejoin(e.onlineSample(id, e.streamAt(g), e.now), e.now)
+	e.peers[g].Overlay().Rejoin(e.onlineSample(id, e.streams[g], e.now), e.now)
 	return true
 }
 
@@ -589,21 +533,21 @@ func (e *Engine) Join(p Peer) bool {
 // path consumes only the given stream, so the draw is independent of the
 // worker and shard counts.
 func (e *Engine) randomOnlineHost(self news.NodeID, stream *rand.Rand) Peer {
-	if e.count >= largeScaleMembers {
+	if len(e.peers) >= largeScaleMembers {
 		for attempt := 0; attempt < 64; attempt++ {
-			g := stream.Intn(e.count)
-			if e.stateAt(g) != Online {
+			g := stream.Intn(len(e.peers))
+			if e.states[g] != Online {
 				continue
 			}
-			if p := e.peerAt(g); p.Overlay().ID() != self {
+			if p := e.peers[g]; p.Overlay().ID() != self {
 				return p
 			}
 		}
 		// Pathologically low online fraction: fall through to the exact scan.
 	}
 	candidates := 0
-	for g := 0; g < e.count; g++ {
-		if e.stateAt(g) == Online && e.peerAt(g).Overlay().ID() != self {
+	for g, p := range e.peers {
+		if e.states[g] == Online && p.Overlay().ID() != self {
 			candidates++
 		}
 	}
@@ -611,10 +555,10 @@ func (e *Engine) randomOnlineHost(self news.NodeID, stream *rand.Rand) Peer {
 		return nil
 	}
 	pick := stream.Intn(candidates)
-	for g := 0; g < e.count; g++ {
-		if e.stateAt(g) == Online && e.peerAt(g).Overlay().ID() != self {
+	for g, p := range e.peers {
+		if e.states[g] == Online && p.Overlay().ID() != self {
 			if pick == 0 {
-				return e.peerAt(g)
+				return p
 			}
 			pick--
 		}
@@ -630,14 +574,14 @@ func (e *Engine) randomOnlineHost(self news.NodeID, stream *rand.Rand) Peer {
 // O(k) slots (a per-peer Perm over a million-member table would be quadratic
 // in time and allocation across a bootstrap).
 func (e *Engine) onlineSample(self news.NodeID, stream *rand.Rand, now int64) []overlay.Descriptor {
-	n, k := e.count, e.cfg.BootstrapDegree
+	n, k := len(e.peers), e.cfg.BootstrapDegree
 	descs := make([]overlay.Descriptor, 0, k)
 	if n < largeScaleMembers {
 		for _, g := range stream.Perm(n) {
-			if e.stateAt(g) != Online {
+			if e.states[g] != Online {
 				continue
 			}
-			s := e.peerAt(g).Overlay()
+			s := e.peers[g].Overlay()
 			if s.ID() == self {
 				continue
 			}
@@ -651,10 +595,10 @@ func (e *Engine) onlineSample(self news.NodeID, stream *rand.Rand, now int64) []
 	picked := make([]int, 0, k)
 	for attempt := 0; attempt < 8*k+32 && len(picked) < k; attempt++ {
 		g := stream.Intn(n)
-		if e.stateAt(g) != Online {
+		if e.states[g] != Online {
 			continue
 		}
-		s := e.peerAt(g).Overlay()
+		s := e.peers[g].Overlay()
 		if s.ID() == self || slices.Contains(picked, g) {
 			continue
 		}
@@ -714,16 +658,15 @@ func (e *Engine) ShardStats() ShardStats {
 	return st
 }
 
-// parallelSpans is the single-shard work partitioner: fn(worker, i) for
-// every i in [0, n), one contiguous span per worker. With a single worker
-// (or a single item) it runs inline. fn must touch only state owned by item
-// i plus the worker'th metrics scratch; the span split then only decides
-// which collector a record lands in, and collectors merge commutatively.
+// parallelSpans is the engine's work partitioner: fn(worker, i) for every i
+// in [0, n), one contiguous span per worker, the spans ascending with the
+// worker id. With a single worker (or a single item) it runs inline. fn must
+// touch only state owned by item i plus the worker'th scratch; the span split
+// then only decides which collector a record lands in, and collectors merge
+// commutatively. Reading the per-worker scratch in worker order visits the
+// items in index order.
 func (e *Engine) parallelSpans(n int, fn func(worker, i int)) {
-	w := e.workers
-	if w > n {
-		w = n
-	}
+	w := min(e.workers, n)
 	if w <= 1 {
 		for i := 0; i < n; i++ {
 			fn(0, i)
@@ -743,101 +686,6 @@ func (e *Engine) parallelSpans(n int, fn func(worker, i int)) {
 	wg.Wait()
 }
 
-// forEachMember runs fn(worker, g) for every global dense index, each shard
-// processing its own slots on its own worker slice (worker ids s*wper+k, so
-// records land in shard-owned collector scratch). Any assignment of items
-// to workers yields identical results: items touch only their own state and
-// collector merges commute.
-func (e *Engine) forEachMember(fn func(worker, g int)) {
-	n := e.count
-	if e.nshards == 1 {
-		e.parallelSpans(n, fn)
-		return
-	}
-	var wg sync.WaitGroup
-	for s := 0; s < e.nshards; s++ {
-		ns := (n - s + e.nshards - 1) / e.nshards // members owned by shard s
-		if ns == 0 {
-			continue
-		}
-		w := e.wper
-		if w > ns {
-			w = ns
-		}
-		for k := 0; k < w; k++ {
-			wg.Add(1)
-			go func(s, k, w, ns int) {
-				defer wg.Done()
-				worker := s*e.wper + k
-				for slot := k * ns / w; slot < (k+1)*ns/w; slot++ {
-					fn(worker, s+slot*e.nshards)
-				}
-			}(s, k, w, ns)
-		}
-	}
-	wg.Wait()
-}
-
-// forEachSharded runs fn(worker, i) for every i in [0, n), binning items by
-// owner shard (shardOf) and splitting each shard's bin across its worker
-// slice. Used for the irregular phases — gossip absorb buckets and BEEP
-// segments — whose items are keyed by responder/receiver rather than dense
-// index. The bins are engine scratch reused across rounds.
-func (e *Engine) forEachSharded(n int, shardOf func(i int) int, fn func(worker, i int)) {
-	if e.nshards == 1 {
-		e.parallelSpans(n, fn)
-		return
-	}
-	for s := range e.shardItems {
-		e.shardItems[s] = e.shardItems[s][:0]
-	}
-	for i := 0; i < n; i++ {
-		s := shardOf(i)
-		e.shardItems[s] = append(e.shardItems[s], i)
-	}
-	var wg sync.WaitGroup
-	for s := 0; s < e.nshards; s++ {
-		items := e.shardItems[s]
-		if len(items) == 0 {
-			continue
-		}
-		w := e.wper
-		if w > len(items) {
-			w = len(items)
-		}
-		for k := 0; k < w; k++ {
-			wg.Add(1)
-			go func(s, k, w int, items []int) {
-				defer wg.Done()
-				worker := s*e.wper + k
-				for j := k * len(items) / w; j < (k+1)*len(items)/w; j++ {
-					fn(worker, items[j])
-				}
-			}(s, k, w, items)
-		}
-	}
-	wg.Wait()
-}
-
-// forEachShard runs fn(s) once per shard, concurrently when there are
-// several. Used by the inter-shard decode, where shard s writes only
-// exchange slots addressed to it.
-func (e *Engine) forEachShard(fn func(s int)) {
-	if e.nshards == 1 {
-		fn(0)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(e.nshards)
-	for s := 0; s < e.nshards; s++ {
-		go func(s int) {
-			defer wg.Done()
-			fn(s)
-		}(s)
-	}
-	wg.Wait()
-}
-
 // mergeCols folds the per-worker collector scratch into the main collector.
 // Called at the end of every cycle (a barrier), so user-visible reads —
 // OnCycleEnd hooks, post-run analysis — always see merged totals.
@@ -853,15 +701,15 @@ func (e *Engine) mergeCols() {
 // peer samples its neighbours from its own engine stream, so the graph is
 // independent of the worker and shard counts.
 func (e *Engine) Bootstrap() {
-	if e.count < 2 {
+	if len(e.peers) < 2 {
 		return
 	}
-	e.forEachMember(func(_, g int) {
-		if e.stateAt(g) != Online {
+	e.parallelSpans(len(e.peers), func(_, g int) {
+		if e.states[g] != Online {
 			return
 		}
-		s := e.peerAt(g).Overlay()
-		s.SeedViews(e.onlineSample(s.ID(), e.streamAt(g), 0))
+		s := e.peers[g].Overlay()
+		s.SeedViews(e.onlineSample(s.ID(), e.streams[g], 0))
 	})
 }
 
@@ -870,13 +718,13 @@ func (e *Engine) Bootstrap() {
 // partitions holding — through the accumulator the live runner also feeds.
 // Drivers call it from OnCycleEnd to build per-cycle timelines.
 func (e *Engine) Health() metrics.ChurnSample {
-	h := metrics.NewFleetHealth(e.now, e.count, func(id news.NodeID) bool { return e.onlinePeer(id) != nil })
+	h := metrics.NewFleetHealth(e.now, len(e.peers), func(id news.NodeID) bool { return e.onlinePeer(id) != nil })
 	var buf []overlay.Descriptor
-	for g := 0; g < e.count; g++ {
-		if e.stateAt(g) != Online {
+	for g, p := range e.peers {
+		if e.states[g] != Online {
 			continue
 		}
-		o := e.peerAt(g).Overlay()
+		o := p.Overlay()
 		h.AddNode(e.col.CohortOf(o.ID()))
 		buf = o.RPS().View().AppendEntries(buf[:0])
 		h.AddView(core.RPSLayer, o.RPS().View().Capacity(), buf)
@@ -939,9 +787,9 @@ func (e *Engine) Step() {
 	now := e.now
 
 	e.applyChurn(now)
-	e.forEachMember(func(_, g int) {
-		if e.stateAt(g) == Online {
-			e.peerAt(g).BeginCycle(now)
+	e.parallelSpans(len(e.peers), func(_, g int) {
+		if e.states[g] == Online {
+			e.peers[g].BeginCycle(now)
 		}
 	})
 	if e.cfg.RefillWatermark > 0 {
@@ -991,11 +839,11 @@ func (e *Engine) Run() {
 // engine stream, so results are bit-identical for any worker count.
 func (e *Engine) refillViews(now int64) {
 	wm := e.cfg.RefillWatermark
-	for g := 0; g < e.count; g++ {
-		if e.stateAt(g) != Online {
+	for g, p := range e.peers {
+		if e.states[g] != Online {
 			continue
 		}
-		s := e.peerAt(g).Overlay()
+		s := p.Overlay()
 		target, ok := s.RefillTarget(wm)
 		if !ok {
 			continue
@@ -1101,17 +949,17 @@ func (e *Engine) encodeCrossShard(exs []exchange, reply bool, layer core.Layer) 
 	}
 }
 
-// decodeCrossShard drains every destination shard's incoming batches on that
-// shard's own goroutine, replacing the crossing exchanges' in-memory slices
-// with decoded copies before the absorbing phase reads them. Each crossing
-// exchange appears in exactly one batch, so the per-shard writes are
-// disjoint. Decoded descriptors and tombstones land in pooled per-shard
+// decodeCrossShard drains every destination shard's incoming batches, over
+// the sources in ascending order and one destination per work item,
+// replacing the crossing exchanges' in-memory slices with decoded copies
+// before the absorbing phase reads them. Each crossing exchange appears in
+// exactly one batch, so the per-destination writes are disjoint. Decoded descriptors and tombstones land in pooled per-shard
 // arenas; subslices are fixed up only after the arenas stop growing. The
 // batches are engine-produced, so a malformed byte is an invariant
 // violation, not input — it panics.
 func (e *Engine) decodeCrossShard(exs []exchange, reply bool) {
 	S := e.nshards
-	e.forEachShard(func(d int) {
+	e.parallelSpans(S, func(_, d int) {
 		sc := &e.xdec[d]
 		sc.descs, sc.tombs, sc.pending = sc.descs[:0], sc.tombs[:0], sc.pending[:0]
 		for src := 0; src < S; src++ {
@@ -1204,16 +1052,16 @@ func (e *Engine) bucketByResponder(exs []exchange, layer core.Layer) []news.Node
 // draws its loss, in the engine's exchange table (one slot per member,
 // reused across rounds).
 func (e *Engine) computePushes(now int64, layer core.Layer, reqKind metrics.MessageKind) []exchange {
-	n := e.count
+	n := len(e.peers)
 	if cap(e.exs) < n {
 		e.exs = make([]exchange, n)
 	}
 	exs := e.exs[:n] // all zero: gossipRound clears the table when the round ends
-	e.forEachMember(func(w, g int) {
-		if e.stateAt(g) != Online {
+	e.parallelSpans(n, func(w, g int) {
+		if e.states[g] != Online {
 			return
 		}
-		p := e.peerAt(g)
+		p := e.peers[g]
 		s := p.Overlay()
 		if !s.Has(layer) {
 			return
@@ -1247,11 +1095,11 @@ func (e *Engine) computePushes(now int64, layer core.Layer, reqKind metrics.Mess
 //
 // With Shards > 1 a routing step runs between the phases: exchange legs
 // whose initiator and responder live in different shards are encoded into
-// per-shard-pair batches through the wire codec and decoded on the owning
-// shard (routeCrossShard), so the absorbing side only ever reads state its
-// own shard produced or decoded. The wire-byte accounting is recorded from
-// the original descriptors before routing and is therefore bit-identical
-// across shard counts.
+// per-shard-pair batches through the wire codec and decoded against the
+// destination shard's snapshot table (routeCrossShard), so the absorbing
+// side reads a crossing leg only as the codec delivered it. The wire-byte
+// accounting is recorded from the original descriptors before routing and
+// is therefore bit-identical across shard counts.
 //
 // Both legs piggyback the sender's active departure tombstones (there are
 // none unless Config.DepartureNotices lets leavers announce themselves),
@@ -1265,14 +1113,13 @@ func (e *Engine) gossipRound(now int64, layer core.Layer, reqKind, repKind metri
 	}
 
 	order := e.bucketByResponder(exs, layer)
-	respShard := func(bi int) int { return e.shardOf(e.idx[order[bi]]) }
-	e.forEachSharded(len(order), respShard, func(w, bi int) {
+	e.parallelSpans(len(order), func(w, bi int) {
 		respID := order[bi]
 		responder := e.onlinePeer(respID).Overlay()
 		for _, i := range e.bucketLists[bi] {
 			reply, replyTombs := responder.AcceptPush(layer, exs[i].push, exs[i].pushTombs, now)
 			e.cols[w].RecordMessage(repKind, descriptorsWireSize(reply)+overlay.TombstonesWireSize(replyTombs))
-			if !e.lost(respID) && !e.linkDropped(respID, e.peerAt(i).Overlay().ID(), now, repKind, 0) {
+			if !e.lost(respID) && !e.linkDropped(respID, e.peers[i].Overlay().ID(), now, repKind, 0) {
 				exs[i].reply = reply
 				exs[i].replyTombs = replyTombs
 			}
@@ -1283,9 +1130,9 @@ func (e *Engine) gossipRound(now int64, layer core.Layer, reqKind, repKind metri
 		e.routeCrossShard(exs, true, layer)
 	}
 
-	e.forEachMember(func(_, g int) {
+	e.parallelSpans(len(exs), func(_, g int) {
 		if exs[g].reply != nil {
-			e.peerAt(g).Overlay().AcceptReply(layer, exs[g].reply, exs[g].replyTombs, now)
+			e.peers[g].Overlay().AcceptReply(layer, exs[g].reply, exs[g].replyTombs, now)
 		}
 	})
 	clear(exs) // the round is over: its pushes, replies and tombstone slices are garbage
@@ -1354,8 +1201,8 @@ func (e *Engine) deliverRound(now int64) {
 		}
 	})
 	// Partition into per-receiver segments; each segment is applied by one
-	// worker of the receiver's shard, so a receiver's state and RNG are
-	// touched by one goroutine and always in the same (from, item) order.
+	// worker, so a receiver's state and RNG are touched by one goroutine and
+	// always in the same (from, item) order.
 	e.segs = e.segs[:0]
 	for lo := 0; lo < len(batch); {
 		hi := lo + 1
@@ -1370,26 +1217,11 @@ func (e *Engine) deliverRound(now int64) {
 		e.delivBufs[w] = e.delivBufs[w][:0]
 	}
 	observe := e.cfg.OnDelivery != nil
-	if observe {
-		if cap(e.delivSegs) < len(e.segs) {
-			e.delivSegs = make([]delivSpan, len(e.segs)) //whatsup:alloc observer spans, doubles then reused across rounds
-		}
-		e.delivSegs = e.delivSegs[:len(e.segs)]
-	}
-	//whatsup:alloc segShard closure, one per round
-	segShard := func(si int) int {
-		g, ok := e.idx[batch[e.segs[si].lo].to]
-		if !ok {
-			return 0 // unknown receiver: the messages drop; any shard may do it
-		}
-		return e.shardOf(g)
-	}
-	//whatsup:alloc per-round worker closure handed to forEachSharded
-	e.forEachSharded(len(e.segs), segShard, func(w, si int) {
+	//whatsup:alloc per-round worker closure handed to parallelSpans
+	e.parallelSpans(len(e.segs), func(w, si int) {
 		seg := e.segs[si]
 		recv := e.onlinePeer(batch[seg.lo].to)
 		col := e.cols[w]
-		lo := len(e.delivBufs[w])
 		for k := seg.lo; k < seg.hi; k++ {
 			env := &batch[k]
 			col.RecordMessage(metrics.MsgBeep, env.msg.WireSize())
@@ -1414,17 +1246,14 @@ func (e *Engine) deliverRound(now int64) {
 				e.sendBufs[w] = append(e.sendBufs[w], envelope{from: env.to, to: s.To, msg: s.Msg}) //whatsup:alloc amortized growth of the per-worker send buffer
 			}
 		}
-		if observe {
-			e.delivSegs[si] = delivSpan{w: w, lo: lo, hi: len(e.delivBufs[w])}
-		}
 	})
-	// Fire callbacks in segment (receiver) order via the per-segment spans —
-	// the user-visible delivery sequence is identical for any worker or
-	// shard partition — then assemble the next hop over the one just consumed
-	// (the sort above normalizes its order).
+	// Fire callbacks in segment (receiver) order — the workers' spans ascend
+	// with the worker id, so the user-visible delivery sequence is identical
+	// for any worker count — then assemble the next hop over the one just
+	// consumed (the sort above normalizes its order).
 	if observe {
-		for _, span := range e.delivSegs {
-			for _, d := range e.delivBufs[span.w][span.lo:span.hi] {
+		for _, buf := range e.delivBufs {
+			for _, d := range buf {
 				e.cfg.OnDelivery(d, now)
 			}
 		}
@@ -1442,12 +1271,12 @@ func (e *Engine) deliverRound(now int64) {
 // Node ids must be dense in [0, MemberCount) for the returned graph indices
 // to be meaningful; engines built by the experiment harness guarantee this.
 func (e *Engine) WUPGraph() *graph.Directed {
-	g := graph.NewDirected(e.count)
-	for gi := 0; gi < e.count; gi++ {
-		if e.stateAt(gi) != Online {
+	g := graph.NewDirected(len(e.peers))
+	for gi, p := range e.peers {
+		if e.states[gi] != Online {
 			continue
 		}
-		s := e.peerAt(gi).Overlay()
+		s := p.Overlay()
 		if !s.Has(core.WUPLayer) {
 			continue
 		}
