@@ -25,13 +25,12 @@ import (
 
 // Protocol is the per-node clustering state machine.
 type Protocol struct {
-	self    news.NodeID
-	addr    string
-	metric  profile.Metric
-	view    *overlay.View
-	rng     *rand.Rand
-	grave   *overlay.Graveyard   // optional departure-notice filter (may be nil)
-	targets []overlay.Descriptor // scratch reused by RandomTargets
+	self   news.NodeID
+	addr   string
+	metric profile.Metric
+	view   *overlay.View
+	rng    *rand.Rand
+	grave  *overlay.Graveyard // optional departure-notice filter (may be nil)
 }
 
 // SetGraveyard attaches the node's departure-tombstone set: merges then skip
@@ -117,17 +116,15 @@ func (p *Protocol) MergeFrom(src *overlay.View, own *profile.Profile) {
 	p.view.TrimBySimilarity(p.rng, p.metric, own)
 }
 
-// RandomTargets returns up to fanout distinct random members of the view —
-// BEEP's amplification step for liked items picks targets randomly from the
-// WUP view rather than the closest ones, to avoid over-clustering
-// (Algorithm 2 line 31). The returned slice is scratch owned by the
-// protocol: it is only valid until the next RandomTargets call.
-func (p *Protocol) RandomTargets(fanout int) []overlay.Descriptor {
-	if fanout > p.view.Len() {
-		fanout = p.view.Len()
-	}
-	p.targets = p.view.AppendRandomSample(p.targets[:0], p.rng, fanout)
-	return p.targets
+// RandomTargets addresses every slot of dst to a distinct random member of
+// p's view, member d into slot k as put(&dst[k], d) — BEEP's amplification
+// step for liked items picks targets randomly from the WUP view rather than
+// the closest ones, to avoid over-clustering (Algorithm 2 line 31). The
+// caller sizes dst to min(fLIKE, view size), so the targets are drawn
+// straight into its own slice and the protocol keeps no buffer. It is a
+// function because Go methods take no type parameters.
+func RandomTargets[T any](p *Protocol, dst []T, put func(*T, overlay.Descriptor)) {
+	overlay.SampleInto(dst, p.view, p.rng, put)
 }
 
 // AverageSimilarity reports the mean similarity between the given profile

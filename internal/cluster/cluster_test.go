@@ -95,17 +95,22 @@ func TestRandomTargetsAreFromView(t *testing.T) {
 		seed = append(seed, descWithLikes(i, 0, 1))
 	}
 	p.Seed(seed, own)
-	targets := p.RandomTargets(3)
-	if len(targets) != 3 {
-		t.Fatalf("targets=%d want 3", len(targets))
-	}
-	for _, d := range targets {
-		if !p.View().Contains(d.Node) {
-			t.Fatalf("target %d not in view", d.Node)
+	nodeOf := func(slot *news.NodeID, d overlay.Descriptor) { *slot = d.Node }
+	targets := make([]news.NodeID, 3)
+	RandomTargets(p, targets, nodeOf)
+	seen := map[news.NodeID]bool{}
+	for _, id := range targets {
+		if !p.View().Contains(id) || seen[id] {
+			t.Fatalf("targets %v: %d not in view, or drawn twice", targets, id)
 		}
+		seen[id] = true
 	}
-	if got := p.RandomTargets(100); len(got) != 6 {
-		t.Fatalf("oversized fanout must return whole view, got %d", len(got))
+	all := make([]news.NodeID, p.View().Len())
+	RandomTargets(p, all, nodeOf)
+	for i, d := range p.View().Entries() {
+		if all[i] != d.Node {
+			t.Fatalf("a fanout covering the view must address it in order: %v", all)
+		}
 	}
 }
 

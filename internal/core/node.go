@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 
+	"whatsup/internal/cluster"
 	"whatsup/internal/news"
 	"whatsup/internal/overlay"
 	"whatsup/internal/profile"
@@ -122,33 +123,30 @@ func (n *Node) forward(msg ItemMessage, liked bool, now int64) []Send {
 	if n.behavior != nil {
 		msg = n.behavior.OutgoingItem(msg)
 	}
-	var targets []overlay.Descriptor
+	msg.Hops++
+	msg.ViaDislike = !liked
 	if !liked {
 		if msg.Dislikes >= n.cfg.DislikeTTL {
 			return nil // line 29: TTL reached, drop
 		}
 		msg.Dislikes++ // line 26
-		if t, ok := n.rps.View().MostSimilar(n.cfg.Metric, msg.Profile); ok {
-			targets = []overlay.Descriptor{t} // line 27 //whatsup:alloc single-element dislike target
+		t, ok := n.rps.View().MostSimilar(n.cfg.Metric, msg.Profile)
+		if !ok {
+			return nil
 		}
-	} else {
-		targets = n.wup.RandomTargets(n.cfg.FLike) // line 31
+		return []Send{{To: t.Node, Msg: msg}} // line 27 //whatsup:alloc one single-send slice per dislike forward
 	}
-	if len(targets) == 0 {
+	sends := make([]Send, min(n.cfg.FLike, n.wup.View().Len())) //whatsup:alloc one sends slice per forward, exact length
+	if len(sends) == 0 {
 		return nil
 	}
-	sends := make([]Send, 0, len(targets)) //whatsup:alloc one sends slice per forward, exact capacity
-	for _, t := range targets {
-		sends = append(sends, Send{
-			To: t.Node,
-			Msg: ItemMessage{
-				Item:       msg.Item,
-				Profile:    msg.Profile,
-				Dislikes:   msg.Dislikes,
-				Hops:       msg.Hops + 1,
-				ViaDislike: !liked,
-			},
-		})
+	cluster.RandomTargets(n.wup, sends, addressTo) // line 31
+	for i := range sends {
+		sends[i].Msg = msg
 	}
 	return sends
 }
+
+// addressTo is forward's put for cluster.RandomTargets: it addresses a send
+// to the drawn view member.
+func addressTo(s *Send, d overlay.Descriptor) { s.To = d.Node }

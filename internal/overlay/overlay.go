@@ -9,8 +9,9 @@
 // bytes and their Σ score², immutable, made once per profile version
 // by its node and shared by every view that holds a descriptor of that
 // version. Views score it in place, and encode it by copying its bytes.
-// Immutability is what makes the view's similarity cache sound — see
-// scoreCache.
+// Immutability is what makes the view's similarity cache sound: a view
+// ranked by similarity keeps the scores of its capacity survivors and nothing
+// else — see scoreCache.
 package overlay
 
 import (
@@ -51,77 +52,72 @@ func (d Descriptor) WireSize() int {
 	return size
 }
 
-// scoreSlots is the size of a view's similarity cache, set to the candidates
-// one merge scores: a clustering view at capacity plus the largest batch merged
-// into it (the RPS view injected each cycle, or a neighbour's whole view and
-// its descriptor) is 50 at the paper's view sizes (WUP 20, RPS 30) and 32 at
-// the benchmark worlds' (12, 20), where the three merges of a cycle together
-// score under 60 distinct snapshots.
-const scoreSlots = 64
-
-// scoreSlot is one cached (candidate snapshot, score) pair.
+// scoreSlot is one cached (survivor snapshot, score) pair.
 type scoreSlot struct {
 	prof  *profile.Packed
 	score float64
 }
 
-// scoreCache memoizes metric scores of candidate descriptors against one
-// target profile in a fixed ring of scoreSlots slots, the oldest overwritten
-// first. Soundness: a descriptor's profile.Packed is immutable, so a pointer
+// scoreCache holds the scores of the last TrimBySimilarity's survivors
+// against the profile they were ranked by: at most capacity (snapshot, score)
+// pairs, copied out of the pooled ranked scratch, so the view's resident
+// entries — re-offered on every merge — are not rescored while the node's
+// profile is unchanged. A candidate that is not a survivor is scored and not
+// stored, and nothing that left the view stays pinned past the next trim.
+// Soundness: a descriptor's profile.Packed is immutable, so a pointer
 // identifies fixed content, and because the slot holds the pointer the
 // snapshot cannot be garbage-collected and its address cannot be reused while
 // the score is cached; the target is identified by (pointer, version) —
 // Profile.Version() bumps on every content mutation — so a hit can only
 // return the exact float the metric would recompute. Similarity values are
 // therefore bit-identical with the cache on or off, and simulation results do
-// not depend on hit patterns or on the slot count. The metric is not part of
-// the key: a view is owned by one protocol instance and scored with a single
-// fixed metric for its whole lifetime.
+// not depend on hit patterns. The metric is not part of the key: a view is
+// owned by one protocol instance and scored with a single fixed metric for its
+// whole lifetime.
 type scoreCache struct {
 	self    *profile.Profile // target the cached scores are valid against
-	version uint64           // self's version when the cache was (re)keyed
-	slots   []scoreSlot      // nil until first keyed (RPS views never are)
-	next    int              // slot the next miss overwrites once the ring is full
+	version uint64           // self's version when the survivors were ranked
+	slots   []scoreSlot      // the survivors; nil until a trim first ranks (RPS views never do)
 }
 
-// lookup returns the cached score for d against (self, version), computing
-// and storing it on a miss. The caller guarantees the cache is keyed to
-// (self, version).
+// lookup returns d's score against self: the cached one if d's snapshot
+// survived the last trim, else a fresh computation. The caller has dropped
+// the slots unless the cache is keyed to self's current version.
 func (c *scoreCache) lookup(metric profile.Metric, self *profile.Profile, d Descriptor) float64 {
 	for i := range c.slots {
 		if c.slots[i].prof == d.Profile {
 			return c.slots[i].score
 		}
 	}
-	s := scoreSlot{d.Profile, metric.SimilarityPacked(self, d.Profile)}
-	if len(c.slots) < scoreSlots {
-		c.slots = append(c.slots, s) // within the capacity rekey reserved
-	} else {
-		c.slots[c.next] = s
-		c.next = (c.next + 1) % scoreSlots
-	}
-	return s.score
-}
-
-// rekey points the cache at a (possibly new) target profile version,
-// dropping stale scores and the snapshots they pinned.
-func (c *scoreCache) rekey(self *profile.Profile) {
-	if self == nil || c.keyedTo(self) {
-		return
-	}
-	if c.slots == nil {
-		c.slots = make([]scoreSlot, 0, scoreSlots)
-	}
-	clear(c.slots)
-	c.slots, c.next = c.slots[:0], 0
-	c.self = self
-	c.version = self.Version()
+	return metric.SimilarityPacked(self, d.Profile)
 }
 
 // keyedTo reports whether the cache currently holds scores against exactly
 // this target profile content.
 func (c *scoreCache) keyedTo(self *profile.Profile) bool {
-	return self != nil && c.self == self && c.version == self.Version() && c.slots != nil
+	return self != nil && c.self == self && c.version == self.Version()
+}
+
+// drop empties the cache, releasing the snapshots it pinned.
+func (c *scoreCache) drop() {
+	clear(c.slots)
+	c.slots, c.self = c.slots[:0], nil
+}
+
+// keep replaces the cache with the survivors' scores against self, copied
+// out of the ranked scratch into an array of the view's capacity.
+func (c *scoreCache) keep(self *profile.Profile, survivors []scored) {
+	c.drop()
+	if self == nil {
+		return
+	}
+	if c.slots == nil {
+		c.slots = make([]scoreSlot, 0, len(survivors))
+	}
+	for _, r := range survivors {
+		c.slots = append(c.slots, scoreSlot{r.d.Profile, r.s})
+	}
+	c.self, c.version = self, self.Version()
 }
 
 // scored pairs a descriptor with its similarity for the trim sort.
@@ -131,15 +127,14 @@ type scored struct {
 }
 
 // mergeScratch is the space a merge needs beyond a view's resident array:
-// the union of the view and the batch merged into it, TrimBySimilarity's
-// ranked copy of that union and AppendRandomSample's permutation. No view
-// keeps it between merges; it is borrowed from scratchPool for one merge,
-// so the process holds about one per P rather than one per view.
+// the union of the view and the batch merged into it, and TrimBySimilarity's
+// ranked copy of that union. No view keeps it between merges; it is borrowed
+// from scratchPool for one merge, so the process holds about one per P rather
+// than one per view.
 type mergeScratch struct {
 	home   []Descriptor // the borrowing view's resident array, emptied, while the union lives here
 	union  []Descriptor
 	ranked []scored
-	perm   []int
 }
 
 // scratchPool lends merge scratch to every view in the process. A returned
@@ -148,8 +143,8 @@ var scratchPool = sync.Pool{New: func() any { return new(mergeScratch) }}
 
 // View is a bounded set of descriptors with at most one entry per node. A
 // view belongs to one node and is not goroutine-safe; its similarity cache is
-// reused across calls by that single owner. Views hold tens of entries, so
-// membership is a scan of entries, not an index beside them.
+// read and replaced by that single owner's trims. Views hold tens of entries,
+// so membership is a scan of entries, not an index beside them.
 //
 // At rest the entries live in one resident array of exactly capacity. The
 // first Insert past capacity moves them into a mergeScratch borrowed from
@@ -365,39 +360,45 @@ func (v *View) Oldest() (Descriptor, bool) {
 }
 
 // AppendRandomSample appends up to n distinct entries chosen uniformly at
-// random to dst and returns the extended slice. It reproduces rng.Perm's
-// draw sequence exactly (so results are bit-identical to the historical
-// Perm-based sampling) into a permutation borrowed from scratchPool, making
-// the steady-state sample allocation-free apart from dst itself.
+// random to dst and returns the extended slice, drawn by SampleInto.
 func (v *View) AppendRandomSample(dst []Descriptor, rng *rand.Rand, n int) []Descriptor {
-	if n >= len(v.entries) {
-		return append(dst, v.entries...)
+	n = min(n, len(v.entries))
+	dst = slices.Grow(dst, n)
+	SampleInto(dst[len(dst):len(dst)+n], v, rng, setDescriptor)
+	return dst[:len(dst)+n]
+}
+
+// setDescriptor is SampleInto's put for a slice of descriptors.
+func setDescriptor(slot *Descriptor, d Descriptor) { *slot = d }
+
+// SampleInto fills dst (len(dst) ≤ v.Len()) with distinct entries of v
+// chosen uniformly at random, entry d into slot k as put(&dst[k], d), and
+// copies slots whole onto one another. It draws as the first len(dst)
+// positions of rng.Perm(v.Len()), one Intn(i+1) per entry, bit-identical to
+// the historical Perm-based sampling; the rest of Perm's inside-out shuffle
+// never moves a value into that prefix, so dst is the only storage. A dst as
+// long as the view takes every entry in order and draws nothing.
+func SampleInto[T any](dst []T, v *View, rng *rand.Rand, put func(*T, Descriptor)) {
+	if len(dst) == len(v.entries) {
+		for i, d := range v.entries {
+			put(&dst[i], d)
+		}
+		return
 	}
-	total := len(v.entries)
-	s := scratchPool.Get().(*mergeScratch)
-	defer scratchPool.Put(s)
-	if cap(s.perm) < total {
-		s.perm = make([]int, total)
-	}
-	perm := s.perm[:total]
-	// Fisher–Yates with rand.Perm's exact consumption: one Intn(i+1) per i.
-	for i := 0; i < total; i++ {
+	for i, d := range v.entries {
 		j := rng.Intn(i + 1)
-		perm[i] = perm[j]
-		perm[j] = i
+		if i < len(dst) {
+			dst[i] = dst[j]
+		}
+		if j < len(dst) {
+			put(&dst[j], d)
+		}
 	}
-	for _, i := range perm[:n] {
-		dst = append(dst, v.entries[i])
-	}
-	return dst
 }
 
 // RandomSample returns up to n distinct entries chosen uniformly at random.
 func (v *View) RandomSample(rng *rand.Rand, n int) []Descriptor {
-	if n > len(v.entries) {
-		n = len(v.entries)
-	}
-	return v.AppendRandomSample(make([]Descriptor, 0, n), rng, n)
+	return v.AppendRandomSample(make([]Descriptor, 0, min(n, len(v.entries))), rng, n)
 }
 
 // TrimRandom drops uniformly random entries until the view respects its
@@ -417,18 +418,21 @@ func (v *View) TrimRandom(rng *rand.Rand) {
 // the same few descriptors, collapsing the overlay into disconnected
 // cliques. The rng comes from the owning node, so runs stay reproducible.
 //
-// Scores are served from the view's similarity cache keyed by (self,
-// self.Version()): as long as the node's own profile has not changed, a
-// candidate descriptor already scored — typically the surviving view
-// entries, re-ranked on every merge — is never scored again.
+// The survivors' scores are kept in the view's similarity cache keyed by
+// (self, self.Version()): as long as the node's own profile has not changed,
+// the resident entries — re-offered on every merge — are not scored again. A
+// trim that ranks nothing empties the cache.
 //
 //whatsup:hotpath
 func (v *View) TrimBySimilarity(rng *rand.Rand, metric profile.Metric, self *profile.Profile) {
 	if len(v.entries) <= v.capacity {
+		v.cache.drop()
 		v.settle()
 		return
 	}
-	v.cache.rekey(self)
+	if !v.cache.keyedTo(self) {
+		v.cache.drop()
+	}
 	s := v.merge // entries past capacity always live in borrowed scratch
 	if cap(s.ranked) < len(v.entries) {
 		s.ranked = make([]scored, 0, len(v.entries)) //whatsup:alloc pooled scratch sized to the largest merge so far
@@ -454,6 +458,7 @@ func (v *View) TrimBySimilarity(rng *rand.Rand, metric profile.Metric, self *pro
 	for _, r := range ranked[:v.capacity] {
 		home = append(home, r.d) //whatsup:allow:hotalloc the resident array holds exactly capacity
 	}
+	v.cache.keep(self, ranked[:v.capacity])
 	clear(ranked) // drop descriptor refs held by the scratch backing array
 	s.ranked = ranked[:0]
 	v.release(home)
@@ -462,27 +467,18 @@ func (v *View) TrimBySimilarity(rng *rand.Rand, metric profile.Metric, self *pro
 // MostSimilar returns the entry whose profile is most similar to the target
 // profile, used by BEEP's orientation step to route disliked items toward
 // the RPS neighbour closest to the item profile (Algorithm 2 line 27).
-// Ties are broken by node id. ok is false when the view is empty.
-//
-// When the target is the profile the view's cache is currently keyed to
-// (the node's own profile), scores are served from the cache; transient
-// targets such as per-item profiles are computed directly so they cannot
-// evict useful cached scores.
+// Ties are broken by node id. ok is false when the view is empty. Every
+// score is computed: the target is a transient item profile, and the
+// similarity cache is neither read nor written.
 //
 //whatsup:hotpath
 func (v *View) MostSimilar(metric profile.Metric, target *profile.Profile) (Descriptor, bool) {
 	if len(v.entries) == 0 {
 		return Descriptor{}, false
 	}
-	cached := v.cache.keyedTo(target)
 	best, bestScore := -1, -1.0
 	for i, d := range v.entries {
-		var s float64
-		if cached {
-			s = v.cache.lookup(metric, target, d)
-		} else {
-			s = metric.SimilarityPacked(target, d.Profile)
-		}
+		s := metric.SimilarityPacked(target, d.Profile)
 		if s > bestScore || (s == bestScore && (best < 0 || d.Node < v.entries[best].Node)) {
 			best, bestScore = i, s
 		}
