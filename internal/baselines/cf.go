@@ -37,7 +37,7 @@ func NewCF(id news.NodeID, k, rpsViewSize int, window int64, metric profile.Metr
 	}
 	cfg := core.Config{RPSViewSize: rpsViewSize, WUPViewSize: k, Metric: metric, ProfileWindow: window}
 	return &CF{
-		Substrate: core.NewSubstrate(id, "", cfg, rng),
+		Substrate: core.NewSubstrate(id, cfg, rng),
 		opinions:  opinions,
 	}
 }

@@ -40,7 +40,7 @@ func NewGossip(id news.NodeID, fanout, rpsViewSize int, opinions core.Opinions, 
 		rpsViewSize = core.DefaultRPSViewSize
 	}
 	return &Gossip{
-		Substrate: core.NewSubstrate(id, "", core.Config{RPSViewSize: rpsViewSize}, rng),
+		Substrate: core.NewSubstrate(id, core.Config{RPSViewSize: rpsViewSize}, rng),
 		fanout:    fanout,
 		opinions:  opinions,
 	}

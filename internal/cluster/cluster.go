@@ -26,7 +26,6 @@ import (
 // Protocol is the per-node clustering state machine.
 type Protocol struct {
 	self   news.NodeID
-	addr   string
 	metric profile.Metric
 	view   *overlay.View
 	rng    *rand.Rand
@@ -38,11 +37,11 @@ type Protocol struct {
 func (p *Protocol) SetGraveyard(g *overlay.Graveyard) { p.grave = g }
 
 // New returns a clustering instance for node self with the given view size
-// (WUPvs, set to 2·fLIKE in the paper) and similarity metric.
-func New(self news.NodeID, addr string, viewSize int, metric profile.Metric, rng *rand.Rand) *Protocol {
+// (WUPvs, set to 2·fLIKE in the paper) and similarity metric. The string
+// parameter is ignored: descriptors carry no address.
+func New(self news.NodeID, _ string, viewSize int, metric profile.Metric, rng *rand.Rand) *Protocol {
 	return &Protocol{
 		self:   self,
-		addr:   addr,
 		metric: metric,
 		view:   overlay.NewView(viewSize),
 		rng:    rng,
@@ -71,7 +70,7 @@ func (p *Protocol) Seed(descs []overlay.Descriptor, own *profile.Profile) {
 // version.
 func (p *Protocol) Descriptor(now int64, prof *profile.Profile) overlay.Descriptor {
 	packed := prof.Pack()
-	return overlay.Descriptor{Node: p.self, Addr: p.addr, Stamp: now, Profile: &packed}
+	return overlay.Descriptor{Node: p.self, Stamp: now, Profile: &packed}
 }
 
 // SelectPeer returns the view entry with the oldest timestamp.

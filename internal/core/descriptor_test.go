@@ -16,7 +16,7 @@ import (
 // in between, two calls return the one snapshot; and a poisoner, whose
 // behavior fabricates a new profile on every call, gets each fabrication.
 func TestDescriptorSnapshotNeverStale(t *testing.T) {
-	s := core.NewSubstrate(1, "", core.Config{RPSViewSize: 4}, rand.New(rand.NewSource(1)))
+	s := core.NewSubstrate(1, core.Config{RPSViewSize: 4}, rand.New(rand.NewSource(1)))
 	other := profile.New()
 	other.Set(2, 9, 1)
 	other.Set(50, 9, 0.5)

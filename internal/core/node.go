@@ -20,13 +20,13 @@ type Node struct {
 	opinions Opinions
 }
 
-// NewNode builds a WhatsUp node. addr is the transport address used by live
-// runtimes (empty under simulation). opinions supplies the user's
+// NewNode builds a WhatsUp node. The string parameter is ignored:
+// descriptors carry no address. opinions supplies the user's
 // like/dislike reactions; rng seeds the node's own generator and is not
 // retained (see NewSubstrate).
-func NewNode(id news.NodeID, addr string, cfg Config, opinions Opinions, rng *rand.Rand) *Node {
+func NewNode(id news.NodeID, _ string, cfg Config, opinions Opinions, rng *rand.Rand) *Node {
 	return &Node{
-		Substrate: NewSubstrate(id, addr, cfg.WithDefaults(), rng),
+		Substrate: NewSubstrate(id, cfg.WithDefaults(), rng),
 		opinions:  opinions,
 	}
 }

@@ -168,7 +168,7 @@ func TestSIRSetWindowBoundary(t *testing.T) {
 // (homogeneous gossip's) keeps every item whatever the clock says and admits
 // items of any age.
 func TestZeroProfileWindowNeverForgets(t *testing.T) {
-	s := NewSubstrate(1, "", Config{RPSViewSize: 4}, rand.New(rand.NewSource(1)))
+	s := NewSubstrate(1, Config{RPSViewSize: 4}, rand.New(rand.NewSource(1)))
 	for id := 0; id < 10; id++ {
 		if !s.Infect(item(id, int64(id)), 1_000_000) {
 			t.Fatalf("item %d refused without a window", id)

@@ -50,26 +50,26 @@ type Substrate struct {
 // RPSViewSize sizes the random sample, a zero WUPViewSize means no clustering
 // layer at all (homogeneous gossip), a zero ProfileWindow means neither the
 // profile nor the SIR set is ever purged, and DescriptorTTL and the notice
-// piggyback cap keep their Config meaning. addr is the transport address live
-// runtimes gossip. The returned value is meant to be embedded, once.
+// piggyback cap keep their Config meaning. The returned value is meant to be
+// embedded, once.
 //
 // rng is read once and not retained: one Uint64 from it seeds the substrate's
 // own splitmix64 stream (Rand), which drives both layers and whatever the
 // embedder draws. The generator is a property of the peer, so a caller's
 // 4.9 KB math/rand.NewSource state is garbage as soon as the peer exists.
-func NewSubstrate(id news.NodeID, addr string, cfg Config, rng *rand.Rand) Substrate {
+func NewSubstrate(id news.NodeID, cfg Config, rng *rand.Rand) Substrate {
 	own := prng.New(rng.Uint64())
 	s := Substrate{
 		id:    id,
 		cfg:   cfg,
 		user:  profile.New(),
-		rps:   rps.New(id, addr, cfg.RPSViewSize, own),
+		rps:   rps.New(id, "", cfg.RPSViewSize, own),
 		grave: new(overlay.Graveyard),
 		rng:   own,
 	}
 	s.rps.SetGraveyard(s.grave)
 	if cfg.WUPViewSize > 0 {
-		s.wup = cluster.New(id, addr, cfg.WUPViewSize, cfg.Metric, own)
+		s.wup = cluster.New(id, "", cfg.WUPViewSize, cfg.Metric, own)
 		s.wup.SetGraveyard(s.grave)
 	}
 	return s

@@ -17,7 +17,7 @@ func testSubstrate(id news.NodeID, wupSize int, ttl int64) *Substrate {
 	if wupSize > 0 {
 		cfg.Metric, cfg.ProfileWindow = profile.WUP{}, 50
 	}
-	s := NewSubstrate(id, "", cfg, rand.New(rand.NewSource(int64(id)+1)))
+	s := NewSubstrate(id, cfg, rand.New(rand.NewSource(int64(id)+1)))
 	return &s
 }
 

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"whatsup/internal/core"
@@ -36,7 +35,6 @@ func repGossip() envelope {
 	for i := 0; i < 10; i++ {
 		descs = append(descs, overlay.Descriptor{
 			Node:    news.NodeID(i + 1),
-			Addr:    "127.0.0.1:40000",
 			Stamp:   int64(20 + i),
 			Profile: snapshotOf(repProfile(25, i)),
 		})
@@ -79,7 +77,7 @@ func envelopesEqual(a, b envelope) bool {
 	}
 	for i := range a.Descs {
 		x, y := a.Descs[i], b.Descs[i]
-		if x.Node != y.Node || x.Addr != y.Addr || x.Stamp != y.Stamp {
+		if x.Node != y.Node || x.Stamp != y.Stamp {
 			return false
 		}
 		if (x.Profile == nil) != (y.Profile == nil) {
@@ -105,10 +103,9 @@ func envelopesEqual(a, b envelope) bool {
 }
 
 func roundTripCases() map[string]envelope {
-	longAddr := strings.Repeat("node.example.planetlab.org:", 9) + "65535"
 	maxDescs := make([]overlay.Descriptor, 64)
 	for i := range maxDescs {
-		maxDescs[i] = overlay.Descriptor{Node: news.NodeID(i), Addr: longAddr, Stamp: int64(i), Profile: snapshotOf(repProfile(100, i))}
+		maxDescs[i] = overlay.Descriptor{Node: news.NodeID(i), Stamp: int64(i), Profile: snapshotOf(repProfile(100, i))}
 	}
 	return map[string]envelope{
 		"gossip":               repGossip(),
@@ -183,7 +180,8 @@ func TestEncodedSizeRegression(t *testing.T) {
 		// Gossip frames grew one byte in the churn-protocol-v2 format: every
 		// non-item envelope now ends with a tombstone list (uvarint count, 0
 		// when no departures are in flight). Item frames are unchanged.
-		{"gossip-10x25", repGossip(), 2931},
+		// A descriptor's address slot is one reserved zero byte.
+		{"gossip-10x25", repGossip(), 2781},
 		{"item-12", repItem(), 246},
 		{"empty-rps-reply", envelope{Kind: wireRPSReply, From: 2, To: 1}, 6},
 		{"departure-1", envelope{Kind: wireDeparture, From: 2, To: 1, Tombs: []overlay.Tombstone{{Node: 2, Stamp: 17}}}, 8},
@@ -304,7 +302,8 @@ type countingWriter struct{ n int64 }
 func (w *countingWriter) Write(p []byte) (int, error) { w.n += int64(len(p)); return len(p), nil }
 
 // gobDescriptor is a descriptor as the gob transport carried it: the
-// profile in its fixed binary layout (Profile.MarshalBinary).
+// profile in its fixed binary layout (Profile.MarshalBinary), and an address
+// field the runtimes left empty.
 type gobDescriptor struct {
 	Node    news.NodeID
 	Addr    string
@@ -331,7 +330,7 @@ func gobBytesSteadyState(env envelope, n int) float64 {
 		if err != nil {
 			panic(err)
 		}
-		g.Descs = append(g.Descs, gobDescriptor{d.Node, d.Addr, d.Stamp, p})
+		g.Descs = append(g.Descs, gobDescriptor{d.Node, "", d.Stamp, p})
 	}
 	var w countingWriter
 	enc := gob.NewEncoder(&w)

@@ -280,14 +280,14 @@ func TestHeldDescriptorFrameAllocatesNothingForProfiles(t *testing.T) {
 	if n := allocs(wireWUPReply, repDescriptor(20), repDescriptor(21), repDescriptor(22)); n != 1 {
 		t.Errorf("a frame of snapshots the other view holds allocates %.1f/op, want 1 (the list)", n)
 	}
-	if n := allocs(wireWUPReply, repDescriptor(20), repDescriptor(23)); n != 4 {
-		t.Errorf("a frame with one first sighting allocates %.1f/op, want 4 (the list, the address, a profile and its entries)", n)
+	if n := allocs(wireWUPReply, repDescriptor(20), repDescriptor(23)); n != 3 {
+		t.Errorf("a frame with one first sighting allocates %.1f/op, want 3 (the list, a profile and its entries)", n)
 	}
 }
 
-// repDescriptor is a descriptor with an address and a window-sized profile.
+// repDescriptor is a descriptor with a window-sized profile.
 func repDescriptor(id news.NodeID) overlay.Descriptor {
-	return overlay.Descriptor{Node: id, Addr: "127.0.0.1:40000", Stamp: 5, Profile: snapshotOf(repProfile(25, int(id)))}
+	return overlay.Descriptor{Node: id, Stamp: 5, Profile: snapshotOf(repProfile(25, int(id)))}
 }
 
 // TestDecodedEnvelopeDoesNotAliasBuffer: inbox buffers go back to the pool

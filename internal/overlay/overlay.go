@@ -2,13 +2,14 @@
 // layers of WUP: the random peer sampling protocol (internal/rps) and the
 // similarity-based clustering protocol (internal/cluster).
 //
-// Each view entry is a Descriptor associating a node with (i) its transport
-// address, (ii) its node ID, (iii) a snapshot of its profile and (iv) the
-// timestamp at which the descriptor was generated by that node (paper
-// Section II). The snapshot is a profile.Packed: the profile's packed wire
-// bytes and their Σ score², immutable, made once per profile version
-// by its node and shared by every view that holds a descriptor of that
-// version. Views score it in place, and encode it by copying its bytes.
+// Each view entry is a Descriptor associating a node ID with a snapshot of
+// its profile and the timestamp at which the descriptor was generated by that
+// node (paper Section II). The paper's descriptor also carries the node's
+// address; here transports resolve node ids themselves, so a descriptor holds
+// none. The snapshot is a profile.Packed: the profile's packed wire bytes and
+// their Σ score², immutable, made once per profile version by its node and
+// shared by every view that holds a descriptor of that version. Views score it
+// in place, and encode it by copying its bytes.
 // Immutability is what makes the view's similarity cache sound: a view
 // ranked by similarity keeps the scores of its capacity survivors and nothing
 // else — see scoreCache.
@@ -24,10 +25,10 @@ import (
 	"whatsup/internal/wire"
 )
 
-// Descriptor is one view entry.
+// Descriptor is one view entry: 24 bytes, copied by value through every
+// view, merge scratch and decode arena.
 type Descriptor struct {
 	Node    news.NodeID     // node identifier
-	Addr    string          // transport address (live runtimes; empty in simulation)
 	Stamp   int64           // generation time at the descriptor's node
 	Profile *profile.Packed // immutable profile snapshot
 }
@@ -45,7 +46,8 @@ func (d Descriptor) Fresher(other Descriptor) bool {
 // d, computed without encoding. The simulator's bandwidth accounting
 // (Figure 8b) and the live codec therefore agree byte-for-byte.
 func (d Descriptor) WireSize() int {
-	size := wire.IntLen(int64(d.Node)) + wire.StringLen(d.Addr) + wire.IntLen(d.Stamp) + 1
+	// node, reserved byte, stamp, presence flag
+	size := wire.IntLen(int64(d.Node)) + 1 + wire.IntLen(d.Stamp) + 1
 	if d.Profile != nil {
 		size += d.Profile.WireSize()
 	}

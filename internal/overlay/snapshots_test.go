@@ -88,13 +88,11 @@ type holding map[news.NodeID]Descriptor
 
 func (h holding) Held(node news.NodeID, _ int64) (Descriptor, bool) { return h[node], false }
 
-// TestHeldDescriptorSharesAddressAndProfile: against a held descriptor of the
-// same node, the address string is the held one whenever the bytes agree, and
-// the snapshot whenever the stamp agrees and the snapshot is Equal.
-func TestHeldDescriptorSharesAddressAndProfile(t *testing.T) {
+// TestHeldDescriptorSharesProfile: against a held descriptor of the same
+// node, the snapshot is the held one whenever the stamp agrees and the
+// snapshot is Equal.
+func TestHeldDescriptorSharesProfile(t *testing.T) {
 	held := wireDesc(3, 10)
-	moved := held
-	moved.Addr = "127.0.0.1:9001"
 	newer := held
 	newer.Stamp++
 	for _, tc := range []struct {
@@ -104,9 +102,8 @@ func TestHeldDescriptorSharesAddressAndProfile(t *testing.T) {
 		allocs  float64
 	}{
 		{"same", held, true, 1},          // the list
-		{"moved", moved, true, 2},        // + the address
-		{"newer-stamp", newer, false, 3}, // the held address, + a snapshot and its bytes
-		{"unheld-node", wireDesc(5, 2), false, 4},
+		{"newer-stamp", newer, false, 3}, // + a snapshot and its bytes
+		{"unheld-node", wireDesc(5, 2), false, 3},
 	} {
 		enc := AppendDescriptors(nil, []Descriptor{tc.in})
 		h := holding{held.Node: held}
@@ -115,7 +112,7 @@ func TestHeldDescriptorSharesAddressAndProfile(t *testing.T) {
 			t.Fatalf("%s: decode: %v, %d bytes left, %d descriptors", tc.name, err, len(rest), len(got))
 		}
 		d := got[0]
-		if d.Node != tc.in.Node || d.Addr != tc.in.Addr || d.Stamp != tc.in.Stamp || !d.Profile.Equal(tc.in.Profile) {
+		if d.Node != tc.in.Node || d.Stamp != tc.in.Stamp || !d.Profile.Equal(tc.in.Profile) {
 			t.Errorf("%s: decoded %+v, want %+v", tc.name, d, tc.in)
 		}
 		if (d.Profile == held.Profile) != tc.profile {
@@ -133,9 +130,10 @@ func TestHeldDescriptorSharesAddressAndProfile(t *testing.T) {
 // snapshots — a SnapshotTable pre-loaded from a second arbitrary list, and a
 // Holder offering that list's descriptors whatever their stamp — yields the
 // descriptors the plain decode yields, snapshot for snapshot Equal, and
-// consumes as many bytes. The WireSize of a decoded list sums to its
-// encoding less the count prefix. Some committed inputs were written with a
-// per-profile trailer after the list; it is read as the bytes left over.
+// consumes as many bytes; all four accept the same inputs, so every mode
+// refuses a non-zero reserved byte. The WireSize of a decoded list sums to
+// its encoding less the count prefix. Some committed inputs were written with
+// a per-profile trailer after the list; it is read as the bytes left over.
 func FuzzDescriptorsDecodeModes(f *testing.F) {
 	a, b := wireDesc(1, 4), wireDesc(2, 1)
 	b2 := b // b's entries, reached through an edit
@@ -148,6 +146,7 @@ func FuzzDescriptorsDecodeModes(f *testing.F) {
 	f.Add(list(a, b2), list(wireDesc(1, 3), b))
 	f.Add(list(), list(a))
 	f.Add(list(a, a)[:20], []byte{0xFF})
+	f.Add(reservedSlot("127.0.0.1:9000"), list(wireDesc(2, 0))) // a non-zero reserved byte
 	f.Fuzz(func(t *testing.T, data, preload []byte) {
 		want, rest, err := DecodeDescriptorsHeld(data, nil)
 		checkRest, checkErr := CheckDescriptors(data)
@@ -162,6 +161,16 @@ func FuzzDescriptorsDecodeModes(f *testing.F) {
 		if (err == nil) != (tableErr == nil) {
 			t.Fatalf("decode err=%v, against a table err=%v", err, tableErr)
 		}
+		held := holding{}
+		if descs, _, err := DecodeDescriptorsHeld(preload, nil); err == nil {
+			for _, d := range descs {
+				held[d.Node] = d
+			}
+		}
+		fromHolder, heldRest, heldErr := DecodeDescriptorsHeld(data, held)
+		if (err == nil) != (heldErr == nil) {
+			t.Fatalf("decode err=%v, against a holder err=%v", err, heldErr)
+		}
 		if err != nil {
 			return
 		}
@@ -171,7 +180,7 @@ func FuzzDescriptorsDecodeModes(f *testing.F) {
 			}
 			for i, w := range want {
 				g := got[i]
-				if g.Node != w.Node || g.Addr != w.Addr || g.Stamp != w.Stamp || (g.Profile == nil) != (w.Profile == nil) {
+				if g.Node != w.Node || g.Stamp != w.Stamp || (g.Profile == nil) != (w.Profile == nil) {
 					t.Fatalf("%s: descriptor %d is %+v, decode %+v", mode, i, g, w)
 				}
 				if w.Profile == nil {
@@ -187,17 +196,10 @@ func FuzzDescriptorsDecodeModes(f *testing.F) {
 		}
 		same("table", got, want)
 
-		held := holding{}
-		if descs, _, err := DecodeDescriptorsHeld(preload, nil); err == nil {
-			for _, d := range descs {
-				held[d.Node] = d
-			}
+		if len(heldRest) != len(rest) {
+			t.Fatalf("against a holder %d bytes left, decode %d", len(heldRest), len(rest))
 		}
-		got, heldRest, err := DecodeDescriptorsHeld(data, held)
-		if err != nil || len(heldRest) != len(rest) {
-			t.Fatalf("against a holder err=%v, %d bytes left, decode %d", err, len(heldRest), len(rest))
-		}
-		same("holder", got, want)
+		same("holder", fromHolder, want)
 
 		size := 0
 		for _, d := range want {
@@ -209,7 +211,7 @@ func FuzzDescriptorsDecodeModes(f *testing.F) {
 		if enc := AppendDescriptors(nil, want); size != len(enc)-wire.UintLen(uint64(len(want))) {
 			t.Fatalf("WireSize sums to %d over a list encoded in %d bytes", size, len(enc))
 		}
-		if enc := AppendDescriptors(nil, want); !bytes.Equal(enc, AppendDescriptors(nil, got)) {
+		if enc := AppendDescriptors(nil, want); !bytes.Equal(enc, AppendDescriptors(nil, fromHolder)) {
 			t.Fatal("a list decoded against a holder re-encodes differently")
 		}
 	})

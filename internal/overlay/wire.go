@@ -11,7 +11,7 @@ import (
 // Descriptor wire layout, used by the live gossip envelopes:
 //
 //	varint  node id (zigzag; NoNode = -1 is representable)
-//	string  transport address (uvarint length + bytes)
+//	byte    reserved, must be 0
 //	varint  generation stamp (zigzag)
 //	uint    profile presence (0 = nil, 1 = packed profile follows)
 //	[profile] packed profile (profile.AppendWire layout)
@@ -21,7 +21,7 @@ import (
 // AppendDescriptor appends the wire encoding of d to buf.
 func AppendDescriptor(buf []byte, d Descriptor) []byte {
 	buf = wire.AppendInt(buf, int64(d.Node))
-	buf = wire.AppendString(buf, d.Addr)
+	buf = append(buf, 0) // the reserved byte
 	buf = wire.AppendInt(buf, d.Stamp)
 	if d.Profile == nil {
 		return wire.AppendUint(buf, 0)
@@ -40,9 +40,8 @@ type Holder interface {
 	// receiver would discard it whatever it carries — it is then validated
 	// and left out of the decoded list — and otherwise a descriptor the
 	// receiver holds for node, the zero Descriptor if none, preferring one
-	// stamped stamp. The decoder reuses snap.Addr when it equals the
-	// address on the wire, and snap.Profile when snap.Stamp == stamp and it
-	// is Equal to the snapshot decoded: the same packed bytes. The
+	// stamped stamp. The decoder reuses snap.Profile when snap.Stamp == stamp
+	// and it is Equal to the snapshot decoded: the same packed bytes. The
 	// comparison is not optional: (node, stamp) does not name one content.
 	Held(node news.NodeID, stamp int64) (snap Descriptor, discard bool)
 }
@@ -58,11 +57,13 @@ func decodeDescriptor(d *Descriptor, data []byte, h Holder) (rest []byte, kept b
 	if !news.ValidNodeID(node) {
 		return data, false, fmt.Errorf("%w: node id %d out of range", wire.ErrMalformed, node)
 	}
-	addr, rest, err := wire.Bytes(rest)
-	if err != nil {
-		return data, false, fmt.Errorf("descriptor addr: %w", err)
+	switch {
+	case len(rest) == 0:
+		return data, false, fmt.Errorf("descriptor reserved byte: %w", wire.ErrTruncated)
+	case rest[0] != 0:
+		return data, false, fmt.Errorf("%w: descriptor reserved byte %#x", wire.ErrMalformed, rest[0])
 	}
-	stamp, rest, err := wire.Int(rest)
+	stamp, rest, err := wire.Int(rest[1:])
 	if err != nil {
 		return data, false, fmt.Errorf("descriptor stamp: %w", err)
 	}
@@ -96,10 +97,7 @@ func decodeDescriptor(d *Descriptor, data []byte, h Holder) (rest []byte, kept b
 	default:
 		d.Profile = pk.Clone()
 	}
-	d.Node, d.Addr, d.Stamp = news.NodeID(node), snap.Addr, stamp
-	if string(addr) != snap.Addr { // the comparison does not allocate
-		d.Addr = string(addr)
-	}
+	d.Node, d.Stamp = news.NodeID(node), stamp
 	return rest, true, nil
 }
 
@@ -226,7 +224,7 @@ func AppendDecodeDescriptors(dst []Descriptor, data []byte) ([]Descriptor, []byt
 
 // CheckDescriptors validates a uvarint-counted descriptor list — it accepts
 // exactly what DecodeDescriptorsHeld accepts — and builds nothing: no slice,
-// no address string, no profile.
+// no profile.
 func CheckDescriptors(data []byte) ([]byte, error) { return decodeDescriptors(nil, data, nil) }
 
 // decodeDescriptors is the one walk over a descriptor list: it appends onto
@@ -238,7 +236,7 @@ func decodeDescriptors(dst *[]Descriptor, data []byte, h Holder) ([]byte, error)
 	if err != nil {
 		return data, fmt.Errorf("descriptor count: %w", err)
 	}
-	// A descriptor is at least 4 bytes (node, empty addr, stamp, flag):
+	// A descriptor is at least 4 bytes (node, reserved, stamp, flag):
 	// bound the count by the bytes on hand before allocating.
 	if n > uint64(len(rest))/4 {
 		return data, fmt.Errorf("%w: %d descriptors declared, %d bytes remain", wire.ErrTruncated, n, len(rest))

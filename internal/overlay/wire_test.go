@@ -18,15 +18,14 @@ func wireDesc(node int, entries int) Descriptor {
 	for i := 0; i < entries; i++ {
 		p.Set(news.ID(1000*node+i), int64(i), float64(i%2))
 	}
-	return Descriptor{Node: news.NodeID(node), Addr: "127.0.0.1:9000", Stamp: int64(node * 7), Profile: snapshotOf(p)}
+	return Descriptor{Node: news.NodeID(node), Stamp: int64(node * 7), Profile: snapshotOf(p)}
 }
 
 func TestDescriptorWireRoundTrip(t *testing.T) {
 	cases := map[string]Descriptor{
 		"full":          wireDesc(3, 10),
-		"empty-profile": {Node: 1, Addr: "", Stamp: 5, Profile: snapshotOf(profile.New())},
-		"nil-profile":   {Node: news.NoNode, Addr: "x", Stamp: -9},
-		"long-addr":     {Node: 2, Addr: strings.Repeat("a", 300), Stamp: 0, Profile: snapshotOf(profile.New())},
+		"empty-profile": {Node: 1, Stamp: 5, Profile: snapshotOf(profile.New())},
+		"nil-profile":   {Node: news.NoNode, Stamp: -9},
 	}
 	for name, d := range cases {
 		list, rest, err := DecodeDescriptorsHeld(AppendDescriptors(nil, []Descriptor{d}), nil)
@@ -34,7 +33,7 @@ func TestDescriptorWireRoundTrip(t *testing.T) {
 			t.Fatalf("%s: decode err=%v rest=%d len=%d", name, err, len(rest), len(list))
 		}
 		got := list[0]
-		if got.Node != d.Node || got.Addr != d.Addr || got.Stamp != d.Stamp {
+		if got.Node != d.Node || got.Stamp != d.Stamp {
 			t.Fatalf("%s: scalar mismatch: %+v != %+v", name, got, d)
 		}
 		switch {
@@ -44,6 +43,46 @@ func TestDescriptorWireRoundTrip(t *testing.T) {
 			}
 		case !got.Profile.Equal(d.Profile):
 			t.Fatalf("%s: profile mismatch", name)
+		}
+	}
+}
+
+// reservedSlot encodes a one-descriptor list (node 2, an empty profile) with
+// slot, length-prefixed, in place of the reserved byte: a non-empty slot
+// makes that byte non-zero.
+func reservedSlot(slot string) []byte {
+	enc := wire.AppendUint(nil, 1)
+	enc = wire.AppendInt(enc, 2)
+	enc = wire.AppendString(enc, slot)
+	enc = wire.AppendInt(enc, 0)
+	enc = wire.AppendUint(enc, 1)
+	return profile.New().AppendWire(enc)
+}
+
+// TestDescriptorReservedByte: the reserved byte is written as 0, where the
+// layout once carried an empty address's length, so encodings are unchanged;
+// and every mode of the descriptor walk refuses a descriptor whose reserved
+// byte is not 0, as an address once was.
+func TestDescriptorReservedByte(t *testing.T) {
+	// zigzag(3), the reserved byte, zigzag(4), no profile.
+	if got, want := AppendDescriptor(nil, Descriptor{Node: 3, Stamp: 4}), []byte{6, 0, 8, 0}; !bytes.Equal(got, want) {
+		t.Fatalf("encoding %x, want %x", got, want)
+	}
+	for name, enc := range map[string][]byte{
+		"long-addr": reservedSlot(strings.Repeat("a", 300)),
+		"one-byte":  reservedSlot("x"),
+	} {
+		var table SnapshotTable
+		h := holding{2: {Node: 2, Profile: snapshotOf(profile.New())}}
+		for mode, decode := range map[string]func() error{
+			"decode":     func() error { _, _, err := DecodeDescriptorsHeld(enc, nil); return err },
+			"check-only": func() error { _, err := CheckDescriptors(enc); return err },
+			"table":      func() error { _, _, err := table.AppendDecode(nil, enc); return err },
+			"holder":     func() error { _, _, err := DecodeDescriptorsHeld(enc, h); return err },
+		} {
+			if err := decode(); !errors.Is(err, wire.ErrMalformed) {
+				t.Errorf("%s, %s: err=%v, want ErrMalformed", name, mode, err)
+			}
 		}
 	}
 }

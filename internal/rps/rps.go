@@ -28,7 +28,6 @@ import (
 // Protocol is the per-node RPS state machine.
 type Protocol struct {
 	self  news.NodeID
-	addr  string
 	view  *overlay.View
 	rng   *rand.Rand
 	grave *overlay.Graveyard // optional departure-notice filter (may be nil)
@@ -48,9 +47,10 @@ type Protocol struct {
 func (p *Protocol) SetGraveyard(g *overlay.Graveyard) { p.grave = g }
 
 // New returns an RPS instance for node self with the given view size
-// (RPSvs, 30 in the paper).
-func New(self news.NodeID, addr string, viewSize int, rng *rand.Rand) *Protocol {
-	return &Protocol{self: self, addr: addr, view: overlay.NewView(viewSize), rng: rng}
+// (RPSvs, 30 in the paper). The string parameter is ignored: descriptors
+// carry no address.
+func New(self news.NodeID, _ string, viewSize int, rng *rand.Rand) *Protocol {
+	return &Protocol{self: self, view: overlay.NewView(viewSize), rng: rng}
 }
 
 // Self returns the node this protocol instance belongs to.
@@ -80,7 +80,7 @@ func (p *Protocol) Descriptor(now int64, prof *profile.Profile) overlay.Descript
 		packed := prof.Pack()
 		p.prof, p.version, p.packed = prof, prof.Version(), &packed
 	}
-	return overlay.Descriptor{Node: p.self, Addr: p.addr, Stamp: now, Profile: p.packed}
+	return overlay.Descriptor{Node: p.self, Stamp: now, Profile: p.packed}
 }
 
 // SelectPeer returns the view entry with the oldest timestamp, the exchange

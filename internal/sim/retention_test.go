@@ -73,16 +73,18 @@ func collectedHeap() int64 {
 // The Workers 2 × Shards 4 case runs the merges on two worker goroutines that
 // borrow from the one merge-scratch pool.
 //
-// Recorded (go1.24, linux/amd64): 3.95 KB/peer serial and 7.69 KB/peer at
-// Workers 2 × Shards 4, with each WUP view's similarity cache holding only
-// its capacity survivors and BEEP targets drawn straight into the sends. A
-// 64-slot score ring per WUP view and a targets slice kept per node measured
-// 5.27 and 9.04; a seen map that never forgets, 6.03 and 9.87; descriptor
-// snapshots as decoded *Profile clones sharing their profile's entry array,
-// 7.95 and 14.94; views keeping merge scratch and a doubled entry array
-// between merges, with map-backed graveyards, 12.17 and 19.16; one
-// math/rand.NewSource state coming back per peer is +4.9 KB. The serial
-// case's 1.25 × margin catches every one of them. TestSimSoakHeapFlat
+// Recorded (go1.24, linux/amd64): 3.32 KB/peer serial and 6.89 KB/peer at
+// Workers 2 × Shards 4, with 24-byte descriptors, each WUP view's similarity
+// cache holding only its capacity survivors and BEEP targets drawn straight
+// into the sends. Descriptors carrying an always-empty address string (40
+// bytes each) measured 3.95 and 7.68; a 64-slot score ring per WUP view and a
+// targets slice kept per node, 5.27 and 9.04; a seen map that never forgets,
+// 6.03 and 9.87; descriptor snapshots as decoded *Profile clones sharing
+// their profile's entry array, 7.95 and 14.94; views keeping merge scratch
+// and a doubled entry array between merges, with map-backed graveyards, 12.17
+// and 19.16; one math/rand.NewSource state coming back per peer is +4.9 KB.
+// The serial case's 1.25 × margin catches every one of them but the address,
+// which overlay's TestDescriptorSize pins instead. TestSimSoakHeapFlat
 // catches the seen map too: a set that never forgets grows every window.
 func TestSimHeapPerPeerBudget(t *testing.T) {
 	if raceEnabled {
@@ -92,7 +94,7 @@ func TestSimHeapPerPeerBudget(t *testing.T) {
 	for _, c := range []struct {
 		workers, shards int
 		recordedKB      float64
-	}{{1, 1, 3.95}, {2, 4, 7.69}} {
+	}{{1, 1, 3.32}, {2, 4, 6.89}} {
 		before := collectedHeap()
 		e := churnCycleWorld(peers, cycles, c.workers, c.shards)
 		e.Run()
