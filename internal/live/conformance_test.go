@@ -2,8 +2,10 @@ package live
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"whatsup/internal/core"
 	"whatsup/internal/dataset"
@@ -136,7 +138,7 @@ func TestLegConformanceSimLive(t *testing.T) {
 			r := NewRunner(Config{Seed: seed, NodeConfig: nodeCfg, DepartureNotices: true, RefillWatermark: sc.watermark},
 				dataset.Blank(2, cycle), tap)
 			defer tap.Close()
-			lns := []*liveNode{r.fleet[0], r.fleet[1]}
+			lns := []*liveNode{member(r, 0), member(r, 1)}
 			for _, ln := range lns {
 				ln.node.Crash() // drop the runner's random bootstrap
 			}
@@ -185,5 +187,209 @@ func TestLegConformanceSimLive(t *testing.T) {
 				t.Fatal("the refill script never pulled")
 			}
 		})
+	}
+	t.Run("membership", testMembershipLeg)
+}
+
+// fleetLog is a recording wrapper around the live runtime's side of
+// membership events: for every member an event starts, the members the
+// event read before starting it — a joiner's host, a rejoiner's bootstrap
+// sample.
+type fleetLog struct {
+	fleet
+	held    []news.NodeID
+	started map[news.NodeID][]news.NodeID
+}
+
+func (l *fleetLog) Hold(ln *liveNode, fn func(*core.Substrate, int64)) {
+	l.held = append(l.held, ln.node.ID())
+	l.fleet.Hold(ln, fn)
+}
+
+func (l *fleetLog) Start(ln *liveNode, now int64, up func(*core.Substrate)) {
+	l.started[ln.node.ID()], l.held = l.held, nil
+	l.fleet.Start(ln, now, up)
+}
+
+// simLog observes the same choices in the simulator through the member
+// handles a test supplies: a joiner's host is the one other peer whose state
+// the engine reads between building the joiner (Config.NewPeer) and
+// cold-starting it, and a rejoiner's bootstrap sample is its RPS view at the
+// first BeginCycle after its rejoin.
+type simLog struct {
+	joining  news.NodeID // the joiner being applied, NoNode between joins
+	read     []news.NodeID
+	rejoinAt map[news.NodeID]int64
+	started  map[news.NodeID][]news.NodeID
+}
+
+type simMember struct {
+	*core.Node
+	log *simLog
+}
+
+func (p *simMember) Overlay() *core.Substrate {
+	if p.log.joining != news.NoNode && p.ID() != p.log.joining {
+		p.log.read = append(p.log.read, p.ID())
+	}
+	return p.Node.Overlay()
+}
+
+func (p *simMember) ColdStart(rps, wup []overlay.Descriptor, now int64) {
+	p.log.started[p.ID()], p.log.read, p.log.joining = p.log.read, nil, news.NoNode
+	p.Node.ColdStart(rps, wup, now)
+}
+
+func (p *simMember) BeginCycle(now int64) {
+	if p.log.rejoinAt[p.ID()] == now {
+		p.log.started[p.ID()] = viewIDs(p.RPS().View())
+	}
+	p.Node.BeginCycle(now)
+}
+
+// viewIDs returns the node ids a view holds, ascending.
+func viewIDs(v *overlay.View) []news.NodeID {
+	var ids []news.NodeID
+	v.ForEach(func(d overlay.Descriptor) { ids = append(ids, d.Node) })
+	slices.Sort(ids)
+	return ids
+}
+
+// testMembershipLeg applies one churn schedule — a graceful leave before any
+// gossip, a flash crowd, crashes and rejoins, the leave of a crashed member —
+// through sim.Engine and through a lossless live fleet whose controller the
+// test drives (no node ticks, so nothing gossips), and asserts that both
+// runtimes make every membership choice alike: the initial random graph,
+// each joiner's host, each rejoiner's bootstrap id set, the departure
+// notices sent and every member's final state. A second live run with an
+// extra crash and rejoin before the joins shows that a joiner's host no
+// longer depends on earlier membership events.
+func testMembershipLeg(t *testing.T) {
+	const seed, base, cycles = 17, 16, 6
+	nodeCfg := core.Config{FLike: 2, RPSViewSize: 6, WUPViewSize: 4, ProfileWindow: 20, DescriptorTTL: 10}
+	schedule := sim.FlashCrowd(2, 100, 6, 2)
+	schedule.Merge(*new(sim.ChurnSchedule).
+		Add(1, sim.ChurnLeave, 3).
+		Add(2, sim.ChurnCrash, 5).Add(2, sim.ChurnCrash, 7).
+		Add(4, sim.ChurnRejoin, 5).Add(5, sim.ChurnRejoin, 7).
+		Add(5, sim.ChurnCrash, 4).Add(6, sim.ChurnLeave, 4))
+	rejoinAt := map[news.NodeID]int64{5: 4, 7: 5}
+
+	// Simulator.
+	slog := &simLog{joining: news.NoNode, rejoinAt: rejoinAt, started: map[news.NodeID][]news.NodeID{}}
+	newMember := func(id news.NodeID) sim.Peer {
+		return &simMember{core.NewNode(id, "", nodeCfg, nil, nodeRNG(seed, id)), slog}
+	}
+	peers := make([]sim.Peer, base)
+	for i := range peers {
+		peers[i] = newMember(news.NodeID(i))
+	}
+	col := metrics.NewCollector()
+	e := sim.New(sim.Config{Seed: seed, Cycles: cycles, Workers: 1, DepartureNotices: true, Churn: schedule,
+		NewPeer: func(id news.NodeID) sim.Peer { slog.joining = id; return newMember(id) }}, peers, col)
+	e.Bootstrap()
+	simBoot := map[news.NodeID][]news.NodeID{}
+	for _, p := range e.Peers() {
+		simBoot[p.Overlay().ID()] = viewIDs(p.Overlay().RPS().View())
+	}
+	e.Run()
+
+	// Live, twice: the second schedule adds a crash and rejoin of node 9.
+	live := func(schedule sim.ChurnSchedule) (*Runner, *tapNet, *fleetLog) {
+		tap := newTapNet(seed)
+		r := NewRunner(Config{Seed: seed, NodeConfig: nodeCfg, DepartureNotices: true, Churn: schedule},
+			dataset.Blank(base, cycles), tap)
+		rec := &fleetLog{fleet: fleet{r}, started: map[news.NodeID][]news.NodeID{}}
+		for id, want := range simBoot {
+			if got := viewIDs(member(r, id).node.RPS().View()); !slices.Equal(got, want) {
+				t.Errorf("node %d bootstrap: live %v, sim %v", id, got, want)
+			}
+		}
+		r.startFleet()
+		for c := int64(1); c <= cycles; c++ {
+			r.mem.ApplyCycle(rec, c)
+		}
+		r.stopFleet()
+		tap.Close()
+		return r, tap, rec
+	}
+	r, tap, rec := live(schedule)
+	for id, want := range slog.started {
+		got := slices.Clone(rec.started[id])
+		if _, rejoiner := rejoinAt[id]; rejoiner {
+			slices.Sort(got)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("node %d started from %v in live, %v in the simulator", id, got, want)
+		}
+	}
+	if len(slog.started) != 8 || len(rec.started) != 8 {
+		t.Fatalf("%d members started in the simulator and %d in live, want 6 joiners and 2 rejoiners",
+			len(slog.started), len(rec.started))
+	}
+	if got, want := tap.msgs[metrics.MsgDeparture], col.Messages(metrics.MsgDeparture); got != want || want == 0 {
+		t.Errorf("departure notices: live %d, sim %d (want the same, and some)", got, want)
+	}
+	if got, want := tap.bytes[metrics.MsgDeparture], col.Bytes(metrics.MsgDeparture); got != want {
+		t.Errorf("departure payload bytes: live %d, sim %d", got, want)
+	}
+	for _, p := range e.Peers() {
+		id := p.Overlay().ID()
+		simSt, _ := e.State(id)
+		if liveSt, _ := r.State(id); liveSt != simSt {
+			t.Errorf("node %d ends %v in live, %v in the simulator", id, liveSt, simSt)
+		}
+	}
+
+	_, _, again := live(*schedule.Merge(*new(sim.ChurnSchedule).Add(1, sim.ChurnCrash, 9).Add(1, sim.ChurnRejoin, 9)))
+	for id := news.NodeID(100); id < 106; id++ {
+		if !slices.Equal(again.started[id], rec.started[id]) {
+			t.Errorf("joiner %d: host %v after an extra crash and rejoin, %v without", id, again.started[id], rec.started[id])
+		}
+	}
+}
+
+// member returns the fleet node with the given id, nil for an unknown id.
+func member(r *Runner, id news.NodeID) *liveNode {
+	ln, _, _ := r.mem.Lookup(id)
+	return ln
+}
+
+// TestLeaveOfCrashedMemberDeparts applies a crash and then a leave of the
+// same member through both runtimes, with departure notices on: a leave
+// moves an offline member to Departed as it does an online one, and a member
+// that is not online sends no departure notice.
+func TestLeaveOfCrashedMemberDeparts(t *testing.T) {
+	const seed, base, cycles = 23, 12, 6
+	nodeCfg := core.Config{FLike: 2, RPSViewSize: 6, ProfileWindow: 20, DescriptorTTL: 10}
+	var schedule sim.ChurnSchedule
+	schedule.Add(2, sim.ChurnCrash, 4).Add(4, sim.ChurnLeave, 4)
+
+	peers := make([]sim.Peer, base)
+	for i := range peers {
+		peers[i] = core.NewNode(news.NodeID(i), "", nodeCfg, nil, nodeRNG(seed, news.NodeID(i)))
+	}
+	col := metrics.NewCollector()
+	e := sim.New(sim.Config{Seed: seed, Cycles: cycles, DepartureNotices: true, Churn: schedule}, peers, col)
+	e.Bootstrap()
+	e.Run()
+
+	r := NewRunner(Config{Seed: seed, Cycles: cycles, CycleLength: 2 * time.Millisecond, NodeConfig: nodeCfg,
+		DepartureNotices: true, Churn: schedule}, dataset.Blank(base, cycles), NewChannelNet(seed, 0, 0))
+	r.Run()
+
+	for name, rt := range map[string]struct {
+		state      func(news.NodeID) (sim.MemberState, bool)
+		departures int64
+	}{
+		"sim":  {e.State, col.Messages(metrics.MsgDeparture)},
+		"live": {r.State, r.Collector().Messages(metrics.MsgDeparture)},
+	} {
+		if st, _ := rt.state(4); st != sim.Departed {
+			t.Errorf("%s: node 4 ends %v, want departed", name, st)
+		}
+		if rt.departures != 0 {
+			t.Errorf("%s: %d departure notices from a crashed leaver, want none", name, rt.departures)
+		}
 	}
 }

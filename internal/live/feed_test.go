@@ -31,7 +31,7 @@ func feedFleet(t *testing.T, capacity int, metric profile.Metric) (*Runner, *liv
 		FeedCapacity: capacity,
 		Opinions:     core.OpinionFunc(func(_ news.NodeID, id news.ID) bool { return id%3 != 0 }),
 	}, dataset.Blank(1, 1), net)
-	return r, r.fleet[0]
+	return r, member(r, 0)
 }
 
 // escapedScore is a finite score the packed codec cannot shift into its

@@ -34,7 +34,7 @@ func frameFleetSized(t *testing.T, rpsViewSize, wupViewSize int) (*liveNode, *ta
 		FeedCapacity:     2, // smaller than the script's deliveries: the ring wraps
 		Opinions:         core.OpinionFunc(func(_ news.NodeID, id news.ID) bool { return id%2 == 0 }),
 	}, dataset.Blank(3, 1), tap)
-	return r.fleet[0], tap
+	return member(r, 0), tap
 }
 
 // pooled copies a payload into a pooled buffer, as a transport would.

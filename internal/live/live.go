@@ -32,21 +32,21 @@
 // (liveNode.mu): the node goroutine holds it around each tick and each
 // frame, the serving calls (serve.go) around each read or feedback, and the
 // controller around each lifecycle change and each read of the node's views.
-// Runner.mu guards only the membership bookkeeping. The lock order is node
-// lock, then Runner.mu, then the collector lock; no path holds two node
-// locks, and no node goroutine takes Runner.mu.
+// The member table has its own lock, taken by its readers and by each table
+// write; Runner.mu guards only the run flag and the timeline. The lock order
+// is node lock, then the table's lock or Runner.mu, then the collector lock;
+// no path holds two node locks, and no node goroutine takes either of the
+// middle two.
 //
-// Membership is dynamic: Config.Churn accepts the same declarative
-// sim.ChurnSchedule the simulator runs, and a controller goroutine applies
-// its events at cycle-tick boundaries. Joins spawn a fresh node goroutine
-// that cold-starts from a live host's views (paper Section II-D), crashes
-// tear the node's transport endpoints down abruptly — in-flight frames to
-// the dead peer drop as congestion — graceful leaves flush pending batches
-// first, and rejoins re-register with the transport and re-seed their wiped
-// views from a sample of the online population. Event *timing* is wall-clock
-// (whichever tick the controller reaches next), so unlike the simulator the
-// exact interleaving of churn with in-flight traffic is not reproducible;
-// the schedule itself — which node churns at which cycle — is.
+// Membership is the simulator's: the controller applies Config.Churn (a
+// sim.ChurnSchedule) through the same sim.Membership at cycle-tick
+// boundaries, so every event picks the same host or bootstrap sample as in
+// the simulator. The runtime supplies the side effects (fleet): a node runs
+// as a goroutine on a transport endpoint, torn down abruptly on a crash
+// (in-flight frames drop as congestion) and after flushing on a leave, and a
+// departure notice is a frame. Event *timing* is wall-clock, so unlike the
+// simulator the interleaving of churn with in-flight traffic is not
+// reproducible; the schedule and every choice it makes are.
 package live
 
 import (
@@ -222,7 +222,7 @@ func (c Config) withDefaults() Config {
 // Runner owns a fleet of live nodes over a Network. The fleet is dynamic:
 // Run doubles as the membership controller, applying Config.Churn events at
 // cycle-tick boundaries. Each node's protocol state is guarded by the node's
-// own lock (liveNode.mu) and the membership bookkeeping by mu, so the read
+// own lock (liveNode.mu) and the member table by its own, so the read
 // accessors (State, Members, OnlineCount, Timeline, Stats) and the serving
 // surface (Snapshot, Feed, Feedback, Publish — see serve.go) are safe from
 // any goroutine at any time, before, during and after Run.
@@ -233,19 +233,13 @@ type Runner struct {
 	col   *metrics.Collector
 	colMu sync.Mutex
 
-	// mu guards the membership bookkeeping below: running, fleet, order,
-	// states and timeline. Writers: the controller only. It may be taken
-	// while holding a node lock, never the other way round, and no node
-	// goroutine takes it.
+	// mem is the member table, written by the controller only; its
+	// accessors take the table's own lock.
+	mem *sim.Membership[*liveNode]
+	// mu guards running and timeline. Writer: the controller. It may be
+	// taken while holding a node lock, never the other way round.
 	mu      sync.RWMutex
 	running bool
-	fleet   map[news.NodeID]*liveNode
-	order   []news.NodeID // registration order, joins appended
-	states  map[news.NodeID]sim.MemberState
-	churn   map[int64][]sim.ChurnEvent
-	// ctrlRNG drives the controller's own sampling (cold-start hosts,
-	// rejoin bootstrap); node randomness stays per-node.
-	ctrlRNG *rand.Rand
 	wg      sync.WaitGroup
 	// cycle is the fleet clock, advanced by the controller at every tick.
 	// Node loops resync their local counter to it, so a node whose ticker
@@ -265,9 +259,9 @@ type Runner struct {
 // read of the node's views. The collector is shared and has its own lock.
 type liveNode struct {
 	runner *Runner
-	// inbox, quit and done belong to the node's current goroutine: the
-	// controller makes them before it spawns one (newNode, rejoin) and closes
-	// quit to stop it; done closes once it has exited.
+	// inbox, quit and done belong to the node's current goroutine: made
+	// before it is spawned (inbox at NewRunner for the base fleet), quit
+	// closed to stop it, done closed once it has exited.
 	inbox <-chan *[]byte
 	quit  chan struct{}
 	done  chan struct{}
@@ -307,19 +301,6 @@ func (ln *liveNode) clock() int64 {
 		return ln.cycle
 	}
 	return ln.runner.cycle.Load()
-}
-
-// nodeViews is a copy of both views of a node with their capacities
-// (descriptors are immutable).
-type nodeViews struct {
-	rps, wup       []overlay.Descriptor
-	rpsCap, wupCap int
-}
-
-// views copies both views of the node. The caller holds mu.
-func (ln *liveNode) views() nodeViews {
-	rps, wup := ln.node.RPS().View(), ln.node.WUP().View()
-	return nodeViews{rps: rps.Entries(), wup: wup.Entries(), rpsCap: rps.Capacity(), wupCap: wup.Capacity()}
 }
 
 // nodeOpinions layers a user's live feedback (Runner.Feedback) on top of a
@@ -377,35 +358,33 @@ func nodeRNG(seed int64, id news.NodeID) *rand.Rand {
 }
 
 // newNode builds one fleet node — base population and scheduled joiners
-// alike — with a fresh transport endpoint, its clock starting at cycle.
+// alike — its clock starting at cycle, without a transport endpoint or a
+// goroutine yet.
 func (r *Runner) newNode(id news.NodeID, cycle int64) *liveNode {
 	ops := &nodeOpinions{self: id, base: r.base, over: make(map[news.ID]bool)}
 	return &liveNode{
 		runner: r,
-		inbox:  r.net.Register(id),
-		quit:   make(chan struct{}),
-		done:   make(chan struct{}),
 		cycle:  cycle,
 		node:   core.NewNode(id, "", r.cfg.NodeConfig, ops, nodeRNG(r.cfg.Seed, id)),
 		ops:    ops,
 	}
 }
 
+// ColdStart makes liveNode a sim.ColdStarter: a joiner inherits its host's
+// views (Section II-D). The controller calls it under the node's lock.
+func (ln *liveNode) ColdStart(inheritedRPS, inheritedWUP []overlay.Descriptor, now int64) {
+	ln.node.ColdStart(inheritedRPS, inheritedWUP, now)
+}
+
 // NewRunner builds a live fleet over the given network.
 func NewRunner(cfg Config, ds *dataset.Dataset, net Network) *Runner {
 	cfg = cfg.withDefaults()
 	r := &Runner{
-		cfg:     cfg,
-		base:    cfg.Opinions,
-		net:     net,
-		col:     metrics.NewCollector(),
-		fleet:   make(map[news.NodeID]*liveNode, ds.Users),
-		states:  make(map[news.NodeID]sim.MemberState, ds.Users),
-		churn:   make(map[int64][]sim.ChurnEvent),
-		ctrlRNG: rand.New(rand.NewSource(cfg.Seed*7919 + 17)),
-	}
-	for _, ev := range cfg.Churn.Events {
-		r.churn[ev.Cycle] = append(r.churn[ev.Cycle], ev)
+		cfg:  cfg,
+		base: cfg.Opinions,
+		net:  net,
+		col:  metrics.NewCollector(),
+		mem:  sim.NewMembership[*liveNode](cfg.Seed, core.DefaultBootstrapDegree, cfg.DepartureNotices, cfg.Churn, ds.Users),
 	}
 	// The workload is declared to the collector exactly as the simulator
 	// declares it: items, base nodes, scheduled joiners and cohorts.
@@ -415,39 +394,22 @@ func NewRunner(cfg Config, ds *dataset.Dataset, net Network) *Runner {
 	if r.base == nil {
 		r.base = w.Opinions
 	}
-	initial := make([]*liveNode, 0, ds.Users)
 	for u := 0; u < ds.Users; u++ {
 		ln := r.newNode(news.NodeID(u), 0)
-		initial = append(initial, ln)
-		r.fleet[ln.node.ID()] = ln
-		r.order = append(r.order, ln.node.ID())
-		r.states[ln.node.ID()] = sim.Online
+		ln.inbox = net.Register(ln.node.ID())
+		r.mem.Add(ln.node.ID(), ln)
 	}
 	// Assign publications to their source nodes, in cycle order.
 	for i := range ds.Items {
-		src := ds.Items[i].News.Source
-		if ln := r.fleet[src]; ln != nil {
+		if ln, _, ok := r.mem.Lookup(ds.Items[i].News.Source); ok {
 			ln.pubs = append(ln.pubs, ds.Items[i])
 		}
 	}
+	initial, _ := r.mem.Members()
 	for _, ln := range initial {
 		sort.SliceStable(ln.pubs, func(i, j int) bool { return ln.pubs[i].Cycle < ln.pubs[j].Cycle })
 	}
-	// Bootstrap: random initial views.
-	boot := rand.New(rand.NewSource(cfg.Seed))
-	for _, ln := range initial {
-		var descs []overlay.Descriptor
-		for _, j := range boot.Perm(len(initial)) {
-			if news.NodeID(j) == ln.node.ID() {
-				continue
-			}
-			descs = append(descs, initial[j].node.Descriptor(0))
-			if len(descs) == core.DefaultBootstrapDegree {
-				break
-			}
-		}
-		ln.node.SeedViews(descs)
-	}
+	r.mem.Bootstrap(fleet{r}, nil)
 	return r
 }
 
@@ -459,32 +421,22 @@ func (r *Runner) Collector() *metrics.Collector { return r.col }
 // runner has never seen. Safe to call at any time, including while the
 // fleet is running.
 func (r *Runner) State(id news.NodeID) (sim.MemberState, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	st, ok := r.states[id]
+	_, st, ok := r.mem.Lookup(id)
 	return st, ok
 }
 
 // OnlineCount returns the number of members currently online. Safe to call
 // at any time.
 func (r *Runner) OnlineCount() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	n := 0
-	for _, st := range r.states {
-		if st == sim.Online {
-			n++
-		}
-	}
-	return n
+	_, online, _ := r.mem.Counts()
+	return online
 }
 
 // MemberCount returns the number of members ever registered, including
 // offline and departed ones. Safe to call at any time.
 func (r *Runner) MemberCount() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.fleet)
+	members, _, _ := r.mem.Counts()
+	return members
 }
 
 // Node returns the node with the given id in any lifecycle state, or nil.
@@ -493,55 +445,20 @@ func (r *Runner) MemberCount() int {
 // only safe once Run has returned. Use Snapshot, Feed, Feedback and Publish,
 // which take the node's lock and are safe at any time.
 func (r *Runner) Node(id news.NodeID) *core.Node {
-	if ln := r.fleet[id]; ln != nil {
+	if ln, _, ok := r.mem.Lookup(id); ok {
 		return ln.node
 	}
 	return nil
 }
 
-// health takes one fleet-health sample (see metrics.FleetHealth, which the
-// simulator feeds too) stamped with the given cycle. Safe to call at any
-// time: each online node's views are copied under its lock — never while
-// holding the collector lock, which a node may be waiting on — and a node a
-// concurrent lifecycle stop took offline since the listing is skipped.
+// health takes one fleet-health sample at cycle now through the simulator's
+// sampler (sim.Membership.Health). Safe to call at any time.
 func (r *Runner) health(now int64) metrics.ChurnSample {
-	r.mu.RLock()
-	lns := make([]*liveNode, 0, len(r.order))
-	for _, id := range r.order {
-		if r.states[id] == sim.Online {
-			lns = append(lns, r.fleet[id])
-		}
-	}
-	r.mu.RUnlock()
-	views := make([]nodeViews, 0, len(lns))
-	ids := make([]news.NodeID, 0, len(lns))
-	for _, ln := range lns {
-		id := ln.node.ID()
-		ln.mu.Lock()
-		if st, _ := r.State(id); st == sim.Online {
-			views = append(views, ln.views())
-			ids = append(ids, id)
-		}
-		ln.mu.Unlock()
-	}
-
-	r.mu.RLock()
-	h := metrics.NewFleetHealth(now, len(r.fleet), func(id news.NodeID) bool { return r.states[id] == sim.Online })
-	for _, v := range views {
-		h.AddView(core.RPSLayer, v.rpsCap, v.rps)
-		h.AddView(core.WUPLayer, v.wupCap, v.wup)
-	}
-	r.mu.RUnlock()
-	r.colMu.Lock()
-	for _, id := range ids {
-		h.AddNode(r.col.CohortOf(id))
-	}
-	r.colMu.Unlock()
-	s := h.Sample()
-	if r.cfg.Links != nil {
-		s.PartitionsActive = r.cfg.Links.ActivePartitions(now)
-	}
-	return s
+	return r.mem.Health(fleet{r}, now, func(id news.NodeID) metrics.Cohort {
+		r.colMu.Lock()
+		defer r.colMu.Unlock()
+		return r.col.CohortOf(id)
+	}, r.cfg.Links)
 }
 
 // GhostFraction measures the self-healing state of the overlay: the fraction
@@ -549,11 +466,35 @@ func (r *Runner) health(now int64) metrics.ChurnSample {
 // member that is not online.
 func (r *Runner) GhostFraction() float64 { return r.health(r.Cycle()).GhostFraction }
 
-// start marks a node online and launches its goroutine.
-func (r *Runner) start(ln *liveNode) {
-	ln.mu.Lock()
-	ln.online = true
-	ln.mu.Unlock()
+// startFleet marks every member online and launches its goroutine.
+func (r *Runner) startFleet() {
+	lns, _ := r.mem.Members()
+	for _, ln := range lns {
+		ln.mu.Lock()
+		ln.quit, ln.done, ln.online = make(chan struct{}), make(chan struct{}), true
+		ln.mu.Unlock()
+		r.spawn(ln)
+	}
+}
+
+// stopFleet ends every online member's goroutine and marks all offline.
+func (r *Runner) stopFleet() {
+	lns, states := r.mem.Members()
+	for i, ln := range lns {
+		if states[i] == sim.Online {
+			close(ln.quit)
+		}
+	}
+	r.wg.Wait()
+	for _, ln := range lns {
+		ln.mu.Lock()
+		ln.online = false
+		ln.mu.Unlock()
+	}
+}
+
+// spawn launches the node's goroutine; the node is already marked online.
+func (r *Runner) spawn(ln *liveNode) {
 	r.wg.Add(1)
 	go func() {
 		defer r.wg.Done()
@@ -575,9 +516,7 @@ func (r *Runner) Run() { r.RunContext(context.Background()) }
 func (r *Runner) RunContext(ctx context.Context) {
 	// Every node is online before the fleet reads as running, so a Publish
 	// that finds the fleet running never finds a node yet to start.
-	for _, id := range r.order {
-		r.start(r.fleet[id])
-	}
+	r.startFleet()
 	r.mu.Lock()
 	r.running = true
 	r.mu.Unlock()
@@ -591,7 +530,7 @@ loop:
 		case <-ticker.C:
 		}
 		r.cycle.Store(c)
-		r.applyChurn(c)
+		r.mem.ApplyCycle(fleet{r}, c)
 		if r.cfg.Timeline {
 			s := r.health(c)
 			r.mu.Lock()
@@ -599,39 +538,11 @@ loop:
 			r.mu.Unlock()
 		}
 	}
-	for _, id := range r.order {
-		if r.states[id] == sim.Online {
-			close(r.fleet[id].quit)
-		}
-	}
-	r.wg.Wait()
-	for _, id := range r.order {
-		ln := r.fleet[id]
-		ln.mu.Lock()
-		ln.online = false
-		ln.mu.Unlock()
-	}
+	r.stopFleet()
 	r.net.Close()
 	r.mu.Lock()
 	r.running = false
 	r.mu.Unlock()
-}
-
-// applyChurn applies the scheduled membership events of one cycle tick, in
-// schedule order.
-func (r *Runner) applyChurn(now int64) {
-	for _, ev := range r.churn[now] {
-		switch ev.Kind {
-		case sim.ChurnJoin:
-			r.join(ev.Node, now)
-		case sim.ChurnLeave:
-			r.stop(ev.Node, true, now)
-		case sim.ChurnCrash:
-			r.stop(ev.Node, false, now)
-		case sim.ChurnRejoin:
-			r.rejoin(ev.Node, now)
-		}
-	}
 }
 
 // Cycle returns the fleet's current gossip cycle (an atomic load). It is the
@@ -648,134 +559,55 @@ func (r *Runner) Timeline() []metrics.ChurnSample {
 	return r.timeline
 }
 
-// randomOnline picks a uniformly random online member other than self, nil
-// when none exists.
-func (r *Runner) randomOnline(self news.NodeID) *liveNode {
-	candidates := make([]news.NodeID, 0, len(r.order))
-	for _, id := range r.order {
-		if id != self && r.states[id] == sim.Online {
-			candidates = append(candidates, id)
-		}
-	}
-	if len(candidates) == 0 {
-		return nil
-	}
-	return r.fleet[candidates[r.ctrlRNG.Intn(len(candidates))]]
-}
+// fleet is the live runtime's side of membership events. A node's critical
+// section is its lock; it starts as a goroutine on a fresh transport
+// endpoint, with its clock at the fleet's cycle, and stops by ending that
+// goroutine before its state is wiped and tearing the endpoint down after —
+// so a serving call sees a node before a lifecycle change or after it, never
+// half-wiped. A departure notice is a frame.
+type fleet struct{ r *Runner }
 
-// onlineDescriptors samples up to core.DefaultBootstrapDegree fresh
-// descriptors of online members (excluding self), each taken under the
-// member's lock and stamped with its clock.
-func (r *Runner) onlineDescriptors(self news.NodeID) []overlay.Descriptor {
-	descs := make([]overlay.Descriptor, 0, core.DefaultBootstrapDegree)
-	for _, j := range r.ctrlRNG.Perm(len(r.order)) {
-		id := r.order[j]
-		if id == self || r.states[id] != sim.Online {
-			continue
-		}
-		host := r.fleet[id]
-		host.mu.Lock()
-		descs = append(descs, host.node.Descriptor(host.clock()))
-		host.mu.Unlock()
-		if len(descs) == core.DefaultBootstrapDegree {
-			break
-		}
-	}
-	return descs
-}
-
-// join registers a brand-new node and cold-starts it from a live host's
-// views (paper Section II-D) before its goroutine spawns.
-func (r *Runner) join(id news.NodeID, now int64) {
-	if _, exists := r.fleet[id]; exists {
-		return
-	}
-	ln := r.newNode(id, now)
-	if host := r.randomOnline(id); host != nil {
-		host.mu.Lock()
-		v := host.views()
-		host.mu.Unlock()
-		ln.node.ColdStart(v.rps, v.wup, now)
-	}
-	r.mu.Lock()
-	r.fleet[id] = ln
-	r.order = append(r.order, id)
-	r.states[id] = sim.Online
-	r.mu.Unlock()
-	r.start(ln)
-}
-
-// stop takes an online node down: its goroutine exits, its views are wiped,
-// and its transport endpoints are torn down — abruptly on a crash (pending
-// frames drop), flushing pending batches first on a graceful leave. With
-// Config.DepartureNotices a graceful leaver first sends departure frames to
-// its view neighbours (before the wipe, and before the graceful disconnect
-// so the transport flushes them). The wipe and the lifecycle transition
-// happen under the node's lock, so a serving call sees the node before the
-// stop or after it, never half-wiped.
-func (r *Runner) stop(id news.NodeID, graceful bool, now int64) {
-	ln := r.fleet[id]
-	if ln == nil || r.states[id] != sim.Online {
-		return
-	}
-	close(ln.quit)
-	<-ln.done
+func (f fleet) Hold(ln *liveNode, fn func(*core.Substrate, int64)) {
 	ln.mu.Lock()
-	ln.online = false
-	if graceful && r.cfg.DepartureNotices {
-		r.sendDepartureNotices(ln, now)
-	}
-	state := sim.Offline
-	if graceful {
-		ln.node.Leave()
-		state = sim.Departed
-	} else {
-		ln.node.Crash()
-	}
-	r.mu.Lock()
-	r.states[id] = state
-	r.mu.Unlock()
-	ln.mu.Unlock()
-	r.net.Disconnect(id, graceful)
+	defer ln.mu.Unlock()
+	fn(ln.node.Overlay(), ln.clock())
 }
 
-// sendDepartureNotices emits the leaver's departure frame to every online
-// farewell recipient — its final courtesy messages, sent before Leave wipes
-// the views.
-func (r *Runner) sendDepartureNotices(ln *liveNode, now int64) {
-	id := ln.node.ID()
-	tombs := []overlay.Tombstone{{Node: id, Stamp: now}}
-	for _, to := range ln.node.FarewellRecipients() {
-		if r.states[to] == sim.Online {
-			r.send(envelope{Kind: wireDeparture, From: id, To: to, Tombs: tombs})
-		}
-	}
-}
-
-// rejoin brings a crashed node back in place: a fresh transport endpoint,
-// views re-seeded from an online sample, and a new goroutine continuing at
-// the fleet's current cycle. The profile, opinions and feed are durable
-// client state and carry over the downtime.
-func (r *Runner) rejoin(id news.NodeID, now int64) {
-	ln := r.fleet[id]
-	if ln == nil || r.states[id] != sim.Offline {
-		return
-	}
-	boot := r.onlineDescriptors(id)
-	inbox := r.net.Register(id)
+// Start opens the node's endpoint and spawns its goroutine. The profile,
+// opinions and feed of a rejoiner are durable client state and carry over
+// the downtime.
+func (f fleet) Start(ln *liveNode, now int64, up func(*core.Substrate)) {
+	inbox := f.r.net.Register(ln.node.ID())
 	ln.mu.Lock()
 	ln.inbox, ln.quit, ln.done = inbox, make(chan struct{}), make(chan struct{})
 	ln.cycle = now
 	// Publications scheduled during the downtime never fire, like a post
 	// from a crashed client (the simulator drops offline publications too).
 	ln.pubIdx = sort.Search(len(ln.pubs), func(i int) bool { return ln.pubs[i].Cycle >= now })
-	ln.node.Rejoin(boot, now)
-	r.mu.Lock()
-	r.states[id] = sim.Online
-	r.mu.Unlock()
+	up(ln.node.Overlay())
+	ln.online = true
 	ln.mu.Unlock()
-	r.start(ln)
+	f.r.spawn(ln)
 }
+
+// Stop ends the node's goroutine, runs down, and disconnects the node from
+// the transport — abruptly on a crash (pending frames drop), flushing
+// pending batches, departure frames included, on a graceful leave.
+func (f fleet) Stop(ln *liveNode, graceful bool, down func(*core.Substrate)) {
+	close(ln.quit)
+	<-ln.done
+	ln.mu.Lock()
+	ln.online = false
+	down(ln.node.Overlay())
+	ln.mu.Unlock()
+	f.r.net.Disconnect(ln.node.ID(), graceful)
+}
+
+func (f fleet) Notify(leaver, to *liveNode, t overlay.Tombstone) {
+	f.r.send(envelope{Kind: wireDeparture, From: leaver.node.ID(), To: to.node.ID(), Tombs: []overlay.Tombstone{t}})
+}
+
+func (f fleet) New(id news.NodeID, now int64) (*liveNode, bool) { return f.r.newNode(id, now), true }
 
 // record safely updates the shared collector.
 func (r *Runner) record(fn func(col *metrics.Collector)) {

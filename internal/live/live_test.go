@@ -177,7 +177,7 @@ func TestLiveSoakForgetsExpiredItems(t *testing.T) {
 	r.Run()
 	forgotten, kept := 0, 0
 	for _, d := range delivered {
-		ln := r.fleet[d.node]
+		ln := member(r, d.node)
 		horizon := ln.cycle - window
 		switch seen := ln.node.Seen(d.item); {
 		case created[d.item] < horizon && seen:

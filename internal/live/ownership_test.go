@@ -103,7 +103,7 @@ func TestPeerOwnsItsOneGenerator(t *testing.T) {
 	}
 
 	r := NewRunner(Config{Seed: 3, Cycles: 1}, tinySurvey(3), NewChannelNet(3, 0, 0))
-	ln := r.fleet[0]
+	ln := member(r, 0)
 	onlyOwn(t, "liveNode", ln, ln.node.Overlay(), reflect.TypeOf(r))
 }
 

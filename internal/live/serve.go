@@ -89,13 +89,11 @@ type FleetStats struct {
 
 // withNode runs fn under the node's lock, with the node's clock (its own
 // cycle while its goroutine runs, the fleet clock otherwise), and returns
-// what fn returns. fn may take Runner.mu, which comes after a node lock in
-// the lock order, but no other node's lock.
+// what fn returns. fn may take Runner.mu or the member table's lock, which
+// come after a node lock in the lock order, but no other node's lock.
 func (r *Runner) withNode(id news.NodeID, fn func(ln *liveNode, cycle int64) error) error {
-	r.mu.RLock()
-	ln := r.fleet[id]
-	r.mu.RUnlock()
-	if ln == nil {
+	ln, _, ok := r.mem.Lookup(id)
+	if !ok {
 		return ErrUnknownNode
 	}
 	ln.mu.Lock()
@@ -124,21 +122,11 @@ func (r *Runner) Feed(id news.NodeID) ([]FeedEntry, error) {
 
 // Degraded reports whether a majority of the fleet's non-departed members
 // are offline — the mesh has lost quorum for dissemination, so feeds stop
-// improving until nodes come back. Safe to call at any time.
+// improving until nodes come back. Safe to call at any time: it reads the
+// member table's two counters.
 func (r *Runner) Degraded() bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	online, members := 0, 0
-	for _, st := range r.states {
-		if st == sim.Departed {
-			continue
-		}
-		members++
-		if st == sim.Online {
-			online++
-		}
-	}
-	return members > 0 && online*2 < members
+	_, online, offline := r.mem.Counts()
+	return online+offline > 0 && online*2 < online+offline
 }
 
 // feedEntries builds the ranked feed from the node's ring, walked in place
@@ -244,11 +232,10 @@ func (r *Runner) Snapshot(id news.NodeID) (NodeSnapshot, error) {
 // Members lists every registered member with its lifecycle state, in
 // registration order. Safe to call at any time.
 func (r *Runner) Members() []Member {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]Member, 0, len(r.order))
-	for _, id := range r.order {
-		out = append(out, Member{ID: id, State: r.states[id]})
+	lns, states := r.mem.Members()
+	out := make([]Member, len(lns))
+	for i, ln := range lns {
+		out[i] = Member{ID: ln.node.ID(), State: states[i]}
 	}
 	return out
 }
@@ -256,14 +243,8 @@ func (r *Runner) Members() []Member {
 // Stats rolls up the fleet's current size and the collector's quality and
 // traffic aggregates. Safe to call at any time.
 func (r *Runner) Stats() FleetStats {
-	r.mu.RLock()
-	s := FleetStats{Cycle: r.cycle.Load(), Members: len(r.fleet)}
-	for _, st := range r.states {
-		if st == sim.Online {
-			s.Online++
-		}
-	}
-	r.mu.RUnlock()
+	s := FleetStats{Cycle: r.cycle.Load()}
+	s.Members, s.Online, _ = r.mem.Counts()
 	r.colMu.Lock()
 	s.Precision = r.col.Precision()
 	s.Recall = r.col.Recall()

@@ -145,7 +145,7 @@ func TestViewsSelfHealAfterDepartures(t *testing.T) {
 	e.Bootstrap()
 
 	ghostCount := func() (ghosts, total int) {
-		for _, p := range e.OnlinePeers() {
+		for _, p := range onlinePeers(e) {
 			count := func(id news.NodeID) {
 				total++
 				if st, ok := e.State(id); !ok || st != Online {
@@ -299,4 +299,15 @@ func TestOfflinePublicationsAreDropped(t *testing.T) {
 	if st := col.Item(it.ID); st.Reached != 0 {
 		t.Fatalf("item reached %d nodes despite its source being offline", st.Reached)
 	}
+}
+
+// onlinePeers returns the currently online peers in registration order.
+func onlinePeers(e *Engine) []Peer {
+	var out []Peer
+	for _, p := range e.Peers() {
+		if st, _ := e.State(p.Overlay().ID()); st == Online {
+			out = append(out, p)
+		}
+	}
+	return out
 }

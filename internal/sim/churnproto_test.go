@@ -38,7 +38,7 @@ func protoWorldSeed(seed int64, n, cycles int, schedule ChurnSchedule, cfg core.
 // holders counts the online views that still contain the given node.
 func holders(e *Engine, id news.NodeID) int {
 	n := 0
-	for _, p := range e.OnlinePeers() {
+	for _, p := range onlinePeers(e) {
 		if p.Overlay().RPS().View().Contains(id) || p.Overlay().WUP().View().Contains(id) {
 			n++
 		}
@@ -129,7 +129,7 @@ func TestRefillRecoversDrainedViews(t *testing.T) {
 		e, col := protoWorldSeed(seed, n, cycles, schedule, cfg, refill)
 		e.Run()
 		online := make(map[news.NodeID]Peer)
-		for _, p := range e.OnlinePeers() {
+		for _, p := range onlinePeers(e) {
 			online[p.Overlay().ID()] = p
 		}
 		for _, p := range online {

@@ -132,7 +132,7 @@ func TestSimSoakHeapFlat(t *testing.T) {
 	for e.Now() < cycles {
 		e.Step()
 		now := e.Now()
-		for _, p := range e.OnlinePeers() {
+		for _, p := range onlinePeers(e) {
 			s := p.Overlay()
 			for i := range w.Items {
 				it := w.Items[i].Item

@@ -40,22 +40,15 @@
 //     merged into the main collector at the end of every cycle; all merged
 //     quantities are integers, so the merge is order-independent.
 //
-// Membership is dynamic (see membership.go): peers are members with
-// lifecycle states (Online, Offline, Departed) held at stable dense global
-// indices, and a declarative ChurnSchedule drives joins, graceful leaves,
-// crashes and rejoins. A member's global index g fixes its routing shard
-// (g mod Shards) for the lifetime of the engine, so routing never shifts
-// under churn. The determinism
-// contract extends to churn: a given seed and schedule produce bit-identical
-// results for any worker and shard count, because events are applied
-// serially at the cycle boundary and consume randomness only from the
-// affected peer's stream. An empty schedule at Shards=1 reproduces the
-// historical fixed-population behaviour bit-identically.
+// Membership is dynamic and shared with internal/live (membership.go): a
+// ChurnSchedule's joins, leaves, crashes and rejoins are applied serially at
+// the cycle boundary, drawing only from the affected peer's stream, so the
+// determinism contract extends to churn. A member's global index g fixes its
+// routing shard (g mod Shards) for the lifetime of the engine.
 package sim
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
 	"slices"
 	"sync"
@@ -66,7 +59,6 @@ import (
 	"whatsup/internal/metrics"
 	"whatsup/internal/news"
 	"whatsup/internal/overlay"
-	"whatsup/internal/prng"
 	"whatsup/internal/wire"
 )
 
@@ -165,15 +157,6 @@ type Config struct {
 	OnDelivery func(d core.Delivery, now int64)
 }
 
-// largeScaleMembers is the population from which the engine switches its
-// bootstrap and join sampling from O(n) permutation draws to O(k) rejection
-// sampling: at million-peer scale a per-peer rand.Perm over the membership
-// table is quadratic in both time and allocation. Below the threshold the
-// historical draw sequence is reproduced exactly (the determinism pins all
-// run far below it); above it the rejection draws still consume only the
-// sampled peer's own stream, so the Workers×Shards contract is unaffected.
-const largeScaleMembers = core.LargeScalePopulation
-
 // envelope is one in-flight BEEP message.
 type envelope struct {
 	from news.NodeID
@@ -256,8 +239,9 @@ var emptyDescriptors = make([]overlay.Descriptor, 0)
 
 // Engine drives a set of peers through gossip cycles.
 //
-// The member table (peers, states, streams) is indexed by global dense
-// index. The scratch fields at the bottom are reused across hops and cycles
+// The member table (mem) is indexed by global dense index; the phases read
+// its slices directly. The scratch fields at the bottom are reused across
+// hops and cycles
 // so the steady-state per-cycle loop performs no engine-side allocation
 // beyond the cross-shard profile snapshots a shard decodes for the first
 // time: the BEEP hop batch, the per-receiver segments, the per-worker
@@ -269,16 +253,11 @@ type Engine struct {
 	cfg     Config
 	workers int // worker pool size (>= 1)
 	nshards int // routing partition count (>= 1)
-	peers   []Peer
-	states  []MemberState
-	streams []*rand.Rand        // engine-side per-peer randomness
-	idx     map[news.NodeID]int // node id -> global dense index
-	online  int                 // count of members in state Online
+	mem     *Membership[Peer]
 	col     *metrics.Collector
 	cols    []*metrics.Collector // per-worker scratch collectors
 	now     int64
 	pubs    map[int64][]Publication
-	churn   map[int64][]ChurnEvent
 	stats   ShardStats
 
 	batch       []envelope // sends of the current BEEP hop
@@ -295,9 +274,6 @@ type Engine struct {
 
 // New builds an engine over the given peers, recording into col.
 func New(cfg Config, peers []Peer, col *metrics.Collector) *Engine {
-	if cfg.BootstrapDegree <= 0 {
-		cfg.BootstrapDegree = core.DefaultBootstrapDegree
-	}
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -307,14 +283,10 @@ func New(cfg Config, peers []Peer, col *metrics.Collector) *Engine {
 		cfg:       cfg,
 		workers:   workers,
 		nshards:   nshards,
-		peers:     make([]Peer, 0, len(peers)),
-		states:    make([]MemberState, 0, len(peers)),
-		streams:   make([]*rand.Rand, 0, len(peers)),
-		idx:       make(map[news.NodeID]int, len(peers)),
+		mem:       NewMembership[Peer](cfg.Seed, cfg.BootstrapDegree, cfg.DepartureNotices, cfg.Churn, len(peers)),
 		col:       col,
 		cols:      make([]*metrics.Collector, workers),
 		pubs:      make(map[int64][]Publication),
-		churn:     make(map[int64][]ChurnEvent),
 		bucketIdx: make(map[news.NodeID]int, len(peers)),
 		sendBufs:  make([][]envelope, workers),
 		delivBufs: make([][]core.Delivery, workers),
@@ -325,314 +297,101 @@ func New(cfg Config, peers []Peer, col *metrics.Collector) *Engine {
 		e.cols[w] = metrics.NewCollector()
 	}
 	for _, p := range peers {
-		e.addPeer(p)
+		e.mem.Add(p.Overlay().ID(), p)
 	}
 	for _, pub := range cfg.Publications {
 		e.pubs[pub.Cycle] = append(e.pubs[pub.Cycle], pub)
 	}
-	for _, ev := range cfg.Churn.Events {
-		e.churn[ev.Cycle] = append(e.churn[ev.Cycle], ev)
-	}
 	return e
-}
-
-// streamSeed derives the engine-side randomness seed of one peer from the
-// run seed with the splitmix64 finalizer, decorrelating the per-peer streams
-// from each other and from the affine node-level seeds used by callers.
-func streamSeed(seed int64, id news.NodeID) uint64 {
-	return prng.Mix(uint64(seed)*0x9E3779B97F4A7C15 + (uint64(id)+1)*0xBF58476D1CE4E5B9)
 }
 
 // shardOf returns the routing shard of a global dense index.
 func (e *Engine) shardOf(g int) int { return g % e.nshards }
 
-// streamOf returns a member's engine stream by node id, nil for unknown ids.
-func (e *Engine) streamOf(id news.NodeID) *rand.Rand {
-	if g, ok := e.idx[id]; ok {
-		return e.streams[g]
-	}
-	return nil
-}
-
-// addPeer appends a member in state Online at the next global dense index,
-// which fixes its routing shard (g mod Shards) forever. Indices are stable
-// for the lifetime of the engine: departures never compact the table, so
-// routing, worker spans and per-peer RNG streams are unaffected by how much
-// churn preceded the current cycle.
-func (e *Engine) addPeer(p Peer) {
-	id := p.Overlay().ID()
-	e.idx[id] = len(e.peers)
-	e.peers = append(e.peers, p)
-	e.states = append(e.states, Online)
-	e.streams = append(e.streams, prng.New(streamSeed(e.cfg.Seed, id)))
-	e.online++
-}
-
 // AddPeer registers a peer between cycles (the joining-node experiment of
 // Figure 7). The caller is responsible for cold-starting its views; joins
 // scheduled through Config.Churn are bootstrapped by the engine instead.
 // Registering an id that already exists is a no-op.
-func (e *Engine) AddPeer(p Peer) {
-	if _, exists := e.idx[p.Overlay().ID()]; exists {
-		return
-	}
-	e.addPeer(p)
-}
+func (e *Engine) AddPeer(p Peer) { e.mem.Add(p.Overlay().ID(), p) }
 
 // Peers returns a copy of the engine's peers in registration order,
 // regardless of lifecycle state. The returned slice is the caller's to keep:
 // mutating it cannot corrupt the engine's member table.
-func (e *Engine) Peers() []Peer { return slices.Clone(e.peers) }
-
-// OnlinePeers returns a copy of the currently online peers in registration
-// order.
-func (e *Engine) OnlinePeers() []Peer {
-	out := make([]Peer, 0, e.online)
-	for g, p := range e.peers {
-		if e.states[g] == Online {
-			out = append(out, p)
-		}
-	}
-	return out
-}
+func (e *Engine) Peers() []Peer { return slices.Clone(e.mem.members) }
 
 // Peer returns the peer with the given id in any lifecycle state, or nil.
 func (e *Engine) Peer(id news.NodeID) Peer {
-	if g, ok := e.idx[id]; ok {
-		return e.peers[g]
-	}
-	return nil
+	p, _, _ := e.mem.Lookup(id)
+	return p
 }
 
 // State returns the lifecycle state of a member; ok is false for ids the
 // engine has never seen.
 func (e *Engine) State(id news.NodeID) (MemberState, bool) {
-	if g, ok := e.idx[id]; ok {
-		return e.states[g], true
-	}
-	return Departed, false
+	_, st, ok := e.mem.Lookup(id)
+	return st, ok
 }
 
 // OnlineCount returns the number of members currently online.
-func (e *Engine) OnlineCount() int { return e.online }
+func (e *Engine) OnlineCount() int { return e.mem.counts[Online] }
 
 // MemberCount returns the total number of members ever registered,
 // including offline and departed ones.
-func (e *Engine) MemberCount() int { return len(e.peers) }
+func (e *Engine) MemberCount() int { return len(e.mem.members) }
 
 // onlinePeer returns the peer for an id only when it is online.
 func (e *Engine) onlinePeer(id news.NodeID) Peer {
-	if g, ok := e.idx[id]; ok && e.states[g] == Online {
-		return e.peers[g]
+	if g, ok := e.mem.idx[id]; ok && e.mem.states[g] == Online {
+		return e.mem.members[g]
 	}
 	return nil
 }
 
-// setState transitions one member, maintaining the online count.
-func (e *Engine) setState(g int, s MemberState) {
-	if e.states[g] == Online {
-		e.online--
-	}
-	e.states[g] = s
-	if s == Online {
-		e.online++
-	}
+// Join registers a brand-new peer between cycles and bootstraps its views
+// as a scheduled ChurnJoin would (Section II-D for a ColdStarter). Reports
+// whether the id was new.
+func (e *Engine) Join(p Peer) bool { return e.mem.join(engineSide{e}, p.Overlay().ID(), p, e.now) }
+
+// Leave applies a ChurnLeave between cycles and reports whether it was valid.
+func (e *Engine) Leave(id news.NodeID) bool { return e.event(ChurnLeave, id) }
+
+// Crash applies a ChurnCrash between cycles and reports whether it was valid.
+func (e *Engine) Crash(id news.NodeID) bool { return e.event(ChurnCrash, id) }
+
+// Rejoin applies a ChurnRejoin between cycles and reports whether it was valid.
+func (e *Engine) Rejoin(id news.NodeID) bool { return e.event(ChurnRejoin, id) }
+
+func (e *Engine) event(kind ChurnEventKind, id news.NodeID) bool {
+	return e.mem.apply(engineSide{e}, ChurnEvent{Cycle: e.now, Kind: kind, Node: id}, e.now)
 }
 
-// Leave gracefully departs a member (final). Reports whether the member
-// existed and was not already departed. With Config.DepartureNotices the
-// leaver notifies its view neighbours before its state is wiped.
-func (e *Engine) Leave(id news.NodeID) bool {
-	g, ok := e.idx[id]
-	if !ok || e.states[g] == Departed {
-		return false
+// engineSide is the simulator's side of membership events. A peer has no
+// goroutine, endpoint or lock: its critical section is the call itself, at
+// the engine clock. A departure notice is accounted like any message, then
+// subject to the loss draw from the leaver's stream and the link policy.
+type engineSide struct{ e *Engine }
+
+func (s engineSide) Hold(p Peer, fn func(*core.Substrate, int64)) { fn(p.Overlay(), s.e.now) }
+
+func (s engineSide) Start(p Peer, _ int64, up func(*core.Substrate)) { up(p.Overlay()) }
+
+func (s engineSide) Stop(p Peer, _ bool, down func(*core.Substrate)) { down(p.Overlay()) }
+
+func (s engineSide) Notify(leaver, to Peer, t overlay.Tombstone) {
+	e, from, dst := s.e, leaver.Overlay().ID(), to.Overlay()
+	e.col.RecordMessage(metrics.MsgDeparture, t.WireSize())
+	if e.lost(from) || e.linkDropped(from, dst.ID(), e.now, metrics.MsgDeparture, 0) {
+		return
 	}
-	wasOnline := e.states[g] == Online
-	e.setState(g, Departed)
-	leaver := e.peers[g].Overlay()
-	if e.cfg.DepartureNotices && wasOnline {
-		e.sendDepartureNotices(leaver)
-	}
-	leaver.Leave()
-	return true
+	dst.NoteDeparture(t, e.now)
 }
 
-// sendDepartureNotices delivers the leaver's departure tombstone to its view
-// neighbours — the final courtesy message of a graceful leave, sent while the
-// leaver's views still exist. It runs inside the serial churn phase, and the
-// per-recipient loss draws consume only the leaver's engine stream, so the
-// operation is deterministic for any worker count.
-func (e *Engine) sendDepartureNotices(leaver *core.Substrate) {
-	t := overlay.Tombstone{Node: leaver.ID(), Stamp: e.now}
-	for _, id := range leaver.FarewellRecipients() {
-		nb := e.onlinePeer(id)
-		if nb == nil {
-			continue
-		}
-		e.col.RecordMessage(metrics.MsgDeparture, t.WireSize())
-		if e.lost(leaver.ID()) || e.linkDropped(leaver.ID(), id, e.now, metrics.MsgDeparture, 0) {
-			continue
-		}
-		nb.Overlay().NoteDeparture(t, e.now)
+func (s engineSide) New(id news.NodeID, _ int64) (Peer, bool) {
+	if s.e.cfg.NewPeer == nil {
+		return nil, false
 	}
-}
-
-// Crash abruptly takes an online member offline, wiping its volatile state
-// (views). Reports whether the member was online.
-func (e *Engine) Crash(id news.NodeID) bool {
-	g, ok := e.idx[id]
-	if !ok || e.states[g] != Online {
-		return false
-	}
-	e.setState(g, Offline)
-	e.peers[g].Overlay().Crash()
-	return true
-}
-
-// Rejoin brings a crashed (offline) member back online: views are wiped and
-// re-seeded from a random sample of the online population drawn from the
-// member's own engine stream, the profile is whatever the peer retained.
-// Reports whether the member was offline.
-func (e *Engine) Rejoin(id news.NodeID) bool {
-	g, ok := e.idx[id]
-	if !ok || e.states[g] != Offline {
-		return false
-	}
-	e.setState(g, Online)
-	e.peers[g].Overlay().Rejoin(e.onlineSample(id, e.streams[g], e.now), e.now)
-	return true
-}
-
-// Join registers a brand-new peer and bootstraps its views from the online
-// population (ColdStarter peers inherit a random online host's views, the
-// paper's Section II-D procedure; others get a random descriptor sample).
-// Reports whether the id was new.
-func (e *Engine) Join(p Peer) bool {
-	id := p.Overlay().ID()
-	if _, exists := e.idx[id]; exists {
-		return false
-	}
-	e.addPeer(p)
-	stream := e.streamOf(id)
-	if cs, isCold := p.(ColdStarter); isCold {
-		if host := e.randomOnlineHost(id, stream); host != nil && host.Overlay().Has(core.WUPLayer) {
-			h := host.Overlay()
-			cs.ColdStart(h.RPS().View().Entries(), h.WUP().View().Entries(), e.now)
-			return true
-		}
-	}
-	p.Overlay().SeedViews(e.onlineSample(id, stream, e.now))
-	return true
-}
-
-// randomOnlineHost picks a uniformly random online member other than self,
-// drawing from the given stream; nil when none exists. Below the large-scale
-// threshold candidates are enumerated in dense-index order (the historical
-// draw); above it a bounded rejection loop draws slots directly, keeping a
-// million-peer flash crowd's joins O(1) instead of O(members) each. Either
-// path consumes only the given stream, so the draw is independent of the
-// worker and shard counts.
-func (e *Engine) randomOnlineHost(self news.NodeID, stream *rand.Rand) Peer {
-	if len(e.peers) >= largeScaleMembers {
-		for attempt := 0; attempt < 64; attempt++ {
-			g := stream.Intn(len(e.peers))
-			if e.states[g] != Online {
-				continue
-			}
-			if p := e.peers[g]; p.Overlay().ID() != self {
-				return p
-			}
-		}
-		// Pathologically low online fraction: fall through to the exact scan.
-	}
-	candidates := 0
-	for g, p := range e.peers {
-		if e.states[g] == Online && p.Overlay().ID() != self {
-			candidates++
-		}
-	}
-	if candidates == 0 {
-		return nil
-	}
-	pick := stream.Intn(candidates)
-	for g, p := range e.peers {
-		if e.states[g] == Online && p.Overlay().ID() != self {
-			if pick == 0 {
-				return p
-			}
-			pick--
-		}
-	}
-	return nil
-}
-
-// onlineSample returns up to BootstrapDegree fresh descriptors of online
-// members other than self — the seed of a bootstrapping, joining or rejoining
-// peer's views — sampled from the given stream (the only randomness the
-// operation consumes). Below the large-scale threshold it reproduces the
-// historical rand.Perm draw sequence exactly; above it, it rejection-samples
-// O(k) slots (a per-peer Perm over a million-member table would be quadratic
-// in time and allocation across a bootstrap).
-func (e *Engine) onlineSample(self news.NodeID, stream *rand.Rand, now int64) []overlay.Descriptor {
-	n, k := len(e.peers), e.cfg.BootstrapDegree
-	descs := make([]overlay.Descriptor, 0, k)
-	if n < largeScaleMembers {
-		for _, g := range stream.Perm(n) {
-			if e.states[g] != Online {
-				continue
-			}
-			s := e.peers[g].Overlay()
-			if s.ID() == self {
-				continue
-			}
-			descs = append(descs, s.Descriptor(now))
-			if len(descs) == k {
-				break
-			}
-		}
-		return descs
-	}
-	picked := make([]int, 0, k)
-	for attempt := 0; attempt < 8*k+32 && len(picked) < k; attempt++ {
-		g := stream.Intn(n)
-		if e.states[g] != Online {
-			continue
-		}
-		s := e.peers[g].Overlay()
-		if s.ID() == self || slices.Contains(picked, g) {
-			continue
-		}
-		picked = append(picked, g)
-		descs = append(descs, s.Descriptor(now))
-	}
-	return descs
-}
-
-// applyChurn applies the scheduled membership events of one cycle, serially
-// and in schedule order. Randomness is only ever drawn from the stream of
-// the event's own node, so schedules preserve the worker-count determinism
-// contract.
-func (e *Engine) applyChurn(now int64) {
-	for _, ev := range e.churn[now] {
-		switch ev.Kind {
-		case ChurnJoin:
-			if e.cfg.NewPeer == nil {
-				continue
-			}
-			if _, exists := e.idx[ev.Node]; exists {
-				continue
-			}
-			if p := e.cfg.NewPeer(ev.Node); p != nil && p.Overlay().ID() == ev.Node {
-				e.Join(p)
-			}
-		case ChurnLeave:
-			e.Leave(ev.Node)
-		case ChurnCrash:
-			e.Crash(ev.Node)
-		case ChurnRejoin:
-			e.Rejoin(ev.Node)
-		}
-	}
+	p := s.e.cfg.NewPeer(id)
+	return p, p != nil && p.Overlay().ID() == id
 }
 
 // Collector returns the metrics collector.
@@ -701,43 +460,17 @@ func (e *Engine) mergeCols() {
 // peer samples its neighbours from its own engine stream, so the graph is
 // independent of the worker and shard counts.
 func (e *Engine) Bootstrap() {
-	if len(e.peers) < 2 {
-		return
-	}
-	e.parallelSpans(len(e.peers), func(_, g int) {
-		if e.states[g] != Online {
-			return
-		}
-		s := e.peers[g].Overlay()
-		s.SeedViews(e.onlineSample(s.ID(), e.streams[g], 0))
+	e.mem.Bootstrap(engineSide{e}, func(n int, fn func(g int)) {
+		e.parallelSpans(n, func(_, g int) { fn(g) })
 	})
 }
 
 // Health takes one fleet-health sample of the current engine state — online
 // population by cohort, ghost fraction and view fill over the online fleet,
-// partitions holding — through the accumulator the live runner also feeds.
+// partitions holding — through the sampler the live runner uses too.
 // Drivers call it from OnCycleEnd to build per-cycle timelines.
 func (e *Engine) Health() metrics.ChurnSample {
-	h := metrics.NewFleetHealth(e.now, len(e.peers), func(id news.NodeID) bool { return e.onlinePeer(id) != nil })
-	var buf []overlay.Descriptor
-	for g, p := range e.peers {
-		if e.states[g] != Online {
-			continue
-		}
-		o := p.Overlay()
-		h.AddNode(e.col.CohortOf(o.ID()))
-		buf = o.RPS().View().AppendEntries(buf[:0])
-		h.AddView(core.RPSLayer, o.RPS().View().Capacity(), buf)
-		if o.Has(core.WUPLayer) {
-			buf = o.WUP().View().AppendEntries(buf[:0])
-			h.AddView(core.WUPLayer, o.WUP().View().Capacity(), buf)
-		}
-	}
-	s := h.Sample()
-	if e.cfg.Links != nil {
-		s.PartitionsActive = e.cfg.Links.ActivePartitions(e.now)
-	}
-	return s
+	return e.mem.Health(engineSide{e}, e.now, e.col.CohortOf, e.cfg.Links)
 }
 
 // linkDropped reports whether the per-link fault policy (Config.Links)
@@ -761,11 +494,8 @@ func (e *Engine) lost(id news.NodeID) bool {
 	if e.cfg.LossRate <= 0 {
 		return false
 	}
-	s := e.streamOf(id)
-	if s == nil {
-		return false
-	}
-	return s.Float64() < e.cfg.LossRate
+	g, ok := e.mem.idx[id]
+	return ok && e.mem.streams[g].Float64() < e.cfg.LossRate
 }
 
 // descriptorsWireSize sums the wire sizes of a descriptor batch.
@@ -786,10 +516,10 @@ func (e *Engine) Step() {
 	e.now++
 	now := e.now
 
-	e.applyChurn(now)
-	e.parallelSpans(len(e.peers), func(_, g int) {
-		if e.states[g] == Online {
-			e.peers[g].BeginCycle(now)
+	e.mem.ApplyCycle(engineSide{e}, now)
+	e.parallelSpans(len(e.mem.members), func(_, g int) {
+		if e.mem.states[g] == Online {
+			e.mem.members[g].BeginCycle(now)
 		}
 	})
 	if e.cfg.RefillWatermark > 0 {
@@ -839,8 +569,8 @@ func (e *Engine) Run() {
 // engine stream, so results are bit-identical for any worker count.
 func (e *Engine) refillViews(now int64) {
 	wm := e.cfg.RefillWatermark
-	for g, p := range e.peers {
-		if e.states[g] != Online {
+	for g, p := range e.mem.members {
+		if e.mem.states[g] != Online {
 			continue
 		}
 		s := p.Overlay()
@@ -918,7 +648,7 @@ func (e *Engine) encodeCrossShard(exs []exchange, reply bool, layer core.Layer) 
 			}
 			descs, tombs = ex.push, ex.pushTombs
 		}
-		ti, known := e.idx[ex.target]
+		ti, known := e.mem.idx[ex.target]
 		if !known {
 			continue
 		}
@@ -1052,16 +782,16 @@ func (e *Engine) bucketByResponder(exs []exchange, layer core.Layer) []news.Node
 // draws its loss, in the engine's exchange table (one slot per member,
 // reused across rounds).
 func (e *Engine) computePushes(now int64, layer core.Layer, reqKind metrics.MessageKind) []exchange {
-	n := len(e.peers)
+	n := len(e.mem.members)
 	if cap(e.exs) < n {
 		e.exs = make([]exchange, n)
 	}
 	exs := e.exs[:n] // all zero: gossipRound clears the table when the round ends
 	e.parallelSpans(n, func(w, g int) {
-		if e.states[g] != Online {
+		if e.mem.states[g] != Online {
 			return
 		}
-		p := e.peers[g]
+		p := e.mem.members[g]
 		s := p.Overlay()
 		if !s.Has(layer) {
 			return
@@ -1119,7 +849,7 @@ func (e *Engine) gossipRound(now int64, layer core.Layer, reqKind, repKind metri
 		for _, i := range e.bucketLists[bi] {
 			reply, replyTombs := responder.AcceptPush(layer, exs[i].push, exs[i].pushTombs, now)
 			e.cols[w].RecordMessage(repKind, descriptorsWireSize(reply)+overlay.TombstonesWireSize(replyTombs))
-			if !e.lost(respID) && !e.linkDropped(respID, e.peers[i].Overlay().ID(), now, repKind, 0) {
+			if !e.lost(respID) && !e.linkDropped(respID, e.mem.members[i].Overlay().ID(), now, repKind, 0) {
 				exs[i].reply = reply
 				exs[i].replyTombs = replyTombs
 			}
@@ -1132,7 +862,7 @@ func (e *Engine) gossipRound(now int64, layer core.Layer, reqKind, repKind metri
 
 	e.parallelSpans(len(exs), func(_, g int) {
 		if exs[g].reply != nil {
-			e.peers[g].Overlay().AcceptReply(layer, exs[g].reply, exs[g].replyTombs, now)
+			e.mem.members[g].Overlay().AcceptReply(layer, exs[g].reply, exs[g].replyTombs, now)
 		}
 	})
 	clear(exs) // the round is over: its pushes, replies and tombstone slices are garbage
@@ -1271,9 +1001,9 @@ func (e *Engine) deliverRound(now int64) {
 // Node ids must be dense in [0, MemberCount) for the returned graph indices
 // to be meaningful; engines built by the experiment harness guarantee this.
 func (e *Engine) WUPGraph() *graph.Directed {
-	g := graph.NewDirected(len(e.peers))
-	for gi, p := range e.peers {
-		if e.states[gi] != Online {
+	g := graph.NewDirected(len(e.mem.members))
+	for gi, p := range e.mem.members {
+		if e.mem.states[gi] != Online {
 			continue
 		}
 		s := p.Overlay()
