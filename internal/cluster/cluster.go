@@ -17,6 +17,7 @@ package cluster
 
 import (
 	"math/rand"
+	"slices"
 
 	"whatsup/internal/news"
 	"whatsup/internal/overlay"
@@ -78,21 +79,35 @@ func (p *Protocol) SelectPeer() (overlay.Descriptor, bool) {
 	return p.view.Oldest()
 }
 
-// MakePush assembles the request payload: the node's fresh descriptor plus
-// its entire view (Section II: "its entire view for WUP").
-func (p *Protocol) MakePush(self overlay.Descriptor) []overlay.Descriptor {
-	push := make([]overlay.Descriptor, 0, p.view.Len()+1)
-	push = append(push, self)
-	return p.view.AppendEntries(push)
+// AppendPush appends the request payload to dst: the node's fresh
+// descriptor plus its entire view (Section II: "its entire view for WUP").
+//
+//whatsup:hotpath
+func (p *Protocol) AppendPush(dst []overlay.Descriptor, self overlay.Descriptor) []overlay.Descriptor {
+	dst = slices.Grow(dst, p.view.Len()+1)
+	dst = append(dst, self) //whatsup:alloc arena growth, decided by the Grow above: none once dst has the room
+	return p.view.AppendEntries(dst)
 }
 
-// AcceptPush handles an exchange request at the responder: it builds the
-// symmetric reply (own descriptor + entire view, taken before merging) and
-// merges the received entries, keeping the most similar ones.
-func (p *Protocol) AcceptPush(push []overlay.Descriptor, self overlay.Descriptor, own *profile.Profile) (reply []overlay.Descriptor) {
-	reply = p.MakePush(self)
+// AppendReply handles an exchange request at the responder: it appends the
+// symmetric reply (own descriptor + entire view, taken before merging) to
+// dst and merges the received entries, keeping the most similar ones.
+//
+//whatsup:hotpath
+func (p *Protocol) AppendReply(dst, push []overlay.Descriptor, self overlay.Descriptor, own *profile.Profile) (reply []overlay.Descriptor) {
+	reply = p.AppendPush(dst, self)
 	p.Merge(push, own)
 	return reply
+}
+
+// MakePush is AppendPush into a new slice.
+func (p *Protocol) MakePush(self overlay.Descriptor) []overlay.Descriptor {
+	return p.AppendPush(nil, self)
+}
+
+// AcceptPush is AppendReply into a new slice.
+func (p *Protocol) AcceptPush(push []overlay.Descriptor, self overlay.Descriptor, own *profile.Profile) (reply []overlay.Descriptor) {
+	return p.AppendReply(nil, push, self, own)
 }
 
 // AcceptReply merges the responder's entries at the initiator.

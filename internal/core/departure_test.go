@@ -35,8 +35,8 @@ func TestNoteDepartureEvictsAndFilters(t *testing.T) {
 		t.Fatal("active tombstone must filter the leaver out of merges")
 	}
 
-	if tombs := n.AppendTombstones(nil); len(tombs) != 1 || tombs[0].Node != 7 {
-		t.Fatalf("AppendTombstones = %v, want the leaver's tombstone", tombs)
+	if tombs := n.Tombstones(); len(tombs) != 1 || tombs[0].Node != 7 {
+		t.Fatalf("Tombstones = %v, want the leaver's tombstone", tombs)
 	}
 }
 
@@ -45,15 +45,15 @@ func TestNoteDepartureEvictsAndFilters(t *testing.T) {
 func TestNoteDepartureIgnoresSelfAndExpired(t *testing.T) {
 	n := testNode(1, likeAll(), Config{FLike: 3, DescriptorTTL: 5})
 	n.NoteDeparture(overlay.Tombstone{Node: 1, Stamp: 100}, 100)
-	if len(n.AppendTombstones(nil)) != 0 {
+	if len(n.Tombstones()) != 0 {
 		t.Fatal("a node must ignore a tombstone bearing its own id")
 	}
 	n.NoteDeparture(overlay.Tombstone{Node: 9, Stamp: 4}, 10) // 4 < 10-5
-	if len(n.AppendTombstones(nil)) != 0 {
+	if len(n.Tombstones()) != 0 {
 		t.Fatal("a tombstone older than the horizon must be dropped on arrival")
 	}
 	n.NoteDeparture(overlay.Tombstone{Node: 9, Stamp: 5}, 10) // boundary: exactly now-horizon
-	if len(n.AppendTombstones(nil)) != 1 {
+	if len(n.Tombstones()) != 1 {
 		t.Fatal("a tombstone stamped exactly now-horizon must be accepted")
 	}
 }
@@ -67,11 +67,11 @@ func TestTombstoneExpiryOnBeginCycle(t *testing.T) {
 	n.NoteDeparture(overlay.Tombstone{Node: 7, Stamp: 10}, 10)
 
 	n.BeginCycle(10 + ttl) // 10 == (10+ttl)-ttl: boundary stamp survives
-	if len(n.AppendTombstones(nil)) != 1 {
+	if len(n.Tombstones()) != 1 {
 		t.Fatal("tombstone must survive exactly one horizon")
 	}
 	n.BeginCycle(10 + ttl + 1)
-	if len(n.AppendTombstones(nil)) != 0 {
+	if len(n.Tombstones()) != 0 {
 		t.Fatal("tombstone must expire one cycle past the horizon")
 	}
 
@@ -79,14 +79,14 @@ func TestTombstoneExpiryOnBeginCycle(t *testing.T) {
 	win := testNode(2, likeAll(), Config{FLike: 3, ProfileWindow: 4})
 	win.NoteDeparture(overlay.Tombstone{Node: 7, Stamp: 10}, 10)
 	win.BeginCycle(15) // 10 < 15-4
-	if len(win.AppendTombstones(nil)) != 0 {
+	if len(win.Tombstones()) != 0 {
 		t.Fatal("without DescriptorTTL the tombstone horizon must be the profile window")
 	}
 
 	crashed := testNode(3, likeAll(), Config{FLike: 3, DescriptorTTL: ttl})
 	crashed.NoteDeparture(overlay.Tombstone{Node: 7, Stamp: 10}, 10)
 	crashed.Crash()
-	if len(crashed.AppendTombstones(nil)) != 0 {
+	if len(crashed.Tombstones()) != 0 {
 		t.Fatal("Crash must clear the tombstone set with the volatile state")
 	}
 }
@@ -135,7 +135,7 @@ func TestNoticePiggybackCap(t *testing.T) {
 	for _, tb := range notes {
 		full.NoteDeparture(tb, 10)
 	}
-	got := full.AppendTombstones(nil)
+	got := full.Tombstones()
 	byNode := []overlay.Tombstone{{Node: 7, Stamp: 4}, {Node: 8, Stamp: 9}, {Node: 9, Stamp: 6}}
 	if len(got) != len(byNode) {
 		t.Fatalf("uncapped piggyback carried %d tombstones, want all %d", len(got), len(byNode))
@@ -150,7 +150,7 @@ func TestNoticePiggybackCap(t *testing.T) {
 	for _, tb := range notes {
 		capped.NoteDeparture(tb, 10)
 	}
-	got = capped.AppendTombstones(nil)
+	got = capped.Tombstones()
 	byFresh := []overlay.Tombstone{{Node: 8, Stamp: 9}, {Node: 9, Stamp: 6}}
 	if len(got) != 2 || got[0] != byFresh[0] || got[1] != byFresh[1] {
 		t.Fatalf("capped piggyback = %v, want the 2 freshest %v", got, byFresh)

@@ -214,23 +214,30 @@ func (s *Substrate) departureHorizon() int64 {
 // re-entering them (and keeps the notice propagating on this node's own
 // gossip) for one horizon. Expired or self-referential notices are ignored.
 func (s *Substrate) NoteDeparture(t overlay.Tombstone, now int64) {
-	if t.Node == s.id || t.Stamp < now-s.departureHorizon() {
+	if !t.Applies(s.id, now-s.departureHorizon()) {
 		return
 	}
 	s.grave.Note(t)
-	s.rps.View().Remove(t.Node)
+	s.forget(t.Node)
+}
+
+// forget evicts a departed node from both views.
+func (s *Substrate) forget(id news.NodeID) {
+	s.rps.View().Remove(id)
 	if s.wup != nil {
-		s.wup.View().Remove(t.Node)
+		s.wup.View().Remove(id)
 	}
 }
 
-// AppendTombstones appends the node's active departure tombstones to dst in
+// Tombstones returns the node's active departure tombstones in
 // deterministic (node id) order — the piggyback payload its outgoing gossip
-// carries so departure notices flood one neighbourhood horizon. When
-// the config's piggyback cap is set and the set is larger, only that many of
-// the freshest ride along (TTL eviction backstops the rest).
-func (s *Substrate) AppendTombstones(dst []overlay.Tombstone) []overlay.Tombstone {
-	return s.grave.AppendFreshest(dst, s.cfg.noticePiggybackCap)
+// carries so departure notices flood one neighbourhood horizon. When the
+// config's piggyback cap is set and the set is larger, only that many of the
+// freshest ride along (TTL eviction backstops the rest). The slice is the
+// graveyard's own immutable array (overlay.Graveyard.Freshest), shared with
+// whoever receives it; nil while the graveyard is empty.
+func (s *Substrate) Tombstones() []overlay.Tombstone {
+	return s.grave.Freshest(s.cfg.noticePiggybackCap)
 }
 
 // InjectRPSCandidates feeds the current RPS view into the clustering layer,
@@ -244,10 +251,14 @@ func (s *Substrate) InjectRPSCandidates() {
 }
 
 // MakePush opens this cycle's exchange on a layer the substrate Has: the
-// oldest view entry is the target, the payload is the fresh self-descriptor
-// plus the layer's share of the view, and the node's active tombstones ride
-// along. ok is false while the view is empty.
-func (s *Substrate) MakePush(l Layer, now int64) (target news.NodeID, push []overlay.Descriptor, tombs []overlay.Tombstone, ok bool) {
+// oldest view entry is the target, the payload — the fresh self-descriptor
+// plus the layer's share of the view — is appended to dst, and the node's
+// active tombstones ride along (Tombstones: shared, never copied). out is dst
+// with the push appended; the push is out[len(dst):]. ok is false while the
+// view is empty, and dst is then returned as it came.
+//
+//whatsup:hotpath
+func (s *Substrate) MakePush(l Layer, dst []overlay.Descriptor, now int64) (target news.NodeID, out []overlay.Descriptor, tombs []overlay.Tombstone, ok bool) {
 	var t overlay.Descriptor
 	if l == WUPLayer {
 		t, ok = s.wup.SelectPeer()
@@ -255,27 +266,32 @@ func (s *Substrate) MakePush(l Layer, now int64) (target news.NodeID, push []ove
 		t, ok = s.rps.SelectPeer()
 	}
 	if !ok {
-		return 0, nil, nil, false
+		return 0, dst, nil, false
 	}
 	if l == WUPLayer {
-		push = s.wup.MakePush(s.Descriptor(now))
+		out = s.wup.AppendPush(dst, s.Descriptor(now))
 	} else {
-		push = s.rps.MakePush(s.Descriptor(now))
+		out = s.rps.AppendPush(dst, s.Descriptor(now))
 	}
-	return t.Node, push, s.AppendTombstones(nil), true
+	return t.Node, out, s.Tombstones(), true
 }
 
-// AcceptPush answers an exchange request at the responder. Piggybacked
-// tombstones are absorbed before anything else, so the reply is sampled from
-// the post-eviction view and the push cannot re-insert a tombstoned
-// descriptor it carries; the reply takes the node's own tombstones back.
-func (s *Substrate) AcceptPush(l Layer, push []overlay.Descriptor, tombs []overlay.Tombstone, now int64) (reply []overlay.Descriptor, replyTombs []overlay.Tombstone) {
+// AcceptPush answers an exchange request at the responder, appending the
+// reply to dst (out is dst with the reply appended; the reply is
+// out[len(dst):]). Piggybacked tombstones are absorbed before anything else,
+// so the reply is sampled from the post-eviction view and the push cannot
+// re-insert a tombstoned descriptor it carries; the reply takes the node's
+// own tombstones back. tombs is immutable from here on: the graveyard may
+// adopt its array.
+//
+//whatsup:hotpath
+func (s *Substrate) AcceptPush(l Layer, dst, push []overlay.Descriptor, tombs []overlay.Tombstone, now int64) (out []overlay.Descriptor, replyTombs []overlay.Tombstone) {
 	s.absorb(tombs, now)
-	return s.respond(l, push, now), s.AppendTombstones(nil)
+	return s.respond(l, dst, push, now), s.Tombstones()
 }
 
 // AcceptReply merges the responder's answer at the initiator, tombstones
-// first.
+// first. tombs is immutable from here on, as for AcceptPush.
 func (s *Substrate) AcceptReply(l Layer, reply []overlay.Descriptor, tombs []overlay.Tombstone, now int64) {
 	s.absorb(tombs, now)
 	if l == WUPLayer {
@@ -286,22 +302,35 @@ func (s *Substrate) AcceptReply(l Layer, reply []overlay.Descriptor, tombs []ove
 	s.evictStale(now)
 }
 
+// absorb applies a piggybacked tombstone list: the graveyard notes it in one
+// pass (adopting the sender's array when the result is that list), and every
+// leaver it names is evicted from both views — exactly a NoteDeparture per
+// tombstone.
+//
+//whatsup:hotpath
 func (s *Substrate) absorb(tombs []overlay.Tombstone, now int64) {
+	if len(tombs) == 0 {
+		return
+	}
+	minStamp := now - s.departureHorizon()
+	s.grave.Absorb(tombs, s.id, minStamp)
 	for _, t := range tombs {
-		s.NoteDeparture(t, now)
+		if t.Applies(s.id, minStamp) {
+			s.forget(t.Node)
+		}
 	}
 }
 
-// respond builds the symmetric reply from the pre-merge view, merges the
-// received descriptors and re-applies the eviction horizon. In the WUP layer
-// the reply's self-descriptor carries the advertised profile while the
-// similarity ranking of the merge uses the real one (it is the responder's
-// private state, not wire payload).
-func (s *Substrate) respond(l Layer, push []overlay.Descriptor, now int64) (reply []overlay.Descriptor) {
+// respond appends the symmetric reply, built from the pre-merge view, to
+// dst, merges the received descriptors and re-applies the eviction horizon.
+// In the WUP layer the reply's self-descriptor carries the advertised
+// profile while the similarity ranking of the merge uses the real one (it is
+// the responder's private state, not wire payload).
+func (s *Substrate) respond(l Layer, dst, push []overlay.Descriptor, now int64) (reply []overlay.Descriptor) {
 	if l == WUPLayer {
-		reply = s.wup.AcceptPush(push, s.Descriptor(now), s.user)
+		reply = s.wup.AppendReply(dst, push, s.Descriptor(now), s.user)
 	} else {
-		reply = s.rps.AcceptPush(push, s.Descriptor(now))
+		reply = s.rps.AppendReply(dst, push, s.Descriptor(now))
 	}
 	s.evictStale(now)
 	return reply
@@ -372,7 +401,7 @@ func (s *Substrate) RefillTarget(watermark float64) (target news.NodeID, ok bool
 // AcceptRefill answers a refill request with an RPS-style exchange (own fresh
 // descriptor plus half the view), merging the puller's descriptor.
 func (s *Substrate) AcceptRefill(req []overlay.Descriptor, now int64) (reply []overlay.Descriptor) {
-	return s.respond(RPSLayer, req, now)
+	return s.respond(RPSLayer, nil, req, now)
 }
 
 // AcceptRefillReply merges a refill reply at the puller: always into the RPS

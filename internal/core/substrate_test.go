@@ -48,11 +48,11 @@ func TestAcceptLegs(t *testing.T) {
 	wupView := func(s *Substrate) []*overlay.View { return []*overlay.View{s.WUP().View()} }
 	legs := []leg{
 		{"rps-push", func(s *Substrate, b []overlay.Descriptor, tb []overlay.Tombstone) []overlay.Descriptor {
-			r, _ := s.AcceptPush(RPSLayer, b, tb, now)
+			r, _ := s.AcceptPush(RPSLayer, nil, b, tb, now)
 			return r
 		}, true, rpsView},
 		{"wup-push", func(s *Substrate, b []overlay.Descriptor, tb []overlay.Tombstone) []overlay.Descriptor {
-			r, _ := s.AcceptPush(WUPLayer, b, tb, now)
+			r, _ := s.AcceptPush(WUPLayer, nil, b, tb, now)
 			return r
 		}, true, wupView},
 		{"rps-reply", func(s *Substrate, b []overlay.Descriptor, tb []overlay.Tombstone) []overlay.Descriptor {
@@ -90,7 +90,7 @@ func TestAcceptLegs(t *testing.T) {
 						t.Fatalf("only the tombstoned node may be dropped, view holds %v", v.Nodes())
 					}
 				}
-				if tombs := s.AppendTombstones(nil); len(tombs) != 1 || tombs[0].Node != 7 {
+				if tombs := s.Tombstones(); len(tombs) != 1 || tombs[0].Node != 7 {
 					t.Fatalf("the absorbed tombstone must keep propagating, got %v", tombs)
 				}
 			})
@@ -125,12 +125,12 @@ func TestAcceptLegs(t *testing.T) {
 func TestMakePushCarriesTombstones(t *testing.T) {
 	for _, l := range []Layer{RPSLayer, WUPLayer} {
 		s := testSubstrate(1, 4, 10)
-		if _, _, _, ok := s.MakePush(l, 5); ok {
+		if _, _, _, ok := s.MakePush(l, nil, 5); ok {
 			t.Fatal("an empty view has nobody to push to")
 		}
 		s.SeedViews([]overlay.Descriptor{descFor(2, 3), descFor(3, 1), descFor(4, 2)})
 		s.NoteDeparture(overlay.Tombstone{Node: 9, Stamp: 5}, 5)
-		target, push, tombs, ok := s.MakePush(l, 5)
+		target, push, tombs, ok := s.MakePush(l, nil, 5)
 		if !ok || target != 3 {
 			t.Fatalf("layer %d: target %d ok=%v, want the oldest entry 3", l, target, ok)
 		}
@@ -140,7 +140,7 @@ func TestMakePushCarriesTombstones(t *testing.T) {
 		if len(tombs) != 1 || tombs[0].Node != 9 {
 			t.Fatalf("layer %d: push tombstones %v, want [9]", l, tombs)
 		}
-		if _, replyTombs := s.AcceptPush(l, nil, nil, 5); len(replyTombs) != 1 {
+		if _, replyTombs := s.AcceptPush(l, nil, nil, nil, 5); len(replyTombs) != 1 {
 			t.Fatalf("layer %d: the reply must carry the responder's tombstones, got %v", l, replyTombs)
 		}
 	}
@@ -250,11 +250,68 @@ func TestSubstrateWithoutClusteringLayer(t *testing.T) {
 		t.Fatal("a departure notice must evict from the RPS view")
 	}
 	s.Crash()
-	if s.RPS().View().Len() != 0 || len(s.AppendTombstones(nil)) != 0 {
+	if s.RPS().View().Len() != 0 || len(s.Tombstones()) != 0 {
 		t.Fatal("Crash must wipe the view and the tombstones")
 	}
 	s.Rejoin([]overlay.Descriptor{descFor(4, 1000)}, 1000)
 	if !s.RPS().View().Contains(4) || s.UserProfile().Len() != 1 {
 		t.Fatal("Rejoin must re-seed the view and keep the windowless profile")
+	}
+}
+
+// TestGossipLegAllocsPinned pins the gossip legs' allocations exactly, on a
+// node whose graveyard is not empty and whose profile version does not
+// change: a push built into a buffer that has the room allocates nothing,
+// nor does answering one whose piggyback adds nothing — the tombstones ride
+// as the graveyard's own array both ways — and absorbing a piggyback costs
+// nothing when the graveyard adopts the list and one exact-size array when
+// it has to merge.
+func TestGossipLegAllocsPinned(t *testing.T) {
+	const now, runs = 20, 100
+	s := testSubstrate(1, 4, 50)
+	var seed []overlay.Descriptor
+	for id := news.NodeID(2); id < 12; id++ {
+		seed = append(seed, descFor(id, now-1, news.ID(id)))
+	}
+	s.SeedViews(seed)
+	s.NoteDeparture(overlay.Tombstone{Node: 40, Stamp: now}, now)
+	s.NoteDeparture(overlay.Tombstone{Node: 41, Stamp: now}, now)
+	buf := make([]overlay.Descriptor, 0, 64)
+	push := []overlay.Descriptor{descFor(12, now, 12), descFor(13, now, 13)}
+	for _, l := range []Layer{RPSLayer, WUPLayer} {
+		if n := testing.AllocsPerRun(runs, func() {
+			if _, _, tombs, ok := s.MakePush(l, buf[:0], now); !ok || len(tombs) != 2 {
+				t.Fatal("the push must go out with the two tombstones")
+			}
+		}); n != 0 {
+			t.Errorf("layer %d: MakePush into a buffer with room: %v allocs/op, want 0", l, n)
+		}
+		known := s.Tombstones()
+		if n := testing.AllocsPerRun(runs, func() { s.AcceptPush(l, buf[:0], push, known, now) }); n != 0 {
+			t.Errorf("layer %d: AcceptPush into a buffer with room, piggyback adding nothing: %v allocs/op, want 0", l, n)
+		}
+	}
+
+	// Every run's list is fresher than the last, so each absorb changes the
+	// set: to exactly the list (adopted), or to a merge the list lacks a
+	// tombstone of.
+	var adopt, merge [][]overlay.Tombstone
+	for k := int64(1); k <= runs+1; k++ {
+		adopt = append(adopt, []overlay.Tombstone{{Node: 40, Stamp: now + k}, {Node: 41, Stamp: now + k}, {Node: 42, Stamp: now + k}})
+		merge = append(merge, []overlay.Tombstone{{Node: 43, Stamp: now + k}})
+	}
+	next := 0
+	if n := testing.AllocsPerRun(runs, func() { s.absorb(adopt[next], now); next++ }); n != 0 {
+		t.Errorf("absorb that adopts: %v allocs/op, want 0", n)
+	}
+	if got := s.Tombstones(); &got[0] != &adopt[next-1][0] {
+		t.Fatalf("the graveyard copied a list it should have adopted: %v", got)
+	}
+	next = 0
+	if n := testing.AllocsPerRun(runs, func() { s.absorb(merge[next], now); next++ }); n != 1 {
+		t.Errorf("absorb that merges: %v allocs/op, want 1", n)
+	}
+	if got := s.Tombstones(); len(got) != 4 || got[3] != merge[next-1][0] {
+		t.Fatalf("merged set %v, want the adopted three plus node 43", got)
 	}
 }

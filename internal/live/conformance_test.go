@@ -54,7 +54,7 @@ func overlayState(n *core.Node) string {
 		}
 		b.WriteByte('\n')
 	}
-	fmt.Fprintf(&b, "tombs: %v\n", n.AppendTombstones(nil))
+	fmt.Fprintf(&b, "tombs: %v\n", n.Tombstones())
 	return b.String()
 }
 

@@ -292,6 +292,8 @@ type liveNode struct {
 	// held is what onFrame decodes the current gossip frame against. It lives
 	// here so that handing it to the decoder as an interface allocates nothing.
 	held heldViews
+	// legs is the buffer every gossip leg the node sends is built in.
+	legs []overlay.Descriptor
 }
 
 // clock is the cycle the node's state is read and stamped at: its own while
@@ -717,15 +719,25 @@ func (ln *liveNode) initiate(layer core.Layer, cycle int64) {
 	if layer == core.WUPLayer {
 		n.InjectRPSCandidates()
 	}
-	if target, push, tombs, ok := n.MakePush(layer, cycle); ok {
-		ln.runner.send(envelope{Kind: gossipKinds[layer].request, From: n.ID(), To: target, Descs: push, Tombs: tombs})
+	if target, push, tombs, ok := n.MakePush(layer, ln.legs[:0], cycle); ok {
+		ln.sendLeg(envelope{Kind: gossipKinds[layer].request, From: n.ID(), To: target, Descs: push, Tombs: tombs})
 	}
 }
 
 // answer runs the responder leg of a gossip exchange and sends the reply.
 func (ln *liveNode) answer(layer core.Layer, env envelope, cycle int64) {
-	reply, tombs := ln.node.AcceptPush(layer, env.Descs, env.Tombs, cycle)
-	ln.runner.send(envelope{Kind: gossipKinds[layer].reply, From: ln.node.ID(), To: env.From, Descs: reply, Tombs: tombs})
+	reply, tombs := ln.node.AcceptPush(layer, ln.legs[:0], env.Descs, env.Tombs, cycle)
+	ln.sendLeg(envelope{Kind: gossipKinds[layer].reply, From: ln.node.ID(), To: env.From, Descs: reply, Tombs: tombs})
+}
+
+// sendLeg sends a gossip leg built in ln.legs. send has encoded the
+// descriptors into a frame by the time it returns, so the buffer keeps its
+// capacity for the next leg but not its contents, which would pin profile
+// snapshots.
+func (ln *liveNode) sendLeg(env envelope) {
+	ln.runner.send(env)
+	clear(env.Descs)
+	ln.legs = env.Descs[:0]
 }
 
 // mergeTargets names the views a gossip frame's descriptors are merged into.

@@ -26,8 +26,8 @@ func TestGraveyardNoteFresherWins(t *testing.T) {
 	if !g.Contains(3) || g.Len() != 1 {
 		t.Fatalf("graveyard state after notes: len=%d contains=%v", g.Len(), g.Contains(3))
 	}
-	if got := g.AppendActive(nil); len(got) != 1 || got[0] != (Tombstone{Node: 3, Stamp: 12}) {
-		t.Fatalf("AppendActive = %v, want the freshest stamp", got)
+	if got := g.Active(); len(got) != 1 || got[0] != (Tombstone{Node: 3, Stamp: 12}) {
+		t.Fatalf("Active = %v, want the freshest stamp", got)
 	}
 }
 
@@ -46,78 +46,132 @@ func TestGraveyardExpireBoundary(t *testing.T) {
 	}
 }
 
-func TestGraveyardAppendActiveSorted(t *testing.T) {
+// TestGraveyardActiveSorted pins the piggyback order (node id) and that
+// Active hands out the set's own exact-size array, read-only: nothing can be
+// appended into it, and a change builds a new array instead of writing it.
+func TestGraveyardActiveSorted(t *testing.T) {
 	var g Graveyard
+	if g.Active() != nil {
+		t.Fatal("an empty graveyard must piggyback nil")
+	}
 	for _, id := range []news.NodeID{9, 2, 7, 4} {
 		g.Note(Tombstone{Node: id, Stamp: int64(id)})
 	}
-	got := g.AppendActive([]Tombstone{{Node: 100, Stamp: 1}})
-	if len(got) != 5 || got[0].Node != 100 {
-		t.Fatalf("AppendActive must append after dst: %v", got)
+	got := g.Active()
+	if len(got) != 4 || cap(got) != len(got) {
+		t.Fatalf("Active must be the exact-size set: len %d cap %d", len(got), cap(got))
 	}
-	for i := 2; i < len(got); i++ {
+	for i := 1; i < len(got); i++ {
 		if got[i-1].Node >= got[i].Node {
-			t.Fatalf("appended tombstones not sorted by node id: %v", got[1:])
+			t.Fatalf("active tombstones not sorted by node id: %v", got)
 		}
 	}
+	held := slices.Clone(got)
+	g.Note(Tombstone{Node: 7, Stamp: 20})
+	g.Note(Tombstone{Node: 5, Stamp: 20})
+	g.ExpireOlderThan(5)
+	if !slices.Equal(got, held) {
+		t.Fatalf("a published piggyback was written in place: %v, was %v", got, held)
+	}
+	if &g.Active()[0] == &got[0] {
+		t.Fatal("a changed set must live in a new array")
+	}
 	g.Clear()
-	if g.Len() != 0 {
+	if g.Len() != 0 || g.Active() != nil {
 		t.Fatal("Clear must drop all tombstones")
 	}
 }
 
-// TestGraveyardAppendFreshest pins the capped piggyback path: a cap that
-// does not truncate degrades to the full set in AppendActive's node-id
-// order, a truncating cap keeps the freshest stamps (node-id tiebreak), and
-// the cached orders are invalidated by Note/Expire/Clear.
-func TestGraveyardAppendFreshest(t *testing.T) {
+// TestGraveyardFreshest pins the capped piggyback path: a cap that does not
+// truncate degrades to the full set in Active's node-id order, a truncating
+// cap keeps the freshest stamps (node-id tiebreak), and the cached order is
+// rebuilt, never rewritten, after Note/Expire/Clear.
+func TestGraveyardFreshest(t *testing.T) {
 	var g Graveyard
-	if got := g.AppendFreshest(nil, 4); len(got) != 0 {
-		t.Fatalf("empty graveyard appended %v", got)
+	if got := g.Freshest(4); len(got) != 0 {
+		t.Fatalf("empty graveyard piggybacked %v", got)
 	}
 	g.Note(Tombstone{Node: 4, Stamp: 7})
 	g.Note(Tombstone{Node: 1, Stamp: 9})
 	g.Note(Tombstone{Node: 6, Stamp: 9})
 	g.Note(Tombstone{Node: 2, Stamp: 3})
 
-	// Uncapped (and any cap >= Len): identical to AppendActive.
+	// Uncapped (and any cap >= Len): identical to Active.
 	byNode := []Tombstone{{Node: 1, Stamp: 9}, {Node: 2, Stamp: 3}, {Node: 4, Stamp: 7}, {Node: 6, Stamp: 9}}
-	got := g.AppendFreshest([]Tombstone{{Node: 100, Stamp: 1}}, 0)
-	if len(got) != 5 || got[0].Node != 100 {
-		t.Fatalf("AppendFreshest must append after dst: %v", got)
+	if got := g.Freshest(0); !slices.Equal(got, byNode) || &got[0] != &g.Active()[0] {
+		t.Fatalf("uncapped: got %v, want the active set itself %v", got, byNode)
 	}
-	for i, w := range byNode {
-		if got[i+1] != w {
-			t.Fatalf("uncapped order: got %v, want node-id order %v", got[1:], byNode)
-		}
-	}
-	if wide := g.AppendFreshest(nil, 10); !slices.Equal(wide, byNode) {
+	if wide := g.Freshest(10); !slices.Equal(wide, byNode) {
 		t.Fatalf("non-truncating cap must match the uncapped order: %v", wide)
 	}
 	// A truncating cap keeps the freshest, ties broken by node id.
 	byFresh := []Tombstone{{Node: 1, Stamp: 9}, {Node: 6, Stamp: 9}, {Node: 4, Stamp: 7}}
-	if capped := g.AppendFreshest(nil, 3); !slices.Equal(capped, byFresh) {
-		t.Fatalf("cap of 3: got %v, want %v", capped, byFresh)
+	capped := g.Freshest(3)
+	if !slices.Equal(capped, byFresh) || cap(capped) != 3 {
+		t.Fatalf("cap of 3: got %v (cap %d), want %v", capped, cap(capped), byFresh)
 	}
 
-	// A fresher note must displace the cached heads.
+	// A fresher note must displace the cached heads, in a new array.
 	g.Note(Tombstone{Node: 2, Stamp: 11})
-	if head := g.AppendFreshest(nil, 1); len(head) != 1 || head[0] != (Tombstone{Node: 2, Stamp: 11}) {
-		t.Fatalf("fresh cache not invalidated by Note: head %v", head)
+	if head := g.Freshest(1); len(head) != 1 || head[0] != (Tombstone{Node: 2, Stamp: 11}) {
+		t.Fatalf("fresh order not rebuilt after Note: head %v", head)
 	}
-	if full := g.AppendFreshest(nil, 0); len(full) != 4 || full[1] != (Tombstone{Node: 2, Stamp: 11}) {
-		t.Fatalf("node-id cache not invalidated by Note: %v", full)
+	if !slices.Equal(capped, byFresh) {
+		t.Fatalf("a published capped piggyback was written in place: %v", capped)
+	}
+	if full := g.Freshest(0); len(full) != 4 || full[1] != (Tombstone{Node: 2, Stamp: 11}) {
+		t.Fatalf("node-id order not updated by Note: %v", full)
 	}
 	// Expiry must drop from the cached order too.
 	g.ExpireOlderThan(9)
-	for _, tb := range g.AppendFreshest(nil, 0) {
+	for _, tb := range g.Freshest(0) {
 		if tb.Stamp < 9 {
 			t.Fatalf("expired tombstone still piggybacked: %v", tb)
 		}
 	}
 	g.Clear()
-	if got := g.AppendFreshest(nil, 0); len(got) != 0 {
-		t.Fatalf("cleared graveyard appended %v", got)
+	if got := g.Freshest(0); len(got) != 0 {
+		t.Fatalf("cleared graveyard piggybacked %v", got)
+	}
+}
+
+// TestGraveyardAbsorbAdopts pins the three outcomes of a whole-list absorb:
+// a list that adds nothing leaves the set's array as it is, a list that is
+// the merged result becomes the set (its array adopted, not copied), and any
+// other list is merged into a new array with the list left untouched.
+func TestGraveyardAbsorbAdopts(t *testing.T) {
+	var g Graveyard
+	g.Note(Tombstone{Node: 2, Stamp: 5})
+	g.Note(Tombstone{Node: 6, Stamp: 5})
+	before := g.Active()
+
+	g.Absorb([]Tombstone{{Node: 2, Stamp: 4}, {Node: 6, Stamp: 5}}, 0, 0)
+	if &g.Active()[0] != &before[0] {
+		t.Fatal("a list that adds nothing must leave the set's array alone")
+	}
+
+	sender := []Tombstone{{Node: 2, Stamp: 5}, {Node: 4, Stamp: 6}, {Node: 6, Stamp: 7}}
+	g.Absorb(sender, 0, 0)
+	if got := g.Active(); !slices.Equal(got, sender) || &got[0] != &sender[0] {
+		t.Fatalf("the merged result equals the list: want it adopted, got %v", got)
+	}
+
+	other := []Tombstone{{Node: 9, Stamp: 8}, {Node: 1, Stamp: 8}} // unsorted: capped, freshest first
+	held := slices.Clone(other)
+	g.Absorb(other, 0, 0)
+	want := []Tombstone{{Node: 1, Stamp: 8}, {Node: 2, Stamp: 5}, {Node: 4, Stamp: 6}, {Node: 6, Stamp: 7}, {Node: 9, Stamp: 8}}
+	if got := g.Active(); !slices.Equal(got, want) || cap(got) != len(want) {
+		t.Fatalf("merge: got %v (cap %d), want %v", got, cap(got), want)
+	}
+	if !slices.Equal(other, held) || !slices.Equal(sender, []Tombstone{{Node: 2, Stamp: 5}, {Node: 4, Stamp: 6}, {Node: 6, Stamp: 7}}) {
+		t.Fatal("an absorbed or adopted list was written")
+	}
+
+	// A list carrying self or an expired tombstone is filtered, never adopted.
+	var h Graveyard
+	h.Absorb([]Tombstone{{Node: 3, Stamp: 1}, {Node: 5, Stamp: 9}, {Node: 7, Stamp: 9}}, 7, 2)
+	if got := h.Active(); !slices.Equal(got, []Tombstone{{Node: 5, Stamp: 9}}) {
+		t.Fatalf("self and expired tombstones must be filtered out: %v", got)
 	}
 }
 

@@ -18,6 +18,7 @@ package rps
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 
 	"whatsup/internal/news"
@@ -89,23 +90,37 @@ func (p *Protocol) SelectPeer() (overlay.Descriptor, bool) {
 	return p.view.Oldest()
 }
 
-// MakePush assembles the request payload: the node's fresh descriptor plus a
-// random half of its view (the typical parameter in such protocols,
-// Section II).
-func (p *Protocol) MakePush(self overlay.Descriptor) []overlay.Descriptor {
+// AppendPush appends the request payload to dst: the node's fresh
+// descriptor plus a random half of its view (the typical parameter in such
+// protocols, Section II).
+//
+//whatsup:hotpath
+func (p *Protocol) AppendPush(dst []overlay.Descriptor, self overlay.Descriptor) []overlay.Descriptor {
 	half := p.view.Len() / 2
-	push := make([]overlay.Descriptor, 0, half+1)
-	push = append(push, self)
-	return p.view.AppendRandomSample(push, p.rng, half)
+	dst = slices.Grow(dst, half+1)
+	dst = append(dst, self) //whatsup:alloc arena growth, decided by the Grow above: none once dst has the room
+	return p.view.AppendRandomSample(dst, p.rng, half)
 }
 
-// AcceptPush handles an incoming exchange request at the responder: it
-// builds the symmetric reply (own fresh descriptor plus half the view,
-// sampled before merging) and then merges the received entries.
-func (p *Protocol) AcceptPush(push []overlay.Descriptor, self overlay.Descriptor) (reply []overlay.Descriptor) {
-	reply = p.MakePush(self)
+// AppendReply handles an incoming exchange request at the responder: it
+// appends the symmetric reply (own fresh descriptor plus half the view,
+// sampled before merging) to dst and then merges the received entries.
+//
+//whatsup:hotpath
+func (p *Protocol) AppendReply(dst, push []overlay.Descriptor, self overlay.Descriptor) (reply []overlay.Descriptor) {
+	reply = p.AppendPush(dst, self)
 	p.merge(push)
 	return reply
+}
+
+// MakePush is AppendPush into a new slice.
+func (p *Protocol) MakePush(self overlay.Descriptor) []overlay.Descriptor {
+	return p.AppendPush(nil, self)
+}
+
+// AcceptPush is AppendReply into a new slice.
+func (p *Protocol) AcceptPush(push []overlay.Descriptor, self overlay.Descriptor) (reply []overlay.Descriptor) {
+	return p.AppendReply(nil, push, self)
 }
 
 // AcceptReply merges the responder's entries at the initiator.

@@ -234,3 +234,41 @@ func runChurnWorldCfg(n, items, cycles int, loss float64, seed int64, workers in
 	e.Run()
 	return col, e
 }
+
+// TestDepartureNoticesShareTombstonesAcrossWorkers runs a world of graceful
+// leavers announcing themselves on two workers, with gossip kept in memory
+// and routed across four shards: peers on different workers read one
+// another's tombstone arrays and adopt them, and no array is written once a
+// graveyard has published it. The race detector sees any such write; the
+// collector must match the serial run's bit for bit, and graveyards must
+// end up sharing arrays, or the test checks nothing.
+func TestDepartureNoticesShareTombstonesAcrossWorkers(t *testing.T) {
+	const peers, cycles = 100, 20
+	serial, refCol := leaverWorld(peers, cycles, 1, 1, leaverRate)
+	serial.Run()
+	ref := fingerprint(refCol)
+	if refCol.Messages(metrics.MsgDeparture) == 0 {
+		t.Fatal("the world must generate departure notices")
+	}
+	for _, shards := range []int{1, 4} {
+		e, col := leaverWorld(peers, cycles, 2, shards, leaverRate)
+		e.Run()
+		if got := fingerprint(col); got != ref {
+			t.Fatalf("workers 2 shards %d diverged from the serial run:\n--- want\n%s--- got\n%s", shards, ref, got)
+		}
+		seen := make(map[*overlay.Tombstone]bool)
+		shared := 0
+		for _, p := range onlinePeers(e) {
+			if tombs := p.Overlay().Tombstones(); len(tombs) > 0 {
+				if seen[&tombs[0]] {
+					shared++
+				}
+				seen[&tombs[0]] = true
+			}
+		}
+		if shared == 0 {
+			t.Fatalf("workers 2 shards %d: no two graveyards share a tombstone array (%d arrays)", shards, len(seen))
+		}
+		t.Logf("workers 2 shards %d: %d distinct tombstone arrays, %d graveyards sharing one", shards, len(seen), shared)
+	}
+}

@@ -1,12 +1,14 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
 
 	"whatsup/internal/core"
+	"whatsup/internal/metrics"
 	"whatsup/internal/news"
 )
 
@@ -15,20 +17,29 @@ import (
 // communities, 4 items a cycle, about 1 % of the population crashing per
 // cycle and back after 5, descriptor-TTL eviction on.
 func churnCycleWorld(peers, cycles, workers, shards int) *Engine {
+	e, _ := leaverWorld(peers, cycles, workers, shards, 0)
+	return e
+}
+
+// leaverWorld is churnCycleWorld plus graceful leaves at leaveRate a
+// peer-cycle which, when leaveRate > 0, announce themselves with departure
+// notices: the world whose graveyards fill and whose gossip legs carry
+// tombstones.
+func leaverWorld(peers, cycles, workers, shards int, leaveRate float64) (*Engine, *metrics.Collector) {
 	w := Communities(peers, 4, 4, cycles, "hp")
 	nodeCfg := core.Config{FLike: 6, RPSViewSize: 20, DescriptorTTL: 15}.ForPopulation(peers)
-	w.Churn = ChurnTrace(ChurnTraceConfig{Seed: 7, Nodes: peers, From: 1, To: int64(cycles), CrashRate: 0.01, Downtime: 5})
+	w.Churn = ChurnTrace(ChurnTraceConfig{Seed: 7, Nodes: peers, From: 1, To: int64(cycles), CrashRate: 0.01, LeaveRate: leaveRate, Downtime: 5})
 	w.NewPeer = func(id news.NodeID) Peer {
 		return core.NewNode(id, "", nodeCfg, w.Opinions, rand.New(rand.NewSource(1000+int64(id))))
 	}
-	e, _ := w.NewEngine(Config{Seed: 1, Cycles: cycles, BootstrapDegree: 5, Workers: workers, Shards: shards})
-	return e
+	return w.NewEngine(Config{Seed: 1, Cycles: cycles, BootstrapDegree: 5, Workers: workers, Shards: shards, DepartureNotices: leaveRate > 0})
 }
 
 // TestStepReleasesScratch is the engine half of "nothing pinned past its
 // use": the BEEP hop buffers and the gossip exchange table keep their
-// capacity between cycles but not their contents, so a finished cycle holds
-// no item profile, push, reply or tombstone slice alive.
+// capacity between cycles but not their contents, and the per-worker push
+// and reply arenas keep neither, so a finished cycle holds no item profile,
+// push, reply or tombstone slice alive.
 func TestStepReleasesScratch(t *testing.T) {
 	const cycles = 12
 	for _, c := range []struct{ workers, shards int }{{1, 1}, {2, 4}} {
@@ -46,6 +57,17 @@ func TestStepReleasesScratch(t *testing.T) {
 			}
 			allZero("batch", e.batch[:cap(e.batch)])
 			allZero("exs", e.exs[:cap(e.exs)])
+			if len(e.pushArenas) != c.workers || len(e.replyArenas) != c.workers {
+				t.Fatalf("workers %d: %d push and %d reply arenas, want one of each per worker", c.workers, len(e.pushArenas), len(e.replyArenas))
+			}
+			for w := range e.pushArenas {
+				if e.pushArenas[w].descs != nil || e.replyArenas[w].descs != nil {
+					t.Fatalf("workers %d shards %d cycle %d: worker %d's leg arena survived the round", c.workers, c.shards, e.Now(), w)
+				}
+				if e.pushArenas[w].hint == [2]int{} || e.replyArenas[w].hint == [2]int{} {
+					t.Fatalf("workers %d shards %d cycle %d: worker %d built no leg; the test checks nothing", c.workers, c.shards, e.Now(), w)
+				}
+			}
 			sent := 0
 			for _, buf := range e.sendBufs {
 				allZero("sendBufs", buf[:cap(buf)])
@@ -57,6 +79,11 @@ func TestStepReleasesScratch(t *testing.T) {
 		}
 	}
 }
+
+// leaverRate is the leave rate of TestSimHeapPerPeerBudget's graveyard
+// case, a peer-cycle: five times the benchmark's sim-churn rate, so that the
+// tombstone sets are a share of the heap its 1.25 × margin can see.
+const leaverRate = 0.005
 
 // collectedHeap forces a collection and returns the bytes that survive it.
 func collectedHeap() int64 {
@@ -71,7 +98,9 @@ func collectedHeap() int64 {
 // world adds, read the way the benchmark reads it (after a forced collection,
 // the engine still reachable), must stay within 1.25 × the recorded figure.
 // The Workers 2 × Shards 4 case runs the merges on two worker goroutines that
-// borrow from the one merge-scratch pool.
+// borrow from the one merge-scratch pool. The third case adds graceful leaves
+// announced by departure notices (leaverRate), which the other two never
+// see: its graveyards fill, and tombstones ride every gossip leg.
 //
 // Recorded (go1.24, linux/amd64): 3.32 KB/peer serial and 6.89 KB/peer at
 // Workers 2 × Shards 4, with 24-byte descriptors, each WUP view's similarity
@@ -86,25 +115,38 @@ func collectedHeap() int64 {
 // The serial case's 1.25 × margin catches every one of them but the address,
 // which overlay's TestDescriptorSize pins instead. TestSimSoakHeapFlat
 // catches the seen map too: a set that never forgets grows every window.
+//
+// Recorded for the graveyard case: 3.53 KB/peer with immutable tombstone
+// sets that receivers adopt and share, against 5.15 when every piggyback
+// was a fresh copy and every graveyard grew its own array by doubling.
 func TestSimHeapPerPeerBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime inflates the heap")
 	}
 	const peers, cycles = 1000, 30
+	budget := func(what string, recordedKB float64, world func() *Engine) {
+		before := collectedHeap()
+		e := world()
+		e.Run()
+		perPeerKB := float64(collectedHeap()-before) / 1024 / peers
+		runtime.KeepAlive(e)
+		t.Logf("%s: %.2f KB/peer after %d cycles (recorded %.2f)", what, perPeerKB, cycles, recordedKB)
+		if perPeerKB > 1.25*recordedKB {
+			t.Errorf("%s: sim heap %.2f KB/peer exceeds 1.25 × the recorded %.2f", what, perPeerKB, recordedKB)
+		}
+	}
 	for _, c := range []struct {
 		workers, shards int
 		recordedKB      float64
 	}{{1, 1, 3.32}, {2, 4, 6.89}} {
-		before := collectedHeap()
-		e := churnCycleWorld(peers, cycles, c.workers, c.shards)
-		e.Run()
-		perPeerKB := float64(collectedHeap()-before) / 1024 / peers
-		runtime.KeepAlive(e)
-		t.Logf("workers %d shards %d: %.2f KB/peer after %d cycles (recorded %.2f)", c.workers, c.shards, perPeerKB, cycles, c.recordedKB)
-		if perPeerKB > 1.25*c.recordedKB {
-			t.Errorf("workers %d shards %d: sim heap %.2f KB/peer exceeds 1.25 × the recorded %.2f", c.workers, c.shards, perPeerKB, c.recordedKB)
-		}
+		budget(fmt.Sprintf("workers %d shards %d", c.workers, c.shards), c.recordedKB, func() *Engine {
+			return churnCycleWorld(peers, cycles, c.workers, c.shards)
+		})
 	}
+	budget("workers 1 shards 1, graceful leaves with departure notices", 3.53, func() *Engine {
+		e, _ := leaverWorld(peers, cycles, 1, 1, leaverRate)
+		return e
+	})
 }
 
 // TestSimSoakHeapFlat is the long-horizon check on a node's memory: a
