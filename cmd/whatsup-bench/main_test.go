@@ -81,9 +81,9 @@ func TestRunRejectsUnknownTransport(t *testing.T) {
 	}
 }
 
-// TestRunRejectsUnknownExperiment includes "hotpath": the hot-path
-// microbenchmarks are `go test -bench BenchmarkHotPath ./internal/experiments/`
-// only, and the CLI no longer knows the name.
+// TestRunRejectsUnknownExperiment includes "hotpath": the hot-path costs
+// are pinned by TestHotPathPinned in internal/experiments, and the CLI no
+// longer knows the name.
 func TestRunRejectsUnknownExperiment(t *testing.T) {
 	for _, name := range []string{"nope", "hotpath"} {
 		var out, errOut strings.Builder

@@ -305,7 +305,9 @@ func (s *Substrate) AcceptReply(l Layer, reply []overlay.Descriptor, tombs []ove
 // absorb applies a piggybacked tombstone list: the graveyard notes it in one
 // pass (adopting the sender's array when the result is that list), and every
 // leaver it names is evicted from both views — exactly a NoteDeparture per
-// tombstone.
+// tombstone. A list that leaves the set as it was needs no eviction: each
+// leaver it names that applies is already held, and no merge admits a held
+// node.
 //
 //whatsup:hotpath
 func (s *Substrate) absorb(tombs []overlay.Tombstone, now int64) {
@@ -313,7 +315,9 @@ func (s *Substrate) absorb(tombs []overlay.Tombstone, now int64) {
 		return
 	}
 	minStamp := now - s.departureHorizon()
-	s.grave.Absorb(tombs, s.id, minStamp)
+	if !s.grave.Absorb(tombs, s.id, minStamp) {
+		return
+	}
 	for _, t := range tombs {
 		if t.Applies(s.id, minStamp) {
 			s.forget(t.Node)

@@ -204,30 +204,6 @@ func TestFig8WithLiveRuns(t *testing.T) {
 	}
 }
 
-// BenchmarkFig7Dynamics is Figure 7's smoke bench at a reduced shape; the
-// other exhibits' benches are in the root package's bench_test.go.
-func BenchmarkFig7Dynamics(b *testing.B) {
-	var wupConv float64
-	for i := 0; i < b.N; i++ {
-		r := fig7(benchOptions, fig7Shape{trials: 1, eventCycle: 15, totalCycles: 40, window: 10})
-		wupConv = float64(r.WhatsUp.JoinConvergence)
-	}
-	b.ReportMetric(wupConv, "join-convergence-cycles")
-}
-
-// BenchmarkFig8Deployment is Figure 8's simulation series at a reduced shape.
-func BenchmarkFig8Deployment(b *testing.B) {
-	var f1 float64
-	for i := 0; i < b.N; i++ {
-		r := fig8(benchOptions, fig8Shape{fanouts: []int{3, 6}, cycles: 20}, true)
-		f1 = r.Points[1].Simulation
-	}
-	b.ReportMetric(f1, "F1-sim-f6")
-}
-
-// benchOptions are the exhibit benches' options, as in bench_test.go.
-var benchOptions = Options{Seed: 1, Scale: 0.1, Workers: 2}
-
 func TestLiveRunChannelTransport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live runs in -short mode")

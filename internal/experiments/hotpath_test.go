@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"whatsup/internal/core"
@@ -11,18 +12,17 @@ import (
 	"whatsup/internal/sim"
 )
 
-// The hot-path benchmark family measures the per-event costs the rest of
-// the system is built on (the zero-allocation work): the single-pass profile
-// merge as a liker folds into the item profile it was handed, a profile
-// copy and its first edit, a similarity trim with and without the view's
-// survivor score cache, and the full BEEP receive-liked path. It is fixture code, not product, so it lives
-// in this test file beside its only callers: BenchmarkHotPath, whose
-// allocs/op and B/op the CI benchdiff gate compares against the committed
-// bench_baseline.txt (ns/op is printed, never gated), the receive-liked
-// allocation pin below, and — through hotPathWorld, one gossip cycle of a
-// community world, plain, under churn and sharded — the hotpath cases of
-// TestDriverOutputsPinned and BenchmarkFlashCrowd's engine sizing. What a
-// whole cycle costs is benchmark/'s to measure, end to end.
+// The hot-path fixtures build the per-event work the rest of the system is
+// built on (the zero-allocation work): the single-pass profile merge as a
+// liker folds into the item profile it was handed, a profile copy and its
+// first edit, a similarity trim with and without the view's survivor score
+// cache, and the full BEEP receive-liked path. TestHotPathPinned pins each
+// one's allocs/op and B/op exactly; ns/op is benchmark/'s per-layer
+// kernels' to measure. They are fixture code, not product, so they live in
+// this test file beside their callers, with hotPathWorld — one gossip cycle
+// of a community world, plain, under churn and sharded — behind the hotpath
+// cases of TestDriverOutputsPinned and BenchmarkFlashCrowd's engine sizing.
+// What a whole cycle costs is benchmark/'s to measure, end to end.
 const (
 	// hotPathItems is the number of items hotPathWorld publishes per cycle.
 	hotPathItems = 4
@@ -122,95 +122,111 @@ func hotPathWorld(peers int, eng EngineOptions, churn bool) *sim.Engine {
 	return e
 }
 
-// BenchmarkHotPath runs the family. The five scenario names are the keys of
-// bench_baseline.txt, which is the output of
-//
-//	go test -run '^$' -bench BenchmarkHotPath -benchmem ./internal/experiments/
-//
-// and whatsup-benchdiff fails when a candidate's scenario set differs from it.
-func BenchmarkHotPath(b *testing.B) {
-	b.Run("merge", func(b *testing.B) {
+// hotPathPins are the per-event costs, exact: allocs/op and B/op of each
+// scenario after a warm-up. Allocation counts and sizes are deterministic, so
+// any drift is a change in what the path allocates. receive-liked's three
+// are the liker's own item profile (the struct and its merged entry array —
+// the incoming profile is shared with the forward's other paths and never
+// written) and the sends slice the targets are drawn straight into. The
+// count holds at every fanout the drivers use, up to
+// Fig. 9's top: a target buffer that fit only small fanouts (a fixed [8]
+// array) would add one at fLIKE 10 and 14. pooled marks the scenarios that
+// borrow scratch from a sync.Pool, which the race detector empties at
+// random: they are checked only without it.
+var hotPathPins = []struct {
+	name          string
+	allocs, bytes uint64
+	pooled        bool
+	event         func() func()
+}{
+	{"merge", 1, 1792, false, func() func() {
 		item, user := hotPathProfiles()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			item.Merged(user)
-		}
-	})
-	b.Run("clone-diverge", func(b *testing.B) {
+		return func() { item.Merged(user) }
+	}},
+	{"clone-diverge", 1, 640, false, func() func() {
 		item, _ := hotPathProfiles()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
+		i := 0
+		return func() {
+			i++
 			c := item.Clone()
 			c.Set(news.ID(i), 1, 1)
 		}
-	})
-	b.Run("similarity-uncached", func(b *testing.B) {
+	}},
+	{"similarity-uncached", 0, 0, true, func() func() {
 		v, descs, self := hotPathView()
 		rng := rand.New(rand.NewSource(2))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
+		i := 0
+		return func() {
+			i++
 			self.Set(news.ID(500+i%3), int64(i), 1) // version bump: cold cache
 			v.InsertAll(descs, 99)
 			v.TrimBySimilarity(rng, profile.WUP{}, self)
 		}
-	})
-	b.Run("similarity-cached", func(b *testing.B) {
+	}},
+	{"similarity-cached", 0, 0, true, func() func() {
 		v, descs, self := hotPathView()
 		rng := rand.New(rand.NewSource(2))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
+		return func() {
 			v.InsertAll(descs, 99)
 			v.TrimBySimilarity(rng, profile.WUP{}, self)
 		}
-	})
-	b.Run("receive-liked", func(b *testing.B) {
-		n, tmpl := hotPathReceiver(6)
-		now := int64(60)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			now++
-			n.BeginCycle(now)
-			it := news.Item{ID: news.ID(1<<20 + i), Title: "t", Created: now}
-			n.Receive(core.ItemMessage{Item: it, Profile: tmpl, Hops: 1}, now)
-		}
-	})
+	}},
+	{"receive-liked/fLIKE6", 3, 2992, false, receiveLiked(6)},
+	{"receive-liked/fLIKE10", 3, 3504, false, receiveLiked(10)},
+	{"receive-liked/fLIKE14", 3, 4144, false, receiveLiked(14)},
 }
 
-// receiveLikedAllocs pins the per-receive allocation count of the liked BEEP
-// path: the liker's own item profile (the struct and its merged entry array —
-// the incoming profile is shared with the forward's other paths and never
-// written) and the sends slice the targets are drawn straight into. The
-// pre-copy-on-write implementation measured ~20 allocs/op on this workload
-// shape (entry-at-a-time AverageIn, deep clones for every path, rng.Perm
-// targets), copy-on-write clones ~8; every path now shares one profile. The
-// pin is exact at every fanout the drivers use, up to Fig. 9's top: a target
-// buffer that fits only small fanouts (a fixed [8] array) adds one at fLIKE
-// 10 and 14. The test lives next to hotPathReceiver so the pinned workload
-// is the same scenario the BenchmarkHotPath/receive-liked CI gate measures —
-// the two cannot drift apart.
-const receiveLikedAllocs = 3
-
-func TestReceiveLikedAllocsPinned(t *testing.T) {
-	for _, fLike := range []int{6, 10, 14} {
+// receiveLiked is the receive-liked event at fanout fLike: one cycle begins
+// and one fresh item arrives, on a receiver already warmed by 50 of them, as
+// a long-running node would be.
+func receiveLiked(fLike int) func() func() {
+	return func() func() {
 		n, tmpl := hotPathReceiver(fLike)
-		next := int64(1 << 20)
-		now := int64(60)
-		receiveOne := func() {
+		next, now := int64(1<<20), int64(60)
+		receive := func() {
 			next++
 			now++
 			n.BeginCycle(now)
 			it := news.Item{ID: news.ID(next), Title: "t", Created: now}
 			n.Receive(core.ItemMessage{Item: it, Profile: tmpl, Hops: 1}, now)
 		}
-		// Warm the merge scratch before measuring, as a long-running node
-		// would be.
 		for i := 0; i < 50; i++ {
-			receiveOne()
+			receive()
 		}
-		if avg := testing.AllocsPerRun(300, receiveOne); avg != receiveLikedAllocs {
-			t.Errorf("fLIKE %d: receive-liked path allocates %.1f/op, pinned at %d", fLike, avg, receiveLikedAllocs)
-		}
+		return receive
 	}
+}
+
+func TestHotPathPinned(t *testing.T) {
+	for _, pin := range hotPathPins {
+		t.Run(pin.name, func(t *testing.T) {
+			if pin.pooled && raceEnabled {
+				t.Skip("the race detector drops pooled scratch at random")
+			}
+			allocs, bytes := perRun(300, pin.event())
+			if allocs != pin.allocs || bytes != pin.bytes {
+				t.Errorf("%d allocs/op, %d B/op; pinned at %d, %d", allocs, bytes, pin.allocs, pin.bytes)
+			}
+		})
+	}
+}
+
+// perRun measures f as testing.AllocsPerRun does — one warm-up call, then
+// the heap's counters over runs calls on one P, divided as integers — and
+// reports bytes beside allocations. A collection first keeps the runs clear
+// of the next one, which allocates on its own account: one that fell inside
+// the fLIKE 14 runs added 7 allocations and 752 bytes, a stray 2 B/op.
+func perRun(runs int, f func()) (allocs, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / uint64(runs), (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }
 
 // snapshotOf is p packed, by address, as a descriptor holds it.

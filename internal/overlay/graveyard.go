@@ -131,17 +131,17 @@ func (g *Graveyard) Note(t Tombstone) bool {
 }
 
 // Absorb notes a whole piggybacked list in one pass, skipping the tombstones
-// that do not apply to node self at minStamp (Tombstone.Applies). The result
-// is the set a Note of each applicable tombstone in list order would leave,
-// whatever the list's order. A list that changes nothing costs nothing. When
-// the result equals the list itself — it is sorted by node id, holds every
-// tombstone the set holds, none of them staler — the graveyard adopts the
-// list's array instead of copying it: the list must never be written again.
-// Otherwise the set is rebuilt in one new array, exact-size unless the list
-// names a node twice.
+// that do not apply to node self at minStamp (Tombstone.Applies), and
+// reports whether the set changed. The result is the set a Note of each
+// applicable tombstone in list order would leave, whatever the list's order.
+// A list that changes nothing costs nothing. When the result equals the list
+// itself — it is sorted by node id, holds every tombstone the set holds, none
+// of them staler — the graveyard adopts the list's array instead of copying
+// it: the list must never be written again. Otherwise the set is rebuilt in
+// one new array, exact-size unless the list names a node twice.
 //
 //whatsup:hotpath
-func (g *Graveyard) Absorb(list []Tombstone, self news.NodeID, minStamp int64) {
+func (g *Graveyard) Absorb(list []Tombstone, self news.NodeID, minStamp int64) bool {
 	added, changed, adoptable := 0, false, true
 	for k, t := range list {
 		if !t.Applies(self, minStamp) {
@@ -163,11 +163,11 @@ func (g *Graveyard) Absorb(list []Tombstone, self news.NodeID, minStamp int64) {
 		}
 	}
 	if !changed {
-		return
+		return false
 	}
 	if adoptable && len(g.active)+added == len(list) {
 		g.set(slices.Clip(list))
-		return
+		return true
 	}
 	next := g.withRoom(added)
 	for _, t := range list {
@@ -176,6 +176,7 @@ func (g *Graveyard) Absorb(list []Tombstone, self news.NodeID, minStamp int64) {
 		}
 	}
 	g.set(slices.Clip(next))
+	return true
 }
 
 // ExpireOlderThan drops every tombstone whose stamp is strictly older than

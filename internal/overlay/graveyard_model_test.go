@@ -89,7 +89,8 @@ func randomList(ops *rand.Rand, m modelGraveyard, nodes int, stamp int64) []Tomb
 
 // TestGraveyardMatchesMapBackedModel drives the Graveyard and the map-backed
 // model through the same random Note/Absorb/ExpireOlderThan/Clear sequences:
-// after every operation both report the same results and the same
+// after every operation both report the same results (Absorb's is whether
+// the model's set differs from before) and the same
 // membership, size, full piggyback and capped piggyback at caps that do and
 // do not truncate. A whole-list Absorb must leave what a Note loop over the
 // list's applicable tombstones leaves, and adopt the list whenever all of it
@@ -126,7 +127,7 @@ func TestGraveyardMatchesMapBackedModel(t *testing.T) {
 				}
 				publish(list)
 				before := m.byNode()
-				g.Absorb(list, self, minStamp)
+				changed := g.Absorb(list, self, minStamp)
 				applies := true
 				for _, tb := range list {
 					if tb.Applies(self, minStamp) {
@@ -135,7 +136,11 @@ func TestGraveyardMatchesMapBackedModel(t *testing.T) {
 						applies = false
 					}
 				}
-				if got, after := g.Active(), m.byNode(); applies && !slices.Equal(before, after) && slices.Equal(after, list) {
+				after := m.byNode()
+				if want := !slices.Equal(before, after); changed != want {
+					t.Fatalf("seed %d step %d: Absorb(%v) reported changed %v, model %v", seed, step, list, changed, want)
+				}
+				if got := g.Active(); applies && changed && slices.Equal(after, list) {
 					if &got[0] != &list[0] {
 						t.Fatalf("seed %d step %d: Absorb(%v) changed the set to exactly the list but copied it", seed, step, list)
 					}
