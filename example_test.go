@@ -23,16 +23,6 @@ func ExampleNewSimulation() {
 	// quality in range: true
 }
 
-// ExampleNewItem shows that item identifiers derive from content, so
-// receivers can recompute them instead of trusting the sender (paper II-A).
-func ExampleNewItem() {
-	a := whatsup.NewItem("Breaking", "short description", "https://example.org", 1, 7)
-	b := whatsup.NewItem("Breaking", "short description", "https://example.org", 99, 3)
-	fmt.Println("same content, same id:", a.ID == b.ID)
-	// Output:
-	// same content, same id: true
-}
-
 // ExampleOpinionFunc adapts an ordinary function as the like/dislike source
 // for a node.
 func ExampleOpinionFunc() {

@@ -155,7 +155,9 @@ func TestBaselineCrashWipesViews(t *testing.T) {
 			for i := 0; i < n; i++ {
 				peers[i] = mk(i)
 			}
-			e := sim.New(sim.Config{Seed: 11, Cycles: 10, BootstrapDegree: 4}, peers, metrics.NewCollector())
+			var schedule sim.ChurnSchedule
+			schedule.Add(3, sim.ChurnCrash, 0).Add(4, sim.ChurnRejoin, 0)
+			e := sim.New(sim.Config{Seed: 11, Cycles: 10, BootstrapDegree: 4, Churn: schedule}, peers, metrics.NewCollector())
 			e.Bootstrap()
 			e.Step()
 			e.Step()
@@ -164,8 +166,9 @@ func TestBaselineCrashWipesViews(t *testing.T) {
 				t.Fatal("pre-crash RPS view empty; nothing to exercise")
 			}
 			pre := p.RPS().View().Nodes()
-			if !e.Crash(0) {
-				t.Fatal("crash must succeed")
+			e.Step()
+			if st, _ := e.State(0); st != sim.Offline {
+				t.Fatalf("state after the scheduled crash = %v", st)
 			}
 			if got := p.RPS().View().Len(); got != 0 {
 				t.Fatalf("crashed peer still holds %d RPS descriptors (pre-crash: %v)", got, pre)
@@ -173,8 +176,9 @@ func TestBaselineCrashWipesViews(t *testing.T) {
 			if p.WUP() != nil && p.WUP().View().Len() != 0 {
 				t.Fatalf("crashed CF peer still holds %d kNN descriptors", p.WUP().View().Len())
 			}
-			if !e.Rejoin(0) {
-				t.Fatal("rejoin must succeed")
+			e.Step()
+			if st, _ := e.State(0); st != sim.Online {
+				t.Fatalf("state after the scheduled rejoin = %v", st)
 			}
 			if p.RPS().View().Len() == 0 {
 				t.Fatal("rejoin must re-seed the RPS view from the online population")

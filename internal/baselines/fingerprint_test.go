@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"whatsup/internal/core"
 	"whatsup/internal/dataset"
 	"whatsup/internal/metrics"
 	"whatsup/internal/news"
@@ -39,7 +40,7 @@ func collectorHash(c *metrics.Collector) string {
 // the same draws in the same order as the originals.
 func TestBaselineFingerprintsPinned(t *testing.T) {
 	ds := dataset.Survey(dataset.SurveyConfig{Seed: 5, Scale: 0.3})
-	op := ds.Opinions()
+	op := core.OpinionFunc(ds.Likes)
 	build := map[string]func(id news.NodeID, window int64, rng *rand.Rand) sim.Peer{
 		"Gossip": func(id news.NodeID, _ int64, rng *rand.Rand) sim.Peer { return NewGossip(id, 4, 0, op, rng) },
 		"CF-Wup": func(id news.NodeID, w int64, rng *rand.Rand) sim.Peer {
@@ -100,7 +101,7 @@ func TestBaselineFingerprintsPinned(t *testing.T) {
 				if col.Messages(metrics.MsgBeep) == 0 || col.Recall() == 0 {
 					t.Fatal("the run disseminated nothing; the pin would be vacuous")
 				}
-				if world == "churn" && e.OnlineCount() == e.MemberCount() {
+				if world == "churn" && e.OnlineCount() == len(e.Peers()) {
 					t.Fatal("the trace removed nobody; the churn pin would be vacuous")
 				}
 				if got := collectorHash(col); got != want[name] {

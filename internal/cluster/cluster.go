@@ -49,12 +49,6 @@ func New(self news.NodeID, _ string, viewSize int, metric profile.Metric, rng *r
 	}
 }
 
-// Self returns the node this protocol instance belongs to.
-func (p *Protocol) Self() news.NodeID { return p.self }
-
-// Metric returns the similarity metric in use.
-func (p *Protocol) Metric() profile.Metric { return p.metric }
-
 // View exposes the underlying view; descriptors are immutable.
 func (p *Protocol) View() *overlay.View { return p.view }
 

@@ -26,7 +26,6 @@ func TestDescriptorSnapshotNeverStale(t *testing.T) {
 	}{
 		{"Set", func(p *profile.Profile) { p.Set(1, 5, 1); p.Set(2, 6, 0); p.Set(3, 7, 1) }},
 		{"MergeAverage", func(p *profile.Profile) { p.MergeAverage(other) }},
-		{"Remove", func(p *profile.Profile) { p.Remove(1) }},
 		{"PurgeOlderThan", func(p *profile.Profile) { p.PurgeOlderThan(9) }},
 	}
 	user := s.UserProfile()

@@ -82,18 +82,18 @@ func TestUserProfileScoresAreBinary(t *testing.T) {
 			it.ID = news.ID(raw % 64) // force duplicates
 			n.Receive(ItemMessage{Item: it, Profile: profile.New(), Hops: 1}, int64(i))
 		}
-		ok := true
-		seen := map[news.ID]bool{}
-		n.UserProfile().ForEach(func(e profile.Entry) {
-			if e.Score != 0 && e.Score != 1 {
-				ok = false
+		// Every entry's id is below 64: one entry per id found there, and
+		// no more entries than that, means no id holds two.
+		found := 0
+		for id := news.ID(0); id < 64; id++ {
+			if e, ok := n.UserProfile().Get(id); ok {
+				if e.Score != 0 && e.Score != 1 {
+					return false
+				}
+				found++
 			}
-			if seen[e.Item] {
-				ok = false
-			}
-			seen[e.Item] = true
-		})
-		return ok
+		}
+		return found == n.UserProfile().Len()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -117,13 +117,17 @@ func TestItemProfileScoresBounded(t *testing.T) {
 			it.ID = news.ID(1000 + h)
 			n.Receive(ItemMessage{Item: it, Profile: ip, Hops: h}, int64(h))
 		}
-		ok := true
-		ip.ForEach(func(e profile.Entry) {
-			if e.Score < 0 || e.Score > 1 {
-				ok = false
+		// Entries are the likers' ids 0–7 and the items 1000 on.
+		found := 0
+		for _, id := range []news.ID{0, 1, 2, 3, 4, 5, 6, 7, 1000, 1001, 1002, 1003, 1004, 1005, 1006, 1007, 1008, 1009, 1010, 1011} {
+			if e, ok := ip.Get(id); ok {
+				if e.Score < 0 || e.Score > 1 {
+					return false
+				}
+				found++
 			}
-		})
-		return ok
+		}
+		return found == ip.Len()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)

@@ -125,10 +125,10 @@ func TestStaleItemDroppedUnwritten(t *testing.T) {
 		if !d.Duplicate || d.Liked || sends != nil {
 			t.Fatalf("stale item delivered: %+v, %d sends", d, len(sends))
 		}
-		if n.UserProfile().Version() != userVersion || n.UserProfile().Has(300) {
+		if n.UserProfile().Version() != userVersion || holds(n.UserProfile(), 300) {
 			t.Fatal("stale item wrote the user profile")
 		}
-		if itemProfile.Version() != itemVersion || !itemProfile.Has(1) {
+		if itemProfile.Version() != itemVersion || !holds(itemProfile, 1) {
 			t.Fatal("stale item's profile was written")
 		}
 		if n.Seen(300) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -43,7 +44,7 @@ func TestItemMessageWireRoundTrip(t *testing.T) {
 		if want == nil {
 			want = profile.New() // an absent item profile arrives empty, never nil
 		}
-		if got.Profile == nil || !got.Profile.Equal(want) {
+		if got.Profile == nil || !bytes.Equal(got.Profile.AppendWire(nil), want.AppendWire(nil)) {
 			t.Fatalf("%s: profile mismatch: got %v want %v", name, got.Profile, want)
 		}
 	}

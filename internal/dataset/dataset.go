@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"whatsup/internal/core"
 	"whatsup/internal/news"
 	"whatsup/internal/profile"
 )
@@ -139,11 +138,6 @@ func (d *Dataset) Likes(u news.NodeID, id news.ID) bool {
 		return false
 	}
 	return d.LikesIndex(int(u), idx)
-}
-
-// Opinions adapts the dataset to the protocol-facing interface.
-func (d *Dataset) Opinions() core.Opinions {
-	return core.OpinionFunc(d.Likes)
 }
 
 // ItemByID returns the dataset item with the given identifier.

@@ -3,6 +3,7 @@ package dataset
 import (
 	"testing"
 
+	"whatsup/internal/core"
 	"whatsup/internal/news"
 )
 
@@ -132,7 +133,7 @@ func TestSurveyStructure(t *testing.T) {
 
 func TestOpinionsAdapter(t *testing.T) {
 	d := Survey(SurveyConfig{Seed: 6, Scale: 0.05})
-	op := d.Opinions()
+	op := core.OpinionFunc(d.Likes)
 	found := false
 	for _, it := range d.Items {
 		if it.Interested > 0 {
@@ -199,7 +200,13 @@ func TestFullProfiles(t *testing.T) {
 		if p.Len() != len(d.Items) {
 			t.Fatalf("user %d profile covers %d of %d items", u, p.Len(), len(d.Items))
 		}
-		if p.Likes() != d.UserInterestCount(news.NodeID(u)) {
+		likes := 0
+		for _, it := range d.Items {
+			if e, _ := p.Get(it.News.ID); e.Score > 0 {
+				likes++
+			}
+		}
+		if likes != d.UserInterestCount(news.NodeID(u)) {
 			t.Fatalf("user %d likes mismatch", u)
 		}
 	}

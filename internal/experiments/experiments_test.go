@@ -32,9 +32,10 @@ func TestTable3ShapeHolds(t *testing.T) {
 	if len(r.Rows) != 5 {
 		t.Fatalf("rows=%d want 5", len(r.Rows))
 	}
-	gossip := r.Row("Gossip")
-	whatsup := r.Row("WhatsUp")
-	cfwup := r.Row("CF-Wup")
+	row := func(alg string) *Point { return find(r.Rows, func(p Point) bool { return p.Name() == alg }) }
+	gossip := row("Gossip")
+	whatsup := row("WhatsUp")
+	cfwup := row("CF-Wup")
 	if gossip == nil || whatsup == nil || cfwup == nil {
 		t.Fatal("missing rows")
 	}
@@ -49,10 +50,10 @@ func TestTable3ShapeHolds(t *testing.T) {
 	// the similarity-driven competitors (gossip at f=4 can be cheaper at
 	// tiny test scales; at paper scale it costs ~2× WhatsUp).
 	for _, name := range []string{"CF-Cos", "CF-Wup", "WhatsUp-Cos"} {
-		row := r.Row(name)
-		if whatsup.MsgsPerUser() > row.MsgsPerUser() {
+		other := row(name)
+		if whatsup.MsgsPerUser() > other.MsgsPerUser() {
 			t.Fatalf("WhatsUp (%0.f msgs/user) must be cheapest, %s costs %0.f",
-				whatsup.MsgsPerUser(), name, row.MsgsPerUser())
+				whatsup.MsgsPerUser(), name, other.MsgsPerUser())
 		}
 	}
 }
@@ -72,10 +73,13 @@ func TestTable4DislikePathContributes(t *testing.T) {
 
 func TestTable5Shapes(t *testing.T) {
 	r := Table5(tiny())
-	pubsub := r.Row("survey", "C-Pub/Sub")
-	wuSurvey := r.Row("survey", "WhatsUp")
-	cascade := r.Row("digg", "Cascade")
-	wuDigg := r.Row("digg", "WhatsUp")
+	row := func(dataset, approach string) *Point {
+		return find(r.Rows, func(p Point) bool { return p.Dataset.Name == dataset && p.Name() == approach })
+	}
+	pubsub := row("survey", "C-Pub/Sub")
+	wuSurvey := row("survey", "WhatsUp")
+	cascade := row("digg", "Cascade")
+	wuDigg := row("digg", "WhatsUp")
 	if pubsub == nil || wuSurvey == nil || cascade == nil || wuDigg == nil {
 		t.Fatal("missing Table V rows")
 	}
@@ -95,9 +99,12 @@ func TestTable6LossShape(t *testing.T) {
 	if len(r.Cells) != len(Table6LossRates)*len(Table6Fanouts) {
 		t.Fatalf("cells=%d", len(r.Cells))
 	}
-	clean6 := r.Cell(0, 6)
-	mid6 := r.Cell(0.20, 6)
-	heavy6 := r.Cell(0.50, 6)
+	cell := func(loss float64, fanout int) *Point {
+		return find(r.Cells, func(p Point) bool { return p.Loss == loss && p.Fanout == fanout })
+	}
+	clean6 := cell(0, 6)
+	mid6 := cell(0.20, 6)
+	heavy6 := cell(0.50, 6)
 	if clean6 == nil || mid6 == nil || heavy6 == nil {
 		t.Fatal("missing cells")
 	}
@@ -500,4 +507,14 @@ func TestEngineOptionsZeroValue(t *testing.T) {
 	if got := (ChurnBenchConfig{}).engine(sim.Config{}).Workers; got != 1 {
 		t.Errorf("ChurnBenchConfig zero value runs %d workers, want 1", got)
 	}
+}
+
+// find returns the first point the predicate accepts (nil if none).
+func find(pts []Point, match func(Point) bool) *Point {
+	for i := range pts {
+		if match(pts[i]) {
+			return &pts[i]
+		}
+	}
+	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"whatsup/internal/core"
+	"whatsup/internal/metrics"
 	"whatsup/internal/news"
 	"whatsup/internal/overlay"
 	"whatsup/internal/profile"
@@ -100,7 +101,7 @@ func hotPathView() (v *overlay.View, descs []overlay.Descriptor, self *profile.P
 // cycle, back after 5) with descriptor-TTL eviction active, so the pinned
 // cycles exercise the whole membership path: event application, view wipes,
 // bootstrap-from-online-sample and per-cycle eviction scans.
-func hotPathWorld(peers int, eng EngineOptions, churn bool) *sim.Engine {
+func hotPathWorld(peers int, eng EngineOptions, churn bool) (*sim.Engine, *metrics.Collector) {
 	const scheduledCycles = 2000
 	w := sim.Communities(peers, 4, hotPathItems, scheduledCycles, "hp")
 	nodeCfg := core.Config{FLike: 6, RPSViewSize: 20}.ForPopulation(peers)
@@ -118,8 +119,7 @@ func hotPathWorld(peers int, eng EngineOptions, churn bool) *sim.Engine {
 	w.NewPeer = func(id news.NodeID) sim.Peer {
 		return core.NewNode(id, "", nodeCfg, w.Opinions, rand.New(rand.NewSource(1000+int64(id))))
 	}
-	e, _ := w.NewEngine(eng.engine(sim.Config{Seed: 1, Cycles: scheduledCycles, BootstrapDegree: 5}))
-	return e
+	return w.NewEngine(eng.engine(sim.Config{Seed: 1, Cycles: scheduledCycles, BootstrapDegree: 5}))
 }
 
 // hotPathPins are the per-event costs, exact: allocs/op and B/op of each

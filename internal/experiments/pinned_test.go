@@ -77,8 +77,8 @@ func TestDriverOutputsPinned(t *testing.T) {
 		}},
 		{"hotpath/sharded-cycle", "8fbb930c99c8015159cb3d22f382705831f577b94d48dbf72c7a96bcad227d9f", func(t *testing.T) string {
 			// The serial hotpath/cycle's hash: sharding changes no draw.
-			e := hotPathWorld(300, EngineOptions{Shards: hotPathShards}, false)
-			digest := pinnedSteps(e)
+			e, col := hotPathWorld(300, EngineOptions{Shards: hotPathShards}, false)
+			digest := pinnedSteps(e, col)
 			// BatchBytes was 283 091 while every routed profile carried a
 			// 2-byte norm-accumulator trailer: 54 434 bytes over the 27 217
 			// profile-carrying descriptors routed (SnapshotsShared 23 276 +
@@ -116,11 +116,11 @@ func pinnedRun(alg Algorithm) string {
 	return collectorDigest(out.Col)
 }
 
-func pinnedSteps(e *sim.Engine) string {
+func pinnedSteps(e *sim.Engine, col *metrics.Collector) string {
 	for i := 0; i < 3; i++ {
 		e.Step()
 	}
-	return collectorDigest(e.Collector())
+	return collectorDigest(col)
 }
 
 // TestExhibitsPinned pins what each exhibit prints — the rendered String()

@@ -106,16 +106,6 @@ func bySeries[N ~string, T any](names []N, pts []T) []Series[T] {
 	return out
 }
 
-// find returns the first point the predicate accepts (nil if none).
-func find(pts []Point, match func(Point) bool) *Point {
-	for i := range pts {
-		if match(pts[i]) {
-			return &pts[i]
-		}
-	}
-	return nil
-}
-
 // Best returns the best-F1 point of a curve (the zero Point if none scores).
 func Best(pts []Point) Point {
 	var best Point

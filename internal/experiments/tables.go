@@ -55,11 +55,6 @@ func Table3(o Options) Table3Result {
 	return Table3Result{Rows: sweep(o, grid, quality)}
 }
 
-// Row returns the row for an algorithm name (nil if absent).
-func (r Table3Result) Row(alg string) *Point {
-	return find(r.Rows, func(p Point) bool { return p.Name() == alg })
-}
-
 // String renders the Table III rows; the param column is the tuned fanout
 // under the name the paper gives it for that algorithm.
 func (r Table3Result) String() string {
@@ -140,11 +135,6 @@ func Table5(o Options) Table5Result {
 	}, quality)}
 }
 
-// Row returns the row for (dataset, approach), or nil.
-func (r Table5Result) Row(dataset, approach string) *Point {
-	return find(r.Rows, func(p Point) bool { return p.Dataset.Name == dataset && p.Name() == approach })
-}
-
 // String renders the Table V rows.
 func (r Table5Result) String() string {
 	var b strings.Builder
@@ -183,11 +173,6 @@ func Table6(o Options) Table6Result {
 		}
 	}
 	return Table6Result{Cells: sweep(o, grid, quality)}
-}
-
-// Cell returns the cell at (loss, fanout), or nil.
-func (r Table6Result) Cell(loss float64, fanout int) *Point {
-	return find(r.Cells, func(p Point) bool { return p.Loss == loss && p.Fanout == fanout })
 }
 
 // String renders the Table VI grid.

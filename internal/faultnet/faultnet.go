@@ -89,10 +89,9 @@ func (pt *Partition) cuts(from, to news.NodeID, cycle int64) bool {
 
 // Policy is the per-link condition matrix. Links are classified by their
 // endpoints' node classes (AssignClass, default class 0); each ordered class
-// pair can carry its own Rule (SetRule), with Default covering the rest.
+// pair can carry its own Rule (SetRule); the rest are perfect links.
 // Partitions (AddPartition) overlay scheduled cuts on top of the rules.
 type Policy struct {
-	def        Rule
 	classes    map[news.NodeID]int
 	rules      map[[2]int]Rule
 	partitions []Partition
@@ -104,12 +103,6 @@ func New() *Policy {
 		classes: make(map[news.NodeID]int),
 		rules:   make(map[[2]int]Rule),
 	}
-}
-
-// SetDefault sets the rule for links with no class-pair rule.
-func (p *Policy) SetDefault(r Rule) *Policy {
-	p.def = r
-	return p
 }
 
 // AssignClass puts a node into a link class (class 0 is the default for
@@ -135,15 +128,9 @@ func (p *Policy) AddPartition(pt Partition) *Policy {
 	return p
 }
 
-// Empty reports whether the policy can never affect a message: no default
-// rule, no class rules and no partitions.
-func (p *Policy) Empty() bool {
-	return p == nil || (p.def == Rule{} && len(p.rules) == 0 && len(p.partitions) == 0)
-}
-
 // Link returns the merged condition of the directed link at the cycle.
 func (p *Policy) Link(from, to news.NodeID, cycle int64) LinkState {
-	ls := LinkState{Rule: p.def}
+	var ls LinkState
 	if len(p.rules) > 0 {
 		if r, ok := p.rules[[2]int{p.classes[from], p.classes[to]}]; ok {
 			ls.Rule = r

@@ -8,7 +8,7 @@ import (
 )
 
 func TestLinkRulesAndDefault(t *testing.T) {
-	p := New().SetDefault(Rule{Loss: 0.1})
+	p := New()
 	p.AssignClass(1, ClassStraggler)
 	slow := Rule{Loss: 0.5, Base: 50 * time.Millisecond}
 	p.SetRule(ClassStraggler, ClassDefault, slow)
@@ -16,15 +16,9 @@ func TestLinkRulesAndDefault(t *testing.T) {
 	if got := p.Link(1, 2, 0).Rule; got != slow {
 		t.Fatalf("straggler outbound rule = %+v, want %+v", got, slow)
 	}
-	// No rule for (default, straggler): the default applies.
-	if got := p.Link(2, 1, 0).Rule; got != (Rule{Loss: 0.1}) {
-		t.Fatalf("unmatched pair rule = %+v, want default", got)
-	}
-	if p.Empty() {
-		t.Fatal("non-trivial policy reported Empty")
-	}
-	if !New().Empty() {
-		t.Fatal("fresh policy not Empty")
+	// No rule for (default, straggler): a perfect link.
+	if got := p.Link(2, 1, 0).Rule; got != (Rule{}) {
+		t.Fatalf("unmatched pair rule = %+v, want a perfect link", got)
 	}
 }
 

@@ -18,12 +18,6 @@ func NewUndirected(n int) *Undirected {
 	return g
 }
 
-// N returns the number of nodes.
-func (g *Undirected) N() int { return len(g.adj) }
-
-// M returns the number of undirected edges.
-func (g *Undirected) M() int { return g.m }
-
 // AddEdge inserts the undirected edge {u,v}; self-loops and duplicates are
 // ignored.
 func (g *Undirected) AddEdge(u, v int) {
@@ -36,19 +30,6 @@ func (g *Undirected) AddEdge(u, v int) {
 	g.adj[u][v] = struct{}{}
 	g.adj[v][u] = struct{}{}
 	g.m++
-}
-
-// Degree returns the degree of node u.
-func (g *Undirected) Degree(u int) int { return len(g.adj[u]) }
-
-// Neighbors returns the sorted neighbour list of u.
-func (g *Undirected) Neighbors(u int) []int {
-	out := make([]int, 0, len(g.adj[u]))
-	for v := range g.adj[u] {
-		out = append(out, v)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // Communities detects communities with the greedy modularity algorithm of
@@ -155,33 +136,4 @@ func (g *Undirected) Communities() [][]int {
 		return out[i][0] < out[j][0]
 	})
 	return out
-}
-
-// Modularity computes Newman's modularity Q of a partition, provided as a
-// node→community assignment. Used to sanity-check detected communities.
-func (g *Undirected) Modularity(assign []int) float64 {
-	if g.m == 0 {
-		return 0
-	}
-	m2 := float64(2 * g.m)
-	inFrac := make(map[int]float64)
-	degFrac := make(map[int]float64)
-	for u := range g.adj {
-		degFrac[assign[u]] += float64(len(g.adj[u])) / m2
-		for v := range g.adj[u] {
-			if assign[u] == assign[v] {
-				inFrac[assign[u]] += 1 / m2
-			}
-		}
-	}
-	var q float64
-	for c, in := range inFrac {
-		q += in - degFrac[c]*degFrac[c]
-	}
-	for c, d := range degFrac {
-		if _, ok := inFrac[c]; !ok {
-			q -= d * d
-		}
-	}
-	return q
 }

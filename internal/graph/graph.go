@@ -17,9 +17,6 @@ func NewDirected(n int) *Directed {
 	return &Directed{out: make([][]int, n)}
 }
 
-// N returns the number of nodes.
-func (g *Directed) N() int { return len(g.out) }
-
 // AddEdge inserts the edge u→v. Self-loops and duplicates are ignored.
 func (g *Directed) AddEdge(u, v int) {
 	if u == v || u < 0 || v < 0 || u >= len(g.out) || v >= len(g.out) {
@@ -31,18 +28,6 @@ func (g *Directed) AddEdge(u, v int) {
 		}
 	}
 	g.out[u] = append(g.out[u], v)
-}
-
-// Out returns the successors of u.
-func (g *Directed) Out(u int) []int { return g.out[u] }
-
-// Edges returns the total number of directed edges.
-func (g *Directed) Edges() int {
-	total := 0
-	for _, adj := range g.out {
-		total += len(adj)
-	}
-	return total
 }
 
 // SCC computes the strongly connected components with Tarjan's algorithm

@@ -17,12 +17,12 @@ import (
 // per-link: SetPolicy overlays a faultnet.Policy evaluated per directed link
 // (see linkFaults), keyed off the same seed.
 //
-// What crosses the network is the encoded frame, never the sender's structs:
-// Send copies the frame's payload into a pooled buffer and the receiving node
-// decodes it on its own goroutine (codec.go), so the receiver observes
-// exactly what the bytes carry — fresh profile copies, recomputed item ids,
-// no ground-truth leakage — and the emulation exercises the same
-// serialization path and costs as TCPNet.
+// What crosses the network is the encoded envelope, never the sender's
+// structs: Send hands the sender's pooled payload buffer to the receiver's
+// inbox as it is, and the receiving node decodes it on its own goroutine
+// (codec.go), so the receiver observes exactly what the bytes carry — fresh
+// profile copies, recomputed item ids, no ground-truth leakage — and the
+// emulation exercises the same serialization path and costs as TCPNet.
 type ChannelNet struct {
 	linkFaults // SetPolicy, and the lock guarding everything below
 	boxes      map[news.NodeID]chan *[]byte
@@ -67,32 +67,25 @@ func (c *ChannelNet) Disconnect(id news.NodeID, graceful bool) {
 }
 
 // Send implements Network: drops with the configured probability (uniform
-// and per-link), otherwise delivers after the configured latency (uniform
-// plus the link rule's base, jitter and serialization delay). Full inboxes
-// drop (backpressure as loss, like a saturated emulated link).
-func (c *ChannelNet) Send(env envelope) {
-	// The frame handed down by Runner.send is what crosses; envelopes
-	// injected directly (tests) are encoded below.
-	var payload []byte
-	if env.frame != nil {
-		var err error
-		if payload, err = framePayload(env.frame); err != nil {
-			return // a frame whose length prefix lies is a loss
-		}
-	}
+// and per-link), otherwise delivers the payload buffer itself after the
+// configured latency (uniform plus the link rule's base, jitter and
+// serialization delay). Full inboxes drop (backpressure as loss, like a
+// saturated emulated link).
+func (c *ChannelNet) Send(from, to news.NodeID, payload *[]byte) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
+		putBuf(payload)
 		return
 	}
 	drop := c.loss > 0 && c.rng.Float64() < c.loss
 	latency := c.latency
 	if c.policy != nil {
-		cut, delay := c.decide(env.From, env.To, len(env.frame))
+		cut, delay := c.decide(from, to, frameLen(len(*payload)))
 		drop = drop || cut
 		latency += delay
 	}
-	box := c.boxes[env.To]
+	box := c.boxes[to]
 	delayed := box != nil && !drop && latency > 0
 	if delayed {
 		// Registered under the lock, next to the closed check: Close sets
@@ -101,24 +94,17 @@ func (c *ChannelNet) Send(env envelope) {
 	}
 	c.mu.Unlock()
 	if drop || box == nil {
+		putBuf(payload)
 		return
 	}
-	// The caller reuses its frame buffer once Send returns, so the payload is
-	// copied into a buffer the receiver will own.
-	buf := getBuf()
-	if env.frame != nil {
-		*buf = append(*buf, payload...)
-	} else {
-		*buf = appendEnvelope(*buf, env)
-	}
 	if !delayed {
-		deliver(box, buf)
+		deliver(box, payload)
 		return
 	}
 	go func() {
 		defer c.wg.Done()
 		time.Sleep(latency)
-		deliver(box, buf)
+		deliver(box, payload)
 	}()
 }
 

@@ -99,7 +99,7 @@ func TestLiveChurnChannelNet(t *testing.T) {
 	close(stop)
 	<-sampled
 
-	if got := r.MemberCount(); got != ds.Users+joiners {
+	if got := r.Stats().Members; got != ds.Users+joiners {
 		t.Fatalf("member count %d, want %d", got, ds.Users+joiners)
 	}
 	if st, ok := r.State(leaveNode); !ok || st != sim.Departed {
@@ -199,7 +199,7 @@ func TestLiveChurnInvalidEventsSkipped(t *testing.T) {
 	}, ds, NewChannelNet(7, 0, 0))
 	r.Run()
 
-	if got := r.MemberCount(); got != ds.Users {
+	if got := r.Stats().Members; got != ds.Users {
 		t.Fatalf("member count %d changed by invalid events, want %d", got, ds.Users)
 	}
 	if st, _ := r.State(0); st != sim.Online {

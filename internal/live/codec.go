@@ -145,31 +145,16 @@ func decodePayload(e *envelope, payload []byte, h overlay.Holder) error {
 	return nil
 }
 
-// appendFrame appends the framed encoding of e — uvarint payload length then
-// payload — to buf. This is the exact byte sequence a stream transport
-// writes, and its length is what bandwidth accounting reports.
-func appendFrame(buf []byte, e envelope) []byte {
-	scratch := getBuf()
-	payload := appendEnvelope(*scratch, e)
+// appendFrame appends the frame carrying payload — uvarint payload length
+// then payload — to buf: the exact byte sequence a stream transport writes.
+func appendFrame(buf, payload []byte) []byte {
 	buf = wire.AppendUint(buf, uint64(len(payload)))
-	buf = append(buf, payload...)
-	*scratch = payload[:0]
-	putBuf(scratch)
-	return buf
+	return append(buf, payload...)
 }
 
-// framePayload returns the payload of one complete frame held in a byte
-// slice, rejecting a length prefix that disagrees with the bytes present.
-func framePayload(frame []byte) ([]byte, error) {
-	n, payload, err := wire.Uint(frame)
-	if err != nil {
-		return nil, fmt.Errorf("frame length: %w", err)
-	}
-	if n != uint64(len(payload)) {
-		return nil, fmt.Errorf("%w: frame declares %d bytes, holds %d", wire.ErrMalformed, n, len(payload))
-	}
-	return payload, nil
-}
+// frameLen is the length of the frame carrying an n-byte payload, what
+// bandwidth accounting reports for it.
+func frameLen(n int) int { return wire.UintLen(uint64(n)) + n }
 
 // readFrame reads one frame from a buffered stream into a pooled buffer and
 // validates its payload without decoding it; the caller owns the buffer.

@@ -99,7 +99,7 @@ func envelopesEqual(a, b envelope) bool {
 	if pb == nil {
 		pb = profile.New()
 	}
-	return pa.Equal(pb)
+	return bytes.Equal(pa.AppendWire(nil), pb.AppendWire(nil))
 }
 
 func roundTripCases() map[string]envelope {
@@ -154,16 +154,18 @@ func TestDecodeEnvelopeRejectsUnknownKind(t *testing.T) {
 }
 
 // TestEnvelopeSizeIsEncodedLength pins the accounting contract: the frame
-// Runner.send measures is the uvarint payload length plus the payload, byte
-// for byte what a stream transport writes — not an estimate.
+// length Runner.send records for a payload is the uvarint payload length
+// plus the payload, byte for byte what a stream transport writes and reads
+// back — not an estimate.
 func TestEnvelopeSizeIsEncodedLength(t *testing.T) {
 	for name, env := range roundTripCases() {
-		frame, payload := appendFrame(nil, env), appendEnvelope(nil, env)
-		if got, want := len(frame), wire.UintLen(uint64(len(payload)))+len(payload); got != want {
-			t.Fatalf("%s: frame=%dB, length prefix + payload=%dB", name, got, want)
+		payload := appendEnvelope(nil, env)
+		frame := appendFrame(nil, payload)
+		if got, want := frameLen(len(payload)), wire.UintLen(uint64(len(payload)))+len(payload); got != len(frame) || got != want {
+			t.Fatalf("%s: accounted %dB, frame=%dB, length prefix + payload=%dB", name, got, len(frame), want)
 		}
-		if got, err := framePayload(frame); err != nil || !bytes.Equal(got, payload) {
-			t.Fatalf("%s: framePayload err=%v, payload differs=%v", name, err, !bytes.Equal(got, payload))
+		if got, err := readFrame(bufio.NewReader(bytes.NewReader(frame))); err != nil || !bytes.Equal(*got, payload) {
+			t.Fatalf("%s: readFrame err=%v, payload differs", name, err)
 		}
 	}
 }
@@ -186,7 +188,7 @@ func TestEncodedSizeRegression(t *testing.T) {
 		{"empty-rps-reply", envelope{Kind: wireRPSReply, From: 2, To: 1}, 6},
 		{"departure-1", envelope{Kind: wireDeparture, From: 2, To: 1, Tombs: []overlay.Tombstone{{Node: 2, Stamp: 17}}}, 8},
 	} {
-		got := len(appendFrame(nil, tc.env))
+		got := len(encodeFrame(tc.env))
 		if got != tc.want {
 			t.Fatalf("%s: frame=%dB, pinned %dB", tc.name, got, tc.want)
 		}
@@ -198,7 +200,7 @@ func TestReadFrameStream(t *testing.T) {
 	envs := []envelope{repGossip(), repItem(), {Kind: wireRPSReply, From: 1, To: 2}}
 	var batch []byte
 	for _, env := range envs {
-		batch = appendFrame(batch, env) // coalesced, as a batched write would
+		batch = appendFrame(batch, appendEnvelope(nil, env)) // coalesced, as a batched write would
 	}
 	stream.Write(batch)
 	br := bufio.NewReader(&stream)
@@ -220,7 +222,7 @@ func TestReadFrameStream(t *testing.T) {
 
 func TestReadFrameErrors(t *testing.T) {
 	// Truncated mid-payload.
-	enc := appendFrame(nil, repItem())
+	enc := encodeFrame(repItem())
 	if _, err := readFrame(bufio.NewReader(bytes.NewReader(enc[:len(enc)/2]))); err == nil {
 		t.Fatal("truncated frame must error")
 	}
@@ -301,14 +303,30 @@ type countingWriter struct{ n int64 }
 
 func (w *countingWriter) Write(p []byte) (int, error) { w.n += int64(len(p)); return len(p), nil }
 
-// gobDescriptor is a descriptor as the gob transport carried it: the
-// profile in its fixed binary layout (Profile.MarshalBinary), and an address
-// field the runtimes left empty.
+// gobProfile is a profile as the gob transport carried it: its fixed binary
+// layout, a uint32 count then a big-endian {uint64 id, int64 stamp, float64
+// score} per entry. Gob writes no more than the length and the bytes, so
+// only the size matters here.
+type gobProfile []byte
+
+func fixedLayout(n int) gobProfile { return make(gobProfile, 4+(8+8+8)*n) }
+
+// gobDescriptor is a descriptor as the gob transport carried it, with an
+// address field the runtimes left empty.
 type gobDescriptor struct {
 	Node    news.NodeID
 	Addr    string
 	Stamp   int64
-	Profile *profile.Profile
+	Profile gobProfile
+}
+
+// gobItemMessage is a BEEP message as the gob transport carried it.
+type gobItemMessage struct {
+	Item       news.Item
+	Profile    gobProfile
+	Dislikes   int
+	Hops       int
+	ViaDislike bool
 }
 
 // gobEnvelope is an envelope as the gob transport carried it.
@@ -317,20 +335,21 @@ type gobEnvelope struct {
 	From, To news.NodeID
 	Descs    []gobDescriptor
 	Tombs    []overlay.Tombstone
-	Item     core.ItemMessage
+	Item     gobItemMessage
 }
 
 // gobBytesSteadyState reports the average per-envelope gob size on a
 // long-lived stream (type descriptors amortized), which is exactly what the
 // previous gob transport put on the wire per message.
 func gobBytesSteadyState(env envelope, n int) float64 {
-	g := gobEnvelope{Kind: env.Kind, From: env.From, To: env.To, Tombs: env.Tombs, Item: env.Item}
+	g := gobEnvelope{Kind: env.Kind, From: env.From, To: env.To, Tombs: env.Tombs, Item: gobItemMessage{
+		Item: env.Item.Item, Dislikes: env.Item.Dislikes, Hops: env.Item.Hops, ViaDislike: env.Item.ViaDislike,
+	}}
+	if env.Item.Profile != nil {
+		g.Item.Profile = fixedLayout(env.Item.Profile.Len())
+	}
 	for _, d := range env.Descs {
-		p, _, err := profile.DecodeWire(d.Profile.AppendWire(nil))
-		if err != nil {
-			panic(err)
-		}
-		g.Descs = append(g.Descs, gobDescriptor{d.Node, "", d.Stamp, p})
+		g.Descs = append(g.Descs, gobDescriptor{d.Node, "", d.Stamp, fixedLayout(d.Profile.Len())})
 	}
 	var w countingWriter
 	enc := gob.NewEncoder(&w)
@@ -360,7 +379,7 @@ func TestBinaryCodecBeatsGob(t *testing.T) {
 		{"gossip", repGossip(), 2},
 		{"item", repItem(), 1.5},
 	} {
-		bin := len(appendFrame(nil, tc.env))
+		bin := len(encodeFrame(tc.env))
 		gobAvg := gobBytesSteadyState(tc.env, 16)
 		t.Logf("%s: binary=%dB gob=%.0fB (%.2fx)", tc.name, bin, gobAvg, gobAvg/float64(bin))
 		if float64(bin)*tc.factor > gobAvg {
@@ -377,10 +396,10 @@ func BenchmarkWireCodec(b *testing.B) {
 	b.Run("binary-encode", func(b *testing.B) {
 		var buf []byte
 		for i := 0; i < b.N; i++ {
-			buf = appendFrame(buf[:0], env)
+			buf = appendEnvelope(buf[:0], env)
 		}
-		b.ReportMetric(float64(len(buf)), "wire-B")
-		b.SetBytes(int64(len(buf)))
+		b.ReportMetric(float64(frameLen(len(buf))), "wire-B")
+		b.SetBytes(int64(frameLen(len(buf))))
 	})
 	b.Run("binary-decode", func(b *testing.B) {
 		enc := appendEnvelope(nil, env)
@@ -412,4 +431,15 @@ func BenchmarkWireCodec(b *testing.B) {
 func snapshotOf(p *profile.Profile) *profile.Packed {
 	pk := p.Pack()
 	return &pk
+}
+
+// encodeFrame is the frame a stream transport writes for env.
+func encodeFrame(env envelope) []byte { return appendFrame(nil, appendEnvelope(nil, env)) }
+
+// sendEnvelope encodes env into a pooled buffer and hands it over to n, as
+// Runner.send does.
+func sendEnvelope(n Network, env envelope) {
+	buf := getBuf()
+	*buf = appendEnvelope(*buf, env)
+	n.Send(env.From, env.To, buf)
 }

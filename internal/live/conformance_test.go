@@ -31,15 +31,19 @@ func newTapNet(seed int64) *tapNet {
 		msgs: map[metrics.MessageKind]int64{}, bytes: map[metrics.MessageKind]int64{}}
 }
 
-func (t *tapNet) Send(env envelope) {
+func (t *tapNet) Send(from, to news.NodeID, payload *[]byte) {
+	var env envelope
+	if err := decodePayload(&env, *payload, nil); err != nil {
+		panic(fmt.Sprintf("tapNet: a node sent an undecodable payload: %v", err))
+	}
 	k := env.kind()
 	t.msgs[k]++
 	for _, d := range env.Descs {
 		t.bytes[k] += int64(d.WireSize())
 	}
 	t.bytes[k] += int64(overlay.TombstonesWireSize(env.Tombs))
-	t.frames = append(t.frames, append([]byte(nil), env.frame...))
-	t.ChannelNet.Send(env)
+	t.frames = append(t.frames, appendFrame(nil, *payload))
+	t.ChannelNet.Send(from, to, payload)
 }
 
 // overlayState renders everything a gossip cycle can change on a node: both

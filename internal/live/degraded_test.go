@@ -30,7 +30,7 @@ func TestDegradedFleetRefusesFeeds(t *testing.T) {
 	r.Run()
 
 	if !r.Degraded() {
-		t.Fatalf("fleet with %d/%d online not degraded", r.OnlineCount(), r.MemberCount())
+		t.Fatalf("fleet with %d/%d online not degraded", r.OnlineCount(), r.Stats().Members)
 	}
 	survivor := news.NodeID(ds.Users - 1)
 	if _, err := r.Feed(survivor); !errors.Is(err, ErrDegraded) {

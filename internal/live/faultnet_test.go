@@ -126,11 +126,11 @@ func TestTCPNetDelayedSendDelivers(t *testing.T) {
 	base := runtime.NumGoroutine()
 	const n = 20
 	tn := NewTCPNet(TCPNetConfig{SlowEvery: 0, Seed: 3})
-	p := faultnet.New().SetDefault(faultnet.Rule{Base: 3 * time.Millisecond, Jitter: 2 * time.Millisecond})
+	p := faultnet.New().SetRule(faultnet.ClassDefault, faultnet.ClassDefault, faultnet.Rule{Base: 3 * time.Millisecond, Jitter: 2 * time.Millisecond})
 	tn.SetPolicy(p, nil)
 	box := tn.Register(1)
 	for i := 0; i < n; i++ {
-		tn.Send(testItemEnvelope(i, 1))
+		sendEnvelope(tn, testItemEnvelope(i, 1))
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	got := 0
@@ -150,11 +150,11 @@ func TestTCPNetDelayedSendDelivers(t *testing.T) {
 func TestTCPNetPolicyLossDrops(t *testing.T) {
 	base := runtime.NumGoroutine()
 	tn := NewTCPNet(TCPNetConfig{SlowEvery: 0, Seed: 5})
-	p := faultnet.New().SetDefault(faultnet.Rule{Loss: 1})
+	p := faultnet.New().SetRule(faultnet.ClassDefault, faultnet.ClassDefault, faultnet.Rule{Loss: 1})
 	tn.SetPolicy(p, nil)
 	box := tn.Register(1)
 	for i := 0; i < 10; i++ {
-		tn.Send(testItemEnvelope(i, 1))
+		sendEnvelope(tn, testItemEnvelope(i, 1))
 	}
 	time.Sleep(20 * time.Millisecond)
 	if got := drainBox(box); got != 0 {
@@ -173,7 +173,7 @@ func TestLinkFaultsBytesPerLink(t *testing.T) {
 	const nodes, maxBytesPerLink = 100, 64
 	rule := faultnet.Rule{Loss: 0.25, Jitter: time.Millisecond}
 	f := &linkFaults{seed: 9}
-	f.SetPolicy(faultnet.New().SetDefault(rule), nil)
+	f.SetPolicy(faultnet.New().SetRule(faultnet.ClassDefault, faultnet.ClassDefault, rule), nil)
 	before := collectedHeap()
 	for from := news.NodeID(0); from < nodes; from++ {
 		for to := news.NodeID(0); to < nodes; to++ {

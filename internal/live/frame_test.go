@@ -321,7 +321,7 @@ func TestOversizedBuffersAreNotPooled(t *testing.T) {
 	for i := 0; len(appendEnvelope(nil, big)) <= maxPooledBuf; i++ {
 		big.Descs = append(big.Descs, overlay.Descriptor{Node: news.NodeID(i), Profile: snapshotOf(repProfile(100, i))})
 	}
-	buf, err := readFrame(bufio.NewReader(bytes.NewReader(appendFrame(nil, big))))
+	buf, err := readFrame(bufio.NewReader(bytes.NewReader(encodeFrame(big))))
 	if err != nil {
 		t.Fatal(err)
 	}

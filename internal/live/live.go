@@ -18,8 +18,10 @@
 // the simulator drives (TestLegConformanceSimLive holds the two runtimes to
 // identical views and traffic on a scripted exchange). The runtime owns
 // goroutines, envelopes, the codec, transports and membership control. The
-// unit that crosses a transport is the encoded frame: a node's inbox holds
-// pooled byte buffers, the node decodes each on its own goroutine, and a
+// unit that crosses a transport is the encoded envelope: the sender encodes
+// it once into a pooled byte buffer, the transport takes the buffer over and
+// moves its bytes into the receiver's inbox, the node decodes each buffer on
+// its own goroutine, and a
 // repeat receipt of an item it has seen — most item frames, under BEEP's
 // redundancy — is dropped after a hash of the content bytes and one map
 // probe, before anything is decoded (liveNode.onFrame). The runtime
@@ -92,15 +94,6 @@ type envelope struct {
 	Descs []overlay.Descriptor // gossip payload
 	Tombs []overlay.Tombstone  // piggybacked departure notices (non-item kinds)
 	Item  core.ItemMessage     // BEEP payload
-
-	// frame, when non-nil, is the encoded frame of this envelope (uvarint
-	// payload length, then payload), set by Runner.send. It is what the
-	// transports carry — ChannelNet copies its payload into the receiver's
-	// inbox, TCPNet appends it to the connection's batch — and its length is
-	// what bandwidth accounting reports. It is only valid for the duration
-	// of the Send call (the backing buffer is pooled) and is never itself
-	// part of the wire format.
-	frame []byte
 }
 
 func (e envelope) kind() metrics.MessageKind {
@@ -135,8 +128,12 @@ type Network interface {
 	// Registering an id again after Disconnect opens a fresh endpoint (a
 	// rejoining node gets a new inbox and, on TCP, a new listener address).
 	Register(id news.NodeID) <-chan *[]byte
-	// Send delivers (or drops) an envelope asynchronously.
-	Send(env envelope)
+	// Send delivers (or drops) one encoded envelope from one node to another
+	// asynchronously. payload is a pooled buffer holding exactly the
+	// envelope's encoding (appendEnvelope); Send takes it over: the
+	// transport delivers it or returns it with putBuf, and the caller
+	// neither reads nor reuses it after the call.
+	Send(from, to news.NodeID, payload *[]byte)
 	// Disconnect tears down one node's endpoints. With graceful=false
 	// (a crash) pending outbound batches to the node are discarded and its
 	// connections close immediately, so in-flight frames drop as congestion;
@@ -434,13 +431,6 @@ func (r *Runner) OnlineCount() int {
 	return online
 }
 
-// MemberCount returns the number of members ever registered, including
-// offline and departed ones. Safe to call at any time.
-func (r *Runner) MemberCount() int {
-	members, _, _ := r.mem.Counts()
-	return members
-}
-
 // Node returns the node with the given id in any lifecycle state, or nil.
 //
 // Deprecated: Node hands out protocol state without the node's lock and is
@@ -618,15 +608,15 @@ func (r *Runner) record(fn func(col *metrics.Collector)) {
 	fn(r.col)
 }
 
-// send encodes the envelope once, accounts its exact framed length, and
-// hands both the envelope and the frame bytes to the transport.
+// send encodes the envelope once into a pooled buffer, accounts the exact
+// length of the frame a stream transport writes for it, and hands the buffer
+// over to the transport.
 func (r *Runner) send(env envelope) {
 	buf := getBuf()
-	*buf = appendFrame(*buf, env)
-	env.frame = *buf
-	r.record(func(col *metrics.Collector) { col.RecordMessage(env.kind(), len(env.frame)) })
-	r.net.Send(env)
-	putBuf(buf)
+	*buf = appendEnvelope(*buf, env)
+	n := frameLen(len(*buf))
+	r.record(func(col *metrics.Collector) { col.RecordMessage(env.kind(), n) })
+	r.net.Send(env.From, env.To, buf)
 }
 
 // loop is the node goroutine: a fleet-clock poll interleaved with inbound
@@ -731,7 +721,7 @@ func (ln *liveNode) answer(layer core.Layer, env envelope, cycle int64) {
 }
 
 // sendLeg sends a gossip leg built in ln.legs. send has encoded the
-// descriptors into a frame by the time it returns, so the buffer keeps its
+// descriptors into a payload by the time it returns, so the buffer keeps its
 // capacity for the next leg but not its contents, which would pin profile
 // snapshots.
 func (ln *liveNode) sendLeg(env envelope) {

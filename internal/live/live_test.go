@@ -95,7 +95,7 @@ func TestTCPNetCongestionDropsOverflow(t *testing.T) {
 	box := net.Register(1)
 	it := news.New("t", "d", "l", 1, 0)
 	for i := 0; i < 50; i++ {
-		net.Send(envelope{Kind: wireItem, From: 0, To: 1, Item: core.ItemMessage{Item: it, Profile: profile.New()}})
+		sendEnvelope(net, envelope{Kind: wireItem, From: 0, To: 1, Item: core.ItemMessage{Item: it, Profile: profile.New()}})
 	}
 	// Allow the accept/decode pump to fill the queue.
 	time.Sleep(200 * time.Millisecond)
@@ -120,7 +120,7 @@ drain:
 func TestTCPNetUnknownDestinationIgnored(t *testing.T) {
 	net := NewTCPNet(TCPNetConfig{})
 	defer net.Close()
-	net.Send(envelope{Kind: wireItem, To: 99}) // must not panic
+	sendEnvelope(net, envelope{Kind: wireItem, To: 99}) // must not panic
 }
 
 func TestEnvelopeSizeAndKinds(t *testing.T) {
@@ -128,12 +128,12 @@ func TestEnvelopeSizeAndKinds(t *testing.T) {
 	p.Set(1, 1, 1)
 	descs := []overlay.Descriptor{{Node: 1, Stamp: 1, Profile: snapshotOf(p)}}
 	gossip := envelope{Kind: wireWUPRequest, Descs: descs}
-	if len(appendFrame(nil, gossip)) <= len(appendFrame(nil, envelope{Kind: wireWUPRequest})) {
+	if len(encodeFrame(gossip)) <= len(encodeFrame(envelope{Kind: wireWUPRequest})) {
 		t.Fatal("gossip envelope size must count descriptors")
 	}
 	it := news.New("t", "d", "l", 1, 0)
 	item := envelope{Kind: wireItem, Item: core.ItemMessage{Item: it, Profile: p}}
-	if len(appendFrame(nil, item)) == 0 {
+	if len(encodeFrame(item)) == 0 {
 		t.Fatal("item envelope size must be positive")
 	}
 	kinds := map[wireKind]string{

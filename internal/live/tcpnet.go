@@ -39,10 +39,6 @@ type TCPNet struct {
 	slowCap    int
 	slowEvery  int // every n-th registered node is overloaded (0 = none)
 	maxPending int
-	// batch makes each writer linger this long after a kick before it
-	// flushes. Only tests set it, before the first Send, to hold frames in a
-	// pending batch; fleets flush opportunistically (0).
-	batch      time.Duration
 	registered int
 	closed     bool
 	wg         sync.WaitGroup
@@ -301,28 +297,31 @@ func (t *TCPNet) linger(ln net.Listener, sc *outConn, inConns map[net.Conn]struc
 	return true
 }
 
-// Send implements Network: append the encoded frame to the destination's
-// persistent connection and wake its writer. Send never blocks on the
-// network; a dead or unknown destination drops the envelope. A SetPolicy
-// overlay is applied here, at the writer boundary: cut or lost links drop
-// the envelope outright, and link latency (base + jitter + bandwidth-cap
-// serialization) defers the enqueue by a real sleep on a tracked goroutine,
-// so Close never abandons a delayed frame mid-flight.
-func (t *TCPNet) Send(env envelope) {
+// Send implements Network: append the payload's frame to the destination's
+// persistent connection, wake its writer and return the payload buffer to
+// the pool. Send never blocks on the network; a dead or unknown destination
+// drops the payload. A SetPolicy overlay is applied here, at the writer
+// boundary: cut or lost links drop the payload outright, and link latency
+// (base + jitter + bandwidth-cap serialization) defers the enqueue by a real
+// sleep on a tracked goroutine, which holds the payload buffer meanwhile, so
+// Close never abandons a delayed frame mid-flight.
+func (t *TCPNet) Send(from, to news.NodeID, payload *[]byte) {
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
+		putBuf(payload)
 		return
 	}
 	var delay time.Duration
 	if t.policy != nil {
 		var drop bool
-		if drop, delay = t.decide(env.From, env.To, len(env.frame)); drop {
+		if drop, delay = t.decide(from, to, frameLen(len(*payload))); drop {
 			t.mu.Unlock()
+			putBuf(payload)
 			return
 		}
 	}
-	addr, ok := t.addrs[env.To]
+	addr, ok := t.addrs[to]
 	sc := t.conns[addr] // steady state: one global lock hold per send
 	delayed := ok && delay > 0
 	if delayed {
@@ -332,18 +331,12 @@ func (t *TCPNet) Send(env envelope) {
 	}
 	t.mu.Unlock()
 	if !ok {
+		putBuf(payload)
 		return
 	}
 	if !delayed {
-		t.enqueue(addr, sc, env)
+		t.enqueue(addr, sc, payload)
 		return
-	}
-	if env.frame != nil {
-		// The caller reuses its frame buffer once Send returns; a delayed
-		// envelope needs its own copy.
-		frame := make([]byte, len(env.frame))
-		copy(frame, env.frame)
-		env.frame = frame
 	}
 	go func() {
 		defer t.wg.Done()
@@ -351,22 +344,27 @@ func (t *TCPNet) Send(env envelope) {
 		t.mu.Lock()
 		if t.closed {
 			t.mu.Unlock()
+			putBuf(payload)
 			return
 		}
 		// Re-resolve: the destination may have departed or rejoined on a new
 		// address while the frame was in flight.
-		addr, ok := t.addrs[env.To]
+		addr, ok := t.addrs[to]
 		sc := t.conns[addr]
 		t.mu.Unlock()
-		if ok {
-			t.enqueue(addr, sc, env)
+		if !ok {
+			putBuf(payload)
+			return
 		}
+		t.enqueue(addr, sc, payload)
 	}()
 }
 
-// enqueue appends the envelope to the destination connection's pending batch
-// and wakes its writer, dialing on first use. sc may be nil (not yet dialed).
-func (t *TCPNet) enqueue(addr string, sc *outConn, env envelope) {
+// enqueue appends the payload's frame to the destination connection's
+// pending batch, returns the payload buffer to the pool and wakes the
+// writer, dialing on first use. sc may be nil (not yet dialed).
+func (t *TCPNet) enqueue(addr string, sc *outConn, payload *[]byte) {
+	defer putBuf(payload)
 	if sc == nil {
 		if sc = t.conn(addr); sc == nil {
 			return
@@ -378,11 +376,7 @@ func (t *TCPNet) enqueue(addr string, sc *outConn, env envelope) {
 		return
 	}
 	before := len(sc.pending)
-	if env.frame != nil {
-		sc.pending = append(sc.pending, env.frame...)
-	} else {
-		sc.pending = appendFrame(sc.pending, env)
-	}
+	sc.pending = appendFrame(sc.pending, *payload)
 	if len(sc.pending) > t.maxPending && before > 0 {
 		// The destination drains slower than senders enqueue: outbound
 		// congestion becomes loss, bounding sender-side memory the way the
@@ -438,15 +432,6 @@ func (t *TCPNet) writeLoop(addr string, sc *outConn) {
 			t.drain(sc)
 			return
 		case <-sc.kick:
-		}
-		if t.batch > 0 {
-			// Linger so later sends join this flush (a test hook; see batch).
-			select {
-			case <-sc.quit:
-				t.drain(sc)
-				return
-			case <-time.After(t.batch):
-			}
 		}
 		batch := sc.take(*spare)
 		if len(batch) == 0 {

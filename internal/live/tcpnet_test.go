@@ -45,7 +45,7 @@ func TestTCPNetCloseDrainsPending(t *testing.T) {
 	tn := NewTCPNet(TCPNetConfig{SlowEvery: 0})
 	box := tn.Register(1)
 	for i := 0; i < n; i++ {
-		tn.Send(testItemEnvelope(i, 1))
+		sendEnvelope(tn, testItemEnvelope(i, 1))
 	}
 	tn.Close() // waits for writers to drain and pumps to exit
 	if got := drainBox(box); got != n {
@@ -53,24 +53,39 @@ func TestTCPNetCloseDrainsPending(t *testing.T) {
 	}
 }
 
-// lingeringTCPNet builds a TCPNet whose writers linger for window after each
-// kick, so frames sent within it wait in the connection's pending batch.
-func lingeringTCPNet(cfg TCPNetConfig, window time.Duration) *TCPNet {
-	tn := NewTCPNet(cfg)
-	tn.batch = window
-	return tn
+// holdWriter dials id's connection the way the first Send would, without
+// starting its writer, so frames sent to id wait in the connection's pending
+// batch. release starts the writer; it must run before Close, which waits
+// for it.
+func holdWriter(t *testing.T, tn *TCPNet, id news.NodeID) (release func()) {
+	t.Helper()
+	tn.mu.Lock()
+	addr := tn.addrs[id]
+	tn.mu.Unlock()
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := &outConn{c: c, kick: make(chan struct{}, 1), quit: make(chan struct{})}
+	tn.mu.Lock()
+	tn.conns[addr] = sc
+	tn.wg.Add(1)
+	tn.mu.Unlock()
+	return func() { go tn.writeLoop(addr, sc) }
 }
 
-// TestTCPNetBatchWindowDelivers exercises the lingering writer the tests
-// below hold frames with: a burst still arrives completely (in coalesced
-// writes) once the window elapses.
+// TestTCPNetBatchWindowDelivers exercises the held writer the tests below
+// hold frames with: a burst coalesced in one pending batch still arrives
+// completely once the writer runs.
 func TestTCPNetBatchWindowDelivers(t *testing.T) {
 	const n = 20
-	tn := lingeringTCPNet(TCPNetConfig{SlowEvery: 0}, 5*time.Millisecond)
+	tn := NewTCPNet(TCPNetConfig{SlowEvery: 0})
 	box := tn.Register(1)
+	release := holdWriter(t, tn, 1)
 	for i := 0; i < n; i++ {
-		tn.Send(testItemEnvelope(i, 1))
+		sendEnvelope(tn, testItemEnvelope(i, 1))
 	}
+	release()
 	tn.Close()
 	if got := drainBox(box); got != n {
 		t.Fatalf("batched burst delivered %d/%d envelopes", got, n)
@@ -82,13 +97,14 @@ func TestTCPNetBatchWindowDelivers(t *testing.T) {
 // pending-buffer bound is dropped instead of growing memory without limit.
 func TestTCPNetPendingCapDropsOverflow(t *testing.T) {
 	const n = 50
-	frameLen := len(appendFrame(nil, testItemEnvelope(0, 1)))
-	// Hold the writer so pending accumulates.
-	tn := lingeringTCPNet(TCPNetConfig{SlowEvery: 0, MaxPendingBytes: 3 * frameLen}, 200*time.Millisecond)
+	size := len(encodeFrame(testItemEnvelope(0, 1)))
+	tn := NewTCPNet(TCPNetConfig{SlowEvery: 0, MaxPendingBytes: 3 * size})
 	box := tn.Register(1)
+	release := holdWriter(t, tn, 1) // pending accumulates
 	for i := 0; i < n; i++ {
-		tn.Send(testItemEnvelope(0, 1)) // identical envelopes: equal frame sizes
+		sendEnvelope(tn, testItemEnvelope(0, 1)) // identical envelopes: equal frame sizes
 	}
+	release()
 	tn.Close()
 	got := drainBox(box)
 	if got == 0 {
@@ -119,22 +135,24 @@ func pollDrain(box <-chan *[]byte, want int, deadline time.Duration) int {
 }
 
 // TestTCPNetDisconnectGracefulFlushesPending pins the leave semantics:
-// envelopes queued behind a lingering batch window still reach the
-// destination when it disconnects gracefully — the teardown flushes the
-// pending batch instead of discarding it.
+// envelopes queued in a pending batch still reach the destination when it
+// disconnects gracefully — the teardown flushes the pending batch instead of
+// discarding it.
 func TestTCPNetDisconnectGracefulFlushesPending(t *testing.T) {
 	const n = 30
-	tn := lingeringTCPNet(TCPNetConfig{SlowEvery: 0}, 30*time.Second)
+	tn := NewTCPNet(TCPNetConfig{SlowEvery: 0})
 	defer tn.Close()
 	box := tn.Register(1)
+	release := holdWriter(t, tn, 1)
 	for i := 0; i < n; i++ {
-		tn.Send(testItemEnvelope(i, 1))
+		sendEnvelope(tn, testItemEnvelope(i, 1))
 	}
-	tn.Disconnect(1, true) // the writer abandons its window and drains
+	tn.Disconnect(1, true)
+	release() // the writer finds the teardown and drains
 	if got := pollDrain(box, n, 5*time.Second); got != n {
 		t.Fatalf("graceful disconnect delivered %d/%d envelopes", got, n)
 	}
-	tn.Send(testItemEnvelope(99, 1)) // disconnected id: dropped, not blocked
+	sendEnvelope(tn, testItemEnvelope(99, 1)) // disconnected id: dropped, not blocked
 }
 
 // TestTCPNetDisconnectCrashDropsPendingWithoutLeaks pins the crash-teardown
@@ -144,20 +162,22 @@ func TestTCPNetDisconnectGracefulFlushesPending(t *testing.T) {
 func TestTCPNetDisconnectCrashDropsPendingWithoutLeaks(t *testing.T) {
 	base := runtime.NumGoroutine()
 	const n = 40
-	tn := lingeringTCPNet(TCPNetConfig{SlowEvery: 0}, 30*time.Second)
+	tn := NewTCPNet(TCPNetConfig{SlowEvery: 0})
 	box := tn.Register(1)
 	tn.Register(2)
+	release := holdWriter(t, tn, 1)
 	for i := 0; i < n; i++ {
-		tn.Send(testItemEnvelope(i, 1)) // held by the writer's batch window
+		sendEnvelope(tn, testItemEnvelope(i, 1)) // held in the pending batch
 	}
 	tn.Disconnect(1, false) // crash mid-batch
+	release()
 
 	// Sends to the crashed peer must drop immediately, not block on a dead
 	// connection.
 	sent := make(chan struct{})
 	go func() {
 		for i := 0; i < 2*n; i++ {
-			tn.Send(testItemEnvelope(i, 1))
+			sendEnvelope(tn, testItemEnvelope(i, 1))
 		}
 		close(sent)
 	}()
@@ -193,7 +213,7 @@ func TestTCPNetReRegisterAfterDisconnect(t *testing.T) {
 	tn.Disconnect(1, false)
 	box := tn.Register(1)
 	for i := 0; i < n; i++ {
-		tn.Send(testItemEnvelope(i, 1))
+		sendEnvelope(tn, testItemEnvelope(i, 1))
 	}
 	if got := pollDrain(box, n, 5*time.Second); got != n {
 		t.Fatalf("re-registered endpoint received %d/%d envelopes", got, n)
@@ -204,8 +224,8 @@ func TestTCPNetSendAfterCloseIsDropped(t *testing.T) {
 	tn := NewTCPNet(TCPNetConfig{})
 	tn.Register(1)
 	tn.Close()
-	tn.Send(testItemEnvelope(0, 1)) // must not panic or block
-	tn.Close()                      // double Close must be safe
+	sendEnvelope(tn, testItemEnvelope(0, 1)) // must not panic or block
+	tn.Close()                               // double Close must be safe
 }
 
 // TestTCPNetPoisonedStreamDropsConnection checks that a malformed frame
@@ -221,7 +241,7 @@ func TestTCPNetPoisonedStreamDropsConnection(t *testing.T) {
 	if err := decodePayload(nil, unsorted, nil); !errors.Is(err, wire.ErrMalformed) || !strings.Contains(err.Error(), "unsorted") {
 		t.Fatalf("the crafted payload must fail on its profile order, got %v", err)
 	}
-	good := appendFrame(nil, testItemEnvelope(1, 1))
+	good := encodeFrame(testItemEnvelope(1, 1))
 	for name, tc := range map[string]struct {
 		stream    []byte
 		delivered int
@@ -275,7 +295,7 @@ func BenchmarkTCPThroughput(b *testing.B) {
 	start := time.Now()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tn.Send(env)
+		sendEnvelope(tn, env)
 	}
 	tn.Close() // drains pending batches and closes the box
 	b.StopTimer()
@@ -294,7 +314,7 @@ func TestTCPNetDisconnectGracefulImmediately(t *testing.T) {
 	tn := NewTCPNet(TCPNetConfig{SlowEvery: 0})
 	defer tn.Close()
 	box := tn.Register(1)
-	tn.Send(testItemEnvelope(0, 1))
+	sendEnvelope(tn, testItemEnvelope(0, 1))
 	tn.Disconnect(1, true)
 	if got := pollDrain(box, 1, 5*time.Second); got != 1 {
 		t.Fatal("graceful disconnect right after the first send lost the frame")

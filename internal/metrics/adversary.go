@@ -41,11 +41,3 @@ func (a AdversaryStats) PoisoningDrift() float64 {
 	}
 	return float64(a.AttackerSlots) / float64(total)
 }
-
-// Merge folds another shard or run into a.
-func (a *AdversaryStats) Merge(b AdversaryStats) {
-	a.SpamToHonest += b.SpamToHonest
-	a.HamToHonest += b.HamToHonest
-	a.AttackerSlots += b.AttackerSlots
-	a.HonestSlots += b.HonestSlots
-}

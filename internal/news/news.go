@@ -9,7 +9,6 @@
 package news
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"whatsup/internal/wire"
@@ -21,13 +20,6 @@ type ID uint64
 
 // String renders the identifier as fixed-width hex, convenient for logs.
 func (id ID) String() string { return fmt.Sprintf("%016x", uint64(id)) }
-
-// Bytes returns the big-endian 8-byte representation of the identifier.
-func (id ID) Bytes() [8]byte {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], uint64(id))
-	return b
-}
 
 // NodeID identifies a peer. The simulator uses dense indices; the live
 // runtimes map NodeIDs to transport addresses.

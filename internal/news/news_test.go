@@ -95,20 +95,6 @@ func TestIDString(t *testing.T) {
 	}
 }
 
-func TestIDBytesRoundTrip(t *testing.T) {
-	f := func(v uint64) bool {
-		b := ID(v).Bytes()
-		var back uint64
-		for _, x := range b {
-			back = back<<8 | uint64(x)
-		}
-		return back == v
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestWireSizeGrowsWithContent(t *testing.T) {
 	small := New("t", "d", "l", 0, 0)
 	big := New("a much longer headline than before", "and a description", "http://example.org/x", 0, 0)

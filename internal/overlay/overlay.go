@@ -497,23 +497,3 @@ func (v *View) Profiles() []*profile.Packed {
 	}
 	return out
 }
-
-// Clone returns a deep copy of the view structure (descriptors themselves
-// are immutable and shared). The similarity cache is not carried over; a
-// clone of a view mid-merge borrows its own scratch.
-func (v *View) Clone() *View {
-	c := NewView(v.capacity)
-	for _, d := range v.entries {
-		c.push(d)
-	}
-	return c
-}
-
-// WireSize sums the wire sizes of all entries.
-func (v *View) WireSize() int {
-	total := 0
-	for _, d := range v.entries {
-		total += d.WireSize()
-	}
-	return total
-}

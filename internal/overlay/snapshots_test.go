@@ -32,9 +32,10 @@ func TestSnapshotTableTwoContentsUnderOneKey(t *testing.T) {
 	if bytes.Equal(other.Profile.AppendWire(nil), first.Profile.AppendWire(nil)) {
 		t.Fatal("fixture: want two contents under one key")
 	}
-	// Equal entries reached through a removal.
-	edited := build(10, 11, 12, 13)
-	edited.Remove(13)
+	// Equal entries reached through a purge.
+	edited := build(10, 11, 12)
+	edited.Set(13, 1, 1)
+	edited.PurgeOlderThan(2)
 	history := mk(edited)
 
 	var table SnapshotTable
@@ -139,8 +140,8 @@ func FuzzDescriptorsDecodeModes(f *testing.F) {
 	b2 := b // b's entries, reached through an edit
 	edited := profile.New()
 	edited.Set(2000, 0, 0)
-	edited.Set(9, 9, 0.25)
-	edited.Remove(9)
+	edited.Set(9, -1, 0.25)
+	edited.PurgeOlderThan(0)
 	b2.Profile = snapshotOf(edited)
 	f.Add(list(a, b, Descriptor{Node: 7, Stamp: 1}), list(a, b))
 	f.Add(list(a, b2), list(wireDesc(1, 3), b))

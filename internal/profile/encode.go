@@ -2,48 +2,23 @@ package profile
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"whatsup/internal/news"
 	"whatsup/internal/wire"
 )
 
-// Two binary layouts share the same structure — an entry count followed by
-// the entries in sorted id order, each a {id, stamp, score} triplet — so
-// both are canonical: Equal profiles encode to identical bytes.
-//
-// The *fixed* layout (MarshalBinary, the encoding.BinaryMarshaler form any
-// standard-library encoder falls back to) is uint32 count + count × {uint64 id, int64 stamp, float64 score},
-// all big-endian. It is written only: nothing in the system reads it back.
-//
-// The *packed* layout (AppendWire, used by the live transports) keeps the
-// same field order but varint-packs everything: item ids are delta-encoded
-// (sorted order makes deltas small and strictly positive), stamps are zigzag
-// varints (gossip-cycle stamps are tiny), and scores use the score packing
-// of internal/wire (binary like/dislike scores are one byte, dyadic item
-// averages a few, instead of 8).
-
-const wireEntrySize = 8 + 8 + 8
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (p *Profile) MarshalBinary() ([]byte, error) {
-	es := p.Entries()
-	buf := make([]byte, 4+wireEntrySize*len(es))
-	binary.BigEndian.PutUint32(buf[0:4], uint32(len(es)))
-	off := 4
-	for _, e := range es {
-		binary.BigEndian.PutUint64(buf[off:], uint64(e.Item))
-		binary.BigEndian.PutUint64(buf[off+8:], uint64(e.Stamp))
-		binary.BigEndian.PutUint64(buf[off+16:], math.Float64bits(e.Score))
-		off += wireEntrySize
-	}
-	return buf, nil
-}
+// The packed wire layout (AppendWire, used by the live transports) is an
+// entry count followed by the entries in sorted id order, each an {id,
+// stamp, score} triplet, so it is canonical: profiles with equal entries
+// encode to identical bytes. Everything is varint-packed: item ids are
+// delta-encoded (sorted order makes deltas small and strictly positive),
+// stamps are zigzag varints (gossip-cycle stamps are tiny), and scores use
+// the score packing of internal/wire (binary like/dislike scores are one
+// byte, dyadic item averages a few, instead of 8).
 
 // AppendWire appends the packed wire encoding of the profile to buf and
-// returns the extended slice. The encoding is canonical: Equal profiles
+// returns the extended slice. The encoding is canonical: profiles with equal entries
 // produce identical bytes.
 //
 //whatsup:hotpath

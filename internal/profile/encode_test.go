@@ -30,11 +30,11 @@ func TestAppendWireRoundTrip(t *testing.T) {
 		if len(rest) != 0 {
 			t.Fatalf("%s: %d trailing bytes", name, len(rest))
 		}
-		if !got.Equal(p) {
+		if !sameEntries(got, p) {
 			t.Fatalf("%s: round trip mismatch: %v != %v", name, got, p)
 		}
-		if got.Norm() != p.Norm() {
-			t.Fatalf("%s: norm mismatch after decode", name)
+		if got.sumSq != p.sumSq {
+			t.Fatalf("%s: Σ score² mismatch after decode", name)
 		}
 	}
 }
@@ -53,10 +53,10 @@ func TestAppendWireCanonical(t *testing.T) {
 
 func TestAppendWirePacksTighterThanFixed(t *testing.T) {
 	p := wireSample()
-	fixed, _ := p.MarshalBinary()
+	fixed := 4 + p.Len()*(8+8+8) // uint32 count, then a uint64 id, int64 stamp and float64 score each
 	packed := p.AppendWire(nil)
-	if len(packed) >= len(fixed) {
-		t.Fatalf("packed=%dB must beat fixed=%dB", len(packed), len(fixed))
+	if len(packed) >= fixed {
+		t.Fatalf("packed=%dB must beat fixed=%dB", len(packed), fixed)
 	}
 }
 
@@ -127,7 +127,7 @@ func FuzzProfileWire(f *testing.F) {
 			t.Fatal("Pack does not hold the canonical encoding")
 		}
 		again, arest, aerr := DecodeWire(enc)
-		if aerr != nil || len(arest) != 0 || !again.Equal(want) {
+		if aerr != nil || len(arest) != 0 || !sameEntries(again, want) {
 			t.Fatalf("re-encoding does not decode to the same entries: err=%v rest=%d", aerr, len(arest))
 		}
 		if !bytes.Equal(again.AppendWire(nil), enc) {

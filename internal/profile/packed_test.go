@@ -20,7 +20,7 @@ func scoreOf(b byte) float64 {
 }
 
 // edited builds a profile from an edit history read out of script, three
-// bytes an edit: Set, Remove, PurgeOlderThan and MergeAverage, over ids
+// bytes an edit: Set, Windowed, PurgeOlderThan and MergeAverage, over ids
 // drawn from pool and a few of its own.
 func edited(script []byte, pool []news.ID) *Profile {
 	p := New()
@@ -36,7 +36,7 @@ func edited(script []byte, pool []news.ID) *Profile {
 		case 0, 1:
 			p.Set(id(a), int64(b%16), scoreOf(b>>4))
 		case 2:
-			p.Remove(id(a))
+			p = p.Windowed(int64(a % 16))
 		case 3:
 			p.PurgeOlderThan(int64(a % 16))
 		default:
@@ -74,7 +74,9 @@ func FuzzPackedSimilarity(f *testing.F) {
 			cand = edited(data, nil)
 		}
 		var pool []news.ID
-		cand.ForEach(func(e Entry) { pool = append(pool, e.Item) })
+		for _, e := range cand.entries {
+			pool = append(pool, e.Item)
+		}
 		self := edited(other, pool)
 		checkCanonicalNorm(t, cand)
 		checkCanonicalNorm(t, self)
@@ -152,7 +154,7 @@ func TestPackedSimilarityHashedIDs(t *testing.T) {
 		for n := rng.Intn(20); n > 0; n-- {
 			p.Set(pool[rng.Intn(len(pool))], rng.Int63n(200), scoreOf(byte(rng.Intn(8))))
 			if rng.Intn(4) == 0 {
-				p.Remove(pool[rng.Intn(len(pool))])
+				p.PurgeOlderThan(rng.Int63n(50))
 			}
 		}
 		return p

@@ -53,7 +53,7 @@ type Entry struct {
 // profile a forward handed them all.
 type Profile struct {
 	entries []Entry // sorted by Item
-	sumSq   float64 // Σ score² in ascending id order, so Norm is O(1)
+	sumSq   float64 // Σ score² in ascending id order, so a norm is O(1)
 	version uint64  // bumped on every content mutation (similarity-cache key)
 }
 
@@ -88,12 +88,6 @@ func (p *Profile) Get(id news.ID) (Entry, bool) {
 		return p.entries[i], true
 	}
 	return Entry{}, false
-}
-
-// Has reports whether the profile expresses an opinion on the item.
-func (p *Profile) Has(id news.ID) bool {
-	_, ok := p.search(id)
-	return ok
 }
 
 // Set inserts or replaces the entry for an item (user-profile update,
@@ -180,17 +174,6 @@ func (p *Profile) fold(other *Profile) {
 	p.entries, p.sumSq = append(merged, tail...), sumSq
 }
 
-// Remove deletes the entry for an item, if present.
-func (p *Profile) Remove(id news.ID) {
-	i, ok := p.search(id)
-	if !ok {
-		return
-	}
-	p.version++
-	p.entries = append(p.entries[:i], p.entries[i+1:]...)
-	p.resum()
-}
-
 // PurgeOlderThan removes all entries whose timestamp is strictly older than
 // minStamp and reports how many were dropped. This implements the profile
 // window (II-E): the system only considers current interests, and inactive
@@ -254,51 +237,10 @@ func (p *Profile) resum() {
 	p.sumSq = sumSq
 }
 
-// Norm returns the Euclidean norm of the score vector, ‖P‖.
-func (p *Profile) Norm() float64 { return norm(p.sumSq) }
-
-// Likes returns the number of entries with a strictly positive score.
-func (p *Profile) Likes() int {
-	n := 0
-	for _, e := range p.entries {
-		if e.Score > 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// ForEach calls fn for every entry in ascending item-id order.
-func (p *Profile) ForEach(fn func(Entry)) {
-	for _, e := range p.entries {
-		fn(e)
-	}
-}
-
-// Entries returns a copy of the entries sorted by item id.
-func (p *Profile) Entries() []Entry {
-	out := make([]Entry, len(p.entries))
-	copy(out, p.entries)
-	return out
-}
-
 // Clone returns a deep copy: the same entries in an array of its own, and
 // the same version.
 func (p *Profile) Clone() *Profile {
 	return &Profile{entries: append([]Entry(nil), p.entries...), sumSq: p.sumSq, version: p.version}
-}
-
-// Equal reports whether two profiles contain exactly the same entries.
-func (p *Profile) Equal(q *Profile) bool {
-	if len(p.entries) != len(q.entries) {
-		return false
-	}
-	for i, e := range p.entries {
-		if q.entries[i] != e {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders a short human-readable form, capped to a few entries.

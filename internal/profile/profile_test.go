@@ -3,6 +3,7 @@ package profile
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"whatsup/internal/news"
@@ -24,17 +25,17 @@ func TestSetSingleEntryPerID(t *testing.T) {
 func TestNormTracksMutations(t *testing.T) {
 	p := New()
 	p.Set(1, 0, 1)
-	p.Set(2, 0, 1)
-	p.Set(3, 0, 0)
-	if got, want := p.Norm(), math.Sqrt(2); math.Abs(got-want) > 1e-12 {
+	p.Set(2, 1, 1)
+	p.Set(3, 1, 0)
+	if got, want := norm(p.sumSq), math.Sqrt(2); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("Norm=%v want %v", got, want)
 	}
-	p.Remove(1)
-	if got, want := p.Norm(), 1.0; math.Abs(got-want) > 1e-12 {
-		t.Fatalf("Norm after Remove=%v want %v", got, want)
+	p.PurgeOlderThan(1)
+	if got, want := norm(p.sumSq), 1.0; math.Abs(got-want) > 1e-12 {
+		t.Fatalf("Norm after purge=%v want %v", got, want)
 	}
-	p.Set(2, 0, 0.5) // replace like with half-score
-	if got, want := p.Norm(), 0.5; math.Abs(got-want) > 1e-12 {
+	p.Set(2, 1, 0.5) // replace like with half-score
+	if got, want := norm(p.sumSq), 0.5; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("Norm after replace=%v want %v", got, want)
 	}
 }
@@ -91,7 +92,7 @@ func TestAverageInStalenessRegression(t *testing.T) {
 	if dropped := ip.PurgeOlderThan(5); dropped != 0 {
 		t.Fatalf("reinforced entry purged: dropped=%d", dropped)
 	}
-	if !ip.Has(7) {
+	if !has(ip, 7) {
 		t.Fatal("reinforced entry must survive a purge past its original stamp")
 	}
 	// An older opinion must never rejuvenate a fresher entry.
@@ -119,14 +120,14 @@ func TestPurgeOlderThan(t *testing.T) {
 		t.Fatalf("dropped=%d len=%d want 5/5", dropped, p.Len())
 	}
 	for i := 5; i < 10; i++ {
-		if !p.Has(news.ID(i)) {
+		if !has(p, news.ID(i)) {
 			t.Fatalf("entry %d must survive the purge", i)
 		}
 	}
 	if p.PurgeOlderThan(5) != 0 {
 		t.Fatalf("second purge at same boundary must drop nothing")
 	}
-	if got, want := p.Norm(), math.Sqrt(5); math.Abs(got-want) > 1e-12 {
+	if got, want := norm(p.sumSq), math.Sqrt(5); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("Norm after purge=%v want %v", got, want)
 	}
 }
@@ -136,8 +137,8 @@ func TestPurgeAllResetsNorm(t *testing.T) {
 	p.Set(1, 1, 0.3)
 	p.Set(2, 2, 0.7)
 	p.PurgeOlderThan(100)
-	if p.Len() != 0 || p.Norm() != 0 {
-		t.Fatalf("full purge must empty the profile: len=%d norm=%v", p.Len(), p.Norm())
+	if p.Len() != 0 || p.sumSq != 0 {
+		t.Fatalf("full purge must empty the profile: len=%d Σ score²=%v", p.Len(), p.sumSq)
 	}
 }
 
@@ -160,7 +161,7 @@ func TestEntriesSorted(t *testing.T) {
 	for _, id := range []news.ID{9, 3, 7, 1} {
 		p.Set(id, 0, 1)
 	}
-	es := p.Entries()
+	es := p.entries
 	for i := 1; i < len(es); i++ {
 		if es[i-1].Item >= es[i].Item {
 			t.Fatalf("entries not sorted: %v", es)
@@ -188,19 +189,6 @@ func TestMostPopular(t *testing.T) {
 	}
 }
 
-func TestEqual(t *testing.T) {
-	a, b := New(), New()
-	a.Set(1, 2, 1)
-	b.Set(1, 2, 1)
-	if !a.Equal(b) {
-		t.Fatal("identical profiles must be Equal")
-	}
-	b.Set(1, 2, 0)
-	if a.Equal(b) {
-		t.Fatal("different scores must not be Equal")
-	}
-}
-
 // randomProfile builds a profile with n entries drawn from a universe of ids.
 func randomProfile(rng *rand.Rand, n int, universe int64) *Profile {
 	p := New()
@@ -220,15 +208,17 @@ func TestNormPropertyMatchesRecomputation(t *testing.T) {
 			case 0:
 				p.Set(news.ID(rng.Int63n(40)), rng.Int63n(1000), rng.Float64())
 			case 1:
-				p.Remove(news.ID(rng.Int63n(40)))
+				p.PurgeOlderThan(rng.Int63n(100))
 			case 2:
 				averageIn(p, news.ID(rng.Int63n(40)), rng.Int63n(1000), rng.Float64())
 			}
 		}
 		var sumSq float64
-		p.ForEach(func(e Entry) { sumSq += e.Score * e.Score })
-		if math.Abs(p.Norm()-math.Sqrt(sumSq)) > 1e-9 {
-			t.Fatalf("cached norm drifted: %v vs %v", p.Norm(), math.Sqrt(sumSq))
+		for _, e := range p.entries {
+			sumSq += e.Score * e.Score
+		}
+		if math.Abs(norm(p.sumSq)-math.Sqrt(sumSq)) > 1e-9 {
+			t.Fatalf("cached norm drifted: %v vs %v", norm(p.sumSq), math.Sqrt(sumSq))
 		}
 	}
 }
@@ -237,29 +227,27 @@ func TestNormPropertyMatchesRecomputation(t *testing.T) {
 // the observational-equivalence property tests.
 func legacyClone(p *Profile) *Profile {
 	c := WithCapacity(p.Len())
-	p.ForEach(func(e Entry) { c.entries = append(c.entries, e) })
+	c.entries = append(c.entries, p.entries...)
 	c.sumSq = p.sumSq
 	return c
 }
 
 // mutate applies one random mutation to a profile: Set (a binary or a real
-// score), Remove, PurgeOlderThan, MergeAverage, or p replaced by its own
-// Merged or Windowed result.
+// score), PurgeOlderThan, MergeAverage, or p replaced by its own Merged or
+// Windowed result.
 func mutate(p *Profile, rng *rand.Rand) {
-	switch rng.Intn(7) {
+	switch rng.Intn(6) {
 	case 0:
 		p.Set(news.ID(rng.Int63n(60)), rng.Int63n(1000), float64(rng.Intn(2)))
 	case 1:
 		p.Set(news.ID(rng.Int63n(60)), rng.Int63n(1000), rng.Float64())
 	case 2:
-		p.Remove(news.ID(rng.Int63n(60)))
-	case 3:
 		p.PurgeOlderThan(rng.Int63n(1000))
-	case 4:
+	case 3:
 		p.MergeAverage(randomProfile(rng, rng.Intn(20), 60))
-	case 5:
+	case 4:
 		*p = *p.Merged(randomProfile(rng, rng.Intn(20), 60))
-	case 6:
+	case 5:
 		*p = *p.Windowed(rng.Int63n(1000))
 	}
 }
@@ -286,16 +274,16 @@ func TestCloneCOWObservationallyEqualsDeepCopy(t *testing.T) {
 				mutate(deep, mrng2)
 			}
 		}
-		if !cow.Equal(deep) {
+		if !sameEntries(cow, deep) {
 			t.Fatalf("trial %d: clone diverged from deep copy:\n%v\n%v", trial, cow, deep)
 		}
-		if !base.Equal(refBase) {
+		if !sameEntries(base, refBase) {
 			t.Fatalf("trial %d: original corrupted by clone mutations:\n%v\n%v", trial, base, refBase)
 		}
 		// Grandchild clones must be independent too.
 		g1, g2 := cow.Clone(), cow.Clone()
 		g1.Set(999, 1, 1)
-		if g2.Has(999) || cow.Has(999) {
+		if has(g2, 999) || has(cow, 999) {
 			t.Fatalf("trial %d: clone-of-clone mutation leaked", trial)
 		}
 	}
@@ -309,13 +297,15 @@ func TestMergeAverageMatchesAverageInLoop(t *testing.T) {
 		p := randomProfile(rng, rng.Intn(40), 50)
 		other := randomProfile(rng, rng.Intn(40), 50)
 		ref := legacyClone(p)
-		other.ForEach(func(e Entry) { averageIn(ref, e.Item, e.Stamp, e.Score) })
+		for _, e := range other.entries {
+			averageIn(ref, e.Item, e.Stamp, e.Score)
+		}
 		p.MergeAverage(other)
-		if !p.Equal(ref) {
+		if !sameEntries(p, ref) {
 			t.Fatalf("trial %d: merge mismatch:\n%v\n%v", trial, p, ref)
 		}
-		if !sameBits(p.Norm(), ref.Norm()) {
-			t.Fatalf("trial %d: norm not bit-identical: %v vs %v", trial, p.Norm(), ref.Norm())
+		if !sameBits(p.sumSq, ref.sumSq) {
+			t.Fatalf("trial %d: Σ score² not bit-identical: %v vs %v", trial, p.sumSq, ref.sumSq)
 		}
 	}
 	// nil and empty are no-ops.
@@ -323,7 +313,7 @@ func TestMergeAverageMatchesAverageInLoop(t *testing.T) {
 	ref := legacyClone(p)
 	p.MergeAverage(nil)
 	p.MergeAverage(New())
-	if !p.Equal(ref) {
+	if !sameEntries(p, ref) {
 		t.Fatal("merging nil/empty must not change the profile")
 	}
 }
@@ -332,7 +322,7 @@ func TestMergeAverageIntoEmptySharesCOW(t *testing.T) {
 	user := randomProfile(rand.New(rand.NewSource(13)), 30, 50)
 	ip := New()
 	ip.MergeAverage(user)
-	if !ip.Equal(user) {
+	if !sameEntries(ip, user) {
 		t.Fatal("merge into empty must copy the source verbatim")
 	}
 	if !sameBits(ip.sumSq, user.sumSq) {
@@ -341,12 +331,12 @@ func TestMergeAverageIntoEmptySharesCOW(t *testing.T) {
 	// Mutating either side afterwards must not leak into the other.
 	before := legacyClone(user)
 	ip.Set(999, 1, 1)
-	ip.Remove(user.Entries()[0].Item)
-	if !user.Equal(before) {
+	ip.PurgeOlderThan(1000)
+	if !sameEntries(user, before) {
 		t.Fatal("item-profile mutations leaked into the user profile")
 	}
 	user.Set(998, 1, 1)
-	if ip.Has(998) {
+	if has(ip, 998) {
 		t.Fatal("user-profile mutations leaked into the item profile")
 	}
 }
@@ -358,7 +348,7 @@ func TestMergeAverageIntoEmptySharesCOW(t *testing.T) {
 // fold in; Windowed returns the receiver itself when nothing is stale.
 func TestMergedAndWindowedOnlyRead(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
-	same := func(a, b *Profile) bool { return a.Equal(b) && sameBits(a.sumSq, b.sumSq) }
+	same := func(a, b *Profile) bool { return sameEntries(a, b) && sameBits(a.sumSq, b.sumSq) }
 	for trial := 0; trial < 300; trial++ {
 		p := randomProfile(rng, rng.Intn(30), 60)
 		mutate(p, rng)
@@ -401,12 +391,10 @@ func TestVersionBumpsOnEveryMutation(t *testing.T) {
 	}
 	step("Set", func() { p.Set(1, 1, 1) })
 	step("MergeAverage", func() { q := New(); q.Set(2, 1, 1); p.MergeAverage(q) })
-	step("Remove", func() { p.Remove(2) })
 	step("PurgeOlderThan", func() { p.Set(3, 0, 1); v = p.Version(); p.PurgeOlderThan(1) })
 	// Reads and no-op mutations must not bump.
 	p.Set(9, 5, 1)
 	v = p.Version()
-	p.Remove(1234)
 	p.PurgeOlderThan(0)
 	_ = p.Clone()
 	_, _ = p.Get(9)
@@ -422,7 +410,9 @@ func TestVersionBumpsOnEveryMutation(t *testing.T) {
 func checkCanonicalNorm(t *testing.T, p *Profile) {
 	t.Helper()
 	var sumSq float64
-	p.ForEach(func(e Entry) { sumSq += e.Score * e.Score })
+	for _, e := range p.entries {
+		sumSq += e.Score * e.Score
+	}
 	if !sameBits(p.sumSq, sumSq) {
 		t.Fatalf("%v: Σ score² %v, the ascending sum is %v", p, p.sumSq, sumSq)
 	}
@@ -462,18 +452,11 @@ func TestWireSizeMatchesEncodedLength(t *testing.T) {
 	}
 }
 
-func TestMarshalCanonical(t *testing.T) {
-	a, b := New(), New()
-	ids := []news.ID{5, 1, 9, 2}
-	for _, id := range ids {
-		a.Set(id, int64(id), 1)
-	}
-	for i := len(ids) - 1; i >= 0; i-- {
-		b.Set(ids[i], int64(ids[i]), 1)
-	}
-	ba, _ := a.MarshalBinary()
-	bb, _ := b.MarshalBinary()
-	if string(ba) != string(bb) {
-		t.Fatal("encoding must be canonical regardless of insertion order")
-	}
+// sameEntries reports whether two profiles hold exactly the same entries.
+func sameEntries(p, q *Profile) bool { return slices.Equal(p.entries, q.entries) }
+
+// has reports whether p holds an entry for id.
+func has(p *Profile, id news.ID) bool {
+	_, ok := p.Get(id)
+	return ok
 }

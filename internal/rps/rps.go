@@ -54,9 +54,6 @@ func New(self news.NodeID, _ string, viewSize int, rng *rand.Rand) *Protocol {
 	return &Protocol{self: self, view: overlay.NewView(viewSize), rng: rng}
 }
 
-// Self returns the node this protocol instance belongs to.
-func (p *Protocol) Self() news.NodeID { return p.self }
-
 // View exposes the underlying view. Callers must treat returned descriptors
 // as immutable.
 func (p *Protocol) View() *overlay.View { return p.view }

@@ -76,10 +76,10 @@ func TestChurnDeterminismAcrossWorkerCounts(t *testing.T) {
 		t.Fatalf("schedule too light to exercise churn: %d events", len(schedule.Events))
 	}
 	refCol, refEngine := runChurnWorld(n, items, cycles, loss, seed, 1, schedule)
-	if refEngine.OnlineCount() == refEngine.MemberCount() {
+	if refEngine.OnlineCount() == len(refEngine.mem.members) {
 		t.Fatal("schedule must leave some members offline or departed")
 	}
-	if refEngine.MemberCount() <= n {
+	if len(refEngine.mem.members) <= n {
 		t.Fatal("flash-crowd joins must have registered new members")
 	}
 	ref := fingerprint(refCol)
@@ -88,9 +88,9 @@ func TestChurnDeterminismAcrossWorkerCounts(t *testing.T) {
 		if got := fingerprint(col); got != ref {
 			t.Fatalf("workers=%d diverged under churn:\n--- want\n%s--- got\n%s", workers, ref, got)
 		}
-		if e.OnlineCount() != refEngine.OnlineCount() || e.MemberCount() != refEngine.MemberCount() {
+		if e.OnlineCount() != refEngine.OnlineCount() || len(e.mem.members) != len(refEngine.mem.members) {
 			t.Fatalf("membership diverged: %d/%d online vs %d/%d",
-				e.OnlineCount(), e.MemberCount(), refEngine.OnlineCount(), refEngine.MemberCount())
+				e.OnlineCount(), len(e.mem.members), refEngine.OnlineCount(), len(refEngine.mem.members))
 		}
 	}
 }
@@ -187,22 +187,28 @@ func TestViewsSelfHealAfterDepartures(t *testing.T) {
 	}
 }
 
-// TestLifecycleTransitions pins the membership state machine: the manual
-// Join/Leave/Crash/Rejoin API and its invalid-transition handling.
+// TestLifecycleTransitions pins the membership state machine — the rules
+// Membership.apply runs for every Config.Churn event — and its
+// invalid-transition handling.
 func TestLifecycleTransitions(t *testing.T) {
 	cfg := core.Config{FLike: 3, RPSViewSize: 6}
 	peers, _, col := communityWorld(20, 0, 10, cfg, 4)
-	e := New(Config{Seed: 4, Cycles: 10, BootstrapDegree: 3}, peers, col)
+	joiner := core.NewNode(500, "", cfg, core.OpinionFunc(func(news.NodeID, news.ID) bool { return true }),
+		rand.New(rand.NewSource(500)))
+	e := New(Config{Seed: 4, Cycles: 10, BootstrapDegree: 3, NewPeer: func(news.NodeID) Peer { return joiner }}, peers, col)
 	e.Bootstrap()
 	e.Step()
+	apply := func(kind ChurnEventKind, id news.NodeID) bool {
+		return e.mem.apply(engineSide{e}, ChurnEvent{Cycle: e.now, Kind: kind, Node: id}, e.now)
+	}
 
 	if st, ok := e.State(0); !ok || st != Online {
 		t.Fatalf("initial state = %v, %v", st, ok)
 	}
-	if !e.Crash(0) {
+	if !apply(ChurnCrash, 0) {
 		t.Fatal("crash of an online member must succeed")
 	}
-	if e.Crash(0) {
+	if apply(ChurnCrash, 0) {
 		t.Fatal("crashing an offline member must be a no-op")
 	}
 	if st, _ := e.State(0); st != Offline {
@@ -214,35 +220,33 @@ func TestLifecycleTransitions(t *testing.T) {
 	if e.OnlineCount() != 19 {
 		t.Fatalf("online count %d, want 19", e.OnlineCount())
 	}
-	if !e.Rejoin(0) {
+	if !apply(ChurnRejoin, 0) {
 		t.Fatal("rejoin of an offline member must succeed")
 	}
-	if e.Rejoin(0) {
+	if apply(ChurnRejoin, 0) {
 		t.Fatal("rejoining an online member must be a no-op")
 	}
 	if n := e.Peer(0).(*core.Node); n.RPS().View().Len() == 0 {
 		t.Fatal("rejoin must re-seed views from the online population")
 	}
-	if !e.Leave(5) {
+	if !apply(ChurnLeave, 5) {
 		t.Fatal("leave of an online member must succeed")
 	}
-	if e.Leave(5) {
+	if apply(ChurnLeave, 5) {
 		t.Fatal("leaving a departed member must be a no-op")
 	}
-	if e.Rejoin(5) {
+	if apply(ChurnRejoin, 5) {
 		t.Fatal("a departed member must not rejoin")
 	}
-	if e.Leave(999) || e.Crash(999) || e.Rejoin(999) {
+	if apply(ChurnLeave, 999) || apply(ChurnCrash, 999) || apply(ChurnRejoin, 999) {
 		t.Fatal("unknown ids must be rejected")
 	}
 
-	// A scheduled join through the public API cold-starts from a live host.
-	joiner := core.NewNode(500, "", cfg, core.OpinionFunc(func(news.NodeID, news.ID) bool { return true }),
-		rand.New(rand.NewSource(500)))
-	if !e.Join(joiner) {
+	// A join cold-starts from a live host.
+	if !apply(ChurnJoin, 500) {
 		t.Fatal("join of a fresh id must succeed")
 	}
-	if e.Join(joiner) {
+	if apply(ChurnJoin, 500) {
 		t.Fatal("joining an existing id must be a no-op")
 	}
 	if joiner.RPS().View().Len() == 0 || joiner.WUP().View().Len() == 0 {

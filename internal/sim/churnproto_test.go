@@ -185,9 +185,9 @@ func TestChurnProtocolV2Determinism(t *testing.T) {
 		if got := fingerprint(col); got != ref {
 			t.Fatalf("workers=%d diverged with churn protocol v2 on:\n--- want\n%s--- got\n%s", workers, ref, got)
 		}
-		if e.OnlineCount() != refEngine.OnlineCount() || e.MemberCount() != refEngine.MemberCount() {
+		if e.OnlineCount() != refEngine.OnlineCount() || len(e.mem.members) != len(refEngine.mem.members) {
 			t.Fatalf("membership diverged: %d/%d online vs %d/%d",
-				e.OnlineCount(), e.MemberCount(), refEngine.OnlineCount(), refEngine.MemberCount())
+				e.OnlineCount(), len(e.mem.members), refEngine.OnlineCount(), len(refEngine.mem.members))
 		}
 	}
 }

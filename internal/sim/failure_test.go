@@ -7,7 +7,6 @@ import (
 	"whatsup/internal/core"
 	"whatsup/internal/metrics"
 	"whatsup/internal/news"
-	"whatsup/internal/profile"
 )
 
 // TestCrashRecovery injects view wipes into half the fleet mid-run: the
@@ -68,11 +67,18 @@ func TestColdStartReintegration(t *testing.T) {
 	minStamp := e.Now() - cfg.ProfileWindow
 	for _, p := range e.Peers() {
 		node := p.(*core.Node)
-		node.UserProfile().ForEach(func(entry profile.Entry) {
-			if entry.Stamp < minStamp {
-				t.Fatalf("node %d kept entry older than the window: %+v", node.ID(), entry)
+		found := 0
+		for _, pub := range pubs {
+			if entry, ok := node.UserProfile().Get(pub.Item.ID); ok {
+				if entry.Stamp < minStamp {
+					t.Fatalf("node %d kept entry older than the window: %+v", node.ID(), entry)
+				}
+				found++
 			}
-		})
+		}
+		if found != node.UserProfile().Len() {
+			t.Fatalf("node %d holds %d entries, %d of them on published items", node.ID(), node.UserProfile().Len(), found)
+		}
 	}
 	// Build a fresh joiner from a live host and verify it acquires
 	// neighbours within a few cycles.

@@ -111,9 +111,6 @@ type ChurnSchedule struct {
 	Events []ChurnEvent
 }
 
-// Empty reports whether the schedule contains no events.
-func (s ChurnSchedule) Empty() bool { return len(s.Events) == 0 }
-
 // Add appends one event and returns the schedule for chaining.
 func (s *ChurnSchedule) Add(cycle int64, kind ChurnEventKind, node news.NodeID) *ChurnSchedule {
 	s.Events = append(s.Events, ChurnEvent{Cycle: cycle, Kind: kind, Node: node})
@@ -444,7 +441,10 @@ func (m *Membership[M]) apply(rt MemberRuntime[M], ev ChurnEvent, now int64) boo
 			return false
 		}
 		h, ok := rt.New(ev.Node, now)
-		return ok && m.join(rt, ev.Node, h, now)
+		if ok {
+			m.join(rt, ev.Node, h, now)
+		}
+		return ok
 	}
 	if !known {
 		return false
@@ -488,10 +488,7 @@ func (m *Membership[M]) apply(rt MemberRuntime[M], ev ChurnEvent, now int64) boo
 // draws range over the table with the joiner's future slot counted in (the
 // historical draw), but the joiner enters the table only once its views are
 // set, inside its critical section.
-func (m *Membership[M]) join(rt MemberRuntime[M], id news.NodeID, h M, now int64) bool {
-	if _, exists := m.idx[id]; exists {
-		return false
-	}
+func (m *Membership[M]) join(rt MemberRuntime[M], id news.NodeID, h M, now int64) {
 	self, stream := len(m.members), prng.New(streamSeed(m.seed, id))
 	var rps, wup, boot []overlay.Descriptor
 	cs, cold := any(h).(ColdStarter)
@@ -517,7 +514,6 @@ func (m *Membership[M]) join(rt MemberRuntime[M], id news.NodeID, h M, now int64
 		}
 		m.add(id, h, stream)
 	})
-	return true
 }
 
 // host draws a uniformly random online member for the joiner about to take

@@ -128,11 +128,9 @@ func TestShardMatrixDeterminism(t *testing.T) {
 
 // twoContentsWorld runs a world in which one (node, stamp) names two profile
 // contents, every cycle: a profile window short enough that BeginCycle purges
-// an entry a cycle (scheduled joiners and rejoiners are seeded, before the
-// purge, with descriptors stamped like the post-purge pushes of the same
-// cycle), and joins and rejoins made between Steps (seeded, after the BEEP
-// drain, with descriptors stamped like that cycle's pre-drain pushes). It
-// returns the collector fingerprint and every member's views, entry by entry
+// an entry a cycle, and joiners and rejoiners every cycle, seeded before the
+// purge with descriptors stamped like the post-purge pushes of the same
+// cycle. It returns the collector fingerprint and every member's views, entry by entry
 // with the profile's content.
 func twoContentsWorld(workers, shards int) string {
 	const n, items, cycles, seed = 120, 60, 30, 7
@@ -148,21 +146,23 @@ func twoContentsWorld(workers, shards int) string {
 		Seed: 11, Nodes: n, From: 2, To: cycles - 2, CrashRate: 0.08, Downtime: 2,
 	})
 	schedule.Merge(FlashCrowd(6, news.NodeID(n), 12, 2))
+	var steady ChurnSchedule
+	for c := int64(2); c <= cycles; c++ {
+		if c%3 == 1 {
+			steady.Add(c, ChurnJoin, news.NodeID(1000+c-1))
+		}
+		// Node c-1 goes down at cycle c and comes back two cycles on.
+		steady.Add(c, ChurnCrash, news.NodeID(c-1))
+		steady.Add(c, ChurnRejoin, news.NodeID(c-3))
+	}
+	schedule.Merge(steady)
 	e := New(Config{
 		Seed: seed, Cycles: cycles, LossRate: 0.1, Publications: pubs,
 		BootstrapDegree: 4, Workers: workers, Shards: shards, Churn: schedule,
 		RefillWatermark: 0.5, NewPeer: newPeer,
 	}, peers, col)
 	e.Bootstrap()
-	for c := 1; c <= cycles; c++ {
-		e.Step()
-		if c%3 == 0 {
-			e.Join(newPeer(news.NodeID(1000 + c)))
-		}
-		// Node c is taken down between Steps and brought back two cycles on.
-		e.Crash(news.NodeID(c))
-		e.Rejoin(news.NodeID(c - 2))
-	}
+	e.Run()
 	var b strings.Builder
 	b.WriteString(fingerprint(col))
 	for _, p := range e.Peers() {

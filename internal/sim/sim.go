@@ -343,34 +343,12 @@ func (e *Engine) State(id news.NodeID) (MemberState, bool) {
 // OnlineCount returns the number of members currently online.
 func (e *Engine) OnlineCount() int { return e.mem.counts[Online] }
 
-// MemberCount returns the total number of members ever registered,
-// including offline and departed ones.
-func (e *Engine) MemberCount() int { return len(e.mem.members) }
-
 // onlinePeer returns the peer for an id only when it is online.
 func (e *Engine) onlinePeer(id news.NodeID) Peer {
 	if g, ok := e.mem.idx[id]; ok && e.mem.states[g] == Online {
 		return e.mem.members[g]
 	}
 	return nil
-}
-
-// Join registers a brand-new peer between cycles and bootstraps its views
-// as a scheduled ChurnJoin would (Section II-D for a ColdStarter). Reports
-// whether the id was new.
-func (e *Engine) Join(p Peer) bool { return e.mem.join(engineSide{e}, p.Overlay().ID(), p, e.now) }
-
-// Leave applies a ChurnLeave between cycles and reports whether it was valid.
-func (e *Engine) Leave(id news.NodeID) bool { return e.event(ChurnLeave, id) }
-
-// Crash applies a ChurnCrash between cycles and reports whether it was valid.
-func (e *Engine) Crash(id news.NodeID) bool { return e.event(ChurnCrash, id) }
-
-// Rejoin applies a ChurnRejoin between cycles and reports whether it was valid.
-func (e *Engine) Rejoin(id news.NodeID) bool { return e.event(ChurnRejoin, id) }
-
-func (e *Engine) event(kind ChurnEventKind, id news.NodeID) bool {
-	return e.mem.apply(engineSide{e}, ChurnEvent{Cycle: e.now, Kind: kind, Node: id}, e.now)
 }
 
 // engineSide is the simulator's side of membership events. A peer has no
@@ -401,9 +379,6 @@ func (s engineSide) New(id news.NodeID, _ int64) (Peer, bool) {
 	p := s.e.cfg.NewPeer(id)
 	return p, p != nil && p.Overlay().ID() == id
 }
-
-// Collector returns the metrics collector.
-func (e *Engine) Collector() *metrics.Collector { return e.col }
 
 // Now returns the current cycle.
 func (e *Engine) Now() int64 { return e.now }
@@ -1063,7 +1038,7 @@ func (e *Engine) deliverRound(now int64) {
 // views, for the connectivity and clustering analyses (Figure 4,
 // Section V-A). Offline and departed members contribute no edges (their
 // views are wiped or frozen); peers without a clustering layer likewise.
-// Node ids must be dense in [0, MemberCount) for the returned graph indices
+// Node ids must be dense in [0, number of members) for the returned graph indices
 // to be meaningful; engines built by the experiment harness guarantee this.
 func (e *Engine) WUPGraph() *graph.Directed {
 	g := graph.NewDirected(len(e.mem.members))

@@ -123,10 +123,14 @@ func TestWUPGraphSnapshot(t *testing.T) {
 	e.Bootstrap()
 	e.Run()
 	g := e.WUPGraph()
-	if g.N() != 20 {
-		t.Fatalf("graph nodes=%d want 20", g.N())
+	nodes := 0
+	for _, c := range g.SCC() {
+		nodes += len(c)
 	}
-	if g.Edges() == 0 {
+	if nodes != 20 {
+		t.Fatalf("graph nodes=%d want 20", nodes)
+	}
+	if g.WeakComponents() == 20 {
 		t.Fatal("WUP graph must have edges after a run")
 	}
 }

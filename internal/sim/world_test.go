@@ -153,15 +153,15 @@ func TestWorldNewEngine(t *testing.T) {
 		return core.NewNode(id, "", core.Config{FLike: 3, RPSViewSize: 8}, w.Opinions, rand.New(rand.NewSource(int64(id))))
 	}
 	e, col := w.NewEngine(Config{Seed: 2, Cycles: 12, Workers: 1})
-	if col != e.Collector() || col.Node(42) == nil {
+	if col != e.col || col.Node(42) == nil {
 		t.Fatal("the engine must record into the world's registered collector")
 	}
-	if e.MemberCount() != 40 || e.Peer(0).Overlay().RPS().View().Len() == 0 {
+	if len(e.mem.members) != 40 || e.Peer(0).Overlay().RPS().View().Len() == 0 {
 		t.Fatal("the base population must be built and bootstrapped")
 	}
 	e.Run()
-	if e.MemberCount() != 43 || len(built) != 43 || built[41] != 1 {
-		t.Fatalf("joiners must come from the world's factory: members=%d built=%d", e.MemberCount(), len(built))
+	if len(e.mem.members) != 43 || len(built) != 43 || built[41] != 1 {
+		t.Fatalf("joiners must come from the world's factory: members=%d built=%d", len(e.mem.members), len(built))
 	}
 	if col.Recall() == 0 || col.Node(41).Received == 0 {
 		t.Fatal("publications must disseminate, to the joiners too")

@@ -96,13 +96,12 @@ type CatalogEntry struct {
 	FetchedAt time.Time
 }
 
-// Catalog is the ingestion ledger: every item published into the mesh, in
-// ingestion order, keyed by content hash. Safe for concurrent use — the
+// Catalog is the ingestion ledger: every item published into the mesh,
+// keyed by content hash. Safe for concurrent use — the
 // gateway writes while API handlers read.
 type Catalog struct {
 	mu    sync.RWMutex
 	items map[news.ID]CatalogEntry
-	order []news.ID
 }
 
 // NewCatalog returns an empty catalog.
@@ -127,7 +126,6 @@ func (c *Catalog) Add(e CatalogEntry) bool {
 		return false
 	}
 	c.items[e.Item.ID] = e
-	c.order = append(c.order, e.Item.ID)
 	return true
 }
 
@@ -144,15 +142,4 @@ func (c *Catalog) Len() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return len(c.items)
-}
-
-// Entries returns the cataloged items in ingestion order.
-func (c *Catalog) Entries() []CatalogEntry {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]CatalogEntry, 0, len(c.order))
-	for _, id := range c.order {
-		out = append(out, c.items[id])
-	}
-	return out
 }

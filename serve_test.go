@@ -32,7 +32,10 @@ func TestServingFacade(t *testing.T) {
 		<-done
 	}()
 
-	src := NewFileSource("internal/source/testdata/feed.xml")
+	src, err := NewSource("file:internal/source/testdata/feed.xml")
+	if err != nil {
+		t.Fatal(err)
+	}
 	gw := NewGateway(GatewayConfig{Node: 0, Sources: []Source{src}}, runner)
 	srv := httptest.NewServer(NewAPIServer(runner, gw.Catalog()))
 	defer srv.Close()
@@ -65,7 +68,7 @@ func TestServingFacade(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	var snap NodeSnapshot
-	snap, err := runner.Snapshot(3)
+	snap, err = runner.Snapshot(3)
 	if err != nil || snap.ID != 3 {
 		t.Fatalf("snapshot: %+v, %v", snap, err)
 	}
@@ -111,7 +114,7 @@ func TestServingFacadeSpecs(t *testing.T) {
 	if src.Name() != "file:internal/source/testdata/feed.xml" {
 		t.Fatalf("source name %q", src.Name())
 	}
-	if NewFeedSource("https://example.org/feed.xml").Name() != "rss:https://example.org/feed.xml" {
+	if feed, err := NewSource("rss:https://example.org/feed.xml"); err != nil || feed.Name() != "rss:https://example.org/feed.xml" {
 		t.Fatal("feed source name mismatch")
 	}
 }

@@ -63,11 +63,6 @@ type (
 	Profile = profile.Profile
 )
 
-// NewItem builds a news item, deriving its identifier from the content.
-func NewItem(title, description, link string, created int64, source NodeID) Item {
-	return news.New(title, description, link, created, source)
-}
-
 // NewNode constructs a WhatsUp node with the given configuration; zero
 // fields take the paper's defaults.
 func NewNode(id NodeID, cfg Config, opinions Opinions, seed int64) *Node {
@@ -85,11 +80,6 @@ type Dataset = dataset.Dataset
 // SyntheticDataset generates the Arxiv-style community workload.
 func SyntheticDataset(seed int64, scale float64) *Dataset {
 	return dataset.Synthetic(dataset.SyntheticConfig{Seed: seed, Scale: scale})
-}
-
-// DiggDataset generates the Digg-like workload with its social graph.
-func DiggDataset(seed int64, scale float64) *Dataset {
-	return dataset.Digg(dataset.DiggConfig{Seed: seed, Scale: scale})
 }
 
 // SurveyDataset generates the survey-like workload.
@@ -172,9 +162,6 @@ func (s *Simulation) Node(id NodeID) *Node {
 	return nil
 }
 
-// Metrics returns the collector with precision/recall/F1 and traffic.
-func (s *Simulation) Metrics() *Collector { return s.col }
-
 // Results summarizes a run: precision, recall, F1 and the message total.
 type Results = metrics.Quality
 
@@ -219,8 +206,8 @@ func NewChannelNet(seed int64, lossRate float64, latency time.Duration) Network 
 // APIServer exposes per-node feeds, feedback and fleet stats over JSON HTTP.
 
 type (
-	// Source is one news provider (NewFeedSource for RSS/Atom over HTTP,
-	// NewFileSource for fixture files, NewSource for "kind:arg" specs).
+	// Source is one news provider; NewSource builds one from a "kind:arg"
+	// spec ("rss:URL" for RSS/Atom over HTTP, "file:PATH" for fixtures).
 	Source = source.Source
 	// Catalog records every item a gateway has published, for /v1/items.
 	Catalog = source.Catalog
@@ -256,12 +243,6 @@ var (
 // NewSource builds a source from a "kind:argument" spec ("rss:URL" or
 // "file:PATH").
 func NewSource(spec string) (Source, error) { return source.New(spec) }
-
-// NewFeedSource builds an RSS/Atom source polling the given URL.
-func NewFeedSource(url string) Source { return source.NewFeed(url) }
-
-// NewFileSource builds a fixture source reading an RSS/Atom file from disk.
-func NewFileSource(path string) Source { return source.NewFile(path) }
 
 // NewGateway builds an ingestion gateway publishing through the given fleet
 // node of the runner.

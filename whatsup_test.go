@@ -44,8 +44,8 @@ func TestSimulationStepAndNodeAccess(t *testing.T) {
 		s.Step()
 	}
 	deliveries := 0
-	for _, id := range s.Metrics().NodeIDs() {
-		deliveries += s.Metrics().Node(id).Received
+	for _, id := range s.col.NodeIDs() {
+		deliveries += s.col.Node(id).Received
 	}
 	if s.Node(0) == nil {
 		t.Fatal("node 0 must be accessible")
@@ -62,19 +62,12 @@ func TestDatasetConstructors(t *testing.T) {
 	if ds := SyntheticDataset(1, 0.03); ds.Users == 0 {
 		t.Fatal("synthetic empty")
 	}
-	if ds := DiggDataset(1, 0.05); ds.Social == nil {
-		t.Fatal("digg must carry a social graph")
-	}
 	if ds := SurveyDataset(1, 0.05); len(ds.Items) == 0 {
 		t.Fatal("survey empty")
 	}
 }
 
-func TestNewItemAndNode(t *testing.T) {
-	it := NewItem("headline", "desc", "http://x", 3, 7)
-	if it.ID == 0 || it.Source != 7 {
-		t.Fatalf("item wrong: %+v", it)
-	}
+func TestNewNode(t *testing.T) {
 	n := NewNode(1, Config{}, OpinionFunc(func(NodeID, ItemID) bool { return true }), 42)
 	if n.ID() != 1 {
 		t.Fatal("node id")
@@ -129,7 +122,7 @@ func TestMetricsExposed(t *testing.T) {
 	ds := SurveyDataset(5, 0.05)
 	s := NewSimulation(ds, SimulationConfig{Node: Config{FLike: 4}, Seed: 2})
 	s.Run()
-	if s.Metrics().TotalMessages() == 0 {
+	if s.Results().Messages == 0 {
 		t.Fatal("collector must be populated")
 	}
 }
