@@ -368,6 +368,19 @@ func (s *Substrate) Held(node news.NodeID, stamp int64, intoRPS, intoWUP bool) (
 	return r, false // the zero Descriptor when neither view holds the node
 }
 
+// Settle ends an inbound frame whose descriptors were decoded against l
+// (overlay.DecodeDescriptorsHeld): every borrowed snapshot either view or the
+// clustering view's score cache kept is replaced with one owned copy, shared
+// by both views, and the frame is let go. Runtimes call it after the frame's
+// accept leg and before the frame's bytes are reused.
+func (s *Substrate) Settle(l *overlay.Loan) {
+	if s.wup != nil {
+		l.Settle(s.rps.View(), s.wup.View())
+	} else {
+		l.Settle(s.rps.View())
+	}
+}
+
 // low reports whether a view's occupancy is under the refill watermark.
 func low(v *overlay.View, watermark float64) bool {
 	return float64(v.Len()) < watermark*float64(v.Capacity())
@@ -403,9 +416,10 @@ func (s *Substrate) RefillTarget(watermark float64) (target news.NodeID, ok bool
 }
 
 // AcceptRefill answers a refill request with an RPS-style exchange (own fresh
-// descriptor plus half the view), merging the puller's descriptor.
-func (s *Substrate) AcceptRefill(req []overlay.Descriptor, now int64) (reply []overlay.Descriptor) {
-	return s.respond(RPSLayer, nil, req, now)
+// descriptor plus half the view), merging the puller's descriptor. The reply
+// is appended to dst, as AcceptPush appends its own.
+func (s *Substrate) AcceptRefill(dst, req []overlay.Descriptor, now int64) (out []overlay.Descriptor) {
+	return s.respond(RPSLayer, dst, req, now)
 }
 
 // AcceptRefillReply merges a refill reply at the puller: always into the RPS

@@ -64,7 +64,7 @@ func TestAcceptLegs(t *testing.T) {
 			return nil
 		}, true, wupView},
 		{"refill-request", func(s *Substrate, b []overlay.Descriptor, _ []overlay.Tombstone) []overlay.Descriptor {
-			return s.AcceptRefill(b, now)
+			return s.AcceptRefill(nil, b, now)
 		}, false, rpsView},
 		{"refill-reply", func(s *Substrate, b []overlay.Descriptor, _ []overlay.Tombstone) []overlay.Descriptor {
 			s.AcceptRefillReply(b, 1, now) // watermark 1: the WUP view counts as starved
@@ -202,7 +202,7 @@ func TestRefillDecision(t *testing.T) {
 
 	responder := testSubstrate(30, 4, 0)
 	fill(responder, full, full)
-	answer := responder.AcceptRefill([]overlay.Descriptor{descFor(1, 6)}, 6)
+	answer := responder.AcceptRefill(nil, []overlay.Descriptor{descFor(1, 6)}, 6)
 	if answer[0].Node != 30 || len(answer) != 1+len(full)/2 {
 		t.Fatalf("a refill answer is an RPS-style reply (self + half the view), got %v", nodesOf(answer))
 	}

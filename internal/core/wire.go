@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"whatsup/internal/news"
 	"whatsup/internal/profile"
@@ -47,9 +48,10 @@ func (m ItemMessage) AppendWire(buf []byte) []byte {
 
 // DecodeItemMessage decodes one message from the front of data, recomputing
 // the item identifier from the received content. The decoded message aliases
-// nothing in data (strings are copied, profile entries are fresh), and its
-// Profile is never nil: a message sent without one arrives with an empty
-// profile, which Node.Receive reads and never writes.
+// nothing in data — its title, description and link are substrings of one
+// string copied out of it, its profile entries are fresh — and its Profile is
+// never nil: a message sent without one arrives with an empty profile, which
+// Node.Receive reads and never writes.
 func DecodeItemMessage(data []byte) (ItemMessage, []byte, error) {
 	var m ItemMessage
 	rest, err := decodeItemMessage(&m, data)
@@ -152,12 +154,21 @@ func decodeItemMessage(m *ItemMessage, data []byte) ([]byte, error) {
 		if p == nil {
 			p = profile.New() // sent without a profile: empty, never nil
 		}
+		// One string holds the three fields, each a substring of it: whoever
+		// keeps an item (a feed record) keeps all three anyway.
+		var b strings.Builder
+		b.Grow(len(title) + len(description) + len(link))
+		b.Write(title)
+		b.Write(description)
+		b.Write(link)
+		content := b.String()
+		t, dl := len(title), len(title)+len(description)
 		*m = ItemMessage{
 			Item: news.Item{
 				ID:          news.HashBytes(title, description, link),
-				Title:       string(title),
-				Description: string(description),
-				Link:        string(link),
+				Title:       content[:t],
+				Description: content[t:dl],
+				Link:        content[dl:],
 				Created:     created,
 				Source:      news.NodeID(source),
 			},

@@ -97,14 +97,17 @@ func envelopeHeader(data []byte) (kind wireKind, from, to news.NodeID, body []by
 }
 
 // decodeEnvelope is the one walk over the envelope layout. It decodes one
-// envelope from the front of data into e — nothing in the result aliases
-// data, so the buffer can go back to the pool — or, with e nil, only
-// validates and builds nothing. The check-only mode is what lets the TCP
-// reader pump keep rejecting a malformed stream at the socket although
-// decoding proper happens on the receiving node. That node decodes against
-// what it holds (h, see overlay.Holder): the descriptors it would discard
-// are validated like the rest and left out of e.Descs.
-func decodeEnvelope(e *envelope, data []byte, h overlay.Holder) ([]byte, error) {
+// envelope from the front of data into e or, with e nil, only validates and
+// builds nothing. The check-only mode is what lets the TCP reader pump keep
+// rejecting a malformed stream at the socket although decoding proper
+// happens on the receiving node. That node decodes against what it holds (h,
+// see overlay.Holder): the descriptors it would discard are validated like
+// the rest and left out of e.Descs, which the list is appended to. Item
+// strings, profiles and tombstones are copies. A snapshot the node does not
+// hold is borrowed from data when l is not nil: a decoded snapshot borrows
+// the frame until the merge settles; what a view keeps is copied once
+// (overlay.Loan.Settle). With l nil, nothing in e aliases data.
+func decodeEnvelope(e *envelope, data []byte, h overlay.Holder, l *overlay.Loan) ([]byte, error) {
 	kind, from, to, rest, err := envelopeHeader(data)
 	if err != nil {
 		return data, err
@@ -119,7 +122,7 @@ func decodeEnvelope(e *envelope, data []byte, h overlay.Holder) ([]byte, error) 
 	case kind == wireItem:
 		e.Item, rest, err = core.DecodeItemMessage(rest)
 	default:
-		if e.Descs, rest, err = overlay.DecodeDescriptorsHeld(rest, h); err == nil {
+		if e.Descs, rest, err = overlay.DecodeDescriptorsHeld(e.Descs, rest, h, l); err == nil {
 			e.Tombs, rest, err = overlay.DecodeTombstones(rest)
 		}
 	}
@@ -134,8 +137,8 @@ func decodeEnvelope(e *envelope, data []byte, h overlay.Holder) ([]byte, error) 
 
 // decodePayload decodes (or, e nil, validates) a frame payload: exactly one
 // envelope, no trailing bytes.
-func decodePayload(e *envelope, payload []byte, h overlay.Holder) error {
-	rest, err := decodeEnvelope(e, payload, h)
+func decodePayload(e *envelope, payload []byte, h overlay.Holder, l *overlay.Loan) error {
+	rest, err := decodeEnvelope(e, payload, h, l)
 	if err != nil {
 		return err
 	}
@@ -177,7 +180,7 @@ func readFrame(br *bufio.Reader) (*[]byte, error) {
 		err = io.ErrUnexpectedEOF
 	}
 	if err == nil {
-		err = decodePayload(nil, *buf, nil)
+		err = decodePayload(nil, *buf, nil, nil)
 	}
 	if err != nil {
 		putBuf(buf)

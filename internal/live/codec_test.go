@@ -56,7 +56,7 @@ func repItem() envelope {
 // decodeEnv decodes one envelope from the front of data, by value.
 func decodeEnv(data []byte) (envelope, []byte, error) {
 	var e envelope
-	rest, err := decodeEnvelope(&e, data, nil)
+	rest, err := decodeEnvelope(&e, data, nil, nil)
 	return e, rest, err
 }
 
@@ -210,7 +210,7 @@ func TestReadFrameStream(t *testing.T) {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 		var got envelope
-		if err := decodePayload(&got, *buf, nil); err != nil || !envelopesEqual(got, want) {
+		if err := decodePayload(&got, *buf, nil, nil); err != nil || !envelopesEqual(got, want) {
 			t.Fatalf("frame %d mismatch (decode err=%v)", i, err)
 		}
 		putBuf(buf)
@@ -257,7 +257,7 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		env, rest, err := decodeEnv(data)
-		checkRest, checkErr := decodeEnvelope(nil, data, nil)
+		checkRest, checkErr := decodeEnvelope(nil, data, nil, nil)
 		if (err == nil) != (checkErr == nil) || len(rest) != len(checkRest) {
 			t.Fatalf("check-only mode disagrees with the decoder: decode err=%v rest=%d, check err=%v rest=%d",
 				err, len(rest), checkErr, len(checkRest))
@@ -338,6 +338,15 @@ type gobEnvelope struct {
 	Item     gobItemMessage
 }
 
+// packedLen is the number of entries a snapshot holds.
+func packedLen(p *profile.Packed) int {
+	u, _, err := profile.DecodeWire(p.AppendWire(nil))
+	if err != nil {
+		panic(err)
+	}
+	return u.Len()
+}
+
 // gobBytesSteadyState reports the average per-envelope gob size on a
 // long-lived stream (type descriptors amortized), which is exactly what the
 // previous gob transport put on the wire per message.
@@ -349,7 +358,7 @@ func gobBytesSteadyState(env envelope, n int) float64 {
 		g.Item.Profile = fixedLayout(env.Item.Profile.Len())
 	}
 	for _, d := range env.Descs {
-		g.Descs = append(g.Descs, gobDescriptor{d.Node, "", d.Stamp, fixedLayout(d.Profile.Len())})
+		g.Descs = append(g.Descs, gobDescriptor{d.Node, "", d.Stamp, fixedLayout(packedLen(d.Profile))})
 	}
 	var w countingWriter
 	enc := gob.NewEncoder(&w)

@@ -33,7 +33,7 @@ func newTapNet(seed int64) *tapNet {
 
 func (t *tapNet) Send(from, to news.NodeID, payload *[]byte) {
 	var env envelope
-	if err := decodePayload(&env, *payload, nil); err != nil {
+	if err := decodePayload(&env, *payload, nil, nil); err != nil {
 		panic(fmt.Sprintf("tapNet: a node sent an undecodable payload: %v", err))
 	}
 	k := env.kind()

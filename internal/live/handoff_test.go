@@ -64,7 +64,7 @@ func TestSendHandsOffPayload(t *testing.T) {
 				select {
 				case buf := <-box:
 					var env envelope
-					err := decodePayload(&env, *buf, nil)
+					err := decodePayload(&env, *buf, nil, nil)
 					putBuf(buf)
 					i := env.Item.Hops
 					if err != nil || i < 0 || i >= n || seen[i] || !envelopesEqual(env, handoffEnvelope(i)) {

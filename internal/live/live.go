@@ -17,17 +17,22 @@
 // gossip envelope are calls into the legs of core.Substrate, the same code
 // the simulator drives (TestLegConformanceSimLive holds the two runtimes to
 // identical views and traffic on a scripted exchange). The runtime owns
-// goroutines, envelopes, the codec, transports and membership control. The
-// unit that crosses a transport is the encoded envelope: the sender encodes
-// it once into a pooled byte buffer, the transport takes the buffer over and
-// moves its bytes into the receiver's inbox, the node decodes each buffer on
-// its own goroutine, and a
-// repeat receipt of an item it has seen — most item frames, under BEEP's
-// redundancy — is dropped after a hash of the content bytes and one map
-// probe, before anything is decoded (liveNode.onFrame). The runtime
-// differs from the simulator in scheduling only: both pushes of a cycle
-// leave at the tick, and messages arrive between ticks from peers whose
-// clocks may lag, which is why the substrate's accept legs re-apply the
+// goroutines, envelopes, the codec, transports and membership control.
+//
+// The unit that crosses a transport is the encoded envelope: the sender
+// encodes it once into a pooled byte buffer, the transport takes the buffer
+// over and moves its bytes into the receiver's inbox, and the node decodes
+// each buffer on its own goroutine (liveNode.onFrame). A repeat receipt of an
+// item it has seen — most item frames, under BEEP's redundancy — is dropped
+// after a hash of the content bytes and one lookup in its SIR set, before
+// anything is decoded. A gossip frame's profile snapshots are not copied when
+// they are decoded: a decoded snapshot borrows the frame until the merge
+// settles; what a view keeps is copied once, before the buffer goes back to
+// the pool.
+//
+// The runtime differs from the simulator in scheduling only: both pushes of
+// a cycle leave at the tick, and messages arrive between ticks from peers
+// whose clocks may lag, which is why the substrate's accept legs re-apply the
 // descriptor-TTL horizon against the receiver's clock.
 //
 // A node's protocol state has one guard in every lifecycle state, its lock
@@ -122,9 +127,9 @@ func (e envelope) kind() metrics.MessageKind {
 type Network interface {
 	// Register allocates the inbound queue of a node and returns it. Each
 	// element is one frame's payload in a pooled buffer that the receiver
-	// owns: it decodes what it needs (decoded values never alias the buffer)
-	// and returns the buffer with putBuf. The queue's capacity counts
-	// frames; a frame arriving at a full queue is lost.
+	// owns: it decodes what it needs, settles what its views kept of it, and
+	// returns the buffer with putBuf (liveNode.onFrame). The queue's capacity
+	// counts frames; a frame arriving at a full queue is lost.
 	// Registering an id again after Disconnect opens a fresh endpoint (a
 	// rejoining node gets a new inbox and, on TCP, a new listener address).
 	Register(id news.NodeID) <-chan *[]byte
@@ -289,6 +294,11 @@ type liveNode struct {
 	// held is what onFrame decodes the current gossip frame against. It lives
 	// here so that handing it to the decoder as an interface allocates nothing.
 	held heldViews
+	// descs is the buffer the current gossip frame's descriptors are decoded
+	// into, and loan the arena their snapshots are borrowed from until the
+	// frame's merge settles (onFrame).
+	descs []overlay.Descriptor
+	loan  overlay.Loan
 	// legs is the buffer every gossip leg the node sends is built in.
 	legs []overlay.Descriptor
 }
@@ -759,24 +769,33 @@ func (h *heldViews) Held(node news.NodeID, stamp int64) (overlay.Descriptor, boo
 
 // onFrame handles one inbound frame payload and returns its buffer to the
 // pool: what decodeFrame makes of it is dispatched; a frame that does not
-// decode is a loss.
+// decode is a loss. Before the buffer goes back, the merge settles: each
+// snapshot borrowed from the frame that a view kept is replaced with one
+// owned copy (core.Substrate.Settle), and the decoded list is emptied.
 func (ln *liveNode) onFrame(buf *[]byte, cycle int64) {
-	defer putBuf(buf)
 	if env, ok := ln.decodeFrame(*buf); ok {
 		ln.onMessage(env, cycle)
 	}
+	ln.node.Settle(&ln.loan)
+	clear(ln.descs)
+	ln.descs = ln.descs[:0]
+	putBuf(buf)
 }
 
 // decodeFrame decodes a frame payload as far as this node needs it, asking
 // the cheapest rejecting questions first. An item frame's id is recomputed
 // from the content bytes where they lie (never taken from the sender), and
 // when this node has already received that item, the frame is dropped
-// without decoding anything: no strings, no profile, no allocation. A gossip frame is decoded against the node's own
-// views: a descriptor the merge it is bound for would discard (of this node,
-// of a tombstoned node, of a node already held at the same or a fresher
-// stamp) is validated and never built, and a snapshot the other view holds
-// is shared. ok is false for a duplicate and for a frame that does not
-// decode. Nothing in env aliases payload.
+// without decoding anything: no strings, no profile, no allocation.
+//
+// A gossip frame is decoded against the node's own views, into ln.descs: a
+// descriptor the merge it is bound for would discard (of this node, of a
+// tombstoned node, of a node already held at the same or a fresher stamp) is
+// validated and never built, a snapshot the other view holds is shared, and
+// any other snapshot is borrowed from the payload (ln.loan). A decoded
+// snapshot borrows the frame until the merge settles; what a view keeps is
+// copied once (onFrame). ok is false for a duplicate and for a frame that
+// does not decode.
 func (ln *liveNode) decodeFrame(payload []byte) (env envelope, ok bool) {
 	kind, _, _, body, err := envelopeHeader(payload)
 	if err != nil {
@@ -788,7 +807,10 @@ func (ln *liveNode) decodeFrame(payload []byte) (env envelope, ok bool) {
 		}
 	}
 	ln.held = heldViews{node: ln.node, into: mergesInto[kind]}
-	if decodePayload(&env, payload, &ln.held) != nil {
+	env.Descs = ln.descs[:0]
+	err = decodePayload(&env, payload, &ln.held, &ln.loan)
+	ln.descs = env.Descs
+	if err != nil {
 		return envelope{}, false
 	}
 	return env, true
@@ -814,8 +836,8 @@ func (ln *liveNode) onMessage(env envelope, cycle int64) {
 			n.NoteDeparture(t, cycle)
 		}
 	case wireRefillRequest:
-		reply := n.AcceptRefill(env.Descs, cycle)
-		ln.runner.send(envelope{Kind: wireRefillReply, From: n.ID(), To: env.From, Descs: reply})
+		reply := n.AcceptRefill(ln.legs[:0], env.Descs, cycle)
+		ln.sendLeg(envelope{Kind: wireRefillReply, From: n.ID(), To: env.From, Descs: reply})
 	case wireRefillReply:
 		n.AcceptRefillReply(env.Descs, ln.runner.cfg.RefillWatermark, cycle)
 	case wireItem:

@@ -238,7 +238,7 @@ func TestTCPNetPoisonedStreamDropsConnection(t *testing.T) {
 	unsorted := appendEnvelope(nil, envelope{Kind: wireItem, From: 0, To: 1, Item: core.ItemMessage{Item: news.New("t", "d", "l", 1, 0)}})
 	unsorted[len(unsorted)-1] = 1                    // profile present …
 	unsorted = append(unsorted, 2, 5, 0, 1, 0, 0, 1) // … two entries: id 5, then delta 0
-	if err := decodePayload(nil, unsorted, nil); !errors.Is(err, wire.ErrMalformed) || !strings.Contains(err.Error(), "unsorted") {
+	if err := decodePayload(nil, unsorted, nil, nil); !errors.Is(err, wire.ErrMalformed) || !strings.Contains(err.Error(), "unsorted") {
 		t.Fatalf("the crafted payload must fail on its profile order, got %v", err)
 	}
 	good := encodeFrame(testItemEnvelope(1, 1))

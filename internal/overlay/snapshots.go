@@ -63,7 +63,7 @@ func (t *SnapshotTable) keep(k snapshotKey, p *profile.Packed) {
 // a first sighting under its (node, stamp) is kept for later lists to share.
 func (t *SnapshotTable) AppendDecode(dst []Descriptor, data []byte) ([]Descriptor, []byte, error) {
 	from := len(dst)
-	rest, err := decodeDescriptors(&dst, data, t)
+	rest, err := decodeDescriptors(&dst, data, t, nil)
 	if err != nil {
 		return dst, data, err
 	}

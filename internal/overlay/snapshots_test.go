@@ -91,7 +91,8 @@ func (h holding) Held(node news.NodeID, _ int64) (Descriptor, bool) { return h[n
 
 // TestHeldDescriptorSharesProfile: against a held descriptor of the same
 // node, the snapshot is the held one whenever the stamp agrees and the
-// snapshot is Equal.
+// snapshot is Equal. Any other snapshot is cloned, or borrowed from a loan:
+// a decode into a reused list against a loan allocates nothing.
 func TestHeldDescriptorSharesProfile(t *testing.T) {
 	held := wireDesc(3, 10)
 	newer := held
@@ -108,19 +109,26 @@ func TestHeldDescriptorSharesProfile(t *testing.T) {
 	} {
 		enc := AppendDescriptors(nil, []Descriptor{tc.in})
 		h := holding{held.Node: held}
-		got, rest, err := DecodeDescriptorsHeld(enc, h)
-		if err != nil || len(rest) != 0 || len(got) != 1 {
-			t.Fatalf("%s: decode: %v, %d bytes left, %d descriptors", tc.name, err, len(rest), len(got))
+		var loan Loan
+		for _, l := range []*Loan{nil, &loan} {
+			got, rest, err := DecodeDescriptorsHeld(nil, enc, h, l)
+			if err != nil || len(rest) != 0 || len(got) != 1 {
+				t.Fatalf("%s: decode: %v, %d bytes left, %d descriptors", tc.name, err, len(rest), len(got))
+			}
+			d := got[0]
+			if d.Node != tc.in.Node || d.Stamp != tc.in.Stamp || !d.Profile.Equal(tc.in.Profile) {
+				t.Errorf("%s: decoded %+v, want %+v", tc.name, d, tc.in)
+			}
+			if (d.Profile == held.Profile) != tc.profile {
+				t.Errorf("%s: profile shared = %v, want %v", tc.name, d.Profile == held.Profile, tc.profile)
+			}
 		}
-		d := got[0]
-		if d.Node != tc.in.Node || d.Stamp != tc.in.Stamp || !d.Profile.Equal(tc.in.Profile) {
-			t.Errorf("%s: decoded %+v, want %+v", tc.name, d, tc.in)
-		}
-		if (d.Profile == held.Profile) != tc.profile {
-			t.Errorf("%s: profile shared = %v, want %v", tc.name, d.Profile == held.Profile, tc.profile)
-		}
-		if n := testing.AllocsPerRun(100, func() { DecodeDescriptorsHeld(enc, h) }); n != tc.allocs {
+		if n := testing.AllocsPerRun(100, func() { DecodeDescriptorsHeld(nil, enc, h, nil) }); n != tc.allocs {
 			t.Errorf("%s: %.0f allocations, want %.0f", tc.name, n, tc.allocs)
+		}
+		list := make([]Descriptor, 0, 1)
+		if n := testing.AllocsPerRun(100, func() { DecodeDescriptorsHeld(list, enc, h, &loan) }); n != 0 {
+			t.Errorf("%s: %.0f allocations borrowing into a reused list, want 0", tc.name, n)
 		}
 	}
 }
@@ -131,10 +139,14 @@ func TestHeldDescriptorSharesProfile(t *testing.T) {
 // snapshots — a SnapshotTable pre-loaded from a second arbitrary list, and a
 // Holder offering that list's descriptors whatever their stamp — yields the
 // descriptors the plain decode yields, snapshot for snapshot Equal, and
-// consumes as many bytes; all four accept the same inputs, so every mode
-// refuses a non-zero reserved byte. The WireSize of a decoded list sums to
-// its encoding less the count prefix. Some committed inputs were written with
-// a per-profile trailer after the list; it is read as the bytes left over.
+// consumes as many bytes; all five accept the same inputs, so every mode
+// refuses a non-zero reserved byte. The fifth is the holder decode borrowing
+// its snapshots from a Loan: it yields what the cloning one does, and once a
+// view holding the list has settled the loan, the view keeps it intact when
+// the decoded bytes are scribbled over. The WireSize of a decoded list sums
+// to its encoding less the count prefix. Some committed inputs were written
+// with a per-profile trailer after the list; it is read as the bytes left
+// over.
 func FuzzDescriptorsDecodeModes(f *testing.F) {
 	a, b := wireDesc(1, 4), wireDesc(2, 1)
 	b2 := b // b's entries, reached through an edit
@@ -149,7 +161,7 @@ func FuzzDescriptorsDecodeModes(f *testing.F) {
 	f.Add(list(a, a)[:20], []byte{0xFF})
 	f.Add(reservedSlot("127.0.0.1:9000"), list(wireDesc(2, 0))) // a non-zero reserved byte
 	f.Fuzz(func(t *testing.T, data, preload []byte) {
-		want, rest, err := DecodeDescriptorsHeld(data, nil)
+		want, rest, err := DecodeDescriptorsHeld(nil, data, nil, nil)
 		checkRest, checkErr := CheckDescriptors(data)
 		if (err == nil) != (checkErr == nil) || len(rest) != len(checkRest) {
 			t.Fatalf("check-only mode disagrees with the decoder: decode err=%v rest=%d, check err=%v rest=%d",
@@ -163,14 +175,20 @@ func FuzzDescriptorsDecodeModes(f *testing.F) {
 			t.Fatalf("decode err=%v, against a table err=%v", err, tableErr)
 		}
 		held := holding{}
-		if descs, _, err := DecodeDescriptorsHeld(preload, nil); err == nil {
+		if descs, _, err := DecodeDescriptorsHeld(nil, preload, nil, nil); err == nil {
 			for _, d := range descs {
 				held[d.Node] = d
 			}
 		}
-		fromHolder, heldRest, heldErr := DecodeDescriptorsHeld(data, held)
+		fromHolder, heldRest, heldErr := DecodeDescriptorsHeld(nil, data, held, nil)
 		if (err == nil) != (heldErr == nil) {
 			t.Fatalf("decode err=%v, against a holder err=%v", err, heldErr)
+		}
+		var loan Loan
+		frame := bytes.Clone(data)
+		borrowed, loanRest, loanErr := DecodeDescriptorsHeld(nil, frame, held, &loan)
+		if (err == nil) != (loanErr == nil) {
+			t.Fatalf("decode err=%v, borrowing err=%v", err, loanErr)
 		}
 		if err != nil {
 			return
@@ -201,6 +219,21 @@ func FuzzDescriptorsDecodeModes(f *testing.F) {
 			t.Fatalf("against a holder %d bytes left, decode %d", len(heldRest), len(rest))
 		}
 		same("holder", fromHolder, want)
+
+		if len(loanRest) != len(rest) {
+			t.Fatalf("borrowing %d bytes left, decode %d", len(loanRest), len(rest))
+		}
+		same("borrowed", borrowed, want)
+		// Two views take the two lists: the borrowed one settles its loan, then
+		// its bytes are scribbled over.
+		kept, ref := NewView(len(want)+1), NewView(len(want)+1)
+		kept.InsertAll(borrowed, news.NoNode)
+		ref.InsertAll(fromHolder, news.NoNode)
+		loan.Settle(kept)
+		for i := range frame {
+			frame[i] = 0xFF
+		}
+		same("settled", kept.Entries(), ref.Entries())
 
 		size := 0
 		for _, d := range want {

@@ -34,7 +34,10 @@ func AppendDescriptor(buf []byte, d Descriptor) []byte {
 // already holds, asked once per descriptor after its header and before its
 // profile, so that a snapshot the receiver has is not built a second time.
 // Descriptors are immutable snapshots that circulate for many cycles; most
-// of what gossip carries, the receiver has seen.
+// of what gossip carries, the receiver has seen. What the receiver does not
+// hold is cloned, or, decoded against a Loan, borrowed: a decoded snapshot
+// borrows the frame until the merge settles; what a view keeps is copied
+// once (Loan.Settle).
 type Holder interface {
 	// Held reports, for the incoming descriptor (node, stamp), whether the
 	// receiver would discard it whatever it carries — it is then validated
@@ -48,8 +51,10 @@ type Holder interface {
 
 // decodeDescriptor is the one walk over the descriptor layout: it fills d —
 // against what h holds, when there is an h — or only validates when d is nil
-// or h discards the descriptor. kept reports whether d was filled.
-func decodeDescriptor(d *Descriptor, data []byte, h Holder) (rest []byte, kept bool, err error) {
+// or h discards the descriptor. kept reports whether d was filled. A snapshot
+// h does not hold is borrowed from l, with room for the remaining
+// descriptors of the list, or cloned when l is nil.
+func decodeDescriptor(d *Descriptor, data []byte, h Holder, l *Loan, remaining uint64) (rest []byte, kept bool, err error) {
 	node, rest, err := wire.Int(data)
 	if err != nil {
 		return data, false, fmt.Errorf("descriptor node: %w", err)
@@ -94,6 +99,8 @@ func decodeDescriptor(d *Descriptor, data []byte, h Holder) (rest []byte, kept b
 	case present == 0:
 	case snap.Stamp == stamp && snap.Profile != nil && snap.Profile.Equal(&pk):
 		d.Profile = snap.Profile
+	case l != nil:
+		d.Profile = l.lend(pk, remaining)
 	default:
 		d.Profile = pk.Clone()
 	}
@@ -198,17 +205,23 @@ func TombstonesWireSize(tombs []Tombstone) int {
 }
 
 // DecodeDescriptorsHeld decodes a uvarint-counted descriptor list against
-// what the receiver holds (nil h: nothing): descriptors h discards are
-// validated and left out, and snapshots h holds are shared. A list that
-// keeps nothing, the empty one included, comes back nil, matching what
-// gossip handlers produce.
-func DecodeDescriptorsHeld(data []byte, h Holder) ([]Descriptor, []byte, error) {
-	var descs []Descriptor
-	rest, err := decodeDescriptors(&descs, data, h)
-	if err != nil {
-		return nil, data, err
+// what the receiver holds (nil h: nothing), appending onto dst what it keeps:
+// descriptors h discards are validated and left out, and snapshots h holds
+// are shared. The snapshots it does not hold are cloned when l is nil, and
+// otherwise borrowed from l, which the decode starts over: they alias data
+// until l.Settle, which the caller runs once the merges the list is bound for
+// are done and before data is reused. On an error dst comes back as it was.
+func DecodeDescriptorsHeld(dst []Descriptor, data []byte, h Holder, l *Loan) ([]Descriptor, []byte, error) {
+	from := len(dst)
+	if l != nil {
+		l.slots = l.slots[:0]
 	}
-	return descs, rest, nil
+	rest, err := decodeDescriptors(&dst, data, h, l)
+	if err != nil {
+		clear(dst[from:])
+		return dst[:from], data, err
+	}
+	return dst, rest, nil
 }
 
 // AppendDecodeDescriptors decodes a uvarint-counted descriptor list by
@@ -218,20 +231,20 @@ func DecodeDescriptorsHeld(data []byte, h Holder) ([]Descriptor, []byte, error) 
 // before and after the call (the append may relocate the backing array, so
 // subslices must be taken only once all appends into the arena are done).
 func AppendDecodeDescriptors(dst []Descriptor, data []byte) ([]Descriptor, []byte, error) {
-	rest, err := decodeDescriptors(&dst, data, nil)
+	rest, err := decodeDescriptors(&dst, data, nil, nil)
 	return dst, rest, err
 }
 
 // CheckDescriptors validates a uvarint-counted descriptor list — it accepts
 // exactly what DecodeDescriptorsHeld accepts — and builds nothing: no slice,
 // no profile.
-func CheckDescriptors(data []byte) ([]byte, error) { return decodeDescriptors(nil, data, nil) }
+func CheckDescriptors(data []byte) ([]byte, error) { return decodeDescriptors(nil, data, nil, nil) }
 
 // decodeDescriptors is the one walk over a descriptor list: it appends onto
 // *dst what h (nil: nothing) does not discard — a nil *dst is sized on the
 // first descriptor kept, from the count still to come — or only validates
-// when dst is nil.
-func decodeDescriptors(dst *[]Descriptor, data []byte, h Holder) ([]byte, error) {
+// when dst is nil. Snapshots are borrowed from l, or cloned when l is nil.
+func decodeDescriptors(dst *[]Descriptor, data []byte, h Holder, l *Loan) ([]byte, error) {
 	n, rest, err := wire.Uint(data)
 	if err != nil {
 		return data, fmt.Errorf("descriptor count: %w", err)
@@ -248,7 +261,7 @@ func decodeDescriptors(dst *[]Descriptor, data []byte, h Holder) ([]byte, error)
 			into = nil
 		}
 		var kept bool
-		if rest, kept, err = decodeDescriptor(into, rest, h); err != nil {
+		if rest, kept, err = decodeDescriptor(into, rest, h, l, n-i); err != nil {
 			return data, fmt.Errorf("descriptor %d: %w", i, err)
 		}
 		if kept {

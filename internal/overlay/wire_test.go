@@ -28,7 +28,7 @@ func TestDescriptorWireRoundTrip(t *testing.T) {
 		"nil-profile":   {Node: news.NoNode, Stamp: -9},
 	}
 	for name, d := range cases {
-		list, rest, err := DecodeDescriptorsHeld(AppendDescriptors(nil, []Descriptor{d}), nil)
+		list, rest, err := DecodeDescriptorsHeld(nil, AppendDescriptors(nil, []Descriptor{d}), nil, nil)
 		if err != nil || len(rest) != 0 || len(list) != 1 {
 			t.Fatalf("%s: decode err=%v rest=%d len=%d", name, err, len(rest), len(list))
 		}
@@ -73,12 +73,14 @@ func TestDescriptorReservedByte(t *testing.T) {
 		"one-byte":  reservedSlot("x"),
 	} {
 		var table SnapshotTable
+		var loan Loan
 		h := holding{2: {Node: 2, Profile: snapshotOf(profile.New())}}
 		for mode, decode := range map[string]func() error{
-			"decode":     func() error { _, _, err := DecodeDescriptorsHeld(enc, nil); return err },
+			"decode":     func() error { _, _, err := DecodeDescriptorsHeld(nil, enc, nil, nil); return err },
 			"check-only": func() error { _, err := CheckDescriptors(enc); return err },
 			"table":      func() error { _, _, err := table.AppendDecode(nil, enc); return err },
-			"holder":     func() error { _, _, err := DecodeDescriptorsHeld(enc, h); return err },
+			"holder":     func() error { _, _, err := DecodeDescriptorsHeld(nil, enc, h, nil); return err },
+			"borrowing":  func() error { _, _, err := DecodeDescriptorsHeld(nil, enc, h, &loan); return err },
 		} {
 			if err := decode(); !errors.Is(err, wire.ErrMalformed) {
 				t.Errorf("%s, %s: err=%v, want ErrMalformed", name, mode, err)
@@ -90,7 +92,7 @@ func TestDescriptorReservedByte(t *testing.T) {
 func TestDescriptorsWireRoundTrip(t *testing.T) {
 	descs := []Descriptor{wireDesc(1, 3), wireDesc(2, 0), {Node: 7, Stamp: 1}}
 	enc := AppendDescriptors(nil, descs)
-	got, rest, err := DecodeDescriptorsHeld(enc, nil)
+	got, rest, err := DecodeDescriptorsHeld(nil, enc, nil, nil)
 	if err != nil || len(rest) != 0 {
 		t.Fatalf("decode err=%v rest=%d", err, len(rest))
 	}
@@ -98,7 +100,7 @@ func TestDescriptorsWireRoundTrip(t *testing.T) {
 		t.Fatalf("len=%d want %d", len(got), len(descs))
 	}
 	// Empty list must decode to nil, as handlers produce.
-	if got, _, err := DecodeDescriptorsHeld(AppendDescriptors(nil, nil), nil); err != nil || got != nil {
+	if got, _, err := DecodeDescriptorsHeld(nil, AppendDescriptors(nil, nil), nil, nil); err != nil || got != nil {
 		t.Fatalf("empty list: got=%v err=%v", got, err)
 	}
 }
@@ -106,7 +108,7 @@ func TestDescriptorsWireRoundTrip(t *testing.T) {
 func TestDescriptorsWireTruncatedPrefixes(t *testing.T) {
 	enc := AppendDescriptors(nil, []Descriptor{wireDesc(1, 4), wireDesc(2, 1)})
 	for i := 0; i < len(enc); i++ {
-		if _, _, err := DecodeDescriptorsHeld(enc[:i], nil); err == nil {
+		if _, _, err := DecodeDescriptorsHeld(nil, enc[:i], nil, nil); err == nil {
 			t.Fatalf("prefix %d/%d must not decode", i, len(enc))
 		}
 		if _, err := CheckDescriptors(enc[:i]); err == nil {
@@ -116,7 +118,7 @@ func TestDescriptorsWireTruncatedPrefixes(t *testing.T) {
 	// The check-only walk consumes exactly what the decoder consumes, for
 	// descriptor and tombstone lists alike, and builds nothing.
 	enc = AppendTombstones(enc, []Tombstone{{Node: 3, Stamp: 9}})
-	_, afterDescs, err := DecodeDescriptorsHeld(enc, nil)
+	_, afterDescs, err := DecodeDescriptorsHeld(nil, enc, nil, nil)
 	rest, cerr := CheckDescriptors(enc)
 	if err != nil || cerr != nil || len(rest) != len(afterDescs) {
 		t.Fatalf("descriptors: decode err=%v rest=%d, check err=%v rest=%d", err, len(afterDescs), cerr, len(rest))
@@ -134,7 +136,7 @@ func TestDescriptorsWireTruncatedPrefixes(t *testing.T) {
 
 func TestDecodeDescriptorsRejectsHugeCount(t *testing.T) {
 	enc := wire.AppendUint(nil, 1<<50)
-	if _, _, err := DecodeDescriptorsHeld(enc, nil); !errors.Is(err, wire.ErrTruncated) {
+	if _, _, err := DecodeDescriptorsHeld(nil, enc, nil, nil); !errors.Is(err, wire.ErrTruncated) {
 		t.Fatalf("err=%v want ErrTruncated", err)
 	}
 }
@@ -205,7 +207,7 @@ func TestDecodeDescriptorRejectsBadNode(t *testing.T) {
 	enc = wire.AppendString(enc, "")
 	enc = wire.AppendInt(enc, 0)
 	enc = wire.AppendUint(enc, 0)
-	if _, _, err := DecodeDescriptorsHeld(enc, nil); !errors.Is(err, wire.ErrMalformed) {
+	if _, _, err := DecodeDescriptorsHeld(nil, enc, nil, nil); !errors.Is(err, wire.ErrMalformed) {
 		t.Fatalf("err=%v want ErrMalformed", err)
 	}
 }

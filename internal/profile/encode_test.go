@@ -118,7 +118,7 @@ func FuzzProfileWire(f *testing.F) {
 			t.Fatalf("DecodePacked err=%v on a canonical=%v encoding", perr, canonical)
 		}
 		if perr == nil {
-			if len(prest) != len(rest) || !bytes.Equal(pk.AppendWire(nil), enc) || pk.Len() != want.Len() ||
+			if len(prest) != len(rest) || !bytes.Equal(pk.AppendWire(nil), enc) || pk.String() != want.String() ||
 				!sameBits(pk.sumSq, want.sumSq) {
 				t.Fatalf("DecodePacked gave %v with %d bytes left, decode %v with %d", &pk, len(prest), want, len(rest))
 			}

@@ -57,12 +57,6 @@ func (p *Packed) Clone() *Packed {
 // identically against every profile: whether their bytes are equal.
 func (p *Packed) Equal(q *Packed) bool { return bytes.Equal(p.wire, q.wire) }
 
-// Len reports the number of entries.
-func (p *Packed) Len() int {
-	n, _ := packedUint(p.wire, 0)
-	return int(n)
-}
-
 // WireSize returns the length of the packed encoding.
 func (p *Packed) WireSize() int { return len(p.wire) }
 

@@ -57,7 +57,7 @@ func TestDescriptorSnapshotsProfile(t *testing.T) {
 	prof.Set(1, 1, 1)
 	d := p.Descriptor(5, prof)
 	prof.Set(2, 2, 1) // mutate after snapshot
-	if d.Profile.Len() != 1 {
+	if u, _, err := profile.DecodeWire(d.Profile.AppendWire(nil)); err != nil || u.Len() != 1 {
 		t.Fatal("descriptor profile must be a snapshot, not a live pointer")
 	}
 }

@@ -552,6 +552,7 @@ func (e *Engine) Run() {
 // engine stream, so results are bit-identical for any worker count.
 func (e *Engine) refillViews(now int64) {
 	wm := e.cfg.RefillWatermark
+	var leg []overlay.Descriptor // the phase's reply arena: one array, cleared after each pull
 	for g, p := range e.mem.members {
 		if e.mem.states[g] != Online {
 			continue
@@ -570,12 +571,13 @@ func (e *Engine) refillViews(now int64) {
 		if e.lost(s.ID()) || e.linkDropped(s.ID(), target, now, metrics.MsgRefillRequest, 0) {
 			continue
 		}
-		reply := responder.Overlay().AcceptRefill(req, now)
+		reply := responder.Overlay().AcceptRefill(leg, req, now)
 		e.col.RecordMessage(metrics.MsgRefillReply, descriptorsWireSize(reply))
-		if e.lost(s.ID()) || e.linkDropped(target, s.ID(), now, metrics.MsgRefillReply, 0) {
-			continue
+		if !e.lost(s.ID()) && !e.linkDropped(target, s.ID(), now, metrics.MsgRefillReply, 0) {
+			s.AcceptRefillReply(reply, wm, now)
 		}
-		s.AcceptRefillReply(reply, wm, now)
+		clear(reply)
+		leg = reply[:0]
 	}
 }
 
