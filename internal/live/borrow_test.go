@@ -56,12 +56,9 @@ func randomFrame(rng *rand.Rand, contents []*profile.Packed, cycle int64) []byte
 		wireRefillRequest, wireRefillReply, wireRefillReply, wireDeparture, wireItem}
 	env := envelope{Kind: kinds[rng.Intn(len(kinds))], From: news.NodeID(1 + rng.Intn(2))}
 	if env.Kind == wireItem {
-		// scriptItem's ids share their parity; a description of its own
-		// gives the node items it dislikes too, and a creation stamp of the
-		// current cycle keeps them inside the profile window.
-		i := rng.Intn(40)
-		item := scriptItem(i, env.From)
-		item.Item.Item.Description = fmt.Sprint("a description ", i)
+		// A creation stamp of the current cycle keeps the item inside the
+		// profile window.
+		item := scriptItem(rng.Intn(40), env.From)
 		item.Item.Item.Created = cycle
 		return appendEnvelope(nil, item)
 	}

@@ -22,8 +22,9 @@ import (
 // a copy of every outgoing frame in send order.
 type tapNet struct {
 	*ChannelNet
-	msgs, bytes map[metrics.MessageKind]int64
-	frames      [][]byte
+	msgs, bytes     map[metrics.MessageKind]int64
+	frames          [][]byte
+	dislikeForwards int // item frames a node forwarded because it disliked the item
 }
 
 func newTapNet(seed int64) *tapNet {
@@ -42,6 +43,9 @@ func (t *tapNet) Send(from, to news.NodeID, payload *[]byte) {
 		t.bytes[k] += int64(d.WireSize())
 	}
 	t.bytes[k] += int64(overlay.TombstonesWireSize(env.Tombs))
+	if env.Kind == wireItem && env.Item.ViaDislike {
+		t.dislikeForwards++
+	}
 	t.frames = append(t.frames, appendFrame(nil, *payload))
 	t.ChannelNet.Send(from, to, payload)
 }

@@ -50,11 +50,15 @@ func pooled(payload []byte) *[]byte {
 	return buf
 }
 
+// scriptItem is item i of a script, sent by from. Its id is the FNV-1a hash
+// of its content, whose low bit is the parity of the content's odd bytes, so
+// i appears in the content an odd number of times: ids of both parities
+// occur, and the fleet's nodes, which like even ids, dislike some items.
 func scriptItem(i int, from news.NodeID) envelope {
 	p := profile.New()
 	p.Set(news.ID(100+i), 1, 1)
 	p.Set(news.ID(200+i), 1, 0.5)
-	it := news.New(fmt.Sprintf("title-%d", i), "a description", "https://example.org/"+fmt.Sprint(i), 1, from)
+	it := news.New(fmt.Sprintf("title-%d", i), fmt.Sprint("a description ", i), "https://example.org/"+fmt.Sprint(i), 1, from)
 	return envelope{Kind: wireItem, From: from, To: 0, Item: core.ItemMessage{Item: it, Profile: p, Hops: 1 + i%3}}
 }
 
@@ -217,6 +221,9 @@ func TestOnFrameMatchesDecodeThenDispatch(t *testing.T) {
 			if tc.kept == nil {
 				if len(ref.feed) != 2 || ref.feedNext == 0 {
 					t.Fatalf("vacuous script: feed %d/%d", len(ref.feed), ref.feedNext)
+				}
+				if refTap.dislikeForwards == 0 {
+					t.Fatalf("vacuous script: no dislike forward (View.MostSimilar) among %d frames out", len(refTap.frames))
 				}
 				return
 			}

@@ -545,9 +545,9 @@ func (m *Membership[M]) host(self int, stream *rand.Rand) (int, bool) {
 }
 
 // sample draws up to the bootstrap degree of fresh descriptors of online
-// members other than slot self from stream, over n slots, each read at its
-// member's clock: below the large-scale threshold in rand.Perm order, above
-// it by rejection sampling.
+// members other than slot self from stream, over n slots that cover every
+// member, each read at its member's clock: below the large-scale threshold
+// in rand.Perm order, above it by rejection sampling.
 func (m *Membership[M]) sample(rt MemberRuntime[M], self, n int, stream *rand.Rand) []overlay.Descriptor {
 	descs := make([]overlay.Descriptor, 0, m.degree)
 	read := func(o *core.Substrate, now int64) { descs = append(descs, o.Descriptor(now)) }
@@ -559,7 +559,14 @@ func (m *Membership[M]) sample(rt MemberRuntime[M], self, n int, stream *rand.Ra
 		return true
 	}
 	if n < largeScaleMembers {
-		for _, g := range stream.Perm(n) {
+		// The walk below stops at the degree-th eligible slot, which no
+		// permutation places beyond degree + the ineligible slots (self and
+		// every member not online): only that prefix is ever read.
+		eligible := m.counts[Online]
+		if self < len(m.states) && m.states[self] == Online {
+			eligible--
+		}
+		for _, g := range permPrefix(stream, n, min(n, m.degree+n-eligible)) {
 			if take(g) && len(descs) == m.degree {
 				break
 			}
@@ -573,6 +580,27 @@ func (m *Membership[M]) sample(rt MemberRuntime[M], self, n int, stream *rand.Ra
 		}
 	}
 	return descs
+}
+
+// permPrefix returns stream.Perm(n)[:k] in O(k) memory, leaving stream
+// where Perm leaves it: it draws exactly Perm's n values and runs its
+// inside-out shuffle tracking only the first k positions. Position i takes
+// position j's value and j takes i; a position at or beyond k is never read.
+// overlay.SampleInto walks the same prefix over a view's entries, but skips
+// the draws when it takes them all, which a stream shared with later events
+// cannot.
+func permPrefix(stream *rand.Rand, n, k int) []int {
+	pre := make([]int, k)
+	for i := 0; i < n; i++ {
+		j := stream.Intn(i + 1)
+		if i < k {
+			pre[i] = pre[j]
+		}
+		if j < k {
+			pre[j] = i
+		}
+	}
+	return pre
 }
 
 // notify sends the leaver's departure tombstone to every online member its

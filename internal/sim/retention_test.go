@@ -5,7 +5,9 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"whatsup/internal/core"
 	"whatsup/internal/metrics"
@@ -36,10 +38,11 @@ func leaverWorld(peers, cycles, workers, shards int, leaveRate float64) (*Engine
 }
 
 // TestStepReleasesScratch is the engine half of "nothing pinned past its
-// use": the BEEP hop buffers and the gossip exchange table keep their
-// capacity between cycles but not their contents, and the per-worker push
-// and reply arenas keep neither, so a finished cycle holds no item profile,
-// push, reply or tombstone slice alive.
+// use": the BEEP hop buffers — envelopes and message tables, the current
+// hop's and every worker's next-hop one — and the gossip exchange table keep
+// their capacity between cycles but not their contents, and the per-worker
+// push and reply arenas keep neither, so a finished cycle holds no item
+// profile, push, reply or tombstone slice alive.
 func TestStepReleasesScratch(t *testing.T) {
 	const cycles = 12
 	for _, c := range []struct{ workers, shards int }{{1, 1}, {2, 4}} {
@@ -55,7 +58,8 @@ func TestStepReleasesScratch(t *testing.T) {
 					}
 				}
 			}
-			allZero("batch", e.batch[:cap(e.batch)])
+			allZero("hop envelopes", e.hop.envs[:cap(e.hop.envs)])
+			allZero("hop messages", e.hop.msgs[:cap(e.hop.msgs)])
 			allZero("exs", e.exs[:cap(e.exs)])
 			if len(e.pushArenas) != c.workers || len(e.replyArenas) != c.workers {
 				t.Fatalf("workers %d: %d push and %d reply arenas, want one of each per worker", c.workers, len(e.pushArenas), len(e.replyArenas))
@@ -68,12 +72,18 @@ func TestStepReleasesScratch(t *testing.T) {
 					t.Fatalf("workers %d shards %d cycle %d: worker %d built no leg; the test checks nothing", c.workers, c.shards, e.Now(), w)
 				}
 			}
-			sent := 0
-			for _, buf := range e.sendBufs {
-				allZero("sendBufs", buf[:cap(buf)])
-				sent += cap(buf)
+			if len(e.next) != c.workers {
+				t.Fatalf("workers %d: %d next-hop buffers, want one per worker", c.workers, len(e.next))
 			}
-			if cap(e.batch) == 0 || cap(e.exs) == 0 || sent == 0 {
+			sent, tabled := 0, 0
+			for w := range e.next {
+				nx := &e.next[w]
+				allZero("next-hop envelopes", nx.envs[:cap(nx.envs)])
+				allZero("next-hop messages", nx.msgs[:cap(nx.msgs)])
+				sent += cap(nx.envs)
+				tabled += cap(nx.msgs)
+			}
+			if cap(e.hop.envs) == 0 || cap(e.hop.msgs) == 0 || cap(e.exs) == 0 || sent == 0 || tabled == 0 {
 				t.Fatalf("workers %d shards %d cycle %d: a scratch buffer was never used; the test checks nothing", c.workers, c.shards, e.Now())
 			}
 		}
@@ -102,23 +112,28 @@ func collectedHeap() int64 {
 // announced by departure notices (leaverRate), which the other two never
 // see: its graveyards fill, and tombstones ride every gossip leg.
 //
-// Recorded (go1.24, linux/amd64): 3.32 KB/peer serial and 6.89 KB/peer at
+// Recorded (go1.24, linux/amd64): 3.08 KB/peer serial and 6.68 KB/peer at
 // Workers 2 × Shards 4, with 24-byte descriptors, each WUP view's similarity
-// cache holding only its capacity survivors and BEEP targets drawn straight
-// into the sends. Descriptors carrying an always-empty address string (40
-// bytes each) measured 3.95 and 7.68; a 64-slot score ring per WUP view and a
+// cache holding only its capacity survivors, BEEP targets drawn straight
+// into the sends and a BEEP hop storing each forwarded message once under
+// 24-byte envelopes. The regressions below were measured on the earlier hop,
+// whose 128-byte envelopes each held their message and read 3.32 and 6.89:
+// descriptors carrying an always-empty address string (40 bytes each)
+// measured 3.95 and 7.68; a 64-slot score ring per WUP view and a
 // targets slice kept per node, 5.27 and 9.04; a seen map that never forgets,
 // 6.03 and 9.87; descriptor snapshots as decoded *Profile clones sharing
 // their profile's entry array, 7.95 and 14.94; views keeping merge scratch
 // and a doubled entry array between merges, with map-backed graveyards, 12.17
 // and 19.16; one math/rand.NewSource state coming back per peer is +4.9 KB.
 // The serial case's 1.25 × margin catches every one of them but the address,
-// which overlay's TestDescriptorSize pins instead. TestSimSoakHeapFlat
-// catches the seen map too: a set that never forgets grows every window.
+// which overlay's TestDescriptorSize pins instead, and a return to fat
+// envelopes, which TestHopShapePinned pins. TestSimSoakHeapFlat catches the
+// seen map too: a set that never forgets grows every window.
 //
-// Recorded for the graveyard case: 3.53 KB/peer with immutable tombstone
-// sets that receivers adopt and share, against 5.15 when every piggyback
-// was a fresh copy and every graveyard grew its own array by doubling.
+// Recorded for the graveyard case: 3.32 KB/peer with immutable tombstone
+// sets that receivers adopt and share. With the 128-byte envelopes, 3.53,
+// against 5.15 when every piggyback was a fresh copy and every graveyard
+// grew its own array by doubling.
 func TestSimHeapPerPeerBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime inflates the heap")
@@ -138,12 +153,12 @@ func TestSimHeapPerPeerBudget(t *testing.T) {
 	for _, c := range []struct {
 		workers, shards int
 		recordedKB      float64
-	}{{1, 1, 3.32}, {2, 4, 6.89}} {
+	}{{1, 1, 3.08}, {2, 4, 6.68}} {
 		budget(fmt.Sprintf("workers %d shards %d", c.workers, c.shards), c.recordedKB, func() *Engine {
 			return churnCycleWorld(peers, cycles, c.workers, c.shards)
 		})
 	}
-	budget("workers 1 shards 1, graceful leaves with departure notices", 3.53, func() *Engine {
+	budget("workers 1 shards 1, graceful leaves with departure notices", 3.32, func() *Engine {
 		e, _ := leaverWorld(peers, cycles, 1, 1, leaverRate)
 		return e
 	})
@@ -195,5 +210,54 @@ func TestSimSoakHeapFlat(t *testing.T) {
 	t.Logf("collected heap: third window %.1f KB/peer, last (window %d) %.1f KB/peer", float64(third)/1024/peers, len(heap), float64(last)/1024/peers)
 	if float64(last) > 1.1*float64(third) {
 		t.Errorf("heap grew with run length: last window %d B, third %d B (> 1.1 ×)", last, third)
+	}
+}
+
+// TestHopShapePinned pins the BEEP hop's representation: an envelope is at
+// most 24 bytes and holds no message, and a hop's message table holds a
+// forwarded message once however many targets it goes to. Each cycle of the
+// churned world steps as Step does, but with the cycle's publications and
+// their drain run hop by hop here, counting every hop's sends and table
+// entries; the run must end with Run's collector fingerprint, and the counts
+// are the same for any worker or shard count. A table that stored one
+// message per send would have as many entries as sends.
+func TestHopShapePinned(t *testing.T) {
+	if size := unsafe.Sizeof(envelope{}); size > 24 {
+		t.Fatalf("envelope is %d bytes, want at most 24", size)
+	}
+	const peers, cycles = 200, 8
+	want := []string{"1164/495", "1338/555", "1289/506", "1214/434", "926/296", "1148/343", "1126/311", "1105/265"}
+	ref := churnCycleWorld(peers, cycles, 1, 1)
+	ref.Run()
+	for _, c := range []struct{ workers, shards int }{{1, 1}, {2, 4}} {
+		e := churnCycleWorld(peers, cycles, c.workers, c.shards)
+		var got []string
+		for e.Now() < cycles {
+			now := e.Now() + 1
+			pubs := e.pubs[now]
+			delete(e.pubs, now)
+			e.Step() // the cycle without its publications
+			e.pubs[now] = pubs
+			beeps := e.col.Messages(metrics.MsgBeep)
+			e.publish(now)
+			sends, tabled := 0, 0
+			for len(e.hop.envs) > 0 {
+				sends += len(e.hop.envs)
+				tabled += len(e.hop.msgs)
+				e.deliverRound(now)
+			}
+			e.drain(now)
+			e.mergeCols()
+			if n := e.col.Messages(metrics.MsgBeep) - beeps; n != int64(sends) {
+				t.Fatalf("workers %d shards %d cycle %d: %d sends counted, the collector recorded %d", c.workers, c.shards, now, sends, n)
+			}
+			got = append(got, fmt.Sprintf("%d/%d", sends, tabled))
+		}
+		if g, w := fingerprint(e.col), fingerprint(ref.col); g != w {
+			t.Fatalf("workers %d shards %d: hop-by-hop cycles diverged from Run:\n%s\nwant\n%s", c.workers, c.shards, g, w)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("workers %d shards %d: sends/table entries per cycle %v, want %v", c.workers, c.shards, got, want)
+		}
 	}
 }

@@ -157,11 +157,50 @@ type Config struct {
 	OnDelivery func(d core.Delivery, now int64)
 }
 
-// envelope is one in-flight BEEP message.
+// envelope is one in-flight BEEP send: its endpoints, the item it carries
+// (the last key of the hop's sort) and the index of its message in the hop's
+// message table. It holds no pointer, so the sort moves 24 bytes a send and a
+// buffer of envelopes pins nothing.
 type envelope struct {
-	from news.NodeID
-	to   news.NodeID
-	msg  core.ItemMessage
+	to, from news.NodeID
+	msg      int32 // index into hop.msgs
+	item     news.ID
+}
+
+// hop is the BEEP traffic of one hop round: an envelope per send over a
+// message table holding each distinct message once. The sends of one Publish
+// or Receive call that carry an equal message (==) share one entry, so a
+// forward to fLIKE targets stores one core.ItemMessage (120 bytes) and fLIKE
+// envelopes; any other send gets an entry of its own, whatever the Peer.
+type hop struct {
+	envs []envelope
+	msgs []core.ItemMessage
+}
+
+// add appends the sends of one Publish or Receive call by from.
+//
+//whatsup:hotpath
+func (h *hop) add(from news.NodeID, sends []core.Send) {
+	lo := len(h.msgs) // the call's first entry: only its own sends share one
+	for _, s := range sends {
+		k := lo
+		for k < len(h.msgs) && h.msgs[k] != s.Msg {
+			k++
+		}
+		if k == len(h.msgs) {
+			h.msgs = append(h.msgs, s.Msg) //whatsup:alloc amortized growth of the cross-cycle message table
+		}
+		h.envs = append(h.envs, envelope{to: s.To, from: from, msg: int32(k), item: s.Msg.Item.ID}) //whatsup:alloc amortized growth of the cross-cycle envelope buffer
+	}
+}
+
+// reset empties the hop, keeping its arrays and, beyond len, their contents.
+func (h *hop) reset() { h.envs, h.msgs = h.envs[:0], h.msgs[:0] }
+
+// release zeroes both arrays to capacity: a table entry pins an item profile.
+func (h *hop) release() {
+	clear(h.envs[:cap(h.envs)])
+	clear(h.msgs[:cap(h.msgs)])
 }
 
 // segment is one per-receiver span of a sorted BEEP hop.
@@ -246,10 +285,12 @@ var emptyDescriptors = make([]overlay.Descriptor, 0)
 // hops and cycles so the steady-state per-cycle loop performs no engine-side
 // allocation beyond the cross-shard profile snapshots and tombstone arenas a
 // shard decodes and the one array per round each leg arena takes: the BEEP
-// hop batch, the per-receiver segments, the per-worker send/delivery buffers,
-// the gossip exchange table and the inter-shard batch buffers and descriptor
-// decode arenas all keep their capacity between cycles — and only that:
-// drain and gossipRound zero what could pin a profile or a descriptor slice.
+// hop (its envelopes and its message table, which stores each forwarded
+// message once), the per-receiver segments, the per-worker next-hop and
+// delivery buffers, the gossip exchange table and the inter-shard batch
+// buffers and descriptor decode arenas all keep their capacity between
+// cycles — and only that: drain and gossipRound zero what could pin a
+// profile or a descriptor slice.
 // The push and reply arenas (legArena) keep nothing but a length: every
 // gossip leg a worker builds in a round is appended to that worker's arena,
 // and gossipRound drops the arrays, capacity included, when the round ends.
@@ -264,7 +305,7 @@ type Engine struct {
 	pubs    map[int64][]Publication
 	stats   ShardStats
 
-	batch       []envelope // sends of the current BEEP hop
+	hop         hop        // sends of the current BEEP hop
 	segs        []segment  // per-receiver spans of the sorted hop
 	exs         []exchange // gossip exchange table, one slot per peer
 	pushArenas  []legArena // per-worker push legs of the current gossip round
@@ -272,7 +313,7 @@ type Engine struct {
 	order       []news.NodeID
 	bucketIdx   map[news.NodeID]int
 	bucketLists [][]int
-	sendBufs    [][]envelope      // per-worker BEEP sends
+	next        []hop             // per-worker sends of the next BEEP hop
 	delivBufs   [][]core.Delivery // per-worker deliveries for OnDelivery
 	xbufs       [][]byte          // pooled (src*S+dst) inter-shard batch buffers
 	xdec        []shardDecode     // per destination shard decode arenas
@@ -294,7 +335,7 @@ func New(cfg Config, peers []Peer, col *metrics.Collector) *Engine {
 		cols:        make([]*metrics.Collector, workers),
 		pubs:        make(map[int64][]Publication),
 		bucketIdx:   make(map[news.NodeID]int, len(peers)),
-		sendBufs:    make([][]envelope, workers),
+		next:        make([]hop, workers),
 		pushArenas:  make([]legArena, workers),
 		replyArenas: make([]legArena, workers),
 		delivBufs:   make([][]core.Delivery, workers),
@@ -511,17 +552,7 @@ func (e *Engine) Step() {
 	e.gossipRound(now, core.RPSLayer, metrics.MsgRPSRequest, metrics.MsgRPSReply)
 	e.gossipRound(now, core.WUPLayer, metrics.MsgWUPRequest, metrics.MsgWUPReply)
 
-	for _, pub := range e.pubs[now] {
-		src := e.onlinePeer(pub.Source)
-		if src == nil {
-			continue
-		}
-		sends := src.Publish(pub.Item, now)
-		if len(sends) > 0 {
-			e.col.RecordForward(true, 0)
-		}
-		e.enqueue(pub.Source, sends)
-	}
+	e.publish(now)
 	e.drain(now)
 	e.mergeCols()
 	if now%snapshotGenerationCycles == 0 {
@@ -540,6 +571,22 @@ func (e *Engine) Step() {
 func (e *Engine) Run() {
 	for int(e.now) < e.cfg.Cycles {
 		e.Step()
+	}
+}
+
+// publish hands the cycle's scheduled items to their sources, those online,
+// and queues the sends as the first BEEP hop.
+func (e *Engine) publish(now int64) {
+	for _, pub := range e.pubs[now] {
+		src := e.onlinePeer(pub.Source)
+		if src == nil {
+			continue
+		}
+		sends := src.Publish(pub.Item, now)
+		if len(sends) > 0 {
+			e.col.RecordForward(true, 0)
+		}
+		e.hop.add(pub.Source, sends)
 	}
 }
 
@@ -910,43 +957,39 @@ func (e *Engine) gossipRound(now int64, layer core.Layer, reqKind, repKind metri
 	}
 }
 
-// enqueue adds sends from one peer to the current BEEP hop.
-func (e *Engine) enqueue(from news.NodeID, sends []core.Send) {
-	for _, s := range sends {
-		e.batch = append(e.batch, envelope{from: from, to: s.To, msg: s.Msg})
-	}
-}
-
 // drain delivers queued BEEP messages to quiescence. Dissemination is
 // instantaneous relative to gossip cycles, as in the paper's simulations.
 // Messages are delivered in hop rounds: all sends of one hop are collected,
 // put in a deterministic total order, and the round is delivered grouped
-// per receiver; the sends it produces form the next round.
+// per receiver; the sends it produces form the next round. A round's sends
+// are envelopes over its message table (hop): each worker writes the
+// messages its receivers forward into a table of its own, and the next hop's
+// table is those tables laid end to end.
 //
 // BEEP envelopes cross shard boundaries as in-memory references rather than
 // codec batches: item messages are engine-internal values whose identity the
-// scenarios control (experiment worlds override item ids), so the hop batch
-// stays a shared value even at Shards > 1. A multi-process split would route
-// the hop through core.ItemMessage's codec the same way gossip legs use
-// routeCrossShard.
+// scenarios control (experiment worlds override item ids), so the hop's
+// message table stays a shared value even at Shards > 1. A multi-process
+// split would route the hop through core.ItemMessage's codec the same way
+// gossip legs use routeCrossShard.
 func (e *Engine) drain(now int64) {
-	for len(e.batch) > 0 {
+	for len(e.hop.envs) > 0 {
 		e.deliverRound(now)
 	}
-	// Hops truncate the scratch without zeroing it: release the envelopes left
-	// beyond len, each pinning an item profile, and keep only the capacity.
-	clear(e.batch[:cap(e.batch)])
-	for _, buf := range e.sendBufs {
-		clear(buf[:cap(buf)])
+	// Hops truncate the scratch without zeroing it: release the table entries
+	// left beyond len, each pinning an item profile, and keep only the capacity.
+	e.hop.release()
+	for w := range e.next {
+		e.next[w].release()
 	}
 }
 
-// deliverRound delivers one hop of BEEP traffic, consuming e.batch and
-// leaving the next hop in it.
+// deliverRound delivers one hop of BEEP traffic, consuming e.hop and leaving
+// the next hop in it.
 //
 //whatsup:hotpath
 func (e *Engine) deliverRound(now int64) {
-	batch := e.batch
+	batch, msgs := e.hop.envs, e.hop.msgs
 	// Total order: by receiver, then sender, then item. A node forwards a
 	// given item at most once (SIR), so the triple is unique within a round
 	// — which also makes the sorted order independent of how the previous
@@ -964,9 +1007,9 @@ func (e *Engine) deliverRound(now int64) {
 				return -1
 			}
 			return 1
-		case a.msg.Item.ID < b.msg.Item.ID:
+		case a.item < b.item:
 			return -1
-		case a.msg.Item.ID > b.msg.Item.ID:
+		case a.item > b.item:
 			return 1
 		default:
 			return 0
@@ -984,8 +1027,8 @@ func (e *Engine) deliverRound(now int64) {
 		e.segs = append(e.segs, segment{lo: lo, hi: hi}) //whatsup:alloc amortized growth of the cross-cycle segment scratch
 		lo = hi
 	}
-	for w := range e.sendBufs {
-		e.sendBufs[w] = e.sendBufs[w][:0]
+	for w := range e.next {
+		e.next[w].reset()
 		e.delivBufs[w] = e.delivBufs[w][:0]
 	}
 	observe := e.cfg.OnDelivery != nil
@@ -996,14 +1039,15 @@ func (e *Engine) deliverRound(now int64) {
 		col := e.cols[w]
 		for k := seg.lo; k < seg.hi; k++ {
 			env := &batch[k]
-			col.RecordMessage(metrics.MsgBeep, env.msg.WireSize())
-			if e.lost(env.to) || e.linkDropped(env.from, env.to, now, metrics.MsgBeep, uint64(env.msg.Item.ID)) {
+			msg := &msgs[env.msg]
+			col.RecordMessage(metrics.MsgBeep, msg.WireSize())
+			if e.lost(env.to) || e.linkDropped(env.from, env.to, now, metrics.MsgBeep, uint64(env.item)) {
 				continue
 			}
 			if recv == nil {
 				continue
 			}
-			d, sends := recv.Receive(env.msg, now)
+			d, sends := recv.Receive(*msg, now)
 			if d.Duplicate {
 				continue
 			}
@@ -1014,15 +1058,14 @@ func (e *Engine) deliverRound(now int64) {
 			if len(sends) > 0 {
 				col.RecordForward(d.Liked, d.Hops)
 			}
-			for _, s := range sends {
-				e.sendBufs[w] = append(e.sendBufs[w], envelope{from: env.to, to: s.To, msg: s.Msg}) //whatsup:alloc amortized growth of the per-worker send buffer
-			}
+			e.next[w].add(env.to, sends)
 		}
 	})
 	// Fire callbacks in segment (receiver) order — the workers' spans ascend
 	// with the worker id, so the user-visible delivery sequence is identical
 	// for any worker count — then assemble the next hop over the one just
-	// consumed (the sort above normalizes its order).
+	// consumed (the sort above normalizes its order): the workers' tables
+	// end to end, each worker's envelopes shifted by its table's offset.
 	if observe {
 		for _, buf := range e.delivBufs {
 			for _, d := range buf {
@@ -1030,9 +1073,15 @@ func (e *Engine) deliverRound(now int64) {
 			}
 		}
 	}
-	e.batch = batch[:0]
-	for w := range e.sendBufs {
-		e.batch = append(e.batch, e.sendBufs[w]...) //whatsup:alloc amortized growth of the hop batch
+	e.hop.reset()
+	for w := range e.next {
+		nx := &e.next[w]
+		base, lo := int32(len(e.hop.msgs)), len(e.hop.envs)
+		e.hop.msgs = append(e.hop.msgs, nx.msgs...) //whatsup:alloc amortized growth of the hop's message table
+		e.hop.envs = append(e.hop.envs, nx.envs...) //whatsup:alloc amortized growth of the hop's envelopes
+		for k := lo; k < len(e.hop.envs); k++ {
+			e.hop.envs[k].msg += base
+		}
 	}
 }
 
