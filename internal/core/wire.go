@@ -46,25 +46,6 @@ func (m ItemMessage) AppendWire(buf []byte) []byte {
 	return m.Profile.AppendWire(buf)
 }
 
-// DecodeItemMessage decodes one message from the front of data, recomputing
-// the item identifier from the received content. The decoded message aliases
-// nothing in data — its title, description and link are substrings of one
-// string copied out of it, its profile entries are fresh — and its Profile is
-// never nil: a message sent without one arrives with an empty profile, which
-// Node.Receive reads and never writes.
-func DecodeItemMessage(data []byte) (ItemMessage, []byte, error) {
-	var m ItemMessage
-	rest, err := decodeItemMessage(&m, data)
-	if err != nil {
-		return ItemMessage{}, data, err
-	}
-	return m, rest, nil
-}
-
-// CheckItemMessage validates one message at the front of data — it accepts
-// exactly what DecodeItemMessage accepts — and builds nothing.
-func CheckItemMessage(data []byte) ([]byte, error) { return decodeItemMessage(nil, data) }
-
 // PeekItemID recomputes the identifier of the item at the front of data from
 // its content fields, hashed where they lie: no string is built and the rest
 // of the message is not looked at. It is the receiver's cheap "have I seen
@@ -94,91 +75,86 @@ func itemContent(data []byte) (title, description, link, rest []byte, err error)
 	return title, description, link, rest, nil
 }
 
-// decodeItemMessage is the one walk over the message layout: it fills m, or
-// only validates when m is nil.
-func decodeItemMessage(m *ItemMessage, data []byte) ([]byte, error) {
+// DecodeItemMessage decodes one message from the front of data, recomputing
+// the item identifier from the received content. The decoded message aliases
+// nothing in data — its title, description and link are substrings of one
+// string copied out of it, its profile entries are fresh — and its Profile is
+// never nil: a message sent without one arrives with an empty profile, which
+// Node.Receive reads and never writes.
+func DecodeItemMessage(data []byte) (ItemMessage, []byte, error) {
 	title, description, link, rest, err := itemContent(data)
 	if err != nil {
-		return data, err
+		return ItemMessage{}, data, err
 	}
 	created, rest, err := wire.Int(rest)
 	if err != nil {
-		return data, fmt.Errorf("item created: %w", err)
+		return ItemMessage{}, data, fmt.Errorf("item created: %w", err)
 	}
 	source, rest, err := wire.Int(rest)
 	if err != nil {
-		return data, fmt.Errorf("item source: %w", err)
+		return ItemMessage{}, data, fmt.Errorf("item source: %w", err)
 	}
 	if !news.ValidNodeID(source) {
-		return data, fmt.Errorf("%w: source node %d out of range", wire.ErrMalformed, source)
+		return ItemMessage{}, data, fmt.Errorf("%w: source node %d out of range", wire.ErrMalformed, source)
 	}
 	dislikes, rest, err := wire.Int(rest)
 	if err != nil {
-		return data, fmt.Errorf("item dislikes: %w", err)
+		return ItemMessage{}, data, fmt.Errorf("item dislikes: %w", err)
 	}
 	hops, rest, err := wire.Int(rest)
 	if err != nil {
-		return data, fmt.Errorf("item hops: %w", err)
+		return ItemMessage{}, data, fmt.Errorf("item hops: %w", err)
 	}
 	// The encoder can never produce negative counters; accepting them would
 	// corrupt the hop/dislike histograms downstream.
 	if dislikes < 0 || hops < 0 || dislikes > int64(maxIntValue) || hops > int64(maxIntValue) {
-		return data, fmt.Errorf("%w: item counters (d_I=%d, hops=%d) out of range", wire.ErrMalformed, dislikes, hops)
+		return ItemMessage{}, data, fmt.Errorf("%w: item counters (d_I=%d, hops=%d) out of range", wire.ErrMalformed, dislikes, hops)
 	}
 	via, rest, err := wire.Uint(rest)
 	if err != nil || via > 1 {
 		if err == nil {
 			err = fmt.Errorf("%w: via-dislike flag %d", wire.ErrMalformed, via)
 		}
-		return data, fmt.Errorf("item via-dislike: %w", err)
+		return ItemMessage{}, data, fmt.Errorf("item via-dislike: %w", err)
 	}
 	present, rest, err := wire.Uint(rest)
 	if err != nil {
-		return data, fmt.Errorf("item profile flag: %w", err)
+		return ItemMessage{}, data, fmt.Errorf("item profile flag: %w", err)
 	}
 	if present > 1 {
-		return data, fmt.Errorf("%w: profile presence flag %d", wire.ErrMalformed, present)
+		return ItemMessage{}, data, fmt.Errorf("%w: profile presence flag %d", wire.ErrMalformed, present)
 	}
 	var p *profile.Profile
 	if present == 1 {
-		if m == nil {
-			rest, err = profile.CheckWire(rest)
-		} else {
-			p, rest, err = profile.DecodeWire(rest)
+		if p, rest, err = profile.DecodeWire(rest); err != nil {
+			return ItemMessage{}, data, err
 		}
-		if err != nil {
-			return data, err
-		}
+	} else {
+		p = profile.New() // sent without a profile: empty, never nil
 	}
-	if m != nil {
-		if p == nil {
-			p = profile.New() // sent without a profile: empty, never nil
-		}
-		// One string holds the three fields, each a substring of it: whoever
-		// keeps an item (a feed record) keeps all three anyway.
-		var b strings.Builder
-		b.Grow(len(title) + len(description) + len(link))
-		b.Write(title)
-		b.Write(description)
-		b.Write(link)
-		content := b.String()
-		t, dl := len(title), len(title)+len(description)
-		*m = ItemMessage{
-			Item: news.Item{
-				ID:          news.HashBytes(title, description, link),
-				Title:       content[:t],
-				Description: content[t:dl],
-				Link:        content[dl:],
-				Created:     created,
-				Source:      news.NodeID(source),
-			},
-			Profile:    p,
-			Dislikes:   int(dislikes),
-			Hops:       int(hops),
-			ViaDislike: via == 1,
-		}
-	}
-	return rest, nil
+	// One string holds the three fields, each a substring of it: whoever
+	// keeps an item (a feed record) keeps all three anyway.
+	var b strings.Builder
+	b.Grow(len(title) + len(description) + len(link))
+	b.Write(title)
+	b.Write(description)
+	b.Write(link)
+	content := b.String()
+	t, dl := len(title), len(title)+len(description)
+	return ItemMessage{
+		Item: news.Item{
+			ID:          news.HashBytes(title, description, link),
+			Title:       content[:t],
+			Description: content[t:dl],
+			Link:        content[dl:],
+			Created:     created,
+			Source:      news.NodeID(source),
+		},
+		Profile:    p,
+		Dislikes:   int(dislikes),
+		Hops:       int(hops),
+		ViaDislike: via == 1,
+	}, rest, nil
 }
 
 const maxIntValue = int(^uint(0) >> 1)

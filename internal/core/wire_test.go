@@ -73,27 +73,22 @@ func TestProfilelessItemFrameDoesNotCrashReceive(t *testing.T) {
 	}
 }
 
-// TestCheckAndPeekAgreeWithDecode pins the check-only walk and the in-place
-// id to the decoder they share a loop with: every prefix of a valid message
-// is accepted by both or by neither, and the peeked id is the decoded one.
-func TestCheckAndPeekAgreeWithDecode(t *testing.T) {
+// TestPeekItemIDAgreesWithDecode pins the in-place id to the decoder: the
+// peeked id is the decoded one. A message whose item profile is malformed
+// does not decode.
+func TestPeekItemIDAgreesWithDecode(t *testing.T) {
 	enc := wireItemMsg().AppendWire(nil)
-	for i := 0; i <= len(enc); i++ {
-		m, drest, derr := DecodeItemMessage(enc[:i])
-		crest, cerr := CheckItemMessage(enc[:i])
-		if (derr == nil) != (cerr == nil) || len(drest) != len(crest) {
-			t.Fatalf("prefix %d: decode err=%v rest=%d, check err=%v rest=%d", i, derr, len(drest), cerr, len(crest))
-		}
-		if derr == nil {
-			if id, err := PeekItemID(enc[:i]); err != nil || id != m.Item.ID {
-				t.Fatalf("prefix %d: peeked id %v err=%v, decoded %v", i, id, err, m.Item.ID)
-			}
-		}
+	m, _, err := DecodeItemMessage(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id, err := PeekItemID(enc); err != nil || id != m.Item.ID {
+		t.Fatalf("peeked id %v err=%v, decoded %v", id, err, m.Item.ID)
 	}
 	bad := append([]byte(nil), enc...)
 	bad[len(bad)-1] = 0xFF // the last score becomes a truncated varint
-	if _, err := CheckItemMessage(bad); err == nil {
-		t.Fatal("check-only mode accepted a malformed item profile")
+	if _, _, err := DecodeItemMessage(bad); err == nil {
+		t.Fatal("the decoder accepted a malformed item profile")
 	}
 }
 

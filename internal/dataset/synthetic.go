@@ -138,10 +138,3 @@ func detectCommunities(planted [][]int, n int, rng *rand.Rand) [][]int {
 	}
 	return g.Communities()
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

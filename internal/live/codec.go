@@ -31,7 +31,10 @@ import (
 // hand a node its inbox as pooled payload buffers, and the node decodes on
 // its own goroutine (liveNode.onFrame) — after it has asked the cheapest
 // question first, "have I seen this item?", which needs only the envelope
-// header and a hash of the item content where it lies in the buffer.
+// header and a hash of the item content where it lies in the buffer. A
+// stream transport checks framing only; a framing error poisons the
+// connection, and a well-framed payload that does not decode is a loss at
+// the node.
 
 // maxFramePayload bounds a declared frame length. The largest legitimate
 // envelope is a gossip push of tens of descriptors, far below this; anything
@@ -96,47 +99,35 @@ func envelopeHeader(data []byte) (kind wireKind, from, to news.NodeID, body []by
 	return wireKind(data[0]), news.NodeID(f), news.NodeID(t), rest, nil
 }
 
-// decodeEnvelope is the one walk over the envelope layout. It decodes one
-// envelope from the front of data into e or, with e nil, only validates and
-// builds nothing. The check-only mode is what lets the TCP reader pump keep
-// rejecting a malformed stream at the socket although decoding proper
-// happens on the receiving node. That node decodes against what it holds (h,
-// see overlay.Holder): the descriptors it would discard are validated like
-// the rest and left out of e.Descs, which the list is appended to. Item
-// strings, profiles and tombstones are copies. A snapshot the node does not
-// hold is borrowed from data when l is not nil: a decoded snapshot borrows
-// the frame until the merge settles; what a view keeps is copied once
-// (overlay.Loan.Settle). With l nil, nothing in e aliases data.
+// decodeEnvelope decodes one envelope from the front of data into e. It is
+// the only validation a received payload gets: transports check framing
+// alone, so a payload that does not decode here is a loss at the node. The
+// node decodes against what it holds (h, see overlay.Holder): the
+// descriptors it would discard are validated like the rest and left out of
+// e.Descs, which the list is appended to. Item strings, profiles and
+// tombstones are copies. A snapshot the node does not hold is borrowed from
+// data when l is not nil: a decoded snapshot borrows the frame until the
+// merge settles; what a view keeps is copied once (overlay.Loan.Settle).
+// With l nil, nothing in e aliases data.
 func decodeEnvelope(e *envelope, data []byte, h overlay.Holder, l *overlay.Loan) ([]byte, error) {
 	kind, from, to, rest, err := envelopeHeader(data)
 	if err != nil {
 		return data, err
 	}
-	switch {
-	case e == nil && kind == wireItem:
-		rest, err = core.CheckItemMessage(rest)
-	case e == nil:
-		if rest, err = overlay.CheckDescriptors(rest); err == nil {
-			rest, err = overlay.CheckTombstones(rest)
-		}
-	case kind == wireItem:
+	if kind == wireItem {
 		e.Item, rest, err = core.DecodeItemMessage(rest)
-	default:
-		if e.Descs, rest, err = overlay.DecodeDescriptorsHeld(e.Descs, rest, h, l); err == nil {
-			e.Tombs, rest, err = overlay.DecodeTombstones(rest)
-		}
+	} else if e.Descs, rest, err = overlay.DecodeDescriptorsHeld(e.Descs, rest, h, l); err == nil {
+		e.Tombs, rest, err = overlay.AppendDecodeTombstones(nil, rest)
 	}
 	if err != nil {
 		return data, err
 	}
-	if e != nil {
-		e.Kind, e.From, e.To = kind, from, to
-	}
+	e.Kind, e.From, e.To = kind, from, to
 	return rest, nil
 }
 
-// decodePayload decodes (or, e nil, validates) a frame payload: exactly one
-// envelope, no trailing bytes.
+// decodePayload decodes a frame payload: exactly one envelope, no trailing
+// bytes.
 func decodePayload(e *envelope, payload []byte, h overlay.Holder, l *overlay.Loan) error {
 	rest, err := decodeEnvelope(e, payload, h, l)
 	if err != nil {
@@ -159,10 +150,11 @@ func appendFrame(buf, payload []byte) []byte {
 // bandwidth accounting reports for it.
 func frameLen(n int) int { return wire.UintLen(uint64(n)) + n }
 
-// readFrame reads one frame from a buffered stream into a pooled buffer and
-// validates its payload without decoding it; the caller owns the buffer.
-// io.EOF is returned verbatim on a clean boundary so pumps can distinguish
-// an orderly close from a mid-frame cut.
+// readFrame reads one frame from a buffered stream into a pooled buffer; the
+// caller owns the buffer. It checks framing only — the declared length within
+// maxFramePayload and the whole payload present — and leaves the payload to
+// the node's decode. io.EOF is returned verbatim on a clean boundary so pumps
+// can distinguish an orderly close from a mid-frame cut.
 func readFrame(br *bufio.Reader) (*[]byte, error) {
 	n, err := binary.ReadUvarint(br)
 	if err != nil {
@@ -176,14 +168,11 @@ func readFrame(br *bufio.Reader) (*[]byte, error) {
 		*buf = make([]byte, n)
 	}
 	*buf = (*buf)[:n]
-	if _, err = io.ReadFull(br, *buf); err == io.EOF {
-		err = io.ErrUnexpectedEOF
-	}
-	if err == nil {
-		err = decodePayload(nil, *buf, nil, nil)
-	}
-	if err != nil {
+	if _, err = io.ReadFull(br, *buf); err != nil {
 		putBuf(buf)
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, err
 	}
 	return buf, nil

@@ -22,7 +22,9 @@
 // The unit that crosses a transport is the encoded envelope: the sender
 // encodes it once into a pooled byte buffer, the transport takes the buffer
 // over and moves its bytes into the receiver's inbox, and the node decodes
-// each buffer on its own goroutine (liveNode.onFrame). A repeat receipt of an
+// each buffer on its own goroutine (liveNode.onFrame). That decode is the
+// only validation a payload gets — TCPNet checks framing, never content —
+// and a payload that does not decode is a loss. A repeat receipt of an
 // item it has seen — most item frames, under BEEP's redundancy — is dropped
 // after a hash of the content bytes and one lookup in its SIR set, before
 // anything is decoded. A gossip frame's profile snapshots are not copied when

@@ -16,9 +16,10 @@ import (
 // nodes, which the paper measured as up to 30% inbound loss at small fanouts
 // (Section V-D). A configurable fraction of nodes is "overloaded" with much
 // smaller queues. The queue holds frames as bytes: a connection's reader
-// pump reads each payload into a pooled buffer, validates it without
-// decoding (a malformed payload poisons the stream and costs the sender its
-// connection) and enqueues the buffer; the node decodes on its own goroutine.
+// pump checks framing only — a length beyond maxFramePayload or a cut-off
+// frame poisons the stream and costs the sender its connection — and moves
+// each payload, in a pooled buffer, into the inbox. The node decodes it on
+// its own goroutine, and a payload that does not decode is a loss there.
 //
 // Connections are persistent and multiplexed: the first send to a
 // destination dials it, and every later envelope for that destination is
@@ -119,7 +120,7 @@ func NewTCPNet(cfg TCPNetConfig) *TCPNet {
 }
 
 // Register implements Network: open a loopback listener for the node and
-// start its accept/validate pump. Re-registering an id that was disconnected
+// start its accept/read pump. Re-registering an id that was disconnected
 // opens a fresh listener on a new address (a rejoining node).
 func (t *TCPNet) Register(id news.NodeID) <-chan *[]byte {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -186,9 +187,9 @@ func (t *TCPNet) Register(id news.NodeID) <-chan *[]byte {
 				for {
 					buf, err := readFrame(br)
 					if err != nil {
-						// Clean close, peer teardown, or a poisoned
-						// stream (malformed frame): drop the connection;
-						// the sender re-dials if it still cares.
+						// Clean close, peer teardown, or a framing
+						// error: drop the connection; the sender
+						// re-dials if it still cares.
 						return
 					}
 					select {

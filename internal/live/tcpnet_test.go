@@ -1,15 +1,20 @@
 package live
 
 import (
+	"bytes"
 	"errors"
+	"io"
 	"net"
+	"os"
 	"runtime"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
 	"whatsup/internal/core"
 	"whatsup/internal/news"
+	"whatsup/internal/overlay"
 	"whatsup/internal/profile"
 	"whatsup/internal/wire"
 )
@@ -59,13 +64,8 @@ func TestTCPNetCloseDrainsPending(t *testing.T) {
 // for it.
 func holdWriter(t *testing.T, tn *TCPNet, id news.NodeID) (release func()) {
 	t.Helper()
-	tn.mu.Lock()
-	addr := tn.addrs[id]
-	tn.mu.Unlock()
-	c, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := dialNode(t, tn, id)
+	addr := c.RemoteAddr().String()
 	sc := &outConn{c: c, kick: make(chan struct{}, 1), quit: make(chan struct{})}
 	tn.mu.Lock()
 	tn.conns[addr] = sc
@@ -228,52 +228,147 @@ func TestTCPNetSendAfterCloseIsDropped(t *testing.T) {
 	tn.Close()                               // double Close must be safe
 }
 
-// TestTCPNetPoisonedStreamDropsConnection checks that a malformed frame
-// kills the inbound connection instead of panicking the pump — both a length
-// prefix beyond the limit and a correctly framed payload that does not
-// decode. The pump validates without decoding, so the second case is what
-// keeps an untrusted peer's garbage from ever reaching a node's inbox.
-func TestTCPNetPoisonedStreamDropsConnection(t *testing.T) {
-	// A well-formed item message whose profile lists the same id twice.
-	unsorted := appendEnvelope(nil, envelope{Kind: wireItem, From: 0, To: 1, Item: core.ItemMessage{Item: news.New("t", "d", "l", 1, 0)}})
-	unsorted[len(unsorted)-1] = 1                    // profile present …
-	unsorted = append(unsorted, 2, 5, 0, 1, 0, 0, 1) // … two entries: id 5, then delta 0
-	if err := decodePayload(nil, unsorted, nil, nil); !errors.Is(err, wire.ErrMalformed) || !strings.Contains(err.Error(), "unsorted") {
-		t.Fatalf("the crafted payload must fail on its profile order, got %v", err)
+// dialNode opens a raw connection to id's TCPNet endpoint, as a peer's
+// writer would, so a test can put arbitrary bytes on the stream. The caller
+// closes it before the TCPNet, whose Close waits for the reader pump.
+func dialNode(t *testing.T, tn *TCPNet, id news.NodeID) *net.TCPConn {
+	t.Helper()
+	tn.mu.Lock()
+	addr := tn.addrs[id]
+	tn.mu.Unlock()
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return c.(*net.TCPConn)
+}
+
+// TestTCPNetPoisonedStreamDropsConnection checks that a framing error kills
+// the inbound connection instead of panicking the pump: a length prefix
+// beyond the limit, also behind a good frame, which is still delivered, and
+// a frame the stream ends inside of. The receiver must close the connection —
+// the peer reads EOF or a reset, not its own read deadline.
+func TestTCPNetPoisonedStreamDropsConnection(t *testing.T) {
 	good := encodeFrame(testItemEnvelope(1, 1))
+	oversized := []byte{0xFF, 0xFF, 0xFF, 0xFF, 0x7F}
 	for name, tc := range map[string]struct {
 		stream    []byte
+		cut       bool // the peer ends the stream after writing it
 		delivered int
 	}{
-		"oversized-length-prefix":   {[]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x7F}, 0},
-		"framed-malformed-payload":  {append(wire.AppendUint(nil, uint64(len(unsorted))), unsorted...), 0},
-		"good-frame-then-malformed": {append(append(good, byte(len(unsorted))), unsorted...), 1},
+		"oversized-length-prefix":   {oversized, false, 0},
+		"good-frame-then-oversized": {append(good, oversized...), false, 1},
+		"truncated-frame":           {good[:len(good)-1], true, 0},
 	} {
 		t.Run(name, func(t *testing.T) {
 			tn := NewTCPNet(TCPNetConfig{})
 			defer tn.Close()
 			box := tn.Register(1)
-			tn.mu.Lock()
-			addr := tn.addrs[1]
-			tn.mu.Unlock()
-			c, err := net.Dial("tcp", addr)
-			if err != nil {
-				t.Fatal(err)
-			}
+			c := dialNode(t, tn, 1)
 			defer c.Close()
 			if _, err := c.Write(tc.stream); err != nil {
 				t.Fatal(err)
 			}
-			buf := make([]byte, 1)
+			if tc.cut {
+				c.CloseWrite()
+			}
 			c.SetReadDeadline(time.Now().Add(2 * time.Second))
-			if _, err := c.Read(buf); err == nil {
-				t.Fatal("poisoned connection must be closed by the receiver")
+			if _, err := c.Read(make([]byte, 1)); !errors.Is(err, io.EOF) && !errors.Is(err, syscall.ECONNRESET) {
+				t.Fatalf("read on the poisoned connection: %v, want EOF or a reset by the receiver", err)
 			}
 			if got := drainBox(box); got != tc.delivered {
 				t.Fatalf("poisoned stream delivered %d frames, want %d", got, tc.delivered)
 			}
 		})
+	}
+}
+
+// TestTCPNetMalformedPayloadIsALossAtTheNode: a well-framed payload that
+// does not decode — an unsorted item profile, trailing bytes, a non-zero
+// reserved byte, a truncated inner list, an unknown kind — travels like any
+// other, and the node's decode drops it as a loss: the node's views,
+// profile, seen set, feed ring and outbound frames stay as they were, and
+// its buffer goes back to the pool. The connection stays open, so the good
+// frame batched behind them in one write is delivered.
+func TestTCPNetMalformedPayloadIsALossAtTheNode(t *testing.T) {
+	unsorted := appendEnvelope(nil, envelope{Kind: wireItem, From: 1, Item: core.ItemMessage{Item: news.New("t", "d", "l", 1, 1)}})
+	unsorted[len(unsorted)-1] = 1                    // profile present …
+	unsorted = append(unsorted, 2, 5, 0, 1, 0, 0, 1) // … two entries: id 5, then delta 0
+	gossip := envelope{Kind: wireRPSRequest, From: 1, Descs: []overlay.Descriptor{phantom(2, 1, 100, 101)}}
+	trailing := append(appendEnvelope(nil, gossip), 0xAB)
+	reserved := appendEnvelope(nil, gossip)
+	reserved[5] = 1 // kind, from, to, count, node: the reserved byte is the sixth
+	truncated := appendEnvelope(nil, gossip)
+	truncated = truncated[:len(truncated)-2] // the tombstone count and a profile byte
+	bad := []struct {
+		payload []byte
+		err     error
+		says    string
+	}{
+		{unsorted, wire.ErrMalformed, "unsorted"},
+		{trailing, wire.ErrMalformed, "trailing bytes"},
+		{reserved, wire.ErrMalformed, "reserved byte"},
+		{truncated, wire.ErrTruncated, "descriptor 0"},
+		{[]byte{99, 2, 0, 0, 0}, wire.ErrMalformed, "unknown envelope kind"},
+	}
+	good := appendEnvelope(nil, scriptItem(0, 1))
+	var stream []byte
+	script := [][]byte{good}
+	for _, b := range bad {
+		var env envelope
+		if err := decodePayload(&env, b.payload, nil, nil); !errors.Is(err, b.err) || !strings.Contains(err.Error(), b.says) {
+			t.Fatalf("crafted payload %x: decode err=%v, want %v saying %q", b.payload, err, b.err, b.says)
+		}
+		stream = appendFrame(stream, b.payload)
+		script = append(script, b.payload)
+	}
+	stream = appendFrame(stream, good)
+
+	ln, tap := frameFleet(t)
+	tn := NewTCPNet(TCPNetConfig{})
+	defer tn.Close()
+	box := tn.Register(0)
+	c := dialNode(t, tn, 0)
+	defer c.Close()
+	if _, err := c.Write(stream); err != nil { // one write: the good frame is batched behind the bad ones
+		t.Fatal(err)
+	}
+	// Every frame is in before the node handles one, so that the pump does
+	// not take a buffer from the pool while the test looks at it.
+	var bufs []*[]byte
+	timeout := time.After(2 * time.Second)
+	for len(bufs) < len(bad)+1 {
+		select {
+		case buf := <-box:
+			bufs = append(bufs, buf)
+		case <-timeout:
+			t.Fatalf("%d of %d frames delivered: the connection did not outlive a malformed payload", len(bufs), len(bad)+1)
+		}
+	}
+	for i, b := range bad {
+		buf := bufs[i]
+		if !bytes.Equal(*buf, b.payload) {
+			t.Fatalf("frame %d arrived as %x, sent %x", i, *buf, b.payload)
+		}
+		state, frames := nodeState(ln, script), len(tap.frames)
+		ln.onFrame(buf, 2)
+		if got := nodeState(ln, script); got != state {
+			t.Errorf("payload %q changed the node:\n--- before\n%s\n--- after\n%s", b.says, state, got)
+		}
+		if len(tap.frames) != frames {
+			t.Errorf("payload %q made the node send %d frames", b.says, len(tap.frames)-frames)
+		}
+		if len(*buf) != 0 { // putBuf empties a buffer as it pools it
+			t.Errorf("payload %q: its buffer did not go back to the pool", b.says)
+		}
+	}
+	ln.onFrame(bufs[len(bad)], 2)
+	if !ln.node.Seen(scriptItem(0, 1).Item.Item.ID) {
+		t.Fatal("the good frame behind the malformed ones was not received")
+	}
+	c.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+	if _, err := c.Read(make([]byte, 1)); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("read on the connection: %v, want it still open", err)
 	}
 }
 

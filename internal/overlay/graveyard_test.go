@@ -186,7 +186,7 @@ func TestTombstoneWireRoundTrip(t *testing.T) {
 		if want := wire.UintLen(uint64(len(tombs))) + TombstonesWireSize(tombs); len(buf) != want {
 			t.Fatalf("encoded %d bytes, want count prefix + TombstonesWireSize = %d", len(buf), want)
 		}
-		got, rest, err := DecodeTombstones(append(buf, 0xAA))
+		got, rest, err := AppendDecodeTombstones(nil, append(buf, 0xAA))
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
@@ -207,14 +207,14 @@ func TestTombstoneWireRoundTrip(t *testing.T) {
 func TestDecodeTombstonesRejectsTruncation(t *testing.T) {
 	buf := AppendTombstones(nil, []Tombstone{{Node: 5, Stamp: 42}, {Node: 9, Stamp: 50}})
 	for cut := 0; cut < len(buf); cut++ {
-		if _, _, err := DecodeTombstones(buf[:cut]); err == nil {
+		if _, _, err := AppendDecodeTombstones(nil, buf[:cut]); err == nil {
 			t.Fatalf("truncation at %d/%d bytes not detected", cut, len(buf))
 		}
 	}
 	// A count prefix promising more tombstones than the payload can hold must
 	// fail fast rather than over-allocate.
 	huge := wire.AppendUint(nil, 1<<40)
-	if _, _, err := DecodeTombstones(huge); !errors.Is(err, wire.ErrTruncated) {
+	if _, _, err := AppendDecodeTombstones(nil, huge); !errors.Is(err, wire.ErrTruncated) {
 		t.Fatalf("oversized count: err=%v, want ErrTruncated", err)
 	}
 }

@@ -50,8 +50,8 @@ type Holder interface {
 }
 
 // decodeDescriptor is the one walk over the descriptor layout: it fills d —
-// against what h holds, when there is an h — or only validates when d is nil
-// or h discards the descriptor. kept reports whether d was filled. A snapshot
+// against what h holds, when there is an h — or only validates when h
+// discards the descriptor. kept reports whether d was filled. A snapshot
 // h does not hold is borrowed from l, with room for the remaining
 // descriptors of the list, or cloned when l is nil.
 func decodeDescriptor(d *Descriptor, data []byte, h Holder, l *Loan, remaining uint64) (rest []byte, kept bool, err error) {
@@ -80,11 +80,9 @@ func decodeDescriptor(d *Descriptor, data []byte, h Holder, l *Loan, remaining u
 		return data, false, fmt.Errorf("%w: profile presence flag %d", wire.ErrMalformed, present)
 	}
 	var snap Descriptor
-	if d != nil && h != nil {
-		var discard bool
-		if snap, discard = h.Held(news.NodeID(node), stamp); discard {
-			d = nil
-		}
+	var discard bool
+	if h != nil {
+		snap, discard = h.Held(news.NodeID(node), stamp)
 	}
 	var pk profile.Packed
 	if present == 1 {
@@ -92,7 +90,7 @@ func decodeDescriptor(d *Descriptor, data []byte, h Holder, l *Loan, remaining u
 			return data, false, err
 		}
 	}
-	if d == nil {
+	if discard {
 		return rest, false, nil
 	}
 	switch {
@@ -134,63 +132,39 @@ func AppendTombstones(buf []byte, tombs []Tombstone) []byte {
 	return buf
 }
 
-// DecodeTombstones decodes a uvarint-counted tombstone list. A nil slice is
-// returned for an empty list, matching what gossip senders produce.
-func DecodeTombstones(data []byte) ([]Tombstone, []byte, error) {
-	var tombs []Tombstone
-	rest, err := decodeTombstones(&tombs, data)
-	if err != nil {
-		return nil, data, err
-	}
-	return tombs, rest, nil
-}
-
 // AppendDecodeTombstones decodes a uvarint-counted tombstone list by
-// appending onto dst — the arena-pooling counterpart of DecodeTombstones,
-// with the same relocation caveat as AppendDecodeDescriptors.
+// appending onto dst, with the same relocation caveat as
+// AppendDecodeDescriptors. A nil dst is sized once from the declared count,
+// and stays nil for an empty list, matching what gossip senders produce.
 func AppendDecodeTombstones(dst []Tombstone, data []byte) ([]Tombstone, []byte, error) {
-	rest, err := decodeTombstones(&dst, data)
-	return dst, rest, err
-}
-
-// CheckTombstones validates a uvarint-counted tombstone list — it accepts
-// exactly what DecodeTombstones accepts — and builds nothing.
-func CheckTombstones(data []byte) ([]byte, error) { return decodeTombstones(nil, data) }
-
-// decodeTombstones is the one walk over a tombstone list: it appends onto
-// *dst (a nil *dst is sized once from the declared count), or only validates
-// when dst is nil.
-func decodeTombstones(dst *[]Tombstone, data []byte) ([]byte, error) {
 	n, rest, err := wire.Uint(data)
 	if err != nil {
-		return data, fmt.Errorf("tombstone count: %w", err)
+		return dst, data, fmt.Errorf("tombstone count: %w", err)
 	}
 	// A tombstone is at least 2 bytes (node, stamp): bound the count by the
 	// bytes on hand before allocating.
 	if n > uint64(len(rest))/2 {
-		return data, fmt.Errorf("%w: %d tombstones declared, %d bytes remain", wire.ErrTruncated, n, len(rest))
+		return dst, data, fmt.Errorf("%w: %d tombstones declared, %d bytes remain", wire.ErrTruncated, n, len(rest))
 	}
-	if dst != nil && *dst == nil && n > 0 {
-		*dst = make([]Tombstone, 0, n)
+	if dst == nil && n > 0 {
+		dst = make([]Tombstone, 0, n)
 	}
 	for i := uint64(0); i < n; i++ {
 		node, r, err := wire.Int(rest)
 		if err != nil {
-			return data, fmt.Errorf("tombstone %d node: %w", i, err)
+			return dst, data, fmt.Errorf("tombstone %d node: %w", i, err)
 		}
 		if !news.ValidNodeID(node) {
-			return data, fmt.Errorf("%w: tombstone node id %d out of range", wire.ErrMalformed, node)
+			return dst, data, fmt.Errorf("%w: tombstone node id %d out of range", wire.ErrMalformed, node)
 		}
 		stamp, r, err := wire.Int(r)
 		if err != nil {
-			return data, fmt.Errorf("tombstone %d stamp: %w", i, err)
+			return dst, data, fmt.Errorf("tombstone %d stamp: %w", i, err)
 		}
-		if dst != nil {
-			*dst = append(*dst, Tombstone{Node: news.NodeID(node), Stamp: stamp})
-		}
+		dst = append(dst, Tombstone{Node: news.NodeID(node), Stamp: stamp})
 		rest = r
 	}
-	return rest, nil
+	return dst, rest, nil
 }
 
 // TombstonesWireSize sums the wire sizes of a tombstone list, excluding the
@@ -235,15 +209,10 @@ func AppendDecodeDescriptors(dst []Descriptor, data []byte) ([]Descriptor, []byt
 	return dst, rest, err
 }
 
-// CheckDescriptors validates a uvarint-counted descriptor list — it accepts
-// exactly what DecodeDescriptorsHeld accepts — and builds nothing: no slice,
-// no profile.
-func CheckDescriptors(data []byte) ([]byte, error) { return decodeDescriptors(nil, data, nil, nil) }
-
 // decodeDescriptors is the one walk over a descriptor list: it appends onto
 // *dst what h (nil: nothing) does not discard — a nil *dst is sized on the
-// first descriptor kept, from the count still to come — or only validates
-// when dst is nil. Snapshots are borrowed from l, or cloned when l is nil.
+// first descriptor kept, from the count still to come. Snapshots are
+// borrowed from l, or cloned when l is nil.
 func decodeDescriptors(dst *[]Descriptor, data []byte, h Holder, l *Loan) ([]byte, error) {
 	n, rest, err := wire.Uint(data)
 	if err != nil {
@@ -256,12 +225,8 @@ func decodeDescriptors(dst *[]Descriptor, data []byte, h Holder, l *Loan) ([]byt
 	}
 	for i := uint64(0); i < n; i++ {
 		var d Descriptor
-		into := &d
-		if dst == nil {
-			into = nil
-		}
 		var kept bool
-		if rest, kept, err = decodeDescriptor(into, rest, h, l, n-i); err != nil {
+		if rest, kept, err = decodeDescriptor(&d, rest, h, l, n-i); err != nil {
 			return data, fmt.Errorf("descriptor %d: %w", i, err)
 		}
 		if kept {

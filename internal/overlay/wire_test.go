@@ -76,11 +76,10 @@ func TestDescriptorReservedByte(t *testing.T) {
 		var loan Loan
 		h := holding{2: {Node: 2, Profile: snapshotOf(profile.New())}}
 		for mode, decode := range map[string]func() error{
-			"decode":     func() error { _, _, err := DecodeDescriptorsHeld(nil, enc, nil, nil); return err },
-			"check-only": func() error { _, err := CheckDescriptors(enc); return err },
-			"table":      func() error { _, _, err := table.AppendDecode(nil, enc); return err },
-			"holder":     func() error { _, _, err := DecodeDescriptorsHeld(nil, enc, h, nil); return err },
-			"borrowing":  func() error { _, _, err := DecodeDescriptorsHeld(nil, enc, h, &loan); return err },
+			"decode":    func() error { _, _, err := DecodeDescriptorsHeld(nil, enc, nil, nil); return err },
+			"table":     func() error { _, _, err := table.AppendDecode(nil, enc); return err },
+			"holder":    func() error { _, _, err := DecodeDescriptorsHeld(nil, enc, h, nil); return err },
+			"borrowing": func() error { _, _, err := DecodeDescriptorsHeld(nil, enc, h, &loan); return err },
 		} {
 			if err := decode(); !errors.Is(err, wire.ErrMalformed) {
 				t.Errorf("%s, %s: err=%v, want ErrMalformed", name, mode, err)
@@ -111,26 +110,19 @@ func TestDescriptorsWireTruncatedPrefixes(t *testing.T) {
 		if _, _, err := DecodeDescriptorsHeld(nil, enc[:i], nil, nil); err == nil {
 			t.Fatalf("prefix %d/%d must not decode", i, len(enc))
 		}
-		if _, err := CheckDescriptors(enc[:i]); err == nil {
-			t.Fatalf("prefix %d/%d must not pass the check-only walk", i, len(enc))
-		}
 	}
-	// The check-only walk consumes exactly what the decoder consumes, for
-	// descriptor and tombstone lists alike, and builds nothing.
+	// Each list consumes exactly its own bytes: a tombstone list behind the
+	// descriptors decodes from what the descriptor list leaves.
 	enc = AppendTombstones(enc, []Tombstone{{Node: 3, Stamp: 9}})
-	_, afterDescs, err := DecodeDescriptorsHeld(nil, enc, nil, nil)
-	rest, cerr := CheckDescriptors(enc)
-	if err != nil || cerr != nil || len(rest) != len(afterDescs) {
-		t.Fatalf("descriptors: decode err=%v rest=%d, check err=%v rest=%d", err, len(afterDescs), cerr, len(rest))
+	_, rest, err := DecodeDescriptorsHeld(nil, enc, nil, nil)
+	if err != nil {
+		t.Fatalf("descriptors: %v", err)
 	}
-	if rest, err = CheckTombstones(rest); err != nil || len(rest) != 0 {
-		t.Fatalf("tombstones: check err=%v rest=%d", err, len(rest))
+	if tombs, rest, err := AppendDecodeTombstones(nil, rest); err != nil || len(rest) != 0 || len(tombs) != 1 {
+		t.Fatalf("tombstones: %v err=%v rest=%d", tombs, err, len(rest))
 	}
-	if _, err = CheckTombstones([]byte{1, 3, 0}); !errors.Is(err, wire.ErrMalformed) { // one tombstone, node zigzag(3) = -2
-		t.Fatalf("check-only walk of a tombstone below NoNode: err=%v, want ErrMalformed", err)
-	}
-	if allocs := testing.AllocsPerRun(100, func() { CheckDescriptors(enc) }); allocs != 0 {
-		t.Fatalf("check-only walk allocates %.0f/op", allocs)
+	if _, _, err = AppendDecodeTombstones(nil, []byte{1, 3, 0}); !errors.Is(err, wire.ErrMalformed) { // one tombstone, node zigzag(3) = -2
+		t.Fatalf("a tombstone below NoNode: err=%v, want ErrMalformed", err)
 	}
 }
 
@@ -141,26 +133,20 @@ func TestDecodeDescriptorsRejectsHugeCount(t *testing.T) {
 	}
 }
 
-// FuzzTombstones holds the three readers of a tombstone list — the piggyback
-// every non-item live frame carries — to one another on arbitrary bytes:
-// DecodeTombstones, the check-only CheckTombstones and AppendDecodeTombstones
-// onto a list that already holds tombstones agree on accepting and on the
-// bytes left, and the appending reader keeps what it was handed and appends
-// what the decoder returns. An accepted list re-encodes to the bytes it was
-// read from — shorter only where a varint came in more bytes than it needs,
-// and then to a form that re-encodes to itself — in the count prefix plus
+// FuzzTombstones holds the reader of a tombstone list — the piggyback every
+// non-item live frame carries — to itself on arbitrary bytes: decoding onto
+// nil and onto a list that already holds tombstones agree on accepting and
+// on the bytes left, and the second keeps what it was handed and appends what
+// the first returns. An accepted list re-encodes to the bytes it was read
+// from — shorter only where a varint came in more bytes than it needs, and
+// then to a form that re-encodes to itself — in the count prefix plus
 // TombstonesWireSize bytes.
 func FuzzTombstones(f *testing.F) {
 	f.Add(AppendTombstones(nil, []Tombstone{{Node: 3, Stamp: 9}, {Node: news.NoNode, Stamp: -4}}))
 	f.Add(AppendTombstones(nil, nil))
 	f.Add([]byte{1, 3, 0}) // one tombstone, node zigzag(3) = -2: below NoNode
 	f.Fuzz(func(t *testing.T, data []byte) {
-		want, rest, err := DecodeTombstones(data)
-		checkRest, checkErr := CheckTombstones(data)
-		if (err == nil) != (checkErr == nil) || len(rest) != len(checkRest) {
-			t.Fatalf("check-only walk disagrees with the decoder: decode err=%v rest=%d, check err=%v rest=%d",
-				err, len(rest), checkErr, len(checkRest))
-		}
+		want, rest, err := AppendDecodeTombstones(nil, data)
 		held := []Tombstone{{Node: 1, Stamp: 2}, {Node: 7, Stamp: -1}}
 		got, appendRest, appendErr := AppendDecodeTombstones(slices.Clone(held), data)
 		if (err == nil) != (appendErr == nil) || len(rest) != len(appendRest) {
@@ -191,7 +177,7 @@ func FuzzTombstones(f *testing.F) {
 		if len(enc) > len(read) || len(enc) == len(read) && !bytes.Equal(enc, read) {
 			t.Fatalf("re-encoding %x of the %d bytes read %x", enc, len(read), read)
 		}
-		again, againRest, err := DecodeTombstones(enc)
+		again, againRest, err := AppendDecodeTombstones(nil, enc)
 		if err != nil || len(againRest) != 0 || !slices.Equal(again, want) {
 			t.Fatalf("re-encoding decodes to %v (err=%v, %d bytes left), want %v", again, err, len(againRest), want)
 		}

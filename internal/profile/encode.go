@@ -62,39 +62,32 @@ func (p *Profile) WireSize() int {
 
 // DecodeWire decodes one packed profile from the front of data, returning
 // the profile and the remaining bytes. The input is untrusted network data:
-// non-monotonic ids, non-finite scores and truncation all produce errors,
-// never panics, and the declared entry count is checked against the bytes
-// actually available before any allocation. The profile's entries are fresh:
+// non-monotonic ids, non-finite scores, non-canonical fields and truncation
+// all produce errors, never panics, and the declared entry count is checked
+// against the bytes actually available before any allocation. It accepts
+// exactly what DecodePacked accepts. The profile's entries are fresh:
 // nothing aliases data.
 func DecodeWire(data []byte) (*Profile, []byte, error) {
 	p := new(Profile)
-	rest, _, err := decodeWire(p, data, false)
+	rest, _, err := decodeWire(p, data)
 	if err != nil {
 		return nil, data, err
 	}
 	return p, rest, nil
 }
 
-// CheckWire validates one packed profile at the front of data — it accepts
-// exactly what DecodeWire accepts — and returns the remaining bytes without
-// building the profile.
-func CheckWire(data []byte) ([]byte, error) {
-	rest, _, err := decodeWire(nil, data, false)
-	return rest, err
-}
-
 // decodeWire is the one walk over the packed layout: it validates, returns
 // Σ score² accumulated in ascending id order, and fills p when p is not nil
-// (p must be empty). With canonical set it also rejects any field not in the
-// form AppendWire writes — a non-minimal varint, or a score AppendScore
-// would encode otherwise — so the bytes it accepts are exactly the encoding
-// of the entries they decode to.
-func decodeWire(p *Profile, data []byte, canonical bool) (rest []byte, sumSq float64, err error) {
+// (p must be empty). It rejects any field not in the form AppendWire writes
+// — a non-minimal varint, or a score AppendScore would encode otherwise — so
+// the bytes it accepts are exactly the encoding of the entries they decode
+// to.
+func decodeWire(p *Profile, data []byte) (rest []byte, sumSq float64, err error) {
 	n, rest, err := wire.Uint(data)
 	if err != nil {
 		return data, 0, fmt.Errorf("profile: entry count: %w", err)
 	}
-	if canonical && len(data)-len(rest) != wire.UintLen(n) {
+	if len(data)-len(rest) != wire.UintLen(n) {
 		return data, 0, errNonCanonical("entry count")
 	}
 	// Each entry is at least 3 bytes (id delta, stamp, score — one byte
@@ -113,7 +106,7 @@ func decodeWire(p *Profile, data []byte, canonical bool) (rest []byte, sumSq flo
 		if err != nil {
 			return data, 0, fmt.Errorf("profile: entry %d id: %w", i, err)
 		}
-		if canonical && len(at)-len(rest) != wire.UintLen(delta) {
+		if len(at)-len(rest) != wire.UintLen(delta) {
 			return data, 0, errNonCanonical("id")
 		}
 		id := delta
@@ -133,7 +126,7 @@ func decodeWire(p *Profile, data []byte, canonical bool) (rest []byte, sumSq flo
 		if err != nil {
 			return data, 0, fmt.Errorf("profile: entry %d stamp: %w", i, err)
 		}
-		if canonical && len(at)-len(rest) != wire.IntLen(stamp) {
+		if len(at)-len(rest) != wire.IntLen(stamp) {
 			return data, 0, errNonCanonical("stamp")
 		}
 		at = rest
@@ -142,11 +135,9 @@ func decodeWire(p *Profile, data []byte, canonical bool) (rest []byte, sumSq flo
 		if err != nil {
 			return data, 0, fmt.Errorf("profile: entry %d score: %w", i, err)
 		}
-		if canonical {
-			var buf [10]byte
-			if !bytes.Equal(wire.AppendScore(buf[:0], score), at[:len(at)-len(rest)]) {
-				return data, 0, errNonCanonical("score")
-			}
+		var buf [10]byte
+		if !bytes.Equal(wire.AppendScore(buf[:0], score), at[:len(at)-len(rest)]) {
+			return data, 0, errNonCanonical("score")
 		}
 		if p != nil {
 			p.entries = append(p.entries, Entry{Item: news.ID(id), Stamp: stamp, Score: score})

@@ -66,12 +66,32 @@ func TestDecodeWireTruncatedPrefixes(t *testing.T) {
 		if _, _, err := DecodeWire(enc[:i]); err == nil {
 			t.Fatalf("prefix of %d/%d bytes must not decode", i, len(enc))
 		}
-		if _, err := CheckWire(enc[:i]); err == nil {
-			t.Fatalf("prefix of %d/%d bytes must not pass the check-only walk", i, len(enc))
-		}
 	}
-	if rest, err := CheckWire(append(enc, 0xAB)); err != nil || len(rest) != 1 {
-		t.Fatalf("check-only walk of a whole profile: err=%v rest=%d, want the 1 trailing byte", err, len(rest))
+	if _, rest, err := DecodeWire(append(enc, 0xAB)); err != nil || len(rest) != 1 {
+		t.Fatalf("decode of a whole profile: err=%v rest=%d, want the 1 trailing byte", err, len(rest))
+	}
+}
+
+// TestDecodeWireRejectsNonCanonical: both readers of the packed layout take
+// only the bytes AppendWire writes, so an entry that decodes to the same
+// values from longer or escaped bytes is malformed for both.
+func TestDecodeWireRejectsNonCanonical(t *testing.T) {
+	if _, _, err := DecodeWire([]byte{1, 7, 2, 1}); err != nil { // id 7, stamp 1, score 1
+		t.Fatalf("the canonical entry: %v", err)
+	}
+	for name, enc := range map[string][]byte{
+		"overlong count":  {0x81, 0x00, 7, 2, 1},
+		"overlong id":     {1, 0x87, 0x00, 2, 1},
+		"overlong stamp":  {1, 7, 0x82, 0x00, 1},
+		"escaped score 1": {1, 7, 2, 2, 0x3F, 0xF0, 0, 0, 0, 0, 0, 0},
+		"negative zero":   {1, 7, 2, 0x83, 0x01},
+	} {
+		if _, _, err := DecodeWire(enc); !errors.Is(err, wire.ErrMalformed) {
+			t.Errorf("%s: DecodeWire err=%v, want ErrMalformed", name, err)
+		}
+		if _, _, err := DecodePacked(enc); !errors.Is(err, wire.ErrMalformed) {
+			t.Errorf("%s: DecodePacked err=%v, want ErrMalformed", name, err)
+		}
 	}
 }
 
@@ -83,15 +103,13 @@ func TestDecodeWireRejectsHugeCount(t *testing.T) {
 	}
 }
 
-// FuzzProfileWire holds every way of reading a packed profile to one
-// another on arbitrary bytes: DecodeWire, the check-only CheckWire and
-// DecodePacked. They agree on accepting and on the bytes left, except that
-// DecodePacked accepts the canonical encodings only, and DecodePacked holds
-// the decoded profile's entries and Σ score² bits. An accepted
-// profile re-encodes to a canonical form: WireSize is its length, it decodes
-// to equal entries (a non-canonical -0 score comes back +0), re-encodes to
-// itself and packs to those bytes. The second input is not read; it keeps
-// the two-input form of the committed seed corpus.
+// FuzzProfileWire holds the two readers of a packed profile to each other on
+// arbitrary bytes: DecodeWire and DecodePacked accept exactly the same inputs
+// and leave the same bytes, and DecodePacked holds the decoded profile's
+// entries and Σ score² bits. The bytes an accepted profile was read from are
+// its encoding: AppendWire writes them back, WireSize is their length and
+// Pack holds them. The second input is not read; it keeps the two-input form
+// of the committed seed corpus.
 func FuzzProfileWire(f *testing.F) {
 	sample := wireSample().AppendWire(nil)
 	f.Add(sample, New().AppendWire(nil))
@@ -99,39 +117,25 @@ func FuzzProfileWire(f *testing.F) {
 	f.Add(append(sample, 0xAB), sample[:len(sample)-1])
 	f.Fuzz(func(t *testing.T, data, _ []byte) {
 		want, rest, err := DecodeWire(data)
-		checkRest, checkErr := CheckWire(data)
-		if (err == nil) != (checkErr == nil) || len(rest) != len(checkRest) {
-			t.Fatalf("check-only walk disagrees with the decoder: decode err=%v rest=%d, check err=%v rest=%d",
-				err, len(rest), checkErr, len(checkRest))
+		pk, prest, perr := DecodePacked(data)
+		if (err == nil) != (perr == nil) || len(rest) != len(prest) {
+			t.Fatalf("DecodeWire err=%v rest=%d, DecodePacked err=%v rest=%d", err, len(rest), perr, len(prest))
 		}
 		if err != nil {
 			return
 		}
-
 		enc := want.AppendWire(nil)
+		if read := data[:len(data)-len(rest)]; !bytes.Equal(read, enc) {
+			t.Fatalf("read %x, which re-encodes to %x", read, enc)
+		}
 		if len(enc) != want.WireSize() {
 			t.Fatalf("WireSize %d, encoding %d bytes", want.WireSize(), len(enc))
 		}
-		consumed := data[:len(data)-len(rest)]
-		pk, prest, perr := DecodePacked(data)
-		if canonical := bytes.Equal(consumed, enc); (perr == nil) != canonical {
-			t.Fatalf("DecodePacked err=%v on a canonical=%v encoding", perr, canonical)
-		}
-		if perr == nil {
-			if len(prest) != len(rest) || !bytes.Equal(pk.AppendWire(nil), enc) || pk.String() != want.String() ||
-				!sameBits(pk.sumSq, want.sumSq) {
-				t.Fatalf("DecodePacked gave %v with %d bytes left, decode %v with %d", &pk, len(prest), want, len(rest))
-			}
+		if !bytes.Equal(pk.AppendWire(nil), enc) || pk.String() != want.String() || !sameBits(pk.sumSq, want.sumSq) {
+			t.Fatalf("DecodePacked gave %v, DecodeWire %v", &pk, want)
 		}
 		if packed := want.Pack(); !bytes.Equal(packed.AppendWire(nil), enc) || packed.WireSize() != len(enc) {
 			t.Fatal("Pack does not hold the canonical encoding")
-		}
-		again, arest, aerr := DecodeWire(enc)
-		if aerr != nil || len(arest) != 0 || !sameEntries(again, want) {
-			t.Fatalf("re-encoding does not decode to the same entries: err=%v rest=%d", aerr, len(arest))
-		}
-		if !bytes.Equal(again.AppendWire(nil), enc) {
-			t.Fatal("the re-encoding is not canonical: it re-encodes differently")
 		}
 	})
 }
@@ -147,8 +151,5 @@ func TestDecodeWireRejectsUnsortedDuplicate(t *testing.T) {
 	enc = wire.AppendScore(enc, 1)
 	if _, _, err := DecodeWire(enc); !errors.Is(err, wire.ErrMalformed) {
 		t.Fatalf("err=%v, want ErrMalformed", err)
-	}
-	if _, err := CheckWire(enc); !errors.Is(err, wire.ErrMalformed) {
-		t.Fatalf("check-only err=%v, want ErrMalformed", err)
 	}
 }

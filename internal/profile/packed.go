@@ -35,13 +35,13 @@ func (p *Profile) Pack() Packed {
 }
 
 // DecodePacked validates one packed profile at the front of data and returns
-// it as a Packed aliasing data, and the remaining bytes. It accepts what
-// DecodeWire accepts, in canonical form only: a non-minimal varint or a
+// it as a Packed aliasing data, and the remaining bytes. It accepts exactly
+// what DecodeWire accepts, canonical form only: a non-minimal varint or a
 // score AppendScore would not write is malformed, which is what makes equal
 // bytes mean equal entries. The result is valid while data is; Clone gives
 // a copy that aliases nothing.
 func DecodePacked(data []byte) (Packed, []byte, error) {
-	rest, sumSq, err := decodeWire(nil, data, true)
+	rest, sumSq, err := decodeWire(nil, data)
 	if err != nil {
 		return Packed{}, data, err
 	}
