@@ -13,6 +13,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 )
@@ -32,18 +33,8 @@ var testSeams = map[string]string{
 // signature match a method of some interface type, since it may be called
 // through one. benchmark/'s own declarations are the instrument's and are not
 // checked.
-//
-// Each package is type-checked once from source, its standard-library
-// imports read from the export data `go list -export` names.
 func TestEveryFunctionHasAShippedCaller(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads and type-checks the whole module")
-	}
-	start := time.Now()
-	orphans, err := testOnlyFunctions("../..")
-	if err != nil {
-		t.Fatal(err)
-	}
+	orphans := testOnlyFunctions(loadModule(t))
 	for _, o := range orphans {
 		if _, ok := testSeams[o.name]; ok {
 			continue
@@ -59,7 +50,6 @@ func TestEveryFunctionHasAShippedCaller(t *testing.T) {
 			t.Errorf("testSeams lists %s, which has a shipped caller or no longer exists: drop it from the list", name)
 		}
 	}
-	t.Logf("checked the module in %v", time.Since(start).Round(time.Millisecond))
 }
 
 // listedPackage is what testOnlyFunctions reads of `go list -json`.
@@ -77,10 +67,34 @@ type orphan struct {
 	name string // package.Func or package.Type.Method
 }
 
-// testOnlyFunctions loads every package of the module rooted at dir and
-// returns the functions and methods of its non-test files that nothing in a
-// non-test file references, sorted by position.
-func testOnlyFunctions(dir string) ([]orphan, error) {
+var (
+	moduleOnce   sync.Once
+	modulePasses []*Pass
+	moduleErr    error
+)
+
+// loadModule type-checks every package of the module once per test process:
+// the gates that read the whole module share one load.
+func loadModule(t *testing.T) []*Pass {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("loads and type-checks the whole module")
+	}
+	moduleOnce.Do(func() {
+		start := time.Now()
+		modulePasses, moduleErr = loadPackages("../..")
+		t.Logf("loaded the module in %v", time.Since(start).Round(time.Millisecond))
+	})
+	if moduleErr != nil {
+		t.Fatal(moduleErr)
+	}
+	return modulePasses
+}
+
+// loadPackages type-checks every package of the module rooted at dir from
+// source, dependencies before their importers, reading the standard
+// library from the export data `go list -export` names.
+func loadPackages(dir string) ([]*Pass, error) {
 	cmd := exec.Command("go", "list", "-deps", "-export", "-json=Dir,ImportPath,Export,GoFiles,Standard,ImportMap", "./...")
 	cmd.Dir = dir
 	var stderr bytes.Buffer
@@ -135,7 +149,13 @@ func testOnlyFunctions(dir string) ([]orphan, error) {
 		checked[p.ImportPath] = pass.Pkg
 		passes = append(passes, pass)
 	}
+	return passes, nil
+}
 
+// testOnlyFunctions returns the functions and methods of the module's
+// non-test files that nothing in a non-test file references, sorted by
+// position.
+func testOnlyFunctions(passes []*Pass) []orphan {
 	// Every interface method a concrete method could be called through: the
 	// named interfaces of every loaded package, and the interfaces the
 	// module's own expressions have or take as parameters — interface
@@ -232,7 +252,7 @@ func testOnlyFunctions(dir string) ([]orphan, error) {
 		a, b := orphans[i].pos, orphans[j].pos
 		return a.Filename < b.Filename || a.Filename == b.Filename && a.Line < b.Line
 	})
-	return orphans, nil
+	return orphans
 }
 
 // funcName names fn as package.Func or package.Type.Method.

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"whatsup/internal/core"
@@ -154,7 +155,10 @@ func frameLen(n int) int { return wire.UintLen(uint64(n)) + n }
 // caller owns the buffer. It checks framing only — the declared length within
 // maxFramePayload and the whole payload present — and leaves the payload to
 // the node's decode. io.EOF is returned verbatim on a clean boundary so pumps
-// can distinguish an orderly close from a mid-frame cut.
+// can distinguish an orderly close from a mid-frame cut. A declared length
+// above maxPooledBuf is read a chunk of at most maxPooledBuf at a time, the
+// buffer doubling as bytes arrive, so a length header with nothing behind it
+// costs the receiver one chunk, not the length it declares.
 func readFrame(br *bufio.Reader) (*[]byte, error) {
 	n, err := binary.ReadUvarint(br)
 	if err != nil {
@@ -164,11 +168,18 @@ func readFrame(br *bufio.Reader) (*[]byte, error) {
 		return nil, fmt.Errorf("%w: frame of %d bytes exceeds limit", wire.ErrMalformed, n)
 	}
 	buf := getBuf()
-	if cap(*buf) < int(n) {
-		*buf = make([]byte, n)
+	*buf = (*buf)[:0]
+	for rest := int(n); rest > 0 && err == nil; {
+		chunk := min(rest, maxPooledBuf)
+		if cap(*buf)-len(*buf) < chunk {
+			*buf = slices.Grow(*buf, min(max(chunk, len(*buf)), rest))
+		}
+		start := len(*buf)
+		*buf = (*buf)[:start+chunk]
+		_, err = io.ReadFull(br, (*buf)[start:])
+		rest -= chunk
 	}
-	*buf = (*buf)[:n]
-	if _, err = io.ReadFull(br, *buf); err != nil {
+	if err != nil {
 		putBuf(buf)
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"whatsup/internal/core"
@@ -243,6 +244,36 @@ func TestReadFrameErrors(t *testing.T) {
 	var env envelope
 	if err := decodePayload(&env, *buf, nil, nil); !errors.Is(err, wire.ErrMalformed) {
 		t.Fatalf("trailing bytes in frame: decode err=%v, want ErrMalformed", err)
+	}
+}
+
+// TestReadFrameAllocatesOnlyWhatArrives: a length header with no payload
+// behind it costs at most one chunk, not the length it declares, and a large
+// frame that does arrive reads back whole.
+func TestReadFrameAllocatesOnlyWhatArrives(t *testing.T) {
+	header := wire.AppendUint(nil, maxFramePayload)
+	readers := make([]*bufio.Reader, 10)
+	for i := range readers {
+		readers[i] = bufio.NewReader(bytes.NewReader(header))
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for _, br := range readers {
+		if _, err := readFrame(br); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("header-only frame: err=%v, want io.ErrUnexpectedEOF", err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("ten header-only %d-byte frames allocated %d bytes, want < 1 MiB", maxFramePayload, got)
+	}
+
+	payload := make([]byte, 1<<20)
+	rand.New(rand.NewSource(1)).Read(payload)
+	buf, err := readFrame(bufio.NewReader(bytes.NewReader(appendFrame(nil, payload))))
+	if err != nil || !bytes.Equal(*buf, payload) {
+		t.Fatalf("1 MiB frame: err=%v, payload differs", err)
 	}
 }
 

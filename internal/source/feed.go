@@ -26,11 +26,6 @@ const (
 	maxFieldBytes = 4096
 )
 
-func init() {
-	Register("rss", func(arg string) (Source, error) { return NewFeed(arg), nil })
-	Register("file", func(arg string) (Source, error) { return NewFile(arg), nil })
-}
-
 // feedDoc is the union of the feed shapes ParseFeed accepts: RSS 2.0
 // (<rss><channel><item>), RSS 1.0/RDF (<rdf:RDF><item>) and Atom
 // (<feed><entry>). The root element name is deliberately unconstrained.

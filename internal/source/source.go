@@ -5,8 +5,7 @@
 // The package has three parts:
 //
 //   - Source: a provider of news items (an RSS/Atom feed over HTTP, a fixture
-//     file for deterministic tests), constructed from "kind:argument" specs
-//     through a provider registry;
+//     file for deterministic tests), constructed from "kind:argument" specs;
 //   - Catalog: the ingestion ledger — every item published into the mesh,
 //     keyed by its 8-byte content hash, serving both deduplication and item
 //     lookups (GET /v1/items/{id});
@@ -18,7 +17,6 @@ package source
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -41,49 +39,20 @@ type Source interface {
 	Fetch(ctx context.Context) ([]news.Item, error)
 }
 
-// Factory builds a Source from the argument part of a "kind:argument" spec.
-type Factory func(arg string) (Source, error)
-
-var (
-	registryMu sync.RWMutex
-	registry   = map[string]Factory{}
-)
-
-// Register installs a factory for a source kind ("rss", "file", ...),
-// replacing any previous registration. Safe for concurrent use.
-func Register(kind string, f Factory) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	registry[kind] = f
-}
-
-// Kinds returns the registered source kinds, sorted.
-func Kinds() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	kinds := make([]string, 0, len(registry))
-	for k := range registry {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	return kinds
-}
-
-// New builds a source from a "kind:argument" spec — e.g.
-// "rss:https://example.org/feed.xml" or "file:testdata/feed.xml" — through
-// the provider registry.
+// New builds a source from a "kind:argument" spec: "rss:URL" for an RSS/Atom
+// feed over HTTP, "file:PATH" for a fixture file.
 func New(spec string) (Source, error) {
 	kind, arg, ok := strings.Cut(spec, ":")
 	if !ok || kind == "" {
 		return nil, fmt.Errorf("source: spec %q is not kind:argument", spec)
 	}
-	registryMu.RLock()
-	f := registry[kind]
-	registryMu.RUnlock()
-	if f == nil {
-		return nil, fmt.Errorf("source: unknown source kind %q (have %s)", kind, strings.Join(Kinds(), ", "))
+	switch kind {
+	case "rss":
+		return NewFeed(arg), nil
+	case "file":
+		return NewFile(arg), nil
 	}
-	return f(arg)
+	return nil, fmt.Errorf("source: unknown source kind %q (have file, rss)", kind)
 }
 
 // CatalogEntry is one ingested item with its provenance.
