@@ -137,6 +137,9 @@ func pinnedSteps(e *sim.Engine, col *metrics.Collector) string {
 // scores, Figure 7 with its own engine, hooks and joiner, Figure 8's lossy
 // half, the two churn scenarios and the adversarial cells — so that a second
 // pass over every grid does not double the package's time under -race.
+// The cases run in parallel with one another: each driver builds its own
+// worlds, and the race detector finds no state they share. Top-level tests
+// stay sequential, so no case overlaps TestHotPathPinned's MemStats deltas.
 //
 // fig3/synthetic and table1 are the two hashes not taken at 3edad35 as it
 // stood: there graph.Communities broke equal modularity gains by map order
@@ -200,6 +203,7 @@ func TestExhibitsPinned(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
 			engines := []EngineOptions{{}}
 			if tc.sharded && !testing.Short() {
 				engines = append(engines, EngineOptions{Workers: 2, Shards: 4})

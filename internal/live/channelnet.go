@@ -8,10 +8,10 @@ import (
 	"whatsup/internal/news"
 )
 
-// ChannelNet is the ModelNet stand-in: an in-memory network of buffered Go
-// channels with configurable message loss and delivery latency. Loss
-// applies to every message kind — BEEP and gossip alike — matching the
-// Section V-E experiment.
+// ChannelNet is the ModelNet stand-in: an in-memory network of node inboxes
+// with configurable message loss and delivery latency. Loss applies to every
+// message kind — BEEP and gossip alike — matching the Section V-E
+// experiment.
 //
 // Conditions are either uniform (the loss/latency pair of NewChannelNet) or
 // per-link: SetPolicy overlays a faultnet.Policy evaluated per directed link
@@ -25,7 +25,7 @@ import (
 // emulation exercises the same serialization path and costs as TCPNet.
 type ChannelNet struct {
 	linkFaults // SetPolicy, and the lock guarding everything below
-	boxes      map[news.NodeID]chan *[]byte
+	boxes      map[news.NodeID]*inbox
 	rng        *rand.Rand
 	loss       float64
 	latency    time.Duration
@@ -37,28 +37,35 @@ type ChannelNet struct {
 func NewChannelNet(seed int64, loss float64, latency time.Duration) *ChannelNet {
 	return &ChannelNet{
 		linkFaults: linkFaults{seed: seed},
-		boxes:      make(map[news.NodeID]chan *[]byte),
+		boxes:      make(map[news.NodeID]*inbox),
 		rng:        rand.New(rand.NewSource(seed)),
 		loss:       loss,
 		latency:    latency,
 	}
 }
 
+// channelInboxFrames bounds a ChannelNet inbox. The deepest inbox of a whole
+// 24 s run of the 300-node benchmark fleets (live-publish, serve-mixed) was
+// 20–21 frames, with no overflow. The bound stays far above that because it
+// is part of the loss model, not a preallocation: an inbox holds slots only
+// for the backlog it has seen (inbox.grow), and a lower bound would turn a
+// fleet-wide tick burst on a starved host into loss the emulated link does
+// not have.
+const channelInboxFrames = 4096
+
 // Register implements Network. Re-registering a disconnected id opens a
 // fresh inbox (a rejoining node).
-func (c *ChannelNet) Register(id news.NodeID) <-chan *[]byte {
+func (c *ChannelNet) Register(id news.NodeID) *inbox {
+	box := newInbox(channelInboxFrames)
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	// 4096 frames: deep enough that a fleet-wide tick burst never overflows
-	// a healthy node, at 8 bytes a slot.
-	box := make(chan *[]byte, 4096)
 	c.boxes[id] = box
+	c.mu.Unlock()
 	return box
 }
 
 // Disconnect implements Network: the node's inbox leaves the delivery table,
 // so frames addressed to it — including latency-delayed ones already in
-// flight, which captured the orphaned box — are lost. In-memory channels
+// flight, which captured the orphaned box — are lost. In-memory inboxes
 // hold no pending batches, so graceful and abrupt teardown coincide.
 func (c *ChannelNet) Disconnect(id news.NodeID, graceful bool) {
 	c.mu.Lock()
@@ -98,30 +105,14 @@ func (c *ChannelNet) Send(from, to news.NodeID, payload *[]byte) {
 		return
 	}
 	if !delayed {
-		deliver(box, payload)
+		box.put(payload)
 		return
 	}
 	go func() {
 		defer c.wg.Done()
 		time.Sleep(latency)
-		deliver(box, payload)
+		box.put(payload)
 	}()
-}
-
-// deliver enqueues a payload buffer on an inbox, handing it back to the pool
-// when the inbox is full (overflow is loss) or already closed (a lost race
-// with Close: loss too).
-func deliver(box chan<- *[]byte, buf *[]byte) {
-	defer func() {
-		if recover() != nil {
-			putBuf(buf)
-		}
-	}()
-	select {
-	case box <- buf:
-	default:
-		putBuf(buf)
-	}
 }
 
 // Close implements Network.
@@ -129,10 +120,10 @@ func (c *ChannelNet) Close() {
 	c.mu.Lock()
 	c.closed = true
 	boxes := c.boxes
-	c.boxes = map[news.NodeID]chan *[]byte{}
+	c.boxes = map[news.NodeID]*inbox{}
 	c.mu.Unlock()
 	c.wg.Wait()
 	for _, box := range boxes {
-		close(box)
+		box.close()
 	}
 }

@@ -156,8 +156,8 @@ func TestLegConformanceSimLive(t *testing.T) {
 				for moved := true; moved; {
 					moved = false
 					for _, ln := range lns {
-						for len(ln.inbox) > 0 {
-							ln.onFrame(<-ln.inbox, cycle)
+						for buf, _ := ln.inbox.take(); buf != nil; buf, _ = ln.inbox.take() {
+							ln.onFrame(buf, cycle)
 							moved = true
 						}
 					}

@@ -61,28 +61,26 @@ func TestSendHandsOffPayload(t *testing.T) {
 			seen := make([]bool, n)
 			timeout := time.After(10 * time.Second)
 			for got := 0; got < n; got++ {
-				select {
-				case buf := <-box:
-					var env envelope
-					err := decodePayload(&env, *buf, nil, nil)
-					putBuf(buf)
-					i := env.Item.Hops
-					if err != nil || i < 0 || i >= n || seen[i] || !envelopesEqual(env, handoffEnvelope(i)) {
-						t.Fatalf("payload %d decodes to envelope %d (err %v): not one that was sent, or a second copy", got, i, err)
-					}
-					seen[i] = true
-				case <-timeout:
+				buf := nextFrame(box, timeout)
+				if buf == nil {
 					t.Fatalf("%d of %d payloads arrived", got, n)
 				}
+				var env envelope
+				err := decodePayload(&env, *buf, nil, nil)
+				putBuf(buf)
+				i := env.Item.Hops
+				if err != nil || i < 0 || i >= n || seen[i] || !envelopesEqual(env, handoffEnvelope(i)) {
+					t.Fatalf("payload %d decodes to envelope %d (err %v): not one that was sent, or a second copy", got, i, err)
+				}
+				seen[i] = true
 			}
 		})
 	}
 
-	const inbox = 4096 // ChannelNet's inbox capacity, and TCPNet's here
 	cut := faultnet.KWayPartition([]news.NodeID{0, 1}, 2, 0, 0)
 	for name, mk := range map[string]func() faultyNet{
 		"ChannelNet": func() faultyNet { return NewChannelNet(1, 0, 0) },
-		"TCPNet":     func() faultyNet { return NewTCPNet(TCPNetConfig{QueueCap: inbox}) },
+		"TCPNet":     func() faultyNet { return NewTCPNet(TCPNetConfig{QueueCap: channelInboxFrames}) },
 	} {
 		for _, c := range []struct {
 			name        string
@@ -92,7 +90,7 @@ func TestSendHandsOffPayload(t *testing.T) {
 		}{
 			{"closed net", 1, 8, 0, func(n faultyNet) { n.Close() }},
 			{"unknown destination", 99, 8, 0, nil},
-			{"full inbox", 1, inbox + 8, inbox, nil},
+			{"full inbox", 1, channelInboxFrames + 8, channelInboxFrames, nil},
 			{"policy cut", 1, 8, 0, func(n faultyNet) { n.SetPolicy(cut, nil) }},
 		} {
 			t.Run(name+"/drops/"+c.name, func(t *testing.T) {

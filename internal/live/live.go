@@ -127,14 +127,16 @@ func (e envelope) kind() metrics.MessageKind {
 // Network is a transport for live runs. What it moves is frames as bytes;
 // it never hands a node a decoded envelope.
 type Network interface {
-	// Register allocates the inbound queue of a node and returns it. Each
-	// element is one frame's payload in a pooled buffer that the receiver
+	// Register opens the inbound queue of a node and returns it. Each frame
+	// taken from it is one payload in a pooled buffer that the receiver
 	// owns: it decodes what it needs, settles what its views kept of it, and
-	// returns the buffer with putBuf (liveNode.onFrame). The queue's capacity
-	// counts frames; a frame arriving at a full queue is lost.
+	// returns the buffer with putBuf (liveNode.onFrame). The queue's bound
+	// counts frames, and a frame arriving at a full queue is lost; it holds
+	// slots only for the deepest backlog it has seen. Close ends every
+	// queue once the frames already queued have been taken.
 	// Registering an id again after Disconnect opens a fresh endpoint (a
 	// rejoining node gets a new inbox and, on TCP, a new listener address).
-	Register(id news.NodeID) <-chan *[]byte
+	Register(id news.NodeID) *inbox
 	// Send delivers (or drops) one encoded envelope from one node to another
 	// asynchronously. payload is a pooled buffer holding exactly the
 	// envelope's encoding (appendEnvelope); Send takes it over: the
@@ -266,7 +268,7 @@ type liveNode struct {
 	// inbox, quit and done belong to the node's current goroutine: made
 	// before it is spawned (inbox at NewRunner for the base fleet), quit
 	// closed to stop it, done closed once it has exited.
-	inbox <-chan *[]byte
+	inbox *inbox
 	quit  chan struct{}
 	done  chan struct{}
 
@@ -646,7 +648,7 @@ func (r *Runner) send(env envelope) {
 // instead of lagging (publications catch up through pubIdx).
 func (ln *liveNode) loop() {
 	defer close(ln.done)
-	quit, inbox := ln.quit, ln.inbox
+	quit, box := ln.quit, ln.inbox
 	poll := ln.runner.cfg.CycleLength / 2
 	if poll <= 0 {
 		poll = ln.runner.cfg.CycleLength
@@ -664,7 +666,10 @@ func (ln *liveNode) loop() {
 				ln.onCycle(g)
 			}
 			ln.mu.Unlock()
-		case buf, ok := <-inbox:
+		case <-box.bell:
+			// One frame a wake: take rings the bell again while frames
+			// remain, so ticks and quit interleave with a backlog.
+			buf, ok := box.take()
 			if !ok {
 				return
 			}

@@ -99,16 +99,7 @@ func TestTCPNetCongestionDropsOverflow(t *testing.T) {
 	}
 	// Allow the accept/decode pump to fill the queue.
 	time.Sleep(200 * time.Millisecond)
-	got := 0
-drain:
-	for {
-		select {
-		case <-box:
-			got++
-		default:
-			break drain
-		}
-	}
+	got := drainBox(box)
 	if got == 0 {
 		t.Fatal("some messages must arrive")
 	}

@@ -31,7 +31,7 @@ import (
 type TCPNet struct {
 	linkFaults // SetPolicy, and the lock guarding everything below
 	addrs      map[news.NodeID]string
-	boxes      map[news.NodeID]chan *[]byte
+	boxes      map[news.NodeID]*inbox
 	listeners  map[news.NodeID]net.Listener
 	conns      map[string]*outConn
 	inbound    map[news.NodeID]map[net.Conn]struct{} // accepted conns per node, for teardown
@@ -69,9 +69,11 @@ func (sc *outConn) take(spare []byte) []byte {
 
 // TCPNetConfig tunes the PlanetLab model.
 type TCPNetConfig struct {
-	// QueueCap is the healthy node inbound queue capacity (default 1024).
+	// QueueCap bounds a healthy node's inbound queue, in frames (default
+	// 1024). It is a bound, not a preallocation: the queue holds slots only
+	// for the deepest backlog it has seen.
 	QueueCap int
-	// SlowQueueCap is the overloaded node capacity (default 8).
+	// SlowQueueCap bounds an overloaded node's queue (default 8).
 	SlowQueueCap int
 	// SlowEvery marks every n-th node as overloaded; 0, the default, marks
 	// none. The one TCP-fleet recipe (experiments.LiveRun) passes 4: ≈25% of
@@ -107,7 +109,7 @@ func NewTCPNet(cfg TCPNetConfig) *TCPNet {
 	return &TCPNet{
 		linkFaults: linkFaults{seed: cfg.Seed},
 		addrs:      make(map[news.NodeID]string),
-		boxes:      make(map[news.NodeID]chan *[]byte),
+		boxes:      make(map[news.NodeID]*inbox),
 		listeners:  make(map[news.NodeID]net.Listener),
 		conns:      make(map[string]*outConn),
 		inbound:    make(map[news.NodeID]map[net.Conn]struct{}),
@@ -122,7 +124,7 @@ func NewTCPNet(cfg TCPNetConfig) *TCPNet {
 // Register implements Network: open a loopback listener for the node and
 // start its accept/read pump. Re-registering an id that was disconnected
 // opens a fresh listener on a new address (a rejoining node).
-func (t *TCPNet) Register(id news.NodeID) <-chan *[]byte {
+func (t *TCPNet) Register(id news.NodeID) *inbox {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		panic("live: cannot listen on loopback: " + err.Error())
@@ -138,7 +140,7 @@ func (t *TCPNet) Register(id news.NodeID) <-chan *[]byte {
 	if t.slowEvery > 0 && t.registered%t.slowEvery == 0 {
 		capacity = t.slowCap // an overloaded PlanetLab node
 	}
-	box := make(chan *[]byte, capacity)
+	box := newInbox(capacity)
 	t.addrs[id] = ln.Addr().String()
 	t.boxes[id] = box
 	t.listeners[id] = ln
@@ -192,13 +194,9 @@ func (t *TCPNet) Register(id news.NodeID) <-chan *[]byte {
 						// re-dials if it still cares.
 						return
 					}
-					select {
-					case box <- buf:
-					default:
-						// Inbound queue full: the node is congested and the
-						// message is lost, as on an overloaded testbed node.
-						putBuf(buf)
-					}
+					// A full inbox drops the frame: the node is congested,
+					// as an overloaded testbed node is.
+					box.put(buf)
 				}
 			}(conn)
 		}
@@ -216,8 +214,8 @@ func (t *TCPNet) Register(id news.NodeID) <-chan *[]byte {
 // a moment ago) the listener stays open until the accept loop has taken it,
 // so the drain lands in a socket somebody reads. Either way the
 // id vanishes from the address table, so later sends drop without blocking,
-// and the node's inbox channel is left open (never again written) for the
-// departed node's goroutine to abandon.
+// and the node's inbox is left open for the departed node's goroutine to
+// abandon.
 func (t *TCPNet) Disconnect(id news.NodeID, graceful bool) {
 	t.mu.Lock()
 	if t.closed {
@@ -498,7 +496,7 @@ func (t *TCPNet) Close() {
 	}
 	t.listeners = map[news.NodeID]net.Listener{}
 	t.conns = map[string]*outConn{}
-	t.boxes = map[news.NodeID]chan *[]byte{}
+	t.boxes = map[news.NodeID]*inbox{}
 	t.mu.Unlock()
 	for _, sc := range conns {
 		close(sc.quit) // writer drains pending, then closes the socket
@@ -508,6 +506,6 @@ func (t *TCPNet) Close() {
 	}
 	t.wg.Wait()
 	for _, box := range boxes {
-		close(box)
+		box.close()
 	}
 }

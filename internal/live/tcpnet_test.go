@@ -26,18 +26,29 @@ func testItemEnvelope(i int, to news.NodeID) envelope {
 	return envelope{Kind: wireItem, From: 0, To: to, Item: core.ItemMessage{Item: it, Profile: p}}
 }
 
-// drainBox empties a (possibly closed) inbox and counts the frames.
-func drainBox(box <-chan *[]byte) int {
+// drainBox empties a (possibly closed) inbox, returning each frame's buffer
+// to the pool, and counts the frames.
+func drainBox(box *inbox) int {
 	got := 0
+	for buf, _ := box.take(); buf != nil; buf, _ = box.take() {
+		putBuf(buf)
+		got++
+	}
+	return got
+}
+
+// nextFrame waits on the inbox's bell for its next frame, the way a node's
+// loop does. It returns nil once the inbox is closed and empty, or when
+// timeout fires (a nil timeout never does).
+func nextFrame(box *inbox, timeout <-chan time.Time) *[]byte {
 	for {
+		if buf, ok := box.take(); buf != nil || !ok {
+			return buf
+		}
 		select {
-		case _, ok := <-box:
-			if !ok {
-				return got
-			}
-			got++
-		default:
-			return got
+		case <-box.bell:
+		case <-timeout:
+			return nil
 		}
 	}
 }
@@ -117,19 +128,11 @@ func TestTCPNetPendingCapDropsOverflow(t *testing.T) {
 
 // pollDrain drains the box until it has seen want envelopes or the deadline
 // passes, returning the count.
-func pollDrain(box <-chan *[]byte, want int, deadline time.Duration) int {
+func pollDrain(box *inbox, want int, deadline time.Duration) int {
 	got := 0
 	timeout := time.After(deadline)
-	for got < want {
-		select {
-		case _, ok := <-box:
-			if !ok {
-				return got
-			}
-			got++
-		case <-timeout:
-			return got
-		}
+	for got < want && nextFrame(box, timeout) != nil {
+		got++
 	}
 	return got
 }
@@ -338,12 +341,11 @@ func TestTCPNetMalformedPayloadIsALossAtTheNode(t *testing.T) {
 	var bufs []*[]byte
 	timeout := time.After(2 * time.Second)
 	for len(bufs) < len(bad)+1 {
-		select {
-		case buf := <-box:
-			bufs = append(bufs, buf)
-		case <-timeout:
+		buf := nextFrame(box, timeout)
+		if buf == nil {
 			t.Fatalf("%d of %d frames delivered: the connection did not outlive a malformed payload", len(bufs), len(bad)+1)
 		}
+		bufs = append(bufs, buf)
 	}
 	for i, b := range bad {
 		buf := bufs[i]
@@ -381,7 +383,7 @@ func BenchmarkTCPThroughput(b *testing.B) {
 	received := make(chan int, 1)
 	go func() {
 		got := 0
-		for range box {
+		for nextFrame(box, nil) != nil {
 			got++
 		}
 		received <- got
