@@ -6,9 +6,9 @@ import (
 	"go/types"
 )
 
-// HotAlloc statically guards the hot-path allocation budget (the runtime pin
-// is TestReceiveLikedAllocsPinned, on the receive-liked path). Functions opted in with a
-// `//whatsup:hotpath` doc directive must acknowledge every
+// HotAlloc statically guards the hot-path allocation budget (the runtime pins
+// are TestHotPathPinned's, the receive-liked path among them). Functions
+// opted in with a `//whatsup:hotpath` doc directive must acknowledge every
 // statically-visible allocation site with an inline `//whatsup:alloc`
 // comment; an unmarked site is a diagnostic. The acknowledged sites form an
 // auditable, reviewable budget: a new allocation sneaking into the path

@@ -3,6 +3,9 @@ package analysis
 import (
 	"cmp"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"go/types"
 	"io/fs"
 	"os"
@@ -30,6 +33,88 @@ func TestReadmeNamesResolve(t *testing.T) {
 	for _, p := range readmeProblems(string(readme), passes, tests, flags) {
 		t.Error("README.md:" + p)
 	}
+}
+
+// TestCommentsAndCINameTests is the doc-rot gate's twin for the code: a
+// Test…, Fuzz… or Benchmark… name in a comment of a shipped .go file must
+// exist, and so must a test that each alternative of a `-run` pattern in CI's
+// workflow selects by prefix. It first feeds the gate two kinds of rot, each
+// of which must be reported.
+func TestCommentsAndCINameTests(t *testing.T) {
+	passes := loadModule(t)
+	tests, _ := scanSources(t)
+	fset := token.NewFileSet()
+	rot, err := parser.ParseFile(fset, "rot.go", "package rot\n\n// pinned by TestNoSuchTest\nvar x int\n", parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := append(commentProblems(fset, []*ast.File{rot}, tests),
+		ciRunProblems("run: go test -run 'TestReadmeNamesResolve|TestNoSuchTest|^$' ./...\n", tests)...)
+	if len(got) != 2 {
+		t.Fatalf("the gate reported %d problems in two kinds of rot:\n%s", len(got), strings.Join(got, "\n"))
+	}
+	for _, p := range passes {
+		for _, problem := range commentProblems(p.Fset, p.Files, tests) {
+			t.Error(problem)
+		}
+	}
+	workflow, err := os.ReadFile("../../.github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, problem := range ciRunProblems(string(workflow), tests) {
+		t.Error(".github/workflows/ci.yml:" + problem)
+	}
+}
+
+// commentProblems lists, by position, the Test…, Fuzz… and Benchmark… names
+// that the comments of files name and that are not in tests.
+func commentProblems(fset *token.FileSet, files []*ast.File, tests map[string]bool) (problems []string) {
+	for _, f := range files {
+		for _, group := range f.Comments {
+			for _, c := range group.List {
+				for _, name := range testRE.FindAllString(fileRE.ReplaceAllString(c.Text, ""), -1) {
+					if !tests[name] {
+						problems = append(problems, fmt.Sprintf("%s: the comment names %s, which is no test, fuzzer or benchmark", fset.Position(c.Pos()), name))
+					}
+				}
+			}
+		}
+	}
+	return problems
+}
+
+// runRE is a `go test -run` pattern in a workflow, quoted or bare.
+var runRE = regexp.MustCompile(`-run[ =](?:'([^']*)'|"([^"]*)"|(\S+))`)
+
+// ciRunProblems lists, by line, each alternative of a `go test -run` pattern
+// in workflow that selects no test in tests by prefix (its part before a
+// subtest's slash). The empty alternative, as in '^$', selects nothing on
+// purpose and is skipped.
+func ciRunProblems(workflow string, tests map[string]bool) (problems []string) {
+	for i, line := range strings.Split(workflow, "\n") {
+		_, args, ok := strings.Cut(line, "go test ")
+		if !ok {
+			continue // a command's own -run flag (whatsup-bench -run churn) is no test pattern
+		}
+		for _, m := range runRE.FindAllStringSubmatch(args, -1) {
+			for _, alt := range strings.Split(m[1]+m[2]+m[3], "|") {
+				alt, _, _ = strings.Cut(strings.Trim(alt, "^$"), "/")
+				if alt == "" {
+					continue
+				}
+				re, err := regexp.Compile("^(?:" + alt + ")")
+				found := false
+				for name := range tests {
+					found = found || err == nil && re.MatchString(name)
+				}
+				if !found {
+					problems = append(problems, fmt.Sprintf("%d: -run alternative %q selects no test", i+1, alt))
+				}
+			}
+		}
+	}
+	return problems
 }
 
 var (

@@ -11,7 +11,7 @@ import (
 // sybil cohorts) plug into the sim engine, the live runtime and the
 // baselines without forking any of them. A node without a behavior (the
 // default) is honest, and the hooks cost a single nil check on the hot
-// path — zero allocations, pinned by TestReceiveLikedAllocsPinned.
+// path — zero allocations, pinned by TestHotPathPinned.
 //
 // Behaviors are consulted from the node's own goroutine/worker only; they
 // need no internal synchronization unless instances are shared across nodes

@@ -11,10 +11,15 @@ import (
 // ViaDislike are measurement fields used by the evaluation (Figure 6,
 // Table IV); the protocols never read them.
 type ItemMessage struct {
-	Item     news.Item
-	Profile  *profile.Profile // item profile P_I; never written once sent (a forward's paths share it)
-	Dislikes int              // dislike counter d_I
-	Hops     int              // hop distance from the source (instrumentation)
+	Item news.Item
+	// Profile is the item profile P_I. It is never written once sent: a
+	// forward's paths share it. A receiver that changes it builds its own
+	// (Node.AppendReceive): the sim a new profile, which its hop table
+	// shares across paths; live pooled scratch that lives until the frame's
+	// forwards are encoded.
+	Profile  *profile.Profile
+	Dislikes int // dislike counter d_I
+	Hops     int // hop distance from the source (instrumentation)
 	// ViaDislike records whether the *sender* forwarded this copy because it
 	// disliked the item (instrumentation for Figure 6).
 	ViaDislike bool

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 
 	"whatsup/internal/cluster"
 	"whatsup/internal/news"
@@ -48,11 +49,21 @@ func (n *Node) ColdStart(inheritedRPS, inheritedWUP []overlay.Descriptor, now in
 }
 
 // Publish creates a news item at this node (generateNewsItem, Algorithm 1
-// lines 12-17): the source likes its own item, initializes the item profile
-// from its user profile, and hands the item to BEEP as a liked item.
+// lines 12-17) and returns the sends BEEP produces: AppendPublish into a new
+// slice. It is the form sim.Peer declares, which a peer that wraps a node
+// implements to observe the call.
 func (n *Node) Publish(item news.Item, now int64) []Send {
+	return n.AppendPublish(nil, item, now)
+}
+
+// AppendPublish creates a news item at this node (generateNewsItem,
+// Algorithm 1 lines 12-17): the source likes its own item, initializes the
+// item profile from its user profile, and hands the item to BEEP as a liked
+// item. It appends the sends to sends, a buffer the caller owns, and returns
+// the extended slice.
+func (n *Node) AppendPublish(sends []Send, item news.Item, now int64) []Send {
 	if !n.Infect(item, now) {
-		return nil
+		return sends
 	}
 	n.user.Set(item.ID, item.Created, 1) // line 14: add <idI, tI, 1> to P̃
 	// Lines 15-16: the fresh item profile is the user profile folded into an
@@ -60,23 +71,34 @@ func (n *Node) Publish(item news.Item, now int64) []Send {
 	itemProfile := profile.New()
 	itemProfile.MergeAverage(n.user)
 	msg := ItemMessage{Item: item, Profile: itemProfile, Dislikes: 0, Hops: 0}
-	return n.forward(msg, true, now)
+	return n.forward(sends, msg, true, now)
 }
 
-// Receive processes an incoming item (Algorithm 1 lines 1-11 followed by
-// Algorithm 2). It returns the delivery record and the sends BEEP produces.
-// Duplicate receipts are dropped per the SIR model (Section III), and so is
-// an item older than the profile window: the node may have forgotten it, and
-// lines 8-10 would purge it from every profile. A dropped item is delivered,
-// recorded and forwarded nowhere.
+// Receive processes an incoming item and returns the delivery record and the
+// sends BEEP produces: AppendReceive into a new slice, the liker's fold into
+// a new profile. Like Publish, it is the form sim.Peer declares.
+func (n *Node) Receive(msg ItemMessage, now int64) (Delivery, []Send) {
+	return n.AppendReceive(nil, nil, msg, now)
+}
+
+// AppendReceive processes an incoming item (Algorithm 1 lines 1-11 followed
+// by Algorithm 2). It returns the delivery record, and appends the sends
+// BEEP produces to sends, a buffer the caller owns, returning the extended
+// slice. Duplicate receipts are dropped per the SIR model (Section III), and
+// so is an item older than the profile window: the node may have forgotten
+// it, and lines 8-10 would purge it from every profile. A dropped item is
+// delivered, recorded and forwarded nowhere.
 //
-// Receive never writes msg.Profile, which the sender handed to every path
-// (each path's copy of II-B is made by a receiver that changes it): a liker
-// folds into a new profile, a disliker purges a copy only if an entry is
-// stale.
+// AppendReceive never writes msg.Profile, which the sender handed to every
+// path (each path's copy of II-B is made by a receiver that changes it). A
+// liker folds into fold when the caller supplies one — scratch it owns,
+// which must be neither msg.Profile nor shared — and into a new profile
+// otherwise; the sends carry that profile, so a caller that supplies fold
+// must be done with them (encoded or copied) before it reuses it. A disliker
+// purges a new copy only if an entry is stale.
 //
 //whatsup:hotpath
-func (n *Node) Receive(msg ItemMessage, now int64) (Delivery, []Send) {
+func (n *Node) AppendReceive(sends []Send, fold *profile.Profile, msg ItemMessage, now int64) (Delivery, []Send) {
 	d := Delivery{
 		Node:       n.id,
 		Item:       msg.Item.ID,
@@ -86,7 +108,7 @@ func (n *Node) Receive(msg ItemMessage, now int64) (Delivery, []Send) {
 	}
 	if !n.Infect(msg.Item, now) {
 		d.Duplicate = true
-		return d, nil
+		return d, sends
 	}
 
 	liked := n.opinions.Likes(n.id, msg.Item.ID)
@@ -99,8 +121,13 @@ func (n *Node) Receive(msg ItemMessage, now int64) (Delivery, []Send) {
 		// Lines 3-4: aggregate the user profile as it was *before* rating
 		// this item into the item profile (one sorted merge), purge it, then
 		// line 5: record the like.
-		msg.Profile = msg.Profile.Merged(n.user)
-		msg.Profile.PurgeOlderThan(minStamp)
+		if fold != nil {
+			fold.Fold(msg.Profile, n.user, minStamp)
+			msg.Profile = fold
+		} else {
+			msg.Profile = msg.Profile.Merged(n.user)
+			msg.Profile.PurgeOlderThan(minStamp)
+		}
 		n.user.Set(msg.Item.ID, msg.Item.Created, 1)
 	} else {
 		// Line 7: record the dislike; the item profile is only purged.
@@ -108,18 +135,19 @@ func (n *Node) Receive(msg ItemMessage, now int64) (Delivery, []Send) {
 		msg.Profile = msg.Profile.Windowed(minStamp)
 	}
 
-	return d, n.forward(msg, liked, now)
+	return d, n.forward(sends, msg, liked, now)
 }
 
-// forward implements BEEP (Algorithm 2). For a liked item it amplifies:
-// fLIKE targets picked at random from the WUP view (orientation towards the
-// social network, randomness against over-clustering). For a disliked item
-// it forwards a single copy to the RPS neighbour whose profile is most
-// similar to the *item profile*, while the dislike counter is below the TTL
-// (orientation towards potential likers, serendipity with fanout 1).
+// forward implements BEEP (Algorithm 2), appending its sends to sends. For a
+// liked item it amplifies: fLIKE targets picked at random from the WUP view
+// (orientation towards the social network, randomness against
+// over-clustering). For a disliked item it forwards a single copy to the RPS
+// neighbour whose profile is most similar to the *item profile*, while the
+// dislike counter is below the TTL (orientation towards potential likers,
+// serendipity with fanout 1).
 //
 //whatsup:hotpath
-func (n *Node) forward(msg ItemMessage, liked bool, now int64) []Send {
+func (n *Node) forward(sends []Send, msg ItemMessage, liked bool, now int64) []Send {
 	if n.behavior != nil {
 		msg = n.behavior.OutgoingItem(msg)
 	}
@@ -127,22 +155,24 @@ func (n *Node) forward(msg ItemMessage, liked bool, now int64) []Send {
 	msg.ViaDislike = !liked
 	if !liked {
 		if msg.Dislikes >= n.cfg.DislikeTTL {
-			return nil // line 29: TTL reached, drop
+			return sends // line 29: TTL reached, drop
 		}
 		msg.Dislikes++ // line 26
 		t, ok := n.rps.View().MostSimilar(n.cfg.Metric, msg.Profile)
 		if !ok {
-			return nil
+			return sends
 		}
-		return []Send{{To: t.Node, Msg: msg}} // line 27 //whatsup:alloc one single-send slice per dislike forward
+		return append(sends, Send{To: t.Node, Msg: msg}) // line 27 //whatsup:alloc only while the caller's buffer grows
 	}
-	sends := make([]Send, min(n.cfg.FLike, n.wup.View().Len())) //whatsup:alloc one sends slice per forward, exact length
-	if len(sends) == 0 {
-		return nil
+	k, lo := min(n.cfg.FLike, n.wup.View().Len()), len(sends)
+	if k == 0 {
+		return sends
 	}
-	cluster.RandomTargets(n.wup, sends, addressTo) // line 31
-	for i := range sends {
-		sends[i].Msg = msg
+	sends = slices.Grow(sends, k)[:lo+k] //whatsup:alloc only while the caller's buffer grows
+	drawn := sends[lo:]
+	cluster.RandomTargets(n.wup, drawn, addressTo) // line 31
+	for i := range drawn {
+		drawn[i].Msg = msg
 	}
 	return sends
 }

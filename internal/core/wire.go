@@ -75,13 +75,23 @@ func itemContent(data []byte) (title, description, link, rest []byte, err error)
 	return title, description, link, rest, nil
 }
 
-// DecodeItemMessage decodes one message from the front of data, recomputing
-// the item identifier from the received content. The decoded message aliases
-// nothing in data — its title, description and link are substrings of one
-// string copied out of it, its profile entries are fresh — and its Profile is
-// never nil: a message sent without one arrives with an empty profile, which
-// Node.Receive reads and never writes.
+// DecodeItemMessage decodes one message from the front of data with its item
+// profile in a new profile: DecodeItemMessageInto a profile of its own.
 func DecodeItemMessage(data []byte) (ItemMessage, []byte, error) {
+	return DecodeItemMessageInto(profile.New(), data)
+}
+
+// DecodeItemMessageInto decodes one message from the front of data,
+// recomputing the item identifier from the received content, with its item
+// profile decoded into dst (profile.Profile.ReadWire): the message's Profile
+// is dst, whose entry array is reused. A message sent without a profile
+// arrives with dst emptied, never nil. dst is the caller's, and so is its
+// lifetime: a receiver that decodes into scratch must be done with the
+// message — forwards encoded, whatever it keeps copied — before it reuses
+// dst. Nothing aliases data: the title, description and link are substrings
+// of one string copied out of it. On error dst holds no message until the
+// next decode into it, which replaces whatever the failed one left.
+func DecodeItemMessageInto(dst *profile.Profile, data []byte) (ItemMessage, []byte, error) {
 	title, description, link, rest, err := itemContent(data)
 	if err != nil {
 		return ItemMessage{}, data, err
@@ -124,13 +134,12 @@ func DecodeItemMessage(data []byte) (ItemMessage, []byte, error) {
 	if present > 1 {
 		return ItemMessage{}, data, fmt.Errorf("%w: profile presence flag %d", wire.ErrMalformed, present)
 	}
-	var p *profile.Profile
 	if present == 1 {
-		if p, rest, err = profile.DecodeWire(rest); err != nil {
+		if rest, err = dst.ReadWire(rest); err != nil {
 			return ItemMessage{}, data, err
 		}
 	} else {
-		p = profile.New() // sent without a profile: empty, never nil
+		dst.Reset() // sent without a profile: empty, never nil
 	}
 	// One string holds the three fields, each a substring of it: whoever
 	// keeps an item (a feed record) keeps all three anyway.
@@ -150,7 +159,7 @@ func DecodeItemMessage(data []byte) (ItemMessage, []byte, error) {
 			Created:     created,
 			Source:      news.NodeID(source),
 		},
-		Profile:    p,
+		Profile:    dst,
 		Dislikes:   int(dislikes),
 		Hops:       int(hops),
 		ViaDislike: via == 1,

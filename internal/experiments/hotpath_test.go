@@ -124,15 +124,15 @@ func hotPathWorld(peers int, eng EngineOptions, churn bool) (*sim.Engine, *metri
 
 // hotPathPins are the per-event costs, exact: allocs/op and B/op of each
 // scenario after a warm-up. Allocation counts and sizes are deterministic, so
-// any drift is a change in what the path allocates. receive-liked's three
-// are the liker's own item profile (the struct and its merged entry array —
-// the incoming profile is shared with the forward's other paths and never
-// written) and the sends slice the targets are drawn straight into. The
-// count holds at every fanout the drivers use, up to
-// Fig. 9's top: a target buffer that fit only small fanouts (a fixed [8]
-// array) would add one at fLIKE 10 and 14. pooled marks the scenarios that
-// borrow scratch from a sync.Pool, which the race detector empties at
-// random: they are checked only without it.
+// any drift is a change in what the path allocates. receive-liked is a
+// receive the way the sim engine makes it (core.Node.AppendReceive, no fold
+// target): its two are the liker's own item profile, the struct and its
+// merged entry array, because the incoming profile is shared with the
+// forward's other paths and never written. The sends are appended to the
+// caller's buffer, which has grown in the warm-up, so the count and the bytes
+// hold at every fanout the drivers use, up to Fig. 9's top. pooled marks the
+// scenarios that borrow scratch from a sync.Pool, which the race detector
+// empties at random: they are checked only without it.
 var hotPathPins = []struct {
 	name          string
 	allocs, bytes uint64
@@ -171,9 +171,9 @@ var hotPathPins = []struct {
 			v.TrimBySimilarity(rng, profile.WUP{}, self)
 		}
 	}},
-	{"receive-liked/fLIKE6", 3, 2992, false, receiveLiked(6)},
-	{"receive-liked/fLIKE10", 3, 3504, false, receiveLiked(10)},
-	{"receive-liked/fLIKE14", 3, 4144, false, receiveLiked(14)},
+	{"receive-liked/fLIKE6", 2, 2096, false, receiveLiked(6)},
+	{"receive-liked/fLIKE10", 2, 2096, false, receiveLiked(10)},
+	{"receive-liked/fLIKE14", 2, 2096, false, receiveLiked(14)},
 }
 
 // receiveLiked is the receive-liked event at fanout fLike: one cycle begins
@@ -183,12 +183,13 @@ func receiveLiked(fLike int) func() func() {
 	return func() func() {
 		n, tmpl := hotPathReceiver(fLike)
 		next, now := int64(1<<20), int64(60)
+		var sends []core.Send
 		receive := func() {
 			next++
 			now++
 			n.BeginCycle(now)
 			it := news.Item{ID: news.ID(next), Title: "t", Created: now}
-			n.Receive(core.ItemMessage{Item: it, Profile: tmpl, Hops: 1}, now)
+			_, sends = n.AppendReceive(sends[:0], nil, core.ItemMessage{Item: it, Profile: tmpl, Hops: 1}, now)
 		}
 		for i := 0; i < 50; i++ {
 			receive()

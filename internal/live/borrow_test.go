@@ -32,8 +32,9 @@ func (m *scoreLog) SimilarityPacked(n *profile.Profile, c *profile.Packed) float
 }
 
 // cloningFrame is onFrame with the snapshots a node does not hold cloned at
-// decode rather than borrowed from the payload: the decode a node used before
-// frames were borrowed from.
+// decode rather than borrowed from the payload, and an item decoded into a
+// new profile and folded and forwarded in scratch of its own rather than
+// pooled scratch: the decode a node used before frames were borrowed from.
 func cloningFrame(ln *liveNode, payload []byte, cycle int64) {
 	kind, _, _, _, err := envelopeHeader(payload)
 	if err != nil {
@@ -77,6 +78,20 @@ func randomFrame(rng *rand.Rand, contents []*profile.Packed, cycle int64) []byte
 	return appendEnvelope(nil, env)
 }
 
+// scribbleScratch overwrites the item scratch the pool hands out next —
+// without the race detector, the one the last frame handed back — with
+// entries no frame carries.
+func scribbleScratch() {
+	s := scratchPool.Get().(*itemScratch)
+	junk := profile.New()
+	for id := news.ID(1 << 50); id < 1<<50+64; id++ {
+		junk.Set(id, -1, 0.25)
+	}
+	s.arrived.Fold(junk, junk, 0)
+	s.folded.Fold(junk, junk, 0)
+	scratchPool.Put(s)
+}
+
 // viewShape renders which node ids the two views of a node keep as one
 // snapshot.
 func viewShape(ln *liveNode) string {
@@ -104,11 +119,13 @@ func snapshots(ln *liveNode) map[*profile.Packed]int {
 // included, with cycle ticks between them, a node fed through onFrame ends
 // every frame with the same views, the same snapshots shared across its
 // views, the same scores and cache hits (scoreLog), and sends the same frames
-// as a node fed through the cloning decode. After each onFrame the test
-// scribbles 0xFF over the frame's buffer, so a view entry, score-cache slot,
-// graveyard or feed record still aliasing it would read differently: a stale
-// cache slot keyed to a reused arena address would hit for a snapshot it
-// never scored. A clustering view of 4 is trimmed on most merges; one of 16
+// as a node fed through the cloning decode, and its feed ring matches after
+// every frame. After each onFrame the test scribbles 0xFF over the frame's
+// buffer, so a view entry, score-cache slot, graveyard or feed record still
+// aliasing it would read differently: a stale cache slot keyed to a reused
+// arena address would hit for a snapshot it never scored. It scribbles over
+// the pooled item scratch too (scribbleScratch), so a feed record or a send
+// still aliasing the scratch would read differently. A clustering view of 4 is trimmed on most merges; one of 16
 // stays under the refill watermark, so refill replies merge into both views.
 func TestBorrowedFramesMatchClonedFrames(t *testing.T) {
 	for _, tc := range []struct {
@@ -157,9 +174,13 @@ func TestBorrowedFramesMatchClonedFrames(t *testing.T) {
 				for j := range buf {
 					buf[j] = 0xFF
 				}
+				scribbleScratch()
 
 				if g, w := overlayState(got.node), overlayState(ref.node); g != w {
 					t.Fatalf("frame %d (kind %d): views diverged:\n--- cloning\n%s--- borrowing\n%s", i, payload[0], w, g)
+				}
+				if g, w := feedState(got), feedState(ref); g != w {
+					t.Fatalf("frame %d (kind %d): feeds diverged:\n--- cloning\n%s\n--- borrowing\n%s", i, payload[0], w, g)
 				}
 				if g, w := viewShape(got), viewShape(ref); g != w {
 					t.Fatalf("frame %d: the views share snapshots of [%s], cloning [%s]", i, g, w)

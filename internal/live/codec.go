@@ -11,6 +11,7 @@ import (
 	"whatsup/internal/core"
 	"whatsup/internal/news"
 	"whatsup/internal/overlay"
+	"whatsup/internal/profile"
 	"whatsup/internal/wire"
 )
 
@@ -63,6 +64,24 @@ func putBuf(b *[]byte) {
 	bufPool.Put(b)
 }
 
+// itemScratch is what the first receipt of an item frame decodes, folds and
+// forwards in: the item profile as it arrived, a liker's fold of it, and the
+// sends. None of it outlives the frame — the feed packs its own copy, the
+// forwards are encoded before onFrame hands the scratch back — so one pool
+// serves every node rather than each node keeping its own.
+type itemScratch struct {
+	arrived, folded profile.Profile
+	sends           []core.Send
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(itemScratch) }}
+
+// maxScratchFrame is the largest item frame decoded into pooled scratch. A
+// decoded entry takes up to 8 times its packed bytes, so a scratch that took
+// a larger frame could keep as much as an oversized buffer putBuf drops; such
+// a frame decodes into a new profile instead.
+const maxScratchFrame = maxPooledBuf / 8
+
 // appendEnvelope appends the wire encoding of e to buf.
 func appendEnvelope(buf []byte, e envelope) []byte {
 	buf = append(buf, byte(e.Kind))
@@ -109,14 +128,20 @@ func envelopeHeader(data []byte) (kind wireKind, from, to news.NodeID, body []by
 // tombstones are copies. A snapshot the node does not hold is borrowed from
 // data when l is not nil: a decoded snapshot borrows the frame until the
 // merge settles; what a view keeps is copied once (overlay.Loan.Settle).
-// With l nil, nothing in e aliases data.
+// With l nil, nothing in e aliases data. An item's profile is decoded into
+// e.Item.Profile when the caller set it (scratch the caller owns,
+// core.DecodeItemMessageInto), and into a new profile otherwise.
 func decodeEnvelope(e *envelope, data []byte, h overlay.Holder, l *overlay.Loan) ([]byte, error) {
 	kind, from, to, rest, err := envelopeHeader(data)
 	if err != nil {
 		return data, err
 	}
 	if kind == wireItem {
-		e.Item, rest, err = core.DecodeItemMessage(rest)
+		dst := e.Item.Profile
+		if dst == nil {
+			dst = profile.New()
+		}
+		e.Item, rest, err = core.DecodeItemMessageInto(dst, rest)
 	} else if e.Descs, rest, err = overlay.DecodeDescriptorsHeld(e.Descs, rest, h, l); err == nil {
 		e.Tombs, rest, err = overlay.AppendDecodeTombstones(nil, rest)
 	}

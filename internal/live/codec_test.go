@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -284,13 +285,44 @@ func TestReadFrameAllocatesOnlyWhatArrives(t *testing.T) {
 // item's id. Every decodable item message's WireSize is the length of its
 // encoding, and it is then handed to Node.Receive on a throwaway liker and
 // disliker, which must survive whatever the decoder let through and leave
-// the profile unwritten.
+// the profile unwritten. Every input is also decoded into one scratch item
+// profile, shared across inputs as a node's pooled scratch is shared across
+// frames, right after a truncated copy of the input (which rarely decodes)
+// has used it: the result must equal the fresh decode, Σ score² bits
+// included, with a version above the one before — no entry, sum or version
+// left behind by an earlier decode or an error path survives.
 func FuzzEnvelopeRoundTrip(f *testing.F) {
 	for _, env := range roundTripCases() {
 		f.Add(appendEnvelope(nil, env))
 	}
+	scratch := profile.New()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		env, _, err := decodeEnv(data)
+		env, envRest, err := decodeEnv(data)
+		var got envelope
+		for _, in := range [][]byte{data[:len(data)/2], data} {
+			got = envelope{Item: core.ItemMessage{Profile: scratch}}
+			version := scratch.Version()
+			rest, serr := decodeEnvelope(&got, in, nil, nil)
+			if len(in) < len(data) {
+				continue
+			}
+			if (serr == nil) != (err == nil) {
+				t.Fatalf("decode into a used scratch: err=%v, fresh decode err=%v", serr, err)
+			}
+			if serr != nil || got.Kind != wireItem {
+				break
+			}
+			if !envelopesEqual(got, env) || len(rest) != len(envRest) {
+				t.Fatalf("decode into a used scratch gave %+v, fresh decode %+v", got, env)
+			}
+			probe := profile.Cosine{}
+			if g, w := probe.Similarity(scratch, env.Item.Profile), probe.Similarity(env.Item.Profile, env.Item.Profile); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("decode into a used scratch scores %v against the fresh decode, which scores %v: a stale Σ score²", g, w)
+			}
+			if got.Item.Profile != scratch || scratch.Version() <= version {
+				t.Fatalf("decode into the scratch: profile %p (scratch %p), version %d after %d", got.Item.Profile, scratch, scratch.Version(), version)
+			}
+		}
 		if err != nil {
 			return
 		}

@@ -9,6 +9,7 @@ import (
 
 	"whatsup/internal/core"
 	"whatsup/internal/dataset"
+	"whatsup/internal/metrics"
 	"whatsup/internal/news"
 	"whatsup/internal/overlay"
 	"whatsup/internal/profile"
@@ -106,7 +107,16 @@ func nodeState(ln *liveNode, script [][]byte) string {
 			fmt.Fprintf(&b, " %v", ln.node.Seen(id))
 		}
 	}
-	b.WriteString("\nfeed:")
+	b.WriteString("\n")
+	b.WriteString(feedState(ln))
+	return b.String()
+}
+
+// feedState renders a node's feed ring oldest first, each record's profile
+// as its packed bytes.
+func feedState(ln *liveNode) string {
+	var b strings.Builder
+	b.WriteString("feed:")
 	for i := range ln.feed {
 		rec := ln.feedAt(i)
 		fmt.Fprintf(&b, " {%+v %x c%d h%d %v}", rec.item, rec.profile.AppendWire(nil), rec.cycle, rec.hops, rec.viaDislike)
@@ -268,6 +278,88 @@ func TestDuplicateFrameAllocatesNothing(t *testing.T) {
 	next := 0
 	if avg := testing.AllocsPerRun(runs, func() { ln.onFrame(bufs[next], 1); next++ }); avg != 0 {
 		t.Fatalf("duplicate item frame allocates %.1f/op, want 0", avg)
+	}
+}
+
+// nullNet is a transport that delivers nothing and records nothing: Send
+// hands the payload straight back to the pool, so an allocation count taken
+// through it is the sending node's own.
+type nullNet struct{ *ChannelNet }
+
+func (nullNet) Send(_, _ news.NodeID, payload *[]byte) { putBuf(payload) }
+
+// TestItemFrameAllocsPinned pins what the first receipt of an item frame
+// costs through onFrame, liked and disliked, with and without a feed ring.
+// The frame decodes and folds into pooled scratch and appends its sends to
+// it, so what is left is what outlives the frame: the item's content string,
+// the collector's statistics of the new item and, with a feed, the record's
+// packed profile. Decoding and folding into new profiles and returning a new
+// sends slice made 7 and 5 (liked and disliked, no feed). The node is steady: a cycle
+// begins before each frame (the user profile holds one window of opinions),
+// the ring has wrapped, and the scratch has grown in the warm-up. The race
+// detector's sync.Pool drops the scratch at random, so the test runs without
+// it.
+func TestItemFrameAllocsPinned(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops pooled scratch at random")
+	}
+	for _, tc := range []struct {
+		name  string
+		liked bool
+		feed  int
+		want  float64
+	}{
+		{"liked/feed64", true, 64, 3},
+		{"liked/feed0", true, 0, 2},
+		{"disliked/feed64", false, 64, 3},
+		{"disliked/feed0", false, 0, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net := nullNet{NewChannelNet(5, 0, 0)}
+			t.Cleanup(net.Close)
+			liked := tc.liked
+			r := NewRunner(Config{
+				Seed:         5,
+				NodeConfig:   core.Config{FLike: 4, RPSViewSize: 6, WUPViewSize: 6, ProfileWindow: 20},
+				FeedCapacity: tc.feed,
+				Opinions:     core.OpinionFunc(func(news.NodeID, news.ID) bool { return liked }),
+			}, dataset.Blank(3, 1), net)
+			ln := member(r, 0)
+			ln.node.SeedViews([]overlay.Descriptor{phantom(1, 1, 100), phantom(2, 1, 101)})
+			// Frame i is a new item created at cycle i, carrying a 12-entry
+			// item profile stamped inside the window.
+			const warm, runs = 200, 100
+			cycle := int64(0)
+			frames := make([]*[]byte, warm+runs+1)
+			for i := range frames {
+				env := scriptItem(i, 1)
+				env.Item.Item.Created = int64(i + 1)
+				p := profile.New()
+				for j := 0; j < 12; j++ {
+					p.Set(news.ID(1000*i+j), int64(i+1), float64(j%2))
+				}
+				env.Item.Profile = p
+				b := appendEnvelope(nil, env)
+				frames[i] = &b
+			}
+			next := 0
+			receive := func() {
+				cycle++
+				ln.node.BeginCycle(cycle)
+				ln.onFrame(frames[next], cycle)
+				next++
+			}
+			for next < warm {
+				receive()
+			}
+			sent := r.col.Messages(metrics.MsgBeep)
+			if min := map[bool]int64{true: 2 * warm, false: warm}[liked]; sent < min || (tc.feed > 0 && ln.feedNext == 0) {
+				t.Fatalf("vacuous: %d forwards from %d frames (feed %d/%d)", sent, warm, len(ln.feed), ln.feedNext)
+			}
+			if got := testing.AllocsPerRun(runs, receive); got != tc.want {
+				t.Errorf("a first receipt allocates %.1f/frame, want %.0f", got, tc.want)
+			}
+		})
 	}
 }
 

@@ -305,6 +305,10 @@ type liveNode struct {
 	loan  overlay.Loan
 	// legs is the buffer every gossip leg the node sends is built in.
 	legs []overlay.Descriptor
+	// item is the pooled scratch of the item frame being handled, taken by
+	// decodeFrame for a first receipt and handed back by onFrame; nil
+	// between frames.
+	item *itemScratch
 }
 
 // clock is the cycle the node's state is read and stamped at: its own while
@@ -318,7 +322,7 @@ func (ln *liveNode) clock() int64 {
 
 // nodeOpinions layers a user's live feedback (Runner.Feedback) on top of a
 // base like/dislike trace. It is part of its node's protocol state, under
-// the node's lock: core.Node.Receive reads it, Feedback writes overrides.
+// the node's lock: core.Node.AppendReceive reads it, Feedback writes overrides.
 type nodeOpinions struct {
 	self news.NodeID
 	base core.Opinions
@@ -778,7 +782,9 @@ func (h *heldViews) Held(node news.NodeID, stamp int64) (overlay.Descriptor, boo
 // pool: what decodeFrame makes of it is dispatched; a frame that does not
 // decode is a loss. Before the buffer goes back, the merge settles: each
 // snapshot borrowed from the frame that a view kept is replaced with one
-// owned copy (core.Substrate.Settle), and the decoded list is emptied.
+// owned copy (core.Substrate.Settle), and the decoded list is emptied. An
+// item frame's scratch goes back too: by then its forwards are encoded and
+// the feed has packed its own copy of the profile.
 func (ln *liveNode) onFrame(buf *[]byte, cycle int64) {
 	if env, ok := ln.decodeFrame(*buf); ok {
 		ln.onMessage(env, cycle)
@@ -786,6 +792,12 @@ func (ln *liveNode) onFrame(buf *[]byte, cycle int64) {
 	ln.node.Settle(&ln.loan)
 	clear(ln.descs)
 	ln.descs = ln.descs[:0]
+	if s := ln.item; s != nil {
+		clear(s.sends) // each send pins a profile and the item's strings
+		s.sends = s.sends[:0]
+		ln.item = nil
+		scratchPool.Put(s)
+	}
 	putBuf(buf)
 }
 
@@ -793,7 +805,9 @@ func (ln *liveNode) onFrame(buf *[]byte, cycle int64) {
 // the cheapest rejecting questions first. An item frame's id is recomputed
 // from the content bytes where they lie (never taken from the sender), and
 // when this node has already received that item, the frame is dropped
-// without decoding anything: no strings, no profile, no allocation.
+// without decoding anything: no strings, no profile, no allocation. A first
+// receipt's item profile is decoded into pooled scratch (ln.item), which
+// onMessage folds and forwards in.
 //
 // A gossip frame is decoded against the node's own views, into ln.descs: a
 // descriptor the merge it is bound for would discard (of this node, of a
@@ -811,6 +825,10 @@ func (ln *liveNode) decodeFrame(payload []byte) (env envelope, ok bool) {
 	if kind == wireItem {
 		if id, err := core.PeekItemID(body); err == nil && ln.node.Seen(id) {
 			return envelope{}, false
+		}
+		if len(payload) <= maxScratchFrame {
+			ln.item = scratchPool.Get().(*itemScratch)
+			env.Item.Profile = &ln.item.arrived
 		}
 	}
 	ln.held = heldViews{node: ln.node, into: mergesInto[kind]}
@@ -848,14 +866,21 @@ func (ln *liveNode) onMessage(env envelope, cycle int64) {
 	case wireRefillReply:
 		n.AcceptRefillReply(env.Descs, ln.runner.cfg.RefillWatermark, cycle)
 	case wireItem:
-		d, sends := n.Receive(env.Item, cycle)
+		// A frame decoded into pooled scratch is folded and forwarded in it
+		// too; one too large for the pool (maxScratchFrame) in its own.
+		s := ln.item
+		if s == nil {
+			s = new(itemScratch)
+		}
+		d, sends := n.AppendReceive(s.sends[:0], &s.folded, env.Item, cycle)
+		s.sends = sends
 		if d.Duplicate {
 			return
 		}
 		if ln.runner.cfg.FeedCapacity > 0 {
 			// Receive never writes the profile it was handed, so the feed
 			// scores the item as it arrived. The snapshot is packed: one
-			// exact-size allocation.
+			// exact-size allocation, a copy that outlives the scratch.
 			ln.feedPush(feedRecord{
 				item:       env.Item.Item,
 				profile:    env.Item.Profile.Pack(),

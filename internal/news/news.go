@@ -8,18 +8,23 @@
 // content when the item is received.
 package news
 
-import (
-	"fmt"
-
-	"whatsup/internal/wire"
-)
+import "whatsup/internal/wire"
 
 // ID is the 8-byte identifier of a news item. It is the FNV-1a hash of the
 // item content, recomputed by receivers rather than transmitted (II-A).
 type ID uint64
 
-// String renders the identifier as fixed-width hex, convenient for logs.
-func (id ID) String() string { return fmt.Sprintf("%016x", uint64(id)) }
+// String renders the identifier as 16 lower-case hex digits, zero-padded, as
+// fmt's %016x does: the form the API and the logs show. The digits are
+// written into a fixed array, so a call makes one allocation, the string.
+func (id ID) String() string {
+	const digits = "0123456789abcdef"
+	var b [16]byte
+	for i, v := len(b)-1, uint64(id); i >= 0; i, v = i-1, v>>4 {
+		b[i] = digits[v&0xf]
+	}
+	return string(b[:])
+}
 
 // NodeID identifies a peer. The simulator uses dense indices; the live
 // runtimes map NodeIDs to transport addresses.

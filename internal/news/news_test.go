@@ -2,7 +2,10 @@ package news
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
+	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -134,4 +137,25 @@ func TestWireSizeMatchesWireHelpers(t *testing.T) {
 	if got := big.WireSize(); got != 2+300+1+1+1+1 {
 		t.Fatalf("big WireSize=%d, want %d", got, 2+300+1+1+1+1)
 	}
+}
+
+// TestIDStringMatchesSprintf: ID.String is byte-identical to %016x, the form
+// it replaced, and makes one allocation, the string.
+func TestIDStringMatchesSprintf(t *testing.T) {
+	ids := []ID{0, 1, 0xf, 0x10, 0xabcdef, math.MaxUint64}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1000; i++ {
+		ids = append(ids, ID(rng.Uint64()), ID(rng.Uint64()>>uint(rng.Intn(64))))
+	}
+	for _, id := range ids {
+		if got, want := id.String(), fmt.Sprintf("%016x", uint64(id)); got != want {
+			t.Fatalf("ID(%d).String() = %q, want %q", uint64(id), got, want)
+		}
+	}
+	id := ID(math.MaxUint64)
+	var sink string
+	if n := testing.AllocsPerRun(100, func() { sink = id.String() }); n != 1 {
+		t.Fatalf("ID.String allocates %.1f/call, want 1", n)
+	}
+	_ = sink
 }

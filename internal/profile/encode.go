@@ -60,25 +60,41 @@ func (p *Profile) WireSize() int {
 	return size
 }
 
-// DecodeWire decodes one packed profile from the front of data, returning
-// the profile and the remaining bytes. The input is untrusted network data:
-// non-monotonic ids, non-finite scores, non-canonical fields and truncation
-// all produce errors, never panics, and the declared entry count is checked
-// against the bytes actually available before any allocation. It accepts
-// exactly what DecodePacked accepts. The profile's entries are fresh:
-// nothing aliases data.
+// DecodeWire decodes one packed profile from the front of data into a new
+// profile (ReadWire), returning it and the remaining bytes.
 func DecodeWire(data []byte) (*Profile, []byte, error) {
 	p := new(Profile)
-	rest, _, err := decodeWire(p, data)
+	rest, err := p.ReadWire(data)
 	if err != nil {
 		return nil, data, err
 	}
 	return p, rest, nil
 }
 
+// ReadWire replaces p's entries with the packed profile at the front of data
+// and returns the remaining bytes. It is the one decoder of the packed
+// layout into a working profile, and it reuses p's entry array when the
+// declared count fits, so a scratch profile decoded into again and again
+// stops allocating once it has grown. Nothing aliases data. The input is
+// untrusted network data: non-monotonic ids, non-finite scores, non-canonical
+// fields and truncation all produce errors, never panics, and the declared
+// entry count is checked against the bytes actually available before any
+// allocation. It accepts exactly what DecodePacked accepts. On error p is
+// left empty; either way its version is bumped.
+func (p *Profile) ReadWire(data []byte) ([]byte, error) {
+	p.version++
+	rest, _, err := decodeWire(p, data)
+	if err != nil {
+		p.entries, p.sumSq = p.entries[:0], 0
+		return data, err
+	}
+	return rest, nil
+}
+
 // decodeWire is the one walk over the packed layout: it validates, returns
-// Σ score² accumulated in ascending id order, and fills p when p is not nil
-// (p must be empty). It rejects any field not in the form AppendWire writes
+// Σ score² accumulated in ascending id order, and fills p when p is not nil,
+// replacing its entries in their own array when it is large enough. It
+// rejects any field not in the form AppendWire writes
 // — a non-minimal varint, or a score AppendScore would encode otherwise — so
 // the bytes it accepts are exactly the encoding of the entries they decode
 // to.
@@ -96,7 +112,11 @@ func decodeWire(p *Profile, data []byte) (rest []byte, sumSq float64, err error)
 		return data, 0, fmt.Errorf("%w: %d entries declared, %d bytes remain", wire.ErrTruncated, n, len(rest))
 	}
 	if p != nil {
-		p.entries = make([]Entry, 0, n)
+		if p.entries == nil || uint64(cap(p.entries)) < n {
+			p.entries = make([]Entry, 0, n)
+		} else {
+			p.entries = p.entries[:0]
+		}
 	}
 	prev := uint64(0)
 	for i := uint64(0); i < n; i++ {

@@ -108,21 +108,31 @@ func TestDecodeWireRejectsHugeCount(t *testing.T) {
 // and leave the same bytes, and DecodePacked holds the decoded profile's
 // entries and Σ score² bits. The bytes an accepted profile was read from are
 // its encoding: AppendWire writes them back, WireSize is their length and
-// Pack holds them. The second input is not read; it keeps the two-input form
-// of the committed seed corpus.
+// Pack holds them. ReadWire into a scratch that first read the second input,
+// which may not decode, gives what DecodeWire gives: no entry, Σ score² or
+// error state of that read survives it.
 func FuzzProfileWire(f *testing.F) {
 	sample := wireSample().AppendWire(nil)
 	f.Add(sample, New().AppendWire(nil))
 	f.Add(New().AppendWire(nil), sample)
 	f.Add(append(sample, 0xAB), sample[:len(sample)-1])
-	f.Fuzz(func(t *testing.T, data, _ []byte) {
+	f.Fuzz(func(t *testing.T, data, before []byte) {
 		want, rest, err := DecodeWire(data)
 		pk, prest, perr := DecodePacked(data)
 		if (err == nil) != (perr == nil) || len(rest) != len(prest) {
 			t.Fatalf("DecodeWire err=%v rest=%d, DecodePacked err=%v rest=%d", err, len(rest), perr, len(prest))
 		}
+		scratch := New()
+		scratch.ReadWire(before)
+		srest, serr := scratch.ReadWire(data)
+		if (serr == nil) != (err == nil) || len(srest) != len(rest) {
+			t.Fatalf("ReadWire into a used scratch: err=%v rest=%d, DecodeWire err=%v rest=%d", serr, len(srest), err, len(rest))
+		}
 		if err != nil {
 			return
+		}
+		if !sameEntries(scratch, want) || !sameBits(scratch.sumSq, want.sumSq) {
+			t.Fatalf("ReadWire into a used scratch gave %v, DecodeWire %v", scratch, want)
 		}
 		enc := want.AppendWire(nil)
 		if read := data[:len(data)-len(rest)]; !bytes.Equal(read, enc) {

@@ -22,13 +22,17 @@
 //
 // An item profile in flight is never written: BEEP hands one profile to every
 // path, and a receiver that changes it builds its own (Merged for a liker's
-// fold, Windowed for a purge that finds a stale entry), leaving the one it
-// was handed as it arrived. Folding a user profile into an item profile is a
-// single-pass two-pointer merge (MergeAverage).
+// fold into a new profile, Fold for one into scratch the receiver reuses,
+// Windowed for a purge that finds a stale entry), leaving the one it was
+// handed as it arrived. Folding a user profile into an item profile is a
+// single-pass two-pointer merge (MergeAverage). ReadWire decodes into a
+// profile's own entry array, so a receiver's scratch decodes and folds
+// without allocating once it has grown.
 package profile
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -135,43 +139,87 @@ func (p *Profile) Merged(other *Profile) *Profile {
 	return &q
 }
 
+// Fold sets q to p with other folded in as MergeAverage folds it, windowed
+// at minStamp as PurgeOlderThan windows it: a liker's Algorithm 1 lines 3-4
+// and 8-10 in one pass, giving the entries and Σ score² bits that Merged
+// then PurgeOlderThan give. p and other are only read, and neither may be q.
+// q's entry array is reused when it is large enough and doubled when it is
+// not, so a scratch profile folded into again and again soon stops
+// allocating.
+//
+//whatsup:hotpath
+func (q *Profile) Fold(p, other *Profile, minStamp int64) {
+	q.version++
+	dst := q.entries[:0]
+	if need := len(p.entries) + len(other.entries); cap(dst) < need {
+		dst = make([]Entry, 0, 2*need) //whatsup:alloc only while the scratch grows, doubling
+	}
+	q.entries, q.sumSq = mergeEntries(dst, p.entries, other.entries, minStamp)
+}
+
+// Reset empties p, keeping its entry array for the next decode or fold, and
+// bumps its version.
+func (p *Profile) Reset() {
+	p.version++
+	p.entries, p.sumSq = p.entries[:0], 0
+}
+
 // fold is MergeAverage without its shortcut for an empty other: the result
 // always gets an entry array of its own, and p's is only read.
 //
 //whatsup:hotpath
 func (p *Profile) fold(other *Profile) {
 	p.version++
-	//whatsup:alloc the merge's single allocation; exact capacity, appends below never grow
+	//whatsup:alloc the merge's single allocation, of exact capacity
 	merged := make([]Entry, 0, len(p.entries)+len(other.entries))
+	p.entries, p.sumSq = mergeEntries(merged, p.entries, other.entries, math.MinInt64)
+}
+
+// mergeEntries writes the sorted merge of a and b to dst — an id in both
+// gets the average score and the fresher stamp — leaving out entries stamped
+// before minStamp, and returns the written prefix of dst with Σ score² of
+// it, summed in ascending id order. dst must have room for len(a)+len(b)
+// entries and must not share an array with a or b.
+//
+//whatsup:hotpath
+func mergeEntries(dst, a, b []Entry, minStamp int64) ([]Entry, float64) {
+	dst = dst[:len(a)+len(b)]
 	var sumSq float64
-	i, j := 0, 0
-	for i < len(p.entries) && j < len(other.entries) {
-		a, b := p.entries[i], other.entries[j]
+	n, i, j := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		e, f := a[i], b[j]
 		switch {
-		case a.Item < b.Item:
+		case e.Item < f.Item:
 			i++
-		case a.Item > b.Item:
-			a = b
+		case e.Item > f.Item:
+			e = f
 			j++
 		default:
-			a.Score = (a.Score + b.Score) / 2
-			if b.Stamp > a.Stamp {
-				a.Stamp = b.Stamp
+			e.Score = (e.Score + f.Score) / 2
+			if f.Stamp > e.Stamp {
+				e.Stamp = f.Stamp
 			}
 			i++
 			j++
 		}
-		sumSq += a.Score * a.Score
-		merged = append(merged, a)
+		if e.Stamp >= minStamp {
+			sumSq += e.Score * e.Score
+			dst[n] = e
+			n++
+		}
 	}
-	tail := p.entries[i:] // at most one of the two tails is left
-	if j < len(other.entries) {
-		tail = other.entries[j:]
+	tail := a[i:] // at most one of the two tails is left
+	if j < len(b) {
+		tail = b[j:]
 	}
 	for _, e := range tail {
-		sumSq += e.Score * e.Score
+		if e.Stamp >= minStamp {
+			sumSq += e.Score * e.Score
+			dst[n] = e
+			n++
+		}
 	}
-	p.entries, p.sumSq = append(merged, tail...), sumSq
+	return dst[:n], sumSq
 }
 
 // PurgeOlderThan removes all entries whose timestamp is strictly older than

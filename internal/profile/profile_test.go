@@ -379,6 +379,87 @@ func TestMergedAndWindowedOnlyRead(t *testing.T) {
 	}
 }
 
+// TestFoldMatchesMergedThenPurge: Fold into a scratch profile gives what
+// Merged then PurgeOlderThan give — entries and Σ score² bits — whatever the
+// scratch held before, and leaves both inputs as they were. The scratch's
+// array is reused once it is large enough, and every fold bumps its version.
+func TestFoldMatchesMergedThenPurge(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	same := func(a, b *Profile) bool { return sameEntries(a, b) && sameBits(a.sumSq, b.sumSq) }
+	scratch := New()
+	reused := 0
+	for trial := 0; trial < 500; trial++ {
+		p := randomProfile(rng, rng.Intn(30), 60)
+		mutate(p, rng)
+		other := randomProfile(rng, rng.Intn(3)*rng.Intn(20), 60)
+		pBefore, otherBefore := legacyClone(p), legacyClone(other)
+		minStamp := rng.Int63n(1000)
+		if rng.Intn(4) == 0 {
+			minStamp = math.MinInt64
+		}
+
+		want := p.Merged(other)
+		want.PurgeOlderThan(minStamp)
+		version, array := scratch.Version(), scratch.entries[:cap(scratch.entries)]
+		scratch.Fold(p, other, minStamp)
+		if !same(scratch, want) {
+			t.Fatalf("trial %d: Fold gave %v, Merged then PurgeOlderThan %v", trial, scratch, want)
+		}
+		checkCanonicalNorm(t, scratch)
+		if scratch.Version() <= version {
+			t.Fatalf("trial %d: Fold left the version at %d", trial, scratch.Version())
+		}
+		if len(array) >= p.Len()+other.Len() && len(array) > 0 {
+			if &scratch.entries[:1][0] != &array[0] {
+				t.Fatalf("trial %d: Fold reallocated a scratch with room for %d entries", trial, len(array))
+			}
+			reused++
+		}
+		if !same(p, pBefore) || !same(other, otherBefore) {
+			t.Fatalf("trial %d: Fold wrote an input", trial)
+		}
+	}
+	if reused < 400 {
+		t.Fatalf("vacuous: the scratch was reused in %d of 500 folds", reused)
+	}
+}
+
+// TestReadWireReusesEntries: a decode into a profile that held other entries
+// gives what a fresh decode gives and reuses the array once it is large
+// enough; a failed decode leaves the profile empty. Every decode bumps the
+// version.
+func TestReadWireReusesEntries(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	scratch := randomProfile(rng, 40, 100)
+	for trial := 0; trial < 300; trial++ {
+		enc := randomProfile(rng, rng.Intn(40), 1<<40).AppendWire(nil)
+		if rng.Intn(4) == 0 {
+			enc = enc[:rng.Intn(len(enc))] // truncated: an error, unless it cut to a shorter whole profile
+		}
+		want, wantRest, wantErr := DecodeWire(enc)
+		version, array := scratch.Version(), scratch.entries[:cap(scratch.entries)]
+		rest, err := scratch.ReadWire(enc)
+		if (err == nil) != (wantErr == nil) || len(rest) != len(wantRest) {
+			t.Fatalf("trial %d: ReadWire err=%v rest=%d, DecodeWire err=%v rest=%d", trial, err, len(rest), wantErr, len(wantRest))
+		}
+		if scratch.Version() <= version {
+			t.Fatalf("trial %d: ReadWire left the version at %d", trial, scratch.Version())
+		}
+		if err != nil {
+			if scratch.Len() != 0 || scratch.sumSq != 0 {
+				t.Fatalf("trial %d: a failed decode left %v", trial, scratch)
+			}
+			continue
+		}
+		if !sameEntries(scratch, want) || !sameBits(scratch.sumSq, want.sumSq) {
+			t.Fatalf("trial %d: ReadWire gave %v, DecodeWire %v", trial, scratch, want)
+		}
+		if len(array) >= want.Len() && want.Len() > 0 && &scratch.entries[:1][0] != &array[0] {
+			t.Fatalf("trial %d: ReadWire reallocated a profile with room for %d entries", trial, len(array))
+		}
+	}
+}
+
 func TestVersionBumpsOnEveryMutation(t *testing.T) {
 	p := New()
 	v := p.Version()

@@ -172,9 +172,42 @@ type envelope struct {
 // or Receive call that carry an equal message (==) share one entry, so a
 // forward to fLIKE targets stores one core.ItemMessage (120 bytes) and fLIKE
 // envelopes; any other send gets an entry of its own, whatever the Peer.
+// sends is the buffer a core.Node's Publish or Receive appends to before
+// add copies them in (publish, receive).
 type hop struct {
-	envs []envelope
-	msgs []core.ItemMessage
+	envs  []envelope
+	msgs  []core.ItemMessage
+	sends []core.Send
+}
+
+// publish is src.Publish(item, now), appended to h.sends when src is a
+// *core.Node (core.Node.AppendPublish); any other Peer — a baseline, or a
+// wrapper that observes the calls — goes through the interface. The sends
+// are valid until h's next publish or receive.
+func (h *hop) publish(src Peer, item news.Item, now int64) []core.Send {
+	n, ok := src.(*core.Node)
+	if !ok {
+		return src.Publish(item, now)
+	}
+	clear(h.sends)
+	h.sends = n.AppendPublish(h.sends[:0], item, now)
+	return h.sends
+}
+
+// receive is recv.Receive(msg, now) the way publish is src.Publish: a
+// *core.Node appends to h.sends (core.Node.AppendReceive) and folds into a
+// new profile, since h's table shares a forward's profile across its paths.
+//
+//whatsup:hotpath
+func (h *hop) receive(recv Peer, msg core.ItemMessage, now int64) (core.Delivery, []core.Send) {
+	n, ok := recv.(*core.Node)
+	if !ok {
+		return recv.Receive(msg, now)
+	}
+	clear(h.sends)
+	d, sends := n.AppendReceive(h.sends[:0], nil, msg, now)
+	h.sends = sends
+	return d, sends
 }
 
 // add appends the sends of one Publish or Receive call by from.
@@ -197,10 +230,13 @@ func (h *hop) add(from news.NodeID, sends []core.Send) {
 // reset empties the hop, keeping its arrays and, beyond len, their contents.
 func (h *hop) reset() { h.envs, h.msgs = h.envs[:0], h.msgs[:0] }
 
-// release zeroes both arrays to capacity: a table entry pins an item profile.
+// release zeroes the arrays to capacity: a table entry or a send pins an
+// item profile.
 func (h *hop) release() {
 	clear(h.envs[:cap(h.envs)])
 	clear(h.msgs[:cap(h.msgs)])
+	clear(h.sends[:cap(h.sends)])
+	h.sends = h.sends[:0]
 }
 
 // segment is one per-receiver span of a sorted BEEP hop.
@@ -582,7 +618,7 @@ func (e *Engine) publish(now int64) {
 		if src == nil {
 			continue
 		}
-		sends := src.Publish(pub.Item, now)
+		sends := e.hop.publish(src, pub.Item, now)
 		if len(sends) > 0 {
 			e.col.RecordForward(true, 0)
 		}
@@ -1036,7 +1072,7 @@ func (e *Engine) deliverRound(now int64) {
 	e.parallelSpans(len(e.segs), func(w, si int) {
 		seg := e.segs[si]
 		recv := e.onlinePeer(batch[seg.lo].to)
-		col := e.cols[w]
+		col, nx := e.cols[w], &e.next[w]
 		for k := seg.lo; k < seg.hi; k++ {
 			env := &batch[k]
 			msg := &msgs[env.msg]
@@ -1047,7 +1083,7 @@ func (e *Engine) deliverRound(now int64) {
 			if recv == nil {
 				continue
 			}
-			d, sends := recv.Receive(*msg, now)
+			d, sends := nx.receive(recv, *msg, now)
 			if d.Duplicate {
 				continue
 			}
@@ -1058,7 +1094,7 @@ func (e *Engine) deliverRound(now int64) {
 			if len(sends) > 0 {
 				col.RecordForward(d.Liked, d.Hops)
 			}
-			e.next[w].add(env.to, sends)
+			nx.add(env.to, sends)
 		}
 	})
 	// Fire callbacks in segment (receiver) order — the workers' spans ascend
