@@ -20,9 +20,12 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
+	"unicode/utf8"
 
 	"whatsup/internal/live"
 	"whatsup/internal/news"
@@ -87,21 +90,6 @@ func toItemJSON(it news.Item) itemJSON {
 		Created:     it.Created,
 		Source:      int32(it.Source),
 	}
-}
-
-type feedEntryJSON struct {
-	Item       itemJSON `json:"item"`
-	Score      float64  `json:"score"`
-	Rated      bool     `json:"rated"`
-	Liked      bool     `json:"liked"`
-	Cycle      int64    `json:"cycle"`
-	Hops       int      `json:"hops"`
-	ViaDislike bool     `json:"via_dislike"`
-}
-
-type feedJSON struct {
-	Node    int32           `json:"node"`
-	Entries []feedEntryJSON `json:"entries"`
 }
 
 type memberJSON struct {
@@ -201,9 +189,10 @@ func parseItemID(s string) (news.ID, bool) {
 	return news.ID(v), true
 }
 
-// ServeHTTP routes by hand: go.mod targets Go 1.21, before ServeMux learned
-// methods and wildcards, and the tree is small enough that explicit segment
-// matching is clearer than a third-party router would be.
+// ServeHTTP routes by hand rather than through ServeMux patterns: ServeMux
+// answers an unknown path or a wrong method itself, with a text/plain body,
+// and every 4xx here carries a JSON {"error": …} body (FuzzAPI holds it to
+// that). The path is walked with strings.Cut, so routing allocates nothing.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Path == "/healthz" {
 		if r.Method != http.MethodGet {
@@ -213,22 +202,19 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 		return
 	}
-	seg := strings.Split(strings.Trim(r.URL.Path, "/"), "/")
-	if seg[0] != "v1" {
-		writeError(w, http.StatusNotFound, "unknown path")
-		return
-	}
-	seg = seg[1:]
+	path, ok := strings.CutPrefix(strings.Trim(r.URL.Path, "/"), "v1/")
+	coll, rest, hasID := strings.Cut(path, "/")
+	id, action, hasAction := strings.Cut(rest, "/")
 	switch {
-	case len(seg) == 1 && seg[0] == "nodes":
+	case !ok || strings.Contains(action, "/"):
+		writeError(w, http.StatusNotFound, "unknown path")
+	case coll == "nodes" && !hasID:
 		s.requireGet(w, r, s.handleNodes)
-	case len(seg) == 2 && seg[0] == "nodes":
-		s.nodeRoute(w, r, seg[1], "")
-	case len(seg) == 3 && seg[0] == "nodes":
-		s.nodeRoute(w, r, seg[1], seg[2])
-	case len(seg) == 2 && seg[0] == "items":
-		s.requireGet(w, r, func(w http.ResponseWriter, r *http.Request) { s.handleItem(w, seg[1]) })
-	case len(seg) == 1 && seg[0] == "stats":
+	case coll == "nodes":
+		s.nodeRoute(w, r, id, action)
+	case coll == "items" && hasID && !hasAction:
+		s.requireGet(w, r, func(w http.ResponseWriter, r *http.Request) { s.handleItem(w, id) })
+	case coll == "stats" && !hasID:
 		s.requireGet(w, r, s.handleStats)
 	default:
 		writeError(w, http.StatusNotFound, "unknown path")
@@ -304,19 +290,150 @@ func (s *Server) handleFeed(w http.ResponseWriter, id news.NodeID) {
 		fleetError(w, err)
 		return
 	}
-	out := feedJSON{Node: int32(id), Entries: make([]feedEntryJSON, 0, len(entries))}
-	for _, e := range entries {
-		out.Entries = append(out.Entries, feedEntryJSON{
-			Item:       toItemJSON(e.Item),
-			Score:      e.Score,
-			Rated:      e.Rated,
-			Liked:      e.Liked,
-			Cycle:      e.Cycle,
-			Hops:       e.Hops,
-			ViaDislike: e.ViaDislike,
-		})
+	bp := feedBufs.Get().(*[]byte)
+	b, ok := appendFeed((*bp)[:0], id, entries)
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(http.StatusOK)
+	if ok {
+		w.Write(b)
 	}
-	writeJSON(w, http.StatusOK, out)
+	if cap(b) <= maxPooledFeed {
+		*bp = b
+		feedBufs.Put(bp)
+	}
+}
+
+// feedBufs holds the buffers feed responses are encoded into. A buffer that
+// grew past maxPooledFeed for one large feed is left to the collector rather
+// than pinned in the pool.
+var feedBufs = sync.Pool{New: func() any { b := make([]byte, 0, 4<<10); return &b }}
+
+const maxPooledFeed = 64 << 10
+
+// jsonContentType is shared by every feed response: assigning it to the
+// header map, unlike Header().Set, allocates nothing.
+var jsonContentType = []string{"application/json"}
+
+// appendFeed appends the feed response body — byte for byte what
+// json.Encoder writes for the feed (FuzzFeedJSON holds it to that) — without
+// allocating. It reports false for a feed with a non-finite score, which
+// encoding/json refuses to encode.
+func appendFeed(b []byte, node news.NodeID, entries []live.FeedEntry) ([]byte, bool) {
+	b = append(b, `{"node":`...)
+	b = strconv.AppendInt(b, int64(node), 10)
+	b = append(b, `,"entries":[`...)
+	for i := range entries {
+		e, it := &entries[i], &entries[i].Item
+		if math.IsNaN(e.Score) || math.IsInf(e.Score, 0) {
+			return b, false
+		}
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"item":{"id":"`...)
+		for shift := 60; shift >= 0; shift -= 4 {
+			b = append(b, hexDigits[it.ID>>shift&0xf])
+		}
+		b = append(b, `","title":`...)
+		b = appendString(b, it.Title)
+		if it.Description != "" {
+			b = append(b, `,"description":`...)
+			b = appendString(b, it.Description)
+		}
+		if it.Link != "" {
+			b = append(b, `,"link":`...)
+			b = appendString(b, it.Link)
+		}
+		b = append(b, `,"created":`...)
+		b = strconv.AppendInt(b, it.Created, 10)
+		b = append(b, `,"source":`...)
+		b = strconv.AppendInt(b, int64(it.Source), 10)
+		b = append(b, `},"score":`...)
+		b = appendFloat(b, e.Score)
+		b = append(b, `,"rated":`...)
+		b = strconv.AppendBool(b, e.Rated)
+		b = append(b, `,"liked":`...)
+		b = strconv.AppendBool(b, e.Liked)
+		b = append(b, `,"cycle":`...)
+		b = strconv.AppendInt(b, e.Cycle, 10)
+		b = append(b, `,"hops":`...)
+		b = strconv.AppendInt(b, int64(e.Hops), 10)
+		b = append(b, `,"via_dislike":`...)
+		b = strconv.AppendBool(b, e.ViaDislike)
+		b = append(b, '}')
+	}
+	return append(b, "]}\n"...), true
+}
+
+const hexDigits = "0123456789abcdef"
+
+// appendString appends s as a JSON string escaped the way encoding/json
+// escapes it: the HTML-sensitive <, > and &, control bytes, U+2028 and
+// U+2029 as \u escapes, and each invalid UTF-8 byte as \ufffd.
+func appendString(b []byte, s string) []byte {
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xf])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(b, s[start:i]...)
+			b = append(b, `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', '2', '0', '2', hexDigits[r&0xf])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	b = append(b, s[start:]...)
+	return append(b, '"')
+}
+
+// appendFloat appends a finite f as encoding/json writes a float64: the
+// shortest decimal that round-trips, in exponent form below 1e-6 and from
+// 1e21 up, with a one-digit negative exponent unpadded (e-9, not e-09).
+func appendFloat(b []byte, f float64) []byte {
+	abs := math.Abs(f)
+	if abs == 0 || abs >= 1e-6 && abs < 1e21 {
+		return strconv.AppendFloat(b, f, 'f', -1, 64)
+	}
+	b = strconv.AppendFloat(b, f, 'e', -1, 64)
+	if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
 }
 
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request, id news.NodeID) {

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"testing"
 	"time"
+	"unsafe"
 
 	"whatsup/internal/core"
 	"whatsup/internal/dataset"
@@ -281,6 +282,18 @@ func TestFeedRingBytesPerRecord(t *testing.T) {
 	t.Logf("%.1f bytes retained per record of %d entries (bound %d)", perRecord, entries, maxBytesPerRecord)
 	if perRecord > maxBytesPerRecord {
 		t.Fatalf("%.1f bytes retained per record, want <= %d", perRecord, maxBytesPerRecord)
+	}
+}
+
+// TestFeedRecordSize pins a feed ring slot at the size Config.FeedCapacity
+// documents: every node keeps up to that many, so a field added to a record
+// is paid for by every retained delivery of every node.
+func TestFeedRecordSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sized for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(feedRecord{}); got != 144 {
+		t.Fatalf("a feed record is %d bytes, want 144", got)
 	}
 }
 

@@ -202,10 +202,11 @@ type Config struct {
 	// FeedCapacity bounds the per-node feed: how many of the most recent
 	// BEEP deliveries each node retains (item plus the item profile it
 	// arrived with, packed) for Runner.Feed / Runner.Snapshot to serve. A
-	// record costs a 136-byte ring slot, the item's strings and its packed
-	// profile — 11–13 bytes an entry for content-hash ids, where a decoded
-	// entry is 24 — and each Feed call decodes the records into one scratch
-	// profile. Zero disables retention — the historical behaviour, and the
+	// record costs a 144-byte ring slot on 64-bit platforms
+	// (TestFeedRecordSize), the item's strings and its packed profile —
+	// 11–13 bytes an entry for content-hash ids, where a decoded entry is
+	// 24 — and each Feed call scores the packed bytes in place, decoding
+	// nothing. Zero disables retention — the historical behaviour, and the
 	// right setting for measurement runs that never read feeds.
 	FeedCapacity int
 	// Links is the per-link fault policy installed on the transport (via its
