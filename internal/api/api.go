@@ -140,8 +140,12 @@ type statsJSON struct {
 	Catalog   *int    `json:"catalog,omitempty"`
 }
 
+// jsonContentType is the Content-Type of every response. Assigning the shared
+// slice to the header map, unlike Header().Set, allocates nothing.
+var jsonContentType = []string{"application/json"}
+
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(v)
 }
@@ -297,22 +301,15 @@ func (s *Server) handleFeed(w http.ResponseWriter, id news.NodeID) {
 	if ok {
 		w.Write(b)
 	}
-	if cap(b) <= maxPooledFeed {
-		*bp = b
-		feedBufs.Put(bp)
-	}
+	*bp = b
+	feedBufs.Put(bp)
 }
 
-// feedBufs holds the buffers feed responses are encoded into. A buffer that
-// grew past maxPooledFeed for one large feed is left to the collector rather
-// than pinned in the pool.
+// feedBufs holds the buffers feed responses are encoded into. A buffer goes
+// back whatever it grew to, as encoding/json's own buffers do: a feed's body
+// is bounded by the feed's capacity and the catalog's field limits, and a
+// capped pool would build every body past the cap from scratch.
 var feedBufs = sync.Pool{New: func() any { b := make([]byte, 0, 4<<10); return &b }}
-
-const maxPooledFeed = 64 << 10
-
-// jsonContentType is shared by every feed response: assigning it to the
-// header map, unlike Header().Set, allocates nothing.
-var jsonContentType = []string{"application/json"}
 
 // appendFeed appends the feed response body — byte for byte what
 // json.Encoder writes for the feed (FuzzFeedJSON holds it to that) — without

@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"whatsup/internal/live"
@@ -69,18 +70,25 @@ func (w *discardWriter) Write(b []byte) (int, error) {
 }
 
 // TestFeedGETAllocsPinned pins what a feed GET allocates beyond the slice
-// Fleet.Feed returns: nothing, whatever the feed's length. Routing, the
-// Content-Type header and the body, encoded into a pooled buffer, make no
-// allocation; an id formatted to a string or an encoder built per request
-// shows here as a count, one that grows with the feed if it is per entry.
+// Fleet.Feed returns: nothing, whatever the feed's length or body size.
+// Routing, the Content-Type header and the body, encoded into a pooled
+// buffer, make no allocation; an id formatted to a string or an encoder built
+// per request shows here as a count, one that grows with the feed if it is
+// per entry. The last case's body is about 150 KB, as a full feed of real
+// items with long descriptions is: a pool that dropped large buffers would
+// grow a new one on every such GET.
 func TestFeedGETAllocsPinned(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime drops pooled buffers at random")
 	}
-	for _, n := range []int{0, 1, 64} {
-		entries := make([]live.FeedEntry, n)
+	long := strings.Repeat("A long description, as real feeds carry. ", 50)
+	for _, c := range []struct {
+		n    int
+		desc string
+	}{{0, ""}, {1, "a description"}, {64, "a description"}, {64, long}} {
+		entries := make([]live.FeedEntry, c.n)
 		for i := range entries {
-			it := news.New(fmt.Sprintf("Item <%d> & more", i), "a description", fmt.Sprintf("https://example.org/%d", i), int64(1e12+i), 3)
+			it := news.New(fmt.Sprintf("Item <%d> & more", i), c.desc, fmt.Sprintf("https://example.org/%d", i), int64(1e12+i), 3)
 			entries[i] = live.FeedEntry{Item: it, Score: 1.25 - float64(i)/7, Rated: i%2 == 0, Liked: i%4 == 0, Cycle: int64(100 + i), Hops: i % 5, ViaDislike: i%3 == 0}
 		}
 		srv := NewServer(&stubFleet{feeds: map[news.NodeID][]live.FeedEntry{2: entries}, members: []live.Member{{ID: 2}}}, nil)
@@ -91,10 +99,10 @@ func TestFeedGETAllocsPinned(t *testing.T) {
 			srv.ServeHTTP(w, r)
 		})
 		if want := len(referenceFeed(2, entries)); w.code != http.StatusOK || w.n != want {
-			t.Fatalf("%d entries: status %d with a %d-byte body, want 200 with %d bytes", n, w.code, w.n, want)
+			t.Fatalf("%d entries: status %d with a %d-byte body, want 200 with %d bytes", c.n, w.code, w.n, want)
 		}
 		if got != 0 {
-			t.Errorf("%d entries: %.0f allocations a feed GET, want 0", n, got)
+			t.Errorf("%d entries, %d-byte body: %.0f allocations a feed GET, want 0", c.n, w.n, got)
 		}
 	}
 }
