@@ -60,12 +60,11 @@ func (p *Protocol) Seed(descs []overlay.Descriptor, own *profile.Profile) {
 }
 
 // Descriptor builds the node's own fresh descriptor with the profile packed
-// into a snapshot. It packs on every call: a node's descriptors come from
-// its RPS layer (core.Substrate.Descriptor), which packs once per profile
-// version.
+// into a new snapshot, one allocation per call. A node's descriptors come
+// from its RPS layer instead (core.Substrate.Descriptor), which snapshots
+// once per profile version.
 func (p *Protocol) Descriptor(now int64, prof *profile.Profile) overlay.Descriptor {
-	packed := prof.Pack()
-	return overlay.Descriptor{Node: p.self, Stamp: now, Profile: &packed}
+	return overlay.Descriptor{Node: p.self, Stamp: now, Profile: prof.Snapshot()}
 }
 
 // SelectPeer returns the view entry with the oldest timestamp.

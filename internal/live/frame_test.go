@@ -367,8 +367,8 @@ func TestItemFrameAllocsPinned(t *testing.T) {
 // frame costs through onFrame. Its descriptors are decoded into the node's
 // reused list, and the snapshots it does not hold are borrowed from the
 // frame, so decoding allocates nothing: a frame costs only the owned copy of
-// each snapshot a view keeps, two allocations (the snapshot and its bytes),
-// and one copy however many views keep it. Descriptors the merge discards,
+// each snapshot a view keeps, one allocation (the snapshot, its bytes boxed
+// with it), and one copy however many views keep it. Descriptors the merge discards,
 // snapshots the other view holds and first sightings that lose the trim cost
 // nothing. The race detector's sync.Pool drops pooled scratch at random, so
 // the frames whose merge trims a view, which borrows the trim's scratch from
@@ -411,10 +411,10 @@ func TestHeldDescriptorFrameAllocatesNothingForProfiles(t *testing.T) {
 		{"descriptors the merge discards", same(frame(wireRPSReply, repDescriptor(30), repDescriptor(31), repDescriptor(0))), 0, false},
 		{"snapshots the other view holds (the list)", same(frame(wireWUPReply, repDescriptor(30), repDescriptor(31), repDescriptor(20))), 0, true},
 		{"first sightings that lose the trim", same(frame(wireWUPReply, phantom(40, 5, 900), phantom(41, 5, 901, 902), repDescriptor(42))), 0, true},
-		{"one kept snapshot", func(i int) []byte { return frame(wireRPSReply, phantom(50, int64(5+i), 103)) }, 2, false},
+		{"one kept snapshot", func(i int) []byte { return frame(wireRPSReply, phantom(50, int64(5+i), 103)) }, 1, false},
 		{"two kept snapshots", func(i int) []byte {
 			return frame(wireRPSReply, phantom(50, int64(200+i), 103), repDescriptor(30), phantom(51, int64(5+i), 104))
-		}, 4, false},
+		}, 2, false},
 	} {
 		if tc.trims && raceEnabled {
 			continue
@@ -430,8 +430,8 @@ func TestHeldDescriptorFrameAllocatesNothingForProfiles(t *testing.T) {
 	// A refill reply merges into both views while the clustering view is
 	// under the watermark: the snapshot both keep is one copy.
 	ln, _ = frameFleetSized(t, 12, 16)
-	if n := allocs(ln, func(i int) []byte { return frame(wireRefillReply, phantom(60, int64(5+i), 105)) }); n != 2 {
-		t.Errorf("a refill reply kept by both views: %.1f allocations/frame, want 2 (one copy)", n)
+	if n := allocs(ln, func(i int) []byte { return frame(wireRefillReply, phantom(60, int64(5+i), 105)) }); n != 1 {
+		t.Errorf("a refill reply kept by both views: %.1f allocations/frame, want 1 (one copy)", n)
 	}
 	r, _ := ln.node.RPS().View().Get(60)
 	w, _ := ln.node.WUP().View().Get(60)

@@ -16,8 +16,9 @@ const maxKeptLoan = 256
 // decoded snapshot borrows the frame until the merge settles; what a view
 // keeps is copied once. Settle does the copying, and must run before the
 // frame's buffer is reused: it replaces every borrowed snapshot a view or its
-// score cache kept with one owned copy, shared by every view that kept it.
-// A snapshot that lost the merge it was decoded for costs nothing.
+// score cache kept with one owned copy (profile.Packed.Clone, one allocation
+// holding header and bytes), shared by every view that kept it. A snapshot
+// that lost the merge it was decoded for costs nothing.
 //
 // The zero value is ready to use. A loan belongs to one receiver and holds
 // one frame at a time: a held decode against it starts it over.
@@ -53,7 +54,8 @@ func (l *Loan) own(p *profile.Packed) *profile.Packed {
 
 // Settle ends the loan's frame: in each view it replaces every borrowed
 // snapshot an entry or a score-cache slot holds with the snapshot's owned
-// copy, then it lets go of the frame. Views must not be mid-merge.
+// copy, one allocation however many views keep it, then it lets go of the
+// frame. Views must not be mid-merge.
 func (l *Loan) Settle(views ...*View) {
 	if len(l.slots) > 0 {
 		for _, v := range views {

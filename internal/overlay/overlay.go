@@ -68,12 +68,12 @@ type scoreSlot struct {
 // stored, and nothing that left the view stays pinned past the next trim.
 // Soundness: a descriptor's profile.Packed is immutable, so a pointer
 // identifies fixed content, and because the slot holds the pointer the
-// snapshot cannot be garbage-collected and its address cannot be reused while
-// the score is cached (a snapshot borrowed from a frame is rekeyed to its
-// owned copy, Loan.Settle, before its arena slot is reused); the target is
-// identified by (pointer, version) —
-// Profile.Version() bumps on every content mutation — so a hit can only
-// return the exact float the metric would recompute. Similarity values are
+// snapshot — an owned one is a single object, header and bytes — cannot be
+// garbage-collected and its address cannot be reused while the score is
+// cached (a snapshot borrowed from a frame is rekeyed to its owned copy,
+// Loan.Settle, before its arena slot is reused); the target is identified by
+// (pointer, version) — Profile.Version() bumps on every content mutation —
+// so a hit can only return the exact float the metric would recompute. Similarity values are
 // therefore bit-identical with the cache on or off, and simulation results do
 // not depend on hit patterns. The metric is not part of the key: a view is
 // owned by one protocol instance and scored with a single fixed metric for its

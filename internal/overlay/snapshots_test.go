@@ -104,8 +104,8 @@ func TestHeldDescriptorSharesProfile(t *testing.T) {
 		allocs  float64
 	}{
 		{"same", held, true, 1},          // the list
-		{"newer-stamp", newer, false, 3}, // + a snapshot and its bytes
-		{"unheld-node", wireDesc(5, 2), false, 3},
+		{"newer-stamp", newer, false, 2}, // + a snapshot, its bytes in the same box
+		{"unheld-node", wireDesc(5, 2), false, 2},
 	} {
 		enc := AppendDescriptors(nil, []Descriptor{tc.in})
 		h := holding{held.Node: held}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/bits"
+	"sort"
 
 	"whatsup/internal/news"
 )
@@ -22,16 +23,29 @@ import (
 // Profile keeps it summed in ascending id order, as a decode sums it), so
 // they score identically against every profile, and as the unpacked profile
 // does.
+//
+// An owned snapshot (Snapshot, Clone) is one heap object: its header and its
+// bytes share a box of the smallest size that holds them, so it costs one
+// allocation and is collected whole, apart from every other snapshot.
 type Packed struct {
 	wire  []byte  // canonical AppendWire encoding
 	sumSq float64 // Σ score² in ascending id order
 }
 
-// Pack returns a snapshot of the profile's current content; its bytes are
-// the one allocation. Callers that gossip one profile many times pack it
-// once per Version and share the address of the one snapshot.
+// Pack returns a snapshot of the profile's current content by value; its
+// bytes are the one allocation. It suits a snapshot stored inside another
+// record; Snapshot is the form to share by pointer.
 func (p *Profile) Pack() Packed {
 	return Packed{wire: p.AppendWire(make([]byte, 0, p.WireSize())), sumSq: p.sumSq}
+}
+
+// Snapshot returns an owned snapshot of the profile's current content, its
+// header and bytes one allocation. Callers that gossip one profile many
+// times snapshot it once per Version and share the one pointer.
+func (p *Profile) Snapshot() *Packed {
+	s := newPacked(p.WireSize(), p.sumSq)
+	s.wire = p.AppendWire(s.wire[:0])
+	return s
 }
 
 // DecodePacked validates one packed profile at the front of data and returns
@@ -48,9 +62,94 @@ func DecodePacked(data []byte) (Packed, []byte, error) {
 	return Packed{wire: data[:len(data)-len(rest)], sumSq: sumSq}, rest, nil
 }
 
-// Clone returns a copy of the snapshot whose bytes alias nothing.
+// Clone returns a copy of the snapshot that aliases nothing, its header and
+// bytes one allocation.
 func (p *Packed) Clone() *Packed {
-	return &Packed{wire: bytes.Clone(p.wire), sumSq: p.sumSq}
+	c := newPacked(len(p.wire), p.sumSq)
+	copy(c.wire, p.wire)
+	return c
+}
+
+// newPacked returns an owned snapshot of n zero bytes, with cap(wire) == n
+// so that no append can write past them. The header and the bytes are one
+// object, from the smallest box that holds n bytes; past the largest box
+// they are two, and an empty snapshot is the header alone.
+func newPacked(n int, sumSq float64) *Packed {
+	var p *Packed
+	switch i := sort.Search(len(boxes), func(i int) bool { return boxes[i].size >= n }); {
+	case n == 0:
+		p = new(Packed)
+	case i < len(boxes):
+		p = boxes[i].make(n)
+	default:
+		p = &Packed{wire: make([]byte, n)}
+	}
+	p.sumSq = sumSq
+	return p
+}
+
+// box is a snapshot's header followed by the array its bytes live in.
+type box[W any] struct {
+	p Packed
+	w W
+}
+
+// boxes are the box sizes, ascending: each fills one of the runtime's size
+// classes from 48 bytes to 8 KiB, less the 32-byte header and, above 512
+// bytes, the 8-byte malloc header the runtime puts before an object with
+// pointers, so a box wastes no more than the class rounding of its bytes
+// alone would. make(n) returns the box's snapshot with wire = w[:n:n].
+var boxes = [...]struct {
+	size int
+	make func(n int) *Packed
+}{
+	{16, func(n int) *Packed { b := new(box[[16]byte]); b.p.wire = b.w[:n:n]; return &b.p }},
+	{32, func(n int) *Packed { b := new(box[[32]byte]); b.p.wire = b.w[:n:n]; return &b.p }},
+	{48, func(n int) *Packed { b := new(box[[48]byte]); b.p.wire = b.w[:n:n]; return &b.p }},
+	{64, func(n int) *Packed { b := new(box[[64]byte]); b.p.wire = b.w[:n:n]; return &b.p }},
+	{80, func(n int) *Packed { b := new(box[[80]byte]); b.p.wire = b.w[:n:n]; return &b.p }},
+	{96, func(n int) *Packed { b := new(box[[96]byte]); b.p.wire = b.w[:n:n]; return &b.p }},
+	{112, func(n int) *Packed { b := new(box[[112]byte]); b.p.wire = b.w[:n:n]; return &b.p }},
+	{128, func(n int) *Packed { b := new(box[[128]byte]); b.p.wire = b.w[:n:n]; return &b.p }},
+	{144, func(n int) *Packed { b := new(box[[144]byte]); b.p.wire = b.w[:n:n]; return &b.p }},
+	{160, func(n int) *Packed { b := new(box[[160]byte]); b.p.wire = b.w[:n:n]; return &b.p }},
+	{176, func(n int) *Packed { b := new(box[[176]byte]); b.p.wire = b.w[:n:n]; return &b.p }},
+	{192, func(n int) *Packed { b := new(box[[192]byte]); b.p.wire = b.w[:n:n]; return &b.p }},
+	{208, func(n int) *Packed { b := new(box[[208]byte]); b.p.wire = b.w[:n:n]; return &b.p }},
+	{224, func(n int) *Packed { b := new(box[[224]byte]); b.p.wire = b.w[:n:n]; return &b.p }},
+	{256, func(n int) *Packed { b := new(box[[256]byte]); b.p.wire = b.w[:n:n]; return &b.p }},
+	{288, func(n int) *Packed { b := new(box[[288]byte]); b.p.wire = b.w[:n:n]; return &b.p }},
+	{320, func(n int) *Packed { b := new(box[[320]byte]); b.p.wire = b.w[:n:n]; return &b.p }},
+	{352, func(n int) *Packed { b := new(box[[352]byte]); b.p.wire = b.w[:n:n]; return &b.p }},
+	{384, func(n int) *Packed { b := new(box[[384]byte]); b.p.wire = b.w[:n:n]; return &b.p }},
+	{416, func(n int) *Packed { b := new(box[[416]byte]); b.p.wire = b.w[:n:n]; return &b.p }},
+	{448, func(n int) *Packed { b := new(box[[448]byte]); b.p.wire = b.w[:n:n]; return &b.p }},
+	{480, func(n int) *Packed { b := new(box[[480]byte]); b.p.wire = b.w[:n:n]; return &b.p }},
+	{536, func(n int) *Packed { b := new(box[[536]byte]); b.p.wire = b.w[:n:n]; return &b.p }},
+	{600, func(n int) *Packed { b := new(box[[600]byte]); b.p.wire = b.w[:n:n]; return &b.p }},
+	{664, func(n int) *Packed { b := new(box[[664]byte]); b.p.wire = b.w[:n:n]; return &b.p }},
+	{728, func(n int) *Packed { b := new(box[[728]byte]); b.p.wire = b.w[:n:n]; return &b.p }},
+	{856, func(n int) *Packed { b := new(box[[856]byte]); b.p.wire = b.w[:n:n]; return &b.p }},
+	{984, func(n int) *Packed { b := new(box[[984]byte]); b.p.wire = b.w[:n:n]; return &b.p }},
+	{1112, func(n int) *Packed { b := new(box[[1112]byte]); b.p.wire = b.w[:n:n]; return &b.p }},
+	{1240, func(n int) *Packed { b := new(box[[1240]byte]); b.p.wire = b.w[:n:n]; return &b.p }},
+	{1368, func(n int) *Packed { b := new(box[[1368]byte]); b.p.wire = b.w[:n:n]; return &b.p }},
+	{1496, func(n int) *Packed { b := new(box[[1496]byte]); b.p.wire = b.w[:n:n]; return &b.p }},
+	{1752, func(n int) *Packed { b := new(box[[1752]byte]); b.p.wire = b.w[:n:n]; return &b.p }},
+	{2008, func(n int) *Packed { b := new(box[[2008]byte]); b.p.wire = b.w[:n:n]; return &b.p }},
+	{2264, func(n int) *Packed { b := new(box[[2264]byte]); b.p.wire = b.w[:n:n]; return &b.p }},
+	{2648, func(n int) *Packed { b := new(box[[2648]byte]); b.p.wire = b.w[:n:n]; return &b.p }},
+	{3032, func(n int) *Packed { b := new(box[[3032]byte]); b.p.wire = b.w[:n:n]; return &b.p }},
+	{3160, func(n int) *Packed { b := new(box[[3160]byte]); b.p.wire = b.w[:n:n]; return &b.p }},
+	{3416, func(n int) *Packed { b := new(box[[3416]byte]); b.p.wire = b.w[:n:n]; return &b.p }},
+	{4056, func(n int) *Packed { b := new(box[[4056]byte]); b.p.wire = b.w[:n:n]; return &b.p }},
+	{4824, func(n int) *Packed { b := new(box[[4824]byte]); b.p.wire = b.w[:n:n]; return &b.p }},
+	{5336, func(n int) *Packed { b := new(box[[5336]byte]); b.p.wire = b.w[:n:n]; return &b.p }},
+	{6104, func(n int) *Packed { b := new(box[[6104]byte]); b.p.wire = b.w[:n:n]; return &b.p }},
+	{6488, func(n int) *Packed { b := new(box[[6488]byte]); b.p.wire = b.w[:n:n]; return &b.p }},
+	{6744, func(n int) *Packed { b := new(box[[6744]byte]); b.p.wire = b.w[:n:n]; return &b.p }},
+	{6872, func(n int) *Packed { b := new(box[[6872]byte]); b.p.wire = b.w[:n:n]; return &b.p }},
+	{8152, func(n int) *Packed { b := new(box[[8152]byte]); b.p.wire = b.w[:n:n]; return &b.p }},
 }
 
 // Equal reports whether two snapshots hold the same entries, and so score

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"whatsup/internal/news"
+	"whatsup/internal/wire"
 )
 
 // escaped is a finite score AppendScore writes in its escape form (tag 2 and
@@ -55,8 +57,10 @@ func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bit
 // candidate read from data (or, when data does not decode, one edited from
 // it) and a target edited from other, both of which hold the canonical
 // Σ score² (checkCanonicalNorm), WUP and Cosine give the same bits against
-// the candidate's Profile and against its Packed forms — Pack, and
-// DecodePacked of canonical bytes. Both directions are scored.
+// the candidate's Profile and against its Packed forms — Pack, Snapshot,
+// DecodePacked of canonical bytes and the Clone of that. Both directions are
+// scored, the target's Snapshot and the Clone of its Pack included, so
+// fuzzed sizes cross the boxes of owned snapshots.
 func FuzzPackedSimilarity(f *testing.F) {
 	sample := wireSample()
 	f.Add(sample.AppendWire(nil), []byte{0, 0, 0x10, 1, 1, 0, 2, 2, 0x40})
@@ -81,25 +85,25 @@ func FuzzPackedSimilarity(f *testing.F) {
 		checkCanonicalNorm(t, cand)
 		checkCanonicalNorm(t, self)
 		candPacked, selfPacked := cand.Pack(), self.Pack()
-		candPk, selfPk := &candPacked, &selfPacked
-		var decoded *Packed
+		cands := map[string]*Packed{"Pack": &candPacked, "Snapshot": cand.Snapshot()}
 		if err == nil {
 			if pk, _, perr := DecodePacked(data); perr == nil {
-				decoded = &pk
+				cands["DecodePacked"], cands["Clone of DecodePacked"] = &pk, pk.Clone()
 			}
 		}
+		selves := map[string]*Packed{"Pack": &selfPacked, "Snapshot": self.Snapshot(), "Clone of Pack": selfPacked.Clone()}
 		for _, m := range []Metric{WUP{}, Cosine{}} {
 			want := m.Similarity(self, cand)
-			if got := m.SimilarityPacked(self, candPk); !sameBits(got, want) {
-				t.Fatalf("%s: packed candidate %v scores %v, decoded %v", m.Name(), candPk, got, want)
-			}
-			if decoded != nil {
-				if got := m.SimilarityPacked(self, decoded); !sameBits(got, want) {
-					t.Fatalf("%s: candidate decoded from the wire scores %v, DecodeWire %v", m.Name(), got, want)
+			for form, pk := range cands {
+				if got := m.SimilarityPacked(self, pk); !sameBits(got, want) {
+					t.Fatalf("%s: candidate %v by %s scores %v, unpacked %v", m.Name(), pk, form, got, want)
 				}
 			}
-			if got, want := m.SimilarityPacked(cand, selfPk), m.Similarity(cand, self); !sameBits(got, want) {
-				t.Fatalf("%s: edited target packed scores %v, unpacked %v", m.Name(), got, want)
+			want = m.Similarity(cand, self)
+			for form, pk := range selves {
+				if got := m.SimilarityPacked(cand, pk); !sameBits(got, want) {
+					t.Fatalf("%s: edited target %v by %s scores %v, unpacked %v", m.Name(), pk, form, got, want)
+				}
 			}
 		}
 	})
@@ -168,4 +172,122 @@ func TestPackedSimilarityHashedIDs(t *testing.T) {
 			}
 		}
 	}
+}
+
+// sized returns a profile whose packed encoding is n bytes, n = 1 or n ≥ 4:
+// the fewest entries of one-byte id deltas and scores whose stamps, one to
+// ten bytes each, make up the rest.
+func sized(t *testing.T, n int) *Profile {
+	k := 0
+	for ; ; k++ {
+		if body := n - wire.UintLen(uint64(k)); 3*k <= body && body <= 12*k {
+			break
+		}
+	}
+	p := New()
+	extra := n - wire.UintLen(uint64(k)) - 3*k // stamp bytes past the first of each entry
+	for i := 1; i <= k; i++ {
+		stamp := int64(0)
+		if l := min(extra, 9); l > 0 {
+			stamp, extra = 1<<(7*l-1), extra-l // zigzag: 2·stamp is a (l+1)-byte varint
+		}
+		p.Set(news.ID(i), stamp, float64(i%2))
+	}
+	if p.WireSize() != n {
+		t.Fatalf("sized(%d) encodes to %d bytes", n, p.WireSize())
+	}
+	return p
+}
+
+// allocated returns the bytes the heap allocated while fn ran.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+var ownedSink *Packed
+
+// TestOwnedSnapshotIsOneAllocation pins what an owned snapshot costs. Clone
+// and Snapshot make one allocation at every box's edges (n−1, n and n+1
+// bytes) and two one byte past the largest box, and an empty snapshot is its
+// header alone. The copy is Equal to its source with the same Σ score² bits,
+// and cap(wire) == len(wire), so an append can never write into the box.
+// Each box is the smallest single object that holds the header and its
+// bytes: over every size from 1 to 4096 bytes, Clone allocates exactly what
+// one pointerful object of 32+n bytes would, the malloc header the runtime
+// adds above 512 bytes included. That is 0.64 % more than a header and
+// separate bytes take over the same sizes (logged), and no single object can
+// do better: where 32+n bytes cross a size class and n alone does not, the
+// box rounds up to the next class. The race detector inflates the heap, so
+// the test skips under it.
+func TestOwnedSnapshotIsOneAllocation(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector inflates the heap")
+	}
+	largest := boxes[len(boxes)-1].size
+	sizes := []int{0, largest + 1}
+	for _, b := range boxes {
+		sizes = append(sizes, b.size-1, b.size, b.size+1)
+	}
+	for _, n := range sizes {
+		want := 1.0
+		if n > largest {
+			want = 2
+		}
+		var src Packed // the zero Packed: an empty snapshot
+		var prof *Profile
+		if n > 0 {
+			prof = sized(t, n)
+			src = prof.Pack()
+		}
+		forms := map[string]func() *Packed{"Clone": src.Clone}
+		if prof != nil {
+			forms["Snapshot"] = prof.Snapshot
+		}
+		for name, owned := range forms {
+			c := owned()
+			if !c.Equal(&src) || len(c.wire) != n || !sameBits(c.sumSq, src.sumSq) {
+				t.Fatalf("%s at %d bytes: %v, Σ score² %v; want %v, %v", name, n, c, c.sumSq, &src, src.sumSq)
+			}
+			if cap(c.wire) != len(c.wire) {
+				t.Errorf("%s at %d bytes: capacity %d", name, n, cap(c.wire))
+			}
+			if n > 0 && &c.wire[0] == &src.wire[0] {
+				t.Errorf("%s at %d bytes aliases its source", name, n)
+			}
+			if got := testing.AllocsPerRun(20, func() { ownedSink = owned() }); got != want {
+				t.Errorf("%s at %d bytes: %.0f allocations, want %.0f", name, n, got, want)
+			}
+		}
+	}
+
+	const most = 4096
+	srcs := make([]Packed, most+1)
+	for n := 1; n <= most; n++ {
+		srcs[n].wire = make([]byte, n)
+	}
+	keep := make([]any, most+1)
+	each := func(form func(p *Packed) any) uint64 {
+		least := uint64(math.MaxUint64)
+		for try := 0; try < 3; try++ { // the least of three: the runtime may allocate for itself meanwhile
+			clear(keep)
+			least = min(least, allocated(func() {
+				for n := 1; n <= most; n++ {
+					keep[n] = form(&srcs[n])
+				}
+			}))
+		}
+		return least
+	}
+	boxed := each(func(p *Packed) any { return p.Clone() })
+	one := each(func(p *Packed) any { return &make([]*byte, (32+len(p.wire)+7)/8)[0] })
+	two := each(func(p *Packed) any { return &Packed{wire: bytes.Clone(p.wire), sumSq: p.sumSq} })
+	if boxed != one {
+		t.Errorf("Clone allocates %d bytes over sizes 1–%d, one object of header and bytes %d", boxed, most, one)
+	}
+	t.Logf("sizes 1–%d: boxes %d bytes, a header and separate bytes %d (%+.2f %%)",
+		most, boxed, two, 100*(float64(boxed)/float64(two)-1))
 }

@@ -75,8 +75,7 @@ func (p *Protocol) Descriptor(now int64, prof *profile.Profile) overlay.Descript
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if prof != p.prof || prof.Version() != p.version || p.packed == nil {
-		packed := prof.Pack()
-		p.prof, p.version, p.packed = prof, prof.Version(), &packed
+		p.prof, p.version, p.packed = prof, prof.Version(), prof.Snapshot()
 	}
 	return overlay.Descriptor{Node: p.self, Stamp: now, Profile: p.packed}
 }
