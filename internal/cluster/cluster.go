@@ -60,9 +60,9 @@ func (p *Protocol) Seed(descs []overlay.Descriptor, own *profile.Profile) {
 }
 
 // Descriptor builds the node's own fresh descriptor with the profile packed
-// into a new snapshot, one allocation per call. A node's descriptors come
-// from its RPS layer instead (core.Substrate.Descriptor), which snapshots
-// once per profile version.
+// into a new snapshot, one allocation per call up to 1 112 bytes. A node's
+// descriptors come from its RPS layer instead (core.Substrate.Descriptor),
+// which snapshots once per profile version.
 func (p *Protocol) Descriptor(now int64, prof *profile.Profile) overlay.Descriptor {
 	return overlay.Descriptor{Node: p.self, Stamp: now, Profile: prof.Snapshot()}
 }

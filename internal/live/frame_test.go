@@ -368,9 +368,9 @@ func TestItemFrameAllocsPinned(t *testing.T) {
 // reused list, and the snapshots it does not hold are borrowed from the
 // frame, so decoding allocates nothing: a frame costs only the owned copy of
 // each snapshot a view keeps, one allocation (the snapshot, its bytes boxed
-// with it), and one copy however many views keep it. Descriptors the merge discards,
-// snapshots the other view holds and first sightings that lose the trim cost
-// nothing. The race detector's sync.Pool drops pooled scratch at random, so
+// with it), and one copy however many views keep it. Descriptors the merge
+// discards, snapshots the other view holds and first sightings that lose the
+// trim cost nothing. The race detector's sync.Pool drops pooled scratch at random, so
 // the frames whose merge trims a view, which borrows the trim's scratch from
 // a pool, are checked without it.
 func TestHeldDescriptorFrameAllocatesNothingForProfiles(t *testing.T) {

@@ -17,8 +17,8 @@ const maxKeptLoan = 256
 // keeps is copied once. Settle does the copying, and must run before the
 // frame's buffer is reused: it replaces every borrowed snapshot a view or its
 // score cache kept with one owned copy (profile.Packed.Clone, one allocation
-// holding header and bytes), shared by every view that kept it. A snapshot
-// that lost the merge it was decoded for costs nothing.
+// holding header and bytes up to 1 112 bytes), shared by every view that
+// kept it. A snapshot that lost the merge it was decoded for costs nothing.
 //
 // The zero value is ready to use. A loan belongs to one receiver and holds
 // one frame at a time: a held decode against it starts it over.

@@ -68,7 +68,8 @@ type scoreSlot struct {
 // stored, and nothing that left the view stays pinned past the next trim.
 // Soundness: a descriptor's profile.Packed is immutable, so a pointer
 // identifies fixed content, and because the slot holds the pointer the
-// snapshot — an owned one is a single object, header and bytes — cannot be
+// snapshot — an owned one is a single object of header and bytes up to
+// 1 112 bytes, and a header holding its bytes past that — cannot be
 // garbage-collected and its address cannot be reused while the score is
 // cached (a snapshot borrowed from a frame is rekeyed to its owned copy,
 // Loan.Settle, before its arena slot is reused); the target is identified by

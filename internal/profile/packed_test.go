@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -212,29 +213,36 @@ var ownedSink *Packed
 
 // TestOwnedSnapshotIsOneAllocation pins what an owned snapshot costs. Clone
 // and Snapshot make one allocation at every box's edges (n−1, n and n+1
-// bytes) and two one byte past the largest box, and an empty snapshot is its
-// header alone. The copy is Equal to its source with the same Σ score² bits,
+// bytes) and two one byte past the largest box, the zero Packed's copy is its
+// header alone, and an empty profile's one byte is the shared empty snapshot,
+// which costs nothing. The copy is Equal to its source with the same Σ score² bits,
 // and cap(wire) == len(wire), so an append can never write into the box.
 // Each box is the smallest single object that holds the header and its
 // bytes: over every size from 1 to 4096 bytes, Clone allocates exactly what
-// one pointerful object of 32+n bytes would, the malloc header the runtime
-// adds above 512 bytes included. That is 0.64 % more than a header and
-// separate bytes take over the same sizes (logged), and no single object can
-// do better: where 32+n bytes cross a size class and n alone does not, the
-// box rounds up to the next class. The race detector inflates the heap, so
-// the test skips under it.
+// one pointerful object of header and bytes would up to the largest box, the
+// malloc header the runtime adds above 512 bytes included, and what a header
+// and separate bytes do past it. The total against a header and separate
+// bytes at every size is logged: no single object can always match them,
+// since where header plus bytes cross a size class and the bytes alone do
+// not, the box rounds up to the next class. The box sizes assume a 64-bit
+// platform's 32-byte header, so the byte check skips where the header
+// differs, and the race detector inflates the heap, so the test skips under
+// it.
 func TestOwnedSnapshotIsOneAllocation(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector inflates the heap")
 	}
 	largest := boxes[len(boxes)-1].size
-	sizes := []int{0, largest + 1}
+	sizes := []int{0, 1, largest + 1}
 	for _, b := range boxes {
 		sizes = append(sizes, b.size-1, b.size, b.size+1)
 	}
 	for _, n := range sizes {
 		want := 1.0
-		if n > largest {
+		switch {
+		case n == 1:
+			want = 0
+		case n > largest:
 			want = 2
 		}
 		var src Packed // the zero Packed: an empty snapshot
@@ -258,12 +266,19 @@ func TestOwnedSnapshotIsOneAllocation(t *testing.T) {
 			if n > 0 && &c.wire[0] == &src.wire[0] {
 				t.Errorf("%s at %d bytes aliases its source", name, n)
 			}
+			if shared := owned() == c; shared != (n == 1) {
+				t.Errorf("%s at %d bytes: two copies share one object: %v", name, n, shared)
+			}
 			if got := testing.AllocsPerRun(20, func() { ownedSink = owned() }); got != want {
 				t.Errorf("%s at %d bytes: %.0f allocations, want %.0f", name, n, got, want)
 			}
 		}
 	}
 
+	header := int(reflect.TypeFor[Packed]().Size())
+	if header != 32 {
+		t.Skipf("the box sizes assume a 32-byte header; this platform's is %d bytes", header)
+	}
 	const most = 4096
 	srcs := make([]Packed, most+1)
 	for n := 1; n <= most; n++ {
@@ -282,11 +297,21 @@ func TestOwnedSnapshotIsOneAllocation(t *testing.T) {
 		}
 		return least
 	}
+	twoObjects := func(p *Packed) any { return &Packed{wire: bytes.Clone(p.wire), sumSq: p.sumSq} }
 	boxed := each(func(p *Packed) any { return p.Clone() })
-	one := each(func(p *Packed) any { return &make([]*byte, (32+len(p.wire)+7)/8)[0] })
-	two := each(func(p *Packed) any { return &Packed{wire: bytes.Clone(p.wire), sumSq: p.sumSq} })
-	if boxed != one {
-		t.Errorf("Clone allocates %d bytes over sizes 1–%d, one object of header and bytes %d", boxed, most, one)
+	best := each(func(p *Packed) any {
+		switch {
+		case len(p.wire) == 1:
+			return nil // the shared empty snapshot
+		case len(p.wire) > largest:
+			return twoObjects(p)
+		}
+		return &make([]*byte, (header+len(p.wire)+7)/8)[0] // one pointerful object
+	})
+	two := each(twoObjects)
+	if boxed != best {
+		t.Errorf("Clone allocates %d bytes over sizes 1–%d, one object of header and bytes from 2 to %d and two past it %d",
+			boxed, most, largest, best)
 	}
 	t.Logf("sizes 1–%d: boxes %d bytes, a header and separate bytes %d (%+.2f %%)",
 		most, boxed, two, 100*(float64(boxed)/float64(two)-1))

@@ -259,9 +259,9 @@ type pendingLeg struct {
 // and the tombstone arena, which is new every decode because a receiver's
 // graveyard may adopt a span of it for good. Beyond that arena, steady-state
 // routing allocates only the profiles of snapshots the shard sees for the
-// first time (one allocation each, and they outlive the round inside
-// receiver views); one it holds is shared, as the serial engine shares every
-// snapshot by passing descriptors around in memory.
+// first time (one allocation each up to 1 112 bytes, and they outlive the
+// round inside receiver views); one it holds is shared, as the serial engine
+// shares every snapshot by passing descriptors around in memory.
 type shardDecode struct {
 	descs   []overlay.Descriptor
 	tombs   []overlay.Tombstone
