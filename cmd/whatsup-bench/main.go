@@ -26,6 +26,7 @@ import (
 
 	"whatsup/internal/core"
 	"whatsup/internal/experiments"
+	"whatsup/internal/sim"
 )
 
 func main() {
@@ -110,6 +111,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	engine := experiments.EngineOptions{Workers: *engineWorkers, Shards: *engineShards}
+	churnProto := sim.ChurnProtocolOptions{DepartureNotices: *churnDepart, RefillWatermark: *churnRefill}
 	o := experiments.Options{Seed: *seed, Scale: *scale, Workers: *workers, EngineOptions: engine}
 	adversarial := experiments.AdversarialConfig{
 		Peers:         *advPeers,
@@ -168,10 +170,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		r, err := experiments.LiveRun(o, experiments.LiveRunConfig{
 			ChurnOptions: experiments.ChurnOptions{
-				ChurnRate: *liveChurn, FlashCrowd: *liveFlash,
-				DepartureNotices: *churnDepart, RefillWatermark: *churnRefill,
+				ChurnRate: *liveChurn, FlashCrowd: *liveFlash, ChurnProtocolOptions: churnProto,
 			},
 			Transport: *transport,
+			Loss:      0.02,
 		})
 		if err != nil {
 			liveErr = err
@@ -196,11 +198,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		const churnRate = 0.20 // population fraction the trace hits
 		runExp("churn", func() fmt.Stringer {
 			r := experiments.ChurnBench(experiments.ChurnBenchConfig{
-				ChurnOptions: experiments.ChurnOptions{
-					ChurnRate:        churnRate,
-					DepartureNotices: *churnDepart,
-					RefillWatermark:  *churnRefill,
-				},
+				ChurnOptions:  experiments.ChurnOptions{ChurnRate: churnRate, ChurnProtocolOptions: churnProto},
 				EngineOptions: engine,
 				Peers:         *cyclePeers,
 			})

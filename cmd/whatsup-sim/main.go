@@ -23,8 +23,10 @@ import (
 	"os"
 	"runtime"
 
+	"whatsup/internal/core"
 	"whatsup/internal/experiments"
 	"whatsup/internal/metrics"
+	"whatsup/internal/sim"
 )
 
 func main() {
@@ -79,12 +81,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		engineWorkers = runtime.GOMAXPROCS(0) // a single point gets the machine
 	}
 	churn := experiments.ChurnOptions{
-		ChurnRate:        *churnRate,
-		FlashCrowd:       *flashCrowd,
-		DescriptorTTL:    *descTTL,
-		DepartureNotices: *churnDepart,
-		RefillWatermark:  *churnRefill,
+		ChurnRate:            *churnRate,
+		FlashCrowd:           *flashCrowd,
+		ChurnProtocolOptions: sim.ChurnProtocolOptions{DepartureNotices: *churnDepart, RefillWatermark: *churnRefill},
 	}
+	node := core.Config{FLike: *fanout, DescriptorTTL: *descTTL}
 
 	if *liveRun {
 		// The live runtime is WhatsUp-only, like the paper's deployments, and
@@ -97,8 +98,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		r, err := experiments.LiveRun(experiments.Options{Seed: *seed, Scale: *scale}, experiments.LiveRunConfig{
 			ChurnOptions: churn,
 			Transport:    *liveTransport,
-			Fanout:       *fanout,
-			LossRate:     *loss,
+			Node:         node,
+			Loss:         *loss,
 		})
 		if err != nil {
 			fmt.Fprintln(stderr, err)
@@ -127,7 +128,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			ChurnOptions:  churn,
 			EngineOptions: engine,
 			Dataset:       ds,
-			Fanout:        *fanout,
+			Node:          node,
 			Loss:          *loss,
 		})
 		fmt.Fprintln(stdout, r)

@@ -98,15 +98,30 @@ func TestRunLiveTCPFleet(t *testing.T) {
 		t.Fatalf("exit=%d stderr=%q", code, errOut.String())
 	}
 	var users, cycles int
-	var p, r, f1 float64
+	var loss, p, r, f1 float64
 	var messages, total, gossip, beep int64
 	if _, err := fmt.Sscanf(out.String(),
-		"Live transport run: tcp (%d users, %d cycles)\n  precision %f  recall %f  F1 %f\n  messages %d  wire bytes %d (gossip %d, beep %d)",
-		&users, &cycles, &p, &r, &f1, &messages, &total, &gossip, &beep); err != nil {
+		"Live transport run: tcp (%d users, %d cycles, loss=%f%%)\n  precision %f  recall %f  F1 %f\n  messages %d  wire bytes %d (gossip %d, beep %d)",
+		&users, &cycles, &loss, &p, &r, &f1, &messages, &total, &gossip, &beep); err != nil {
 		t.Fatalf("unexpected report (%v):\n%s", err, out.String())
 	}
-	if r <= 0 || messages == 0 || gossip == 0 || beep == 0 || !strings.Contains(out.String(), "kbps per node") {
+	if loss != 0 || r <= 0 || messages == 0 || gossip == 0 || beep == 0 || !strings.Contains(out.String(), "kbps per node") {
 		t.Fatalf("TCP fleet reported no quality or traffic:\n%s", out.String())
+	}
+}
+
+// TestRunLiveHonoursLossFlag: -loss means the same under -live as in the
+// simulator. -loss 0, the default, runs the channel fleet lossless, and a
+// non-zero rate is the rate the fleet runs at.
+func TestRunLiveHonoursLossFlag(t *testing.T) {
+	for loss, want := range map[string]string{"0": "loss=0%", "0.1": "loss=10%"} {
+		var out, errOut strings.Builder
+		if code := run([]string{"-live", "-live-transport", "channel", "-scale", "0.12", "-loss", loss}, &out, &errOut); code != 0 {
+			t.Fatalf("-loss %s: exit=%d stderr=%q", loss, code, errOut.String())
+		}
+		if header, _, _ := strings.Cut(out.String(), "\n"); !strings.Contains(header, want) {
+			t.Fatalf("-loss %s: header %q does not report %s", loss, header, want)
+		}
 	}
 }
 

@@ -38,7 +38,7 @@ func fixedItem(id int) news.Item {
 }
 
 func TestGossipForwardsRegardlessOfOpinion(t *testing.T) {
-	g := NewGossip(0, 3, 8, likeEven(), rand.New(rand.NewSource(1)))
+	g := NewGossip(0, 3, core.Config{RPSViewSize: 8}, likeEven(), rand.New(rand.NewSource(1)))
 	g.RPS().Seed([]overlay.Descriptor{
 		descLiking(1), descLiking(2), descLiking(3), descLiking(4),
 	})
@@ -62,7 +62,7 @@ func TestGossipForwardsRegardlessOfOpinion(t *testing.T) {
 }
 
 func TestGossipPublish(t *testing.T) {
-	g := NewGossip(0, 2, 8, likeEven(), rand.New(rand.NewSource(2)))
+	g := NewGossip(0, 2, core.Config{RPSViewSize: 8}, likeEven(), rand.New(rand.NewSource(2)))
 	g.RPS().Seed([]overlay.Descriptor{descLiking(1), descLiking(2)})
 	sends := g.Publish(fixedItem(10), 1)
 	if len(sends) != 2 {
@@ -77,7 +77,7 @@ func TestGossipPublish(t *testing.T) {
 }
 
 func TestCFForwardsOnlyWhenLiked(t *testing.T) {
-	c := NewCF(0, 2, 8, 100, profile.WUP{}, likeEven(), rand.New(rand.NewSource(3)))
+	c := NewCF(0, 2, core.Config{RPSViewSize: 8, ProfileWindow: 100, Metric: profile.WUP{}}, likeEven(), rand.New(rand.NewSource(3)))
 	c.WUP().Seed([]overlay.Descriptor{descLiking(1), descLiking(2)}, c.UserProfile())
 	// Liked item: forwarded to all k neighbours.
 	d, sends := c.Receive(core.ItemMessage{Item: fixedItem(4), Hops: 1}, 1)
@@ -95,7 +95,7 @@ func TestCFForwardsOnlyWhenLiked(t *testing.T) {
 }
 
 func TestCFWindowPurge(t *testing.T) {
-	c := NewCF(0, 2, 8, 10, profile.Cosine{}, likeEven(), rand.New(rand.NewSource(4)))
+	c := NewCF(0, 2, core.Config{RPSViewSize: 8, ProfileWindow: 10, Metric: profile.Cosine{}}, likeEven(), rand.New(rand.NewSource(4)))
 	c.UserProfile().Set(2, 1, 1)
 	c.BeginCycle(50)
 	if c.UserProfile().Len() != 0 {
@@ -109,7 +109,7 @@ func TestCFRunsUnderEngine(t *testing.T) {
 	op := likeEven()
 	peers := make([]sim.Peer, n)
 	for i := 0; i < n; i++ {
-		peers[i] = NewCF(news.NodeID(i), 4, 8, 100, profile.WUP{}, op, rand.New(rand.NewSource(int64(i))))
+		peers[i] = NewCF(news.NodeID(i), 4, core.Config{RPSViewSize: 8, ProfileWindow: 100, Metric: profile.WUP{}}, op, rand.New(rand.NewSource(int64(i))))
 	}
 	col := metrics.NewCollector()
 	var pubs []sim.Publication
@@ -143,10 +143,10 @@ func TestBaselineCrashWipesViews(t *testing.T) {
 	op := likeEven()
 	build := map[string]func(i int) sim.Peer{
 		"gossip": func(i int) sim.Peer {
-			return NewGossip(news.NodeID(i), 3, 8, op, rand.New(rand.NewSource(int64(i))))
+			return NewGossip(news.NodeID(i), 3, core.Config{RPSViewSize: 8}, op, rand.New(rand.NewSource(int64(i))))
 		},
 		"cf": func(i int) sim.Peer {
-			return NewCF(news.NodeID(i), 3, 8, 100, profile.WUP{}, op, rand.New(rand.NewSource(int64(i))))
+			return NewCF(news.NodeID(i), 3, core.Config{RPSViewSize: 8, ProfileWindow: 100, Metric: profile.WUP{}}, op, rand.New(rand.NewSource(int64(i))))
 		},
 	}
 	for name, mk := range build {

@@ -6,7 +6,6 @@ import (
 	"whatsup/internal/core"
 	"whatsup/internal/news"
 	"whatsup/internal/overlay"
-	"whatsup/internal/profile"
 )
 
 // CF is a decentralized collaborative-filtering peer based on the
@@ -24,18 +23,12 @@ type CF struct {
 }
 
 // NewCF builds a decentralized CF peer keeping the k most similar
-// neighbours under the given metric.
-func NewCF(id news.NodeID, k, rpsViewSize int, window int64, metric profile.Metric, opinions core.Opinions, rng *rand.Rand) *CF {
-	if rpsViewSize <= 0 {
-		rpsViewSize = core.DefaultRPSViewSize
-	}
-	if window <= 0 {
-		window = core.DefaultProfileWindow
-	}
-	if metric == nil {
-		metric = profile.WUP{}
-	}
-	cfg := core.Config{RPSViewSize: rpsViewSize, WUPViewSize: k, Metric: metric, ProfileWindow: window}
+// neighbours. cfg supplies RPSvs, the profile window and the metric, with
+// core.Config's defaults; its WUP view is k wide, and BEEP's fields go
+// unused.
+func NewCF(id news.NodeID, k int, cfg core.Config, opinions core.Opinions, rng *rand.Rand) *CF {
+	cfg = cfg.WithDefaults()
+	cfg.WUPViewSize = k
 	return &CF{
 		Substrate: core.NewSubstrate(id, cfg, rng),
 		opinions:  opinions,

@@ -42,12 +42,14 @@ func TestBaselineFingerprintsPinned(t *testing.T) {
 	ds := dataset.Survey(dataset.SurveyConfig{Seed: 5, Scale: 0.3})
 	op := core.OpinionFunc(ds.Likes)
 	build := map[string]func(id news.NodeID, window int64, rng *rand.Rand) sim.Peer{
-		"Gossip": func(id news.NodeID, _ int64, rng *rand.Rand) sim.Peer { return NewGossip(id, 4, 0, op, rng) },
+		"Gossip": func(id news.NodeID, _ int64, rng *rand.Rand) sim.Peer {
+			return NewGossip(id, 4, core.Config{}, op, rng)
+		},
 		"CF-Wup": func(id news.NodeID, w int64, rng *rand.Rand) sim.Peer {
-			return NewCF(id, 8, 0, w, profile.WUP{}, op, rng)
+			return NewCF(id, 8, core.Config{ProfileWindow: w, Metric: profile.WUP{}}, op, rng)
 		},
 		"CF-Cos": func(id news.NodeID, w int64, rng *rand.Rand) sim.Peer {
-			return NewCF(id, 8, 0, w, profile.Cosine{}, op, rng)
+			return NewCF(id, 8, core.Config{ProfileWindow: w, Metric: profile.Cosine{}}, op, rng)
 		},
 	}
 	churn := sim.ChurnTrace(sim.ChurnTraceConfig{
@@ -91,7 +93,7 @@ func TestBaselineFingerprintsPinned(t *testing.T) {
 				for u := 0; u < ds.Users; u++ {
 					col.RegisterNode(news.NodeID(u), ds.UserInterestCount(news.NodeID(u)))
 				}
-				cfg := sim.Config{Seed: 5, Cycles: ds.Cycles, LossRate: 0.05, Publications: pubs}
+				cfg := sim.Config{Seed: 5, Cycles: ds.Cycles, Loss: 0.05, Publications: pubs}
 				if world == "churn" {
 					cfg.Churn = churn
 				}

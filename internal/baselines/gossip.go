@@ -33,14 +33,12 @@ type Gossip struct {
 	opinions core.Opinions
 }
 
-// NewGossip builds a homogeneous gossip peer with the given fanout and RPS
-// view size.
-func NewGossip(id news.NodeID, fanout, rpsViewSize int, opinions core.Opinions, rng *rand.Rand) *Gossip {
-	if rpsViewSize <= 0 {
-		rpsViewSize = core.DefaultRPSViewSize
-	}
+// NewGossip builds a homogeneous gossip peer with the given fanout. Of cfg it
+// takes only RPSvs, with core.Config's default: the substrate has no
+// clustering layer and no profile window.
+func NewGossip(id news.NodeID, fanout int, cfg core.Config, opinions core.Opinions, rng *rand.Rand) *Gossip {
 	return &Gossip{
-		Substrate: core.NewSubstrate(id, core.Config{RPSViewSize: rpsViewSize}, rng),
+		Substrate: core.NewSubstrate(id, core.Config{RPSViewSize: cfg.WithDefaults().RPSViewSize}, rng),
 		fanout:    fanout,
 		opinions:  opinions,
 	}

@@ -22,16 +22,16 @@ var ablations = []struct {
 	// sweet spot.
 	{"WUP view size", "WUPvs=%d·fLIKE",
 		func(int) []int { return []int{1, 2, 3} },
-		func(rc *RunConfig, v int) { rc.WUPViewFactor = v }},
+		func(rc *RunConfig, v int) { rc.Node.WUPViewSize = v * rc.Fanout }},
 	// The profile window between 1/10 and 1/1 of the run: the sweet spot is
 	// 1/5 to 2/5.
 	{"profile window", "window=%dcyc",
 		func(cycles int) []int { return []int{cycles / 10, cycles / 5, 2 * cycles / 5, cycles} },
-		func(rc *RunConfig, v int) { rc.Window = int64(v) }},
+		func(rc *RunConfig, v int) { rc.Node.ProfileWindow = int64(v) }},
 	// RPSvs ∈ {10..60}: the paper reports good behaviour between 20 and 40.
 	{"RPS view size", "RPSvs=%d",
 		func(int) []int { return []int{10, 20, 30, 40, 60} },
-		func(rc *RunConfig, v int) { rc.RPSViewSize = v }},
+		func(rc *RunConfig, v int) { rc.Node.RPSViewSize = v }},
 }
 
 // Ablations runs the three sweeps as one grid and returns them in the

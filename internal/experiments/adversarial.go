@@ -159,7 +159,7 @@ func runAdversarialPoint(cfg AdversarialConfig, alg Algorithm, attacked bool) ad
 		}
 	}
 
-	newPeer := peerFactory(RunConfig{Alg: alg, Fanout: 6, RPSViewSize: 20, Seed: 1}, w.Opinions)
+	newPeer := peerFactory(RunConfig{Alg: alg, Fanout: 6, Node: core.Config{RPSViewSize: 20}, Seed: 1}, w.Opinions)
 	w.NewPeer = func(id news.NodeID) sim.Peer {
 		p := newPeer(id)
 		if hostile != nil && attackers[id] {

@@ -25,17 +25,15 @@ type ChurnConfig struct {
 	EngineOptions
 	// Dataset is the workload (nil = the survey trace at the run's options).
 	Dataset *dataset.Dataset
-	// Fanout is fLIKE (default 10).
-	Fanout int
+	// Node is every node's configuration (see withEviction).
+	Node core.Config
 	// Loss is the uniform message-loss rate (Table VI), on top of churn.
 	Loss float64
 }
 
 func (c ChurnConfig) withDefaults() ChurnConfig {
 	c.ChurnOptions = c.ChurnOptions.withDefaults(8)
-	if c.Fanout <= 0 {
-		c.Fanout = 10
-	}
+	c.Node = withEviction(c.Node)
 	return c
 }
 
@@ -188,27 +186,22 @@ func ChurnRun(o Options, cfg ChurnConfig) ChurnResult {
 	w := sim.DatasetWorld(ds)
 	from, to := churnWindow(cycles, 4, int64(cycles/4))
 	w.Churn = cfg.schedule(o.Seed+7717, ds.Users, cycles, from, to, (cfg.FlashCrowd+4)/5)
-	nodeCfg := core.Config{FLike: cfg.Fanout, ProfileWindow: core.DefaultProfileWindow}
-	return runChurn(ds.Name, w, cfg.ChurnOptions, nodeCfg, cfg.engine(sim.Config{
-		Seed: o.Seed, Cycles: cycles, LossRate: cfg.Loss,
+	return runChurn(ds.Name, w, cfg.ChurnOptions, cfg.Node, cfg.engine(sim.Config{
+		Seed: o.Seed, Cycles: cycles, Loss: cfg.Loss,
 	}))
 }
 
 // runChurn is the tail every churn driver shares once its world recipe has
-// set the schedule: make every peer a WhatsUp node of the recipe's nodeCfg
-// with self-healing views, assemble the engine with a per-cycle fleet-health
-// timeline, run it, and summarize healing and per-cohort quality. cfg
-// carries the recipe's seed, run length, loss and engine sizing; the
-// eviction horizon and the churn-protocol switches come from opts.
+// set the schedule: make every peer a WhatsUp node of the recipe's nodeCfg,
+// whose DescriptorTTL makes its views self-healing, assemble the engine with
+// a per-cycle fleet-health timeline, run it, and summarize healing and
+// per-cohort quality. cfg carries the recipe's seed, run length, loss and
+// engine sizing; the churn-protocol switches come from opts.
 func runChurn(name string, w *sim.World, opts ChurnOptions, nodeCfg core.Config, cfg sim.Config) ChurnResult {
 	res := ChurnResult{Dataset: name, BaseUsers: w.Peers, Cycles: cfg.Cycles}
 	var timeline []metrics.ChurnSample
-	nodeCfg.DescriptorTTL = opts.DescriptorTTL
-	w.NewPeer = func(id news.NodeID) sim.Peer {
-		return core.NewNode(id, "", nodeCfg, w.Opinions, nodeRNG(cfg.Seed, int(id)))
-	}
-	cfg.DepartureNotices = opts.DepartureNotices
-	cfg.RefillWatermark = opts.RefillWatermark
+	w.NewPeer = sim.WhatsUpPeers(nodeCfg, w.Opinions, cfg.Seed)
+	cfg.ChurnProtocolOptions = opts.ChurnProtocolOptions
 	cfg.OnCycleEnd = func(e *sim.Engine, _ int64) {
 		s := e.Health()
 		res.GhostFraction = append(res.GhostFraction, s.GhostFraction)
@@ -252,6 +245,10 @@ func (c ChurnBenchConfig) withDefaults() ChurnBenchConfig {
 	return c
 }
 
+// churnBenchNode is the bench's fixed node configuration, with the churn
+// drivers' default eviction horizon.
+var churnBenchNode = core.Config{FLike: 6, RPSViewSize: 20, DescriptorTTL: core.DefaultDescriptorTTL}
+
 // ChurnBench runs the bench world: peers in 4 interest communities, a steady
 // publication schedule, a churn trace across the middle of the run and a
 // flash crowd a third in.
@@ -263,11 +260,10 @@ func ChurnBench(cfg ChurnBenchConfig) ChurnResult {
 	// the end, so the run itself proves self-healing: every crasher has
 	// rejoined and every departed descriptor has aged out by the last cycle
 	// (the end-state ghost fraction must come back 0).
-	from, to := churnWindow(cfg.cycles, 5, cfg.DescriptorTTL+cfg.downtime)
+	from, to := churnWindow(cfg.cycles, 5, churnBenchNode.DescriptorTTL+cfg.downtime)
 	w.Churn = cfg.schedule(99, cfg.Peers, cfg.cycles, from, to, cfg.FlashCrowd/5+1)
 
-	nodeCfg := core.Config{FLike: 6, RPSViewSize: 20}
-	return runChurn("communities", w, cfg.ChurnOptions, nodeCfg, cfg.engine(sim.Config{
+	return runChurn("communities", w, cfg.ChurnOptions, churnBenchNode, cfg.engine(sim.Config{
 		Seed: 1, Cycles: cfg.cycles,
 	}))
 }

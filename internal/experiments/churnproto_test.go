@@ -8,24 +8,29 @@ import (
 	"whatsup/internal/sim"
 )
 
+// notifyAndRefill switches both churn-protocol mechanisms on, as
+// `whatsup-bench -run churn` does by default.
+var notifyAndRefill = sim.ChurnProtocolOptions{DepartureNotices: true, RefillWatermark: 0.5}
+
 // TestDescriptorTTLDefaultUnified is the regression for the TTL-skew bugfix:
-// every churn driver must derive the same eviction-horizon default from the
-// shared core constant, so quality numbers from the runtimes stay comparable.
-// Since the shared ChurnOptions extraction there is only one place that
-// default can live, and this pins all three embeddings of it.
+// every churn driver must give its nodes the same eviction-horizon default,
+// the shared core constant, so quality numbers from the runtimes stay
+// comparable. The horizon is the node's own DescriptorTTL, defaulted by
+// withEviction for the two drivers that take a node config and spelled out
+// in the bench's fixed one; this pins all three.
 func TestDescriptorTTLDefaultUnified(t *testing.T) {
-	churn := ChurnConfig{}.withDefaults().DescriptorTTL
-	live := LiveRunConfig{}.withDefaults().DescriptorTTL
-	bench := ChurnBenchConfig{}.withDefaults().DescriptorTTL
+	churn := ChurnConfig{}.withDefaults().Node.DescriptorTTL
+	live := LiveRunConfig{}.withDefaults().Node.DescriptorTTL
+	bench := churnBenchNode.DescriptorTTL
 	if churn != core.DefaultDescriptorTTL || live != core.DefaultDescriptorTTL || bench != core.DefaultDescriptorTTL {
 		t.Fatalf("TTL defaults diverged: ChurnRun=%d LiveRun=%d ChurnBench=%d, all must be core.DefaultDescriptorTTL=%d",
 			churn, live, bench, core.DefaultDescriptorTTL)
 	}
-	// An explicit TTL must survive untouched in both.
-	if got := (ChurnConfig{ChurnOptions: ChurnOptions{DescriptorTTL: 9}}).withDefaults().DescriptorTTL; got != 9 {
+	// An explicit TTL must survive untouched in both configurable drivers.
+	if got := (ChurnConfig{Node: core.Config{DescriptorTTL: 9}}).withDefaults().Node.DescriptorTTL; got != 9 {
 		t.Fatalf("explicit sim TTL overridden to %d", got)
 	}
-	if got := (LiveRunConfig{ChurnOptions: ChurnOptions{DescriptorTTL: 9}}).withDefaults().DescriptorTTL; got != 9 {
+	if got := (LiveRunConfig{Node: core.Config{DescriptorTTL: 9}}).withDefaults().Node.DescriptorTTL; got != 9 {
 		t.Fatalf("explicit live TTL overridden to %d", got)
 	}
 }
@@ -35,7 +40,8 @@ func TestDescriptorTTLDefaultUnified(t *testing.T) {
 // downtimes (sim 8, live 5, bench 6 — the bench's was a constant before and
 // all three are again), the bench's population-derived flash crowd, and
 // negative churn rates clamping to a static fleet. Explicit values of the
-// settable knobs always win; the downtime is always the driver's.
+// settable knobs always win — the node's eviction horizon included; the
+// downtime is always the driver's.
 func TestChurnOptionsDriverDefaults(t *testing.T) {
 	if got := (ChurnConfig{}).withDefaults().downtime; got != 8 {
 		t.Fatalf("ChurnRun downtime changed: %d, want 8", got)
@@ -57,12 +63,15 @@ func TestChurnOptionsDriverDefaults(t *testing.T) {
 	if got := (ChurnOptions{ChurnRate: -1}).withDefaults(8).ChurnRate; got != 0 {
 		t.Fatalf("negative churn rate must clamp to 0, got %v", got)
 	}
-	explicit := ChurnOptions{ChurnRate: 0.4, FlashCrowd: 3, DescriptorTTL: 9,
-		DepartureNotices: true, RefillWatermark: 0.5}
+	explicit := ChurnOptions{ChurnRate: 0.4, FlashCrowd: 3, ChurnProtocolOptions: notifyAndRefill}
 	want := explicit
 	want.downtime = 2
 	if got := explicit.withDefaults(2); got != want {
 		t.Fatalf("explicit options rewritten by defaults: %+v -> %+v, want %+v", explicit, got, want)
+	}
+	node := core.Config{FLike: 7, DescriptorTTL: 9}
+	if got := withEviction(node); got != node {
+		t.Fatalf("explicit node config rewritten by the eviction default: %+v -> %+v", node, got)
 	}
 }
 
@@ -79,7 +88,7 @@ func TestLiveChurnWindowClosure(t *testing.T) {
 		if from != int64(cycles/4) {
 			t.Fatalf("cycles=%d: window opens at %d, want %d", cycles, from, cycles/4)
 		}
-		latest := int64(cfg.Cycles) - cfg.DescriptorTTL - cfg.downtime - cfg.schedulerSlack()
+		latest := int64(cfg.Cycles) - cfg.Node.DescriptorTTL - cfg.downtime - cfg.schedulerSlack()
 		if to > latest {
 			t.Fatalf("cycles=%d: window closes at %d, later than TTL+downtime+slack bound %d",
 				cycles, to, latest)
@@ -112,8 +121,7 @@ func TestLiveChurnWindowClosure(t *testing.T) {
 // legacy slice and the timeline, and the healing summary consistent.
 func TestChurnRunTimelineAndHealing(t *testing.T) {
 	r := ChurnRun(tiny(), ChurnConfig{
-		ChurnOptions: ChurnOptions{ChurnRate: 0.2, FlashCrowd: 6,
-			DepartureNotices: true, RefillWatermark: 0.5},
+		ChurnOptions:  ChurnOptions{ChurnRate: 0.2, FlashCrowd: 6, ChurnProtocolOptions: notifyAndRefill},
 		EngineOptions: EngineOptions{Workers: 2},
 	})
 	if len(r.Timeline) != r.Cycles {
@@ -153,9 +161,8 @@ func TestChurnRunTimelineAndHealing(t *testing.T) {
 // — is ghost-free at the last cycle.
 func TestChurnBenchHealsAndSplitsJoiners(t *testing.T) {
 	r := ChurnBench(ChurnBenchConfig{
-		ChurnOptions: ChurnOptions{ChurnRate: 0.2, FlashCrowd: 12,
-			DepartureNotices: true, RefillWatermark: 0.5},
-		Peers: 150, cycles: 30, EngineOptions: EngineOptions{Workers: 2},
+		ChurnOptions: ChurnOptions{ChurnRate: 0.2, FlashCrowd: 12, ChurnProtocolOptions: notifyAndRefill},
+		Peers:        150, cycles: 30, EngineOptions: EngineOptions{Workers: 2},
 	})
 	if r.BaseUsers != 150 || r.Joiners != 12 || r.Joiner.Nodes != 12 {
 		t.Fatalf("world sizes not reported: %d base, %d joiners, %d in the joiner cohort", r.BaseUsers, r.Joiners, r.Joiner.Nodes)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"whatsup/internal/core"
 	"whatsup/internal/sim"
 )
 
@@ -256,10 +257,9 @@ func TestLiveRunLosslessChannel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live runs in -short mode")
 	}
-	// A negative LossRate must run lossless instead of falling back to the
-	// 2% default.
+	// Loss 0 runs lossless: there is no hidden 2% default.
 	r, err := LiveRun(tiny(), LiveRunConfig{
-		Transport: "channel", LossRate: -1, Cycles: 15, CycleLength: 3 * time.Millisecond,
+		Transport: "channel", Loss: 0, Cycles: 15, CycleLength: 3 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -326,7 +326,8 @@ func TestLiveRunChurnChannelTransport(t *testing.T) {
 	const flash = 6
 	r, err := LiveRun(tiny(), LiveRunConfig{
 		Transport: "channel", Cycles: 40, CycleLength: 4 * time.Millisecond,
-		ChurnOptions: ChurnOptions{ChurnRate: 0.3, FlashCrowd: flash, DescriptorTTL: 6},
+		ChurnOptions: ChurnOptions{ChurnRate: 0.3, FlashCrowd: flash},
+		Node:         core.Config{DescriptorTTL: 6},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -351,7 +352,8 @@ func TestLiveRunChurnTCPTransport(t *testing.T) {
 	const flash = 4
 	r, err := LiveRun(tiny(), LiveRunConfig{
 		Transport: "tcp", Cycles: 40, CycleLength: 7 * time.Millisecond,
-		ChurnOptions: ChurnOptions{ChurnRate: 0.25, FlashCrowd: flash, DescriptorTTL: 6},
+		ChurnOptions: ChurnOptions{ChurnRate: 0.25, FlashCrowd: flash},
+		Node:         core.Config{DescriptorTTL: 6},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -430,7 +432,7 @@ func TestRunDeterministicAcrossCalls(t *testing.T) {
 func TestChurnRunCohortsAndHealing(t *testing.T) {
 	r := ChurnRun(tiny(), ChurnConfig{
 		ChurnOptions: ChurnOptions{FlashCrowd: 10, ChurnRate: 0.25},
-		Fanout:       6,
+		Node:         core.Config{FLike: 6},
 	})
 	if r.Events == 0 {
 		t.Fatal("churn scenario produced no membership events")
@@ -470,7 +472,7 @@ func TestChurnRunDeterministicAcrossEngineWorkers(t *testing.T) {
 	run := func(workers int) ChurnResult {
 		return ChurnRun(tiny(), ChurnConfig{
 			ChurnOptions: ChurnOptions{FlashCrowd: 8, ChurnRate: 0.2},
-			Fanout:       6, EngineOptions: EngineOptions{Workers: workers},
+			Node:         core.Config{FLike: 6}, EngineOptions: EngineOptions{Workers: workers},
 		})
 	}
 	a, b := run(1), run(4)

@@ -20,13 +20,13 @@ func Fig5(o Options) Fig5Result {
 	o, ds := o.workload("survey")
 	grid := make([]cell, len(Fig5TTLs))
 	for i, ttl := range Fig5TTLs {
-		// The row is named by the paper's TTL; RunConfig spells an explicit
-		// zero as -1.
+		// The row is named by the paper's TTL; core.Config spells an
+		// explicit zero as -1.
 		grid[i] = at(ds, WhatsUp, 10)
 		grid[i].Label = fmt.Sprint(ttl)
-		grid[i].TTL = ttl
+		grid[i].Node.DislikeTTL = ttl
 		if ttl == 0 {
-			grid[i].TTL = -1
+			grid[i].Node.DislikeTTL = -1
 		}
 	}
 	return Fig5Result{Points: sweep(o, grid, quality)}

@@ -143,12 +143,10 @@ func fig7Trial(o Options, shape fig7Shape, metric profile.Metric, seed int64) Fi
 		ProfileWindow: shape.window,
 	}
 	w := sim.DatasetWorld(ds)
-	w.NewPeer = func(id news.NodeID) sim.Peer {
-		return core.NewNode(id, "", nodeCfg, op, nodeRNG(seed, int(id)))
-	}
+	w.NewPeer = sim.WhatsUpPeers(nodeCfg, op, seed)
 
 	// Trial-specific role assignment.
-	roleRNG := nodeRNG(seed, 1<<20)
+	roleRNG := sim.PeerRNG(seed, 1<<20)
 	refID := news.NodeID(roleRNG.Intn(ds.Users))
 	changingID := news.NodeID(roleRNG.Intn(ds.Users))
 	for changingID == refID {
@@ -197,7 +195,7 @@ func fig7Trial(o Options, shape fig7Shape, metric profile.Metric, seed int64) Fi
 			remap[changingID], remap[swapWith] = remap[swapWith], remap[changingID]
 			// Join: cold start from a random host's views.
 			host := e.Peer(news.NodeID(roleRNG.Intn(ds.Users))).Overlay()
-			joiner = core.NewNode(joinID, "", nodeCfg, op, nodeRNG(seed, 1<<21))
+			joiner = core.NewNode(joinID, "", nodeCfg, op, sim.PeerRNG(seed, 1<<21))
 			joiner.ColdStart(host.RPS().View().Entries(), host.WUP().View().Entries(), e.Now())
 			e.AddPeer(joiner)
 		}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"whatsup/internal/core"
 	"whatsup/internal/metrics"
 )
 
@@ -73,7 +74,8 @@ func fig8(o Options, shape fig8Shape, skipLive bool) Fig8Result {
 	// congestion then comes from the bounded queues of the overloaded
 	// quarter of the fleet rather than from the test host's own CPU.
 	for i := range pts {
-		live := LiveRunConfig{Transport: "channel", Cycles: shape.cycles, CycleLength: shape.cycleLength, Fanout: pts[i].Fanout}
+		live := LiveRunConfig{Transport: "channel", Cycles: shape.cycles, CycleLength: shape.cycleLength,
+			Node: core.Config{FLike: pts[i].Fanout}, Loss: 0.02}
 		pts[i].ModelNet = must(LiveRun(o, live)).F1
 		live.Transport, live.CycleLength = "tcp", 2*shape.cycleLength
 		pts[i].PlanetLab = must(LiveRun(o, live)).F1

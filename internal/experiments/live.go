@@ -40,15 +40,17 @@ type LiveRunConfig struct {
 	// Cycles per run (default 40) and CycleLength (default 15 ms).
 	Cycles      int
 	CycleLength time.Duration
-	// Fanout is the BEEP like-fanout (default core.DefaultFLike).
-	Fanout int
-	// LossRate is the channel transport's uniform loss (default 2%;
-	// negative runs lossless).
-	LossRate float64
+	// Node is every node's configuration. A static fleet runs without
+	// eviction whatever its DescriptorTTL; a churned one gets withEviction's.
+	Node core.Config
+	// Loss is the channel transport's uniform message-loss rate; a TCP
+	// fleet runs at 0.
+	Loss float64
 }
 
 func (c LiveRunConfig) withDefaults() LiveRunConfig {
 	c.ChurnOptions = c.ChurnOptions.withDefaults(5)
+	c.Node = withEviction(c.Node)
 	if c.Transport == "" {
 		c.Transport = "channel"
 	}
@@ -57,11 +59,6 @@ func (c LiveRunConfig) withDefaults() LiveRunConfig {
 	}
 	if c.CycleLength <= 0 {
 		c.CycleLength = 15 * time.Millisecond
-	}
-	if c.LossRate == 0 {
-		c.LossRate = 0.02
-	} else if c.LossRate < 0 {
-		c.LossRate = 0
 	}
 	return c
 }
@@ -85,7 +82,7 @@ func (c LiveRunConfig) schedulerSlack() int64 {
 // eviction horizon (plus rejoin downtime and tick jitter) to heal before
 // GhostEndFraction is measured.
 func (c LiveRunConfig) churnWindow() (from, to int64) {
-	return churnWindow(c.Cycles, 4, c.DescriptorTTL+c.downtime+c.schedulerSlack())
+	return churnWindow(c.Cycles, 4, c.Node.DescriptorTTL+c.downtime+c.schedulerSlack())
 }
 
 // churned reports whether the config enables the churn scenario.
@@ -96,6 +93,7 @@ type LiveRunResult struct {
 	Transport string
 	Users     int
 	Cycles    int
+	Loss      float64 // the channel transport's message-loss rate
 	metrics.Quality
 	// Wire traffic measured from encoded frame lengths, split as in
 	// Figure 8b, plus the per-node bandwidth those bytes would cost at the
@@ -123,28 +121,26 @@ func LiveRun(o Options, cfg LiveRunConfig) (LiveRunResult, error) {
 	var network live.Network
 	switch cfg.Transport {
 	case "channel":
-		network = live.NewChannelNet(o.Seed, cfg.LossRate, cfg.CycleLength/10)
+		network = live.NewChannelNet(o.Seed, cfg.Loss, cfg.CycleLength/10)
 	case "tcp":
+		cfg.Loss = 0 // loopback sockets lose only what their bounded queues drop
 		network = live.NewTCPNet(live.TCPNetConfig{SlowEvery: 4, SlowQueueCap: 96, QueueCap: 8192})
 	default:
 		return LiveRunResult{}, fmt.Errorf("live: unknown transport %q (want channel or tcp)", cfg.Transport)
 	}
 	ds := deploymentSurvey(o, cfg.Cycles)
-	liveCfg := live.Config{
-		Seed: o.Seed, Cycles: cfg.Cycles, CycleLength: cfg.CycleLength,
-		NodeConfig: core.Config{FLike: cfg.Fanout, ProfileWindow: core.DefaultProfileWindow},
-	}
+	liveCfg := live.Config{Seed: o.Seed, Cycles: cfg.Cycles, CycleLength: cfg.CycleLength, NodeConfig: cfg.Node}
 	if cfg.churned() {
-		// Churn needs self-healing views: thread the eviction horizon into
-		// every node's config, and the schedule into the runtime's
-		// membership controller, which also registers the joiners' recall
-		// denominators and the churn cohorts (sim.World.Register).
-		liveCfg.NodeConfig.DescriptorTTL = cfg.DescriptorTTL
-		liveCfg.DepartureNotices = cfg.DepartureNotices
-		liveCfg.RefillWatermark = cfg.RefillWatermark
+		// Churn needs self-healing views, which the nodes' DescriptorTTL
+		// gives them, and the schedule in the runtime's membership
+		// controller, which also registers the joiners' recall denominators
+		// and the churn cohorts (sim.World.Register).
+		liveCfg.ChurnProtocolOptions = cfg.ChurnProtocolOptions
 		liveCfg.Timeline = true
 		from, to := cfg.churnWindow()
 		liveCfg.Churn = cfg.schedule(o.Seed+7717, ds.Users, cfg.Cycles, from, to, (cfg.FlashCrowd+4)/5)
+	} else {
+		liveCfg.NodeConfig.DescriptorTTL = 0 // a static fleet evicts nothing
 	}
 
 	r := live.NewRunner(liveCfg, ds, network)
@@ -154,6 +150,7 @@ func LiveRun(o Options, cfg LiveRunConfig) (LiveRunResult, error) {
 		Transport:   cfg.Transport,
 		Users:       ds.Users,
 		Cycles:      cfg.Cycles,
+		Loss:        cfg.Loss,
 		Quality:     col.Quality(),
 		TotalBytes:  col.TotalBytes(),
 		GossipBytes: col.GossipBytes(),
@@ -170,7 +167,7 @@ func LiveRun(o Options, cfg LiveRunConfig) (LiveRunResult, error) {
 // String renders the run in the style of the paper's deployment tables.
 func (r LiveRunResult) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Live transport run: %s (%d users, %d cycles)\n", r.Transport, r.Users, r.Cycles)
+	fmt.Fprintf(&b, "Live transport run: %s (%d users, %d cycles, loss=%.0f%%)\n", r.Transport, r.Users, r.Cycles, r.Loss*100)
 	fmt.Fprintf(&b, "  precision %.3f  recall %.3f  F1 %.3f\n", r.Precision, r.Recall, r.F1)
 	fmt.Fprintf(&b, "  messages %d  wire bytes %d (gossip %d, beep %d)\n",
 		r.Messages, r.TotalBytes, r.GossipBytes, r.BeepBytes)

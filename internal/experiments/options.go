@@ -5,9 +5,10 @@ import (
 	"whatsup/internal/sim"
 )
 
-// EngineOptions size the simulation engine behind a driver. Every driver
-// config embeds it, so the two knobs are declared, documented and resolved
-// exactly once. Results are bit-identical for any value of either.
+// EngineOptions size the simulation engine behind a driver. Options and
+// every driver config that runs the engine embed it (LiveRunConfig runs a
+// live fleet and does not), so the two knobs are declared, documented and
+// resolved exactly once. Results are bit-identical for any value of either.
 type EngineOptions struct {
 	// Workers is the engine worker pool (sim.Config.Workers). 0 runs the
 	// engine serially: sweep drivers already run one point per core, and a
@@ -24,11 +25,13 @@ func (o EngineOptions) engine(cfg sim.Config) sim.Config {
 	return cfg
 }
 
-// ChurnOptions are the churn-protocol knobs shared by every driver that
-// exercises the lifecycle-aware membership layer — the sim churn scenario
+// ChurnOptions are the scenario knobs shared by every driver that exercises
+// the lifecycle-aware membership layer — the sim churn scenario
 // (ChurnConfig), the live-transport scenario (LiveRunConfig) and the churn
 // bench (ChurnBenchConfig) embed it, so each knob is declared, documented
-// and defaulted exactly once. Only the rejoin downtime is per driver.
+// and defaulted exactly once. Only the rejoin downtime is per driver; the
+// eviction horizon is the node's (core.Config.DescriptorTTL, see
+// withEviction).
 type ChurnOptions struct {
 	// ChurnRate is the expected fraction of the base population hit by a
 	// churn event over the run (half crashes-with-rejoin, half graceful
@@ -40,16 +43,7 @@ type ChurnOptions struct {
 	// from its population). Joiners cold-start from a live host's views
 	// (Section II-D).
 	FlashCrowd int
-	// DescriptorTTL is the view eviction horizon in cycles (default
-	// core.DefaultDescriptorTTL, shared by all drivers so quality numbers
-	// from the different runtimes stay comparable).
-	DescriptorTTL int64
-	// DepartureNotices enables the churn protocol's graceful-departure
-	// notices (sim.Config.DepartureNotices / live.Config.DepartureNotices).
-	DepartureNotices bool
-	// RefillWatermark enables adaptive view refill below this occupancy
-	// fraction (0 = off).
-	RefillWatermark float64
+	sim.ChurnProtocolOptions
 
 	// downtime is how many cycles a crashed node stays offline before its
 	// rejoin, fixed by the embedding driver: 8 for the sim scenario, 5 for
@@ -64,8 +58,16 @@ func (c ChurnOptions) withDefaults(downtime int64) ChurnOptions {
 		c.ChurnRate = 0
 	}
 	c.downtime = downtime
-	if c.DescriptorTTL <= 0 {
-		c.DescriptorTTL = core.DefaultDescriptorTTL
-	}
 	return c
+}
+
+// withEviction gives a churn driver's nodes self-healing views: an unset
+// DescriptorTTL becomes core.DefaultDescriptorTTL, the one horizon every
+// churn driver defaults to, so quality numbers from the different runtimes
+// stay comparable.
+func withEviction(node core.Config) core.Config {
+	if node.DescriptorTTL <= 0 {
+		node.DescriptorTTL = core.DefaultDescriptorTTL
+	}
+	return node
 }

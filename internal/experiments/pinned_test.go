@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"whatsup/internal/core"
 	"whatsup/internal/metrics"
 	"whatsup/internal/profile"
 	"whatsup/internal/sim"
@@ -53,8 +54,8 @@ func TestDriverOutputsPinned(t *testing.T) {
 		{"run/Gossip", "b84b14b2742b8ab7400c93a60812a69689321d2a486383a1dedbc3b3109dc1dd", func(*testing.T) string { return pinnedRun(PlainGossip) }},
 		{"churn-run", "1a542d78e393c290451d5e2c30c39b09acab8dabd02000c3898e79a2545e83af", func(*testing.T) string {
 			r := ChurnRun(Options{Seed: 3, Scale: 0.1}, ChurnConfig{
-				ChurnOptions: ChurnOptions{ChurnRate: 0.25, FlashCrowd: 9, DepartureNotices: true, RefillWatermark: 0.5},
-				Fanout:       6, Loss: 0.02,
+				ChurnOptions: ChurnOptions{ChurnRate: 0.25, FlashCrowd: 9, ChurnProtocolOptions: notifyAndRefill},
+				Node:         core.Config{FLike: 6}, Loss: 0.02,
 			})
 			return fmt.Sprintf("%+v", r)
 		}},
@@ -62,7 +63,7 @@ func TestDriverOutputsPinned(t *testing.T) {
 			// Named fields, captured at 341e85a from the bench's own result
 			// struct before ChurnBench was folded into ChurnResult.
 			r := ChurnBench(ChurnBenchConfig{
-				ChurnOptions: ChurnOptions{ChurnRate: 0.2, DepartureNotices: true, RefillWatermark: 0.5},
+				ChurnOptions: ChurnOptions{ChurnRate: 0.2, ChurnProtocolOptions: notifyAndRefill},
 				Peers:        300,
 			})
 			return fmt.Sprintf("events=%d online=%d f1=%v stable=%v joiner=%v eligible=%v rejoiner=%v ghost-end=%v last-departure=%d healed-at=%d time-to-healed=%d",
@@ -147,7 +148,7 @@ func pinnedSteps(e *sim.Engine, col *metrics.Collector) string {
 // otherwise. They were captured at 3edad35 plus the tie-break fix in
 // internal/graph/community.go, which always yields the 27-item variant.
 func TestExhibitsPinned(t *testing.T) {
-	churn := ChurnOptions{ChurnRate: 0.2, DepartureNotices: true, RefillWatermark: 0.5}
+	churn := ChurnOptions{ChurnRate: 0.2, ChurnProtocolOptions: notifyAndRefill}
 	cases := []struct {
 		name    string
 		want    string
@@ -192,7 +193,7 @@ func TestExhibitsPinned(t *testing.T) {
 		{"churn-run", "53961c87408dab1441f326f2a2a8c8e019fc01e61713c5aa1241c28f02feecf1", true, func(o Options) string {
 			c := churn
 			c.FlashCrowd = 7
-			return ChurnRun(o, ChurnConfig{ChurnOptions: c, EngineOptions: o.EngineOptions, Fanout: 6, Loss: 0.02}).String()
+			return ChurnRun(o, ChurnConfig{ChurnOptions: c, EngineOptions: o.EngineOptions, Node: core.Config{FLike: 6}, Loss: 0.02}).String()
 		}},
 		{"churn-bench", "45189941437c9664e61bf50bc2156b65a37b47f10481bcbcff8fbfa62c96ca70", true, func(o Options) string {
 			return ChurnBench(ChurnBenchConfig{ChurnOptions: churn, EngineOptions: o.EngineOptions, Peers: 200, cycles: 36}).String()

@@ -16,11 +16,8 @@ import (
 	"whatsup/internal/dataset"
 	"whatsup/internal/metrics"
 	"whatsup/internal/news"
-	"whatsup/internal/prng"
 	"whatsup/internal/profile"
 	"whatsup/internal/sim"
-
-	"math/rand"
 )
 
 // Algorithm names the gossip-driven systems of the evaluation.
@@ -76,15 +73,9 @@ type RunConfig struct {
 	Fanout  int // fLIKE for WhatsUp variants, k for CF, f for gossip
 	Seed    int64
 	Loss    float64
-	// TTL: 0 = paper default (4), negative = explicit 0 (Figure 5 sweep).
-	TTL int
-	// Window overrides the profile window (0 = default 13 cycles).
-	Window int64
-	// WUPViewFactor overrides WUPvs = factor·fLIKE (0 = paper's 2). Used by
-	// the ablation benches.
-	WUPViewFactor int
-	// RPSViewSize overrides RPSvs (0 = paper's 30).
-	RPSViewSize int
+	// Node is the peers' Table II parameters, core.Config's zero rules
+	// included. The point's Fanout and Alg overwrite its FLike and Metric.
+	Node core.Config
 	// Cycles overrides the run length (0 = dataset default).
 	Cycles int
 	EngineOptions
@@ -97,49 +88,24 @@ type Outcome struct {
 	Cycles int
 }
 
-// nodeRNG derives the seed generator of one node's own stream (see
-// core.NewSubstrate) from the run seed.
-func nodeRNG(seed int64, node int) *rand.Rand {
-	return prng.New(uint64(seed*1_000_003 + int64(node)))
-}
-
 // peerFactory returns the constructor of one algorithm's peers.
 func peerFactory(rc RunConfig, op core.Opinions) func(id news.NodeID) sim.Peer {
-	window := rc.Window
-	if window == 0 {
-		window = core.DefaultProfileWindow
+	cfg := rc.Node
+	cfg.FLike, cfg.Metric = rc.Fanout, profile.WUP{}
+	if rc.Alg == WhatsUpCos || rc.Alg == CFCos {
+		cfg.Metric = profile.Cosine{}
 	}
-	rpsVS := rc.RPSViewSize
 	switch rc.Alg {
 	case PlainGossip:
 		return func(id news.NodeID) sim.Peer {
-			return baselines.NewGossip(id, rc.Fanout, rpsVS, op, nodeRNG(rc.Seed, int(id)))
+			return baselines.NewGossip(id, rc.Fanout, cfg, op, sim.PeerRNG(rc.Seed, int(id)))
 		}
 	case CFWup, CFCos:
-		metric := profile.Metric(profile.WUP{})
-		if rc.Alg == CFCos {
-			metric = profile.Cosine{}
-		}
 		return func(id news.NodeID) sim.Peer {
-			return baselines.NewCF(id, rc.Fanout, rpsVS, window, metric, op, nodeRNG(rc.Seed, int(id)))
+			return baselines.NewCF(id, rc.Fanout, cfg, op, sim.PeerRNG(rc.Seed, int(id)))
 		}
 	case WhatsUpCos, WhatsUp:
-		cfg := core.Config{
-			FLike:         rc.Fanout,
-			Metric:        profile.WUP{},
-			DislikeTTL:    rc.TTL,
-			ProfileWindow: window,
-			RPSViewSize:   rpsVS,
-		}
-		if rc.Alg == WhatsUpCos {
-			cfg.Metric = profile.Cosine{}
-		}
-		if rc.WUPViewFactor > 0 {
-			cfg.WUPViewSize = rc.WUPViewFactor * rc.Fanout
-		}
-		return func(id news.NodeID) sim.Peer {
-			return core.NewNode(id, "", cfg, op, nodeRNG(rc.Seed, int(id)))
-		}
+		return sim.WhatsUpPeers(cfg, op, rc.Seed)
 	default:
 		panic(fmt.Sprintf("experiments: unknown algorithm %q", rc.Alg))
 	}
@@ -153,11 +119,7 @@ func Run(rc RunConfig) Outcome {
 	}
 	w := sim.DatasetWorld(rc.Dataset)
 	w.NewPeer = peerFactory(rc, w.Opinions)
-	e, col := w.NewEngine(rc.engine(sim.Config{
-		Seed:     rc.Seed,
-		Cycles:   cycles,
-		LossRate: rc.Loss,
-	}))
+	e, col := w.NewEngine(rc.engine(sim.Config{Seed: rc.Seed, Cycles: cycles, Loss: rc.Loss}))
 	e.Run()
 	return Outcome{Col: col, Engine: e, Cycles: cycles}
 }

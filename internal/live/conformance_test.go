@@ -128,6 +128,7 @@ func TestLegConformanceSimLive(t *testing.T) {
 	}
 	for _, sc := range scripts {
 		t.Run(sc.name, func(t *testing.T) {
+			proto := sim.ChurnProtocolOptions{DepartureNotices: true, RefillWatermark: sc.watermark}
 			// Simulator: one engine cycle.
 			simNodes := make([]*core.Node, 2)
 			for i := range simNodes {
@@ -136,14 +137,14 @@ func TestLegConformanceSimLive(t *testing.T) {
 			rate(simNodes[0], simNodes[1])
 			sc.setup(simNodes[0], simNodes[1])
 			col := metrics.NewCollector()
-			e := sim.New(sim.Config{Seed: seed, Cycles: cycle, DepartureNotices: true, RefillWatermark: sc.watermark},
+			e := sim.New(sim.Config{Seed: seed, Cycles: cycle, ChurnProtocolOptions: proto},
 				[]sim.Peer{simNodes[0], simNodes[1]}, col)
 			e.Step()
 
 			// Live: the same nodes (same config, same RNG streams) behind the
 			// runner's plumbing, never started — the test is the scheduler.
 			tap := newTapNet(seed)
-			r := NewRunner(Config{Seed: seed, NodeConfig: nodeCfg, DepartureNotices: true, RefillWatermark: sc.watermark},
+			r := NewRunner(Config{Seed: seed, NodeConfig: nodeCfg, ChurnProtocolOptions: proto},
 				dataset.Blank(2, cycle), tap)
 			defer tap.Close()
 			lns := []*liveNode{member(r, 0), member(r, 1)}
@@ -293,7 +294,7 @@ func testMembershipLeg(t *testing.T) {
 		peers[i] = newMember(news.NodeID(i))
 	}
 	col := metrics.NewCollector()
-	e := sim.New(sim.Config{Seed: seed, Cycles: cycles, Workers: 1, DepartureNotices: true, Churn: schedule,
+	e := sim.New(sim.Config{Seed: seed, Cycles: cycles, Workers: 1, ChurnProtocolOptions: noticesOn, Churn: schedule,
 		NewPeer: func(id news.NodeID) sim.Peer { slog.joining = id; return newMember(id) }}, peers, col)
 	e.Bootstrap()
 	simBoot := map[news.NodeID][]news.NodeID{}
@@ -305,7 +306,7 @@ func testMembershipLeg(t *testing.T) {
 	// Live, twice: the second schedule adds a crash and rejoin of node 9.
 	live := func(schedule sim.ChurnSchedule) (*Runner, *tapNet, *fleetLog) {
 		tap := newTapNet(seed)
-		r := NewRunner(Config{Seed: seed, NodeConfig: nodeCfg, DepartureNotices: true, Churn: schedule},
+		r := NewRunner(Config{Seed: seed, NodeConfig: nodeCfg, ChurnProtocolOptions: noticesOn, Churn: schedule},
 			dataset.Blank(base, cycles), tap)
 		rec := &fleetLog{fleet: fleet{r}, started: map[news.NodeID][]news.NodeID{}}
 		for id, want := range simBoot {
@@ -363,6 +364,9 @@ func member(r *Runner, id news.NodeID) *liveNode {
 	return ln
 }
 
+// noticesOn switches departure notices on, in either runtime.
+var noticesOn = sim.ChurnProtocolOptions{DepartureNotices: true}
+
 // TestLeaveOfCrashedMemberDeparts applies a crash and then a leave of the
 // same member through both runtimes, with departure notices on: a leave
 // moves an offline member to Departed as it does an online one, and a member
@@ -378,12 +382,12 @@ func TestLeaveOfCrashedMemberDeparts(t *testing.T) {
 		peers[i] = core.NewNode(news.NodeID(i), "", nodeCfg, nil, nodeRNG(seed, news.NodeID(i)))
 	}
 	col := metrics.NewCollector()
-	e := sim.New(sim.Config{Seed: seed, Cycles: cycles, DepartureNotices: true, Churn: schedule}, peers, col)
+	e := sim.New(sim.Config{Seed: seed, Cycles: cycles, ChurnProtocolOptions: noticesOn, Churn: schedule}, peers, col)
 	e.Bootstrap()
 	e.Run()
 
 	r := NewRunner(Config{Seed: seed, Cycles: cycles, CycleLength: 2 * time.Millisecond, NodeConfig: nodeCfg,
-		DepartureNotices: true, Churn: schedule}, dataset.Blank(base, cycles), NewChannelNet(seed, 0, 0))
+		ChurnProtocolOptions: noticesOn, Churn: schedule}, dataset.Blank(base, cycles), NewChannelNet(seed, 0, 0))
 	r.Run()
 
 	for name, rt := range map[string]struct {

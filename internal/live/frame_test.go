@@ -13,6 +13,7 @@ import (
 	"whatsup/internal/news"
 	"whatsup/internal/overlay"
 	"whatsup/internal/profile"
+	"whatsup/internal/sim"
 )
 
 // frameFleet builds a never-started three-node fleet on a tapNet whose node
@@ -36,10 +37,9 @@ func frameFleetScored(t *testing.T, rpsViewSize, wupViewSize int, metric profile
 		Seed: 5,
 		NodeConfig: core.Config{FLike: 2, RPSViewSize: rpsViewSize, WUPViewSize: wupViewSize,
 			ProfileWindow: 20, DescriptorTTL: 10, Metric: metric},
-		DepartureNotices: true,
-		RefillWatermark:  0.5,
-		FeedCapacity:     2, // smaller than the script's deliveries: the ring wraps
-		Opinions:         core.OpinionFunc(func(_ news.NodeID, id news.ID) bool { return id%2 == 0 }),
+		ChurnProtocolOptions: sim.ChurnProtocolOptions{DepartureNotices: true, RefillWatermark: 0.5},
+		FeedCapacity:         2, // smaller than the script's deliveries: the ring wraps
+		Opinions:             core.OpinionFunc(func(_ news.NodeID, id news.ID) bool { return id%2 == 0 }),
 	}, dataset.Blank(3, 1), tap)
 	return member(r, 0), tap
 }

@@ -177,16 +177,7 @@ type Config struct {
 	// built like the base fleet and take the interests the workload gives
 	// them (sim.DatasetWorld: those of base user id mod Users).
 	Churn sim.ChurnSchedule
-	// DepartureNotices enables the churn protocol's graceful-departure path:
-	// a node stopped by a ChurnLeave sends departure frames to its view
-	// neighbours before its transport flushes, and every node piggybacks its
-	// active tombstones on outgoing gossip for one horizon. Off by default.
-	DepartureNotices bool
-	// RefillWatermark enables adaptive view refill: a node whose RPS or WUP
-	// view occupancy falls under this fraction of capacity at a cycle tick
-	// pulls an anti-entropy descriptor sample from its freshest surviving
-	// neighbour. Zero disables refill.
-	RefillWatermark float64
+	sim.ChurnProtocolOptions
 	// Timeline makes the controller sample a per-cycle metrics.ChurnSample
 	// of the fleet (ghost fraction, view fill, online population by cohort),
 	// copying each online node's views under its lock; read it with

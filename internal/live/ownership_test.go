@@ -79,10 +79,10 @@ func TestPeerOwnsItsOneGenerator(t *testing.T) {
 			return core.NewNode(1, "", core.Config{}, nil, rng)
 		}},
 		{"baselines.Gossip", func(rng *rand.Rand) interface{ Overlay() *core.Substrate } {
-			return baselines.NewGossip(1, 4, 8, nil, rng)
+			return baselines.NewGossip(1, 4, core.Config{RPSViewSize: 8}, nil, rng)
 		}},
 		{"baselines.CF", func(rng *rand.Rand) interface{ Overlay() *core.Substrate } {
-			return baselines.NewCF(1, 4, 8, 10, profile.WUP{}, nil, rng)
+			return baselines.NewCF(1, 4, core.Config{RPSViewSize: 8, ProfileWindow: 10, Metric: profile.WUP{}}, nil, rng)
 		}},
 	} {
 		rng := rand.New(rand.NewSource(1))

@@ -55,7 +55,7 @@ func runChurnWorld(n, items, cycles int, loss float64, seed int64, workers int,
 		col.RegisterNode(news.NodeID(i), items/2)
 	}
 	e := New(Config{
-		Seed: seed, Cycles: cycles, LossRate: loss, Publications: pubs,
+		Seed: seed, Cycles: cycles, Loss: loss, Publications: pubs,
 		BootstrapDegree: 4, Workers: workers, Churn: schedule,
 		NewPeer: func(id news.NodeID) Peer {
 			return core.NewNode(id, "", cfg, opinions, rand.New(rand.NewSource(seed+int64(id))))
@@ -114,7 +114,7 @@ func runChurnWorld2(n, items, cycles int, loss float64, seed int64, workers int,
 	cfg := core.Config{FLike: 4, RPSViewSize: 8, ProfileWindow: int64(cycles)}
 	peers, pubs, col := communityWorld(n, items, cycles, cfg, seed)
 	e := New(Config{
-		Seed: seed, Cycles: cycles, LossRate: loss, Publications: pubs,
+		Seed: seed, Cycles: cycles, Loss: loss, Publications: pubs,
 		BootstrapDegree: 4, Workers: workers, Churn: schedule,
 	}, peers, col)
 	e.Bootstrap()

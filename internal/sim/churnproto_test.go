@@ -220,7 +220,7 @@ func runChurnWorldCfg(n, items, cycles int, loss float64, seed int64, workers in
 		col.RegisterNode(news.NodeID(i), items/2)
 	}
 	c := Config{
-		Seed: seed, Cycles: cycles, LossRate: loss, Publications: pubs,
+		Seed: seed, Cycles: cycles, Loss: loss, Publications: pubs,
 		BootstrapDegree: 4, Workers: workers, Churn: schedule,
 		NewPeer: func(id news.NodeID) Peer {
 			return core.NewNode(id, "", cfg, opinions, rand.New(rand.NewSource(seed+int64(id))))

@@ -104,7 +104,7 @@ func TestColdStartReintegration(t *testing.T) {
 func TestLossAppliesToGossipToo(t *testing.T) {
 	cfg := core.Config{FLike: 3, RPSViewSize: 6}
 	peers, pubs, col := communityWorld(20, 10, 15, cfg, 13)
-	e := New(Config{Seed: 13, Cycles: 15, LossRate: 0.5, Publications: pubs}, peers, col)
+	e := New(Config{Seed: 13, Cycles: 15, Loss: 0.5, Publications: pubs}, peers, col)
 	e.Bootstrap()
 	e.Run()
 	req := col.Messages(metrics.MsgRPSRequest)

@@ -31,7 +31,7 @@ func runFaultWorld(n, items, cycles int, seed int64, workers int, links *faultne
 	cfg := core.Config{FLike: 4, RPSViewSize: 8, ProfileWindow: int64(cycles)}
 	peers, pubs, col := communityWorld(n, items, cycles, cfg, seed)
 	e := New(Config{
-		Seed: seed, Cycles: cycles, LossRate: 0.1, Publications: pubs,
+		Seed: seed, Cycles: cycles, Loss: 0.1, Publications: pubs,
 		BootstrapDegree: 4, Workers: workers, Links: links,
 	}, peers, col)
 	e.Bootstrap()

@@ -21,7 +21,7 @@ func runWorldWorkers(n, items, cycles int, loss float64, seed int64, workers int
 	cfg := core.Config{FLike: 4, RPSViewSize: 8, ProfileWindow: int64(cycles)}
 	peers, pubs, col := communityWorld(n, items, cycles, cfg, seed)
 	e := New(Config{
-		Seed: seed, Cycles: cycles, LossRate: loss, Publications: pubs,
+		Seed: seed, Cycles: cycles, Loss: loss, Publications: pubs,
 		BootstrapDegree: 4, Workers: workers, OnDelivery: onDelivery,
 	}, peers, col)
 	e.Bootstrap()
@@ -176,7 +176,7 @@ func TestSimilarityCacheDeterministicAcrossWorkers(t *testing.T) {
 		for i := 0; i < n; i++ {
 			col.RegisterNode(news.NodeID(i), items/4)
 		}
-		e := New(Config{Seed: 5, Cycles: cycles, LossRate: 0.1, Workers: workers,
+		e := New(Config{Seed: 5, Cycles: cycles, Loss: 0.1, Workers: workers,
 			BootstrapDegree: 4, Publications: pubs}, peers, col)
 		e.Bootstrap()
 		e.Run()

@@ -34,7 +34,8 @@ func leaverWorld(peers, cycles, workers, shards int, leaveRate float64) (*Engine
 	w.NewPeer = func(id news.NodeID) Peer {
 		return core.NewNode(id, "", nodeCfg, w.Opinions, rand.New(rand.NewSource(1000+int64(id))))
 	}
-	return w.NewEngine(Config{Seed: 1, Cycles: cycles, BootstrapDegree: 5, Workers: workers, Shards: shards, DepartureNotices: leaveRate > 0})
+	return w.NewEngine(Config{Seed: 1, Cycles: cycles, BootstrapDegree: 5, Workers: workers, Shards: shards,
+		ChurnProtocolOptions: ChurnProtocolOptions{DepartureNotices: leaveRate > 0}})
 }
 
 // TestStepReleasesScratch is the engine half of "nothing pinned past its

@@ -40,7 +40,7 @@ func runShardedWorld(workers, shards int) *metrics.Collector {
 	cfg := core.Config{FLike: 4, RPSViewSize: 8, ProfileWindow: int64(cycles)}
 	peers, pubs, col := communityWorld(n, items, cycles, cfg, seed)
 	e := New(Config{
-		Seed: seed, Cycles: cycles, LossRate: loss, Publications: pubs,
+		Seed: seed, Cycles: cycles, Loss: loss, Publications: pubs,
 		BootstrapDegree: 4, Workers: workers, Shards: shards,
 	}, peers, col)
 	e.Bootstrap()
@@ -75,9 +75,9 @@ func heavyChurnWorld(workers, shards int) *metrics.Collector {
 	}
 	links = links.AddPartition(faultnet.Partition{Groups: groups, Start: 12, Heal: 16})
 	e := New(Config{
-		Seed: seed, Cycles: cycles, LossRate: 0.15, Publications: pubs,
+		Seed: seed, Cycles: cycles, Loss: 0.15, Publications: pubs,
 		BootstrapDegree: 4, Workers: workers, Shards: shards, Churn: schedule,
-		DepartureNotices: true, RefillWatermark: 0.5, Links: links,
+		ChurnProtocolOptions: ChurnProtocolOptions{DepartureNotices: true, RefillWatermark: 0.5}, Links: links,
 		NewPeer: func(id news.NodeID) Peer {
 			return core.NewNode(id, "", cfg, opinions, rand.New(rand.NewSource(seed+int64(id))))
 		},
@@ -157,9 +157,9 @@ func twoContentsWorld(workers, shards int) string {
 	}
 	schedule.Merge(steady)
 	e := New(Config{
-		Seed: seed, Cycles: cycles, LossRate: 0.1, Publications: pubs,
+		Seed: seed, Cycles: cycles, Loss: 0.1, Publications: pubs,
 		BootstrapDegree: 4, Workers: workers, Shards: shards, Churn: schedule,
-		RefillWatermark: 0.5, NewPeer: newPeer,
+		ChurnProtocolOptions: ChurnProtocolOptions{RefillWatermark: 0.5}, NewPeer: newPeer,
 	}, peers, col)
 	e.Bootstrap()
 	e.Run()
@@ -220,7 +220,7 @@ func TestShardedDeliveryOrder(t *testing.T) {
 		peers, pubs, col := communityWorld(n, items, cycles, cfg, seed)
 		var ds []core.Delivery
 		e := New(Config{
-			Seed: seed, Cycles: cycles, LossRate: loss, Publications: pubs,
+			Seed: seed, Cycles: cycles, Loss: loss, Publications: pubs,
 			BootstrapDegree: 4, Workers: 4, Shards: shards,
 			OnDelivery: func(d core.Delivery, now int64) { ds = append(ds, d) },
 		}, peers, col)
@@ -294,7 +294,7 @@ func TestWorkersBoundPeerCalls(t *testing.T) {
 			peers[i] = inflightPeer{Peer: p, cur: &cur, high: &high}
 		}
 		e := New(Config{
-			Seed: seed, Cycles: cycles, LossRate: loss, Publications: pubs,
+			Seed: seed, Cycles: cycles, Loss: loss, Publications: pubs,
 			BootstrapDegree: 4, Workers: int(c.workers), Shards: int(c.shards),
 		}, peers, col)
 		e.Bootstrap()
@@ -314,7 +314,7 @@ func TestShardStats(t *testing.T) {
 	build := func(shards int) *Engine {
 		peers, pubs, col := communityWorld(n, items, cycles, cfg, seed)
 		e := New(Config{
-			Seed: seed, Cycles: cycles, LossRate: loss, Publications: pubs,
+			Seed: seed, Cycles: cycles, Loss: loss, Publications: pubs,
 			BootstrapDegree: 4, Workers: 2, Shards: shards,
 		}, peers, col)
 		e.Bootstrap()

@@ -87,15 +87,37 @@ type Publication struct {
 	Item   news.Item
 }
 
+// ChurnProtocolOptions are the churn protocol's two switches, shared by the
+// simulator (Config) and the live runtime (live.Config), which apply them
+// with the same rules. Both are off by default, and a run with both off is
+// bit-identical with the historical engine.
+type ChurnProtocolOptions struct {
+	// DepartureNotices enables the graceful-departure path: a peer stopped
+	// by a ChurnLeave sends a departure notice to its view neighbours
+	// (subject to the loss model; a live node sends them before its
+	// transport flushes), which evict it immediately and piggyback the
+	// tombstone on their own gossip for one horizon instead of waiting out
+	// the descriptor TTL.
+	DepartureNotices bool
+	// RefillWatermark enables adaptive view refill: at the start of each
+	// cycle, every online peer whose RPS or WUP view occupancy has fallen
+	// under this fraction of capacity pulls an anti-entropy descriptor
+	// sample from its freshest surviving neighbour. In the simulator, refill
+	// loss decisions consume only the pulling peer's engine stream and the
+	// phase runs serially in dense-index order, preserving the worker-count
+	// determinism contract. Zero disables refill.
+	RefillWatermark float64
+}
+
 // Config parameterizes an engine run.
 type Config struct {
 	// Seed drives the engine's own randomness (loss decisions, bootstrap).
 	Seed int64
 	// Cycles is the number of gossip cycles Run executes.
 	Cycles int
-	// LossRate drops each message (BEEP, RPS and WUP legs independently)
-	// with this probability (Table VI).
-	LossRate float64
+	// Loss drops each message (BEEP, RPS and WUP legs independently) with
+	// this probability (Table VI).
+	Loss float64
 	// Links, when set, overlays per-link network conditions on top of the
 	// uniform loss model: a faultnet.Policy assigning loss rates and
 	// scheduled partitions to individual directed links (latency and
@@ -133,21 +155,7 @@ type Config struct {
 	// otherwise); the engine bootstraps the new peer's views from the
 	// online population.
 	NewPeer func(id news.NodeID) Peer
-	// DepartureNotices enables the churn protocol's graceful-departure path:
-	// a scheduled ChurnLeave sends a departure notice to the leaver's view
-	// neighbours (subject to the loss model), which evict it immediately and
-	// piggyback the tombstone on their own gossip for one horizon instead of
-	// waiting out the descriptor TTL. Off by default — disabled runs are
-	// bit-identical with the historical engine.
-	DepartureNotices bool
-	// RefillWatermark enables adaptive view refill: at the start of each
-	// cycle, every online peer whose RPS or WUP view occupancy has fallen
-	// under this fraction of capacity pulls an anti-entropy descriptor
-	// sample from its freshest surviving neighbour. Refill loss decisions
-	// consume only the pulling peer's engine stream and the phase runs
-	// serially in dense-index order, preserving the worker-count determinism
-	// contract. Zero disables refill (the historical behaviour).
-	RefillWatermark float64
+	ChurnProtocolOptions
 	// OnCycleEnd, if set, is invoked after each cycle with the engine; used
 	// by the dynamics experiments (Figure 7) to sample view similarity.
 	OnCycleEnd func(e *Engine, now int64)
@@ -551,11 +559,11 @@ func (e *Engine) linkDropped(from, to news.NodeID, now int64, kind metrics.Messa
 // phase consumes each peer's stream in a deterministic per-peer order, so
 // loss outcomes are independent of the worker count.
 func (e *Engine) lost(id news.NodeID) bool {
-	if e.cfg.LossRate <= 0 {
+	if e.cfg.Loss <= 0 {
 		return false
 	}
 	g, ok := e.mem.idx[id]
-	return ok && e.mem.streams[g].Float64() < e.cfg.LossRate
+	return ok && e.mem.streams[g].Float64() < e.cfg.Loss
 }
 
 // descriptorsWireSize sums the wire sizes of a descriptor batch.

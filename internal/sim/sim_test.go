@@ -42,7 +42,7 @@ func communityWorld(n, items, cycles int, cfg core.Config, seed int64) ([]Peer, 
 func runWorld(n, items, cycles int, loss float64, seed int64) *metrics.Collector {
 	cfg := core.Config{FLike: 4, RPSViewSize: 8, ProfileWindow: int64(cycles)}
 	peers, pubs, col := communityWorld(n, items, cycles, cfg, seed)
-	e := New(Config{Seed: seed, Cycles: cycles, LossRate: loss, Publications: pubs, BootstrapDegree: 4}, peers, col)
+	e := New(Config{Seed: seed, Cycles: cycles, Loss: loss, Publications: pubs, BootstrapDegree: 4}, peers, col)
 	e.Bootstrap()
 	e.Run()
 	return col

@@ -14,12 +14,14 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
 
 	"whatsup/internal/core"
 	"whatsup/internal/dataset"
 	"whatsup/internal/metrics"
 	"whatsup/internal/news"
+	"whatsup/internal/prng"
 )
 
 // WorldItem is one scheduled publication with its ground-truth audience.
@@ -126,6 +128,22 @@ func Communities(peers, communities, itemsPerCycle, cycles int, titlePrefix stri
 		}
 	}
 	return w
+}
+
+// PeerRNG derives, from a run seed, the generator that seeds the own stream
+// (core.NewSubstrate) of the peer with the given stream number, its id in
+// every seeded world.
+func PeerRNG(seed int64, stream int) *rand.Rand {
+	return prng.New(uint64(seed*1_000_003 + int64(stream)))
+}
+
+// WhatsUpPeers returns the peer factory of a world of WhatsUp nodes: peer id
+// is a core.Node of cfg that reacts through opinions and draws its stream
+// from PeerRNG(seed, id).
+func WhatsUpPeers(cfg core.Config, opinions core.Opinions, seed int64) func(id news.NodeID) Peer {
+	return func(id news.NodeID) Peer {
+		return core.NewNode(id, "", cfg, opinions, PeerRNG(seed, int(id)))
+	}
 }
 
 // joinCycles returns the arrival cycle of each scheduled joiner (the first

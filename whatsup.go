@@ -135,10 +135,7 @@ func (cfg SimulationConfig) world(ds *Dataset) (*sim.World, sim.Config) {
 	// (no-op at paper scale; see core.Config.ForPopulation).
 	cfg.Node = cfg.Node.ForPopulation(ds.Users)
 	w := sim.DatasetWorld(ds)
-	w.NewPeer = func(id news.NodeID) sim.Peer {
-		return core.NewNode(id, "", cfg.Node, w.Opinions,
-			prng.New(uint64(cfg.Seed*1_000_003+int64(id))))
-	}
+	w.NewPeer = sim.WhatsUpPeers(cfg.Node, w.Opinions, cfg.Seed)
 	return w, sim.Config{Seed: cfg.Seed, Cycles: ds.Cycles}
 }
 

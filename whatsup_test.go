@@ -210,7 +210,7 @@ func TestDriverOutputsPinned(t *testing.T) {
 	} {
 		w, engineCfg := SimulationConfig{Node: Config{FLike: 5, DescriptorTTL: 10}, Seed: 4}.world(ds)
 		w.Churn = tc.churn
-		engineCfg.LossRate, engineCfg.DepartureNotices, engineCfg.RefillWatermark = 0.03, true, 0.5
+		engineCfg.Loss, engineCfg.DepartureNotices, engineCfg.RefillWatermark = 0.03, true, 0.5
 		e, col := w.NewEngine(engineCfg)
 		e.Run()
 		if got := simulationDigest(e, col, tc.recall); got != tc.want {
