@@ -217,7 +217,7 @@ func TestLiveRunChannelTransport(t *testing.T) {
 		t.Skip("live runs in -short mode")
 	}
 	r, err := LiveRun(tiny(), LiveRunConfig{
-		Transport: "channel", Cycles: 20, CycleLength: 3 * time.Millisecond,
+		Transport: "channel", Loss: 0.02, Cycles: 20, CycleLength: 3 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -263,6 +263,9 @@ func TestLiveRunLosslessChannel(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if r.Loss != 0 {
+		t.Fatalf("Loss 0 ran at %v", r.Loss)
 	}
 	if r.Messages == 0 {
 		t.Fatal("lossless run must still gossip")
@@ -325,7 +328,7 @@ func TestLiveRunChurnChannelTransport(t *testing.T) {
 	base := runtime.NumGoroutine()
 	const flash = 6
 	r, err := LiveRun(tiny(), LiveRunConfig{
-		Transport: "channel", Cycles: 40, CycleLength: 4 * time.Millisecond,
+		Transport: "channel", Loss: 0.02, Cycles: 40, CycleLength: 4 * time.Millisecond,
 		ChurnOptions: ChurnOptions{ChurnRate: 0.3, FlashCrowd: flash},
 		Node:         core.Config{DescriptorTTL: 6},
 	})
