@@ -126,6 +126,18 @@ func TestRunLiveHonoursLossFlag(t *testing.T) {
 	}
 }
 
+// TestRunLiveTCPRefusesLoss: the TCP fleet's only loss is its bounded
+// queues, so a uniform -loss on it is an error, not a rate silently dropped.
+func TestRunLiveTCPRefusesLoss(t *testing.T) {
+	var out, errOut strings.Builder
+	if code := run([]string{"-live", "-live-transport", "tcp", "-loss", "0.2"}, &out, &errOut); code != 2 {
+		t.Fatalf("exit=%d want 2", code)
+	}
+	if !strings.Contains(errOut.String(), "tcp transport takes no uniform loss") || out.Len() != 0 {
+		t.Fatalf("stdout=%q stderr=%q", out.String(), errOut.String())
+	}
+}
+
 func TestRunLiveRejectsBaselines(t *testing.T) {
 	var out, errOut strings.Builder
 	if code := run([]string{"-live", "-alg", "gossip"}, &out, &errOut); code != 2 {

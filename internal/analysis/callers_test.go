@@ -21,8 +21,7 @@ import (
 // testSeams are functions only tests call that stay shipped on purpose, each
 // because a test substitutes through it what production code wires once.
 var testSeams = map[string]string{
-	"source.Feed.SetClient":     "a test substitutes the HTTP client, a fake server behind it",
-	"live.linkFaults.SetPolicy": "the live fault-injection tests install a per-link faultnet.Policy on a transport",
+	"source.Feed.SetClient": "a test substitutes the HTTP client, a fake server behind it",
 }
 
 // TestEveryFunctionHasAShippedCaller is the function-level twin of CI's

@@ -272,6 +272,15 @@ func TestLiveRunLosslessChannel(t *testing.T) {
 	}
 }
 
+// TestLiveRunTCPRefusesLoss: a TCP fleet's only loss is its bounded queues,
+// so LiveRun refuses a uniform rate on it instead of running it lossless.
+func TestLiveRunTCPRefusesLoss(t *testing.T) {
+	_, err := LiveRun(tiny(), LiveRunConfig{Transport: "tcp", Loss: 0.2})
+	if err == nil || !strings.Contains(err.Error(), "takes no uniform loss") {
+		t.Fatalf("err = %v, want the tcp transport to refuse a uniform loss", err)
+	}
+}
+
 func TestLiveRunRejectsUnknownTransport(t *testing.T) {
 	if _, err := LiveRun(tiny(), LiveRunConfig{Transport: "carrier-pigeon"}); err == nil {
 		t.Fatal("unknown transport must error")

@@ -72,12 +72,13 @@ func fig8(o Options, shape fig8Shape, skipLive bool) Fig8Result {
 	// fleets do not distort each other's timing. The TCP fleet shares one
 	// machine, so it gets a slower clock than the in-memory emulation;
 	// congestion then comes from the bounded queues of the overloaded
-	// quarter of the fleet rather than from the test host's own CPU.
+	// quarter of the fleet rather than from the test host's own CPU. Those
+	// queues are its only loss: it takes no uniform rate.
 	for i := range pts {
 		live := LiveRunConfig{Transport: "channel", Cycles: shape.cycles, CycleLength: shape.cycleLength,
 			Node: core.Config{FLike: pts[i].Fanout}, Loss: 0.02}
 		pts[i].ModelNet = must(LiveRun(o, live)).F1
-		live.Transport, live.CycleLength = "tcp", 2*shape.cycleLength
+		live.Transport, live.CycleLength, live.Loss = "tcp", 2*shape.cycleLength, 0
 		pts[i].PlanetLab = must(LiveRun(o, live)).F1
 	}
 	return Fig8Result{Users: ds.Users, Points: pts}

@@ -43,8 +43,8 @@ type LiveRunConfig struct {
 	// Node is every node's configuration. A static fleet runs without
 	// eviction whatever its DescriptorTTL; a churned one gets withEviction's.
 	Node core.Config
-	// Loss is the channel transport's uniform message-loss rate; a TCP
-	// fleet runs at 0.
+	// Loss is the channel transport's uniform message-loss rate. A TCP
+	// fleet refuses one: its only loss is its bounded queues.
 	Loss float64
 }
 
@@ -123,7 +123,9 @@ func LiveRun(o Options, cfg LiveRunConfig) (LiveRunResult, error) {
 	case "channel":
 		network = live.NewChannelNet(o.Seed, cfg.Loss, cfg.CycleLength/10)
 	case "tcp":
-		cfg.Loss = 0 // loopback sockets lose only what their bounded queues drop
+		if cfg.Loss > 0 {
+			return LiveRunResult{}, fmt.Errorf("live: the tcp transport takes no uniform loss (got %g): its only loss is its bounded queues", cfg.Loss)
+		}
 		network = live.NewTCPNet(live.TCPNetConfig{SlowEvery: 4, SlowQueueCap: 96, QueueCap: 8192})
 	default:
 		return LiveRunResult{}, fmt.Errorf("live: unknown transport %q (want channel or tcp)", cfg.Transport)

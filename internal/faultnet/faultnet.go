@@ -1,11 +1,13 @@
 // Package faultnet is the declarative per-link fault-injection layer shared
 // by both runtimes: a Policy assigns every directed link a latency
 // distribution, a loss rate, a bandwidth cap and (optionally) a partition
-// membership with a scheduled heal time. The deterministic simulator
-// (internal/sim) consults the policy with stateless per-link draws keyed off
-// the engine seed, so fault injection preserves the worker-count determinism
-// contract; the live transports (internal/live ChannelNet and TCPNet) apply
-// the same policy with per-link RNG streams and wall-clock delays.
+// membership with a scheduled heal time. Both runtimes decide a message's
+// fate on a policy's link with one stateless draw (Draw, Policy.Drop) keyed
+// by the run seed, the directed link, the cycle and the message: the
+// simulator (internal/sim), where it preserves the worker-count determinism
+// contract, and the live transports (internal/live ChannelNet and TCPNet),
+// where a frame's fate does not depend on how senders interleave and its
+// delay is a real wall-clock wait.
 //
 // Policies are built once, before a run, and are read-only afterwards: every
 // accessor is safe for concurrent use as long as no Set/Add method runs
@@ -189,14 +191,6 @@ func Draw(seed int64, from, to news.NodeID, cycle int64, salt, extra uint64) flo
 	z = prng.Mix(z + uint64(cycle)*0x9E3779B97F4A7C15)
 	z = prng.Mix(z + salt*0xD6E8FEB86659FD93 + extra)
 	return float64(z>>11) / (1 << 53)
-}
-
-// LinkSeed derives a stable RNG-stream seed for one directed link from the
-// run seed, for transports that keep per-link RNG streams (ChannelNet).
-func LinkSeed(seed int64, from, to news.NodeID) int64 {
-	z := prng.Mix(uint64(seed)*0x9E3779B97F4A7C15 + (uint64(from)+1)*0xBF58476D1CE4E5B9)
-	z = prng.Mix(z + (uint64(to)+1)*0x94D049BB133111EB)
-	return int64(z)
 }
 
 // Link classes used by the scenario generators.

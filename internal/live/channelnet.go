@@ -1,10 +1,10 @@
 package live
 
 import (
-	"math/rand"
 	"sync"
 	"time"
 
+	"whatsup/internal/faultnet"
 	"whatsup/internal/news"
 )
 
@@ -13,9 +13,11 @@ import (
 // message kind — BEEP and gossip alike — matching the Section V-E
 // experiment.
 //
-// Conditions are either uniform (the loss/latency pair of NewChannelNet) or
-// per-link: SetPolicy overlays a faultnet.Policy evaluated per directed link
-// (see linkFaults), keyed off the same seed.
+// Its uniform loss and latency are the base rule of its link evaluator
+// (linkFaults), merged with each link's rule of Config.Links: a frame is
+// dropped by the simulator's keyed draw over the run seed, the link, the
+// fleet cycle and the message, never by a shared stream, so which frames
+// drop does not depend on how the senders interleave.
 //
 // What crosses the network is the encoded envelope, never the sender's
 // structs: Send hands the sender's pooled payload buffer to the receiver's
@@ -24,23 +26,19 @@ import (
 // profile copies, recomputed item ids, no ground-truth leakage — and the
 // emulation exercises the same serialization path and costs as TCPNet.
 type ChannelNet struct {
-	linkFaults // SetPolicy, and the lock guarding everything below
-	boxes      map[news.NodeID]*inbox
-	rng        *rand.Rand
-	loss       float64
-	latency    time.Duration
-	closed     bool
-	wg         sync.WaitGroup
+	linkFaults
+	mu     sync.Mutex // guards everything below
+	boxes  map[news.NodeID]*inbox
+	closed bool
+	wg     sync.WaitGroup
 }
 
 // NewChannelNet builds a lossy in-memory network with uniform conditions.
+// The seed is unused: the run's seed (Config.Seed) keys every loss draw.
 func NewChannelNet(seed int64, loss float64, latency time.Duration) *ChannelNet {
 	return &ChannelNet{
-		linkFaults: linkFaults{seed: seed},
+		linkFaults: linkFaults{base: faultnet.Rule{Loss: loss, Base: latency}},
 		boxes:      make(map[news.NodeID]*inbox),
-		rng:        rand.New(rand.NewSource(seed)),
-		loss:       loss,
-		latency:    latency,
 	}
 }
 
@@ -73,38 +71,25 @@ func (c *ChannelNet) Disconnect(id news.NodeID, graceful bool) {
 	c.mu.Unlock()
 }
 
-// Send implements Network: drops with the configured probability (uniform
-// and per-link), otherwise delivers the payload buffer itself after the
-// configured latency (uniform plus the link rule's base, jitter and
-// serialization delay). Full inboxes drop (backpressure as loss, like a
-// saturated emulated link).
+// Send implements Network: drops the frame when the link evaluator says so,
+// otherwise delivers the payload buffer itself after the link's latency.
+// Full inboxes drop (backpressure as loss, like a saturated emulated link).
 func (c *ChannelNet) Send(from, to news.NodeID, payload *[]byte) {
+	drop, latency := c.decide(from, to, *payload)
 	c.mu.Lock()
-	if c.closed {
+	box := c.boxes[to]
+	if drop || c.closed || box == nil {
 		c.mu.Unlock()
 		putBuf(payload)
 		return
 	}
-	drop := c.loss > 0 && c.rng.Float64() < c.loss
-	latency := c.latency
-	if c.policy != nil {
-		cut, delay := c.decide(from, to, frameLen(len(*payload)))
-		drop = drop || cut
-		latency += delay
-	}
-	box := c.boxes[to]
-	delayed := box != nil && !drop && latency > 0
-	if delayed {
+	if latency > 0 {
 		// Registered under the lock, next to the closed check: Close sets
 		// closed before it waits, so wg.Add can never race wg.Wait.
 		c.wg.Add(1)
 	}
 	c.mu.Unlock()
-	if drop || box == nil {
-		putBuf(payload)
-		return
-	}
-	if !delayed {
+	if latency == 0 {
 		box.put(payload)
 		return
 	}

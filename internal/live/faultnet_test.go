@@ -1,14 +1,16 @@
 package live
 
 import (
+	"math"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
 	"whatsup/internal/core"
+	"whatsup/internal/dataset"
 	"whatsup/internal/faultnet"
 	"whatsup/internal/news"
-	"whatsup/internal/prng"
 )
 
 // halvesPartition cuts the fleet into two halves for the [start, heal)
@@ -57,8 +59,6 @@ func runLivePartition(t *testing.T, makeNet func() Network) {
 		cycles = 30
 	)
 	ds := tinySurvey(14)
-	links := halvesPartition(ds.Users, start, heal)
-	nw := makeNet()
 	nodeCfg := core.Config{FLike: 4, RPSViewSize: 10, ProfileWindow: 40}
 	r := NewRunner(Config{
 		Seed:        4,
@@ -66,12 +66,8 @@ func runLivePartition(t *testing.T, makeNet func() Network) {
 		CycleLength: 5 * time.Millisecond,
 		NodeConfig:  nodeCfg,
 		Timeline:    true,
-		Links:       links,
-	}, ds, nw)
-	type policied interface {
-		SetPolicy(p *faultnet.Policy, clock func() int64)
-	}
-	nw.(policied).SetPolicy(links, r.Cycle)
+		Links:       halvesPartition(ds.Users, start, heal),
+	}, ds, makeNet())
 	r.Run()
 
 	sawCut, sawHealed := false, false
@@ -110,13 +106,22 @@ func TestLivePartitionHealChannelNet(t *testing.T) {
 }
 
 // TestLivePartitionHealTCPNet is the partition-heal scenario over real
-// loopback sockets, with a small default latency rule active so the delayed
-// writer path runs throughout — the goroutine pin at the end proves delayed
-// sends are tracked and drained, not leaked.
+// loopback sockets.
 func TestLivePartitionHealTCPNet(t *testing.T) {
-	runLivePartition(t, func() Network {
-		return NewTCPNet(TCPNetConfig{SlowEvery: 0, Seed: 7})
-	})
+	runLivePartition(t, func() Network { return NewTCPNet(TCPNetConfig{SlowEvery: 0}) })
+}
+
+// withLinks binds a link policy on a transport the way a run does, through
+// NewRunner's Config.Seed and Config.Links, here for a fleet of no nodes:
+// the test then sends frames through the transport itself.
+func withLinks[N Network](net N, seed int64, links *faultnet.Policy) N {
+	NewRunner(Config{Seed: seed, Links: links}, dataset.Blank(0, 0), net)
+	return net
+}
+
+// everyLink is a policy whose one rule governs every link.
+func everyLink(r faultnet.Rule) *faultnet.Policy {
+	return faultnet.New().SetRule(faultnet.ClassDefault, faultnet.ClassDefault, r)
 }
 
 // TestTCPNetDelayedSendDelivers pins the writer-boundary delay path of the
@@ -125,9 +130,8 @@ func TestLivePartitionHealTCPNet(t *testing.T) {
 func TestTCPNetDelayedSendDelivers(t *testing.T) {
 	base := runtime.NumGoroutine()
 	const n = 20
-	tn := NewTCPNet(TCPNetConfig{SlowEvery: 0, Seed: 3})
-	p := faultnet.New().SetRule(faultnet.ClassDefault, faultnet.ClassDefault, faultnet.Rule{Base: 3 * time.Millisecond, Jitter: 2 * time.Millisecond})
-	tn.SetPolicy(p, nil)
+	tn := withLinks(NewTCPNet(TCPNetConfig{SlowEvery: 0}), 3,
+		everyLink(faultnet.Rule{Base: 3 * time.Millisecond, Jitter: 2 * time.Millisecond}))
 	box := tn.Register(1)
 	for i := 0; i < n; i++ {
 		sendEnvelope(tn, testItemEnvelope(i, 1))
@@ -149,9 +153,7 @@ func TestTCPNetDelayedSendDelivers(t *testing.T) {
 // suppresses every envelope without queueing or leaking anything.
 func TestTCPNetPolicyLossDrops(t *testing.T) {
 	base := runtime.NumGoroutine()
-	tn := NewTCPNet(TCPNetConfig{SlowEvery: 0, Seed: 5})
-	p := faultnet.New().SetRule(faultnet.ClassDefault, faultnet.ClassDefault, faultnet.Rule{Loss: 1})
-	tn.SetPolicy(p, nil)
+	tn := withLinks(NewTCPNet(TCPNetConfig{SlowEvery: 0}), 5, everyLink(faultnet.Rule{Loss: 1}))
 	box := tn.Register(1)
 	for i := 0; i < 10; i++ {
 		sendEnvelope(tn, testItemEnvelope(i, 1))
@@ -164,45 +166,197 @@ func TestTCPNetPolicyLossDrops(t *testing.T) {
 	waitGoroutinesBelow(t, base+2)
 }
 
-// TestLinkFaultsBytesPerLink bounds what a directed link costs for the rest
-// of a fleet's life once a lossy or jittery policy has drawn on it: the map
-// is never evicted and n nodes can touch n·(n−1) links, so a link holds its
-// stream by value (8 bytes plus its map slot), not a 4.9 KB math/rand state.
-// The draws themselves stay per link and in order: loss, then jitter.
-func TestLinkFaultsBytesPerLink(t *testing.T) {
-	const nodes, maxBytesPerLink = 100, 64
-	rule := faultnet.Rule{Loss: 0.25, Jitter: time.Millisecond}
-	f := &linkFaults{seed: 9}
-	f.SetPolicy(faultnet.New().SetRule(faultnet.ClassDefault, faultnet.ClassDefault, rule), nil)
-	before := collectedHeap()
-	for from := news.NodeID(0); from < nodes; from++ {
-		for to := news.NodeID(0); to < nodes; to++ {
-			f.decide(from, to, 100)
+// gridFrames builds, for each directed link among nodes, one envelope of
+// every gossip kind and one BEEP envelope for each of items distinct items.
+func gridFrames(nodes, items int) []envelope {
+	var envs []envelope
+	for from := news.NodeID(0); from < news.NodeID(nodes); from++ {
+		for to := news.NodeID(0); to < news.NodeID(nodes); to++ {
+			for k := wireRPSRequest; k <= wireRefillReply; k++ {
+				if k != wireItem {
+					envs = append(envs, envelope{Kind: k, From: from, To: to})
+					continue
+				}
+				for i := 0; i < items; i++ {
+					env := handoffEnvelope(i)
+					env.From, env.To = from, to
+					envs = append(envs, env)
+				}
+			}
 		}
 	}
-	perLink := float64(collectedHeap()-before) / float64(len(f.links))
-	if len(f.links) != nodes*nodes {
-		t.Fatalf("%d link streams, want %d", len(f.links), nodes*nodes)
-	}
-	t.Logf("%.1f bytes retained per link over %d links", perLink, len(f.links))
-	if perLink > maxBytesPerLink {
-		t.Fatalf("%.1f bytes retained per link, want <= %d", perLink, maxBytesPerLink)
-	}
+	return envs
+}
 
-	// Link 3→4 again, against its stream replayed by hand.
-	twin := prng.Source(faultnet.LinkSeed(9, 3, 4))
-	for i := 0; i < 50; i++ {
-		wantDrop := twin.Float64() < rule.Loss
-		var wantDelay time.Duration
-		if !wantDrop {
-			wantDelay = rule.Delay(100, twin.Float64())
+// TestLinkDecisionIsTheSimulatorsDraw holds the live drop decision to the
+// simulator's call (Engine.linkDropped): Policy.Drop(seed, from, to, cycle,
+// kind+1, item), with the item id of a BEEP frame and 0 for gossip, over a
+// grid of links, cycles, message kinds and items, under a policy with two
+// link classes, a loss on each and a partition for part of the run.
+func TestLinkDecisionIsTheSimulatorsDraw(t *testing.T) {
+	const seed, nodes = 31, 8
+	ids := make([]news.NodeID, nodes)
+	for i := range ids {
+		ids[i] = news.NodeID(i)
+	}
+	p := faultnet.Stragglers(ids, 0.4, seed, faultnet.Rule{Loss: 0.6, Jitter: time.Millisecond})
+	p.SetRule(faultnet.ClassDefault, faultnet.ClassDefault, faultnet.Rule{Loss: 0.2})
+	p.AddPartition(faultnet.Partition{Groups: map[news.NodeID]int{0: 0, 1: 1, 2: 0, 3: 1}, Start: 3, Heal: 5})
+	var cycle int64
+	f := linkFaults{}
+	f.bind(seed, func() int64 { return cycle }, p)
+	drops, kept := 0, 0
+	for _, env := range gridFrames(nodes, 4) {
+		payload := appendEnvelope(nil, env)
+		var item uint64
+		if env.Kind == wireItem {
+			item = uint64(env.Item.Item.ID)
 		}
-		if i == 0 {
-			continue // drawn in the sweep above
-		}
-		if drop, delay := f.decide(3, 4, 100); drop != wantDrop || delay != wantDelay {
-			t.Fatalf("draw %d on link 3→4: drop %v delay %v, want %v %v", i, drop, delay, wantDrop, wantDelay)
+		for cycle = 0; cycle < 7; cycle++ {
+			want := p.Drop(seed, env.From, env.To, cycle, uint64(env.kind())+1, item)
+			if got, _ := f.decide(env.From, env.To, payload); got != want {
+				t.Fatalf("%v frame %d→%d, item %x, cycle %d: dropped %v, the simulator's draw says %v",
+					env.kind(), env.From, env.To, item, cycle, got, want)
+			}
+			if want {
+				drops++
+			} else {
+				kept++
+			}
 		}
 	}
-	runtime.KeepAlive(f)
+	if drops == 0 || kept == 0 {
+		t.Fatalf("%d drops and %d kept frames: the grid does not exercise both outcomes", drops, kept)
+	}
+}
+
+// TestLinkDecisionAllocatesNothing: the link evaluator holds no state per
+// link, so a decision on a lossy, jittery link allocates nothing and a
+// fleet's worth of links retains no byte a link.
+func TestLinkDecisionAllocatesNothing(t *testing.T) {
+	const nodes = 100
+	f := linkFaults{}
+	f.bind(9, nil, everyLink(faultnet.Rule{Loss: 0.25, Jitter: time.Millisecond}))
+	payload := appendEnvelope(nil, handoffEnvelope(7))
+	sweep := func() {
+		for from := news.NodeID(0); from < nodes; from++ {
+			for to := news.NodeID(0); to < nodes; to++ {
+				f.decide(from, to, payload)
+			}
+		}
+	}
+	before := collectedHeap()
+	if allocs := testing.AllocsPerRun(1, sweep); allocs != 0 {
+		t.Fatalf("%v allocations per sweep of %d links, want 0", allocs, nodes*nodes)
+	}
+	retained := collectedHeap() - before
+	t.Logf("%d bytes retained over %d links", retained, nodes*nodes)
+	if perLink := retained / (nodes * nodes); perLink > 0 {
+		t.Fatalf("%d bytes retained per link, want 0", perLink)
+	}
+	runtime.KeepAlive(&f)
+}
+
+// sendFrames sends n item frames with distinct keys — frame i carries its
+// own item, from node 10+i%16 to node i%4 — dealt round-robin to the given
+// number of sending goroutines, closes the transport and reports which
+// frames arrived.
+func sendFrames(net Network, n, senders int) []bool {
+	boxes := make([]*inbox, 4)
+	for i := range boxes {
+		boxes[i] = net.Register(news.NodeID(i))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < senders; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; i < n; i += senders {
+				env := handoffEnvelope(i)
+				env.From, env.To = news.NodeID(10+i%16), news.NodeID(i%4)
+				sendEnvelope(net, env)
+			}
+		}(g)
+	}
+	wg.Wait()
+	net.Close()
+	arrived := make([]bool, n)
+	for _, box := range boxes {
+		for buf, _ := box.take(); buf != nil; buf, _ = box.take() {
+			var env envelope
+			if decodePayload(&env, *buf, nil, nil) == nil {
+				arrived[env.Item.Hops] = true
+			}
+			putBuf(buf)
+		}
+	}
+	return arrived
+}
+
+// TestLinkLossConformance: at 2 % loss, whether it is ChannelNet's own or a
+// Config.Links rule's, each transport drops 2 % ± 3σ of N frames with
+// distinct keys, and under one seed all of them drop the same frames.
+func TestLinkLossConformance(t *testing.T) {
+	const n, loss = 10000, 0.02
+	links := everyLink(faultnet.Rule{Loss: loss})
+	var first []bool
+	for name, mk := range map[string]func() Network{
+		"ChannelNet":       func() Network { return withLinks(NewChannelNet(0, loss, 0), 11, nil) },
+		"ChannelNet/Links": func() Network { return withLinks(NewChannelNet(0, 0, 0), 11, links) },
+		"TCPNet/Links": func() Network {
+			return withLinks(NewTCPNet(TCPNetConfig{QueueCap: n, MaxPendingBytes: 64 << 20}), 11, links)
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			arrived := sendFrames(mk(), n, 1)
+			if first == nil {
+				first = arrived
+			}
+			dropped := 0
+			for i, ok := range arrived {
+				if ok != first[i] {
+					t.Fatalf("frame %d: arrived %v here, %v on another transport", i, ok, first[i])
+				}
+				if !ok {
+					dropped++
+				}
+			}
+			want, sigma := n*loss, math.Sqrt(n*loss*(1-loss))
+			t.Logf("%d of %d frames dropped, want %.0f ± %.0f", dropped, n, want, 3*sigma)
+			if math.Abs(float64(dropped)-want) > 3*sigma {
+				t.Fatalf("%d of %d frames dropped, want %.0f ± %.0f", dropped, n, want, 3*sigma)
+			}
+		})
+	}
+}
+
+// TestLinkDropsIndependentOfInterleaving: one frame set, sent from one
+// goroutine and from eight, drops the identical frames on either transport.
+// The draw is keyed by the frame, not by the order senders reach the
+// transport in.
+func TestLinkDropsIndependentOfInterleaving(t *testing.T) {
+	const n = 3000
+	links := everyLink(faultnet.Rule{Loss: 0.3})
+	for name, mk := range map[string]func() Network{
+		"ChannelNet": func() Network { return withLinks(NewChannelNet(0, 0.3, 0), 13, nil) },
+		"TCPNet/Links": func() Network {
+			return withLinks(NewTCPNet(TCPNetConfig{QueueCap: n, MaxPendingBytes: 64 << 20}), 13, links)
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			serial, parallel := sendFrames(mk(), n, 1), sendFrames(mk(), n, 8)
+			dropped := 0
+			for i := range serial {
+				if serial[i] != parallel[i] {
+					t.Fatalf("frame %d: arrived %v from one sender, %v from eight", i, serial[i], parallel[i])
+				}
+				if !serial[i] {
+					dropped++
+				}
+			}
+			if dropped == 0 || dropped == n {
+				t.Fatalf("%d of %d frames dropped: nothing to compare", dropped, n)
+			}
+		})
+	}
 }

@@ -24,12 +24,6 @@ func handoffEnvelope(i int) envelope {
 	return envelope{Kind: wireItem, From: 0, To: 1, Item: core.ItemMessage{Item: it, Profile: p, Hops: i}}
 }
 
-// faultyNet is a transport that takes a per-link policy, as both do.
-type faultyNet interface {
-	Network
-	SetPolicy(p *faultnet.Policy, clock func() int64)
-}
-
 // TestSendHandsOffPayload pins the ownership contract of Network.Send: once
 // Send is called, the payload buffer is the transport's. One goroutine sends
 // many distinct item payloads back to back, each encoded into a buffer from
@@ -45,11 +39,7 @@ func TestSendHandsOffPayload(t *testing.T) {
 		"ChannelNet":         func() Network { return NewChannelNet(1, 0, 0) },
 		"ChannelNet/delayed": func() Network { return NewChannelNet(1, 0, time.Millisecond) },
 		"TCPNet":             func() Network { return NewTCPNet(TCPNetConfig{QueueCap: n}) },
-		"TCPNet/delayed": func() Network {
-			tn := NewTCPNet(TCPNetConfig{QueueCap: n})
-			tn.SetPolicy(delay, nil)
-			return tn
-		},
+		"TCPNet/delayed":     func() Network { return withLinks(NewTCPNet(TCPNetConfig{QueueCap: n}), 1, delay) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			net := mk()
@@ -78,20 +68,20 @@ func TestSendHandsOffPayload(t *testing.T) {
 	}
 
 	cut := faultnet.KWayPartition([]news.NodeID{0, 1}, 2, 0, 0)
-	for name, mk := range map[string]func() faultyNet{
-		"ChannelNet": func() faultyNet { return NewChannelNet(1, 0, 0) },
-		"TCPNet":     func() faultyNet { return NewTCPNet(TCPNetConfig{QueueCap: channelInboxFrames}) },
+	for name, mk := range map[string]func() Network{
+		"ChannelNet": func() Network { return NewChannelNet(1, 0, 0) },
+		"TCPNet":     func() Network { return NewTCPNet(TCPNetConfig{QueueCap: channelInboxFrames}) },
 	} {
 		for _, c := range []struct {
 			name        string
 			to          news.NodeID
 			sends, want int
-			setup       func(faultyNet)
+			setup       func(Network)
 		}{
-			{"closed net", 1, 8, 0, func(n faultyNet) { n.Close() }},
+			{"closed net", 1, 8, 0, func(n Network) { n.Close() }},
 			{"unknown destination", 99, 8, 0, nil},
 			{"full inbox", 1, channelInboxFrames + 8, channelInboxFrames, nil},
-			{"policy cut", 1, 8, 0, func(n faultyNet) { n.SetPolicy(cut, nil) }},
+			{"policy cut", 1, 8, 0, func(n Network) { withLinks(n, 1, cut) }},
 		} {
 			t.Run(name+"/drops/"+c.name, func(t *testing.T) {
 				net := mk()

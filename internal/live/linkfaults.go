@@ -1,74 +1,88 @@
 package live
 
 import (
-	"sync"
 	"time"
 
+	"whatsup/internal/core"
 	"whatsup/internal/faultnet"
 	"whatsup/internal/news"
-	"whatsup/internal/prng"
 )
 
-// linkFaults is the per-link fault evaluator both live transports embed: the
-// installed faultnet.Policy, the fleet clock its partition schedules run on,
-// and one deterministic RNG stream per directed link for loss and jitter
-// draws (faultnet.LinkSeed), so two runs over the same seed see the same
-// per-link streams regardless of fleet size. A stream is held by value,
-// eight bytes a link: the map is never evicted and a fleet of n nodes can
-// touch n·(n−1) links. It owns the embedding transport's lock: policy state
-// is read on every Send, under the same hold as the transport's delivery
-// tables.
+// linkFaults is the link evaluator both live transports embed. A frame is
+// dropped by the simulator's own call (Engine.linkDropped): a faultnet.Draw
+// keyed by the run seed, the directed link, the fleet cycle and the message
+// (frameKey) falls below the link's loss. The decision reads only state
+// fixed before the first Send and the fleet clock, an atomic load: it takes
+// no lock, holds nothing per link, and drops the same frames in any send
+// interleaving.
 type linkFaults struct {
-	mu     sync.Mutex
-	seed   int64
-	policy *faultnet.Policy
-	clock  func() int64 // fleet cycle, for partition schedules
-	links  map[uint64]prng.Source
+	base   faultnet.Rule    // the transport's own conditions, under every link's rule
+	seed   int64            // Config.Seed
+	clock  func() int64     // Runner.Cycle; nil reads cycle 0
+	policy *faultnet.Policy // Config.Links; nil leaves every link at base
 }
 
-// SetPolicy overlays per-link network conditions on top of whatever uniform
-// conditions the transport was built with: rules and scheduled partitions
-// are evaluated per directed link on every Send. clock supplies the fleet
-// cycle for partition schedules (wire it to Runner.Cycle; nil pins the clock
-// at 0, so a partition starting at cycle 0 with no heal is permanent). It
-// runs under the transport's lock, so it must not call back into the
-// transport — an atomic load is fine. Call before the first Send; the
-// policy must not be mutated afterwards.
-func (f *linkFaults) SetPolicy(p *faultnet.Policy, clock func() int64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.policy = p
-	f.clock = clock
-	f.links = make(map[uint64]prng.Source)
+// bind fixes the run's seed, fleet clock and link policy. NewRunner calls it
+// once, before any node sends; nothing writes them after.
+func (f *linkFaults) bind(seed int64, clock func() int64, policy *faultnet.Policy) {
+	f.seed, f.clock, f.policy = seed, clock, policy
 }
 
-// decide evaluates the installed policy for one frame on the directed link:
-// a cut or lost link drops it, otherwise delay is the link's base latency,
-// jitter and bandwidth-cap serialization time. Callers hold mu and have
-// checked that a policy is installed — the nil-policy Send path stays one
-// pointer comparison.
-func (f *linkFaults) decide(from, to news.NodeID, frameLen int) (drop bool, delay time.Duration) {
+// jitterSalt sets a frame's jitter draw apart from its loss draw: it lies
+// above every message kind's salt.
+const jitterSalt = 1 << 32
+
+// decide returns whether the frame payload on the directed link is dropped
+// and, if it is not, its delay: the link's base latency, jitter and
+// bandwidth-cap serialization time. Without base loss or a policy it is one
+// branch, with no header peek and no clock read.
+func (f *linkFaults) decide(from, to news.NodeID, payload []byte) (drop bool, delay time.Duration) {
+	if f.policy == nil && f.base.Loss == 0 {
+		return false, f.base.Base
+	}
 	var cycle int64
 	if f.clock != nil {
 		cycle = f.clock()
 	}
-	ls := f.policy.Link(from, to, cycle)
-	if ls.Cut {
-		return true, 0
+	rule := f.base
+	if f.policy != nil {
+		ls := f.policy.Link(from, to, cycle)
+		if ls.Cut {
+			return true, 0
+		}
+		// A transport's base is a loss and a latency. Losses compose as
+		// independent events, latencies add, and jitter and the bandwidth
+		// cap are the link's. Either loss alone passes through exactly, so
+		// a policy over a lossless transport drops what Policy.Drop drops.
+		rule.Loss += ls.Loss - rule.Loss*ls.Loss
+		rule.Base += ls.Base
+		rule.Jitter, rule.BandwidthBPS = ls.Jitter, ls.BandwidthBPS
 	}
-	if ls.Loss == 0 && ls.Jitter == 0 {
-		return false, ls.Delay(frameLen, 0)
+	var u float64
+	if rule.Loss > 0 || rule.Jitter > 0 {
+		salt, item := frameKey(payload)
+		if faultnet.Draw(f.seed, from, to, cycle, salt, item) < rule.Loss {
+			return true, 0
+		}
+		if rule.Jitter > 0 {
+			u = faultnet.Draw(f.seed, from, to, cycle, salt+jitterSalt, item)
+		}
 	}
-	k := uint64(uint32(from))<<32 | uint64(uint32(to))
-	lr, ok := f.links[k]
-	if !ok {
-		lr = prng.Source(faultnet.LinkSeed(f.seed, from, to))
+	return false, rule.Delay(frameLen(len(payload)), u)
+}
+
+// frameKey is the part of a frame's draw key the simulator takes from the
+// message: the salt is its metrics.MessageKind plus one, and extra is a BEEP
+// frame's item id, 0 for gossip. A frame whose header does not parse keys as
+// (0, 0); no node decodes it anyway.
+func frameKey(payload []byte) (salt, extra uint64) {
+	kind, _, _, body, err := envelopeHeader(payload)
+	if err != nil {
+		return 0, 0
 	}
-	// Draw order per link: loss, then jitter.
-	drop = ls.Loss > 0 && lr.Float64() < ls.Loss
-	if !drop {
-		delay = ls.Delay(frameLen, lr.Float64())
+	if kind == wireItem {
+		id, _ := core.PeekItemID(body) // 0 for a body that does not parse
+		extra = uint64(id)
 	}
-	f.links[k] = lr
-	return drop, delay
+	return uint64(kind.messageKind()) + 1, extra
 }

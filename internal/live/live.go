@@ -103,26 +103,22 @@ type envelope struct {
 	Item  core.ItemMessage     // BEEP payload
 }
 
-func (e envelope) kind() metrics.MessageKind {
-	switch e.Kind {
-	case wireRPSRequest:
-		return metrics.MsgRPSRequest
-	case wireRPSReply:
-		return metrics.MsgRPSReply
-	case wireWUPRequest:
-		return metrics.MsgWUPRequest
-	case wireWUPReply:
-		return metrics.MsgWUPReply
-	case wireDeparture:
-		return metrics.MsgDeparture
-	case wireRefillRequest:
-		return metrics.MsgRefillRequest
-	case wireRefillReply:
-		return metrics.MsgRefillReply
-	default:
-		return metrics.MsgBeep
-	}
+// messageKinds maps each wire kind to the collector's kind of its frames,
+// which is also the kind a frame's link draw is keyed by.
+var messageKinds = [...]metrics.MessageKind{
+	wireRPSRequest:    metrics.MsgRPSRequest,
+	wireRPSReply:      metrics.MsgRPSReply,
+	wireWUPRequest:    metrics.MsgWUPRequest,
+	wireWUPReply:      metrics.MsgWUPReply,
+	wireItem:          metrics.MsgBeep,
+	wireDeparture:     metrics.MsgDeparture,
+	wireRefillRequest: metrics.MsgRefillRequest,
+	wireRefillReply:   metrics.MsgRefillReply,
 }
+
+func (k wireKind) messageKind() metrics.MessageKind { return messageKinds[k] }
+
+func (e envelope) kind() metrics.MessageKind { return e.Kind.messageKind() }
 
 // Network is a transport for live runs. What it moves is frames as bytes;
 // it never hands a node a decoded envelope.
@@ -151,6 +147,9 @@ type Network interface {
 	Disconnect(id news.NodeID, graceful bool)
 	// Close tears the transport down.
 	Close()
+	// bind fixes what the transport's link draws are keyed by (linkFaults).
+	// Being unexported, it keeps Network to this package's transports.
+	bind(seed int64, clock func() int64, policy *faultnet.Policy)
 }
 
 // Config parameterizes a live run.
@@ -200,10 +199,11 @@ type Config struct {
 	// nothing. Zero disables retention — the historical behaviour, and the
 	// right setting for measurement runs that never read feeds.
 	FeedCapacity int
-	// Links is the per-link fault policy installed on the transport (via its
-	// SetPolicy, keyed to Runner.Cycle). The runner itself only reads it to
-	// annotate Timeline samples with the active partition count; injection
-	// happens inside the transport.
+	// Links is the per-link fault policy. NewRunner binds it on the
+	// transport with Seed and the fleet clock (Runner.Cycle), and every frame
+	// is dropped or delayed by the simulator's keyed draw (linkFaults); the
+	// runner reads it again only to count active partitions in Timeline
+	// samples. Nil leaves every link at the transport's own conditions.
 	Links *faultnet.Policy
 }
 
@@ -395,6 +395,7 @@ func NewRunner(cfg Config, ds *dataset.Dataset, net Network) *Runner {
 		col:  metrics.NewCollector(),
 		mem:  sim.NewMembership[*liveNode](cfg.Seed, core.DefaultBootstrapDegree, cfg.DepartureNotices, cfg.Churn, ds.Users),
 	}
+	net.bind(cfg.Seed, r.Cycle, cfg.Links)
 	// The workload is declared to the collector exactly as the simulator
 	// declares it: items, base nodes, scheduled joiners and cohorts.
 	w := sim.DatasetWorld(ds)
@@ -548,8 +549,8 @@ loop:
 }
 
 // Cycle returns the fleet's current gossip cycle (an atomic load). It is the
-// clock to hand a transport's SetPolicy so scheduled partitions start and
-// heal on fleet cycles rather than wall-clock time.
+// clock of every link draw, so scheduled partitions start and heal on fleet
+// cycles rather than wall-clock time.
 func (r *Runner) Cycle() int64 { return r.cycle.Load() }
 
 // Timeline returns the per-cycle fleet health samples recorded so far when

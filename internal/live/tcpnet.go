@@ -29,7 +29,8 @@ import (
 // load) leave in a single framed Write. Encode and batch buffers are
 // recycled through a sync.Pool.
 type TCPNet struct {
-	linkFaults // SetPolicy, and the lock guarding everything below
+	linkFaults
+	mu         sync.Mutex // guards everything below
 	addrs      map[news.NodeID]string
 	boxes      map[news.NodeID]*inbox
 	listeners  map[news.NodeID]net.Listener
@@ -86,10 +87,6 @@ type TCPNetConfig struct {
 	// single frame larger than the bound is still accepted on an empty
 	// buffer so oversized envelopes cannot wedge a connection.
 	MaxPendingBytes int
-	// Seed keys the per-link RNG streams a SetPolicy overlay draws loss and
-	// jitter from (faultnet.LinkSeed), so two runs with the same seed inject
-	// the same per-link fault decisions even over real sockets.
-	Seed int64
 }
 
 // NewTCPNet builds a loopback TCP network.
@@ -107,7 +104,6 @@ func NewTCPNet(cfg TCPNetConfig) *TCPNet {
 		cfg.MaxPendingBytes = 1 << 20
 	}
 	return &TCPNet{
-		linkFaults: linkFaults{seed: cfg.Seed},
 		addrs:      make(map[news.NodeID]string),
 		boxes:      make(map[news.NodeID]*inbox),
 		listeners:  make(map[news.NodeID]net.Listener),
@@ -299,26 +295,19 @@ func (t *TCPNet) linger(ln net.Listener, sc *outConn, inConns map[net.Conn]struc
 // Send implements Network: append the payload's frame to the destination's
 // persistent connection, wake its writer and return the payload buffer to
 // the pool. Send never blocks on the network; a dead or unknown destination
-// drops the payload. A SetPolicy overlay is applied here, at the writer
-// boundary: cut or lost links drop the payload outright, and link latency
-// (base + jitter + bandwidth-cap serialization) defers the enqueue by a real
-// sleep on a tracked goroutine, which holds the payload buffer meanwhile, so
-// Close never abandons a delayed frame mid-flight.
+// drops the payload. The link evaluator (Config.Links; TCPNet has no loss of
+// its own) decides at the writer boundary: a cut or lost link drops the
+// payload outright, and link latency (base + jitter + bandwidth-cap
+// serialization) defers the enqueue by a real sleep on a tracked goroutine,
+// which holds the payload buffer meanwhile, so Close never abandons a
+// delayed frame mid-flight.
 func (t *TCPNet) Send(from, to news.NodeID, payload *[]byte) {
+	drop, delay := t.decide(from, to, *payload)
 	t.mu.Lock()
-	if t.closed {
+	if drop || t.closed {
 		t.mu.Unlock()
 		putBuf(payload)
 		return
-	}
-	var delay time.Duration
-	if t.policy != nil {
-		var drop bool
-		if drop, delay = t.decide(from, to, frameLen(len(*payload))); drop {
-			t.mu.Unlock()
-			putBuf(payload)
-			return
-		}
 	}
 	addr, ok := t.addrs[to]
 	sc := t.conns[addr] // steady state: one global lock hold per send

@@ -24,9 +24,8 @@ func Mix(z uint64) uint64 {
 	return z
 }
 
-// Source is a splitmix64 stream, held by value where a *rand.Rand per owner
-// would be the larger part of the owner (one per directed link). It
-// implements rand.Source64.
+// Source is a splitmix64 stream, eight bytes held by value. It implements
+// rand.Source64.
 type Source uint64
 
 // Uint64 advances the stream one step.
@@ -40,9 +39,6 @@ func (s *Source) Int63() int64 { return int64(s.Uint64() >> 1) }
 
 // Seed implements rand.Source.
 func (s *Source) Seed(seed int64) { *s = Source(seed) }
-
-// Float64 returns a uniform draw in [0, 1) from the top 53 bits of one step.
-func (s *Source) Float64() float64 { return float64(s.Uint64()>>11) / (1 << 53) }
 
 // New returns a *rand.Rand over a fresh stream, so every signature that
 // takes a *rand.Rand is unchanged by which generator is behind it.

@@ -191,7 +191,8 @@ func NewLiveRunner(cfg LiveRunnerConfig, ds *Dataset, network Network) *LiveRunn
 	return live.NewRunner(cfg, ds, network)
 }
 
-// NewChannelNet builds the in-memory lossy transport (ModelNet-style).
+// NewChannelNet builds the in-memory lossy transport (ModelNet-style). The
+// seed is unused: the runner's seed keys every loss draw.
 func NewChannelNet(seed int64, lossRate float64, latency time.Duration) Network {
 	return live.NewChannelNet(seed, lossRate, latency)
 }
