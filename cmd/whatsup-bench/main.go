@@ -168,12 +168,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *skipLive {
 			return stringer("Live transport run: skipped (-skip-live)")
 		}
+		// The channel transport emulates 2 % uniform loss; the TCP
+		// stand-in takes none (its only loss is its bounded queues).
+		loss := 0.0
+		if *transport == "channel" {
+			loss = 0.02
+		}
 		r, err := experiments.LiveRun(o, experiments.LiveRunConfig{
 			ChurnOptions: experiments.ChurnOptions{
 				ChurnRate: *liveChurn, FlashCrowd: *liveFlash, ChurnProtocolOptions: churnProto,
 			},
 			Transport: *transport,
-			Loss:      0.02,
+			Loss:      loss,
 		})
 		if err != nil {
 			liveErr = err

@@ -43,6 +43,19 @@ func TestRunLiveTransportScenario(t *testing.T) {
 	}
 }
 
+// TestRunLiveTCPScenario: the live scenario runs on the TCP transport too,
+// which takes no uniform loss.
+func TestRunLiveTCPScenario(t *testing.T) {
+	var out, errOut strings.Builder
+	code := run([]string{"-run", "live", "-transport", "tcp", "-scale", "0.1"}, &out, &errOut)
+	if code != 0 {
+		t.Fatalf("exit=%d stderr=%q", code, errOut.String())
+	}
+	if got := out.String(); !strings.Contains(got, "Live transport run: tcp") {
+		t.Fatalf("expected the tcp run in output:\n%s", got)
+	}
+}
+
 func TestRunLiveChurnScenario(t *testing.T) {
 	var out, errOut strings.Builder
 	code := run([]string{"-run", "live", "-transport", "channel", "-scale", "0.1",

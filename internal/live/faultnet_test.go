@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"whatsup/internal/core"
-	"whatsup/internal/dataset"
 	"whatsup/internal/faultnet"
 	"whatsup/internal/news"
 )
@@ -111,14 +110,6 @@ func TestLivePartitionHealTCPNet(t *testing.T) {
 	runLivePartition(t, func() Network { return NewTCPNet(TCPNetConfig{SlowEvery: 0}) })
 }
 
-// withLinks binds a link policy on a transport the way a run does, through
-// NewRunner's Config.Seed and Config.Links, here for a fleet of no nodes:
-// the test then sends frames through the transport itself.
-func withLinks[N Network](net N, seed int64, links *faultnet.Policy) N {
-	NewRunner(Config{Seed: seed, Links: links}, dataset.Blank(0, 0), net)
-	return net
-}
-
 // everyLink is a policy whose one rule governs every link.
 func everyLink(r faultnet.Rule) *faultnet.Policy {
 	return faultnet.New().SetRule(faultnet.ClassDefault, faultnet.ClassDefault, r)
@@ -130,8 +121,8 @@ func everyLink(r faultnet.Rule) *faultnet.Policy {
 func TestTCPNetDelayedSendDelivers(t *testing.T) {
 	base := runtime.NumGoroutine()
 	const n = 20
-	tn := withLinks(NewTCPNet(TCPNetConfig{SlowEvery: 0}), 3,
-		everyLink(faultnet.Rule{Base: 3 * time.Millisecond, Jitter: 2 * time.Millisecond}))
+	tn := NewTCPNet(TCPNetConfig{SlowEvery: 0})
+	tn.bind(3, nil, everyLink(faultnet.Rule{Base: 3 * time.Millisecond, Jitter: 2 * time.Millisecond}))
 	box := tn.Register(1)
 	for i := 0; i < n; i++ {
 		sendEnvelope(tn, testItemEnvelope(i, 1))
@@ -153,7 +144,8 @@ func TestTCPNetDelayedSendDelivers(t *testing.T) {
 // suppresses every envelope without queueing or leaking anything.
 func TestTCPNetPolicyLossDrops(t *testing.T) {
 	base := runtime.NumGoroutine()
-	tn := withLinks(NewTCPNet(TCPNetConfig{SlowEvery: 0}), 5, everyLink(faultnet.Rule{Loss: 1}))
+	tn := NewTCPNet(TCPNetConfig{SlowEvery: 0})
+	tn.bind(5, nil, everyLink(faultnet.Rule{Loss: 1}))
 	box := tn.Register(1)
 	for i := 0; i < 10; i++ {
 		sendEnvelope(tn, testItemEnvelope(i, 1))
@@ -301,10 +293,12 @@ func TestLinkLossConformance(t *testing.T) {
 	links := everyLink(faultnet.Rule{Loss: loss})
 	var first []bool
 	for name, mk := range map[string]func() Network{
-		"ChannelNet":       func() Network { return withLinks(NewChannelNet(0, loss, 0), 11, nil) },
-		"ChannelNet/Links": func() Network { return withLinks(NewChannelNet(0, 0, 0), 11, links) },
+		"ChannelNet":       func() Network { net := NewChannelNet(0, loss, 0); net.bind(11, nil, nil); return net },
+		"ChannelNet/Links": func() Network { net := NewChannelNet(0, 0, 0); net.bind(11, nil, links); return net },
 		"TCPNet/Links": func() Network {
-			return withLinks(NewTCPNet(TCPNetConfig{QueueCap: n, MaxPendingBytes: 64 << 20}), 11, links)
+			net := NewTCPNet(TCPNetConfig{QueueCap: n, MaxPendingBytes: 64 << 20})
+			net.bind(11, nil, links)
+			return net
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -338,9 +332,11 @@ func TestLinkDropsIndependentOfInterleaving(t *testing.T) {
 	const n = 3000
 	links := everyLink(faultnet.Rule{Loss: 0.3})
 	for name, mk := range map[string]func() Network{
-		"ChannelNet": func() Network { return withLinks(NewChannelNet(0, 0.3, 0), 13, nil) },
+		"ChannelNet": func() Network { net := NewChannelNet(0, 0.3, 0); net.bind(13, nil, nil); return net },
 		"TCPNet/Links": func() Network {
-			return withLinks(NewTCPNet(TCPNetConfig{QueueCap: n, MaxPendingBytes: 64 << 20}), 13, links)
+			net := NewTCPNet(TCPNetConfig{QueueCap: n, MaxPendingBytes: 64 << 20})
+			net.bind(13, nil, links)
+			return net
 		},
 	} {
 		t.Run(name, func(t *testing.T) {

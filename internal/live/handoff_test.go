@@ -39,7 +39,11 @@ func TestSendHandsOffPayload(t *testing.T) {
 		"ChannelNet":         func() Network { return NewChannelNet(1, 0, 0) },
 		"ChannelNet/delayed": func() Network { return NewChannelNet(1, 0, time.Millisecond) },
 		"TCPNet":             func() Network { return NewTCPNet(TCPNetConfig{QueueCap: n}) },
-		"TCPNet/delayed":     func() Network { return withLinks(NewTCPNet(TCPNetConfig{QueueCap: n}), 1, delay) },
+		"TCPNet/delayed": func() Network {
+			net := NewTCPNet(TCPNetConfig{QueueCap: n})
+			net.bind(1, nil, delay)
+			return net
+		},
 	} {
 		t.Run(name, func(t *testing.T) {
 			net := mk()
@@ -81,7 +85,7 @@ func TestSendHandsOffPayload(t *testing.T) {
 			{"closed net", 1, 8, 0, func(n Network) { n.Close() }},
 			{"unknown destination", 99, 8, 0, nil},
 			{"full inbox", 1, channelInboxFrames + 8, channelInboxFrames, nil},
-			{"policy cut", 1, 8, 0, func(n Network) { withLinks(n, 1, cut) }},
+			{"policy cut", 1, 8, 0, func(n Network) { n.bind(1, nil, cut) }},
 		} {
 			t.Run(name+"/drops/"+c.name, func(t *testing.T) {
 				net := mk()
