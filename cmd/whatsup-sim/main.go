@@ -64,6 +64,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	if *churnRate <= 0 && *flashCrowd <= 0 && (*descTTL != 0 || *churnDepart || *churnRefill != 0) {
+		fmt.Fprintln(stderr, "-descriptor-ttl, -churn-departures and -churn-refill configure the churn scenario: they need -churn or -flash-crowd")
+		return 2
+	}
 	algorithms := map[string]experiments.Algorithm{
 		"whatsup":     experiments.WhatsUp,
 		"whatsup-cos": experiments.WhatsUpCos,

@@ -49,9 +49,18 @@ func TestRunRejectsUnknownDataset(t *testing.T) {
 }
 
 func TestRunRejectsBadFlags(t *testing.T) {
-	var out, errOut strings.Builder
-	if code := run([]string{"-no-such-flag"}, &out, &errOut); code != 2 {
-		t.Fatalf("exit=%d want 2", code)
+	for _, args := range [][]string{
+		{"-no-such-flag"},
+		// The churn scenario's knobs do nothing on a static run.
+		{"-scale", "0.05", "-descriptor-ttl", "15"},
+		{"-scale", "0.05", "-churn-departures"},
+		{"-scale", "0.05", "-churn-refill", "0.5"},
+		{"-live", "-scale", "0.05", "-descriptor-ttl", "15"},
+	} {
+		var out, errOut strings.Builder
+		if code := run(args, &out, &errOut); code != 2 {
+			t.Errorf("%q: exit=%d want 2", args, code)
+		}
 	}
 }
 

@@ -47,7 +47,7 @@ func main() {
 		Opinions: whatsup.OpinionFunc(func(n whatsup.NodeID, id whatsup.ItemID) bool {
 			return (uint64(n)+uint64(id))%3 != 0
 		}),
-	}, whatsup.BlankDataset(users), whatsup.NewChannelNet(1, 0, 0))
+	}, whatsup.BlankDataset(users), whatsup.NewChannelNet(0, 0))
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})

@@ -57,12 +57,12 @@ func TestBaselineFingerprintsPinned(t *testing.T) {
 		CrashRate: 0.02, LeaveRate: 0.005, Downtime: 4, DowntimeJitter: 3,
 	})
 	want := map[string]string{
-		"Gossip/static": "9e8426457e85dffaaf244821d8cd7bab9b657925760603b41cbcc21fb01f4e8c",
-		"Gossip/churn":  "402c9fbc015f7bf11a5cd8068ab801f611d839307d88c12fbd04dfa660ed5712",
-		"CF-Wup/static": "c88e9553f0f35bdb8d6b273d83096701fcb5ba960070c7110466e51370b53ed3",
-		"CF-Wup/churn":  "778c54b3092663f85f66b0757e44b53d90800f6a5a59975a43863345f08b191c",
-		"CF-Cos/static": "e02fe69d9816913acb8f9b936564eaf7a765037a4051dce6a6aed07dab336e04",
-		"CF-Cos/churn":  "43867729350250542ee4c3b24229e65bb5a08656ecdc329d541de85505665d0f",
+		"Gossip/static": "cd446ecc21d936bd6fa25688db511e34a4df4b0caea6bb395b165c87f5ab4a24",
+		"Gossip/churn":  "458fa86b9aa064dae4afdd9c019200a7a3692cf8c716bf48ebc498196b31a6a6",
+		"CF-Wup/static": "de9ba9f2865f13ed577d354e90526b0817527109ea08117f80f6bca5a294b07e",
+		"CF-Wup/churn":  "7893dddf15be28b423a847ff1cf608934d55c99b7ac05669d4c9d7134ee23627",
+		"CF-Cos/static": "dd077f37d1812611bc77fbcb5a06cfef40322f0e487e9736c711215e2957d04f",
+		"CF-Cos/churn":  "42b88e85ac2cb4030cb50507a2a4c56ba66932a7f18c7f8a78ad522ea90b710c",
 	}
 	for _, alg := range []string{"Gossip", "CF-Wup", "CF-Cos"} {
 		for _, world := range []string{"static", "churn"} {

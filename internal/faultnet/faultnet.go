@@ -2,12 +2,12 @@
 // by both runtimes: a Policy assigns every directed link a latency
 // distribution, a loss rate, a bandwidth cap and (optionally) a partition
 // membership with a scheduled heal time. Both runtimes decide a message's
-// fate on a policy's link with one stateless draw (Draw, Policy.Drop) keyed
-// by the run seed, the directed link, the cycle and the message: the
-// simulator (internal/sim), where it preserves the worker-count determinism
-// contract, and the live transports (internal/live ChannelNet and TCPNet),
-// where a frame's fate does not depend on how senders interleave and its
-// delay is a real wall-clock wait.
+// fate here alone: Policy.Compose puts a runtime's own conditions under the
+// link's rule, and LinkState.Drops draws once, statelessly (Draw), keyed by
+// the run seed, the directed link, the cycle and the message. The simulator
+// (internal/sim) keeps its worker-count determinism contract by it, and on
+// the live transports (ChannelNet, TCPNet) a frame's fate does not depend on
+// how senders interleave; its delay is a real wall-clock wait.
 //
 // Policies are built once, before a run, and are read-only afterwards: every
 // accessor is safe for concurrent use as long as no Set/Add method runs
@@ -130,14 +130,31 @@ func (p *Policy) AddPartition(pt Partition) *Policy {
 	return p
 }
 
-// Link returns the merged condition of the directed link at the cycle.
+// Link returns the merged condition of the directed link at the cycle:
+// Compose with a zero base.
 func (p *Policy) Link(from, to news.NodeID, cycle int64) LinkState {
-	var ls LinkState
-	if len(p.rules) > 0 {
-		if r, ok := p.rules[[2]int{p.classes[from], p.classes[to]}]; ok {
-			ls.Rule = r
-		}
+	return p.Compose(Rule{}, from, to, cycle)
+}
+
+// Drop reports whether the policy alone drops a message on the directed link
+// at the cycle: Compose with a zero base, then LinkState.Drops.
+func (p *Policy) Drop(seed int64, from, to news.NodeID, cycle int64, salt, extra uint64) bool {
+	return p.Compose(Rule{}, from, to, cycle).Drops(seed, from, to, cycle, salt, extra)
+}
+
+// Compose returns the condition of the directed link at the cycle with base,
+// a runtime's own conditions (the simulator's Config.Loss, a ChannelNet's
+// loss and latency), under the link's class rule: losses combine as
+// independent events, latencies add, and the jitter and bandwidth cap are
+// the link's. An active partition cuts the link. A nil policy returns base,
+// and a zero base returns the link's rule, each exactly.
+func (p *Policy) Compose(base Rule, from, to news.NodeID, cycle int64) LinkState {
+	if p == nil {
+		return LinkState{Rule: base}
 	}
+	r := p.rules[[2]int{p.classes[from], p.classes[to]}]
+	r.Loss, r.Base = base.Loss+(r.Loss-base.Loss*r.Loss), base.Base+r.Base
+	ls := LinkState{Rule: r}
 	for i := range p.partitions {
 		if p.partitions[i].cuts(from, to, cycle) {
 			ls.Cut = true
@@ -147,19 +164,15 @@ func (p *Policy) Link(from, to news.NodeID, cycle int64) LinkState {
 	return ls
 }
 
-// Drop reports whether the policy drops a message on the directed link at
-// the cycle: cut links always drop; lossy links drop by a stateless draw
-// (see Draw) keyed off the run seed and the event identity, never a shared
-// RNG, so any worker can evaluate it without perturbing per-peer streams.
-func (p *Policy) Drop(seed int64, from, to news.NodeID, cycle int64, salt, extra uint64) bool {
-	ls := p.Link(from, to, cycle)
+// Drops reports whether the link drops the message keyed by the run seed,
+// the directed link, the cycle and the message (salt, extra; see Draw): a
+// cut link drops every message, and a lossy one drops a message whose Draw
+// falls below its loss. This is the one loss decision of both runtimes.
+func (ls LinkState) Drops(seed int64, from, to news.NodeID, cycle int64, salt, extra uint64) bool {
 	if ls.Cut {
 		return true
 	}
-	if ls.Loss <= 0 {
-		return false
-	}
-	return Draw(seed, from, to, cycle, salt, extra) < ls.Loss
+	return ls.Loss > 0 && Draw(seed, from, to, cycle, salt, extra) < ls.Loss
 }
 
 // ActivePartitions counts the partitions active at the cycle — the

@@ -1,6 +1,7 @@
 package faultnet
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -110,5 +111,46 @@ func TestRuleDelay(t *testing.T) {
 	}
 	if d := (Rule{}).Delay(1<<20, 0.9); d != 0 {
 		t.Fatalf("zero rule Delay = %v, want 0", d)
+	}
+}
+
+// TestComposePutsBaseUnderLink pins the one composition rule both runtimes
+// decide a drop with: a nil policy is the base, a zero base is the link's
+// rule, losses combine as independent events, and a cut link drops all.
+func TestComposePutsBaseUnderLink(t *testing.T) {
+	base := Rule{Loss: 0.2, Base: 3 * time.Millisecond, Jitter: time.Millisecond, BandwidthBPS: 10}
+	var none *Policy
+	if got := none.Compose(base, 1, 2, 5); got != (LinkState{Rule: base}) {
+		t.Fatalf("nil policy composes to %+v, want the base %+v", got, base)
+	}
+
+	link := Rule{Loss: 0.3, Base: 7 * time.Millisecond, Jitter: 2 * time.Millisecond, BandwidthBPS: 1000}
+	p := New().AssignClass(1, ClassStraggler).SetRule(ClassStraggler, ClassDefault, link)
+	if got := p.Compose(Rule{}, 1, 2, 5); got != (LinkState{Rule: link}) {
+		t.Fatalf("zero base composes to %+v, want the link's rule %+v", got, link)
+	}
+	if got := p.Compose(base, 1, 2, 5).Rule; got.Base != 10*time.Millisecond || got.Jitter != link.Jitter || got.BandwidthBPS != link.BandwidthBPS {
+		t.Fatalf("composed rule %+v: want latencies added, jitter and bandwidth the link's", got)
+	}
+
+	const keys = 10000
+	a, b := 0.2, 0.3
+	ls := New().SetRule(ClassDefault, ClassDefault, Rule{Loss: b}).Compose(Rule{Loss: a}, 3, 4, 9)
+	dropped := 0
+	for k := uint64(0); k < keys; k++ {
+		if ls.Drops(11, 3, 4, 9, 1, k) {
+			dropped++
+		}
+	}
+	want := 1 - (1-a)*(1-b)
+	if sigma := math.Sqrt(keys * want * (1 - want)); math.Abs(float64(dropped)-keys*want) > 3*sigma {
+		t.Fatalf("base %g under link %g dropped %d of %d keys, want %g ± 3σ (σ = %.1f)", a, b, dropped, keys, keys*want, sigma)
+	}
+
+	cut := KWayPartition([]news.NodeID{3, 4}, 2, 0, 0).Compose(Rule{}, 3, 4, 9)
+	for k := uint64(0); k < 100; k++ {
+		if !cut.Drops(11, 3, 4, 9, 1, k) {
+			t.Fatalf("a cut link delivered key %d", k)
+		}
 	}
 }

@@ -14,7 +14,7 @@ import (
 // experiment.
 //
 // Its uniform loss and latency are the base rule of its link evaluator
-// (linkFaults), merged with each link's rule of Config.Links: a frame is
+// (linkFaults), under each link's rule of Config.Links: a frame is
 // dropped by the simulator's keyed draw over the run seed, the link, the
 // fleet cycle and the message, never by a shared stream, so which frames
 // drop does not depend on how the senders interleave.

@@ -9,12 +9,12 @@ import (
 )
 
 // linkFaults is the link evaluator both live transports embed. A frame is
-// dropped by the simulator's own call (Engine.linkDropped): a faultnet.Draw
-// keyed by the run seed, the directed link, the fleet cycle and the message
-// (frameKey) falls below the link's loss. The decision reads only state
-// fixed before the first Send and the fleet clock, an atomic load: it takes
-// no lock, holds nothing per link, and drops the same frames in any send
-// interleaving.
+// dropped by the simulator's own decision (Engine.linkDropped): faultnet
+// composes the base under the link's rule and draws once, keyed by the run
+// seed, the directed link, the fleet cycle and the message (frameKey). The
+// decision reads only state fixed before the first Send and the fleet clock,
+// an atomic load: it takes no lock, holds nothing per link, and drops the
+// same frames in any send interleaving.
 type linkFaults struct {
 	base   faultnet.Rule    // the transport's own conditions, under every link's rule
 	seed   int64            // Config.Seed
@@ -33,8 +33,9 @@ func (f *linkFaults) bind(seed int64, clock func() int64, policy *faultnet.Polic
 const jitterSalt = 1 << 32
 
 // decide returns whether the frame payload on the directed link is dropped
-// and, if it is not, its delay: the link's base latency, jitter and
-// bandwidth-cap serialization time. Without base loss or a policy it is one
+// and, if it is not, its delay: the transport's base composed under the
+// link's rule (faultnet.Policy.Compose) decides both, with the simulator's
+// drop (faultnet.LinkState.Drops). Without base loss or a policy it is one
 // branch, with no header peek and no clock read.
 func (f *linkFaults) decide(from, to news.NodeID, payload []byte) (drop bool, delay time.Duration) {
 	if f.policy == nil && f.base.Loss == 0 {
@@ -44,31 +45,16 @@ func (f *linkFaults) decide(from, to news.NodeID, payload []byte) (drop bool, de
 	if f.clock != nil {
 		cycle = f.clock()
 	}
-	rule := f.base
-	if f.policy != nil {
-		ls := f.policy.Link(from, to, cycle)
-		if ls.Cut {
-			return true, 0
-		}
-		// A transport's base is a loss and a latency. Losses compose as
-		// independent events, latencies add, and jitter and the bandwidth
-		// cap are the link's. Either loss alone passes through exactly, so
-		// a policy over a lossless transport drops what Policy.Drop drops.
-		rule.Loss += ls.Loss - rule.Loss*ls.Loss
-		rule.Base += ls.Base
-		rule.Jitter, rule.BandwidthBPS = ls.Jitter, ls.BandwidthBPS
+	ls := f.policy.Compose(f.base, from, to, cycle)
+	salt, item := frameKey(payload)
+	if ls.Drops(f.seed, from, to, cycle, salt, item) {
+		return true, 0
 	}
 	var u float64
-	if rule.Loss > 0 || rule.Jitter > 0 {
-		salt, item := frameKey(payload)
-		if faultnet.Draw(f.seed, from, to, cycle, salt, item) < rule.Loss {
-			return true, 0
-		}
-		if rule.Jitter > 0 {
-			u = faultnet.Draw(f.seed, from, to, cycle, salt+jitterSalt, item)
-		}
+	if ls.Jitter > 0 {
+		u = faultnet.Draw(f.seed, from, to, cycle, salt+jitterSalt, item)
 	}
-	return false, rule.Delay(frameLen(len(payload)), u)
+	return false, ls.Delay(frameLen(len(payload)), u)
 }
 
 // frameKey is the part of a frame's draw key the simulator takes from the

@@ -25,8 +25,8 @@ func faultWorldPolicy(n int, start, heal int64) *faultnet.Policy {
 	return p.AddPartition(faultnet.Partition{Groups: groups, Start: start, Heal: heal})
 }
 
-// runFaultWorld is runWorldWorkers with a link policy overlaid on the
-// uniform loss model.
+// runFaultWorld is runWorldWorkers with a link policy over a uniform loss
+// of 0.1.
 func runFaultWorld(n, items, cycles int, seed int64, workers int, links *faultnet.Policy) *metrics.Collector {
 	cfg := core.Config{FLike: 4, RPSViewSize: 8, ProfileWindow: int64(cycles)}
 	peers, pubs, col := communityWorld(n, items, cycles, cfg, seed)
@@ -69,6 +69,41 @@ func TestFaultnetEmptyPolicyMatchesNil(t *testing.T) {
 	got := fingerprint(runFaultWorld(n, items, cycles, seed, 2, faultnet.New()))
 	if got != ref {
 		t.Fatalf("empty policy diverged from nil policy:\n--- want\n%s--- got\n%s", ref, got)
+	}
+}
+
+// TestUniformLossIsAOneRulePolicy pins Config.Loss as the base rule of the
+// link decision: a uniform loss and a policy whose every link carries that
+// loss drop the same messages, at all six drop sites (gossip push and reply,
+// BEEP, departure notice, refill request and reply), for any worker count.
+func TestUniformLossIsAOneRulePolicy(t *testing.T) {
+	const n, items, cycles, loss, seed = 100, 30, 30, 0.1, 7
+	policy := faultnet.New().SetRule(faultnet.ClassDefault, faultnet.ClassDefault, faultnet.Rule{Loss: loss})
+	worlds := []struct {
+		name     string
+		schedule ChurnSchedule
+		proto    ChurnProtocolOptions
+	}{
+		{"static", ChurnSchedule{}, ChurnProtocolOptions{}},
+		{"churn", heavySchedule(n, cycles), ChurnProtocolOptions{DepartureNotices: true, RefillWatermark: 0.5}},
+	}
+	for _, w := range worlds {
+		for _, workers := range []int{1, 2} {
+			run := func(loss float64, links *faultnet.Policy) *metrics.Collector {
+				col, _ := runChurnWorldCfg(n, items, cycles, loss, seed, workers, w.schedule, func(c *Config) {
+					c.ChurnProtocolOptions, c.Links = w.proto, links
+				})
+				return col
+			}
+			uniform, ruled := run(loss, nil), run(0, policy)
+			if w.proto.DepartureNotices && (uniform.Messages(metrics.MsgDeparture) == 0 || uniform.Messages(metrics.MsgRefillReply) == 0) {
+				t.Fatalf("%s world sent no departure notice or refill reply: the test misses drop sites", w.name)
+			}
+			if got, want := fingerprint(ruled), fingerprint(uniform); got != want {
+				t.Fatalf("%s world, workers=%d: the one-rule policy diverged from Loss %g:\n--- want\n%s--- got\n%s",
+					w.name, workers, loss, want, got)
+			}
+		}
 	}
 }
 

@@ -18,14 +18,15 @@ import (
 	"whatsup/internal/overlay"
 )
 
-// Golden collector fingerprints of the pre-shard engine (captured at commit
-// 1a0bbbe, before shard routing landed). The Shards=1 path must stay
-// bit-identical with that engine forever: these hashes pin it.
+// Golden collector fingerprints of the Shards=1 engine (first captured at
+// commit 1a0bbbe, before shard routing landed; both worlds run at a uniform
+// loss, so they moved when Config.Loss became the keyed link rule). Every
+// Workers × Shards combination must reproduce them: these hashes pin it.
 const (
 	// sha256 of fingerprint(runShardedWorld(workers, 1)) for any workers.
-	goldenStaticWorld = "805421bead99aa25cf6b1c7a20716774e88228567ab6d1460f7616c003d00676"
+	goldenStaticWorld = "fa8ba767e6a625bdc21e728d9244897c3fd377acd0cdb8a0701eedf1577ff26d"
 	// sha256 of fingerprint(heavyChurnWorld(workers, 1)) for any workers.
-	goldenHeavyWorld = "1b0c5d7ca9b309ee275b742e5d6091a6aecb14ce99d620116643119ea7f66ffc"
+	goldenHeavyWorld = "01c96cae9874d3178e50059263a648a154386e7ac8e04fadabc850e1dc436981"
 )
 
 func fingerprintHash(c *metrics.Collector) string {

@@ -9,8 +9,8 @@
 // exchange legs, refill, departure notices, crash, leave, rejoin — is a call
 // into the substrate a Peer embeds, shared verbatim with internal/live. What
 // the engine owns is what only a simulator has: the phase order and its
-// barriers, loss and link draws, wire-byte accounting, the worker pool and
-// the shard routing below.
+// barriers, wire-byte accounting, the worker pool and the shard routing
+// below. A drop is the faultnet link decision the live transports make too.
 //
 // The engine is parallel *and* strictly deterministic: peer state lives in
 // one member table indexed by global dense index, every per-cycle phase is
@@ -20,9 +20,10 @@
 // combination. Four mechanisms guarantee this:
 //
 //   - Randomness is never drawn from a shared source. The engine derives one
-//     RNG stream per peer from Config.Seed and the peer ID; loss decisions
-//     and bootstrap sampling consume only the stream of the peer they
-//     concern, in a per-peer order that is fixed by the phase structure.
+//     RNG stream per peer from Config.Seed and the peer ID; bootstrap
+//     sampling consumes only the stream of the peer it concerns, in a
+//     per-peer order that is fixed by the phase structure, and a loss
+//     decision is a stateless faultnet draw keyed by the message.
 //   - Every phase partitions state mutation by owner. Gossip rounds split into a parallel "compute
 //     pushes" phase (each initiator touches only its own state), an "absorb
 //     pushes" phase grouped per responder (each responder applies its
@@ -102,31 +103,32 @@ type ChurnProtocolOptions struct {
 	// RefillWatermark enables adaptive view refill: at the start of each
 	// cycle, every online peer whose RPS or WUP view occupancy has fallen
 	// under this fraction of capacity pulls an anti-entropy descriptor
-	// sample from its freshest surviving neighbour. In the simulator, refill
-	// loss decisions consume only the pulling peer's engine stream and the
-	// phase runs serially in dense-index order, preserving the worker-count
-	// determinism contract. Zero disables refill.
+	// sample from its freshest surviving neighbour. In the simulator the
+	// phase runs serially in dense-index order and drops both legs by keyed
+	// link draws, preserving the worker-count determinism contract. Zero
+	// disables refill.
 	RefillWatermark float64
 }
 
 // Config parameterizes an engine run.
 type Config struct {
-	// Seed drives the engine's own randomness (loss decisions, bootstrap).
+	// Seed drives the engine's own randomness: the per-peer bootstrap
+	// streams and the key of every link draw.
 	Seed int64
 	// Cycles is the number of gossip cycles Run executes.
 	Cycles int
 	// Loss drops each message (BEEP, RPS and WUP legs independently) with
-	// this probability (Table VI).
+	// this probability (Table VI). It is the base rule of every link, under
+	// Links' rule (faultnet.Policy.Compose), as a live ChannelNet's loss is.
 	Loss float64
-	// Links, when set, overlays per-link network conditions on top of the
-	// uniform loss model: a faultnet.Policy assigning loss rates and
-	// scheduled partitions to individual directed links (latency and
-	// bandwidth rules only apply under the live transports — the sim
-	// delivers within the cycle either way). Link decisions are stateless
-	// hashes keyed off Seed, the link and the event, so they never perturb
-	// the per-peer streams: a run with a nil (or empty) policy is
-	// bit-identical with history, and any policy preserves the worker-count
-	// determinism contract. The policy must not be mutated during the run.
+	// Links, when set, assigns loss rates and scheduled partitions to
+	// individual directed links (latency and bandwidth rules only apply
+	// under the live transports — the sim delivers within the cycle either
+	// way). A message is dropped by a stateless hash keyed off Seed, the
+	// link and the event, which consumes no per-peer stream: an empty
+	// policy is bit-identical with a nil one, and any policy preserves the
+	// worker-count determinism contract. The policy must not be mutated
+	// during the run.
 	Links *faultnet.Policy
 	// BootstrapDegree is the number of random descriptors each peer's views
 	// are seeded with before the run (default core.DefaultBootstrapDegree).
@@ -439,7 +441,7 @@ func (e *Engine) onlinePeer(id news.NodeID) Peer {
 // engineSide is the simulator's side of membership events. A peer has no
 // goroutine, endpoint or lock: its critical section is the call itself, at
 // the engine clock. A departure notice is accounted like any message, then
-// subject to the loss draw from the leaver's stream and the link policy.
+// subject to the link decision (linkDropped).
 type engineSide struct{ e *Engine }
 
 func (s engineSide) Hold(p Peer, fn func(*core.Substrate, int64)) { fn(p.Overlay(), s.e.now) }
@@ -451,7 +453,7 @@ func (s engineSide) Stop(p Peer, _ bool, down func(*core.Substrate)) { down(p.Ov
 func (s engineSide) Notify(leaver, to Peer, t overlay.Tombstone) {
 	e, from, dst := s.e, leaver.Overlay().ID(), to.Overlay()
 	e.col.RecordMessage(metrics.MsgDeparture, t.WireSize())
-	if e.lost(from) || e.linkDropped(from, dst.ID(), e.now, metrics.MsgDeparture, 0) {
+	if e.linkDropped(from, dst.ID(), e.now, metrics.MsgDeparture, 0) {
 		return
 	}
 	dst.NoteDeparture(t, e.now)
@@ -541,29 +543,17 @@ func (e *Engine) Health() metrics.ChurnSample {
 	return e.mem.Health(engineSide{e}, e.now, e.col.CohortOf, e.cfg.Links)
 }
 
-// linkDropped reports whether the per-link fault policy (Config.Links)
-// drops a message on the directed link this cycle: partition cuts always
-// drop, lossy links drop by a stateless faultnet draw keyed off the engine
-// seed and the event identity (salt = the message kind, extra = the item for
-// BEEP). No peer stream is touched, so fault injection composes with the
-// uniform loss model without disturbing its draws, and any worker can
-// evaluate the check in any order. Nil policy: one comparison, no work.
+// linkDropped reports whether a message on the directed link is dropped
+// this cycle: the faultnet decision with Config.Loss as the base rule under
+// the link policy (Config.Links), keyed off the engine seed and the event
+// identity (salt = the message kind, extra = the item for BEEP). It touches
+// no peer stream, so any worker can evaluate it in any order. Without loss
+// or a policy it is one branch and no work.
 func (e *Engine) linkDropped(from, to news.NodeID, now int64, kind metrics.MessageKind, extra uint64) bool {
-	if e.cfg.Links == nil {
+	if e.cfg.Loss == 0 && e.cfg.Links == nil {
 		return false
 	}
-	return e.cfg.Links.Drop(e.cfg.Seed, from, to, now, uint64(kind)+1, extra)
-}
-
-// lost draws one loss decision from the given peer's engine stream. Every
-// phase consumes each peer's stream in a deterministic per-peer order, so
-// loss outcomes are independent of the worker count.
-func (e *Engine) lost(id news.NodeID) bool {
-	if e.cfg.Loss <= 0 {
-		return false
-	}
-	g, ok := e.mem.idx[id]
-	return ok && e.mem.streams[g].Float64() < e.cfg.Loss
+	return e.cfg.Links.Compose(faultnet.Rule{Loss: e.cfg.Loss}, from, to, now).Drops(e.cfg.Seed, from, to, now, uint64(kind)+1, extra)
 }
 
 // descriptorsWireSize sums the wire sizes of a descriptor batch.
@@ -639,8 +629,8 @@ func (e *Engine) publish(now int64) {
 // evicted more neighbours than gossip replaced) pulls a descriptor sample
 // from the freshest neighbour it still knows. The phase runs serially in
 // dense-index order right after cycle maintenance, before the gossip rounds;
-// loss decisions for both legs of a pull consume only the pulling peer's
-// engine stream, so results are bit-identical for any worker count.
+// both legs of a pull are dropped by keyed link draws, so results are
+// bit-identical for any worker count.
 func (e *Engine) refillViews(now int64) {
 	wm := e.cfg.RefillWatermark
 	var leg []overlay.Descriptor // the phase's reply arena: one array, cleared after each pull
@@ -659,12 +649,12 @@ func (e *Engine) refillViews(now int64) {
 		}
 		req := []overlay.Descriptor{s.Descriptor(now)}
 		e.col.RecordMessage(metrics.MsgRefillRequest, descriptorsWireSize(req))
-		if e.lost(s.ID()) || e.linkDropped(s.ID(), target, now, metrics.MsgRefillRequest, 0) {
+		if e.linkDropped(s.ID(), target, now, metrics.MsgRefillRequest, 0) {
 			continue
 		}
 		reply := responder.Overlay().AcceptRefill(leg, req, now)
 		e.col.RecordMessage(metrics.MsgRefillReply, descriptorsWireSize(reply))
-		if !e.lost(s.ID()) && !e.linkDropped(target, s.ID(), now, metrics.MsgRefillReply, 0) {
+		if !e.linkDropped(target, s.ID(), now, metrics.MsgRefillReply, 0) {
 			s.AcceptRefillReply(reply, wm, now)
 		}
 		clear(reply)
@@ -922,7 +912,7 @@ func (e *Engine) computePushes(now int64, layer core.Layer, reqKind metrics.Mess
 		e.cols[w].RecordMessage(reqKind, descriptorsWireSize(push)+overlay.TombstonesWireSize(tombs))
 		exs[g] = exchange{
 			ok: true, target: target, push: push, pushTombs: tombs,
-			lost: e.lost(s.ID()) || e.linkDropped(s.ID(), target, now, reqKind, 0),
+			lost: e.linkDropped(s.ID(), target, now, reqKind, 0),
 		}
 	})
 	return exs
@@ -976,7 +966,7 @@ func (e *Engine) gossipRound(now int64, layer core.Layer, reqKind, repKind metri
 			a.descs = descs
 			reply := descs[lo:len(descs):len(descs)]
 			e.cols[w].RecordMessage(repKind, descriptorsWireSize(reply)+overlay.TombstonesWireSize(replyTombs))
-			if !e.lost(respID) && !e.linkDropped(respID, e.mem.members[i].Overlay().ID(), now, repKind, 0) {
+			if !e.linkDropped(respID, e.mem.members[i].Overlay().ID(), now, repKind, 0) {
 				exs[i].reply = reply
 				exs[i].replyTombs = replyTombs
 			}
@@ -1085,7 +1075,7 @@ func (e *Engine) deliverRound(now int64) {
 			env := &batch[k]
 			msg := &msgs[env.msg]
 			col.RecordMessage(metrics.MsgBeep, msg.WireSize())
-			if e.lost(env.to) || e.linkDropped(env.from, env.to, now, metrics.MsgBeep, uint64(env.item)) {
+			if e.linkDropped(env.from, env.to, now, metrics.MsgBeep, uint64(env.item)) {
 				continue
 			}
 			if recv == nil {

@@ -20,7 +20,7 @@ func TestServingFacade(t *testing.T) {
 		CycleLength:  5 * time.Millisecond,
 		FeedCapacity: 16,
 		Opinions:     OpinionFunc(func(NodeID, ItemID) bool { return true }),
-	}, BlankDataset(users), NewChannelNet(7, 0, 0))
+	}, BlankDataset(users), NewChannelNet(0, 0))
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {

@@ -192,9 +192,9 @@ func NewLiveRunner(cfg LiveRunnerConfig, ds *Dataset, network Network) *LiveRunn
 }
 
 // NewChannelNet builds the in-memory lossy transport (ModelNet-style). The
-// seed is unused: the runner's seed keys every loss draw.
-func NewChannelNet(seed int64, lossRate float64, latency time.Duration) Network {
-	return live.NewChannelNet(seed, lossRate, latency)
+// runner's seed keys every loss draw.
+func NewChannelNet(loss float64, latency time.Duration) Network {
+	return live.NewChannelNet(0, loss, latency)
 }
 
 // ── Serving: ingestion sources and the HTTP API ─────────────────────────

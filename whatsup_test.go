@@ -87,7 +87,7 @@ func TestRunLiveChannels(t *testing.T) {
 			Seed:        1,
 			Cycles:      25,
 			CycleLength: 4 * time.Millisecond,
-		}, ds, NewChannelNet(1, 0, 0))
+		}, ds, NewChannelNet(0, 0))
 		r.Run()
 		if r.Collector().Recall() > 0 {
 			return
@@ -111,7 +111,7 @@ func TestRunLiveChurnSchedule(t *testing.T) {
 		Cycles:      25,
 		CycleLength: 4 * time.Millisecond,
 		Churn:       schedule,
-	}, ds, NewChannelNet(1, 0, 0))
+	}, ds, NewChannelNet(0, 0))
 	r.Run()
 	if r.Collector().TotalMessages() == 0 {
 		t.Fatal("churning live run produced no traffic")
@@ -205,8 +205,8 @@ func TestDriverOutputsPinned(t *testing.T) {
 		recall bool
 		want   string
 	}{
-		{"trace", trace, true, "24bb4d7f3e817937525105c7cab297422458bd223a3bfd7230363b635cbc72b5"},
-		{"crowd", crowd, false, "cccb4e2d02df6eb815d1bd5aadb8a5f06a67074642b8be6bf71cf42b44616a7b"},
+		{"trace", trace, true, "85b31b5786b589001ac023da285eeaf55613e296549b157bf09d9d827fcc686b"},
+		{"crowd", crowd, false, "96fbbf460667924669a18c6deff280fb3016bc1c7d6f2f83ea5b958e8ee51ffe"},
 	} {
 		w, engineCfg := SimulationConfig{Node: Config{FLike: 5, DescriptorTTL: 10}, Seed: 4}.world(ds)
 		w.Churn = tc.churn
