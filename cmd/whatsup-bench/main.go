@@ -21,6 +21,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -72,6 +73,30 @@ func run(args []string, stdout, stderr io.Writer) int {
 	selected := map[string]bool{}
 	for _, name := range strings.Split(*runList, ",") {
 		selected[strings.TrimSpace(name)] = true
+	}
+	// A scenario flag is refused unless a run that reads it is selected, as
+	// whatsup-sim refuses churn flags on a static run: otherwise it would be
+	// ignored without a word. 'all' takes in live but not churn or adversarial.
+	reads := func(run string) bool { return selected[run] || run == "live" && selected["all"] }
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for _, g := range []struct {
+		flags, runs []string
+		msg         string
+	}{
+		{[]string{"cycle-peers"}, []string{"churn"},
+			"-cycle-peers configures the churn scenario: it needs -run churn"},
+		{[]string{"churn-refill", "churn-departures"}, []string{"churn", "live"},
+			"-churn-refill and -churn-departures configure the churn and live scenarios: they need -run churn or live"},
+		{[]string{"adversarial-peers", "adversarial-cycles", "adversarial-spam"}, []string{"adversarial"},
+			"-adversarial-peers, -adversarial-cycles and -adversarial-spam configure the adversarial scenario: they need -run adversarial"},
+		{[]string{"live-churn", "live-flash-crowd", "transport"}, []string{"live"},
+			"-live-churn, -live-flash-crowd and -transport configure the live scenario: they need -run live or all"},
+	} {
+		if slices.ContainsFunc(g.flags, func(f string) bool { return set[f] }) && !slices.ContainsFunc(g.runs, reads) {
+			fmt.Fprintln(stderr, g.msg)
+			return 2
+		}
 	}
 	// Both scenarios build their worlds from seed 1 whatever -seed says, so a
 	// different seed would print the seed-1 report under its name.

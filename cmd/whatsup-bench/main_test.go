@@ -186,3 +186,41 @@ func TestRunRejectsEmptyAdversarialCohort(t *testing.T) {
 		}
 	}
 }
+
+// TestRunRejectsScenarioFlagsWithoutTheirRun pins the refusal of a scenario
+// flag that none of the selected runs reads: each group is refused on a run
+// that ignores it, before anything runs, and accepted with a run that reads
+// it ('all' takes in the live scenario, not churn or adversarial).
+func TestRunRejectsScenarioFlagsWithoutTheirRun(t *testing.T) {
+	for _, c := range []struct {
+		args    []string
+		refusal string // "" when the run is accepted
+	}{
+		{[]string{"-run", "table2", "-cycle-peers", "7"}, "-cycle-peers configures the churn scenario"},
+		{[]string{"-run", "live", "-skip-live", "-cycle-peers", "7"}, "-cycle-peers configures the churn scenario"},
+		{[]string{"-run", "churn", "-cycle-peers", "60"}, ""},
+		{[]string{"-run", "table2", "-churn-refill", "0.9"}, "-churn-refill and -churn-departures configure"},
+		{[]string{"-run", "adversarial", "-adversarial-peers", "40", "-adversarial-cycles", "5", "-churn-departures=false"}, "-churn-refill and -churn-departures configure"},
+		{[]string{"-run", "churn", "-cycle-peers", "60", "-churn-refill", "0.9"}, ""},
+		{[]string{"-run", "live", "-skip-live", "-churn-departures=false"}, ""},
+		{[]string{"-run", "table2", "-adversarial-spam", "0.2"}, "-adversarial-peers, -adversarial-cycles and -adversarial-spam configure"},
+		{[]string{"-run", "all", "-skip-live", "-scale", "0.05", "-adversarial-cycles", "5"}, "-adversarial-peers, -adversarial-cycles and -adversarial-spam configure"},
+		{[]string{"-run", "adversarial", "-adversarial-peers", "40", "-adversarial-cycles", "5"}, ""},
+		{[]string{"-run", "table2", "-transport", "tcp"}, "-live-churn, -live-flash-crowd and -transport configure"},
+		{[]string{"-run", "churn", "-cycle-peers", "60", "-live-churn", "0.2"}, "-live-churn, -live-flash-crowd and -transport configure"},
+		{[]string{"-run", "table2", "-live-flash-crowd", "6"}, "-live-churn, -live-flash-crowd and -transport configure"},
+		{[]string{"-run", "live", "-skip-live", "-transport", "tcp", "-live-churn", "0.2", "-live-flash-crowd", "6"}, ""},
+	} {
+		var out, errOut strings.Builder
+		code := run(c.args, &out, &errOut)
+		if c.refusal == "" {
+			if code != 0 {
+				t.Errorf("%v: exit=%d stderr=%q, want it accepted", c.args, code, errOut.String())
+			}
+			continue
+		}
+		if code != 2 || !strings.Contains(errOut.String(), c.refusal) || out.Len() != 0 {
+			t.Errorf("%v: exit=%d stderr=%q stdout %d bytes, want exit 2 and %q before anything runs", c.args, code, errOut.String(), out.Len(), c.refusal)
+		}
+	}
+}

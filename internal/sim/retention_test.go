@@ -39,7 +39,7 @@ func leaverWorld(peers, cycles, workers, shards int, leaveRate float64) (*Engine
 }
 
 // TestStepReleasesScratch is the engine half of "nothing pinned past its
-// use": the BEEP hop buffers — envelopes and message tables, the current
+// use": the BEEP hop buffers — envelopes, entry and item tables, the current
 // hop's and every worker's next-hop one — and the gossip exchange table keep
 // their capacity between cycles but not their contents, and the per-worker
 // push and reply arenas keep neither, so a finished cycle holds no item
@@ -60,7 +60,8 @@ func TestStepReleasesScratch(t *testing.T) {
 				}
 			}
 			allZero("hop envelopes", e.hop.envs[:cap(e.hop.envs)])
-			allZero("hop messages", e.hop.msgs[:cap(e.hop.msgs)])
+			allZero("hop entries", e.hop.entries[:cap(e.hop.entries)])
+			allZero("hop items", e.hop.items[:cap(e.hop.items)])
 			allZero("exs", e.exs[:cap(e.exs)])
 			if len(e.pushArenas) != c.workers || len(e.replyArenas) != c.workers {
 				t.Fatalf("workers %d: %d push and %d reply arenas, want one of each per worker", c.workers, len(e.pushArenas), len(e.replyArenas))
@@ -76,15 +77,17 @@ func TestStepReleasesScratch(t *testing.T) {
 			if len(e.next) != c.workers {
 				t.Fatalf("workers %d: %d next-hop buffers, want one per worker", c.workers, len(e.next))
 			}
-			sent, tabled := 0, 0
+			sent, tabled, items := 0, 0, 0
 			for w := range e.next {
 				nx := &e.next[w]
 				allZero("next-hop envelopes", nx.envs[:cap(nx.envs)])
-				allZero("next-hop messages", nx.msgs[:cap(nx.msgs)])
+				allZero("next-hop entries", nx.entries[:cap(nx.entries)])
+				allZero("next-hop items", nx.items[:cap(nx.items)])
 				sent += cap(nx.envs)
-				tabled += cap(nx.msgs)
+				tabled += cap(nx.entries)
+				items += cap(nx.items)
 			}
-			if cap(e.hop.envs) == 0 || cap(e.hop.msgs) == 0 || cap(e.exs) == 0 || sent == 0 || tabled == 0 {
+			if cap(e.hop.envs) == 0 || cap(e.hop.entries) == 0 || cap(e.hop.items) == 0 || cap(e.exs) == 0 || sent == 0 || tabled == 0 || items == 0 {
 				t.Fatalf("workers %d shards %d cycle %d: a scratch buffer was never used; the test checks nothing", c.workers, c.shards, e.Now())
 			}
 		}
@@ -113,12 +116,17 @@ func collectedHeap() int64 {
 // announced by departure notices (leaverRate), which the other two never
 // see: its graveyards fill, and tombstones ride every gossip leg.
 //
-// Recorded (go1.24, linux/amd64): 3.08 KB/peer serial and 6.68 KB/peer at
+// Recorded (go1.24, linux/amd64): 2.86 KB/peer serial and 6.38 KB/peer at
 // Workers 2 × Shards 4, with 24-byte descriptors, each WUP view's similarity
 // cache holding only its capacity survivors, BEEP targets drawn straight
-// into the sends and a BEEP hop storing each forwarded message once under
-// 24-byte envelopes. The regressions below were measured on the earlier hop,
-// whose 128-byte envelopes each held their message and read 3.32 and 6.89:
+// into the sends, a BEEP hop storing each forwarded message once as a
+// 24-byte entry over a table holding each item once, under 24-byte
+// envelopes, and gossip rounds bucketing pushes in flat int32 arrays. A hop
+// table of whole core.ItemMessage entries (120 bytes, the item repeated in
+// each) with a map-and-lists bucketing read 3.09 and 6.65: inside the
+// margin, so TestHopShapePinned's entry size catches it instead. The
+// regressions below were measured on an earlier hop still, whose 128-byte
+// envelopes each held their message and read 3.32 and 6.89:
 // descriptors carrying an always-empty address string (40 bytes each)
 // measured 3.95 and 7.68; a 64-slot score ring per WUP view and a
 // targets slice kept per node, 5.27 and 9.04; a seen map that never forgets,
@@ -131,8 +139,9 @@ func collectedHeap() int64 {
 // envelopes, which TestHopShapePinned pins. TestSimSoakHeapFlat catches the
 // seen map too: a set that never forgets grows every window.
 //
-// Recorded for the graveyard case: 3.32 KB/peer with immutable tombstone
-// sets that receivers adopt and share. With the 128-byte envelopes, 3.53,
+// Recorded for the graveyard case: 3.09 KB/peer with immutable tombstone
+// sets that receivers adopt and share; 3.32 with whole-message hop entries
+// and map buckets. With the 128-byte envelopes, 3.53,
 // against 5.15 when every piggyback was a fresh copy and every graveyard
 // grew its own array by doubling.
 func TestSimHeapPerPeerBudget(t *testing.T) {
@@ -154,12 +163,12 @@ func TestSimHeapPerPeerBudget(t *testing.T) {
 	for _, c := range []struct {
 		workers, shards int
 		recordedKB      float64
-	}{{1, 1, 3.08}, {2, 4, 6.68}} {
+	}{{1, 1, 2.86}, {2, 4, 6.38}} {
 		budget(fmt.Sprintf("workers %d shards %d", c.workers, c.shards), c.recordedKB, func() *Engine {
 			return churnCycleWorld(peers, cycles, c.workers, c.shards)
 		})
 	}
-	budget("workers 1 shards 1, graceful leaves with departure notices", 3.32, func() *Engine {
+	budget("workers 1 shards 1, graceful leaves with departure notices", 3.09, func() *Engine {
 		e, _ := leaverWorld(peers, cycles, 1, 1, leaverRate)
 		return e
 	})
@@ -215,24 +224,41 @@ func TestSimSoakHeapFlat(t *testing.T) {
 }
 
 // TestHopShapePinned pins the BEEP hop's representation: an envelope is at
-// most 24 bytes and holds no message, and a hop's message table holds a
-// forwarded message once however many targets it goes to. Each cycle of the
-// churned world steps as Step does, but with the cycle's publications and
-// their drain run hop by hop here, counting every hop's sends and table
-// entries; the run must end with Run's collector fingerprint, and the counts
-// are the same for any worker or shard count. A table that stored one
-// message per send would have as many entries as sends.
+// most 24 bytes and holds no message, a table entry is at most 24 bytes and
+// holds no item (no news.Item, no string), and a hop's entry table holds a
+// forwarded message once however many targets it goes to, its item table an
+// item once per worker. Each cycle of the churned world steps as Step does,
+// but with the cycle's publications and their drain run hop by hop here,
+// counting every hop's sends, table entries and items; the run must end with
+// Run's collector fingerprint, and the sends and entries are the same for
+// any worker or shard count. A table that stored one message per send would
+// have as many entries as sends, and one that stored an item per entry as
+// many items as entries.
 func TestHopShapePinned(t *testing.T) {
 	if size := unsafe.Sizeof(envelope{}); size > 24 {
 		t.Fatalf("envelope is %d bytes, want at most 24", size)
 	}
+	if size := unsafe.Sizeof(hopEntry{}); size > 24 {
+		t.Fatalf("hop entry is %d bytes, want at most 24", size)
+	}
+	entry := reflect.TypeOf(hopEntry{})
+	for i := 0; i < entry.NumField(); i++ {
+		if f := entry.Field(i); f.Type == reflect.TypeOf(news.Item{}) || f.Type.Kind() == reflect.String {
+			t.Fatalf("hop entry field %s is a %v: an entry holds no item", f.Name, f.Type)
+		}
+	}
 	const peers, cycles = 200, 8
 	want := []string{"1164/495", "1338/555", "1289/506", "1214/434", "926/296", "1148/343", "1126/311", "1105/265"}
+	wantItems := map[int][]int{ // by workers: a worker's table holds an item once
+		1: {50, 38, 37, 33, 20, 29, 26, 25},
+		2: {92, 70, 67, 57, 36, 51, 47, 42},
+	}
 	ref := churnCycleWorld(peers, cycles, 1, 1)
 	ref.Run()
 	for _, c := range []struct{ workers, shards int }{{1, 1}, {2, 4}} {
 		e := churnCycleWorld(peers, cycles, c.workers, c.shards)
 		var got []string
+		var items []int
 		for e.Now() < cycles {
 			now := e.Now() + 1
 			pubs := e.pubs[now]
@@ -241,10 +267,11 @@ func TestHopShapePinned(t *testing.T) {
 			e.pubs[now] = pubs
 			beeps := e.col.Messages(metrics.MsgBeep)
 			e.publish(now)
-			sends, tabled := 0, 0
+			sends, tabled, itemed := 0, 0, 0
 			for len(e.hop.envs) > 0 {
 				sends += len(e.hop.envs)
-				tabled += len(e.hop.msgs)
+				tabled += len(e.hop.entries)
+				itemed += len(e.hop.items)
 				e.deliverRound(now)
 			}
 			e.drain(now)
@@ -253,12 +280,16 @@ func TestHopShapePinned(t *testing.T) {
 				t.Fatalf("workers %d shards %d cycle %d: %d sends counted, the collector recorded %d", c.workers, c.shards, now, sends, n)
 			}
 			got = append(got, fmt.Sprintf("%d/%d", sends, tabled))
+			items = append(items, itemed)
 		}
 		if g, w := fingerprint(e.col), fingerprint(ref.col); g != w {
 			t.Fatalf("workers %d shards %d: hop-by-hop cycles diverged from Run:\n%s\nwant\n%s", c.workers, c.shards, g, w)
 		}
 		if !slices.Equal(got, want) {
 			t.Errorf("workers %d shards %d: sends/table entries per cycle %v, want %v", c.workers, c.shards, got, want)
+		}
+		if !slices.Equal(items, wantItems[c.workers]) {
+			t.Errorf("workers %d shards %d: item-table lengths per cycle %v, want %v", c.workers, c.shards, items, wantItems[c.workers])
 		}
 	}
 }

@@ -60,6 +60,7 @@ import (
 	"whatsup/internal/metrics"
 	"whatsup/internal/news"
 	"whatsup/internal/overlay"
+	"whatsup/internal/profile"
 	"whatsup/internal/wire"
 )
 
@@ -168,26 +169,39 @@ type Config struct {
 }
 
 // envelope is one in-flight BEEP send: its endpoints, the item it carries
-// (the last key of the hop's sort) and the index of its message in the hop's
-// message table. It holds no pointer, so the sort moves 24 bytes a send and a
+// (the last key of the hop's sort) and the index of its entry in the hop's
+// table. It holds no pointer, so the sort moves 24 bytes a send and a
 // buffer of envelopes pins nothing.
 type envelope struct {
 	to, from news.NodeID
-	msg      int32 // index into hop.msgs
+	msg      int32 // index into hop.entries
 	item     news.ID
 }
 
+// hopEntry is what one forward of an item carries besides the item itself
+// (paper §II-C): the item profile P_I, the dislike counter d_I, the hop count
+// and the sender's reason. The item is an index into the hop's item table.
+type hopEntry struct {
+	profile    *profile.Profile
+	item       int32 // index into hop.items
+	dislikes   int32
+	hops       int32
+	viaDislike bool
+}
+
 // hop is the BEEP traffic of one hop round: an envelope per send over a
-// message table holding each distinct message once. The sends of one Publish
-// or Receive call that carry an equal message (==) share one entry, so a
-// forward to fLIKE targets stores one core.ItemMessage (120 bytes) and fLIKE
+// table of entries, each naming its item in a table that holds each distinct
+// item once (a worker's next-hop tables laid end to end may repeat one). The
+// sends of one Publish or Receive call that carry an equal message (==) share
+// one entry, so a forward to fLIKE targets stores one 24-byte entry and fLIKE
 // envelopes; any other send gets an entry of its own, whatever the Peer.
 // sends is the buffer a core.Node's Publish or Receive appends to before
 // add copies them in (publish, receive).
 type hop struct {
-	envs  []envelope
-	msgs  []core.ItemMessage
-	sends []core.Send
+	envs    []envelope
+	entries []hopEntry
+	items   []news.Item
+	sends   []core.Send
 }
 
 // publish is src.Publish(item, now), appended to h.sends when src is a
@@ -224,27 +238,44 @@ func (h *hop) receive(recv Peer, msg core.ItemMessage, now int64) (core.Delivery
 //
 //whatsup:hotpath
 func (h *hop) add(from news.NodeID, sends []core.Send) {
-	lo := len(h.msgs) // the call's first entry: only its own sends share one
+	lo := len(h.entries) // the call's first entry: only its own sends share one
 	for _, s := range sends {
+		m := hopEntry{profile: s.Msg.Profile, item: h.itemIndex(s.Msg.Item),
+			dislikes: int32(s.Msg.Dislikes), hops: int32(s.Msg.Hops), viaDislike: s.Msg.ViaDislike}
 		k := lo
-		for k < len(h.msgs) && h.msgs[k] != s.Msg {
+		for k < len(h.entries) && h.entries[k] != m {
 			k++
 		}
-		if k == len(h.msgs) {
-			h.msgs = append(h.msgs, s.Msg) //whatsup:alloc amortized growth of the cross-cycle message table
+		if k == len(h.entries) {
+			h.entries = append(h.entries, m) //whatsup:alloc amortized growth of the cross-cycle entry table
 		}
 		h.envs = append(h.envs, envelope{to: s.To, from: from, msg: int32(k), item: s.Msg.Item.ID}) //whatsup:alloc amortized growth of the cross-cycle envelope buffer
 	}
 }
 
-// reset empties the hop, keeping its arrays and, beyond len, their contents.
-func (h *hop) reset() { h.envs, h.msgs = h.envs[:0], h.msgs[:0] }
+// itemIndex returns the index of item in h.items, appending it if absent.
+// The scan runs from the back, where the item of the call being added sits.
+//
+//whatsup:hotpath
+func (h *hop) itemIndex(item news.Item) int32 {
+	for k := len(h.items) - 1; k >= 0; k-- {
+		if h.items[k].ID == item.ID && h.items[k] == item {
+			return int32(k)
+		}
+	}
+	h.items = append(h.items, item) //whatsup:alloc amortized growth of the cross-cycle item table
+	return int32(len(h.items) - 1)
+}
 
-// release zeroes the arrays to capacity: a table entry or a send pins an
-// item profile.
+// reset empties the hop, keeping its arrays and, beyond len, their contents.
+func (h *hop) reset() { h.envs, h.entries, h.items = h.envs[:0], h.entries[:0], h.items[:0] }
+
+// release zeroes the arrays to capacity: an entry or a send pins an item
+// profile, an item its strings.
 func (h *hop) release() {
 	clear(h.envs[:cap(h.envs)])
-	clear(h.msgs[:cap(h.msgs)])
+	clear(h.entries[:cap(h.entries)])
+	clear(h.items[:cap(h.items)])
 	clear(h.sends[:cap(h.sends)])
 	h.sends = h.sends[:0]
 }
@@ -331,12 +362,13 @@ var emptyDescriptors = make([]overlay.Descriptor, 0)
 // hops and cycles so the steady-state per-cycle loop performs no engine-side
 // allocation beyond the cross-shard profile snapshots and tombstone arenas a
 // shard decodes and the one array per round each leg arena takes: the BEEP
-// hop (its envelopes and its message table, which stores each forwarded
-// message once), the per-receiver segments, the per-worker next-hop and
-// delivery buffers, the gossip exchange table and the inter-shard batch
-// buffers and descriptor decode arenas all keep their capacity between
-// cycles — and only that: drain and gossipRound zero what could pin a
-// profile or a descriptor slice.
+// hop (its envelopes, its table of 24-byte entries, which stores each
+// forwarded message once, and its item table, which stores each item once),
+// the per-receiver segments, the per-worker next-hop and delivery buffers,
+// the gossip exchange table and its flat responder buckets, the inter-shard
+// batch buffers and descriptor decode arenas all keep their capacity
+// between cycles — and only that: drain and gossipRound zero what could pin
+// a profile or a descriptor slice.
 // The push and reply arenas (legArena) keep nothing but a length: every
 // gossip leg a worker builds in a round is appended to that worker's arena,
 // and gossipRound drops the arrays, capacity included, when the round ends.
@@ -351,14 +383,16 @@ type Engine struct {
 	pubs    map[int64][]Publication
 	stats   ShardStats
 
-	hop         hop        // sends of the current BEEP hop
-	segs        []segment  // per-receiver spans of the sorted hop
-	exs         []exchange // gossip exchange table, one slot per peer
-	pushArenas  []legArena // per-worker push legs of the current gossip round
-	replyArenas []legArena // per-worker reply legs of the current gossip round
-	order       []news.NodeID
-	bucketIdx   map[news.NodeID]int
-	bucketLists [][]int
+	hop         hop           // sends of the current BEEP hop
+	segs        []segment     // per-receiver spans of the sorted hop
+	exs         []exchange    // gossip exchange table, one slot per peer
+	pushArenas  []legArena    // per-worker push legs of the current gossip round
+	replyArenas []legArena    // per-worker reply legs of the current gossip round
+	order       []news.NodeID // responders of the gossip round, first contact first
+	bucketOf    []int32       // per dense member: 1 + its bucket as a responder, 0 for none
+	pushBucket  []int32       // per initiator: 1 + its push's bucket, 0 for none
+	bucketStart []int32       // bucket b's initiators are bucketList[bucketStart[b]:bucketStart[b+1]]
+	bucketList  []int32
 	next        []hop             // per-worker sends of the next BEEP hop
 	delivBufs   [][]core.Delivery // per-worker deliveries for OnDelivery
 	xbufs       [][]byte          // pooled (src*S+dst) inter-shard batch buffers
@@ -380,7 +414,6 @@ func New(cfg Config, peers []Peer, col *metrics.Collector) *Engine {
 		col:         col,
 		cols:        make([]*metrics.Collector, workers),
 		pubs:        make(map[int64][]Publication),
-		bucketIdx:   make(map[news.NodeID]int, len(peers)),
 		next:        make([]hop, workers),
 		pushArenas:  make([]legArena, workers),
 		replyArenas: make([]legArena, workers),
@@ -847,37 +880,56 @@ func (e *Engine) routeCrossShard(exs []exchange, reply bool, layer core.Layer) {
 }
 
 // bucketByResponder groups successful pushes by responder, preserving
-// initiator order inside each bucket and first-contact order across buckets.
-// Exchanges whose push was lost or whose responder lacks the layer are
-// dropped here, exactly as a lost or undeliverable datagram would be. The
-// bucket storage (order, index map, per-bucket lists) is engine scratch
-// reused across rounds.
+// initiator order inside each bucket and first-contact order across buckets:
+// bucket b is order[b]'s, and its initiators are e.bucket(b). Exchanges whose
+// push was lost or whose responder lacks the layer are dropped here, exactly
+// as a lost or undeliverable datagram would be. The buckets are flat int32
+// engine scratch reused across rounds: a bucket per responder's dense index
+// (bucketOf) and per initiator (pushBucket), counted, summed and filled into
+// one initiator list (bucketList) cut at the offsets in bucketStart.
 func (e *Engine) bucketByResponder(exs []exchange, layer core.Layer) []news.NodeID {
 	e.order = e.order[:0]
-	clear(e.bucketIdx)
+	e.bucketOf = slices.Grow(e.bucketOf[:0], len(e.mem.members))[:len(e.mem.members)]
+	e.pushBucket = slices.Grow(e.pushBucket[:0], len(exs))[:len(exs)]
+	clear(e.bucketOf) // 1 + the responder's bucket, 0 for none
+	clear(e.pushBucket)
+	// Count: bucket b's size goes to start[b+2], so that after the prefix
+	// sum start[b+1] is b's first slot, the fill's cursor, and after the
+	// fill b's end, leaving b's span at start[b]:start[b+1].
+	start := append(e.bucketStart[:0], 0, 0)
 	for i := range exs {
 		ex := &exs[i]
 		if !ex.ok || ex.lost {
 			continue
 		}
-		r := e.onlinePeer(ex.target)
-		if r == nil || !r.Overlay().Has(layer) {
+		t, known := e.mem.idx[ex.target]
+		if !known || e.mem.states[t] != Online || !e.mem.members[t].Overlay().Has(layer) {
 			continue
 		}
-		bi, seen := e.bucketIdx[ex.target]
-		if !seen {
-			bi = len(e.order)
-			e.bucketIdx[ex.target] = bi
+		if e.bucketOf[t] == 0 {
 			e.order = append(e.order, ex.target)
-			if len(e.bucketLists) <= bi {
-				e.bucketLists = append(e.bucketLists, nil)
-			}
-			e.bucketLists[bi] = e.bucketLists[bi][:0]
+			e.bucketOf[t] = int32(len(e.order))
+			start = append(start, 0)
 		}
-		e.bucketLists[bi] = append(e.bucketLists[bi], i)
+		e.pushBucket[i] = e.bucketOf[t]
+		start[e.bucketOf[t]+1]++
 	}
+	for b := 2; b < len(start); b++ {
+		start[b] += start[b-1]
+	}
+	list := slices.Grow(e.bucketList[:0], int(start[len(start)-1]))[:start[len(start)-1]]
+	for i, b := range e.pushBucket {
+		if b != 0 {
+			list[start[b]] = int32(i)
+			start[b]++
+		}
+	}
+	e.bucketStart, e.bucketList = start, list
 	return e.order
 }
+
+// bucket returns the initiators of bucketByResponder's bucket b, ascending.
+func (e *Engine) bucket(b int) []int32 { return e.bucketList[e.bucketStart[b]:e.bucketStart[b+1]] }
 
 // computePushes is the first phase of a gossip round: every online initiator
 // with the layer builds its push from the pre-round state, records it and
@@ -959,7 +1011,7 @@ func (e *Engine) gossipRound(now int64, layer core.Layer, reqKind, repKind metri
 	e.parallelSpans(len(order), func(w, bi int) {
 		respID := order[bi]
 		responder := e.onlinePeer(respID).Overlay()
-		for _, i := range e.bucketLists[bi] {
+		for _, i := range e.bucket(bi) {
 			a := &e.replyArenas[w]
 			lo := len(a.descs)
 			descs, replyTombs := responder.AcceptPush(layer, a.descs, exs[i].push, exs[i].pushTombs, now)
@@ -996,14 +1048,14 @@ func (e *Engine) gossipRound(now int64, layer core.Layer, reqKind, repKind metri
 // Messages are delivered in hop rounds: all sends of one hop are collected,
 // put in a deterministic total order, and the round is delivered grouped
 // per receiver; the sends it produces form the next round. A round's sends
-// are envelopes over its message table (hop): each worker writes the
-// messages its receivers forward into a table of its own, and the next hop's
-// table is those tables laid end to end.
+// are envelopes over its entry and item tables (hop): each worker writes the
+// messages its receivers forward into tables of its own, and the next hop's
+// tables are those tables laid end to end.
 //
 // BEEP envelopes cross shard boundaries as in-memory references rather than
 // codec batches: item messages are engine-internal values whose identity the
 // scenarios control (experiment worlds override item ids), so the hop's
-// message table stays a shared value even at Shards > 1. A multi-process
+// tables stay shared values even at Shards > 1. A multi-process
 // split would route the hop through core.ItemMessage's codec the same way
 // gossip legs use routeCrossShard.
 func (e *Engine) drain(now int64) {
@@ -1023,7 +1075,7 @@ func (e *Engine) drain(now int64) {
 //
 //whatsup:hotpath
 func (e *Engine) deliverRound(now int64) {
-	batch, msgs := e.hop.envs, e.hop.msgs
+	batch := e.hop.envs
 	// Total order: by receiver, then sender, then item. A node forwards a
 	// given item at most once (SIR), so the triple is unique within a round
 	// — which also makes the sorted order independent of how the previous
@@ -1073,7 +1125,9 @@ func (e *Engine) deliverRound(now int64) {
 		col, nx := e.cols[w], &e.next[w]
 		for k := seg.lo; k < seg.hi; k++ {
 			env := &batch[k]
-			msg := &msgs[env.msg]
+			m := &e.hop.entries[env.msg]
+			msg := core.ItemMessage{Item: e.hop.items[m.item], Profile: m.profile,
+				Dislikes: int(m.dislikes), Hops: int(m.hops), ViaDislike: m.viaDislike}
 			col.RecordMessage(metrics.MsgBeep, msg.WireSize())
 			if e.linkDropped(env.from, env.to, now, metrics.MsgBeep, uint64(env.item)) {
 				continue
@@ -1081,7 +1135,7 @@ func (e *Engine) deliverRound(now int64) {
 			if recv == nil {
 				continue
 			}
-			d, sends := nx.receive(recv, *msg, now)
+			d, sends := nx.receive(recv, msg, now)
 			if d.Duplicate {
 				continue
 			}
@@ -1099,7 +1153,8 @@ func (e *Engine) deliverRound(now int64) {
 	// with the worker id, so the user-visible delivery sequence is identical
 	// for any worker count — then assemble the next hop over the one just
 	// consumed (the sort above normalizes its order): the workers' tables
-	// end to end, each worker's envelopes shifted by its table's offset.
+	// end to end, each worker's envelopes and entries shifted by its tables'
+	// offsets.
 	if observe {
 		for _, buf := range e.delivBufs {
 			for _, d := range buf {
@@ -1110,11 +1165,15 @@ func (e *Engine) deliverRound(now int64) {
 	e.hop.reset()
 	for w := range e.next {
 		nx := &e.next[w]
-		base, lo := int32(len(e.hop.msgs)), len(e.hop.envs)
-		e.hop.msgs = append(e.hop.msgs, nx.msgs...) //whatsup:alloc amortized growth of the hop's message table
-		e.hop.envs = append(e.hop.envs, nx.envs...) //whatsup:alloc amortized growth of the hop's envelopes
+		base, ibase, lo := len(e.hop.entries), int32(len(e.hop.items)), len(e.hop.envs)
+		e.hop.items = append(e.hop.items, nx.items...)       //whatsup:alloc amortized growth of the hop's item table
+		e.hop.entries = append(e.hop.entries, nx.entries...) //whatsup:alloc amortized growth of the hop's entry table
+		e.hop.envs = append(e.hop.envs, nx.envs...)          //whatsup:alloc amortized growth of the hop's envelopes
 		for k := lo; k < len(e.hop.envs); k++ {
-			e.hop.envs[k].msg += base
+			e.hop.envs[k].msg += int32(base)
+		}
+		for k := base; k < len(e.hop.entries); k++ {
+			e.hop.entries[k].item += ibase
 		}
 	}
 }
